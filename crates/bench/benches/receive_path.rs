@@ -1,27 +1,30 @@
-//! Receive-path micro-benchmarks (host wall-clock): message validation
-//! with the verified-signature memo cache cold versus warm.
+//! Receive-path micro-benchmarks (host wall-clock): what a frame costs
+//! `Turquois::on_message` the first time its facts are seen versus
+//! every later time.
 //!
-//! * **cold** — memoization force-disabled, so every one-time-signature
-//!   check recomputes its SHA-256 chain (the pre-cache receive path).
-//! * **warm** — memoization enabled and the message already seen, so
-//!   every check is answered from the cache (the re-delivery /
-//!   rebroadcast hot case the paper's 10 ms tick makes common).
+//! * **first sight** — a receiver that holds none of the frame's facts:
+//!   every signature is hashed, every attachment validated and stored.
+//! * **repeat** — the same frame again (every neighbour re-broadcasts
+//!   its justified state each tick, so this is the common case): each
+//!   signature is a 32-byte compare against the evidence store and
+//!   nothing is validated twice.
 //!
 //! Measured for a bare broadcast (one signature) and for a justified
-//! rebroadcast bundle (one signature per quorum member) at n = 10 and
-//! n = 16, the largest group of the paper's grid.
+//! re-broadcast bundle (one more per quorum member) at n = 16, the
+//! largest group of the paper's grid, and n = 64, the scale grid's
+//! middle size.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use turquois_core::config::Config;
 use turquois_core::instance::Turquois;
 use turquois_core::KeyRing;
-use turquois_crypto::telemetry::set_memo_enabled;
 
 const PHASES: usize = 60;
 
-/// Builds a fresh receiver plus a bare phase-1 broadcast and a justified
-/// phase-2 rebroadcast from process 0 of an `n`-process group.
-fn make_messages(n: usize) -> (Turquois, bytes::Bytes, bytes::Bytes) {
+/// A bare phase-1 broadcast and a justified phase-2 re-broadcast from
+/// process 0 of an `n`-process group, plus what builds a receiver that
+/// has seen neither.
+fn make_messages(n: usize) -> (impl Fn() -> Turquois, bytes::Bytes, bytes::Bytes) {
     let cfg = Config::evaluation(n).expect("valid n");
     let rings = KeyRing::trusted_setup(n, PHASES, 0xbe9c);
     let receiver_ring = rings[1].clone();
@@ -44,39 +47,30 @@ fn make_messages(n: usize) -> (Turquois, bytes::Bytes, bytes::Bytes) {
     }
     let _ = p0.on_tick().expect("keys cover phase");
     let justified = p0.on_tick().expect("keys cover phase").bytes;
-    let receiver = Turquois::new(cfg, 1, true, receiver_ring, 99);
-    (receiver, bare, justified)
+    let fresh = move || Turquois::new(cfg, 1, true, receiver_ring.clone(), 99);
+    (fresh, bare, justified)
 }
 
 fn bench_receive_path(c: &mut Criterion) {
-    for n in [10usize, 16] {
-        let (mut receiver, bare, justified) = make_messages(n);
+    for n in [16usize, 64] {
+        let (fresh, bare, justified) = make_messages(n);
         let mut group = c.benchmark_group(format!("receive_path_n{n}"));
-
-        set_memo_enabled(false);
-        group.bench_function("bare_cold", |b| {
-            b.iter(|| receiver.on_message(std::hint::black_box(&bare)))
-        });
-        set_memo_enabled(true);
-        receiver.on_message(&bare); // warm the cache
-        group.bench_function("bare_warm", |b| {
-            b.iter(|| receiver.on_message(std::hint::black_box(&bare)))
-        });
-
-        set_memo_enabled(false);
-        group.bench_function("justified_cold", |b| {
-            b.iter(|| receiver.on_message(std::hint::black_box(&justified)))
-        });
-        set_memo_enabled(true);
-        receiver.on_message(&justified); // warm the cache
-        group.bench_function("justified_warm", |b| {
-            b.iter(|| receiver.on_message(std::hint::black_box(&justified)))
-        });
-
+        for (name, bytes) in [("bare", &bare), ("justified", &justified)] {
+            group.bench_function(format!("{name}_first_sight"), |b| {
+                b.iter_batched(
+                    &fresh,
+                    |mut receiver| receiver.on_message(std::hint::black_box(bytes)),
+                    BatchSize::SmallInput,
+                )
+            });
+            let mut receiver = fresh();
+            receiver.on_message(bytes);
+            group.bench_function(format!("{name}_repeat"), |b| {
+                b.iter(|| receiver.on_message(std::hint::black_box(bytes)))
+            });
+        }
         group.finish();
     }
-    // Leave the process-wide switch in its default state.
-    set_memo_enabled(true);
 }
 
 criterion_group!(benches, bench_receive_path);

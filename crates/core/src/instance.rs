@@ -36,31 +36,16 @@ use crate::config::Config;
 use crate::keyring::KeyRing;
 use crate::message::{legacy_codec_enabled, DecodeError, Envelope, Message, MessageView, Status};
 use crate::state::{Advance, ProcessState};
-use crate::store::MessageStore;
+use crate::store::{combo_code, MessageStore};
 use crate::validation::{semantic_check, EvidenceView, RejectReason};
 use bytes::arena::EncodeArena;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use turquois_crypto::memo::MemoCache;
 use turquois_crypto::otss::{OneTimeSignature, SignError, Value};
-use turquois_crypto::sha256::multilane::sha256_many;
-use turquois_crypto::sha256::Digest;
 
 /// How many phases of evidence to retain behind the current phase.
 const GC_WINDOW: u32 = 8;
-
-/// Memo-cache key for one verification: every byte
-/// [`KeyRing::verify`] reads — `(phase, sender, value, signature)` —
-/// so equal keys denote the same computation. Phase leads so GC can
-/// prune with a range predicate.
-type VerifyKey = (u32, usize, u8, [u8; 32]);
-
-/// Bound on memoized verification outcomes. Honest traffic inside the
-/// GC window needs well under `n × (GC_WINDOW + 1) × 3` entries; the
-/// headroom absorbs Byzantine signature floods, whose overflow merely
-/// evicts (and re-verifies) — never mis-answers.
-const VERIFY_CACHE_CAP: usize = 4096;
 
 /// Outcome classification for a processed incoming message.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
@@ -82,8 +67,9 @@ pub enum MessageOutcome {
 pub struct Receipt {
     /// What happened to the message.
     pub outcome: MessageOutcome,
-    /// One-time signature verifications performed (for CPU cost
-    /// accounting: each is one hash).
+    /// Logical one-time signature verifications (for CPU cost
+    /// accounting: each is one hash, whether the host computed it or
+    /// the evidence store already held the signature).
     pub sig_verifications: usize,
     /// Whether `φ_i` changed (the adapter should broadcast immediately,
     /// per the clock-tick rule of §7.1).
@@ -162,14 +148,6 @@ pub struct Turquois {
     valid: MessageStore,
     last_broadcast: Option<Envelope>,
     decided_evidence: Vec<(Envelope, OneTimeSignature)>,
-    /// Memoized [`KeyRing::verify`] outcomes (positive *and* negative).
-    /// Pure host-time optimization: simulated CPU is still charged per
-    /// logical verification via [`Receipt::sig_verifications`].
-    verify_cache: MemoCache<VerifyKey>,
-    /// [`KeyRing::epoch_stamp`] at the last cache use; installing new
-    /// key epochs can turn a cached `false` stale, so a stamp change
-    /// clears the cache.
-    cache_stamp: u64,
     /// Last broadcast's encoded form: a re-broadcast of an identical
     /// message reuses the wire bytes instead of re-serializing.
     last_wire: Option<(Message, Bytes)>,
@@ -177,10 +155,12 @@ pub struct Turquois {
     /// codec, DESIGN.md §13). Host-only: produces the same bytes the
     /// legacy per-message builder would.
     arena: EncodeArena,
-    /// Recycled buffer for the authentic justification entries of the
-    /// message currently being processed; cleared per message so the
-    /// steady state performs no allocation.
-    extras_scratch: Vec<(Envelope, OneTimeSignature)>,
+    /// Recycled buffers for the message being processed — its authentic
+    /// attachments below the GC floor, and the in-window ones `V_i` does
+    /// not hold yet. Both are normally empty and keep their capacity,
+    /// so the steady state performs no allocation.
+    below_floor_scratch: Vec<(Envelope, OneTimeSignature)>,
+    pending_scratch: Vec<(Envelope, OneTimeSignature)>,
     rng: StdRng,
 }
 
@@ -206,13 +186,6 @@ impl<'a> JustEntries<'a> {
         match self {
             JustEntries::Owned(s) => s[i],
             JustEntries::View(v) => v.entry(i),
-        }
-    }
-
-    fn sig_bytes(&self, i: usize) -> &'a [u8] {
-        match self {
-            JustEntries::Owned(s) => &s[i].1 .0,
-            JustEntries::View(v) => v.sig_bytes(i),
         }
     }
 }
@@ -249,85 +222,28 @@ impl Turquois {
             valid: MessageStore::new(cfg.n()),
             last_broadcast: None,
             decided_evidence: Vec::new(),
-            verify_cache: MemoCache::new(VERIFY_CACHE_CAP),
-            cache_stamp: keyring.epoch_stamp(),
             last_wire: None,
             arena: EncodeArena::new(),
-            extras_scratch: Vec::new(),
+            below_floor_scratch: Vec::new(),
+            pending_scratch: Vec::new(),
             keyring,
             rng: StdRng::seed_from_u64(seed ^ 0xc011_5eed),
         }
     }
 
-    /// Clears the memo cache when the key material changed since its
-    /// last use (see [`KeyRing::epoch_stamp`]).
-    fn refresh_verify_cache(&mut self) {
-        let stamp = self.keyring.epoch_stamp();
-        if stamp != self.cache_stamp {
-            self.verify_cache.clear();
-            self.cache_stamp = stamp;
-        }
-    }
-
-    /// [`KeyRing::verify`] through the memo cache. Sound because the
-    /// key captures the verification's entire input and the cache is
-    /// cleared whenever the key material changes (see
-    /// [`KeyRing::epoch_stamp`]).
-    fn verify_cached(&mut self, env: &Envelope, sig: &OneTimeSignature) -> bool {
-        self.verify_cached_with(env, sig, None)
-    }
-
-    /// [`Turquois::verify_cached`] with `H(sig)` optionally precomputed
-    /// by a lane batch ([`Turquois::prehash_justification`]). The memo
-    /// lookup — hit/miss counters, insertion, eviction — is identical
-    /// either way; only where the hash work ran differs, so cache
-    /// evolution cannot depend on batching.
-    fn verify_cached_with(
-        &mut self,
-        env: &Envelope,
-        sig: &OneTimeSignature,
-        pre: Option<&Digest>,
-    ) -> bool {
-        self.refresh_verify_cache();
-        let key = (env.phase, env.sender, env.value.index() as u8, sig.0);
-        let keyring = &self.keyring;
-        self.verify_cache.lookup(key, || match pre {
-            Some(sig_hash) => keyring.verify_hashed(env, sig_hash),
-            None => keyring.verify(env, sig),
-        })
-    }
-
-    /// The per-message batched verify queue (DESIGN.md §12): collects
-    /// the justification entries whose memo keys will miss, hashes
-    /// their signatures through the multi-lane kernel in one batch, and
-    /// returns the per-entry precomputed hashes for
-    /// [`Turquois::verify_cached_with`]. Entries already cached (or
-    /// duplicated within the bundle — the first lookup will insert
-    /// them) get `None` and take the ordinary path. With memoization
-    /// disabled everything gets `None`, so the `TURQUOIS_NO_MEMO`
-    /// baseline re-executes exactly the work it always did.
-    fn prehash_justification(&mut self, justification: &JustEntries<'_>) -> Vec<Option<Digest>> {
-        let mut pre = vec![None; justification.len()];
-        if justification.len() < 2 || !turquois_crypto::telemetry::memo_enabled() {
-            return pre;
-        }
-        self.refresh_verify_cache();
-        let mut seen = std::collections::BTreeSet::new();
-        let mut lanes: Vec<usize> = Vec::new();
-        for i in 0..justification.len() {
-            let (env, sig) = justification.entry(i);
-            let key = (env.phase, env.sender, env.value.index() as u8, sig.0);
-            if self.verify_cache.contains(&key) || !seen.insert(key) {
-                continue;
-            }
-            lanes.push(i);
-        }
-        let inputs: Vec<&[u8]> = lanes.iter().map(|&i| justification.sig_bytes(i)).collect();
-        let hashes = sha256_many(&inputs);
-        for (&i, hash) in lanes.iter().zip(hashes) {
-            pre[i] = Some(hash);
-        }
-        pre
+    /// Authenticity validation (§6.1) of `sig` over `env`.
+    ///
+    /// Only verified signatures enter the evidence store, which keeps
+    /// one per `(phase, sender, value)`; a one-time signature is the
+    /// unique preimage of its verification key and installing key
+    /// epochs never turns a valid signature invalid, so a signature
+    /// equal to the stored one is authentic without hashing it again.
+    /// Everything else — first sight, forgeries, facts the store has
+    /// pruned — takes the real [`KeyRing::verify`]. Nothing negative is
+    /// remembered, so there is nothing to invalidate.
+    fn authentic(&self, env: &Envelope, sig: &OneTimeSignature) -> bool {
+        self.evidence.signature_of(env.phase, env.sender, env.value) == Some(*sig)
+            || self.keyring.verify(env, sig)
     }
 
     /// The configuration in force.
@@ -470,10 +386,10 @@ impl Turquois {
                 }
             };
             // Authenticity of the outer message (one logical hash —
-            // charged to simulated CPU whether or not the memo cache
-            // answers it).
+            // charged to simulated CPU whether or not the evidence
+            // store answers it).
             receipt.sig_verifications += 1;
-            if !self.verify_cached(&message.envelope, &message.signature) {
+            if !self.authentic(&message.envelope, &message.signature) {
                 receipt.outcome = MessageOutcome::AuthFailed;
                 return receipt;
             }
@@ -494,7 +410,7 @@ impl Turquois {
                 }
             };
             receipt.sig_verifications += 1;
-            if !self.verify_cached(&view.envelope(), &view.signature()) {
+            if !self.authentic(&view.envelope(), &view.signature()) {
                 receipt.outcome = MessageOutcome::AuthFailed;
                 return receipt;
             }
@@ -518,46 +434,51 @@ impl Turquois {
         just: JustEntries<'_>,
         receipt: &mut Receipt,
     ) {
-        // Authenticity of each attachment; inauthentic ones are dropped,
-        // authentic ones become evidence. The memo-missing entries are
-        // hashed through the multi-lane kernel in one batch first;
-        // every entry still costs one logical verification.
-        let pre = self.prehash_justification(&just);
-        let mut extras = std::mem::take(&mut self.extras_scratch);
-        extras.clear();
-        for (i, pre_i) in pre.iter().enumerate() {
+        // Authenticity of each attachment (one logical verification
+        // each); inauthentic ones are dropped. Authentic ones within
+        // the GC window become evidence; older ones only count
+        // transiently, through the view.
+        let gc_floor = self.gc_floor();
+        let mut below_floor = std::mem::take(&mut self.below_floor_scratch);
+        let mut pending = std::mem::take(&mut self.pending_scratch);
+        below_floor.clear();
+        pending.clear();
+        for i in 0..just.len() {
             let (env, sig) = just.entry(i);
             receipt.sig_verifications += 1;
-            if self.verify_cached_with(&env, &sig, pre_i.as_ref()) {
-                extras.push((env, sig));
+            if !self.authentic(&env, &sig) {
+                continue;
+            }
+            if env.phase < gc_floor {
+                below_floor.push((env, sig));
+                continue;
+            }
+            self.evidence.insert(&env, sig);
+            if !self.valid.contains(&env) {
+                pending.push((env, sig));
             }
         }
 
-        // Attachments within the GC window enter the evidence store;
-        // older ones still count transiently through the view.
-        let gc_floor = self.gc_floor();
-        for (env, sig) in &extras {
-            if env.phase >= gc_floor {
-                self.evidence.insert(env, *sig);
-            }
-        }
+        // Every in-window attachment is in the store by now, so the
+        // view only has to add the below-floor ones.
+        let view = EvidenceView::new(&self.evidence, &below_floor);
 
         // Attachments that independently pass semantic validation also
         // enter V_i — they are protocol messages in their own right.
-        for (env, sig) in &extras {
-            if env.phase >= gc_floor
-                && semantic_check(env, &self.cfg, &EvidenceView::new(&self.evidence, &extras))
-                    .is_ok()
-            {
+        // Ones V_i already holds were skipped above: the check is pure
+        // and the insert would change nothing.
+        for (env, sig) in &pending {
+            if semantic_check(env, &self.cfg, &view).is_ok() {
                 self.valid.insert(env, *sig);
             }
         }
 
         // Semantic validation of the outer message.
-        let semantic = semantic_check(&envelope, &self.cfg, &EvidenceView::new(&self.evidence, &extras));
+        let semantic = semantic_check(&envelope, &self.cfg, &view);
         // Hand the scratch back for the next message (its capacity is
         // the recycled resource; contents are dead).
-        self.extras_scratch = extras;
+        self.below_floor_scratch = below_floor;
+        self.pending_scratch = pending;
         if let Err(reason) = semantic {
             receipt.outcome = MessageOutcome::SemanticFailed(reason);
             self.advance(receipt);
@@ -591,9 +512,6 @@ impl Turquois {
             let floor = self.gc_floor();
             self.evidence.prune_below(floor);
             self.valid.prune_below(floor);
-            // Memoized verifications age out with the evidence: phases
-            // below the floor can no longer be looked up.
-            self.verify_cache.retain(|key| key.0 >= floor);
         }
     }
 
@@ -637,51 +555,30 @@ impl Turquois {
         top_up_limit: usize,
     ) -> Vec<(Envelope, OneTimeSignature)> {
         let phase = envelope.phase;
-        let mut bundle: Vec<(Envelope, OneTimeSignature)> = Vec::new();
+        let mut bundle = Bundle::new(self.cfg.n());
         let quorum = self.cfg.quorum_min();
         let half = self.cfg.half_quorum_min();
-        let add = |items: Vec<(Envelope, OneTimeSignature)>,
-                   bundle: &mut Vec<(Envelope, OneTimeSignature)>| {
-            for (env, sig) in items {
-                if !bundle.iter().any(|(e, _)| e == &env) {
-                    bundle.push((env, sig));
-                }
-            }
-        };
 
         if phase > 1 {
             // Value justification first (its messages double as phase
             // evidence when they sit at φ − 1).
             match phase % 3 {
-                2 => add(
-                    self.evidence
-                        .collect(phase - 1, Some(envelope.value), half),
-                    &mut bundle,
-                ),
+                2 => bundle.add(&self.evidence.collect(phase - 1, Some(envelope.value), half)),
                 0 => match envelope.value {
                     Value::Bot => {
-                        add(
-                            self.evidence.collect(phase - 2, Some(Value::Zero), half),
-                            &mut bundle,
-                        );
-                        add(
-                            self.evidence.collect(phase - 2, Some(Value::One), half),
-                            &mut bundle,
-                        );
+                        bundle.add(&self.evidence.collect(phase - 2, Some(Value::Zero), half));
+                        bundle.add(&self.evidence.collect(phase - 2, Some(Value::One), half));
                     }
-                    v => add(self.evidence.collect(phase - 1, Some(v), quorum), &mut bundle),
+                    v => bundle.add(&self.evidence.collect(phase - 1, Some(v), quorum)),
                 },
                 _ => {
                     if envelope.coin_flip {
-                        add(
-                            self.evidence.collect(phase - 1, Some(Value::Bot), quorum),
-                            &mut bundle,
-                        );
+                        bundle.add(&self.evidence.collect(phase - 1, Some(Value::Bot), quorum));
                     } else {
-                        add(
-                            self.evidence
+                        bundle.add(
+                            &self
+                                .evidence
                                 .collect(phase - 2, Some(envelope.value), quorum),
-                            &mut bundle,
                         );
                     }
                 }
@@ -689,18 +586,15 @@ impl Turquois {
             // Phase justification: top the φ − 1 sender count up to a
             // quorum, reusing whatever the value evidence already
             // contributed.
-            let mut senders_at_prev: std::collections::BTreeSet<usize> = bundle
-                .iter()
-                .filter(|(e, _)| e.phase == phase - 1)
-                .map(|(e, _)| e.sender)
-                .collect();
-            if senders_at_prev.len() < quorum {
-                for (env, sig) in self.evidence.collect(phase - 1, None, top_up_limit) {
-                    if senders_at_prev.len() >= quorum {
+            let mut senders_at_prev = bundle.senders_at(phase - 1);
+            if senders_at_prev < quorum {
+                for entry in self.evidence.collect(phase - 1, None, top_up_limit) {
+                    if senders_at_prev >= quorum {
                         break;
                     }
-                    if senders_at_prev.insert(env.sender) {
-                        add(vec![(env, sig)], &mut bundle);
+                    if !bundle.has_sender(phase - 1, entry.0.sender) {
+                        bundle.add(&[entry]);
+                        senders_at_prev += 1;
                     }
                 }
             }
@@ -709,9 +603,67 @@ impl Turquois {
         // Status justification (decided claims carry their quorum; the
         // dedupe absorbs overlap with the evidence above).
         if envelope.status == Status::Decided {
-            add(self.decided_evidence.clone(), &mut bundle);
+            bundle.add(&self.decided_evidence);
         }
-        bundle
+        bundle.entries
+    }
+}
+
+/// A justification bundle under assembly: entries in insertion order,
+/// deduplicated on the full envelope in O(1) each. A bundle spans at
+/// most three phases (φ − 1, φ − 2 and the decided snapshot's decide
+/// phase); each gets a table of per-sender record masks, one bit per
+/// `(value, coin, status)` combination.
+struct Bundle {
+    n: usize,
+    entries: Vec<(Envelope, OneTimeSignature)>,
+    seen: Vec<(u32, Vec<u16>)>,
+}
+
+impl Bundle {
+    fn new(n: usize) -> Self {
+        Bundle {
+            n,
+            entries: Vec::new(),
+            seen: Vec::new(),
+        }
+    }
+
+    fn masks(&self, phase: u32) -> Option<&[u16]> {
+        self.seen
+            .iter()
+            .find(|(p, _)| *p == phase)
+            .map(|(_, masks)| masks.as_slice())
+    }
+
+    /// Appends the entries of `items` not already in the bundle.
+    fn add(&mut self, items: &[(Envelope, OneTimeSignature)]) {
+        for &(env, sig) in items {
+            let at = match self.seen.iter().position(|(p, _)| *p == env.phase) {
+                Some(at) => at,
+                None => {
+                    self.seen.push((env.phase, vec![0; self.n]));
+                    self.seen.len() - 1
+                }
+            };
+            let mask = &mut self.seen[at].1[env.sender];
+            let bit = 1u16 << combo_code(env.value, env.coin_flip, env.status);
+            if *mask & bit == 0 {
+                *mask |= bit;
+                self.entries.push((env, sig));
+            }
+        }
+    }
+
+    /// Whether the bundle holds any entry of `sender` at `phase`.
+    fn has_sender(&self, phase: u32, sender: usize) -> bool {
+        self.masks(phase).is_some_and(|m| m[sender] != 0)
+    }
+
+    /// Distinct senders with an entry at `phase`.
+    fn senders_at(&self, phase: u32) -> usize {
+        self.masks(phase)
+            .map_or(0, |m| m.iter().filter(|&&mask| mask != 0).count())
     }
 }
 
@@ -750,6 +702,280 @@ mod tests {
             }
         }
         procs.iter().map(|p| p.decision()).collect()
+    }
+
+    /// The retired implementations, kept verbatim as differential
+    /// oracles for the proptests below.
+    impl Turquois {
+        /// The receive path before the evidence store answered repeats:
+        /// owned decode, one real [`KeyRing::verify`] per signature, a
+        /// full-view `semantic_check` for every in-window attachment.
+        fn on_message_retired(&mut self, bytes: &[u8]) -> Receipt {
+            let mut receipt = Receipt {
+                outcome: MessageOutcome::Accepted,
+                sig_verifications: 0,
+                phase_advanced: false,
+                newly_decided: None,
+            };
+            let message = match Message::decode(bytes, &self.cfg) {
+                Ok(m) => m,
+                Err(e) => {
+                    receipt.outcome = MessageOutcome::DecodeFailed(e);
+                    return receipt;
+                }
+            };
+            receipt.sig_verifications += 1;
+            if !self.keyring.verify(&message.envelope, &message.signature) {
+                receipt.outcome = MessageOutcome::AuthFailed;
+                return receipt;
+            }
+            let mut extras = Vec::new();
+            for (env, sig) in &message.justification {
+                receipt.sig_verifications += 1;
+                if self.keyring.verify(env, sig) {
+                    extras.push((*env, *sig));
+                }
+            }
+            let gc_floor = self.gc_floor();
+            for (env, sig) in &extras {
+                if env.phase >= gc_floor {
+                    self.evidence.insert(env, *sig);
+                }
+            }
+            for (env, sig) in &extras {
+                if env.phase >= gc_floor
+                    && semantic_check(env, &self.cfg, &EvidenceView::new(&self.evidence, &extras))
+                        .is_ok()
+                {
+                    self.valid.insert(env, *sig);
+                }
+            }
+            let semantic = semantic_check(
+                &message.envelope,
+                &self.cfg,
+                &EvidenceView::new(&self.evidence, &extras),
+            );
+            if let Err(reason) = semantic {
+                receipt.outcome = MessageOutcome::SemanticFailed(reason);
+                self.advance(&mut receipt);
+                return receipt;
+            }
+            self.evidence.insert(&message.envelope, message.signature);
+            if !self.valid.insert(&message.envelope, message.signature) {
+                receipt.outcome = MessageOutcome::Duplicate;
+            }
+            self.advance(&mut receipt);
+            receipt
+        }
+
+        /// Bundle assembly with the quadratic `any`-scan dedupe.
+        fn build_justification_quadratic(
+            &self,
+            envelope: &Envelope,
+            top_up_limit: usize,
+        ) -> Vec<(Envelope, OneTimeSignature)> {
+            let phase = envelope.phase;
+            let mut bundle: Vec<(Envelope, OneTimeSignature)> = Vec::new();
+            let quorum = self.cfg.quorum_min();
+            let half = self.cfg.half_quorum_min();
+            let add = |items: Vec<(Envelope, OneTimeSignature)>,
+                       bundle: &mut Vec<(Envelope, OneTimeSignature)>| {
+                for (env, sig) in items {
+                    if !bundle.iter().any(|(e, _)| e == &env) {
+                        bundle.push((env, sig));
+                    }
+                }
+            };
+            if phase > 1 {
+                match phase % 3 {
+                    2 => add(
+                        self.evidence.collect(phase - 1, Some(envelope.value), half),
+                        &mut bundle,
+                    ),
+                    0 => match envelope.value {
+                        Value::Bot => {
+                            add(
+                                self.evidence.collect(phase - 2, Some(Value::Zero), half),
+                                &mut bundle,
+                            );
+                            add(
+                                self.evidence.collect(phase - 2, Some(Value::One), half),
+                                &mut bundle,
+                            );
+                        }
+                        v => add(
+                            self.evidence.collect(phase - 1, Some(v), quorum),
+                            &mut bundle,
+                        ),
+                    },
+                    _ => {
+                        if envelope.coin_flip {
+                            add(
+                                self.evidence.collect(phase - 1, Some(Value::Bot), quorum),
+                                &mut bundle,
+                            );
+                        } else {
+                            add(
+                                self.evidence
+                                    .collect(phase - 2, Some(envelope.value), quorum),
+                                &mut bundle,
+                            );
+                        }
+                    }
+                }
+                let mut senders_at_prev: std::collections::BTreeSet<usize> = bundle
+                    .iter()
+                    .filter(|(e, _)| e.phase == phase - 1)
+                    .map(|(e, _)| e.sender)
+                    .collect();
+                if senders_at_prev.len() < quorum {
+                    for (env, sig) in self.evidence.collect(phase - 1, None, top_up_limit) {
+                        if senders_at_prev.len() >= quorum {
+                            break;
+                        }
+                        if senders_at_prev.insert(env.sender) {
+                            add(vec![(env, sig)], &mut bundle);
+                        }
+                    }
+                }
+            }
+            if envelope.status == Status::Decided {
+                add(self.decided_evidence.clone(), &mut bundle);
+            }
+            bundle
+        }
+    }
+
+    /// The world around process 0 in `receive_path_matches_retired_oracle`:
+    /// three peers running the real protocol (process 3's honest face
+    /// included) and a network under Byzantine control that delays,
+    /// replays, damages and fabricates — within the fault model, so the
+    /// engine's own invariants hold.
+    struct Traffic {
+        rng: StdRng,
+        cfg: Config,
+        /// Processes 1..=3, indexed by `id − 1`.
+        peers: Vec<Turquois>,
+        /// Process 3's keys, including a second epoch the receiver does
+        /// not know until its bundle is installed.
+        byz_ring: KeyRing,
+        /// Every broadcast so far, oldest first.
+        air: Vec<Vec<u8>>,
+        /// Every signed fact those broadcasts carried.
+        facts: Vec<(Envelope, OneTimeSignature)>,
+    }
+
+    impl Traffic {
+        const SETUP_PHASES: usize = 40;
+        const EPOCH_PHASES: usize = 6;
+
+        /// Puts a genuine broadcast on the air; peers other than its
+        /// sender hear it most of the time.
+        fn broadcast(&mut self, from: usize, bytes: &[u8]) {
+            for peer in self.peers.iter_mut().filter(|p| p.id() != from) {
+                if self.rng.gen_bool(0.8) {
+                    peer.on_message(bytes);
+                }
+            }
+            let message = Message::decode(bytes, &self.cfg).expect("genuine broadcast");
+            self.facts.push((message.envelope, message.signature));
+            self.facts.extend(message.justification);
+            self.air.push(bytes.to_vec());
+        }
+
+        /// A fact signed by process 3 under any value and flags, or
+        /// carrying a made-up signature where its keys refuse (⊥ at the
+        /// wrong phase).
+        fn byzantine_fact(&mut self, phase: u32) -> (Envelope, OneTimeSignature) {
+            let value = [Value::Zero, Value::One, Value::Bot][self.rng.gen_range(0..3usize)];
+            let env = Envelope {
+                sender: 3,
+                phase,
+                value,
+                coin_flip: self.rng.gen_bool(0.3),
+                status: if self.rng.gen_bool(0.3) {
+                    Status::Decided
+                } else {
+                    Status::Undecided
+                },
+            };
+            let sig = self
+                .byz_ring
+                .sign(phase, value)
+                .unwrap_or_else(|_| OneTimeSignature([self.rng.gen::<u32>() as u8; 32]));
+            (env, sig)
+        }
+
+        /// The next delivery to process 0, whose phase is `at`.
+        fn next(&mut self, at: u32) -> Vec<u8> {
+            if self.air.is_empty() || self.rng.gen_bool(0.5) {
+                let i = self.rng.gen_range(0..self.peers.len());
+                if let Ok(out) = self.peers[i].on_tick() {
+                    self.broadcast(i + 1, &out.bytes);
+                }
+            }
+            let n = self.cfg.n();
+            let recent = self.air.len().saturating_sub(6);
+            match self.rng.gen_range(0..20u32) {
+                // The network at its best, and replaying history (old
+                // bundles sit below the receiver's GC floor).
+                0..=9 => self.air[self.rng.gen_range(recent..self.air.len())].clone(),
+                10..=12 => self.air[self.rng.gen_range(0..self.air.len())].clone(),
+                13 => {
+                    let mut bytes = self.air[self.rng.gen_range(0..self.air.len())].clone();
+                    let i = self.rng.gen_range(0..bytes.len());
+                    bytes[i] ^= 1 << self.rng.gen_range(0..8u32);
+                    bytes
+                }
+                // A genuine broadcast with its bundle tampered with:
+                // entries repeated, forged, misattributed.
+                14..=16 => {
+                    let bytes = &self.air[self.rng.gen_range(recent..self.air.len())];
+                    let mut message = Message::decode(bytes, &self.cfg).expect("genuine broadcast");
+                    let bundle = &mut message.justification;
+                    for _ in 0..self.rng.gen_range(1..4u32) {
+                        if bundle.is_empty() || bundle.len() >= 3 * n {
+                            break;
+                        }
+                        let mut copy = bundle[self.rng.gen_range(0..bundle.len())];
+                        match self.rng.gen_range(0..3u32) {
+                            0 => copy.1 .0[self.rng.gen_range(0..32usize)] ^= 1,
+                            1 => copy.0.sender = (copy.0.sender + 1) % n,
+                            _ => {}
+                        }
+                        bundle.insert(self.rng.gen_range(0..=bundle.len()), copy);
+                    }
+                    if self.rng.gen_bool(0.2) {
+                        message.signature.0[self.rng.gen_range(0..32usize)] ^= 1;
+                    }
+                    message.encode().to_vec()
+                }
+                // Process 3 equivocating, with a bundle of whatever has
+                // been on the air and of its own not-yet-known epoch.
+                _ => {
+                    let phase = (at + self.rng.gen_range(0..4u32)).saturating_sub(1).max(1);
+                    let (envelope, signature) = self.byzantine_fact(phase);
+                    let mut justification = Vec::new();
+                    for _ in 0..self.rng.gen_range(0..3 * n) {
+                        justification.push(match self.rng.gen_range(0..6u32) {
+                            0 => {
+                                let ahead = self.rng.gen_range(1..=Self::EPOCH_PHASES as u32);
+                                self.byzantine_fact(Self::SETUP_PHASES as u32 + ahead)
+                            }
+                            1 => self.byzantine_fact(phase.saturating_sub(1).max(1)),
+                            _ => self.facts[self.rng.gen_range(0..self.facts.len())],
+                        });
+                    }
+                    Message {
+                        envelope,
+                        signature,
+                        justification,
+                    }
+                    .encode()
+                    .to_vec()
+                }
+            }
+        }
     }
 
     #[test]
@@ -1023,62 +1249,127 @@ mod tests {
         );
     }
 
-    /// Negative-cache soundness: a forged signature rejected once is
-    /// still rejected when the re-delivery is answered from the memo
-    /// cache, and the cached negative never taints the honest original.
+    /// A forgery is rejected on every redelivery — before and after the
+    /// honest signature it imitates is stored — and never taints the
+    /// honest original.
     #[test]
-    fn forged_signature_rejected_from_cache_on_redelivery() {
-        use turquois_crypto::telemetry::HotpathSnapshot;
+    fn forged_signature_rejected_on_every_redelivery() {
         let mut procs = make_group(4, &[true], 11);
         let out = procs[1].on_tick().expect("keys cover phase");
-        let mut bytes = out.bytes.to_vec();
-        bytes[10] ^= 1; // corrupt the signature (offset 8..40)
-        let before = HotpathSnapshot::now();
-        assert_eq!(procs[0].on_message(&bytes).outcome, MessageOutcome::AuthFailed);
-        assert_eq!(procs[0].on_message(&bytes).outcome, MessageOutcome::AuthFailed);
-        let d = HotpathSnapshot::now().delta_since(&before);
-        assert!(d.cache_hits >= 1, "re-delivery must probe the cache");
+        let mut forged = out.bytes.to_vec();
+        forged[10] ^= 1; // corrupt the signature (offset 8..40)
+        for _ in 0..3 {
+            let r = procs[0].on_message(&forged);
+            assert_eq!(r.outcome, MessageOutcome::AuthFailed);
+            assert_eq!(r.sig_verifications, 1);
+        }
+        assert_eq!(
+            procs[0].evidence.record_count(),
+            0,
+            "a forgery leaves no evidence"
+        );
         assert_eq!(
             procs[0].on_message(&out.bytes).outcome,
             MessageOutcome::Accepted,
-            "cached negative must not taint the honest signature"
+            "rejected forgeries must not taint the honest signature"
         );
-    }
-
-    /// A Byzantine flood of distinct forged signatures fills the cache
-    /// past capacity; eviction must only ever cost a recomputation —
-    /// never flip a verdict.
-    #[test]
-    fn capacity_eviction_never_accepts_a_forgery() {
-        let mut procs = make_group(4, &[true], 12);
-        let msg = procs[1].on_tick().expect("keys cover phase").message;
-        let (env, honest_sig) = (msg.envelope, msg.signature);
-        let mut forged0 = honest_sig;
-        forged0.0[0] ^= 1;
-        assert!(!procs[0].verify_cached(&env, &forged0));
-        // Insert VERIFY_CACHE_CAP further distinct forgeries so the
-        // first negative entry is evicted (FIFO order).
-        for i in 0..VERIFY_CACHE_CAP as u32 {
-            let mut s = honest_sig;
-            s.0[4..8].copy_from_slice(&(i + 1).to_be_bytes());
-            s.0[0] ^= 1;
-            assert!(!procs[0].verify_cached(&env, &s));
+        for _ in 0..3 {
+            assert_eq!(
+                procs[0].on_message(&forged).outcome,
+                MessageOutcome::AuthFailed
+            );
         }
-        assert!(
-            !procs[0].verify_cached(&env, &forged0),
-            "evicted forgery must be re-verified, not accepted"
+        let stored = procs[0].evidence.signature_of(1, 1, Value::One);
+        assert_eq!(
+            stored,
+            Some(out.message.signature),
+            "stored signature untouched"
         );
-        assert!(
-            procs[0].verify_cached(&env, &honest_sig),
-            "honest signature accepted amid the flood"
+        assert_eq!(
+            procs[0].on_message(&out.bytes).outcome,
+            MessageOutcome::Duplicate
         );
     }
 
-    /// Installing a new key epoch can flip a cached `false` stale (the
-    /// signature was fine, the keys just hadn't arrived); the epoch
-    /// stamp must clear the cache so the fresh verdict wins.
+    /// The store compare answers only for the exact stored bytes: a
+    /// stored signature with any one byte flipped goes to the real
+    /// verify and is rejected — as an outer signature and as an
+    /// attachment, where it must not count as evidence.
     #[test]
-    fn epoch_install_invalidates_cached_negatives() {
+    fn stored_signature_with_one_flipped_byte_is_rejected() {
+        let mut procs = make_group(4, &[true], 12);
+        let msgs: Vec<Message> = procs
+            .iter_mut()
+            .map(|p| p.on_tick().expect("keys cover phase").message)
+            .collect();
+        let (env, honest_sig) = (msgs[1].envelope, msgs[1].signature);
+        assert_eq!(
+            procs[0].on_message(&msgs[1].encode()).outcome,
+            MessageOutcome::Accepted
+        );
+        assert!(procs[0].authentic(&env, &honest_sig));
+        for byte in 0..32 {
+            let mut near = honest_sig;
+            near.0[byte] ^= 0x80;
+            assert!(!procs[0].authentic(&env, &near), "byte {byte}");
+            let r = procs[0].on_message(&Message::bare(env, near).encode());
+            assert_eq!(r.outcome, MessageOutcome::AuthFailed, "byte {byte}");
+        }
+
+        // A phase-2 claim whose phase-1 quorum consists of the stored
+        // fact plus two near-miss forgeries of facts the store holds.
+        for m in &msgs[2..] {
+            procs[0].on_message(&m.encode());
+        }
+        let mut fresh = make_group(4, &[true], 12).remove(0);
+        for (victim, warm) in [(&mut procs[0], true), (&mut fresh, false)] {
+            let before = victim.evidence.records();
+            let claim = Envelope {
+                sender: 1,
+                phase: 2,
+                value: Value::One,
+                coin_flip: false,
+                status: Status::Undecided,
+            };
+            let sig = KeyRing::trusted_setup(4, PHASES, 12)[1]
+                .sign(2, Value::One)
+                .expect("in range");
+            let mut justification: Vec<_> = msgs[1..]
+                .iter()
+                .map(|m| (m.envelope, m.signature))
+                .collect();
+            justification[1].1 .0[31] ^= 1;
+            justification[2].1 .0[0] ^= 1;
+            let wire = Message {
+                envelope: claim,
+                signature: sig,
+                justification,
+            }
+            .encode();
+            let r = victim.on_message(&wire);
+            assert_eq!(r.sig_verifications, 4);
+            if warm {
+                // Warm store: the quorum was there already; the
+                // forgeries added nothing and replaced nothing.
+                assert_eq!(r.outcome, MessageOutcome::Accepted);
+                let mut after = victim.evidence.records();
+                after.retain(|(phase, _, _)| *phase == 1);
+                assert_eq!(after, before);
+            } else {
+                // Cold store: one authentic attachment is no quorum.
+                assert_eq!(
+                    r.outcome,
+                    MessageOutcome::SemanticFailed(RejectReason::PhaseUnjustified)
+                );
+                assert_eq!(victim.evidence.record_count(), 1);
+            }
+        }
+    }
+
+    /// Installing a key epoch turns a previously rejected signature
+    /// valid with no invalidation step: nothing negative is remembered.
+    #[test]
+    fn epoch_install_needs_no_invalidation() {
         let n = 4;
         let cfg = Config::evaluation(n).expect("valid n");
         let mut rings = KeyRing::trusted_setup(n, PHASES, 77);
@@ -1093,7 +1384,9 @@ mod tests {
             .begin_epoch(PHASES, 31, &mut identity)
             .expect("fresh identity key");
         let phase = PHASES as u32 + 1;
-        let sig = signer_ring.sign(phase, Value::One).expect("new epoch covers phase");
+        let sig = signer_ring
+            .sign(phase, Value::One)
+            .expect("new epoch covers phase");
         let env = Envelope {
             sender: 1,
             phase,
@@ -1101,16 +1394,22 @@ mod tests {
             coin_flip: false,
             status: Status::Undecided,
         };
-        assert!(
-            !p0.verify_cached(&env, &sig),
-            "unknown epoch: rejected (and the negative is cached)"
-        );
+        let wire = Message::bare(env, sig).encode();
+        for _ in 0..2 {
+            assert_eq!(
+                p0.on_message(&wire).outcome,
+                MessageOutcome::AuthFailed,
+                "unknown epoch: rejected"
+            );
+        }
         p0.keyring
             .install_epoch(&bundle, identity.public_key())
             .expect("bundle verifies");
-        assert!(
-            p0.verify_cached(&env, &sig),
-            "epoch stamp change must clear the stale negative"
+        assert!(p0.authentic(&env, &sig));
+        assert_eq!(
+            p0.on_message(&wire).outcome,
+            MessageOutcome::SemanticFailed(RejectReason::PhaseUnjustified),
+            "authentic now; only the missing phase quorum stops it"
         );
     }
 
@@ -1152,13 +1451,13 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The memoizing instance is observationally identical to an
-        /// uncached [`KeyRing::verify`] oracle: for every delivery —
-        /// honest (`mask == 0`), corrupted, or an exact replay (which
-        /// the cache answers) — the instance reports `AuthFailed`
-        /// exactly when the oracle rejects the outer signature.
+        /// Outer authenticity is observationally [`KeyRing::verify`]: for
+        /// every delivery — honest (`mask == 0`), corrupted, or an exact
+        /// replay (which the evidence store answers) — the instance
+        /// reports `AuthFailed` exactly when the keyring rejects the
+        /// outer signature.
         #[test]
-        fn cached_instance_matches_uncached_oracle(
+        fn outer_authenticity_matches_keyring_oracle(
             seed in 0u64..1000,
             ops in proptest::collection::vec(
                 (1usize..4, 0usize..32, 0u8..=255u8, 1usize..4),
@@ -1188,24 +1487,121 @@ mod tests {
                     proptest::prop_assert_eq!(
                         receipt.outcome == MessageOutcome::AuthFailed,
                         !oracle_ok,
-                        "cached verdict diverged from the oracle"
+                        "authenticity verdict diverged from the keyring"
                     );
                 }
             }
         }
 
+        /// The receive path is observationally the retired one. Random
+        /// adversarial traffic — honest-shaped bundles, equivocation,
+        /// forged and misattributed signatures, attachments below the
+        /// GC floor, entries repeated inside one bundle, damaged
+        /// redeliveries, and a key epoch installed mid-stream that
+        /// turns rejected signatures valid — goes to two instances,
+        /// one through [`Turquois::on_message`], one through the
+        /// retired logic (a real verify per signature, a full-view
+        /// semantic check per attachment): every `Receipt`, both
+        /// stores' full contents, the state and every outbound
+        /// broadcast must be identical, under both store layouts.
+        #[test]
+        fn receive_path_matches_retired_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            legacy_store in proptest::prelude::any::<bool>(),
+            steps in 100usize..400,
+        ) {
+            let n = 4;
+            let cfg = Config::evaluation(n).expect("valid n");
+            let rings = KeyRing::trusted_setup(n, Traffic::SETUP_PHASES, seed);
+            let mut identity = turquois_crypto::hashsig::Keypair::generate(4, seed ^ 1);
+            let mut byz_ring = rings[3].clone();
+            let epoch = byz_ring
+                .begin_epoch(Traffic::EPOCH_PHASES, seed ^ 2, &mut identity)
+                .expect("fresh identity key");
+            let make = || {
+                let mut p = Turquois::new(cfg, 0, seed % 2 == 0, rings[0].clone(), seed);
+                p.evidence = MessageStore::with_legacy(n, legacy_store);
+                p.valid = MessageStore::with_legacy(n, legacy_store);
+                p
+            };
+            let (mut new, mut old) = (make(), make());
+            let mut traffic = Traffic {
+                rng: StdRng::seed_from_u64(seed),
+                cfg,
+                peers: (1..n)
+                    .map(|i| Turquois::new(cfg, i, (seed >> i) % 2 == 0, rings[i].clone(), seed + i as u64))
+                    .collect(),
+                byz_ring,
+                air: Vec::new(),
+                facts: Vec::new(),
+            };
+            let install_at = traffic.rng.gen_range(0..steps);
+            for step in 0..steps {
+                if step == install_at {
+                    for p in [&mut new, &mut old] {
+                        p.keyring
+                            .install_epoch(&epoch, identity.public_key())
+                            .expect("bundle verifies");
+                    }
+                }
+                if traffic.rng.gen_bool(0.3) {
+                    let (a, b) = (new.on_tick(), old.on_tick());
+                    proptest::prop_assert_eq!(
+                        a.as_ref().map(|o| &o.bytes).map_err(|_| ()),
+                        b.as_ref().map(|o| &o.bytes).map_err(|_| ()),
+                        "broadcast diverged at step {}",
+                        step
+                    );
+                    if let Ok(out) = a {
+                        traffic.broadcast(0, &out.bytes);
+                    }
+                }
+                let bytes = traffic.next(new.phase());
+                let (got, want) = (new.on_message(&bytes), old.on_message_retired(&bytes));
+                proptest::prop_assert_eq!(got, want, "receipt diverged at step {}", step);
+                proptest::prop_assert_eq!(
+                    (new.phase(), new.value(), new.status(), new.decision(), new.coin_flip()),
+                    (old.phase(), old.value(), old.status(), old.decision(), old.coin_flip()),
+                    "state diverged at step {}",
+                    step
+                );
+                proptest::prop_assert_eq!(
+                    new.evidence.records(),
+                    old.evidence.records(),
+                    "evidence diverged at step {}",
+                    step
+                );
+                proptest::prop_assert_eq!(
+                    new.valid.records(),
+                    old.valid.records(),
+                    "V_i diverged at step {}",
+                    step
+                );
+                proptest::prop_assert_eq!(&new.decided_evidence, &old.decided_evidence);
+            }
+        }
+
         /// Bounding the phase top-up at `quorum` collected entries is
-        /// bit-identical to the retired unbounded scan: on arbitrary
-        /// evidence stores (equivocators, gaps, every phase shape mod 3,
-        /// both coin flips) the bounded bundle equals the unbounded one,
-        /// so bounding never drops a message a receiver needs to justify
-        /// a phase transition.
+        /// bit-identical to the retired unbounded scan, and the linear
+        /// dedupe is bit-identical to the retired quadratic one: on
+        /// arbitrary evidence stores (equivocators, gaps, every phase
+        /// shape mod 3, both coin flips, both statuses, a decided
+        /// snapshot overlapping the rest of the bundle) all of them
+        /// put the same bytes on the wire, so neither ever drops or
+        /// reorders a message a receiver needs.
         #[test]
         fn bounded_bundle_matches_unbounded_scan(
             seed in 0u64..200,
             phase_sel in 3u32..=8,
+            snapshot in 0usize..8,
             entries in proptest::collection::vec(
-                (0usize..10, 1u32..=7, 0usize..3, proptest::prelude::any::<bool>()),
+                (
+                    0usize..10,
+                    1u32..=7,
+                    0usize..3,
+                    proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<bool>(),
+                ),
                 0..80,
             ),
         ) {
@@ -1213,7 +1609,7 @@ mod tests {
             let cfg = Config::evaluation(n).expect("valid n");
             let rings = KeyRing::trusted_setup(n, PHASES, seed);
             let mut p = Turquois::new(cfg, 0, true, rings[0].clone(), seed);
-            for (sender, phase, vi, coin) in entries {
+            for (sender, phase, vi, coin, decided) in entries {
                 let value = [Value::Zero, Value::One, Value::Bot][vi];
                 // `sign` rejects values illegal at `phase` (e.g. ⊥ at a
                 // CONVERGE phase); skip those combos — a correct store
@@ -1226,32 +1622,63 @@ mod tests {
                     phase,
                     value,
                     coin_flip: coin,
-                    status: Status::Undecided,
+                    status: if decided { Status::Decided } else { Status::Undecided },
                 };
                 p.evidence.insert(&env, sig);
             }
-            let flat = |b: Vec<(Envelope, OneTimeSignature)>| -> Vec<(Envelope, [u8; 32])> {
-                b.into_iter().map(|(e, s)| (e, s.0)).collect()
+            // A decided snapshot taken at a decide phase that may
+            // coincide with φ − 1 or φ − 2 of the claim below. Its
+            // records can differ from the store's in the unsigned flags
+            // (the phase was pruned, then repopulated by a straggler).
+            let value = [Value::Zero, Value::One][snapshot % 2];
+            let psi = if snapshot & 2 == 0 { 3 } else { 6 };
+            p.decided_evidence = p.evidence.collect(psi, Some(value), cfg.quorum_min());
+            if snapshot & 4 != 0 {
+                for (env, _) in p.decided_evidence.iter_mut().step_by(2) {
+                    env.status = Status::Decided;
+                }
+            }
+            let wire = |envelope: Envelope, justification: Vec<(Envelope, OneTimeSignature)>| {
+                Message {
+                    envelope,
+                    signature: OneTimeSignature([0; 32]),
+                    justification,
+                }
+                .encode()
             };
             for value in [Value::Zero, Value::One, Value::Bot] {
                 for coin in [false, true] {
-                    let env = Envelope {
-                        sender: 0,
-                        phase: phase_sel,
-                        value,
-                        coin_flip: coin,
-                        status: Status::Undecided,
-                    };
-                    let bounded = p.build_justification_with(&env, p.cfg.quorum_min());
-                    let unbounded = p.build_justification_with(&env, usize::MAX);
-                    proptest::prop_assert_eq!(
-                        flat(bounded),
-                        flat(unbounded),
-                        "bounded bundle diverged at phase {} value {:?} coin {}",
-                        phase_sel,
-                        value,
-                        coin
-                    );
+                    for status in [Status::Undecided, Status::Decided] {
+                        let env = Envelope {
+                            sender: 0,
+                            phase: phase_sel,
+                            value,
+                            coin_flip: coin,
+                            status,
+                        };
+                        let bounded = wire(env, p.build_justification_with(&env, cfg.quorum_min()));
+                        let unbounded = wire(env, p.build_justification_with(&env, usize::MAX));
+                        let retired =
+                            wire(env, p.build_justification_quadratic(&env, cfg.quorum_min()));
+                        proptest::prop_assert_eq!(
+                            &bounded,
+                            &unbounded,
+                            "bounded bundle diverged at phase {} value {:?} coin {} {:?}",
+                            phase_sel,
+                            value,
+                            coin,
+                            status
+                        );
+                        proptest::prop_assert_eq!(
+                            &bounded,
+                            &retired,
+                            "linear dedupe diverged at phase {} value {:?} coin {} {:?}",
+                            phase_sel,
+                            value,
+                            coin,
+                            status
+                        );
+                    }
                 }
             }
         }

@@ -228,32 +228,23 @@ impl KeyRing {
     /// epoch, so the common case short-circuits on the first probe.
     /// Each epoch covers a disjoint phase range, so scan order cannot
     /// change the outcome.
+    ///
+    /// Verdicts are monotone in the key material: epochs are only ever
+    /// appended ([`KeyRing::begin_epoch`], [`KeyRing::install_epoch`]),
+    /// so installing keys can turn a previous `false` into `true` and
+    /// nothing ever turns a `true` into `false`. A caller may therefore
+    /// remember accepted signatures for as long as it likes (the
+    /// engine's evidence store does), but must not remember rejections
+    /// across an install.
     pub fn verify(&self, envelope: &Envelope, signature: &OneTimeSignature) -> bool {
-        self.verify_hashed(envelope, &turquois_crypto::sha256::sha256(&signature.0))
-    }
-
-    /// [`KeyRing::verify`] with `H(signature)` already computed — the
-    /// entry point for lane-batched callers that hash a whole
-    /// justification bundle through the multi-lane kernel first.
-    pub fn verify_hashed(&self, envelope: &Envelope, sig_hash: &turquois_crypto::sha256::Digest) -> bool {
         let Some(epochs) = self.vks.get(envelope.sender) else {
             return false;
         };
+        let sig_hash = turquois_crypto::sha256::sha256(&signature.0);
         epochs
             .iter()
             .rev()
-            .any(|vk| vk.verify_hashed(envelope.phase, envelope.value, sig_hash))
-    }
-
-    /// A monotone fingerprint of the installed verification-key
-    /// material: the total number of installed epochs across all
-    /// processes. Both [`KeyRing::begin_epoch`] and
-    /// [`KeyRing::install_epoch`] strictly increase it, so a memo cache
-    /// over [`KeyRing::verify`] outcomes is stale exactly when this
-    /// stamp changed (installing keys can flip a previous `false` to
-    /// `true`; nothing ever flips `true` to `false`).
-    pub fn epoch_stamp(&self) -> u64 {
-        self.vks.iter().map(|epochs| epochs.len() as u64).sum()
+            .any(|vk| vk.verify_hashed(envelope.phase, envelope.value, &sig_hash))
     }
 
     /// Prepares this process's next key-exchange epoch: generates keys

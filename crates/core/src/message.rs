@@ -370,18 +370,6 @@ impl<'a> MessageView<'a> {
         (env, sig)
     }
 
-    /// The raw signature bytes of justification entry `i`, borrowed
-    /// from the buffer (prehash batching feeds these to the multi-lane
-    /// SHA kernel without copying).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn sig_bytes(&self, i: usize) -> &'a [u8] {
-        assert!(i < self.count, "justification entry out of range");
-        &self.bytes[HEADER_LEN + i * ENTRY_LEN + ENVELOPE_LEN..][..DIGEST_LEN]
-    }
-
     /// Materializes an owned [`Message`] (used only where a message
     /// outlives its delivery, e.g. tests and fixtures).
     pub fn to_message(&self) -> Message {
@@ -632,7 +620,6 @@ mod tests {
         assert_eq!(view.justification_len(), m.justification.len());
         for (i, entry) in m.justification.iter().enumerate() {
             assert_eq!(view.entry(i), *entry);
-            assert_eq!(view.sig_bytes(i), &entry.1 .0[..]);
         }
         assert_eq!(view.to_message(), m);
     }

@@ -124,7 +124,7 @@ const VALUES: [Value; 3] = [Value::Zero, Value::One, Value::Bot];
 /// Encodes a record's observable content as a 4-bit combination code
 /// `value_idx * 4 + coin * 2 + status` (twelve possible codes, 0..12).
 #[inline]
-fn combo_code(value: Value, coin_flip: bool, status: Status) -> u8 {
+pub(crate) fn combo_code(value: Value, coin_flip: bool, status: Status) -> u8 {
     (value_idx(value) as u8) * 4
         + (coin_flip as u8) * 2
         + (status == Status::Decided) as u8
@@ -250,18 +250,14 @@ impl PhaseSlot {
     /// Inserts a record for `sender`; returns `true` if it was new (not
     /// an exact duplicate of a stored record), updating all tallies.
     fn insert(&mut self, sender: usize, record: Record) -> bool {
+        // Duplicate = same observable content. (Signatures for the same
+        // (phase, value) are identical by construction.)
+        if self.has_record(sender, record.value, record.coin_flip, record.status) {
+            return false;
+        }
         match &mut self.repr {
             SlotRepr::Legacy(senders) => {
                 let records = &mut senders[sender];
-                // Duplicate = same observable content. (Signatures for
-                // the same (phase, value) are identical by construction.)
-                if records.iter().any(|r| {
-                    r.value == record.value
-                        && r.coin_flip == record.coin_flip
-                        && r.status == record.status
-                }) {
-                    return false;
-                }
                 // Update the incremental tallies before the push: the
                 // record lists are tiny (≤ 12 entries), so these
                 // membership probes are cheap, and they only run on
@@ -283,10 +279,6 @@ impl PhaseSlot {
                 sigs,
             } => {
                 let code = combo_code(record.value, record.coin_flip, record.status);
-                let bit = 1u16 << code;
-                if masks[sender] & bit != 0 {
-                    return false;
-                }
                 if masks[sender] == 0 {
                     self.phase_senders += 1;
                 }
@@ -299,7 +291,7 @@ impl PhaseSlot {
                 }
                 let pos = masks[sender].count_ones();
                 order[sender] |= u64::from(code) << (4 * pos);
-                masks[sender] |= bit;
+                masks[sender] |= 1 << code;
                 true
             }
         }
@@ -337,6 +329,33 @@ impl PhaseSlot {
         match &self.repr {
             SlotRepr::Legacy(senders) => senders[sender].iter().any(|r| r.value == value),
             SlotRepr::Compact { masks, .. } => masks[sender] & value_mask(value) != 0,
+        }
+    }
+
+    /// The signature recorded at `sender`'s first insert of `value`.
+    fn signature_of(&self, sender: usize, value: Value) -> Option<OneTimeSignature> {
+        match &self.repr {
+            SlotRepr::Legacy(senders) => senders[sender]
+                .iter()
+                .find(|r| r.value == value)
+                .map(|r| r.signature),
+            SlotRepr::Compact { sig_idx, sigs, .. } => {
+                let idx = sig_idx[sender][value_idx(value)];
+                (idx != NO_SIG).then(|| sigs[idx as usize])
+            }
+        }
+    }
+
+    /// Whether `sender` has this exact `(value, coin_flip, status)`
+    /// record — i.e. whether inserting it would be a no-op.
+    fn has_record(&self, sender: usize, value: Value, coin_flip: bool, status: Status) -> bool {
+        match &self.repr {
+            SlotRepr::Legacy(senders) => senders[sender]
+                .iter()
+                .any(|r| r.value == value && r.coin_flip == coin_flip && r.status == status),
+            SlotRepr::Compact { masks, .. } => {
+                masks[sender] & (1 << combo_code(value, coin_flip, status)) != 0
+            }
         }
     }
 
@@ -478,6 +497,33 @@ impl MessageStore {
             .is_some_and(|s| s.sender_has_value(sender, value))
     }
 
+    /// The signature stored for `(phase, sender, value)`: the one given
+    /// at the first insert of that value, whatever the flags. A store
+    /// fed only verified signatures therefore answers "is this
+    /// signature authentic?" for every fact it holds with a 32-byte
+    /// compare (see `Turquois::authentic`).
+    pub fn signature_of(
+        &self,
+        phase: u32,
+        sender: usize,
+        value: Value,
+    ) -> Option<OneTimeSignature> {
+        self.phases.get(&phase)?.signature_of(sender, value)
+    }
+
+    /// Whether this exact record is stored, i.e. whether
+    /// [`MessageStore::insert`] of `envelope` would return `false`.
+    pub fn contains(&self, envelope: &Envelope) -> bool {
+        self.phases.get(&envelope.phase).is_some_and(|s| {
+            s.has_record(
+                envelope.sender,
+                envelope.value,
+                envelope.coin_flip,
+                envelope.status,
+            )
+        })
+    }
+
     /// The best catch-up candidate: a record with phase strictly above
     /// `above`, from the **highest** such phase (lowest sender, first
     /// record as deterministic tie-breaks). Returns
@@ -572,6 +618,19 @@ impl MessageStore {
     /// Lowest phase retained, if non-empty.
     pub fn min_phase(&self) -> Option<u32> {
         self.phases.keys().next().copied()
+    }
+
+    /// Every stored record as `(phase, sender, record)`, by phase, then
+    /// sender, then insertion order — whole-store equality for tests.
+    #[cfg(test)]
+    pub(crate) fn records(&self) -> Vec<(u32, usize, Record)> {
+        let mut out = Vec::new();
+        for (&phase, slot) in &self.phases {
+            for sender in 0..slot.n() {
+                out.extend(slot.records(sender).map(|rec| (phase, sender, rec)));
+            }
+        }
+        out
     }
 
     /// Total stored records (for tests and memory diagnostics).
@@ -755,6 +814,28 @@ mod tests {
     }
 
     #[test]
+    fn signature_of_keeps_the_first_signature_per_value() {
+        for legacy in [false, true] {
+            let mut s = MessageStore::with_legacy(3, legacy);
+            assert_eq!(s.signature_of(4, 1, Value::Zero), None);
+            s.insert(&env(1, 4, Value::Zero), sig(7));
+            // Same value under other flags: a new record, the same
+            // signature slot.
+            let mut decided = env(1, 4, Value::Zero);
+            decided.status = Status::Decided;
+            assert!(!s.contains(&decided));
+            assert!(s.insert(&decided, sig(8)));
+            assert!(s.contains(&decided));
+            assert_eq!(s.signature_of(4, 1, Value::Zero), Some(sig(7)));
+            assert_eq!(s.signature_of(4, 1, Value::One), None);
+            assert_eq!(s.signature_of(4, 0, Value::Zero), None);
+            s.prune_below(5);
+            assert_eq!(s.signature_of(4, 1, Value::Zero), None);
+            assert!(!s.contains(&decided));
+        }
+    }
+
+    #[test]
     fn has_sender_queries() {
         for legacy in [false, true] {
             let mut s = MessageStore::with_legacy(3, legacy);
@@ -837,7 +918,15 @@ mod tests {
                 let value = [Value::Zero, Value::One, Value::Bot][v as usize];
                 let status = if st == 0 { Status::Undecided } else { Status::Decided };
                 let e = Envelope { sender, phase, value, coin_flip: coin, status };
-                assert_eq!(compact.insert(&e, sig(v)), legacy.insert(&e, sig(v)));
+                let held = compact.contains(&e);
+                assert_eq!(held, legacy.contains(&e));
+                assert_eq!(
+                    compact.insert(&e, sig(v)),
+                    !held,
+                    "contains ⇔ insert is a no-op"
+                );
+                assert_eq!(legacy.insert(&e, sig(v)), !held);
+                assert!(compact.contains(&e) && legacy.contains(&e));
             }
             assert_eq!(compact.min_phase(), legacy.min_phase());
             assert_eq!(compact.record_count(), legacy.record_count());
@@ -856,6 +945,14 @@ mod tests {
                         assert_eq!(
                             compact.has_sender_value(phase, sender, value),
                             legacy.has_sender_value(phase, sender, value)
+                        );
+                        assert_eq!(
+                            compact.signature_of(phase, sender, value),
+                            legacy.signature_of(phase, sender, value)
+                        );
+                        assert_eq!(
+                            compact.signature_of(phase, sender, value).is_some(),
+                            compact.has_sender_value(phase, sender, value)
                         );
                     }
                     for limit in [1usize, 3, usize::MAX] {

@@ -58,8 +58,10 @@ impl fmt::Display for RejectReason {
 
 impl std::error::Error for RejectReason {}
 
-/// Evidence = the persistent authentic store plus the attachments of the
-/// message under validation, with senders deduplicated across both.
+/// Evidence = the persistent authentic store plus attachments of the
+/// message under validation that are *not* in the store (the engine
+/// passes the ones below its GC floor; attachments that are also stored
+/// are harmless), with senders deduplicated across both.
 pub struct EvidenceView<'a> {
     store: &'a MessageStore,
     extra: &'a [(Envelope, OneTimeSignature)],
@@ -103,16 +105,18 @@ impl<'a> EvidenceView<'a> {
         count
     }
 
-    /// DECIDE phases (`mod 3 = 0`) strictly below `limit` present in
-    /// either evidence source, ascending.
-    fn decide_phases_below(&self, limit: u32) -> Vec<u32> {
-        let mut phases: BTreeSet<u32> = self.store.decide_phases().filter(|&p| p < limit).collect();
-        for (env, _) in self.extra {
-            if env.phase % 3 == 0 && env.phase < limit {
-                phases.insert(env.phase);
-            }
-        }
-        phases.into_iter().collect()
+    /// Whether `pred` holds for any DECIDE phase (`mod 3 = 0`) strictly
+    /// below `limit` present in either evidence source. `pred` is pure,
+    /// so a phase present in both sources may be asked twice.
+    fn any_decide_phase_below(&self, limit: u32, mut pred: impl FnMut(u32) -> bool) -> bool {
+        self.store
+            .decide_phases()
+            .take_while(|&p| p < limit)
+            .any(&mut pred)
+            || self
+                .extra
+                .iter()
+                .any(|(env, _)| env.phase % 3 == 0 && env.phase < limit && pred(env.phase))
     }
 }
 
@@ -202,10 +206,9 @@ fn status_ok(env: &Envelope, cfg: &Config, view: &EvidenceView<'_>) -> Result<()
             };
             // "status = decided (and value v) requires more than (n+f)/2
             // messages of the form ⟨*, φ, v, *⟩ where φ mod 3 = 0."
-            let justified = view
-                .decide_phases_below(env.phase)
-                .into_iter()
-                .any(|psi| cfg.exceeds_quorum(view.count_value(psi, env.value)));
+            let justified = view.any_decide_phase_below(env.phase, |psi| {
+                cfg.exceeds_quorum(view.count_value(psi, env.value))
+            });
             if justified {
                 Ok(())
             } else {
@@ -464,6 +467,71 @@ mod tests {
         let mut e = env(0, 4, Value::One);
         e.status = Status::Decided;
         assert_eq!(check(&e, &s2), Err(RejectReason::PhaseUnjustified));
+    }
+
+    #[test]
+    fn decided_justified_by_decide_phases_of_either_source() {
+        // A phase-7 `decided One`: phase and value are justified from
+        // the store (⊥ quorum at 6, One quorum at 5); the decide quorum
+        // sits at phase 3, which the store may have pruned.
+        let mut entries = vec![];
+        for sender in 0..3 {
+            entries.push((sender, 5, Value::One));
+            entries.push((sender, 6, Value::Bot));
+        }
+        let mut e = env(0, 7, Value::One);
+        e.status = Status::Decided;
+        let attached = |senders: &[usize]| -> Vec<(Envelope, OneTimeSignature)> {
+            senders
+                .iter()
+                .map(|&s| (env(s, 3, Value::One), sig(s as u8)))
+                .collect()
+        };
+        let check_with = |s: &MessageStore, extra: &[(Envelope, OneTimeSignature)]| {
+            semantic_check(&e, &cfg(), &EvidenceView::new(s, extra))
+        };
+
+        // Only attachments know phase 3.
+        let s = store_with(&entries);
+        assert_eq!(check_with(&s, &[]), Err(RejectReason::DecidedUnjustified));
+        assert_eq!(
+            check_with(&s, &attached(&[0, 1])),
+            Err(RejectReason::DecidedUnjustified)
+        );
+        assert_eq!(check_with(&s, &attached(&[0, 1, 2])), Ok(()));
+        // A decide phase at or above the claim's phase never counts.
+        let late: Vec<_> = (0..3)
+            .map(|s| (env(s, 9, Value::One), sig(s as u8)))
+            .collect();
+        assert_eq!(check_with(&s, &late), Err(RejectReason::DecidedUnjustified));
+
+        // Both sources know phase 3: senders are counted once.
+        entries.push((0, 3, Value::One));
+        entries.push((1, 3, Value::One));
+        let s = store_with(&entries);
+        assert_eq!(
+            check_with(&s, &attached(&[0, 1])),
+            Err(RejectReason::DecidedUnjustified)
+        );
+        assert_eq!(check_with(&s, &attached(&[1, 2])), Ok(()));
+
+        // Only the store knows it.
+        entries.push((2, 3, Value::One));
+        assert_eq!(check_with(&store_with(&entries), &[]), Ok(()));
+
+        // The bound is strict for stored phases too: a phase-6 claim is
+        // not justified by the phase-6 quorum it would be part of.
+        let s = store_with(&[
+            (0, 5, Value::One),
+            (1, 5, Value::One),
+            (2, 5, Value::One),
+            (0, 6, Value::One),
+            (1, 6, Value::One),
+            (2, 6, Value::One),
+        ]);
+        let mut at_six = env(3, 6, Value::One);
+        at_six.status = Status::Decided;
+        assert_eq!(check(&at_six, &s), Err(RejectReason::DecidedUnjustified));
     }
 
     #[test]

@@ -1,0 +1,148 @@
+//! Steady-state `Turquois::on_message` performs no heap allocation:
+//! once a receiver holds the facts a frame carries — the common case,
+//! every tick re-broadcasts the same justified state to every
+//! neighbour — a bare broadcast and a justified re-broadcast are both
+//! processed out of the receive buffer, the stores and two recycled
+//! scratch vectors.
+//!
+//! Measured with a counting global allocator (this file is its own
+//! crate, so `turquois-core` itself stays `forbid(unsafe_code)`); the
+//! counter is thread-local, so the test harness's other threads cannot
+//! disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use turquois_core::config::Config;
+use turquois_core::instance::{MessageOutcome, Turquois};
+use turquois_core::message::{set_legacy_codec, Message, Status};
+use turquois_core::KeyRing;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a
+// const-initialized thread-local `Cell` without a destructor, so
+// touching it neither allocates nor can observe a destroyed value.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; all three are passed through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; both are passed through unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+fn note() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made by this thread while `f` runs.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = f();
+    (ALLOCATIONS.with(Cell::get) - before, r)
+}
+
+#[test]
+fn repeat_deliveries_allocate_nothing() {
+    // The arena codec is the default; pin it in case the environment
+    // selects the legacy one, whose decode allocates by design.
+    set_legacy_codec(false);
+    const PHASES: usize = 30;
+    for n in [4usize, 16] {
+        let cfg = Config::evaluation(n).expect("valid n");
+        let mut procs: Vec<Turquois> = KeyRing::trusted_setup(n, PHASES, 0xa110c)
+            .into_iter()
+            .enumerate()
+            .map(|(i, ring)| Turquois::new(cfg, i, true, ring, 7 + i as u64))
+            .collect();
+        let first: Vec<_> = procs
+            .iter_mut()
+            .map(|p| p.on_tick().expect("keys cover phase").bytes)
+            .collect();
+        let (head, rest) = procs.split_at_mut(1);
+        let (sender, receiver) = (&mut head[0], &mut rest[0]);
+        for bytes in &first {
+            sender.on_message(bytes);
+        }
+        assert_eq!(sender.phase(), 2);
+        let bare = sender.on_tick().expect("keys cover phase").bytes;
+        let justified = sender.on_tick().expect("keys cover phase").bytes;
+        let bundle = Message::decode(&justified, &cfg)
+            .expect("own encoding")
+            .justification
+            .len();
+        assert!(
+            bundle >= cfg.quorum_min(),
+            "a re-broadcast carries its quorum"
+        );
+
+        // First sight pays: slots, signatures, scratch capacity. (The
+        // receiver has heard nothing yet, so the bundle is what makes
+        // the phase-2 claim acceptable.)
+        let (first_sight, receipt) = allocations_in(|| receiver.on_message(&justified));
+        assert_eq!(receipt.outcome, MessageOutcome::Accepted);
+        assert_eq!(receipt.sig_verifications, bundle + 1);
+        assert!(
+            first_sight > 0,
+            "n={n}: first sight should have had to allocate"
+        );
+
+        for round in 0..3 {
+            for (what, bytes) in [("bare", &bare), ("justified", &justified)] {
+                let (count, receipt) = allocations_in(|| receiver.on_message(bytes));
+                assert_eq!(receipt.outcome, MessageOutcome::Duplicate);
+                assert_eq!(count, 0, "n={n} round {round}: {what} repeat allocated");
+            }
+        }
+
+        // The same for a `decided` claim, whose status check walks the
+        // stored decide phases: run everyone to a decision first.
+        while procs.iter().any(|p| p.decision().is_none()) {
+            let round: Vec<_> = procs
+                .iter_mut()
+                .map(|p| p.on_tick().expect("keys cover phase").bytes)
+                .collect();
+            for p in procs.iter_mut() {
+                for bytes in &round {
+                    p.on_message(bytes);
+                }
+            }
+        }
+        let (head, rest) = procs.split_at_mut(1);
+        let (sender, receiver) = (&mut head[0], &mut rest[0]);
+        sender.on_tick().expect("keys cover phase");
+        let decided = sender.on_tick().expect("keys cover phase");
+        assert_eq!(decided.message.envelope.status, Status::Decided);
+        assert!(!decided.message.justification.is_empty());
+        receiver.on_message(&decided.bytes);
+        let (count, receipt) = allocations_in(|| receiver.on_message(&decided.bytes));
+        assert_eq!(receipt.outcome, MessageOutcome::Duplicate);
+        assert_eq!(count, 0, "n={n}: decided repeat allocated");
+    }
+}
