@@ -28,7 +28,6 @@
 //! cost of the real RSA-class operations is charged by the simulator
 //! through the [`CryptoOps`] counters every call returns.
 
-use crate::gate::legacy_codec_enabled;
 use bytes::arena::EncodeArena;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
@@ -519,76 +518,47 @@ pub struct AbbaOutput {
     pub ops: CryptoOps,
 }
 
-/// One round's per-party vote table, in one of two interchangeable
-/// layouts (selected by `TURQUOIS_LEGACY_STORE`; see [`crate::gate`]).
-/// Share-collection iterates in table order — hash-map order for the
-/// legacy layout, ascending party for the compact one — which is safe
-/// because threshold `combine` is order-insensitive (it verifies a
-/// *set* of shares and emits a MAC over the statement alone).
+/// One round's per-party vote table: dense, party-indexed, grown on
+/// demand (party ids are dense `0..n`). Share-collection iterates in
+/// ascending party order; nothing depends on it, because threshold
+/// `combine` is order-insensitive (it verifies a *set* of shares and
+/// emits a MAC over the statement alone).
 #[derive(Debug)]
-enum VoteTable<V> {
-    /// The original party→vote hash map, retained as the differential
-    /// oracle.
-    Legacy(HashMap<usize, V>),
-    /// Dense party-indexed table grown on demand (party ids are dense
-    /// `0..n`).
-    Compact(Vec<Option<V>>),
+struct VoteTable<V>(Vec<Option<V>>);
+
+impl<V> Default for VoteTable<V> {
+    fn default() -> Self {
+        VoteTable(Vec::new())
+    }
 }
 
 impl<V> VoteTable<V> {
-    fn with_legacy(legacy: bool) -> Self {
-        if legacy {
-            VoteTable::Legacy(HashMap::new())
-        } else {
-            VoteTable::Compact(Vec::new())
-        }
-    }
-
     /// First-wins insert; returns `true` if `from` was new.
     fn record(&mut self, from: usize, vote: V) -> bool {
-        match self {
-            VoteTable::Legacy(map) => {
-                if let std::collections::hash_map::Entry::Vacant(e) = map.entry(from) {
-                    e.insert(vote);
-                    true
-                } else {
-                    false
-                }
-            }
-            VoteTable::Compact(table) => {
-                if table.len() <= from {
-                    table.resize_with(from + 1, || None);
-                }
-                if table[from].is_none() {
-                    table[from] = Some(vote);
-                    true
-                } else {
-                    false
-                }
-            }
+        let table = &mut self.0;
+        if table.len() <= from {
+            table.resize_with(from + 1, || None);
         }
+        let fresh = table[from].is_none();
+        if fresh {
+            table[from] = Some(vote);
+        }
+        fresh
     }
 
-    /// Recorded votes (layout-dependent order; callers must be
-    /// order-insensitive).
-    fn values(&self) -> Box<dyn Iterator<Item = &V> + '_> {
-        match self {
-            VoteTable::Legacy(map) => Box::new(map.values()),
-            VoteTable::Compact(table) => Box::new(table.iter().flatten()),
-        }
+    /// Recorded votes, ascending party.
+    fn values(&self) -> impl Iterator<Item = &V> + '_ {
+        self.0.iter().flatten()
     }
 
     /// Number of recorded votes (scan; the rounds keep an incremental
     /// total and use this as the debug oracle).
     fn scan_len(&self) -> usize {
-        match self {
-            VoteTable::Legacy(map) => map.len(),
-            VoteTable::Compact(table) => table.iter().flatten().count(),
-        }
+        self.values().count()
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PreVoteRound {
     votes: VoteTable<(bool, SigShare)>,
     /// Distinct parties recorded (replaces the retired `votes.len()`).
@@ -601,25 +571,7 @@ struct PreVoteRound {
     example: [Option<EmbeddedPreVote>; 2],
 }
 
-impl Default for PreVoteRound {
-    fn default() -> Self {
-        PreVoteRound::with_legacy(crate::gate::legacy_store_enabled())
-    }
-}
-
 impl PreVoteRound {
-    /// Creates an empty round with an explicit layout choice (used by
-    /// differential tests to exercise both layouts in one process).
-    fn with_legacy(legacy: bool) -> Self {
-        PreVoteRound {
-            votes: VoteTable::with_legacy(legacy),
-            total: 0,
-            value_counts: [0; 2],
-            fired: false,
-            example: [None, None],
-        }
-    }
-
     /// Records `from`'s pre-vote if it is the first accepted from that
     /// party this round (first value wins).
     fn record(&mut self, from: usize, value: bool, share: SigShare) {
@@ -657,7 +609,7 @@ fn mv_idx(value: MainVoteValue) -> usize {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct MainVoteRound {
     votes: VoteTable<(MainVoteValue, SigShare)>,
     /// Distinct parties recorded (replaces the retired `votes.len()`).
@@ -669,24 +621,7 @@ struct MainVoteRound {
     fired: bool,
 }
 
-impl Default for MainVoteRound {
-    fn default() -> Self {
-        MainVoteRound::with_legacy(crate::gate::legacy_store_enabled())
-    }
-}
-
 impl MainVoteRound {
-    /// Creates an empty round with an explicit layout choice (used by
-    /// differential tests to exercise both layouts in one process).
-    fn with_legacy(legacy: bool) -> Self {
-        MainVoteRound {
-            votes: VoteTable::with_legacy(legacy),
-            total: 0,
-            value_counts: [0; 3],
-            fired: false,
-        }
-    }
-
     /// Records `from`'s main-vote if it is the first accepted from that
     /// party this round (first value wins).
     fn record(&mut self, from: usize, value: MainVoteValue, share: SigShare) {
@@ -785,9 +720,7 @@ pub struct Abba {
     decision: Option<bool>,
     stop_round: Option<u32>,
     verify_memo: MemoCache<AbbaVerifyKey>,
-    /// Pooled encode scratch for outgoing wire messages (arena codec;
-    /// unused when `TURQUOIS_LEGACY_CODEC` selects per-message
-    /// builders).
+    /// Pooled encode scratch for outgoing wire messages.
     arena: EncodeArena,
     _rng: StdRng,
 }
@@ -834,15 +767,9 @@ impl Abba {
         }
     }
 
-    /// Encodes `msg` into `out.send` — through the engine's pooled
-    /// arena by default, or the legacy per-message builder under
-    /// `TURQUOIS_LEGACY_CODEC` (byte-identical either way).
+    /// Encodes `msg` into `out.send` through the engine's pooled arena.
     fn emit(&mut self, msg: &AbbaMessage, out: &mut AbbaOutput) {
-        out.send.push(if legacy_codec_enabled() {
-            msg.encode()
-        } else {
-            self.arena.encode_with(|b| msg.encode_into(b))
-        });
+        out.send.push(self.arena.encode_with(|b| msg.encode_into(b)));
     }
 
     /// Memoized verification: the [`CryptoOps`] counters are bumped by
@@ -1358,47 +1285,6 @@ mod tests {
         assert_eq!(AbbaMessage::decode(b""), None);
     }
 
-    /// The arena codec and the legacy owned codec drive byte-identical
-    /// full runs: same wire bytes out of every call, same decisions,
-    /// same crypto-op counts.
-    #[test]
-    fn codec_paths_are_observationally_identical() {
-        fn run(legacy: bool) -> (Vec<(usize, Vec<u8>, CryptoOps)>, Vec<Option<bool>>) {
-            crate::gate::set_legacy_codec(legacy);
-            let n = 4;
-            let mut engines = group(n, 1, &[true, false], 31);
-            let mut trace: Vec<(usize, Vec<u8>, CryptoOps)> = Vec::new();
-            let mut queue: Vec<(usize, Bytes)> = Vec::new();
-            for e in engines.iter_mut() {
-                let out = e.on_start();
-                let me = e.id();
-                queue.extend(out.send.into_iter().map(|b| (me, b)));
-            }
-            let mut iters = 0;
-            while let Some((from, bytes)) = queue.pop() {
-                iters += 1;
-                assert!(iters < 500_000, "livelock");
-                for to in 0..n {
-                    let out = engines[to].on_message(from, &bytes);
-                    for b in out.send {
-                        trace.push((to, b.to_vec(), out.ops));
-                        queue.push((to, b));
-                    }
-                }
-                if engines.iter().all(|e| e.decision().is_some()) {
-                    break;
-                }
-            }
-            crate::gate::set_legacy_codec(false);
-            (trace, engines.iter().map(|e| e.decision()).collect())
-        }
-        let arena = run(false);
-        let legacy = run(true);
-        assert_eq!(arena.0, legacy.0, "wire bytes and crypto ops");
-        assert_eq!(arena.1, legacy.1, "decisions");
-        assert!(arena.1[0].is_some(), "the run decided");
-    }
-
     #[test]
     fn unanimous_decides_in_one_round() {
         for bit in [false, true] {
@@ -1526,72 +1412,67 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// Pre-vote and main-vote incremental tallies vs. the retired
-        /// scan oracle under arbitrary interleavings of records
-        /// (duplicate parties keep their first value) and the engine's
-        /// whole-round GC — run against both vote-table layouts, which
-        /// must also agree with each other on every count and on the
-        /// multiset of collected shares.
+        /// Pre-vote and main-vote tallies vs. a naive model — a flat
+        /// list of every record call, scanned per query — under
+        /// arbitrary interleavings of records (duplicate parties keep
+        /// their first value) and the engine's whole-round GC; and vs.
+        /// the retired scan oracle. The collected shares must be the
+        /// model's first-wins vote set.
         #[test]
-        fn vote_round_tallies_match_scan_oracle(
+        fn vote_round_tallies_match_naive_model(
             ops in proptest::collection::vec(
                 // (round, party, value sel 0..3, gc trigger)
                 (1u32..6, 0usize..7, 0u8..3, 0u8..16),
                 1..80,
             ),
         ) {
+            const MAIN_VALUES: [MainVoteValue; 3] =
+                [MainVoteValue::Zero, MainVoteValue::One, MainVoteValue::Abstain];
             let share = |party: usize| SigShare {
                 party,
                 tag: turquois_crypto::sha256::Digest([party as u8; turquois_crypto::sha256::DIGEST_LEN]),
             };
-            let mut pre: [HashMap<u32, PreVoteRound>; 2] = [HashMap::new(), HashMap::new()];
-            let mut main: [HashMap<u32, MainVoteRound>; 2] = [HashMap::new(), HashMap::new()];
+            let mut pre: HashMap<u32, PreVoteRound> = HashMap::new();
+            let mut main: HashMap<u32, MainVoteRound> = HashMap::new();
+            // Every record call in order: (round, party, value sel).
+            let mut model: Vec<(u32, usize, u8)> = Vec::new();
             for (round, party, v, gc) in ops {
                 if gc == 0 {
                     // The engine's GC drops whole rounds below a floor.
-                    for m in &mut pre {
-                        m.retain(|&r, _| r >= round);
-                    }
-                    for m in &mut main {
-                        m.retain(|&r, _| r >= round);
-                    }
+                    pre.retain(|&r, _| r >= round);
+                    main.retain(|&r, _| r >= round);
+                    model.retain(|m| m.0 >= round);
                 } else {
-                    for (i, legacy) in [false, true].into_iter().enumerate() {
-                        pre[i]
-                            .entry(round)
-                            .or_insert_with(|| PreVoteRound::with_legacy(legacy))
-                            .record(party, v % 2 == 1, share(party));
-                        let mv = [MainVoteValue::Zero, MainVoteValue::One, MainVoteValue::Abstain]
-                            [v as usize];
-                        main[i]
-                            .entry(round)
-                            .or_insert_with(|| MainVoteRound::with_legacy(legacy))
-                            .record(party, mv, share(party));
-                    }
+                    pre.entry(round).or_default().record(party, v % 2 == 1, share(party));
+                    main.entry(round).or_default().record(party, MAIN_VALUES[v as usize], share(party));
+                    model.push((round, party, v));
                 }
-                for (&round, pr) in &pre[0] {
-                    let lpr = &pre[1][&round];
-                    proptest::prop_assert_eq!(pr.len(), lpr.len());
-                    // Same vote *set* regardless of iteration order
-                    // (combine downstream is order-insensitive).
-                    let mut a: Vec<_> = pr.votes.values().cloned().collect();
-                    let mut b: Vec<_> = lpr.votes.values().cloned().collect();
-                    a.sort_by_key(|(_, s)| s.party);
-                    b.sort_by_key(|(_, s)| s.party);
-                    proptest::prop_assert_eq!(a, b);
+                for (&round, pr) in &pre {
+                    // Ascending party; a party's vote is its first record.
+                    let votes: Vec<(usize, u8)> = (0..7)
+                        .filter_map(|party| {
+                            model.iter().find(|m| (m.0, m.1) == (round, party)).map(|m| (party, m.2))
+                        })
+                        .collect();
+                    proptest::prop_assert_eq!(pr.len(), votes.len());
+                    let want: Vec<_> = votes.iter().map(|&(p, v)| (v % 2 == 1, share(p))).collect();
+                    let got: Vec<_> = pr.votes.values().cloned().collect();
+                    proptest::prop_assert_eq!(got, want);
                     for value in [false, true] {
+                        proptest::prop_assert_eq!(
+                            pr.count(value),
+                            votes.iter().filter(|&&(_, v)| (v % 2 == 1) == value).count()
+                        );
                         proptest::prop_assert_eq!(pr.count(value), pr.scan_count(value));
-                        proptest::prop_assert_eq!(pr.count(value), lpr.count(value));
-                        proptest::prop_assert_eq!(lpr.count(value), lpr.scan_count(value));
                     }
-                }
-                for (&round, mr) in &main[0] {
-                    let lmr = &main[1][&round];
-                    proptest::prop_assert_eq!(mr.len(), lmr.len());
-                    for value in [MainVoteValue::Zero, MainVoteValue::One, MainVoteValue::Abstain] {
+                    let mr = &main[&round];
+                    proptest::prop_assert_eq!(mr.len(), votes.len());
+                    for value in MAIN_VALUES {
+                        proptest::prop_assert_eq!(
+                            mr.count(value),
+                            votes.iter().filter(|&&(_, v)| MAIN_VALUES[v as usize] == value).count()
+                        );
                         proptest::prop_assert_eq!(mr.count(value), mr.scan_count(value));
-                        proptest::prop_assert_eq!(mr.count(value), lmr.count(value));
-                        proptest::prop_assert_eq!(lmr.count(value), lmr.scan_count(value));
                     }
                 }
             }

@@ -21,8 +21,7 @@
 //! Validation is monotone in delivered evidence, so rejected messages
 //! are kept pending and re-examined as evidence accumulates.
 
-use crate::gate::legacy_codec_enabled;
-use crate::rbc::{RbcMessage, RbcView, ReliableBroadcast, Tag};
+use crate::rbc::{RbcView, ReliableBroadcast, Tag};
 use bytes::arena::EncodeArena;
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -108,23 +107,12 @@ fn sv_idx(value: StepValue) -> usize {
 /// Dense-table sentinel: no value accepted from this sender yet.
 const NO_VOTE: u8 = u8::MAX;
 
-/// Per-step accepted-vote tables, in one of two interchangeable
-/// layouts (selected by `TURQUOIS_LEGACY_STORE`; see [`crate::gate`]).
-#[derive(Debug)]
-enum Accepted {
-    /// The original per-step sender→value hash maps, retained as the
-    /// differential oracle.
-    Legacy([HashMap<usize, StepValue>; 3]),
-    /// Dense per-step sender-indexed byte tables (node ids are dense
-    /// `0..n`; entries hold `StepValue::encode` or [`NO_VOTE`]), grown
-    /// on demand — one byte per sender instead of a hash-map entry.
-    Compact([Vec<u8>; 3]),
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RoundState {
-    /// Validated step values per step (1-3), per sender.
-    accepted: Accepted,
+    /// Validated step values per step (1-3), per sender: dense
+    /// sender-indexed byte tables (node ids are dense `0..n`; entries
+    /// hold `StepValue::encode` or [`NO_VOTE`]), grown on demand.
+    accepted: [Vec<u8>; 3],
     /// Incremental per-(step, value) sender tallies over `accepted`
     /// (indexed `[step-1][sv_idx]`), so `is_valid`'s majority probes and
     /// `try_fire`'s quorum counts are O(1) instead of rescanning the
@@ -137,56 +125,20 @@ struct RoundState {
     fired: [bool; 3],
 }
 
-impl Default for RoundState {
-    fn default() -> Self {
-        RoundState::with_legacy(crate::gate::legacy_store_enabled())
-    }
-}
-
 impl RoundState {
-    /// Creates an empty round with an explicit layout choice (used by
-    /// differential tests to exercise both layouts in one process).
-    fn with_legacy(legacy: bool) -> Self {
-        let accepted = if legacy {
-            Accepted::Legacy(Default::default())
-        } else {
-            Accepted::Compact(Default::default())
-        };
-        RoundState {
-            accepted,
-            counts: [[0; 3]; 3],
-            totals: [0; 3],
-            fired: [false; 3],
-        }
-    }
-
     /// Records `origin`'s step value if it is the first one accepted
     /// from that sender at `step` (later values from the same sender
     /// are ignored, preserving first-wins semantics).
     fn accept(&mut self, step: u8, origin: usize, value: StepValue) {
         let s = (step - 1) as usize;
-        let fresh = match &mut self.accepted {
-            Accepted::Legacy(maps) => {
-                if let std::collections::hash_map::Entry::Vacant(e) = maps[s].entry(origin) {
-                    e.insert(value);
-                    true
-                } else {
-                    false
-                }
-            }
-            Accepted::Compact(tables) => {
-                let table = &mut tables[s];
-                if table.len() <= origin {
-                    table.resize(origin + 1, NO_VOTE);
-                }
-                if table[origin] == NO_VOTE {
-                    table[origin] = value.encode();
-                    true
-                } else {
-                    false
-                }
-            }
-        };
+        let table = &mut self.accepted[s];
+        if table.len() <= origin {
+            table.resize(origin + 1, NO_VOTE);
+        }
+        let fresh = table[origin] == NO_VOTE;
+        if fresh {
+            table[origin] = value.encode();
+        }
         if fresh {
             self.counts[s][sv_idx(value)] += 1;
             self.totals[s] += 1;
@@ -209,25 +161,20 @@ impl RoundState {
     }
 
     /// The retired scan `count` replaced; kept as the `debug_assert!`
-    /// oracle (and exercised by the proptest). Layout-agnostic.
+    /// oracle (and exercised by the proptest).
     fn scan_count(&self, step: u8, value: StepValue) -> usize {
-        let s = (step - 1) as usize;
-        match &self.accepted {
-            Accepted::Legacy(maps) => maps[s].values().filter(|&&x| x == value).count(),
-            Accepted::Compact(tables) => tables[s]
-                .iter()
-                .filter(|&&b| b == value.encode())
-                .count(),
-        }
+        self.accepted[(step - 1) as usize]
+            .iter()
+            .filter(|&&b| b == value.encode())
+            .count()
     }
 
     /// The retired length scan `total` replaced (debug oracle).
     fn scan_total(&self, step: u8) -> usize {
-        let s = (step - 1) as usize;
-        match &self.accepted {
-            Accepted::Legacy(maps) => maps[s].len(),
-            Accepted::Compact(tables) => tables[s].iter().filter(|&&b| b != NO_VOTE).count(),
-        }
+        self.accepted[(step - 1) as usize]
+            .iter()
+            .filter(|&&b| b != NO_VOTE)
+            .count()
     }
 }
 
@@ -249,9 +196,7 @@ pub struct Bracha {
     rng: StdRng,
     /// Total RBC deliveries (diagnostics).
     deliveries: u64,
-    /// Pooled encode scratch for outgoing wire messages (arena codec;
-    /// unused when `TURQUOIS_LEGACY_CODEC` selects per-message
-    /// builders).
+    /// Pooled encode scratch for outgoing wire messages.
     arena: EncodeArena,
 }
 
@@ -328,33 +273,19 @@ impl Bracha {
 
     /// Processes a wire message from link-layer sender `from`.
     ///
-    /// Under the default arena codec the wire bytes are parsed into a
-    /// borrowed [`RbcView`] (no payload copy) and outgoing messages
-    /// are encoded through the engine's pooled [`EncodeArena`];
-    /// `TURQUOIS_LEGACY_CODEC` selects the owned decode/encode pair as
-    /// the byte-identical differential oracle (DESIGN.md §13).
+    /// The wire bytes are parsed into a borrowed [`RbcView`] (no
+    /// payload copy) and outgoing messages are encoded through the
+    /// engine's pooled [`EncodeArena`] (DESIGN.md §13).
     pub fn on_message(&mut self, from: usize, bytes: &[u8]) -> BrachaOutput {
         let mut out = BrachaOutput::default();
-        let deliver = if legacy_codec_enabled() {
-            let Some(msg) = RbcMessage::decode(bytes) else {
-                return out;
-            };
-            let rbc_out = self.rbc.on_message(from, &msg);
-            for m in rbc_out.send {
-                out.send.push(m.encode());
-            }
-            rbc_out.deliver
-        } else {
-            let Some(view) = RbcView::parse(bytes) else {
-                return out;
-            };
-            let rbc_out = self.rbc.on_view(from, &view);
-            for m in rbc_out.send {
-                out.send.push(self.arena.encode_with(|b| m.encode_into(b)));
-            }
-            rbc_out.deliver
+        let Some(view) = RbcView::parse(bytes) else {
+            return out;
         };
-        for (tag, payload) in deliver {
+        let rbc_out = self.rbc.on_view(from, &view);
+        for m in rbc_out.send {
+            out.send.push(self.arena.encode_with(|b| m.encode_into(b)));
+        }
+        for (tag, payload) in rbc_out.deliver {
             self.deliveries += 1;
             if payload.len() != 1 {
                 continue;
@@ -527,13 +458,8 @@ impl Bracha {
     fn send_current(&mut self, out: &mut BrachaOutput) {
         let payload = Bytes::copy_from_slice(&[self.value.encode()]);
         let rbc_out = self.rbc.broadcast(self.round, self.step, payload);
-        let legacy = legacy_codec_enabled();
         for m in rbc_out.send {
-            out.send.push(if legacy {
-                m.encode()
-            } else {
-                self.arena.encode_with(|b| m.encode_into(b))
-            });
+            out.send.push(self.arena.encode_with(|b| m.encode_into(b)));
         }
     }
 }
@@ -668,7 +594,7 @@ mod tests {
             assert!(iters < 2_000_000, "livelock");
             // Correct processes receive everything; the Byzantine node's
             // RBC engine also participates (echoes/readies).
-            if let Some(msg) = RbcMessage::decode(&bytes) {
+            if let Some(msg) = crate::rbc::RbcMessage::decode(&bytes) {
                 let out = evil_rbc.on_message(from, &msg);
                 queue.extend(out.send.into_iter().map(|m| (3usize, m.encode())));
             }
@@ -767,100 +693,56 @@ mod tests {
         assert_eq!(out.newly_decided, None);
     }
 
-    /// The arena codec and the legacy owned codec drive byte-identical
-    /// full runs: same wire bytes out of every call, same decisions.
-    #[test]
-    fn codec_paths_are_observationally_identical() {
-        fn run(legacy: bool) -> (Vec<(usize, Vec<u8>)>, Vec<Option<bool>>) {
-            crate::gate::set_legacy_codec(legacy);
-            let n = 4;
-            let mut engines = group(n, 1, &[true, false], 21);
-            let mut wire: Vec<(usize, Vec<u8>)> = Vec::new();
-            let mut queue: Vec<(usize, Bytes)> = Vec::new();
-            for e in engines.iter_mut() {
-                let out = e.on_start();
-                let me = e.id();
-                queue.extend(out.send.into_iter().map(|b| (me, b)));
-            }
-            let mut iters = 0;
-            while let Some((from, bytes)) = queue.pop() {
-                iters += 1;
-                assert!(iters < 2_000_000, "livelock");
-                for to in 0..n {
-                    let out = engines[to].on_message(from, &bytes);
-                    for b in out.send {
-                        wire.push((to, b.to_vec()));
-                        queue.push((to, b));
-                    }
-                }
-                if engines.iter().all(|e| e.decision().is_some()) {
-                    break;
-                }
-            }
-            crate::gate::set_legacy_codec(false);
-            (wire, engines.iter().map(|e| e.decision()).collect())
-        }
-        let arena = run(false);
-        let legacy = run(true);
-        assert_eq!(arena.0.len(), legacy.0.len(), "wire message counts");
-        assert_eq!(arena.0, legacy.0, "wire bytes");
-        assert_eq!(arena.1, legacy.1, "decisions");
-        assert!(arena.1[0].is_some(), "the run decided");
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// [`RoundState`] incremental tallies vs. the retired scan
-        /// oracle under arbitrary interleavings of accepts (including
-        /// duplicate senders — first value wins — and conflicting
-        /// values) and round garbage collection — and the two layouts
-        /// against each other on every query.
+        /// [`RoundState`] tallies vs. a naive model — a flat list of
+        /// every accept, scanned per query — under arbitrary
+        /// interleavings of accepts (including duplicate senders —
+        /// first value wins — and conflicting values) and round
+        /// garbage collection; and vs. the retired scan oracle.
         #[test]
-        fn round_state_tallies_match_scan_oracle(
+        fn round_state_tallies_match_naive_model(
             ops in proptest::collection::vec(
                 // (round, step sel, origin, value sel, gc trigger)
                 (1u32..6, 1u8..4, 0usize..7, 0u8..3, 0u8..16),
                 1..80,
             ),
         ) {
-            let mut compact: std::collections::HashMap<u32, RoundState> =
-                std::collections::HashMap::new();
-            let mut legacy: std::collections::HashMap<u32, RoundState> =
-                std::collections::HashMap::new();
+            const VALUES: [StepValue; 3] = [StepValue::Zero, StepValue::One, StepValue::Null];
+            let mut rounds: HashMap<u32, RoundState> = HashMap::new();
+            // Every accept in order: (round, step, origin, value).
+            let mut model: Vec<(u32, u8, usize, StepValue)> = Vec::new();
             for (round, step, origin, v, gc) in ops {
                 if gc == 0 {
                     // The engine's GC drops whole rounds below a floor.
-                    compact.retain(|&r, _| r >= round);
-                    legacy.retain(|&r, _| r >= round);
+                    rounds.retain(|&r, _| r >= round);
+                    model.retain(|m| m.0 >= round);
                 } else {
-                    let value = [StepValue::Zero, StepValue::One, StepValue::Null][v as usize];
-                    compact
-                        .entry(round)
-                        .or_insert_with(|| RoundState::with_legacy(false))
-                        .accept(step, origin, value);
-                    legacy
-                        .entry(round)
-                        .or_insert_with(|| RoundState::with_legacy(true))
-                        .accept(step, origin, value);
+                    rounds.entry(round).or_default().accept(step, origin, VALUES[v as usize]);
+                    model.push((round, step, origin, VALUES[v as usize]));
                 }
-                for (&round, rs) in &compact {
-                    let lrs = &legacy[&round];
+                for (&round, rs) in &rounds {
                     for step in 1u8..=3 {
+                        // A sender's vote is the first value it had accepted.
+                        let votes: Vec<StepValue> = (0..7)
+                            .filter_map(|origin| {
+                                model
+                                    .iter()
+                                    .find(|m| (m.0, m.1, m.2) == (round, step, origin))
+                                    .map(|m| m.3)
+                            })
+                            .collect();
+                        proptest::prop_assert_eq!(rs.total(step), votes.len());
                         proptest::prop_assert_eq!(rs.total(step), rs.scan_total(step));
-                        proptest::prop_assert_eq!(rs.total(step), lrs.total(step));
-                        for value in [StepValue::Zero, StepValue::One, StepValue::Null] {
+                        for value in VALUES {
+                            proptest::prop_assert_eq!(
+                                rs.count(step, value),
+                                votes.iter().filter(|&&x| x == value).count()
+                            );
                             proptest::prop_assert_eq!(
                                 rs.count(step, value),
                                 rs.scan_count(step, value)
-                            );
-                            proptest::prop_assert_eq!(
-                                rs.count(step, value),
-                                lrs.count(step, value)
-                            );
-                            proptest::prop_assert_eq!(
-                                lrs.count(step, value),
-                                lrs.scan_count(step, value)
                             );
                         }
                     }

@@ -30,7 +30,6 @@
 
 pub mod abba;
 pub mod bracha;
-pub mod gate;
 pub mod rbc;
 
 pub use abba::{Abba, AbbaKeys, AbbaMessage, CryptoOps};

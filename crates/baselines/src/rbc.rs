@@ -207,7 +207,7 @@ impl<'a> RbcView<'a> {
     }
 }
 
-/// Credits the telemetry counters for one elided legacy decode copy of
+/// Credits the telemetry counters for one elided owned-decode copy of
 /// a `len`-byte payload: `Bytes::copy_from_slice` costs one buffer
 /// plus one `Arc` under the vendored stub.
 fn credit_elided_copy(len: usize) {
@@ -327,7 +327,7 @@ impl ReliableBroadcast {
     /// as [`ReliableBroadcast::on_message`], but the payload is copied
     /// into an owned [`Bytes`] only when it first enters a sender
     /// table or an outgoing echo. Duplicate payloads probe the tables
-    /// by raw slice and allocate nothing; each elided legacy decode
+    /// by raw slice and allocate nothing; each elided owned-decode
     /// copy is credited to the [`bytes::telemetry`] counters.
     pub fn on_view(&mut self, from: usize, view: &RbcView<'_>) -> RbcOutput {
         let mut out = RbcOutput::default();

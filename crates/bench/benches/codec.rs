@@ -1,6 +1,7 @@
-//! Codec micro-benchmarks (host wall-clock): the flat-arena message
-//! codec against the legacy owned-`Vec` codec it replaces
-//! (DESIGN.md §13).
+//! Codec micro-benchmarks (host wall-clock): the borrowed-view decode
+//! and arena encode the engines use against the owned
+//! [`Message::decode`] / [`Message::encode`] pair kept for tests,
+//! adversaries and the explorer (DESIGN.md §13).
 //!
 //! * **decode_owned** — [`Message::decode`], materializing the
 //!   justification entries into a fresh `Vec` per message.

@@ -1,31 +1,20 @@
 //! Event-engine micro-benchmark: events/second through the simulator
-//! core on the `simstress` timer-storm workload, for both queue
-//! engines. The storm is deterministic, so the two engines process
-//! exactly the same events — only the wall-clock differs. The wider
-//! before/after story (plus the byte-identity cross-check) lives in
-//! the `simcore_bench` harness binary and `results/BENCH_simcore.json`.
+//! core on the `simstress` timer-storm workload. The storm is
+//! deterministic, so every iteration processes exactly the same events.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use turquois_harness::simstress;
-use wireless_net::queue::set_legacy_queue;
 
 /// Simulated storm horizon per iteration.
 const STORM_MS: u64 = 50;
 
 fn bench_sim_core(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_core");
-    for (label, legacy) in [("legacy_heap", true), ("timer_wheel", false)] {
-        for n in [4usize, 8, 16] {
-            group.bench_function(format!("{label}_storm_n{n}"), |b| {
-                b.iter(|| {
-                    set_legacy_queue(legacy);
-                    std::hint::black_box(simstress::run_storm(n, 42, STORM_MS))
-                })
-            });
-        }
+    for n in [4usize, 8, 16] {
+        group.bench_function(format!("storm_n{n}"), |b| {
+            b.iter(|| std::hint::black_box(simstress::run_storm(n, 42, STORM_MS)))
+        });
     }
-    // Leave the process-wide engine selection on the default.
-    set_legacy_queue(false);
     group.finish();
 }
 

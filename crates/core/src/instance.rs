@@ -34,7 +34,7 @@
 
 use crate::config::Config;
 use crate::keyring::KeyRing;
-use crate::message::{legacy_codec_enabled, DecodeError, Envelope, Message, MessageView, Status};
+use crate::message::{DecodeError, Envelope, Message, MessageView, Status};
 use crate::state::{Advance, ProcessState};
 use crate::store::{combo_code, MessageStore};
 use crate::validation::{semantic_check, EvidenceView, RejectReason};
@@ -151,9 +151,8 @@ pub struct Turquois {
     /// Last broadcast's encoded form: a re-broadcast of an identical
     /// message reuses the wire bytes instead of re-serializing.
     last_wire: Option<(Message, Bytes)>,
-    /// Pooled encode scratch for outbound wire bytes (flat-arena
-    /// codec, DESIGN.md §13). Host-only: produces the same bytes the
-    /// legacy per-message builder would.
+    /// Pooled encode scratch for outbound wire bytes (DESIGN.md §13).
+    /// Host-only: produces the same bytes as [`Message::encode`].
     arena: EncodeArena,
     /// Recycled buffers for the message being processed — its authentic
     /// attachments below the GC floor, and the in-window ones `V_i` does
@@ -162,32 +161,6 @@ pub struct Turquois {
     below_floor_scratch: Vec<(Envelope, OneTimeSignature)>,
     pending_scratch: Vec<(Envelope, OneTimeSignature)>,
     rng: StdRng,
-}
-
-/// The justification entries of an incoming message, independent of
-/// which codec produced them: a materialized slice (legacy) or a
-/// borrowed [`MessageView`] reading offsets out of the receive buffer.
-enum JustEntries<'a> {
-    /// Legacy codec: entries already materialized in a `Vec`.
-    Owned(&'a [(Envelope, OneTimeSignature)]),
-    /// Arena codec: entries read on demand from the wire bytes.
-    View(&'a MessageView<'a>),
-}
-
-impl<'a> JustEntries<'a> {
-    fn len(&self) -> usize {
-        match self {
-            JustEntries::Owned(s) => s.len(),
-            JustEntries::View(v) => v.justification_len(),
-        }
-    }
-
-    fn entry(&self, i: usize) -> (Envelope, OneTimeSignature) {
-        match self {
-            JustEntries::Owned(s) => s[i],
-            JustEntries::View(v) => v.entry(i),
-        }
-    }
 }
 
 impl std::fmt::Debug for Turquois {
@@ -296,10 +269,9 @@ impl Turquois {
     }
 
     /// Approximate resident bytes of the two message stores (evidence
-    /// and `V_i`). Deterministic and layout-independent — a function of
-    /// store *contents*, not of the compact/legacy representation — so
-    /// it can feed stall-report telemetry without threatening output
-    /// byte-identity under `TURQUOIS_LEGACY_STORE=1`.
+    /// and `V_i`). Deterministic — a function of record counts only
+    /// (see [`MessageStore::approx_bytes`]) — so it can feed the
+    /// supervised tables' peak-store column and stall reports.
     pub fn store_bytes(&self) -> usize {
         self.evidence.approx_bytes() + self.valid.approx_bytes()
     }
@@ -355,13 +327,9 @@ impl Turquois {
                 });
             }
         }
-        let bytes = if legacy_codec_enabled() {
-            message.encode()
-        } else {
-            // Arena codec: stage into the pooled chunk — same bytes,
-            // one recycled allocation instead of two fresh ones.
-            self.arena.encode_with(|buf| message.encode_into(buf))
-        };
+        // Stage into the pooled chunk: one recycled allocation instead
+        // of two fresh ones.
+        let bytes = self.arena.encode_with(|buf| message.encode_into(buf));
         self.last_wire = Some((message.clone(), bytes.clone()));
         Ok(Outbound { bytes, message })
     }
@@ -375,65 +343,25 @@ impl Turquois {
             phase_advanced: false,
             newly_decided: None,
         };
-        if legacy_codec_enabled() {
-            // Legacy codec: materialize the justification Vec, exactly
-            // as the pre-arena receive path did.
-            let message = match Message::decode(bytes, &self.cfg) {
-                Ok(m) => m,
-                Err(e) => {
-                    receipt.outcome = MessageOutcome::DecodeFailed(e);
-                    return receipt;
-                }
-            };
-            // Authenticity of the outer message (one logical hash —
-            // charged to simulated CPU whether or not the evidence
-            // store answers it).
-            receipt.sig_verifications += 1;
-            if !self.authentic(&message.envelope, &message.signature) {
-                receipt.outcome = MessageOutcome::AuthFailed;
+        // Borrow the justification entries straight out of the receive
+        // buffer — no per-message allocation.
+        let msg = match MessageView::parse(bytes, &self.cfg) {
+            Ok(v) => v,
+            Err(e) => {
+                receipt.outcome = MessageOutcome::DecodeFailed(e);
                 return receipt;
             }
-            self.process(
-                message.envelope,
-                message.signature,
-                JustEntries::Owned(&message.justification),
-                &mut receipt,
-            );
-        } else {
-            // Arena codec: borrow the justification entries straight
-            // out of the receive buffer — no per-message allocation.
-            let view = match MessageView::parse(bytes, &self.cfg) {
-                Ok(v) => v,
-                Err(e) => {
-                    receipt.outcome = MessageOutcome::DecodeFailed(e);
-                    return receipt;
-                }
-            };
-            receipt.sig_verifications += 1;
-            if !self.authentic(&view.envelope(), &view.signature()) {
-                receipt.outcome = MessageOutcome::AuthFailed;
-                return receipt;
-            }
-            self.process(
-                view.envelope(),
-                view.signature(),
-                JustEntries::View(&view),
-                &mut receipt,
-            );
+        };
+        let (envelope, signature) = (msg.envelope(), msg.signature());
+        // Authenticity of the outer message (one logical hash — charged
+        // to simulated CPU whether or not the evidence store answers
+        // it).
+        receipt.sig_verifications += 1;
+        if !self.authentic(&envelope, &signature) {
+            receipt.outcome = MessageOutcome::AuthFailed;
+            return receipt;
         }
-        receipt
-    }
 
-    /// The codec-independent back half of [`Turquois::on_message`]:
-    /// attachment verification, evidence/valid store insertion, semantic
-    /// validation of the outer message, and state advancement.
-    fn process(
-        &mut self,
-        envelope: Envelope,
-        signature: OneTimeSignature,
-        just: JustEntries<'_>,
-        receipt: &mut Receipt,
-    ) {
         // Authenticity of each attachment (one logical verification
         // each); inauthentic ones are dropped. Authentic ones within
         // the GC window become evidence; older ones only count
@@ -443,8 +371,8 @@ impl Turquois {
         let mut pending = std::mem::take(&mut self.pending_scratch);
         below_floor.clear();
         pending.clear();
-        for i in 0..just.len() {
-            let (env, sig) = just.entry(i);
+        for i in 0..msg.justification_len() {
+            let (env, sig) = msg.entry(i);
             receipt.sig_verifications += 1;
             if !self.authentic(&env, &sig) {
                 continue;
@@ -481,8 +409,8 @@ impl Turquois {
         self.pending_scratch = pending;
         if let Err(reason) = semantic {
             receipt.outcome = MessageOutcome::SemanticFailed(reason);
-            self.advance(receipt);
-            return;
+            self.advance(&mut receipt);
+            return receipt;
         }
 
         self.evidence.insert(&envelope, signature);
@@ -491,7 +419,8 @@ impl Turquois {
             receipt.outcome = MessageOutcome::Duplicate;
         }
 
-        self.advance(receipt);
+        self.advance(&mut receipt);
+        receipt
     }
 
     fn advance(&mut self, receipt: &mut Receipt) {
@@ -1413,41 +1342,6 @@ mod tests {
         );
     }
 
-    /// The two codecs drive the engine identically: same receipts,
-    /// same wire bytes, same decisions, tick by tick.
-    #[test]
-    fn codec_paths_are_observationally_identical() {
-        use crate::message::set_legacy_codec;
-        let initial = legacy_codec_enabled();
-        let run = |legacy: bool| {
-            set_legacy_codec(legacy);
-            let mut procs = make_group(4, &[true, false], 55);
-            let mut log: Vec<(Vec<u8>, Receipt)> = Vec::new();
-            for _ in 0..40 {
-                let msgs: Vec<Bytes> = procs
-                    .iter_mut()
-                    .map(|p| p.on_tick().expect("keys cover phase").bytes)
-                    .collect();
-                for p in procs.iter_mut() {
-                    for m in &msgs {
-                        let r = p.on_message(m);
-                        log.push((m.to_vec(), r));
-                    }
-                }
-                if procs.iter().all(|p| p.decision().is_some()) {
-                    break;
-                }
-            }
-            let decisions: Vec<Option<bool>> = procs.iter().map(|p| p.decision()).collect();
-            (log, decisions)
-        };
-        let legacy = run(true);
-        let arena = run(false);
-        set_legacy_codec(initial);
-        assert_eq!(legacy.1, arena.1, "decisions diverged across codecs");
-        assert_eq!(legacy.0, arena.0, "wire bytes or receipts diverged across codecs");
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -1503,11 +1397,10 @@ mod tests {
         /// retired logic (a real verify per signature, a full-view
         /// semantic check per attachment): every `Receipt`, both
         /// stores' full contents, the state and every outbound
-        /// broadcast must be identical, under both store layouts.
+        /// broadcast must be identical.
         #[test]
         fn receive_path_matches_retired_oracle(
             seed in proptest::prelude::any::<u64>(),
-            legacy_store in proptest::prelude::any::<bool>(),
             steps in 100usize..400,
         ) {
             let n = 4;
@@ -1518,12 +1411,7 @@ mod tests {
             let epoch = byz_ring
                 .begin_epoch(Traffic::EPOCH_PHASES, seed ^ 2, &mut identity)
                 .expect("fresh identity key");
-            let make = || {
-                let mut p = Turquois::new(cfg, 0, seed % 2 == 0, rings[0].clone(), seed);
-                p.evidence = MessageStore::with_legacy(n, legacy_store);
-                p.valid = MessageStore::with_legacy(n, legacy_store);
-                p
-            };
+            let make = || Turquois::new(cfg, 0, seed % 2 == 0, rings[0].clone(), seed);
             let (mut new, mut old) = (make(), make());
             let mut traffic = Traffic {
                 rng: StdRng::seed_from_u64(seed),

@@ -20,44 +20,8 @@
 use crate::config::Config;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
 use turquois_crypto::otss::{OneTimeSignature, Value};
 use turquois_crypto::sha256::DIGEST_LEN;
-
-/// Environment variable selecting the legacy owned-`Vec` message codec.
-///
-/// Set to any non-empty value to bypass the flat-arena codec (borrowed
-/// [`MessageView`] decode, pooled [`bytes::arena::EncodeArena`]
-/// encode). Results must be byte-identical either way; the variable
-/// exists as a differential guard and an escape hatch, mirroring
-/// `TURQUOIS_LEGACY_QUEUE` / `TURQUOIS_LEGACY_STORE` (DESIGN.md §13).
-pub const LEGACY_CODEC_ENV: &str = "TURQUOIS_LEGACY_CODEC";
-
-static LEGACY_CODEC: AtomicBool = AtomicBool::new(false);
-static LEGACY_CODEC_INIT: Once = Once::new();
-
-/// Returns whether the hot paths use the legacy owned-`Vec` codec.
-///
-/// The first call reads [`LEGACY_CODEC_ENV`]; later calls reuse the
-/// cached value unless [`set_legacy_codec`] overrides it.
-pub fn legacy_codec_enabled() -> bool {
-    LEGACY_CODEC_INIT.call_once(|| {
-        if std::env::var_os(LEGACY_CODEC_ENV).is_some_and(|v| !v.is_empty()) {
-            LEGACY_CODEC.store(true, Ordering::Relaxed);
-        }
-    });
-    LEGACY_CODEC.load(Ordering::Relaxed)
-}
-
-/// Programmatically selects the codec for this crate, overriding the
-/// environment (used by differential tests and `hotpath_bench`).
-pub fn set_legacy_codec(enabled: bool) {
-    // Make sure the env lookup never races in after us and clobbers
-    // the explicit choice.
-    LEGACY_CODEC_INIT.call_once(|| {});
-    LEGACY_CODEC.store(enabled, Ordering::Relaxed);
-}
 
 /// Decision status carried in a message.
 #[derive(Clone, Copy, Debug, Eq, PartialEq, Hash)]
@@ -128,8 +92,8 @@ impl Message {
         buf.freeze()
     }
 
-    /// Writes the wire encoding into any [`BufMut`] — the arena codec
-    /// stages messages into a pooled chunk with this; [`encode`]
+    /// Writes the wire encoding into any [`BufMut`] — the engine stages
+    /// messages into its pooled arena chunk with this; [`encode`]
     /// produces the same bytes through its own builder.
     ///
     /// [`encode`]: Message::encode
@@ -325,7 +289,7 @@ impl<'a> MessageView<'a> {
             });
         }
         if count > 0 {
-            // The legacy codec would have materialized a justification
+            // An owned decode would have materialized a justification
             // Vec here (`Vec::with_capacity(0)` on bare messages does
             // not allocate, so only a non-empty justification counts).
             bytes::telemetry::count_allocs_saved(1);
@@ -585,17 +549,7 @@ mod tests {
         assert_eq!(Status::Undecided.to_string(), "undecided");
     }
 
-    #[test]
-    fn codec_gate_round_trips() {
-        let initial = legacy_codec_enabled();
-        set_legacy_codec(true);
-        assert!(legacy_codec_enabled());
-        set_legacy_codec(false);
-        assert!(!legacy_codec_enabled());
-        set_legacy_codec(initial);
-    }
-
-    /// Both codecs agree on every accessor for a valid message.
+    /// Both decoders agree on every accessor for a valid message.
     #[test]
     fn view_matches_decode_on_valid_messages() {
         let m = Message {
@@ -721,7 +675,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// View vs. legacy codec on arbitrary (mostly invalid) byte
+        /// View vs. owned decoder on arbitrary (mostly invalid) byte
         /// strings: identical accept/reject verdicts, identical
         /// errors, identical materialized messages.
         #[test]

@@ -23,65 +23,23 @@
 //!
 //! Node ids are dense `0..n`, and a sender can contribute at most one
 //! record per distinct `(value, coin, status)` combination — twelve in
-//! total. Two interchangeable slot layouts exploit that:
+//! total. A phase slot therefore keeps, per sender, a 12-bit presence
+//! mask (one bit per combination code), a packed `u64` of 4-bit codes
+//! in insertion order, and three arena indices (one per value) into a
+//! slot-local signature arena: 22 bytes per sender plus 32 per distinct
+//! `(sender, value)` signature, with no per-sender heap allocation —
+//! the difference between n=16 and n=256 staying resident.
 //!
-//! * **Legacy** — the original `Vec<Vec<Record>>` (one record list per
-//!   sender). Selected with `TURQUOIS_LEGACY_STORE=1` (any non-empty
-//!   value) or [`set_legacy_store`]; retained as the differential
-//!   oracle, mirroring the queue-engine gate (DESIGN.md §9).
-//! * **Compact** (default) — per sender a 12-bit presence mask (one bit
-//!   per combination code), a packed `u64` of 4-bit codes in insertion
-//!   order, and three arena indices (one per value) into a slot-local
-//!   signature arena. 22 bytes per sender plus 32 per distinct
-//!   `(sender, value)` signature, with no per-sender heap allocation —
-//!   the difference between n=16 and n=256 staying resident.
-//!
-//! Both layouts answer every query identically — byte-for-byte on every
-//! experiment — because all retrieval paths return the *first* record
-//! matching their criterion in insertion order, and the signature for a
-//! given `(sender, phase, value)` is fixed at the first insert of that
-//! value (verified one-time signatures are unique per `(phase, value)`
-//! by construction).
+//! All retrieval paths return the *first* record matching their
+//! criterion in insertion order, and the signature for a given
+//! `(sender, phase, value)` is fixed at the first insert of that value
+//! (verified one-time signatures are unique per `(phase, value)` by
+//! construction). The model proptest below holds every query to a flat
+//! insertion-ordered record list answering by naive scan.
 
 use crate::message::{Envelope, Status};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
 use turquois_crypto::otss::{OneTimeSignature, Value};
-
-/// Environment variable selecting the legacy `Vec<Vec<Record>>` layout.
-///
-/// Set to any non-empty value to bypass the compact bitset/arena slots.
-/// Results must be byte-identical either way; the variable exists as a
-/// differential guard and an escape hatch, mirroring
-/// `TURQUOIS_LEGACY_QUEUE`.
-pub const LEGACY_STORE_ENV: &str = "TURQUOIS_LEGACY_STORE";
-
-static LEGACY_STORE: AtomicBool = AtomicBool::new(false);
-static LEGACY_STORE_INIT: Once = Once::new();
-
-/// Returns whether new stores use the legacy per-sender `Vec` layout.
-///
-/// The first call reads [`LEGACY_STORE_ENV`]; later calls reuse the
-/// cached value unless [`set_legacy_store`] overrides it.
-pub fn legacy_store_enabled() -> bool {
-    LEGACY_STORE_INIT.call_once(|| {
-        if std::env::var_os(LEGACY_STORE_ENV).is_some_and(|v| !v.is_empty()) {
-            LEGACY_STORE.store(true, Ordering::Relaxed);
-        }
-    });
-    LEGACY_STORE.load(Ordering::Relaxed)
-}
-
-/// Programmatically selects the store layout for stores built
-/// afterwards, overriding the environment (used by differential tests
-/// to run both layouts in one process).
-pub fn set_legacy_store(enabled: bool) {
-    // Make sure the env lookup never races in after us and clobbers
-    // the explicit choice.
-    LEGACY_STORE_INIT.call_once(|| {});
-    LEGACY_STORE.store(enabled, Ordering::Relaxed);
-}
 
 /// One stored record: the distinct content a sender put in a phase.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
@@ -155,66 +113,44 @@ fn value_mask(value: Value) -> u16 {
 /// Arena-index sentinel: no signature stored for this `(sender, value)`.
 const NO_SIG: u32 = u32::MAX;
 
-#[derive(Clone, Debug)]
-enum SlotRepr {
-    /// `senders[s]` holds the distinct records sender `s` produced in
-    /// this phase (bounded: ≤ 3 values × 2 coin flags × 2 statuses).
-    Legacy(Vec<Vec<Record>>),
-    /// Index-keyed bitset/arena layout (see the module docs).
-    Compact {
-        /// Per-sender presence bitmask, one bit per combination code.
-        masks: Vec<u16>,
-        /// Per-sender packed 4-bit codes in insertion order; record
-        /// count is `masks[s].count_ones()` (≤ 12 records → 48 bits).
-        order: Vec<u64>,
-        /// Per-sender, per-value arena index of the signature recorded
-        /// at the first insert of that value ([`NO_SIG`] when absent).
-        sig_idx: Vec<[u32; 3]>,
-        /// Slot-local signature arena, one entry per distinct
-        /// `(sender, value)` pair.
-        sigs: Vec<OneTimeSignature>,
-    },
-}
-
-/// Iterates a sender's records in insertion order, layout-agnostically.
-enum RecordsIter<'a> {
-    Legacy(std::slice::Iter<'a, Record>),
-    Compact {
-        order: u64,
-        left: u32,
-        sig_idx: &'a [u32; 3],
-        sigs: &'a [OneTimeSignature],
-    },
+/// Iterates a sender's records in insertion order.
+struct RecordsIter<'a> {
+    order: u64,
+    left: u32,
+    sig_idx: &'a [u32; 3],
+    sigs: &'a [OneTimeSignature],
 }
 
 impl Iterator for RecordsIter<'_> {
     type Item = Record;
 
     fn next(&mut self) -> Option<Record> {
-        match self {
-            RecordsIter::Legacy(it) => it.next().copied(),
-            RecordsIter::Compact {
-                order,
-                left,
-                sig_idx,
-                sigs,
-            } => {
-                if *left == 0 {
-                    return None;
-                }
-                let code = (*order & 0xF) as u8;
-                *order >>= 4;
-                *left -= 1;
-                let sig = sigs[sig_idx[(code >> 2) as usize] as usize];
-                Some(decode_code(code, sig))
-            }
+        if self.left == 0 {
+            return None;
         }
+        let code = (self.order & 0xF) as u8;
+        self.order >>= 4;
+        self.left -= 1;
+        let sig = self.sigs[self.sig_idx[(code >> 2) as usize] as usize];
+        Some(decode_code(code, sig))
     }
 }
 
+/// One phase's records in the index-keyed bitset/arena layout (see the
+/// module docs).
 #[derive(Clone, Debug)]
 struct PhaseSlot {
-    repr: SlotRepr,
+    /// Per-sender presence bitmask, one bit per combination code.
+    masks: Vec<u16>,
+    /// Per-sender packed 4-bit codes in insertion order; record count
+    /// is `masks[s].count_ones()` (≤ 12 records → 48 bits).
+    order: Vec<u64>,
+    /// Per-sender, per-value arena index of the signature recorded at
+    /// the first insert of that value ([`NO_SIG`] when absent).
+    sig_idx: Vec<[u32; 3]>,
+    /// Slot-local signature arena, one entry per distinct
+    /// `(sender, value)` pair — the slot's signature population.
+    sigs: Vec<OneTimeSignature>,
     /// Distinct senders with ≥ 1 record in this phase, maintained on
     /// insert so quorum checks are O(1) instead of rescanning.
     phase_senders: usize,
@@ -222,28 +158,17 @@ struct PhaseSlot {
     /// equivocator contributes once per value it signed, never twice to
     /// the same value.
     value_senders: [usize; 3],
-    /// Distinct `(sender, value)` pairs stored — the slot's signature
-    /// population, maintained for O(1) footprint estimates.
-    sig_slots: usize,
 }
 
 impl PhaseSlot {
-    fn new(n: usize, legacy: bool) -> Self {
-        let repr = if legacy {
-            SlotRepr::Legacy(vec![Vec::new(); n])
-        } else {
-            SlotRepr::Compact {
-                masks: vec![0; n],
-                order: vec![0; n],
-                sig_idx: vec![[NO_SIG; 3]; n],
-                sigs: Vec::new(),
-            }
-        };
+    fn new(n: usize) -> Self {
         PhaseSlot {
-            repr,
+            masks: vec![0; n],
+            order: vec![0; n],
+            sig_idx: vec![[NO_SIG; 3]; n],
+            sigs: Vec::new(),
             phase_senders: 0,
             value_senders: [0; 3],
-            sig_slots: 0,
         }
     }
 
@@ -255,131 +180,71 @@ impl PhaseSlot {
         if self.has_record(sender, record.value, record.coin_flip, record.status) {
             return false;
         }
-        match &mut self.repr {
-            SlotRepr::Legacy(senders) => {
-                let records = &mut senders[sender];
-                // Update the incremental tallies before the push: the
-                // record lists are tiny (≤ 12 entries), so these
-                // membership probes are cheap, and they only run on
-                // genuinely new records.
-                if records.is_empty() {
-                    self.phase_senders += 1;
-                }
-                if !records.iter().any(|r| r.value == record.value) {
-                    self.value_senders[value_idx(record.value)] += 1;
-                    self.sig_slots += 1;
-                }
-                records.push(record);
-                true
-            }
-            SlotRepr::Compact {
-                masks,
-                order,
-                sig_idx,
-                sigs,
-            } => {
-                let code = combo_code(record.value, record.coin_flip, record.status);
-                if masks[sender] == 0 {
-                    self.phase_senders += 1;
-                }
-                let vi = value_idx(record.value);
-                if masks[sender] & value_mask(record.value) == 0 {
-                    self.value_senders[vi] += 1;
-                    self.sig_slots += 1;
-                    sig_idx[sender][vi] = sigs.len() as u32;
-                    sigs.push(record.signature);
-                }
-                let pos = masks[sender].count_ones();
-                order[sender] |= u64::from(code) << (4 * pos);
-                masks[sender] |= 1 << code;
-                true
-            }
+        let code = combo_code(record.value, record.coin_flip, record.status);
+        if self.masks[sender] == 0 {
+            self.phase_senders += 1;
         }
+        let vi = value_idx(record.value);
+        if self.masks[sender] & value_mask(record.value) == 0 {
+            self.value_senders[vi] += 1;
+            self.sig_idx[sender][vi] = self.sigs.len() as u32;
+            self.sigs.push(record.signature);
+        }
+        let pos = self.masks[sender].count_ones();
+        self.order[sender] |= u64::from(code) << (4 * pos);
+        self.masks[sender] |= 1 << code;
+        true
     }
 
     /// The records sender `s` produced, in insertion order.
     fn records(&self, sender: usize) -> RecordsIter<'_> {
-        match &self.repr {
-            SlotRepr::Legacy(senders) => RecordsIter::Legacy(senders[sender].iter()),
-            SlotRepr::Compact {
-                masks,
-                order,
-                sig_idx,
-                sigs,
-            } => RecordsIter::Compact {
-                order: order[sender],
-                left: masks[sender].count_ones(),
-                sig_idx: &sig_idx[sender],
-                sigs,
-            },
+        RecordsIter {
+            order: self.order[sender],
+            left: self.masks[sender].count_ones(),
+            sig_idx: &self.sig_idx[sender],
+            sigs: &self.sigs,
         }
     }
 
     /// Whether `sender` has any record in this phase. O(1).
     fn sender_present(&self, sender: usize) -> bool {
-        match &self.repr {
-            SlotRepr::Legacy(senders) => !senders[sender].is_empty(),
-            SlotRepr::Compact { masks, .. } => masks[sender] != 0,
-        }
+        self.masks[sender] != 0
     }
 
-    /// Whether `sender` has a record with `value`. O(1) in the compact
-    /// layout (a mask probe), a ≤ 12-entry scan in the legacy one.
+    /// Whether `sender` has a record with `value`. O(1): a mask probe.
     fn sender_has_value(&self, sender: usize, value: Value) -> bool {
-        match &self.repr {
-            SlotRepr::Legacy(senders) => senders[sender].iter().any(|r| r.value == value),
-            SlotRepr::Compact { masks, .. } => masks[sender] & value_mask(value) != 0,
-        }
+        self.masks[sender] & value_mask(value) != 0
     }
 
     /// The signature recorded at `sender`'s first insert of `value`.
     fn signature_of(&self, sender: usize, value: Value) -> Option<OneTimeSignature> {
-        match &self.repr {
-            SlotRepr::Legacy(senders) => senders[sender]
-                .iter()
-                .find(|r| r.value == value)
-                .map(|r| r.signature),
-            SlotRepr::Compact { sig_idx, sigs, .. } => {
-                let idx = sig_idx[sender][value_idx(value)];
-                (idx != NO_SIG).then(|| sigs[idx as usize])
-            }
-        }
+        let idx = self.sig_idx[sender][value_idx(value)];
+        (idx != NO_SIG).then(|| self.sigs[idx as usize])
     }
 
     /// Whether `sender` has this exact `(value, coin_flip, status)`
     /// record — i.e. whether inserting it would be a no-op.
     fn has_record(&self, sender: usize, value: Value, coin_flip: bool, status: Status) -> bool {
-        match &self.repr {
-            SlotRepr::Legacy(senders) => senders[sender]
-                .iter()
-                .any(|r| r.value == value && r.coin_flip == coin_flip && r.status == status),
-            SlotRepr::Compact { masks, .. } => {
-                masks[sender] & (1 << combo_code(value, coin_flip, status)) != 0
-            }
-        }
+        self.masks[sender] & (1 << combo_code(value, coin_flip, status)) != 0
     }
 
     /// Total records stored in this slot.
     fn record_count(&self) -> usize {
-        match &self.repr {
-            SlotRepr::Legacy(senders) => senders.iter().map(Vec::len).sum(),
-            SlotRepr::Compact { masks, .. } => {
-                masks.iter().map(|m| m.count_ones() as usize).sum()
-            }
-        }
+        self.masks.iter().map(|m| m.count_ones() as usize).sum()
     }
 
     /// Number of senders the slot was sized for.
     fn n(&self) -> usize {
-        match &self.repr {
-            SlotRepr::Legacy(senders) => senders.len(),
-            SlotRepr::Compact { masks, .. } => masks.len(),
-        }
+        self.masks.len()
+    }
+
+    /// Distinct `(sender, value)` pairs stored.
+    fn sig_slots(&self) -> usize {
+        self.sigs.len()
     }
 
     /// The retired scan the incremental `phase_senders` replaced; kept
     /// as the `debug_assert!` oracle (and exercised by the proptest).
-    /// Layout-agnostic: reconstructs records through [`PhaseSlot::records`].
     fn scan_phase_senders(&self) -> usize {
         (0..self.n())
             .filter(|&s| self.records(s).next().is_some())
@@ -398,7 +263,6 @@ impl PhaseSlot {
 #[derive(Clone, Debug)]
 pub struct MessageStore {
     n: usize,
-    legacy: bool,
     phases: BTreeMap<u32, PhaseSlot>,
     /// Live distinct `(sender, value)` pairs across all retained
     /// phases, maintained on insert and prune for O(1)
@@ -407,18 +271,10 @@ pub struct MessageStore {
 }
 
 impl MessageStore {
-    /// Creates an empty store for `n` processes, with the slot layout
-    /// selected by [`legacy_store_enabled`].
+    /// Creates an empty store for `n` processes.
     pub fn new(n: usize) -> Self {
-        MessageStore::with_legacy(n, legacy_store_enabled())
-    }
-
-    /// Creates an empty store with an explicit layout choice (used by
-    /// differential tests to exercise both layouts in one process).
-    pub fn with_legacy(n: usize, legacy: bool) -> Self {
         MessageStore {
             n,
-            legacy,
             phases: BTreeMap::new(),
             sig_slots: 0,
         }
@@ -433,13 +289,12 @@ impl MessageStore {
     /// upstream).
     pub fn insert(&mut self, envelope: &Envelope, signature: OneTimeSignature) -> bool {
         assert!(envelope.sender < self.n, "sender out of range");
-        let legacy = self.legacy;
         let n = self.n;
         let slot = self
             .phases
             .entry(envelope.phase)
-            .or_insert_with(|| PhaseSlot::new(n, legacy));
-        let before = slot.sig_slots;
+            .or_insert_with(|| PhaseSlot::new(n));
+        let before = slot.sig_slots();
         let fresh = slot.insert(
             envelope.sender,
             Record {
@@ -449,7 +304,7 @@ impl MessageStore {
                 signature,
             },
         );
-        self.sig_slots += slot.sig_slots - before;
+        self.sig_slots += slot.sig_slots() - before;
         fresh
     }
 
@@ -611,7 +466,7 @@ impl MessageStore {
         let live = self.phases.split_off(&min_phase);
         let dead = std::mem::replace(&mut self.phases, live);
         for slot in dead.values() {
-            self.sig_slots -= slot.sig_slots;
+            self.sig_slots -= slot.sig_slots();
         }
     }
 
@@ -639,13 +494,12 @@ impl MessageStore {
     }
 
     /// Deterministic O(1) estimate of the store's resident footprint in
-    /// bytes, independent of the slot layout (so stall reports stay
-    /// byte-identical under `TURQUOIS_LEGACY_STORE=1`): each retained
-    /// phase charges the compact layout's fixed 22 bytes per sender plus
-    /// 64 bytes of slot/map overhead, and every distinct
-    /// `(sender, value)` pair charges a 32-byte signature. A function of
-    /// logical content only — never of `Vec` capacities or allocator
-    /// behaviour — so it is reproducible across runs and platforms.
+    /// bytes: each retained phase charges the slot layout's fixed 22
+    /// bytes per sender plus 64 bytes of slot/map overhead, and every
+    /// distinct `(sender, value)` pair charges a 32-byte signature. A
+    /// function of record counts only — never of `Vec` capacities or
+    /// allocator behaviour — so it is reproducible across runs and
+    /// platforms (supervised tables print its high-water mark).
     pub fn approx_bytes(&self) -> usize {
         self.phases.len() * (22 * self.n + 64) + 32 * self.sig_slots
     }
@@ -672,118 +526,102 @@ mod tests {
 
     #[test]
     fn duplicates_do_not_inflate_counts() {
-        for legacy in [false, true] {
-            let mut s = MessageStore::with_legacy(4, legacy);
-            assert!(s.insert(&env(0, 1, Value::One), sig(1)));
-            assert!(!s.insert(&env(0, 1, Value::One), sig(1)));
-            assert_eq!(s.count_phase(1), 1);
-            assert_eq!(s.count_value(1, Value::One), 1);
-            assert_eq!(s.record_count(), 1);
-        }
+        let mut s = MessageStore::new(4);
+        assert!(s.insert(&env(0, 1, Value::One), sig(1)));
+        assert!(!s.insert(&env(0, 1, Value::One), sig(1)));
+        assert_eq!(s.count_phase(1), 1);
+        assert_eq!(s.count_value(1, Value::One), 1);
+        assert_eq!(s.record_count(), 1);
     }
 
     #[test]
     fn equivocation_counts_once_per_value_once_per_phase() {
-        for legacy in [false, true] {
-            let mut s = MessageStore::with_legacy(4, legacy);
-            assert!(s.insert(&env(2, 1, Value::Zero), sig(1)));
-            assert!(s.insert(&env(2, 1, Value::One), sig(2)));
-            // Phase count: the sender is present once.
-            assert_eq!(s.count_phase(1), 1);
-            // Value counts: present for each value it signed.
-            assert_eq!(s.count_value(1, Value::Zero), 1);
-            assert_eq!(s.count_value(1, Value::One), 1);
-        }
+        let mut s = MessageStore::new(4);
+        assert!(s.insert(&env(2, 1, Value::Zero), sig(1)));
+        assert!(s.insert(&env(2, 1, Value::One), sig(2)));
+        // Phase count: the sender is present once.
+        assert_eq!(s.count_phase(1), 1);
+        // Value counts: present for each value it signed.
+        assert_eq!(s.count_value(1, Value::Zero), 1);
+        assert_eq!(s.count_value(1, Value::One), 1);
     }
 
     #[test]
     fn counts_across_senders() {
-        for legacy in [false, true] {
-            let mut s = MessageStore::with_legacy(5, legacy);
-            for sender in 0..4 {
-                s.insert(&env(sender, 2, Value::One), sig(sender as u8));
-            }
-            s.insert(&env(4, 2, Value::Zero), sig(9));
-            assert_eq!(s.count_phase(2), 5);
-            assert_eq!(s.count_value(2, Value::One), 4);
-            assert_eq!(s.count_value(2, Value::Zero), 1);
-            assert_eq!(s.count_phase(3), 0);
+        let mut s = MessageStore::new(5);
+        for sender in 0..4 {
+            s.insert(&env(sender, 2, Value::One), sig(sender as u8));
         }
+        s.insert(&env(4, 2, Value::Zero), sig(9));
+        assert_eq!(s.count_phase(2), 5);
+        assert_eq!(s.count_value(2, Value::One), 4);
+        assert_eq!(s.count_value(2, Value::Zero), 1);
+        assert_eq!(s.count_phase(3), 0);
     }
 
     #[test]
     fn best_catch_up_prefers_highest_phase() {
-        for legacy in [false, true] {
-            let mut s = MessageStore::with_legacy(4, legacy);
-            s.insert(&env(1, 3, Value::One), sig(1));
-            s.insert(&env(2, 7, Value::Zero), sig(2));
-            s.insert(&env(3, 5, Value::One), sig(3));
-            let (phase, sender, rec) = s.best_catch_up(1).expect("candidates exist");
-            assert_eq!((phase, sender), (7, 2));
-            assert_eq!(rec.value, Value::Zero);
-            assert!(s.best_catch_up(7).is_none());
-            let (phase, _, _) = s.best_catch_up(5).expect("phase 7 qualifies");
-            assert_eq!(phase, 7);
-        }
+        let mut s = MessageStore::new(4);
+        s.insert(&env(1, 3, Value::One), sig(1));
+        s.insert(&env(2, 7, Value::Zero), sig(2));
+        s.insert(&env(3, 5, Value::One), sig(3));
+        let (phase, sender, rec) = s.best_catch_up(1).expect("candidates exist");
+        assert_eq!((phase, sender), (7, 2));
+        assert_eq!(rec.value, Value::Zero);
+        assert!(s.best_catch_up(7).is_none());
+        let (phase, _, _) = s.best_catch_up(5).expect("phase 7 qualifies");
+        assert_eq!(phase, 7);
     }
 
     #[test]
     fn majority_and_tiebreak() {
-        for legacy in [false, true] {
-            let mut s = MessageStore::with_legacy(5, legacy);
-            s.insert(&env(0, 1, Value::Zero), sig(0));
-            s.insert(&env(1, 1, Value::Zero), sig(1));
-            s.insert(&env(2, 1, Value::One), sig(2));
-            assert_eq!(s.majority_value(1), Value::Zero);
-            s.insert(&env(3, 1, Value::One), sig(3));
-            // Tie 2–2 breaks to One.
-            assert_eq!(s.majority_value(1), Value::One);
-            assert_eq!(s.any_binary_value(1), Some(Value::One));
-            assert_eq!(s.any_binary_value(9), None);
-        }
+        let mut s = MessageStore::new(5);
+        s.insert(&env(0, 1, Value::Zero), sig(0));
+        s.insert(&env(1, 1, Value::Zero), sig(1));
+        s.insert(&env(2, 1, Value::One), sig(2));
+        assert_eq!(s.majority_value(1), Value::Zero);
+        s.insert(&env(3, 1, Value::One), sig(3));
+        // Tie 2–2 breaks to One.
+        assert_eq!(s.majority_value(1), Value::One);
+        assert_eq!(s.any_binary_value(1), Some(Value::One));
+        assert_eq!(s.any_binary_value(9), None);
     }
 
     #[test]
     fn any_binary_value_ignores_bot() {
-        for legacy in [false, true] {
-            let mut s = MessageStore::with_legacy(4, legacy);
-            s.insert(&env(0, 3, Value::Bot), sig(0));
-            assert_eq!(s.any_binary_value(3), None);
-            s.insert(&env(1, 3, Value::Zero), sig(1));
-            assert_eq!(s.any_binary_value(3), Some(Value::Zero));
-        }
+        let mut s = MessageStore::new(4);
+        s.insert(&env(0, 3, Value::Bot), sig(0));
+        assert_eq!(s.any_binary_value(3), None);
+        s.insert(&env(1, 3, Value::Zero), sig(1));
+        assert_eq!(s.any_binary_value(3), Some(Value::Zero));
     }
 
     #[test]
     fn collect_one_per_sender_with_filter() {
-        for legacy in [false, true] {
-            let mut s = MessageStore::with_legacy(4, legacy);
-            s.insert(&env(0, 2, Value::One), sig(0));
-            s.insert(&env(1, 2, Value::Zero), sig(1));
-            s.insert(&env(1, 2, Value::One), sig(2)); // equivocator
-            s.insert(&env(3, 2, Value::One), sig(3));
-            let ones = s.collect(2, Some(Value::One), 10);
-            assert_eq!(ones.len(), 3);
-            assert!(ones.iter().all(|(e, _)| e.value == Value::One));
-            let capped = s.collect(2, None, 2);
-            assert_eq!(capped.len(), 2);
-            assert!(s.collect(5, None, 10).is_empty());
-        }
+        let mut s = MessageStore::new(4);
+        s.insert(&env(0, 2, Value::One), sig(0));
+        s.insert(&env(1, 2, Value::Zero), sig(1));
+        s.insert(&env(1, 2, Value::One), sig(2)); // equivocator
+        s.insert(&env(3, 2, Value::One), sig(3));
+        let ones = s.collect(2, Some(Value::One), 10);
+        assert_eq!(ones.len(), 3);
+        assert!(ones.iter().all(|(e, _)| e.value == Value::One));
+        let capped = s.collect(2, None, 2);
+        assert_eq!(capped.len(), 2);
+        assert!(s.collect(5, None, 10).is_empty());
     }
 
     #[test]
     fn prune_below_drops_old_phases() {
-        for legacy in [false, true] {
-            let mut s = MessageStore::with_legacy(3, legacy);
-            for phase in 1..=10 {
-                s.insert(&env(0, phase, Value::One), sig(phase as u8));
-            }
-            s.prune_below(7);
-            assert_eq!(s.min_phase(), Some(7));
-            assert_eq!(s.count_phase(6), 0);
-            assert_eq!(s.count_phase(7), 1);
-            assert_eq!(s.record_count(), 4);
+        let mut s = MessageStore::new(3);
+        for phase in 1..=10 {
+            s.insert(&env(0, phase, Value::One), sig(phase as u8));
         }
+        s.prune_below(7);
+        assert_eq!(s.min_phase(), Some(7));
+        assert_eq!(s.count_phase(6), 0);
+        assert_eq!(s.count_phase(7), 1);
+        assert_eq!(s.record_count(), 4);
     }
 
     #[test]
@@ -799,52 +637,46 @@ mod tests {
 
     #[test]
     fn decide_phases_iterates_stored_mod3_zero() {
-        for legacy in [false, true] {
-            let mut s = MessageStore::with_legacy(2, legacy);
-            for phase in [1u32, 3, 4, 6, 8, 9] {
-                if phase % 3 == 0 {
-                    s.insert(&env(0, phase, Value::Bot), sig(0));
-                } else {
-                    s.insert(&env(0, phase, Value::One), sig(0));
-                }
+        let mut s = MessageStore::new(2);
+        for phase in [1u32, 3, 4, 6, 8, 9] {
+            if phase % 3 == 0 {
+                s.insert(&env(0, phase, Value::Bot), sig(0));
+            } else {
+                s.insert(&env(0, phase, Value::One), sig(0));
             }
-            let decides: Vec<u32> = s.decide_phases().collect();
-            assert_eq!(decides, vec![3, 6, 9]);
         }
+        let decides: Vec<u32> = s.decide_phases().collect();
+        assert_eq!(decides, vec![3, 6, 9]);
     }
 
     #[test]
     fn signature_of_keeps_the_first_signature_per_value() {
-        for legacy in [false, true] {
-            let mut s = MessageStore::with_legacy(3, legacy);
-            assert_eq!(s.signature_of(4, 1, Value::Zero), None);
-            s.insert(&env(1, 4, Value::Zero), sig(7));
-            // Same value under other flags: a new record, the same
-            // signature slot.
-            let mut decided = env(1, 4, Value::Zero);
-            decided.status = Status::Decided;
-            assert!(!s.contains(&decided));
-            assert!(s.insert(&decided, sig(8)));
-            assert!(s.contains(&decided));
-            assert_eq!(s.signature_of(4, 1, Value::Zero), Some(sig(7)));
-            assert_eq!(s.signature_of(4, 1, Value::One), None);
-            assert_eq!(s.signature_of(4, 0, Value::Zero), None);
-            s.prune_below(5);
-            assert_eq!(s.signature_of(4, 1, Value::Zero), None);
-            assert!(!s.contains(&decided));
-        }
+        let mut s = MessageStore::new(3);
+        assert_eq!(s.signature_of(4, 1, Value::Zero), None);
+        s.insert(&env(1, 4, Value::Zero), sig(7));
+        // Same value under other flags: a new record, the same
+        // signature slot.
+        let mut decided = env(1, 4, Value::Zero);
+        decided.status = Status::Decided;
+        assert!(!s.contains(&decided));
+        assert!(s.insert(&decided, sig(8)));
+        assert!(s.contains(&decided));
+        assert_eq!(s.signature_of(4, 1, Value::Zero), Some(sig(7)));
+        assert_eq!(s.signature_of(4, 1, Value::One), None);
+        assert_eq!(s.signature_of(4, 0, Value::Zero), None);
+        s.prune_below(5);
+        assert_eq!(s.signature_of(4, 1, Value::Zero), None);
+        assert!(!s.contains(&decided));
     }
 
     #[test]
     fn has_sender_queries() {
-        for legacy in [false, true] {
-            let mut s = MessageStore::with_legacy(3, legacy);
-            s.insert(&env(1, 4, Value::Zero), sig(0));
-            assert!(s.has_sender(4, 1));
-            assert!(!s.has_sender(4, 0));
-            assert!(s.has_sender_value(4, 1, Value::Zero));
-            assert!(!s.has_sender_value(4, 1, Value::One));
-        }
+        let mut s = MessageStore::new(3);
+        s.insert(&env(1, 4, Value::Zero), sig(0));
+        assert!(s.has_sender(4, 1));
+        assert!(!s.has_sender(4, 0));
+        assert!(s.has_sender_value(4, 1, Value::Zero));
+        assert!(!s.has_sender_value(4, 1, Value::One));
     }
 
     #[test]
@@ -852,17 +684,6 @@ mod tests {
     fn insert_rejects_out_of_range_sender() {
         let mut s = MessageStore::new(2);
         s.insert(&env(5, 1, Value::One), sig(0));
-    }
-
-    #[test]
-    fn env_toggle_round_trips() {
-        // Touch the cached switch; leave it in the default state.
-        let initial = legacy_store_enabled();
-        set_legacy_store(true);
-        assert!(MessageStore::new(1).legacy);
-        set_legacy_store(false);
-        assert!(!MessageStore::new(1).legacy);
-        set_legacy_store(initial);
     }
 
     #[test]
@@ -882,105 +703,190 @@ mod tests {
     }
 
     #[test]
-    fn approx_bytes_is_layout_independent_and_content_driven() {
-        let mut compact = MessageStore::with_legacy(4, false);
-        let mut legacy = MessageStore::with_legacy(4, true);
-        assert_eq!(compact.approx_bytes(), 0);
-        for s in [&mut compact, &mut legacy] {
-            s.insert(&env(0, 1, Value::One), sig(1));
-            s.insert(&env(0, 1, Value::Zero), sig(2));
-            // Same (sender, value), different status: no new signature.
-            let mut e = env(0, 1, Value::One);
-            e.status = Status::Decided;
-            s.insert(&e, sig(1));
-            s.insert(&env(2, 4, Value::Bot), sig(3));
-        }
-        assert_eq!(compact.approx_bytes(), legacy.approx_bytes());
+    fn approx_bytes_is_content_driven() {
+        let mut s = MessageStore::new(4);
+        assert_eq!(s.approx_bytes(), 0);
+        s.insert(&env(0, 1, Value::One), sig(1));
+        s.insert(&env(0, 1, Value::Zero), sig(2));
+        // Same (sender, value), different status: no new signature.
+        let mut e = env(0, 1, Value::One);
+        e.status = Status::Decided;
+        s.insert(&e, sig(1));
+        s.insert(&env(2, 4, Value::Bot), sig(3));
         // 2 phases × (22·4 + 64) + 3 signatures × 32.
-        assert_eq!(compact.approx_bytes(), 2 * (22 * 4 + 64) + 3 * 32);
-        compact.prune_below(2);
-        legacy.prune_below(2);
-        assert_eq!(compact.approx_bytes(), legacy.approx_bytes());
-        assert_eq!(compact.approx_bytes(), (22 * 4 + 64) + 32);
+        assert_eq!(s.approx_bytes(), 2 * (22 * 4 + 64) + 3 * 32);
+        s.prune_below(2);
+        assert_eq!(s.approx_bytes(), (22 * 4 + 64) + 32);
     }
 
-    /// Applies the same op stream to both layouts and checks every
-    /// observable query answers identically (the in-process differential
-    /// companion to the subprocess byte-identity test in the harness).
-    fn ops_agree_across_layouts(ops: &[(usize, u32, u8, bool, u8, u8)]) {
-        let mut compact = MessageStore::with_legacy(4, false);
-        let mut legacy = MessageStore::with_legacy(4, true);
+    /// Group size of the model tests.
+    const N: usize = 4;
+
+    /// The store's specification: every record in insertion order, and
+    /// every query answered by a naive scan over that list.
+    #[derive(Default)]
+    struct Model {
+        records: Vec<(u32, usize, Record)>,
+    }
+
+    impl Model {
+        fn at(&self, phase: u32, sender: usize) -> impl Iterator<Item = Record> + '_ {
+            self.records
+                .iter()
+                .filter(move |&&(p, s, _)| p == phase && s == sender)
+                .map(|&(_, _, rec)| rec)
+        }
+
+        fn contains(&self, e: &Envelope) -> bool {
+            self.at(e.phase, e.sender)
+                .any(|r| r.to_envelope(e.sender, e.phase) == *e)
+        }
+
+        fn insert(&mut self, e: &Envelope, signature: OneTimeSignature) -> bool {
+            if self.contains(e) {
+                return false;
+            }
+            // The signature of a (phase, sender, value) is fixed at the
+            // first insert of that value.
+            let signature = self.signature_of(e.phase, e.sender, e.value).unwrap_or(signature);
+            let record = Record {
+                value: e.value,
+                coin_flip: e.coin_flip,
+                status: e.status,
+                signature,
+            };
+            self.records.push((e.phase, e.sender, record));
+            true
+        }
+
+        fn signature_of(&self, phase: u32, sender: usize, value: Value) -> Option<OneTimeSignature> {
+            self.at(phase, sender).find(|r| r.value == value).map(|r| r.signature)
+        }
+
+        fn senders(&self, phase: u32, value: Option<Value>) -> Vec<usize> {
+            (0..N)
+                .filter(|&s| self.at(phase, s).any(|r| value.is_none_or(|v| r.value == v)))
+                .collect()
+        }
+
+        fn collect(&self, phase: u32, value: Option<Value>, limit: usize) -> Vec<(Envelope, OneTimeSignature)> {
+            (0..N)
+                .filter_map(|s| {
+                    let rec = self.at(phase, s).find(|r| value.is_none_or(|v| r.value == v))?;
+                    Some((rec.to_envelope(s, phase), rec.signature))
+                })
+                .take(limit)
+                .collect()
+        }
+
+        fn best_catch_up(&self, above: u32) -> Option<(u32, usize, Record)> {
+            let phase = self.records.iter().map(|r| r.0).filter(|&p| p > above).max()?;
+            (0..N).find_map(|s| self.at(phase, s).next().map(|rec| (phase, s, rec)))
+        }
+
+        fn phases(&self) -> Vec<u32> {
+            let mut phases: Vec<u32> = self.records.iter().map(|r| r.0).collect();
+            phases.sort_unstable();
+            phases.dedup();
+            phases
+        }
+
+        fn approx_bytes(&self) -> usize {
+            let mut pairs: Vec<(u32, usize, usize)> = self
+                .records
+                .iter()
+                .map(|&(p, s, r)| (p, s, value_idx(r.value)))
+                .collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            self.phases().len() * (22 * N + 64) + 32 * pairs.len()
+        }
+    }
+
+    /// Applies one op stream to the store and the model and checks every
+    /// observable query answers identically after each op.
+    fn ops_match_model(ops: &[(usize, u32, u8, bool, u8, u8)]) {
+        let mut store = MessageStore::new(N);
+        let mut model = Model::default();
         for &(sender, phase, v, coin, st, prune) in ops {
             if prune == 0 {
-                compact.prune_below(phase);
-                legacy.prune_below(phase);
+                store.prune_below(phase);
+                model.records.retain(|r| r.0 >= phase);
             } else {
-                let value = [Value::Zero, Value::One, Value::Bot][v as usize];
+                let value = VALUES[v as usize];
                 let status = if st == 0 { Status::Undecided } else { Status::Decided };
                 let e = Envelope { sender, phase, value, coin_flip: coin, status };
-                let held = compact.contains(&e);
-                assert_eq!(held, legacy.contains(&e));
-                assert_eq!(
-                    compact.insert(&e, sig(v)),
-                    !held,
-                    "contains ⇔ insert is a no-op"
-                );
-                assert_eq!(legacy.insert(&e, sig(v)), !held);
-                assert!(compact.contains(&e) && legacy.contains(&e));
+                let held = model.contains(&e);
+                assert_eq!(store.contains(&e), held);
+                // A varying signature byte: only the first one per
+                // (phase, sender, value) may stick.
+                let signature = sig(v + 3 * coin as u8 + 6 * st);
+                assert_eq!(store.insert(&e, signature), !held, "contains ⇔ insert is a no-op");
+                assert_eq!(model.insert(&e, signature), !held);
+                assert!(store.contains(&e));
             }
-            assert_eq!(compact.min_phase(), legacy.min_phase());
-            assert_eq!(compact.record_count(), legacy.record_count());
-            assert_eq!(compact.approx_bytes(), legacy.approx_bytes());
+            assert_eq!(store.records(), {
+                let mut all = model.records.clone();
+                all.sort_by_key(|&(p, s, _)| (p, s)); // stable: keeps insertion order
+                all
+            });
+            assert_eq!(store.min_phase(), model.phases().first().copied());
+            assert_eq!(store.record_count(), model.records.len());
+            assert_eq!(store.approx_bytes(), model.approx_bytes());
+            assert_eq!(
+                store.decide_phases().collect::<Vec<_>>(),
+                model.phases().into_iter().filter(|p| p % 3 == 0).collect::<Vec<_>>()
+            );
             for phase in 0..9u32 {
-                assert_eq!(compact.count_phase(phase), legacy.count_phase(phase));
-                assert_eq!(compact.majority_value(phase), legacy.majority_value(phase));
-                assert_eq!(compact.any_binary_value(phase), legacy.any_binary_value(phase));
-                assert_eq!(compact.best_catch_up(phase), legacy.best_catch_up(phase));
+                assert_eq!(store.count_phase(phase), model.senders(phase, None).len());
+                assert_eq!(store.best_catch_up(phase), model.best_catch_up(phase));
+                let zeros = model.senders(phase, Some(Value::Zero)).len();
+                let ones = model.senders(phase, Some(Value::One)).len();
+                let majority = if zeros > ones { Value::Zero } else { Value::One };
+                assert_eq!(store.majority_value(phase), majority);
+                assert_eq!(
+                    store.any_binary_value(phase),
+                    (zeros + ones > 0).then_some(majority)
+                );
                 for value in VALUES {
-                    assert_eq!(
-                        compact.count_value(phase, value),
-                        legacy.count_value(phase, value)
-                    );
-                    for sender in 0..4 {
+                    let senders = model.senders(phase, Some(value));
+                    assert_eq!(store.count_value(phase, value), senders.len());
+                    for sender in 0..N {
                         assert_eq!(
-                            compact.has_sender_value(phase, sender, value),
-                            legacy.has_sender_value(phase, sender, value)
+                            store.has_sender_value(phase, sender, value),
+                            senders.contains(&sender)
                         );
                         assert_eq!(
-                            compact.signature_of(phase, sender, value),
-                            legacy.signature_of(phase, sender, value)
-                        );
-                        assert_eq!(
-                            compact.signature_of(phase, sender, value).is_some(),
-                            compact.has_sender_value(phase, sender, value)
+                            store.signature_of(phase, sender, value),
+                            model.signature_of(phase, sender, value)
                         );
                     }
                     for limit in [1usize, 3, usize::MAX] {
                         assert_eq!(
-                            compact.collect(phase, Some(value), limit),
-                            legacy.collect(phase, Some(value), limit)
+                            store.collect(phase, Some(value), limit),
+                            model.collect(phase, Some(value), limit)
                         );
                     }
                 }
-                for sender in 0..4 {
+                for sender in 0..N {
                     assert_eq!(
-                        compact.has_sender(phase, sender),
-                        legacy.has_sender(phase, sender)
+                        store.has_sender(phase, sender),
+                        model.at(phase, sender).next().is_some()
                     );
                 }
                 assert_eq!(
-                    compact.collect(phase, None, usize::MAX),
-                    legacy.collect(phase, None, usize::MAX)
+                    store.collect(phase, None, usize::MAX),
+                    model.collect(phase, None, usize::MAX)
                 );
             }
         }
     }
 
     #[test]
-    fn equivocator_with_mixed_flags_agrees_across_layouts() {
+    fn equivocator_with_mixed_flags_matches_model() {
         // An adversary signing every combination for one value plus the
         // opposite value, interleaved with another sender and a prune.
-        ops_agree_across_layouts(&[
+        ops_match_model(&[
             (2, 1, 1, false, 0, 1),
             (2, 1, 1, true, 0, 1),
             (2, 1, 1, false, 1, 1),
@@ -999,18 +905,16 @@ mod tests {
         /// Incremental tallies vs. the retired scan oracle under
         /// arbitrary interleavings of inserts (including duplicates and
         /// equivocation — repeated (sender, phase) pairs with varying
-        /// values/flags) and garbage collection (`prune_below`) — run
-        /// against both slot layouts.
+        /// values/flags) and garbage collection (`prune_below`).
         #[test]
         fn incremental_tallies_match_scan_oracle(
-            legacy in proptest::arbitrary::any::<bool>(),
             ops in proptest::collection::vec(
                 // (sender, phase, value sel, coin, status sel, prune trigger)
                 (0usize..4, 1u32..8, 0u8..3, proptest::arbitrary::any::<bool>(), 0u8..2, 0u8..16),
                 1..60,
             ),
         ) {
-            let mut s = MessageStore::with_legacy(4, legacy);
+            let mut s = MessageStore::new(4);
             for (sender, phase, v, coin, st, prune) in ops {
                 if prune == 0 {
                     // GC: drop everything below this phase.
@@ -1036,16 +940,17 @@ mod tests {
             }
         }
 
-        /// Compact vs. legacy layouts agree on every observable query
-        /// under arbitrary insert/equivocate/duplicate/GC interleavings.
+        /// The store agrees with the naive-scan model on every
+        /// observable query under arbitrary
+        /// insert/equivocate/duplicate/GC interleavings.
         #[test]
-        fn layouts_agree_on_all_queries(
+        fn store_matches_naive_scan_model(
             ops in proptest::collection::vec(
                 (0usize..4, 1u32..8, 0u8..3, proptest::arbitrary::any::<bool>(), 0u8..2, 0u8..16),
                 1..60,
             ),
         ) {
-            ops_agree_across_layouts(&ops);
+            ops_match_model(&ops);
         }
     }
 }

@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use turquois_core::config::Config;
 use turquois_core::instance::{MessageOutcome, Turquois};
-use turquois_core::message::{set_legacy_codec, Message, Status};
+use turquois_core::message::{Message, Status};
 use turquois_core::KeyRing;
 
 thread_local! {
@@ -70,9 +70,6 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn repeat_deliveries_allocate_nothing() {
-    // The arena codec is the default; pin it in case the environment
-    // selects the legacy one, whose decode allocates by design.
-    set_legacy_codec(false);
     const PHASES: usize = 30;
     for n in [4usize, 16] {
         let cfg = Config::evaluation(n).expect("valid n");

@@ -20,7 +20,6 @@ use std::rc::Rc;
 use std::time::Duration;
 use turquois_baselines::abba::{Abba, AbbaOutput};
 use turquois_baselines::bracha::{Bracha, BrachaOutput};
-use turquois_baselines::gate::legacy_codec_enabled;
 use turquois_core::instance::Turquois;
 use turquois_crypto::cost::CostModel;
 use turquois_crypto::hmac::HmacKey;
@@ -223,7 +222,9 @@ impl Application for TurquoisApp {
 /// `icv(12) ‖ inner`.
 const ICV_LEN: usize = 12;
 
-/// Per-link HMAC framing (IPSec AH stand-in) from a precomputed tag.
+/// Reference per-link HMAC framing (IPSec AH stand-in) from a
+/// precomputed tag; the adapter stages the same bytes into its arena.
+#[cfg(test)]
 fn mac_wrap(tag: &Digest, inner: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(ICV_LEN + inner.len());
     buf.put_slice(&tag.as_bytes()[..ICV_LEN]);
@@ -286,59 +287,15 @@ pub fn new_link_tags() -> SharedLinkTags {
     Rc::new(RefCell::new(MemoCache::new(LINK_TAG_CAP)))
 }
 
-/// Environment variable forcing eager pairwise-key derivation.
-///
-/// Set to any non-empty value to derive all `n` keys per node at setup,
-/// as the original adapter did — O(n²) HMAC keys per run. Tags, verify
-/// counts, and simulated times must be identical either way (key
-/// derivation is pure host work, never charged to simulated CPU); the
-/// variable exists as the differential oracle for the lazy default.
-pub const EAGER_KEYS_ENV: &str = "TURQUOIS_EAGER_KEYS";
-
-static EAGER_KEYS: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-static EAGER_KEYS_INIT: std::sync::Once = std::sync::Once::new();
-
-/// Returns whether new [`PairwiseKeys`] tables derive eagerly.
-///
-/// The first call reads [`EAGER_KEYS_ENV`]; later calls reuse the
-/// cached value unless [`set_eager_keys`] overrides it.
-pub fn eager_keys_enabled() -> bool {
-    EAGER_KEYS_INIT.call_once(|| {
-        if std::env::var_os(EAGER_KEYS_ENV).is_some_and(|v| !v.is_empty()) {
-            EAGER_KEYS.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
-    });
-    EAGER_KEYS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Programmatically selects the derivation mode for tables built
-/// afterwards, overriding the environment (used by the lazy-vs-eager
-/// differential test to run both modes in one process).
-pub fn set_eager_keys(enabled: bool) {
-    // Make sure the env lookup never races in after us and clobbers
-    // the explicit choice.
-    EAGER_KEYS_INIT.call_once(|| {});
-    EAGER_KEYS.store(enabled, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Derives the pairwise HMAC keys for `me` in a group of `n` from the
-/// pre-distribution seed (the paper establishes IPSec security
-/// associations between every pair before the run). The eager helper —
-/// [`PairwiseKeys`] is the lazy per-link table the adapter uses.
-pub fn pairwise_keys(me: usize, n: usize, seed: u64) -> Vec<HmacKey> {
-    (0..n)
-        .map(|peer| turquois_crypto::hmac::pairwise_key(seed, me, peer))
-        .collect()
-}
-
-/// One node's pairwise-key table, derived lazily by default: a key is
-/// materialised the first time its link is used (first HMAC wrap or
-/// check against that peer), so a node only ever pays for the links it
-/// actually touches instead of the full O(n²) mesh at setup. Derivation
-/// is a pure function of `(seed, pair)` (see
-/// [`turquois_crypto::hmac::pairwise_key`]), so lazy and eager modes
-/// produce bit-identical keys and tags; it is host work outside the
-/// simulated cost model, so it cannot move simulated time.
+/// One node's pairwise HMAC keys, from the pre-distribution seed (the
+/// paper establishes IPSec security associations between every pair
+/// before the run). A key is materialised the first time its link is
+/// used (first HMAC wrap or check against that peer), so a node only
+/// ever pays for the links it actually touches instead of the full
+/// O(n²) mesh at setup. Derivation is a pure function of `(seed, pair)`
+/// (see [`turquois_crypto::hmac::pairwise_key`]) and host work outside
+/// the simulated cost model, so when it happens cannot move simulated
+/// time.
 pub struct PairwiseKeys {
     me: usize,
     seed: u64,
@@ -355,26 +312,12 @@ impl std::fmt::Debug for PairwiseKeys {
 }
 
 impl PairwiseKeys {
-    /// Creates the table for `me` in a group of `n`, deriving eagerly
-    /// or lazily per [`eager_keys_enabled`].
+    /// Creates the (empty) table for `me` in a group of `n`.
     pub fn new(me: usize, n: usize, seed: u64) -> Self {
-        PairwiseKeys::with_eager(me, n, seed, eager_keys_enabled())
-    }
-
-    /// Creates the table with an explicit derivation mode (used by the
-    /// lazy-vs-eager differential test).
-    pub fn with_eager(me: usize, n: usize, seed: u64, eager: bool) -> Self {
-        let keys = if eager {
-            (0..n)
-                .map(|peer| Some(turquois_crypto::hmac::pairwise_key(seed, me, peer)))
-                .collect()
-        } else {
-            vec![None; n]
-        };
         PairwiseKeys {
             me,
             seed,
-            keys: RefCell::new(keys),
+            keys: RefCell::new(vec![None; n]),
         }
     }
 
@@ -383,8 +326,7 @@ impl PairwiseKeys {
         self.keys.borrow().len()
     }
 
-    /// Keys materialised so far (n when eager; the links actually used
-    /// when lazy — the differential test's observable).
+    /// Keys materialised so far: the links actually used.
     pub fn derived_count(&self) -> usize {
         self.keys.borrow().iter().flatten().count()
     }
@@ -548,8 +490,7 @@ impl BrachaApp {
         &self.transport
     }
 
-    /// Pairwise keys materialised so far (the lazy-derivation
-    /// observable: n when eager, the links actually touched when lazy).
+    /// Pairwise keys materialised so far: the links actually touched.
     pub fn derived_keys(&self) -> usize {
         self.macs.derived_count()
     }
@@ -573,36 +514,27 @@ impl BrachaApp {
             // through one lane batch before the per-link loop.
             let pairs: Vec<(usize, Bytes)> = (0..n).map(|dst| (dst, bytes.clone())).collect();
             let pre = self.batch_link_tags(&pairs);
-            if legacy_codec_enabled() {
-                for dst in 0..n {
-                    // One HMAC per destination link (as IPSec AH would).
-                    ctx.charge_cpu(self.cost.hmac(bytes.len()));
-                    let tag = self.link_tag_with(dst, &bytes, &pre);
-                    let wrapped = mac_wrap(&tag, &bytes);
-                    self.transport.send(ctx, dst, wrapped);
-                }
-            } else {
-                // Stage all n wrapped frames of this broadcast into one
-                // arena chunk. Every frame is `ICV_LEN + |bytes|` long,
-                // so the per-destination slices need no side table; CPU
-                // charges accumulate on the context and take effect
-                // after the callback either way, so batching the wraps
-                // ahead of the sends cannot move simulated time.
-                let base = self.arena.len();
-                let w = ICV_LEN + bytes.len();
-                for dst in 0..n {
-                    ctx.charge_cpu(self.cost.hmac(bytes.len()));
-                    let tag = self.link_tag_with(dst, &bytes, &pre);
-                    self.arena.mark();
-                    let buf = self.arena.buf();
-                    buf.put_slice(&tag.as_bytes()[..ICV_LEN]);
-                    buf.put_slice(&bytes);
-                }
-                let chunk = self.arena.seal();
-                for dst in 0..n {
-                    let start = base + dst * w;
-                    self.transport.send(ctx, dst, chunk.slice(start..start + w));
-                }
+            // Stage all n wrapped frames of this broadcast into one
+            // arena chunk. Every frame is `ICV_LEN + |bytes|` long, so
+            // the per-destination slices need no side table; CPU
+            // charges accumulate on the context and take effect after
+            // the callback, so batching the wraps ahead of the sends
+            // cannot move simulated time.
+            let base = self.arena.len();
+            let w = ICV_LEN + bytes.len();
+            for dst in 0..n {
+                // One HMAC per destination link (as IPSec AH would).
+                ctx.charge_cpu(self.cost.hmac(bytes.len()));
+                let tag = self.link_tag_with(dst, &bytes, &pre);
+                self.arena.mark();
+                let buf = self.arena.buf();
+                buf.put_slice(&tag.as_bytes()[..ICV_LEN]);
+                buf.put_slice(&bytes);
+            }
+            let chunk = self.arena.seal();
+            for dst in 0..n {
+                let start = base + dst * w;
+                self.transport.send(ctx, dst, chunk.slice(start..start + w));
             }
         }
     }
@@ -675,10 +607,9 @@ pub fn pad_to(inner: &[u8], total: usize) -> Bytes {
     buf.freeze()
 }
 
-/// Arena-path twin of [`pad_to`]: writes the same `len(4) ‖ msg ‖
-/// zeros` framing into an open arena chunk (which may already hold
-/// earlier staged bytes, hence the relative cursor). Byte-for-byte
-/// identical output to [`pad_to`].
+/// [`pad_to`] into an open arena chunk (which may already hold earlier
+/// staged bytes, hence the relative cursor): the same `len(4) ‖ msg ‖
+/// zeros` framing, byte for byte.
 fn pad_into(buf: &mut Vec<u8>, inner: &[u8], total: usize) {
     let start = buf.len();
     let body = total.max(inner.len() + 4);
@@ -748,11 +679,7 @@ impl AbbaApp {
             let rsa_size = turquois_baselines::abba::AbbaMessage::decode(&bytes)
                 .map(|m| m.rsa_equivalent_size())
                 .unwrap_or(bytes.len());
-            let padded = if legacy_codec_enabled() {
-                pad_to(&bytes, rsa_size + 4)
-            } else {
-                self.arena.encode_with(|buf| pad_into(buf, &bytes, rsa_size + 4))
-            };
+            let padded = self.arena.encode_with(|buf| pad_into(buf, &bytes, rsa_size + 4));
             for dst in 0..self.n {
                 self.transport.send(ctx, dst, padded.clone());
             }
@@ -833,29 +760,25 @@ mod tests {
 
     #[test]
     fn pairwise_keys_symmetric() {
-        let a = pairwise_keys(0, 4, 7);
-        let b = pairwise_keys(3, 4, 7);
+        let a = PairwiseKeys::new(0, 4, 7);
+        let b = PairwiseKeys::new(3, 4, 7);
         // Key (0→3) equals key (3→0): same MAC over the same message.
-        assert_eq!(a[3].mac(b"m"), b[0].mac(b"m"));
+        assert_eq!(a.mac(3, b"m"), b.mac(0, b"m"));
         // Distinct pairs get distinct keys.
-        assert_ne!(a[1].mac(b"m"), a[2].mac(b"m"));
+        assert_ne!(a.mac(1, b"m"), a.mac(2, b"m"));
     }
 
     #[test]
-    fn lazy_pairwise_keys_match_eager_key_by_key() {
-        let lazy = PairwiseKeys::with_eager(2, 5, 7, false);
-        let eager = PairwiseKeys::with_eager(2, 5, 7, true);
-        assert_eq!(lazy.derived_count(), 0, "lazy starts empty");
-        assert_eq!(eager.derived_count(), 5, "eager derives the full row");
-        // First use derives; the tag matches the eager key's bit for bit.
-        assert_eq!(lazy.mac(4, b"m"), eager.mac(4, b"m"));
-        assert_eq!(lazy.derived_count(), 1, "one link touched, one key");
+    fn pairwise_keys_derive_on_first_use() {
+        let keys = PairwiseKeys::new(2, 5, 7);
+        assert_eq!(keys.derived_count(), 0, "starts empty");
+        let direct = |peer| turquois_crypto::hmac::pairwise_key(7, 2, peer);
+        assert_eq!(keys.mac(4, b"m"), direct(4).mac(b"m"));
+        assert_eq!(keys.derived_count(), 1, "one link touched, one key");
         for peer in 0..5 {
-            assert_eq!(lazy.mac(peer, b"payload"), eager.mac(peer, b"payload"));
-            // And both agree with the retired eager helper.
-            assert_eq!(lazy.mac(peer, b"payload"), pairwise_keys(2, 5, 7)[peer].mac(b"payload"));
+            assert_eq!(keys.mac(peer, b"payload"), direct(peer).mac(b"payload"));
         }
-        assert_eq!(lazy.derived_count(), 5);
+        assert_eq!(keys.derived_count(), 5);
     }
 
     #[test]
@@ -870,15 +793,14 @@ mod tests {
         assert_eq!(unpad(&[0, 0, 0, 9, 1]), None, "declared length overruns");
     }
 
-    /// The arena padding twin is byte-identical to [`pad_to`], even
-    /// when staged mid-chunk after earlier bytes.
+    /// [`pad_into`] is byte-identical to [`pad_to`], even when staged
+    /// mid-chunk after earlier bytes.
     #[test]
     fn pad_into_matches_pad_to() {
         let mut arena = EncodeArena::new();
         for (inner, total) in [(&b"hello"[..], 64usize), (b"hello", 3), (b"", 10)] {
-            let legacy = pad_to(inner, total);
             let staged = arena.encode_with(|buf| pad_into(buf, inner, total));
-            assert_eq!(&legacy[..], &staged[..]);
+            assert_eq!(&pad_to(inner, total)[..], &staged[..]);
         }
         arena.mark();
         arena.buf().put_slice(b"prefix");
@@ -894,7 +816,7 @@ mod tests {
     /// chunk produce the same frames as per-destination [`mac_wrap`].
     #[test]
     fn arena_wrap_batch_matches_mac_wrap() {
-        let keys = PairwiseKeys::with_eager(0, 4, 9, true);
+        let keys = PairwiseKeys::new(0, 4, 9);
         let inner = b"broadcast body";
         let mut arena = EncodeArena::new();
         let base = arena.len();
@@ -910,8 +832,7 @@ mod tests {
         for dst in 0..4 {
             let start = base + dst * w;
             let staged = chunk.slice(start..start + w);
-            let legacy = mac_wrap(&keys.mac(dst, inner), inner);
-            assert_eq!(&staged[..], &legacy[..]);
+            assert_eq!(&staged[..], &mac_wrap(&keys.mac(dst, inner), inner)[..]);
             let key = turquois_crypto::hmac::pairwise_key(9, 0, dst);
             assert_eq!(mac_unwrap(&key, &staged), Some(&inner[..]));
         }

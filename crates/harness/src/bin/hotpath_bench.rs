@@ -1,13 +1,11 @@
 //! Host-side hot-path benchmark: runs the same shrunk Table-1 grid
-//! four times in one process — verification memoization
-//! force-disabled, memoization enabled (scalar SHA-256), memoization
-//! plus the multi-lane SHA-256 kernel, then the multilane
-//! configuration with the legacy owned-`Vec` codec instead of the
-//! flat-arena codec (DESIGN.md §13) — asserts the rendered tables are
-//! byte-identical across all passes (no host optimisation may change a
-//! simulated result), and writes the wall-clock plus
-//! SHA-256/cache/lane/arena telemetry to `results/BENCH_hotpath.json`
-//! (override: `TURQUOIS_HOTPATH_JSON`).
+//! three times in one process — verification memoization
+//! force-disabled, memoization enabled (scalar SHA-256), then
+//! memoization plus the multi-lane SHA-256 kernel — asserts the
+//! rendered tables are byte-identical across all passes (no host
+//! optimisation may change a simulated result), and writes the
+//! wall-clock plus SHA-256/cache/lane/arena telemetry to
+//! `results/BENCH_hotpath.json` (override: `TURQUOIS_HOTPATH_JSON`).
 //!
 //! The memo (`turquois_crypto::memo`, DESIGN.md §8) serves the
 //! baselines only: ABBA's threshold-share verdicts, Bracha's shared
@@ -67,15 +65,6 @@ struct Pass {
     hotpath: HotpathTotals,
 }
 
-/// Flips every crate-local `TURQUOIS_LEGACY_CODEC` gate at once: the
-/// three gated crates read the same environment variable independently,
-/// so a programmatic override must hit all of them.
-fn set_legacy_codec_everywhere(enabled: bool) {
-    turquois_core::message::set_legacy_codec(enabled);
-    turquois_baselines::gate::set_legacy_codec(enabled);
-    wireless_net::reliable::set_legacy_codec(enabled);
-}
-
 fn totals(rows: &[TableRow]) -> (HotpathTotals, u64, usize) {
     let mut h = HotpathTotals::default();
     let mut drops = 0u64;
@@ -106,19 +95,14 @@ fn main() {
     let mut unhealthy = false;
     // The first two passes force the scalar engine so their wall-clock
     // numbers stay comparable with pre-multilane history; the third
-    // isolates what the lane kernel buys on top of memoization; the
-    // fourth reruns the multilane configuration on the legacy
-    // owned-`Vec` codec, so multilane-vs-legacy-codec isolates what the
-    // flat arena buys.
-    for (label, memo, scalar, legacy_codec) in [
-        ("memo-disabled", false, true, false),
-        ("memo-enabled", true, true, false),
-        ("multilane", true, false, false),
-        ("legacy-codec", true, false, true),
+    // isolates what the lane kernel buys on top of memoization.
+    for (label, memo, scalar) in [
+        ("memo-disabled", false, true),
+        ("memo-enabled", true, true),
+        ("multilane", true, false),
     ] {
         set_memo_enabled(memo);
         set_scalar_sha(scalar);
-        set_legacy_codec_everywhere(legacy_codec);
         let start = Instant::now();
         let (rows, health, _report) = paper_table_supervised_with(
             FaultLoad::FailureFree,
@@ -175,14 +159,9 @@ fn main() {
     // Leave the process-wide switches the way the environment asked for.
     set_memo_enabled(true);
     set_scalar_sha(std::env::var_os(SCALAR_SHA_ENV).is_some_and(|v| !v.is_empty()));
-    set_legacy_codec_everywhere(
-        std::env::var_os(turquois_baselines::gate::LEGACY_CODEC_ENV)
-            .is_some_and(|v| !v.is_empty()),
-    );
 
-    let (disabled, enabled, multilane, legacy) =
-        (&passes[0], &passes[1], &passes[2], &passes[3]);
-    for pass in [enabled, multilane, legacy] {
+    let (disabled, enabled, multilane) = (&passes[0], &passes[1], &passes[2]);
+    for pass in [enabled, multilane] {
         assert_eq!(
             disabled.rendered, pass.rendered,
             "pass '{}' changed the rendered table — host optimisations must be \
@@ -214,35 +193,16 @@ fn main() {
         enabled.hotpath.sha_blocks, multilane.hotpath.sha_blocks,
         "multilane pass compressed a different number of real blocks than scalar"
     );
-    // The codec moves bytes between buffers, never through the crypto
-    // hot path: the legacy-codec rerun must do the exact same logical
-    // verification work as the arena default.
-    assert_eq!(
-        (multilane.verify_calls(), multilane.hotpath.cache_hits, multilane.hotpath.sha_blocks),
-        (legacy.verify_calls(), legacy.hotpath.cache_hits, legacy.hotpath.sha_blocks),
-        "crypto bookkeeping diverged between codecs"
-    );
-    assert!(
-        multilane.hotpath.allocs_saved > 0 && multilane.hotpath.arena_bytes > 0,
-        "arena codec pass recorded no elided allocations — the gate is miswired"
-    );
-    assert_eq!(
-        legacy.hotpath.allocs_saved, 0,
-        "legacy-codec pass credited arena savings — the gate is miswired"
-    );
-
     let reduction =
         disabled.hotpath.sha_blocks as f64 / enabled.hotpath.sha_blocks.max(1) as f64;
     let multilane_speedup = enabled.wall_s / multilane.wall_s.max(1e-9);
-    let codec_speedup = legacy.wall_s / multilane.wall_s.max(1e-9);
     println!("{}", multilane.rendered);
     println!(
         "hotpath: baseline memo (ABBA shares, Bracha link tags, HMAC midstates) \
          sha-block reduction {reduction:.2}x \
          (memo-disabled {} -> memo-enabled {}), hit-rate {:.1}%, \
          wall-clock {:.3}s -> {:.3}s -> {:.3}s (multilane {multilane_speedup:.2}x, \
-         lanes-utilization {:.1}%), arena codec {codec_speedup:.2}x vs legacy \
-         ({:.3}s, allocs-saved {}, arena-bytes {})",
+         lanes-utilization {:.1}%), allocs-saved {}, arena-bytes {}",
         disabled.hotpath.sha_blocks,
         enabled.hotpath.sha_blocks,
         100.0 * enabled.hotpath.hit_rate(),
@@ -250,7 +210,6 @@ fn main() {
         enabled.wall_s,
         multilane.wall_s,
         100.0 * multilane.hotpath.lanes_utilization(),
-        legacy.wall_s,
         multilane.hotpath.allocs_saved,
         multilane.hotpath.arena_bytes
     );
@@ -267,16 +226,7 @@ fn main() {
              host noise, or the grid is too small for lane batches to form"
         );
     }
-    if codec_speedup < 1.0 {
-        eprintln!(
-            "warning: arena codec ran slower than the legacy codec ({codec_speedup:.2}x) — \
-             host noise, or the grid is too small for the arena pools to warm up"
-        );
-    }
-
-    if let Some(path) =
-        write_hotpath_json(&sizes, reps, &passes, reduction, multilane_speedup, codec_speedup)
-    {
+    if let Some(path) = write_hotpath_json(&sizes, reps, &passes, reduction, multilane_speedup) {
         eprintln!("[hotpath] wrote {}", path.display());
     }
     if unhealthy {
@@ -299,7 +249,6 @@ fn write_hotpath_json(
     passes: &[Pass],
     reduction: f64,
     multilane_speedup: f64,
-    codec_speedup: f64,
 ) -> Option<PathBuf> {
     let path = std::env::var_os("TURQUOIS_HOTPATH_JSON")
         .map(PathBuf::from)
@@ -347,8 +296,7 @@ fn write_hotpath_json(
     }
     json.push_str("  ],\n");
     json.push_str(&format!("  \"sha_block_reduction\": {reduction:.2},\n"));
-    json.push_str(&format!("  \"multilane_speedup\": {multilane_speedup:.2},\n"));
-    json.push_str(&format!("  \"codec_speedup\": {codec_speedup:.2}\n"));
+    json.push_str(&format!("  \"multilane_speedup\": {multilane_speedup:.2}\n"));
     json.push_str("}\n");
     match std::fs::write(&path, json) {
         Ok(()) => Some(path),

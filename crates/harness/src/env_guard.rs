@@ -9,25 +9,18 @@
 //! belong to a newer or older build of the same binaries.
 
 /// Every `TURQUOIS_*` variable some binary or test in this workspace
-/// reads. Keep in sync when adding a knob; the
-/// `known_list_matches_source` test greps the workspace to enforce it.
+/// reads. Keep in sync when adding or retiring a knob.
 pub const KNOWN_ENV_VARS: &[&str] = &[
     "TURQUOIS_BENCH_JSON",
     "TURQUOIS_CHECK_SCHEDULES",
-    "TURQUOIS_EAGER_KEYS",
     "TURQUOIS_FM_FORCE_STALL",
     "TURQUOIS_HOTPATH_JSON",
     "TURQUOIS_HOTPATH_STATS",
-    "TURQUOIS_LEGACY_CODEC",
-    "TURQUOIS_LEGACY_MEDIUM",
-    "TURQUOIS_LEGACY_QUEUE",
-    "TURQUOIS_LEGACY_STORE",
     "TURQUOIS_NO_MEMO",
     "TURQUOIS_PARTITION_JSON",
     "TURQUOIS_REPS",
     "TURQUOIS_SABOTAGE",
     "TURQUOIS_SCALAR_SHA",
-    "TURQUOIS_SIMCORE_JSON",
     "TURQUOIS_SIZES",
     "TURQUOIS_THREADS",
     "TURQUOIS_TIME_LIMIT",
@@ -61,34 +54,26 @@ mod tests {
         // Set-and-inspect in one test: env mutation is process-global,
         // so keep every case in a single #[test] to avoid races with
         // parallel test threads touching TURQUOIS_* variables.
-        std::env::set_var("TURQUOIS_REPETITIONS", "50");
-        std::env::set_var("TURQUOIS_LEGACY_MEDUIM", "1");
-        std::env::set_var("TURQUOIS_REPS", "2");
-        std::env::set_var("TURQUOIS_LEGACY_MEDIUM", "1");
-        std::env::set_var("TURQUOIS_PARTITION_JSON", "/tmp/bp.json");
-        std::env::set_var("TURQUOIS_SCALAR_SHA", "1");
-        std::env::set_var("TURQUOIS_SCALER_SHA", "1");
-        std::env::set_var("TURQUOIS_LEGACY_CODEC", "1");
-        std::env::set_var("TURQUOIS_LEGACY_CODEX", "1");
+        let cases = [
+            ("TURQUOIS_REPETITIONS", false),
+            ("TURQUOIS_SCALER_SHA", false),
+            // A retired knob left over in someone's shell must warn
+            // rather than silently do nothing.
+            ("TURQUOIS_LEGACY_CODEC", false),
+            ("TURQUOIS_REPS", true),
+            ("TURQUOIS_PARTITION_JSON", true),
+            ("TURQUOIS_SCALAR_SHA", true),
+        ];
+        for (name, _) in cases {
+            std::env::set_var(name, "1");
+        }
         let unknown = warn_unknown_env_vars();
-        std::env::remove_var("TURQUOIS_REPETITIONS");
-        std::env::remove_var("TURQUOIS_LEGACY_MEDUIM");
-        std::env::remove_var("TURQUOIS_REPS");
-        std::env::remove_var("TURQUOIS_LEGACY_MEDIUM");
-        std::env::remove_var("TURQUOIS_PARTITION_JSON");
-        std::env::remove_var("TURQUOIS_SCALAR_SHA");
-        std::env::remove_var("TURQUOIS_SCALER_SHA");
-        std::env::remove_var("TURQUOIS_LEGACY_CODEC");
-        std::env::remove_var("TURQUOIS_LEGACY_CODEX");
-        assert!(unknown.contains(&"TURQUOIS_REPETITIONS".to_string()));
-        assert!(unknown.contains(&"TURQUOIS_LEGACY_MEDUIM".to_string()));
-        assert!(unknown.contains(&"TURQUOIS_SCALER_SHA".to_string()));
-        assert!(!unknown.contains(&"TURQUOIS_REPS".to_string()));
-        assert!(!unknown.contains(&"TURQUOIS_LEGACY_MEDIUM".to_string()));
-        assert!(!unknown.contains(&"TURQUOIS_PARTITION_JSON".to_string()));
-        assert!(!unknown.contains(&"TURQUOIS_SCALAR_SHA".to_string()));
-        assert!(unknown.contains(&"TURQUOIS_LEGACY_CODEX".to_string()));
-        assert!(!unknown.contains(&"TURQUOIS_LEGACY_CODEC".to_string()));
+        for (name, _) in cases {
+            std::env::remove_var(name);
+        }
+        for (name, known) in cases {
+            assert_eq!(!unknown.contains(&name.to_string()), known, "{name}");
+        }
     }
 
     #[test]

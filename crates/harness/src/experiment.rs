@@ -40,7 +40,7 @@ pub struct HotpathTotals {
     /// Payload bytes physically copied constructing `Bytes` buffers.
     pub bytes_copied: u64,
     /// Payload bytes the zero-copy receive path handed on by reference
-    /// instead of copying (each count is a copy the legacy path made).
+    /// instead of copying (each count is a copy an owned decode makes).
     pub bytes_saved: u64,
     /// Real compression blocks that went through the multi-lane kernel
     /// (a subset of `sha_blocks`; dummy lanes are never counted).
@@ -48,8 +48,8 @@ pub struct HotpathTotals {
     /// Lane slots those multi-lane calls provided (`width × rounds`);
     /// `lane_blocks / lane_slots` is the kernel's occupancy.
     pub lane_slots: u64,
-    /// Heap allocations the flat-arena codec elided versus the legacy
-    /// per-message builder path (DESIGN.md §13): arena seals, shared
+    /// Heap allocations the flat-arena codec elides versus per-message
+    /// builders and owned decodes (DESIGN.md §13): arena seals, shared
     /// duplicate payloads, and borrowed justification views.
     pub allocs_saved: u64,
     /// Bytes sealed through [`bytes::arena::EncodeArena`] chunks.

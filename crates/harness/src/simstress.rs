@@ -1,5 +1,5 @@
-//! Synthetic event-engine stress workload for `simcore_bench` and the
-//! `sim_core` criterion bench.
+//! Synthetic event-engine stress workload for the `sim_core` criterion
+//! bench and the repository benchmark's `net.storm_events_per_s` probe.
 //!
 //! The paper grids exercise the event queue with realistic but *shallow*
 //! pending sets (a few dozen MAC/timer events in flight). A timer wheel
@@ -14,15 +14,14 @@
 //! * one far-future "chaff" timer armed per firing (100 s – 1000 s out,
 //!   beyond any measured horizon), so the pending set grows linearly
 //!   over the run the way accumulated timeout/GC timers do in long
-//!   protocol runs. The legacy heap pays `O(log E)` on the growing `E`
-//!   for every operation; the wheel parks chaff in a high level or the
-//!   overflow map in `O(1)`.
+//!   protocol runs. A global heap would pay `O(log E)` on the growing
+//!   `E` for every operation; the wheel parks chaff in a high level or
+//!   the overflow map in `O(1)`.
 //!
 //! No frames are sent: the workload isolates the event engine from the
 //! CSMA/CA medium so the measured delta is queue cost, not MAC cost.
-//! Everything is deterministic given the seed, so both queue engines
-//! must process **exactly** the same event count — `simcore_bench`
-//! asserts it.
+//! Everything is deterministic given the seed, so the event count of a
+//! `(n, horizon, seed)` storm is a constant.
 
 use std::time::Duration;
 use wireless_net::frame::ReceivedFrame;

@@ -1,0 +1,143 @@
+//! The checked-in `results/*.txt` are the repository's behavioural
+//! oracle: every experiment binary, run at the repetition count its
+//! file was generated with, must reproduce that file byte for byte.
+//! Simulated time, decisions, and every counter the tables print are a
+//! pure function of the seeds, so any diff here is a behaviour change —
+//! either a bug, or a deliberate change that must regenerate the file
+//! in the same commit.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// One `results/<bin>.txt`: the binary's path (Cargo builds the
+/// package's binaries before its integration tests), the repetition
+/// count the file was generated with, and the file name.
+macro_rules! golden {
+    ($bin:ident, $reps:expr) => {
+        (
+            env!(concat!("CARGO_BIN_EXE_", stringify!($bin))),
+            $reps,
+            concat!(stringify!($bin), ".txt"),
+        )
+    };
+}
+
+/// How each `results/<file>` was made: `(binary, reps, file)`. The rep
+/// count is passed as the binary's first argument; everything else is
+/// the binary's default grid. This table is the single record of those
+/// counts — six of them are not the binary's default.
+const GOLDEN: &[(&str, usize, &str)] = &[
+    golden!(table1, 20),
+    golden!(table2, 20),
+    golden!(table3, 20),
+    golden!(phases, 30),
+    golden!(sigma_sweep, 20),
+    golden!(loss_sweep, 10),
+    golden!(msgcount, 5),
+    golden!(cost_ablation, 15),
+    golden!(tick_ablation, 15),
+    golden!(fault_matrix, 20),
+    golden!(partition_matrix, 10),
+];
+
+/// Checked-in files this test does not regenerate: `(file, reps, why)`.
+const SKIPPED: &[(&str, usize, &str)] = &[(
+    "table_scale.txt",
+    3,
+    "≈ 20 min of n = 256 cells; regenerate by hand when the scale grid is touched",
+)];
+
+fn results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// Runs `bin reps` with no `TURQUOIS_*` knob but the two JSON sinks,
+/// which are pointed into the test's temp dir so a test run never
+/// dirties `results/`.
+fn regenerate(exe: &str, reps: usize, file: &str) -> String {
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let mut cmd = Command::new(exe);
+    cmd.arg(reps.to_string());
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("TURQUOIS_") {
+            cmd.env_remove(key);
+        }
+    }
+    cmd.env("TURQUOIS_BENCH_JSON", tmp.join(format!("{file}.runner.json")))
+        .env("TURQUOIS_PARTITION_JSON", tmp.join(format!("{file}.partition.json")));
+    let out = cmd.output().unwrap_or_else(|e| panic!("{exe} did not start: {e}"));
+    assert!(
+        out.status.success(),
+        "{exe} {reps} exited with {}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("experiment output is UTF-8")
+}
+
+/// The first row and column at which `got` departs from `want`, as a
+/// three-line unified excerpt, or `None` when they are equal.
+fn first_difference(want: &str, got: &str) -> Option<String> {
+    if want == got {
+        return None;
+    }
+    let (mut w, mut g) = (want.lines(), got.lines());
+    let mut row = 0;
+    loop {
+        row += 1;
+        let (wl, gl) = (w.next(), g.next());
+        if wl == gl && wl.is_some() {
+            continue;
+        }
+        let (wl, gl) = (wl.unwrap_or("<end of file>"), gl.unwrap_or("<end of file>"));
+        let col = wl
+            .chars()
+            .zip(gl.chars())
+            .take_while(|(a, b)| a == b)
+            .count();
+        return Some(format!(
+            "row {row}, column {}:\n-{wl}\n+{gl}\n {}^",
+            col + 1,
+            " ".repeat(col)
+        ));
+    }
+}
+
+#[test]
+fn every_checked_in_result_regenerates_byte_identical() {
+    let mut failures = Vec::new();
+    for &(exe, reps, file) in GOLDEN {
+        let want = std::fs::read_to_string(results_dir().join(file))
+            .unwrap_or_else(|e| panic!("results/{file}: {e}"));
+        if let Some(diff) = first_difference(&want, &regenerate(exe, reps, file)) {
+            failures.push(format!("`{exe} {reps}` != results/{file} at {diff}"));
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n\n"));
+}
+
+#[test]
+fn golden_table_covers_every_results_txt() {
+    let mut listed: Vec<&str> = GOLDEN
+        .iter()
+        .map(|&(_, _, file)| file)
+        .chain(SKIPPED.iter().map(|&(file, _, _)| file))
+        .collect();
+    listed.sort_unstable();
+    let mut on_disk: Vec<String> = std::fs::read_dir(results_dir())
+        .expect("results/ exists")
+        .map(|e| e.expect("readable entry").file_name().into_string().expect("UTF-8 name"))
+        .filter(|name| name.ends_with(".txt"))
+        .collect();
+    on_disk.sort_unstable();
+    assert_eq!(listed, on_disk, "GOLDEN/SKIPPED must list every results/*.txt exactly once");
+}
+
+#[test]
+fn first_difference_points_at_row_and_column() {
+    assert_eq!(first_difference("a\nb\n", "a\nb\n"), None);
+    let diff = first_difference("h\n S4 7 | 387.7\n", "h\n S4 7 | 387.8\n").expect("differs");
+    assert!(diff.starts_with("row 2, column 13:"), "{diff}");
+    let short = first_difference("a\nb\n", "a\n").expect("differs");
+    assert!(short.contains("-b") && short.contains("+<end of file>"), "{short}");
+}

@@ -18,33 +18,38 @@
 //!   contention window, up to `retry_limit`, after which the MAC reports
 //!   failure to the sender.
 //!
+//! Reachability comes from a [`crate::topology::Topology`]; the paper's
+//! single broadcast domain is the case where everyone senses and hears
+//! everyone. In general:
+//!
+//! * `free_at` is per node: a node's NAV/EIFS hold-off tracks only
+//!   transmissions it could actually sense.
+//! * More than one transmission group may be in flight at once, as
+//!   long as their contenders could not sense each other when they
+//!   started (hidden terminals, partition islands).
+//! * [`Reception`] is per receiver: a frame is decodable at `dst` when
+//!   the topology says `hears(src, dst)`, no co-group transmitter and no
+//!   overlapping foreign transmitter interferes at `dst`, and `dst` is
+//!   not itself transmitting.
+//!
+//! Interference marks are computed when a group *starts* (against
+//! every group then in flight, both directions); any two overlapping
+//! groups meet this way because one of them starts while the other is
+//! on the air. Decodability is evaluated when the group *ends*. Both
+//! instants are deterministic, so mobility keeps runs reproducible.
+//!
 //! The medium is *driven* by the [`crate::sim::Simulator`]: it never
 //! schedules its own events. Instead every mutation bumps an epoch, and
 //! the simulator re-queries [`Medium::next_resolution`] and schedules a
 //! resolution event carrying that epoch; stale events are ignored.
-//!
-//! Since the topology refactor the medium is a dispatcher over two
-//! engines. The default is the topology-aware engine
-//! (`medium/topo.rs`): per-node carrier sense against a
-//! [`crate::topology::Topology`], concurrent transmission groups where
-//! transmitters cannot sense each other (hidden terminals, partition
-//! islands), and per-receiver [`Reception`]. The original single-domain
-//! arbiter is preserved verbatim (`medium/legacy.rs`) behind
-//! [`LEGACY_MEDIUM_ENV`] and must stay **byte-identical** to the
-//! topology engine on every single-domain experiment — the same
-//! differential discipline as `TURQUOIS_LEGACY_QUEUE` and
-//! `TURQUOIS_LEGACY_STORE` (DESIGN.md §11).
-
-mod legacy;
-mod topo;
 
 use crate::config::PhyConfig;
-use crate::frame::{Frame, NodeId};
+use crate::frame::{Addressing, Frame, NodeId};
 use crate::time::SimTime;
-use crate::topology::{self, Connectivity, TopologySpec};
+use crate::topology::{self, Connectivity, Topology, TopologySpec};
 use rand::RngCore;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
+use std::collections::VecDeque;
+use std::fmt;
 use std::time::Duration;
 
 /// A frame waiting in (or re-queued to) a node's transmit queue.
@@ -101,122 +106,104 @@ pub struct CompletedTx {
 /// was computed from.
 pub type Epoch = u64;
 
-/// Environment variable selecting the legacy single-domain arbiter for
-/// byte-identity differentials (any non-empty value enables it).
-pub const LEGACY_MEDIUM_ENV: &str = "TURQUOIS_LEGACY_MEDIUM";
-
-static LEGACY_MEDIUM: AtomicBool = AtomicBool::new(false);
-static LEGACY_MEDIUM_INIT: Once = Once::new();
-
-/// Returns whether new single-domain simulators use the legacy
-/// arbiter.
-///
-/// The first call reads [`LEGACY_MEDIUM_ENV`]; later calls reuse the
-/// cached value unless [`set_legacy_medium`] overrides it. The flag
-/// only affects single-domain configurations — a non-default topology
-/// always gets the topology-aware engine.
-pub fn legacy_medium_enabled() -> bool {
-    LEGACY_MEDIUM_INIT.call_once(|| {
-        if std::env::var_os(LEGACY_MEDIUM_ENV).is_some_and(|v| !v.is_empty()) {
-            LEGACY_MEDIUM.store(true, Ordering::Relaxed);
-        }
-    });
-    LEGACY_MEDIUM.load(Ordering::Relaxed)
-}
-
-/// Programmatically selects the medium engine for simulators built
-/// afterwards, overriding the environment (used by differential
-/// tests to run both engines in one process).
-pub fn set_legacy_medium(enabled: bool) {
-    // Make sure the env lookup never races in after us and clobbers
-    // the explicit choice.
-    LEGACY_MEDIUM_INIT.call_once(|| {});
-    LEGACY_MEDIUM.store(enabled, Ordering::Relaxed);
-}
-
-#[derive(Debug)]
-enum Engine {
-    Legacy(legacy::LegacyMedium),
-    Topo(topo::TopoMedium),
+/// One in-flight transmission group: the contenders that resolved
+/// together at one instant within one carrier-sense neighborhood.
+struct Group {
+    txs: Vec<(NodeId, PendingTx)>,
+    end: SimTime,
+    /// Airtime of this group (for the channel-busy stat).
+    busy: Duration,
+    /// Receivers garbled by an overlapping foreign group (marked when
+    /// either group starts).
+    garbled: Vec<bool>,
 }
 
 /// The shared-medium arbiter. See the module docs for the model.
-#[derive(Debug)]
 pub struct Medium {
-    engine: Engine,
+    phy: PhyConfig,
+    topology: Box<dyn Topology>,
+    /// Per-node channel-free time: when the last transmission this
+    /// node could sense ends.
+    free_at: Vec<SimTime>,
+    groups: Vec<Group>,
+    queues: Vec<VecDeque<PendingTx>>,
+    backoffs: Vec<Option<u32>>,
+    epoch: Epoch,
+    last_busy: Duration,
+    /// The epoch a resolution was first scheduled under and the `now`
+    /// of that [`Medium::next_resolution`] call: the instant the
+    /// current idle countdown started. `resolve` re-derives the winner
+    /// set from it, and later queries under the same epoch (no mutation
+    /// in between) must not move it.
+    sched: Option<(Epoch, SimTime)>,
+}
+
+impl fmt::Debug for Medium {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Medium")
+            .field("topology", &self.topology.describe())
+            .field("groups", &self.groups.len())
+            .field("epoch", &self.epoch)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Medium {
     /// Creates a single-broadcast-domain medium for `n` nodes with the
-    /// given PHY parameters, honoring [`LEGACY_MEDIUM_ENV`].
+    /// given PHY parameters.
     pub fn new(n: usize, phy: PhyConfig) -> Self {
         Medium::with_topology(n, phy, &TopologySpec::SingleDomain, 0)
     }
 
     /// Creates a medium whose reachability is governed by `spec`
-    /// (instantiated from `seed`). A single-domain spec honors
-    /// [`LEGACY_MEDIUM_ENV`]; any other topology requires the
-    /// topology-aware engine.
+    /// (instantiated from `seed`).
     pub fn with_topology(n: usize, phy: PhyConfig, spec: &TopologySpec, seed: u64) -> Self {
-        if spec.is_single_domain() && legacy_medium_enabled() {
-            return Medium::new_legacy(n, phy);
-        }
+        Medium::over(n, phy, spec.build(n, seed))
+    }
+
+    fn over(n: usize, phy: PhyConfig, topology: Box<dyn Topology>) -> Self {
         Medium {
-            engine: Engine::Topo(topo::TopoMedium::new(n, phy, spec.build(n, seed))),
+            phy,
+            topology,
+            free_at: vec![SimTime::ZERO; n],
+            groups: Vec::new(),
+            queues: vec![VecDeque::new(); n],
+            backoffs: vec![None; n],
+            epoch: 0,
+            last_busy: Duration::ZERO,
+            sched: None,
         }
     }
 
-    /// Creates the legacy single-domain arbiter unconditionally (the
-    /// differential tests' oracle).
-    pub fn new_legacy(n: usize, phy: PhyConfig) -> Self {
-        Medium {
-            engine: Engine::Legacy(legacy::LegacyMedium::new(n, phy)),
-        }
+    fn n(&self) -> usize {
+        self.queues.len()
     }
 
     /// The PHY configuration in use.
     pub fn phy(&self) -> &PhyConfig {
-        match &self.engine {
-            Engine::Legacy(m) => m.phy(),
-            Engine::Topo(m) => m.phy(),
-        }
-    }
-
-    /// One-line description of the active topology.
-    pub fn topology_describe(&self) -> String {
-        match &self.engine {
-            Engine::Legacy(_) => "single broadcast domain".into(),
-            Engine::Topo(m) => m.topology_describe(),
-        }
-    }
-
-    /// Reachability snapshot at `now` (for stall diagnostics): per-node
-    /// direct-neighbor count and connected-component id.
-    pub fn connectivity(&mut self, now: SimTime, n: usize) -> Connectivity {
-        match &mut self.engine {
-            Engine::Legacy(_) => Connectivity {
-                reachable: vec![n.saturating_sub(1); n],
-                component: vec![0; n],
-            },
-            Engine::Topo(m) => topology::connectivity(m.topology_mut(), now, n),
-        }
+        &self.phy
     }
 
     /// Current epoch; resolution events carrying an older epoch are
     /// stale.
     pub fn epoch(&self) -> Epoch {
-        match &self.engine {
-            Engine::Legacy(m) => m.epoch(),
-            Engine::Topo(m) => m.epoch(),
-        }
+        self.epoch
     }
 
     /// `true` while a transmission is on the air.
     pub fn transmitting(&self) -> bool {
-        match &self.engine {
-            Engine::Legacy(m) => m.transmitting(),
-            Engine::Topo(m) => m.transmitting(),
-        }
+        !self.groups.is_empty()
+    }
+
+    /// One-line description of the active topology.
+    pub fn topology_describe(&self) -> String {
+        self.topology.describe()
+    }
+
+    /// Reachability snapshot at `now` (for stall diagnostics): per-node
+    /// direct-neighbor count and connected-component id.
+    pub fn connectivity(&mut self, now: SimTime, n: usize) -> Connectivity {
+        topology::connectivity(self.topology.as_mut(), now, n)
     }
 
     /// Enqueues a frame for transmission by `frame.src`. Returns `false`
@@ -229,24 +216,71 @@ impl Medium {
     /// simulator loops those back without touching the radio) and on
     /// unknown node ids.
     pub fn enqueue(&mut self, frame: Frame, rng: &mut dyn RngCore) -> bool {
-        match &mut self.engine {
-            Engine::Legacy(m) => m.enqueue(frame, rng),
-            Engine::Topo(m) => m.enqueue(frame, rng),
+        if let Addressing::Unicast(dst) = frame.addressing {
+            assert_ne!(dst, frame.src, "self-unicast must not reach the medium");
         }
+        let node = frame.src;
+        if self.queues[node].len() >= self.phy.tx_queue_cap {
+            self.epoch += 1;
+            return false;
+        }
+        self.queues[node].push_back(PendingTx { frame, attempt: 0 });
+        if self.backoffs[node].is_none() && self.queues[node].len() == 1 {
+            self.backoffs[node] = Some(self.draw_backoff(0, rng));
+        }
+        self.epoch += 1;
+        true
+    }
+
+    /// Carrier sense: `node` defers while any in-flight transmitter is
+    /// within its interference range at `at`.
+    fn blocked(&mut self, at: SimTime, node: NodeId) -> bool {
+        for g in 0..self.groups.len() {
+            for t in 0..self.groups[g].txs.len() {
+                let src = self.groups[g].txs[t].0;
+                if self.topology.interferes(at, src, node) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Fire instant of contender `node` holding backoff `b`, counting
+    /// from schedule instant `base`.
+    fn fire_at(&self, base: SimTime, node: NodeId, b: u32) -> SimTime {
+        base.max(self.free_at[node]) + self.phy.difs + self.phy.slot * b
     }
 
     /// When and with what epoch the next contention resolution should
     /// fire, or `None` when no eligible contender exists (single
     /// domain: while transmitting or idle with no contenders).
     ///
-    /// Takes `&mut self`: the topology engine records the query
-    /// instant (to replay the winner computation at `resolve`) and a
-    /// mobile topology may advance its state.
+    /// Takes `&mut self`: the first query under an epoch records its
+    /// instant as the start of the idle countdown (`resolve` replays
+    /// the winner computation from it), and a mobile topology may
+    /// advance its state. Asking again under the same epoch — nothing
+    /// was mutated in between — returns the same instant.
     pub fn next_resolution(&mut self, now: SimTime) -> Option<(SimTime, Epoch)> {
-        match &mut self.engine {
-            Engine::Legacy(m) => m.next_resolution(now),
-            Engine::Topo(m) => m.next_resolution(now),
+        let base = match self.sched {
+            Some((epoch, base)) if epoch == self.epoch => base,
+            _ => {
+                self.sched = Some((self.epoch, now));
+                now
+            }
+        };
+        let mut best: Option<SimTime> = None;
+        for node in 0..self.n() {
+            let Some(b) = self.backoffs[node] else {
+                continue;
+            };
+            if self.blocked(base, node) {
+                continue;
+            }
+            let at = self.fire_at(base, node, b);
+            best = Some(best.map_or(at, |cur: SimTime| cur.min(at)));
         }
+        best.map(|at| (at, self.epoch))
     }
 
     /// Fires a contention resolution scheduled with `epoch`.
@@ -255,10 +289,92 @@ impl Medium {
     /// or `None` if the event was stale (epoch mismatch — a mutation,
     /// or another group starting, intervened).
     pub fn resolve(&mut self, now: SimTime, epoch: Epoch) -> Option<SimTime> {
-        match &mut self.engine {
-            Engine::Legacy(m) => m.resolve(now, epoch),
-            Engine::Topo(m) => m.resolve(now, epoch),
+        // Re-derive the winner set from the schedule instant. The
+        // epoch match guarantees no medium mutation intervened, and
+        // topology queries are pure functions of the query time, so
+        // this reproduces the `next_resolution` computation exactly.
+        let base = match self.sched {
+            Some((scheduled, base)) if scheduled == epoch && epoch == self.epoch => base,
+            _ => return None, // stale, or never scheduled under this epoch
+        };
+        let mut eligible: Vec<(NodeId, u32, SimTime)> = Vec::new();
+        for node in 0..self.n() {
+            let Some(b) = self.backoffs[node] else {
+                continue;
+            };
+            if self.blocked(base, node) {
+                continue; // frozen: still senses a foreign transmission
+            }
+            eligible.push((node, b, self.fire_at(base, node, b)));
         }
+        if !eligible.iter().any(|&(_, _, fire)| fire == now) {
+            return None; // defensive: no contender fires at this instant
+        }
+        let mut txs = Vec::new();
+        for (node, b, fire) in eligible {
+            if fire == now {
+                let pending = self.queues[node]
+                    .pop_front()
+                    .expect("contending node has a head frame");
+                self.backoffs[node] = None;
+                txs.push((node, pending));
+            } else {
+                debug_assert!(fire > now, "missed a resolution instant");
+                // Freeze rule: slots elapsed since this node's own
+                // DIFS expiry are consumed.
+                let difs_end = base.max(self.free_at[node]) + self.phy.difs;
+                let consumed = if now > difs_end {
+                    (now.as_nanos() - difs_end.as_nanos()) / self.phy.slot.as_nanos() as u64
+                } else {
+                    0
+                };
+                self.backoffs[node] = Some(b - (consumed as u32).min(b));
+            }
+        }
+        let airtime = txs
+            .iter()
+            .map(|(_, p)| self.airtime_of(&p.frame))
+            .max()
+            .expect("at least one transmission");
+        let end = now + airtime;
+
+        // Mark mutual garbling against every group already in flight,
+        // and hold off everyone who can sense a new transmitter.
+        let n = self.n();
+        let mut garbled = vec![false; n];
+        for &(src, _) in &txs {
+            for g in 0..self.groups.len() {
+                for j in 0..n {
+                    if self.topology.interferes(now, src, j) {
+                        self.groups[g].garbled[j] = true;
+                    }
+                }
+            }
+            for j in 0..n {
+                if self.topology.interferes(now, src, j) {
+                    self.free_at[j] = self.free_at[j].max(end);
+                }
+            }
+        }
+        for g in 0..self.groups.len() {
+            for t in 0..self.groups[g].txs.len() {
+                let src = self.groups[g].txs[t].0;
+                for (j, flag) in garbled.iter_mut().enumerate() {
+                    if self.topology.interferes(now, src, j) {
+                        *flag = true;
+                    }
+                }
+            }
+        }
+
+        self.groups.push(Group {
+            txs,
+            end,
+            busy: airtime,
+            garbled,
+        });
+        self.epoch += 1;
+        Some(end)
     }
 
     /// Completes the earliest-ending in-flight transmission group.
@@ -284,19 +400,87 @@ impl Medium {
     ///
     /// Panics if no transmission is in flight.
     pub fn finish_tx_into(&mut self, now: SimTime, done: &mut Vec<CompletedTx>) {
-        match &mut self.engine {
-            Engine::Legacy(m) => m.finish_tx_into(now, done),
-            Engine::Topo(m) => m.finish_tx_into(now, done),
+        // One TxEnd event exists per group; pop the earliest-ending one
+        // (FIFO among equals, matching event-queue push order).
+        let idx = self
+            .groups
+            .iter()
+            .enumerate()
+            .min_by_key(|(i, g)| (g.end, *i))
+            .map(|(i, _)| i)
+            .expect("finish_tx with no tx in flight");
+        let group = self.groups.remove(idx);
+        debug_assert_eq!(now, group.end, "TxEnd event at the wrong time");
+        self.last_busy = group.busy;
+        let n = self.n();
+        let sources: Vec<NodeId> = group.txs.iter().map(|(s, _)| *s).collect();
+        done.clear();
+        done.reserve(group.txs.len());
+        for (node, pending) in group.txs {
+            let mut heard: Vec<NodeId> = Vec::new();
+            let mut all = true;
+            let mut garbled_any = false;
+            for rx in 0..n {
+                if rx == node {
+                    continue;
+                }
+                if sources.contains(&rx) {
+                    all = false; // half-duplex: a co-group transmitter hears nothing
+                    continue;
+                }
+                if !self.topology.hears(now, node, rx) {
+                    // Out of decode range: the frame simply never
+                    // reaches `rx` — interference there is irrelevant.
+                    all = false;
+                    continue;
+                }
+                let mut garbled = group.garbled[rx];
+                if !garbled {
+                    // A co-group transmitter in range garbles this
+                    // frame at `rx` (the single-domain collision, localized).
+                    for &other in &sources {
+                        if other != node && self.topology.interferes(now, other, rx) {
+                            garbled = true;
+                            break;
+                        }
+                    }
+                }
+                if garbled {
+                    garbled_any = true;
+                    all = false;
+                    continue;
+                }
+                heard.push(rx);
+            }
+            // A simultaneous co-group transmitter within carrier-sense
+            // range is a collision even when no third station observed
+            // it (n = 2): the channel event happened, so it is counted.
+            let collision = garbled_any
+                || sources
+                    .iter()
+                    .any(|&other| other != node && self.topology.interferes(now, other, node));
+            let reception = if all {
+                Reception::Everyone
+            } else if heard.is_empty() {
+                Reception::Nobody
+            } else {
+                Reception::Subset(heard)
+            };
+            done.push(CompletedTx {
+                node,
+                frame: pending.frame,
+                attempt: pending.attempt,
+                collision,
+                reception,
+            });
         }
+        self.epoch += 1;
     }
 
     /// Time the channel was busy in the transmission reported by the last
     /// [`Medium::finish_tx`].
     pub fn last_busy(&self) -> Duration {
-        match &self.engine {
-            Engine::Legacy(m) => m.last_busy(),
-            Engine::Topo(m) => m.last_busy(),
-        }
+        self.last_busy
     }
 
     /// Re-queues a unicast frame after a failed attempt.
@@ -310,28 +494,36 @@ impl Medium {
         attempt: u32,
         rng: &mut dyn RngCore,
     ) -> bool {
-        match &mut self.engine {
-            Engine::Legacy(m) => m.retry_unicast(node, frame, attempt, rng),
-            Engine::Topo(m) => m.retry_unicast(node, frame, attempt, rng),
+        self.epoch += 1;
+        let next_attempt = attempt + 1;
+        if next_attempt > self.phy.retry_limit {
+            self.after_head_done(node, rng);
+            return false;
         }
+        self.queues[node].push_front(PendingTx {
+            frame,
+            attempt: next_attempt,
+        });
+        self.backoffs[node] = Some(self.draw_backoff(next_attempt, rng));
+        true
     }
 
     /// Restarts contention for `node` after its head frame left the
     /// queue for good (success, broadcast loss, or retry exhaustion).
     pub fn after_head_done(&mut self, node: NodeId, rng: &mut dyn RngCore) {
-        match &mut self.engine {
-            Engine::Legacy(m) => m.after_head_done(node, rng),
-            Engine::Topo(m) => m.after_head_done(node, rng),
+        self.epoch += 1;
+        if let Some(head) = self.queues[node].front() {
+            let attempt = head.attempt;
+            self.backoffs[node] = Some(self.draw_backoff(attempt, rng));
+        } else {
+            self.backoffs[node] = None;
         }
     }
 
     /// Number of frames queued at `node` (head included, in-flight
     /// excluded).
     pub fn queue_len(&self, node: NodeId) -> usize {
-        match &self.engine {
-            Engine::Legacy(m) => m.queue_len(node),
-            Engine::Topo(m) => m.queue_len(node),
-        }
+        self.queues[node].len()
     }
 
     /// Empties `node`'s transmit queue and withdraws it from contention
@@ -339,10 +531,23 @@ impl Medium {
     /// discarded. A frame already on the air is unaffected here; the
     /// simulator discards it at `TxEnd` when the source is down.
     pub fn clear_queue(&mut self, node: NodeId) -> usize {
-        match &mut self.engine {
-            Engine::Legacy(m) => m.clear_queue(node),
-            Engine::Topo(m) => m.clear_queue(node),
+        self.epoch += 1;
+        self.backoffs[node] = None;
+        let dropped = self.queues[node].len();
+        self.queues[node].clear();
+        dropped
+    }
+
+    fn airtime_of(&self, frame: &Frame) -> Duration {
+        match frame.addressing {
+            Addressing::Broadcast => self.phy.broadcast_airtime(frame.mac_payload_len()),
+            Addressing::Unicast(_) => self.phy.unicast_exchange_airtime(frame.mac_payload_len()),
         }
+    }
+
+    fn draw_backoff(&self, attempt: u32, rng: &mut dyn RngCore) -> u32 {
+        let cw = self.phy.contention_window(attempt);
+        rng.next_u32() % (cw + 1)
     }
 }
 
@@ -403,157 +608,161 @@ mod tests {
         }
     }
 
-    /// Both single-domain engines, so every legacy behavior test runs
-    /// against the topology engine too.
-    fn engines(n: usize, phy: PhyConfig) -> [Medium; 2] {
-        [
-            Medium::new_legacy(n, phy),
-            Medium::with_topology(n, phy, &TopologySpec::SingleDomain, 0),
-        ]
-    }
-
     #[test]
     fn single_broadcast_airs_after_difs_and_backoff() {
         let phy = PhyConfig::default();
-        for mut m in engines(2, phy) {
-            // Scripted value 0 → backoff 0 slots.
-            let mut rng = ScriptRng::new(vec![0]);
-            m.enqueue(bc(0, 100), &mut rng);
-            let (at, epoch) = m.next_resolution(SimTime::ZERO).expect("contender present");
-            assert_eq!(at, SimTime::ZERO + phy.difs);
-            let end = m.resolve(at, epoch).expect("fresh epoch");
-            assert_eq!(end, at + phy.broadcast_airtime(100));
-            let done = m.finish_tx(end);
-            assert_eq!(done.len(), 1);
-            assert!(!done[0].collision);
-            assert_eq!(done[0].node, 0);
-            assert_eq!(done[0].reception, Reception::Everyone);
-        }
+        let mut m = Medium::new(2, phy);
+        // Scripted value 0 → backoff 0 slots.
+        let mut rng = ScriptRng::new(vec![0]);
+        m.enqueue(bc(0, 100), &mut rng);
+        let (at, epoch) = m.next_resolution(SimTime::ZERO).expect("contender present");
+        assert_eq!(at, SimTime::ZERO + phy.difs);
+        let end = m.resolve(at, epoch).expect("fresh epoch");
+        assert_eq!(end, at + phy.broadcast_airtime(100));
+        let done = m.finish_tx(end);
+        assert_eq!(done.len(), 1);
+        assert!(!done[0].collision);
+        assert_eq!(done[0].node, 0);
+        assert_eq!(done[0].reception, Reception::Everyone);
     }
 
     #[test]
     fn stale_epoch_ignored() {
-        for mut m in engines(2, PhyConfig::default()) {
-            let mut rng = ScriptRng::new(vec![0]);
-            m.enqueue(bc(0, 10), &mut rng);
-            let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
-            m.enqueue(bc(1, 10), &mut rng); // bumps epoch
-            assert_eq!(m.resolve(at, epoch), None, "stale event must be ignored");
-            let (_, fresh) = m.next_resolution(SimTime::ZERO).unwrap();
-            assert!(m.resolve(at, fresh).is_some());
-        }
+        let mut m = Medium::new(2, PhyConfig::default());
+        let mut rng = ScriptRng::new(vec![0]);
+        m.enqueue(bc(0, 10), &mut rng);
+        let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
+        m.enqueue(bc(1, 10), &mut rng); // bumps epoch
+        assert_eq!(m.resolve(at, epoch), None, "stale event must be ignored");
+        let (_, fresh) = m.next_resolution(SimTime::ZERO).unwrap();
+        assert!(m.resolve(at, fresh).is_some());
+    }
+
+    #[test]
+    fn later_query_under_the_same_epoch_keeps_the_scheduled_instant() {
+        let phy = PhyConfig::default();
+        let mut m = Medium::new(3, phy);
+        let mut rng = ScriptRng::new(vec![4, 9]);
+        m.enqueue(bc(0, 10), &mut rng); // backoff 4
+        m.enqueue(bc(1, 10), &mut rng); // backoff 9
+        let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
+        assert_eq!(at, SimTime::ZERO + phy.difs + phy.slot * 4);
+        // Nothing was mutated, so the countdown that started at zero is
+        // still running: asking again mid-countdown must not restart it.
+        let later = SimTime::ZERO + phy.difs + phy.slot;
+        assert_eq!(m.next_resolution(later), Some((at, epoch)));
+        let end = m.resolve(at, epoch).expect("the first scheduled event resolves");
+        let done = m.finish_tx(end);
+        assert_eq!(done[0].node, 0);
+        // The loser froze 4 slots off its counter, not fewer.
+        let (at2, _) = m.next_resolution(end).unwrap();
+        assert_eq!(at2, end + phy.difs + phy.slot * 5);
     }
 
     #[test]
     fn equal_backoffs_collide() {
         let phy = PhyConfig::default();
-        for mut m in engines(3, phy) {
-            let mut rng = ScriptRng::new(vec![5]);
-            m.enqueue(bc(0, 50), &mut rng);
-            m.enqueue(bc(1, 80), &mut rng);
-            let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
-            assert_eq!(at, SimTime::ZERO + phy.difs + phy.slot * 5);
-            let end = m.resolve(at, epoch).unwrap();
-            // Busy for the longer of the two frames.
-            assert_eq!(end, at + phy.broadcast_airtime(80));
-            let done = m.finish_tx(end);
-            assert_eq!(done.len(), 2);
-            assert!(done.iter().all(|t| t.collision));
-            assert!(done.iter().all(|t| t.reception == Reception::Nobody));
-        }
+        let mut m = Medium::new(3, phy);
+        let mut rng = ScriptRng::new(vec![5]);
+        m.enqueue(bc(0, 50), &mut rng);
+        m.enqueue(bc(1, 80), &mut rng);
+        let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
+        assert_eq!(at, SimTime::ZERO + phy.difs + phy.slot * 5);
+        let end = m.resolve(at, epoch).unwrap();
+        // Busy for the longer of the two frames.
+        assert_eq!(end, at + phy.broadcast_airtime(80));
+        let done = m.finish_tx(end);
+        assert_eq!(done.len(), 2);
+        assert!(done.iter().all(|t| t.collision));
+        assert!(done.iter().all(|t| t.reception == Reception::Nobody));
     }
 
     #[test]
     fn lower_backoff_wins_and_loser_decrements() {
         let phy = PhyConfig::default();
-        for mut m in engines(2, phy) {
-            let mut rng = ScriptRng::new(vec![2, 7]);
-            m.enqueue(bc(0, 10), &mut rng); // backoff 2
-            m.enqueue(bc(1, 10), &mut rng); // backoff 7
-            let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
-            let end = m.resolve(at, epoch).unwrap();
-            let done = m.finish_tx(end);
-            assert_eq!(done.len(), 1);
-            assert_eq!(done[0].node, 0);
-            // Node 1's residual backoff is 7 − 2 = 5 slots after the busy
-            // period.
-            let (at2, _) = m.next_resolution(end).unwrap();
-            assert_eq!(at2, end + phy.difs + phy.slot * 5);
-        }
+        let mut m = Medium::new(2, phy);
+        let mut rng = ScriptRng::new(vec![2, 7]);
+        m.enqueue(bc(0, 10), &mut rng); // backoff 2
+        m.enqueue(bc(1, 10), &mut rng); // backoff 7
+        let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
+        let end = m.resolve(at, epoch).unwrap();
+        let done = m.finish_tx(end);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].node, 0);
+        // Node 1's residual backoff is 7 − 2 = 5 slots after the busy
+        // period.
+        let (at2, _) = m.next_resolution(end).unwrap();
+        assert_eq!(at2, end + phy.difs + phy.slot * 5);
     }
 
     #[test]
     fn unicast_busy_includes_ack_exchange() {
         let phy = PhyConfig::default();
-        for mut m in engines(2, phy) {
-            let mut rng = ScriptRng::new(vec![0]);
-            m.enqueue(uc(0, 1, 100), &mut rng);
-            let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
-            let end = m.resolve(at, epoch).unwrap();
-            assert_eq!(end, at + phy.unicast_exchange_airtime(100));
-        }
+        let mut m = Medium::new(2, phy);
+        let mut rng = ScriptRng::new(vec![0]);
+        m.enqueue(uc(0, 1, 100), &mut rng);
+        let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
+        let end = m.resolve(at, epoch).unwrap();
+        assert_eq!(end, at + phy.unicast_exchange_airtime(100));
     }
 
     #[test]
     fn retry_respects_limit() {
         let phy = PhyConfig::default();
-        for mut m in engines(2, phy) {
-            let mut rng = ScriptRng::new(vec![0]);
-            let frame = uc(0, 1, 10);
-            let mut attempt = 0;
-            // retry_limit retries allowed (attempts 1..=retry_limit).
-            for _ in 0..phy.retry_limit {
-                assert!(m.retry_unicast(0, frame.clone(), attempt, &mut rng));
-                attempt += 1;
-                // Clear the queue for the next retry call.
-                let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
-                let end = m.resolve(at, epoch).unwrap();
-                let _ = m.finish_tx(end);
-            }
-            assert!(
-                !m.retry_unicast(0, frame.clone(), attempt, &mut rng),
-                "attempt {} must exceed the limit",
-                attempt + 1
-            );
+        let mut m = Medium::new(2, phy);
+        let mut rng = ScriptRng::new(vec![0]);
+        let frame = uc(0, 1, 10);
+        let mut attempt = 0;
+        // retry_limit retries allowed (attempts 1..=retry_limit).
+        for _ in 0..phy.retry_limit {
+            assert!(m.retry_unicast(0, frame.clone(), attempt, &mut rng));
+            attempt += 1;
+            // Clear the queue for the next retry call.
+            let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
+            let end = m.resolve(at, epoch).unwrap();
+            let _ = m.finish_tx(end);
         }
+        assert!(
+            !m.retry_unicast(0, frame.clone(), attempt, &mut rng),
+            "attempt {} must exceed the limit",
+            attempt + 1
+        );
     }
 
     #[test]
     fn retry_goes_to_front_of_queue() {
-        for mut m in engines(2, PhyConfig::default()) {
-            let mut rng = ScriptRng::new(vec![0]);
-            m.enqueue(uc(0, 1, 10), &mut rng);
-            m.enqueue(bc(0, 99), &mut rng); // queued behind
-            let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
-            let end = m.resolve(at, epoch).unwrap();
-            let done = m.finish_tx(end);
-            // Failed: retry must contend before the queued broadcast.
-            assert!(m.retry_unicast(0, done[0].frame.clone(), done[0].attempt, &mut rng));
-            let (at2, epoch2) = m.next_resolution(end).unwrap();
-            let end2 = m.resolve(at2, epoch2).unwrap();
-            let done2 = m.finish_tx(end2);
-            assert_eq!(done2[0].attempt, 1);
-            assert!(!done2[0].frame.is_broadcast());
-        }
+        let mut m = Medium::new(2, PhyConfig::default());
+        let mut rng = ScriptRng::new(vec![0]);
+        m.enqueue(uc(0, 1, 10), &mut rng);
+        m.enqueue(bc(0, 99), &mut rng); // queued behind
+        let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
+        let end = m.resolve(at, epoch).unwrap();
+        let done = m.finish_tx(end);
+        // Failed: retry must contend before the queued broadcast.
+        assert!(m.retry_unicast(0, done[0].frame.clone(), done[0].attempt, &mut rng));
+        let (at2, epoch2) = m.next_resolution(end).unwrap();
+        let end2 = m.resolve(at2, epoch2).unwrap();
+        let done2 = m.finish_tx(end2);
+        assert_eq!(done2[0].attempt, 1);
+        assert!(!done2[0].frame.is_broadcast());
     }
 
     #[test]
     fn after_head_done_starts_next_frame() {
-        for mut m in engines(2, PhyConfig::default()) {
-            let mut rng = ScriptRng::new(vec![0]);
-            m.enqueue(bc(0, 10), &mut rng);
-            m.enqueue(bc(0, 20), &mut rng); // same node, queued
-            let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
-            let end = m.resolve(at, epoch).unwrap();
-            let _ = m.finish_tx(end);
-            assert!(
-                m.next_resolution(end).is_none(),
-                "no contender until after_head_done"
-            );
-            m.after_head_done(0, &mut rng);
-            assert!(m.next_resolution(end).is_some());
-            assert_eq!(m.queue_len(0), 1);
-        }
+        let mut m = Medium::new(2, PhyConfig::default());
+        let mut rng = ScriptRng::new(vec![0]);
+        m.enqueue(bc(0, 10), &mut rng);
+        m.enqueue(bc(0, 20), &mut rng); // same node, queued
+        let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
+        let end = m.resolve(at, epoch).unwrap();
+        let _ = m.finish_tx(end);
+        assert!(
+            m.next_resolution(end).is_none(),
+            "no contender until after_head_done"
+        );
+        m.after_head_done(0, &mut rng);
+        assert!(m.next_resolution(end).is_some());
+        assert_eq!(m.queue_len(0), 1);
     }
 
     #[test]
@@ -570,44 +779,41 @@ mod tests {
             tx_queue_cap: 2,
             ..PhyConfig::default()
         };
-        for mut m in engines(2, phy) {
-            let mut rng = ScriptRng::new(vec![0]);
-            assert!(m.enqueue(bc(0, 10), &mut rng));
-            assert!(m.enqueue(bc(0, 11), &mut rng));
-            assert!(!m.enqueue(bc(0, 12), &mut rng), "third frame tail-drops");
-            assert_eq!(m.queue_len(0), 2);
-            // Another node's queue is independent.
-            assert!(m.enqueue(bc(1, 13), &mut rng));
-        }
+        let mut m = Medium::new(2, phy);
+        let mut rng = ScriptRng::new(vec![0]);
+        assert!(m.enqueue(bc(0, 10), &mut rng));
+        assert!(m.enqueue(bc(0, 11), &mut rng));
+        assert!(!m.enqueue(bc(0, 12), &mut rng), "third frame tail-drops");
+        assert_eq!(m.queue_len(0), 2);
+        // Another node's queue is independent.
+        assert!(m.enqueue(bc(1, 13), &mut rng));
     }
 
     #[test]
     fn clear_queue_discards_backlog_and_contention() {
-        for mut m in engines(2, PhyConfig::default()) {
-            let mut rng = ScriptRng::new(vec![0]);
-            m.enqueue(bc(0, 10), &mut rng);
-            m.enqueue(bc(0, 20), &mut rng);
-            assert_eq!(m.clear_queue(0), 2);
-            assert_eq!(m.queue_len(0), 0);
-            assert!(m.next_resolution(SimTime::ZERO).is_none(), "no contender left");
-            // An unaffected node keeps its queue.
-            m.enqueue(bc(1, 10), &mut rng);
-            assert_eq!(m.clear_queue(0), 0);
-            assert_eq!(m.queue_len(1), 1);
-        }
+        let mut m = Medium::new(2, PhyConfig::default());
+        let mut rng = ScriptRng::new(vec![0]);
+        m.enqueue(bc(0, 10), &mut rng);
+        m.enqueue(bc(0, 20), &mut rng);
+        assert_eq!(m.clear_queue(0), 2);
+        assert_eq!(m.queue_len(0), 0);
+        assert!(m.next_resolution(SimTime::ZERO).is_none(), "no contender left");
+        // An unaffected node keeps its queue.
+        m.enqueue(bc(1, 10), &mut rng);
+        assert_eq!(m.clear_queue(0), 0);
+        assert_eq!(m.queue_len(1), 1);
     }
 
     #[test]
     fn no_resolution_while_transmitting() {
-        for mut m in engines(2, PhyConfig::default()) {
-            let mut rng = ScriptRng::new(vec![0]);
-            m.enqueue(bc(0, 10), &mut rng);
-            let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
-            let _ = m.resolve(at, epoch).unwrap();
-            m.enqueue(bc(1, 10), &mut rng);
-            assert!(m.next_resolution(at).is_none(), "channel is busy");
-            assert!(m.transmitting());
-        }
+        let mut m = Medium::new(2, PhyConfig::default());
+        let mut rng = ScriptRng::new(vec![0]);
+        m.enqueue(bc(0, 10), &mut rng);
+        let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
+        let _ = m.resolve(at, epoch).unwrap();
+        m.enqueue(bc(1, 10), &mut rng);
+        assert!(m.next_resolution(at).is_none(), "channel is busy");
+        assert!(m.transmitting());
     }
 
     // ---- topology-aware behavior ------------------------------------
@@ -616,9 +822,7 @@ mod tests {
         // A(0) --- B(1) --- C(2): A and C hear B, cannot sense each
         // other.
         let topo = Disk::new(vec![(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)], 120.0, 150.0);
-        Medium {
-            engine: Engine::Topo(topo::TopoMedium::new(3, PhyConfig::default(), Box::new(topo))),
-        }
+        Medium::over(3, PhyConfig::default(), Box::new(topo))
     }
 
     #[test]
@@ -701,78 +905,7 @@ mod tests {
         let healed = m.connectivity(SimTime::from_millis(9), 4);
         assert_eq!(healed.reachable, vec![3; 4]);
         assert_eq!(healed.component, vec![0; 4]);
-        // The legacy engine reports full connectivity.
-        let mut l = Medium::new_legacy(4, PhyConfig::default());
-        assert_eq!(l.connectivity(SimTime::ZERO, 4), healed);
-    }
-
-    /// Randomized lockstep differential: both single-domain engines,
-    /// driven by an identical operation script, must agree on every
-    /// observable (resolution instants, epochs, receptions, RNG
-    /// consumption) at every step.
-    #[test]
-    fn single_domain_engines_agree_on_random_scripts() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..20u64 {
-            let mut script = StdRng::seed_from_u64(seed);
-            let n = 2 + (seed as usize % 4);
-            let phy = PhyConfig::default();
-            let mut a = Medium::new_legacy(n, phy);
-            let mut b = Medium::with_topology(n, phy, &TopologySpec::SingleDomain, seed);
-            let mut rng_a = StdRng::seed_from_u64(seed ^ 0xdead);
-            let mut rng_b = StdRng::seed_from_u64(seed ^ 0xdead);
-            let mut now = SimTime::ZERO;
-            for _ in 0..200 {
-                match script.gen_range(0..5u8) {
-                    0 | 1 => {
-                        let src = script.gen_range(0..n);
-                        let frame = if script.gen_bool(0.7) {
-                            bc(src, script.gen_range(10..200))
-                        } else {
-                            let dst = (src + script.gen_range(1..n)) % n;
-                            uc(src, dst, script.gen_range(10..200))
-                        };
-                        assert_eq!(
-                            a.enqueue(frame.clone(), &mut rng_a),
-                            b.enqueue(frame, &mut rng_b)
-                        );
-                    }
-                    2 | 3 => {
-                        let ra = a.next_resolution(now);
-                        let rb = b.next_resolution(now);
-                        assert_eq!(ra, rb, "seed {seed} diverged at {now}");
-                        if let Some((at, epoch)) = ra {
-                            let ea = a.resolve(at, epoch);
-                            let eb = b.resolve(at, epoch);
-                            assert_eq!(ea, eb);
-                            if let Some(end) = ea {
-                                now = end;
-                                let da = a.finish_tx(end);
-                                let db = b.finish_tx(end);
-                                assert_eq!(da.len(), db.len());
-                                for (ta, tb) in da.iter().zip(&db) {
-                                    assert_eq!(ta.node, tb.node);
-                                    assert_eq!(ta.collision, tb.collision);
-                                    assert_eq!(ta.reception, tb.reception);
-                                    assert_eq!(ta.attempt, tb.attempt);
-                                }
-                                for t in da {
-                                    a.after_head_done(t.node, &mut rng_a);
-                                    b.after_head_done(t.node, &mut rng_b);
-                                }
-                            }
-                        }
-                    }
-                    _ => {
-                        let node = script.gen_range(0..n);
-                        assert_eq!(a.clear_queue(node), b.clear_queue(node));
-                    }
-                }
-                assert_eq!(a.epoch(), b.epoch(), "epoch streams diverged");
-            }
-            // The backing RNGs must have been consumed identically.
-            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-        }
+        let mut single = Medium::new(4, PhyConfig::default());
+        assert_eq!(single.connectivity(SimTime::ZERO, 4), healed);
     }
 }

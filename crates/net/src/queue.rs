@@ -1,23 +1,17 @@
-//! Pluggable event-queue engines for the discrete-event simulator.
+//! The discrete-event simulator's pending-event set.
 //!
 //! The simulator orders every pending event by the total order
 //! `(at, seq)`: primary key is the simulated firing time in
 //! nanoseconds, ties break by insertion sequence number so that
-//! same-tick events drain in the exact order they were scheduled. Two
-//! engines implement that contract:
+//! same-tick events drain in the exact order they were scheduled.
 //!
-//! * **Legacy** — the original global `BinaryHeap<Reverse<Entry>>`
-//!   with `O(log E)` push/pop. Selected with `TURQUOIS_LEGACY_QUEUE=1`
-//!   (any non-empty value) or [`set_legacy_queue`].
-//! * **Wheel** (default) — a hierarchical timer wheel (`TimerWheel`)
-//!   whose near horizon is a small binary heap, giving amortised `O(1)`
-//!   scheduling for the dense short-horizon traffic (backoff slots,
-//!   SIFS/DIFS gaps, frame airtimes) that dominates a run.
-//!
-//! Both engines produce the **same pop sequence for the same push
-//! sequence** — the wheel is a pure data-structure swap, invisible to
-//! simulated time. `crates/harness/tests/queue_differential.rs` and the
-//! oracle tests below guard this; DESIGN.md §9 has the proof sketch.
+//! The engine is a hierarchical timer wheel (`TimerWheel`) whose near
+//! horizon is a small binary heap, giving amortised `O(1)` scheduling
+//! for the dense short-horizon traffic (backoff slots, SIFS/DIFS gaps,
+//! frame airtimes) that dominates a run. It is a pure data structure,
+//! invisible to simulated time: the pop sequence is exactly the one a
+//! global `(at, seq)` min-heap would give, which the model tests below
+//! check at every horizon; DESIGN.md §9 has the proof sketch.
 //!
 //! # Wheel geometry
 //!
@@ -33,41 +27,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
-
-/// Environment variable selecting the legacy binary-heap engine.
-///
-/// Set to any non-empty value to bypass the timer wheel. Results must
-/// be byte-identical either way; the variable exists as a differential
-/// guard and an escape hatch, mirroring `TURQUOIS_NO_MEMO`.
-pub const LEGACY_QUEUE_ENV: &str = "TURQUOIS_LEGACY_QUEUE";
-
-static LEGACY_QUEUE: AtomicBool = AtomicBool::new(false);
-static LEGACY_QUEUE_INIT: Once = Once::new();
-
-/// Returns whether new simulators use the legacy binary-heap engine.
-///
-/// The first call reads [`LEGACY_QUEUE_ENV`]; later calls reuse the
-/// cached value unless [`set_legacy_queue`] overrides it.
-pub fn legacy_queue_enabled() -> bool {
-    LEGACY_QUEUE_INIT.call_once(|| {
-        if std::env::var_os(LEGACY_QUEUE_ENV).is_some_and(|v| !v.is_empty()) {
-            LEGACY_QUEUE.store(true, Ordering::Relaxed);
-        }
-    });
-    LEGACY_QUEUE.load(Ordering::Relaxed)
-}
-
-/// Programmatically selects the queue engine for simulators built
-/// afterwards, overriding the environment (used by `simcore_bench` to
-/// run both engines in one process).
-pub fn set_legacy_queue(enabled: bool) {
-    // Make sure the env lookup never races in after us and clobbers
-    // the explicit choice.
-    LEGACY_QUEUE_INIT.call_once(|| {});
-    LEGACY_QUEUE.store(enabled, Ordering::Relaxed);
-}
 
 /// One scheduled item: fires at `at` ns, ties broken by `seq`.
 #[derive(Debug)]
@@ -252,40 +211,22 @@ impl<T> TimerWheel<T> {
     }
 }
 
-/// The simulator's pending-event set: a total order over `(at, seq)`
-/// with engine selected by [`legacy_queue_enabled`] at construction.
+/// The simulator's pending-event set: a total order over `(at, seq)`.
 ///
 /// Sequence numbers are assigned internally in push order, so ties on
-/// `at` always drain first-scheduled-first — identically in both
-/// engines.
+/// `at` always drain first-scheduled-first.
 #[derive(Debug)]
 pub struct EventQueue<T> {
     seq: u64,
-    engine: Engine<T>,
-}
-
-#[derive(Debug)]
-enum Engine<T> {
-    Legacy(BinaryHeap<Reverse<Entry<T>>>),
-    Wheel(TimerWheel<T>),
+    wheel: TimerWheel<T>,
 }
 
 impl<T> EventQueue<T> {
-    /// Creates an empty queue using the engine selected by
-    /// [`legacy_queue_enabled`].
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue::with_legacy(legacy_queue_enabled())
-    }
-
-    /// Creates an empty queue with an explicit engine choice.
-    pub fn with_legacy(legacy: bool) -> Self {
         EventQueue {
             seq: 0,
-            engine: if legacy {
-                Engine::Legacy(BinaryHeap::new())
-            } else {
-                Engine::Wheel(TimerWheel::new())
-            },
+            wheel: TimerWheel::new(),
         }
     }
 
@@ -298,47 +239,30 @@ impl<T> EventQueue<T> {
             item,
         };
         self.seq += 1;
-        match &mut self.engine {
-            Engine::Legacy(heap) => heap.push(Reverse(entry)),
-            Engine::Wheel(wheel) => wheel.push(entry),
-        }
+        self.wheel.push(entry);
     }
 
     /// Removes and returns the earliest `(at, item)`, or `None` when
     /// empty.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        match &mut self.engine {
-            Engine::Legacy(heap) => heap.pop().map(|Reverse(e)| (e.at, e.item)),
-            Engine::Wheel(wheel) => wheel.pop().map(|e| (e.at, e.item)),
-        }
+        self.wheel.pop().map(|e| (e.at, e.item))
     }
 
     /// Firing time of the earliest pending item, or `None` when empty.
     ///
     /// Takes `&mut self`: the wheel may advance its cursor to answer.
     pub fn peek_at(&mut self) -> Option<u64> {
-        match &mut self.engine {
-            Engine::Legacy(heap) => heap.peek().map(|Reverse(e)| e.at),
-            Engine::Wheel(wheel) => wheel.peek_at(),
-        }
+        self.wheel.peek_at()
     }
 
     /// Number of pending items.
     pub fn len(&self) -> usize {
-        match &self.engine {
-            Engine::Legacy(heap) => heap.len(),
-            Engine::Wheel(wheel) => wheel.len,
-        }
+        self.wheel.len
     }
 
     /// Whether no items are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether this queue runs on the legacy binary-heap engine.
-    pub fn is_legacy(&self) -> bool {
-        matches!(self.engine, Engine::Legacy(_))
     }
 }
 
@@ -354,39 +278,39 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Drives both engines through the same push/pop interleaving and
-    /// asserts every popped `(at, item)` pair matches. Pushes are
-    /// monotone w.r.t. the last popped time, as in the simulator.
+    /// Drives the queue and a global `(at, seq)` min-heap model through
+    /// the same push/pop interleaving and asserts every popped
+    /// `(at, item)` pair matches. Pushes are monotone w.r.t. the last
+    /// popped time, as in the simulator.
     fn differential(seed: u64, ops: usize, max_delay: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut legacy = EventQueue::with_legacy(true);
-        let mut wheel = EventQueue::with_legacy(false);
+        // The item doubles as the sequence number.
+        let mut model: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        let mut wheel = EventQueue::new();
         let mut now = 0u64;
         let mut next_id = 0u32;
         for _ in 0..ops {
-            if rng.gen_bool(0.6) || legacy.is_empty() {
+            if rng.gen_bool(0.6) || model.is_empty() {
                 let burst = rng.gen_range(1..4usize);
                 for _ in 0..burst {
                     let at = now + rng.gen_range(0..max_delay);
-                    legacy.push(at, next_id);
+                    model.push(Reverse((at, next_id)));
                     wheel.push(at, next_id);
                     next_id += 1;
                 }
             } else {
-                let a = legacy.pop();
-                let b = wheel.pop();
-                assert_eq!(a, b, "engines diverged at now={now}");
-                assert_eq!(legacy.peek_at(), wheel.peek_at());
-                now = a.expect("non-empty").0;
+                let Reverse(want) = model.pop().expect("non-empty");
+                assert_eq!(wheel.pop(), Some(want), "diverged from the model at now={now}");
+                assert_eq!(wheel.peek_at(), model.peek().map(|Reverse((at, _))| *at));
+                now = want.0;
             }
+            assert_eq!(wheel.len(), model.len());
         }
-        while let Some(a) = legacy.pop() {
-            assert_eq!(Some(a), wheel.pop());
-            now = a.0;
+        while let Some(Reverse(want)) = model.pop() {
+            assert_eq!(wheel.pop(), Some(want));
         }
         assert!(wheel.is_empty());
-        assert_eq!(wheel.len(), 0);
-        let _ = now;
+        assert_eq!(wheel.pop(), None);
     }
 
     #[test]
@@ -415,21 +339,18 @@ mod tests {
 
     #[test]
     fn same_tick_drains_in_push_order() {
-        for legacy in [true, false] {
-            let mut q = EventQueue::with_legacy(legacy);
-            // Two ticks interleaved out of order.
-            q.push(500, 'a');
-            q.push(100, 'b');
-            q.push(500, 'c');
-            q.push(100, 'd');
-            q.push(500, 'e');
-            let drained: Vec<(u64, char)> = std::iter::from_fn(|| q.pop()).collect();
-            assert_eq!(
-                drained,
-                vec![(100, 'b'), (100, 'd'), (500, 'a'), (500, 'c'), (500, 'e')],
-                "legacy={legacy}"
-            );
-        }
+        let mut q = EventQueue::new();
+        // Two ticks interleaved out of order.
+        q.push(500, 'a');
+        q.push(100, 'b');
+        q.push(500, 'c');
+        q.push(100, 'd');
+        q.push(500, 'e');
+        let drained: Vec<(u64, char)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            drained,
+            vec![(100, 'b'), (100, 'd'), (500, 'a'), (500, 'c'), (500, 'e')]
+        );
     }
 
     #[test]
@@ -445,19 +366,8 @@ mod tests {
     }
 
     #[test]
-    fn env_toggle_round_trips() {
-        // Touch the cached switch; leave it in the default state.
-        let initial = legacy_queue_enabled();
-        set_legacy_queue(true);
-        assert!(EventQueue::<u8>::new().is_legacy());
-        set_legacy_queue(false);
-        assert!(!EventQueue::<u8>::new().is_legacy());
-        set_legacy_queue(initial);
-    }
-
-    #[test]
     fn far_future_then_near_past_ordering() {
-        let mut q = EventQueue::with_legacy(false);
+        let mut q = EventQueue::new();
         q.push(1 << 50, 'f');
         q.push(10, 'a');
         assert_eq!(q.pop(), Some((10, 'a')));

@@ -30,42 +30,9 @@ use crate::config::overhead;
 use crate::frame::{NodeId, ReceivedFrame};
 use crate::sim::NodeCtx;
 use bytes::arena::EncodeArena;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
 use std::time::Duration;
-
-/// Environment variable selecting the legacy per-segment wire builders
-/// (a fresh `BytesMut` per packed batch and per segment) instead of
-/// the endpoint's pooled [`EncodeArena`]. Results must be
-/// byte-identical either way; the variable exists as a differential
-/// guard, mirroring `TURQUOIS_LEGACY_QUEUE` / `TURQUOIS_LEGACY_MEDIUM`
-/// (DESIGN.md §13).
-pub const LEGACY_CODEC_ENV: &str = "TURQUOIS_LEGACY_CODEC";
-
-static LEGACY_CODEC: AtomicBool = AtomicBool::new(false);
-static LEGACY_CODEC_INIT: Once = Once::new();
-
-/// Returns whether transport segments use the legacy owned builders.
-///
-/// The first call reads [`LEGACY_CODEC_ENV`]; later calls reuse the
-/// cached value unless [`set_legacy_codec`] overrides it.
-pub fn legacy_codec_enabled() -> bool {
-    LEGACY_CODEC_INIT.call_once(|| {
-        if std::env::var_os(LEGACY_CODEC_ENV).is_some_and(|v| !v.is_empty()) {
-            LEGACY_CODEC.store(true, Ordering::Relaxed);
-        }
-    });
-    LEGACY_CODEC.load(Ordering::Relaxed)
-}
-
-/// Programmatically selects the transport codec, overriding the
-/// environment.
-pub fn set_legacy_codec(enabled: bool) {
-    LEGACY_CODEC_INIT.call_once(|| {});
-    LEGACY_CODEC.store(enabled, Ordering::Relaxed);
-}
 
 /// Timer-id namespace bit reserved by the transport. Applications using
 /// a [`ReliableEndpoint`] must keep their own timer ids below this.
@@ -182,9 +149,7 @@ pub struct ReliableEndpoint {
     delivered_messages: u64,
     sent_messages: u64,
     transport_retransmits: u64,
-    /// Pooled encode scratch for outgoing segments (arena codec;
-    /// unused when `TURQUOIS_LEGACY_CODEC` selects per-segment
-    /// builders).
+    /// Pooled encode scratch for outgoing segments.
     arena: EncodeArena,
 }
 
@@ -263,25 +228,17 @@ impl ReliableEndpoint {
             let ack = peer.next_expected_in;
             peer.ack_due_at = None; // piggybacked
             let rto = peer.rto;
-            let (payload, segment) = if legacy_codec_enabled() {
-                let payload = pack_batch(&batch);
-                let segment = encode(KIND_DATA, seq, ack, &payload);
-                (payload, segment)
-            } else {
-                // One arena chunk carries the whole segment; the packed
-                // batch the retransmit queue must retain is a zero-copy
-                // slice of it (the bytes are written exactly once).
-                let seg_mark = self.arena.mark();
-                put_segment_header(self.arena.buf(), KIND_DATA, seq, ack);
-                let payload_mark = self.arena.mark();
-                pack_batch_into(self.arena.buf(), &batch);
-                let end = self.arena.len();
-                let chunk = self.arena.seal();
-                (
-                    chunk.slice(payload_mark..end),
-                    chunk.slice(seg_mark..end),
-                )
-            };
+            // One arena chunk carries the whole segment; the packed
+            // batch the retransmit queue must retain is a zero-copy
+            // slice of it (the bytes are written exactly once).
+            let seg_mark = self.arena.mark();
+            put_segment_header(self.arena.buf(), KIND_DATA, seq, ack);
+            let payload_mark = self.arena.mark();
+            pack_batch_into(self.arena.buf(), &batch);
+            let end = self.arena.len();
+            let chunk = self.arena.seal();
+            let payload = chunk.slice(payload_mark..end);
+            let segment = chunk.slice(seg_mark..end);
             peer.unacked.push_back(Unacked {
                 seq,
                 payload,
@@ -438,18 +395,12 @@ impl ReliableEndpoint {
         }
     }
 
-    /// Encodes one wire segment — through the endpoint's pooled arena
-    /// by default, or the legacy per-segment builder under
-    /// `TURQUOIS_LEGACY_CODEC` (byte-identical either way).
+    /// Encodes one wire segment through the endpoint's pooled arena.
     fn encode_segment(&mut self, kind: u8, seq: u64, ack: u64, payload: &[u8]) -> Bytes {
-        if legacy_codec_enabled() {
-            encode(kind, seq, ack, payload)
-        } else {
-            self.arena.encode_with(|buf| {
-                put_segment_header(buf, kind, seq, ack);
-                buf.put_slice(payload);
-            })
-        }
+        self.arena.encode_with(|buf| {
+            put_segment_header(buf, kind, seq, ack);
+            buf.put_slice(payload);
+        })
     }
 }
 
@@ -466,12 +417,6 @@ fn pack_batch_into<B: BufMut>(buf: &mut B, messages: &[Bytes]) {
         buf.put_u16(m.len() as u16);
         buf.put_slice(m);
     }
-}
-
-fn pack_batch(messages: &[Bytes]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(2 + messages.iter().map(|m| m.len() + 2).sum::<usize>());
-    pack_batch_into(&mut buf, messages);
-    buf.freeze()
 }
 
 fn unpack_batch(payload: &Bytes) -> Vec<Bytes> {
@@ -496,13 +441,6 @@ fn unpack_batch(payload: &Bytes) -> Vec<Bytes> {
     out
 }
 
-fn encode(kind: u8, seq: u64, ack: u64, payload: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
-    put_segment_header(&mut buf, kind, seq, ack);
-    buf.put_slice(payload);
-    buf.freeze()
-}
-
 fn decode(bytes: &Bytes) -> Option<(u8, u64, u64, Bytes)> {
     if bytes.len() < HEADER_LEN || bytes[0] != MAGIC {
         return None;
@@ -522,8 +460,19 @@ mod tests {
     use crate::fault::{IidLoss, NoFaults, TargetedLoss};
     use crate::sim::{Application, SimConfig, Simulator};
     use crate::time::SimTime;
+    use bytes::BytesMut;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    fn encode(kind: u8, seq: u64, ack: u64, payload: &[u8]) -> Bytes {
+        ReliableEndpoint::new(0, 1).encode_segment(kind, seq, ack, payload)
+    }
+
+    fn pack_batch(messages: &[Bytes]) -> Bytes {
+        let mut buf = BytesMut::new();
+        pack_batch_into(&mut buf, messages);
+        buf.freeze()
+    }
 
     #[test]
     fn codec_round_trip() {
@@ -682,36 +631,14 @@ mod tests {
         }
     }
 
-    /// The arena codec and the legacy per-segment builders drive
-    /// byte-identical simulations: same deliveries, same stats (frame
-    /// counts and airtime depend on every segment byte).
+    /// The flush writes the packed batch once: the retained payload
+    /// and the transmitted segment share one chunk, and the segment is
+    /// header + packed batch.
     #[test]
-    fn codec_paths_are_observationally_identical() {
-        fn run(legacy: bool) -> (Vec<Vec<(NodeId, Vec<u8>)>>, String) {
-            set_legacy_codec(legacy);
-            let (mut sim, inboxes) = flood_sim(3, 5, 41, Box::new(IidLoss::new(0.2, 9)));
-            sim.run_until(SimTime::from_millis(30_000), |_| false);
-            set_legacy_codec(false);
-            let stats = format!("{:?}", sim.stats());
-            (
-                inboxes.iter().map(|i| i.borrow().clone()).collect(),
-                stats,
-            )
-        }
-        let arena = run(false);
-        let legacy = run(true);
-        assert_eq!(arena.0, legacy.0, "deliveries");
-        assert_eq!(arena.1, legacy.1, "simulator stats");
-    }
-
-    /// The arena flush writes the packed batch once: the retained
-    /// payload and the transmitted segment share one chunk, and the
-    /// segment bytes equal the legacy encoding.
-    #[test]
-    fn arena_segment_matches_legacy_bytes() {
+    fn flushed_segment_and_retained_payload_share_one_chunk() {
         let batch = vec![Bytes::copy_from_slice(b"one"), Bytes::copy_from_slice(b"two")];
         let payload = pack_batch(&batch);
-        let legacy_segment = encode(KIND_DATA, 3, 9, &payload);
+        let whole_segment = encode(KIND_DATA, 3, 9, &payload);
         let mut arena = EncodeArena::new();
         let seg_mark = arena.mark();
         put_segment_header(arena.buf(), KIND_DATA, 3, 9);
@@ -719,7 +646,7 @@ mod tests {
         pack_batch_into(arena.buf(), &batch);
         let end = arena.len();
         let chunk = arena.seal();
-        assert_eq!(&chunk.slice(seg_mark..end)[..], &legacy_segment[..]);
+        assert_eq!(&chunk.slice(seg_mark..end)[..], &whole_segment[..]);
         assert_eq!(&chunk.slice(payload_mark..end)[..], &payload[..]);
         // Shared storage: the payload slice points inside the segment.
         assert_eq!(

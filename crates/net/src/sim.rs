@@ -435,14 +435,17 @@ impl Simulator {
                 let node = frame.src;
                 if self.crash_down[node] {
                     // Effects computed before the crash committed after
-                    // it: the dead NIC sends nothing.
+                    // it: the dead NIC sends nothing, so the medium is
+                    // untouched and there is nothing to reschedule.
                     self.stats.crash_drops += 1;
-                } else if !self.medium.enqueue(frame, &mut self.mac_rng) {
-                    self.stats.queue_drops += 1;
-                    self.stats.per_node_queue_drops[node] += 1;
-                    self.trace.record(self.time, TraceEvent::QueueDrop { node });
+                } else {
+                    if !self.medium.enqueue(frame, &mut self.mac_rng) {
+                        self.stats.queue_drops += 1;
+                        self.stats.per_node_queue_drops[node] += 1;
+                        self.trace.record(self.time, TraceEvent::QueueDrop { node });
+                    }
+                    self.reschedule_contention();
                 }
-                self.reschedule_contention();
             }
             EventKind::ContentionResolve { epoch } => {
                 if let Some(end) = self.medium.resolve(at, epoch) {
@@ -1326,6 +1329,68 @@ mod tests {
             sim.stats().per_node_tx
         );
         assert!(sim.stats().crash_drops > 0, "deliveries to the dead node count");
+    }
+
+    /// Node 1 broadcasts at start. Node 0 spends 60 µs of CPU and then
+    /// (optionally) broadcasts too — but crashes at 30 µs, so that
+    /// send reaches the simulator after its radio died.
+    struct CrashRace {
+        late_send: bool,
+        heard_at: Shared<Vec<SimTime>>,
+    }
+    impl Application for CrashRace {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            match ctx.node() {
+                0 => {
+                    ctx.charge_cpu(Duration::from_micros(60));
+                    if self.late_send {
+                        ctx.broadcast(Bytes::from_static(b"from the grave"), 36);
+                    }
+                }
+                1 => ctx.broadcast(Bytes::from_static(b"alive"), 36),
+                _ => {}
+            }
+        }
+        fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, _frame: ReceivedFrame) {
+            if ctx.node() == 2 {
+                self.heard_at.0.borrow_mut().push(ctx.now());
+            }
+        }
+        fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _timer: u64) {}
+    }
+
+    #[test]
+    fn frame_a_crashed_radio_never_sent_delays_nobodys_backoff() {
+        let heard_at = |late_send: bool| {
+            let heard = Shared::<Vec<SimTime>>::new();
+            let apps: Vec<Box<dyn Application>> = (0..3)
+                .map(|_| {
+                    Box::new(CrashRace {
+                        late_send,
+                        heard_at: heard.clone(),
+                    }) as Box<dyn Application>
+                })
+                .collect();
+            let cfg = SimConfig {
+                seed: 11,
+                start_jitter: Duration::ZERO,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulator::without_faults(cfg, apps);
+            sim.set_crash_schedule(CrashSchedule::new().crash_at(0, SimTime::from_micros(30)));
+            sim.run_until(SimTime::from_millis(10), |_| false);
+            let heard = heard.0.borrow().clone();
+            assert_eq!(heard.len(), 1, "node 2 hears node 1's broadcast only");
+            (heard[0], sim.stats().crash_drops)
+        };
+        let (undisturbed, drops) = heard_at(false);
+        // The dead send lands mid-countdown: after node 1's resolution
+        // was scheduled, before it fires.
+        let difs = crate::config::PhyConfig::default().difs;
+        assert!(undisturbed > SimTime::from_micros(60) + difs, "pick a seed with backoff > 0");
+        let (disturbed, more_drops) = heard_at(true);
+        assert!(more_drops > drops, "the dead NIC's frame was discarded");
+        assert_eq!(disturbed, undisturbed);
     }
 
     #[test]

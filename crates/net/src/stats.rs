@@ -32,8 +32,7 @@ pub struct NetStats {
     /// Frames delivered to an application (per-receiver count).
     pub deliveries: u64,
     /// Events processed by the simulator loop ([`crate::sim::Simulator::step`]).
-    /// A pure host-side throughput counter: identical across event-queue
-    /// engines (`TURQUOIS_LEGACY_QUEUE`), which `simcore_bench` asserts.
+    /// A pure host-side throughput counter.
     pub events_processed: u64,
     /// Loopback (self) deliveries, which bypass the radio.
     pub loopback_deliveries: u64,

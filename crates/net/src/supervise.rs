@@ -30,8 +30,8 @@ pub struct AppProgress {
     /// Approximate resident bytes of the engine's message stores right
     /// now. Must be O(1) to compute (the simulator polls the probe
     /// after every callback) and a function of store *contents* only —
-    /// never of the storage layout — so supervised output stays
-    /// byte-identical under `TURQUOIS_LEGACY_STORE=1`.
+    /// never of the storage layout, because supervised tables print
+    /// its high-water mark.
     pub store_bytes: usize,
 }
 

@@ -103,11 +103,6 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// `true` for the default one-hop broadcast domain.
-    pub fn is_single_domain(&self) -> bool {
-        matches!(self, TopologySpec::SingleDomain)
-    }
-
     /// Instantiates the topology for `n` nodes. All randomness derives
     /// from `seed` (never from the simulator's boot RNG, so adding a
     /// topology does not disturb node/MAC RNG streams).
