@@ -207,14 +207,6 @@ impl<'a> RbcView<'a> {
     }
 }
 
-/// Credits the telemetry counters for one elided owned-decode copy of
-/// a `len`-byte payload: `Bytes::copy_from_slice` costs one buffer
-/// plus one `Arc` under the vendored stub.
-fn credit_elided_copy(len: usize) {
-    bytes::telemetry::count_saved(len);
-    bytes::telemetry::count_allocs_saved(2);
-}
-
 #[derive(Debug, Default)]
 struct Instance {
     /// Who echoed which payload (payload-keyed sender sets).
@@ -327,8 +319,7 @@ impl ReliableBroadcast {
     /// as [`ReliableBroadcast::on_message`], but the payload is copied
     /// into an owned [`Bytes`] only when it first enters a sender
     /// table or an outgoing echo. Duplicate payloads probe the tables
-    /// by raw slice and allocate nothing; each elided owned-decode
-    /// copy is credited to the [`bytes::telemetry`] counters.
+    /// by raw slice and allocate nothing.
     pub fn on_view(&mut self, from: usize, view: &RbcView<'_>) -> RbcOutput {
         let mut out = RbcOutput::default();
         if from >= self.n {
@@ -351,15 +342,12 @@ impl ReliableBroadcast {
                         tag,
                         payload: Bytes::copy_from_slice(view.payload),
                     });
-                } else {
-                    credit_elided_copy(view.payload.len());
                 }
             }
             KIND_ECHO => {
                 let inst = self.instances.entry(tag).or_default();
                 if let Some(senders) = inst.echoes.get_mut(view.payload) {
                     senders.insert(from);
-                    credit_elided_copy(view.payload.len());
                 } else {
                     inst.echoes
                         .insert(Bytes::copy_from_slice(view.payload), BTreeSet::from([from]));
@@ -370,7 +358,6 @@ impl ReliableBroadcast {
                 let inst = self.instances.entry(tag).or_default();
                 if let Some(senders) = inst.readies.get_mut(view.payload) {
                     senders.insert(from);
-                    credit_elided_copy(view.payload.len());
                 } else {
                     inst.readies
                         .insert(Bytes::copy_from_slice(view.payload), BTreeSet::from([from]));
@@ -775,10 +762,11 @@ mod tests {
         }
     }
 
-    /// Duplicate payloads probe the sender tables without copying, and
-    /// the elided copies show up in the telemetry counters.
+    /// Duplicate payloads probe the sender tables by raw slice: the
+    /// second sender joins the first one's entry instead of keying a
+    /// second copy of the payload.
     #[test]
-    fn view_duplicates_save_copies() {
+    fn view_duplicates_share_one_table_key() {
         let mut e = ReliableBroadcast::new(7, 2, 0);
         let tag = Tag {
             origin: 1,
@@ -791,16 +779,11 @@ mod tests {
         }
         .encode();
         let view = RbcView::parse(&wire).expect("valid");
-        let copied0 = bytes::telemetry::bytes_copied();
-        let saved0 = bytes::telemetry::bytes_saved();
-        let allocs0 = bytes::telemetry::allocs_saved();
-        let _ = e.on_view(1, &view); // first sight: one owned key copy
-        assert_eq!(bytes::telemetry::bytes_copied(), copied0 + 11);
-        assert_eq!(bytes::telemetry::bytes_saved(), saved0);
-        let _ = e.on_view(2, &view); // duplicate: zero copies
-        assert_eq!(bytes::telemetry::bytes_copied(), copied0 + 11);
-        assert_eq!(bytes::telemetry::bytes_saved(), saved0 + 11);
-        assert_eq!(bytes::telemetry::allocs_saved(), allocs0 + 2);
+        let _ = e.on_view(1, &view);
+        let _ = e.on_view(2, &view);
+        let echoes = &e.instances[&tag].echoes;
+        assert_eq!(echoes.len(), 1);
+        assert_eq!(echoes[&b"dup-payload"[..]], BTreeSet::from([1, 2]));
     }
 
     proptest::proptest! {

@@ -244,8 +244,7 @@ impl PublicKey {
     ///
     /// The MSG_BITS revealed secrets are independent single-block
     /// digests, so they run through the multi-lane kernel in one batch
-    /// (bit-identical to hashing each in turn — `TURQUOIS_SCALAR_SHA=1`
-    /// forces the scalar engine as the differential oracle).
+    /// (bit-identical to hashing each in turn).
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
         if !self.well_formed(sig) {
             return false;
@@ -441,13 +440,12 @@ mod tests {
 
     #[test]
     fn scalar_and_batched_engines_agree_end_to_end() {
-        use crate::sha256::multilane::{scalar_sha_enabled, set_scalar_sha, test_knob_lock};
-        let _guard = test_knob_lock();
-        let initial = scalar_sha_enabled();
-        set_scalar_sha(true);
-        let mut scalar_kp = Keypair::generate(2, 42);
-        let scalar_sig = scalar_kp.sign(b"cross-engine").expect("leaf");
-        set_scalar_sha(false);
+        use crate::sha256::multilane::oracle::with_scalar_sha;
+        let (scalar_kp, scalar_sig) = with_scalar_sha(|| {
+            let mut kp = Keypair::generate(2, 42);
+            let sig = kp.sign(b"cross-engine").expect("leaf");
+            (kp, sig)
+        });
         let mut lane_kp = Keypair::generate(2, 42);
         let lane_sig = lane_kp.sign(b"cross-engine").expect("leaf");
         // Keys, signatures, and verdicts must not depend on the engine.
@@ -456,17 +454,12 @@ mod tests {
         assert_eq!(scalar_sig.unrevealed_hashes, lane_sig.unrevealed_hashes);
         assert_eq!(scalar_sig.auth_path, lane_sig.auth_path);
         assert!(lane_kp.public_key().verify(b"cross-engine", &scalar_sig));
-        set_scalar_sha(true);
-        assert!(lane_kp.public_key().verify(b"cross-engine", &lane_sig));
-        set_scalar_sha(initial);
+        assert!(with_scalar_sha(|| lane_kp.public_key().verify(b"cross-engine", &lane_sig)));
     }
 
     #[test]
     fn scalar_and_batched_reject_same_malformed_signatures() {
-        use crate::sha256::multilane::{scalar_sha_enabled, set_scalar_sha, test_knob_lock};
-        let _guard = test_knob_lock();
-        let initial = scalar_sha_enabled();
-        set_scalar_sha(false);
+        use crate::sha256::multilane::oracle::with_scalar_sha;
         let mut kp = Keypair::generate(2, 11);
         let good = kp.sign(b"msg").expect("leaf");
         let mut variants: Vec<(&str, Signature)> = Vec::new();
@@ -489,17 +482,15 @@ mod tests {
         s.auth_path[0].0[0] ^= 1;
         variants.push(("tampered path", s));
         for (label, sig) in &variants {
-            set_scalar_sha(true);
-            let scalar = kp.public_key().verify(b"msg", sig);
-            set_scalar_sha(false);
+            let scalar = with_scalar_sha(|| kp.public_key().verify(b"msg", sig));
             let batched = kp.public_key().verify(b"msg", sig);
             assert_eq!(scalar, batched, "engines disagree on {label}");
             assert!(!batched, "{label} must be rejected");
         }
-        set_scalar_sha(true);
-        assert!(kp.public_key().verify(b"msg", &good), "scalar accepts good");
-        set_scalar_sha(false);
+        assert!(
+            with_scalar_sha(|| kp.public_key().verify(b"msg", &good)),
+            "scalar accepts good"
+        );
         assert!(kp.public_key().verify(b"msg", &good), "batched accepts good");
-        set_scalar_sha(initial);
     }
 }

@@ -11,6 +11,19 @@ use crate::sha256::{Digest, Sha256, DIGEST_LEN};
 
 const BLOCK_LEN: usize = 64;
 
+/// Key material padded (or, past the block length, first hashed) to the
+/// SHA-256 block length, per RFC 2104.
+fn key_block(material: &[u8]) -> [u8; BLOCK_LEN] {
+    let mut block = [0u8; BLOCK_LEN];
+    if material.len() > BLOCK_LEN {
+        let d = crate::sha256::sha256(material);
+        block[..DIGEST_LEN].copy_from_slice(d.as_bytes());
+    } else {
+        block[..material.len()].copy_from_slice(material);
+    }
+    block
+}
+
 /// XORs the RFC 2104 inner/outer pad constants into the key block.
 fn pads(block: &[u8; BLOCK_LEN]) -> ([u8; BLOCK_LEN], [u8; BLOCK_LEN]) {
     let mut ipad = [0x36u8; BLOCK_LEN];
@@ -35,8 +48,6 @@ fn pads(block: &[u8; BLOCK_LEN]) -> ([u8; BLOCK_LEN], [u8; BLOCK_LEN]) {
 /// ```
 #[derive(Clone)]
 pub struct HmacKey {
-    /// Key padded/hashed to the block length, per RFC 2104.
-    block: [u8; BLOCK_LEN],
     /// Compression state after absorbing the ipad block — the first
     /// SHA-256 block of every inner hash this key will ever compute.
     inner_mid: [u32; 8],
@@ -57,24 +68,16 @@ impl HmacKey {
     /// Keys longer than the SHA-256 block size are first hashed, as RFC
     /// 2104 requires.
     pub fn from_bytes(material: &[u8]) -> Self {
-        let mut block = [0u8; BLOCK_LEN];
-        if material.len() > BLOCK_LEN {
-            let d = crate::sha256::sha256(material);
-            block[..DIGEST_LEN].copy_from_slice(d.as_bytes());
-        } else {
-            block[..material.len()].copy_from_slice(material);
-        }
-        let (ipad, opad) = pads(&block);
+        let (ipad, opad) = pads(&key_block(material));
         // Cache the pad-block compression states once per key: every
         // inner hash starts with the ipad block and every outer hash
-        // with the opad block, so `mac_parts` can resume from these
+        // with the opad block, so `mac_parts` resumes from these
         // midstates instead of re-compressing both pads on every tag.
         let mut inner = Sha256::new();
         inner.update(&ipad);
         let mut outer = Sha256::new();
         outer.update(&opad);
         HmacKey {
-            block,
             inner_mid: inner.midstate(),
             outer_mid: outer.midstate(),
         }
@@ -86,45 +89,15 @@ impl HmacKey {
     }
 
     /// Computes the HMAC tag over the concatenation of `parts` without
-    /// allocating.
-    ///
-    /// Resumes from the per-key cached pad midstates when verification
-    /// memoization is enabled (saving the two pad compressions per tag),
-    /// and recomputes both pads from scratch when it is disabled — the
-    /// two paths are bit-identical.
+    /// allocating. Both pad blocks come from the midstates cached at
+    /// key construction, so only the message itself is compressed.
     pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
-        if crate::telemetry::memo_enabled() {
-            self.mac_parts_resumed(parts)
-        } else {
-            self.mac_parts_scratch(parts)
-        }
-    }
-
-    /// Fast path: both pad blocks come from the midstates cached at key
-    /// construction, so only the message itself is compressed.
-    fn mac_parts_resumed(&self, parts: &[&[u8]]) -> Digest {
         let mut inner = Sha256::from_midstate(self.inner_mid, BLOCK_LEN as u64);
         for p in parts {
             inner.update(p);
         }
         let inner_digest = inner.finalize();
         let mut outer = Sha256::from_midstate(self.outer_mid, BLOCK_LEN as u64);
-        outer.update(inner_digest.as_bytes());
-        outer.finalize()
-    }
-
-    /// Reference path: the textbook RFC 2104 computation, re-absorbing
-    /// the ipad and opad blocks on every call.
-    fn mac_parts_scratch(&self, parts: &[&[u8]]) -> Digest {
-        let (ipad, opad) = pads(&self.block);
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        for p in parts {
-            inner.update(p);
-        }
-        let inner_digest = inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&opad);
         outer.update(inner_digest.as_bytes());
         outer.finalize()
     }
@@ -155,18 +128,10 @@ impl HmacKey {
 /// (resumed from each key's cached ipad midstate), then all outer
 /// finishes as a second batch. Bit-identical to calling
 /// [`HmacKey::mac`] per pair.
-///
-/// Falls back to the per-pair scalar path when memoization is disabled
-/// (`TURQUOIS_NO_MEMO` re-executes the pad compressions, and the batch
-/// path has no scratch equivalent) — keeping the disabled mode's work
-/// accounting exactly what it was before batching existed.
 pub fn hmac_many(items: &[(&HmacKey, &[u8])]) -> Vec<Digest> {
     use crate::sha256::multilane::{digest_jobs, LaneJob};
     if items.is_empty() {
         return Vec::new();
-    }
-    if !crate::telemetry::memo_enabled() {
-        return items.iter().map(|(key, msg)| key.mac(msg)).collect();
     }
     let inner_jobs: Vec<LaneJob<'_>> = items
         .iter()
@@ -293,35 +258,47 @@ mod tests {
         assert!(!key.verify_truncated(b"msg", &[0u8; 33]));
     }
 
-    /// The midstate-resumed fast path and the scratch reference path
-    /// must be bit-identical for every key/message shape, including
-    /// messages that straddle block boundaries and long-key hashing.
+    /// Reference oracle: the textbook RFC 2104 computation from the raw
+    /// key material, absorbing the ipad and opad blocks on every call
+    /// instead of resuming from cached midstates.
+    fn mac_parts_scratch(material: &[u8], parts: &[&[u8]]) -> Digest {
+        let (ipad, opad) = pads(&key_block(material));
+        let mut inner = Sha256::new();
+        inner.update(&ipad);
+        for p in parts {
+            inner.update(p);
+        }
+        let inner_digest = inner.finalize();
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        outer.update(inner_digest.as_bytes());
+        outer.finalize()
+    }
+
+    /// The midstate-resumed production path and the scratch oracle must
+    /// be bit-identical for every key/message shape, including messages
+    /// that straddle block boundaries and long-key hashing.
     #[test]
     fn resumed_matches_scratch() {
-        let keys = [
-            HmacKey::from_bytes(b""),
-            HmacKey::from_bytes(b"Jefe"),
-            HmacKey::from_bytes(&[0xaa; 64]),
-            HmacKey::from_bytes(&[0xaa; 131]),
-        ];
+        let materials: [&[u8]; 4] = [b"", b"Jefe", &[0xaa; 64], &[0xaa; 131]];
         let messages: Vec<Vec<u8>> = [0usize, 1, 55, 56, 63, 64, 65, 200]
             .iter()
             .map(|&len| (0..len).map(|i| i as u8).collect())
             .collect();
-        for key in &keys {
+        for material in materials {
+            let key = HmacKey::from_bytes(material);
             for m in &messages {
+                let expected = mac_parts_scratch(material, &[m]);
                 assert_eq!(
-                    key.mac_parts_resumed(&[m]),
-                    key.mac_parts_scratch(&[m]),
+                    key.mac_parts(&[m]),
+                    expected,
                     "paths diverged for message length {}",
                     m.len()
                 );
                 // Split delivery must not matter on either path.
                 let mid = m.len() / 2;
-                assert_eq!(
-                    key.mac_parts_resumed(&[&m[..mid], &m[mid..]]),
-                    key.mac_parts_scratch(&[m])
-                );
+                assert_eq!(key.mac_parts(&[&m[..mid], &m[mid..]]), expected);
+                assert_eq!(mac_parts_scratch(material, &[&m[..mid], &m[mid..]]), expected);
             }
         }
     }
@@ -330,9 +307,7 @@ mod tests {
     /// size, including ragged batches and mixed keys/lengths.
     #[test]
     fn hmac_many_matches_per_pair_mac() {
-        use crate::sha256::multilane::{scalar_sha_enabled, set_scalar_sha, test_knob_lock};
-        let _guard = test_knob_lock();
-        let initial = scalar_sha_enabled();
+        use crate::sha256::multilane::oracle::with_scalar_sha;
         let keys: Vec<HmacKey> = (0..5).map(|i| HmacKey::from_bytes(&[i as u8; 16])).collect();
         let messages: Vec<Vec<u8>> = [0usize, 1, 55, 63, 64, 65, 120, 200]
             .iter()
@@ -343,14 +318,10 @@ mod tests {
                 .map(|i| (&keys[i % keys.len()], &messages[i % messages.len()][..]))
                 .collect();
             let expected: Vec<Digest> = items.iter().map(|(k, m)| k.mac(m)).collect();
-            set_scalar_sha(false);
             assert_eq!(hmac_many(&items), expected, "lanes, batch {batch}");
-            set_scalar_sha(true);
-            assert_eq!(hmac_many(&items), expected, "scalar, batch {batch}");
-            set_scalar_sha(false);
+            assert_eq!(with_scalar_sha(|| hmac_many(&items)), expected, "scalar, batch {batch}");
         }
         assert!(hmac_many(&[]).is_empty());
-        set_scalar_sha(initial);
     }
 
     #[test]

@@ -31,8 +31,12 @@
 //! * [`memo`] — a bounded, deterministic memo cache so re-delivered
 //!   signatures cost a map probe instead of a SHA-256 chain in *host*
 //!   time (simulated cost is still charged per logical verification).
-//! * [`telemetry`] — thread-local counters for real SHA-256 blocks,
-//!   verify calls, and cache hits/misses, plus the memo on/off switch.
+//!
+//! Two host-side accelerators live here — the multi-lane kernel in
+//! [`sha256::multilane`] behind every batch digest, and [`memo`] — and
+//! neither has an off-switch: the code they replaced survives only as
+//! `#[cfg(test)]` oracles (the streaming-hasher batch digest, the
+//! textbook HMAC) and as the memo's debug-build hit recheck.
 //!
 //! # Example
 //!
@@ -49,8 +53,11 @@
 // `deny`, not `forbid`: `sha256::multilane` carries the crate's single
 // sanctioned `unsafe` — calling the AVX2-recompiled copy of the (fully
 // safe, portable) lane kernel after `is_x86_feature_detected!` proves
-// the host supports it. Everything else stays unsafe-free; new
-// exceptions need the same justification and a scoped `allow`.
+// the host supports it. No runtime switch routes around that call:
+// every batch digest on an AVX2 host goes through it, so the lane-vs-
+// streaming-hasher tests are what vouch for it. Everything else stays
+// unsafe-free; new exceptions need the same justification and a scoped
+// `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -60,7 +67,6 @@ pub mod hmac;
 pub mod memo;
 pub mod otss;
 pub mod sha256;
-pub mod telemetry;
 pub mod threshold;
 
 pub use cost::CostModel;

@@ -499,16 +499,11 @@ mod tests {
 
     #[test]
     fn scalar_and_batched_keygen_agree() {
-        use crate::sha256::multilane::{scalar_sha_enabled, set_scalar_sha, test_knob_lock};
-        let _guard = test_knob_lock();
-        let initial = scalar_sha_enabled();
-        set_scalar_sha(true);
-        let scalar = KeyPairArray::generate_epoch(3, 4, 9, 123);
-        set_scalar_sha(false);
+        use crate::sha256::multilane::oracle::with_scalar_sha;
+        let scalar = with_scalar_sha(|| KeyPairArray::generate_epoch(3, 4, 9, 123));
         let lanes = KeyPairArray::generate_epoch(3, 4, 9, 123);
         assert_eq!(scalar.verification_keys(), lanes.verification_keys());
         assert_eq!(scalar.secrets, lanes.secrets);
-        set_scalar_sha(initial);
     }
 
     #[test]

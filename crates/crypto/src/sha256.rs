@@ -257,7 +257,6 @@ impl Sha256 {
 /// `self.buf` while mutating `self.state` — that split borrow is
 /// what lets full blocks stream from the input slice by reference.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-    crate::telemetry::count_sha_block();
     let mut w = [0u32; 64];
     for (i, word) in w.iter_mut().take(16).enumerate() {
         *word = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
@@ -329,9 +328,9 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
 
 /// One-shot digest of `tag ‖ parts…` — the single helper behind every
 /// domain-separated derivation (hash-chain secrets and tree nodes,
-/// one-time-key derivations). Scalar and lane-batched callers build the
-/// same preimage bytes, so routing both through here keeps the two
-/// engines hashing identical input by construction.
+/// one-time-key derivations). Streaming and lane-batched callers build
+/// the same preimage bytes, so routing both through here keeps them
+/// hashing identical input by construction.
 #[inline]
 pub fn sha256_domain(tag: &[u8], parts: &[&[u8]]) -> Digest {
     let mut h = Sha256::new();

@@ -12,48 +12,15 @@
 //! intrinsics.
 //!
 //! Determinism contract: the lane kernel computes bit-identical digests
-//! to the scalar kernel (same FIPS 180-4 rounds, same padding), and
-//! [`SCALAR_SHA_ENV`] forces every batch entry point back onto the
-//! scalar engine as a differential oracle —
-//! `crates/harness/tests/sha_differential.rs` asserts `table1` stdout
-//! is byte-identical either way. Batching is host-only restructuring:
-//! simulated CPU is charged per logical operation by
-//! [`crate::cost::CostModel`] regardless of which engine ran.
+//! to the scalar kernel (same FIPS 180-4 rounds, same padding). The
+//! scalar kernel is not a second production engine: every batch entry
+//! point always runs the lanes, and the streaming hasher survives here
+//! only as the `#[cfg(test)]` `oracle` the cross-engine tests hold them
+//! to.
+//! Batching is host-only restructuring: simulated CPU is charged per
+//! logical operation by [`crate::cost::CostModel`] regardless.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
-
-use super::{Digest, Sha256, DIGEST_LEN, H0, K};
-
-/// Environment variable that forces the batch entry points onto the
-/// scalar kernel (any non-empty value). The CI differential smoke runs
-/// a shrunk `table1` with and without it and asserts byte-identical
-/// output.
-pub const SCALAR_SHA_ENV: &str = "TURQUOIS_SCALAR_SHA";
-
-static SCALAR_SHA: AtomicBool = AtomicBool::new(false);
-static SCALAR_INIT: Once = Once::new();
-
-/// Whether batch digests must run on the scalar kernel. Defaults to
-/// `false` (multi-lane); the first call reads [`SCALAR_SHA_ENV`] once.
-/// [`set_scalar_sha`] overrides it at any time (the hot-path bench
-/// flips it between passes).
-pub fn scalar_sha_enabled() -> bool {
-    SCALAR_INIT.call_once(|| {
-        if std::env::var_os(SCALAR_SHA_ENV).is_some_and(|v| !v.is_empty()) {
-            SCALAR_SHA.store(true, Ordering::Relaxed);
-        }
-    });
-    SCALAR_SHA.load(Ordering::Relaxed)
-}
-
-/// Forces the batch entry points onto the scalar (`true`) or
-/// multi-lane (`false`) kernel, overriding the environment. Takes
-/// effect process-wide for subsequent batches.
-pub fn set_scalar_sha(scalar: bool) {
-    SCALAR_INIT.call_once(|| {});
-    SCALAR_SHA.store(scalar, Ordering::Relaxed);
-}
+use super::{Digest, DIGEST_LEN, H0, K};
 
 /// One pending digest in a batch: a compression state plus the message
 /// suffix still to absorb. `state`/`prefix_len` are [`H0`]/0 for a
@@ -76,24 +43,16 @@ fn padded_blocks(suffix_len: usize) -> usize {
     (suffix_len + 9).div_ceil(64)
 }
 
-/// Finishes one job on the scalar kernel — the differential oracle the
-/// lane kernel must match bit-for-bit.
-fn digest_scalar(job: &LaneJob<'_>) -> Digest {
-    let mut h = Sha256::from_midstate(job.state, job.prefix_len);
-    h.update(job.msg);
-    h.finalize()
-}
-
 /// Digests a batch of independent jobs, preserving input order.
 ///
 /// Jobs are grouped by padded block count so grouped lanes stay in
 /// lockstep; each group drains through 8-wide lanes, with the ragged
-/// remainder taking 4-wide (2–4 jobs, padding with dummy lanes),
-/// 8-wide (5–7 jobs), or the scalar kernel (1 job). Under
-/// [`scalar_sha_enabled`] every job runs scalar instead.
+/// remainder taking 4-wide (1–4 jobs) or 8-wide (5–7 jobs) lanes
+/// padded with dummy lanes.
 pub(crate) fn digest_jobs(jobs: &[LaneJob<'_>]) -> Vec<Digest> {
-    if scalar_sha_enabled() {
-        return jobs.iter().map(digest_scalar).collect();
+    #[cfg(test)]
+    if oracle::scalar_forced() {
+        return jobs.iter().map(oracle::digest_scalar).collect();
     }
     let mut out = vec![Digest::ZERO; jobs.len()];
     let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
@@ -120,8 +79,7 @@ fn run_group(jobs: &[LaneJob<'_>], idxs: &[u32], nblocks: usize, out: &mut [Dige
     }
     match rest.len() {
         0 => {}
-        1 => out[rest[0] as usize] = digest_scalar(&jobs[rest[0] as usize]),
-        2..=4 => run_lanes::<4>(jobs, rest, nblocks, out),
+        1..=4 => run_lanes::<4>(jobs, rest, nblocks, out),
         _ => run_lanes::<8>(jobs, rest, nblocks, out),
     }
 }
@@ -145,7 +103,7 @@ fn block_at<'b>(msg: &'b [u8], tail: &'b [u8; 128], blk: usize) -> &'b [u8; 64] 
 
 /// Builds a job's padding tail (its final one or two blocks): leftover
 /// message bytes, 0x80, zeros, 64-bit big-endian total bit length —
-/// byte-identical to [`Sha256::finalize`]'s padding.
+/// byte-identical to [`super::Sha256::finalize`]'s padding.
 fn padded_tail(job: &LaneJob<'_>) -> [u8; 128] {
     let mut tail = [0u8; 128];
     let rem = job.msg.len() % 64;
@@ -158,8 +116,8 @@ fn padded_tail(job: &LaneJob<'_>) -> [u8; 128] {
 }
 
 /// Runs up to `L` same-length jobs through the `L`-lane kernel.
-/// Unused lanes replay lane 0's blocks (their results are discarded);
-/// only real lanes count as SHA blocks in telemetry.
+/// Unused lanes replay the last real lane's blocks (their results are
+/// discarded).
 fn run_lanes<const L: usize>(jobs: &[LaneJob<'_>], idxs: &[u32], nblocks: usize, out: &mut [Digest]) {
     debug_assert!(!idxs.is_empty() && idxs.len() <= L);
     let real = idxs.len();
@@ -178,7 +136,6 @@ fn run_lanes<const L: usize>(jobs: &[LaneJob<'_>], idxs: &[u32], nblocks: usize,
         for (lane, slot) in blocks.iter_mut().enumerate() {
             *slot = block_at(lane_job(lane).msg, &tails[lane], blk);
         }
-        crate::telemetry::count_lane_compress(real as u64, L as u64);
         compress_wide::<L>(&mut states, &blocks);
     }
     for (lane, &idx) in idxs.iter().enumerate() {
@@ -305,19 +262,48 @@ pub fn sha256_many(inputs: &[&[u8]]) -> Vec<Digest> {
     digest_jobs(&jobs)
 }
 
-/// Serializes tests that flip the process-wide scalar/multilane knob
-/// or assert lane telemetry, so parallel test threads can't interleave.
+/// The scalar reference engine, compiled for tests only: one job
+/// finished on the streaming hasher in [`super`], plus a scoped,
+/// thread-local override that sends whole batches there so the
+/// cross-engine tests (here and in `hmac`, `otss`, `hashsig`) can run
+/// the same high-level operation on both kernels.
 #[cfg(test)]
-pub(crate) fn test_knob_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+pub(crate) mod oracle {
+    use super::{Digest, LaneJob};
+    use crate::sha256::Sha256;
+    use std::cell::Cell;
+
+    thread_local! {
+        static FORCE_SCALAR: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn scalar_forced() -> bool {
+        FORCE_SCALAR.with(Cell::get)
+    }
+
+    /// Finishes one job on the scalar kernel — the differential oracle
+    /// the lane kernel must match bit-for-bit.
+    pub(super) fn digest_scalar(job: &LaneJob<'_>) -> Digest {
+        let mut h = Sha256::from_midstate(job.state, job.prefix_len);
+        h.update(job.msg);
+        h.finalize()
+    }
+
+    /// Runs `f` with every batch digest on this thread computed by the
+    /// scalar kernel instead of the lanes.
+    pub(crate) fn with_scalar_sha<R>(f: impl FnOnce() -> R) -> R {
+        let outer = FORCE_SCALAR.with(|c| c.replace(true));
+        let out = f();
+        FORCE_SCALAR.with(|c| c.set(outer));
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::sha256;
+    use super::super::{sha256, Sha256};
+    use super::oracle::with_scalar_sha;
     use super::*;
-    use crate::telemetry::HotpathSnapshot;
 
     /// Deterministic filler so tests don't need an RNG.
     fn patterned(len: usize, salt: u8) -> Vec<u8> {
@@ -329,7 +315,7 @@ mod tests {
     #[test]
     fn matches_scalar_across_lengths_and_batch_sizes() {
         // Lengths straddle every padding boundary; batch sizes cover
-        // scalar (1), exact 4- and 8-lane fits, and ragged remainders.
+        // exact 4- and 8-lane fits and every ragged remainder.
         let lengths = [0usize, 1, 31, 32, 55, 56, 63, 64, 65, 119, 120, 128, 200, 1000];
         for batch in 1..=19usize {
             let msgs: Vec<Vec<u8>> = (0..batch)
@@ -337,6 +323,7 @@ mod tests {
                 .collect();
             let refs: Vec<&[u8]> = msgs.iter().map(|m| &m[..]).collect();
             let got = sha256_many(&refs);
+            assert_eq!(got, with_scalar_sha(|| sha256_many(&refs)), "batch {batch}");
             for (msg, digest) in msgs.iter().zip(&got) {
                 assert_eq!(*digest, sha256(msg), "batch {batch} len {}", msg.len());
             }
@@ -367,46 +354,14 @@ mod tests {
     }
 
     #[test]
-    fn scalar_knob_forces_scalar_engine() {
-        let _guard = test_knob_lock();
-        let initial = scalar_sha_enabled();
-        let msgs: Vec<Vec<u8>> = (0..8).map(|i| patterned(32, i)).collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| &m[..]).collect();
-        set_scalar_sha(true);
-        let before = HotpathSnapshot::now();
-        let scalar_out = sha256_many(&refs);
-        let scalar_delta = HotpathSnapshot::now().delta_since(&before);
-        assert_eq!(scalar_delta.lane_slots, 0, "scalar mode must not use lanes");
-        assert_eq!(scalar_delta.sha_blocks, 8);
-        set_scalar_sha(false);
-        let before = HotpathSnapshot::now();
-        let lane_out = sha256_many(&refs);
-        let lane_delta = HotpathSnapshot::now().delta_since(&before);
-        assert_eq!(scalar_out, lane_out);
-        assert_eq!(lane_delta.sha_blocks, 8, "real blocks only");
-        assert_eq!(lane_delta.lane_blocks, 8);
-        assert_eq!(lane_delta.lane_slots, 8, "8 single-block jobs fill one 8-wide step");
-        set_scalar_sha(initial);
-    }
-
-    #[test]
-    fn ragged_batch_counts_dummy_slots_not_blocks() {
-        let _guard = test_knob_lock();
-        let initial = scalar_sha_enabled();
-        set_scalar_sha(false);
-        // 6 single-block jobs: one 8-wide step with 2 dummy lanes.
-        let msgs: Vec<Vec<u8>> = (0..6).map(|i| patterned(20, i)).collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| &m[..]).collect();
-        let before = HotpathSnapshot::now();
-        let got = sha256_many(&refs);
-        let delta = HotpathSnapshot::now().delta_since(&before);
-        assert_eq!(delta.sha_blocks, 6);
-        assert_eq!(delta.lane_blocks, 6);
-        assert_eq!(delta.lane_slots, 8);
-        for (msg, digest) in msgs.iter().zip(&got) {
-            assert_eq!(*digest, sha256(msg));
-        }
-        set_scalar_sha(initial);
+    fn scalar_override_is_scoped_to_its_closure() {
+        assert!(!oracle::scalar_forced());
+        with_scalar_sha(|| {
+            assert!(oracle::scalar_forced());
+            with_scalar_sha(|| ());
+            assert!(oracle::scalar_forced(), "nesting restores the outer scope");
+        });
+        assert!(!oracle::scalar_forced());
     }
 
     #[test]

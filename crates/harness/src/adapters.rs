@@ -265,10 +265,9 @@ fn icv_matches(tag: &Digest, icv: &[u8]) -> bool {
 /// HMAC reads, so a cached tag is always *the* correct tag for that
 /// frame: comparing a received ICV against it is exactly as sound as
 /// recomputing (a forged ICV mismatches the true tag either way).
-/// The message bytes are held as a zero-copy [`Bytes`] handle: keying
-/// the pool used to copy every frame body (`inner.to_vec()`) on every
-/// wrap *and* every check; an `Arc`-backed slice keys the same content
-/// (same `Ord` as `Vec<u8>`) without the copy.
+/// The message bytes are held as a zero-copy [`Bytes`] handle, which
+/// keys by content (same `Ord` as `Vec<u8>`) without copying the frame
+/// body on every wrap and every check.
 type LinkTagKey = (u16, u16, Bytes);
 
 /// One simulation's pool of link HMAC tags, shared by every node the
@@ -416,58 +415,44 @@ impl BrachaApp {
         }
     }
 
-    /// The HMAC tag for `inner` on the link between this node and
-    /// `peer`, via the simulation's shared tag pool: whichever endpoint
-    /// computes it first pays the hashing, the other side hits. The key
-    /// shares `inner`'s allocation — no per-lookup copy. `pre` carries
-    /// tags the batched verify queue already computed for this tick
-    /// (see [`BrachaApp::batch_link_tags`]); the pool lookup still
-    /// counts the miss and inserts the entry, so cache evolution is
-    /// identical to the unbatched path.
-    fn link_tag_with(&self, peer: usize, inner: &Bytes, pre: &[(LinkTagKey, Digest)]) -> Digest {
+    /// The pool key of `inner` on the link between this node and `peer`
+    /// (shares `inner`'s allocation — no copy).
+    fn link_tag_key(&self, peer: usize, inner: &Bytes) -> LinkTagKey {
         let me = self.engine.id();
-        let (lo, hi) = (me.min(peer) as u16, me.max(peer) as u16);
-        let macs = &self.macs;
-        bytes::telemetry::count_saved(inner.len());
-        self.link_tags
-            .borrow_mut()
-            .lookup((lo, hi, inner.clone()), || {
-                pre.iter()
-                    .find(|(k, _)| k.0 == lo && k.1 == hi && k.2 == *inner)
-                    .map(|(_, tag)| *tag)
-                    .unwrap_or_else(|| macs.mac(peer, inner))
-            })
+        (me.min(peer) as u16, me.max(peer) as u16, inner.clone())
     }
 
-    /// The batched verify queue's prescan (DESIGN.md §12): collects the
-    /// link-tag keys `pairs` will miss in the shared pool and computes
-    /// them through one multi-lane HMAC batch. Returns an empty plan —
-    /// falling back to per-item hashing inside the lookups — for
-    /// singleton batches or when memoization is disabled, so the
-    /// `TURQUOIS_NO_MEMO` baseline does exactly the historical work.
-    fn batch_link_tags(&self, pairs: &[(usize, Bytes)]) -> Vec<(LinkTagKey, Digest)> {
-        if pairs.len() < 2 || !turquois_crypto::telemetry::memo_enabled() {
-            return Vec::new();
+    /// The HMAC tag for `inner` on the link between this node and
+    /// `peer`, via the simulation's shared tag pool: whichever endpoint
+    /// computes it first pays the hashing, the other side hits.
+    fn link_tag(&self, peer: usize, inner: &Bytes) -> Digest {
+        self.link_tags
+            .borrow_mut()
+            .lookup(self.link_tag_key(peer, inner), || self.macs.mac(peer, inner))
+    }
+
+    /// Whether the 96-bit ICV that `wrapped` (`icv ‖ inner`, received on
+    /// the link from `peer`) leads with is the link tag of its body.
+    fn icv_ok(&self, peer: usize, wrapped: &Bytes) -> bool {
+        wrapped.len() >= ICV_LEN
+            && icv_matches(&self.link_tag(peer, &wrapped.slice(ICV_LEN..)), &wrapped[..ICV_LEN])
+    }
+
+    /// Computes the link tags of `pairs` the shared pool does not hold
+    /// yet through one multi-lane HMAC batch (DESIGN.md §12) and pools
+    /// them, so the per-link [`BrachaApp::link_tag`] calls that follow
+    /// hit. A lone pair gains nothing from the lanes and is left to its
+    /// lookup.
+    fn pool_link_tags(&self, pairs: &[(usize, Bytes)]) {
+        if pairs.len() < 2 {
+            return;
         }
-        let me = self.engine.id();
-        let requests: Vec<(LinkTagKey, (usize, Bytes))> = pairs
-            .iter()
-            .map(|(peer, inner)| {
-                let (lo, hi) = (me.min(*peer) as u16, me.max(*peer) as u16);
-                ((lo, hi, inner.clone()), (*peer, inner.clone()))
-            })
-            .collect();
-        let pool = self.link_tags.borrow();
-        let macs = &self.macs;
-        crate::verifyq::precompute_batch(
-            requests,
-            |key| pool.contains(key),
-            |misses| {
-                let items: Vec<(usize, &[u8])> =
-                    misses.iter().map(|(peer, inner)| (*peer, &inner[..])).collect();
-                macs.mac_many(&items)
-            },
-        )
+        self.link_tags.borrow_mut().fill_misses(
+            pairs
+                .iter()
+                .map(|(peer, inner)| (self.link_tag_key(*peer, inner), (*peer, &inner[..]))),
+            |misses| self.macs.mac_many(misses),
+        );
     }
 
     /// Installs an outgoing-message mutator (used by the Byzantine
@@ -513,7 +498,7 @@ impl BrachaApp {
             // pool keys; on first send they all miss, so drain them
             // through one lane batch before the per-link loop.
             let pairs: Vec<(usize, Bytes)> = (0..n).map(|dst| (dst, bytes.clone())).collect();
-            let pre = self.batch_link_tags(&pairs);
+            self.pool_link_tags(&pairs);
             // Stage all n wrapped frames of this broadcast into one
             // arena chunk. Every frame is `ICV_LEN + |bytes|` long, so
             // the per-destination slices need no side table; CPU
@@ -525,7 +510,7 @@ impl BrachaApp {
             for dst in 0..n {
                 // One HMAC per destination link (as IPSec AH would).
                 ctx.charge_cpu(self.cost.hmac(bytes.len()));
-                let tag = self.link_tag_with(dst, &bytes, &pre);
+                let tag = self.link_tag(dst, &bytes);
                 self.arena.mark();
                 let buf = self.arena.buf();
                 buf.put_slice(&tag.as_bytes()[..ICV_LEN]);
@@ -554,20 +539,16 @@ impl Application for BrachaApp {
         let delivered = self.transport.on_frame(ctx, &frame);
         // Queue this delivery's ICV checks and drain the pool misses
         // through one lane batch (typically all hits — the sender's
-        // wrap already pooled each tag — so the plan is usually empty).
+        // wrap already pooled each tag — so there is usually none).
         let pairs: Vec<(usize, Bytes)> = delivered
             .iter()
             .filter(|(_, w)| w.len() >= ICV_LEN)
             .map(|(peer, w)| (*peer, w.slice(ICV_LEN..)))
             .collect();
-        let pre = self.batch_link_tags(&pairs);
+        self.pool_link_tags(&pairs);
         for (peer, wrapped) in delivered {
             ctx.charge_cpu(self.cost.hmac(wrapped.len().saturating_sub(ICV_LEN)));
-            let ok = wrapped.len() >= ICV_LEN && {
-                let expected = self.link_tag_with(peer, &wrapped.slice(ICV_LEN..), &pre);
-                icv_matches(&expected, &wrapped[..ICV_LEN])
-            };
-            if !ok {
+            if !self.icv_ok(peer, &wrapped) {
                 self.probe.borrow_mut().rejected[self.engine.id()] += 1;
                 continue;
             }
@@ -703,7 +684,6 @@ impl Application for AbbaApp {
             };
             // `inner` borrows straight out of the delivered buffer; the
             // engine parses it without an owned copy.
-            bytes::telemetry::count_saved(inner.len());
             self.probe.borrow_mut().accepted[self.engine.id()] += 1;
             let out = self.engine.on_message(peer, inner);
             self.dispatch(ctx, out);
@@ -756,6 +736,45 @@ mod tests {
         assert!(!icv_matches(&tag, &wrapped[1..ICV_LEN + 1]));
         assert!(!icv_matches(&tag, &wrapped[..ICV_LEN - 1]));
         assert!(!icv_matches(&key.mac(b"other"), &wrapped[..ICV_LEN]));
+    }
+
+    /// One broadcast to n = 7 and every receiver's ICV check cost n
+    /// link-tag computations in total: the sender's batch pools one tag
+    /// per destination, each receiver's check is a hit on its link's
+    /// tag — which still rejects a tampered ICV.
+    #[test]
+    fn broadcast_pools_n_link_tags_and_receivers_hit() {
+        let n = 7;
+        let pool = new_link_tags();
+        let apps: Vec<BrachaApp> = (0..n)
+            .map(|i| {
+                let engine = Bracha::new(n, 2, i, i % 2 == 0, 31 * i as u64);
+                BrachaApp::new(engine, n, 9, CostModel::default(), RunProbe::new(n), pool.clone())
+            })
+            .collect();
+        let inner = Bytes::copy_from_slice(b"one broadcast body");
+        // Sender side, as `dispatch` does it: batch, then per-link tags.
+        let pairs: Vec<(usize, Bytes)> = (0..n).map(|dst| (dst, inner.clone())).collect();
+        apps[0].pool_link_tags(&pairs);
+        assert_eq!(pool.borrow().len(), n, "one batch pooled every destination's tag");
+        let frames: Vec<Bytes> =
+            (0..n).map(|dst| mac_wrap(&apps[0].link_tag(dst, &inner), &inner)).collect();
+        for (dst, frame) in frames.iter().enumerate() {
+            // Batched tags are the per-link reference tags.
+            let key = turquois_crypto::hmac::pairwise_key(9, 0, dst);
+            assert_eq!(mac_unwrap(&key, frame), Some(&inner[..]));
+            // Receiver side, as `on_frame` does it.
+            assert!(apps[dst].icv_ok(0, frame));
+            let mut tampered = frame.to_vec();
+            tampered[0] ^= 1;
+            assert!(!apps[dst].icv_ok(0, &Bytes::from(tampered)), "forged ICV on a pool hit");
+            assert!(!apps[dst].icv_ok(0, &frame.slice(..ICV_LEN - 1)), "short frame");
+        }
+        assert_eq!(pool.borrow().len(), n, "no receiver computed a tag of its own");
+        // A frame nobody pooled is a miss the receiver computes itself.
+        let stray = mac_wrap(&apps[3].macs.mac(5, b"stray"), b"stray");
+        assert!(apps[5].icv_ok(3, &stray));
+        assert_eq!(pool.borrow().len(), n + 1);
     }
 
     #[test]

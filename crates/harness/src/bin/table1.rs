@@ -5,7 +5,7 @@
 //! Usage: `table1 [reps]` (default 50; env `TURQUOIS_REPS`,
 //! `TURQUOIS_SIZES`, `TURQUOIS_THREADS` also respected). The table is
 //! byte-identical at any thread count; wall-clock timing goes to stderr
-//! and `results/BENCH_runner.json`.
+//! and, when set, to the file `TURQUOIS_BENCH_JSON` names.
 //!
 //! Runs are supervised: jobs are panic-isolated, a run that exhausts
 //! its simulated-time budget (`TURQUOIS_TIME_LIMIT`, seconds) is

@@ -21,8 +21,8 @@
 //! `FAILED(<reason>)` while its siblings keep their healthy bytes; the
 //! process then exits nonzero.
 //!
-//! Stdout is **deterministic** — byte-identical across thread counts,
-//! memo settings, and host speed — so `results/table_scale.txt` can be
+//! Stdout is **deterministic** — byte-identical across thread counts
+//! and host speed — so `results/table_scale.txt` can be
 //! diffed. Host wall-clock telemetry (per-cell wall seconds, runner
 //! utilisation) goes to stderr and to `results/BENCH_scale.json`
 //! (`$TURQUOIS_BENCH_JSON` overrides the path), never to stdout.

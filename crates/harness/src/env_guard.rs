@@ -9,18 +9,15 @@
 //! belong to a newer or older build of the same binaries.
 
 /// Every `TURQUOIS_*` variable some binary or test in this workspace
-/// reads. Keep in sync when adding or retiring a knob.
+/// reads; `known_list_is_exactly_what_the_source_reads` holds the list
+/// to the source tree.
 pub const KNOWN_ENV_VARS: &[&str] = &[
     "TURQUOIS_BENCH_JSON",
     "TURQUOIS_CHECK_SCHEDULES",
     "TURQUOIS_FM_FORCE_STALL",
-    "TURQUOIS_HOTPATH_JSON",
-    "TURQUOIS_HOTPATH_STATS",
-    "TURQUOIS_NO_MEMO",
     "TURQUOIS_PARTITION_JSON",
     "TURQUOIS_REPS",
     "TURQUOIS_SABOTAGE",
-    "TURQUOIS_SCALAR_SHA",
     "TURQUOIS_SIZES",
     "TURQUOIS_THREADS",
     "TURQUOIS_TIME_LIMIT",
@@ -48,6 +45,8 @@ pub fn warn_unknown_env_vars() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use std::path::Path;
 
     #[test]
     fn flags_typos_and_accepts_known_knobs() {
@@ -56,13 +55,16 @@ mod tests {
         // parallel test threads touching TURQUOIS_* variables.
         let cases = [
             ("TURQUOIS_REPETITIONS", false),
-            ("TURQUOIS_SCALER_SHA", false),
+            ("TURQUOIS_SIZE", false),
             // A retired knob left over in someone's shell must warn
             // rather than silently do nothing.
             ("TURQUOIS_LEGACY_CODEC", false),
+            ("TURQUOIS_NO_MEMO", false),
+            ("TURQUOIS_SCALAR_SHA", false),
+            ("TURQUOIS_HOTPATH_STATS", false),
+            ("TURQUOIS_HOTPATH_JSON", false),
             ("TURQUOIS_REPS", true),
             ("TURQUOIS_PARTITION_JSON", true),
-            ("TURQUOIS_SCALAR_SHA", true),
         ];
         for (name, _) in cases {
             std::env::set_var(name, "1");
@@ -74,6 +76,75 @@ mod tests {
         for (name, known) in cases {
             assert_eq!(!unknown.contains(&name.to_string()), known, "{name}");
         }
+    }
+
+    /// Every `"TURQUOIS_…"` string literal in `text`, each with the
+    /// text that precedes it.
+    fn knob_literals(text: &str) -> Vec<(&str, &str)> {
+        let mut found = Vec::new();
+        let mut at = 0;
+        while let Some(hit) = text[at..].find("\"TURQUOIS_") {
+            let start = at + hit + 1;
+            let len = text[start..]
+                .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+                .unwrap_or(text.len() - start);
+            at = start + len;
+            if text[at..].starts_with('"') {
+                found.push((&text[start..at], &text[..start - 1]));
+            }
+        }
+        found
+    }
+
+    /// Adds to `read` the knobs the `.rs` files under `dir` read. In
+    /// shipped code (a `src/` file up to its first `#[cfg(test)]`) any
+    /// literal counts — a knob's name may sit in a const; in test code
+    /// only a literal handed straight to `env::var`/`var_os` does, since
+    /// tests also set knobs for child processes and spell typos on
+    /// purpose.
+    fn collect_knobs_read(dir: &Path, in_tests: bool, read: &mut BTreeSet<String>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("readable entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            if path.is_dir() {
+                if name != "target" {
+                    collect_knobs_read(&path, in_tests || name == "tests", read);
+                }
+            } else if name.ends_with(".rs") && !path.ends_with("harness/src/env_guard.rs") {
+                let text = std::fs::read_to_string(&path).expect("UTF-8 source");
+                let (shipped, tests) = match (in_tests, text.find("#[cfg(test)]")) {
+                    (true, _) => ("", &text[..]),
+                    (false, Some(cut)) => text.split_at(cut),
+                    (false, None) => (&text[..], ""),
+                };
+                read.extend(knob_literals(shipped).iter().map(|(knob, _)| knob.to_string()));
+                read.extend(
+                    knob_literals(tests)
+                        .iter()
+                        .filter(|(_, before)| before.ends_with("var(") || before.ends_with("var_os("))
+                        .map(|(knob, _)| knob.to_string()),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn known_list_is_exactly_what_the_source_reads() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut read = BTreeSet::new();
+        for dir in ["crates", "src", "tests"] {
+            collect_knobs_read(&root.join(dir), dir == "tests", &mut read);
+        }
+        let known: BTreeSet<String> = KNOWN_ENV_VARS.iter().map(|k| k.to_string()).collect();
+        assert_eq!(read, known, "KNOWN_ENV_VARS must list exactly the knobs the code reads");
+    }
+
+    #[test]
+    fn knob_literals_finds_whole_literals_only() {
+        let text = r#"var("TURQUOIS_REPS"); "TURQUOIS_lower" "TURQUOIS_* knobs" x("TURQUOIS_A_B")"#;
+        let found: Vec<&str> = knob_literals(text).iter().map(|(knob, _)| *knob).collect();
+        assert_eq!(found, ["TURQUOIS_REPS", "TURQUOIS_A_B"]);
+        assert!(knob_literals(text)[0].1.ends_with("var("));
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::runner::{self, Attempt, JobOutcome, RunnerReport};
 use crate::scenario::{FaultLoad, Protocol, ProposalDistribution, Scenario};
 use crate::stats::LatencyStats;
 use std::time::Duration;
-use turquois_crypto::telemetry::HotpathSnapshot;
 use wireless_net::supervise::StallReport;
 
 /// Group sizes used throughout the paper's evaluation.
@@ -21,103 +20,6 @@ pub const PAPER_SIZES: [usize; 5] = [4, 7, 10, 13, 16];
 
 /// Default repetition count (§7.2).
 pub const PAPER_REPS: usize = 50;
-
-/// Host-side (wall-clock) hot-path work observed while running a cell:
-/// real SHA-256 compression blocks, memoized verification lookups with
-/// their hit/miss split, and payload bytes physically copied by the
-/// `bytes` stub. Purely observational — none of it feeds back into
-/// simulated time, latency cells, or any checked-in table byte.
-#[derive(Clone, Copy, Debug, Default, Eq, PartialEq)]
-pub struct HotpathTotals {
-    /// Real SHA-256 compression-function invocations.
-    pub sha_blocks: u64,
-    /// Logical verification lookups (cache hits + misses).
-    pub verify_calls: u64,
-    /// Lookups answered from a memo cache.
-    pub cache_hits: u64,
-    /// Lookups that ran the underlying verification.
-    pub cache_misses: u64,
-    /// Payload bytes physically copied constructing `Bytes` buffers.
-    pub bytes_copied: u64,
-    /// Payload bytes the zero-copy receive path handed on by reference
-    /// instead of copying (each count is a copy an owned decode makes).
-    pub bytes_saved: u64,
-    /// Real compression blocks that went through the multi-lane kernel
-    /// (a subset of `sha_blocks`; dummy lanes are never counted).
-    pub lane_blocks: u64,
-    /// Lane slots those multi-lane calls provided (`width × rounds`);
-    /// `lane_blocks / lane_slots` is the kernel's occupancy.
-    pub lane_slots: u64,
-    /// Heap allocations the flat-arena codec elides versus per-message
-    /// builders and owned decodes (DESIGN.md §13): arena seals, shared
-    /// duplicate payloads, and borrowed justification views.
-    pub allocs_saved: u64,
-    /// Bytes sealed through [`bytes::arena::EncodeArena`] chunks.
-    pub arena_bytes: u64,
-}
-
-impl HotpathTotals {
-    /// Component-wise sum.
-    pub fn add(&mut self, other: HotpathTotals) {
-        self.sha_blocks += other.sha_blocks;
-        self.verify_calls += other.verify_calls;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.bytes_copied += other.bytes_copied;
-        self.bytes_saved += other.bytes_saved;
-        self.lane_blocks += other.lane_blocks;
-        self.lane_slots += other.lane_slots;
-        self.allocs_saved += other.allocs_saved;
-        self.arena_bytes += other.arena_bytes;
-    }
-
-    /// Cache hit rate in `[0, 1]` (0 when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
-        if self.verify_calls == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.verify_calls as f64
-        }
-    }
-
-    /// Multi-lane kernel occupancy in `[0, 1]`: real blocks per lane
-    /// slot (0 when nothing went through the lanes — e.g. under
-    /// `TURQUOIS_SCALAR_SHA=1`).
-    pub fn lanes_utilization(&self) -> f64 {
-        if self.lane_slots == 0 {
-            0.0
-        } else {
-            self.lane_blocks as f64 / self.lane_slots as f64
-        }
-    }
-}
-
-/// Runs `f`, returning its result plus the hot-path telemetry delta the
-/// call produced on this thread. Each `(cell, rep)` job runs start to
-/// finish on one worker thread and the counters are thread-local, so
-/// the delta is exact and deterministic at any `TURQUOIS_THREADS`.
-fn with_hotpath<T>(f: impl FnOnce() -> T) -> (T, HotpathTotals) {
-    let crypto_before = HotpathSnapshot::now();
-    let copied_before = bytes::telemetry::bytes_copied();
-    let saved_before = bytes::telemetry::bytes_saved();
-    let allocs_before = bytes::telemetry::allocs_saved();
-    let arena_before = bytes::telemetry::arena_bytes();
-    let out = f();
-    let d = HotpathSnapshot::now().delta_since(&crypto_before);
-    let hotpath = HotpathTotals {
-        sha_blocks: d.sha_blocks,
-        verify_calls: d.verify_calls,
-        cache_hits: d.cache_hits,
-        cache_misses: d.cache_misses,
-        bytes_copied: bytes::telemetry::bytes_copied().saturating_sub(copied_before),
-        bytes_saved: bytes::telemetry::bytes_saved().saturating_sub(saved_before),
-        lane_blocks: d.lane_blocks,
-        lane_slots: d.lane_slots,
-        allocs_saved: bytes::telemetry::allocs_saved().saturating_sub(allocs_before),
-        arena_bytes: bytes::telemetry::arena_bytes().saturating_sub(arena_before),
-    };
-    (out, hotpath)
-}
 
 /// Result of measuring one experiment cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -136,8 +38,6 @@ pub struct CellResult {
     /// Repetitions that only completed on the escalated-budget retry
     /// (supervised tables only; always 0 on the unsupervised path).
     pub retried_runs: usize,
-    /// Host-side hot-path telemetry summed over the repetitions.
-    pub hotpath: HotpathTotals,
 }
 
 /// Errors from measurement.
@@ -179,18 +79,15 @@ struct RepSample {
     mean_ms: Option<f64>,
     queue_drops: u64,
     retried: bool,
-    hotpath: HotpathTotals,
 }
 
 /// Runs one `(scenario, rep)` job: seed, simulate, check safety.
 fn run_rep(scenario: &Scenario, rep: usize) -> Result<RepSample, MeasureError> {
-    let (outcome, hotpath) = with_hotpath(|| {
-        scenario
-            .clone()
-            .seed(scenario_rep_seed(scenario, rep))
-            .run_once()
-    });
-    let outcome = outcome.map_err(MeasureError::Scenario)?;
+    let outcome = scenario
+        .clone()
+        .seed(scenario_rep_seed(scenario, rep))
+        .run_once()
+        .map_err(MeasureError::Scenario)?;
     if !outcome.agreement_holds() || !outcome.validity_holds() {
         return Err(MeasureError::SafetyViolation { rep });
     }
@@ -201,7 +98,6 @@ fn run_rep(scenario: &Scenario, rep: usize) -> Result<RepSample, MeasureError> {
         mean_ms: outcome.mean_latency_ms(),
         queue_drops: outcome.stats.queue_drops,
         retried: false,
-        hotpath,
     })
 }
 
@@ -216,13 +112,11 @@ fn run_rep_supervised(
     rep: usize,
     attempt: Attempt,
 ) -> Result<Result<RepSample, MeasureError>, Box<StallReport>> {
-    let (outcome, hotpath) = with_hotpath(|| {
-        scenario
-            .clone()
-            .seed(scenario_rep_seed(scenario, rep))
-            .time_limit(base_limit * attempt.budget_scale)
-            .run_once()
-    });
+    let outcome = scenario
+        .clone()
+        .seed(scenario_rep_seed(scenario, rep))
+        .time_limit(base_limit * attempt.budget_scale)
+        .run_once();
     let outcome = match outcome {
         Ok(o) => o,
         Err(e) => return Ok(Err(MeasureError::Scenario(e))),
@@ -242,7 +136,6 @@ fn run_rep_supervised(
         mean_ms: outcome.mean_latency_ms(),
         queue_drops: outcome.stats.queue_drops,
         retried: attempt.index > 0,
-        hotpath,
     }))
 }
 
@@ -259,14 +152,12 @@ fn aggregate(
     let mut collisions = 0u64;
     let mut queue_drops = 0u64;
     let mut retried = 0usize;
-    let mut hotpath = HotpathTotals::default();
     for sample in samples {
         let sample = sample?;
         frames += sample.frames;
         collisions += sample.collisions;
         queue_drops += sample.queue_drops;
         retried += sample.retried as usize;
-        hotpath.add(sample.hotpath);
         if !sample.complete {
             incomplete += 1;
             continue;
@@ -285,7 +176,6 @@ fn aggregate(
         mean_collisions: collisions as f64 / reps as f64,
         total_queue_drops: queue_drops,
         retried_runs: retried,
-        hotpath,
     })
 }
 
@@ -558,50 +448,18 @@ where
 
 /// Renders the per-experiment stats line printed under each table:
 /// total transmit-queue tail drops (the congestion sharp edge) and how
-/// many repetitions only completed on the escalated-budget retry.
-///
-/// The checked-in `results/*.txt` transcribe this line byte-for-byte,
-/// so host-side hot-path telemetry (SHA-256 blocks, memo hits, bytes
-/// copied) is appended **only** when [`hotpath_stats_enabled`] — by
-/// default the output is identical to what it was before memoization.
+/// many repetitions only completed on the escalated-budget retry. The
+/// checked-in `results/*.txt` transcribe this line byte-for-byte.
 pub fn table_stats_line(rows: &[TableRow]) -> String {
     let mut queue_drops = 0u64;
     let mut retried = 0usize;
-    let mut hotpath = HotpathTotals::default();
     for row in rows {
         for cell in row.cells.iter().flatten() {
             queue_drops += cell.total_queue_drops;
             retried += cell.retried_runs;
-            hotpath.add(cell.hotpath);
         }
     }
-    let mut line = format!("stats: tx-queue drops={queue_drops} retried reps={retried}");
-    if hotpath_stats_enabled() {
-        line.push_str(&format!(
-            " | hotpath: sha-blocks={} verifies={} cache-hits={} cache-misses={} \
-             hit-rate={:.1}% bytes-copied={} bytes-saved={} lanes-utilization={:.1}% \
-             allocs-saved={} arena-bytes={}",
-            hotpath.sha_blocks,
-            hotpath.verify_calls,
-            hotpath.cache_hits,
-            hotpath.cache_misses,
-            100.0 * hotpath.hit_rate(),
-            hotpath.bytes_copied,
-            hotpath.bytes_saved,
-            100.0 * hotpath.lanes_utilization(),
-            hotpath.allocs_saved,
-            hotpath.arena_bytes
-        ));
-    }
-    line
-}
-
-/// `TURQUOIS_HOTPATH_STATS` opt-in for the extended stats line: set to
-/// any non-empty value other than `0` to append host-side hot-path
-/// telemetry. Off by default so the checked-in `results/*.txt` stay
-/// byte-identical.
-pub fn hotpath_stats_enabled() -> bool {
-    matches!(std::env::var("TURQUOIS_HOTPATH_STATS"), Ok(v) if !v.is_empty() && v != "0")
+    format!("stats: tx-queue drops={queue_drops} retried reps={retried}")
 }
 
 /// Renders rows in the paper's layout.
@@ -828,7 +686,6 @@ mod tests {
             mean_ms: Some(mean_ms),
             queue_drops: 0,
             retried: false,
-            hotpath: HotpathTotals::default(),
         })
     }
 
@@ -881,7 +738,6 @@ mod tests {
                     mean_collisions: 2.0,
                     total_queue_drops: 0,
                     retried_runs: 0,
-                    hotpath: HotpathTotals::default(),
                 }),
                 Err("boom".into()),
                 Ok(CellResult {
@@ -895,7 +751,6 @@ mod tests {
                     mean_collisions: 5.0,
                     total_queue_drops: 0,
                     retried_runs: 0,
-                    hotpath: HotpathTotals::default(),
                 }),
                 Err("x".into()),
                 Err("y".into()),

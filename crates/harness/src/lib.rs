@@ -32,7 +32,6 @@ pub mod runner;
 pub mod scenario;
 pub mod simstress;
 pub mod stats;
-pub mod verifyq;
 
 pub use scenario::{
     FaultLoad, LossSpec, Protocol, ProposalDistribution, RunOutcome, Scenario, ScenarioError,

@@ -18,7 +18,7 @@
 //! engines and the simulator never see a host clock.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -353,15 +353,14 @@ pub struct BenchRecord {
     pub report: RunnerReport,
 }
 
-/// Writes `results/BENCH_runner.json` (or `$TURQUOIS_BENCH_JSON`): a
-/// machine-readable summary of the runner fan-outs an experiment binary
-/// just performed. Returns the path written. I/O failures warn on
-/// stderr instead of aborting — timing telemetry must never kill an
-/// experiment.
+/// Writes a machine-readable summary of the runner fan-outs an
+/// experiment binary just performed to `$TURQUOIS_BENCH_JSON`, and
+/// nothing when that is unset: every binary reports through here, so a
+/// default path would hold whichever one ran last. Returns the path
+/// written. I/O failures warn on stderr instead of aborting — timing
+/// telemetry must never kill an experiment.
 pub fn write_bench_json(bin: &str, records: &[BenchRecord]) -> Option<PathBuf> {
-    let path = std::env::var_os("TURQUOIS_BENCH_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new("results").join("BENCH_runner.json"));
+    let path = PathBuf::from(std::env::var_os("TURQUOIS_BENCH_JSON").filter(|p| !p.is_empty())?);
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(dir) {

@@ -51,11 +51,9 @@ fn results_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
-/// Runs `bin reps` with no `TURQUOIS_*` knob but the two JSON sinks,
-/// which are pointed into the test's temp dir so a test run never
-/// dirties `results/`.
-fn regenerate(exe: &str, reps: usize, file: &str) -> String {
-    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+/// `exe reps`, with every `TURQUOIS_*` knob of this process removed
+/// from the child's environment.
+fn knobless(exe: &str, reps: usize) -> Command {
     let mut cmd = Command::new(exe);
     cmd.arg(reps.to_string());
     for (key, _) in std::env::vars_os() {
@@ -63,6 +61,15 @@ fn regenerate(exe: &str, reps: usize, file: &str) -> String {
             cmd.env_remove(key);
         }
     }
+    cmd
+}
+
+/// Runs `bin reps` with no `TURQUOIS_*` knob but the two JSON sinks,
+/// which are pointed into the test's temp dir so a test run never
+/// dirties `results/`.
+fn regenerate(exe: &str, reps: usize, file: &str) -> String {
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let mut cmd = knobless(exe, reps);
     cmd.env("TURQUOIS_BENCH_JSON", tmp.join(format!("{file}.runner.json")))
         .env("TURQUOIS_PARTITION_JSON", tmp.join(format!("{file}.partition.json")));
     let out = cmd.output().unwrap_or_else(|e| panic!("{exe} did not start: {e}"));
@@ -114,6 +121,34 @@ fn every_checked_in_result_regenerates_byte_identical() {
         }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n\n"));
+}
+
+/// The runner's JSON report goes where `TURQUOIS_BENCH_JSON` says and
+/// nowhere otherwise: every binary reports through the same writer, so
+/// a default `results/BENCH_runner.json` held whichever ran last.
+#[test]
+fn runner_json_is_written_only_on_request() {
+    let cwd = Path::new(env!("CARGO_TARGET_TMPDIR")).join("runner_json_cwd");
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("temp cwd");
+    let run = |json: Option<&Path>| {
+        let mut cmd = knobless(env!("CARGO_BIN_EXE_table1"), 1);
+        cmd.current_dir(&cwd).env("TURQUOIS_SIZES", "4");
+        if let Some(path) = json {
+            cmd.env("TURQUOIS_BENCH_JSON", path);
+        }
+        let out = cmd.output().expect("table1 starts");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(stderr.contains("[runner] table1:"), "stderr report stays: {stderr}");
+    };
+    run(None);
+    let left_behind: Vec<_> = std::fs::read_dir(&cwd).expect("temp cwd").collect();
+    assert!(left_behind.is_empty(), "an unasked run wrote {left_behind:?}");
+    let json = cwd.join("asked.json");
+    run(Some(&json));
+    let report = std::fs::read_to_string(&json).expect("requested report written");
+    assert!(report.contains("\"bin\": \"table1\""), "{report}");
 }
 
 #[test]
