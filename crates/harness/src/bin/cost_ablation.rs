@@ -10,20 +10,20 @@
 //! the CPU, is the dominant resource — which is the deeper half of the
 //! paper's argument.
 //!
-//! Usage: `cost_ablation [reps]` (default 15; `TURQUOIS_THREADS` fans
-//! the grid out — output is byte-identical at any count).
+//! Usage: `cost_ablation [reps]` (default 15). The knobs, supervision
+//! and exit status are the grid driver's ([`turquois_harness::grid`]).
 
 use turquois_crypto::cost::CostModel;
-use turquois_harness::experiment::reps_from_env;
-use turquois_harness::runner::{self, BenchRecord};
-use turquois_harness::*;
+use turquois_harness::grid::{Plan, Stall};
+use turquois_harness::{Protocol, Scenario};
 
 fn main() {
-    turquois_harness::env_guard::warn_unknown_env_vars();
-    let reps = reps_from_env(15);
-    let threads = runner::threads_from_env();
+    let plan = Plan::from_env("cost_ablation", 15, &[], Stall::Retry);
     let n = 10;
-    println!("A6 — CPU cost-model ablation, n={n}, failure-free unanimous ({reps} reps)\n");
+    println!(
+        "A6 — CPU cost-model ablation, n={n}, failure-free unanimous ({} reps)\n",
+        plan.reps
+    );
     println!(
         "{:>16} {:>12} {:>12} {:>12}",
         "cost model", "Turquois", "ABBA", "Bracha"
@@ -34,45 +34,40 @@ fn main() {
         ("modern", CostModel::modern()),
         ("free", CostModel::free()),
     ];
-    let mut grid = Vec::new();
-    for &(_, model) in &models {
-        for proto in [Protocol::Turquois, Protocol::Abba, Protocol::Bracha] {
-            grid.push((model, proto));
+    let mut cells = Vec::new();
+    for &(name, model) in &models {
+        for proto in Protocol::ALL {
+            cells.push((name, model, proto));
         }
     }
-    let jobs: Vec<(usize, usize)> = (0..grid.len())
-        .flat_map(|cell| (0..reps).map(move |rep| (cell, rep)))
-        .collect();
-    let (results, report) = runner::run_indexed_timed(threads, &jobs, |_, &(cell, rep)| {
-        let (model, proto) = grid[cell];
-        let outcome = Scenario::new(proto, n)
-            .cost_model(model)
-            .seed(0xA6u64.wrapping_mul(rep as u64 + 1))
-            .run_once()
-            .expect("valid scenario");
-        assert!(outcome.agreement_holds() && outcome.validity_holds());
-        outcome.mean_latency_ms()
-    });
+    let run = plan.run(
+        &cells,
+        |&(name, _, proto)| format!("{} {name}", proto.name()),
+        |&(_, model, proto), rep, budget| {
+            let scenario = Scenario::new(proto, n)
+                .cost_model(model)
+                .seed(0xA6u64.wrapping_mul(rep as u64 + 1));
+            budget.apply(scenario).run_once()
+        },
+        |_, outcome| Ok(outcome.mean_latency_ms()),
+    );
 
-    let mut results = results.into_iter();
-    for &(name, _) in &models {
-        let mut cells = Vec::new();
-        for _ in 0..3 {
-            let means: Vec<f64> = results.by_ref().take(reps).flatten().collect();
-            cells.push(means.iter().sum::<f64>() / means.len().max(1) as f64);
-        }
-        println!(
-            "{name:>16} {:>12.1} {:>12.1} {:>12.1}",
-            cells[0], cells[1], cells[2]
-        );
+    for (&(name, _), row) in models.iter().zip(run.cells.chunks(3)) {
+        let text: Vec<String> = row
+            .iter()
+            .map(|cell| match &cell.samples {
+                Ok(samples) => {
+                    let means: Vec<f64> = samples.iter().flatten().copied().collect();
+                    format!(
+                        "{:.1}",
+                        means.iter().sum::<f64>() / means.len().max(1) as f64
+                    )
+                }
+                Err(failure) => failure.to_string(),
+            })
+            .collect();
+        println!("{name:>16} {:>12} {:>12} {:>12}", text[0], text[1], text[2]);
     }
     println!("\nIf the ABBA gap persists under `free`, the medium — not RSA — dominates.");
-    report.log("cost_ablation");
-    runner::write_bench_json(
-        "cost_ablation",
-        &[BenchRecord {
-            label: "cost_ablation".into(),
-            report,
-        }],
-    );
+    run.finish();
 }

@@ -8,26 +8,25 @@
 //! agreement + validity — graceful degradation is only interesting if
 //! safety never bends.
 //!
-//! Runs are supervised ([`runner::run_supervised_timed`]): a job that
-//! exhausts its simulated-time budget is retried once with a
-//! [`runner::RETRY_BUDGET_SCALE`]× budget (distinguishing *slow* from
-//! *stuck*), panics are isolated to their cell, and any cell that still
-//! fails renders `FAILED(<reason>)` while its siblings keep their
-//! exact healthy-run bytes. The process exits nonzero if anything
-//! failed.
+//! Runs are supervised by the grid driver
+//! ([`turquois_harness::grid`]): a job that exhausts its simulated-time
+//! budget is retried once with a [`RETRY_BUDGET_SCALE`]× budget
+//! (distinguishing *slow* from *stuck*), panics are isolated to their
+//! cell, and any cell that still fails renders `FAILED(<reason>)` while
+//! its siblings keep their exact healthy-run bytes. The process exits
+//! nonzero if anything failed — `TURQUOIS_TIME_LIMIT=0.002` shows the
+//! whole stall path: five `FAILED(stalled)` rows, each `StallReport` on
+//! stderr, exit status 1.
 //!
 //! Usage: `fault_matrix [reps]` (default 20; `TURQUOIS_REPS`,
 //! `TURQUOIS_SIZES`, `TURQUOIS_THREADS`, `TURQUOIS_TIME_LIMIT`
-//! respected). `TURQUOIS_FM_FORCE_STALL=1` replaces the matrix with an
-//! always-stalling configuration to demonstrate — and let CI assert —
-//! the stall-detection path end to end: the supervisor must catch the
-//! stall, print its [`StallReport`], and exit nonzero.
+//! respected).
 
 use std::time::Duration;
-use turquois_harness::experiment::{reps_from_env, sizes_from_env, time_limit_from_env};
-use turquois_harness::runner::{self, Attempt, BenchRecord, JobOutcome};
-use turquois_harness::{FaultLoad, LossSpec, Protocol, ProposalDistribution, Scenario};
-use wireless_net::supervise::StallReport;
+use turquois_harness::experiment::PAPER_SIZES;
+use turquois_harness::grid::{Plan, Stall};
+use turquois_harness::runner::RETRY_BUDGET_SCALE;
+use turquois_harness::{FaultLoad, LossSpec, Protocol, ProposalDistribution, RunOutcome, Scenario};
 use wireless_net::CrashSchedule;
 
 /// One rung of the severity ladder.
@@ -95,87 +94,51 @@ fn severities() -> Vec<Severity> {
 }
 
 /// What one repetition contributes to a matrix cell.
-#[derive(Clone)]
 struct FmSample {
     decided: bool,
     mean_ms: Option<f64>,
     worst_ms: Option<f64>,
     queue_drops: u64,
     crash_drops: u64,
-    retried: bool,
 }
 
-/// Runs one supervised `(severity, n, rep)` job. Outer `Err` = stall
-/// (retryable with a bigger budget); inner `Err` = completed with a
-/// fatal finding (safety/config — never retried, never downgraded).
-fn run_cell_rep(
-    sev: &Severity,
-    n: usize,
-    rep: usize,
-    base_limit: Duration,
-    attempt: Attempt,
-) -> Result<Result<FmSample, String>, Box<StallReport>> {
-    let mut scenario = Scenario::new(Protocol::Turquois, n)
+fn scenario(sev: &Severity, n: usize, rep: usize) -> Scenario {
+    let scenario = Scenario::new(Protocol::Turquois, n)
         .proposals(ProposalDistribution::Divergent)
         .fault_load(sev.fault_load)
         .loss(sev.loss.clone())
-        .time_limit(base_limit * attempt.budget_scale)
         .seed(0xFA_u64
             .wrapping_mul(rep as u64 + 1)
             .wrapping_add(n as u64));
-    if let Some((phase, rejoin_ms)) = sev.crash {
-        scenario = scenario.crashes(
+    match sev.crash {
+        Some((phase, rejoin_ms)) => scenario.crashes(
             CrashSchedule::new()
                 .crash_at_phase(0, phase)
                 .rejoin_after(Duration::from_millis(rejoin_ms)),
-        );
+        ),
+        None => scenario,
     }
-    let outcome = match scenario.run_once() {
-        Ok(o) => o,
-        Err(e) => return Ok(Err(format!("config: {e}"))),
-    };
-    if !outcome.agreement_holds() || !outcome.validity_holds() {
-        return Ok(Err(format!(
-            "SAFETY VIOLATION: severity {} n={n} rep={rep}",
-            sev.label
-        )));
-    }
-    if !outcome.k_reached() {
-        if let Some(stall) = outcome.stall {
-            return Err(Box::new(stall));
-        }
-    }
-    let latencies = outcome.latencies_ms();
-    Ok(Ok(FmSample {
+}
+
+fn sample(outcome: &RunOutcome) -> FmSample {
+    FmSample {
         decided: outcome.k_reached(),
         mean_ms: outcome.mean_latency_ms(),
-        worst_ms: latencies.iter().copied().fold(None, |acc: Option<f64>, l| {
-            Some(acc.map_or(l, |a| a.max(l)))
-        }),
+        worst_ms: outcome.latencies_ms().into_iter().reduce(f64::max),
         queue_drops: outcome.stats.queue_drops,
         crash_drops: outcome.stats.crash_drops,
-        retried: attempt.index > 0,
-    }))
+    }
 }
 
 fn main() {
-    turquois_harness::env_guard::warn_unknown_env_vars();
-    let reps = reps_from_env(20);
-    let sizes = sizes_from_env();
-    let threads = runner::threads_from_env();
-    let limit = time_limit_from_env(turquois_harness::experiment::DEFAULT_TIME_LIMIT);
-
-    if std::env::var_os("TURQUOIS_FM_FORCE_STALL").is_some() {
-        force_stall_demo(threads);
-        return;
-    }
-
+    let plan = Plan::from_env("fault_matrix", 20, &PAPER_SIZES, Stall::Retry);
+    let reps = plan.reps;
     let severities = severities();
     println!(
         "Fault matrix — Turquois, divergent proposals, composed faults \
          ({reps} reps, supervised: {}s budget, stalls retried once at ×{})\n",
-        limit.as_secs_f64(),
-        runner::RETRY_BUDGET_SCALE,
+        plan.time_limit.unwrap_or(Scenario::DEFAULT_TIME_LIMIT).as_secs_f64(),
+        RETRY_BUDGET_SCALE,
     );
     for sev in &severities {
         println!("  {} = {}", sev.label, sev.desc);
@@ -187,63 +150,29 @@ fn main() {
     );
     println!("{}", "-".repeat(76));
 
-    // Cell grid in render order; every (cell, rep) fans out as one job.
-    let grid: Vec<(usize, usize)> = severities
+    let cells: Vec<(&Severity, usize)> = severities
         .iter()
-        .enumerate()
-        .flat_map(|(s, _)| sizes.iter().map(move |&n| (s, n)))
+        .flat_map(|sev| plan.sizes.iter().map(move |&n| (sev, n)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..grid.len())
-        .flat_map(|cell| (0..reps).map(move |rep| (cell, rep)))
-        .collect();
-    let (outcomes, report) = runner::run_supervised_timed(threads, &jobs, |_, &(cell, rep), attempt| {
-        let (sev_idx, n) = grid[cell];
-        run_cell_rep(&severities[sev_idx], n, rep, limit, attempt)
-    });
+    let run = plan.run(
+        &cells,
+        |&(sev, n)| format!("{} n={n}", sev.label),
+        |&(sev, n), rep, budget| budget.apply(scenario(sev, n, rep)).run_once(),
+        |_, outcome| Ok(sample(outcome)),
+    );
 
-    // Aggregate per cell; the first failing repetition decides a
-    // failed cell's label, siblings keep their healthy bytes.
-    let mut outcomes = outcomes.into_iter();
-    let mut failures: Vec<(String, String)> = Vec::new();
     let mut totals = (0u64, 0u64, 0usize); // q-drops, c-drops, retried
-    for &(sev_idx, n) in &grid {
-        let sev = &severities[sev_idx];
-        let chunk: Vec<_> = outcomes.by_ref().take(reps).collect();
-        let mut samples: Vec<FmSample> = Vec::with_capacity(reps);
-        let mut failed: Option<(&'static str, String)> = None;
-        for outcome in chunk {
-            if failed.is_some() {
-                continue; // drain the chunk; verdict already fixed
+    for (&(sev, n), cell) in cells.iter().zip(&run.cells) {
+        let samples = match &cell.samples {
+            Ok(samples) => samples,
+            Err(failure) => {
+                println!(
+                    "{:>4} {:>4} | {:>8} | {:>9} {:>9} | {:>8} {:>8} | {:>7}",
+                    sev.label, n, failure, "-", "-", "-", "-", "-"
+                );
+                continue;
             }
-            match outcome {
-                JobOutcome::Ok(Ok(s)) => samples.push(s),
-                JobOutcome::Ok(Err(detail)) => {
-                    let reason = if detail.starts_with("SAFETY") {
-                        "safety"
-                    } else {
-                        "config"
-                    };
-                    failed = Some((reason, detail));
-                }
-                JobOutcome::Stalled(report) => failed = Some(("stalled", report.to_string())),
-                JobOutcome::Panicked(msg) => failed = Some(("panic", msg)),
-            }
-        }
-        if let Some((reason, detail)) = failed {
-            println!(
-                "{:>4} {:>4} | {:>8} | {:>9} {:>9} | {:>8} {:>8} | {:>7}",
-                sev.label,
-                n,
-                format!("FAILED({reason})"),
-                "-",
-                "-",
-                "-",
-                "-",
-                "-"
-            );
-            failures.push((format!("{} n={n} FAILED({reason})", sev.label), detail));
-            continue;
-        }
+        };
         let decided = samples.iter().filter(|s| s.decided).count();
         let means: Vec<f64> = samples.iter().filter_map(|s| s.mean_ms).collect();
         let mean = means.iter().sum::<f64>() / means.len().max(1) as f64;
@@ -253,13 +182,12 @@ fn main() {
             .fold(0.0f64, f64::max);
         let q_drops: u64 = samples.iter().map(|s| s.queue_drops).sum();
         let c_drops: u64 = samples.iter().map(|s| s.crash_drops).sum();
-        let retried = samples.iter().filter(|s| s.retried).count();
         totals.0 += q_drops;
         totals.1 += c_drops;
-        totals.2 += retried;
+        totals.2 += cell.retried;
         println!(
             "{:>4} {:>4} | {:>5}/{:<2} | {:>9.1} {:>9.1} | {:>8} {:>8} | {:>7}",
-            sev.label, n, decided, reps, mean, worst, q_drops, c_drops, retried
+            sev.label, n, decided, reps, mean, worst, q_drops, c_drops, cell.retried
         );
     }
     println!();
@@ -268,73 +196,5 @@ fn main() {
         totals.0, totals.1, totals.2
     );
     println!("Safety (agreement + validity) was asserted on every run.");
-
-    report.log("fault_matrix");
-    runner::write_bench_json(
-        "fault_matrix",
-        &[BenchRecord {
-            label: "fault_matrix".into(),
-            report,
-        }],
-    );
-    if !failures.is_empty() {
-        for (head, detail) in &failures {
-            eprintln!("[supervisor] {head}:");
-            for line in detail.lines() {
-                eprintln!("[supervisor]   {line}");
-            }
-        }
-        std::process::exit(1);
-    }
-}
-
-/// An always-stalling configuration (omission budget 80 per 10 ms at
-/// n=10 kills every broadcast — the σ-sweep's proven stall recipe) to
-/// exercise stall detection end to end. Exits **nonzero** when the
-/// supervisor correctly catches the stall; zero means the detection
-/// path is broken, which CI asserts against.
-fn force_stall_demo(threads: usize) {
-    let limit = time_limit_from_env(Duration::from_secs(2));
-    println!(
-        "Fault matrix — forced-stall demo (omission budget 80/10 ms, n=10, {}s budget)\n",
-        limit.as_secs_f64()
-    );
-    let jobs = [0usize];
-    let (outcomes, _) = runner::run_supervised_timed(threads, &jobs, |_, _, attempt| {
-        let outcome = Scenario::new(Protocol::Turquois, 10)
-            .proposals(ProposalDistribution::Divergent)
-            .loss(LossSpec::Budget {
-                budget: 80,
-                window_ms: 10,
-            })
-            .time_limit(limit * attempt.budget_scale)
-            .seed(0xFA)
-            .run_once()
-            .expect("valid scenario");
-        assert!(
-            outcome.agreement_holds() && outcome.validity_holds(),
-            "safety must hold even in a stalled run"
-        );
-        if !outcome.k_reached() {
-            if let Some(stall) = outcome.stall {
-                return Err(Box::new(stall));
-            }
-        }
-        Ok(format!(
-            "unexpectedly decided: {}/{} correct",
-            outcome.decided_correct(),
-            outcome.k
-        ))
-    });
-    match outcomes.into_iter().next() {
-        Some(JobOutcome::Stalled(report)) => {
-            println!("supervisor caught the stall after escalated retry:\n");
-            println!("{report}");
-            eprintln!("[supervisor] forced-stall demo: stall detected as expected");
-            std::process::exit(1);
-        }
-        other => {
-            println!("stall detection FAILED to trigger: {other:?}");
-        }
-    }
+    run.finish();
 }

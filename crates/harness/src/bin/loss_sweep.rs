@@ -8,73 +8,74 @@
 //! effect — and the same comparison for the TCP-based baselines where
 //! MAC/transport retransmission absorbs the loss.
 //!
-//! Usage: `loss_sweep [reps]` (default 15; `TURQUOIS_THREADS` fans the
-//! grid out — output is byte-identical at any count).
+//! Usage: `loss_sweep [reps]` (default 15). A run that stalls is this
+//! sweep's measurement ([`Stall::Data`]), not a failure; the knobs,
+//! safety check and exit status are the grid driver's
+//! ([`turquois_harness::grid`]).
 
-use turquois_harness::experiment::reps_from_env;
-use turquois_harness::runner::{self, BenchRecord};
-use turquois_harness::*;
+use std::time::Duration;
+use turquois_harness::grid::{Plan, Stall};
+use turquois_harness::{FaultLoad, LossSpec, Protocol, Scenario};
 
 fn main() {
-    turquois_harness::env_guard::warn_unknown_env_vars();
-    let reps = reps_from_env(15);
-    let threads = runner::threads_from_env();
+    let plan = Plan::from_env("loss_sweep", 15, &[], Stall::Data);
     let n = 7;
-    println!("A3 — loss sweep, n={n} ({reps} reps, latency ms mean)\n");
+    println!(
+        "A3 — loss sweep, n={n} ({} reps, latency ms mean)\n",
+        plan.reps
+    );
     println!(
         "{:>6} | {:>12} {:>12} | {:>12} {:>12} | {:>12} {:>12}",
         "loss%", "Turq ff", "Turq fs", "ABBA ff", "ABBA fs", "Bracha ff", "Bracha fs"
     );
 
     let loss_rates = [0.0f64, 0.02, 0.05, 0.10, 0.20];
-    let mut grid = Vec::new();
+    let mut cells = Vec::new();
     for &loss in &loss_rates {
-        for proto in [Protocol::Turquois, Protocol::Abba, Protocol::Bracha] {
+        for proto in Protocol::ALL {
             for fl in [FaultLoad::FailureFree, FaultLoad::FailStop] {
-                grid.push((loss, proto, fl));
+                cells.push((loss, proto, fl));
             }
         }
     }
-    let jobs: Vec<(usize, usize)> = (0..grid.len())
-        .flat_map(|cell| (0..reps).map(move |rep| (cell, rep)))
-        .collect();
-    let (results, report) = runner::run_indexed_timed(threads, &jobs, |_, &(cell, rep)| {
-        let (loss, proto, fl) = grid[cell];
-        let outcome = Scenario::new(proto, n)
-            .fault_load(fl)
-            .loss(LossSpec::Iid(loss))
-            .time_limit(std::time::Duration::from_secs(60))
-            .seed(0xA3u64.wrapping_mul(rep as u64 + 1))
-            .run_once()
-            .expect("valid scenario");
-        assert!(outcome.agreement_holds() && outcome.validity_holds());
-        outcome.mean_latency_ms()
-    });
+    let run = plan.run(
+        &cells,
+        |&(loss, proto, fl)| format!("{} {} loss={loss}", proto.name(), fl.name()),
+        |&(loss, proto, fl), rep, budget| {
+            let scenario = Scenario::new(proto, n)
+                .fault_load(fl)
+                .loss(LossSpec::Iid(loss))
+                .time_limit(Duration::from_secs(60))
+                .seed(0xA3u64.wrapping_mul(rep as u64 + 1));
+            budget.apply(scenario).run_once()
+        },
+        |_, outcome| Ok(outcome.mean_latency_ms()),
+    );
 
-    let mut results = results.into_iter();
-    for &loss in &loss_rates {
-        let mut cells = Vec::new();
-        for _ in 0..6 {
-            let means: Vec<f64> = results.by_ref().take(reps).flatten().collect();
-            cells.push(means.iter().sum::<f64>() / means.len().max(1) as f64);
-        }
+    for (loss, row) in loss_rates.iter().zip(run.cells.chunks(6)) {
+        let text: Vec<String> = row
+            .iter()
+            .map(|cell| match &cell.samples {
+                Ok(samples) => {
+                    let means: Vec<f64> = samples.iter().flatten().copied().collect();
+                    format!(
+                        "{:.1}",
+                        means.iter().sum::<f64>() / means.len().max(1) as f64
+                    )
+                }
+                Err(failure) => failure.to_string(),
+            })
+            .collect();
         println!(
-            "{:>6.0} | {:>12.1} {:>12.1} | {:>12.1} {:>12.1} | {:>12.1} {:>12.1}",
+            "{:>6.0} | {:>12} {:>12} | {:>12} {:>12} | {:>12} {:>12}",
             loss * 100.0,
-            cells[0],
-            cells[1],
-            cells[2],
-            cells[3],
-            cells[4],
-            cells[5]
+            text[0],
+            text[1],
+            text[2],
+            text[3],
+            text[4],
+            text[5]
         );
     }
-    report.log("loss_sweep");
-    runner::write_bench_json(
-        "loss_sweep",
-        &[BenchRecord {
-            label: "loss_sweep".into(),
-            report,
-        }],
-    );
+    run.finish();
 }

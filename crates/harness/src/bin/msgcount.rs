@@ -6,64 +6,62 @@
 //! frames actually transmitted (including MAC retransmissions) per
 //! consensus, per group size.
 //!
-//! Usage: `msgcount [reps]` (default 10; `TURQUOIS_THREADS` fans the
-//! grid out — output is byte-identical at any count).
+//! Usage: `msgcount [reps]` (default 10). The knobs, supervision and
+//! exit status are the grid driver's ([`turquois_harness::grid`]).
 
-use turquois_harness::experiment::{reps_from_env, sizes_from_env};
-use turquois_harness::runner::{self, BenchRecord};
-use turquois_harness::*;
+use turquois_harness::experiment::PAPER_SIZES;
+use turquois_harness::grid::{Plan, Stall};
+use turquois_harness::{Protocol, Scenario};
 
 fn main() {
-    turquois_harness::env_guard::warn_unknown_env_vars();
-    let reps = reps_from_env(10);
-    let sizes = sizes_from_env();
-    let threads = runner::threads_from_env();
-    println!("A5 — data frames per consensus, failure-free unanimous ({reps} reps)\n");
+    let plan = Plan::from_env("msgcount", 10, &PAPER_SIZES, Stall::Retry);
+    println!(
+        "A5 — data frames per consensus, failure-free unanimous ({} reps)\n",
+        plan.reps
+    );
     println!(
         "{:>6} {:>12} {:>12} {:>12} {:>16}",
         "n", "Turquois", "ABBA", "Bracha", "Bracha/Turquois"
     );
 
-    let mut grid = Vec::new();
-    for &n in &sizes {
-        for proto in [Protocol::Turquois, Protocol::Abba, Protocol::Bracha] {
-            grid.push((n, proto));
+    let mut cells = Vec::new();
+    for &n in &plan.sizes {
+        for proto in Protocol::ALL {
+            cells.push((n, proto));
         }
     }
-    let jobs: Vec<(usize, usize)> = (0..grid.len())
-        .flat_map(|cell| (0..reps).map(move |rep| (cell, rep)))
-        .collect();
-    let (results, report) = runner::run_indexed_timed(threads, &jobs, |_, &(cell, rep)| {
-        let (n, proto) = grid[cell];
-        let outcome = Scenario::new(proto, n)
-            .seed(0xA5u64.wrapping_mul(rep as u64 + 1))
-            .run_once()
-            .expect("valid scenario");
-        assert!(outcome.agreement_holds());
-        outcome.stats.frames_sent()
-    });
+    let run = plan.run(
+        &cells,
+        |&(n, proto)| format!("{} n={n}", proto.name()),
+        |&(n, proto), rep, budget| {
+            let scenario = Scenario::new(proto, n).seed(0xA5u64.wrapping_mul(rep as u64 + 1));
+            budget.apply(scenario).run_once()
+        },
+        |_, outcome| Ok(outcome.stats.frames_sent()),
+    );
 
-    let mut results = results.into_iter();
-    for &n in &sizes {
-        let mut per_proto = Vec::new();
-        for _ in 0..3 {
-            let frames: u64 = results.by_ref().take(reps).sum();
-            per_proto.push(frames as f64 / reps as f64);
-        }
+    for (n, row) in plan.sizes.iter().zip(run.cells.chunks(3)) {
+        let means: Vec<Result<f64, String>> = row
+            .iter()
+            .map(|cell| match &cell.samples {
+                Ok(frames) => Ok(frames.iter().sum::<u64>() as f64 / plan.reps as f64),
+                Err(failure) => Err(failure.to_string()),
+            })
+            .collect();
+        let text = |mean: &Result<f64, String>| match mean {
+            Ok(mean) => format!("{mean:.0}"),
+            Err(failed) => failed.clone(),
+        };
+        let ratio = match (&means[0], &means[2]) {
+            (Ok(turquois), Ok(bracha)) => format!("{:.1}x", bracha / turquois),
+            _ => "-".to_string(),
+        };
         println!(
-            "{n:>6} {:>12.0} {:>12.0} {:>12.0} {:>15.1}x",
-            per_proto[0],
-            per_proto[1],
-            per_proto[2],
-            per_proto[2] / per_proto[0]
+            "{n:>6} {:>12} {:>12} {:>12} {ratio:>16}",
+            text(&means[0]),
+            text(&means[1]),
+            text(&means[2])
         );
     }
-    report.log("msgcount");
-    runner::write_bench_json(
-        "msgcount",
-        &[BenchRecord {
-            label: "msgcount".into(),
-            report,
-        }],
-    );
+    run.finish();
 }

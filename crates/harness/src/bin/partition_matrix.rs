@@ -17,24 +17,20 @@
 //! the full group eventually decides. Any violation renders
 //! `FAILED(<reason>)` and the process exits nonzero.
 //!
-//! Runs are supervised ([`runner::run_supervised_timed`]): a stalled
-//! job retries once at a [`runner::RETRY_BUDGET_SCALE`]× budget, and a
-//! stall that survives prints its [`StallReport`] — whose per-node
-//! reachable/component columns are exactly the diagnostic a partition
-//! stall needs.
+//! Runs are supervised by the grid driver
+//! ([`turquois_harness::grid`]): a stalled job retries once at a
+//! [`RETRY_BUDGET_SCALE`]× budget, and a stall that survives prints its
+//! `StallReport` — whose per-node reachable/component columns are
+//! exactly the diagnostic a partition stall needs.
 //!
-//! Output: `results/partition_matrix.txt` (stdout) and
-//! `results/BENCH_partition.json` (recovery-latency summary; override
-//! the path with `TURQUOIS_PARTITION_JSON`). `TURQUOIS_REPS`,
+//! Usage: `partition_matrix [reps]` (default 10; `TURQUOIS_REPS`,
 //! `TURQUOIS_SIZES`, `TURQUOIS_THREADS`, `TURQUOIS_TIME_LIMIT`
-//! respected.
+//! respected).
 
-use std::path::{Path, PathBuf};
-use std::time::Duration;
-use turquois_harness::experiment::{reps_from_env, sizes_from_env, time_limit_from_env};
-use turquois_harness::runner::{self, Attempt, BenchRecord, JobOutcome};
-use turquois_harness::{Protocol, ProposalDistribution, Scenario};
-use wireless_net::supervise::StallReport;
+use turquois_harness::experiment::PAPER_SIZES;
+use turquois_harness::grid::{Plan, Stall};
+use turquois_harness::runner::RETRY_BUDGET_SCALE;
+use turquois_harness::{Protocol, ProposalDistribution, RunOutcome, Scenario};
 use wireless_net::time::SimTime;
 use wireless_net::topology::{PartitionSchedule, TopologySpec};
 
@@ -84,8 +80,78 @@ fn quorum(engine: Protocol, n: usize) -> usize {
     }
 }
 
+/// One matrix cell.
+#[derive(Clone, Copy)]
+struct PmCell {
+    engine: Protocol,
+    split: Split,
+    heal_ms: u64,
+    n: usize,
+}
+
+impl PmCell {
+    fn label(&self) -> String {
+        format!(
+            "{:?} {} heal={}ms n={}",
+            self.engine,
+            self.split.label(),
+            self.heal_ms,
+            self.n
+        )
+    }
+
+    fn heal_at(&self) -> SimTime {
+        SimTime::from_millis(self.heal_ms)
+    }
+
+    fn scenario(&self, rep: usize) -> Scenario {
+        let schedule = PartitionSchedule::new()
+            .split_at(SimTime::from_millis(SPLIT_AT_MS), self.split.groups(self.n))
+            .heal_at(self.heal_at());
+        Scenario::new(self.engine, self.n)
+            .proposals(ProposalDistribution::Divergent)
+            .topology(TopologySpec::Partition(schedule))
+            .seed(0x9A_u64.wrapping_mul(rep as u64 + 1).wrapping_add(self.n as u64))
+    }
+
+    /// The robustness claim proper — while split, a component below
+    /// the engine's quorum must not decide; every node is checked
+    /// against its group size — and then what the run contributes.
+    fn sample(&self, outcome: &RunOutcome) -> Result<PmSample, String> {
+        let (split_at, heal_at) = (SimTime::from_millis(SPLIT_AT_MS), self.heal_at());
+        let q = quorum(self.engine, self.n);
+        for group in self.split.groups(self.n) {
+            if group.len() >= q {
+                continue;
+            }
+            for &node in &group {
+                if let Some(d) = outcome.decisions[node] {
+                    if d.time >= split_at && d.time < heal_at {
+                        return Err(format!(
+                            "SAFETY VIOLATION: {}: node {node} decided at {} inside a \
+                             {}-node sub-quorum component (quorum {q})",
+                            self.label(),
+                            d.time,
+                            group.len(),
+                        ));
+                    }
+                }
+            }
+        }
+        let decided = outcome.decisions.iter().flatten();
+        Ok(PmSample {
+            pre_heal: decided.clone().filter(|d| d.time < heal_at).count(),
+            recovery_ms: decided
+                .map(|d| d.time)
+                .filter(|&t| t >= heal_at)
+                .max()
+                .map(|t| t.saturating_since(heal_at).as_secs_f64() * 1e3),
+            queue_drops: outcome.stats.queue_drops,
+        })
+    }
+}
+
 /// What one repetition contributes to a matrix cell.
-#[derive(Clone)]
 struct PmSample {
     /// Correct nodes decided before the split healed (the surviving
     /// majority under a quorum-keeping split; 0 under quorum-breaking).
@@ -94,120 +160,20 @@ struct PmSample {
     /// had already decided at heal time).
     recovery_ms: Option<f64>,
     queue_drops: u64,
-    retried: bool,
-}
-
-/// Runs one supervised `(engine, split, heal, n, rep)` job. Outer
-/// `Err` = stall (retryable at a bigger budget); inner `Err` =
-/// completed with a fatal finding (safety/quorum/config — never
-/// retried, never downgraded).
-#[allow(clippy::too_many_arguments)]
-fn run_cell_rep(
-    engine: Protocol,
-    split: Split,
-    heal_ms: u64,
-    n: usize,
-    rep: usize,
-    base_limit: Duration,
-    attempt: Attempt,
-) -> Result<Result<PmSample, String>, Box<StallReport>> {
-    let split_at = SimTime::from_millis(SPLIT_AT_MS);
-    let heal_at = SimTime::from_millis(heal_ms);
-    let groups = split.groups(n);
-    let schedule = PartitionSchedule::new()
-        .split_at(split_at, groups.clone())
-        .heal_at(heal_at);
-    let outcome = match Scenario::new(engine, n)
-        .proposals(ProposalDistribution::Divergent)
-        .topology(TopologySpec::Partition(schedule))
-        .time_limit(base_limit * attempt.budget_scale)
-        .seed(0x9A_u64.wrapping_mul(rep as u64 + 1).wrapping_add(n as u64))
-        .run_once()
-    {
-        Ok(o) => o,
-        Err(e) => return Ok(Err(format!("config: {e}"))),
-    };
-    let label = format!("{engine:?} {} heal={heal_ms}ms n={n} rep={rep}", split.label());
-    if !outcome.agreement_holds() || !outcome.validity_holds() {
-        return Ok(Err(format!("SAFETY VIOLATION: {label}")));
-    }
-    // The robustness claim proper: while split, a component below the
-    // engine's quorum must not decide — check every node against its
-    // group size.
-    let q = quorum(engine, n);
-    for group in &groups {
-        if group.len() >= q {
-            continue;
-        }
-        for &node in group {
-            if let Some(d) = outcome.decisions[node] {
-                if d.time >= split_at && d.time < heal_at {
-                    return Ok(Err(format!(
-                        "SAFETY VIOLATION: {label}: node {node} decided at {} inside a \
-                         {}-node sub-quorum component (quorum {q})",
-                        d.time,
-                        group.len(),
-                    )));
-                }
-            }
-        }
-    }
-    if !outcome.k_reached() {
-        if let Some(stall) = outcome.stall {
-            return Err(Box::new(stall));
-        }
-        return Ok(Err(format!("incomplete without stall report: {label}")));
-    }
-    let pre_heal = outcome
-        .decisions
-        .iter()
-        .flatten()
-        .filter(|d| d.time < heal_at)
-        .count();
-    let recovery_ms = outcome
-        .decisions
-        .iter()
-        .flatten()
-        .map(|d| d.time)
-        .filter(|&t| t >= heal_at)
-        .max()
-        .map(|t| t.saturating_since(heal_at).as_secs_f64() * 1e3);
-    Ok(Ok(PmSample {
-        pre_heal,
-        recovery_ms,
-        queue_drops: outcome.stats.queue_drops,
-        retried: attempt.index > 0,
-    }))
-}
-
-/// One aggregated matrix cell for the JSON summary.
-struct CellSummary {
-    engine: Protocol,
-    split: Split,
-    heal_ms: u64,
-    n: usize,
-    reps: usize,
-    pre_heal_mean: f64,
-    recovery_mean_ms: Option<f64>,
-    recovery_worst_ms: Option<f64>,
 }
 
 fn main() {
-    turquois_harness::env_guard::warn_unknown_env_vars();
-    let reps = reps_from_env(10);
-    let sizes = sizes_from_env();
-    let threads = runner::threads_from_env();
-    let limit = time_limit_from_env(turquois_harness::experiment::DEFAULT_TIME_LIMIT);
+    let plan = Plan::from_env("partition_matrix", 10, &PAPER_SIZES, Stall::Retry);
+    let reps = plan.reps;
 
-    const ENGINES: [Protocol; 3] = [Protocol::Turquois, Protocol::Abba, Protocol::Bracha];
     const SPLITS: [Split; 2] = [Split::Keep, Split::Break];
     const HEALS_MS: [u64; 2] = [1_000, 3_000];
 
     println!(
         "Partition matrix — divergent proposals, split at {SPLIT_AT_MS} ms \
          ({reps} reps, supervised: {}s budget, stalls retried once at ×{})\n",
-        limit.as_secs_f64(),
-        runner::RETRY_BUDGET_SCALE,
+        plan.time_limit.unwrap_or(Scenario::DEFAULT_TIME_LIMIT).as_secs_f64(),
+        RETRY_BUDGET_SCALE,
     );
     println!("  keep  = majority n−f | minority f   (majority retains quorum)");
     println!("  break = halves ⌈n/2⌉ | ⌊n/2⌋        (no component reaches quorum)");
@@ -222,110 +188,73 @@ fn main() {
     );
     println!("{}", "-".repeat(102));
 
-    // Cell grid in render order; every (cell, rep) fans out as one job.
-    let mut grid: Vec<(Protocol, Split, u64, usize)> = Vec::new();
-    for &e in &ENGINES {
-        for &s in &SPLITS {
-            for &h in &HEALS_MS {
-                for &n in &sizes {
-                    grid.push((e, s, h, n));
+    let mut cells = Vec::new();
+    for engine in Protocol::ALL {
+        for split in SPLITS {
+            for heal_ms in HEALS_MS {
+                for &n in &plan.sizes {
+                    cells.push(PmCell {
+                        engine,
+                        split,
+                        heal_ms,
+                        n,
+                    });
                 }
             }
         }
     }
-    let jobs: Vec<(usize, usize)> = (0..grid.len())
-        .flat_map(|cell| (0..reps).map(move |rep| (cell, rep)))
-        .collect();
-    let (outcomes, report) =
-        runner::run_supervised_timed(threads, &jobs, |_, &(cell, rep), attempt| {
-            let (engine, split, heal_ms, n) = grid[cell];
-            run_cell_rep(engine, split, heal_ms, n, rep, limit, attempt)
-        });
+    let run = plan.run(
+        &cells,
+        PmCell::label,
+        |cell, rep, budget| budget.apply(cell.scenario(rep)).run_once(),
+        PmCell::sample,
+    );
 
-    // Aggregate per cell; the first failing repetition decides a failed
-    // cell's label, siblings keep their healthy bytes.
-    let mut outcomes = outcomes.into_iter();
-    let mut failures: Vec<(String, String)> = Vec::new();
-    let mut cells: Vec<CellSummary> = Vec::new();
     let mut totals = (0u64, 0usize); // q-drops, retried
-    for &(engine, split, heal_ms, n) in &grid {
-        let chunk: Vec<_> = outcomes.by_ref().take(reps).collect();
-        let mut samples: Vec<PmSample> = Vec::with_capacity(reps);
-        let mut failed: Option<(&'static str, String)> = None;
-        for outcome in chunk {
-            if failed.is_some() {
-                continue; // drain the chunk; verdict already fixed
+    for (c, cell) in cells.iter().zip(&run.cells) {
+        let engine = format!("{:?}", c.engine);
+        let samples = match &cell.samples {
+            Ok(samples) => samples,
+            Err(failure) => {
+                println!(
+                    "{:>9} {:>6} {:>8} {:>4} | {:>8} {:>9} | {:>9} {:>9} | {:>8} {:>7}",
+                    engine,
+                    c.split.label(),
+                    c.heal_ms,
+                    c.n,
+                    failure,
+                    "-",
+                    "-",
+                    "-",
+                    "-",
+                    "-"
+                );
+                continue;
             }
-            match outcome {
-                JobOutcome::Ok(Ok(s)) => samples.push(s),
-                JobOutcome::Ok(Err(detail)) => {
-                    let reason = if detail.starts_with("SAFETY") {
-                        "safety"
-                    } else {
-                        "config"
-                    };
-                    failed = Some((reason, detail));
-                }
-                JobOutcome::Stalled(report) => failed = Some(("stalled", report.to_string())),
-                JobOutcome::Panicked(msg) => failed = Some(("panic", msg)),
-            }
-        }
-        if let Some((reason, detail)) = failed {
-            println!(
-                "{:>9} {:>6} {:>8} {:>4} | {:>8} {:>9} | {:>9} {:>9} | {:>8} {:>7}",
-                format!("{engine:?}"),
-                split.label(),
-                heal_ms,
-                n,
-                format!("FAILED({reason})"),
-                "-",
-                "-",
-                "-",
-                "-",
-                "-"
-            );
-            failures.push((
-                format!("{engine:?} {} heal={heal_ms}ms n={n} FAILED({reason})", split.label()),
-                detail,
-            ));
-            continue;
-        }
+        };
         let pre_heal_mean =
             samples.iter().map(|s| s.pre_heal).sum::<usize>() as f64 / samples.len().max(1) as f64;
         let recoveries: Vec<f64> = samples.iter().filter_map(|s| s.recovery_ms).collect();
         let recovery_mean_ms = (!recoveries.is_empty())
             .then(|| recoveries.iter().sum::<f64>() / recoveries.len() as f64);
-        let recovery_worst_ms = recoveries.iter().copied().fold(None, |acc: Option<f64>, r| {
-            Some(acc.map_or(r, |a| a.max(r)))
-        });
+        let recovery_worst_ms = recoveries.iter().copied().reduce(f64::max);
         let q_drops: u64 = samples.iter().map(|s| s.queue_drops).sum();
-        let retried = samples.iter().filter(|s| s.retried).count();
         totals.0 += q_drops;
-        totals.1 += retried;
+        totals.1 += cell.retried;
         let fmt_ms = |v: Option<f64>| v.map_or("-".to_string(), |m| format!("{m:.1}"));
         println!(
             "{:>9} {:>6} {:>8} {:>4} | {:>8} {:>9.1} | {:>9} {:>9} | {:>8} {:>7}",
-            format!("{engine:?}"),
-            split.label(),
-            heal_ms,
-            n,
+            engine,
+            c.split.label(),
+            c.heal_ms,
+            c.n,
             format!("{}/{}", samples.len(), reps),
             pre_heal_mean,
             fmt_ms(recovery_mean_ms),
             fmt_ms(recovery_worst_ms),
             q_drops,
-            retried
+            cell.retried
         );
-        cells.push(CellSummary {
-            engine,
-            split,
-            heal_ms,
-            n,
-            reps: samples.len(),
-            pre_heal_mean,
-            recovery_mean_ms,
-            recovery_worst_ms,
-        });
     }
     println!();
     println!("stats: tx-queue drops={} retried reps={}", totals.0, totals.1);
@@ -333,66 +262,5 @@ fn main() {
         "Safety (agreement + validity) and the sub-quorum no-decision rule \
          were asserted on every run."
     );
-
-    write_partition_json(&cells);
-    report.log("partition_matrix");
-    runner::write_bench_json(
-        "partition_matrix",
-        &[BenchRecord {
-            label: "partition_matrix".into(),
-            report,
-        }],
-    );
-    if !failures.is_empty() {
-        for (head, detail) in &failures {
-            eprintln!("[supervisor] {head}:");
-            for line in detail.lines() {
-                eprintln!("[supervisor]   {line}");
-            }
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Writes `results/BENCH_partition.json` (or `$TURQUOIS_PARTITION_JSON`):
-/// the post-heal recovery latencies in machine-readable form. I/O
-/// failures warn instead of aborting — telemetry must never kill an
-/// experiment.
-fn write_partition_json(cells: &[CellSummary]) {
-    let path = std::env::var_os("TURQUOIS_PARTITION_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new("results").join("BENCH_partition.json"));
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: cannot create {}: {e}", dir.display());
-                return;
-            }
-        }
-    }
-    let fmt_opt = |v: Option<f64>| v.map_or("null".to_string(), |m| format!("{m:.3}"));
-    let mut json = String::new();
-    json.push_str("{\n  \"bin\": \"partition_matrix\",\n  \"split_at_ms\": ");
-    json.push_str(&SPLIT_AT_MS.to_string());
-    json.push_str(",\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"engine\": \"{:?}\", \"split\": \"{}\", \"heal_ms\": {}, \"n\": {}, \
-             \"reps\": {}, \"pre_heal_mean\": {:.3}, \"recovery_mean_ms\": {}, \
-             \"recovery_worst_ms\": {}}}{}\n",
-            c.engine,
-            c.split.label(),
-            c.heal_ms,
-            c.n,
-            c.reps,
-            c.pre_heal_mean,
-            fmt_opt(c.recovery_mean_ms),
-            fmt_opt(c.recovery_worst_ms),
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: cannot write {}: {e}", path.display());
-    }
+    run.finish();
 }

@@ -5,19 +5,19 @@
 //! of phase 3; with divergent proposals they typically need phase 6.
 //! This experiment prints the observed histogram.
 //!
-//! Usage: `phases [reps]` (default 50; `TURQUOIS_THREADS` fans the
-//! repetitions out — the histogram is byte-identical at any count).
+//! Usage: `phases [reps]` (default 50). The knobs, supervision and exit
+//! status are the grid driver's ([`turquois_harness::grid`]).
 
 use std::collections::BTreeMap;
-use turquois_harness::experiment::reps_from_env;
-use turquois_harness::runner::{self, BenchRecord};
-use turquois_harness::*;
+use turquois_harness::grid::{Plan, Stall};
+use turquois_harness::{ProposalDistribution, Protocol, Scenario};
 
 fn main() {
-    turquois_harness::env_guard::warn_unknown_env_vars();
-    let reps = reps_from_env(50);
-    let threads = runner::threads_from_env();
-    println!("A1 — Turquois phase at decision ({reps} repetitions per cell)\n");
+    let plan = Plan::from_env("phases", 50, &[], Stall::Retry);
+    println!(
+        "A1 — Turquois phase at decision ({} repetitions per cell)\n",
+        plan.reps
+    );
 
     let mut cells = Vec::new();
     for n in [4usize, 7, 10, 16] {
@@ -28,49 +28,42 @@ fn main() {
             cells.push((n, dist));
         }
     }
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|cell| (0..reps).map(move |rep| (cell, rep)))
-        .collect();
-    let (results, report) = runner::run_indexed_timed(threads, &jobs, |_, &(cell, rep)| {
-        let (n, dist) = cells[cell];
-        let outcome = Scenario::new(Protocol::Turquois, n)
-            .proposals(dist)
-            .seed(0xA1u64.wrapping_mul(rep as u64 + 1).wrapping_add(n as u64))
-            .run_once()
-            .expect("valid scenario");
-        assert!(outcome.agreement_holds() && outcome.validity_holds());
-        outcome
-            .probe
-            .phase_at_decision
-            .iter()
-            .flatten()
-            .copied()
-            .collect::<Vec<u32>>()
-    });
+    let run = plan.run(
+        &cells,
+        |&(n, dist)| format!("n={n} {}", dist.name()),
+        |&(n, dist), rep, budget| {
+            let scenario = Scenario::new(Protocol::Turquois, n)
+                .proposals(dist)
+                .seed(0xA1u64.wrapping_mul(rep as u64 + 1).wrapping_add(n as u64));
+            budget.apply(scenario).run_once()
+        },
+        |_, outcome| {
+            let phases = outcome.probe.phase_at_decision.iter().flatten();
+            Ok(phases.copied().collect::<Vec<u32>>())
+        },
+    );
 
-    let mut results = results.into_iter();
-    for &(n, dist) in &cells {
-        let mut histogram: BTreeMap<u32, usize> = BTreeMap::new();
-        for phases in results.by_ref().take(reps) {
-            for phase in phases {
-                *histogram.entry(phase).or_default() += 1;
+    for (&(n, dist), cell) in cells.iter().zip(&run.cells) {
+        let line = match &cell.samples {
+            Ok(samples) => {
+                let mut histogram: BTreeMap<u32, usize> = BTreeMap::new();
+                for &phase in samples.iter().flatten() {
+                    *histogram.entry(phase).or_default() += 1;
+                }
+                let total: usize = histogram.values().sum();
+                let shares: Vec<String> = histogram
+                    .iter()
+                    .map(|(phase, count)| {
+                        format!("φ{phase}: {:.0}%", 100.0 * *count as f64 / total as f64)
+                    })
+                    .collect();
+                shares.join("  ")
             }
-        }
-        let total: usize = histogram.values().sum();
-        let line: Vec<String> = histogram
-            .iter()
-            .map(|(phase, count)| format!("φ{phase}: {:.0}%", 100.0 * *count as f64 / total as f64))
-            .collect();
-        println!("n={n:<3} {:<10} {}", dist.name(), line.join("  "));
+            Err(failure) => failure.to_string(),
+        };
+        println!("n={n:<3} {:<10} {line}", dist.name());
     }
     println!("\nExpected shape: unanimous decisions cluster at phase 4 (decide at the");
     println!("end of phase 3); divergent decisions cluster at phase 7 (end of 6).");
-    report.log("phases");
-    runner::write_bench_json(
-        "phases",
-        &[BenchRecord {
-            label: "phases".into(),
-            report,
-        }],
-    );
+    run.finish();
 }

@@ -7,18 +7,19 @@
 //! reports decision latency / completion — demonstrating graceful
 //! degradation, not a cliff, plus unconditional safety.
 //!
-//! Usage: `sigma_sweep [reps]` (default 20; `TURQUOIS_THREADS` fans the
-//! repetitions out — output is byte-identical at any count).
+//! Usage: `sigma_sweep [reps]` (default 20). A run that stalls is this
+//! sweep's measurement ([`Stall::Data`]), not a failure; the knobs,
+//! safety check and exit status are the grid driver's
+//! ([`turquois_harness::grid`]).
 
+use std::time::Duration;
 use turquois_core::Config;
-use turquois_harness::experiment::reps_from_env;
-use turquois_harness::runner::{self, BenchRecord};
-use turquois_harness::*;
+use turquois_harness::grid::{Plan, Stall};
+use turquois_harness::{LossSpec, Protocol, Scenario};
 
 fn main() {
-    turquois_harness::env_guard::warn_unknown_env_vars();
-    let reps = reps_from_env(20);
-    let threads = runner::threads_from_env();
+    let plan = Plan::from_env("sigma_sweep", 20, &[], Stall::Data);
+    let reps = plan.reps;
     let n = 10;
     let cfg = Config::evaluation(n).expect("valid n");
     let sigma = cfg.sigma(0);
@@ -32,58 +33,47 @@ fn main() {
     );
 
     let budgets = [0usize, sigma / 2, sigma, sigma * 2, sigma * 4, sigma * 8];
-    let jobs: Vec<(usize, usize)> = (0..budgets.len())
-        .flat_map(|cell| (0..reps).map(move |rep| (cell, rep)))
-        .collect();
-    let (results, report) = runner::run_indexed_timed(threads, &jobs, |_, &(cell, rep)| {
-        let budget = budgets[cell];
-        let outcome = Scenario::new(Protocol::Turquois, n)
-            .loss(LossSpec::Budget {
-                budget,
-                window_ms: 10,
-            })
-            .time_limit(std::time::Duration::from_secs(30))
-            .seed(0xA2u64.wrapping_mul(rep as u64 + 1))
-            .run_once()
-            .expect("valid scenario");
-        assert!(
-            outcome.agreement_holds(),
-            "safety must hold at any omission rate"
-        );
-        assert!(outcome.validity_holds());
-        (outcome.k_reached(), outcome.mean_latency_ms())
-    });
+    let run = plan.run(
+        &budgets,
+        |kills| format!("budget={kills}"),
+        |&kills, rep, budget| {
+            let scenario = Scenario::new(Protocol::Turquois, n)
+                .loss(LossSpec::Budget {
+                    budget: kills,
+                    window_ms: 10,
+                })
+                .time_limit(Duration::from_secs(30))
+                .seed(0xA2u64.wrapping_mul(rep as u64 + 1));
+            budget.apply(scenario).run_once()
+        },
+        // The mean latency, if k processes decided.
+        |_, outcome| Ok(outcome.mean_latency_ms().filter(|_| outcome.k_reached())),
+    );
 
-    let mut results = results.into_iter();
-    for &budget in &budgets {
-        let mut means = Vec::new();
-        let mut complete = 0usize;
-        for (k_reached, mean) in results.by_ref().take(reps) {
-            if k_reached {
-                complete += 1;
-                if let Some(mean) = mean {
-                    means.push(mean);
-                }
+    for (kills, cell) in budgets.iter().zip(&run.cells) {
+        let samples = match &cell.samples {
+            Ok(samples) => samples,
+            Err(failure) => {
+                println!("{kills:>8} {failure:>12} {:>12} {:>10}", "-", "-");
+                continue;
             }
-        }
+        };
+        let means: Vec<f64> = samples.iter().flatten().copied().collect();
+        let complete = means.len();
         if means.is_empty() {
             println!(
-                "{budget:>8} {:>12} {:>12} {:>7}/{reps}",
+                "{kills:>8} {:>12} {:>12} {:>7}/{reps}",
                 "stalled", "stalled", complete
             );
         } else {
             let mean = means.iter().sum::<f64>() / means.len() as f64;
             let worst = means.iter().cloned().fold(0.0f64, f64::max);
-            println!("{budget:>8} {mean:>12.1} {worst:>12.1} {:>7}/{reps}", complete);
+            println!(
+                "{kills:>8} {mean:>12.1} {worst:>12.1} {:>7}/{reps}",
+                complete
+            );
         }
     }
     println!("\nSafety (agreement + validity) was asserted on every run.");
-    report.log("sigma_sweep");
-    runner::write_bench_json(
-        "sigma_sweep",
-        &[BenchRecord {
-            label: "sigma_sweep".into(),
-            report,
-        }],
-    );
+    run.finish();
 }

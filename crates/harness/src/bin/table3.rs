@@ -2,54 +2,12 @@
 //! `f = ⌊(n−1)/3⌋` Byzantine processes following the §7.2 attack
 //! strategies.
 //!
-//! Usage: `table3 [reps]` (default 50; `TURQUOIS_THREADS` selects the
-//! worker pool — output is byte-identical at any thread count).
-//!
-//! Runs are supervised: jobs are panic-isolated, a run that exhausts
-//! its simulated-time budget (`TURQUOIS_TIME_LIMIT`, seconds) is
-//! retried once at an escalated budget, and a cell that still fails
-//! renders `FAILED(<reason>)` while its siblings keep their exact
-//! healthy-run bytes; the process then exits nonzero.
+//! Usage: `table3 [reps]` (default 50). The knobs, supervision and exit
+//! status are the grid driver's ([`turquois_harness::grid`]).
 
-use turquois_harness::experiment::{
-    paper_table_supervised_on, render_table, reps_from_env, sabotage_from_env,
-    sizes_from_env, table_stats_line, time_limit_from_env, DEFAULT_TIME_LIMIT,
-};
-use turquois_harness::runner::{self, BenchRecord};
+use turquois_harness::experiment::paper_table_main;
 use turquois_harness::FaultLoad;
 
 fn main() {
-    turquois_harness::env_guard::warn_unknown_env_vars();
-    let reps = reps_from_env(50);
-    let sizes = sizes_from_env();
-    let threads = runner::threads_from_env();
-    let limit = time_limit_from_env(DEFAULT_TIME_LIMIT);
-    let (rows, health, report) = paper_table_supervised_on(
-        FaultLoad::Byzantine,
-        &sizes,
-        reps,
-        threads,
-        limit,
-        sabotage_from_env(),
-    );
-    println!(
-        "{}",
-        render_table(
-            &format!("Table 3 — Byzantine fault load ({reps} repetitions, latency ms ± 95% CI)"),
-            &rows
-        )
-    );
-    println!("{}", table_stats_line(&rows));
-    report.log("table3");
-    runner::write_bench_json(
-        "table3",
-        &[BenchRecord {
-            label: "table3".into(),
-            report,
-        }],
-    );
-    if !health.ok() {
-        health.log();
-        std::process::exit(1);
-    }
+    paper_table_main("table3", "Table 3", FaultLoad::Byzantine);
 }

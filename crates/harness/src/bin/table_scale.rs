@@ -14,29 +14,27 @@
 //! collision rates sane with 16× the contenders). At n = 16 both equal
 //! the paper's values exactly.
 //!
-//! Runs are supervised ([`runner::run_supervised_timed`]): a stalled
-//! `(cell, rep)` job is retried once at a
-//! [`runner::RETRY_BUDGET_SCALE`]× simulated-time budget, panics are
+//! Runs are supervised by the grid driver
+//! ([`turquois_harness::grid`]): a stalled `(cell, rep)` job is retried
+//! once at a [`RETRY_BUDGET_SCALE`]× simulated-time budget, panics are
 //! isolated to their cell, and a cell that still fails renders
 //! `FAILED(<reason>)` while its siblings keep their healthy bytes; the
 //! process then exits nonzero.
 //!
 //! Stdout is **deterministic** — byte-identical across thread counts
-//! and host speed — so `results/table_scale.txt` can be
-//! diffed. Host wall-clock telemetry (per-cell wall seconds, runner
-//! utilisation) goes to stderr and to `results/BENCH_scale.json`
-//! (`$TURQUOIS_BENCH_JSON` overrides the path), never to stdout.
+//! and host speed — so `results/table_scale.txt` can be diffed. Host
+//! wall-clock telemetry (per-cell wall seconds, runner utilisation)
+//! goes to stderr and, on request, to `$TURQUOIS_BENCH_JSON` — never to
+//! stdout.
 //!
 //! Usage: `table_scale [reps]` (default 3; `TURQUOIS_REPS`,
 //! `TURQUOIS_SIZES`, `TURQUOIS_THREADS`, `TURQUOIS_TIME_LIMIT`
 //! respected — sizes default to 16,64,256 here, not the paper's list).
 
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
-use turquois_harness::experiment::{reps_from_env, sizes_from_env_or, time_limit_from_env};
-use turquois_harness::runner::{self, Attempt, JobOutcome};
-use turquois_harness::{FaultLoad, Protocol, ProposalDistribution, Scenario};
-use wireless_net::supervise::StallReport;
+use std::time::Duration;
+use turquois_harness::grid::{Plan, Stall};
+use turquois_harness::runner::RETRY_BUDGET_SCALE;
+use turquois_harness::{FaultLoad, Protocol, ProposalDistribution, RunOutcome, Scenario};
 
 /// Group sizes when `TURQUOIS_SIZES` is unset: the paper's largest
 /// size, then 4× and 16× past it.
@@ -86,16 +84,27 @@ fn scale_phy(n: usize) -> wireless_net::PhyConfig {
 /// around simulated t ≈ 300 s (ten phases at ~30 s each — the price of
 /// the scaled tick), so cells past n = 64 get a 600 s budget. An
 /// explicit `TURQUOIS_TIME_LIMIT` overrides both uniformly.
-fn scale_limit(n: usize, base: Duration, env_override: bool) -> Duration {
-    if env_override || n <= 64 {
-        base
+fn scale_limit(n: usize) -> Duration {
+    if n <= 64 {
+        Scenario::DEFAULT_TIME_LIMIT
     } else {
         Duration::from_secs(600)
     }
 }
 
+fn scenario(load: FaultLoad, n: usize, rep: usize) -> Scenario {
+    Scenario::new(Protocol::Turquois, n)
+        .proposals(ProposalDistribution::Divergent)
+        .fault_load(load)
+        .phy(scale_phy(n))
+        .tick_interval(scale_tick(n))
+        .time_limit(scale_limit(n))
+        .seed(0x5CA1E_u64
+            .wrapping_mul(rep as u64 + 1)
+            .wrapping_add(n as u64))
+}
+
 /// What one repetition contributes to a grid cell.
-#[derive(Clone)]
 struct ScaleSample {
     decided: bool,
     mean_ms: Option<f64>,
@@ -105,96 +114,34 @@ struct ScaleSample {
     /// Largest per-node store high-water mark (bytes).
     peak_store: usize,
     queue_drops: u64,
-    retried: bool,
-    /// Host wall-clock seconds for this repetition. Reported only on
-    /// stderr / in the bench JSON — stdout stays deterministic.
-    wall_s: f64,
 }
 
-/// Runs one supervised `(fault load, n, rep)` job. Outer `Err` = stall
-/// (retryable with a bigger budget); inner `Err` = completed with a
-/// fatal finding (safety/config — never retried, never downgraded).
-fn run_cell_rep(
-    load: FaultLoad,
-    n: usize,
-    rep: usize,
-    base_limit: Duration,
-    attempt: Attempt,
-) -> Result<Result<ScaleSample, String>, Box<StallReport>> {
-    let started = Instant::now();
-    let outcome = match Scenario::new(Protocol::Turquois, n)
-        .proposals(ProposalDistribution::Divergent)
-        .fault_load(load)
-        .phy(scale_phy(n))
-        .tick_interval(scale_tick(n))
-        .time_limit(base_limit * attempt.budget_scale)
-        .seed(0x5CA1E_u64
-            .wrapping_mul(rep as u64 + 1)
-            .wrapping_add(n as u64))
-        .run_once()
-    {
-        Ok(o) => o,
-        Err(e) => return Ok(Err(format!("config: {e}"))),
-    };
-    if !outcome.agreement_holds() || !outcome.validity_holds() {
-        return Ok(Err(format!(
-            "SAFETY VIOLATION: {} n={n} rep={rep}",
-            load.name()
-        )));
-    }
-    if !outcome.k_reached() {
-        if let Some(stall) = outcome.stall {
-            return Err(Box::new(stall));
-        }
-    }
-    let latencies = outcome.latencies_ms();
-    Ok(Ok(ScaleSample {
+fn sample(outcome: &RunOutcome) -> ScaleSample {
+    ScaleSample {
         decided: outcome.k_reached(),
         mean_ms: outcome.mean_latency_ms(),
-        worst_ms: latencies.iter().copied().fold(None, |acc: Option<f64>, l| {
-            Some(acc.map_or(l, |a| a.max(l)))
-        }),
+        worst_ms: outcome.latencies_ms().into_iter().reduce(f64::max),
         end_s: outcome.end.as_secs_f64(),
         peak_store: outcome.peak_store_bytes,
         queue_drops: outcome.stats.queue_drops,
-        retried: attempt.index > 0,
-        wall_s: started.elapsed().as_secs_f64(),
-    }))
-}
-
-/// One rendered (aggregated) cell, kept for the bench JSON.
-struct CellRow {
-    load: &'static str,
-    n: usize,
-    reps: usize,
-    decided: usize,
-    mean_ms: f64,
-    worst_end_s: f64,
-    peak_store: usize,
-    wall_s: f64,
-    failed: Option<&'static str>,
+    }
 }
 
 fn main() {
-    turquois_harness::env_guard::warn_unknown_env_vars();
-    let reps = reps_from_env(3);
-    let sizes = sizes_from_env_or(&SCALE_SIZES);
-    let threads = runner::threads_from_env();
-    let env_override = std::env::var_os("TURQUOIS_TIME_LIMIT").is_some();
-    let base_limit = time_limit_from_env(turquois_harness::experiment::DEFAULT_TIME_LIMIT);
-    let budget_text = if env_override {
-        format!("{}s budget", base_limit.as_secs_f64())
-    } else {
-        format!(
+    let plan = Plan::from_env("table_scale", 3, &SCALE_SIZES, Stall::Retry);
+    let reps = plan.reps;
+    let budget_text = match plan.time_limit {
+        Some(limit) => format!("{}s budget", limit.as_secs_f64()),
+        None => format!(
             "{}s budget, 600s past n = 64",
-            base_limit.as_secs_f64()
-        )
+            Scenario::DEFAULT_TIME_LIMIT.as_secs_f64()
+        ),
     };
 
     println!(
         "Scale grid — Turquois, divergent proposals, baseline loss \
          ({reps} reps, supervised: {budget_text}, stalls retried once at ×{})\n",
-        runner::RETRY_BUDGET_SCALE,
+        RETRY_BUDGET_SCALE,
     );
     println!(
         "{:>13} {:>4} | {:>8} | {:>9} {:>9} | {:>7} | {:>11} | {:>8} {:>7}",
@@ -202,77 +149,36 @@ fn main() {
     );
     println!("{}", "-".repeat(94));
 
-    // Cell grid in render order; every (cell, rep) fans out as one job.
-    let grid: Vec<(usize, usize)> = LOADS
+    let cells: Vec<(FaultLoad, usize)> = LOADS
         .iter()
-        .enumerate()
-        .flat_map(|(l, _)| sizes.iter().map(move |&n| (l, n)))
+        .flat_map(|&load| plan.sizes.iter().map(move |&n| (load, n)))
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..grid.len())
-        .flat_map(|cell| (0..reps).map(move |rep| (cell, rep)))
-        .collect();
-    let (outcomes, report) =
-        runner::run_supervised_timed(threads, &jobs, |_, &(cell, rep), attempt| {
-            let (load_idx, n) = grid[cell];
-            let limit = scale_limit(n, base_limit, env_override);
-            run_cell_rep(LOADS[load_idx], n, rep, limit, attempt)
-        });
+    let run = plan.run(
+        &cells,
+        |&(load, n)| format!("{} n={n}", load.name()),
+        |&(load, n), rep, budget| budget.apply(scenario(load, n, rep)).run_once(),
+        |_, outcome| Ok(sample(outcome)),
+    );
 
-    // Aggregate per cell; the first failing repetition decides a
-    // failed cell's label, siblings keep their healthy bytes.
-    let mut outcomes = outcomes.into_iter();
-    let mut failures: Vec<(String, String)> = Vec::new();
-    let mut rows: Vec<CellRow> = Vec::new();
-    for &(load_idx, n) in &grid {
-        let load = LOADS[load_idx];
-        let chunk: Vec<_> = outcomes.by_ref().take(reps).collect();
-        let mut samples: Vec<ScaleSample> = Vec::with_capacity(reps);
-        let mut failed: Option<(&'static str, String)> = None;
-        for outcome in chunk {
-            if failed.is_some() {
-                continue; // drain the chunk; verdict already fixed
+    for (&(load, n), cell) in cells.iter().zip(&run.cells) {
+        let samples = match &cell.samples {
+            Ok(samples) => samples,
+            Err(failure) => {
+                println!(
+                    "{:>13} {:>4} | {:>8} | {:>9} {:>9} | {:>7} | {:>11} | {:>8} {:>7}",
+                    load.name(),
+                    n,
+                    failure,
+                    "-",
+                    "-",
+                    "-",
+                    "-",
+                    "-",
+                    "-"
+                );
+                continue;
             }
-            match outcome {
-                JobOutcome::Ok(Ok(s)) => samples.push(s),
-                JobOutcome::Ok(Err(detail)) => {
-                    let reason = if detail.starts_with("SAFETY") {
-                        "safety"
-                    } else {
-                        "config"
-                    };
-                    failed = Some((reason, detail));
-                }
-                JobOutcome::Stalled(report) => failed = Some(("stalled", report.to_string())),
-                JobOutcome::Panicked(msg) => failed = Some(("panic", msg)),
-            }
-        }
-        if let Some((reason, detail)) = failed {
-            println!(
-                "{:>13} {:>4} | {:>8} | {:>9} {:>9} | {:>7} | {:>11} | {:>8} {:>7}",
-                load.name(),
-                n,
-                format!("FAILED({reason})"),
-                "-",
-                "-",
-                "-",
-                "-",
-                "-",
-                "-"
-            );
-            failures.push((format!("{} n={n} FAILED({reason})", load.name()), detail));
-            rows.push(CellRow {
-                load: load.name(),
-                n,
-                reps,
-                decided: 0,
-                mean_ms: 0.0,
-                worst_end_s: 0.0,
-                peak_store: 0,
-                wall_s: 0.0,
-                failed: Some(reason),
-            });
-            continue;
-        }
+        };
         let decided = samples.iter().filter(|s| s.decided).count();
         let means: Vec<f64> = samples.iter().filter_map(|s| s.mean_ms).collect();
         let mean = means.iter().sum::<f64>() / means.len().max(1) as f64;
@@ -283,8 +189,6 @@ fn main() {
         let end = samples.iter().map(|s| s.end_s).fold(0.0f64, f64::max);
         let peak = samples.iter().map(|s| s.peak_store).max().unwrap_or(0);
         let q_drops: u64 = samples.iter().map(|s| s.queue_drops).sum();
-        let retried = samples.iter().filter(|s| s.retried).count();
-        let wall: f64 = samples.iter().map(|s| s.wall_s).sum();
         println!(
             "{:>13} {:>4} | {:>5}/{:<2} | {:>9.1} {:>9.1} | {:>7.3} | {:>10}B | {:>8} {:>7}",
             load.name(),
@@ -296,25 +200,8 @@ fn main() {
             end,
             peak,
             q_drops,
-            retried
+            cell.retried
         );
-        eprintln!(
-            "[scale] {} n={n}: wall {:.2}s over {} reps",
-            load.name(),
-            wall,
-            samples.len()
-        );
-        rows.push(CellRow {
-            load: load.name(),
-            n,
-            reps,
-            decided,
-            mean_ms: mean,
-            worst_end_s: end,
-            peak_store: peak,
-            wall_s: wall,
-            failed: None,
-        });
     }
     println!();
     println!(
@@ -322,68 +209,5 @@ fn main() {
          end s = latest simulated stop time."
     );
     println!("Safety (agreement + validity) was asserted on every run.");
-
-    report.log("table_scale");
-    write_scale_json(&rows, &report);
-    if !failures.is_empty() {
-        for (head, detail) in &failures {
-            eprintln!("[supervisor] {head}:");
-            for line in detail.lines() {
-                eprintln!("[supervisor]   {line}");
-            }
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Writes `results/BENCH_scale.json` (or `$TURQUOIS_BENCH_JSON`): the
-/// per-cell host wall-clock telemetry that must stay out of the
-/// deterministic stdout table, plus the runner fan-out summary. I/O
-/// failures warn on stderr instead of aborting.
-fn write_scale_json(rows: &[CellRow], report: &runner::RunnerReport) {
-    let path = std::env::var_os("TURQUOIS_BENCH_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new("results").join("BENCH_scale.json"));
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: cannot create {}: {e}", dir.display());
-                return;
-            }
-        }
-    }
-    let mut json = String::new();
-    json.push_str("{\n  \"bin\": \"table_scale\",\n");
-    json.push_str(&format!(
-        "  \"runner\": {{\"jobs\": {}, \"threads\": {}, \"wall_s\": {:.3}, \"speedup\": {:.2}}},\n",
-        report.jobs,
-        report.threads,
-        report.elapsed.as_secs_f64(),
-        report.speedup()
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"load\": \"{}\", \"n\": {}, \"reps\": {}, \"decided\": {}, \
-             \"mean_ms\": {:.1}, \"worst_end_s\": {:.3}, \"peak_store_bytes\": {}, \
-             \"wall_s\": {:.3}, \"failed\": {}}}{}\n",
-            row.load,
-            row.n,
-            row.reps,
-            row.decided,
-            row.mean_ms,
-            row.worst_end_s,
-            row.peak_store,
-            row.wall_s,
-            row.failed
-                .map(|r| format!("\"{r}\""))
-                .unwrap_or_else(|| "null".into()),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("[scale] wrote {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    run.finish();
 }

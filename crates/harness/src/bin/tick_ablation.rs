@@ -5,9 +5,11 @@
 //! interval and shows the trade-off: short ticks burn airtime
 //! (collisions) for marginal latency; long ticks stretch loss recovery.
 //!
-//! Usage: `tick_ablation [reps]` (default 15; `TURQUOIS_THREADS` fans
-//! the grid out — output is byte-identical at any count). Each worker
-//! builds its own simulator; only plain results cross threads.
+//! Usage: `tick_ablation [reps]` (default 15). The processes are wired
+//! by hand (their coin seeds predate [`Scenario`]'s and the checked-in
+//! numbers depend on them) and handed to [`Scenario::run_built`]; a run
+//! that stalls is data ([`Stall::Data`]); the knobs, safety check and
+//! exit status are the grid driver's ([`turquois_harness::grid`]).
 
 use std::time::Duration;
 use turquois_core::config::Config;
@@ -15,16 +17,14 @@ use turquois_core::instance::Turquois;
 use turquois_core::KeyRing;
 use turquois_crypto::cost::CostModel;
 use turquois_harness::adapters::{RunProbe, TurquoisApp};
-use turquois_harness::experiment::reps_from_env;
-use turquois_harness::runner::{self, BenchRecord};
+use turquois_harness::grid::{Plan, Stall};
+use turquois_harness::{ProposalDistribution, Protocol, Scenario};
 use wireless_net::fault::IidLoss;
 use wireless_net::sim::{Application, SimConfig, Simulator};
-use wireless_net::time::SimTime;
 
 fn main() {
-    turquois_harness::env_guard::warn_unknown_env_vars();
-    let reps = reps_from_env(15);
-    let threads = runner::threads_from_env();
+    let plan = Plan::from_env("tick_ablation", 15, &[], Stall::Data);
+    let reps = plan.reps;
     let n = 7;
     let cfg = Config::evaluation(n).expect("valid");
     println!("A7 — clock-tick sweep, n={n}, 10% loss, divergent ({reps} reps)\n");
@@ -34,60 +34,58 @@ fn main() {
     );
 
     let ticks = [2u64, 5, 10, 20, 50];
-    let jobs: Vec<(usize, usize)> = (0..ticks.len())
-        .flat_map(|cell| (0..reps).map(move |rep| (cell, rep)))
-        .collect();
-    let (results, report) = runner::run_indexed_timed(threads, &jobs, |_, &(cell, rep)| {
-        let tick_ms = ticks[cell];
-        let seed = 0xA7u64.wrapping_mul(rep as u64 + 1);
-        let rings = KeyRing::trusted_setup(n, 600, seed);
-        let probe = RunProbe::new(n);
-        let apps: Vec<Box<dyn Application>> = rings
-            .into_iter()
-            .enumerate()
-            .map(|(i, ring)| {
-                let inst = Turquois::new(cfg, i, i % 2 == 1, ring, seed + i as u64);
-                Box::new(
-                    TurquoisApp::new(inst, CostModel::pentium3_600(), probe.clone())
-                        .tick_interval(Duration::from_millis(tick_ms)),
-                ) as Box<dyn Application>
-            })
-            .collect();
-        let mut sim = Simulator::new(
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-            Box::new(IidLoss::new(0.10, seed)),
-            apps,
-        );
-        sim.run_until_k_decided(n, SimTime::from_millis(60_000));
-        let lat: Vec<f64> = (0..n)
-            .filter_map(|i| {
-                sim.decisions()[i]
-                    .map(|d| d.time.saturating_since(sim.start_times()[i]).as_secs_f64() * 1e3)
-            })
-            .collect();
-        let mean = if lat.is_empty() {
-            None
-        } else {
-            Some(lat.iter().sum::<f64>() / lat.len() as f64)
-        };
-        (sim.stats().frames_sent(), sim.stats().collisions, mean)
-    });
+    let dist = ProposalDistribution::Divergent;
+    let run = plan.run(
+        &ticks,
+        |tick_ms| format!("tick={tick_ms}ms"),
+        |&tick_ms, rep, budget| {
+            let seed = 0xA7u64.wrapping_mul(rep as u64 + 1);
+            let rings = KeyRing::trusted_setup(n, 600, seed);
+            let probe = RunProbe::new(n);
+            let apps: Vec<Box<dyn Application>> = rings
+                .into_iter()
+                .enumerate()
+                .map(|(i, ring)| {
+                    let inst = Turquois::new(cfg, i, dist.proposal(i), ring, seed + i as u64);
+                    Box::new(
+                        TurquoisApp::new(inst, CostModel::pentium3_600(), probe.clone())
+                            .tick_interval(Duration::from_millis(tick_ms)),
+                    ) as Box<dyn Application>
+                })
+                .collect();
+            let sim = Simulator::new(
+                SimConfig {
+                    seed,
+                    ..SimConfig::default()
+                },
+                Box::new(IidLoss::new(0.10, seed)),
+                apps,
+            );
+            let scenario = Scenario::new(Protocol::Turquois, n)
+                .proposals(dist)
+                .time_limit(Duration::from_secs(60));
+            budget.apply(scenario).run_built(sim, probe)
+        },
+        |_, outcome| {
+            Ok((
+                outcome.stats.frames_sent(),
+                outcome.stats.collisions,
+                outcome.mean_latency_ms(),
+            ))
+        },
+    );
 
-    let mut results = results.into_iter();
-    for &tick_ms in &ticks {
-        let mut means = Vec::new();
-        let mut frames = 0u64;
-        let mut collisions = 0u64;
-        for (f, c, mean) in results.by_ref().take(reps) {
-            frames += f;
-            collisions += c;
-            if let Some(mean) = mean {
-                means.push(mean);
+    for (tick_ms, cell) in ticks.iter().zip(&run.cells) {
+        let samples = match &cell.samples {
+            Ok(samples) => samples,
+            Err(failure) => {
+                println!("{tick_ms:>10} {failure:>12} {:>12} {:>12}", "-", "-");
+                continue;
             }
-        }
+        };
+        let means: Vec<f64> = samples.iter().filter_map(|&(_, _, mean)| mean).collect();
+        let frames: u64 = samples.iter().map(|&(frames, _, _)| frames).sum();
+        let collisions: u64 = samples.iter().map(|&(_, collisions, _)| collisions).sum();
         println!(
             "{tick_ms:>10} {:>12.1} {:>12.0} {:>12.1}",
             means.iter().sum::<f64>() / means.len().max(1) as f64,
@@ -95,12 +93,5 @@ fn main() {
             collisions as f64 / reps as f64,
         );
     }
-    report.log("tick_ablation");
-    runner::write_bench_json(
-        "tick_ablation",
-        &[BenchRecord {
-            label: "tick_ablation".into(),
-            report,
-        }],
-    );
+    run.finish();
 }

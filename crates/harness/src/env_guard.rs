@@ -1,6 +1,8 @@
 //! Typo guard for `TURQUOIS_*` environment knobs.
 //!
-//! Every experiment binary calls [`warn_unknown_env_vars`] at startup.
+//! Every experiment binary calls [`warn_unknown_env_vars`] at startup
+//! (through `grid::Plan::from_env`) and reads each knob through
+//! [`knob`], so a bad *name* and a bad *value* both warn on stderr.
 //! A misspelled knob (`TURQUOIS_REPETITIONS`, `TURQUOIS_SIZE`, …) is
 //! silently ignored by `std::env::var` lookups, which turns a typo into
 //! a full-length default run — expensive and confusing. The guard
@@ -14,8 +16,6 @@
 pub const KNOWN_ENV_VARS: &[&str] = &[
     "TURQUOIS_BENCH_JSON",
     "TURQUOIS_CHECK_SCHEDULES",
-    "TURQUOIS_FM_FORCE_STALL",
-    "TURQUOIS_PARTITION_JSON",
     "TURQUOIS_REPS",
     "TURQUOIS_SABOTAGE",
     "TURQUOIS_SIZES",
@@ -42,6 +42,27 @@ pub fn warn_unknown_env_vars() -> Vec<String> {
     unknown
 }
 
+/// Reads one knob through `parse`: `None` when `name` is unset — and,
+/// after a stderr warning saying what was `expected`, when its value is
+/// not UTF-8 or `parse` rejects it, so the caller's default never takes
+/// over silently.
+pub fn knob<T>(name: &str, expected: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+    match std::env::var(name) {
+        Ok(raw) => {
+            let parsed = parse(&raw);
+            if parsed.is_none() {
+                eprintln!("warning: ignoring malformed {name}={raw:?}: expected {expected}");
+            }
+            parsed
+        }
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(_)) => {
+            eprintln!("warning: ignoring non-UTF-8 {name}: expected {expected}");
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,19 +84,26 @@ mod tests {
             ("TURQUOIS_SCALAR_SHA", false),
             ("TURQUOIS_HOTPATH_STATS", false),
             ("TURQUOIS_HOTPATH_JSON", false),
+            ("TURQUOIS_FM_FORCE_STALL", false),
+            ("TURQUOIS_PARTITION_JSON", false),
             ("TURQUOIS_REPS", true),
-            ("TURQUOIS_PARTITION_JSON", true),
+            ("TURQUOIS_BENCH_JSON", true),
         ];
         for (name, _) in cases {
             std::env::set_var(name, "1");
         }
         let unknown = warn_unknown_env_vars();
+        let reps = knob("TURQUOIS_REPS", "a count", |raw| raw.parse::<usize>().ok());
+        let rejected = knob("TURQUOIS_REPS", "a bool", |raw| raw.parse::<bool>().ok());
         for (name, _) in cases {
             std::env::remove_var(name);
         }
         for (name, known) in cases {
             assert_eq!(!unknown.contains(&name.to_string()), known, "{name}");
         }
+        assert_eq!(reps, Some(1), "a well-formed value parses");
+        assert_eq!(rejected, None, "a malformed value falls back to the caller's default");
+        assert_eq!(knob("TURQUOIS_REPS", "a count", |_| Some(0)), None, "unset reads as None");
     }
 
     /// Every `"TURQUOIS_…"` string literal in `text`, each with the

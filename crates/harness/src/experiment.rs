@@ -1,19 +1,13 @@
-//! Repetition driving and table generation — the paper's methodology
-//! (§7.2): 50 repetitions per cell, average latency over all processes,
-//! 95 % confidence interval; safety (agreement + validity) asserted on
-//! every single run.
-//!
-//! Measurement fans `(cell, rep)` jobs across the [`crate::runner`]
-//! worker pool. Each job owns its simulator for the duration of one
-//! run; aggregation consumes the results in job order, so every number,
-//! table byte, and error message is identical to the serial path
-//! regardless of `TURQUOIS_THREADS`.
+//! The paper's three latency tables (§7.3) as one grid shape: group
+//! size × protocol × proposal distribution under one fault load, 50
+//! repetitions per cell, average latency over all processes with a 95 %
+//! confidence interval. [`paper_table`] describes the cells to the grid
+//! driver ([`crate::grid`]), which runs them and asserts safety on
+//! every run; this module aggregates and renders.
 
-use crate::runner::{self, Attempt, JobOutcome, RunnerReport};
-use crate::scenario::{FaultLoad, Protocol, ProposalDistribution, Scenario};
+use crate::grid::{Cell, GridRun, Plan, Stall};
+use crate::scenario::{FaultLoad, ProposalDistribution, Protocol, Scenario};
 use crate::stats::LatencyStats;
-use std::time::Duration;
-use wireless_net::supervise::StallReport;
 
 /// Group sizes used throughout the paper's evaluation.
 pub const PAPER_SIZES: [usize; 5] = [4, 7, 10, 13, 16];
@@ -26,7 +20,8 @@ pub const PAPER_REPS: usize = 50;
 pub struct CellResult {
     /// Latency statistics over the repetitions.
     pub latency: LatencyStats,
-    /// Runs where fewer than `k` correct processes decided in time.
+    /// Runs where fewer than `k` correct processes decided in time
+    /// (only a [`Stall::Data`] plan lets such a run through).
     pub incomplete_runs: usize,
     /// Mean data frames transmitted per run (message-complexity view).
     pub mean_frames: f64,
@@ -35,178 +30,58 @@ pub struct CellResult {
     /// Total transmit-queue tail drops across all repetitions (the
     /// congestion sharp edge, surfaced instead of silently eaten).
     pub total_queue_drops: u64,
-    /// Repetitions that only completed on the escalated-budget retry
-    /// (supervised tables only; always 0 on the unsupervised path).
+    /// Repetitions that only completed on the escalated-budget retry.
     pub retried_runs: usize,
 }
 
-/// Errors from measurement.
-#[derive(Debug)]
-pub enum MeasureError {
-    /// The scenario was invalid.
-    Scenario(crate::scenario::ScenarioError),
-    /// A run violated agreement or validity — a protocol bug; never
-    /// acceptable.
-    SafetyViolation {
-        /// Repetition index.
-        rep: usize,
-    },
-    /// No run produced any decision.
-    NoData,
-}
-
-impl std::fmt::Display for MeasureError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MeasureError::Scenario(e) => write!(f, "{e}"),
-            MeasureError::SafetyViolation { rep } => {
-                write!(f, "agreement/validity violated in repetition {rep}")
-            }
-            MeasureError::NoData => write!(f, "no repetition produced a decision"),
-        }
-    }
-}
-
-impl std::error::Error for MeasureError {}
-
 /// What one repetition contributes to a cell aggregate — plain data,
 /// the only thing that crosses a worker-thread boundary.
-#[derive(Clone, Debug)]
-struct RepSample {
-    frames: u64,
-    collisions: u64,
-    complete: bool,
-    mean_ms: Option<f64>,
-    queue_drops: u64,
-    retried: bool,
+#[derive(Clone, Debug, PartialEq)]
+pub struct RepSample {
+    /// Data frames transmitted.
+    pub frames: u64,
+    /// Collisions on the medium.
+    pub collisions: u64,
+    /// Whether `k` correct processes decided.
+    pub complete: bool,
+    /// Mean decision latency over the deciders, ms.
+    pub mean_ms: Option<f64>,
+    /// Transmit-queue tail drops.
+    pub queue_drops: u64,
 }
 
-/// Runs one `(scenario, rep)` job: seed, simulate, check safety.
-fn run_rep(scenario: &Scenario, rep: usize) -> Result<RepSample, MeasureError> {
-    let outcome = scenario
-        .clone()
-        .seed(scenario_rep_seed(scenario, rep))
-        .run_once()
-        .map_err(MeasureError::Scenario)?;
-    if !outcome.agreement_holds() || !outcome.validity_holds() {
-        return Err(MeasureError::SafetyViolation { rep });
-    }
-    Ok(RepSample {
-        frames: outcome.stats.frames_sent(),
-        collisions: outcome.stats.collisions,
-        complete: outcome.k_reached(),
-        mean_ms: outcome.mean_latency_ms(),
-        queue_drops: outcome.stats.queue_drops,
-        retried: false,
-    })
-}
-
-/// One `(scenario, rep)` job under supervision: the simulated-time
-/// budget scales with the attempt, a stall surfaces as the outer `Err`
-/// (retryable; boxed — the report dwarfs the happy path), and a safety
-/// violation stays in the inner `Err` (completed — **never** retried or
-/// downgraded).
-fn run_rep_supervised(
-    scenario: &Scenario,
-    base_limit: Duration,
-    rep: usize,
-    attempt: Attempt,
-) -> Result<Result<RepSample, MeasureError>, Box<StallReport>> {
-    let outcome = scenario
-        .clone()
-        .seed(scenario_rep_seed(scenario, rep))
-        .time_limit(base_limit * attempt.budget_scale)
-        .run_once();
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(e) => return Ok(Err(MeasureError::Scenario(e))),
-    };
-    if !outcome.agreement_holds() || !outcome.validity_holds() {
-        return Ok(Err(MeasureError::SafetyViolation { rep }));
-    }
-    if !outcome.k_reached() {
-        if let Some(stall) = outcome.stall {
-            return Err(Box::new(stall));
-        }
-    }
-    Ok(Ok(RepSample {
-        frames: outcome.stats.frames_sent(),
-        collisions: outcome.stats.collisions,
-        complete: outcome.k_reached(),
-        mean_ms: outcome.mean_latency_ms(),
-        queue_drops: outcome.stats.queue_drops,
-        retried: attempt.index > 0,
-    }))
-}
-
-/// Folds per-rep samples **in repetition order** into a cell result,
-/// reproducing the serial loop exactly: the first failing repetition's
-/// error wins, incomplete runs contribute no latency sample.
-fn aggregate(
-    reps: usize,
-    samples: impl Iterator<Item = Result<RepSample, MeasureError>>,
-) -> Result<CellResult, MeasureError> {
-    let mut rep_means = Vec::with_capacity(reps);
-    let mut incomplete = 0usize;
-    let mut frames = 0u64;
-    let mut collisions = 0u64;
-    let mut queue_drops = 0u64;
-    let mut retried = 0usize;
-    for sample in samples {
-        let sample = sample?;
-        frames += sample.frames;
-        collisions += sample.collisions;
-        queue_drops += sample.queue_drops;
-        retried += sample.retried as usize;
-        if !sample.complete {
-            incomplete += 1;
-            continue;
-        }
-        if let Some(mean) = sample.mean_ms {
-            rep_means.push(mean);
-        }
-    }
+/// Folds a cell's samples **in repetition order** into its result: a
+/// failed cell carries its `FAILED(<reason>)`, incomplete runs
+/// contribute no latency sample.
+fn aggregate(cell: &Cell<RepSample>) -> Result<CellResult, String> {
+    let samples = cell
+        .samples
+        .as_ref()
+        .map_err(|failure| failure.to_string())?;
+    let rep_means: Vec<f64> = samples
+        .iter()
+        .filter(|s| s.complete)
+        .filter_map(|s| s.mean_ms)
+        .collect();
     if rep_means.is_empty() {
-        return Err(MeasureError::NoData);
+        return Err("no repetition produced a decision".to_string());
     }
+    let reps = samples.len() as f64;
     Ok(CellResult {
         latency: LatencyStats::from_samples(&rep_means),
-        incomplete_runs: incomplete,
-        mean_frames: frames as f64 / reps as f64,
-        mean_collisions: collisions as f64 / reps as f64,
-        total_queue_drops: queue_drops,
-        retried_runs: retried,
+        incomplete_runs: samples.iter().filter(|s| !s.complete).count(),
+        mean_frames: samples.iter().map(|s| s.frames).sum::<u64>() as f64 / reps,
+        mean_collisions: samples.iter().map(|s| s.collisions).sum::<u64>() as f64 / reps,
+        total_queue_drops: samples.iter().map(|s| s.queue_drops).sum(),
+        retried_runs: cell.retried,
     })
 }
 
-/// Runs `reps` repetitions of `scenario` (varying the seed per
-/// repetition, like the paper's 50 signaled executions) and aggregates
-/// latency. Repetitions fan out across `TURQUOIS_THREADS` workers; the
-/// result is byte-identical to the serial path.
-///
-/// # Errors
-///
-/// Safety violations and configuration errors; see [`MeasureError`].
-pub fn measure(scenario: &Scenario, reps: usize) -> Result<CellResult, MeasureError> {
-    measure_on(scenario, reps, runner::threads_from_env())
-}
-
-/// [`measure`] with an explicit worker-thread count (1 = serial path).
-pub fn measure_on(
-    scenario: &Scenario,
-    reps: usize,
-    threads: usize,
-) -> Result<CellResult, MeasureError> {
-    let jobs: Vec<usize> = (0..reps).collect();
-    let samples = runner::run_indexed(threads, &jobs, |_, &rep| run_rep(scenario, rep));
-    aggregate(reps, samples.into_iter())
-}
-
-fn scenario_rep_seed(scenario: &Scenario, rep: usize) -> u64 {
-    // Spread repetitions across the seed space deterministically.
+/// Spreads a cell's repetitions across the seed space.
+fn rep_seed(n: usize, rep: usize) -> u64 {
     0x9e37_79b9_7f4a_7c15u64
         .wrapping_mul(rep as u64 + 1)
-        .wrapping_add(scenario.n() as u64)
+        .wrapping_add(n as u64)
 }
 
 /// One row of a paper-style table: a group size with per-protocol,
@@ -216,234 +91,73 @@ pub struct TableRow {
     /// Group size `n`.
     pub n: usize,
     /// Cells in `(protocol, distribution)` order: Turquois
-    /// unanimous/divergent, ABBA u/d, Bracha u/d.
+    /// unanimous/divergent, ABBA u/d, Bracha u/d. A cell that failed
+    /// carries `FAILED(<reason>)` or its error text instead.
     pub cells: Vec<Result<CellResult, String>>,
 }
 
-/// Generates a full paper-style table for one fault load, fanning every
-/// `(cell, rep)` job of the whole grid across `TURQUOIS_THREADS`
-/// workers.
-///
-/// Cells that fail to measure carry their error text instead of
-/// aborting the table.
-pub fn paper_table(fault_load: FaultLoad, sizes: &[usize], reps: usize) -> Vec<TableRow> {
-    paper_table_on(fault_load, sizes, reps, runner::threads_from_env()).0
-}
-
-/// [`paper_table`] with an explicit worker-thread count, returning the
-/// wall-clock report of the fan-out alongside the rows.
-pub fn paper_table_on(
-    fault_load: FaultLoad,
-    sizes: &[usize],
-    reps: usize,
-    threads: usize,
-) -> (Vec<TableRow>, RunnerReport) {
-    // Enumerate cells in render order, then every (cell, rep) job
-    // cell-major, so results come back as contiguous per-cell chunks.
-    let mut scenarios = Vec::new();
-    for &n in sizes {
+/// Measures a paper-style table for one fault load over `plan.sizes`:
+/// the rows to render, and the grid run to [`GridRun::finish`] with. A
+/// failing cell degrades to `FAILED(<reason>)` while every other cell
+/// keeps the exact bytes of a fully healthy run.
+pub fn paper_table(fault_load: FaultLoad, plan: &Plan) -> (Vec<TableRow>, GridRun<RepSample>) {
+    const DISTRIBUTIONS: [ProposalDistribution; 2] = [
+        ProposalDistribution::Unanimous,
+        ProposalDistribution::Divergent,
+    ];
+    let mut cells = Vec::new();
+    for &n in &plan.sizes {
         for protocol in Protocol::ALL {
-            for dist in [
-                ProposalDistribution::Unanimous,
-                ProposalDistribution::Divergent,
-            ] {
-                scenarios.push(
-                    Scenario::new(protocol, n)
-                        .proposals(dist)
-                        .fault_load(fault_load),
-                );
+            for dist in DISTRIBUTIONS {
+                cells.push((n, protocol, dist));
             }
         }
     }
-    let jobs: Vec<(usize, usize)> = (0..scenarios.len())
-        .flat_map(|cell| (0..reps).map(move |rep| (cell, rep)))
-        .collect();
-    let (samples, report) = runner::run_indexed_timed(threads, &jobs, |_, &(cell, rep)| {
-        run_rep(&scenarios[cell], rep)
-    });
-
-    let cells_per_row = scenarios.len() / sizes.len().max(1);
-    let mut samples = samples.into_iter();
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let mut cells = Vec::new();
-        for _ in 0..cells_per_row {
-            cells.push(aggregate_cell(reps, &mut samples).map_err(|e| e.to_string()));
-        }
-        rows.push(TableRow { n, cells });
-    }
-    (rows, report)
-}
-
-/// One failed cell of a supervised table, with enough context to
-/// diagnose it from stderr.
-#[derive(Clone, Debug)]
-pub struct CellFailure {
-    /// Group size of the failing cell's row.
-    pub n: usize,
-    /// Cell label, e.g. `"Turquois divergent"`.
-    pub label: String,
-    /// Short machine-greppable reason: `panic`, `stalled`, `safety`, or
-    /// `config`.
-    pub reason: &'static str,
-    /// Full detail: the panic message, the rendered [`StallReport`], or
-    /// the error text.
-    pub detail: String,
-}
-
-/// Health summary of a supervised table run: which cells failed and
-/// why. An experiment binary renders the table first (completed cells
-/// stay byte-identical), then logs this to stderr and exits nonzero if
-/// anything failed.
-#[derive(Clone, Debug, Default)]
-pub struct TableHealth {
-    /// Failures in render order (row-major, cell order within a row).
-    pub failures: Vec<CellFailure>,
-}
-
-impl TableHealth {
-    /// `true` when every cell completed.
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Logs every failure to stderr (never stdout — the table bytes on
-    /// stdout must stay comparable across runs).
-    pub fn log(&self) {
-        for f in &self.failures {
-            eprintln!("[supervisor] {} n={} FAILED({}):", f.label, f.n, f.reason);
-            for line in f.detail.lines() {
-                eprintln!("[supervisor]   {line}");
-            }
-        }
-    }
-}
-
-/// [`paper_table_on`] with run supervision: each `(cell, rep)` job is
-/// panic-isolated, stalls are retried once with a
-/// [`runner::RETRY_BUDGET_SCALE`]× simulated-time budget, and failures
-/// degrade gracefully — the failing cell renders `FAILED(<reason>)`
-/// while every completed cell keeps the exact bytes it would have
-/// produced in a fully healthy run.
-///
-/// `sabotage` deterministically panics the given `(cell, rep)` job —
-/// the fault-injection hook the degradation tests and CI smoke use
-/// (see [`sabotage_from_env`]). Pass `None` for real runs.
-pub fn paper_table_supervised_on(
-    fault_load: FaultLoad,
-    sizes: &[usize],
-    reps: usize,
-    threads: usize,
-    time_limit: Duration,
-    sabotage: Option<(usize, usize)>,
-) -> (Vec<TableRow>, TableHealth, RunnerReport) {
-    paper_table_supervised_with(fault_load, sizes, reps, threads, time_limit, sabotage, |s| s)
-}
-
-/// [`paper_table_supervised_on`] with a per-cell scenario tweak applied
-/// after the standard grid construction — the hook the hot-path bench
-/// uses to shorten the key horizon (`Scenario::key_phases`) without
-/// perturbing the paper tables' scenarios.
-pub fn paper_table_supervised_with(
-    fault_load: FaultLoad,
-    sizes: &[usize],
-    reps: usize,
-    threads: usize,
-    time_limit: Duration,
-    sabotage: Option<(usize, usize)>,
-    tweak: impl Fn(Scenario) -> Scenario,
-) -> (Vec<TableRow>, TableHealth, RunnerReport) {
-    let mut scenarios = Vec::new();
-    let mut labels = Vec::new();
-    for &n in sizes {
-        for protocol in Protocol::ALL {
-            for dist in [
-                ProposalDistribution::Unanimous,
-                ProposalDistribution::Divergent,
-            ] {
-                scenarios.push(tweak(
-                    Scenario::new(protocol, n)
-                        .proposals(dist)
-                        .fault_load(fault_load)
-                        .time_limit(time_limit),
-                ));
-                labels.push((n, format!("{} {}", protocol.name(), dist.name())));
-            }
-        }
-    }
-    let jobs: Vec<(usize, usize)> = (0..scenarios.len())
-        .flat_map(|cell| (0..reps).map(move |rep| (cell, rep)))
-        .collect();
-    let (outcomes, report) = runner::run_supervised_timed(threads, &jobs, |_, &(cell, rep), attempt| {
-        if sabotage == Some((cell, rep)) {
-            panic!("sabotage: injected panic in cell {cell} rep {rep}");
-        }
-        run_rep_supervised(&scenarios[cell], time_limit, rep, attempt)
-    });
-
-    let cells_per_row = scenarios.len() / sizes.len().max(1);
-    let mut outcomes = outcomes.into_iter();
-    let mut health = TableHealth::default();
-    let mut rows = Vec::new();
-    for (row_idx, &n) in sizes.iter().enumerate() {
-        let mut cells = Vec::new();
-        for c in 0..cells_per_row {
-            let chunk: Vec<_> = outcomes.by_ref().take(reps).collect();
-            let label = &labels[row_idx * cells_per_row + c].1;
-            cells.push(aggregate_supervised_cell(reps, chunk, n, label, &mut health));
-        }
-        rows.push(TableRow { n, cells });
-    }
-    (rows, health, report)
-}
-
-/// Folds one cell's supervised outcomes. The first failing repetition
-/// (in repetition order) decides the cell's fate; a fully-completed
-/// chunk aggregates exactly like the unsupervised path.
-fn aggregate_supervised_cell(
-    reps: usize,
-    chunk: Vec<JobOutcome<Result<RepSample, MeasureError>>>,
-    n: usize,
-    label: &str,
-    health: &mut TableHealth,
-) -> Result<CellResult, String> {
-    let mut samples = Vec::with_capacity(reps);
-    for outcome in chunk {
-        let (reason, detail) = match outcome {
-            JobOutcome::Ok(Ok(sample)) => {
-                samples.push(Ok(sample));
-                continue;
-            }
-            JobOutcome::Ok(Err(e @ MeasureError::SafetyViolation { .. })) => {
-                ("safety", e.to_string())
-            }
-            JobOutcome::Ok(Err(e)) => ("config", e.to_string()),
-            JobOutcome::Stalled(report) => ("stalled", report.to_string()),
-            JobOutcome::Panicked(msg) => ("panic", msg),
-        };
-        health.failures.push(CellFailure {
+    let run = plan.run(
+        &cells,
+        |&(n, protocol, dist)| format!("{} {} n={n}", protocol.name(), dist.name()),
+        |&(n, protocol, dist), rep, budget| {
+            let scenario = Scenario::new(protocol, n)
+                .proposals(dist)
+                .fault_load(fault_load)
+                .seed(rep_seed(n, rep));
+            budget.apply(scenario).run_once()
+        },
+        |_, outcome| {
+            Ok(RepSample {
+                frames: outcome.stats.frames_sent(),
+                collisions: outcome.stats.collisions,
+                complete: outcome.k_reached(),
+                mean_ms: outcome.mean_latency_ms(),
+                queue_drops: outcome.stats.queue_drops,
+            })
+        },
+    );
+    let rows = plan
+        .sizes
+        .iter()
+        .zip(run.cells.chunks(Protocol::ALL.len() * DISTRIBUTIONS.len()))
+        .map(|(&n, row)| TableRow {
             n,
-            label: label.to_string(),
-            reason,
-            detail,
-        });
-        return Err(format!("FAILED({reason})"));
-    }
-    aggregate(reps, samples.into_iter()).map_err(|e| e.to_string())
+            cells: row.iter().map(aggregate).collect(),
+        })
+        .collect();
+    (rows, run)
 }
 
-/// Aggregates the next cell's `reps`-sample chunk from the shared
-/// sample stream. The chunk is drained in full *before* aggregation:
-/// [`aggregate`] short-circuits on the first error, and handing it a
-/// live `take(reps)` adapter would leave the rest of a failed cell's
-/// chunk behind, silently feeding every later cell samples from the
-/// wrong scenario.
-fn aggregate_cell<I>(reps: usize, samples: &mut I) -> Result<CellResult, MeasureError>
-where
-    I: Iterator<Item = Result<RepSample, MeasureError>>,
-{
-    let chunk: Vec<_> = samples.by_ref().take(reps).collect();
-    aggregate(reps, chunk.into_iter())
+/// The whole of a `table1`/`table2`/`table3` binary: measure, print the
+/// table and its stats line, finish the run.
+pub fn paper_table_main(bin: &'static str, title: &str, fault_load: FaultLoad) {
+    let plan = Plan::from_env(bin, PAPER_REPS, &PAPER_SIZES, Stall::Retry);
+    let (rows, run) = paper_table(fault_load, &plan);
+    let title = format!(
+        "{title} — {} fault load ({} repetitions, latency ms ± 95% CI)",
+        fault_load.name(),
+        plan.reps
+    );
+    println!("{}", render_table(&title, &rows));
+    println!("{}", table_stats_line(&rows));
+    run.finish();
 }
 
 /// Renders the per-experiment stats line printed under each table:
@@ -510,216 +224,71 @@ fn truncate(s: &str, max: usize) -> String {
     }
 }
 
-/// Default simulated-time budget per run, matching the
-/// [`Scenario`] builder's own default.
-pub const DEFAULT_TIME_LIMIT: Duration = Duration::from_secs(120);
-
-/// Parses a `TURQUOIS_TIME_LIMIT` value: positive (possibly
-/// fractional) simulated seconds.
-fn parse_time_limit(raw: &str) -> Option<Duration> {
-    let secs: f64 = raw.trim().parse().ok()?;
-    if secs.is_finite() && secs > 0.0 {
-        Some(Duration::from_secs_f64(secs))
-    } else {
-        None
-    }
-}
-
-/// Reads the per-run simulated-time budget from `TURQUOIS_TIME_LIMIT`
-/// (seconds, fractions allowed), defaulting to `default`. Malformed
-/// values warn on stderr and fall through, matching
-/// [`reps_from_env`] / [`sizes_from_env`].
-pub fn time_limit_from_env(default: Duration) -> Duration {
-    match std::env::var("TURQUOIS_TIME_LIMIT") {
-        Ok(raw) => match parse_time_limit(&raw) {
-            Some(limit) => limit,
-            None => {
-                eprintln!(
-                    "warning: ignoring malformed TURQUOIS_TIME_LIMIT={raw:?}: \
-                     expected a positive number of simulated seconds; using {}s",
-                    default.as_secs_f64()
-                );
-                default
-            }
-        },
-        Err(std::env::VarError::NotPresent) => default,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            eprintln!(
-                "warning: ignoring non-UTF-8 TURQUOIS_TIME_LIMIT; using {}s",
-                default.as_secs_f64()
-            );
-            default
-        }
-    }
-}
-
-/// Parses a `TURQUOIS_SABOTAGE` value: `"cell,rep"` indices.
-fn parse_sabotage(raw: &str) -> Option<(usize, usize)> {
-    let (cell, rep) = raw.split_once(',')?;
-    Some((cell.trim().parse().ok()?, rep.trim().parse().ok()?))
-}
-
-/// Reads a deterministic panic-injection target from
-/// `TURQUOIS_SABOTAGE` (`"cell,rep"`). Used by CI to prove the
-/// supervisor degrades gracefully and exits nonzero; absent or
-/// malformed (with a stderr warning) means no sabotage.
-pub fn sabotage_from_env() -> Option<(usize, usize)> {
-    match std::env::var("TURQUOIS_SABOTAGE") {
-        Ok(raw) => {
-            let parsed = parse_sabotage(&raw);
-            if parsed.is_none() {
-                eprintln!(
-                    "warning: ignoring malformed TURQUOIS_SABOTAGE={raw:?}: \
-                     expected \"cell,rep\""
-                );
-            }
-            parsed
-        }
-        Err(_) => None,
-    }
-}
-
-/// Reads the repetition count from `TURQUOIS_REPS` (or the first CLI
-/// argument), defaulting to `default`. Lets the full paper grid
-/// (50 reps) coexist with quick smoke runs. Malformed values warn on
-/// stderr and fall through instead of being silently ignored.
-pub fn reps_from_env(default: usize) -> usize {
-    if let Some(arg) = std::env::args().nth(1) {
-        match arg.parse() {
-            Ok(v) => return v,
-            Err(_) => eprintln!(
-                "warning: ignoring malformed repetition argument {arg:?}: \
-                 expected a non-negative integer"
-            ),
-        }
-    }
-    match std::env::var("TURQUOIS_REPS") {
-        Ok(raw) => match raw.parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring malformed TURQUOIS_REPS={raw:?}: \
-                     expected a non-negative integer; using {default}"
-                );
-                default
-            }
-        },
-        Err(std::env::VarError::NotPresent) => default,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            eprintln!("warning: ignoring non-UTF-8 TURQUOIS_REPS; using {default}");
-            default
-        }
-    }
-}
-
-/// Reads the group sizes from `TURQUOIS_SIZES` (comma-separated),
-/// defaulting to the paper's grid. Malformed entries warn on stderr;
-/// if nothing valid remains, the paper grid is used.
-pub fn sizes_from_env() -> Vec<usize> {
-    sizes_from_env_or(&PAPER_SIZES)
-}
-
-/// [`sizes_from_env`] with a caller-chosen default grid — the scale
-/// experiment (`table_scale`) defaults to n ∈ {16, 64, 256} instead of
-/// the paper's n ≤ 16 grid.
-pub fn sizes_from_env_or(default: &[usize]) -> Vec<usize> {
-    let raw = match std::env::var("TURQUOIS_SIZES") {
-        Ok(raw) => raw,
-        Err(std::env::VarError::NotPresent) => return default.to_vec(),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            eprintln!(
-                "warning: ignoring non-UTF-8 TURQUOIS_SIZES; using the default grid {default:?}"
-            );
-            return default.to_vec();
-        }
-    };
-    let mut sizes = Vec::new();
-    for token in raw.split(',') {
-        match token.trim().parse() {
-            Ok(n) => sizes.push(n),
-            Err(_) => eprintln!(
-                "warning: ignoring malformed TURQUOIS_SIZES entry {token:?}: \
-                 expected a group size"
-            ),
-        }
-    }
-    if sizes.is_empty() {
-        eprintln!(
-            "warning: TURQUOIS_SIZES={raw:?} contains no valid sizes; \
-             using the default grid {default:?}"
-        );
-        return default.to_vec();
-    }
-    sizes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn measure_turquois_small() {
-        let scenario = Scenario::new(Protocol::Turquois, 4);
-        let cell = measure(&scenario, 3).expect("measurement succeeds");
-        assert_eq!(cell.latency.samples, 3);
-        assert!(cell.latency.mean_ms > 0.0);
-        assert_eq!(cell.incomplete_runs, 0);
-        assert!(cell.mean_frames > 0.0);
-    }
-
-    #[test]
-    fn measure_identical_across_thread_counts() {
-        let scenario = Scenario::new(Protocol::Turquois, 4)
-            .proposals(ProposalDistribution::Divergent);
-        let serial = measure_on(&scenario, 4, 1).expect("serial succeeds");
-        for threads in [2, 4] {
-            let parallel = measure_on(&scenario, 4, threads).expect("parallel succeeds");
-            assert_eq!(serial, parallel, "threads={threads}");
+    fn plan(reps: usize, threads: usize) -> Plan {
+        Plan {
+            bin: "test",
+            reps,
+            sizes: vec![4],
+            threads,
+            time_limit: None,
+            sabotage: None,
+            stall: Stall::Retry,
         }
     }
 
-    fn sample(mean_ms: f64) -> Result<RepSample, MeasureError> {
-        Ok(RepSample {
-            frames: 10,
-            collisions: 1,
-            complete: true,
-            mean_ms: Some(mean_ms),
-            queue_drops: 0,
-            retried: false,
-        })
+    #[test]
+    fn paper_table_aggregates_every_repetition() {
+        let (rows, run) = paper_table(FaultLoad::FailureFree, &plan(3, 2));
+        assert_eq!(run.failures().count(), 0);
+        assert_eq!(run.report.jobs, 6 * 3);
+        assert_eq!((rows.len(), rows[0].n, rows[0].cells.len()), (1, 4, 6));
+        for cell in &rows[0].cells {
+            let cell = cell.as_ref().expect("measurement succeeds");
+            assert_eq!(cell.latency.samples, 3);
+            assert!(cell.latency.mean_ms > 0.0);
+            assert_eq!(cell.incomplete_runs, 0);
+            assert!(cell.mean_frames > 0.0);
+        }
     }
 
     #[test]
-    fn failed_cell_does_not_misalign_later_cells() {
-        // Cell 0 fails at its second repetition; its third sample must
-        // still be drained so cell 1 aggregates its own chunk, not a
-        // shifted window of leftovers.
-        let reps = 3;
-        let expected = aggregate(reps, [sample(5.0), sample(6.0), sample(7.0)].into_iter())
-            .expect("clean cell aggregates");
-        let stream: Vec<Result<RepSample, MeasureError>> = vec![
-            sample(1.0),
-            Err(MeasureError::SafetyViolation { rep: 1 }),
-            sample(3.0),
-            sample(5.0),
-            sample(6.0),
-            sample(7.0),
-        ];
-        let mut stream = stream.into_iter();
-        let cell0 = aggregate_cell(reps, &mut stream);
-        assert!(
-            matches!(cell0, Err(MeasureError::SafetyViolation { rep: 1 })),
-            "cell 0 reports its own failure"
+    fn incomplete_and_undecided_repetitions_add_no_latency_sample() {
+        let sample = |complete, mean_ms| RepSample {
+            frames: 10,
+            collisions: 1,
+            complete,
+            mean_ms,
+            queue_drops: 2,
+        };
+        let cell = |samples| Cell {
+            label: "cell".to_string(),
+            samples: Ok(samples),
+            retried: 1,
+            wall: std::time::Duration::ZERO,
+        };
+        let result = aggregate(&cell(vec![
+            sample(true, Some(5.0)),
+            sample(false, Some(900.0)),
+            sample(true, Some(7.0)),
+        ]))
+        .expect("two repetitions decided");
+        assert_eq!((result.latency.samples, result.latency.mean_ms), (2, 6.0));
+        assert_eq!((result.incomplete_runs, result.retried_runs), (1, 1));
+        assert_eq!((result.mean_frames, result.total_queue_drops), (10.0, 6));
+        assert_eq!(
+            aggregate(&cell(vec![sample(false, None)])),
+            Err("no repetition produced a decision".to_string())
         );
-        let cell1 = aggregate_cell(reps, &mut stream).expect("cell 1 unaffected");
-        assert_eq!(cell1, expected, "cell 1 sees exactly its own samples");
-        assert!(stream.next().is_none(), "both chunks fully consumed");
     }
 
     #[test]
     fn rep_seeds_differ() {
-        let s = Scenario::new(Protocol::Turquois, 4);
-        assert_ne!(scenario_rep_seed(&s, 0), scenario_rep_seed(&s, 1));
+        assert_ne!(rep_seed(4, 0), rep_seed(4, 1));
+        assert_ne!(rep_seed(4, 0), rep_seed(7, 0));
     }
 
     #[test]
@@ -764,69 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn supervised_clean_table_matches_unsupervised() {
-        let sizes = [4];
-        let reps = 2;
-        let (plain, _) = paper_table_on(FaultLoad::FailureFree, &sizes, reps, 2);
-        let (sup, health, _) = paper_table_supervised_on(
-            FaultLoad::FailureFree,
-            &sizes,
-            reps,
-            2,
-            DEFAULT_TIME_LIMIT,
-            None,
-        );
-        assert!(health.ok(), "clean run reports no failures");
-        assert_eq!(plain.len(), sup.len());
-        for (a, b) in plain.iter().zip(&sup) {
-            assert_eq!(a.n, b.n);
-            for (i, (ca, cb)) in a.cells.iter().zip(&b.cells).enumerate() {
-                assert_eq!(
-                    ca.as_ref().ok(),
-                    cb.as_ref().ok(),
-                    "cell {i} identical under supervision"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sabotaged_cell_fails_without_touching_siblings() {
-        let sizes = [4];
-        let reps = 2;
-        let (clean, _, _) = paper_table_supervised_on(
-            FaultLoad::FailureFree,
-            &sizes,
-            reps,
-            1,
-            DEFAULT_TIME_LIMIT,
-            None,
-        );
-        for threads in [1, 4] {
-            let (rows, health, _) = paper_table_supervised_on(
-                FaultLoad::FailureFree,
-                &sizes,
-                reps,
-                threads,
-                DEFAULT_TIME_LIMIT,
-                Some((1, 0)),
-            );
-            assert_eq!(health.failures.len(), 1, "threads={threads}");
-            let failure = &health.failures[0];
-            assert_eq!(failure.reason, "panic");
-            assert_eq!(failure.n, 4);
-            assert!(failure.detail.contains("sabotage"), "{:?}", failure.detail);
-            assert_eq!(rows[0].cells[1], Err("FAILED(panic)".to_string()));
-            for (i, cell) in rows[0].cells.iter().enumerate() {
-                if i == 1 {
-                    continue;
-                }
-                assert_eq!(cell, &clean[0].cells[i], "threads={threads} cell {i}");
-            }
-        }
-    }
-
-    #[test]
     fn render_failed_cells_pass_through() {
         let rows = vec![TableRow {
             n: 4,
@@ -844,25 +350,6 @@ mod tests {
         assert!(rendered.contains("FAILED(panic)"));
         assert!(!rendered.contains("error: FAILED"), "no prefix/truncation");
         assert!(rendered.contains("error: plain failur"));
-    }
-
-    #[test]
-    fn time_limit_parsing() {
-        assert_eq!(parse_time_limit("2.5"), Some(Duration::from_secs_f64(2.5)));
-        assert_eq!(parse_time_limit(" 30 "), Some(Duration::from_secs(30)));
-        assert_eq!(parse_time_limit("0"), None);
-        assert_eq!(parse_time_limit("-1"), None);
-        assert_eq!(parse_time_limit("inf"), None);
-        assert_eq!(parse_time_limit("abc"), None);
-    }
-
-    #[test]
-    fn sabotage_parsing() {
-        assert_eq!(parse_sabotage("3,1"), Some((3, 1)));
-        assert_eq!(parse_sabotage(" 3 , 1 "), Some((3, 1)));
-        assert_eq!(parse_sabotage("3"), None);
-        assert_eq!(parse_sabotage("3,x"), None);
-        assert_eq!(parse_sabotage(""), None);
     }
 
     #[test]

@@ -10,16 +10,26 @@
 //!   Turquois/Bracha, invalid-signature flooding for ABBA).
 //! * [`scenario`] — one experiment cell: protocol × n × proposal
 //!   distribution × fault load × loss model.
-//! * [`experiment`] — 50-repetition measurement with mean ± 95 % CI and
-//!   per-run safety assertions; paper-style table rendering.
-//! * [`runner`] — deterministic parallel `(cell, rep)` fan-out with
-//!   byte-identical output at any `TURQUOIS_THREADS` count.
+//! * [`grid`] — the one experiment driver (§7.2): seeded repetitions
+//!   of every cell fanned out as `(cell, rep)` jobs, agreement +
+//!   validity asserted on every run, stalls retried or sampled per the
+//!   experiment's policy, a failing cell degraded to `FAILED(<reason>)`,
+//!   timing and the optional JSON report on stderr / on request.
+//! * [`experiment`] — the paper's table shape on that driver: mean
+//!   ± 95 % CI aggregation and paper-style rendering.
+//! * [`runner`] — the deterministic, panic-isolating worker pool under
+//!   the driver: byte-identical output at any `TURQUOIS_THREADS` count.
+//! * [`env_guard`] — every `TURQUOIS_*` knob is read through here; a
+//!   misspelled name or malformed value warns instead of being ignored.
 //! * [`stats`] — Student-t confidence intervals.
 //!
-//! Binaries (`cargo run --release -p turquois-harness --bin …`):
-//! `table1`, `table2`, `table3` regenerate the paper's three tables;
-//! `phases`, `sigma_sweep`, `loss_sweep`, `msgcount` run the ablation
-//! experiments indexed in `DESIGN.md`.
+//! Binaries (`cargo run --release -p turquois-harness --bin …`), each a
+//! cell list, a scenario, a sample and a row renderer handed to the
+//! driver: `table1`, `table2`, `table3` regenerate the paper's three
+//! tables; `phases`, `sigma_sweep`, `loss_sweep`, `msgcount`,
+//! `cost_ablation`, `tick_ablation` run the ablations indexed in
+//! `DESIGN.md`; `fault_matrix`, `partition_matrix`, `table_scale` go
+//! past the paper — composed faults, network splits, n up to 256.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +38,7 @@ pub mod adapters;
 pub mod adversary;
 pub mod env_guard;
 pub mod experiment;
+pub mod grid;
 pub mod runner;
 pub mod scenario;
 pub mod simstress;

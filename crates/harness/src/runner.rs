@@ -17,47 +17,27 @@
 //! Wall-clock timing lives here — in the driver — and only here; the
 //! engines and the simulator never see a host clock.
 
+use crate::env_guard::knob;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 pub use wireless_net::StallReport;
 
-/// Environment variable selecting the worker-pool size.
-pub const THREADS_ENV: &str = "TURQUOIS_THREADS";
-
 /// Reads the worker-pool size from `TURQUOIS_THREADS`.
 ///
-/// Unset ⇒ the host's available parallelism; `1` ⇒ the legacy serial
-/// path (no worker threads are spawned at all). Malformed values warn
-/// on stderr and fall back to the default rather than failing silently.
+/// Unset ⇒ the host's available parallelism; `1` ⇒ the serial path (no
+/// worker threads are spawned at all). Malformed values warn on stderr
+/// and fall back to the default rather than failing silently.
 pub fn threads_from_env() -> usize {
-    match std::env::var(THREADS_ENV) {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(t) if t >= 1 => t,
-            _ => {
-                eprintln!(
-                    "warning: ignoring malformed {THREADS_ENV}={raw:?}: \
-                     expected a positive integer; using {}",
-                    default_threads()
-                );
-                default_threads()
-            }
-        },
-        Err(std::env::VarError::NotPresent) => default_threads(),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            eprintln!(
-                "warning: ignoring non-UTF-8 {THREADS_ENV}; using {}",
-                default_threads()
-            );
-            default_threads()
-        }
-    }
+    knob("TURQUOIS_THREADS", "a positive integer", |raw| {
+        raw.trim().parse().ok().filter(|&t| t >= 1)
+    })
+    .unwrap_or_else(default_threads)
 }
 
-fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
@@ -126,22 +106,6 @@ pub enum JobOutcome<R> {
     Panicked(String),
 }
 
-impl<R> JobOutcome<R> {
-    /// `true` for [`JobOutcome::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, JobOutcome::Ok(_))
-    }
-
-    /// Short failure label (`"stalled"` / `"panic"`), `None` when ok.
-    pub fn failure_label(&self) -> Option<&'static str> {
-        match self {
-            JobOutcome::Ok(_) => None,
-            JobOutcome::Stalled(_) => Some("stalled"),
-            JobOutcome::Panicked(_) => Some("panic"),
-        }
-    }
-}
-
 /// Which attempt of a supervised job is running, and with what budget.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
 pub struct Attempt {
@@ -181,18 +145,44 @@ where
     run_indexed(threads, jobs, |idx, job| supervise_one(idx, job, &f))
 }
 
-/// [`run_supervised`] plus wall-clock instrumentation of the fan-out.
+/// [`run_supervised`] plus wall-clock instrumentation: each outcome
+/// comes back with the host time its job took (retry included), and the
+/// [`RunnerReport`] accounts for the fan-out as a whole. The grid driver
+/// ([`crate::grid`]) is the one caller.
 pub fn run_supervised_timed<J, R, F>(
     threads: usize,
     jobs: &[J],
     f: F,
-) -> (Vec<JobOutcome<R>>, RunnerReport)
+) -> (Vec<(JobOutcome<R>, Duration)>, RunnerReport)
 where
     J: Sync,
     R: Send,
     F: Fn(usize, &J, Attempt) -> Result<R, Box<StallReport>> + Sync,
 {
-    run_indexed_timed(threads, jobs, |idx, job| supervise_one(idx, job, &f))
+    let cpu_before = process_cpu_time();
+    let started = Instant::now();
+    let results = run_indexed(threads, jobs, |idx, job| {
+        let t0 = Instant::now();
+        let outcome = supervise_one(idx, job, &f);
+        (outcome, t0.elapsed())
+    });
+    let elapsed = started.elapsed();
+    let job_wall: Duration = results.iter().map(|(_, wall)| *wall).sum();
+    // Prefer CPU time: per-job wall time over-counts whenever a worker
+    // sits descheduled (more workers than cores), which would report a
+    // phantom speedup. Capping by the job-wall sum keeps unrelated
+    // threads of the process from inflating the estimate the other way.
+    let busy = match (cpu_before, process_cpu_time()) {
+        (Some(before), Some(after)) => after.saturating_sub(before).min(job_wall),
+        _ => job_wall,
+    };
+    let report = RunnerReport {
+        threads: threads.clamp(1, jobs.len().max(1)),
+        jobs: jobs.len(),
+        elapsed,
+        busy,
+    };
+    (results, report)
 }
 
 fn supervise_one<J, R, F>(idx: usize, job: &J, f: &F) -> JobOutcome<R>
@@ -225,7 +215,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Wall-clock accounting for one [`run_indexed_timed`] fan-out.
+/// Wall-clock accounting for one [`run_supervised_timed`] fan-out.
 ///
 /// `busy` estimates the serial-equivalent cost of the jobs: process CPU
 /// time consumed during the fan-out where the platform exposes it
@@ -273,41 +263,6 @@ impl RunnerReport {
     }
 }
 
-/// [`run_indexed`] plus wall-clock instrumentation of the fan-out.
-pub fn run_indexed_timed<J, R, F>(threads: usize, jobs: &[J], f: F) -> (Vec<R>, RunnerReport)
-where
-    J: Sync,
-    R: Send,
-    F: Fn(usize, &J) -> R + Sync,
-{
-    let busy_ns = AtomicU64::new(0);
-    let cpu_before = process_cpu_time();
-    let started = Instant::now();
-    let results = run_indexed(threads, jobs, |idx, job| {
-        let t0 = Instant::now();
-        let result = f(idx, job);
-        busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        result
-    });
-    let elapsed = started.elapsed();
-    let job_wall = Duration::from_nanos(busy_ns.into_inner());
-    // Prefer CPU time: per-job wall time over-counts whenever a worker
-    // sits descheduled (more workers than cores), which would report a
-    // phantom speedup. Capping by the job-wall sum keeps unrelated
-    // threads of the process from inflating the estimate the other way.
-    let busy = match (cpu_before, process_cpu_time()) {
-        (Some(before), Some(after)) => after.saturating_sub(before).min(job_wall),
-        _ => job_wall,
-    };
-    let report = RunnerReport {
-        threads: threads.clamp(1, jobs.len().max(1)),
-        jobs: jobs.len(),
-        elapsed,
-        busy,
-    };
-    (results, report)
-}
-
 /// Process CPU time (user + system) from `/proc/self/stat`; `None` on
 /// platforms without procfs. Used only for the telemetry report — the
 /// simulated clocks never see host time.
@@ -342,75 +297,6 @@ fn clk_tck() -> u64 {
             })
             .unwrap_or(100)
     })
-}
-
-/// One labelled fan-out for the machine-readable bench summary.
-#[derive(Clone, Debug)]
-pub struct BenchRecord {
-    /// Table / experiment label (e.g. `"table1"`).
-    pub label: String,
-    /// Timing of that fan-out.
-    pub report: RunnerReport,
-}
-
-/// Writes a machine-readable summary of the runner fan-outs an
-/// experiment binary just performed to `$TURQUOIS_BENCH_JSON`, and
-/// nothing when that is unset: every binary reports through here, so a
-/// default path would hold whichever one ran last. Returns the path
-/// written. I/O failures warn on stderr instead of aborting — timing
-/// telemetry must never kill an experiment.
-pub fn write_bench_json(bin: &str, records: &[BenchRecord]) -> Option<PathBuf> {
-    let path = PathBuf::from(std::env::var_os("TURQUOIS_BENCH_JSON").filter(|p| !p.is_empty())?);
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: cannot create {}: {e}", dir.display());
-                return None;
-            }
-        }
-    }
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"bin\": \"{}\",\n", escape_json(bin)));
-    json.push_str(&format!(
-        "  \"available_parallelism\": {},\n",
-        default_threads()
-    ));
-    json.push_str("  \"tables\": [\n");
-    for (i, rec) in records.iter().enumerate() {
-        let r = &rec.report;
-        json.push_str(&format!(
-            "    {{\"label\": \"{}\", \"jobs\": {}, \"threads\": {}, \
-             \"wall_s\": {:.3}, \"serial_equivalent_s\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            escape_json(&rec.label),
-            r.jobs,
-            r.threads,
-            r.elapsed.as_secs_f64(),
-            r.busy.as_secs_f64(),
-            r.speedup(),
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write(&path, json) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -559,8 +445,11 @@ mod tests {
     #[test]
     fn timed_report_is_sane() {
         let jobs: Vec<u64> = (0..10).collect();
-        let (results, report) = run_indexed_timed(3, &jobs, |_, &j| j * j);
-        assert_eq!(results, vec![0, 1, 4, 9, 16, 25, 36, 49, 64, 81]);
+        let (results, report) = run_supervised_timed(3, &jobs, |_, &j, _| Ok(j * j));
+        let squares: Vec<_> = results.iter().map(|(outcome, _)| outcome.clone()).collect();
+        assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36, 49, 64, 81].map(JobOutcome::Ok));
+        let job_wall: Duration = results.iter().map(|(_, wall)| *wall).sum();
+        assert!(report.busy <= job_wall, "busy is capped by the summed job walls");
         assert_eq!(report.jobs, 10);
         assert_eq!(report.threads, 3);
         assert!(report.speedup().is_finite() && report.speedup() >= 0.0);
@@ -571,10 +460,5 @@ mod tests {
     fn clk_tck_is_sane() {
         let hz = clk_tck();
         assert!((1..=100_000).contains(&hz), "USER_HZ={hz}");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

@@ -200,6 +200,10 @@ impl Scenario {
     /// perfectly clean channel).
     pub const BASELINE_LOSS: LossSpec = LossSpec::Iid(0.02);
 
+    /// Simulated-time limit of one run unless [`Scenario::time_limit`]
+    /// sets another.
+    pub const DEFAULT_TIME_LIMIT: Duration = Duration::from_secs(120);
+
     /// Creates a failure-free, unanimous scenario for `protocol` with
     /// `n` processes (`f = ⌊(n−1)/3⌋`, `k = n − f`) over a channel with
     /// [`Scenario::BASELINE_LOSS`].
@@ -213,7 +217,7 @@ impl Scenario {
             crashes: CrashSchedule::default(),
             seed: 0,
             cost: CostModel::pentium3_600(),
-            time_limit: Duration::from_secs(120),
+            time_limit: Scenario::DEFAULT_TIME_LIMIT,
             key_phases: 600,
             phy: wireless_net::PhyConfig::default(),
             tick: crate::adapters::TICK_INTERVAL,
@@ -308,6 +312,11 @@ impl Scenario {
     /// Group size.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// The simulated-time limit one run gets.
+    pub fn time_budget(&self) -> Duration {
+        self.time_limit
     }
 
     /// Builds the simulator and probe for this scenario without running
@@ -421,6 +430,25 @@ impl Scenario {
     /// [`ScenarioError::InvalidConfig`] when `n` admits no valid
     /// configuration.
     pub fn run_once(&self) -> Result<RunOutcome, ScenarioError> {
+        let (sim, probe) = self.build_sim()?;
+        self.run_built(sim, probe)
+    }
+
+    /// Runs an already-built simulator to this scenario's decision
+    /// target and time limit and records the outcome against this
+    /// scenario's proposals and fault load. [`Scenario::run_once`] is
+    /// this after [`Scenario::build_sim`]; an experiment that wires its
+    /// own applications (`tick_ablation`) must build them to match.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::InvalidConfig`] when `n` admits no valid
+    /// configuration.
+    pub fn run_built(
+        &self,
+        mut sim: Simulator,
+        probe: SharedProbe,
+    ) -> Result<RunOutcome, ScenarioError> {
         let cfg = Config::evaluation(self.n).map_err(ScenarioError::InvalidConfig)?;
         let n = self.n;
         let f = cfg.f();
@@ -429,7 +457,6 @@ impl Scenario {
             .map(|i| fault_load != FaultLoad::FailureFree && i >= n - f)
             .collect();
         let proposals: Vec<bool> = (0..n).map(|i| self.proposals.proposal(i)).collect();
-        let (mut sim, probe) = self.build_sim()?;
         let limit = SimTime::ZERO + self.time_limit;
         let (status, stall) = sim.run_until_k_decided_supervised(self.correct_count(), limit);
         let probe_snapshot = probe.borrow().clone();

@@ -64,15 +64,14 @@ fn knobless(exe: &str, reps: usize) -> Command {
     cmd
 }
 
-/// Runs `bin reps` with no `TURQUOIS_*` knob but the two JSON sinks,
-/// which are pointed into the test's temp dir so a test run never
-/// dirties `results/`.
-fn regenerate(exe: &str, reps: usize, file: &str) -> String {
-    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
-    let mut cmd = knobless(exe, reps);
-    cmd.env("TURQUOIS_BENCH_JSON", tmp.join(format!("{file}.runner.json")))
-        .env("TURQUOIS_PARTITION_JSON", tmp.join(format!("{file}.partition.json")));
-    let out = cmd.output().unwrap_or_else(|e| panic!("{exe} did not start: {e}"));
+/// Runs `bin reps` with no `TURQUOIS_*` knob set, from the test's temp
+/// dir (a binary that wrote a file unasked would dirty that, not
+/// `results/`).
+fn regenerate(exe: &str, reps: usize) -> String {
+    let out = knobless(exe, reps)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .unwrap_or_else(|e| panic!("{exe} did not start: {e}"));
     assert!(
         out.status.success(),
         "{exe} {reps} exited with {}: {}",
@@ -116,39 +115,49 @@ fn every_checked_in_result_regenerates_byte_identical() {
     for &(exe, reps, file) in GOLDEN {
         let want = std::fs::read_to_string(results_dir().join(file))
             .unwrap_or_else(|e| panic!("results/{file}: {e}"));
-        if let Some(diff) = first_difference(&want, &regenerate(exe, reps, file)) {
+        if let Some(diff) = first_difference(&want, &regenerate(exe, reps)) {
             failures.push(format!("`{exe} {reps}` != results/{file} at {diff}"));
         }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n\n"));
 }
 
-/// The runner's JSON report goes where `TURQUOIS_BENCH_JSON` says and
-/// nowhere otherwise: every binary reports through the same writer, so
-/// a default `results/BENCH_runner.json` held whichever ran last.
+/// A binary's JSON report goes where `TURQUOIS_BENCH_JSON` says and
+/// nowhere otherwise: a default path holds whichever binary ran last,
+/// and under `results/` it overwrote a checked-in file on any shrunken
+/// run. Checked on the smallest grid of a paper table and of the two
+/// binaries that used to have such a default.
 #[test]
 fn runner_json_is_written_only_on_request() {
-    let cwd = Path::new(env!("CARGO_TARGET_TMPDIR")).join("runner_json_cwd");
-    let _ = std::fs::remove_dir_all(&cwd);
-    std::fs::create_dir_all(&cwd).expect("temp cwd");
-    let run = |json: Option<&Path>| {
-        let mut cmd = knobless(env!("CARGO_BIN_EXE_table1"), 1);
-        cmd.current_dir(&cwd).env("TURQUOIS_SIZES", "4");
-        if let Some(path) = json {
-            cmd.env("TURQUOIS_BENCH_JSON", path);
-        }
-        let out = cmd.output().expect("table1 starts");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        assert!(stderr.contains("[runner] table1:"), "stderr report stays: {stderr}");
-    };
-    run(None);
-    let left_behind: Vec<_> = std::fs::read_dir(&cwd).expect("temp cwd").collect();
-    assert!(left_behind.is_empty(), "an unasked run wrote {left_behind:?}");
-    let json = cwd.join("asked.json");
-    run(Some(&json));
-    let report = std::fs::read_to_string(&json).expect("requested report written");
-    assert!(report.contains("\"bin\": \"table1\""), "{report}");
+    let cases = [
+        (env!("CARGO_BIN_EXE_table1"), "table1", "4"),
+        (env!("CARGO_BIN_EXE_partition_matrix"), "partition_matrix", "4"),
+        (env!("CARGO_BIN_EXE_table_scale"), "table_scale", "16"),
+    ];
+    for (exe, bin, sizes) in cases {
+        let cwd = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{bin}_json_cwd"));
+        let _ = std::fs::remove_dir_all(&cwd);
+        std::fs::create_dir_all(&cwd).expect("temp cwd");
+        let run = |json: Option<&Path>| {
+            let mut cmd = knobless(exe, 1);
+            cmd.current_dir(&cwd).env("TURQUOIS_SIZES", sizes);
+            if let Some(path) = json {
+                cmd.env("TURQUOIS_BENCH_JSON", path);
+            }
+            let out = cmd.output().unwrap_or_else(|e| panic!("{bin} did not start: {e}"));
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert!(stderr.contains(&format!("[runner] {bin}:")), "stderr report stays: {stderr}");
+        };
+        run(None);
+        let left_behind: Vec<_> = std::fs::read_dir(&cwd).expect("temp cwd").collect();
+        assert!(left_behind.is_empty(), "an unasked {bin} run wrote {left_behind:?}");
+        let json = cwd.join("asked.json");
+        run(Some(&json));
+        let report = std::fs::read_to_string(&json).expect("requested report written");
+        assert!(report.contains(&format!("\"bin\": \"{bin}\"")), "{report}");
+        assert!(report.contains("\"runner\": {") && report.contains("\"cells\": ["), "{report}");
+    }
 }
 
 #[test]

@@ -6,9 +6,8 @@
 //! rest of the group from deciding.
 
 use std::time::Duration;
-use turquois_harness::experiment::{
-    paper_table_supervised_on, render_table, DEFAULT_TIME_LIMIT,
-};
+use turquois_harness::experiment::{paper_table, render_table};
+use turquois_harness::grid::{Plan, Stall};
 use turquois_harness::{FaultLoad, LossSpec, Protocol, ProposalDistribution, Scenario};
 use wireless_net::CrashSchedule;
 
@@ -17,31 +16,26 @@ use wireless_net::CrashSchedule;
 /// are identical to the clean run, at 1 and 4 threads alike.
 #[test]
 fn sabotaged_supervised_table_degrades_gracefully_and_deterministically() {
-    let sizes = [4usize];
-    let reps = 2;
-    let (clean_rows, clean_health, _) = paper_table_supervised_on(
-        FaultLoad::FailureFree,
-        &sizes,
-        reps,
-        1,
-        DEFAULT_TIME_LIMIT,
-        None,
-    );
-    assert!(clean_health.ok(), "clean run must be healthy");
+    let plan = |threads, sabotage| Plan {
+        bin: "run_supervisor",
+        reps: 2,
+        sizes: vec![4],
+        threads,
+        time_limit: None,
+        sabotage,
+        stall: Stall::Retry,
+    };
+    let (clean_rows, clean) = paper_table(FaultLoad::FailureFree, &plan(1, None));
+    assert_eq!(clean.failures().count(), 0, "clean run must be healthy");
 
     let mut renders = Vec::new();
     for threads in [1usize, 4] {
-        let (rows, health, _) = paper_table_supervised_on(
-            FaultLoad::FailureFree,
-            &sizes,
-            reps,
-            threads,
-            DEFAULT_TIME_LIMIT,
-            Some((2, 1)),
-        );
-        assert!(!health.ok(), "sabotage must be reported (threads={threads})");
-        assert_eq!(health.failures.len(), 1);
-        assert_eq!(health.failures[0].reason, "panic");
+        let (rows, run) = paper_table(FaultLoad::FailureFree, &plan(threads, Some((2, 1))));
+        let failures: Vec<_> = run.failures().collect();
+        assert_eq!(failures.len(), 1, "sabotage must be reported (threads={threads})");
+        let (label, failure) = failures[0];
+        assert_eq!((label, failure.reason), ("ABBA unanimous n=4", "panic"));
+        assert!(failure.detail.contains("sabotage"), "{:?}", failure.detail);
         assert_eq!(rows[0].cells[2], Err("FAILED(panic)".to_string()));
         for (i, (cell, clean)) in rows[0].cells.iter().zip(&clean_rows[0].cells).enumerate() {
             if i == 2 {
