@@ -9,34 +9,39 @@
 //! thereafter — sound because the key includes every byte the
 //! recomputation would read, so equal keys are the same computation.
 //!
-//! Determinism: backed by a `BTreeMap` plus FIFO insertion-order
-//! eviction, so behaviour depends only on the lookup sequence — never
-//! on hash seeds or addresses. Bounded: Byzantine senders can mint
+//! Determinism: the index is a `HashMap` under a *fixed-key* hasher
+//! (never `RandomState`) that is only ever probed, never iterated for
+//! output, and eviction is FIFO through an insertion-order queue — so
+//! the cache's contents depend only on the lookup sequence, never on
+//! hash seeds or addresses. Bounded: Byzantine senders can mint
 //! unlimited distinct invalid signatures; capacity eviction keeps a
 //! flood from growing memory, and an evicted entry merely costs a
 //! recomputation, never a wrong answer.
 //!
 //! Results must never depend on the cache. Builds with debug assertions
 //! (every `cargo test` run) hold it to that: a hit re-runs its closure
-//! and asserts the cached value equals the recomputation.
+//! and asserts the cached value equals the recomputation (a read-only
+//! [`MemoCache::peek`] hit must pass the recheck its caller supplies).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hash};
 
 /// Bounded memoization of `key -> value` computations (verification
 /// verdicts by default). See the module docs for the determinism and
 /// soundness argument.
 #[derive(Clone, Debug)]
-pub struct MemoCache<K: Ord + Clone, V = bool> {
-    entries: BTreeMap<K, V>,
+pub struct MemoCache<K: Hash + Eq + Clone, V = bool> {
+    entries: HashMap<K, V, BuildHasherDefault<DefaultHasher>>,
     order: VecDeque<K>,
     capacity: usize,
 }
 
-impl<K: Ord + Clone, V: Clone + PartialEq + std::fmt::Debug> MemoCache<K, V> {
+impl<K: Hash + Eq + Clone, V: Clone + PartialEq + std::fmt::Debug> MemoCache<K, V> {
     /// Creates a cache holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
         MemoCache {
-            entries: BTreeMap::new(),
+            entries: HashMap::default(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
         }
@@ -57,60 +62,48 @@ impl<K: Ord + Clone, V: Clone + PartialEq + std::fmt::Debug> MemoCache<K, V> {
     /// under debug assertions), a miss runs it and caches the result.
     /// `compute` must be a pure function of `key`.
     pub fn lookup(&mut self, key: K, compute: impl FnOnce() -> V) -> V {
-        if let Some(cached) = self.entries.get(&key) {
-            debug_assert_eq!(compute(), *cached, "memo cache disagrees with recomputation");
-            return cached.clone();
-        }
-        let result = compute();
-        self.insert(key, result.clone());
-        result
-    }
-
-    /// Batch counterpart of [`MemoCache::lookup`]: computes the values
-    /// of every requested key the cache does not hold in **one**
-    /// `compute_many` call (one value per input, in order) and caches
-    /// them, so the per-key lookups that follow hit. Requests whose key
-    /// is already cached never reach `compute_many`, which is not
-    /// called at all when nothing misses.
-    pub fn fill_misses<R>(
-        &mut self,
-        requests: impl IntoIterator<Item = (K, R)>,
-        compute_many: impl FnOnce(&[R]) -> Vec<V>,
-    ) {
-        let (keys, inputs): (Vec<K>, Vec<R>) = requests
-            .into_iter()
-            .filter(|(key, _)| !self.entries.contains_key(key))
-            .unzip();
-        if keys.is_empty() {
-            return;
-        }
-        let values = compute_many(&inputs);
-        assert_eq!(values.len(), keys.len(), "compute_many must return one value per input");
-        for (key, value) in keys.into_iter().zip(values) {
-            // A key requested twice in one batch is cached once.
-            if !self.entries.contains_key(&key) {
-                self.insert(key, value);
+        match self.entries.entry(key) {
+            Entry::Occupied(hit) => {
+                debug_assert_eq!(compute(), *hit.get(), "memo cache disagrees with recomputation");
+                hit.get().clone()
+            }
+            Entry::Vacant(slot) => {
+                let result = compute();
+                self.order.push_back(slot.key().clone());
+                slot.insert(result.clone());
+                // `order` holds exactly the live keys, oldest first; the
+                // one evicted is never the entry just inserted, because
+                // the capacity is at least 1.
+                if self.entries.len() > self.capacity {
+                    let oldest = self.order.pop_front().expect("a full cache has an oldest key");
+                    self.entries.remove(&oldest);
+                }
+                result
             }
         }
     }
 
-    /// Caches `value` under the absent `key`, evicting FIFO at capacity.
-    fn insert(&mut self, key: K, value: V) {
-        if self.entries.len() == self.capacity {
-            // `order` holds exactly the live keys, oldest first.
-            let oldest = self.order.pop_front().expect("a full cache has an oldest key");
-            self.entries.remove(&oldest);
-        }
-        self.entries.insert(key.clone(), value);
-        self.order.push_back(key);
+    /// The cached value for `key`, if any, without computing or caching
+    /// one: for a reader that can use a value but not produce all of
+    /// it. `recheck` stands in for [`MemoCache::lookup`]'s recomputation
+    /// — under debug assertions a hit must pass it.
+    pub fn peek(&self, key: &K, recheck: impl FnOnce(&V) -> bool) -> Option<&V> {
+        let hit = self.entries.get(key);
+        debug_assert!(hit.is_none_or(recheck), "memo cache disagrees with recomputation");
+        hit
     }
 
     /// Drops every entry whose key fails `keep` (garbage collection —
     /// callers tie this to their protocol's GC floor).
     pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
-        self.entries.retain(|k, _| keep(k));
-        let entries = &self.entries;
-        self.order.retain(|k| entries.contains_key(k));
+        let entries = &mut self.entries;
+        self.order.retain(|k| {
+            let kept = keep(k);
+            if !kept {
+                entries.remove(k);
+            }
+            kept
+        });
     }
 }
 
@@ -144,28 +137,22 @@ mod tests {
     }
 
     #[test]
-    fn fill_misses_computes_only_absent_keys_in_one_call() {
-        let mut cache: MemoCache<u32, String> = MemoCache::new(8);
-        cache.lookup(3, || "D".to_string());
-        let mut calls = 0;
-        cache.fill_misses(vec![(1, "a"), (2, "b"), (1, "a"), (3, "d")], |inputs| {
-            calls += 1;
-            assert_eq!(inputs, ["a", "b", "a"], "3 is cached; order kept");
-            inputs.iter().map(|s| s.to_uppercase()).collect()
-        });
-        assert_eq!(calls, 1);
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.order, [3, 1, 2], "a duplicate request is cached once");
-        // Everything requested now hits.
-        cache.fill_misses(vec![(1, "a"), (2, "b")], |_| unreachable!("no misses, no batch"));
-        cache.fill_misses(Vec::<(u32, &str)>::new(), |_| unreachable!("empty batch"));
-        assert_eq!(cache.lookup(2, || "B".to_string()), "B");
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "memo cache disagrees with recomputation")]
+    fn peek_that_fails_its_recheck_panics() {
+        let mut cache = MemoCache::new(8);
+        cache.lookup(1u32, || true);
+        cache.peek(&1, |held| !held);
     }
 
+    /// The index hasher is fixed-key: any two caches hash a key alike,
+    /// so nothing about a cache differs between runs (`RandomState`
+    /// fails this).
     #[test]
-    #[should_panic(expected = "one value per input")]
-    fn fill_misses_rejects_a_short_batch_result() {
-        MemoCache::<u32, u8>::new(8).fill_misses(vec![(1, ())], |_| Vec::new());
+    fn index_hasher_is_not_randomly_seeded() {
+        use std::hash::BuildHasher;
+        let (a, b) = (MemoCache::<u32>::new(1), MemoCache::<u32>::new(1));
+        assert_eq!(a.entries.hasher().hash_one(7u32), b.entries.hasher().hash_one(7u32));
     }
 
     /// What one lookup key maps to in the model proptest: any pure
@@ -178,16 +165,17 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
         /// The cache against a `VecDeque` FIFO model under arbitrary
-        /// interleavings of lookups, batch fills and garbage collection
-        /// at capacities 1..8: every lookup returns `f(k)`, the closure
-        /// runs exactly on a model miss, the cache never exceeds its
+        /// interleavings of lookups, peeks and garbage collection at
+        /// capacities 1..8: every lookup returns `f(k)`, the closure
+        /// runs exactly on a model miss, a peek sees exactly the live
+        /// entries and changes nothing, the cache never exceeds its
         /// capacity, and eviction order — including after `retain` —
         /// is the model's.
         #[test]
         fn matches_fifo_model(
             capacity in 1usize..8,
-            // (key, op selector: 0 = retain(k >= key), 1 = fill three
-            // keys from `key`, else lookup)
+            // (key, op selector: 0 = retain(k >= key), 1 = peek, else
+            // lookup)
             ops in proptest::collection::vec((0u8..12, 0u8..10), 1..80),
         ) {
             let mut cache: MemoCache<u8, u32> = MemoCache::new(capacity);
@@ -205,20 +193,8 @@ mod tests {
                         model.retain(|&k| k >= key);
                     }
                     1 => {
-                        let batch = [key, key + 1, key + 2];
-                        let expected: Vec<u8> =
-                            batch.iter().copied().filter(|k| !model.contains(k)).collect();
-                        let mut computed = Vec::new();
-                        cache.fill_misses(batch.map(|k| (k, k)), |misses| {
-                            computed = misses.to_vec();
-                            misses.iter().map(|&k| f(k)).collect()
-                        });
-                        proptest::prop_assert_eq!(&computed, &expected);
-                        for k in expected {
-                            if !model.contains(&k) {
-                                model_insert(&mut model, k);
-                            }
-                        }
+                        let held = model.contains(&key).then(|| f(key));
+                        proptest::prop_assert_eq!(cache.peek(&key, |v| *v == f(key)).copied(), held);
                     }
                     _ => {
                         let hit = model.contains(&key);
