@@ -28,7 +28,6 @@
 //! cost of the real RSA-class operations is charged by the simulator
 //! through the [`CryptoOps`] counters every call returns.
 
-use bytes::arena::EncodeArena;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -214,7 +213,7 @@ const KIND_MAINVOTE: u8 = 2;
 /// Encoded size of a [`SigShare`]: party id plus tag.
 const SIG_SHARE_LEN: usize = 2 + DIGEST_LEN;
 
-fn put_digest<B: BufMut>(buf: &mut B, d: &Digest) {
+fn put_digest(buf: &mut BytesMut, d: &Digest) {
     buf.put_slice(d.as_bytes());
 }
 
@@ -228,7 +227,7 @@ fn get_digest(buf: &mut &[u8]) -> Option<Digest> {
     Some(Digest(out))
 }
 
-fn put_sig_share<B: BufMut>(buf: &mut B, s: &SigShare) {
+fn put_sig_share(buf: &mut BytesMut, s: &SigShare) {
     buf.put_u16(s.party as u16);
     put_digest(buf, &s.tag);
 }
@@ -251,7 +250,7 @@ fn prevote_just_len(just: &PreVoteJust) -> usize {
     }
 }
 
-fn put_prevote_just<B: BufMut>(buf: &mut B, just: &PreVoteJust) {
+fn put_prevote_just(buf: &mut BytesMut, just: &PreVoteJust) {
     match just {
         PreVoteJust::Round1 => buf.put_u8(0),
         PreVoteJust::Hard(sig) => {
@@ -303,7 +302,7 @@ fn embedded_len(pv: &EmbeddedPreVote) -> usize {
     1 + SIG_SHARE_LEN + prevote_just_len(&pv.just)
 }
 
-fn put_embedded<B: BufMut>(buf: &mut B, pv: &EmbeddedPreVote) {
+fn put_embedded(buf: &mut BytesMut, pv: &EmbeddedPreVote) {
     buf.put_u8(pv.value as u8);
     put_sig_share(buf, &pv.share);
     put_prevote_just(buf, &pv.just);
@@ -327,13 +326,6 @@ fn get_embedded(buf: &mut &[u8]) -> Option<EmbeddedPreVote> {
 }
 
 impl AbbaMessage {
-    /// Encodes for transmission.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
     /// The exact wire length [`AbbaMessage::encode`] produces, computed
     /// arithmetically — no buffer is built. The adapter's RSA airtime
     /// model uses this instead of a throwaway encode.
@@ -359,10 +351,9 @@ impl AbbaMessage {
         }
     }
 
-    /// Writes the wire encoding into any [`BufMut`] — the same bytes
-    /// [`AbbaMessage::encode`] produces, without forcing a fresh
-    /// buffer (arena callers pass [`bytes::arena::EncodeArena::buf`]).
-    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
+    /// Encodes for transmission into one exact-capacity buffer.
+    pub fn encode(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
         match self {
             AbbaMessage::PreVote {
                 round,
@@ -373,8 +364,8 @@ impl AbbaMessage {
                 buf.put_u8(KIND_PREVOTE);
                 buf.put_u32(*round);
                 buf.put_u8(*value as u8);
-                put_sig_share(buf, share);
-                put_prevote_just(buf, just);
+                put_sig_share(&mut buf, share);
+                put_prevote_just(&mut buf, just);
             }
             AbbaMessage::MainVote {
                 round,
@@ -386,22 +377,23 @@ impl AbbaMessage {
                 buf.put_u8(KIND_MAINVOTE);
                 buf.put_u32(*round);
                 buf.put_u8(value.encode());
-                put_sig_share(buf, share);
+                put_sig_share(&mut buf, share);
                 buf.put_u16(coin_share.party as u16);
-                put_digest(buf, &coin_share.tag);
+                put_digest(&mut buf, &coin_share.tag);
                 match just {
                     MainVoteJust::ForValue(sig) => {
                         buf.put_u8(0);
-                        put_digest(buf, &sig.tag);
+                        put_digest(&mut buf, &sig.tag);
                     }
                     MainVoteJust::Abstain { zero, one } => {
                         buf.put_u8(1);
-                        put_embedded(buf, zero);
-                        put_embedded(buf, one);
+                        put_embedded(&mut buf, zero);
+                        put_embedded(&mut buf, one);
                     }
                 }
             }
         }
+        buf.freeze()
     }
 
     /// Decodes from wire bytes; `None` for malformed input.
@@ -720,8 +712,6 @@ pub struct Abba {
     decision: Option<bool>,
     stop_round: Option<u32>,
     verify_memo: MemoCache<AbbaVerifyKey>,
-    /// Pooled encode scratch for outgoing wire messages.
-    arena: EncodeArena,
     _rng: StdRng,
 }
 
@@ -762,14 +752,8 @@ impl Abba {
             decision: None,
             stop_round: None,
             verify_memo: MemoCache::new(ABBA_MEMO_CAP),
-            arena: EncodeArena::new(),
             _rng: StdRng::seed_from_u64(seed ^ 0xabba),
         }
-    }
-
-    /// Encodes `msg` into `out.send` through the engine's pooled arena.
-    fn emit(&mut self, msg: &AbbaMessage, out: &mut AbbaOutput) {
-        out.send.push(self.arena.encode_with(|b| msg.encode_into(b)));
     }
 
     /// Memoized verification: the [`CryptoOps`] counters are bumped by
@@ -826,7 +810,7 @@ impl Abba {
             share,
             just: PreVoteJust::Round1,
         };
-        self.emit(&msg, &mut out);
+        out.send.push(msg.encode());
         out
     }
 
@@ -1044,7 +1028,7 @@ impl Abba {
                     coin_share,
                     just,
                 };
-                self.emit(&msg, out);
+                out.send.push(msg.encode());
                 continue;
             }
 
@@ -1146,7 +1130,7 @@ impl Abba {
                     share,
                     just: next_just,
                 };
-                self.emit(&msg, out);
+                out.send.push(msg.encode());
                 // GC old rounds.
                 if next_round > 2 {
                     let floor = next_round - 2;
@@ -1200,8 +1184,9 @@ mod tests {
         engines.iter().map(|e| e.decision()).collect()
     }
 
-    #[test]
-    fn codec_round_trip_all_variants() {
+    /// One message of every wire shape: each pre-vote justification,
+    /// both main-vote justifications.
+    fn codec_fixtures() -> Vec<AbbaMessage> {
         let share = SigShare {
             party: 3,
             tag: turquois_crypto::sha256::sha256(b"s"),
@@ -1217,7 +1202,7 @@ mod tests {
             value: true,
             tag: turquois_crypto::sha256::sha256(b"p"),
         };
-        let messages = vec![
+        vec![
             AbbaMessage::PreVote {
                 round: 1,
                 value: true,
@@ -1264,25 +1249,51 @@ mod tests {
                     },
                 },
             },
-        ];
-        for m in messages {
+        ]
+    }
+
+    #[test]
+    fn codec_round_trip_all_variants() {
+        for m in codec_fixtures() {
             let bytes = m.encode();
             assert_eq!(AbbaMessage::decode(&bytes), Some(m.clone()));
             // The arithmetic length matches what encode produced, so
             // `rsa_equivalent_size` needs no throwaway encode.
             assert_eq!(m.encoded_len(), bytes.len());
-            // encode_into appends the same bytes, even mid-buffer (the
-            // arena stages messages at arbitrary offsets).
-            let mut staged = Vec::new();
-            staged.put_slice(b"prefix");
-            m.encode_into(&mut staged);
-            assert_eq!(&staged[6..], &bytes[..]);
             // Truncations fail.
             for cut in 0..bytes.len() {
                 assert_eq!(AbbaMessage::decode(&bytes[..cut]), None, "cut {cut}");
             }
         }
         assert_eq!(AbbaMessage::decode(b""), None);
+    }
+
+    /// Accepted ⇒ canonical: every single-byte mutation of every
+    /// fixture, its one-byte truncation and a trailing byte either fail
+    /// to decode or decode to a message that re-encodes to exactly the
+    /// mutated input. Never a panic.
+    #[test]
+    fn decode_is_total_and_canonical_under_byte_mutations() {
+        let check = |bytes: &[u8]| {
+            if let Some(m) = AbbaMessage::decode(bytes) {
+                assert_eq!(&m.encode()[..], bytes, "accepted a non-canonical frame");
+                assert_eq!(m.encoded_len(), bytes.len());
+            }
+        };
+        for m in codec_fixtures() {
+            let wire = m.encode().to_vec();
+            for at in 0..wire.len() {
+                for val in [0, 1, 2, 3, 0x7f, 0xff] {
+                    let mut mutated = wire.clone();
+                    mutated[at] = val;
+                    check(&mutated);
+                }
+            }
+            check(&wire[..wire.len() - 1]);
+            let mut trailing = wire.clone();
+            trailing.push(0);
+            assert_eq!(AbbaMessage::decode(&trailing), None);
+        }
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! are kept pending and re-examined as evidence accumulates.
 
 use crate::rbc::{RbcView, ReliableBroadcast, Tag};
-use bytes::arena::EncodeArena;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -196,8 +195,6 @@ pub struct Bracha {
     rng: StdRng,
     /// Total RBC deliveries (diagnostics).
     deliveries: u64,
-    /// Pooled encode scratch for outgoing wire messages.
-    arena: EncodeArena,
 }
 
 impl Bracha {
@@ -220,7 +217,6 @@ impl Bracha {
             pending: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ 0xb2ac_4a84),
             deliveries: 0,
-            arena: EncodeArena::new(),
         }
     }
 
@@ -274,8 +270,7 @@ impl Bracha {
     /// Processes a wire message from link-layer sender `from`.
     ///
     /// The wire bytes are parsed into a borrowed [`RbcView`] (no
-    /// payload copy) and outgoing messages are encoded through the
-    /// engine's pooled [`EncodeArena`] (DESIGN.md §13).
+    /// payload copy; DESIGN.md §13).
     pub fn on_message(&mut self, from: usize, bytes: &[u8]) -> BrachaOutput {
         let mut out = BrachaOutput::default();
         let Some(view) = RbcView::parse(bytes) else {
@@ -283,7 +278,7 @@ impl Bracha {
         };
         let rbc_out = self.rbc.on_view(from, &view);
         for m in rbc_out.send {
-            out.send.push(self.arena.encode_with(|b| m.encode_into(b)));
+            out.send.push(m.encode());
         }
         for (tag, payload) in rbc_out.deliver {
             self.deliveries += 1;
@@ -459,7 +454,7 @@ impl Bracha {
         let payload = Bytes::copy_from_slice(&[self.value.encode()]);
         let rbc_out = self.rbc.broadcast(self.round, self.step, payload);
         for m in rbc_out.send {
-            out.send.push(self.arena.encode_with(|b| m.encode_into(b)));
+            out.send.push(m.encode());
         }
     }
 }

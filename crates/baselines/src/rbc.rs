@@ -69,84 +69,54 @@ const KIND_READY: u8 = 3;
 const RBC_HEADER_LEN: usize = 1 + 2 + 4 + 1 + 2;
 
 impl RbcMessage {
-    /// Encodes for transmission.
+    /// Encodes for transmission into one exact-capacity buffer.
+    ///
+    /// # Panics
+    ///
+    /// If the payload is longer than `u16::MAX` bytes, the most the
+    /// length prefix can carry (a wrapped prefix would yield a frame the
+    /// parser rejects).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(RBC_HEADER_LEN + self.payload().len());
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// Writes the wire encoding into any [`BufMut`] — the same bytes
-    /// [`RbcMessage::encode`] produces, without forcing a fresh buffer
-    /// (arena callers pass [`bytes::arena::EncodeArena::buf`]).
-    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
-        let (kind, tag, payload) = match self {
-            RbcMessage::Initial { tag, payload } => (KIND_INITIAL, tag, payload),
-            RbcMessage::Echo { tag, payload } => (KIND_ECHO, tag, payload),
-            RbcMessage::Ready { tag, payload } => (KIND_READY, tag, payload),
-        };
+        let RbcView { kind, tag, payload } = self.view();
+        assert!(payload.len() <= usize::from(u16::MAX), "payload exceeds the 16-bit length prefix");
+        let mut buf = BytesMut::with_capacity(RBC_HEADER_LEN + payload.len());
         buf.put_u8(kind);
         buf.put_u16(tag.origin as u16);
         buf.put_u32(tag.round);
         buf.put_u8(tag.step);
         buf.put_u16(payload.len() as u16);
         buf.put_slice(payload);
+        buf.freeze()
     }
 
-    /// The payload borne by this message (any variant).
-    pub fn payload(&self) -> &Bytes {
-        match self {
-            RbcMessage::Initial { payload, .. }
-            | RbcMessage::Echo { payload, .. }
-            | RbcMessage::Ready { payload, .. } => payload,
-        }
-    }
-
-    /// Decodes from wire bytes; `None` for malformed input.
-    pub fn decode(bytes: &[u8]) -> Option<RbcMessage> {
-        if bytes.len() < 10 {
-            return None;
-        }
-        let kind = bytes[0];
-        let origin = u16::from_be_bytes(bytes[1..3].try_into().ok()?) as usize;
-        let round = u32::from_be_bytes(bytes[3..7].try_into().ok()?);
-        let step = bytes[7];
-        let len = u16::from_be_bytes(bytes[8..10].try_into().ok()?) as usize;
-        if bytes.len() != 10 + len {
-            return None;
-        }
-        let payload = Bytes::copy_from_slice(&bytes[10..]);
-        let tag = Tag {
-            origin,
-            round,
-            step,
+    /// Borrows this message as the [`RbcView`] its encoding would
+    /// parse to — no encode, no copy.
+    pub fn view(&self) -> RbcView<'_> {
+        let (kind, tag, payload) = match self {
+            RbcMessage::Initial { tag, payload } => (KIND_INITIAL, tag, payload),
+            RbcMessage::Echo { tag, payload } => (KIND_ECHO, tag, payload),
+            RbcMessage::Ready { tag, payload } => (KIND_READY, tag, payload),
         };
-        match kind {
-            KIND_INITIAL => Some(RbcMessage::Initial { tag, payload }),
-            KIND_ECHO => Some(RbcMessage::Echo { tag, payload }),
-            KIND_READY => Some(RbcMessage::Ready { tag, payload }),
-            _ => None,
+        RbcView {
+            kind,
+            tag: *tag,
+            payload,
         }
     }
 
-    /// The instance tag of this message.
-    pub fn tag(&self) -> Tag {
-        match self {
-            RbcMessage::Initial { tag, .. }
-            | RbcMessage::Echo { tag, .. }
-            | RbcMessage::Ready { tag, .. } => *tag,
-        }
+    /// Decodes from wire bytes ([`RbcView::parse`], then
+    /// [`RbcView::to_message`]); `None` for malformed input.
+    pub fn decode(bytes: &[u8]) -> Option<RbcMessage> {
+        RbcView::parse(bytes).map(|view| view.to_message())
     }
 }
 
-/// A borrowed, zero-copy view of one encoded [`RbcMessage`]: the
-/// payload stays an offset range into the receive buffer instead of
-/// being copied into a fresh [`Bytes`] at decode time
-/// ([`RbcView::parse`] accepts and rejects exactly the inputs
-/// [`RbcMessage::decode`] does). [`ReliableBroadcast::on_view`]
-/// consumes the view directly, materializing an owned copy of the
-/// payload only when it first enters a sender table or an outgoing
-/// echo (DESIGN.md §13).
+/// A borrowed, zero-copy view of one [`RbcMessage`] — the one parser
+/// of the format: the payload stays an offset range into the receive
+/// buffer instead of being copied into a fresh [`Bytes`] at decode
+/// time. [`ReliableBroadcast::on_view`] consumes the view directly,
+/// materializing an owned copy of the payload only when it first
+/// enters a sender table or an outgoing echo (DESIGN.md §13).
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
 pub struct RbcView<'a> {
     kind: u8,
@@ -156,8 +126,8 @@ pub struct RbcView<'a> {
 
 impl<'a> RbcView<'a> {
     /// Parses wire bytes without copying the payload. Returns `None`
-    /// exactly when [`RbcMessage::decode`] would: short input, a
-    /// length field disagreeing with the buffer, or an unknown kind.
+    /// on short input, a length field disagreeing with the buffer, or
+    /// an unknown kind.
     pub fn parse(bytes: &'a [u8]) -> Option<RbcView<'a>> {
         if bytes.len() < RBC_HEADER_LEN {
             return None;
@@ -269,57 +239,17 @@ impl ReliableBroadcast {
         out
     }
 
-    /// Processes a message received from link-layer sender `from`
-    /// (authenticated by the channel, per the paper's IPSec AH setup).
+    /// Processes an owned message: [`ReliableBroadcast::on_view`] over
+    /// [`RbcMessage::view`].
     pub fn on_message(&mut self, from: usize, msg: &RbcMessage) -> RbcOutput {
-        let mut out = RbcOutput::default();
-        if from >= self.n {
-            return out;
-        }
-        let tag = msg.tag();
-        if tag.origin >= self.n {
-            return out;
-        }
-        match msg {
-            RbcMessage::Initial { payload, .. } => {
-                // Only the origin may initiate its own instance.
-                if from != tag.origin {
-                    return out;
-                }
-                let inst = self.instances.entry(tag).or_default();
-                if !inst.echoed {
-                    inst.echoed = true;
-                    out.send.push(RbcMessage::Echo {
-                        tag,
-                        payload: payload.clone(),
-                    });
-                }
-            }
-            RbcMessage::Echo { payload, .. } => {
-                let inst = self.instances.entry(tag).or_default();
-                inst.echoes
-                    .entry(payload.clone())
-                    .or_default()
-                    .insert(from);
-                self.evaluate(tag, &mut out);
-            }
-            RbcMessage::Ready { payload, .. } => {
-                let inst = self.instances.entry(tag).or_default();
-                inst.readies
-                    .entry(payload.clone())
-                    .or_default()
-                    .insert(from);
-                self.evaluate(tag, &mut out);
-            }
-        }
-        out
+        self.on_view(from, &msg.view())
     }
 
-    /// Processes a borrowed [`RbcView`] — the same transition function
-    /// as [`ReliableBroadcast::on_message`], but the payload is copied
-    /// into an owned [`Bytes`] only when it first enters a sender
-    /// table or an outgoing echo. Duplicate payloads probe the tables
-    /// by raw slice and allocate nothing.
+    /// Processes a message received from link-layer sender `from`
+    /// (authenticated by the channel, per the paper's IPSec AH setup).
+    /// The payload is copied into an owned [`Bytes`] only when it first
+    /// enters a sender table or an outgoing echo; duplicate payloads
+    /// probe the tables by raw slice and allocate nothing.
     pub fn on_view(&mut self, from: usize, view: &RbcView<'_>) -> RbcOutput {
         let mut out = RbcOutput::default();
         if from >= self.n {
@@ -699,7 +629,18 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_matches_encode() {
+    #[should_panic(expected = "payload exceeds the 16-bit length prefix")]
+    fn encode_rejects_a_payload_past_the_length_prefix() {
+        let _ = ReliableBroadcast::new(4, 1, 0)
+            .broadcast(1, 1, Bytes::from(vec![0; usize::from(u16::MAX) + 1]))
+            .send[0]
+            .encode();
+    }
+
+    /// An owned message and its wire encoding are the same view, so
+    /// `on_message` and `on_view` are one transition function.
+    #[test]
+    fn view_of_a_message_is_the_parse_of_its_encoding() {
         let tag = Tag {
             origin: 5,
             round: 12,
@@ -719,46 +660,8 @@ mod tests {
                 payload: Bytes::copy_from_slice(&[0xff; 40]),
             },
         ] {
-            let mut staged = Vec::new();
-            staged.put_slice(b"prefix"); // arena chunks append mid-buffer
-            msg.encode_into(&mut staged);
-            assert_eq!(&staged[6..], &msg.encode()[..]);
-        }
-    }
-
-    /// Mirrored engines driven by the owned decoder and the borrowed
-    /// view stay in lockstep through an entire honest broadcast.
-    #[test]
-    fn view_engine_matches_message_engine() {
-        let n = 4;
-        let mut owned: Vec<ReliableBroadcast> =
-            (0..n).map(|me| ReliableBroadcast::new(n, 1, me)).collect();
-        let mut viewed: Vec<ReliableBroadcast> =
-            (0..n).map(|me| ReliableBroadcast::new(n, 1, me)).collect();
-        let start = owned[2].broadcast(7, 2, Bytes::copy_from_slice(b"lockstep"));
-        let _ = viewed[2].broadcast(7, 2, Bytes::copy_from_slice(b"lockstep"));
-        let mut queue: Vec<(usize, Bytes)> = start
-            .send
-            .iter()
-            .map(|m| (2usize, m.encode()))
-            .collect();
-        while let Some((from, bytes)) = queue.pop() {
-            for to in 0..n {
-                let msg = RbcMessage::decode(&bytes).expect("valid");
-                let a = owned[to].on_message(from, &msg);
-                let view = RbcView::parse(&bytes).expect("valid");
-                let b = viewed[to].on_view(from, &view);
-                assert_eq!(a, b, "outputs diverged at process {to}");
-                queue.extend(a.send.into_iter().map(|m| (to, m.encode())));
-            }
-        }
-        for (a, b) in owned.iter().zip(&viewed) {
-            let tag = Tag {
-                origin: 2,
-                round: 7,
-                step: 2,
-            };
-            assert_eq!(a.delivered(tag), b.delivered(tag));
+            assert_eq!(RbcView::parse(&msg.encode()), Some(msg.view()));
+            assert_eq!(msg.view().to_message(), msg);
         }
     }
 
@@ -789,23 +692,31 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// [`RbcView::parse`] accepts and rejects exactly the byte
-        /// strings [`RbcMessage::decode`] does, and agrees on content.
+        /// Accepted ⇒ canonical: arbitrary bytes — as they come, and
+        /// with the kind and length fields made plausible so the parser
+        /// gets past them — never panic it, and whatever it accepts
+        /// re-encodes to exactly the input.
         #[test]
-        fn view_parse_agrees_with_decode(bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..64)) {
-            let owned = RbcMessage::decode(&bytes);
-            let view = RbcView::parse(&bytes);
-            match (owned, view) {
-                (None, None) => {}
-                (Some(m), Some(v)) => proptest::prop_assert_eq!(m, v.to_message()),
-                (m, v) => proptest::prop_assert!(false, "divergence: {:?} vs {:?}", m, v),
+        fn parse_is_total_and_canonical(
+            kind in 0u8..5,
+            raw in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..64),
+        ) {
+            let mut framed = raw.clone();
+            if let Some(len) = framed.len().checked_sub(RBC_HEADER_LEN) {
+                framed[0] = kind;
+                framed[8..10].copy_from_slice(&(len as u16).to_be_bytes());
+            }
+            for bytes in [raw, framed] {
+                if let Some(view) = RbcView::parse(&bytes) {
+                    proptest::prop_assert_eq!(&view.to_message().encode()[..], &bytes[..]);
+                }
             }
         }
 
-        /// Error parity on every truncation prefix and on trailing
-        /// garbage, for every message kind.
+        /// Every strict prefix of a valid frame, and the frame plus one
+        /// trailing byte, is rejected; the frame itself round-trips.
         #[test]
-        fn view_error_parity_on_mangled_wire(
+        fn parse_rejects_every_strict_prefix_and_a_trailing_byte(
             kind in 1u8..4,
             origin in 0u16..9,
             round in 1u32..100,
@@ -820,19 +731,13 @@ mod tests {
                 _ => RbcMessage::Ready { tag, payload },
             };
             let wire = msg.encode();
-            for cut in 0..=wire.len() {
-                let prefix = &wire[..cut];
-                let owned = RbcMessage::decode(prefix);
-                let view = RbcView::parse(prefix).map(|v| v.to_message());
-                proptest::prop_assert_eq!(&owned, &view, "cut={}", cut);
-                if cut == wire.len() {
-                    proptest::prop_assert_eq!(owned, Some(msg.clone()));
-                }
+            for cut in 0..wire.len() {
+                proptest::prop_assert_eq!(RbcView::parse(&wire[..cut]), None, "cut={}", cut);
             }
+            proptest::prop_assert_eq!(RbcMessage::decode(&wire), Some(msg));
             let mut trailing = wire.to_vec();
             trailing.push(0);
-            proptest::prop_assert_eq!(RbcMessage::decode(&trailing), None);
-            proptest::prop_assert!(RbcView::parse(&trailing).is_none());
+            proptest::prop_assert_eq!(RbcView::parse(&trailing), None);
         }
     }
 }

@@ -1,1 +1,2 @@
-//! Criterion benchmark crate for the Turquois reproduction (see `benches/`).
+//! Criterion benchmark crate for the Turquois reproduction: ablation A4's
+//! cryptographic primitives (see `benches/crypto.rs`).

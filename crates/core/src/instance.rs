@@ -38,7 +38,6 @@ use crate::message::{DecodeError, Envelope, Message, MessageView, Status};
 use crate::state::{Advance, ProcessState};
 use crate::store::{combo_code, MessageStore};
 use crate::validation::{semantic_check, EvidenceView, RejectReason};
-use bytes::arena::EncodeArena;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,9 +150,6 @@ pub struct Turquois {
     /// Last broadcast's encoded form: a re-broadcast of an identical
     /// message reuses the wire bytes instead of re-serializing.
     last_wire: Option<(Message, Bytes)>,
-    /// Pooled encode scratch for outbound wire bytes (DESIGN.md §13).
-    /// Host-only: produces the same bytes as [`Message::encode`].
-    arena: EncodeArena,
     /// Recycled buffers for the message being processed — its authentic
     /// attachments below the GC floor, and the in-window ones `V_i` does
     /// not hold yet. Both are normally empty and keep their capacity,
@@ -196,7 +192,6 @@ impl Turquois {
             last_broadcast: None,
             decided_evidence: Vec::new(),
             last_wire: None,
-            arena: EncodeArena::new(),
             below_floor_scratch: Vec::new(),
             pending_scratch: Vec::new(),
             keyring,
@@ -327,9 +322,7 @@ impl Turquois {
                 });
             }
         }
-        // Stage into the pooled chunk: one recycled allocation instead
-        // of two fresh ones.
-        let bytes = self.arena.encode_with(|buf| message.encode_into(buf));
+        let bytes = message.encode();
         self.last_wire = Some((message.clone(), bytes.clone()));
         Ok(Outbound { bytes, message })
     }

@@ -85,65 +85,29 @@ impl Message {
         ENVELOPE_LEN + DIGEST_LEN + 2 + self.justification.len() * (ENVELOPE_LEN + DIGEST_LEN)
     }
 
-    /// Encodes the message for transmission.
+    /// Encodes the message for transmission into one exact-capacity
+    /// buffer.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_size());
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// Writes the wire encoding into any [`BufMut`] — the engine stages
-    /// messages into its pooled arena chunk with this; [`encode`]
-    /// produces the same bytes through its own builder.
-    ///
-    /// [`encode`]: Message::encode
-    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
-        encode_envelope(buf, &self.envelope);
+        encode_envelope(&mut buf, &self.envelope);
         buf.put_slice(&self.signature.0);
         buf.put_u16(self.justification.len() as u16);
         for (env, sig) in &self.justification {
-            encode_envelope(buf, env);
+            encode_envelope(&mut buf, env);
             buf.put_slice(&sig.0);
         }
+        buf.freeze()
     }
 
-    /// Decodes a message from wire bytes.
+    /// Decodes a message from wire bytes: [`MessageView::parse`], then
+    /// [`MessageView::to_message`].
     ///
     /// # Errors
     ///
     /// Returns [`DecodeError`] on truncation or malformed fields; `cfg`
     /// is used to bound the sender id and justification size.
     pub fn decode(bytes: &[u8], cfg: &Config) -> Result<Message, DecodeError> {
-        let mut r = Reader { bytes, at: 0 };
-        let envelope = decode_envelope(&mut r, cfg)?;
-        let signature = OneTimeSignature(r.take_digest()?);
-        let count = r.take_u16()? as usize;
-        // A justification never needs more than one full quorum per
-        // claim; three claims bound it at 3n.
-        if count > 3 * cfg.n() {
-            return Err(DecodeError::JustificationTooLarge { count });
-        }
-        // The count field is untrusted: cap the speculative allocation
-        // at what the remaining bytes could actually hold, so a huge
-        // count on a tiny payload can't force a large reservation
-        // before the per-entry bounds checks reject it.
-        let fits = bytes.len().saturating_sub(r.at) / (ENVELOPE_LEN + DIGEST_LEN);
-        let mut justification = Vec::with_capacity(count.min(fits));
-        for _ in 0..count {
-            let env = decode_envelope(&mut r, cfg)?;
-            let sig = OneTimeSignature(r.take_digest()?);
-            justification.push((env, sig));
-        }
-        if r.at != bytes.len() {
-            return Err(DecodeError::TrailingBytes {
-                extra: bytes.len() - r.at,
-            });
-        }
-        Ok(Message {
-            envelope,
-            signature,
-            justification,
-        })
+        MessageView::parse(bytes, cfg).map(|view| view.to_message())
     }
 }
 
@@ -156,7 +120,7 @@ const ENTRY_LEN: usize = ENVELOPE_LEN + DIGEST_LEN;
 const FLAG_COIN: u8 = 0b01;
 const FLAG_DECIDED: u8 = 0b10;
 
-fn encode_envelope<B: BufMut>(buf: &mut B, env: &Envelope) {
+fn encode_envelope(buf: &mut BytesMut, env: &Envelope) {
     buf.put_u16(env.sender as u16);
     buf.put_u32(env.phase);
     buf.put_u8(env.value.index() as u8);
@@ -240,19 +204,20 @@ fn decode_envelope(r: &mut Reader<'_>, cfg: &Config) -> Result<Envelope, DecodeE
     })
 }
 
-/// A borrowed, validated view of a wire message.
+/// A borrowed, validated view of a wire message — the one parser of
+/// the format.
 ///
-/// Parses the same format as [`Message::decode`] with bit-identical
-/// error behavior, but leaves the justification entries in place as
-/// offset ranges into the received buffer instead of materializing a
-/// `Vec` — the steady-state receive path allocates nothing. Entries
-/// are fully validated during [`MessageView::parse`]; the accessors
-/// re-read them from the buffer on demand ([`Envelope`] and
-/// [`OneTimeSignature`] are plain `Copy` data, so an access is a
-/// 40-byte stack copy, not a heap allocation).
+/// The justification entries stay in place as offset ranges into the
+/// received buffer instead of being materialized into a `Vec`: the
+/// steady-state receive path allocates nothing. Entries are fully
+/// validated during [`MessageView::parse`]; the accessors re-read them
+/// from the buffer on demand ([`Envelope`] and [`OneTimeSignature`]
+/// are plain `Copy` data, so an access is a 40-byte stack copy, not a
+/// heap allocation).
 ///
-/// Use [`MessageView::to_message`] at the few points where a message
-/// must outlive its delivery.
+/// Use [`MessageView::to_message`] (or [`Message::decode`], which is
+/// parse + `to_message`) at the few points where a message must
+/// outlive its delivery.
 #[derive(Clone, Copy, Debug)]
 pub struct MessageView<'a> {
     envelope: Envelope,
@@ -268,14 +233,18 @@ impl<'a> MessageView<'a> {
     ///
     /// # Errors
     ///
-    /// Returns exactly the [`DecodeError`] that [`Message::decode`]
-    /// would return on the same input (the differential tests assert
-    /// this at every truncation length).
+    /// Returns the [`DecodeError`] of the first malformed field, or
+    /// [`DecodeError::Truncated`] / [`DecodeError::TrailingBytes`] when
+    /// the length disagrees with the format. Nothing is reserved from
+    /// the untrusted count: a huge count on a tiny payload is
+    /// `Truncated` at its first missing entry.
     pub fn parse(bytes: &'a [u8], cfg: &Config) -> Result<MessageView<'a>, DecodeError> {
         let mut r = Reader { bytes, at: 0 };
         let envelope = decode_envelope(&mut r, cfg)?;
         let signature = OneTimeSignature(r.take_digest()?);
         let count = r.take_u16()? as usize;
+        // A justification never needs more than one full quorum per
+        // claim; three claims bound it at 3n.
         if count > 3 * cfg.n() {
             return Err(DecodeError::JustificationTooLarge { count });
         }
@@ -455,6 +424,8 @@ mod tests {
         }
     }
 
+    /// Every strict prefix is `Truncated` at the end of the first field
+    /// it cuts into — never a panic, never another error.
     #[test]
     fn decode_rejects_truncation_at_every_length() {
         let m = Message {
@@ -463,10 +434,15 @@ mod tests {
             justification: vec![(env(2, 1, Value::One), sig(4))],
         };
         let bytes = m.encode();
+        // sender, phase, value, flags, signature, count, then one entry.
+        let field_ends = [2, 6, 7, 8, 40, 42, 44, 48, 49, 50, 82];
+        assert_eq!(bytes.len(), 82);
         for cut in 0..bytes.len() {
-            assert!(
-                Message::decode(&bytes[..cut], &cfg()).is_err(),
-                "cut at {cut} must fail"
+            let needed = *field_ends.iter().find(|&&end| end > cut).expect("cut < 82");
+            assert_eq!(
+                Message::decode(&bytes[..cut], &cfg()),
+                Err(DecodeError::Truncated { needed, len: cut }),
+                "cut at {cut}"
             );
         }
     }
@@ -543,144 +519,50 @@ mod tests {
         assert_eq!(Status::Undecided.to_string(), "undecided");
     }
 
-    /// Both decoders agree on every accessor for a valid message.
+    /// A malformed field inside a justification entry is reported like
+    /// the same field of the header envelope.
     #[test]
-    fn view_matches_decode_on_valid_messages() {
-        let m = Message {
-            envelope: Envelope {
-                sender: 6,
-                phase: 123,
-                value: Value::One,
-                coin_flip: true,
-                status: Status::Decided,
-            },
-            signature: sig(9),
-            justification: vec![
-                (env(0, 122, Value::Zero), sig(1)),
-                (env(1, 122, Value::One), sig(2)),
-                (env(5, 121, Value::Bot), sig(3)),
-            ],
-        };
-        let bytes = m.encode();
-        let view = MessageView::parse(&bytes, &cfg()).expect("valid");
-        assert_eq!(view.envelope(), m.envelope);
-        assert_eq!(view.signature(), m.signature);
-        assert_eq!(view.justification_len(), m.justification.len());
-        for (i, entry) in m.justification.iter().enumerate() {
-            assert_eq!(view.entry(i), *entry);
-        }
-        assert_eq!(view.to_message(), m);
-    }
-
-    /// Error parity with the owned decoder at every truncation length
-    /// and on every mutated-field rejection.
-    #[test]
-    fn view_error_parity_with_decode() {
+    fn decode_rejects_malformed_justification_entries() {
         let m = Message {
             envelope: env(1, 2, Value::Zero),
             signature: sig(3),
             justification: vec![(env(2, 1, Value::One), sig(4))],
         };
         let bytes = m.encode();
-        let c = cfg();
-        for cut in 0..=bytes.len() {
-            let owned = Message::decode(&bytes[..cut], &c).err();
-            let view = MessageView::parse(&bytes[..cut], &c).err();
-            assert_eq!(owned, view, "engines disagree at cut {cut}");
-        }
-        // Trailing bytes.
-        let mut trailing = bytes.to_vec();
-        trailing.push(0);
-        assert_eq!(
-            Message::decode(&trailing, &c).err(),
-            MessageView::parse(&trailing, &c).err()
-        );
-        // Oversized count, bad sender, zero phase, bad value, bad flags.
-        for (at, val) in [(40usize, 255u8), (1, 200), (5, 0), (6, 9), (7, 0xf0)] {
+        // Entry 0 starts at HEADER_LEN: sender, phase, value, flags.
+        for (at, val, expected) in [
+            (HEADER_LEN + 1, 200, DecodeError::BadSender { sender: 200 }),
+            (HEADER_LEN + 5, 0, DecodeError::ZeroPhase),
+            (HEADER_LEN + 6, 9, DecodeError::BadValue { byte: 9 }),
+            (HEADER_LEN + 7, 0xf0, DecodeError::BadFlags { byte: 0xf0 }),
+        ] {
             let mut mutated = bytes.to_vec();
             mutated[at] = val;
             assert_eq!(
-                Message::decode(&mutated, &c).err(),
-                MessageView::parse(&mutated, &c).err(),
-                "engines disagree with byte {at} set to {val}"
+                Message::decode(&mutated, &cfg()),
+                Err(expected),
+                "byte {at} set to {val}"
             );
         }
     }
 
-    /// Satellite fix: a huge claimed count on a tiny payload must fail
-    /// with `Truncated` (not attempt a large speculative reservation)
-    /// — identically in both engines.
+    /// The count field is untrusted: a huge claimed count on a tiny
+    /// payload fails as `Truncated` at its first missing entry, and the
+    /// parser reserves nothing on its say-so.
     #[test]
-    fn huge_count_with_tiny_payload_is_truncated_in_both_engines() {
+    fn huge_count_with_tiny_payload_is_truncated() {
         // Large n so the 3n justification bound does not trip first.
         let big = Config::evaluation(30000).expect("valid");
         let m = Message::bare(env(0, 1, Value::Zero), sig(0));
         let mut bytes = m.encode().to_vec();
         let count_at = ENVELOPE_LEN + DIGEST_LEN;
         bytes[count_at..count_at + 2].copy_from_slice(&u16::MAX.to_be_bytes());
-        let owned = Message::decode(&bytes, &big);
-        let view = MessageView::parse(&bytes, &big).map(|v| v.to_message());
-        assert!(
-            matches!(owned, Err(DecodeError::Truncated { .. })),
-            "got {owned:?}"
+        assert_eq!(
+            Message::decode(&bytes, &big),
+            Err(DecodeError::Truncated {
+                needed: HEADER_LEN + 2,
+                len: HEADER_LEN
+            })
         );
-        assert_eq!(owned.err(), view.err());
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
-
-        /// View vs. owned decoder on arbitrary (mostly invalid) byte
-        /// strings: identical accept/reject verdicts, identical
-        /// errors, identical materialized messages.
-        #[test]
-        fn view_and_decode_agree_on_arbitrary_bytes(
-            raw in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..160),
-        ) {
-            let c = cfg();
-            let owned = Message::decode(&raw, &c);
-            let view = MessageView::parse(&raw, &c).map(|v| v.to_message());
-            proptest::prop_assert_eq!(owned, view);
-        }
-
-        /// Round-trip parity on arbitrary *valid* messages, truncated
-        /// at every prefix length.
-        #[test]
-        fn view_and_decode_agree_on_valid_messages_and_all_prefixes(
-            sender in 0usize..7,
-            phase in 1u32..1000,
-            vsel in 0u8..3,
-            coin in proptest::arbitrary::any::<bool>(),
-            decided in proptest::arbitrary::any::<bool>(),
-            just in proptest::collection::vec((0usize..7, 1u32..1000, 0u8..3), 0..6),
-        ) {
-            let c = cfg();
-            let value = [Value::Zero, Value::One, Value::Bot][vsel as usize];
-            let m = Message {
-                envelope: Envelope {
-                    sender,
-                    phase,
-                    value,
-                    coin_flip: coin,
-                    status: if decided { Status::Decided } else { Status::Undecided },
-                },
-                signature: sig(9),
-                justification: just
-                    .into_iter()
-                    .map(|(s, p, v)| {
-                        (env(s, p, [Value::Zero, Value::One, Value::Bot][v as usize]), sig(v))
-                    })
-                    .collect(),
-            };
-            let bytes = m.encode();
-            let view = MessageView::parse(&bytes, &c).expect("valid message");
-            proptest::prop_assert_eq!(view.to_message(), m);
-            for cut in 0..bytes.len() {
-                proptest::prop_assert_eq!(
-                    Message::decode(&bytes[..cut], &c).err(),
-                    MessageView::parse(&bytes[..cut], &c).err()
-                );
-            }
-        }
     }
 }

@@ -13,7 +13,6 @@
 //!   charged to the node's virtual CPU through the
 //!   [`CostModel`].
 
-use bytes::arena::EncodeArena;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -223,7 +222,7 @@ impl Application for TurquoisApp {
 const ICV_LEN: usize = 12;
 
 /// Reference per-link HMAC framing (IPSec AH stand-in) from a
-/// precomputed tag; the adapter stages the same bytes into its arena.
+/// precomputed tag; the adapter stages the same bytes n at a time.
 #[cfg(test)]
 fn mac_wrap(tag: &Digest, inner: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(ICV_LEN + inner.len());
@@ -370,10 +369,6 @@ pub struct BrachaApp {
     /// The simulation-wide link-tag pool; simulated cost is still
     /// charged per logical HMAC, only host hashing is shared.
     link_tags: SharedLinkTags,
-    /// Encode scratch for the per-destination HMAC wraps: the n wrapped
-    /// frames of one broadcast share a single arena chunk (DESIGN.md
-    /// §13) instead of n `BytesMut` builders.
-    arena: EncodeArena,
 }
 
 impl BrachaApp {
@@ -398,7 +393,6 @@ impl BrachaApp {
             mutate: None,
             decide_enabled: true,
             link_tags,
-            arena: EncodeArena::new(),
         }
     }
 
@@ -425,19 +419,19 @@ impl BrachaApp {
     /// through one lane batch (DESIGN.md §12), publishes them into the
     /// shared pool for the receivers' checks (one insert, or nothing if
     /// the pool holds this broadcast already), and stages the n frames
-    /// `icv ‖ inner` back to back, in destination order, into one arena
-    /// chunk (DESIGN.md §13). Every frame is `ICV_LEN + |inner|` long, so
+    /// `icv ‖ inner` back to back, in destination order, into one
+    /// exact-capacity buffer. Every frame is `ICV_LEN + |inner|` long, so
     /// the per-destination slices need no side table.
     fn wrap_for_all(&mut self, inner: &Bytes) -> Bytes {
         let tags: Rc<[Digest]> = self.macs.mac_all(inner).into();
         let key = (self.engine.id() as u16, inner.clone());
         self.link_tags.borrow_mut().lookup(key, || tags.clone());
-        self.arena.encode_with(|buf| {
-            for tag in tags.iter() {
-                buf.put_slice(&tag.as_bytes()[..ICV_LEN]);
-                buf.put_slice(inner);
-            }
-        })
+        let mut buf = BytesMut::with_capacity(tags.len() * (ICV_LEN + inner.len()));
+        for tag in tags.iter() {
+            buf.put_slice(&tag.as_bytes()[..ICV_LEN]);
+            buf.put_slice(inner);
+        }
+        buf.freeze()
     }
 
     /// Installs an outgoing-message mutator (used by the Byzantine
@@ -547,17 +541,6 @@ pub fn pad_to(inner: &[u8], total: usize) -> Bytes {
     buf.freeze()
 }
 
-/// [`pad_to`] into an open arena chunk (which may already hold earlier
-/// staged bytes, hence the relative cursor): the same `len(4) ‖ msg ‖
-/// zeros` framing, byte for byte.
-fn pad_into(buf: &mut Vec<u8>, inner: &[u8], total: usize) {
-    let start = buf.len();
-    let body = total.max(inner.len() + 4);
-    buf.put_u32(inner.len() as u32);
-    buf.put_slice(inner);
-    buf.resize(start + body, 0);
-}
-
 /// Strips [`pad_to`] framing.
 pub fn unpad(padded: &[u8]) -> Option<&[u8]> {
     if padded.len() < 4 {
@@ -575,9 +558,6 @@ pub struct AbbaApp {
     n: usize,
     cost: CostModel,
     probe: SharedProbe,
-    /// Encode scratch for the RSA-equivalent padding frames
-    /// (DESIGN.md §13).
-    arena: EncodeArena,
 }
 
 impl AbbaApp {
@@ -590,7 +570,6 @@ impl AbbaApp {
             n,
             cost,
             probe,
-            arena: EncodeArena::new(),
         }
     }
 
@@ -619,7 +598,7 @@ impl AbbaApp {
             let rsa_size = turquois_baselines::abba::AbbaMessage::decode(&bytes)
                 .map(|m| m.rsa_equivalent_size())
                 .unwrap_or(bytes.len());
-            let padded = self.arena.encode_with(|buf| pad_into(buf, &bytes, rsa_size + 4));
+            let padded = pad_to(&bytes, rsa_size + 4);
             for dst in 0..self.n {
                 self.transport.send(ctx, dst, padded.clone());
             }
@@ -738,8 +717,8 @@ mod tests {
         assert_eq!(published.expect("the sender published its broadcast").len(), n);
         for (dst, app) in apps.iter().enumerate() {
             let frame = frame_of(&chunk, dst, &inner);
-            // Batched tags, staged in the arena, are the per-link
-            // reference frames.
+            // The batched, staged frames are the per-link reference
+            // frames.
             let key = turquois_crypto::hmac::pairwise_key(9, 0, dst);
             assert_eq!(&frame[..], &mac_wrap(&key.mac(&inner), &inner)[..]);
             assert_eq!(mac_unwrap(&key, &frame), Some(&inner[..]));
@@ -813,25 +792,6 @@ mod tests {
         assert_eq!(unpad(&tight), Some(&b"hello"[..]));
         assert_eq!(unpad(b"xy"), None);
         assert_eq!(unpad(&[0, 0, 0, 9, 1]), None, "declared length overruns");
-    }
-
-    /// [`pad_into`] is byte-identical to [`pad_to`], even when staged
-    /// mid-chunk after earlier bytes.
-    #[test]
-    fn pad_into_matches_pad_to() {
-        let mut arena = EncodeArena::new();
-        for (inner, total) in [(&b"hello"[..], 64usize), (b"hello", 3), (b"", 10)] {
-            let staged = arena.encode_with(|buf| pad_into(buf, inner, total));
-            assert_eq!(&pad_to(inner, total)[..], &staged[..]);
-        }
-        arena.mark();
-        arena.buf().put_slice(b"prefix");
-        let start = arena.len();
-        arena.mark();
-        pad_into(arena.buf(), b"hello", 32);
-        let end = arena.len();
-        let chunk = arena.seal();
-        assert_eq!(&chunk.slice(start..end)[..], &pad_to(b"hello", 32)[..]);
     }
 
     #[test]

@@ -40,8 +40,7 @@
 use crate::config::overhead;
 use crate::frame::{NodeId, ReceivedFrame};
 use crate::sim::NodeCtx;
-use bytes::arena::EncodeArena;
-use bytes::{BufMut, Bytes};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
@@ -177,8 +176,6 @@ pub struct ReliableEndpoint {
     delivered_messages: u64,
     sent_messages: u64,
     transport_retransmits: u64,
-    /// Pooled encode scratch for outgoing segments.
-    arena: EncodeArena,
 }
 
 impl ReliableEndpoint {
@@ -193,7 +190,6 @@ impl ReliableEndpoint {
             delivered_messages: 0,
             sent_messages: 0,
             transport_retransmits: 0,
-            arena: EncodeArena::new(),
         }
     }
 
@@ -264,21 +260,17 @@ impl ReliableEndpoint {
             let ack = peer.next_expected_in;
             peer.ack_due_at = None; // piggybacked
             let rto = peer.rto;
-            // One arena chunk carries the whole segment; the packed
-            // batch the retransmit queue must retain is a zero-copy
-            // slice of it (the bytes are written exactly once).
-            let seg_mark = self.arena.mark();
-            put_segment_header(self.arena.buf(), KIND_DATA, seq, ack);
-            let payload_mark = self.arena.mark();
-            pack_batch_into(self.arena.buf(), &peer.pending[..k]);
+            // Header and packed batch are written once, into one
+            // exact-capacity buffer; the batch the retransmit queue must
+            // retain is a zero-copy slice of the transmitted segment.
+            let mut buf = BytesMut::with_capacity(HEADER_LEN + 2 + bytes);
+            put_segment_header(&mut buf, KIND_DATA, seq, ack);
+            pack_batch_into(&mut buf, &peer.pending[..k]);
             peer.pending.drain(..k);
-            let end = self.arena.len();
-            let chunk = self.arena.seal();
-            let payload = chunk.slice(payload_mark..end);
-            let segment = chunk.slice(seg_mark..end);
+            let segment = buf.freeze();
             peer.unacked.push_back(Unacked {
                 seq,
-                payload,
+                payload: segment.slice(HEADER_LEN..),
                 sent_at: now,
                 retransmitted: false,
                 rto_deadline: now + rto,
@@ -366,7 +358,7 @@ impl ReliableEndpoint {
                 let ack = self.peers[dst].next_expected_in;
                 let next_seq = self.peers[dst].next_seq_out;
                 self.peers[dst].ack_due_at = None;
-                let segment = self.encode_segment(KIND_ACK, next_seq, ack, &[]);
+                let segment = encode_segment(KIND_ACK, next_seq, ack, &[]);
                 ctx.unicast(dst, segment, overhead::TCP_ACK_SEGMENT);
             }
             // Retransmit on RTO expiry or MAC failure.
@@ -385,7 +377,7 @@ impl ReliableEndpoint {
                     head.rto_deadline = now + rto;
                     (head.seq, head.payload.clone())
                 };
-                let segment = self.encode_segment(KIND_DATA, head_seq, ack, &head_payload);
+                let segment = encode_segment(KIND_DATA, head_seq, ack, &head_payload);
                 self.transport_retransmits += 1;
                 ctx.unicast(dst, segment, overhead::TCP);
             }
@@ -463,24 +455,24 @@ impl ReliableEndpoint {
             ctx.set_timer(TICK_INTERVAL, TICK_ID);
         }
     }
-
-    /// Encodes one wire segment through the endpoint's pooled arena.
-    fn encode_segment(&mut self, kind: u8, seq: u64, ack: u64, payload: &[u8]) -> Bytes {
-        self.arena.encode_with(|buf| {
-            put_segment_header(buf, kind, seq, ack);
-            buf.put_slice(payload);
-        })
-    }
 }
 
-fn put_segment_header<B: BufMut>(buf: &mut B, kind: u8, seq: u64, ack: u64) {
+/// Encodes one wire segment.
+fn encode_segment(kind: u8, seq: u64, ack: u64, payload: &[u8]) -> Bytes {
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
+    put_segment_header(&mut buf, kind, seq, ack);
+    buf.put_slice(payload);
+    buf.freeze()
+}
+
+fn put_segment_header(buf: &mut BytesMut, kind: u8, seq: u64, ack: u64) {
     buf.put_u8(MAGIC);
     buf.put_u8(kind);
     buf.put_u64(seq);
     buf.put_u64(ack);
 }
 
-fn pack_batch_into<B: BufMut>(buf: &mut B, messages: &[Bytes]) {
+fn pack_batch_into(buf: &mut BytesMut, messages: &[Bytes]) {
     buf.put_u16(messages.len() as u16);
     for m in messages {
         buf.put_u16(m.len() as u16);
@@ -530,13 +522,8 @@ mod tests {
     use crate::fault::{IidLoss, NoFaults, TargetedLoss};
     use crate::sim::{Application, SimConfig, Simulator};
     use crate::time::SimTime;
-    use bytes::BytesMut;
     use std::cell::RefCell;
     use std::rc::Rc;
-
-    fn encode(kind: u8, seq: u64, ack: u64, payload: &[u8]) -> Bytes {
-        ReliableEndpoint::new(0, 1).encode_segment(kind, seq, ack, payload)
-    }
 
     fn pack_batch(messages: &[Bytes]) -> Bytes {
         let mut buf = BytesMut::new();
@@ -552,7 +539,7 @@ mod tests {
 
     #[test]
     fn codec_round_trip() {
-        let seg = encode(KIND_DATA, 7, 3, &Bytes::from_static(b"payload"));
+        let seg = encode_segment(KIND_DATA, 7, 3, &Bytes::from_static(b"payload"));
         let (kind, seq, ack, payload) = decode(&seg).expect("valid segment");
         assert_eq!(kind, KIND_DATA);
         assert_eq!(seq, 7);
@@ -564,10 +551,10 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(decode(&Bytes::from_static(b"")).is_none());
         assert!(decode(&Bytes::from_static(b"short")).is_none());
-        let mut bad_magic = encode(KIND_DATA, 0, 0, &Bytes::new()).to_vec();
+        let mut bad_magic = encode_segment(KIND_DATA, 0, 0, &Bytes::new()).to_vec();
         bad_magic[0] = 0xff;
         assert!(decode(&Bytes::from(bad_magic)).is_none());
-        let mut bad_kind = encode(KIND_DATA, 0, 0, &Bytes::new()).to_vec();
+        let mut bad_kind = encode_segment(KIND_DATA, 0, 0, &Bytes::new()).to_vec();
         bad_kind[1] = 77;
         assert!(decode(&Bytes::from(bad_kind)).is_none());
     }
@@ -707,28 +694,90 @@ mod tests {
         }
     }
 
-    /// The flush writes the packed batch once: the retained payload
-    /// and the transmitted segment share one chunk, and the segment is
-    /// header + packed batch.
+    /// `flush` writes header and packed batch once: the batch retained
+    /// for retransmission is a slice of the very segment the receiver
+    /// is handed, and that segment is header ‖ packed batch.
     #[test]
-    fn flushed_segment_and_retained_payload_share_one_chunk() {
-        let batch = vec![Bytes::copy_from_slice(b"one"), Bytes::copy_from_slice(b"two")];
-        let payload = pack_batch(&batch);
-        let whole_segment = encode(KIND_DATA, 3, 9, &payload);
-        let mut arena = EncodeArena::new();
-        let seg_mark = arena.mark();
-        put_segment_header(arena.buf(), KIND_DATA, 3, 9);
-        let payload_mark = arena.mark();
-        pack_batch_into(arena.buf(), &batch);
-        let end = arena.len();
-        let chunk = arena.seal();
-        assert_eq!(&chunk.slice(seg_mark..end)[..], &whole_segment[..]);
-        assert_eq!(&chunk.slice(payload_mark..end)[..], &payload[..]);
-        // Shared storage: the payload slice points inside the segment.
-        assert_eq!(
-            chunk.slice(payload_mark..end).as_ptr(),
-            chunk.slice(seg_mark..end)[HEADER_LEN..].as_ptr()
-        );
+    fn flushed_segment_and_retained_payload_share_storage() {
+        type Captured = Rc<RefCell<Vec<Bytes>>>;
+        struct Flusher(ReliableEndpoint, Captured);
+        impl Application for Flusher {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                if ctx.node() == 0 {
+                    let peer = &mut self.0.peers[1];
+                    peer.pending = vec![Bytes::from_static(b"one"), Bytes::from_static(b"two")];
+                    peer.pending_bytes = 2 * (3 + 2); // each with its length prefix
+                    self.0.flush(ctx, 1);
+                    let retained = self.0.peers[1].unacked[0].payload.clone();
+                    self.1.borrow_mut().push(retained);
+                }
+            }
+            fn on_frame(&mut self, _ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
+                self.1.borrow_mut().push(frame.payload);
+            }
+            fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _timer: u64) {}
+        }
+        let captured = Captured::default();
+        let apps: Vec<Box<dyn Application>> = (0..2)
+            .map(|i| Box::new(Flusher(ReliableEndpoint::new(i, 2), captured.clone())) as _)
+            .collect();
+        Simulator::without_faults(SimConfig::default(), apps)
+            .run_until(SimTime::from_millis(100), |_| false);
+        let captured = captured.borrow();
+        let [retained, segment] = &captured[..] else {
+            panic!("one retained payload, one received segment: {captured:?}");
+        };
+        let batch = pack_batch(&[Bytes::from_static(b"one"), Bytes::from_static(b"two")]);
+        assert_eq!(segment, &encode_segment(KIND_DATA, 0, 0, &batch));
+        assert_eq!(retained, &batch);
+        assert_eq!(retained.as_ptr(), segment[HEADER_LEN..].as_ptr());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes never panic the segment decoder, and a
+        /// segment it accepts re-encodes to exactly the input.
+        #[test]
+        fn segment_decode_is_total_and_canonical(
+            magic in proptest::prop_oneof![proptest::prelude::Just(MAGIC), proptest::arbitrary::any::<u8>()],
+            kind in 0u8..4,
+            rest in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..40),
+        ) {
+            let wire = Bytes::from([&[magic, kind][..], &rest[..]].concat());
+            for cut in 0..=wire.len() {
+                let bytes = wire.slice(..cut);
+                if let Some((kind, seq, ack, payload)) = decode(&bytes) {
+                    proptest::prop_assert_eq!(encode_segment(kind, seq, ack, &payload), bytes);
+                }
+            }
+        }
+
+        /// Arbitrary bytes never panic the batch unpacker. It releases
+        /// either every message the count declares — then what it
+        /// released packs back to a prefix of the input — or, when a
+        /// declared length overruns the payload, nothing at all.
+        #[test]
+        fn batch_unpack_is_total_and_all_or_nothing(
+            small in proptest::collection::vec(0u8..4, 0..48),
+            wild in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..48),
+        ) {
+            for raw in [small, wild] {
+                let payload = Bytes::from(raw);
+                let released = unpack_batch(&payload);
+                if payload.len() < 2 {
+                    proptest::prop_assert!(released.is_empty());
+                    continue;
+                }
+                let count = usize::from(u16::from_be_bytes([payload[0], payload[1]]));
+                if released.len() == count {
+                    let repacked = pack_batch(&released);
+                    proptest::prop_assert_eq!(&repacked[..], &payload[..repacked.len()]);
+                } else {
+                    proptest::prop_assert!(released.is_empty(), "partial release: {:?}", released);
+                }
+            }
+        }
     }
 
     #[test]

@@ -56,14 +56,33 @@ proptest! {
         prop_assert_eq!(decoded, msg);
     }
 
-    /// Arbitrary byte soup never panics the decoder and never produces
-    /// an out-of-range sender.
+    /// Arbitrary byte soup — and a valid encoding with a few bytes
+    /// overwritten, which the decoder often accepts — never panics the
+    /// decoder, never produces an out-of-range sender, and is accepted
+    /// only in canonical form: re-encoding the parsed message
+    /// reproduces the input byte for byte.
     #[test]
-    fn decoder_total_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
+    fn decoder_total_on_garbage(
+        soup in prop::collection::vec(any::<u8>(), 0..300),
+        env in arb_envelope(7),
+        sig in arb_signature(),
+        just in prop::collection::vec((arb_envelope(7), arb_signature()), 0..4),
+        overwrites in prop::collection::vec((0usize..10_000, any::<u8>()), 0..4),
+    ) {
         let cfg = Config::new(7, 2, 5).expect("valid");
-        if let Ok(msg) = Message::decode(&bytes, &cfg) {
-            prop_assert!(msg.envelope.sender < 7);
-            prop_assert!(msg.envelope.phase >= 1);
+        let mut mutated = Message { envelope: env, signature: sig, justification: just }
+            .encode()
+            .to_vec();
+        for (at, byte) in overwrites {
+            let at = at % mutated.len();
+            mutated[at] = byte;
+        }
+        for bytes in [soup, mutated] {
+            if let Ok(msg) = Message::decode(&bytes, &cfg) {
+                prop_assert!(msg.envelope.sender < 7);
+                prop_assert!(msg.envelope.phase >= 1);
+                prop_assert_eq!(&msg.encode()[..], &bytes[..]);
+            }
         }
     }
 
