@@ -32,25 +32,10 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use turquois_crypto::memo::MemoCache;
 use turquois_crypto::sha256::{Digest, DIGEST_LEN};
 use turquois_crypto::threshold::{
     CoinProof, CoinShare, PartyKey, SharePublic, SigShare, ThresholdSignature,
 };
-
-/// Memo-cache key for a threshold verification: `(kind, statement
-/// round, value, party, tag)`. The `kind` discriminant (pre-vote share,
-/// combined pre-vote signature, abstain signature, coin proof,
-/// main-vote share, coin share) keeps equal tags for different
-/// statements from ever colliding; `party` is 0 for combined objects.
-/// The cache is per-engine — [`SharePublic`] is shared by every party
-/// in a run, so a cache there would leak state across nodes.
-type AbbaVerifyKey = (u8, u32, u8, u16, Digest);
-
-/// Bound on memoized verification outcomes per engine (Byzantine
-/// parties can mint unlimited distinct invalid shares; eviction only
-/// costs a recomputation).
-const ABBA_MEMO_CAP: usize = 4096;
 
 /// Counters of cryptographic work performed during one call, for the
 /// simulator's CPU cost accounting.
@@ -711,7 +696,6 @@ pub struct Abba {
     hard_sigs: HashMap<(u32, bool), ThresholdSignature>,
     decision: Option<bool>,
     stop_round: Option<u32>,
-    verify_memo: MemoCache<AbbaVerifyKey>,
     _rng: StdRng,
 }
 
@@ -751,22 +735,8 @@ impl Abba {
             hard_sigs: HashMap::new(),
             decision: None,
             stop_round: None,
-            verify_memo: MemoCache::new(ABBA_MEMO_CAP),
             _rng: StdRng::seed_from_u64(seed ^ 0xabba),
         }
-    }
-
-    /// Memoized verification: the [`CryptoOps`] counters are bumped by
-    /// the *callers* before invoking this, so simulated CPU cost is
-    /// charged per logical verification whether or not the cache hits —
-    /// only real hashing work is skipped.
-    fn memo_verify(
-        &mut self,
-        key: AbbaVerifyKey,
-        compute: impl FnOnce(&AbbaKeys) -> bool,
-    ) -> bool {
-        let keys = &self.keys;
-        self.verify_memo.lookup(key, || compute(keys))
     }
 
     /// This party's id.
@@ -790,7 +760,6 @@ impl Abba {
     /// plus a 32-byte tag). Reads the O(1) per-round totals (the round
     /// maps hold a GC-bounded handful of entries), depends on logical
     /// content only, and is identical in both vote-table layouts.
-    /// Excludes the verification memo cache (a host-side accelerator).
     pub fn store_bytes(&self) -> usize {
         let pre: usize = self.pre.values().map(|pr| pr.total).sum();
         let main: usize = self.main.values().map(|mr| mr.total).sum();
@@ -851,29 +820,28 @@ impl Abba {
                 }
                 // Verify the main-vote share.
                 out.ops.share_verifies += 1;
-                let mv_key = (4u8, round, value.encode(), share.party as u16, share.tag);
-                if !self.memo_verify(mv_key, |k| {
-                    k.sig_public.verify_share(&mv_statement(round, value), &share)
-                }) {
+                if !self
+                    .keys
+                    .sig_public
+                    .verify_share(&mv_statement(round, value), &share)
+                {
                     return out;
                 }
                 // Verify the coin share (still record the main-vote if
                 // only the coin share is bad — they are independent).
                 out.ops.share_verifies += 1;
-                let cs_key = (5u8, round, 0, coin_share.party as u16, coin_share.tag);
-                let coin_ok = self.memo_verify(cs_key, |k| {
-                    k.coin_public.verify_coin_share(&coin_tag(round), &coin_share)
-                });
+                let coin_ok = self
+                    .keys
+                    .coin_public
+                    .verify_coin_share(&coin_tag(round), &coin_share);
                 // Verify the justification.
                 let just_ok = match &just {
                     MainVoteJust::ForValue(sig) => {
                         out.ops.sig_verifies += 1;
                         match value.as_bit() {
                             Some(bit) => {
-                                let key = (1u8, round, bit as u8, 0, sig.tag);
-                                let ok = self.memo_verify(key, |k| {
-                                    k.sig_public.verify(&pv_statement(round, bit), sig)
-                                });
+                                let ok =
+                                    self.keys.sig_public.verify(&pv_statement(round, bit), sig);
                                 if ok {
                                     self.hard_sigs.entry((round, bit)).or_insert(*sig);
                                 }
@@ -917,10 +885,11 @@ impl Abba {
         ops: &mut CryptoOps,
     ) -> bool {
         ops.share_verifies += 1;
-        let pv_key = (0u8, round, value as u8, share.party as u16, share.tag);
-        if !self.memo_verify(pv_key, |k| {
-            k.sig_public.verify_share(&pv_statement(round, value), share)
-        }) {
+        if !self
+            .keys
+            .sig_public
+            .verify_share(&pv_statement(round, value), share)
+        {
             return false;
         }
         match just {
@@ -930,10 +899,10 @@ impl Abba {
                     return false;
                 }
                 ops.sig_verifies += 1;
-                let key = (1u8, round - 1, value as u8, 0, sig.tag);
-                let ok = self.memo_verify(key, |k| {
-                    k.sig_public.verify(&pv_statement(round - 1, value), sig)
-                });
+                let ok = self
+                    .keys
+                    .sig_public
+                    .verify(&pv_statement(round - 1, value), sig);
                 if ok {
                     self.hard_sigs.entry((round - 1, value)).or_insert(*sig);
                 }
@@ -944,22 +913,14 @@ impl Abba {
                     return false;
                 }
                 ops.sig_verifies += 2;
-                let abstain_key = (
-                    2u8,
-                    round - 1,
-                    MainVoteValue::Abstain.encode(),
-                    0,
-                    abstain_sig.tag,
-                );
-                let proof_key = (3u8, round - 1, proof.value as u8, 0, proof.tag);
-                self.memo_verify(abstain_key, |k| {
-                    k.sig_public.verify(
-                        &mv_statement(round - 1, MainVoteValue::Abstain),
-                        abstain_sig,
-                    )
-                }) && self.memo_verify(proof_key, |k| {
-                    k.coin_public.verify_coin_proof(&coin_tag(round - 1), proof)
-                }) && proof.value == value
+                self.keys.sig_public.verify(
+                    &mv_statement(round - 1, MainVoteValue::Abstain),
+                    abstain_sig,
+                ) && self
+                    .keys
+                    .coin_public
+                    .verify_coin_proof(&coin_tag(round - 1), proof)
+                    && proof.value == value
             }
         }
     }
@@ -1138,7 +1099,6 @@ impl Abba {
                     self.main.retain(|&r, _| r >= floor);
                     self.coin_shares.retain(|&r, _| r >= floor);
                     self.hard_sigs.retain(|&(r, _), _| r >= floor);
-                    self.verify_memo.retain(|k| k.1 >= floor);
                 }
                 continue;
             }

@@ -271,19 +271,6 @@ impl Turquois {
         self.evidence.approx_bytes() + self.valid.approx_bytes()
     }
 
-    /// Diagnostic snapshot: `(phase, value, coin_flip, valid-store
-    /// sender count at the current phase, evidence-store sender count)`.
-    pub fn debug_snapshot(&self) -> (u32, Value, bool, usize, usize) {
-        let phase = self.state.phase();
-        (
-            phase,
-            self.state.value(),
-            self.state.coin_flip(),
-            self.valid.count_phase(phase),
-            self.evidence.count_phase(phase),
-        )
-    }
-
     /// Task T1: produce the broadcast for the current state.
     ///
     /// The first broadcast of a state is bare; re-broadcasts of an

@@ -28,9 +28,9 @@
 //!   can charge realistic time for cryptographic work (RSA on a 600 MHz
 //!   Pentium III is *slow*; that asymmetry is a pillar of the paper's
 //!   evaluation).
-//! * [`memo`] — a bounded, deterministic memo cache so re-delivered
-//!   signatures cost a map probe instead of a SHA-256 chain in *host*
-//!   time (simulated cost is still charged per logical verification).
+//! * [`memo`] — a bounded, deterministic memo cache so a broadcast's
+//!   link tags are computed once, by the sender, in *host* time
+//!   (simulated cost is still charged per logical verification).
 //!
 //! Two host-side accelerators live here — the multi-lane kernel in
 //! [`sha256::multilane`] behind every batch digest, and [`memo`] — and

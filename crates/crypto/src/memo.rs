@@ -1,22 +1,20 @@
-//! A bounded, deterministic memo cache for verification results.
+//! A bounded, deterministic memo cache.
 //!
-//! [`MemoCache`] remembers the outcome of expensive computations —
-//! boolean verdicts of HMAC threshold-share checks, or full HMAC tags
-//! shared between a simulated sender and receiver — keyed by the full
-//! input identity, so re-deliveries of the same signed bytes cost a map
-//! probe instead of a SHA-256 chain. It caches *negative* results too:
-//! a forged signature rejected once is rejected from the cache
-//! thereafter — sound because the key includes every byte the
-//! recomputation would read, so equal keys are the same computation.
+//! [`MemoCache`] remembers the outcome of expensive computations — its
+//! one user holds the HMAC tags a simulated sender shares with its
+//! receivers (`turquois-harness`'s link-tag pool) — keyed by the full
+//! input identity, so a re-delivery of the same bytes costs a map probe
+//! instead of a SHA-256 chain. Sound because the key includes every
+//! byte the recomputation would read, so equal keys are the same
+//! computation.
 //!
 //! Determinism: the index is a `HashMap` under a *fixed-key* hasher
 //! (never `RandomState`) that is only ever probed, never iterated for
 //! output, and eviction is FIFO through an insertion-order queue — so
 //! the cache's contents depend only on the lookup sequence, never on
-//! hash seeds or addresses. Bounded: Byzantine senders can mint
-//! unlimited distinct invalid signatures; capacity eviction keeps a
-//! flood from growing memory, and an evicted entry merely costs a
-//! recomputation, never a wrong answer.
+//! hash seeds or addresses. Bounded: capacity eviction keeps a flood
+//! of distinct keys from growing memory, and an evicted entry merely
+//! costs a recomputation, never a wrong answer.
 //!
 //! Results must never depend on the cache. Builds with debug assertions
 //! (every `cargo test` run) hold it to that: a hit re-runs its closure
@@ -27,11 +25,10 @@ use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash};
 
-/// Bounded memoization of `key -> value` computations (verification
-/// verdicts by default). See the module docs for the determinism and
-/// soundness argument.
+/// Bounded memoization of `key -> value` computations. See the module
+/// docs for the determinism and soundness argument.
 #[derive(Clone, Debug)]
-pub struct MemoCache<K: Hash + Eq + Clone, V = bool> {
+pub struct MemoCache<K: Hash + Eq + Clone, V> {
     entries: HashMap<K, V, BuildHasherDefault<DefaultHasher>>,
     order: VecDeque<K>,
     capacity: usize,
@@ -92,19 +89,6 @@ impl<K: Hash + Eq + Clone, V: Clone + PartialEq + std::fmt::Debug> MemoCache<K, 
         debug_assert!(hit.is_none_or(recheck), "memo cache disagrees with recomputation");
         hit
     }
-
-    /// Drops every entry whose key fails `keep` (garbage collection —
-    /// callers tie this to their protocol's GC floor).
-    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
-        let entries = &mut self.entries;
-        self.order.retain(|k| {
-            let kept = keep(k);
-            if !kept {
-                entries.remove(k);
-            }
-            kept
-        });
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +135,10 @@ mod tests {
     #[test]
     fn index_hasher_is_not_randomly_seeded() {
         use std::hash::BuildHasher;
-        let (a, b) = (MemoCache::<u32>::new(1), MemoCache::<u32>::new(1));
+        let (a, b) = (
+            MemoCache::<u32, bool>::new(1),
+            MemoCache::<u32, bool>::new(1),
+        );
         assert_eq!(a.entries.hasher().hash_one(7u32), b.entries.hasher().hash_one(7u32));
     }
 
@@ -165,18 +152,16 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
         /// The cache against a `VecDeque` FIFO model under arbitrary
-        /// interleavings of lookups, peeks and garbage collection at
-        /// capacities 1..8: every lookup returns `f(k)`, the closure
-        /// runs exactly on a model miss, a peek sees exactly the live
-        /// entries and changes nothing, the cache never exceeds its
-        /// capacity, and eviction order — including after `retain` —
-        /// is the model's.
+        /// interleavings of lookups and peeks at capacities 1..8: every
+        /// lookup returns `f(k)`, the closure runs exactly on a model
+        /// miss, a peek sees exactly the live entries and changes
+        /// nothing, the cache never exceeds its capacity, and eviction
+        /// order is the model's.
         #[test]
         fn matches_fifo_model(
             capacity in 1usize..8,
-            // (key, op selector: 0 = retain(k >= key), 1 = peek, else
-            // lookup)
-            ops in proptest::collection::vec((0u8..12, 0u8..10), 1..80),
+            // (key, op selector: 0 = peek, else lookup)
+            ops in proptest::collection::vec((0u8..12, 0u8..5), 1..80),
         ) {
             let mut cache: MemoCache<u8, u32> = MemoCache::new(capacity);
             let mut model: VecDeque<u8> = VecDeque::new();
@@ -189,10 +174,6 @@ mod tests {
             for (key, op) in ops {
                 match op {
                     0 => {
-                        cache.retain(|&k| k >= key);
-                        model.retain(|&k| k >= key);
-                    }
-                    1 => {
                         let held = model.contains(&key).then(|| f(key));
                         proptest::prop_assert_eq!(cache.peek(&key, |v| *v == f(key)).copied(), held);
                     }

@@ -14,7 +14,7 @@
 //!   [`CostModel`].
 
 use bytes::{BufMut, Bytes, BytesMut};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 use turquois_baselines::abba::{Abba, AbbaOutput};
@@ -288,57 +288,48 @@ pub fn new_link_tags() -> SharedLinkTags {
 
 /// One node's pairwise HMAC keys, from the pre-distribution seed (the
 /// paper establishes IPSec security associations between every pair
-/// before the run). A key is materialised the first time its link is
-/// used (first HMAC wrap or check against that peer), so a node only
-/// ever pays for the links it actually touches instead of the full
-/// O(n²) mesh at setup. Derivation is a pure function of `(seed, pair)`
-/// (see [`turquois_crypto::hmac::pairwise_key`]) and host work outside
-/// the simulated cost model, so when it happens cannot move simulated
-/// time.
+/// before the run). The node's whole row of n keys is derived on its
+/// first HMAC — inside the run, not at set-up, and a node's first
+/// broadcast needs all n anyway. Derivation is a pure function of
+/// `(seed, pair)` (see [`turquois_crypto::hmac::pairwise_key`]) and
+/// host work outside the simulated cost model, so when it happens
+/// cannot move simulated time.
+#[derive(Debug)]
 pub struct PairwiseKeys {
     me: usize,
+    n: usize,
     seed: u64,
-    keys: RefCell<Vec<Option<HmacKey>>>,
-}
-
-impl std::fmt::Debug for PairwiseKeys {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PairwiseKeys")
-            .field("me", &self.me)
-            .field("derived", &self.derived_count())
-            .finish_non_exhaustive()
-    }
+    keys: OnceCell<Vec<HmacKey>>,
 }
 
 impl PairwiseKeys {
-    /// Creates the (empty) table for `me` in a group of `n`.
+    /// Creates the (not yet derived) row for `me` in a group of `n`.
     pub fn new(me: usize, n: usize, seed: u64) -> Self {
         PairwiseKeys {
             me,
+            n,
             seed,
-            keys: RefCell::new(vec![None; n]),
+            keys: OnceCell::new(),
         }
     }
 
     /// Group size.
     pub fn n(&self) -> usize {
-        self.keys.borrow().len()
+        self.n
     }
 
-    /// Keys materialised so far: the links actually used.
-    pub fn derived_count(&self) -> usize {
-        self.keys.borrow().iter().flatten().count()
-    }
-
-    /// The key for the link to `peer`, derived into its `slot` if this
-    /// is the link's first use.
-    fn key_in<'a>(&self, slot: &'a mut Option<HmacKey>, peer: usize) -> &'a HmacKey {
-        slot.get_or_insert_with(|| turquois_crypto::hmac::pairwise_key(self.seed, self.me, peer))
+    /// The keys for the links to all n peers, in peer order.
+    fn row(&self) -> &[HmacKey] {
+        self.keys.get_or_init(|| {
+            (0..self.n)
+                .map(|peer| turquois_crypto::hmac::pairwise_key(self.seed, self.me, peer))
+                .collect()
+        })
     }
 
     /// The HMAC tag for `message` on the link to `peer`.
     pub fn mac(&self, peer: usize, message: &[u8]) -> Digest {
-        self.key_in(&mut self.keys.borrow_mut()[peer], peer).mac(message)
+        self.row()[peer].mac(message)
     }
 
     /// The HMAC tags of one `message` on the links to all n peers, in
@@ -346,9 +337,7 @@ impl PairwiseKeys {
     /// [`turquois_crypto::hmac::hmac_many`] lane batch. Tag-for-tag
     /// identical to calling [`PairwiseKeys::mac`] per peer.
     pub fn mac_all(&self, message: &[u8]) -> Vec<Digest> {
-        let mut keys = self.keys.borrow_mut();
-        let links: Vec<(&HmacKey, &[u8])> =
-            keys.iter_mut().enumerate().map(|(peer, slot)| (self.key_in(slot, peer), message)).collect();
+        let links: Vec<(&HmacKey, &[u8])> = self.row().iter().map(|key| (key, message)).collect();
         turquois_crypto::hmac::hmac_many(&links)
     }
 }
@@ -452,11 +441,6 @@ impl BrachaApp {
     /// sent/delivered/retransmit counters).
     pub fn transport(&self) -> &ReliableEndpoint {
         &self.transport
-    }
-
-    /// Pairwise keys materialised so far: the links actually touched.
-    pub fn derived_keys(&self) -> usize {
-        self.macs.derived_count()
     }
 
     fn dispatch(&mut self, ctx: &mut NodeCtx<'_>, out: BrachaOutput) {
@@ -767,19 +751,6 @@ mod tests {
         assert_eq!(a.mac(3, b"m"), b.mac(0, b"m"));
         // Distinct pairs get distinct keys.
         assert_ne!(a.mac(1, b"m"), a.mac(2, b"m"));
-    }
-
-    #[test]
-    fn pairwise_keys_derive_on_first_use() {
-        let keys = PairwiseKeys::new(2, 5, 7);
-        assert_eq!(keys.derived_count(), 0, "starts empty");
-        let direct = |peer| turquois_crypto::hmac::pairwise_key(7, 2, peer);
-        assert_eq!(keys.mac(4, b"m"), direct(4).mac(b"m"));
-        assert_eq!(keys.derived_count(), 1, "one link touched, one key");
-        for peer in 0..5 {
-            assert_eq!(keys.mac(peer, b"payload"), direct(peer).mac(b"payload"));
-        }
-        assert_eq!(keys.derived_count(), 5);
     }
 
     #[test]

@@ -381,10 +381,13 @@ fn parse_sizes(raw: &str) -> Option<Vec<usize>> {
     (!sizes.is_empty()).then_some(sizes)
 }
 
-/// `TURQUOIS_TIME_LIMIT`: positive, possibly fractional, seconds.
+/// `TURQUOIS_TIME_LIMIT`: positive, possibly fractional, seconds, small
+/// enough that the retry's [`runner::RETRY_BUDGET_SCALE`]-fold still
+/// fits the `u64` nanoseconds of a `SimTime`.
 fn parse_time_limit(raw: &str) -> Option<Duration> {
-    let secs: f64 = raw.trim().parse().ok()?;
-    (secs.is_finite() && secs > 0.0).then(|| Duration::from_secs_f64(secs))
+    let limit = Duration::try_from_secs_f64(raw.trim().parse().ok()?).ok()?;
+    let escalated = limit.checked_mul(runner::RETRY_BUDGET_SCALE)?;
+    (!limit.is_zero() && u64::try_from(escalated.as_nanos()).is_ok()).then_some(limit)
 }
 
 /// `TURQUOIS_SABOTAGE`: `"cell,rep"` indices.
@@ -554,7 +557,7 @@ mod tests {
     fn knob_value_parsing() {
         assert_eq!(parse_time_limit("2.5"), Some(Duration::from_secs_f64(2.5)));
         assert_eq!(parse_time_limit(" 30 "), Some(Duration::from_secs(30)));
-        for bad in ["0", "-1", "inf", "abc"] {
+        for bad in ["0", "-1", "inf", "nan", "abc", "1e30", "1e11"] {
             assert_eq!(parse_time_limit(bad), None, "{bad}");
         }
         assert_eq!(parse_sabotage("3,1"), Some((3, 1)));

@@ -1,27 +1,25 @@
-//! Synthetic event-engine stress workload for the `sim_core` criterion
-//! bench and the repository benchmark's `net.storm_events_per_s` probe.
+//! Synthetic timer-storm load on the simulator's event queue. It is kept
+//! only because the repository benchmark's frozen
+//! `net.storm_events_per_s` probe calls [`run_storm`]; no experiment
+//! binary and no benchmark workload resembles it (ROADMAP 4(a) retires
+//! the probe and this module together).
 //!
-//! The paper grids exercise the event queue with realistic but *shallow*
-//! pending sets (a few dozen MAC/timer events in flight). A timer wheel
-//! earns its keep when many timers are armed at once — the idle-timeout
-//! pattern every networked protocol produces — so this workload arms a
-//! deep, mixed-horizon timer population per node:
+//! The paper grids hold *shallow* pending sets (a few dozen MAC/timer
+//! events in flight). This load arms a deep, mixed-horizon timer
+//! population per node instead:
 //!
 //! * a working set of [`TIMERS_PER_NODE`] timers per node, rearmed on
 //!   every firing with delays drawn (deterministically, from the node's
-//!   simulation RNG) across four horizons from 20 µs to tens of
-//!   seconds, touching every wheel level;
-//! * one far-future "chaff" timer armed per firing (100 s – 1000 s out,
-//!   beyond any measured horizon), so the pending set grows linearly
+//!   simulation RNG) from 20 µs to 2 ms;
+//! * one "chaff" timer armed per firing, 2 ms to 10 days out and mostly
+//!   beyond any measured horizon, so the pending set grows linearly
 //!   over the run the way accumulated timeout/GC timers do in long
-//!   protocol runs. A global heap would pay `O(log E)` on the growing
-//!   `E` for every operation; the wheel parks chaff in a high level or
-//!   the overflow map in `O(1)`.
+//!   protocol runs, and every queue operation pays `O(log E)` on the
+//!   growing `E`.
 //!
-//! No frames are sent: the workload isolates the event engine from the
-//! CSMA/CA medium so the measured delta is queue cost, not MAC cost.
-//! Everything is deterministic given the seed, so the event count of a
-//! `(n, horizon, seed)` storm is a constant.
+//! No frames are sent: the load isolates the event queue from the
+//! CSMA/CA medium. Everything is deterministic given the seed, so the
+//! event count of a `(n, horizon, seed)` storm is a constant.
 
 use std::time::Duration;
 use wireless_net::frame::ReceivedFrame;
@@ -45,21 +43,21 @@ fn next_delay(rng: &mut impl RngCore) -> Duration {
     Duration::from_nanos(20_000 + rng.next_u64() % 1_980_000)
 }
 
-/// Draws a chaff delay spread across every wheel level and into the
-/// overflow map. The short class fires within a measured horizon and
-/// exercises cascading; the rest accumulate as the growing pending set.
+/// Draws a chaff delay from five horizon classes. The short class
+/// fires within a measured horizon; the rest accumulate as the growing
+/// pending set.
 fn chaff_delay(rng: &mut impl RngCore) -> Duration {
     let class = rng.next_u32() & 0xf;
     let nanos = match class {
-        // 2 ms – 100 ms: fires in-horizon, cascades down the low levels.
+        // 2 ms – 100 ms: fires in-horizon.
         0..=3 => 2_000_000 + rng.next_u64() % 98_000_000,
-        // 100 ms – 5 s: mid levels.
+        // 100 ms – 5 s.
         4..=7 => 100_000_000 + rng.next_u64() % 4_900_000_000,
-        // 5 s – 50 s: high levels.
+        // 5 s – 50 s.
         8..=11 => 5_000_000_000 + rng.next_u64() % 45_000_000_000,
-        // 50 s – 1000 s: top level.
+        // 50 s – 1000 s.
         12..=14 => 50_000_000_000 + rng.next_u64() % 950_000_000_000,
-        // 4 – 10 days: past the 2^48 ns wheel span, lands in overflow.
+        // 4 – 10 days.
         _ => 345_600_000_000_000 + rng.next_u64() % 518_400_000_000_000,
     };
     Duration::from_nanos(nanos)
@@ -91,22 +89,16 @@ impl Application for TimerStorm {
     }
 }
 
-/// Builds an `n`-node timer-storm simulator (uses whichever queue
-/// engine `wireless_net::queue` currently selects).
-pub fn storm_sim(n: usize, seed: u64) -> Simulator {
+/// Runs an `n`-node storm for `horizon_ms` of simulated time and returns
+/// the number of events processed. Deterministic given `(n, seed,
+/// horizon_ms)`.
+pub fn run_storm(n: usize, seed: u64, horizon_ms: u64) -> u64 {
     let apps: Vec<Box<dyn Application>> = (0..n).map(|_| Box::new(TimerStorm) as _).collect();
     let cfg = SimConfig {
         seed,
         ..SimConfig::default()
     };
-    Simulator::without_faults(cfg, apps)
-}
-
-/// Runs the storm for `horizon_ms` of simulated time and returns the
-/// number of events processed. Deterministic given `(n, seed,
-/// horizon_ms)` and identical across queue engines.
-pub fn run_storm(n: usize, seed: u64, horizon_ms: u64) -> u64 {
-    let mut sim = storm_sim(n, seed);
+    let mut sim = Simulator::without_faults(cfg, apps);
     sim.run_until(SimTime::from_millis(horizon_ms), |_| false);
     sim.stats().events_processed
 }

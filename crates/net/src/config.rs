@@ -16,7 +16,7 @@ use std::time::Duration;
 /// let phy = PhyConfig::default();
 /// // A 100-byte broadcast frame takes PLCP preamble + payload airtime.
 /// let t = phy.broadcast_airtime(100);
-/// assert!(t > phy.plcp_overhead());
+/// assert!(t > phy.plcp);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhyConfig {
@@ -79,11 +79,6 @@ impl Default for PhyConfig {
 }
 
 impl PhyConfig {
-    /// PLCP preamble + header duration.
-    pub fn plcp_overhead(&self) -> Duration {
-        self.plcp
-    }
-
     /// Airtime of a broadcast data frame carrying `mac_payload` bytes
     /// above the MAC layer.
     pub fn broadcast_airtime(&self, mac_payload: usize) -> Duration {

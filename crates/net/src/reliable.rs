@@ -284,15 +284,6 @@ impl ReliableEndpoint {
         }
     }
 
-    /// Sends `payload` reliably to every node (including self, via
-    /// loopback) — the "broadcast" of a reliable point-to-point system:
-    /// `n` separate sends.
-    pub fn send_to_all(&mut self, ctx: &mut NodeCtx<'_>, payload: &Bytes) {
-        for dst in 0..self.peers.len() {
-            self.send(ctx, dst, payload.clone());
-        }
-    }
-
     /// Processes a received frame. Returns the application messages this
     /// frame released, in order, as `(peer, payload)` pairs. Frames that
     /// are not transport segments are ignored (returns empty).
@@ -574,7 +565,9 @@ mod tests {
             for i in 0..self.count {
                 let msg = format!("m{}-{}", ctx.node(), i);
                 let payload = Bytes::from(msg.into_bytes());
-                self.transport.send_to_all(ctx, &payload);
+                for dst in 0..self.transport.peers.len() {
+                    self.transport.send(ctx, dst, payload.clone());
+                }
             }
         }
         fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {

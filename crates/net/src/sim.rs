@@ -506,22 +506,10 @@ impl Simulator {
         self.run_until(limit, |sim| sim.decided_count() >= k)
     }
 
-    /// [`Simulator::run_until`] with stall diagnostics: when the run
-    /// stops without satisfying the predicate, the returned
+    /// [`Simulator::run_until_k_decided`] with stall diagnostics: when
+    /// the run stops short of `k` decisions, the returned
     /// [`StallReport`] captures per-node progress, queue pressure, and
     /// fault-injector state at the moment the budget ran out.
-    pub fn run_until_supervised(
-        &mut self,
-        limit: SimTime,
-        pred: impl FnMut(&Simulator) -> bool,
-    ) -> (RunStatus, Option<StallReport>) {
-        let status = self.run_until(limit, pred);
-        let report =
-            (status != RunStatus::Satisfied).then(|| self.stall_report(limit, status, None));
-        (status, report)
-    }
-
-    /// [`Simulator::run_until_k_decided`] with stall diagnostics.
     pub fn run_until_k_decided_supervised(
         &mut self,
         k: usize,

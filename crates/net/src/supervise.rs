@@ -67,8 +67,9 @@ pub struct NodeProgress {
 }
 
 /// A structured diagnosis of a run that stopped without satisfying its
-/// goal — emitted by [`crate::sim::Simulator::run_until_supervised`]
-/// and friends instead of a bare [`RunStatus`].
+/// goal — emitted by
+/// [`crate::sim::Simulator::run_until_k_decided_supervised`] beside the
+/// bare [`RunStatus`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct StallReport {
     /// How the run ended ([`RunStatus::TimeLimit`] or
