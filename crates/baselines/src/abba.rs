@@ -1122,7 +1122,6 @@ mod tests {
     /// Lossless full-information exchange (every message reaches all,
     /// including the sender).
     fn run_lossless(engines: &mut [Abba], max_iters: usize) -> Vec<Option<bool>> {
-        let n = engines.len();
         let mut queue: Vec<(usize, Bytes)> = Vec::new();
         for e in engines.iter_mut() {
             let out = e.on_start();
@@ -1133,8 +1132,8 @@ mod tests {
         while let Some((from, bytes)) = queue.pop() {
             iters += 1;
             assert!(iters < max_iters, "message budget exceeded");
-            for to in 0..n {
-                let out = engines[to].on_message(from, &bytes);
+            for (to, engine) in engines.iter_mut().enumerate() {
+                let out = engine.on_message(from, &bytes);
                 queue.extend(out.send.into_iter().map(|b| (to, b)));
             }
             if engines.iter().all(|e| e.decision().is_some()) {
@@ -1298,8 +1297,8 @@ mod tests {
         while let Some((from, bytes)) = queue.pop() {
             iters += 1;
             assert!(iters < 100_000, "livelock");
-            for to in 0..n - 1 {
-                let out = engines[to].on_message(from, &bytes);
+            for (to, engine) in engines[..n - 1].iter_mut().enumerate() {
+                let out = engine.on_message(from, &bytes);
                 queue.extend(out.send.into_iter().map(|b| (to, b)));
             }
             if engines[..3].iter().all(|e| e.decision().is_some()) {

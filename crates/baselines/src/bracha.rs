@@ -466,7 +466,6 @@ mod tests {
     /// Lossless full-information network: every sent message reaches
     /// every process (including the sender). Returns decisions.
     fn run_lossless(engines: &mut [Bracha], max_iters: usize) -> Vec<Option<bool>> {
-        let n = engines.len();
         let mut queue: Vec<(usize, Bytes)> = Vec::new();
         for e in engines.iter_mut() {
             let out = e.on_start();
@@ -479,8 +478,8 @@ mod tests {
             if iters > max_iters {
                 panic!("message budget exceeded — likely livelock");
             }
-            for to in 0..n {
-                let out = engines[to].on_message(from, &bytes);
+            for (to, engine) in engines.iter_mut().enumerate() {
+                let out = engine.on_message(from, &bytes);
                 queue.extend(out.send.into_iter().map(|b| (to, b)));
             }
             if engines.iter().all(|e| e.decision().is_some()) {
@@ -543,9 +542,9 @@ mod tests {
         while let Some((from, bytes)) = queue.pop() {
             iters += 1;
             assert!(iters < 2_000_000, "livelock");
-            for to in 0..n - 1 {
-                // process 3 crashed: receives nothing
-                let out = engines[to].on_message(from, &bytes);
+            // process 3 crashed: receives nothing
+            for (to, engine) in engines[..n - 1].iter_mut().enumerate() {
+                let out = engine.on_message(from, &bytes);
                 queue.extend(out.send.into_iter().map(|b| (to, b)));
             }
             if engines[..3].iter().all(|e| e.decision().is_some()) {
@@ -593,8 +592,8 @@ mod tests {
                 let out = evil_rbc.on_message(from, &msg);
                 queue.extend(out.send.into_iter().map(|m| (3usize, m.encode())));
             }
-            for to in 0..3 {
-                let out = engines[to].on_message(from, &bytes);
+            for (to, engine) in engines.iter_mut().enumerate().take(3) {
+                let out = engine.on_message(from, &bytes);
                 queue.extend(out.send.into_iter().map(|b| (to, b)));
             }
             if engines.iter().all(|e| e.decision().is_some()) {

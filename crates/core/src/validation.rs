@@ -345,16 +345,17 @@ mod tests {
 
     #[test]
     fn decide_bot_needs_divergence_at_converge() {
-        let mut entries = vec![];
-        // Divergent phase 1: two 0s, two 1s.
-        entries.push((0, 1, Value::Zero));
-        entries.push((1, 1, Value::Zero));
-        entries.push((2, 1, Value::One));
-        entries.push((3, 1, Value::One));
-        // Locks at phase 2 (any mix reaching quorum count).
-        entries.push((0, 2, Value::Zero));
-        entries.push((1, 2, Value::Zero));
-        entries.push((2, 2, Value::One));
+        let entries = [
+            // Divergent phase 1: two 0s, two 1s.
+            (0, 1, Value::Zero),
+            (1, 1, Value::Zero),
+            (2, 1, Value::One),
+            (3, 1, Value::One),
+            // Locks at phase 2 (any mix reaching quorum count).
+            (0, 2, Value::Zero),
+            (1, 2, Value::Zero),
+            (2, 2, Value::One),
+        ];
         let s = store_with(&entries);
         assert_eq!(check(&env(0, 3, Value::Bot), &s), Ok(()));
 

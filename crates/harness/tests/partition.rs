@@ -106,7 +106,7 @@ fn majority_decides_while_split_minority_recovers_after_heal() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random two-group schedules across all engines: agreement +
     /// validity always, no sub-quorum component decides while split,

@@ -84,6 +84,16 @@ impl Reception {
             Reception::Subset(v) => v.binary_search(&rx).is_ok(),
         }
     }
+
+    /// The nodes that decode a frame `src` transmitted among `n` nodes,
+    /// ascending.
+    pub fn into_receivers(self, n: usize, src: NodeId) -> Vec<NodeId> {
+        match self {
+            Reception::Everyone => (0..src).chain(src + 1..n).collect(),
+            Reception::Nobody => Vec::new(),
+            Reception::Subset(heard) => heard,
+        }
+    }
 }
 
 /// A transmission that just finished.
@@ -108,6 +118,7 @@ pub type Epoch = u64;
 
 /// One in-flight transmission group: the contenders that resolved
 /// together at one instant within one carrier-sense neighborhood.
+#[derive(Default)]
 struct Group {
     txs: Vec<(NodeId, PendingTx)>,
     end: SimTime,
@@ -136,6 +147,20 @@ pub struct Medium {
     /// set from it, and later queries under the same epoch (no mutation
     /// in between) must not move it.
     sched: Option<(Epoch, SimTime)>,
+    /// Finished groups; the next group to start reuses their vectors.
+    spare: Vec<Group>,
+    /// Scratch: one topology row.
+    row: Vec<bool>,
+    /// Scratch: the OR of several rows — who defers ([`Medium::sense`]),
+    /// who is garbled ([`Medium::finish_tx_into`]).
+    mask: Vec<bool>,
+}
+
+/// `mask[i] |= row[i]`.
+fn or_into(mask: &mut [bool], row: &[bool]) {
+    for (m, &r) in mask.iter_mut().zip(row) {
+        *m |= r;
+    }
 }
 
 impl fmt::Debug for Medium {
@@ -172,6 +197,9 @@ impl Medium {
             epoch: 0,
             last_busy: Duration::ZERO,
             sched: None,
+            spare: Vec::new(),
+            row: vec![false; n],
+            mask: vec![false; n],
         }
     }
 
@@ -232,24 +260,35 @@ impl Medium {
         true
     }
 
-    /// Carrier sense: `node` defers while any in-flight transmitter is
-    /// within its interference range at `at`.
-    fn blocked(&mut self, at: SimTime, node: NodeId) -> bool {
-        for g in 0..self.groups.len() {
-            for t in 0..self.groups[g].txs.len() {
-                let src = self.groups[g].txs[t].0;
-                if self.topology.interferes(at, src, node) {
-                    return true;
-                }
-            }
-        }
-        false
+    /// The transmissions of the group the last successful
+    /// [`Medium::resolve`] put on the air (empty once it has finished
+    /// and no other is in flight).
+    pub fn last_started(&self) -> impl Iterator<Item = (NodeId, &Frame)> {
+        let txs = self.groups.last().into_iter().flat_map(|group| &group.txs);
+        txs.map(|(node, pending)| (*node, &pending.frame))
     }
 
-    /// Fire instant of contender `node` holding backoff `b`, counting
-    /// from schedule instant `base`.
-    fn fire_at(&self, base: SimTime, node: NodeId, b: u32) -> SimTime {
-        base.max(self.free_at[node]) + self.phy.difs + self.phy.slot * b
+    /// Carrier sense at `at`, one topology row per in-flight
+    /// transmitter: `mask[node]` says whether `node` defers because one
+    /// of them is within its interference range.
+    fn sense(&mut self, at: SimTime) {
+        self.mask.fill(false);
+        for group in &self.groups {
+            for &(src, _) in &group.txs {
+                self.topology.interferes_row(at, src, &mut self.row);
+                or_into(&mut self.mask, &self.row);
+            }
+        }
+    }
+
+    /// Backoff and fire instant of `node`, counting from schedule
+    /// instant `base`, if it contends and the last [`Medium::sense`]
+    /// found its channel clear.
+    fn fire_at(&self, base: SimTime, node: NodeId) -> Option<(u32, SimTime)> {
+        let b = self.backoffs[node].filter(|_| !self.mask[node])?;
+        let (difs, slot) = (self.phy.difs.as_nanos() as u64, self.phy.slot.as_nanos() as u64);
+        let difs_end = base.max(self.free_at[node]).as_nanos() + difs;
+        Some((b, SimTime::from_nanos(difs_end + slot * u64::from(b))))
     }
 
     /// When and with what epoch the next contention resolution should
@@ -269,18 +308,9 @@ impl Medium {
                 now
             }
         };
-        let mut best: Option<SimTime> = None;
-        for node in 0..self.n() {
-            let Some(b) = self.backoffs[node] else {
-                continue;
-            };
-            if self.blocked(base, node) {
-                continue;
-            }
-            let at = self.fire_at(base, node, b);
-            best = Some(best.map_or(at, |cur: SimTime| cur.min(at)));
-        }
-        best.map(|at| (at, self.epoch))
+        self.sense(base);
+        let fires = (0..self.n()).filter_map(|node| self.fire_at(base, node));
+        fires.map(|(_, at)| at).min().map(|at| (at, self.epoch))
     }
 
     /// Fires a contention resolution scheduled with `epoch`.
@@ -297,104 +327,76 @@ impl Medium {
             Some((scheduled, base)) if scheduled == epoch && epoch == self.epoch => base,
             _ => return None, // stale, or never scheduled under this epoch
         };
-        let mut eligible: Vec<(NodeId, u32, SimTime)> = Vec::new();
-        for node in 0..self.n() {
-            let Some(b) = self.backoffs[node] else {
-                continue;
-            };
-            if self.blocked(base, node) {
-                continue; // frozen: still senses a foreign transmission
-            }
-            eligible.push((node, b, self.fire_at(base, node, b)));
-        }
-        if !eligible.iter().any(|&(_, _, fire)| fire == now) {
+        let n = self.n();
+        self.sense(base);
+        if !(0..n).any(|node| self.fire_at(base, node).is_some_and(|(_, fire)| fire == now)) {
             return None; // defensive: no contender fires at this instant
         }
-        let mut txs = Vec::new();
-        for (node, b, fire) in eligible {
+        let mut group = self.spare.pop().unwrap_or_default();
+        for node in 0..n {
+            // A contender that still senses a foreign transmission
+            // stays frozen.
+            let Some((b, fire)) = self.fire_at(base, node) else {
+                continue;
+            };
             if fire == now {
                 let pending = self.queues[node]
                     .pop_front()
                     .expect("contending node has a head frame");
                 self.backoffs[node] = None;
-                txs.push((node, pending));
+                group.txs.push((node, pending));
             } else {
                 debug_assert!(fire > now, "missed a resolution instant");
                 // Freeze rule: slots elapsed since this node's own
                 // DIFS expiry are consumed.
-                let difs_end = base.max(self.free_at[node]) + self.phy.difs;
-                let consumed = if now > difs_end {
-                    (now.as_nanos() - difs_end.as_nanos()) / self.phy.slot.as_nanos() as u64
-                } else {
-                    0
-                };
+                let slot = self.phy.slot.as_nanos() as u64;
+                let difs_end = fire.as_nanos() - slot * u64::from(b);
+                let consumed = now.as_nanos().saturating_sub(difs_end) / slot;
                 self.backoffs[node] = Some(b - (consumed as u32).min(b));
             }
         }
-        let airtime = txs
+        group.busy = group
+            .txs
             .iter()
             .map(|(_, p)| self.airtime_of(&p.frame))
             .max()
             .expect("at least one transmission");
-        let end = now + airtime;
+        group.end = now + group.busy;
 
         // Mark mutual garbling against every group already in flight,
         // and hold off everyone who can sense a new transmitter.
-        let n = self.n();
-        let mut garbled = vec![false; n];
-        for &(src, _) in &txs {
-            for g in 0..self.groups.len() {
-                for j in 0..n {
-                    if self.topology.interferes(now, src, j) {
-                        self.groups[g].garbled[j] = true;
-                    }
-                }
+        group.garbled.clear();
+        group.garbled.resize(n, false);
+        for &(src, _) in &group.txs {
+            self.topology.interferes_row(now, src, &mut self.row);
+            for other in &mut self.groups {
+                or_into(&mut other.garbled, &self.row);
             }
-            for j in 0..n {
-                if self.topology.interferes(now, src, j) {
-                    self.free_at[j] = self.free_at[j].max(end);
+            for (free_at, &senses) in self.free_at.iter_mut().zip(&self.row) {
+                if senses {
+                    *free_at = (*free_at).max(group.end);
                 }
             }
         }
-        for g in 0..self.groups.len() {
-            for t in 0..self.groups[g].txs.len() {
-                let src = self.groups[g].txs[t].0;
-                for (j, flag) in garbled.iter_mut().enumerate() {
-                    if self.topology.interferes(now, src, j) {
-                        *flag = true;
-                    }
-                }
+        for other in &self.groups {
+            for &(src, _) in &other.txs {
+                self.topology.interferes_row(now, src, &mut self.row);
+                or_into(&mut group.garbled, &self.row);
             }
         }
 
-        self.groups.push(Group {
-            txs,
-            end,
-            busy: airtime,
-            garbled,
-        });
+        let end = group.end;
+        self.groups.push(group);
         self.epoch += 1;
         Some(end)
     }
 
     /// Completes the earliest-ending in-flight transmission group.
     ///
-    /// Returns the transmissions that were on the air, each flagged
-    /// with its [`Reception`]. The caller decides deliveries (fault
-    /// model) and drives retries via [`Medium::retry_unicast`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no transmission is in flight.
-    pub fn finish_tx(&mut self, now: SimTime) -> Vec<CompletedTx> {
-        let mut done = Vec::new();
-        self.finish_tx_into(now, &mut done);
-        done
-    }
-
-    /// [`Medium::finish_tx`] into a caller-provided buffer (cleared
-    /// first), so the event loop can reuse one allocation across
-    /// transmissions.
+    /// Fills `done` (cleared first, so the event loop reuses one
+    /// allocation) with the transmissions that were on the air, each
+    /// flagged with its [`Reception`]. The caller decides deliveries
+    /// (fault model) and drives retries via [`Medium::retry_unicast`].
     ///
     /// # Panics
     ///
@@ -408,77 +410,64 @@ impl Medium {
             .enumerate()
             .min_by_key(|(i, g)| (g.end, *i))
             .map(|(i, _)| i)
-            .expect("finish_tx with no tx in flight");
-        let group = self.groups.remove(idx);
+            .expect("finish_tx_into with no tx in flight");
+        let mut group = self.groups.remove(idx);
         debug_assert_eq!(now, group.end, "TxEnd event at the wrong time");
         self.last_busy = group.busy;
         let n = self.n();
-        let sources: Vec<NodeId> = group.txs.iter().map(|(s, _)| *s).collect();
         done.clear();
-        done.reserve(group.txs.len());
-        for (node, pending) in group.txs {
-            let mut heard: Vec<NodeId> = Vec::new();
-            let mut all = true;
-            let mut garbled_any = false;
-            for rx in 0..n {
-                if rx == node {
-                    continue;
-                }
-                if sources.contains(&rx) {
-                    all = false; // half-duplex: a co-group transmitter hears nothing
-                    continue;
-                }
-                if !self.topology.hears(now, node, rx) {
-                    // Out of decode range: the frame simply never
-                    // reaches `rx` — interference there is irrelevant.
-                    all = false;
-                    continue;
-                }
-                let mut garbled = group.garbled[rx];
-                if !garbled {
-                    // A co-group transmitter in range garbles this
-                    // frame at `rx` (the single-domain collision, localized).
-                    for &other in &sources {
-                        if other != node && self.topology.interferes(now, other, rx) {
-                            garbled = true;
-                            break;
-                        }
-                    }
-                }
-                if garbled {
-                    garbled_any = true;
-                    all = false;
-                    continue;
-                }
-                heard.push(rx);
-            }
-            // A simultaneous co-group transmitter within carrier-sense
-            // range is a collision even when no third station observed
+        done.extend(group.txs.drain(..).map(|(node, pending)| CompletedTx {
+            node,
+            frame: pending.frame,
+            attempt: pending.attempt,
+            collision: false,
+            reception: Reception::Nobody,
+        }));
+        for i in 0..done.len() {
+            let node = done[i].node;
+            // Where this frame is garbled: wherever an overlapping
+            // foreign group was sensed, and wherever a co-group
+            // transmitter is (the single-domain collision, localized).
+            // A co-group transmitter within carrier-sense range of
+            // `node` is a collision even when no third station observed
             // it (n = 2): the channel event happened, so it is counted.
-            let collision = garbled_any
-                || sources
-                    .iter()
-                    .any(|&other| other != node && self.topology.interferes(now, other, node));
-            let reception = if all {
+            self.mask.copy_from_slice(&group.garbled);
+            let mut collision = false;
+            for other in done.iter().map(|tx| tx.node).filter(|&other| other != node) {
+                self.topology.interferes_row(now, other, &mut self.row);
+                or_into(&mut self.mask, &self.row);
+                collision |= self.row[node];
+            }
+            // Who decodes it: in decode range (out of it the frame never
+            // arrives, so interference there is irrelevant), not garbled,
+            // and — half-duplex — not transmitting, `node` included.
+            self.topology.hears_row(now, node, &mut self.row);
+            for tx in done.iter() {
+                self.row[tx.node] = false;
+            }
+            let mut heard = 0;
+            for (hears, &garbled) in self.row.iter_mut().zip(&self.mask) {
+                collision |= *hears & garbled;
+                *hears &= !garbled;
+                heard += usize::from(*hears);
+            }
+            done[i].collision = collision;
+            done[i].reception = if heard == n - 1 {
                 Reception::Everyone
-            } else if heard.is_empty() {
+            } else if heard == 0 {
                 Reception::Nobody
             } else {
-                Reception::Subset(heard)
+                let mut subset = Vec::with_capacity(heard);
+                subset.extend((0..n).filter(|&rx| self.row[rx]));
+                Reception::Subset(subset)
             };
-            done.push(CompletedTx {
-                node,
-                frame: pending.frame,
-                attempt: pending.attempt,
-                collision,
-                reception,
-            });
         }
+        self.spare.push(group);
         self.epoch += 1;
     }
 
     /// Time the channel was busy in the transmission reported by the last
-    /// [`Medium::finish_tx`].
+    /// [`Medium::finish_tx_into`].
     pub fn last_busy(&self) -> Duration {
         self.last_busy
     }
@@ -552,6 +541,9 @@ impl Medium {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::Addressing;
@@ -590,6 +582,12 @@ mod tests {
         }
     }
 
+    fn finish(m: &mut Medium, now: SimTime) -> Vec<CompletedTx> {
+        let mut done = Vec::new();
+        m.finish_tx_into(now, &mut done);
+        done
+    }
+
     fn bc(src: NodeId, len: usize) -> Frame {
         Frame {
             src,
@@ -619,7 +617,7 @@ mod tests {
         assert_eq!(at, SimTime::ZERO + phy.difs);
         let end = m.resolve(at, epoch).expect("fresh epoch");
         assert_eq!(end, at + phy.broadcast_airtime(100));
-        let done = m.finish_tx(end);
+        let done = finish(&mut m, end);
         assert_eq!(done.len(), 1);
         assert!(!done[0].collision);
         assert_eq!(done[0].node, 0);
@@ -652,7 +650,7 @@ mod tests {
         let later = SimTime::ZERO + phy.difs + phy.slot;
         assert_eq!(m.next_resolution(later), Some((at, epoch)));
         let end = m.resolve(at, epoch).expect("the first scheduled event resolves");
-        let done = m.finish_tx(end);
+        let done = finish(&mut m, end);
         assert_eq!(done[0].node, 0);
         // The loser froze 4 slots off its counter, not fewer.
         let (at2, _) = m.next_resolution(end).unwrap();
@@ -671,7 +669,7 @@ mod tests {
         let end = m.resolve(at, epoch).unwrap();
         // Busy for the longer of the two frames.
         assert_eq!(end, at + phy.broadcast_airtime(80));
-        let done = m.finish_tx(end);
+        let done = finish(&mut m, end);
         assert_eq!(done.len(), 2);
         assert!(done.iter().all(|t| t.collision));
         assert!(done.iter().all(|t| t.reception == Reception::Nobody));
@@ -686,7 +684,7 @@ mod tests {
         m.enqueue(bc(1, 10), &mut rng); // backoff 7
         let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
         let end = m.resolve(at, epoch).unwrap();
-        let done = m.finish_tx(end);
+        let done = finish(&mut m, end);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].node, 0);
         // Node 1's residual backoff is 7 − 2 = 5 slots after the busy
@@ -720,7 +718,7 @@ mod tests {
             // Clear the queue for the next retry call.
             let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
             let end = m.resolve(at, epoch).unwrap();
-            let _ = m.finish_tx(end);
+            let _ = finish(&mut m, end);
         }
         assert!(
             !m.retry_unicast(0, frame.clone(), attempt, &mut rng),
@@ -737,12 +735,12 @@ mod tests {
         m.enqueue(bc(0, 99), &mut rng); // queued behind
         let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
         let end = m.resolve(at, epoch).unwrap();
-        let done = m.finish_tx(end);
+        let done = finish(&mut m, end);
         // Failed: retry must contend before the queued broadcast.
         assert!(m.retry_unicast(0, done[0].frame.clone(), done[0].attempt, &mut rng));
         let (at2, epoch2) = m.next_resolution(end).unwrap();
         let end2 = m.resolve(at2, epoch2).unwrap();
-        let done2 = m.finish_tx(end2);
+        let done2 = finish(&mut m, end2);
         assert_eq!(done2[0].attempt, 1);
         assert!(!done2[0].frame.is_broadcast());
     }
@@ -755,7 +753,7 @@ mod tests {
         m.enqueue(bc(0, 20), &mut rng); // same node, queued
         let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
         let end = m.resolve(at, epoch).unwrap();
-        let _ = m.finish_tx(end);
+        let _ = finish(&mut m, end);
         assert!(
             m.next_resolution(end).is_none(),
             "no contender until after_head_done"
@@ -842,12 +840,12 @@ mod tests {
         assert!(end_c > end_a);
         // A's frame ends first: garbled at B by C's overlapping
         // transmission, and C is out of A's range anyway.
-        let done_a = m.finish_tx(end_a);
+        let done_a = finish(&mut m, end_a);
         assert_eq!(done_a[0].node, 0);
         assert!(done_a[0].collision, "hidden-terminal garbling at B");
         assert_eq!(done_a[0].reception, Reception::Nobody);
         // C's frame was equally garbled at B.
-        let done_c = m.finish_tx(end_c);
+        let done_c = finish(&mut m, end_c);
         assert_eq!(done_c[0].node, 2);
         assert!(done_c[0].collision);
         assert_eq!(done_c[0].reception, Reception::Nobody);
@@ -863,7 +861,7 @@ mod tests {
         m.enqueue(bc(0, 50), &mut rng);
         let (at, ep) = m.next_resolution(SimTime::ZERO).unwrap();
         let end = m.resolve(at, ep).unwrap();
-        let done = m.finish_tx(end);
+        let done = finish(&mut m, end);
         assert!(!done[0].collision);
         assert_eq!(done[0].reception, Reception::Subset(vec![1]));
     }
@@ -883,10 +881,10 @@ mod tests {
         let (at2, ep2) = m.next_resolution(at0).unwrap();
         assert!(at2 < end0);
         let end2 = m.resolve(at2, ep2).unwrap();
-        let done0 = m.finish_tx(end0);
+        let done0 = finish(&mut m, end0);
         assert!(!done0[0].collision, "islands do not interfere");
         assert_eq!(done0[0].reception, Reception::Subset(vec![1]));
-        let done2 = m.finish_tx(end2);
+        let done2 = finish(&mut m, end2);
         assert!(!done2[0].collision);
         assert_eq!(done2[0].reception, Reception::Subset(vec![3]));
     }

@@ -75,7 +75,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Firing time of the earliest pending item, or `None` when empty.
-    pub fn peek_at(&mut self) -> Option<u64> {
+    pub fn peek_at(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse(e)| e.at)
     }
 

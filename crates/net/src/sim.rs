@@ -168,6 +168,17 @@ pub struct Decision {
     pub value: bool,
 }
 
+/// One broadcast transmission's deliveries, as one queue entry:
+/// `src`'s `payload` to the receivers, ascending, that decoded it and
+/// that the fault model let through. [`Simulator::step`] serves one
+/// receiver per call.
+#[derive(Debug)]
+struct Fanout {
+    src: NodeId,
+    payload: Bytes,
+    receivers: std::vec::IntoIter<NodeId>,
+}
+
 #[derive(Debug)]
 enum EventKind {
     Start(NodeId),
@@ -176,6 +187,7 @@ enum EventKind {
     Timer { node: NodeId, id: u64, epoch: u64 },
     EnqueueTx(Frame),
     Deliver { node: NodeId, frame: ReceivedFrame },
+    Fanout(Fanout),
     ContentionResolve { epoch: u64 },
     TxEnd,
     MacFailure { node: NodeId, dst: NodeId, payload: Bytes },
@@ -233,6 +245,10 @@ pub struct Simulator {
     /// Pending events, ordered by `(at, seq)`; sequence numbers are
     /// assigned by the queue in push order (see [`crate::queue`]).
     queue: EventQueue<EventKind>,
+    /// The popped [`Fanout`] with receivers still to serve, and its
+    /// firing time. Nothing in `queue` may overtake it: its receivers
+    /// stand for deliveries scheduled back to back at that instant.
+    fanout: Option<(u64, Fanout)>,
     /// Recycled command buffer handed to each [`NodeCtx`], so steady-state
     /// dispatch allocates nothing.
     cmd_pool: Vec<Command>,
@@ -285,6 +301,7 @@ impl Simulator {
         let mut sim = Simulator {
             time: SimTime::ZERO,
             queue: EventQueue::new(),
+            fanout: None,
             cmd_pool: Vec::new(),
             tx_buf: Vec::new(),
             node_rngs,
@@ -367,9 +384,9 @@ impl Simulator {
         self.apps[node].as_ref()
     }
 
-    /// Number of nodes that have decided. O(1): maintained
-    /// incrementally by the `Decide` command (the retired per-event
-    /// re-scan of `decisions` stays on as the debug oracle).
+    /// Number of nodes that have decided. O(1): the `Decide` command
+    /// maintains the count, and debug builds check it against a scan of
+    /// `decisions`.
     pub fn decided_count(&self) -> usize {
         debug_assert_eq!(
             self.decided,
@@ -386,9 +403,16 @@ impl Simulator {
         &self.peak_store
     }
 
-    /// Processes a single event. Returns `false` if the queue is empty.
+    /// Firing time of the next event [`Simulator::step`] would process.
+    fn next_at(&self) -> Option<u64> {
+        self.fanout.as_ref().map(|(at, _)| *at).or_else(|| self.queue.peek_at())
+    }
+
+    /// Processes a single event — a delivery to one receiver of a
+    /// broadcast is one event. Returns `false` if none is pending.
     pub fn step(&mut self) -> bool {
-        let Some((at_nanos, kind)) = self.queue.pop() else {
+        let pending = self.fanout.take().map(|(at, fanout)| (at, EventKind::Fanout(fanout)));
+        let Some((at_nanos, kind)) = pending.or_else(|| self.queue.pop()) else {
             return false;
         };
         let at = SimTime::from_nanos(at_nanos);
@@ -418,18 +442,18 @@ impl Simulator {
                     |app, ctx| app.on_timer(ctx, id),
                 );
             }
-            EventKind::Deliver { node, frame } => {
-                if self.crash_down[node] {
-                    self.stats.crash_drops += 1;
-                } else if self.busy_until[node] > at {
-                    // Defer to when the node's CPU is free.
-                    let at = self.busy_until[node];
-                    self.push(at, EventKind::Deliver { node, frame });
-                } else {
-                    self.stats.deliveries += 1;
-                    self.stats.per_node_rx[node] += 1;
-                    self.dispatch(node, move |app, ctx| app.on_frame(ctx, frame));
+            EventKind::Deliver { node, frame } => self.deliver(at, node, frame),
+            EventKind::Fanout(mut fanout) => {
+                let node = fanout.receivers.next().expect("a fan-out is pushed with a receiver");
+                let frame = ReceivedFrame {
+                    src: fanout.src,
+                    addressing: Addressing::Broadcast,
+                    payload: fanout.payload.clone(),
+                };
+                if fanout.receivers.len() > 0 {
+                    self.fanout = Some((at_nanos, fanout));
                 }
+                self.deliver(at, node, frame);
             }
             EventKind::EnqueueTx(frame) => {
                 let node = frame.src;
@@ -449,6 +473,12 @@ impl Simulator {
             }
             EventKind::ContentionResolve { epoch } => {
                 if let Some(end) = self.medium.resolve(at, epoch) {
+                    if !self.trace.is_disabled() {
+                        for (node, frame) in self.medium.last_started() {
+                            let (broadcast, bytes) = (frame.is_broadcast(), frame.mac_payload_len());
+                            self.trace.record(at, TraceEvent::TxStart { node, broadcast, bytes });
+                        }
+                    }
                     self.push(end, EventKind::TxEnd);
                     // Under a partial topology, contenders out of the
                     // winners' sensing range keep contending while the
@@ -491,7 +521,7 @@ impl Simulator {
             if pred(self) {
                 return RunStatus::Satisfied;
             }
-            match self.queue.peek_at() {
+            match self.next_at() {
                 None => return RunStatus::Quiescent,
                 Some(at) if SimTime::from_nanos(at) > limit => return RunStatus::TimeLimit,
                 Some(_) => {
@@ -637,6 +667,33 @@ impl Simulator {
 
     fn push(&mut self, at: SimTime, kind: EventKind) {
         self.queue.push(at.as_nanos(), kind);
+    }
+
+    /// Hands `frame` to `node`'s application at `at`, unless the node
+    /// is down (dropped) or its CPU is busy (re-queued for when it is
+    /// free).
+    fn deliver(&mut self, at: SimTime, node: NodeId, frame: ReceivedFrame) {
+        if self.crash_down[node] {
+            self.stats.crash_drops += 1;
+        } else if self.busy_until[node] > at {
+            let at = self.busy_until[node];
+            self.push(at, EventKind::Deliver { node, frame });
+        } else {
+            self.stats.deliveries += 1;
+            self.stats.per_node_rx[node] += 1;
+            self.dispatch(node, move |app, ctx| app.on_frame(ctx, frame));
+        }
+    }
+
+    /// Asks the fault model whether `src`'s frame, decodable at `dst`,
+    /// gets through; a drop is counted and traced.
+    fn survives(&mut self, now: SimTime, src: NodeId, dst: NodeId, broadcast: bool) -> bool {
+        let dropped = self.fault.drops(&DeliveryCtx { now, src, dst, broadcast });
+        if dropped {
+            self.stats.fault_drops += 1;
+            self.trace.record(now, TraceEvent::FaultDrop { src, dst });
+        }
+        !dropped
     }
 
     /// Dispatches a callback, deferring the whole event if the node's CPU
@@ -793,27 +850,11 @@ impl Simulator {
         let mut completed = std::mem::take(&mut self.tx_buf);
         self.medium.finish_tx_into(now, &mut completed);
         self.stats.channel_busy += self.medium.last_busy();
-        if !self.trace.is_disabled() {
-            if completed.len() > 1 {
-                self.trace.record(
-                    now,
-                    TraceEvent::Collision {
-                        nodes: completed.iter().map(|t| t.node).collect(),
-                    },
-                );
-            }
-            for tx in &completed {
-                self.trace.record(
-                    now,
-                    TraceEvent::TxStart {
-                        node: tx.node,
-                        broadcast: tx.frame.is_broadcast(),
-                        bytes: tx.frame.mac_payload_len(),
-                    },
-                );
-            }
+        if !self.trace.is_disabled() && completed.len() > 1 {
+            let nodes = completed.iter().map(|t| t.node).collect();
+            self.trace.record(now, TraceEvent::Collision { nodes });
         }
-        let prop = self.cfg.phy.propagation;
+        let (n, prop) = (self.n(), self.cfg.phy.propagation);
         for tx in completed.drain(..) {
             if self.crash_down[tx.node] {
                 // The transmitter died mid-frame: nothing intelligible
@@ -832,63 +873,32 @@ impl Simulator {
                     // Group-addressed frames are never retried; whoever
                     // the reception excludes (collision victims,
                     // out-of-range or partitioned receivers) simply
-                    // misses the frame.
-                    for rx in 0..self.n() {
-                        if rx == tx.node {
-                            continue; // radio does not hear itself; loopback handled at send
+                    // misses the frame, and the radio does not hear
+                    // itself (loopback was handled at send). The fault
+                    // model is asked here, in receiver order; the
+                    // survivors travel as one queue entry.
+                    let (src, payload) = (tx.node, tx.frame.payload);
+                    let mut receivers = tx.reception.into_receivers(n, src);
+                    receivers.retain(|&dst| {
+                        let survives = self.survives(now, src, dst, true);
+                        if survives {
+                            let bytes = payload.len();
+                            self.trace.record(now, TraceEvent::Deliver { src, dst, bytes });
                         }
-                        if !tx.reception.hears(rx) {
-                            continue;
-                        }
-                        let dctx = DeliveryCtx {
-                            now,
-                            src: tx.node,
-                            dst: rx,
-                            broadcast: true,
-                        };
-                        if self.fault.drops(&dctx) {
-                            self.stats.fault_drops += 1;
-                            self.trace
-                                .record(now, TraceEvent::FaultDrop { src: tx.node, dst: rx });
-                            continue;
-                        }
-                        let frame = ReceivedFrame {
-                            src: tx.node,
-                            addressing: Addressing::Broadcast,
-                            payload: tx.frame.payload.clone(),
-                        };
-                        self.trace.record(
-                            now,
-                            TraceEvent::Deliver {
-                                src: tx.node,
-                                dst: rx,
-                                bytes: frame.payload.len(),
-                            },
-                        );
-                        self.push(now + prop, EventKind::Deliver { node: rx, frame });
+                        survives
+                    });
+                    if !receivers.is_empty() {
+                        let receivers = receivers.into_iter();
+                        self.push(now + prop, EventKind::Fanout(Fanout { src, payload, receivers }));
                     }
-                    self.medium.after_head_done(tx.node, &mut self.mac_rng);
+                    self.medium.after_head_done(src, &mut self.mac_rng);
                 }
                 Addressing::Unicast(dst) => {
                     self.stats.unicast_frames_sent += 1;
                     if tx.collision {
                         self.stats.collisions += 1;
                     }
-                    let delivered = tx.reception.hears(dst) && {
-                        let dctx = DeliveryCtx {
-                            now,
-                            src: tx.node,
-                            dst,
-                            broadcast: false,
-                        };
-                        if self.fault.drops(&dctx) {
-                            self.stats.fault_drops += 1;
-                            false
-                        } else {
-                            true
-                        }
-                    };
-                    if delivered {
+                    if tx.reception.hears(dst) && self.survives(now, tx.node, dst, false) {
                         let frame = ReceivedFrame {
                             src: tx.node,
                             addressing: Addressing::Unicast(dst),
@@ -977,8 +987,11 @@ mod tests {
         fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _timer: u64) {}
     }
 
-    fn chatter_sim(n: usize, seed: u64) -> (Simulator, Vec<Shared<Vec<(NodeId, Bytes)>>>) {
-        let cells: Vec<_> = (0..n).map(|_| Shared::<Vec<(NodeId, Bytes)>>::new()).collect();
+    /// What a [`Chatter`] heard: `(src, payload)` in arrival order.
+    type Heard = Shared<Vec<(NodeId, Bytes)>>;
+
+    fn chatter_sim(n: usize, seed: u64) -> (Simulator, Vec<Heard>) {
+        let cells: Vec<_> = (0..n).map(|_| Heard::new()).collect();
         let apps: Vec<Box<dyn Application>> = cells
             .iter()
             .map(|c| {
@@ -1242,6 +1255,23 @@ mod tests {
         let log = sim.trace().render();
         assert!(log.contains("tx-start"), "{log}");
         assert!(log.contains("deliver"), "{log}");
+        // A transmission is stamped when it starts: every delivery of
+        // `src`'s frame comes a whole airtime after `src`'s tx-start.
+        let started = |src: NodeId| {
+            let mut starts = sim.trace().events().filter_map(|(at, ev)| match ev {
+                TraceEvent::TxStart { node, .. } if *node == src => Some(*at),
+                _ => None,
+            });
+            starts.next().expect("each node transmits once")
+        };
+        let mut deliveries = 0;
+        for (at, ev) in sim.trace().events() {
+            if let TraceEvent::Deliver { src, .. } = ev {
+                assert!(started(*src) < *at, "n{src} tx-start not before its delivery\n{log}");
+                deliveries += 1;
+            }
+        }
+        assert_eq!(deliveries, 2, "{log}");
     }
 
     #[test]
@@ -1489,6 +1519,211 @@ mod tests {
         let log = sim.trace().render();
         assert!(log.contains("crash     n0"), "{log}");
         assert!(log.contains("rejoin    n0"), "{log}");
+    }
+
+    // ---- the fan-out entry, one receiver per step --------------------
+
+    /// `(receiver, src, when)` of every frame any node heard, in order.
+    type HeardLog = Shared<Vec<(NodeId, NodeId, SimTime)>>;
+
+    /// Nodes below `senders` broadcast once at start. A node may spend
+    /// `busy` CPU at start, or arm a one-shot timer that advances its
+    /// phase. Everyone logs what it hears and decides on its first
+    /// radio frame.
+    struct FanoutProbe {
+        senders: usize,
+        busy: Duration,
+        timer: Option<Duration>,
+        phase: u32,
+        log: HeardLog,
+    }
+
+    impl Application for FanoutProbe {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            if ctx.node() < self.senders {
+                ctx.broadcast(Bytes::from_static(b"fan-out"), 36);
+            }
+            ctx.charge_cpu(self.busy);
+            if let Some(delay) = self.timer {
+                ctx.set_timer(delay, 0);
+            }
+        }
+        fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
+            self.log.0.borrow_mut().push((ctx.node(), frame.src, ctx.now()));
+            if frame.src != ctx.node() {
+                ctx.decide(true);
+            }
+        }
+        fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _timer: u64) {
+            self.phase += 1;
+        }
+        fn progress(&self) -> Option<AppProgress> {
+            Some(AppProgress {
+                phase: self.phase,
+                decided: false,
+                store_bytes: 0,
+            })
+        }
+    }
+
+    fn fanout_sim(
+        n: usize,
+        senders: usize,
+        cfg: SimConfig,
+        fault: Box<dyn FaultModel>,
+        customize: impl Fn(NodeId, &mut FanoutProbe),
+    ) -> (Simulator, HeardLog) {
+        let log = HeardLog::new();
+        let apps = (0..n)
+            .map(|node| {
+                let mut app = FanoutProbe {
+                    senders,
+                    busy: Duration::ZERO,
+                    timer: None,
+                    phase: 0,
+                    log: log.clone(),
+                };
+                customize(node, &mut app);
+                Box::new(app) as Box<dyn Application>
+            })
+            .collect();
+        (Simulator::new(cfg, fault, apps), log)
+    }
+
+    /// Node 0 of four broadcasts once at time zero; nobody else sends.
+    fn one_broadcast(
+        fault: Box<dyn FaultModel>,
+        customize: impl Fn(NodeId, &mut FanoutProbe),
+    ) -> (Simulator, HeardLog) {
+        let cfg = SimConfig {
+            start_jitter: Duration::ZERO,
+            ..SimConfig::default()
+        };
+        fanout_sim(4, 1, cfg, fault, customize)
+    }
+
+    /// What the nodes other than the sender heard, in order.
+    fn radio_deliveries(log: &HeardLog) -> Vec<(NodeId, NodeId, SimTime)> {
+        log.0.borrow().iter().copied().filter(|&(rx, _, _)| rx != 0).collect()
+    }
+
+    /// Events of [`one_broadcast`] before any radio delivery: four
+    /// starts, the loopback, `EnqueueTx`, `ContentionResolve`, `TxEnd`.
+    const ONE_BROADCAST_EVENTS: u64 = 8;
+
+    /// When [`one_broadcast`]'s frame reaches its receivers, undisturbed.
+    fn one_broadcast_arrival() -> SimTime {
+        let (mut sim, log) = one_broadcast(Box::new(NoFaults), |_, _| {});
+        assert_eq!(sim.run_until(SimTime::from_millis(100), |_| false), RunStatus::Quiescent);
+        let radio = radio_deliveries(&log);
+        let at = radio[0].2;
+        assert_eq!(radio, vec![(1, 0, at), (2, 0, at), (3, 0, at)], "ascending, one instant");
+        // A broadcast to k receivers is k events.
+        assert_eq!(sim.stats().events_processed, ONE_BROADCAST_EVENTS + 3);
+        assert_eq!(sim.stats().deliveries, 1 + 3);
+        at
+    }
+
+    #[test]
+    fn run_stopped_mid_fanout_resumes_to_the_same_end() {
+        let limit = SimTime::from_millis(100);
+        let run = |stop_at: Option<u64>| {
+            let cfg = SimConfig {
+                seed: 2,
+                ..SimConfig::default()
+            };
+            let (mut sim, log) = fanout_sim(5, 5, cfg, Box::new(IidLoss::new(0.1, 8)), |_, _| {});
+            let mut mid_fanout = false;
+            if let Some(k) = stop_at {
+                let status = sim.run_until(limit, |sim| sim.stats().deliveries >= k);
+                assert_eq!(status, RunStatus::Satisfied);
+                assert_eq!(sim.stats().deliveries, k, "stopped between two receivers");
+                mid_fanout = sim.fanout.is_some();
+            }
+            assert_eq!(sim.run_until(limit, |_| false), RunStatus::Quiescent);
+            let end = (
+                format!("{:?}", sim.stats()),
+                sim.decisions().to_vec(),
+                log.0.borrow().clone(),
+                sim.now(),
+            );
+            (end, mid_fanout)
+        };
+        let (whole, _) = run(None);
+        let deliveries = whole.2.len() as u64;
+        assert!(deliveries > 15, "seed must separate most broadcasts, got {deliveries}");
+        let mut stops_mid_fanout = 0;
+        for k in 1..=deliveries {
+            let (resumed, mid_fanout) = run(Some(k));
+            assert_eq!(resumed, whole, "stopping at delivery {k} changed the run");
+            stops_mid_fanout += usize::from(mid_fanout);
+        }
+        assert!(stops_mid_fanout >= 5, "only {stops_mid_fanout} stops fell inside a fan-out");
+    }
+
+    #[test]
+    fn receiver_crashed_between_tx_end_and_its_turn_is_dropped_once() {
+        let arrival = one_broadcast_arrival();
+        let prop = SimConfig::default().phy.propagation;
+        // After `TxEnd` consulted the fault model, before the deliveries.
+        let between = SimTime::from_nanos(arrival.as_nanos() - prop.as_nanos() as u64 / 2);
+        let check = |mut sim: Simulator, log: HeardLog| {
+            assert_eq!(sim.run_until(SimTime::from_millis(100), |_| false), RunStatus::Quiescent);
+            assert!(sim.is_down(2));
+            assert_eq!(sim.stats().crash_drops, 1);
+            let radio = radio_deliveries(&log);
+            assert_eq!(radio, vec![(1, 0, arrival), (3, 0, arrival)], "node 2 is not dispatched");
+            assert_eq!(sim.stats().deliveries, 1 + 2);
+            // The crash (or the timer that triggers it) and all three turns.
+            assert_eq!(sim.stats().events_processed, ONE_BROADCAST_EVENTS + 1 + 3);
+        };
+        let (mut sim, log) = one_broadcast(Box::new(NoFaults), |_, _| {});
+        sim.set_crash_schedule(CrashSchedule::new().crash_at(2, between));
+        check(sim, log);
+        let (mut sim, log) = one_broadcast(Box::new(NoFaults), |node, app| {
+            if node == 2 {
+                app.timer = Some(between - SimTime::ZERO);
+            }
+        });
+        sim.set_crash_schedule(CrashSchedule::new().crash_at_phase(2, 1));
+        check(sim, log);
+    }
+
+    #[test]
+    fn busy_receiver_is_requeued_alone_and_delays_nobody() {
+        let arrival = one_broadcast_arrival();
+        let free_at = SimTime::from_millis(10);
+        let (mut sim, log) = one_broadcast(Box::new(NoFaults), |node, app| {
+            if node == 1 {
+                app.busy = free_at - SimTime::ZERO;
+            }
+        });
+        // Step through node 1's turn, the first of the fan-out.
+        while sim.fanout.is_none() {
+            assert!(sim.step(), "the broadcast never fanned out");
+        }
+        assert_eq!(sim.now(), arrival);
+        let (_, rest) = sim.fanout.as_ref().expect("just checked");
+        assert_eq!(rest.receivers.as_slice(), [2, 3]);
+        assert_eq!(sim.queue.len(), 1, "one `Deliver` for the busy node, nothing else");
+        assert_eq!(sim.queue.peek_at(), Some(free_at.as_nanos()));
+        assert_eq!(sim.run_until(SimTime::from_millis(100), |_| false), RunStatus::Quiescent);
+        let radio = radio_deliveries(&log);
+        assert_eq!(radio, vec![(2, 0, arrival), (3, 0, arrival), (1, 0, free_at)]);
+        assert_eq!(sim.stats().events_processed, ONE_BROADCAST_EVENTS + 3 + 1);
+    }
+
+    #[test]
+    fn broadcast_with_no_survivor_schedules_nothing() {
+        let arrival = one_broadcast_arrival();
+        let everything = TargetedLoss::new(vec![], vec![], 1.0, 1);
+        let (mut sim, log) = one_broadcast(Box::new(everything), |_, _| {});
+        assert_eq!(sim.run_until(SimTime::from_millis(100), |_| false), RunStatus::Quiescent);
+        assert_eq!(sim.stats().fault_drops, 3);
+        assert_eq!(log.0.borrow().len(), 1, "the loopback only");
+        assert_eq!(sim.stats().events_processed, ONE_BROADCAST_EVENTS);
+        // The last event is `TxEnd`: nothing was queued for the arrival.
+        assert_eq!(sim.now() + SimConfig::default().phy.propagation, arrival);
     }
 
     #[test]

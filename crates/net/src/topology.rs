@@ -55,6 +55,25 @@ pub trait Topology {
     /// `true` for `src == dst`.
     fn interferes(&mut self, now: SimTime, src: NodeId, dst: NodeId) -> bool;
 
+    /// [`Topology::hears`] from `src` to every node at once:
+    /// `row[dst] = hears(now, src, dst)`. The medium asks in rows — one
+    /// call per transmitter, not one per pair — so an implementation
+    /// that can answer a row cheaply should; the answer must equal the
+    /// point queries entry for entry.
+    fn hears_row(&mut self, now: SimTime, src: NodeId, row: &mut [bool]) {
+        for (dst, slot) in row.iter_mut().enumerate() {
+            *slot = self.hears(now, src, dst);
+        }
+    }
+
+    /// [`Topology::interferes`] from `src` to every node at once; same
+    /// contract as [`Topology::hears_row`].
+    fn interferes_row(&mut self, now: SimTime, src: NodeId, row: &mut [bool]) {
+        for (dst, slot) in row.iter_mut().enumerate() {
+            *slot = self.interferes(now, src, dst);
+        }
+    }
+
     /// One-line human description for reports and stall diagnostics.
     fn describe(&self) -> String;
 }
@@ -163,6 +182,12 @@ impl Topology for SingleDomain {
     }
     fn interferes(&mut self, _now: SimTime, _src: NodeId, _dst: NodeId) -> bool {
         true
+    }
+    fn hears_row(&mut self, _now: SimTime, _src: NodeId, row: &mut [bool]) {
+        row.fill(true);
+    }
+    fn interferes_row(&mut self, _now: SimTime, _src: NodeId, row: &mut [bool]) {
+        row.fill(true);
     }
     fn describe(&self) -> String {
         "single broadcast domain".into()
@@ -285,11 +310,27 @@ struct Partitioned {
 }
 
 impl Partitioned {
-    fn connected(&self, now: SimTime, a: NodeId, b: NodeId) -> bool {
+    /// Group id per node at `now`; `None` while fully connected.
+    fn grouping(&self, now: SimTime) -> Option<&[usize]> {
         let idx = self.changes.partition_point(|(at, _)| *at <= now);
-        match idx.checked_sub(1).and_then(|i| self.changes[i].1.as_ref()) {
-            None => true,
-            Some(of) => of[a] == of[b],
+        self.changes[..idx].last().and_then(|(_, of)| of.as_deref())
+    }
+
+    fn connected(&self, now: SimTime, a: NodeId, b: NodeId) -> bool {
+        self.grouping(now).is_none_or(|of| of[a] == of[b])
+    }
+
+    /// Both relations are "same group" (a node shares its own), so one
+    /// row serves `hears_row` and `interferes_row`.
+    fn connected_row(&self, now: SimTime, src: NodeId, row: &mut [bool]) {
+        match self.grouping(now) {
+            None => row.fill(true),
+            Some(of) => {
+                let mine = of[src];
+                for (slot, &group) in row.iter_mut().zip(of) {
+                    *slot = group == mine;
+                }
+            }
         }
     }
 }
@@ -300,6 +341,12 @@ impl Topology for Partitioned {
     }
     fn interferes(&mut self, now: SimTime, src: NodeId, dst: NodeId) -> bool {
         src == dst || self.connected(now, src, dst)
+    }
+    fn hears_row(&mut self, now: SimTime, src: NodeId, row: &mut [bool]) {
+        self.connected_row(now, src, row);
+    }
+    fn interferes_row(&mut self, now: SimTime, src: NodeId, row: &mut [bool]) {
+        self.connected_row(now, src, row);
     }
     fn describe(&self) -> String {
         self.describe.clone()
@@ -683,6 +730,68 @@ mod tests {
             for j in 0..4 {
                 assert_eq!(t.hears(early, i, j), t.hears(late, i, j));
             }
+        }
+    }
+
+    /// `hears_row` / `interferes_row` against the point queries, entry
+    /// for entry, from every source at `now`.
+    fn assert_rows_equal_points(t: &mut dyn Topology, n: usize, now: SimTime) {
+        let mut row = vec![false; n];
+        for src in 0..n {
+            t.hears_row(now, src, &mut row);
+            let points: Vec<bool> = (0..n).map(|dst| t.hears(now, src, dst)).collect();
+            assert_eq!(row, points, "hears_row from {src} at {now} ({})", t.describe());
+            // A row overwrites whatever the buffer held.
+            row.iter_mut().for_each(|slot| *slot = !*slot);
+            t.interferes_row(now, src, &mut row);
+            let points: Vec<bool> = (0..n).map(|dst| t.interferes(now, src, dst)).collect();
+            assert_eq!(row, points, "interferes_row from {src} at {now} ({})", t.describe());
+        }
+    }
+
+    #[test]
+    fn rows_equal_point_queries_on_every_topology() {
+        let n = 9;
+        let mut rng = StdRng::seed_from_u64(22);
+        // Non-decreasing seeded instants over 20 s, as the simulator asks.
+        let mut times: Vec<SimTime> =
+            (0..40).map(|_| SimTime::from_nanos(rng.gen_range(0..20_000_000_000u64))).collect();
+        times.sort();
+        let specs = [
+            TopologySpec::SingleDomain,
+            // Whole before 2 s, three islands, healed at 6 s, two halves
+            // from 9 s, healed at 15 s.
+            TopologySpec::Partition(
+                PartitionSchedule::new()
+                    .split_at(SimTime::from_millis(2_000), vec![vec![0, 3, 4, 8], vec![1, 2], vec![5, 6, 7]])
+                    .heal_at(SimTime::from_millis(6_000))
+                    .split_at(SimTime::from_millis(9_000), vec![(0..5).collect(), (5..n).collect()])
+                    .heal_at(SimTime::from_millis(15_000)),
+            ),
+            TopologySpec::Spatial {
+                side_m: 300.0,
+                comm_range_m: 110.0,
+                interference_range_m: 170.0,
+            },
+            TopologySpec::Waypoint {
+                side_m: 300.0,
+                comm_range_m: 110.0,
+                interference_range_m: 170.0,
+                speed_mps: 30.0,
+                pause: Duration::from_millis(200),
+                tick: Duration::from_millis(100),
+            },
+        ];
+        for spec in &specs {
+            let mut t = spec.build(n, 5);
+            for &now in &times {
+                assert_rows_equal_points(t.as_mut(), n, now);
+            }
+        }
+        // The partition's boundary instants exactly.
+        let mut t = specs[1].build(n, 5);
+        for ms in [1_999, 2_000, 5_999, 6_000, 8_999, 9_000, 14_999, 15_000] {
+            assert_rows_equal_points(t.as_mut(), n, SimTime::from_millis(ms));
         }
     }
 

@@ -81,15 +81,15 @@ proptest! {
 
         // Expected per (receiver, sender): the sender's script entries
         // addressed to that receiver, in order.
-        for rx in 0..n {
-            for tx in 0..n {
-                let expected: Vec<String> = scripts[tx]
+        for (rx, inbox) in inboxes.iter().enumerate() {
+            for (tx, script) in scripts.iter().enumerate() {
+                let expected: Vec<String> = script
                     .iter()
                     .enumerate()
                     .filter(|(_, &(dst, _))| dst == rx)
                     .map(|(i, &(_, tag))| format!("{tx}:{i}:{tag}"))
                     .collect();
-                let got: Vec<String> = inboxes[rx]
+                let got: Vec<String> = inbox
                     .borrow()
                     .iter()
                     .filter(|(peer, _)| *peer == tx)
