@@ -84,7 +84,8 @@ impl fmt::Display for KeyRingError {
 
 impl std::error::Error for KeyRingError {}
 
-/// One process's view of all key material.
+/// One process's view of all key material. Cloning copies no key
+/// bytes: the arrays are shared handles (DESIGN.md §10).
 #[derive(Clone)]
 pub struct KeyRing {
     id: usize,
@@ -93,12 +94,12 @@ pub struct KeyRing {
     own_epochs: Vec<KeyPairArray>,
     /// `vks[p]` = process `p`'s verification arrays, one per epoch.
     ///
-    /// Arrays are immutable once distributed, so they are `Arc`-shared:
-    /// the `n` rings of a [`KeyRing::trusted_setup`] (and every clone a
-    /// crash-rebuild takes) point at one copy of each array. Without
-    /// sharing the setup is `O(n² · phases)` host memory — gigabytes at
-    /// `n = 256` — for bytes that are identical in every ring.
-    vks: Vec<Vec<Arc<VerificationKeyArray>>>,
+    /// Copy-on-write: the `n` rings of a [`KeyRing::trusted_setup`] (and
+    /// every clone a crash-rebuild takes) point at one table, and a ring
+    /// takes its own copy only when it first extends an epoch list.
+    /// Per-ring tables would make the set-up `O(n²)` allocations for
+    /// entries identical in every ring.
+    vks: Arc<Vec<Vec<VerificationKeyArray>>>,
 }
 
 impl fmt::Debug for KeyRing {
@@ -116,17 +117,13 @@ impl KeyRing {
     /// Assembles a keyring from the first epoch's material (distributed
     /// offline with the public keys, per the paper).
     ///
-    /// The verification arrays come `Arc`-wrapped so the caller can hand
-    /// the *same* allocations to every ring (see [`KeyRing::trusted_setup`]);
-    /// wrap with `Arc::new` when material is not shared.
-    ///
     /// # Errors
     ///
     /// Returns [`KeyRingError`] when the material is inconsistent.
     pub fn new(
         id: usize,
         own: KeyPairArray,
-        all: Vec<Arc<VerificationKeyArray>>,
+        all: Vec<VerificationKeyArray>,
     ) -> Result<Self, KeyRingError> {
         let n = all.len();
         if own.verification_keys().process() != id {
@@ -153,7 +150,7 @@ impl KeyRing {
             id,
             n,
             own_epochs: vec![own],
-            vks: all.into_iter().map(|vk| vec![vk]).collect(),
+            vks: Arc::new(all.into_iter().map(|vk| vec![vk]).collect()),
         })
     }
 
@@ -161,22 +158,28 @@ impl KeyRing {
     /// keyring per process, all covering phases `1..=num_phases`, derived
     /// from `seed`.
     ///
-    /// All `n` rings share one `Arc` per verification array, so setup
-    /// memory is `O(n · phases)` instead of the `O(n² · phases)` a
-    /// per-ring copy would cost (~3.8 GB at `n = 256`, 600 phases).
+    /// The dealer hashes nothing here — every key is derived when a run
+    /// first touches its phase — and all `n` rings share one table of
+    /// verification arrays, so the ceremony is `O(n)` time, allocations
+    /// and memory whatever `num_phases` is.
     pub fn trusted_setup(n: usize, num_phases: usize, seed: u64) -> Vec<KeyRing> {
         let pairs: Vec<KeyPairArray> = (0..n)
             .map(|p| KeyPairArray::generate(p, num_phases, seed.wrapping_add(p as u64)))
             .collect();
-        let all_vks: Vec<Arc<VerificationKeyArray>> = pairs
-            .iter()
-            .map(|kp| Arc::new(kp.verification_keys().clone()))
-            .collect();
+        let vks: Arc<Vec<_>> = Arc::new(
+            pairs
+                .iter()
+                .map(|kp| vec![kp.verification_keys().clone()])
+                .collect(),
+        );
         pairs
             .into_iter()
             .enumerate()
-            .map(|(id, own)| {
-                KeyRing::new(id, own, all_vks.clone()).expect("setup material is consistent")
+            .map(|(id, own)| KeyRing {
+                id,
+                n,
+                own_epochs: vec![own],
+                vks: Arc::clone(&vks),
             })
             .collect()
     }
@@ -199,7 +202,9 @@ impl KeyRing {
             .unwrap_or(0)
     }
 
-    /// Signs `(phase, value)` with the covering epoch's one-time key.
+    /// Signs `(phase, value)` with the covering epoch's one-time key,
+    /// which is derived (with its block of phases) the first time the
+    /// slot is touched and looked up afterwards.
     ///
     /// # Errors
     ///
@@ -235,7 +240,9 @@ impl KeyRing {
     /// nothing ever turns a `true` into `false`. A caller may therefore
     /// remember accepted signatures for as long as it likes (the
     /// engine's evidence store does), but must not remember rejections
-    /// across an install.
+    /// across an install. Deriving a verification key on its first
+    /// lookup changes none of this: a slot's key is a pure function of
+    /// `(seed, process, phase, value)` and never changes once read.
     pub fn verify(&self, envelope: &Envelope, signature: &OneTimeSignature) -> bool {
         let Some(epochs) = self.vks.get(envelope.sender) else {
             return false;
@@ -262,11 +269,11 @@ impl KeyRing {
         seed: u64,
         identity: &mut hashsig::Keypair,
     ) -> Result<SignedVerificationKeys, hashsig::SignError> {
-        let first = self.max_phase() + 1;
+        let first = self.max_phase().checked_add(1).expect("no epoch can follow phase u32::MAX");
         let pair = KeyPairArray::generate_epoch(self.id, first, num_phases, seed);
         let bundle = SignedVerificationKeys::sign(pair.verification_keys().clone(), identity)?;
         self.own_epochs.push(pair);
-        self.vks[self.id].push(Arc::new(bundle.keys.clone()));
+        Arc::make_mut(&mut self.vks)[self.id].push(bundle.keys.clone());
         Ok(bundle)
     }
 
@@ -294,10 +301,11 @@ impl KeyRing {
         if !bundle.verify(owner_public) {
             return Err(KeyRingError::BadBundleSignature { process });
         }
-        let epochs = &mut self.vks[process];
-        let expected_first = epochs
+        // Wraps to 0 — which no (1-based) epoch starts at — after an
+        // epoch that ends at phase `u32::MAX`.
+        let expected_first = self.vks[process]
             .last()
-            .map(|e| e.last_phase() + 1)
+            .map(|e| e.last_phase().wrapping_add(1))
             .unwrap_or(1);
         if bundle.keys.first_phase() != expected_first {
             return Err(KeyRingError::EpochGap {
@@ -305,7 +313,7 @@ impl KeyRing {
                 got_first: bundle.keys.first_phase(),
             });
         }
-        epochs.push(Arc::new(bundle.keys.clone()));
+        Arc::make_mut(&mut self.vks)[process].push(bundle.keys.clone());
         Ok(())
     }
 }
@@ -335,6 +343,25 @@ mod tests {
             assert!(!ring.verify(&env(1, 5, Value::One), &sig));
             assert!(!ring.verify(&env(2, 5, Value::Zero), &sig));
             assert!(!ring.verify(&env(2, 4, Value::One), &sig));
+        }
+    }
+
+    #[test]
+    fn forgery_on_a_cold_slot_is_rejected_whoever_touches_it_first() {
+        let rings = KeyRing::trusted_setup(4, 600, 21);
+        let forged = OneTimeSignature([0xa5; 32]);
+        // Phase 300: a verifier's rejection is the slot's first touch.
+        // Phase 500: the owner's signature is.
+        for (phase, verifier_first) in [(300, true), (500, false)] {
+            let claim = env(1, phase, Value::One);
+            if verifier_first {
+                assert!(rings.iter().all(|ring| !ring.verify(&claim, &forged)));
+            }
+            let real = rings[1].sign(phase, Value::One).expect("in range");
+            for ring in &rings {
+                assert!(!ring.verify(&claim, &forged));
+                assert!(ring.verify(&claim, &real));
+            }
         }
     }
 
@@ -408,9 +435,7 @@ mod tests {
         let rings = KeyRing::trusted_setup(3, 3, 1);
         let own = KeyPairArray::generate(1, 3, 2);
         // Claiming id 0 with process-1 keys fails.
-        let vks: Vec<Arc<VerificationKeyArray>> = (0..3)
-            .map(|p| Arc::clone(&rings[p].vks[p][0]))
-            .collect();
+        let vks = rings[0].vks.iter().map(|epochs| epochs[0].clone()).collect();
         assert!(matches!(
             KeyRing::new(0, own, vks),
             Err(KeyRingError::NotOurKeys { ours: 0, theirs: 1 })

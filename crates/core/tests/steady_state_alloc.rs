@@ -5,6 +5,10 @@
 //! processed out of the receive buffer, the stores and two recycled
 //! scratch vectors.
 //!
+//! Key set-up is held to the same counter: `KeyRing::trusted_setup`
+//! makes `O(n)` allocations whatever the phase count, and cloning a
+//! ring makes `O(1)`.
+//!
 //! Measured with a counting global allocator (this file is its own
 //! crate, so `turquois-core` itself stays `forbid(unsafe_code)`); the
 //! counter is thread-local, so the test harness's other threads cannot
@@ -14,11 +18,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use turquois_core::config::Config;
 use turquois_core::instance::{MessageOutcome, Turquois};
-use turquois_core::message::{Message, Status};
+use turquois_core::message::{Envelope, Message, Status};
 use turquois_core::KeyRing;
+use turquois_crypto::otss::Value;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -29,19 +35,19 @@ struct Counting;
 // touching it neither allocates nor can observe a destroyed value.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`,
         // with `layout`; all three are passed through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -54,8 +60,9 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-fn note() {
+fn note(size: usize) {
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
 }
 
 #[global_allocator]
@@ -66,6 +73,64 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let r = f();
     (ALLOCATIONS.with(Cell::get) - before, r)
+}
+
+/// Bytes requested by this thread while `f` runs (frees not subtracted).
+fn bytes_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = BYTES.with(Cell::get);
+    let r = f();
+    (BYTES.with(Cell::get) - before, r)
+}
+
+fn claim(sender: usize, phase: u32) -> Envelope {
+    Envelope {
+        sender,
+        phase,
+        value: Value::One,
+        coin_flip: false,
+        status: Status::Undecided,
+    }
+}
+
+#[test]
+fn trusted_setup_allocates_in_proportion_to_n_only() {
+    // Four per process — its epoch and block table, its one-epoch list
+    // in the shared table, its ring's `own_epochs` — and a handful of
+    // containers. (The parent made n² + O(n).)
+    for n in [16usize, 64] {
+        let (count, rings) = allocations_in(|| KeyRing::trusted_setup(n, 600, 3));
+        assert!(count <= 5 * n as u64, "n={n}: {count} allocations");
+        drop(rings);
+    }
+    for phases in [30usize, 600, 60_000] {
+        let ring = KeyRing::trusted_setup(4, phases, 3).remove(0);
+        let (count, copy) = allocations_in(|| ring.clone());
+        assert!(
+            count <= 1,
+            "{phases} phases: a clone made {count} allocations"
+        );
+        drop(copy);
+    }
+}
+
+#[test]
+fn a_million_phase_setup_pays_only_for_the_phases_touched() {
+    // Materialised, 16 × 10⁶ phases × 192 B of keys is 3 GB (and ≈ 7 s
+    // of hashing); the set-up may ask for under a hundredth of it.
+    const PHASES: usize = 1_000_000;
+    let (bytes, rings) = bytes_in(|| KeyRing::trusted_setup(16, PHASES, 7));
+    assert!(
+        bytes < 3_000_000_000 / 100,
+        "set-up requested {bytes} bytes"
+    );
+    let (bytes, ()) = bytes_in(|| {
+        for phase in [999_999u32, 1] {
+            let sig = rings[0].sign(phase, Value::One).expect("in range");
+            assert!(rings[15].verify(&claim(0, phase), &sig));
+            assert!(!rings[15].verify(&claim(1, phase), &sig));
+        }
+    });
+    assert!(bytes < 100_000, "touching two phases requested {bytes} bytes");
 }
 
 #[test]

@@ -15,6 +15,10 @@
 //! `φ mod 3 = 0` (DECIDE phases), since `⊥` is a legal proposal value only
 //! there.
 //!
+//! "Pre-generates" is the paper's wording: here a slot is a pure function
+//! of `(seed, process, phase, value)`, derived with its block of 24 phases
+//! when first touched (`DESIGN.md` §10) — phases never reached cost nothing.
+//!
 //! The verification-key arrays themselves must be distributed
 //! authentically; the paper signs them with RSA over an out-of-band
 //! channel. Here they are signed with the hash-based [`crate::hashsig`]
@@ -24,6 +28,7 @@ use crate::hashsig;
 use crate::sha256::multilane::sha256_many;
 use crate::sha256::{Digest, DIGEST_LEN};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Domain tag of a one-time secret-key derivation.
 const SECRET_TAG: &[u8] = b"turquois-otss-v1";
@@ -156,36 +161,142 @@ impl fmt::Display for SignError {
 
 impl std::error::Error for SignError {}
 
-/// The verification-key array `VK_i` of one process for one key-exchange
-/// epoch: `VK_i[φ][v] = H(SK_i[φ][v])`.
-#[derive(Clone, Debug, Eq, PartialEq)]
-pub struct VerificationKeyArray {
+/// Phases per derivation block: one block covers the 3–10 phases a
+/// typical run reaches, and any 24 consecutive phases hold 8 DECIDE
+/// phases, so a full block is [`BLOCK_SLOTS`] = 56 legal slots — seven
+/// full 8-lane SHA-256 batches per pass.
+const BLOCK_PHASES: usize = 24;
+const BLOCK_SLOTS: usize = BLOCK_PHASES * 2 + BLOCK_PHASES / 3;
+
+/// The derived key material of [`BLOCK_PHASES`] consecutive phases, by
+/// `[row in block][value index]`; the `⊥` slot of a non-DECIDE phase
+/// holds zeros.
+struct Block {
+    secrets: [[[u8; DIGEST_LEN]; 3]; BLOCK_PHASES],
+    keys: [[Digest; 3]; BLOCK_PHASES],
+}
+
+/// One epoch of one process's key material as the trusted dealer
+/// derives it: the derivation inputs plus the blocks touched so far
+/// (all filled, it is the paper's pre-generated array). The owner's
+/// [`KeyPairArray`] and every copy of its [`VerificationKeyArray`] share
+/// one, so each block is derived once.
+struct Epoch {
     process: usize,
     first_phase: u32,
-    /// `rows[r][v]` is the key for phase `first_phase + r`, value index
-    /// `v`; the `⊥` slot of non-DECIDE phases holds `Digest::ZERO`.
-    rows: Vec<[Digest; 3]>,
+    num_phases: u32,
+    seed: u64,
+    blocks: Box<[OnceLock<Box<Block>>]>,
 }
+
+/// Header only: no seed, no key material.
+impl fmt::Debug for Epoch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Epoch")
+            .field("process", &self.process)
+            .field("first_phase", &self.first_phase)
+            .field("num_phases", &self.num_phases)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Epoch {
+    fn last_phase(&self) -> u32 {
+        self.first_phase + (self.num_phases - 1) // `generate_epoch` checked the range
+    }
+
+    /// The block holding row `row` (phase `first_phase + row`), derived
+    /// on first touch. Racing threads derive the same bytes; one wins.
+    fn block_of(&self, row: usize) -> &Block {
+        let b = row / BLOCK_PHASES;
+        self.blocks[b].get_or_init(|| self.derive_block(b))
+    }
+
+    /// Every legal slot is an independent single-block derivation
+    /// followed by an independent verification hash: two lane batches
+    /// (paper footnote 3 still skips the ⊥ slot of non-DECIDE phases).
+    fn derive_block(&self, b: usize) -> Box<Block> {
+        let base = b * BLOCK_PHASES;
+        let rows = (self.num_phases as usize - base).min(BLOCK_PHASES);
+        let mut slots = [(0usize, 0usize); BLOCK_SLOTS];
+        let mut preimages = [[0u8; SECRET_PREIMAGE_LEN]; BLOCK_SLOTS];
+        let mut used = 0;
+        for r in 0..rows {
+            let phase = self.first_phase + (base + r) as u32;
+            for value in Value::ALL {
+                if value == Value::Bot && !bot_legal_at(phase) {
+                    continue;
+                }
+                slots[used] = (r, value.index());
+                preimages[used] = secret_preimage(self.seed, self.process, phase, value);
+                used += 1;
+            }
+        }
+        let mut refs: [&[u8]; BLOCK_SLOTS] = std::array::from_fn(|i| &preimages[i][..]);
+        let sks = sha256_many(&refs[..used]);
+        for (r, sk) in refs.iter_mut().zip(&sks) {
+            *r = sk.as_bytes();
+        }
+        let vks = sha256_many(&refs[..used]);
+        let mut block = Box::new(Block {
+            secrets: [[[0u8; DIGEST_LEN]; 3]; BLOCK_PHASES],
+            keys: [[Digest::ZERO; 3]; BLOCK_PHASES],
+        });
+        for ((&(r, v), sk), vk) in slots.iter().zip(&sks).zip(&vks) {
+            block.secrets[r][v] = sk.0;
+            block.keys[r][v] = *vk;
+        }
+        block
+    }
+
+    /// Every phase's verification keys in order: materialises the epoch.
+    fn key_rows(&self) -> impl Iterator<Item = &[Digest; 3]> {
+        (0..self.num_phases as usize).map(|row| &self.block_of(row).keys[row % BLOCK_PHASES])
+    }
+}
+
+/// The verification-key array `VK_i` of one process for one key-exchange
+/// epoch: `VK_i[φ][v] = H(SK_i[φ][v])`.
+///
+/// A cheap-to-clone handle on the dealer's derivation, restricted to its
+/// public half: nothing reachable from this type yields a secret or the
+/// seed. `==` and `canonical_bytes` materialise the whole epoch.
+#[derive(Clone, Debug)]
+pub struct VerificationKeyArray {
+    epoch: Arc<Epoch>,
+}
+
+impl PartialEq for VerificationKeyArray {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.epoch, &*other.epoch);
+        Arc::ptr_eq(&self.epoch, &other.epoch)
+            || ((a.process, a.first_phase, a.num_phases)
+                == (b.process, b.first_phase, b.num_phases)
+                && a.key_rows().eq(b.key_rows()))
+    }
+}
+
+impl Eq for VerificationKeyArray {}
 
 impl VerificationKeyArray {
     /// The process this array belongs to.
     pub fn process(&self) -> usize {
-        self.process
+        self.epoch.process
     }
 
     /// First phase (inclusive) covered by this array.
     pub fn first_phase(&self) -> u32 {
-        self.first_phase
+        self.epoch.first_phase
     }
 
     /// Last phase (inclusive) covered by this array.
     pub fn last_phase(&self) -> u32 {
-        self.first_phase + self.rows.len() as u32 - 1
+        self.epoch.last_phase()
     }
 
     /// Number of phases covered.
     pub fn num_phases(&self) -> usize {
-        self.rows.len()
+        self.epoch.num_phases as usize
     }
 
     /// Verifies that `sig` authenticates `(phase, value)` for this
@@ -208,29 +319,29 @@ impl VerificationKeyArray {
             .is_some_and(|expected| *sig_hash == expected)
     }
 
-    /// Looks up `VK[phase][value]`, if that slot exists.
+    /// Looks up `VK[phase][value]`, if that slot exists (first touch
+    /// derives the phase's block).
     pub fn key(&self, phase: u32, value: Value) -> Option<Digest> {
-        if phase < self.first_phase {
-            return None;
-        }
-        let row = (phase - self.first_phase) as usize;
-        if row >= self.rows.len() {
+        let epoch = &*self.epoch;
+        if phase < epoch.first_phase || phase > epoch.last_phase() {
             return None;
         }
         if value == Value::Bot && !bot_legal_at(phase) {
             return None;
         }
-        Some(self.rows[row][value.index()])
+        let row = (phase - epoch.first_phase) as usize;
+        Some(epoch.block_of(row).keys[row % BLOCK_PHASES][value.index()])
     }
 
     /// Canonical byte encoding of the array, used as the message that the
-    /// key-exchange signature covers.
+    /// key-exchange signature covers. Materialises the whole epoch.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.rows.len() * 3 * DIGEST_LEN);
-        out.extend_from_slice(&(self.process as u64).to_be_bytes());
-        out.extend_from_slice(&self.first_phase.to_be_bytes());
-        out.extend_from_slice(&(self.rows.len() as u32).to_be_bytes());
-        for row in &self.rows {
+        let epoch = &*self.epoch;
+        let mut out = Vec::with_capacity(16 + self.num_phases() * 3 * DIGEST_LEN);
+        out.extend_from_slice(&(epoch.process as u64).to_be_bytes());
+        out.extend_from_slice(&epoch.first_phase.to_be_bytes());
+        out.extend_from_slice(&epoch.num_phases.to_be_bytes());
+        for row in epoch.key_rows() {
             for key in row {
                 out.extend_from_slice(key.as_bytes());
             }
@@ -251,20 +362,10 @@ impl VerificationKeyArray {
 /// assert!(keys.verification_keys().verify(6, Value::Bot, &sig));
 /// # Ok::<(), turquois_crypto::otss::SignError>(())
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct KeyPairArray {
-    secrets: Vec<[[u8; DIGEST_LEN]; 3]>,
+    /// The epoch the public half shares; only this type reads its secrets.
     verification: VerificationKeyArray,
-}
-
-impl fmt::Debug for KeyPairArray {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("KeyPairArray")
-            .field("process", &self.verification.process)
-            .field("first_phase", &self.verification.first_phase)
-            .field("num_phases", &self.verification.rows.len())
-            .finish_non_exhaustive()
-    }
 }
 
 impl KeyPairArray {
@@ -279,49 +380,28 @@ impl KeyPairArray {
     }
 
     /// Generates keys for the epoch starting at `first_phase` and covering
-    /// `num_phases` phases.
+    /// `num_phases` phases. Hashes nothing: each block of phases is
+    /// derived when a `sign`, `key` or `verify` first touches it.
     ///
     /// # Panics
     ///
-    /// Panics if `first_phase == 0` (phases are 1-based) or
-    /// `num_phases == 0`.
+    /// Panics if `first_phase == 0` (phases are 1-based), `num_phases == 0`,
+    /// or the last phase `first_phase − 1 + num_phases` exceeds `u32::MAX`.
     pub fn generate_epoch(process: usize, first_phase: u32, num_phases: usize, seed: u64) -> Self {
         assert!(first_phase >= 1, "phases are 1-based");
         assert!(num_phases >= 1, "a key array must cover at least one phase");
-        // Every legal slot is an independent single-block derivation
-        // followed by an independent verification hash, so two lane
-        // batches cover the whole epoch (paper footnote 3 still skips
-        // the ⊥ slot of non-DECIDE phases).
-        let mut slots: Vec<(usize, Value)> = Vec::with_capacity(num_phases * 3);
-        let mut preimages: Vec<[u8; SECRET_PREIMAGE_LEN]> = Vec::with_capacity(num_phases * 3);
-        for r in 0..num_phases {
-            let phase = first_phase + r as u32;
-            for value in Value::ALL {
-                if value == Value::Bot && !bot_legal_at(phase) {
-                    continue;
-                }
-                slots.push((r, value));
-                preimages.push(secret_preimage(seed, process, phase, value));
-            }
-        }
-        let refs: Vec<&[u8]> = preimages.iter().map(|p| &p[..]).collect();
-        let sks = sha256_many(&refs);
-        let sk_refs: Vec<&[u8]> = sks.iter().map(Digest::as_bytes).collect();
-        let vks = sha256_many(&sk_refs);
-        let mut secrets = vec![[[0u8; DIGEST_LEN]; 3]; num_phases];
-        let mut rows = vec![[Digest::ZERO; 3]; num_phases];
-        for ((&(r, value), sk), vk) in slots.iter().zip(&sks).zip(&vks) {
-            secrets[r][value.index()] = sk.0;
-            rows[r][value.index()] = *vk;
-        }
-        KeyPairArray {
-            secrets,
-            verification: VerificationKeyArray {
-                process,
-                first_phase,
-                rows,
-            },
-        }
+        assert!(
+            num_phases as u64 <= u64::from(u32::MAX - (first_phase - 1)),
+            "an epoch of {num_phases} phases starting at phase {first_phase} ends past u32::MAX"
+        );
+        let epoch = Arc::new(Epoch {
+            process,
+            first_phase,
+            num_phases: num_phases as u32,
+            seed,
+            blocks: (0..num_phases.div_ceil(BLOCK_PHASES)).map(|_| OnceLock::new()).collect(),
+        });
+        KeyPairArray { verification: VerificationKeyArray { epoch } }
     }
 
     /// The public half of the key material.
@@ -329,7 +409,8 @@ impl KeyPairArray {
         &self.verification
     }
 
-    /// Signs `(phase, value)` by revealing the corresponding secret key.
+    /// Signs `(phase, value)` by revealing the corresponding secret key
+    /// (first touch derives the phase's block).
     ///
     /// # Errors
     ///
@@ -337,8 +418,8 @@ impl KeyPairArray {
     /// this epoch, or [`SignError::BotNotLegal`] when signing `⊥` in a
     /// non-DECIDE phase.
     pub fn sign(&self, phase: u32, value: Value) -> Result<OneTimeSignature, SignError> {
-        let first = self.verification.first_phase;
-        let last = self.verification.last_phase();
+        let epoch = &*self.verification.epoch;
+        let (first, last) = (epoch.first_phase, epoch.last_phase());
         if phase < first || phase > last {
             return Err(SignError::PhaseOutOfRange { phase, first, last });
         }
@@ -346,7 +427,7 @@ impl KeyPairArray {
             return Err(SignError::BotNotLegal { phase });
         }
         let row = (phase - first) as usize;
-        Ok(OneTimeSignature(self.secrets[row][value.index()]))
+        Ok(OneTimeSignature(epoch.block_of(row).secrets[row % BLOCK_PHASES][value.index()]))
     }
 }
 
@@ -497,13 +578,183 @@ mod tests {
         assert_eq!(a.verification_keys(), b.verification_keys());
     }
 
+    /// The retired whole-epoch eager derivation, verbatim: the oracle
+    /// every first-touch path must reproduce bit for bit.
+    type Eager = (Vec<[[u8; DIGEST_LEN]; 3]>, Vec<[Digest; 3]>);
+    fn eager_epoch(process: usize, first_phase: u32, num_phases: usize, seed: u64) -> Eager {
+        let mut slots: Vec<(usize, Value)> = Vec::with_capacity(num_phases * 3);
+        let mut preimages: Vec<[u8; SECRET_PREIMAGE_LEN]> = Vec::with_capacity(num_phases * 3);
+        for r in 0..num_phases {
+            let phase = first_phase + r as u32;
+            for value in Value::ALL {
+                if value == Value::Bot && !bot_legal_at(phase) {
+                    continue;
+                }
+                slots.push((r, value));
+                preimages.push(secret_preimage(seed, process, phase, value));
+            }
+        }
+        let refs: Vec<&[u8]> = preimages.iter().map(|p| &p[..]).collect();
+        let sks = sha256_many(&refs);
+        let sk_refs: Vec<&[u8]> = sks.iter().map(Digest::as_bytes).collect();
+        let vks = sha256_many(&sk_refs);
+        let mut secrets = vec![[[0u8; DIGEST_LEN]; 3]; num_phases];
+        let mut rows = vec![[Digest::ZERO; 3]; num_phases];
+        for ((&(r, value), sk), vk) in slots.iter().zip(&sks).zip(&vks) {
+            secrets[r][value.index()] = sk.0;
+            rows[r][value.index()] = *vk;
+        }
+        (secrets, rows)
+    }
+
+    /// The oracle's `canonical_bytes`.
+    fn eager_canonical(process: usize, first_phase: u32, rows: &[[Digest; 3]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&(process as u64).to_be_bytes());
+        out.extend_from_slice(&first_phase.to_be_bytes());
+        out.extend_from_slice(&(rows.len() as u32).to_be_bytes());
+        for key in rows.iter().flatten() {
+            out.extend_from_slice(key.as_bytes());
+        }
+        out
+    }
+
+    /// Both halves of every slot, read through the public surface
+    /// (illegal `⊥` slots read as the oracle's zeros).
+    fn materialised(keys: &KeyPairArray) -> Eager {
+        let vk = keys.verification_keys();
+        (vk.first_phase()..=vk.last_phase())
+            .map(|phase| {
+                let secret =
+                    Value::ALL.map(|v| keys.sign(phase, v).map_or([0; DIGEST_LEN], |s| s.0));
+                let key = Value::ALL.map(|v| vk.key(phase, v).unwrap_or(Digest::ZERO));
+                (secret, key)
+            })
+            .unzip()
+    }
+
     #[test]
     fn scalar_and_batched_keygen_agree() {
         use crate::sha256::multilane::oracle::with_scalar_sha;
-        let scalar = with_scalar_sha(|| KeyPairArray::generate_epoch(3, 4, 9, 123));
-        let lanes = KeyPairArray::generate_epoch(3, 4, 9, 123);
-        assert_eq!(scalar.verification_keys(), lanes.verification_keys());
-        assert_eq!(scalar.secrets, lanes.secrets);
+        let scalar = with_scalar_sha(|| materialised(&KeyPairArray::generate_epoch(3, 4, 40, 123)));
+        let lanes = materialised(&KeyPairArray::generate_epoch(3, 4, 40, 123));
+        assert_eq!(scalar, lanes);
+        assert_eq!(lanes, eager_epoch(3, 4, 40, 123));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any interleaving of first touches — through either half, on
+        /// the original or on clones taken mid-way — leaves every slot
+        /// and the canonical encoding equal to the eager oracle's.
+        #[test]
+        fn first_touch_derivation_matches_eager_oracle(
+            process in 0usize..300,
+            first_phase in 1u32..2000,
+            num_phases in 1usize..100,
+            seed in any::<u64>(),
+            touches in prop::collection::vec((0u8..4, any::<u16>(), 0usize..3), 0..24),
+        ) {
+            let (secrets, rows) = eager_epoch(process, first_phase, num_phases, seed);
+            let keys = KeyPairArray::generate_epoch(process, first_phase, num_phases, seed);
+            let mut handles = vec![keys.verification_keys().clone()];
+            for (op, at, v) in touches {
+                let row = at as usize % num_phases;
+                let (phase, value) = (first_phase + row as u32, Value::ALL[v]);
+                let legal = value != Value::Bot || bot_legal_at(phase);
+                let vk = &handles[at as usize % handles.len()];
+                match op {
+                    0 => prop_assert_eq!(
+                        keys.sign(phase, value).ok().map(|s| s.0),
+                        legal.then_some(secrets[row][v])
+                    ),
+                    1 => prop_assert_eq!(vk.key(phase, value), legal.then_some(rows[row][v])),
+                    2 => prop_assert_eq!(
+                        vk.verify(phase, value, &OneTimeSignature(secrets[row][v])),
+                        legal
+                    ),
+                    _ => handles.push(keys.clone().verification_keys().clone()),
+                }
+            }
+            prop_assert_eq!(materialised(&keys), (secrets, rows.clone()));
+            for vk in &handles {
+                prop_assert_eq!(vk.canonical_bytes(), eager_canonical(process, first_phase, &rows));
+                prop_assert!(vk == keys.verification_keys());
+            }
+        }
+    }
+
+    /// The wire-visible key material, pinned at the last commit that
+    /// pre-generated it (c650e35): SHA-256 of `canonical_bytes()`.
+    #[test]
+    fn canonical_bytes_are_pinned() {
+        let keys = KeyPairArray::generate(3, 30, 42);
+        assert_eq!(
+            crate::sha256::sha256(&keys.verification_keys().canonical_bytes()).to_hex(),
+            "cd290831211dfb15e4a839e242a2c2741335c0a26306d92e1eee736582f8b08a"
+        );
+    }
+
+    #[test]
+    fn racing_cold_verifiers_see_the_single_threaded_keys() {
+        let (secrets, rows) = eager_epoch(2, 1, 60, 9);
+        let shared = KeyPairArray::generate(2, 60, 9).verification_keys().clone();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    barrier.wait();
+                    for (row, phase) in (1..=60u32).enumerate() {
+                        let sig = OneTimeSignature(secrets[row][1]);
+                        assert!(shared.verify(phase, Value::One, &sig));
+                        assert!(!shared.verify(phase, Value::Zero, &sig));
+                        assert_eq!(shared.key(phase, Value::Zero), Some(rows[row][0]));
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn epoch_may_end_at_but_not_past_the_last_phase() {
+        let keys = KeyPairArray::generate_epoch(0, u32::MAX - 3, 4, 1);
+        let vk = keys.verification_keys();
+        assert_eq!(
+            (vk.first_phase(), vk.last_phase()),
+            (u32::MAX - 3, u32::MAX)
+        );
+        let sig = keys
+            .sign(u32::MAX, Value::Zero)
+            .expect("last phase is covered");
+        assert!(vk.verify(u32::MAX, Value::Zero, &sig));
+        assert_eq!(vk.key(u32::MAX - 4, Value::Zero), None);
+        assert!(matches!(
+            keys.sign(u32::MAX - 4, Value::Zero),
+            Err(SignError::PhaseOutOfRange { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "an epoch of 4 phases starting at phase 4294967294 ends past u32::MAX"
+    )]
+    fn epoch_past_the_last_phase_is_refused() {
+        KeyPairArray::generate_epoch(0, u32::MAX - 1, 4, 1);
+    }
+
+    #[test]
+    fn debug_prints_no_key_material() {
+        let keys = KeyPairArray::generate(1, 6, 0x5eed_5eed_5eed);
+        keys.sign(1, Value::One).expect("in range");
+        for text in [
+            format!("{keys:?}"),
+            format!("{:?}", keys.verification_keys()),
+        ] {
+            assert!(!text.contains("seed") && !text.contains(&0x5eed_5eed_5eed_u64.to_string()));
+        }
     }
 
     #[test]

@@ -181,12 +181,11 @@ impl Application for TurquoisApp {
                 | turquois_core::MessageOutcome::Duplicate => probe.accepted[id] += 1,
                 _ => probe.rejected[id] += 1,
             }
-        }
-        self.probe.borrow_mut().final_phase[self.instance.id()] = self.instance.phase();
-        if let Some(v) = receipt.newly_decided {
-            self.probe.borrow_mut().phase_at_decision[self.instance.id()] =
-                Some(self.instance.phase());
-            ctx.decide(v);
+            probe.final_phase[id] = self.instance.phase();
+            if let Some(v) = receipt.newly_decided {
+                probe.phase_at_decision[id] = Some(self.instance.phase());
+                ctx.decide(v);
+            }
         }
         if receipt.phase_advanced {
             // Clock-tick condition (2): the phase value changed.
