@@ -3,7 +3,7 @@
 //! proposal distribution × fault load, plus the reproduction's loss
 //! models and cost-model ablations.
 
-use crate::adapters::{AbbaApp, BrachaApp, RunProbe, SharedProbe, TurquoisApp};
+use crate::adapters::{AbbaApp, BrachaApp, RunProbe, SharedLinkTags, SharedProbe, TurquoisApp};
 use crate::adversary::{byzantine_bracha_app, ByzantineAbbaApp, ByzantineTurquoisApp};
 use std::time::Duration;
 use turquois_baselines::abba::{Abba, AbbaKeys};
@@ -16,8 +16,9 @@ use wireless_net::fault::{
     BudgetedOmission, Compose, CrashSchedule, FaultModel, GilbertElliott, IidLoss, JammingWindows,
     NoFaults,
 };
+use wireless_net::frame::NodeId;
 use wireless_net::supervise::StallReport;
-use wireless_net::sim::{Application, CrashedApp, Decision, RunStatus, SimConfig, Simulator};
+use wireless_net::sim::{Application, CrashedApp, Decision, Node, RunStatus, SimConfig, Simulator};
 use wireless_net::stats::NetStats;
 use wireless_net::time::SimTime;
 use wireless_net::topology::TopologySpec;
@@ -329,77 +330,13 @@ impl Scenario {
     /// configuration.
     pub fn build_sim(&self) -> Result<(Simulator, SharedProbe), ScenarioError> {
         let cfg = Config::evaluation(self.n).map_err(ScenarioError::InvalidConfig)?;
-        let n = self.n;
-        let f = cfg.f();
-        // The last f processes are the faulty ones under faulty loads.
-        let faulty: Vec<bool> = (0..n).map(|i| i >= n - f).collect();
-        let is_faulty =
-            |i: usize| self.fault_load != FaultLoad::FailureFree && faulty[i];
-        let proposals: Vec<bool> = (0..n).map(|i| self.proposals.proposal(i)).collect();
-        let probe = RunProbe::new(n);
-
-        let apps: Vec<Box<dyn Application>> = match self.protocol {
-            Protocol::Turquois => {
-                let rings = KeyRing::trusted_setup(n, self.key_phases, self.seed);
-                rings
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, ring)| self.make_turquois(cfg, i, proposals[i], ring, &probe, is_faulty(i)))
-                    .collect()
-            }
-            Protocol::Bracha => {
-                // One link-tag pool per simulation: sender-side wraps
-                // and receiver-side checks of the same frame share one
-                // host-side HMAC computation (simulated cost is still
-                // charged on both ends).
-                let link_tags = crate::adapters::new_link_tags();
-                (0..n)
-                    .map(|i| {
-                        let engine = Bracha::new(n, f, i, proposals[i], self.seed + 31 * i as u64);
-                        if !is_faulty(i) {
-                            Box::new(BrachaApp::new(
-                                engine,
-                                n,
-                                self.seed,
-                                self.cost,
-                                probe.clone(),
-                                link_tags.clone(),
-                            )) as Box<dyn Application>
-                        } else if self.fault_load == FaultLoad::Byzantine {
-                            Box::new(byzantine_bracha_app(
-                                engine,
-                                n,
-                                self.seed,
-                                self.cost,
-                                probe.clone(),
-                                link_tags.clone(),
-                            )) as Box<dyn Application>
-                        } else {
-                            Box::new(CrashedApp) as Box<dyn Application>
-                        }
-                    })
-                    .collect()
-            }
-            Protocol::Abba => {
-                let keys = AbbaKeys::trusted_setup(n, f, self.seed);
-                keys.into_iter()
-                    .enumerate()
-                    .map(|(i, k)| {
-                        if !is_faulty(i) {
-                            let engine =
-                                Abba::new(n, f, i, proposals[i], k, self.seed + 17 * i as u64);
-                            Box::new(AbbaApp::new(engine, n, self.cost, probe.clone()))
-                                as Box<dyn Application>
-                        } else if self.fault_load == FaultLoad::Byzantine {
-                            Box::new(ByzantineAbbaApp::new(i, n)) as Box<dyn Application>
-                        } else {
-                            Box::new(CrashedApp) as Box<dyn Application>
-                        }
-                    })
-                    .collect()
-            }
-        };
-
+        let probe = RunProbe::new(self.n);
+        let apps = self
+            .group_keys(cfg)
+            .into_iter()
+            .enumerate()
+            .map(|(i, keys)| self.node_app(cfg, i, keys, &probe))
+            .collect();
         let sim_cfg = SimConfig {
             seed: self.seed,
             phy: self.phy,
@@ -479,30 +416,95 @@ impl Scenario {
         })
     }
 
-    fn make_turquois(
-        &self,
-        cfg: Config,
-        i: usize,
-        proposal: bool,
-        ring: KeyRing,
-        probe: &SharedProbe,
-        faulty: bool,
-    ) -> Box<dyn Application> {
-        if !faulty {
-            let seed = self.seed + 7 * i as u64;
-            let inst = Turquois::new(cfg, i, proposal, ring.clone(), seed);
-            Box::new(
-                TurquoisApp::new(inst, self.cost, probe.clone())
-                    .tick_interval(self.tick)
-                    .resettable(cfg, proposal, ring, seed),
-            )
-        } else if self.fault_load == FaultLoad::Byzantine {
-            let tracker = Turquois::new(cfg, i, proposal, ring.clone(), self.seed + 7 * i as u64);
-            Box::new(ByzantineTurquoisApp::new(tracker, ring).tick_interval(self.tick))
-        } else {
-            Box::new(CrashedApp)
+    /// Node `id` of this scenario for a live host: its application,
+    /// built from this group's set-up exactly as [`Scenario::build_sim`]
+    /// builds it, and its own instance of the scenario's loss model
+    /// (receiver-side, seeded per node).
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::InvalidConfig`] when `n` admits no valid
+    /// configuration.
+    pub fn live_node(&self, id: NodeId) -> Result<Node, ScenarioError> {
+        let cfg = Config::evaluation(self.n).map_err(ScenarioError::InvalidConfig)?;
+        let keys = self.group_keys(cfg).swap_remove(id);
+        let app = self.node_app(cfg, id, keys, &RunProbe::new(self.n));
+        Ok((app, self.loss.build(self.seed.wrapping_add(id as u64))))
+    }
+
+    /// The group's trusted set-up, dealt once: one share per node.
+    fn group_keys(&self, cfg: Config) -> Vec<NodeKeys> {
+        match self.protocol {
+            Protocol::Turquois => KeyRing::trusted_setup(self.n, self.key_phases, self.seed)
+                .into_iter()
+                .map(NodeKeys::Turquois)
+                .collect(),
+            // One link-tag pool per group: a frame's sender-side wrap and
+            // receiver-side checks share one host-side HMAC computation
+            // (simulated cost is still charged on both ends).
+            Protocol::Bracha => {
+                let link_tags = crate::adapters::new_link_tags();
+                (0..self.n).map(|_| NodeKeys::Bracha(link_tags.clone())).collect()
+            }
+            Protocol::Abba => AbbaKeys::trusted_setup(self.n, cfg.f(), self.seed)
+                .into_iter()
+                .map(NodeKeys::Abba)
+                .collect(),
         }
     }
+
+    /// Node `i`'s application from its share of the group set-up. The
+    /// last f processes are the faulty ones under faulty loads.
+    fn node_app(
+        &self,
+        cfg: Config,
+        i: NodeId,
+        keys: NodeKeys,
+        probe: &SharedProbe,
+    ) -> Box<dyn Application> {
+        let (n, f) = (self.n, cfg.f());
+        let faulty = i >= n - f;
+        if faulty && self.fault_load == FaultLoad::FailStop {
+            return Box::new(CrashedApp);
+        }
+        let byzantine = faulty && self.fault_load == FaultLoad::Byzantine;
+        let proposal = self.proposals.proposal(i);
+        let seed = |stride: u64| self.seed.wrapping_add(stride.wrapping_mul(i as u64));
+        match keys {
+            NodeKeys::Turquois(ring) => {
+                let inst = Turquois::new(cfg, i, proposal, ring.clone(), seed(7));
+                if byzantine {
+                    return Box::new(ByzantineTurquoisApp::new(inst, ring).tick_interval(self.tick));
+                }
+                Box::new(
+                    TurquoisApp::new(inst, self.cost, probe.clone())
+                        .tick_interval(self.tick)
+                        .resettable(cfg, proposal, ring, seed(7)),
+                )
+            }
+            NodeKeys::Bracha(link_tags) => {
+                let engine = Bracha::new(n, f, i, proposal, seed(31));
+                let (probe, cost) = (probe.clone(), self.cost);
+                if byzantine {
+                    Box::new(byzantine_bracha_app(engine, n, self.seed, cost, probe, link_tags))
+                } else {
+                    Box::new(BrachaApp::new(engine, n, self.seed, cost, probe, link_tags))
+                }
+            }
+            NodeKeys::Abba(_) if byzantine => Box::new(ByzantineAbbaApp::new(i, n)),
+            NodeKeys::Abba(k) => {
+                let engine = Abba::new(n, f, i, proposal, k, seed(17));
+                Box::new(AbbaApp::new(engine, n, self.cost, probe.clone()))
+            }
+        }
+    }
+}
+
+/// One node's share of a group's trusted set-up.
+enum NodeKeys {
+    Turquois(KeyRing),
+    Bracha(SharedLinkTags),
+    Abba(AbbaKeys),
 }
 
 /// The observable results of one run.
@@ -667,6 +669,18 @@ mod tests {
         let lat = outcome.latencies_ms();
         assert_eq!(lat.len(), 4);
         assert!(lat.iter().all(|&ms| ms > 0.0 && ms < 1_000.0), "{lat:?}");
+    }
+
+    #[test]
+    fn per_node_seeds_wrap_at_the_top_of_the_seed_range() {
+        for protocol in Protocol::ALL {
+            let outcome = Scenario::new(protocol, 4)
+                .seed(u64::MAX)
+                .run_once()
+                .expect("valid scenario");
+            assert!(outcome.k_reached(), "{protocol:?}: {outcome:?}");
+            assert!(outcome.agreement_holds() && outcome.validity_holds(), "{protocol:?}");
+        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod trace;
 pub use config::PhyConfig;
 pub use fault::{CrashSchedule, CrashSpec, CrashTrigger};
 pub use frame::{Addressing, Frame, NodeId, ReceivedFrame};
-pub use sim::{Application, Decision, NodeCtx, RunStatus, SimConfig, Simulator};
+pub use sim::{Application, Command, Decision, Node, NodeCtx, RunStatus, SimConfig, Simulator};
 pub use supervise::{AppProgress, NodeProgress, StallReport};
 pub use time::SimTime;
 pub use topology::{Connectivity, PartitionSchedule, Topology, TopologySpec};

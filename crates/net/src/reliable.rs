@@ -893,31 +893,10 @@ mod tests {
     fn transport_timer_namespace_respected() {
         let mut ep = ReliableEndpoint::new(0, 2);
         assert_eq!(ep.node(), 0);
-        // Foreign timers are not consumed. (NodeCtx cannot be built
-        // outside the simulator, so exercise through a tiny sim.)
-        struct Probe {
-            ep: ReliableEndpoint,
-            foreign_seen: Rc<RefCell<bool>>,
-        }
-        impl Application for Probe {
-            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                ctx.set_timer(Duration::from_millis(1), 7); // app timer
-            }
-            fn on_frame(&mut self, _ctx: &mut NodeCtx<'_>, _frame: ReceivedFrame) {}
-            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
-                if !self.ep.on_timer(ctx, timer) {
-                    *self.foreign_seen.borrow_mut() = true;
-                    assert_eq!(timer, 7);
-                }
-            }
-        }
-        let seen = Rc::new(RefCell::new(false));
-        let apps: Vec<Box<dyn Application>> = vec![Box::new(Probe {
-            ep: std::mem::replace(&mut ep, ReliableEndpoint::new(0, 2)),
-            foreign_seen: seen.clone(),
-        })];
-        let mut sim = Simulator::without_faults(SimConfig::default(), apps);
-        sim.run_until(SimTime::from_millis(100), |_| false);
-        assert!(*seen.borrow());
+        // Foreign timers are not consumed and issue nothing.
+        let mut rng = rand::SeedableRng::seed_from_u64(0);
+        let mut ctx = NodeCtx::new(0, SimTime::ZERO, &mut rng, Vec::new());
+        assert!(!ep.on_timer(&mut ctx, 7));
+        assert_eq!(ctx.finish(), (Duration::ZERO, Vec::new()));
     }
 }

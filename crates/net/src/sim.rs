@@ -25,6 +25,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::time::Duration;
 
+/// One node as a host runs it: its application, and the loss model its
+/// receiver applies.
+pub type Node = (Box<dyn Application>, Box<dyn FaultModel>);
+
 /// A protocol running on one simulated node.
 ///
 /// Callbacks receive a [`NodeCtx`] for issuing commands. All methods are
@@ -80,14 +84,21 @@ impl Application for CrashedApp {
     fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _timer: u64) {}
 }
 
-enum Command {
+/// One effect an application issued through its [`NodeCtx`]: each
+/// variant records one call of the [`NodeCtx`] method of the same name
+/// (`SetTimer` is [`NodeCtx::set_timer`]) with that call's arguments.
+#[derive(Clone, Debug, PartialEq)]
+#[allow(missing_docs)]
+pub enum Command {
     Broadcast { payload: Bytes, overhead: usize },
     Unicast { dst: NodeId, payload: Bytes, overhead: usize },
     SetTimer { delay: Duration, id: u64 },
     Decide { value: bool },
 }
 
-/// Command interface handed to application callbacks.
+/// Command interface handed to application callbacks. The simulator
+/// and the live runtime both open one per callback with
+/// [`NodeCtx::new`] and apply what [`NodeCtx::finish`] drains.
 pub struct NodeCtx<'a> {
     node: NodeId,
     now: SimTime,
@@ -97,6 +108,19 @@ pub struct NodeCtx<'a> {
 }
 
 impl<'a> NodeCtx<'a> {
+    /// Opens the context of one callback of `node` at `now`, drawing
+    /// from `rng` and issuing into `commands` (a reusable buffer,
+    /// expected empty).
+    pub fn new(node: NodeId, now: SimTime, rng: &'a mut StdRng, commands: Vec<Command>) -> Self {
+        NodeCtx { node, now, charged: Duration::ZERO, commands, rng }
+    }
+
+    /// Closes the callback: the CPU it charged and its commands in
+    /// issue order.
+    pub fn finish(self) -> (Duration, Vec<Command>) {
+        (self.charged, self.commands)
+    }
+
     /// This node's identifier.
     pub fn node(&self) -> NodeId {
         self.node
@@ -720,20 +744,14 @@ impl Simulator {
         run: impl FnOnce(&mut dyn Application, &mut NodeCtx<'_>),
     ) {
         let start = self.time.max(self.busy_until[node]);
-        let mut ctx = NodeCtx {
-            node,
-            now: start,
-            charged: Duration::ZERO,
-            commands: std::mem::take(&mut self.cmd_pool),
-            rng: &mut self.node_rngs[node],
-        };
+        let pool = std::mem::take(&mut self.cmd_pool);
+        let mut ctx = NodeCtx::new(node, start, &mut self.node_rngs[node], pool);
         let mut app: Box<dyn Application> =
             std::mem::replace(&mut self.apps[node], Box::new(CrashedApp));
         run(app.as_mut(), &mut ctx);
         self.apps[node] = app;
-        let done = start + ctx.charged;
-        let mut commands = std::mem::take(&mut ctx.commands);
-        drop(ctx);
+        let (charged, mut commands) = ctx.finish();
+        let done = start + charged;
         self.busy_until[node] = done;
         for cmd in commands.drain(..) {
             self.apply_command(node, done, cmd);

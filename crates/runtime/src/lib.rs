@@ -1,283 +1,234 @@
-//! # turquois-runtime — a live Turquois runtime over real UDP sockets
+//! # turquois-runtime — any simulator `Application`, live over UDP
 //!
-//! The simulator in `wireless-net` reproduces the paper's testbed; this
-//! crate demonstrates that the same sans-io protocol engine runs
-//! unchanged against a *real* network stack. Each process is a thread
-//! with its own `std::net::UdpSocket` bound to `127.0.0.1`; "broadcast"
-//! is emulated by fanning a datagram out to every process's port (the
-//! paper's single-hop broadcast domain, minus the radio). Loss can be
-//! injected at the receiver to exercise the protocol's
-//! omission tolerance over real sockets.
-//!
-//! This runtime is intentionally modest: it exists to prove the engine
-//! against real I/O (see `examples/live_udp.rs`), not to be a deployment
-//! vehicle — a real deployment would bind `255.255.255.255:port` on an
-//! 802.11 interface in ad hoc mode, which is exactly one socket call
-//! away.
-//!
-//! # Example
+//! Hosts the simulator's [`Application`]s (the harness's Turquois, Bracha
+//! and ABBA adapters, unchanged) on real sockets: one thread and one
+//! [`UdpSocket`] per node, its application built on that thread by a
+//! [`Recipe`], typically `Scenario::live_node`. Each callback gets a
+//! [`NodeCtx`] at the wall time since its node started; what it drains
+//! applies at once: a broadcast is a datagram to every node, the sender
+//! included, a unicast one datagram, a timer a min-heap entry. CPU
+//! charged through [`NodeCtx::charge_cpu`] is ignored: live CPU is real.
+//! Receivers apply the recipe's [`FaultModel`], and every node records
+//! its inputs and commands ([`NodeLog`]) for [`NodeLog::replay`].
 //!
 //! ```
-//! use turquois_runtime::{Cluster, ClusterConfig};
+//! use std::time::Duration;
+//! use turquois_runtime::{run, ClusterConfig};
+//! use wireless_net::{fault::NoFaults, Application, NodeCtx, ReceivedFrame};
 //!
-//! let config = ClusterConfig {
-//!     n: 4,
-//!     proposals: vec![true, true, false, true],
-//!     seed: 7,
-//!     ..ClusterConfig::default()
-//! };
-//! let decisions = Cluster::run(config).expect("cluster completes");
-//! let first = decisions[0].expect("all decide");
-//! assert!(decisions.iter().all(|d| *d == Some(first)));
+//! struct Hello; // broadcasts once, decides on the first frame it hears
+//! impl Application for Hello {
+//!     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+//!         ctx.broadcast(bytes::Bytes::from_static(b"hi"), 0);
+//!     }
+//!     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, _: ReceivedFrame) {
+//!         ctx.decide(true);
+//!     }
+//!     fn on_timer(&mut self, _: &mut NodeCtx<'_>, _: u64) {}
+//! }
+//! let config = ClusterConfig::localhost(3, Duration::from_secs(10))?;
+//! let logs = run(config, &|_| (Box::new(Hello) as _, Box::new(NoFaults) as _))?;
+//! assert!(logs.iter().all(|log| log.decision == Some(true)));
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::net::UdpSocket;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use bytes::Bytes;
+use rand::{rngs::StdRng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::io::{self, ErrorKind};
+use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-use turquois_core::config::Config;
-use turquois_core::instance::Turquois;
-use turquois_core::KeyRing;
+use wireless_net::fault::{DeliveryCtx, FaultModel};
+use wireless_net::{Addressing, Application, Command, Node, NodeCtx, NodeId, ReceivedFrame};
+use wireless_net::SimTime;
 
-/// Configuration of a live localhost cluster.
-#[derive(Clone, Debug)]
+/// Builds node `id`; called once per node thread and once per replay.
+pub type Recipe<'a> = dyn Fn(NodeId) -> Node + Sync + 'a;
+
+/// A live cluster: node `i` owns `sockets[i]`.
+#[derive(Debug)]
 pub struct ClusterConfig {
-    /// Number of processes (threads).
-    pub n: usize,
-    /// Initial proposals, one per process.
-    pub proposals: Vec<bool>,
-    /// Master seed (keys, coins, loss injection).
-    pub seed: u64,
-    /// Clock-tick interval (paper: 10 ms).
-    pub tick: Duration,
-    /// Receiver-side injected loss probability per datagram.
-    pub loss: f64,
-    /// Wall-clock budget for the run.
+    /// One bound socket per node; their local addresses are the group.
+    pub sockets: Vec<UdpSocket>,
+    /// Wall-clock budget; the run ends sooner once every node decided.
     pub timeout: Duration,
-    /// One-time-signature phases to pre-distribute.
-    pub key_phases: usize,
 }
 
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            n: 4,
-            proposals: vec![true; 4],
-            seed: 0,
-            tick: Duration::from_millis(10),
-            loss: 0.0,
-            timeout: Duration::from_secs(30),
-            key_phases: 600,
-        }
+impl ClusterConfig {
+    /// `n` sockets on ephemeral `127.0.0.1` ports.
+    pub fn localhost(n: usize, timeout: Duration) -> io::Result<ClusterConfig> {
+        let sockets = (0..n).map(|_| UdpSocket::bind("127.0.0.1:0"));
+        let sockets = sockets.collect::<io::Result<_>>()?;
+        Ok(ClusterConfig { sockets, timeout })
     }
 }
 
-/// Errors from running a cluster.
-#[derive(Debug)]
-pub enum ClusterError {
-    /// Invalid parameters (see message).
-    Config(String),
-    /// Socket setup or I/O failed.
-    Io(std::io::Error),
+/// One callback a node was driven through.
+#[derive(Clone, Debug)]
+pub enum Input {
+    /// [`Application::on_start`].
+    Start,
+    /// [`Application::on_frame`].
+    Frame(ReceivedFrame),
+    /// [`Application::on_timer`].
+    Timer(u64),
 }
 
-impl std::fmt::Display for ClusterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterError::Config(msg) => write!(f, "invalid cluster config: {msg}"),
-            ClusterError::Io(e) => write!(f, "cluster I/O error: {e}"),
+/// What one node saw and did, in order, and what it decided.
+#[derive(Clone, Debug, Default)]
+pub struct NodeLog {
+    /// The node.
+    pub node: NodeId,
+    /// Every callback with the time it ran at.
+    pub inputs: Vec<(SimTime, Input)>,
+    /// Every command the callbacks issued, in issue order.
+    pub commands: Vec<Command>,
+    /// The node's first decision, if it made one before the run stopped.
+    pub decision: Option<bool>,
+}
+
+impl NodeLog {
+    /// Feeds the recorded inputs, at their recorded times, to a fresh
+    /// application built by `recipe`, with the node's rng seed; returns
+    /// the commands it issues. A faithful run returns `self.commands`.
+    pub fn replay(&self, recipe: &Recipe<'_>) -> Vec<Command> {
+        let (mut app, _) = recipe(self.node);
+        let mut rng = StdRng::seed_from_u64(self.node as u64);
+        let mut commands = Vec::new();
+        for (now, input) in &self.inputs {
+            let ctx = NodeCtx::new(self.node, *now, &mut rng, Vec::new());
+            commands.extend(callback(app.as_mut(), ctx, input.clone()));
         }
+        commands
     }
 }
 
-impl std::error::Error for ClusterError {}
+/// The addressing tag leading a broadcast datagram.
+pub const BROADCAST: u8 = 0;
+/// The addressing tag leading a unicast datagram.
+pub const UNICAST: u8 = 1;
+/// Longest a node blocks in `recv` before checking timers and the deadline.
+const MAX_WAIT: Duration = Duration::from_millis(5);
 
-impl From<std::io::Error> for ClusterError {
-    fn from(e: std::io::Error) -> Self {
-        ClusterError::Io(e)
+/// Runs one callback in `ctx`; returns the commands it issued (the CPU
+/// it charged is dropped: live CPU time is real).
+fn callback(app: &mut dyn Application, mut ctx: NodeCtx<'_>, input: Input) -> Vec<Command> {
+    match input {
+        Input::Start => app.on_start(&mut ctx),
+        Input::Frame(frame) => app.on_frame(&mut ctx, frame),
+        Input::Timer(id) => app.on_timer(&mut ctx, id),
     }
+    ctx.finish().1
 }
 
-/// A live localhost cluster runner.
-#[derive(Debug)]
-pub struct Cluster;
-
-impl Cluster {
-    /// Runs one consensus over real UDP sockets; returns each process's
-    /// decision (`None` if it had not decided when every thread stopped).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Config`] for inconsistent parameters,
-    /// [`ClusterError::Io`] for socket failures.
-    pub fn run(config: ClusterConfig) -> Result<Vec<Option<bool>>, ClusterError> {
-        let n = config.n;
-        if config.proposals.len() != n {
-            return Err(ClusterError::Config(format!(
-                "{} proposals for {n} processes",
-                config.proposals.len()
-            )));
+/// Runs `recipe`'s applications over `config`'s sockets until every
+/// node decided or the timeout passed; returns the nodes' logs. Fails
+/// on a socket error, and re-raises a node thread's panic.
+pub fn run(config: ClusterConfig, recipe: &Recipe<'_>) -> io::Result<Vec<NodeLog>> {
+    let addrs = config.sockets.iter().map(UdpSocket::local_addr);
+    let addrs: Vec<SocketAddr> = addrs.collect::<io::Result<_>>()?;
+    let deadline = Instant::now() + config.timeout;
+    let undecided = AtomicUsize::new(addrs.len());
+    std::thread::scope(|scope| {
+        let mut threads = Vec::new();
+        for (id, socket) in config.sockets.into_iter().enumerate() {
+            let (addrs, undecided) = (&addrs, &undecided);
+            let node = move || drive(id, &socket, addrs, recipe, undecided, deadline);
+            threads.push(scope.spawn(node));
         }
-        if !(0.0..=1.0).contains(&config.loss) {
-            return Err(ClusterError::Config(format!(
-                "loss {} out of range",
-                config.loss
-            )));
-        }
-        let cfg = Config::evaluation(n).map_err(|e| ClusterError::Config(e.to_string()))?;
+        let joined = threads.into_iter().map(|thread| thread.join());
+        joined.map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic))).collect()
+    })
+}
 
-        // Bind every socket up front so the port list is known to all.
-        let sockets: Vec<UdpSocket> = (0..n)
-            .map(|_| UdpSocket::bind("127.0.0.1:0"))
-            .collect::<Result<_, _>>()?;
-        let ports: Vec<u16> = sockets
-            .iter()
-            .map(|s| s.local_addr().map(|a| a.port()))
-            .collect::<Result<_, _>>()?;
-        for s in &sockets {
-            s.set_read_timeout(Some(Duration::from_millis(2)))?;
-        }
-
-        let rings = KeyRing::trusted_setup(n, config.key_phases, config.seed);
-        let decisions: Arc<Mutex<Vec<Option<bool>>>> = Arc::new(Mutex::new(vec![None; n]));
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let mut handles = Vec::new();
-        for (id, (socket, ring)) in sockets.into_iter().zip(rings).enumerate() {
-            let ports = ports.clone();
-            let decisions = Arc::clone(&decisions);
-            let stop = Arc::clone(&stop);
-            let proposal = config.proposals[id];
-            let tick = config.tick;
-            let loss = config.loss;
-            let seed = config.seed;
-            handles.push(std::thread::spawn(move || {
-                let mut instance = Turquois::new(cfg, id, proposal, ring, seed + 1000 + id as u64);
-                let mut rng = StdRng::seed_from_u64(seed ^ (0x10c0 + id as u64));
-                let mut buf = [0u8; 65_536];
-                let mut last_tick = Instant::now() - tick;
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        return; // signalled by the coordinator
+/// One node's thread: build, start, then serve due timers and arrivals
+/// until no node is `undecided` or the `deadline` passed.
+fn drive(
+    id: NodeId,
+    socket: &UdpSocket,
+    addrs: &[SocketAddr],
+    recipe: &Recipe<'_>,
+    undecided: &AtomicUsize,
+    deadline: Instant,
+) -> io::Result<NodeLog> {
+    let (mut app, mut loss) = recipe(id);
+    // The rng behind `NodeCtx::rng` is seeded by node id, as in `replay`.
+    let mut rng = StdRng::seed_from_u64(id as u64);
+    let mut log = NodeLog { node: id, ..NodeLog::default() };
+    let mut timers = BinaryHeap::new();
+    let mut buf = vec![0u8; 1 << 16];
+    let mut next = Some(Input::Start);
+    let epoch = Instant::now();
+    // A failed send is a lost datagram, as UDP has it.
+    let send = |tag: u8, payload: &[u8], to| drop(socket.send_to(&[&[tag], payload].concat(), to));
+    loop {
+        let now = SimTime::from_nanos(epoch.elapsed().as_nanos() as u64);
+        if let Some(input) = next.take() {
+            log.inputs.push((now, input.clone()));
+            let ctx = NodeCtx::new(id, now, &mut rng, Vec::new());
+            for cmd in callback(app.as_mut(), ctx, input) {
+                match &cmd {
+                    Command::Broadcast { payload, .. } => {
+                        addrs.iter().for_each(|to| send(BROADCAST, payload, to));
                     }
-                    // Task T1: tick on schedule (phase changes re-tick
-                    // immediately below).
-                    if last_tick.elapsed() >= tick {
-                        last_tick = Instant::now();
-                        if let Ok(out) = instance.on_tick() {
-                            for &port in &ports {
-                                let _ = socket.send_to(&out.bytes, ("127.0.0.1", port));
-                            }
-                        }
+                    Command::Unicast { dst, payload, .. } => send(UNICAST, payload, &addrs[*dst]),
+                    // The command's index breaks ties between equal deadlines.
+                    Command::SetTimer { delay, id } => {
+                        timers.push(Reverse((now + *delay, log.commands.len(), *id)));
                     }
-                    // Task T2: drain arrivals.
-                    match socket.recv_from(&mut buf) {
-                        Ok((len, _)) => {
-                            if loss > 0.0 && rng.gen_bool(loss) {
-                                continue; // injected omission
-                            }
-                            let receipt = instance.on_message(&buf[..len]);
-                            if let Some(v) = receipt.newly_decided {
-                                decisions.lock().expect("decisions lock")[id] = Some(v);
-                            }
-                            if receipt.phase_advanced {
-                                last_tick = Instant::now() - tick; // tick now
-                            }
-                        }
-                        Err(ref e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut => {}
-                        Err(_) => return,
+                    Command::Decide { value } if log.decision.is_none() => {
+                        log.decision = Some(*value);
+                        undecided.fetch_sub(1, Ordering::Relaxed);
                     }
+                    Command::Decide { .. } => {}
                 }
-            }));
-        }
-
-        // Wait until everyone decided or the timeout expires.
-        let deadline = Instant::now() + config.timeout;
-        loop {
-            {
-                let d = decisions.lock().expect("decisions lock");
-                if d.iter().all(|x| x.is_some()) {
-                    break;
+                log.commands.push(cmd);
+            }
+        } else if undecided.load(Ordering::Relaxed) == 0 || Instant::now() >= deadline {
+            return Ok(log);
+        } else if timers.peek().is_some_and(|Reverse((due, ..))| *due <= now) {
+            let Reverse((_, _, timer)) = timers.pop().expect("a due timer");
+            next = Some(Input::Timer(timer));
+        } else {
+            let due = timers.peek().map(|Reverse((due, ..))| due.saturating_since(now));
+            socket.set_read_timeout(Some(due.map_or(MAX_WAIT, |d| d.min(MAX_WAIT))))?;
+            match socket.recv_from(&mut buf) {
+                Ok((len, from)) => {
+                    next = receive(id, &buf[..len], from, addrs, loss.as_mut(), now);
                 }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) => return Err(e),
             }
-            if Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
         }
-        stop.store(true, Ordering::Relaxed); // signals every thread
-        for h in handles {
-            let _ = h.join();
-        }
-        let result = decisions.lock().expect("decisions lock").clone();
-        Ok(result)
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unanimous_cluster_decides() {
-        let config = ClusterConfig {
-            n: 4,
-            proposals: vec![true; 4],
-            seed: 1,
-            ..ClusterConfig::default()
-        };
-        let decisions = Cluster::run(config).expect("runs");
-        assert!(decisions.iter().all(|d| *d == Some(true)), "{decisions:?}");
+/// The frame a datagram carries to node `me`, or `None` when it comes
+/// from outside the group, is untagged or mistagged, or the loss model
+/// drops it (a node's own datagrams are never dropped: OS loopback).
+fn receive(
+    me: NodeId,
+    datagram: &[u8],
+    from: SocketAddr,
+    addrs: &[SocketAddr],
+    loss: &mut dyn FaultModel,
+    now: SimTime,
+) -> Option<Input> {
+    let src = addrs.iter().position(|a| *a == from)?;
+    let (addressing, payload) = match datagram.split_first()? {
+        (&BROADCAST, payload) => (Addressing::Broadcast, payload),
+        (&UNICAST, payload) => (Addressing::Unicast(me), payload),
+        _ => return None,
+    };
+    let broadcast = addressing == Addressing::Broadcast;
+    if src != me && loss.drops(&DeliveryCtx { now, src, dst: me, broadcast }) {
+        return None;
     }
-
-    #[test]
-    fn divergent_cluster_agrees() {
-        let config = ClusterConfig {
-            n: 4,
-            proposals: vec![false, true, false, true],
-            seed: 2,
-            ..ClusterConfig::default()
-        };
-        let decisions = Cluster::run(config).expect("runs");
-        let first = decisions[0].expect("decides");
-        assert!(decisions.iter().all(|d| *d == Some(first)), "{decisions:?}");
-    }
-
-    #[test]
-    fn lossy_cluster_still_terminates() {
-        let config = ClusterConfig {
-            n: 4,
-            proposals: vec![true; 4],
-            seed: 3,
-            loss: 0.2,
-            ..ClusterConfig::default()
-        };
-        let decisions = Cluster::run(config).expect("runs");
-        assert!(decisions.iter().all(|d| *d == Some(true)), "{decisions:?}");
-    }
-
-    #[test]
-    fn config_validation() {
-        let bad = ClusterConfig {
-            n: 4,
-            proposals: vec![true; 3],
-            ..ClusterConfig::default()
-        };
-        assert!(matches!(Cluster::run(bad), Err(ClusterError::Config(_))));
-        let bad_loss = ClusterConfig {
-            loss: 2.0,
-            ..ClusterConfig::default()
-        };
-        assert!(matches!(
-            Cluster::run(bad_loss),
-            Err(ClusterError::Config(_))
-        ));
-    }
+    let payload = Bytes::copy_from_slice(payload);
+    Some(Input::Frame(ReceivedFrame { src, addressing, payload }))
 }

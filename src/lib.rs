@@ -10,8 +10,8 @@
 //! * [`net`] — the deterministic 802.11b wireless network simulator.
 //! * [`baselines`] — Bracha's protocol and ABBA, the paper's comparison
 //!   points.
-//! * [`runtime`] — a live thread-per-process runtime over real UDP
-//!   sockets.
+//! * [`runtime`] — hosts the simulator's applications live: a thread
+//!   and a real UDP socket per node.
 //! * [`harness`] — the experiment harness regenerating the paper's
 //!   evaluation.
 //!
