@@ -295,8 +295,7 @@ impl Scenario {
     }
 
     /// Sets the radio topology (default: the paper's single one-hop
-    /// broadcast domain). Partition schedules, static spatial layouts,
-    /// and random-waypoint mobility compose freely with
+    /// broadcast domain). A partition schedule composes freely with
     /// [`Scenario::loss`], [`Scenario::crashes`], and the fault load —
     /// the topology decides who *can* hear a frame, the loss model then
     /// drops among those who would.

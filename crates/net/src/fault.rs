@@ -213,7 +213,12 @@ pub struct BudgetedOmission {
 impl BudgetedOmission {
     /// Creates an adversary killing up to `budget` deliveries per
     /// `window`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `window` is zero: no instant would ever leave it.
     pub fn new(budget: usize, window: Duration) -> Self {
+        assert!(window > Duration::ZERO, "an omission window must be positive");
         BudgetedOmission {
             budget,
             window,
@@ -611,6 +616,12 @@ mod tests {
         assert!(adv.drops(&ctx_at(5)));
         // Jump several windows ahead; budget must be fresh.
         assert!(adv.drops(&ctx_at(95)));
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be positive")]
+    fn budgeted_omission_rejects_a_zero_window() {
+        let _ = BudgetedOmission::new(1, Duration::ZERO);
     }
 
     #[test]

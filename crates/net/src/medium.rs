@@ -18,25 +18,28 @@
 //!   contention window, up to `retry_limit`, after which the MAC reports
 //!   failure to the sender.
 //!
-//! Reachability comes from a [`crate::topology::Topology`]; the paper's
-//! single broadcast domain is the case where everyone senses and hears
-//! everyone. In general:
+//! Reachability comes from the compiled partition schedule, a
+//! [`crate::topology::Topology`]: a node decodes and senses exactly the
+//! members of its group at the query instant. The paper's single
+//! broadcast domain is the schedule with no transitions, where everyone
+//! senses and hears everyone. In general:
 //!
 //! * `free_at` is per node: a node's NAV/EIFS hold-off tracks only
 //!   transmissions it could actually sense.
 //! * More than one transmission group may be in flight at once, as
 //!   long as their contenders could not sense each other when they
-//!   started (hidden terminals, partition islands).
+//!   started (partition islands).
 //! * [`Reception`] is per receiver: a frame is decodable at `dst` when
-//!   the topology says `hears(src, dst)`, no co-group transmitter and no
-//!   overlapping foreign transmitter interferes at `dst`, and `dst` is
+//!   `dst` shares the transmitter's group, no co-group transmitter and
+//!   no overlapping foreign transmitter is sensed at `dst`, and `dst` is
 //!   not itself transmitting.
 //!
 //! Interference marks are computed when a group *starts* (against
 //! every group then in flight, both directions); any two overlapping
 //! groups meet this way because one of them starts while the other is
-//! on the air. Decodability is evaluated when the group *ends*. Both
-//! instants are deterministic, so mobility keeps runs reproducible.
+//! on the air. Decodability is evaluated when the group *ends*. The
+//! marks matter at transitions: a countdown sensed clear before a heal
+//! can fire after it, onto a channel the other island is using.
 //!
 //! The medium is *driven* by the [`crate::sim::Simulator`]: it never
 //! schedules its own events. Instead every mutation bumps an epoch, and
@@ -46,7 +49,7 @@
 use crate::config::PhyConfig;
 use crate::frame::{Addressing, Frame, NodeId};
 use crate::time::SimTime;
-use crate::topology::{self, Connectivity, Topology, TopologySpec};
+use crate::topology::{Connectivity, Topology, TopologySpec};
 use rand::RngCore;
 use std::collections::VecDeque;
 use std::fmt;
@@ -132,7 +135,7 @@ struct Group {
 /// The shared-medium arbiter. See the module docs for the model.
 pub struct Medium {
     phy: PhyConfig,
-    topology: Box<dyn Topology>,
+    topology: Topology,
     /// Per-node channel-free time: when the last transmission this
     /// node could sense ends.
     free_at: Vec<SimTime>,
@@ -180,16 +183,13 @@ impl Medium {
         Medium::with_topology(n, phy, &TopologySpec::SingleDomain, 0)
     }
 
-    /// Creates a medium whose reachability is governed by `spec`
-    /// (instantiated from `seed`).
-    pub fn with_topology(n: usize, phy: PhyConfig, spec: &TopologySpec, seed: u64) -> Self {
-        Medium::over(n, phy, spec.build(n, seed))
-    }
-
-    fn over(n: usize, phy: PhyConfig, topology: Box<dyn Topology>) -> Self {
+    /// Creates a medium whose reachability is governed by `spec`.
+    /// `_seed` is unused: no topology draws randomness, and callers
+    /// still pass the run seed.
+    pub fn with_topology(n: usize, phy: PhyConfig, spec: &TopologySpec, _seed: u64) -> Self {
         Medium {
             phy,
-            topology,
+            topology: spec.build(n),
             free_at: vec![SimTime::ZERO; n],
             groups: Vec::new(),
             queues: vec![VecDeque::new(); n],
@@ -225,13 +225,13 @@ impl Medium {
 
     /// One-line description of the active topology.
     pub fn topology_describe(&self) -> String {
-        self.topology.describe()
+        self.topology.describe().to_owned()
     }
 
     /// Reachability snapshot at `now` (for stall diagnostics): per-node
     /// direct-neighbor count and connected-component id.
-    pub fn connectivity(&mut self, now: SimTime, n: usize) -> Connectivity {
-        topology::connectivity(self.topology.as_mut(), now, n)
+    pub fn connectivity(&self, now: SimTime) -> Connectivity {
+        self.topology.connectivity(now)
     }
 
     /// Enqueues a frame for transmission by `frame.src`. Returns `false`
@@ -270,12 +270,12 @@ impl Medium {
 
     /// Carrier sense at `at`, one topology row per in-flight
     /// transmitter: `mask[node]` says whether `node` defers because one
-    /// of them is within its interference range.
+    /// of them shares its group.
     fn sense(&mut self, at: SimTime) {
         self.mask.fill(false);
         for group in &self.groups {
             for &(src, _) in &group.txs {
-                self.topology.interferes_row(at, src, &mut self.row);
+                self.topology.same_group_row(at, src, &mut self.row);
                 or_into(&mut self.mask, &self.row);
             }
         }
@@ -297,9 +297,9 @@ impl Medium {
     ///
     /// Takes `&mut self`: the first query under an epoch records its
     /// instant as the start of the idle countdown (`resolve` replays
-    /// the winner computation from it), and a mobile topology may
-    /// advance its state. Asking again under the same epoch — nothing
-    /// was mutated in between — returns the same instant.
+    /// the winner computation from it). Asking again under the same
+    /// epoch — nothing was mutated in between — returns the same
+    /// instant.
     pub fn next_resolution(&mut self, now: SimTime) -> Option<(SimTime, Epoch)> {
         let base = match self.sched {
             Some((epoch, base)) if epoch == self.epoch => base,
@@ -368,7 +368,7 @@ impl Medium {
         group.garbled.clear();
         group.garbled.resize(n, false);
         for &(src, _) in &group.txs {
-            self.topology.interferes_row(now, src, &mut self.row);
+            self.topology.same_group_row(now, src, &mut self.row);
             for other in &mut self.groups {
                 or_into(&mut other.garbled, &self.row);
             }
@@ -380,7 +380,7 @@ impl Medium {
         }
         for other in &self.groups {
             for &(src, _) in &other.txs {
-                self.topology.interferes_row(now, src, &mut self.row);
+                self.topology.same_group_row(now, src, &mut self.row);
                 or_into(&mut group.garbled, &self.row);
             }
         }
@@ -428,20 +428,21 @@ impl Medium {
             // Where this frame is garbled: wherever an overlapping
             // foreign group was sensed, and wherever a co-group
             // transmitter is (the single-domain collision, localized).
-            // A co-group transmitter within carrier-sense range of
-            // `node` is a collision even when no third station observed
-            // it (n = 2): the channel event happened, so it is counted.
+            // A co-group transmitter sharing `node`'s topology group is
+            // a collision even when no third station observed it
+            // (n = 2): the channel event happened, so it is counted.
             self.mask.copy_from_slice(&group.garbled);
             let mut collision = false;
             for other in done.iter().map(|tx| tx.node).filter(|&other| other != node) {
-                self.topology.interferes_row(now, other, &mut self.row);
+                self.topology.same_group_row(now, other, &mut self.row);
                 or_into(&mut self.mask, &self.row);
                 collision |= self.row[node];
             }
-            // Who decodes it: in decode range (out of it the frame never
-            // arrives, so interference there is irrelevant), not garbled,
-            // and — half-duplex — not transmitting, `node` included.
-            self.topology.hears_row(now, node, &mut self.row);
+            // Who decodes it: in `node`'s group (outside it the frame
+            // never arrives, so interference there is irrelevant), not
+            // garbled, and — half-duplex — not transmitting, `node`
+            // included.
+            self.topology.same_group_row(now, node, &mut self.row);
             for tx in done.iter() {
                 self.row[tx.node] = false;
             }
@@ -547,7 +548,7 @@ mod oracle;
 mod tests {
     use super::*;
     use crate::frame::Addressing;
-    use crate::topology::{Disk, PartitionSchedule};
+    use crate::topology::PartitionSchedule;
     use bytes::Bytes;
 
     /// An RNG yielding a scripted sequence (for forcing backoff values).
@@ -816,62 +817,67 @@ mod tests {
 
     // ---- topology-aware behavior ------------------------------------
 
-    fn spatial_line() -> Medium {
-        // A(0) --- B(1) --- C(2): A and C hear B, cannot sense each
-        // other.
-        let topo = Disk::new(vec![(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)], 120.0, 150.0);
-        Medium::over(3, PhyConfig::default(), Box::new(topo))
+    /// Four nodes in two islands, `{0, 1}` and `{2, 3}`, from time zero.
+    fn islands(heal: Option<SimTime>) -> Medium {
+        let split = PartitionSchedule::new().split_at(SimTime::ZERO, vec![vec![0, 1], vec![2, 3]]);
+        let spec = TopologySpec::Partition(match heal {
+            Some(at) => split.heal_at(at),
+            None => split,
+        });
+        Medium::with_topology(4, PhyConfig::default(), &spec, 0)
     }
 
     #[test]
-    fn hidden_terminals_transmit_concurrently_and_garble_the_middle() {
+    fn a_heal_under_two_islands_frames_garbles_both() {
         let phy = PhyConfig::default();
-        let mut m = spatial_line();
-        let mut rng = ScriptRng::new(vec![0]);
-        // A starts transmitting.
+        // Node 0 fires at DIFS; node 2 starts counting down then and
+        // fires 2 slots after its own DIFS, past a heal between the two.
+        let (at_0, heal) = (SimTime::ZERO + phy.difs, SimTime::ZERO + phy.difs * 2);
+        let mut m = islands(Some(heal));
+        let mut rng = ScriptRng::new(vec![0, 2]);
         m.enqueue(bc(0, 100), &mut rng);
-        let (at_a, ep_a) = m.next_resolution(SimTime::ZERO).unwrap();
-        let end_a = m.resolve(at_a, ep_a).unwrap();
-        // C cannot sense A: it contends and starts while A is on air.
+        assert_eq!(m.next_resolution(SimTime::ZERO).unwrap().0, at_0);
+        let end_0 = m.resolve(at_0, m.epoch()).unwrap();
+        // Counted from before the heal, node 2 sensed its island clear.
         m.enqueue(bc(2, 100), &mut rng);
-        let (at_c, ep_c) = m.next_resolution(at_a).unwrap();
-        assert!(at_c < end_a, "C must not defer to a hidden transmission");
-        let end_c = m.resolve(at_c, ep_c).unwrap();
-        assert!(end_c > end_a);
-        // A's frame ends first: garbled at B by C's overlapping
-        // transmission, and C is out of A's range anyway.
-        let done_a = finish(&mut m, end_a);
-        assert_eq!(done_a[0].node, 0);
-        assert!(done_a[0].collision, "hidden-terminal garbling at B");
-        assert_eq!(done_a[0].reception, Reception::Nobody);
-        // C's frame was equally garbled at B.
-        let done_c = finish(&mut m, end_c);
-        assert_eq!(done_c[0].node, 2);
-        assert!(done_c[0].collision);
-        assert_eq!(done_c[0].reception, Reception::Nobody);
-        let _ = phy;
+        let (at_2, ep_2) = m.next_resolution(at_0).unwrap();
+        assert_eq!(at_2, at_0 + phy.difs + phy.slot * 2);
+        assert!(heal < at_2 && at_2 < end_0, "node 2 fires healed, under node 0's frame");
+        let end_2 = m.resolve(at_2, ep_2).unwrap();
+        assert!(end_2 > end_0);
+        // Healed, each frame reaches everyone and is garbled everywhere
+        // by the other: marked on the group in flight, and on the new
+        // group from the transmitter in flight.
+        let done_0 = finish(&mut m, end_0);
+        assert_eq!(done_0[0].node, 0);
+        assert!(done_0[0].collision, "node 2 garbles node 0's frame");
+        assert_eq!(done_0[0].reception, Reception::Nobody);
+        let done_2 = finish(&mut m, end_2);
+        assert_eq!(done_2[0].node, 2);
+        assert!(done_2[0].collision, "node 0 garbled node 2's frame");
+        assert_eq!(done_2[0].reception, Reception::Nobody);
     }
 
     #[test]
-    fn out_of_range_receivers_are_excluded_not_collided() {
-        let mut m = spatial_line();
-        let mut rng = ScriptRng::new(vec![0]);
-        // Only A transmits: B hears it, C is out of range. No garbling
-        // anywhere, so this is not a collision.
+    fn a_two_node_island_firing_in_one_slot_collides() {
+        let mut m = islands(None);
+        let mut rng = ScriptRng::new(vec![5]);
         m.enqueue(bc(0, 50), &mut rng);
-        let (at, ep) = m.next_resolution(SimTime::ZERO).unwrap();
-        let end = m.resolve(at, ep).unwrap();
+        m.enqueue(bc(1, 80), &mut rng);
+        let (at, epoch) = m.next_resolution(SimTime::ZERO).unwrap();
+        let end = m.resolve(at, epoch).unwrap();
+        // No third station in the island observes the collision, and
+        // the other island never hears it: only the co-group term
+        // counts it.
         let done = finish(&mut m, end);
-        assert!(!done[0].collision);
-        assert_eq!(done[0].reception, Reception::Subset(vec![1]));
+        assert_eq!(done.iter().map(|tx| tx.node).collect::<Vec<_>>(), vec![0, 1]);
+        assert!(done.iter().all(|tx| tx.collision), "{done:?}");
+        assert!(done.iter().all(|tx| tx.reception == Reception::Nobody));
     }
 
     #[test]
     fn partitioned_islands_transmit_concurrently_without_garbling() {
-        let spec = TopologySpec::Partition(
-            PartitionSchedule::new().split_at(SimTime::ZERO, vec![vec![0, 1], vec![2, 3]]),
-        );
-        let mut m = Medium::with_topology(4, PhyConfig::default(), &spec, 0);
+        let mut m = islands(None);
         let mut rng = ScriptRng::new(vec![0]);
         m.enqueue(bc(0, 100), &mut rng);
         let (at0, ep0) = m.next_resolution(SimTime::ZERO).unwrap();
@@ -896,14 +902,14 @@ mod tests {
                 .split_at(SimTime::from_millis(1), vec![vec![0, 1, 2], vec![3]])
                 .heal_at(SimTime::from_millis(9)),
         );
-        let mut m = Medium::with_topology(4, PhyConfig::default(), &spec, 0);
-        let mid = m.connectivity(SimTime::from_millis(5), 4);
+        let m = Medium::with_topology(4, PhyConfig::default(), &spec, 0);
+        let mid = m.connectivity(SimTime::from_millis(5));
         assert_eq!(mid.reachable, vec![2, 2, 2, 0]);
         assert_eq!(mid.component, vec![0, 0, 0, 3]);
-        let healed = m.connectivity(SimTime::from_millis(9), 4);
+        let healed = m.connectivity(SimTime::from_millis(9));
         assert_eq!(healed.reachable, vec![3; 4]);
         assert_eq!(healed.component, vec![0; 4]);
-        let mut single = Medium::new(4, PhyConfig::default());
-        assert_eq!(single.connectivity(SimTime::ZERO, 4), healed);
+        let single = Medium::new(4, PhyConfig::default());
+        assert_eq!(single.connectivity(SimTime::ZERO), healed);
     }
 }

@@ -5,13 +5,14 @@
 //! [`PointwiseMedium`] asks the topology one `(transmitter, node)` pair
 //! at a time: `blocked` per contender, per-pair loops for the garbled
 //! marks and the receptions. Its method bodies are the retired ones,
-//! verbatim. The golden files only exercise single-domain and partition
-//! topologies, so this test is the guard that `Subset` receptions,
-//! `garbled` marks and hidden-terminal groups are still computed as
-//! they were.
+//! verbatim, except that the retired `hears` and `interferes` point
+//! queries are both [`same_group`], the one relation. The golden files
+//! cross few transitions, so this test is the guard that `Subset`
+//! receptions, `garbled` marks and overlapping groups are still
+//! computed as they were when a split or heal lands mid-countdown.
 
 use super::*;
-use crate::topology::{Disk, PartitionSchedule};
+use crate::topology::PartitionSchedule;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,9 +29,15 @@ struct Group {
     garbled: Vec<bool>,
 }
 
+/// The topology's relation as a point query: `a` and `b` share a group
+/// at `now`.
+fn same_group(topology: &Topology, now: SimTime, a: NodeId, b: NodeId) -> bool {
+    topology.grouping(now).is_none_or(|leader| leader[a] == leader[b])
+}
+
 struct PointwiseMedium {
     phy: PhyConfig,
-    topology: Box<dyn Topology>,
+    topology: Topology,
     free_at: Vec<SimTime>,
     groups: Vec<Group>,
     queues: Vec<VecDeque<PendingTx>>,
@@ -41,7 +48,7 @@ struct PointwiseMedium {
 }
 
 impl PointwiseMedium {
-    fn over(n: usize, phy: PhyConfig, topology: Box<dyn Topology>) -> Self {
+    fn over(n: usize, phy: PhyConfig, topology: Topology) -> Self {
         PointwiseMedium {
             phy,
             topology,
@@ -76,13 +83,13 @@ impl PointwiseMedium {
         true
     }
 
-    /// Carrier sense: `node` defers while any in-flight transmitter is
-    /// within its interference range at `at`.
+    /// Carrier sense: `node` defers while any in-flight transmitter
+    /// shares its group at `at`.
     fn blocked(&mut self, at: SimTime, node: NodeId) -> bool {
         for g in 0..self.groups.len() {
             for t in 0..self.groups[g].txs.len() {
                 let src = self.groups[g].txs[t].0;
-                if self.topology.interferes(at, src, node) {
+                if same_group(&self.topology, at, src, node) {
                     return true;
                 }
             }
@@ -175,13 +182,13 @@ impl PointwiseMedium {
         for &(src, _) in &txs {
             for g in 0..self.groups.len() {
                 for j in 0..n {
-                    if self.topology.interferes(now, src, j) {
+                    if same_group(&self.topology, now, src, j) {
                         self.groups[g].garbled[j] = true;
                     }
                 }
             }
             for j in 0..n {
-                if self.topology.interferes(now, src, j) {
+                if same_group(&self.topology, now, src, j) {
                     self.free_at[j] = self.free_at[j].max(end);
                 }
             }
@@ -190,7 +197,7 @@ impl PointwiseMedium {
             for t in 0..self.groups[g].txs.len() {
                 let src = self.groups[g].txs[t].0;
                 for (j, flag) in garbled.iter_mut().enumerate() {
-                    if self.topology.interferes(now, src, j) {
+                    if same_group(&self.topology, now, src, j) {
                         *flag = true;
                     }
                 }
@@ -236,7 +243,7 @@ impl PointwiseMedium {
                     all = false; // half-duplex: a co-group transmitter hears nothing
                     continue;
                 }
-                if !self.topology.hears(now, node, rx) {
+                if !same_group(&self.topology, now, node, rx) {
                     // Out of decode range: the frame simply never
                     // reaches `rx` — interference there is irrelevant.
                     all = false;
@@ -247,7 +254,7 @@ impl PointwiseMedium {
                     // A co-group transmitter in range garbles this
                     // frame at `rx` (the single-domain collision, localized).
                     for &other in &sources {
-                        if other != node && self.topology.interferes(now, other, rx) {
+                        if other != node && same_group(&self.topology, now, other, rx) {
                             garbled = true;
                             break;
                         }
@@ -266,7 +273,7 @@ impl PointwiseMedium {
             let collision = garbled_any
                 || sources
                     .iter()
-                    .any(|&other| other != node && self.topology.interferes(now, other, node));
+                    .any(|&other| other != node && same_group(&self.topology, now, other, node));
             let reception = if all {
                 Reception::Everyone
             } else if heard.is_empty() {
@@ -360,15 +367,15 @@ struct Seen {
     cleared_frames: usize,
 }
 
-/// Drives a [`Medium`] and a [`PointwiseMedium`] over two instances of
-/// one topology through the same seeded load — broadcasts, unicasts
+/// Drives a [`Medium`] and a [`PointwiseMedium`] over two compilations
+/// of one topology through the same seeded load — broadcasts, unicasts
 /// with lost ACKs, queue clears — the way the simulator's event loop
 /// does, and demands equal answers at every call. Adds what the load
 /// exercised to `seen`.
-fn lock_step(n: usize, seed: u64, topology: impl Fn() -> Box<dyn Topology>, seen: &mut Seen) {
+fn lock_step(n: usize, seed: u64, spec: &TopologySpec, seen: &mut Seen) {
     let phy = PhyConfig::default();
-    let mut real = Medium::over(n, phy, topology());
-    let mut oracle = PointwiseMedium::over(n, phy, topology());
+    let mut real = Medium::with_topology(n, phy, spec, seed);
+    let mut oracle = PointwiseMedium::over(n, phy, spec.build(n));
     // One backoff stream each, drawn in step; the driver has its own.
     let (mut real_rng, mut oracle_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xd21f);
@@ -463,45 +470,42 @@ fn lock_step(n: usize, seed: u64, topology: impl Fn() -> Box<dyn Topology>, seen
     assert_eq!(real.epoch(), oracle.epoch);
 }
 
-/// `n` seeded positions in a square of `side` meters.
-fn scatter(n: usize, side: f64, seed: u64) -> Vec<(f64, f64)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| (rng.gen_range(0.0..side), rng.gen_range(0.0..side))).collect()
+/// A seeded schedule over the load's 200 ms: a transition every 1–4 ms,
+/// each a heal (one in three) or a split of `0..n` into two to four
+/// groups, so countdowns and transmissions keep straddling them.
+fn churn(n: usize, seed: u64) -> TopologySpec {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xc4_a7);
+    let mut schedule = PartitionSchedule::new();
+    let mut at = 0;
+    while at < 200_000_000 {
+        at += rng.gen_range(1_000_000..4_000_000u64);
+        schedule = if rng.gen_range(0..3u32) == 0 {
+            schedule.heal_at(SimTime::from_nanos(at))
+        } else {
+            let mut groups = vec![Vec::new(); rng.gen_range(2..=4)];
+            for node in 0..n {
+                let g = rng.gen_range(0..groups.len());
+                groups[g].push(node);
+            }
+            schedule.split_at(SimTime::from_nanos(at), groups)
+        };
+    }
+    TopologySpec::Partition(schedule)
 }
 
 #[test]
-fn rows_arbitrate_like_point_queries_on_static_disks() {
+fn rows_arbitrate_like_point_queries_under_frequent_transitions() {
     let mut total = Seen::default();
     for seed in 0..6 {
-        // Sparse enough for hidden terminals and spatial reuse.
-        let disk = || Box::new(Disk::new(scatter(12, 400.0, seed), 130.0, 200.0)) as Box<dyn Topology>;
-        lock_step(12, seed, disk, &mut total);
+        lock_step(12, seed, &churn(12, seed), &mut total);
     }
     assert!(total.transmissions > 1000, "{total:?}");
     assert!(total.collisions > 50, "{total:?}");
     assert!(total.subsets > 500, "{total:?}");
-    assert!(total.overlapping_groups > 50, "hidden terminals must overlap: {total:?}");
+    assert!(total.overlapping_groups > 50, "islands must overlap: {total:?}");
     assert!(total.retries > 50, "{total:?}");
     assert!(total.stale_resolves > 100, "{total:?}");
     assert!(total.cleared_frames > 10, "{total:?}");
-}
-
-#[test]
-fn rows_arbitrate_like_point_queries_under_mobility() {
-    for seed in 0..4 {
-        let spec = TopologySpec::Waypoint {
-            side_m: 400.0,
-            comm_range_m: 130.0,
-            interference_range_m: 200.0,
-            // Fast and finely ticked, so links change many times in 200 ms.
-            speed_mps: 2_000.0,
-            pause: Duration::from_millis(3),
-            tick: Duration::from_millis(2),
-        };
-        let mut seen = Seen::default();
-        lock_step(10, seed, || spec.build(10, seed), &mut seen);
-        assert!(seen.subsets > 50 && seen.overlapping_groups > 5, "{seen:?}");
-    }
 }
 
 #[test]
@@ -514,12 +518,12 @@ fn rows_arbitrate_like_point_queries_across_split_and_heal() {
                 .split_at(SimTime::from_millis(140), vec![(0..5).collect(), (5..9).collect()]),
         );
         let mut seen = Seen::default();
-        lock_step(9, seed, || spec.build(9, seed), &mut seen);
+        lock_step(9, seed, &spec, &mut seen);
         assert!(seen.subsets > 50 && seen.overlapping_groups > 5, "{seen:?}");
         // Healed stretches behave as the single domain does.
         assert!(seen.transmissions - seen.subsets > 50, "{seen:?}");
     }
     let mut seen = Seen::default();
-    lock_step(9, 1, || TopologySpec::SingleDomain.build(9, 1), &mut seen);
+    lock_step(9, 1, &TopologySpec::SingleDomain, &mut seen);
     assert_eq!((seen.subsets, seen.overlapping_groups), (0, 0), "{seen:?}");
 }

@@ -233,9 +233,10 @@ pub struct SimConfig {
     /// Number of events retained by the network trace (0 = tracing off,
     /// the default; see [`crate::trace`]).
     pub trace_capacity: usize,
-    /// Radio topology (who hears/senses whom); the default is the
-    /// paper's single one-hop broadcast domain. Instantiated from
-    /// `seed` by [`crate::topology::TopologySpec::build`].
+    /// Radio topology (which nodes share a broadcast domain, and from
+    /// when); the default is the paper's single one-hop broadcast
+    /// domain. Compiled by [`crate::topology::TopologySpec::build`];
+    /// it draws no randomness, so `seed` does not reach it.
     pub topology: TopologySpec,
 }
 
@@ -504,11 +505,10 @@ impl Simulator {
                         }
                     }
                     self.push(end, EventKind::TxEnd);
-                    // Under a partial topology, contenders out of the
-                    // winners' sensing range keep contending while the
-                    // new group is on the air (spatial reuse). In a
-                    // single domain everyone is blocked and this is a
-                    // no-op.
+                    // Under a partition, contenders outside the
+                    // winners' group keep contending while the new
+                    // group is on the air. In a single domain everyone
+                    // is blocked and this is a no-op.
                     self.reschedule_contention();
                 }
                 // Stale events need no rescheduling: whatever bumped the
@@ -576,15 +576,14 @@ impl Simulator {
     }
 
     /// Snapshots the diagnostic state of the run — what a supervised
-    /// run attaches to a stall. Callable at any time (takes `&mut self`
-    /// only to query the topology's reachability snapshot).
+    /// run attaches to a stall. Callable at any time.
     pub fn stall_report(
-        &mut self,
+        &self,
         limit: SimTime,
         status: RunStatus,
         target: Option<usize>,
     ) -> StallReport {
-        let connectivity = self.medium.connectivity(self.time, self.n());
+        let connectivity = self.medium.connectivity(self.time);
         let nodes = (0..self.n())
             .map(|node| NodeProgress {
                 node,

@@ -1,86 +1,27 @@
-//! Radio topology: who hears whom, and who interferes with whom.
+//! Radio topology: which nodes share a broadcast domain at a given
+//! instant.
 //!
-//! The paper's evaluation lives in a single one-hop broadcast domain,
-//! but Turquois targets *dynamic* ad hoc networks — partitions that
-//! form and heal, nodes that drift out of range, hidden terminals. The
-//! [`Topology`] trait is the seam: the medium asks it, per query
-//! instant, whether a transmission from `src` is **decodable** at `dst`
-//! ([`Topology::hears`], the communication range) and whether it is
-//! **detectable** at `dst` ([`Topology::interferes`], the carrier-sense
-//! / interference range — always at least the communication range).
-//! Everything else (CSMA/CA, queues, retries) stays in
-//! [`crate::medium`].
+//! The paper evaluates one single-hop broadcast domain with static
+//! membership (§3, §7) and folds interference and mobility into the
+//! dynamic omissions of the communication-failure model
+//! ([`crate::fault`]). The one topology beyond that domain is a
+//! [`PartitionSchedule`]: the node set splits into groups at a simtime
+//! and heals (or re-splits) at a simtime. Group membership *is* the
+//! topology, and it answers one relation, "same group at `now`": a node
+//! decodes and carrier-senses exactly the transmissions of its own
+//! group's members, itself included (a transmitting radio deafens
+//! itself). The single broadcast domain is the schedule with no
+//! transitions. CSMA/CA, queues and retries stay in [`crate::medium`].
 //!
-//! Three regimes beyond the default single domain, all deterministic
-//! functions of the run seed and the query time — no OS entropy, no
-//! wall clocks:
-//!
-//! * [`PartitionSchedule`] — split the node set into groups at a
-//!   simtime, heal at a simtime. Group membership *is* the topology:
-//!   cross-group transmissions are neither heard nor sensed.
-//! * [`TopologySpec::Spatial`] — static seeded positions in a square,
-//!   disk communication/interference ranges. Nodes outside each
-//!   other's interference range cannot carrier-sense each other, which
-//!   is what produces hidden-terminal collisions at the MAC.
-//! * [`TopologySpec::Waypoint`] — random-waypoint mobility; positions
-//!   are re-evaluated on a configurable clock tick (queries between
-//!   ticks see the last tick's geometry), so reachability changes at
-//!   discrete, reproducible instants.
-//!
-//! Implementations must be symmetric (`hears(a, b) == hears(b, a)`)
-//! and reflexive for interference (`interferes(x, x)` is `true`: a
-//! transmitting radio always senses — and deafens — itself).
+//! No topology draws randomness: the relation is a pure function of the
+//! schedule and the query time.
 
 use crate::frame::NodeId;
 use crate::time::SimTime;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::time::Duration;
-
-/// Answers reachability and interference queries for one simulation.
-///
-/// Methods take `&mut self` so mobile topologies can advance their
-/// internal state lazily; query times are non-decreasing over a run
-/// (the simulator's clock is monotonic).
-pub trait Topology {
-    /// `true` when a frame transmitted by `src` at `now` is decodable
-    /// at `dst` (absent collisions and injected faults).
-    fn hears(&mut self, now: SimTime, src: NodeId, dst: NodeId) -> bool;
-
-    /// `true` when energy transmitted by `src` at `now` is detectable
-    /// at `dst` — carrier sense blocks `dst` from starting its own
-    /// transmission, and a foreign detectable transmission garbles any
-    /// frame `dst` is currently decoding. Must imply nothing about
-    /// decodability, must contain the `hears` relation, and must be
-    /// `true` for `src == dst`.
-    fn interferes(&mut self, now: SimTime, src: NodeId, dst: NodeId) -> bool;
-
-    /// [`Topology::hears`] from `src` to every node at once:
-    /// `row[dst] = hears(now, src, dst)`. The medium asks in rows — one
-    /// call per transmitter, not one per pair — so an implementation
-    /// that can answer a row cheaply should; the answer must equal the
-    /// point queries entry for entry.
-    fn hears_row(&mut self, now: SimTime, src: NodeId, row: &mut [bool]) {
-        for (dst, slot) in row.iter_mut().enumerate() {
-            *slot = self.hears(now, src, dst);
-        }
-    }
-
-    /// [`Topology::interferes`] from `src` to every node at once; same
-    /// contract as [`Topology::hears_row`].
-    fn interferes_row(&mut self, now: SimTime, src: NodeId, row: &mut [bool]) {
-        for (dst, slot) in row.iter_mut().enumerate() {
-            *slot = self.interferes(now, src, dst);
-        }
-    }
-
-    /// One-line human description for reports and stall diagnostics.
-    fn describe(&self) -> String;
-}
 
 /// Plain-data topology selector, carried by
-/// [`crate::sim::SimConfig`]; [`TopologySpec::build`] instantiates the
-/// actual [`Topology`] from the run seed.
+/// [`crate::sim::SimConfig`]; [`TopologySpec::build`] compiles it into
+/// the [`Topology`] the medium queries.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub enum TopologySpec {
     /// Every node hears (and senses) every other node — the paper's
@@ -90,107 +31,23 @@ pub enum TopologySpec {
     /// Scheduled partition: groups split at a simtime and heal at a
     /// simtime ([`PartitionSchedule`]).
     Partition(PartitionSchedule),
-    /// Static seeded positions in a `side_m × side_m` square with disk
-    /// communication/interference ranges (meters).
-    Spatial {
-        /// Side of the deployment square, meters.
-        side_m: f64,
-        /// Communication (decode) range, meters.
-        comm_range_m: f64,
-        /// Interference (carrier-sense) range, meters; must be ≥ the
-        /// communication range.
-        interference_range_m: f64,
-    },
-    /// Random-waypoint mobility over the same disk model: each node
-    /// walks to seeded waypoints at `speed_mps`, pausing `pause`
-    /// between legs; geometry is re-evaluated every `tick`.
-    Waypoint {
-        /// Side of the deployment square, meters.
-        side_m: f64,
-        /// Communication (decode) range, meters.
-        comm_range_m: f64,
-        /// Interference (carrier-sense) range, meters; must be ≥ the
-        /// communication range.
-        interference_range_m: f64,
-        /// Walking speed, meters per second (> 0).
-        speed_mps: f64,
-        /// Pause at each waypoint.
-        pause: Duration,
-        /// Reachability re-evaluation interval (> 0).
-        tick: Duration,
-    },
 }
 
 impl TopologySpec {
-    /// Instantiates the topology for `n` nodes. All randomness derives
-    /// from `seed` (never from the simulator's boot RNG, so adding a
-    /// topology does not disturb node/MAC RNG streams).
+    /// Compiles the topology for `n` nodes.
     ///
     /// # Panics
     ///
-    /// Panics on invalid parameters: a partition schedule that does
-    /// not cover `0..n` exactly, interference range below
-    /// communication range, or non-positive speed/tick.
-    pub fn build(&self, n: usize, seed: u64) -> Box<dyn Topology> {
+    /// Panics when a partition split does not cover `0..n` exactly once.
+    pub fn build(&self, n: usize) -> Topology {
         match self {
-            TopologySpec::SingleDomain => Box::new(SingleDomain),
-            TopologySpec::Partition(schedule) => Box::new(schedule.build(n)),
-            TopologySpec::Spatial {
-                side_m,
-                comm_range_m,
-                interference_range_m,
-            } => {
-                let mut rng = StdRng::seed_from_u64(seed ^ SPATIAL_SALT);
-                let pos = (0..n)
-                    .map(|_| (rng.gen_range(0.0..*side_m), rng.gen_range(0.0..*side_m)))
-                    .collect();
-                Box::new(Disk::new(pos, *comm_range_m, *interference_range_m))
-            }
-            TopologySpec::Waypoint {
-                side_m,
-                comm_range_m,
-                interference_range_m,
-                speed_mps,
-                pause,
-                tick,
-            } => Box::new(Waypoint::new(
+            TopologySpec::SingleDomain => Topology {
+                describe: "single broadcast domain".into(),
                 n,
-                seed,
-                *side_m,
-                *comm_range_m,
-                *interference_range_m,
-                *speed_mps,
-                *pause,
-                *tick,
-            )),
+                changes: Vec::new(),
+            },
+            TopologySpec::Partition(schedule) => schedule.build(n),
         }
-    }
-}
-
-/// Seed salt for static spatial placement.
-const SPATIAL_SALT: u64 = 0x0d15_7a6c_e5a1;
-/// Seed salt for waypoint mobility streams.
-const WAYPOINT_SALT: u64 = 0x00a0_b11e_5a17;
-
-/// The default topology: one broadcast domain, everyone in range.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SingleDomain;
-
-impl Topology for SingleDomain {
-    fn hears(&mut self, _now: SimTime, _src: NodeId, _dst: NodeId) -> bool {
-        true
-    }
-    fn interferes(&mut self, _now: SimTime, _src: NodeId, _dst: NodeId) -> bool {
-        true
-    }
-    fn hears_row(&mut self, _now: SimTime, _src: NodeId, row: &mut [bool]) {
-        row.fill(true);
-    }
-    fn interferes_row(&mut self, _now: SimTime, _src: NodeId, row: &mut [bool]) {
-        row.fill(true);
-    }
-    fn describe(&self) -> String {
-        "single broadcast domain".into()
     }
 }
 
@@ -260,293 +117,105 @@ impl PartitionSchedule {
             .join(", ")
     }
 
-    /// Compiles the schedule for `n` nodes.
+    /// Compiles the schedule for `n` nodes: each split becomes the
+    /// group leader (smallest member) of every node.
     ///
     /// # Panics
     ///
     /// Panics when a split does not cover `0..n` exactly once.
-    fn build(&self, n: usize) -> Partitioned {
-        let mut changes: Vec<(SimTime, Option<Vec<usize>>)> = self
+    fn build(&self, n: usize) -> Topology {
+        let mut changes: Vec<(SimTime, Option<Vec<NodeId>>)> = self
             .transitions
             .iter()
             .map(|(at, grouping)| {
                 let compiled = grouping.as_ref().map(|groups| {
-                    let mut of = vec![usize::MAX; n];
-                    for (gid, members) in groups.iter().enumerate() {
+                    let mut leader = vec![usize::MAX; n];
+                    for members in groups {
+                        let first = members.iter().copied().min().unwrap_or(usize::MAX);
                         for &node in members {
                             assert!(node < n, "partition group member {node} out of range");
                             assert_eq!(
-                                of[node],
+                                leader[node],
                                 usize::MAX,
                                 "node {node} appears in more than one partition group"
                             );
-                            of[node] = gid;
+                            leader[node] = first;
                         }
                     }
                     assert!(
-                        of.iter().all(|&g| g != usize::MAX),
-                        "a partition split must cover every node: {of:?}"
+                        leader.iter().all(|&g| g != usize::MAX),
+                        "a partition split must cover every node: {leader:?}"
                     );
-                    of
+                    leader
                 });
                 (*at, compiled)
             })
             .collect();
         changes.sort_by_key(|(at, _)| *at);
-        Partitioned {
+        Topology {
             describe: self.describe(),
+            n,
             changes,
         }
     }
 }
 
-/// Compiled [`PartitionSchedule`]: group id per node per epoch.
+/// A compiled [`TopologySpec`]: the grouping in force at each instant.
 #[derive(Clone, Debug)]
-struct Partitioned {
+pub struct Topology {
     describe: String,
+    n: usize,
     /// Sorted transitions; the entry active at `now` is the last one
-    /// with `at <= now` (fully connected before the first).
-    changes: Vec<(SimTime, Option<Vec<usize>>)>,
+    /// with `at <= now` (fully connected before the first). A grouping
+    /// maps each node to its group's leader, the smallest member.
+    changes: Vec<(SimTime, Option<Vec<NodeId>>)>,
 }
 
-impl Partitioned {
-    /// Group id per node at `now`; `None` while fully connected.
-    fn grouping(&self, now: SimTime) -> Option<&[usize]> {
+impl Topology {
+    /// One-line human description for reports and stall diagnostics.
+    pub fn describe(&self) -> &str {
+        &self.describe
+    }
+
+    /// Group leader per node at `now`; `None` while fully connected.
+    pub(crate) fn grouping(&self, now: SimTime) -> Option<&[NodeId]> {
         let idx = self.changes.partition_point(|(at, _)| *at <= now);
-        self.changes[..idx].last().and_then(|(_, of)| of.as_deref())
+        self.changes[..idx].last().and_then(|(_, leader)| leader.as_deref())
     }
 
-    fn connected(&self, now: SimTime, a: NodeId, b: NodeId) -> bool {
-        self.grouping(now).is_none_or(|of| of[a] == of[b])
-    }
-
-    /// Both relations are "same group" (a node shares its own), so one
-    /// row serves `hears_row` and `interferes_row`.
-    fn connected_row(&self, now: SimTime, src: NodeId, row: &mut [bool]) {
+    /// The one relation, from `src` to every node at once:
+    /// `row[dst]` says whether `dst` shares `src`'s group at `now` —
+    /// whether it decodes `src`'s frames and carrier-senses `src`'s
+    /// energy. `row[src]` is `true`. The medium asks one row per
+    /// transmitter, into a buffer it owns.
+    pub fn same_group_row(&self, now: SimTime, src: NodeId, row: &mut [bool]) {
         match self.grouping(now) {
             None => row.fill(true),
-            Some(of) => {
-                let mine = of[src];
-                for (slot, &group) in row.iter_mut().zip(of) {
+            Some(leader) => {
+                let mine = leader[src];
+                for (slot, &group) in row.iter_mut().zip(leader) {
                     *slot = group == mine;
                 }
             }
         }
     }
-}
 
-impl Topology for Partitioned {
-    fn hears(&mut self, now: SimTime, src: NodeId, dst: NodeId) -> bool {
-        self.connected(now, src, dst)
-    }
-    fn interferes(&mut self, now: SimTime, src: NodeId, dst: NodeId) -> bool {
-        src == dst || self.connected(now, src, dst)
-    }
-    fn hears_row(&mut self, now: SimTime, src: NodeId, row: &mut [bool]) {
-        self.connected_row(now, src, row);
-    }
-    fn interferes_row(&mut self, now: SimTime, src: NodeId, row: &mut [bool]) {
-        self.connected_row(now, src, row);
-    }
-    fn describe(&self) -> String {
-        self.describe.clone()
-    }
-}
-
-/// Static disk model over fixed positions (meters).
-#[derive(Clone, Debug)]
-pub struct Disk {
-    pos: Vec<(f64, f64)>,
-    comm2: f64,
-    intf2: f64,
-}
-
-impl Disk {
-    /// Builds a disk topology over explicit positions — the
-    /// constructor tests and hand-crafted geometries (e.g. a
-    /// hidden-terminal line) use.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the interference range is below the communication
-    /// range.
-    pub fn new(pos: Vec<(f64, f64)>, comm_range_m: f64, interference_range_m: f64) -> Disk {
-        assert!(
-            interference_range_m >= comm_range_m,
-            "interference range must contain the communication range"
-        );
-        Disk {
-            pos,
-            comm2: comm_range_m * comm_range_m,
-            intf2: interference_range_m * interference_range_m,
+    /// Reachability snapshot at `now`, read off the active grouping in
+    /// O(n): each node reaches the rest of its group.
+    pub fn connectivity(&self, now: SimTime) -> Connectivity {
+        let component = match self.grouping(now) {
+            None => vec![0; self.n],
+            Some(leader) => leader.to_vec(),
+        };
+        let mut size = vec![0usize; self.n];
+        for &leader in &component {
+            size[leader] += 1;
         }
-    }
-
-    fn dist2(&self, a: NodeId, b: NodeId) -> f64 {
-        let (ax, ay) = self.pos[a];
-        let (bx, by) = self.pos[b];
-        let (dx, dy) = (ax - bx, ay - by);
-        dx * dx + dy * dy
-    }
-}
-
-impl Topology for Disk {
-    fn hears(&mut self, _now: SimTime, src: NodeId, dst: NodeId) -> bool {
-        self.dist2(src, dst) <= self.comm2
-    }
-    fn interferes(&mut self, _now: SimTime, src: NodeId, dst: NodeId) -> bool {
-        self.dist2(src, dst) <= self.intf2
-    }
-    fn describe(&self) -> String {
-        format!(
-            "static disk (n={}, comm {:.0}m, intf {:.0}m)",
-            self.pos.len(),
-            self.comm2.sqrt(),
-            self.intf2.sqrt()
-        )
-    }
-}
-
-/// One node's current random-waypoint leg.
-#[derive(Clone, Debug)]
-struct Leg {
-    rng: StdRng,
-    /// Leg origin and target, meters.
-    from: (f64, f64),
-    to: (f64, f64),
-    /// Walking starts at `depart` and arrives at `arrive`; the node
-    /// then pauses until `depart` of the next leg.
-    depart: SimTime,
-    arrive: SimTime,
-}
-
-/// Random-waypoint mobility with disk ranges, quantized to a clock
-/// tick: all queries inside one tick see the tick-start geometry.
-#[derive(Clone, Debug)]
-pub struct Waypoint {
-    legs: Vec<Leg>,
-    side: f64,
-    comm2: f64,
-    intf2: f64,
-    speed: f64,
-    pause: Duration,
-    tick: Duration,
-}
-
-impl Waypoint {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        n: usize,
-        seed: u64,
-        side: f64,
-        comm: f64,
-        intf: f64,
-        speed: f64,
-        pause: Duration,
-        tick: Duration,
-    ) -> Waypoint {
-        assert!(intf >= comm, "interference range must contain the communication range");
-        assert!(speed > 0.0, "waypoint speed must be positive");
-        assert!(tick > Duration::ZERO, "waypoint tick must be positive");
-        let legs = (0..n)
-            .map(|node| {
-                // Golden-ratio stride decorrelates the per-node streams
-                // while staying a pure function of (seed, node).
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ WAYPOINT_SALT
-                        ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(node as u64 + 1),
-                );
-                let from = (rng.gen_range(0.0..side), rng.gen_range(0.0..side));
-                let mut leg = Leg {
-                    rng,
-                    from,
-                    to: from,
-                    depart: SimTime::ZERO,
-                    arrive: SimTime::ZERO,
-                };
-                Self::next_leg(&mut leg, side, speed, SimTime::ZERO);
-                leg
-            })
-            .collect();
-        Waypoint {
-            legs,
-            side,
-            comm2: comm * comm,
-            intf2: intf * intf,
-            speed,
-            pause,
-            tick,
+        let reachable = component.iter().map(|&leader| size[leader] - 1).collect();
+        Connectivity {
+            reachable,
+            component,
         }
-    }
-
-    /// Starts a new leg from the current arrival point, departing at
-    /// `depart`.
-    fn next_leg(leg: &mut Leg, side: f64, speed: f64, depart: SimTime) {
-        leg.from = leg.to;
-        leg.to = (leg.rng.gen_range(0.0..side), leg.rng.gen_range(0.0..side));
-        let (dx, dy) = (leg.to.0 - leg.from.0, leg.to.1 - leg.from.1);
-        let dist = (dx * dx + dy * dy).sqrt();
-        leg.depart = depart;
-        leg.arrive = depart + Duration::from_secs_f64(dist / speed);
-    }
-
-    /// Quantizes `now` to the reachability tick.
-    fn quantize(&self, now: SimTime) -> SimTime {
-        let t = self.tick.as_nanos() as u64;
-        SimTime::from_nanos(now.as_nanos() / t * t)
-    }
-
-    /// Advances node `node` to (quantized) time `q` and returns its
-    /// position. Pure in `q` once the leg containing `q` is reached;
-    /// queries never go backwards past a leg boundary because the
-    /// simulator clock is monotonic.
-    fn position(&mut self, node: NodeId, q: SimTime) -> (f64, f64) {
-        let (side, speed, pause) = (self.side, self.speed, self.pause);
-        let leg = &mut self.legs[node];
-        while q >= leg.arrive + pause {
-            let depart = leg.arrive + pause;
-            Self::next_leg(leg, side, speed, depart);
-        }
-        if q <= leg.depart {
-            leg.from
-        } else if q >= leg.arrive {
-            leg.to
-        } else {
-            let total = leg.arrive.saturating_since(leg.depart).as_secs_f64();
-            let done = q.saturating_since(leg.depart).as_secs_f64();
-            let frac = if total > 0.0 { done / total } else { 1.0 };
-            (
-                leg.from.0 + (leg.to.0 - leg.from.0) * frac,
-                leg.from.1 + (leg.to.1 - leg.from.1) * frac,
-            )
-        }
-    }
-
-    fn dist2(&mut self, now: SimTime, a: NodeId, b: NodeId) -> f64 {
-        let q = self.quantize(now);
-        let (ax, ay) = self.position(a, q);
-        let (bx, by) = self.position(b, q);
-        let (dx, dy) = (ax - bx, ay - by);
-        dx * dx + dy * dy
-    }
-}
-
-impl Topology for Waypoint {
-    fn hears(&mut self, now: SimTime, src: NodeId, dst: NodeId) -> bool {
-        self.dist2(now, src, dst) <= self.comm2
-    }
-    fn interferes(&mut self, now: SimTime, src: NodeId, dst: NodeId) -> bool {
-        src == dst || self.dist2(now, src, dst) <= self.intf2
-    }
-    fn describe(&self) -> String {
-        format!(
-            "random waypoint (n={}, comm {:.0}m, intf {:.0}m, {:.1} m/s, tick {:?})",
-            self.legs.len(),
-            self.comm2.sqrt(),
-            self.intf2.sqrt(),
-            self.speed,
-            self.tick
-        )
     }
 }
 
@@ -562,45 +231,24 @@ pub struct Connectivity {
     pub component: Vec<usize>,
 }
 
-/// Computes the reachability snapshot over `hears` at `now` (treated
-/// as symmetric).
-pub fn connectivity(topo: &mut dyn Topology, now: SimTime, n: usize) -> Connectivity {
-    let mut reachable = vec![0usize; n];
-    let mut component: Vec<usize> = (0..n).collect();
-    for a in 0..n {
-        for b in a + 1..n {
-            if topo.hears(now, a, b) {
-                reachable[a] += 1;
-                reachable[b] += 1;
-                // Union by relabeling: n is small and this runs only in
-                // diagnostics paths.
-                let (ra, rb) = (component[a], component[b]);
-                if ra != rb {
-                    let (keep, drop) = (ra.min(rb), ra.max(rb));
-                    for c in component.iter_mut() {
-                        if *c == drop {
-                            *c = keep;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Connectivity {
-        reachable,
-        component,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn row(t: &Topology, now: SimTime, src: NodeId) -> Vec<bool> {
+        let (mut row, mut stale) = (vec![false; t.n], vec![true; t.n]);
+        t.same_group_row(now, src, &mut row);
+        t.same_group_row(now, src, &mut stale);
+        assert_eq!(row, stale, "a row overwrites whatever the buffer held");
+        row
+    }
+
     #[test]
     fn single_domain_hears_everyone() {
-        let mut t = SingleDomain;
-        assert!(t.hears(SimTime::ZERO, 0, 5));
-        assert!(t.interferes(SimTime::from_millis(10), 3, 3));
+        let t = TopologySpec::SingleDomain.build(6);
+        assert_eq!(row(&t, SimTime::ZERO, 0), vec![true; 6]);
+        assert_eq!(row(&t, SimTime::from_millis(10), 3), vec![true; 6]);
+        assert_eq!(t.describe(), "single broadcast domain");
     }
 
     #[test]
@@ -610,16 +258,48 @@ mod tests {
                 .split_at(SimTime::from_millis(10), vec![vec![0, 1], vec![2, 3]])
                 .heal_at(SimTime::from_millis(50)),
         );
-        let mut t = spec.build(4, 7);
+        let t = spec.build(4);
         // Before the split: connected.
-        assert!(t.hears(SimTime::from_millis(9), 0, 3));
-        // During: only same-group.
-        assert!(t.hears(SimTime::from_millis(10), 0, 1));
-        assert!(!t.hears(SimTime::from_millis(10), 0, 2));
-        assert!(!t.interferes(SimTime::from_millis(30), 1, 3));
-        assert!(t.interferes(SimTime::from_millis(30), 3, 3), "self-sense");
+        assert_eq!(row(&t, SimTime::from_millis(9), 0), vec![true; 4]);
+        // During: only same-group, self included.
+        assert_eq!(row(&t, SimTime::from_millis(10), 0), vec![true, true, false, false]);
+        assert_eq!(row(&t, SimTime::from_millis(30), 3), vec![false, false, true, true]);
         // After the heal: connected again.
-        assert!(t.hears(SimTime::from_millis(50), 0, 2));
+        assert_eq!(row(&t, SimTime::from_millis(50), 0), vec![true; 4]);
+    }
+
+    #[test]
+    fn rows_follow_the_grouping_at_every_boundary() {
+        let n = 9;
+        // Whole before 2 s, three islands, healed at 6 s, two halves
+        // from 9 s, healed at 15 s; pushed out of order on purpose.
+        let t = TopologySpec::Partition(
+            PartitionSchedule::new()
+                .split_at(SimTime::from_millis(9_000), vec![(0..5).collect(), (5..n).collect()])
+                .heal_at(SimTime::from_millis(15_000))
+                .split_at(SimTime::from_millis(2_000), vec![vec![8, 3, 4, 0], vec![1, 2], vec![5, 6, 7]])
+                .heal_at(SimTime::from_millis(6_000)),
+        )
+        .build(n);
+        let islands = [0, 1, 1, 0, 0, 5, 5, 5, 0];
+        let halves = [0, 0, 0, 0, 0, 5, 5, 5, 5];
+        for (ms, leader) in [
+            (1_999, None),
+            (2_000, Some(islands)),
+            (5_999, Some(islands)),
+            (6_000, None),
+            (8_999, None),
+            (9_000, Some(halves)),
+            (14_999, Some(halves)),
+            (15_000, None),
+        ] {
+            let now = SimTime::from_millis(ms);
+            assert_eq!(t.grouping(now), leader.as_ref().map(|l| &l[..]), "at {now}");
+            for src in 0..n {
+                let want: Vec<bool> = (0..n).map(|dst| leader.is_none_or(|l| l[dst] == l[src])).collect();
+                assert_eq!(row(&t, now, src), want, "row from {src} at {now}");
+            }
+        }
     }
 
     #[test]
@@ -628,7 +308,7 @@ mod tests {
         let spec = TopologySpec::Partition(
             PartitionSchedule::new().split_at(SimTime::ZERO, vec![vec![0, 1]]),
         );
-        let _ = spec.build(4, 0);
+        let _ = spec.build(4);
     }
 
     #[test]
@@ -641,158 +321,7 @@ mod tests {
         assert!(d.contains("3|1"), "{d}");
         assert!(d.contains("heal@"), "{d}");
         assert_eq!(PartitionSchedule::new().describe(), "no partition");
-    }
-
-    #[test]
-    fn disk_hidden_terminal_line() {
-        // A --- B --- C: A and C each hear B but not each other, and —
-        // crucially — cannot carrier-sense each other either.
-        let mut t = Disk::new(vec![(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)], 120.0, 150.0);
-        assert!(t.hears(SimTime::ZERO, 0, 1));
-        assert!(t.hears(SimTime::ZERO, 1, 2));
-        assert!(!t.hears(SimTime::ZERO, 0, 2));
-        assert!(!t.interferes(SimTime::ZERO, 0, 2), "hidden from each other");
-        assert!(t.interferes(SimTime::ZERO, 0, 1));
-    }
-
-    #[test]
-    fn spatial_positions_are_seed_deterministic() {
-        let spec = TopologySpec::Spatial {
-            side_m: 300.0,
-            comm_range_m: 120.0,
-            interference_range_m: 200.0,
-        };
-        let mut a = spec.build(8, 42);
-        let mut b = spec.build(8, 42);
-        let mut c = spec.build(8, 43);
-        let snap = |t: &mut Box<dyn Topology>| {
-            let mut v = Vec::new();
-            for i in 0..8 {
-                for j in 0..8 {
-                    v.push(t.hears(SimTime::ZERO, i, j));
-                }
-            }
-            v
-        };
-        assert_eq!(snap(&mut a), snap(&mut b), "same seed, same geometry");
-        // A different seed must at least be *allowed* to differ; with 8
-        // nodes in a 300 m square at 120 m range the graphs essentially
-        // always do.
-        assert_ne!(snap(&mut a), snap(&mut c), "seed changes the geometry");
-    }
-
-    #[test]
-    fn waypoint_is_deterministic_and_moves() {
-        let spec = TopologySpec::Waypoint {
-            side_m: 500.0,
-            comm_range_m: 150.0,
-            interference_range_m: 200.0,
-            speed_mps: 20.0,
-            pause: Duration::from_millis(100),
-            tick: Duration::from_millis(100),
-        };
-        let mut a = spec.build(6, 9);
-        let mut b = spec.build(6, 9);
-        let mut changed = false;
-        let mut last: Option<Vec<bool>> = None;
-        for step in 0..200u64 {
-            let now = SimTime::from_millis(step * 100);
-            let mut edges = Vec::new();
-            for i in 0..6 {
-                for j in 0..6 {
-                    let h = a.hears(now, i, j);
-                    assert_eq!(h, b.hears(now, i, j), "replica diverged at {now}");
-                    edges.push(h);
-                }
-            }
-            if let Some(prev) = &last {
-                changed |= *prev != edges;
-            }
-            last = Some(edges);
-        }
-        assert!(changed, "20 m/s for 20 s must change some link");
-    }
-
-    #[test]
-    fn waypoint_queries_within_a_tick_are_stable() {
-        let spec = TopologySpec::Waypoint {
-            side_m: 400.0,
-            comm_range_m: 100.0,
-            interference_range_m: 150.0,
-            speed_mps: 50.0,
-            pause: Duration::ZERO,
-            tick: Duration::from_millis(250),
-        };
-        let mut t = spec.build(4, 3);
-        let early = SimTime::from_nanos(250_000_000);
-        let late = SimTime::from_nanos(499_999_999);
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(t.hears(early, i, j), t.hears(late, i, j));
-            }
-        }
-    }
-
-    /// `hears_row` / `interferes_row` against the point queries, entry
-    /// for entry, from every source at `now`.
-    fn assert_rows_equal_points(t: &mut dyn Topology, n: usize, now: SimTime) {
-        let mut row = vec![false; n];
-        for src in 0..n {
-            t.hears_row(now, src, &mut row);
-            let points: Vec<bool> = (0..n).map(|dst| t.hears(now, src, dst)).collect();
-            assert_eq!(row, points, "hears_row from {src} at {now} ({})", t.describe());
-            // A row overwrites whatever the buffer held.
-            row.iter_mut().for_each(|slot| *slot = !*slot);
-            t.interferes_row(now, src, &mut row);
-            let points: Vec<bool> = (0..n).map(|dst| t.interferes(now, src, dst)).collect();
-            assert_eq!(row, points, "interferes_row from {src} at {now} ({})", t.describe());
-        }
-    }
-
-    #[test]
-    fn rows_equal_point_queries_on_every_topology() {
-        let n = 9;
-        let mut rng = StdRng::seed_from_u64(22);
-        // Non-decreasing seeded instants over 20 s, as the simulator asks.
-        let mut times: Vec<SimTime> =
-            (0..40).map(|_| SimTime::from_nanos(rng.gen_range(0..20_000_000_000u64))).collect();
-        times.sort();
-        let specs = [
-            TopologySpec::SingleDomain,
-            // Whole before 2 s, three islands, healed at 6 s, two halves
-            // from 9 s, healed at 15 s.
-            TopologySpec::Partition(
-                PartitionSchedule::new()
-                    .split_at(SimTime::from_millis(2_000), vec![vec![0, 3, 4, 8], vec![1, 2], vec![5, 6, 7]])
-                    .heal_at(SimTime::from_millis(6_000))
-                    .split_at(SimTime::from_millis(9_000), vec![(0..5).collect(), (5..n).collect()])
-                    .heal_at(SimTime::from_millis(15_000)),
-            ),
-            TopologySpec::Spatial {
-                side_m: 300.0,
-                comm_range_m: 110.0,
-                interference_range_m: 170.0,
-            },
-            TopologySpec::Waypoint {
-                side_m: 300.0,
-                comm_range_m: 110.0,
-                interference_range_m: 170.0,
-                speed_mps: 30.0,
-                pause: Duration::from_millis(200),
-                tick: Duration::from_millis(100),
-            },
-        ];
-        for spec in &specs {
-            let mut t = spec.build(n, 5);
-            for &now in &times {
-                assert_rows_equal_points(t.as_mut(), n, now);
-            }
-        }
-        // The partition's boundary instants exactly.
-        let mut t = specs[1].build(n, 5);
-        for ms in [1_999, 2_000, 5_999, 6_000, 8_999, 9_000, 14_999, 15_000] {
-            assert_rows_equal_points(t.as_mut(), n, SimTime::from_millis(ms));
-        }
+        assert_eq!(TopologySpec::Partition(s.clone()).build(4).describe(), d);
     }
 
     #[test]
@@ -800,12 +329,12 @@ mod tests {
         let spec = TopologySpec::Partition(
             PartitionSchedule::new().split_at(SimTime::ZERO, vec![vec![0, 2], vec![1], vec![3, 4]]),
         );
-        let mut t = spec.build(5, 0);
-        let c = connectivity(t.as_mut(), SimTime::ZERO, 5);
+        let t = spec.build(5);
+        let c = t.connectivity(SimTime::ZERO);
         assert_eq!(c.reachable, vec![1, 0, 1, 1, 1]);
         assert_eq!(c.component, vec![0, 1, 0, 3, 3]);
-        let mut full = SingleDomain;
-        let all = connectivity(&mut full, SimTime::ZERO, 4);
+        let full = TopologySpec::SingleDomain.build(4);
+        let all = full.connectivity(SimTime::ZERO);
         assert_eq!(all.reachable, vec![3; 4]);
         assert_eq!(all.component, vec![0; 4]);
     }
