@@ -345,7 +345,9 @@ impl Turquois {
         // Authenticity of each attachment (one logical verification
         // each); inauthentic ones are dropped. Authentic ones within
         // the GC window become evidence; older ones only count
-        // transiently, through the view.
+        // transiently, through the view. An in-window fact the
+        // evidence store already holds under the same signature is
+        // authentic and its insert a no-op: one slot probe settles both.
         let gc_floor = self.gc_floor();
         let mut below_floor = std::mem::take(&mut self.below_floor_scratch);
         let mut pending = std::mem::take(&mut self.pending_scratch);
@@ -354,14 +356,18 @@ impl Turquois {
         for i in 0..msg.justification_len() {
             let (env, sig) = msg.entry(i);
             receipt.sig_verifications += 1;
-            if !self.authentic(&env, &sig) {
-                continue;
-            }
             if env.phase < gc_floor {
-                below_floor.push((env, sig));
+                if self.authentic(&env, &sig) {
+                    below_floor.push((env, sig));
+                }
                 continue;
             }
-            self.evidence.insert(&env, sig);
+            if !self.evidence.holds(&env, &sig) {
+                if !self.authentic(&env, &sig) {
+                    continue;
+                }
+                self.evidence.insert(&env, sig);
+            }
             if !self.valid.contains(&env) {
                 pending.push((env, sig));
             }
@@ -434,7 +440,11 @@ impl Turquois {
         let quorum = self.cfg.quorum_min();
         for psi in self.evidence.decide_phases().collect::<Vec<_>>() {
             if self.cfg.exceeds_quorum(self.evidence.count_value(psi, value)) {
-                self.decided_evidence = self.evidence.collect(psi, Some(value), quorum);
+                self.decided_evidence = self
+                    .evidence
+                    .one_per_sender(psi, Some(value))
+                    .take(quorum)
+                    .collect();
                 return;
             }
         }
@@ -464,31 +474,30 @@ impl Turquois {
         top_up_limit: usize,
     ) -> Vec<(Envelope, OneTimeSignature)> {
         let phase = envelope.phase;
-        let mut bundle = Bundle::new(self.cfg.n());
         let quorum = self.cfg.quorum_min();
         let half = self.cfg.half_quorum_min();
+        // Value evidence is at most `quorum + 1` entries (two half
+        // quorums for ⊥) and the phase top-up at most `quorum`.
+        let mut bundle = Bundle::new(self.cfg.n(), 2 * quorum + 1 + self.decided_evidence.len());
+        let evidence = |phase, value| self.evidence.one_per_sender(phase, value);
 
         if phase > 1 {
             // Value justification first (its messages double as phase
             // evidence when they sit at φ − 1).
             match phase % 3 {
-                2 => bundle.add(&self.evidence.collect(phase - 1, Some(envelope.value), half)),
+                2 => bundle.add(evidence(phase - 1, Some(envelope.value)).take(half)),
                 0 => match envelope.value {
                     Value::Bot => {
-                        bundle.add(&self.evidence.collect(phase - 2, Some(Value::Zero), half));
-                        bundle.add(&self.evidence.collect(phase - 2, Some(Value::One), half));
+                        bundle.add(evidence(phase - 2, Some(Value::Zero)).take(half));
+                        bundle.add(evidence(phase - 2, Some(Value::One)).take(half));
                     }
-                    v => bundle.add(&self.evidence.collect(phase - 1, Some(v), quorum)),
+                    v => bundle.add(evidence(phase - 1, Some(v)).take(quorum)),
                 },
                 _ => {
                     if envelope.coin_flip {
-                        bundle.add(&self.evidence.collect(phase - 1, Some(Value::Bot), quorum));
+                        bundle.add(evidence(phase - 1, Some(Value::Bot)).take(quorum));
                     } else {
-                        bundle.add(
-                            &self
-                                .evidence
-                                .collect(phase - 2, Some(envelope.value), quorum),
-                        );
+                        bundle.add(evidence(phase - 2, Some(envelope.value)).take(quorum));
                     }
                 }
             }
@@ -497,12 +506,12 @@ impl Turquois {
             // contributed.
             let mut senders_at_prev = bundle.senders_at(phase - 1);
             if senders_at_prev < quorum {
-                for entry in self.evidence.collect(phase - 1, None, top_up_limit) {
+                for entry in evidence(phase - 1, None).take(top_up_limit) {
                     if senders_at_prev >= quorum {
                         break;
                     }
                     if !bundle.has_sender(phase - 1, entry.0.sender) {
-                        bundle.add(&[entry]);
+                        bundle.add([entry]);
                         senders_at_prev += 1;
                     }
                 }
@@ -512,7 +521,7 @@ impl Turquois {
         // Status justification (decided claims carry their quorum; the
         // dedupe absorbs overlap with the evidence above).
         if envelope.status == Status::Decided {
-            bundle.add(&self.decided_evidence);
+            bundle.add(self.decided_evidence.iter().copied());
         }
         bundle.entries
     }
@@ -521,43 +530,46 @@ impl Turquois {
 /// A justification bundle under assembly: entries in insertion order,
 /// deduplicated on the full envelope in O(1) each. A bundle spans at
 /// most three phases (φ − 1, φ − 2 and the decided snapshot's decide
-/// phase); each gets a table of per-sender record masks, one bit per
-/// `(value, coin, status)` combination.
+/// phase); each gets a row of per-sender record masks, one bit per
+/// `(value, coin, status)` combination, and a count of the senders the
+/// row holds.
 struct Bundle {
     n: usize,
     entries: Vec<(Envelope, OneTimeSignature)>,
-    seen: Vec<(u32, Vec<u16>)>,
+    /// The phase of each row; 0 (never a phase) marks a free row.
+    phases: [u32; 3],
+    senders: [usize; 3],
+    /// Three rows of `n` masks.
+    masks: Vec<u16>,
 }
 
 impl Bundle {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, capacity: usize) -> Self {
         Bundle {
             n,
-            entries: Vec::new(),
-            seen: Vec::new(),
+            entries: Vec::with_capacity(capacity),
+            phases: [0; 3],
+            senders: [0; 3],
+            masks: vec![0; 3 * n],
         }
     }
 
-    fn masks(&self, phase: u32) -> Option<&[u16]> {
-        self.seen
-            .iter()
-            .find(|(p, _)| *p == phase)
-            .map(|(_, masks)| masks.as_slice())
+    fn row(&self, phase: u32) -> Option<usize> {
+        self.phases.iter().position(|&p| p == phase)
     }
 
     /// Appends the entries of `items` not already in the bundle.
-    fn add(&mut self, items: &[(Envelope, OneTimeSignature)]) {
-        for &(env, sig) in items {
-            let at = match self.seen.iter().position(|(p, _)| *p == env.phase) {
-                Some(at) => at,
-                None => {
-                    self.seen.push((env.phase, vec![0; self.n]));
-                    self.seen.len() - 1
-                }
-            };
-            let mask = &mut self.seen[at].1[env.sender];
+    fn add(&mut self, items: impl IntoIterator<Item = (Envelope, OneTimeSignature)>) {
+        for (env, sig) in items {
+            let row = self.row(env.phase).unwrap_or_else(|| {
+                let free = self.row(0).expect("a bundle spans at most three phases");
+                self.phases[free] = env.phase;
+                free
+            });
+            let mask = &mut self.masks[row * self.n + env.sender];
             let bit = 1u16 << combo_code(env.value, env.coin_flip, env.status);
             if *mask & bit == 0 {
+                self.senders[row] += usize::from(*mask == 0);
                 *mask |= bit;
                 self.entries.push((env, sig));
             }
@@ -566,13 +578,13 @@ impl Bundle {
 
     /// Whether the bundle holds any entry of `sender` at `phase`.
     fn has_sender(&self, phase: u32, sender: usize) -> bool {
-        self.masks(phase).is_some_and(|m| m[sender] != 0)
+        self.row(phase)
+            .is_some_and(|row| self.masks[row * self.n + sender] != 0)
     }
 
     /// Distinct senders with an entry at `phase`.
     fn senders_at(&self, phase: u32) -> usize {
-        self.masks(phase)
-            .map_or(0, |m| m.iter().filter(|&&mask| mask != 0).count())
+        self.row(phase).map_or(0, |row| self.senders[row])
     }
 }
 
@@ -687,6 +699,12 @@ mod tests {
             let mut bundle: Vec<(Envelope, OneTimeSignature)> = Vec::new();
             let quorum = self.cfg.quorum_min();
             let half = self.cfg.half_quorum_min();
+            let collect = |phase, value, limit| -> Vec<(Envelope, OneTimeSignature)> {
+                self.evidence
+                    .one_per_sender(phase, value)
+                    .take(limit)
+                    .collect()
+            };
             let add = |items: Vec<(Envelope, OneTimeSignature)>,
                        bundle: &mut Vec<(Envelope, OneTimeSignature)>| {
                 for (env, sig) in items {
@@ -697,36 +715,20 @@ mod tests {
             };
             if phase > 1 {
                 match phase % 3 {
-                    2 => add(
-                        self.evidence.collect(phase - 1, Some(envelope.value), half),
-                        &mut bundle,
-                    ),
+                    2 => add(collect(phase - 1, Some(envelope.value), half), &mut bundle),
                     0 => match envelope.value {
                         Value::Bot => {
-                            add(
-                                self.evidence.collect(phase - 2, Some(Value::Zero), half),
-                                &mut bundle,
-                            );
-                            add(
-                                self.evidence.collect(phase - 2, Some(Value::One), half),
-                                &mut bundle,
-                            );
+                            add(collect(phase - 2, Some(Value::Zero), half), &mut bundle);
+                            add(collect(phase - 2, Some(Value::One), half), &mut bundle);
                         }
-                        v => add(
-                            self.evidence.collect(phase - 1, Some(v), quorum),
-                            &mut bundle,
-                        ),
+                        v => add(collect(phase - 1, Some(v), quorum), &mut bundle),
                     },
                     _ => {
                         if envelope.coin_flip {
-                            add(
-                                self.evidence.collect(phase - 1, Some(Value::Bot), quorum),
-                                &mut bundle,
-                            );
+                            add(collect(phase - 1, Some(Value::Bot), quorum), &mut bundle);
                         } else {
                             add(
-                                self.evidence
-                                    .collect(phase - 2, Some(envelope.value), quorum),
+                                collect(phase - 2, Some(envelope.value), quorum),
                                 &mut bundle,
                             );
                         }
@@ -738,7 +740,7 @@ mod tests {
                     .map(|(e, _)| e.sender)
                     .collect();
                 if senders_at_prev.len() < quorum {
-                    for (env, sig) in self.evidence.collect(phase - 1, None, top_up_limit) {
+                    for (env, sig) in collect(phase - 1, None, top_up_limit) {
                         if senders_at_prev.len() >= quorum {
                             break;
                         }
@@ -817,13 +819,17 @@ mod tests {
 
         /// The next delivery to process 0, whose phase is `at`.
         fn next(&mut self, at: u32) -> Vec<u8> {
-            if self.air.is_empty() || self.rng.gen_bool(0.5) {
-                let i = self.rng.gen_range(0..self.peers.len());
-                if let Ok(out) = self.peers[i].on_tick() {
-                    self.broadcast(i + 1, &out.bytes);
+            let n = self.cfg.n();
+            // One peer tick per 16 processes keeps large groups moving
+            // through phases (and past the receiver's GC floor).
+            for _ in 0..n.div_ceil(16) {
+                if self.air.is_empty() || self.rng.gen_bool(0.5) {
+                    let i = self.rng.gen_range(0..self.peers.len());
+                    if let Ok(out) = self.peers[i].on_tick() {
+                        self.broadcast(i + 1, &out.bytes);
+                    }
                 }
             }
-            let n = self.cfg.n();
             let recent = self.air.len().saturating_sub(6);
             match self.rng.gen_range(0..20u32) {
                 // The network at its best, and replaying history (old
@@ -1322,6 +1328,325 @@ mod tests {
         );
     }
 
+    /// The thresholds at every n ≤ 256, every f with 3f < n and every k
+    /// `Config::new` accepts. The minima are the least counts their
+    /// predicates accept and exceed f; two quorums share more than f
+    /// senders; `quorum_min ≤ k ≤ n − f`. And the bundle
+    /// `build_justification` assembles for each kind of claim carries
+    /// exactly the minimum `semantic_check` demands of it: it passes on
+    /// a cold receiver, and without any one of its demanded entries it
+    /// fails.
+    #[test]
+    fn thresholds_hold_at_every_n() {
+        use std::collections::BTreeSet;
+        let claim = |phase, value, coin_flip, status| Envelope {
+            sender: 0,
+            phase,
+            value,
+            coin_flip,
+            status,
+        };
+        let (undecided, decided) = (Status::Undecided, Status::Decided);
+        for n in 1..=256usize {
+            let ring = KeyRing::trusted_setup(n, 6, 1).swap_remove(0);
+            // Every sender holds two values at each of phases 1–3, the
+            // first one inserted being the one no claim below asks for,
+            // so a phase top-up never adds value evidence by accident.
+            let mut store = MessageStore::new(n);
+            for sender in 0..n {
+                for (phase, values) in [
+                    (1, [Value::Zero, Value::One]),
+                    (2, [Value::Zero, Value::One]),
+                    (3, [Value::Bot, Value::One]),
+                ] {
+                    for value in values {
+                        let env = Envelope {
+                            sender,
+                            ..claim(phase, value, false, undecided)
+                        };
+                        store.insert(&env, OneTimeSignature([0; 32]));
+                    }
+                }
+            }
+            for f in (0..n).take_while(|f| 3 * f < n) {
+                let cfg = Config::new(n, f, n - f).expect("k = n − f is valid");
+                let (q, h) = (cfg.quorum_min(), cfg.half_quorum_min());
+                let least = |pred: &dyn Fn(usize) -> bool| (0..=n).find(|&c| pred(c));
+                assert_eq!(least(&|c| cfg.exceeds_quorum(c)), Some(q), "n={n} f={f}");
+                assert_eq!(
+                    least(&|c| cfg.exceeds_half_quorum(c)),
+                    Some(h),
+                    "n={n} f={f}"
+                );
+                assert!(q > f && h > f, "n={n} f={f}: q={q} h={h}");
+                assert!(2 * q > n + f, "n={n} f={f}: two quorums share ≤ f");
+                for k in (0..=n).filter(|&k| Config::new(n, f, k).is_ok()) {
+                    assert!(q <= k && k <= n - f, "n={n} f={f} k={k}");
+                }
+
+                let mut p = Turquois::new(cfg, 0, true, ring.clone(), 0);
+                p.evidence = store.clone();
+                p.capture_decided_evidence(Value::One);
+                // Each claim, with the (phase, value) evidence it needs
+                // and how much; `None` is the phase quorum.
+                let (zero, one, bot) = (Some(Value::Zero), Some(Value::One), Some(Value::Bot));
+                let claims = [
+                    (
+                        claim(2, Value::One, false, undecided),
+                        vec![(1, None, q), (1, one, h)],
+                    ),
+                    (
+                        claim(3, Value::One, false, undecided),
+                        vec![(2, None, q), (2, one, q)],
+                    ),
+                    (
+                        claim(3, Value::Bot, false, undecided),
+                        vec![(2, None, q), (1, zero, h), (1, one, h)],
+                    ),
+                    (
+                        claim(4, Value::One, false, undecided),
+                        vec![(3, None, q), (2, one, q)],
+                    ),
+                    (
+                        claim(4, Value::One, true, undecided),
+                        vec![(3, None, q), (3, bot, q)],
+                    ),
+                    (
+                        claim(4, Value::One, false, decided),
+                        vec![(3, None, q), (2, one, q), (3, one, q)],
+                    ),
+                ];
+                for (env, demands) in claims {
+                    let bundle = p.build_justification(&env);
+                    // What a receiver with an empty store does: every
+                    // in-window attachment becomes evidence, then the
+                    // claim is checked.
+                    let check = |bundle: &[(Envelope, OneTimeSignature)]| {
+                        let mut cold = MessageStore::new(n);
+                        for (e, sig) in bundle {
+                            cold.insert(e, *sig);
+                        }
+                        semantic_check(&env, &cfg, &EvidenceView::new(&cold, &[]))
+                    };
+                    assert_eq!(check(&bundle), Ok(()), "n={n} f={f} {env:?}");
+                    for (phase, value, min) in demands {
+                        let fits =
+                            |e: &Envelope| e.phase == phase && value.is_none_or(|v| e.value == v);
+                        let senders: BTreeSet<usize> = bundle
+                            .iter()
+                            .filter(|(e, _)| fits(e))
+                            .map(|(e, _)| e.sender)
+                            .collect();
+                        assert_eq!(
+                            senders.len(),
+                            min,
+                            "n={n} f={f} {env:?} at ({phase}, {value:?})"
+                        );
+                        let last = *senders.last().expect("min > f ≥ 0");
+                        let short: Vec<_> = bundle
+                            .iter()
+                            .copied()
+                            .filter(|(e, _)| !(fits(e) && e.sender == last))
+                            .collect();
+                        assert!(
+                            check(&short).is_err(),
+                            "n={n} f={f} {env:?} one short at ({phase}, {value:?})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The body of `receive_path_matches_retired_oracle` at group
+    /// size `n`: process 3 is the Byzantine one whatever `n` is.
+    fn receive_path_oracle(
+        n: usize,
+        seed: u64,
+        steps: usize,
+    ) -> Result<(), proptest::TestCaseError> {
+        let cfg = Config::evaluation(n).expect("valid n");
+        let rings = KeyRing::trusted_setup(n, Traffic::SETUP_PHASES, seed);
+        let mut identity = turquois_crypto::hashsig::Keypair::generate(4, seed ^ 1);
+        let mut byz_ring = rings[3].clone();
+        let epoch = byz_ring
+            .begin_epoch(Traffic::EPOCH_PHASES, seed ^ 2, &mut identity)
+            .expect("fresh identity key");
+        let make = || Turquois::new(cfg, 0, seed.is_multiple_of(2), rings[0].clone(), seed);
+        let (mut new, mut old) = (make(), make());
+        let mut traffic = Traffic {
+            rng: StdRng::seed_from_u64(seed),
+            cfg,
+            peers: (1..n)
+                .map(|i| {
+                    Turquois::new(
+                        cfg,
+                        i,
+                        (seed >> i).is_multiple_of(2),
+                        rings[i].clone(),
+                        seed + i as u64,
+                    )
+                })
+                .collect(),
+            byz_ring,
+            air: Vec::new(),
+            facts: Vec::new(),
+        };
+        let install_at = traffic.rng.gen_range(0..steps);
+        for step in 0..steps {
+            if step == install_at {
+                for p in [&mut new, &mut old] {
+                    p.keyring
+                        .install_epoch(&epoch, identity.public_key())
+                        .expect("bundle verifies");
+                }
+            }
+            if traffic.rng.gen_bool(0.3) {
+                let (a, b) = (new.on_tick(), old.on_tick());
+                proptest::prop_assert_eq!(
+                    a.as_ref().map(|o| &o.bytes).map_err(|_| ()),
+                    b.as_ref().map(|o| &o.bytes).map_err(|_| ()),
+                    "broadcast diverged at step {}",
+                    step
+                );
+                if let Ok(out) = a {
+                    traffic.broadcast(0, &out.bytes);
+                }
+            }
+            let bytes = traffic.next(new.phase());
+            let (got, want) = (new.on_message(&bytes), old.on_message_retired(&bytes));
+            proptest::prop_assert_eq!(got, want, "receipt diverged at step {}", step);
+            proptest::prop_assert_eq!(
+                (
+                    new.phase(),
+                    new.value(),
+                    new.status(),
+                    new.decision(),
+                    new.coin_flip()
+                ),
+                (
+                    old.phase(),
+                    old.value(),
+                    old.status(),
+                    old.decision(),
+                    old.coin_flip()
+                ),
+                "state diverged at step {}",
+                step
+            );
+            proptest::prop_assert_eq!(
+                new.evidence.records(),
+                old.evidence.records(),
+                "evidence diverged at step {}",
+                step
+            );
+            proptest::prop_assert_eq!(
+                new.valid.records(),
+                old.valid.records(),
+                "V_i diverged at step {}",
+                step
+            );
+            proptest::prop_assert_eq!(&new.decided_evidence, &old.decided_evidence);
+        }
+        Ok(())
+    }
+
+    /// The body of `bounded_bundle_matches_unbounded_scan` at group
+    /// size `n` (entry senders are taken mod `n`).
+    fn bundle_oracles(
+        n: usize,
+        seed: u64,
+        phase_sel: u32,
+        snapshot: usize,
+        entries: Vec<(usize, u32, usize, bool, bool)>,
+    ) -> Result<(), proptest::TestCaseError> {
+        let cfg = Config::evaluation(n).expect("valid n");
+        let rings = KeyRing::trusted_setup(n, PHASES, seed);
+        let mut p = Turquois::new(cfg, 0, true, rings[0].clone(), seed);
+        for (sender, phase, vi, coin, decided) in entries {
+            let sender = sender % n;
+            let value = [Value::Zero, Value::One, Value::Bot][vi];
+            // `sign` rejects values illegal at `phase` (e.g. ⊥ at a
+            // CONVERGE phase); skip those combos — a correct store
+            // never holds them either.
+            let Ok(sig) = rings[sender].sign(phase, value) else {
+                continue;
+            };
+            let env = Envelope {
+                sender,
+                phase,
+                value,
+                coin_flip: coin,
+                status: if decided {
+                    Status::Decided
+                } else {
+                    Status::Undecided
+                },
+            };
+            p.evidence.insert(&env, sig);
+        }
+        // A decided snapshot taken at a decide phase that may
+        // coincide with φ − 1 or φ − 2 of the claim below. Its
+        // records can differ from the store's in the unsigned flags
+        // (the phase was pruned, then repopulated by a straggler).
+        let value = [Value::Zero, Value::One][snapshot % 2];
+        let psi = if snapshot & 2 == 0 { 3 } else { 6 };
+        p.decided_evidence = p
+            .evidence
+            .one_per_sender(psi, Some(value))
+            .take(cfg.quorum_min())
+            .collect();
+        if snapshot & 4 != 0 {
+            for (env, _) in p.decided_evidence.iter_mut().step_by(2) {
+                env.status = Status::Decided;
+            }
+        }
+        let wire = |envelope: Envelope, justification: Vec<(Envelope, OneTimeSignature)>| {
+            Message {
+                envelope,
+                signature: OneTimeSignature([0; 32]),
+                justification,
+            }
+            .encode()
+        };
+        for value in [Value::Zero, Value::One, Value::Bot] {
+            for coin in [false, true] {
+                for status in [Status::Undecided, Status::Decided] {
+                    let env = Envelope {
+                        sender: 0,
+                        phase: phase_sel,
+                        value,
+                        coin_flip: coin,
+                        status,
+                    };
+                    let bounded = wire(env, p.build_justification_with(&env, cfg.quorum_min()));
+                    let unbounded = wire(env, p.build_justification_with(&env, usize::MAX));
+                    let retired =
+                        wire(env, p.build_justification_quadratic(&env, cfg.quorum_min()));
+                    proptest::prop_assert_eq!(
+                        &bounded,
+                        &unbounded,
+                        "bounded bundle diverged at phase {} value {:?} coin {} {:?}",
+                        phase_sel,
+                        value,
+                        coin,
+                        status
+                    );
+                    proptest::prop_assert_eq!(
+                        &bounded,
+                        &retired,
+                        "linear dedupe diverged at phase {} value {:?} coin {} {:?}",
+                        phase_sel,
+                        value,
+                        coin,
+                        status
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -1383,70 +1708,7 @@ mod tests {
             seed in proptest::prelude::any::<u64>(),
             steps in 100usize..400,
         ) {
-            let n = 4;
-            let cfg = Config::evaluation(n).expect("valid n");
-            let rings = KeyRing::trusted_setup(n, Traffic::SETUP_PHASES, seed);
-            let mut identity = turquois_crypto::hashsig::Keypair::generate(4, seed ^ 1);
-            let mut byz_ring = rings[3].clone();
-            let epoch = byz_ring
-                .begin_epoch(Traffic::EPOCH_PHASES, seed ^ 2, &mut identity)
-                .expect("fresh identity key");
-            let make = || Turquois::new(cfg, 0, seed % 2 == 0, rings[0].clone(), seed);
-            let (mut new, mut old) = (make(), make());
-            let mut traffic = Traffic {
-                rng: StdRng::seed_from_u64(seed),
-                cfg,
-                peers: (1..n)
-                    .map(|i| Turquois::new(cfg, i, (seed >> i) % 2 == 0, rings[i].clone(), seed + i as u64))
-                    .collect(),
-                byz_ring,
-                air: Vec::new(),
-                facts: Vec::new(),
-            };
-            let install_at = traffic.rng.gen_range(0..steps);
-            for step in 0..steps {
-                if step == install_at {
-                    for p in [&mut new, &mut old] {
-                        p.keyring
-                            .install_epoch(&epoch, identity.public_key())
-                            .expect("bundle verifies");
-                    }
-                }
-                if traffic.rng.gen_bool(0.3) {
-                    let (a, b) = (new.on_tick(), old.on_tick());
-                    proptest::prop_assert_eq!(
-                        a.as_ref().map(|o| &o.bytes).map_err(|_| ()),
-                        b.as_ref().map(|o| &o.bytes).map_err(|_| ()),
-                        "broadcast diverged at step {}",
-                        step
-                    );
-                    if let Ok(out) = a {
-                        traffic.broadcast(0, &out.bytes);
-                    }
-                }
-                let bytes = traffic.next(new.phase());
-                let (got, want) = (new.on_message(&bytes), old.on_message_retired(&bytes));
-                proptest::prop_assert_eq!(got, want, "receipt diverged at step {}", step);
-                proptest::prop_assert_eq!(
-                    (new.phase(), new.value(), new.status(), new.decision(), new.coin_flip()),
-                    (old.phase(), old.value(), old.status(), old.decision(), old.coin_flip()),
-                    "state diverged at step {}",
-                    step
-                );
-                proptest::prop_assert_eq!(
-                    new.evidence.records(),
-                    old.evidence.records(),
-                    "evidence diverged at step {}",
-                    step
-                );
-                proptest::prop_assert_eq!(
-                    new.valid.records(),
-                    old.valid.records(),
-                    "V_i diverged at step {}",
-                    step
-                );
-                proptest::prop_assert_eq!(&new.decided_evidence, &old.decided_evidence);
-            }
+            receive_path_oracle(4, seed, steps)?;
         }
 
         /// Bounding the phase top-up at `quorum` collected entries is
@@ -1473,81 +1735,45 @@ mod tests {
                 0..80,
             ),
         ) {
-            let n = 10;
-            let cfg = Config::evaluation(n).expect("valid n");
-            let rings = KeyRing::trusted_setup(n, PHASES, seed);
-            let mut p = Turquois::new(cfg, 0, true, rings[0].clone(), seed);
-            for (sender, phase, vi, coin, decided) in entries {
-                let value = [Value::Zero, Value::One, Value::Bot][vi];
-                // `sign` rejects values illegal at `phase` (e.g. ⊥ at a
-                // CONVERGE phase); skip those combos — a correct store
-                // never holds them either.
-                let Ok(sig) = rings[sender].sign(phase, value) else {
-                    continue;
-                };
-                let env = Envelope {
-                    sender,
-                    phase,
-                    value,
-                    coin_flip: coin,
-                    status: if decided { Status::Decided } else { Status::Undecided },
-                };
-                p.evidence.insert(&env, sig);
+            bundle_oracles(10, seed, phase_sel, snapshot, entries)?;
+        }
+
+        /// `bounded_bundle_matches_unbounded_scan` at n = 16 and 64, on
+        /// stores dense enough to hold quorums.
+        #[test]
+        fn bounded_bundle_matches_unbounded_scan_at_scale(
+            seed in 0u64..200,
+            phase_sel in 3u32..=8,
+            snapshot in 0usize..8,
+            entries in proptest::collection::vec(
+                (
+                    0usize..64,
+                    1u32..=7,
+                    0usize..3,
+                    proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<bool>(),
+                ),
+                0..640,
+            ),
+        ) {
+            for n in [16, 64] {
+                bundle_oracles(n, seed, phase_sel, snapshot, entries.clone())?;
             }
-            // A decided snapshot taken at a decide phase that may
-            // coincide with φ − 1 or φ − 2 of the claim below. Its
-            // records can differ from the store's in the unsigned flags
-            // (the phase was pruned, then repopulated by a straggler).
-            let value = [Value::Zero, Value::One][snapshot % 2];
-            let psi = if snapshot & 2 == 0 { 3 } else { 6 };
-            p.decided_evidence = p.evidence.collect(psi, Some(value), cfg.quorum_min());
-            if snapshot & 4 != 0 {
-                for (env, _) in p.decided_evidence.iter_mut().step_by(2) {
-                    env.status = Status::Decided;
-                }
-            }
-            let wire = |envelope: Envelope, justification: Vec<(Envelope, OneTimeSignature)>| {
-                Message {
-                    envelope,
-                    signature: OneTimeSignature([0; 32]),
-                    justification,
-                }
-                .encode()
-            };
-            for value in [Value::Zero, Value::One, Value::Bot] {
-                for coin in [false, true] {
-                    for status in [Status::Undecided, Status::Decided] {
-                        let env = Envelope {
-                            sender: 0,
-                            phase: phase_sel,
-                            value,
-                            coin_flip: coin,
-                            status,
-                        };
-                        let bounded = wire(env, p.build_justification_with(&env, cfg.quorum_min()));
-                        let unbounded = wire(env, p.build_justification_with(&env, usize::MAX));
-                        let retired =
-                            wire(env, p.build_justification_quadratic(&env, cfg.quorum_min()));
-                        proptest::prop_assert_eq!(
-                            &bounded,
-                            &unbounded,
-                            "bounded bundle diverged at phase {} value {:?} coin {} {:?}",
-                            phase_sel,
-                            value,
-                            coin,
-                            status
-                        );
-                        proptest::prop_assert_eq!(
-                            &bounded,
-                            &retired,
-                            "linear dedupe diverged at phase {} value {:?} coin {} {:?}",
-                            phase_sel,
-                            value,
-                            coin,
-                            status
-                        );
-                    }
-                }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// `receive_path_matches_retired_oracle` at n = 16 and 64, where
+        /// bundles carry tens of entries.
+        #[test]
+        fn receive_path_matches_retired_oracle_at_scale(
+            seed in proptest::prelude::any::<u64>(),
+            steps in 300usize..700,
+        ) {
+            for n in [16, 64] {
+                receive_path_oracle(n, seed, steps)?;
             }
         }
     }

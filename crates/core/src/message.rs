@@ -82,16 +82,24 @@ impl Message {
 
     /// Serialized size in bytes (drives simulated airtime).
     pub fn wire_size(&self) -> usize {
-        ENVELOPE_LEN + DIGEST_LEN + 2 + self.justification.len() * (ENVELOPE_LEN + DIGEST_LEN)
+        HEADER_LEN + self.justification.len() * ENTRY_LEN
     }
 
     /// Encodes the message for transmission into one exact-capacity
     /// buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sender id (the message's or an attachment's) or the
+    /// number of attachments does not fit the format's 16-bit field:
+    /// truncated, it would decode as another process or another count.
     pub fn encode(&self) -> Bytes {
+        let count = u16::try_from(self.justification.len())
+            .expect("justification count exceeds the wire format's u16");
         let mut buf = BytesMut::with_capacity(self.wire_size());
         encode_envelope(&mut buf, &self.envelope);
         buf.put_slice(&self.signature.0);
-        buf.put_u16(self.justification.len() as u16);
+        buf.put_u16(count);
         for (env, sig) in &self.justification {
             encode_envelope(&mut buf, env);
             buf.put_slice(&sig.0);
@@ -112,16 +120,27 @@ impl Message {
 }
 
 const ENVELOPE_LEN: usize = 2 + 4 + 1 + 1;
-/// Fixed prefix: envelope + signature + justification count.
-const HEADER_LEN: usize = ENVELOPE_LEN + DIGEST_LEN + 2;
-/// One justification entry: envelope + signature.
+/// One signed record, envelope + signature: the message opens with
+/// one, and every justification entry is one.
 const ENTRY_LEN: usize = ENVELOPE_LEN + DIGEST_LEN;
+/// Fixed prefix: the message's record + justification count.
+const HEADER_LEN: usize = ENTRY_LEN + 2;
+/// Where each field of a record ends, in wire order: sender, phase,
+/// value, flags, signature.
+const FIELD_ENDS: [usize; 5] = [2, 6, 7, 8, ENTRY_LEN];
+/// A record [`check_record`] accepts at every `n`: sender 0, phase 1.
+const FILLER: [u8; ENTRY_LEN] = {
+    let mut rec = [0; ENTRY_LEN];
+    rec[5] = 1;
+    rec
+};
 
 const FLAG_COIN: u8 = 0b01;
 const FLAG_DECIDED: u8 = 0b10;
 
 fn encode_envelope(buf: &mut BytesMut, env: &Envelope) {
-    buf.put_u16(env.sender as u16);
+    let sender = u16::try_from(env.sender).expect("sender id exceeds the wire format's u16");
+    buf.put_u16(sender);
     buf.put_u32(env.phase);
     buf.put_u8(env.value.index() as u8);
     let mut flags = 0u8;
@@ -134,86 +153,72 @@ fn encode_envelope(buf: &mut BytesMut, env: &Envelope) {
     buf.put_u8(flags);
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.at + n > self.bytes.len() {
-            return Err(DecodeError::Truncated {
-                needed: self.at + n,
-                len: self.bytes.len(),
-            });
-        }
-        let s = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn take_u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn take_u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn take_u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn take_digest(&mut self) -> Result<[u8; DIGEST_LEN], DecodeError> {
-        Ok(self
-            .take(DIGEST_LEN)?
-            .try_into()
-            .expect("DIGEST_LEN bytes"))
-    }
-}
-
-fn decode_envelope(r: &mut Reader<'_>, cfg: &Config) -> Result<Envelope, DecodeError> {
-    let sender = r.take_u16()? as usize;
-    if sender >= cfg.n() {
+/// Checks a record's envelope fields in wire order — sender, phase,
+/// value, flags — and reports the first malformed one.
+fn check_record(rec: &[u8; ENTRY_LEN], n: usize) -> Result<(), DecodeError> {
+    let sender = usize::from(u16::from_be_bytes([rec[0], rec[1]]));
+    if sender >= n {
         return Err(DecodeError::BadSender { sender });
     }
-    let phase = r.take_u32()?;
-    if phase == 0 {
+    if rec[2..6] == [0; 4] {
         return Err(DecodeError::ZeroPhase);
     }
-    let value = match r.take_u8()? {
-        0 => Value::Zero,
-        1 => Value::One,
-        2 => Value::Bot,
-        other => return Err(DecodeError::BadValue { byte: other }),
-    };
-    let flags = r.take_u8()?;
-    if flags & !(FLAG_COIN | FLAG_DECIDED) != 0 {
-        return Err(DecodeError::BadFlags { byte: flags });
+    if rec[6] > 2 {
+        return Err(DecodeError::BadValue { byte: rec[6] });
     }
-    Ok(Envelope {
-        sender,
-        phase,
-        value,
-        coin_flip: flags & FLAG_COIN != 0,
-        status: if flags & FLAG_DECIDED != 0 {
+    if rec[7] & !(FLAG_COIN | FLAG_DECIDED) != 0 {
+        return Err(DecodeError::BadFlags { byte: rec[7] });
+    }
+    Ok(())
+}
+
+/// Reads a record [`check_record`] accepted.
+fn read_record(rec: &[u8; ENTRY_LEN]) -> (Envelope, OneTimeSignature) {
+    let envelope = Envelope {
+        sender: usize::from(u16::from_be_bytes([rec[0], rec[1]])),
+        phase: u32::from_be_bytes([rec[2], rec[3], rec[4], rec[5]]),
+        value: Value::ALL[usize::from(rec[6])],
+        coin_flip: rec[7] & FLAG_COIN != 0,
+        status: if rec[7] & FLAG_DECIDED != 0 {
             Status::Decided
         } else {
             Status::Undecided
         },
-    })
+    };
+    let signature = rec.last_chunk().expect("a record ends in its signature");
+    (envelope, OneTimeSignature(*signature))
+}
+
+/// The error of the record at `at` when `bytes` ends inside it: the
+/// first malformed field the input holds in full, else `Truncated` at
+/// the end of the first field it cuts — what reading field by field
+/// reports.
+#[cold]
+fn cut_short(bytes: &[u8], at: usize, n: usize) -> DecodeError {
+    let have = bytes.len() - at;
+    let whole = FIELD_ENDS.partition_point(|&end| end <= have);
+    let checked = whole.checked_sub(1).map_or(0, |last| FIELD_ENDS[last]);
+    let mut rec = FILLER;
+    rec[..checked].copy_from_slice(&bytes[at..at + checked]);
+    match check_record(&rec, n) {
+        Err(malformed) => malformed,
+        Ok(()) => DecodeError::Truncated {
+            needed: at + FIELD_ENDS[whole],
+            len: bytes.len(),
+        },
+    }
 }
 
 /// A borrowed, validated view of a wire message — the one parser of
 /// the format.
 ///
-/// The justification entries stay in place as offset ranges into the
-/// received buffer instead of being materialized into a `Vec`: the
-/// steady-state receive path allocates nothing. Entries are fully
-/// validated during [`MessageView::parse`]; the accessors re-read them
-/// from the buffer on demand ([`Envelope`] and [`OneTimeSignature`]
-/// are plain `Copy` data, so an access is a 40-byte stack copy, not a
-/// heap allocation).
+/// The justification entries stay in place, as fixed-width records in
+/// the received buffer, instead of being materialized into a `Vec`:
+/// the steady-state receive path allocates nothing. Entries are fully
+/// validated during [`MessageView::parse`]; [`MessageView::entry`]
+/// reads one out without checking it again ([`Envelope`] and
+/// [`OneTimeSignature`] are plain `Copy` data, so an access is a
+/// 40-byte stack copy, not a heap allocation).
 ///
 /// Use [`MessageView::to_message`] (or [`Message::decode`], which is
 /// parse + `to_message`) at the few points where a message must
@@ -222,14 +227,13 @@ fn decode_envelope(r: &mut Reader<'_>, cfg: &Config) -> Result<Envelope, DecodeE
 pub struct MessageView<'a> {
     envelope: Envelope,
     signature: OneTimeSignature,
-    bytes: &'a [u8],
-    count: usize,
-    cfg: Config,
+    entries: &'a [[u8; ENTRY_LEN]],
 }
 
 impl<'a> MessageView<'a> {
     /// Parses and validates a wire message without materializing its
-    /// justification.
+    /// justification. Each record is one fixed-width array, checked
+    /// field by field in wire order.
     ///
     /// # Errors
     ///
@@ -239,30 +243,40 @@ impl<'a> MessageView<'a> {
     /// the untrusted count: a huge count on a tiny payload is
     /// `Truncated` at its first missing entry.
     pub fn parse(bytes: &'a [u8], cfg: &Config) -> Result<MessageView<'a>, DecodeError> {
-        let mut r = Reader { bytes, at: 0 };
-        let envelope = decode_envelope(&mut r, cfg)?;
-        let signature = OneTimeSignature(r.take_digest()?);
-        let count = r.take_u16()? as usize;
+        let n = cfg.n();
+        let Some(head) = bytes.first_chunk() else {
+            return Err(cut_short(bytes, 0, n));
+        };
+        check_record(head, n)?;
+        let Some(&[hi, lo]) = bytes.get(ENTRY_LEN..HEADER_LEN) else {
+            return Err(DecodeError::Truncated {
+                needed: HEADER_LEN,
+                len: bytes.len(),
+            });
+        };
+        let count = usize::from(u16::from_be_bytes([hi, lo]));
         // A justification never needs more than one full quorum per
         // claim; three claims bound it at 3n.
-        if count > 3 * cfg.n() {
+        if count > 3 * n {
             return Err(DecodeError::JustificationTooLarge { count });
         }
-        for _ in 0..count {
-            decode_envelope(&mut r, cfg)?;
-            r.take_digest()?;
+        let (records, _) = bytes[HEADER_LEN..].as_chunks();
+        let entries = &records[..count.min(records.len())];
+        for rec in entries {
+            check_record(rec, n)?;
         }
-        if r.at != bytes.len() {
-            return Err(DecodeError::TrailingBytes {
-                extra: bytes.len() - r.at,
-            });
+        if entries.len() < count {
+            return Err(cut_short(bytes, HEADER_LEN + entries.len() * ENTRY_LEN, n));
         }
+        let extra = bytes.len() - HEADER_LEN - count * ENTRY_LEN;
+        if extra != 0 {
+            return Err(DecodeError::TrailingBytes { extra });
+        }
+        let (envelope, signature) = read_record(head);
         Ok(MessageView {
             envelope,
             signature,
-            bytes,
-            count,
-            cfg: *cfg,
+            entries,
         })
     }
 
@@ -278,7 +292,7 @@ impl<'a> MessageView<'a> {
 
     /// Number of attached justification entries.
     pub fn justification_len(&self) -> usize {
-        self.count
+        self.entries.len()
     }
 
     /// Reads justification entry `i` out of the buffer.
@@ -287,14 +301,7 @@ impl<'a> MessageView<'a> {
     ///
     /// Panics if `i` is out of range.
     pub fn entry(&self, i: usize) -> (Envelope, OneTimeSignature) {
-        assert!(i < self.count, "justification entry out of range");
-        let mut r = Reader {
-            bytes: self.bytes,
-            at: HEADER_LEN + i * ENTRY_LEN,
-        };
-        let env = decode_envelope(&mut r, &self.cfg).expect("validated in parse");
-        let sig = OneTimeSignature(r.take_digest().expect("validated in parse"));
-        (env, sig)
+        read_record(&self.entries[i])
     }
 
     /// Materializes an owned [`Message`] (used only where a message
@@ -303,7 +310,7 @@ impl<'a> MessageView<'a> {
         Message {
             envelope: self.envelope,
             signature: self.signature,
-            justification: (0..self.count).map(|i| self.entry(i)).collect(),
+            justification: self.entries.iter().map(read_record).collect(),
         }
     }
 }
@@ -543,6 +550,203 @@ mod tests {
                 Err(expected),
                 "byte {at} set to {val}"
             );
+        }
+    }
+
+    /// The sender field is 16 bits wide: a larger id panics instead of
+    /// wrapping into another process's (65 536 would go out as 0).
+    #[test]
+    #[should_panic(expected = "sender id exceeds the wire format's u16")]
+    fn encode_rejects_a_sender_beyond_u16() {
+        let _ = Message::bare(env(65_536, 1, Value::Zero), sig(0)).encode();
+    }
+
+    /// So is the count: 65 536 attachments would go out as 0 and leave
+    /// every entry as trailing bytes.
+    #[test]
+    #[should_panic(expected = "justification count exceeds the wire format's u16")]
+    fn encode_rejects_a_bundle_beyond_u16() {
+        let mut m = Message::bare(env(0, 2, Value::Zero), sig(0));
+        m.justification = vec![(env(1, 1, Value::Zero), sig(1)); 65_536];
+        let _ = m.encode();
+    }
+
+    /// The field-by-field decoder that `MessageView::parse` replaced,
+    /// kept verbatim as its reference: a cursor that bounds-checks every
+    /// field as it reads it.
+    struct Reader<'a> {
+        bytes: &'a [u8],
+        at: usize,
+    }
+
+    impl<'a> Reader<'a> {
+        fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+            if self.at + n > self.bytes.len() {
+                return Err(DecodeError::Truncated {
+                    needed: self.at + n,
+                    len: self.bytes.len(),
+                });
+            }
+            let s = &self.bytes[self.at..self.at + n];
+            self.at += n;
+            Ok(s)
+        }
+
+        fn take_u16(&mut self) -> Result<u16, DecodeError> {
+            Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        }
+
+        fn take_u32(&mut self) -> Result<u32, DecodeError> {
+            Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        }
+
+        fn take_u8(&mut self) -> Result<u8, DecodeError> {
+            Ok(self.take(1)?[0])
+        }
+
+        fn take_digest(&mut self) -> Result<[u8; DIGEST_LEN], DecodeError> {
+            Ok(self
+                .take(DIGEST_LEN)?
+                .try_into()
+                .expect("DIGEST_LEN bytes"))
+        }
+    }
+
+    fn decode_envelope(r: &mut Reader<'_>, cfg: &Config) -> Result<Envelope, DecodeError> {
+        let sender = r.take_u16()? as usize;
+        if sender >= cfg.n() {
+            return Err(DecodeError::BadSender { sender });
+        }
+        let phase = r.take_u32()?;
+        if phase == 0 {
+            return Err(DecodeError::ZeroPhase);
+        }
+        let value = match r.take_u8()? {
+            0 => Value::Zero,
+            1 => Value::One,
+            2 => Value::Bot,
+            other => return Err(DecodeError::BadValue { byte: other }),
+        };
+        let flags = r.take_u8()?;
+        if flags & !(FLAG_COIN | FLAG_DECIDED) != 0 {
+            return Err(DecodeError::BadFlags { byte: flags });
+        }
+        Ok(Envelope {
+            sender,
+            phase,
+            value,
+            coin_flip: flags & FLAG_COIN != 0,
+            status: if flags & FLAG_DECIDED != 0 {
+                Status::Decided
+            } else {
+                Status::Undecided
+            },
+        })
+    }
+
+    type Parsed = (
+        Envelope,
+        OneTimeSignature,
+        Vec<(Envelope, OneTimeSignature)>,
+    );
+
+    fn parse_reference(bytes: &[u8], cfg: &Config) -> Result<Parsed, DecodeError> {
+        let mut r = Reader { bytes, at: 0 };
+        let envelope = decode_envelope(&mut r, cfg)?;
+        let signature = OneTimeSignature(r.take_digest()?);
+        let count = r.take_u16()? as usize;
+        if count > 3 * cfg.n() {
+            return Err(DecodeError::JustificationTooLarge { count });
+        }
+        let mut justification = Vec::new();
+        for _ in 0..count {
+            let env = decode_envelope(&mut r, cfg)?;
+            justification.push((env, OneTimeSignature(r.take_digest()?)));
+        }
+        if r.at != bytes.len() {
+            return Err(DecodeError::TrailingBytes {
+                extra: bytes.len() - r.at,
+            });
+        }
+        Ok((envelope, signature, justification))
+    }
+
+    /// `MessageView::parse` returns what the reference returns: the same
+    /// error with the same fields, or the same envelope, signature,
+    /// count and entries.
+    fn matches_reference(bytes: &[u8], cfg: &Config) -> Result<(), proptest::TestCaseError> {
+        let view = MessageView::parse(bytes, cfg).map(|v| {
+            let entries: Vec<_> = (0..v.justification_len()).map(|i| v.entry(i)).collect();
+            (v.envelope(), v.signature(), entries)
+        });
+        proptest::prop_assert_eq!(
+            view,
+            parse_reference(bytes, cfg),
+            "n = {}, {} bytes",
+            cfg.n(),
+            bytes.len()
+        );
+        Ok(())
+    }
+
+    /// A well-formed record for a group of `n`, with a full-width phase
+    /// now and then.
+    fn random_record(rng: &mut impl rand::Rng, n: usize) -> (Envelope, OneTimeSignature) {
+        let env = Envelope {
+            sender: rng.gen_range(0..n),
+            phase: if rng.gen_bool(0.8) {
+                rng.gen_range(1..40)
+            } else {
+                rng.gen_range(1..=u32::MAX)
+            },
+            value: Value::ALL[rng.gen_range(0..3usize)],
+            coin_flip: rng.gen(),
+            status: if rng.gen() {
+                Status::Decided
+            } else {
+                Status::Undecided
+            },
+        };
+        (env, sig(rng.gen_range(0..=u8::MAX)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The fixed-width parser against its field-by-field reference,
+        /// at n = 4, 64 and 256: on arbitrary bytes, on every prefix of
+        /// a valid encoding (bundles past the 3n bound included), and on
+        /// valid encodings with 1–3 bytes overwritten or trailing bytes
+        /// appended.
+        #[test]
+        fn parse_matches_field_by_field_reference(seed in proptest::arbitrary::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for n in [4usize, 64, 256] {
+                let cfg = Config::evaluation(n).expect("valid n");
+                let len = rng.gen_range(0..4 * ENTRY_LEN);
+                let garbage: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=u8::MAX)).collect();
+                matches_reference(&garbage, &cfg)?;
+
+                let (envelope, signature) = random_record(&mut rng, n);
+                let count = rng.gen_range(0..=(3 * n + 1).min(24));
+                let justification = (0..count).map(|_| random_record(&mut rng, n)).collect();
+                let valid = Message { envelope, signature, justification }.encode();
+                for cut in 0..=valid.len() {
+                    matches_reference(&valid[..cut], &cfg)?;
+                }
+                for _ in 0..16 {
+                    let mut mutated = valid.to_vec();
+                    for _ in 0..rng.gen_range(1..=3usize) {
+                        let at = rng.gen_range(0..mutated.len());
+                        mutated[at] = rng.gen_range(0..=u8::MAX);
+                    }
+                    matches_reference(&mutated, &cfg)?;
+                }
+                let mut trailing = valid.to_vec();
+                trailing.extend((0..rng.gen_range(1..=3usize)).map(|_| rng.gen_range(0..=u8::MAX)));
+                matches_reference(&trailing, &cfg)?;
+            }
         }
     }
 

@@ -206,6 +206,16 @@ impl PhaseSlot {
         }
     }
 
+    /// `sender`'s first record, in insertion order, whose combination
+    /// code is in `want`.
+    fn first_in(&self, sender: usize, want: u16) -> Option<Record> {
+        if self.masks[sender] & want == 0 {
+            return None;
+        }
+        self.records(sender)
+            .find(|r| want & (1 << combo_code(r.value, r.coin_flip, r.status)) != 0)
+    }
+
     /// Whether `sender` has any record in this phase. O(1).
     fn sender_present(&self, sender: usize) -> bool {
         self.masks[sender] != 0
@@ -379,6 +389,22 @@ impl MessageStore {
         })
     }
 
+    /// Whether this exact record is stored under exactly `signature`:
+    /// [`MessageStore::contains`] and the [`MessageStore::signature_of`]
+    /// compare in one slot probe. In a store fed only verified
+    /// signatures a `true` both authenticates the fact and says that
+    /// inserting it would change nothing.
+    pub(crate) fn holds(&self, envelope: &Envelope, signature: &OneTimeSignature) -> bool {
+        self.phases.get(&envelope.phase).is_some_and(|s| {
+            s.has_record(
+                envelope.sender,
+                envelope.value,
+                envelope.coin_flip,
+                envelope.status,
+            ) && s.signature_of(envelope.sender, envelope.value) == Some(*signature)
+        })
+    }
+
     /// The best catch-up candidate: a record with phase strictly above
     /// `above`, from the **highest** such phase (lowest sender, first
     /// record as deterministic tie-breaks). Returns
@@ -420,32 +446,22 @@ impl MessageStore {
         }
     }
 
-    /// Collects up to `limit` messages at `phase` (one per sender,
-    /// ascending sender order), optionally restricted to `value`. Used to
-    /// build justification bundles.
-    pub fn collect(
+    /// The messages at `phase`, one per sender in ascending sender
+    /// order, optionally restricted to `value`: each sender's first
+    /// matching record. Senders without one are skipped on their
+    /// presence mask, and nothing is materialized, so a justification
+    /// bundle takes what it needs straight from the slot.
+    pub(crate) fn one_per_sender(
         &self,
         phase: u32,
         value: Option<Value>,
-        limit: usize,
-    ) -> Vec<(Envelope, OneTimeSignature)> {
-        let mut out = Vec::new();
-        let Some(slot) = self.phases.get(&phase) else {
-            return out;
-        };
-        for sender in 0..slot.n() {
-            if out.len() >= limit {
-                break;
-            }
-            let rec = match value {
-                Some(v) => slot.records(sender).find(|r| r.value == v),
-                None => slot.records(sender).next(),
-            };
-            if let Some(rec) = rec {
-                out.push((rec.to_envelope(sender, phase), rec.signature));
-            }
-        }
-        out
+    ) -> impl Iterator<Item = (Envelope, OneTimeSignature)> + '_ {
+        let slot = self.phases.get(&phase);
+        let want = value.map_or(u16::MAX, value_mask);
+        (0..slot.map_or(0, PhaseSlot::n)).filter_map(move |sender| {
+            let rec = slot?.first_in(sender, want)?;
+            Some((rec.to_envelope(sender, phase), rec.signature))
+        })
     }
 
     /// Iterates over the DECIDE phases (`φ mod 3 = 0`) currently stored,
@@ -597,18 +613,18 @@ mod tests {
     }
 
     #[test]
-    fn collect_one_per_sender_with_filter() {
+    fn one_per_sender_with_filter() {
         let mut s = MessageStore::new(4);
         s.insert(&env(0, 2, Value::One), sig(0));
         s.insert(&env(1, 2, Value::Zero), sig(1));
         s.insert(&env(1, 2, Value::One), sig(2)); // equivocator
         s.insert(&env(3, 2, Value::One), sig(3));
-        let ones = s.collect(2, Some(Value::One), 10);
+        let ones: Vec<_> = s.one_per_sender(2, Some(Value::One)).collect();
         assert_eq!(ones.len(), 3);
         assert!(ones.iter().all(|(e, _)| e.value == Value::One));
-        let capped = s.collect(2, None, 2);
-        assert_eq!(capped.len(), 2);
-        assert!(s.collect(5, None, 10).is_empty());
+        assert_eq!(s.one_per_sender(2, None).count(), 3);
+        assert_eq!(s.one_per_sender(2, Some(Value::Bot)).count(), 0);
+        assert_eq!(s.one_per_sender(5, None).count(), 0);
     }
 
     #[test]
@@ -769,13 +785,12 @@ mod tests {
                 .collect()
         }
 
-        fn collect(&self, phase: u32, value: Option<Value>, limit: usize) -> Vec<(Envelope, OneTimeSignature)> {
+        fn one_per_sender(&self, phase: u32, value: Option<Value>) -> Vec<(Envelope, OneTimeSignature)> {
             (0..N)
                 .filter_map(|s| {
                     let rec = self.at(phase, s).find(|r| value.is_none_or(|v| r.value == v))?;
                     Some((rec.to_envelope(s, phase), rec.signature))
                 })
-                .take(limit)
                 .collect()
         }
 
@@ -861,12 +876,10 @@ mod tests {
                             model.signature_of(phase, sender, value)
                         );
                     }
-                    for limit in [1usize, 3, usize::MAX] {
-                        assert_eq!(
-                            store.collect(phase, Some(value), limit),
-                            model.collect(phase, Some(value), limit)
-                        );
-                    }
+                    assert_eq!(
+                        store.one_per_sender(phase, Some(value)).collect::<Vec<_>>(),
+                        model.one_per_sender(phase, Some(value))
+                    );
                 }
                 for sender in 0..N {
                     assert_eq!(
@@ -875,8 +888,8 @@ mod tests {
                     );
                 }
                 assert_eq!(
-                    store.collect(phase, None, usize::MAX),
-                    model.collect(phase, None, usize::MAX)
+                    store.one_per_sender(phase, None).collect::<Vec<_>>(),
+                    model.one_per_sender(phase, None)
                 );
             }
         }

@@ -3,7 +3,8 @@
 //! every tick re-broadcasts the same justified state to every
 //! neighbour — a bare broadcast and a justified re-broadcast are both
 //! processed out of the receive buffer, the stores and two recycled
-//! scratch vectors.
+//! scratch vectors. Re-broadcasting an unchanged state rebuilds its
+//! bundle with a fixed, small number of allocations whatever `n` is.
 //!
 //! Key set-up is held to the same counter: `KeyRing::trusted_setup`
 //! makes `O(n)` allocations whatever the phase count, and cloning a
@@ -133,10 +134,15 @@ fn a_million_phase_setup_pays_only_for_the_phases_touched() {
     assert!(bytes < 100_000, "touching two phases requested {bytes} bytes");
 }
 
+/// Allocations of an unchanged re-broadcast (`Turquois::on_tick`): the
+/// bundle's entry vector, sized once, and its dedupe table. The wire
+/// bytes are reused.
+const REBROADCAST_ALLOCATIONS: u64 = 2;
+
 #[test]
 fn repeat_deliveries_allocate_nothing() {
     const PHASES: usize = 30;
-    for n in [4usize, 16] {
+    for n in [4usize, 16, 64] {
         let cfg = Config::evaluation(n).expect("valid n");
         let mut procs: Vec<Turquois> = KeyRing::trusted_setup(n, PHASES, 0xa110c)
             .into_iter()
@@ -163,6 +169,9 @@ fn repeat_deliveries_allocate_nothing() {
             bundle >= cfg.quorum_min(),
             "a re-broadcast carries its quorum"
         );
+        let (count, again) = allocations_in(|| sender.on_tick().expect("keys cover phase"));
+        assert_eq!(again.bytes, justified, "the state has not changed");
+        assert_eq!(count, REBROADCAST_ALLOCATIONS, "n={n}: unchanged re-broadcast");
 
         // First sight pays: slots, signatures, scratch capacity. (The
         // receiver has heard nothing yet, so the bundle is what makes
@@ -202,6 +211,9 @@ fn repeat_deliveries_allocate_nothing() {
         let decided = sender.on_tick().expect("keys cover phase");
         assert_eq!(decided.message.envelope.status, Status::Decided);
         assert!(!decided.message.justification.is_empty());
+        let (count, again) = allocations_in(|| sender.on_tick().expect("keys cover phase"));
+        assert_eq!(again.bytes, decided.bytes, "the state has not changed");
+        assert_eq!(count, REBROADCAST_ALLOCATIONS, "n={n}: unchanged decided re-broadcast");
         receiver.on_message(&decided.bytes);
         let (count, receipt) = allocations_in(|| receiver.on_message(&decided.bytes));
         assert_eq!(receipt.outcome, MessageOutcome::Duplicate);
