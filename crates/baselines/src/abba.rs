@@ -212,8 +212,18 @@ fn get_digest(buf: &mut &[u8]) -> Option<Digest> {
     Some(Digest(out))
 }
 
+/// Writes a share's party id in the format's 16-bit field.
+///
+/// # Panics
+///
+/// Panics if the id does not fit: truncated, it would decode as another
+/// party's share.
+fn put_party(buf: &mut BytesMut, party: usize) {
+    buf.put_u16(u16::try_from(party).expect("party id exceeds the wire format's u16"));
+}
+
 fn put_sig_share(buf: &mut BytesMut, s: &SigShare) {
-    buf.put_u16(s.party as u16);
+    put_party(buf, s.party);
     put_digest(buf, &s.tag);
 }
 
@@ -337,6 +347,12 @@ impl AbbaMessage {
     }
 
     /// Encodes for transmission into one exact-capacity buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a share's party id (the signature share's, the coin
+    /// share's or an embedded pre-vote's) does not fit the format's
+    /// 16-bit field: truncated, it would decode as another party's share.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
         match self {
@@ -363,7 +379,7 @@ impl AbbaMessage {
                 buf.put_u32(*round);
                 buf.put_u8(value.encode());
                 put_sig_share(&mut buf, share);
-                buf.put_u16(coin_share.party as u16);
+                put_party(&mut buf, coin_share.party);
                 put_digest(&mut buf, &coin_share.tag);
                 match just {
                     MainVoteJust::ForValue(sig) => {
@@ -1209,6 +1225,28 @@ mod tests {
                 },
             },
         ]
+    }
+
+    /// A signature share from party 65 536 would go out as party 0's.
+    #[test]
+    #[should_panic(expected = "party id exceeds the wire format's u16")]
+    fn encode_rejects_a_sig_share_party_beyond_u16() {
+        let mut m = codec_fixtures().swap_remove(0);
+        if let AbbaMessage::PreVote { share, .. } = &mut m {
+            share.party = 65_536;
+        }
+        let _ = m.encode();
+    }
+
+    /// So would a coin share.
+    #[test]
+    #[should_panic(expected = "party id exceeds the wire format's u16")]
+    fn encode_rejects_a_coin_share_party_beyond_u16() {
+        let mut m = codec_fixtures().swap_remove(3);
+        if let AbbaMessage::MainVote { coin_share, .. } = &mut m {
+            coin_share.party = 65_536;
+        }
+        let _ = m.encode();
     }
 
     #[test]

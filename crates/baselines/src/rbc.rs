@@ -75,13 +75,16 @@ impl RbcMessage {
     ///
     /// If the payload is longer than `u16::MAX` bytes, the most the
     /// length prefix can carry (a wrapped prefix would yield a frame the
-    /// parser rejects).
+    /// parser rejects), or the origin id does not fit the format's
+    /// 16-bit field (truncated, it would name another process's
+    /// instance).
     pub fn encode(&self) -> Bytes {
         let RbcView { kind, tag, payload } = self.view();
         assert!(payload.len() <= usize::from(u16::MAX), "payload exceeds the 16-bit length prefix");
+        let origin = u16::try_from(tag.origin).expect("origin id exceeds the wire format's u16");
         let mut buf = BytesMut::with_capacity(RBC_HEADER_LEN + payload.len());
         buf.put_u8(kind);
-        buf.put_u16(tag.origin as u16);
+        buf.put_u16(origin);
         buf.put_u32(tag.round);
         buf.put_u8(tag.step);
         buf.put_u16(payload.len() as u16);
@@ -635,6 +638,22 @@ mod tests {
             .broadcast(1, 1, Bytes::from(vec![0; usize::from(u16::MAX) + 1]))
             .send[0]
             .encode();
+    }
+
+    /// Nor may an origin wrap: 65 536 would go out as process 0.
+    #[test]
+    #[should_panic(expected = "origin id exceeds the wire format's u16")]
+    fn encode_rejects_an_origin_beyond_u16() {
+        let tag = Tag {
+            origin: 65_536,
+            round: 1,
+            step: 1,
+        };
+        let _ = RbcMessage::Initial {
+            tag,
+            payload: Bytes::from_static(b"v"),
+        }
+        .encode();
     }
 
     /// An owned message and its wire encoding are the same view, so

@@ -7,7 +7,7 @@
 //! Merkle–Lamport sign/verify (the RSA stand-in for key exchange), and
 //! the simulated threshold operations.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, Criterion, Throughput};
 use turquois_crypto::hashsig::Keypair;
 use turquois_crypto::hmac::HmacKey;
 use turquois_crypto::otss::{KeyPairArray, Value};
@@ -97,4 +97,10 @@ criterion_group!(
     bench_hashsig,
     bench_threshold
 );
-criterion_main!(benches);
+
+fn main() {
+    // Every figure here depends on which SHA-256 engine the CPU selects;
+    // name it so a log of this bench says what it measured.
+    println!("sha256 engine: {}", turquois_crypto::sha256::engine());
+    benches();
+}

@@ -147,7 +147,7 @@ impl Keypair {
         let mut level: Vec<Digest> = (0..leaves).map(|i| leaf_hash(seed, i)).collect();
         let mut tree = vec![level.clone()];
         for _ in 0..height {
-            // The nodes of one level are independent: lane-batch them.
+            // The nodes of one level are independent: batch them.
             let preimages: Vec<[u8; NODE_PREIMAGE_LEN]> = level
                 .chunks_exact(2)
                 .map(|pair| node_preimage(&pair[0], &pair[1]))
@@ -230,9 +230,8 @@ impl PublicKey {
     }
 
     /// Structural checks that must pass before any hashing work is
-    /// allocated: vector lengths and the leaf-index bound. Shared by
-    /// the scalar and lane-batched verify paths so both reject the same
-    /// malformed signatures at the same point.
+    /// allocated: vector lengths and the leaf-index bound, so every
+    /// engine rejects the same malformed signatures at the same point.
     fn well_formed(&self, sig: &Signature) -> bool {
         sig.revealed.len() == MSG_BITS
             && sig.unrevealed_hashes.len() == MSG_BITS
@@ -243,8 +242,8 @@ impl PublicKey {
     /// Verifies `sig` over `message`.
     ///
     /// The MSG_BITS revealed secrets are independent single-block
-    /// digests, so they run through the multi-lane kernel in one batch
-    /// (bit-identical to hashing each in turn).
+    /// digests, so they run as one batch (bit-identical to hashing each
+    /// in turn).
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
         if !self.well_formed(sig) {
             return false;
@@ -302,7 +301,7 @@ fn secret_preimage(seed: u64, leaf: usize, bit_idx: usize, bit: bool) -> [u8; SE
 
 /// Derives both secrets of every bit position of one leaf
 /// (`2·MSG_BITS` digests, ordered `[bit 0: false, true, bit 1: …]`) in
-/// a single lane batch.
+/// a single batch.
 fn leaf_secrets(seed: u64, leaf: usize) -> Vec<Digest> {
     let preimages: Vec<[u8; SECRET_PREIMAGE_LEN]> = (0..MSG_BITS)
         .flat_map(|bit_idx| [false, true].map(|bit| secret_preimage(seed, leaf, bit_idx, bit)))
@@ -323,7 +322,7 @@ fn leaf_hash(seed: u64, leaf: usize) -> Digest {
     h.finalize()
 }
 
-/// Builds the preimage of one interior Merkle node, for the lane-batched
+/// Builds the preimage of one interior Merkle node, for the batched
 /// per-level keygen pass.
 fn node_preimage(left: &Digest, right: &Digest) -> [u8; NODE_PREIMAGE_LEN] {
     let mut p = [0u8; NODE_PREIMAGE_LEN];
@@ -439,27 +438,28 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_batched_engines_agree_end_to_end() {
-        use crate::sha256::multilane::oracle::with_scalar_sha;
-        let (scalar_kp, scalar_sig) = with_scalar_sha(|| {
-            let mut kp = Keypair::generate(2, 42);
-            let sig = kp.sign(b"cross-engine").expect("leaf");
-            (kp, sig)
-        });
-        let mut lane_kp = Keypair::generate(2, 42);
-        let lane_sig = lane_kp.sign(b"cross-engine").expect("leaf");
+    fn every_engine_agrees_end_to_end() {
+        use crate::sha256::oracle::on_every_engine;
+        let mut kp = Keypair::generate(2, 42);
+        let sig = kp.sign(b"cross-engine").expect("leaf");
         // Keys, signatures, and verdicts must not depend on the engine.
-        assert_eq!(scalar_kp.public_key(), lane_kp.public_key());
-        assert_eq!(scalar_sig.revealed, lane_sig.revealed);
-        assert_eq!(scalar_sig.unrevealed_hashes, lane_sig.unrevealed_hashes);
-        assert_eq!(scalar_sig.auth_path, lane_sig.auth_path);
-        assert!(lane_kp.public_key().verify(b"cross-engine", &scalar_sig));
-        assert!(with_scalar_sha(|| lane_kp.public_key().verify(b"cross-engine", &lane_sig)));
+        for (engine, (other_kp, other_sig, verdict)) in on_every_engine(|| {
+            let mut other_kp = Keypair::generate(2, 42);
+            let other_sig = other_kp.sign(b"cross-engine").expect("leaf");
+            let verdict = kp.public_key().verify(b"cross-engine", &sig);
+            (other_kp, other_sig, verdict)
+        }) {
+            assert_eq!(other_kp.public_key(), kp.public_key(), "{engine:?}");
+            assert_eq!(other_sig.revealed, sig.revealed, "{engine:?}");
+            assert_eq!(other_sig.unrevealed_hashes, sig.unrevealed_hashes, "{engine:?}");
+            assert_eq!(other_sig.auth_path, sig.auth_path, "{engine:?}");
+            assert!(verdict, "{engine:?}");
+        }
     }
 
     #[test]
-    fn scalar_and_batched_reject_same_malformed_signatures() {
-        use crate::sha256::multilane::oracle::with_scalar_sha;
+    fn every_engine_rejects_the_same_malformed_signatures() {
+        use crate::sha256::oracle::on_every_engine;
         let mut kp = Keypair::generate(2, 11);
         let good = kp.sign(b"msg").expect("leaf");
         let mut variants: Vec<(&str, Signature)> = Vec::new();
@@ -481,16 +481,18 @@ mod tests {
         let mut s = good.clone();
         s.auth_path[0].0[0] ^= 1;
         variants.push(("tampered path", s));
-        for (label, sig) in &variants {
-            let scalar = with_scalar_sha(|| kp.public_key().verify(b"msg", sig));
-            let batched = kp.public_key().verify(b"msg", sig);
-            assert_eq!(scalar, batched, "engines disagree on {label}");
-            assert!(!batched, "{label} must be rejected");
+        for (engine, verdicts) in on_every_engine(|| {
+            let good_ok = kp.public_key().verify(b"msg", &good);
+            let bad_ok: Vec<bool> = variants
+                .iter()
+                .map(|(_, sig)| kp.public_key().verify(b"msg", sig))
+                .collect();
+            (good_ok, bad_ok)
+        }) {
+            assert!(verdicts.0, "{engine:?} accepts good");
+            for ((label, _), accepted) in variants.iter().zip(verdicts.1) {
+                assert!(!accepted, "{engine:?}: {label} must be rejected");
+            }
         }
-        assert!(
-            with_scalar_sha(|| kp.public_key().verify(b"msg", &good)),
-            "scalar accepts good"
-        );
-        assert!(kp.public_key().verify(b"msg", &good), "batched accepts good");
     }
 }

@@ -7,7 +7,7 @@
 //! the protocol starts, exactly as the paper distributes its security
 //! associations.
 
-use crate::sha256::{Digest, Sha256, DIGEST_LEN};
+use crate::sha256::{digest_resumed, Digest, Sha256, DIGEST_LEN};
 
 const BLOCK_LEN: usize = 64;
 
@@ -85,7 +85,7 @@ impl HmacKey {
 
     /// Computes the HMAC tag over `message`.
     pub fn mac(&self, message: &[u8]) -> Digest {
-        self.mac_parts(&[message])
+        self.outer(digest_resumed(self.inner_mid, BLOCK_LEN as u64, message))
     }
 
     /// Computes the HMAC tag over the concatenation of `parts` without
@@ -96,10 +96,12 @@ impl HmacKey {
         for p in parts {
             inner.update(p);
         }
-        let inner_digest = inner.finalize();
-        let mut outer = Sha256::from_midstate(self.outer_mid, BLOCK_LEN as u64);
-        outer.update(inner_digest.as_bytes());
-        outer.finalize()
+        self.outer(inner.finalize())
+    }
+
+    /// The outer hash over a finished inner digest.
+    fn outer(&self, inner: Digest) -> Digest {
+        digest_resumed(self.outer_mid, BLOCK_LEN as u64, inner.as_bytes())
     }
 
     /// Verifies `tag` against `message` in constant time.
@@ -123,35 +125,37 @@ impl HmacKey {
     }
 }
 
-/// Computes the HMAC tags of a batch of `(key, message)` pairs through
-/// the multi-lane kernel: all inner hashes run as one lane batch
-/// (resumed from each key's cached ipad midstate), then all outer
-/// finishes as a second batch. Bit-identical to calling
-/// [`HmacKey::mac`] per pair.
-pub fn hmac_many(items: &[(&HmacKey, &[u8])]) -> Vec<Digest> {
+/// Writes the HMAC tag of one `message` under each of `keys` into the
+/// matching slot of `tags` — a broadcast's link tags — as two batch
+/// digests (DESIGN.md §12): all inner hashes resumed from each key's
+/// cached ipad midstate, then all outer finishes. Bit-identical to
+/// `keys[i].mac(message)` per slot.
+///
+/// # Panics
+///
+/// Panics unless `tags` has one slot per key.
+pub fn hmac_many(keys: &[HmacKey], message: &[u8], tags: &mut [Digest]) {
     use crate::sha256::multilane::{digest_jobs, LaneJob};
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let inner_jobs: Vec<LaneJob<'_>> = items
+    let inner_jobs: Vec<LaneJob<'_>> = keys
         .iter()
-        .map(|(key, msg)| LaneJob {
+        .map(|key| LaneJob {
             state: key.inner_mid,
             prefix_len: BLOCK_LEN as u64,
-            msg,
+            msg: message,
         })
         .collect();
-    let inner = digest_jobs(&inner_jobs);
-    let outer_jobs: Vec<LaneJob<'_>> = items
+    let mut inner = vec![Digest::ZERO; keys.len()];
+    digest_jobs(&inner_jobs, &mut inner);
+    let outer_jobs: Vec<LaneJob<'_>> = keys
         .iter()
         .zip(&inner)
-        .map(|((key, _), inner_digest)| LaneJob {
+        .map(|(key, inner_digest)| LaneJob {
             state: key.outer_mid,
             prefix_len: BLOCK_LEN as u64,
             msg: inner_digest.as_bytes(),
         })
         .collect();
-    digest_jobs(&outer_jobs)
+    digest_jobs(&outer_jobs, tags);
 }
 
 /// Derives the pairwise HMAC key for the unordered node pair `{a, b}`
@@ -303,25 +307,27 @@ mod tests {
         }
     }
 
-    /// `hmac_many` must match per-pair `mac` on every engine and batch
-    /// size, including ragged batches and mixed keys/lengths.
+    /// `hmac_many` must match per-key `mac` on every engine, batch size
+    /// (ragged ones included) and message length, the 1- and 2-block
+    /// inner tails included.
     #[test]
-    fn hmac_many_matches_per_pair_mac() {
-        use crate::sha256::multilane::oracle::with_scalar_sha;
-        let keys: Vec<HmacKey> = (0..5).map(|i| HmacKey::from_bytes(&[i as u8; 16])).collect();
-        let messages: Vec<Vec<u8>> = [0usize, 1, 55, 63, 64, 65, 120, 200]
-            .iter()
-            .map(|&len| (0..len).map(|i| i as u8).collect())
-            .collect();
-        for batch in [1usize, 3, 4, 7, 8, 13] {
-            let items: Vec<(&HmacKey, &[u8])> = (0..batch)
-                .map(|i| (&keys[i % keys.len()], &messages[i % messages.len()][..]))
-                .collect();
-            let expected: Vec<Digest> = items.iter().map(|(k, m)| k.mac(m)).collect();
-            assert_eq!(hmac_many(&items), expected, "lanes, batch {batch}");
-            assert_eq!(with_scalar_sha(|| hmac_many(&items)), expected, "scalar, batch {batch}");
+    fn batch_macs_match_per_key_mac_on_every_engine() {
+        use crate::sha256::oracle::on_every_engine;
+        let keys: Vec<HmacKey> = (0..13).map(|i| HmacKey::from_bytes(&[i as u8; 16])).collect();
+        for len in [0usize, 1, 55, 63, 64, 65, 120, 200] {
+            let message: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            for batch in [0usize, 1, 3, 4, 7, 8, 13] {
+                let row = &keys[..batch];
+                let expected: Vec<Digest> = row.iter().map(|k| k.mac(&message)).collect();
+                for (engine, got) in on_every_engine(|| {
+                    let mut tags = vec![Digest::ZERO; batch];
+                    hmac_many(row, &message, &mut tags);
+                    tags
+                }) {
+                    assert_eq!(got, expected, "{engine:?}, batch {batch}, len {len}");
+                }
+            }
         }
-        assert!(hmac_many(&[]).is_empty());
     }
 
     #[test]

@@ -32,11 +32,12 @@
 //!   link tags are computed once, by the sender, in *host* time
 //!   (simulated cost is still charged per logical verification).
 //!
-//! Two host-side accelerators live here — the multi-lane kernel in
-//! [`sha256::multilane`] behind every batch digest, and [`memo`] — and
+//! Two host-side accelerators live here — the SHA-256 engines under
+//! every digest (the SHA-NI kernel where the CPU has the SHA extensions,
+//! else the lane kernel of [`sha256::multilane`]), and [`memo`] — and
 //! neither has an off-switch: the code they replaced survives only as
-//! `#[cfg(test)]` oracles (the streaming-hasher batch digest, the
-//! textbook HMAC) and as the memo's debug-build hit recheck.
+//! `#[cfg(test)]` oracles (the textbook scalar SHA-256, the textbook
+//! HMAC) and as the memo's debug-build hit recheck.
 //!
 //! # Example
 //!
@@ -50,14 +51,17 @@
 //! assert!(!keys.verification_keys().verify(3, Value::Zero, &sig));
 //! ```
 
-// `deny`, not `forbid`: `sha256::multilane` carries the crate's single
-// sanctioned `unsafe` — calling the AVX2-recompiled copy of the (fully
-// safe, portable) lane kernel after `is_x86_feature_detected!` proves
-// the host supports it. No runtime switch routes around that call:
-// every batch digest on an AVX2 host goes through it, so the lane-vs-
-// streaming-hasher tests are what vouch for it. Everything else stays
-// unsafe-free; new exceptions need the same justification and a scoped
-// `allow`.
+// `deny`, not `forbid`: the crate's sanctioned `unsafe` is calling a
+// `#[target_feature]` kernel, whose body is safe code, right after
+// `is_x86_feature_detected!` proves the host supports it. There are two
+// such kernels: the SHA-NI one (`sha256::shani`, entered from the
+// compression dispatch in `sha256`) and the AVX2 recompilation of the
+// portable lane kernel (`sha256::multilane::compress_wide`). No runtime
+// switch routes around them — the engine is chosen by CPU detection
+// alone — so the engine differential tests (`sha256::oracle`), which
+// run every engine the host has against the textbook specification,
+// are what vouch for them. Everything else stays unsafe-free; new
+// exceptions need the same justification and a scoped `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -164,7 +164,7 @@ impl std::error::Error for SignError {}
 /// Phases per derivation block: one block covers the 3–10 phases a
 /// typical run reaches, and any 24 consecutive phases hold 8 DECIDE
 /// phases, so a full block is [`BLOCK_SLOTS`] = 56 legal slots — seven
-/// full 8-lane SHA-256 batches per pass.
+/// full 8-lane steps per pass on the lane engines.
 const BLOCK_PHASES: usize = 24;
 const BLOCK_SLOTS: usize = BLOCK_PHASES * 2 + BLOCK_PHASES / 3;
 
@@ -213,7 +213,7 @@ impl Epoch {
     }
 
     /// Every legal slot is an independent single-block derivation
-    /// followed by an independent verification hash: two lane batches
+    /// followed by an independent verification hash: two batches
     /// (paper footnote 3 still skips the ⊥ slot of non-DECIDE phases).
     fn derive_block(&self, b: usize) -> Box<Block> {
         let base = b * BLOCK_PHASES;
@@ -312,7 +312,7 @@ impl VerificationKeyArray {
     }
 
     /// Like [`VerificationKeyArray::verify`] with `H(sig)` already
-    /// computed, so a multi-epoch scan (or a lane-batched caller)
+    /// computed, so a multi-epoch scan (or a batched caller)
     /// hashes each signature exactly once instead of once per epoch.
     pub fn verify_hashed(&self, phase: u32, value: Value, sig_hash: &Digest) -> bool {
         self.key(phase, value)
@@ -433,7 +433,7 @@ impl KeyPairArray {
 
 /// Builds the derivation preimage of one one-time secret. The scalar
 /// oracle ([`crate::sha256::sha256_domain`] over the same tag and
-/// parts) and the lane batch hash exactly these bytes.
+/// parts) and the batch hash exactly these bytes.
 fn secret_preimage(seed: u64, process: usize, phase: u32, value: Value) -> [u8; SECRET_PREIMAGE_LEN] {
     let mut p = [0u8; SECRET_PREIMAGE_LEN];
     let t = SECRET_TAG.len();
@@ -634,12 +634,14 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_batched_keygen_agree() {
-        use crate::sha256::multilane::oracle::with_scalar_sha;
-        let scalar = with_scalar_sha(|| materialised(&KeyPairArray::generate_epoch(3, 4, 40, 123)));
-        let lanes = materialised(&KeyPairArray::generate_epoch(3, 4, 40, 123));
-        assert_eq!(scalar, lanes);
-        assert_eq!(lanes, eager_epoch(3, 4, 40, 123));
+    fn every_engine_derives_the_same_keys() {
+        use crate::sha256::oracle::on_every_engine;
+        let expected = eager_epoch(3, 4, 40, 123);
+        for (engine, got) in
+            on_every_engine(|| materialised(&KeyPairArray::generate_epoch(3, 4, 40, 123)))
+        {
+            assert_eq!(got, expected, "{engine:?}");
+        }
     }
 
     use proptest::prelude::*;

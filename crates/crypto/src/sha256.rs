@@ -4,10 +4,22 @@
 //! crate, so the hash function the paper builds on (it suggests SHA-256 or
 //! RIPEMD-160) is implemented here and validated against the FIPS 180-4
 //! test vectors in the unit tests.
+//!
+//! Every compression — streaming, HMAC, batch — runs on one engine,
+//! chosen once per process by CPU detection (DESIGN.md §12; [`engine`]
+//! names it): the SHA-NI kernel where the host has the SHA extensions,
+//! else the lane kernel of [`multilane`], compiled for AVX2 where the
+//! host has it. All engines compute bit-identical digests; the tests
+//! hold each to a textbook specification compiled for tests only.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 pub mod multilane;
+#[cfg(test)]
+pub(crate) mod oracle;
+#[cfg(target_arch = "x86_64")]
+mod shani;
 
 /// Length in bytes of a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -82,6 +94,16 @@ impl Digest {
     pub fn prefix_u64(&self) -> u64 {
         u64::from_be_bytes(self.0[..8].try_into().expect("digest has >= 8 bytes"))
     }
+
+    /// The digest a finished compression state spells: its words,
+    /// big-endian, in order.
+    pub(crate) fn from_state(state: &[u32; 8]) -> Digest {
+        let mut out = [0u8; DIGEST_LEN];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        Digest(out)
+    }
 }
 
 impl PartialEq for Digest {
@@ -133,6 +155,92 @@ pub(crate) const K: [u32; 64] = [
 pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
+
+/// A SHA-256 compression engine. Production runs the first of the
+/// first three the host supports; the last exists only for the
+/// differential tests (`oracle::with_engine`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Engine {
+    /// The SHA-NI kernel; batches run one job at a time.
+    ShaNi,
+    /// The lane kernel compiled for AVX2.
+    Avx2Lanes,
+    /// The lane kernel at the baseline target.
+    PortableLanes,
+    /// The textbook scalar compression: the specification.
+    #[cfg(test)]
+    PortableScalar,
+}
+
+impl Engine {
+    fn name(self) -> &'static str {
+        match self {
+            Engine::ShaNi => "sha-ni",
+            Engine::Avx2Lanes => "avx2-lanes",
+            Engine::PortableLanes => "portable-lanes",
+            #[cfg(test)]
+            Engine::PortableScalar => "portable-scalar",
+        }
+    }
+
+    /// Whether this host can run the engine.
+    fn available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Engine::ShaNi => shani::detected(),
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2Lanes => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Engine::ShaNi | Engine::Avx2Lanes => false,
+            _ => true,
+        }
+    }
+}
+
+/// The engine every compression on this thread runs on.
+#[inline]
+pub(crate) fn active() -> Engine {
+    #[cfg(test)]
+    if let Some(forced) = oracle::forced() {
+        return forced;
+    }
+    static DETECTED: OnceLock<Engine> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        [Engine::ShaNi, Engine::Avx2Lanes]
+            .into_iter()
+            .find(|e| e.available())
+            .unwrap_or(Engine::PortableLanes)
+    })
+}
+
+/// The SHA-256 engine this process runs on, chosen by CPU detection:
+/// `"sha-ni"` (the x86-64 SHA extensions), `"avx2-lanes"` (the lane
+/// kernel compiled for AVX2) or `"portable-lanes"`. Read-only: there is
+/// no way to choose another.
+pub fn engine() -> &'static str {
+    active().name()
+}
+
+/// Compresses whole 64-byte blocks into `state` on the active engine,
+/// all of them in one kernel call.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        Engine::ShaNi if shani::detected() => {
+            // SAFETY: the kernel's one requirement is that the host has
+            // the features it is compiled for, which `detected` just
+            // proved; its body is safe code.
+            #[allow(unsafe_code)]
+            unsafe {
+                shani::compress_blocks(state, blocks)
+            }
+        }
+        #[cfg(test)]
+        Engine::PortableScalar => oracle::compress_blocks(state, blocks),
+        _ => multilane::compress_stream(state, blocks),
+    }
+}
 
 /// Incremental SHA-256 hasher.
 ///
@@ -199,8 +307,9 @@ impl Sha256 {
     /// Absorbs `data` into the hash state.
     ///
     /// Full 64-byte blocks are compressed straight out of the caller's
-    /// slice (by reference — no per-block staging copy); only the
-    /// sub-block head and tail ever touch the internal buffer.
+    /// slice (by reference — no per-block staging copy), all in one
+    /// kernel call; only the sub-block head and tail ever touch the
+    /// internal buffer.
     pub fn update(&mut self, data: &[u8]) {
         let mut data = data;
         if self.buf_len > 0 {
@@ -210,18 +319,17 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                compress(&mut self.state, &self.buf);
+                compress_blocks(&mut self.state, &self.buf);
                 self.len += 64;
                 self.buf_len = 0;
             }
         }
-        let mut blocks = data.chunks_exact(64);
-        for block in &mut blocks {
-            let block: &[u8; 64] = block.try_into().expect("chunk of length 64");
-            compress(&mut self.state, block);
-            self.len += 64;
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            compress_blocks(&mut self.state, &data[..whole]);
+            self.len += whole as u64;
         }
-        let tail = blocks.remainder();
+        let tail = &data[whole..];
         if !tail.is_empty() {
             self.buf[..tail.len()].copy_from_slice(tail);
             self.buf_len = tail.len();
@@ -229,75 +337,37 @@ impl Sha256 {
     }
 
     /// Consumes the hasher, producing the digest.
-    pub fn finalize(mut self) -> Digest {
-        let total_bits = (self.len + self.buf_len as u64).wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        let mut pad = [0u8; 128];
-        let buffered = self.buf_len;
-        pad[..buffered].copy_from_slice(&self.buf[..buffered]);
-        pad[buffered] = 0x80;
-        let pad_len = if buffered < 56 { 64 } else { 128 };
-        pad[pad_len - 8..pad_len].copy_from_slice(&total_bits.to_be_bytes());
-        for chunk in pad[..pad_len].chunks_exact(64) {
-            let block: &[u8; 64] = chunk.try_into().expect("chunk of length 64");
-            compress(&mut self.state, block);
-        }
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+    pub fn finalize(self) -> Digest {
+        digest_resumed(self.state, self.len, &self.buf[..self.buf_len])
     }
-
 }
 
-/// One FIPS 180-4 compression round over a borrowed block.
-///
-/// Free function (not a method) so `update` can compress
-/// `self.buf` while mutating `self.state` — that split borrow is
-/// what lets full blocks stream from the input slice by reference.
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 64];
-    for (i, word) in w.iter_mut().take(16).enumerate() {
-        *word = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+/// The digest of `msg` absorbed after the `prefix_len` bytes (a multiple
+/// of 64) that left the compression state at `state`: its whole blocks
+/// straight from the slice, then its padded tail — no hasher, no
+/// staging buffer. Every finished digest ends here or in a batch.
+pub(crate) fn digest_resumed(mut state: [u32; 8], prefix_len: u64, msg: &[u8]) -> Digest {
+    let whole = msg.len() - msg.len() % 64;
+    if whole > 0 {
+        compress_blocks(&mut state, &msg[..whole]);
     }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
-    }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ ((!e) & g);
-        let temp1 = h
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let temp2 = s0.wrapping_add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(temp1);
-        d = c;
-        c = b;
-        b = a;
-        a = temp1.wrapping_add(temp2);
-    }
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
-    state[5] = state[5].wrapping_add(f);
-    state[6] = state[6].wrapping_add(g);
-    state[7] = state[7].wrapping_add(h);
+    let mut pad = [0u8; 128];
+    let pad_len = pad_tail(&msg[whole..], prefix_len + msg.len() as u64, &mut pad);
+    compress_blocks(&mut state, &pad[..pad_len]);
+    Digest::from_state(&state)
+}
+
+/// Writes into the zeroed `pad` the last one or two blocks of a
+/// `total_len`-byte message whose final `tail.len() < 64` bytes are
+/// `tail`: the tail, 0x80, zeros and the 64-bit big-endian bit length.
+/// Returns their length. (Filled in place: a batch pads up to eight
+/// tails a step, and returning each by value costs a copy.)
+pub(crate) fn pad_tail(tail: &[u8], total_len: u64, pad: &mut [u8; 128]) -> usize {
+    pad[..tail.len()].copy_from_slice(tail);
+    pad[tail.len()] = 0x80;
+    let pad_len = if tail.len() < 56 { 64 } else { 128 };
+    pad[pad_len - 8..pad_len].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    pad_len
 }
 
 /// Hashes `data` in one shot.
@@ -312,9 +382,7 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
 /// );
 /// ```
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    digest_resumed(H0, 0, data)
 }
 
 /// Hashes the concatenation of several byte slices without allocating.
@@ -328,7 +396,7 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
 
 /// One-shot digest of `tag ‖ parts…` — the single helper behind every
 /// domain-separated derivation (hash-chain secrets and tree nodes,
-/// one-time-key derivations). Streaming and lane-batched callers build
+/// one-time-key derivations). Streaming and batched callers build
 /// the same preimage bytes, so routing both through here keeps them
 /// hashing identical input by construction.
 #[inline]
@@ -344,32 +412,6 @@ pub fn sha256_domain(tag: &[u8], parts: &[&[u8]]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// FIPS 180-4 / NIST CAVP known-answer vectors.
-    #[test]
-    fn fips_vectors() {
-        let cases: &[(&[u8], &str)] = &[
-            (
-                b"",
-                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            ),
-            (
-                b"abc",
-                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
-            ),
-            (
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
-            ),
-            (
-                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
-                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
-            ),
-        ];
-        for (input, expected) in cases {
-            assert_eq!(sha256(input).to_hex(), *expected, "input {input:?}");
-        }
-    }
 
     #[test]
     fn million_a() {

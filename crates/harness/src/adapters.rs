@@ -265,8 +265,10 @@ fn icv_matches(tag: &Digest, icv: &[u8]) -> bool {
 /// exactly as sound as recomputing (a forged ICV mismatches the true
 /// tag either way). The message bytes are held as a zero-copy [`Bytes`]
 /// handle, which keys by content (same `Hash`/`Eq` as `[u8]`) without
-/// copying the frame body on every wrap and every check.
-type LinkTagKey = (u16, Bytes);
+/// copying the frame body on every wrap and every check. The sender is
+/// the full `usize` id: a narrower field would let sender `s + 2¹⁶`'s
+/// frames hit the tags `s` published and pass `s`'s ICV check.
+type LinkTagKey = (usize, Bytes);
 
 /// One simulation's pool of link HMAC tags, shared by every node the
 /// simulator hosts: the sender's wrap and each receiver's check of the
@@ -332,12 +334,15 @@ impl PairwiseKeys {
     }
 
     /// The HMAC tags of one `message` on the links to all n peers, in
-    /// peer order, finished through one
-    /// [`turquois_crypto::hmac::hmac_many`] lane batch. Tag-for-tag
-    /// identical to calling [`PairwiseKeys::mac`] per peer.
-    pub fn mac_all(&self, message: &[u8]) -> Vec<Digest> {
-        let links: Vec<(&HmacKey, &[u8])> = self.row().iter().map(|key| (key, message)).collect();
-        turquois_crypto::hmac::hmac_many(&links)
+    /// peer order, finished as one batch
+    /// ([`turquois_crypto::hmac::hmac_many`]) straight into the
+    /// shared slice the link-tag pool holds. Tag-for-tag identical to
+    /// calling [`PairwiseKeys::mac`] per peer.
+    pub fn mac_all(&self, message: &[u8]) -> Rc<[Digest]> {
+        let mut tags: Rc<[Digest]> = std::iter::repeat_n(Digest::ZERO, self.n).collect();
+        let slots = Rc::get_mut(&mut tags).expect("a fresh Rc has no other owner");
+        turquois_crypto::hmac::hmac_many(self.row(), message, slots);
+        tags
     }
 }
 
@@ -393,7 +398,7 @@ impl BrachaApp {
         if wrapped.len() < ICV_LEN {
             return false;
         }
-        let (me, key) = (self.engine.id(), (peer as u16, wrapped.slice(ICV_LEN..)));
+        let (me, key) = (self.engine.id(), (peer, wrapped.slice(ICV_LEN..)));
         let link_tag = || self.macs.mac(peer, &key.1);
         let pool = self.link_tags.borrow();
         let tag = match pool.peek(&key, |tags| tags[me] == link_tag()) {
@@ -404,21 +409,20 @@ impl BrachaApp {
     }
 
     /// Wraps `inner` for all n destinations: computes the n link tags
-    /// through one lane batch (DESIGN.md §12), publishes them into the
-    /// shared pool for the receivers' checks (one insert, or nothing if
-    /// the pool holds this broadcast already), and stages the n frames
-    /// `icv ‖ inner` back to back, in destination order, into one
-    /// exact-capacity buffer. Every frame is `ICV_LEN + |inner|` long, so
+    /// as one batch (DESIGN.md §12), stages the n frames `icv ‖ inner`
+    /// back to back, in destination order, into one exact-capacity
+    /// buffer, and publishes the tags into the shared pool for the
+    /// receivers' checks (one insert, or nothing if the pool holds this
+    /// broadcast already). Every frame is `ICV_LEN + |inner|` long, so
     /// the per-destination slices need no side table.
     fn wrap_for_all(&mut self, inner: &Bytes) -> Bytes {
-        let tags: Rc<[Digest]> = self.macs.mac_all(inner).into();
-        let key = (self.engine.id() as u16, inner.clone());
-        self.link_tags.borrow_mut().lookup(key, || tags.clone());
+        let tags = self.macs.mac_all(inner);
         let mut buf = BytesMut::with_capacity(tags.len() * (ICV_LEN + inner.len()));
         for tag in tags.iter() {
             buf.put_slice(&tag.as_bytes()[..ICV_LEN]);
             buf.put_slice(inner);
         }
+        self.link_tags.borrow_mut().lookup((self.engine.id(), inner.clone()), || tags);
         buf.freeze()
     }
 
@@ -683,7 +687,7 @@ mod tests {
     }
 
     /// One broadcast to n = 7 costs n link-tag computations in total:
-    /// the sender's lane batch computes them, publishes them as one pool
+    /// the sender's batch computes them, publishes them as one pool
     /// entry and stages the per-link reference frames; every receiver's
     /// check is a hit on its link's tag — which still rejects a tampered
     /// ICV — and a frame nobody published is a miss the receiver
@@ -740,6 +744,28 @@ mod tests {
             }
         }
         assert_eq!(pool.borrow().len(), 2);
+    }
+
+    /// Sender ids past 16 bits key pool entries of their own: a frame
+    /// from sender 65 536 carrying the ICV sender 0 published for the
+    /// same body misses sender 0's entry and fails its own link's check
+    /// (a 16-bit key would hit that entry and accept the frame).
+    #[test]
+    fn sender_past_u16_misses_the_entry_of_sender_0() {
+        let n = 65_537;
+        let pool = new_link_tags();
+        let engine = Bracha::new(n, 1, 1, false, 0);
+        let receiver =
+            BrachaApp::new(engine, n, 9, CostModel::default(), RunProbe::new(n), pool.clone());
+        let inner = Bytes::copy_from_slice(b"one broadcast body");
+        // Sender 0's published tags; the receiver reads only its slot.
+        let tags: Rc<[Digest]> =
+            (0..2).map(|dst| turquois_crypto::hmac::pairwise_key(9, 0, dst).mac(&inner)).collect();
+        pool.borrow_mut().lookup((0, inner.clone()), || tags.clone());
+        let frame = mac_wrap(&tags[1], &inner);
+        assert!(receiver.icv_ok(0, &frame), "sender 0's own frame hits and verifies");
+        assert!(pool.borrow().peek(&(65_536, inner.clone()), |_| true).is_none());
+        assert!(!receiver.icv_ok(65_536, &frame), "sender 0's tag passed for sender 65 536");
     }
 
     #[test]
