@@ -31,6 +31,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use turquois_crypto::sha256::{Digest, DIGEST_LEN};
 use turquois_crypto::threshold::{
@@ -566,12 +567,14 @@ struct PreVoteRound {
 
 impl PreVoteRound {
     /// Records `from`'s pre-vote if it is the first accepted from that
-    /// party this round (first value wins).
-    fn record(&mut self, from: usize, value: bool, share: SigShare) {
-        if self.votes.record(from, (value, share)) {
+    /// party this round (first value wins); returns whether it was.
+    fn record(&mut self, from: usize, value: bool, share: SigShare) -> bool {
+        let fresh = self.votes.record(from, (value, share));
+        if fresh {
             self.total += 1;
             self.value_counts[value as usize] += 1;
         }
+        fresh
     }
 
     /// Distinct parties recorded this round. O(1).
@@ -616,12 +619,14 @@ struct MainVoteRound {
 
 impl MainVoteRound {
     /// Records `from`'s main-vote if it is the first accepted from that
-    /// party this round (first value wins).
-    fn record(&mut self, from: usize, value: MainVoteValue, share: SigShare) {
-        if self.votes.record(from, (value, share)) {
+    /// party this round (first value wins); returns whether it was.
+    fn record(&mut self, from: usize, value: MainVoteValue, share: SigShare) -> bool {
+        let fresh = self.votes.record(from, (value, share));
+        if fresh {
             self.total += 1;
             self.value_counts[mv_idx(value)] += 1;
         }
+        fresh
     }
 
     /// Distinct parties recorded this round. O(1).
@@ -710,6 +715,9 @@ pub struct Abba {
     main: HashMap<u32, MainVoteRound>,
     coin_shares: HashMap<u32, HashMap<usize, CoinShare>>,
     hard_sigs: HashMap<(u32, bool), ThresholdSignature>,
+    /// Pre-votes, main-votes and coin shares held in the round maps:
+    /// counted as they are recorded, recounted when GC drops rounds.
+    records: usize,
     decision: Option<bool>,
     stop_round: Option<u32>,
     _rng: StdRng,
@@ -749,6 +757,7 @@ impl Abba {
             main: HashMap::new(),
             coin_shares: HashMap::new(),
             hard_sigs: HashMap::new(),
+            records: 0,
             decision: None,
             stop_round: None,
             _rng: StdRng::seed_from_u64(seed ^ 0xabba),
@@ -773,15 +782,51 @@ impl Abba {
     /// Deterministic estimate of the engine's consensus-store footprint
     /// in bytes: 64 per live pre/main round plus 40 per recorded vote,
     /// coin share, and deposited hard signature (a share is a party id
-    /// plus a 32-byte tag). Reads the O(1) per-round totals (the round
-    /// maps hold a GC-bounded handful of entries), depends on logical
-    /// content only, and is identical in both vote-table layouts.
+    /// plus a 32-byte tag). O(1): the record count is kept as records
+    /// arrive (the simulator polls this after every callback). Depends
+    /// on logical content only.
     pub fn store_bytes(&self) -> usize {
+        debug_assert_eq!(self.records, self.scan_records());
+        (self.pre.len() + self.main.len()) * 64 + 40 * (self.records + self.hard_sigs.len())
+    }
+
+    /// Pre-votes, main-votes and coin shares across the round maps,
+    /// summed: `records` recounted (at GC, and as its debug oracle).
+    fn scan_records(&self) -> usize {
         let pre: usize = self.pre.values().map(|pr| pr.total).sum();
         let main: usize = self.main.values().map(|mr| mr.total).sum();
         let coins: usize = self.coin_shares.values().map(HashMap::len).sum();
-        (self.pre.len() + self.main.len()) * 64
-            + 40 * (pre + main + coins + self.hard_sigs.len())
+        pre + main + coins
+    }
+
+    /// Records `from`'s pre-vote in `round` (first value wins).
+    fn record_pre(&mut self, round: u32, from: usize, value: bool, share: SigShare) -> &mut PreVoteRound {
+        let pr = self.pre.entry(round).or_default();
+        self.records += usize::from(pr.record(from, value, share));
+        pr
+    }
+
+    /// Records `from`'s main-vote in `round` (first value wins).
+    fn record_main(&mut self, round: u32, from: usize, value: MainVoteValue, share: SigShare) {
+        let fresh = self.main.entry(round).or_default().record(from, value, share);
+        self.records += usize::from(fresh);
+    }
+
+    /// Records `from`'s coin share for `round` (first share wins).
+    fn record_coin(&mut self, round: u32, from: usize, share: CoinShare) {
+        if let Entry::Vacant(slot) = self.coin_shares.entry(round).or_default().entry(from) {
+            slot.insert(share);
+            self.records += 1;
+        }
+    }
+
+    /// Drops the evidence of every round below `floor`.
+    fn gc_below(&mut self, floor: u32) {
+        self.pre.retain(|&r, _| r >= floor);
+        self.main.retain(|&r, _| r >= floor);
+        self.coin_shares.retain(|&r, _| r >= floor);
+        self.hard_sigs.retain(|&(r, _), _| r >= floor);
+        self.records = self.scan_records();
     }
 
     /// Starts the protocol: round-1 pre-vote for the proposal.
@@ -818,8 +863,7 @@ impl Abba {
                 if !self.verify_prevote(round, value, &share, &just, &mut out.ops) {
                     return out;
                 }
-                let pr = self.pre.entry(round).or_default();
-                pr.record(from, value, share);
+                let pr = self.record_pre(round, from, value, share);
                 if pr.example[value as usize].is_none() {
                     pr.example[value as usize] = Some(EmbeddedPreVote { value, share, just });
                 }
@@ -878,14 +922,9 @@ impl Abba {
                     return out;
                 }
                 if coin_ok {
-                    self.coin_shares
-                        .entry(round)
-                        .or_default()
-                        .entry(from)
-                        .or_insert(coin_share);
+                    self.record_coin(round, from, coin_share);
                 }
-                let mr = self.main.entry(round).or_default();
-                mr.record(from, value, share);
+                self.record_main(round, from, value, share);
             }
         }
         self.try_progress(&mut out);
@@ -1110,11 +1149,7 @@ impl Abba {
                 out.send.push(msg.encode());
                 // GC old rounds.
                 if next_round > 2 {
-                    let floor = next_round - 2;
-                    self.pre.retain(|&r, _| r >= floor);
-                    self.main.retain(|&r, _| r >= floor);
-                    self.coin_shares.retain(|&r, _| r >= floor);
-                    self.hard_sigs.retain(|&(r, _), _| r >= floor);
+                    self.gc_below(next_round - 2);
                 }
                 continue;
             }
@@ -1440,28 +1475,31 @@ mod tests {
                 party,
                 tag: turquois_crypto::sha256::Digest([party as u8; turquois_crypto::sha256::DIGEST_LEN]),
             };
-            let mut pre: HashMap<u32, PreVoteRound> = HashMap::new();
-            let mut main: HashMap<u32, MainVoteRound> = HashMap::new();
+            let coin = |party: usize| CoinShare { party, tag: share(party).tag };
+            let keys = AbbaKeys::trusted_setup(7, 2, 1).remove(0);
+            let mut engine = Abba::new(7, 2, 0, true, keys, 1);
             // Every record call in order: (round, party, value sel).
             let mut model: Vec<(u32, usize, u8)> = Vec::new();
             for (round, party, v, gc) in ops {
                 if gc == 0 {
                     // The engine's GC drops whole rounds below a floor.
-                    pre.retain(|&r, _| r >= round);
-                    main.retain(|&r, _| r >= round);
+                    engine.gc_below(round);
                     model.retain(|m| m.0 >= round);
                 } else {
-                    pre.entry(round).or_default().record(party, v % 2 == 1, share(party));
-                    main.entry(round).or_default().record(party, MAIN_VALUES[v as usize], share(party));
+                    engine.record_pre(round, party, v % 2 == 1, share(party));
+                    engine.record_main(round, party, MAIN_VALUES[v as usize], share(party));
+                    engine.record_coin(round, party, coin(party));
                     model.push((round, party, v));
                 }
-                for (&round, pr) in &pre {
+                let mut all_votes = 0;
+                for (&round, pr) in &engine.pre {
                     // Ascending party; a party's vote is its first record.
                     let votes: Vec<(usize, u8)> = (0..7)
                         .filter_map(|party| {
                             model.iter().find(|m| (m.0, m.1) == (round, party)).map(|m| (party, m.2))
                         })
                         .collect();
+                    all_votes += votes.len();
                     proptest::prop_assert_eq!(pr.len(), votes.len());
                     let want: Vec<_> = votes.iter().map(|&(p, v)| (v % 2 == 1, share(p))).collect();
                     let got: Vec<_> = pr.votes.values().cloned().collect();
@@ -1473,7 +1511,7 @@ mod tests {
                         );
                         proptest::prop_assert_eq!(pr.count(value), pr.scan_count(value));
                     }
-                    let mr = &main[&round];
+                    let mr = &engine.main[&round];
                     proptest::prop_assert_eq!(mr.len(), votes.len());
                     for value in MAIN_VALUES {
                         proptest::prop_assert_eq!(
@@ -1483,6 +1521,11 @@ mod tests {
                         proptest::prop_assert_eq!(mr.count(value), mr.scan_count(value));
                     }
                 }
+                // `store_bytes`' O(1) count: a first record is one
+                // pre-vote, one main-vote and one coin share.
+                proptest::prop_assert_eq!(engine.records, 3 * all_votes);
+                let rounds = engine.pre.len() + engine.main.len();
+                proptest::prop_assert_eq!(engine.store_bytes(), 64 * rounds + 40 * 3 * all_votes);
             }
         }
     }

@@ -127,8 +127,9 @@ struct RoundState {
 impl RoundState {
     /// Records `origin`'s step value if it is the first one accepted
     /// from that sender at `step` (later values from the same sender
-    /// are ignored, preserving first-wins semantics).
-    fn accept(&mut self, step: u8, origin: usize, value: StepValue) {
+    /// are ignored, preserving first-wins semantics). Returns whether
+    /// it was recorded.
+    fn accept(&mut self, step: u8, origin: usize, value: StepValue) -> bool {
         let s = (step - 1) as usize;
         let table = &mut self.accepted[s];
         if table.len() <= origin {
@@ -137,11 +138,10 @@ impl RoundState {
         let fresh = table[origin] == NO_VOTE;
         if fresh {
             table[origin] = value.encode();
-        }
-        if fresh {
             self.counts[s][sv_idx(value)] += 1;
             self.totals[s] += 1;
         }
+        fresh
     }
 
     /// Senders whose accepted value at `step` equals `value`. O(1).
@@ -189,6 +189,9 @@ pub struct Bracha {
     value: StepValue,
     decision: Option<bool>,
     rounds: HashMap<u32, RoundState>,
+    /// Votes accepted across `rounds` (the sum of their `totals`):
+    /// counted at accept, recounted when GC drops rounds.
+    votes: usize,
     /// Delivered-but-not-yet-valid messages, re-examined as evidence
     /// grows.
     pending: Vec<(Tag, StepValue)>,
@@ -214,6 +217,7 @@ impl Bracha {
             value: StepValue::from_bit(proposal),
             decision: None,
             rounds: HashMap::new(),
+            votes: 0,
             pending: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ 0xb2ac_4a84),
             deliveries: 0,
@@ -247,17 +251,35 @@ impl Bracha {
 
     /// Deterministic estimate of the engine's consensus-store footprint
     /// in bytes: 64 per live round plus one byte per accepted vote and
-    /// 8 per pending message. Reads the O(1) per-round tallies (the
-    /// round map holds a GC-bounded handful of entries), is a function
-    /// of logical content only — never of map capacities — and is
-    /// identical in both vote-table layouts. Excludes the RBC layer.
+    /// 8 per pending message. O(1): the vote count is kept as votes are
+    /// accepted (the simulator polls this after every callback). A
+    /// function of logical content only — never of map capacities.
+    /// Excludes the RBC layer.
     pub fn store_bytes(&self) -> usize {
-        let votes: usize = self
-            .rounds
-            .values()
-            .map(|rs| rs.totals.iter().sum::<usize>())
-            .sum();
-        self.rounds.len() * 64 + votes + 8 * self.pending.len()
+        debug_assert_eq!(self.votes, self.scan_votes());
+        self.rounds.len() * 64 + self.votes + 8 * self.pending.len()
+    }
+
+    /// The per-round vote totals, summed: `votes` recounted (at GC, and
+    /// as its debug oracle).
+    fn scan_votes(&self) -> usize {
+        self.rounds.values().map(|rs| rs.totals.iter().sum::<usize>()).sum()
+    }
+
+    /// Accepts `value` from `tag`'s origin into its round and step
+    /// (first value wins).
+    fn accept_vote(&mut self, tag: Tag, value: StepValue) {
+        let rs = self.rounds.entry(tag.round).or_default();
+        self.votes += usize::from(rs.accept(tag.step, tag.origin, value));
+    }
+
+    /// Drops the evidence of every round below `floor`: votes, RBC
+    /// instances and pending messages.
+    fn gc_below(&mut self, floor: u32) {
+        self.rounds.retain(|&r, _| r >= floor);
+        self.votes = self.scan_votes();
+        self.rbc.prune_rounds_below(floor);
+        self.pending.retain(|(t, _)| t.round >= floor);
     }
 
     /// Starts the protocol: broadcast the round-1 step-1 value.
@@ -309,8 +331,7 @@ impl Bracha {
             let mut still_pending = Vec::new();
             for (tag, value) in std::mem::take(&mut self.pending) {
                 if self.is_valid(tag, value) {
-                    let rs = self.rounds.entry(tag.round).or_default();
-                    rs.accept(tag.step, tag.origin, value);
+                    self.accept_vote(tag, value);
                     progressed = true;
                 } else {
                     still_pending.push((tag, value));
@@ -439,10 +460,7 @@ impl Bracha {
                 self.round += 1;
                 // GC: evidence older than the previous round is dead.
                 if self.round > 2 {
-                    let floor = self.round - 2;
-                    self.rounds.retain(|&r, _| r >= floor);
-                    self.rbc.prune_rounds_below(floor);
-                    self.pending.retain(|(t, _)| t.round >= floor);
+                    self.gc_below(self.round - 2);
                 }
             }
         }
@@ -694,7 +712,8 @@ mod tests {
         /// every accept, scanned per query — under arbitrary
         /// interleavings of accepts (including duplicate senders —
         /// first value wins — and conflicting values) and round
-        /// garbage collection; and vs. the retired scan oracle.
+        /// garbage collection; vs. the retired scan oracle; and the
+        /// engine's O(1) vote count (`store_bytes`) vs. the model's.
         #[test]
         fn round_state_tallies_match_naive_model(
             ops in proptest::collection::vec(
@@ -704,19 +723,20 @@ mod tests {
             ),
         ) {
             const VALUES: [StepValue; 3] = [StepValue::Zero, StepValue::One, StepValue::Null];
-            let mut rounds: HashMap<u32, RoundState> = HashMap::new();
+            let mut engine = Bracha::new(7, 2, 0, true, 0);
             // Every accept in order: (round, step, origin, value).
             let mut model: Vec<(u32, u8, usize, StepValue)> = Vec::new();
             for (round, step, origin, v, gc) in ops {
                 if gc == 0 {
                     // The engine's GC drops whole rounds below a floor.
-                    rounds.retain(|&r, _| r >= round);
+                    engine.gc_below(round);
                     model.retain(|m| m.0 >= round);
                 } else {
-                    rounds.entry(round).or_default().accept(step, origin, VALUES[v as usize]);
+                    engine.accept_vote(Tag { origin, round, step }, VALUES[v as usize]);
                     model.push((round, step, origin, VALUES[v as usize]));
                 }
-                for (&round, rs) in &rounds {
+                let mut all_votes = 0;
+                for (&round, rs) in &engine.rounds {
                     for step in 1u8..=3 {
                         // A sender's vote is the first value it had accepted.
                         let votes: Vec<StepValue> = (0..7)
@@ -727,6 +747,7 @@ mod tests {
                                     .map(|m| m.3)
                             })
                             .collect();
+                        all_votes += votes.len();
                         proptest::prop_assert_eq!(rs.total(step), votes.len());
                         proptest::prop_assert_eq!(rs.total(step), rs.scan_total(step));
                         for value in VALUES {
@@ -741,6 +762,8 @@ mod tests {
                         }
                     }
                 }
+                proptest::prop_assert_eq!(engine.votes, all_votes);
+                proptest::prop_assert_eq!(engine.store_bytes(), 64 * engine.rounds.len() + all_votes);
             }
         }
     }

@@ -88,13 +88,25 @@ impl Reception {
         }
     }
 
-    /// The nodes that decode a frame `src` transmitted among `n` nodes,
-    /// ascending.
-    pub fn into_receivers(self, n: usize, src: NodeId) -> Vec<NodeId> {
+    /// The nodes, ascending, that decode a frame `src` transmitted among
+    /// `n` nodes and that `keep` (asked once each, in order) accepts.
+    pub fn into_receivers(
+        self,
+        n: usize,
+        src: NodeId,
+        mut keep: impl FnMut(NodeId) -> bool,
+    ) -> Vec<NodeId> {
         match self {
-            Reception::Everyone => (0..src).chain(src + 1..n).collect(),
+            Reception::Everyone => {
+                let mut kept = Vec::with_capacity(n - 1);
+                kept.extend((0..src).chain(src + 1..n).filter(|&rx| keep(rx)));
+                kept
+            }
             Reception::Nobody => Vec::new(),
-            Reception::Subset(heard) => heard,
+            Reception::Subset(mut heard) => {
+                heard.retain(|&rx| keep(rx));
+                heard
+            }
         }
     }
 }
@@ -333,6 +345,10 @@ impl Medium {
             return None; // defensive: no contender fires at this instant
         }
         let mut group = self.spare.pop().unwrap_or_default();
+        let slot = self.phy.slot.as_nanos() as u64;
+        // The last loser's `(DIFS end, slots since)`: losers differ only
+        // in `free_at`, which only a topology change mid-frame splits.
+        let mut freeze = (u64::MAX, 0);
         for node in 0..n {
             // A contender that still senses a foreign transmission
             // stays frozen.
@@ -349,10 +365,11 @@ impl Medium {
                 debug_assert!(fire > now, "missed a resolution instant");
                 // Freeze rule: slots elapsed since this node's own
                 // DIFS expiry are consumed.
-                let slot = self.phy.slot.as_nanos() as u64;
                 let difs_end = fire.as_nanos() - slot * u64::from(b);
-                let consumed = now.as_nanos().saturating_sub(difs_end) / slot;
-                self.backoffs[node] = Some(b - (consumed as u32).min(b));
+                if difs_end != freeze.0 {
+                    freeze = (difs_end, now.as_nanos().saturating_sub(difs_end) / slot);
+                }
+                self.backoffs[node] = Some(b - (freeze.1 as u32).min(b));
             }
         }
         group.busy = group
@@ -893,6 +910,36 @@ mod tests {
         let done2 = finish(&mut m, end2);
         assert!(!done2[0].collision);
         assert_eq!(done2[0].reception, Reception::Subset(vec![3]));
+    }
+
+    #[test]
+    fn losers_with_different_difs_ends_freeze_by_their_own_slots() {
+        let phy = PhyConfig::default();
+        // Node 0's frame starts while {0, 1, 2} share a group, so it
+        // holds off node 2 but not 3 or 4. A re-split under the frame
+        // moves node 2 in with them: three contenders that no longer
+        // sense it, with different `free_at`.
+        let resplit = SimTime::ZERO + phy.difs * 2;
+        let spec = TopologySpec::Partition(
+            PartitionSchedule::new()
+                .split_at(SimTime::ZERO, vec![vec![0, 1, 2], vec![3, 4]])
+                .split_at(resplit, vec![vec![0, 1], vec![2, 3, 4]]),
+        );
+        let mut m = Medium::with_topology(5, phy, &spec, 0);
+        let mut rng = ScriptRng::new(vec![0, 9, 7, 3]);
+        m.enqueue(bc(0, 100), &mut rng);
+        let (at_0, ep_0) = m.next_resolution(SimTime::ZERO).unwrap();
+        let end_0 = m.resolve(at_0, ep_0).unwrap();
+        for node in [2, 3, 4] {
+            m.enqueue(bc(node, 100), &mut rng); // backoffs 9, 7, 3
+        }
+        let (at, epoch) = m.next_resolution(resplit).unwrap();
+        assert_eq!(at, resplit + phy.difs + phy.slot * 3, "node 4 fires first");
+        assert!(at < end_0, "node 0 is still on the air");
+        m.resolve(at, epoch).unwrap();
+        // Node 3 counted down the same 3 slots as node 4; node 2's DIFS
+        // has not even begun (its hold-off runs to `end_0`).
+        assert_eq!(m.backoffs[2..], [Some(9), Some(4), None]);
     }
 
     #[test]

@@ -9,42 +9,32 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One scheduled item: fires at `at` ns, ties broken by `seq`.
-#[derive(Debug)]
-struct Entry<T> {
+/// One heap entry: the item in payload slot `slot` fires at `at` ns,
+/// ties broken by `seq`. `seq` is unique, so `slot` never decides.
+#[derive(Clone, Copy, Debug, Eq, Ord, PartialEq, PartialOrd)]
+struct Key {
     at: u64,
     seq: u64,
-    item: T,
+    slot: u32,
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
+// A sift moves keys, never payloads: keep a key within three words.
+const _: () = assert!(std::mem::size_of::<Reverse<Key>>() <= 24);
 
 /// A measured value: at 0, 256, 512, 768, 1536, 2048 or 4096 glibc trims and
 /// re-faults its heap top between runs (`setup_s` +20–35 %, DESIGN.md §9).
 const INITIAL_CAPACITY: usize = 1024;
 
-/// The simulator's pending-event set: a binary min-heap over
-/// `(at, seq)`. Sequence numbers are assigned internally in push order,
-/// so ties on `at` always drain first-scheduled-first.
+/// The simulator's pending-event set: a binary min-heap of `(at, seq,
+/// slot)` keys over a slab of payloads, whose vacated slots a free
+/// list hands out again. Sequence numbers are assigned internally in
+/// push order, so ties on `at` always drain first-scheduled-first.
 #[derive(Debug)]
 pub struct EventQueue<T> {
     seq: u64,
-    heap: BinaryHeap<Reverse<Entry<T>>>,
+    heap: BinaryHeap<Reverse<Key>>,
+    slab: Vec<Option<T>>,
+    free: Vec<u32>,
 }
 
 impl<T> EventQueue<T> {
@@ -53,30 +43,40 @@ impl<T> EventQueue<T> {
         EventQueue {
             seq: 0,
             heap: BinaryHeap::with_capacity(INITIAL_CAPACITY),
+            slab: Vec::with_capacity(INITIAL_CAPACITY),
+            free: Vec::with_capacity(INITIAL_CAPACITY),
         }
     }
 
     /// Schedules `item` at `at_nanos`, after everything already
     /// scheduled for the same time.
     pub fn push(&mut self, at_nanos: u64, item: T) {
-        let entry = Entry {
-            at: at_nanos,
-            seq: self.seq,
-            item,
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(item);
+                slot
+            }
+            None => {
+                self.slab.push(Some(item));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
         };
+        self.heap.push(Reverse(Key { at: at_nanos, seq: self.seq, slot }));
         self.seq += 1;
-        self.heap.push(Reverse(entry));
     }
 
     /// Removes and returns the earliest `(at, item)`, or `None` when
     /// empty.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.item))
+        let Reverse(Key { at, slot, .. }) = self.heap.pop()?;
+        self.free.push(slot);
+        let item = self.slab[slot as usize].take().expect("a queued key owns its slot");
+        Some((at, item))
     }
 
     /// Firing time of the earliest pending item, or `None` when empty.
     pub fn peek_at(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        self.heap.peek().map(|Reverse(key)| key.at)
     }
 
     /// Number of pending items.
@@ -101,11 +101,15 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     /// Random push/pop interleavings, pushes monotone w.r.t. the last
     /// popped time as in the simulator, over one horizon that mixes
     /// sub-µs and multi-day delays: every pop and every `peek_at` is
-    /// the minimum of a sorted `(at, seq)` list kept alongside.
+    /// the minimum of a sorted `(at, seq)` list kept alongside. Pops
+    /// vacate slots that later pushes reuse, so the slab stays as deep
+    /// as the deepest pending set.
     #[test]
     fn pops_in_at_then_push_order_at_every_horizon() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -113,8 +117,7 @@ mod tests {
         // order, so they stand for the sequence number.
         let mut pending: Vec<(u64, u32)> = Vec::new();
         let mut queue = EventQueue::new();
-        let mut now = 0u64;
-        let mut next_id = 0u32;
+        let (mut now, mut next_id, mut deepest) = (0u64, 0u32, 0usize);
         for _ in 0..6000 {
             if rng.gen_bool(0.6) || pending.is_empty() {
                 for _ in 0..rng.gen_range(1..4usize) {
@@ -137,7 +140,12 @@ mod tests {
             }
             assert_eq!(queue.peek_at(), pending.first().map(|&(at, _)| at));
             assert_eq!(queue.len(), pending.len());
+            deepest = deepest.max(pending.len());
+            assert_eq!(queue.slab.len(), deepest, "a push left a vacated slot unused");
+            assert_eq!(queue.slab.len(), queue.len() + queue.free.len());
         }
+        let reused = next_id as usize - deepest;
+        assert!(reused > 1000, "only {reused} of {next_id} pushes reused a slot");
         for want in pending {
             assert_eq!(queue.pop(), Some(want));
         }
@@ -173,5 +181,38 @@ mod tests {
         assert_eq!(q.pop(), Some((10, 'b')));
         assert_eq!(q.pop(), Some((1 << 50, 'f')));
         assert_eq!(q.pop(), None);
+    }
+
+    /// Counts its own drops in a shared cell.
+    struct Counted(Rc<Cell<usize>>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    /// Every payload is dropped exactly once: by its popper, or by the
+    /// queue when it is dropped still holding it — including payloads
+    /// in reused slots.
+    #[test]
+    fn every_payload_drops_exactly_once() {
+        let drops = Rc::new(Cell::new(0));
+        let mut q = EventQueue::new();
+        for at in 0..40u64 {
+            q.push(at % 7, Counted(drops.clone()));
+        }
+        for popped in 1..=25 {
+            drop(q.pop().expect("queued"));
+            assert_eq!(drops.get(), popped);
+        }
+        // Refill into the vacated slots, then drop the queue.
+        for at in 0..10u64 {
+            q.push(at, Counted(drops.clone()));
+        }
+        assert_eq!((q.len(), q.slab.len()), (25, 40));
+        assert_eq!(drops.get(), 25, "a push or a pop dropped a payload it did not own");
+        drop(q);
+        assert_eq!(drops.get(), 50, "each of the 50 payloads drops once");
     }
 }

@@ -195,7 +195,7 @@ pub struct Decision {
 /// One broadcast transmission's deliveries, as one queue entry:
 /// `src`'s `payload` to the receivers, ascending, that decoded it and
 /// that the fault model let through. [`Simulator::step`] serves one
-/// receiver per call.
+/// receiver per call, where the fan-out sits.
 #[derive(Debug)]
 struct Fanout {
     src: NodeId,
@@ -274,6 +274,9 @@ pub struct Simulator {
     /// firing time. Nothing in `queue` may overtake it: its receivers
     /// stand for deliveries scheduled back to back at that instant.
     fanout: Option<(u64, Fanout)>,
+    /// Test-only: push each fan-out as one `Deliver` per receiver.
+    #[cfg(test)]
+    expand_fanouts: bool,
     /// Recycled command buffer handed to each [`NodeCtx`], so steady-state
     /// dispatch allocates nothing.
     cmd_pool: Vec<Command>,
@@ -327,6 +330,8 @@ impl Simulator {
             time: SimTime::ZERO,
             queue: EventQueue::new(),
             fanout: None,
+            #[cfg(test)]
+            expand_fanouts: false,
             cmd_pool: Vec::new(),
             tx_buf: Vec::new(),
             node_rngs,
@@ -436,14 +441,19 @@ impl Simulator {
     /// Processes a single event — a delivery to one receiver of a
     /// broadcast is one event. Returns `false` if none is pending.
     pub fn step(&mut self) -> bool {
-        let pending = self.fanout.take().map(|(at, fanout)| (at, EventKind::Fanout(fanout)));
-        let Some((at_nanos, kind)) = pending.or_else(|| self.queue.pop()) else {
+        // A pending fan-out's next receiver comes before anything queued.
+        let next = self.fanout.as_ref().map(|&(at, _)| (at, None));
+        let Some((at_nanos, kind)) = next.or_else(|| self.queue.pop().map(|(at, k)| (at, Some(k)))) else {
             return false;
         };
         let at = SimTime::from_nanos(at_nanos);
         debug_assert!(at >= self.time, "time must be monotonic");
         self.time = at;
         self.stats.events_processed += 1;
+        let Some(kind) = kind else {
+            self.serve_fanout(at);
+            return true;
+        };
         match kind {
             EventKind::Start(node) => {
                 if self.crash_down[node] {
@@ -468,17 +478,9 @@ impl Simulator {
                 );
             }
             EventKind::Deliver { node, frame } => self.deliver(at, node, frame),
-            EventKind::Fanout(mut fanout) => {
-                let node = fanout.receivers.next().expect("a fan-out is pushed with a receiver");
-                let frame = ReceivedFrame {
-                    src: fanout.src,
-                    addressing: Addressing::Broadcast,
-                    payload: fanout.payload.clone(),
-                };
-                if fanout.receivers.len() > 0 {
-                    self.fanout = Some((at_nanos, fanout));
-                }
-                self.deliver(at, node, frame);
+            EventKind::Fanout(fanout) => {
+                self.fanout = Some((at_nanos, fanout));
+                self.serve_fanout(at);
             }
             EventKind::EnqueueTx(frame) => {
                 let node = frame.src;
@@ -689,7 +691,26 @@ impl Simulator {
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind) {
+        #[cfg(test)]
+        let kind = match kind {
+            EventKind::Fanout(fanout) if self.expand_fanouts => return self.push_expanded(at, fanout),
+            kind => kind,
+        };
         self.queue.push(at.as_nanos(), kind);
+    }
+
+    /// Serves the pending fan-out's next receiver at `at` where the
+    /// fan-out sits; the last receiver takes the payload by move.
+    fn serve_fanout(&mut self, at: SimTime) {
+        let (_, fanout) = self.fanout.as_mut().expect("a fan-out is pending");
+        let src = fanout.src;
+        let node = fanout.receivers.next().expect("a fan-out is pushed with a receiver");
+        let payload = if fanout.receivers.len() > 0 {
+            fanout.payload.clone()
+        } else {
+            self.fanout.take().expect("served above").1.payload
+        };
+        self.deliver(at, node, ReceivedFrame { src, addressing: Addressing::Broadcast, payload });
     }
 
     /// Hands `frame` to `node`'s application at `at`, unless the node
@@ -895,10 +916,10 @@ impl Simulator {
                     // model is asked here, in receiver order; the
                     // survivors travel as one queue entry.
                     let (src, payload) = (tx.node, tx.frame.payload);
-                    let mut receivers = tx.reception.into_receivers(n, src);
-                    receivers.retain(|&dst| {
+                    let traced = !self.trace.is_disabled();
+                    let receivers = tx.reception.into_receivers(n, src, |dst| {
                         let survives = self.survives(now, src, dst, true);
-                        if survives {
+                        if survives && traced {
                             let bytes = payload.len();
                             self.trace.record(now, TraceEvent::Deliver { src, dst, bytes });
                         }
@@ -1763,5 +1784,125 @@ mod tests {
         sim.run_until(SimTime::from_millis(10), |_| false);
         assert_eq!(cell.0.borrow().as_slice(), b"me");
         assert_eq!(sim.stats().unicast_frames_sent, 0, "radio untouched");
+    }
+
+    // ---- the in-place fan-out against its expansion ------------------
+
+    impl Simulator {
+        /// The reference the in-place fan-out is held to: one `Deliver`
+        /// per receiver, pushed back to back — the consecutive `(at,
+        /// seq)` entries a fan-out stands for.
+        pub(super) fn push_expanded(&mut self, at: SimTime, fanout: Fanout) {
+            let Fanout { src, payload, receivers } = fanout;
+            for node in receivers {
+                let frame = ReceivedFrame { src, addressing: Addressing::Broadcast, payload: payload.clone() };
+                self.queue.push(at.as_nanos(), EventKind::Deliver { node, frame });
+            }
+        }
+    }
+
+    /// The source a [`Storm`] logs for a timer firing.
+    const TIMER: NodeId = NodeId::MAX;
+
+    /// Broadcasts at start and logs every frame it hears. A frame from
+    /// another node charges `busy` CPU, advances its phase and arms a
+    /// zero-delay timer — without a charge, a push at the instant of
+    /// the fan-out being served. A firing logs `(node, TIMER, now)` and
+    /// rebroadcasts while `echoes` last.
+    struct Storm {
+        busy: Duration,
+        echoes: u32,
+        phase: u32,
+        log: HeardLog,
+    }
+
+    impl Application for Storm {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            ctx.broadcast(Bytes::from_static(b"storm"), 36);
+        }
+        fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
+            self.log.0.borrow_mut().push((ctx.node(), frame.src, ctx.now()));
+            if frame.src != ctx.node() {
+                self.phase += 1;
+                ctx.charge_cpu(self.busy);
+                ctx.set_timer(Duration::ZERO, 0);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: u64) {
+            self.log.0.borrow_mut().push((ctx.node(), TIMER, ctx.now()));
+            if self.echoes > 0 {
+                self.echoes -= 1;
+                ctx.broadcast(Bytes::from_static(b"echo"), 36);
+            }
+        }
+        fn progress(&self) -> Option<AppProgress> {
+            Some(AppProgress { phase: self.phase, decided: false, store_bytes: 0 })
+        }
+    }
+
+    /// The log, `events_processed` and the stats of a storm run.
+    type StormState = (Vec<(NodeId, NodeId, SimTime)>, u64, String);
+
+    /// A seeded storm among ten [`Storm`] nodes at 10 % loss: every
+    /// third node's CPU is busy 300 µs per frame, node 2 crashes as its
+    /// fifth radio frame is served, node 7 crashes at a seeded instant and
+    /// rejoins. `run_until` returns at each delivery count in `stops`
+    /// before the run resumes to quiescence. Returns the end state, the
+    /// state at each stop, and how many stops fell inside a fan-out.
+    fn storm(seed: u64, expand: bool, stops: &[u64]) -> (StormState, Vec<StormState>, usize) {
+        let log = HeardLog::new();
+        let apps = (0..10)
+            .map(|node| {
+                let busy = Duration::from_micros(if node % 3 == 1 { 300 } else { 0 });
+                Box::new(Storm { busy, echoes: 4, phase: 0, log: log.clone() }) as Box<dyn Application>
+            })
+            .collect();
+        let cfg = SimConfig { seed, ..SimConfig::default() };
+        let mut sim = Simulator::new(cfg, Box::new(IidLoss::new(0.1, seed)), apps);
+        sim.expand_fanouts = expand;
+        sim.set_crash_schedule(
+            CrashSchedule::new()
+                .crash_at_phase(2, 5)
+                .crash_at(7, SimTime::from_micros(2_000 + 500 * seed))
+                .rejoin_after(Duration::from_millis(3)),
+        );
+        let state = |sim: &Simulator| {
+            let stats = sim.stats();
+            (log.0.borrow().clone(), stats.events_processed, format!("{stats:?}"))
+        };
+        let limit = SimTime::from_millis(10_000);
+        let (mut at_stops, mut mid_fanout) = (Vec::new(), 0);
+        for &k in stops {
+            sim.run_until(limit, |sim| sim.stats().deliveries >= k);
+            mid_fanout += usize::from(sim.fanout.is_some());
+            at_stops.push(state(&sim));
+        }
+        assert_eq!(sim.run_until(limit, |_| false), RunStatus::Quiescent);
+        (state(&sim), at_stops, mid_fanout)
+    }
+
+    #[test]
+    fn in_place_fanout_drains_like_its_expansion_into_deliveries() {
+        let (mut mid_fanout, mut same_instant, mut crashed_mid_fanout) = (0, 0, 0);
+        for seed in 0..6 {
+            let stops: Vec<u64> = (1..40).map(|i| 7 * i + seed).collect();
+            let (reference, reference_stops, _) = storm(seed, true, &stops);
+            let (in_place, in_place_stops, stopped_mid) = storm(seed, false, &stops);
+            assert_eq!(in_place, reference, "seed {seed}: the runs diverged");
+            assert_eq!(in_place_stops, reference_stops, "seed {seed}: a stop diverged");
+            mid_fanout += stopped_mid;
+            // What the scenario exercised: timers armed and fired at
+            // the instant of the frame that armed them, and node 2's
+            // crashing frame followed by later receivers of its fan-out.
+            let log = &reference.0;
+            let heard = |node: NodeId, at: SimTime| log.iter().any(|&(rx, src, t)| (rx, t) == (node, at) && src != TIMER);
+            same_instant += log.iter().filter(|&&(rx, src, at)| src == TIMER && heard(rx, at)).count();
+            let fifth = log.iter().filter(|&&(rx, src, _)| rx == 2 && src != TIMER && src != 2).nth(4);
+            let &(_, src, at) = fifth.expect("node 2 hears five frames");
+            crashed_mid_fanout += usize::from(log.iter().any(|&(rx, s, t)| rx > 2 && (s, t) == (src, at)));
+        }
+        assert!(mid_fanout >= 20, "only {mid_fanout} stops fell inside a fan-out");
+        assert!(same_instant >= 100, "only {same_instant} same-instant timers");
+        assert!(crashed_mid_fanout >= 1, "node 2 never crashed mid-fan-out");
     }
 }
