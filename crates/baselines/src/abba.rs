@@ -32,7 +32,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use turquois_crypto::memo::FixedMap;
 use turquois_crypto::sha256::{Digest, DIGEST_LEN};
 use turquois_crypto::threshold::{
     CoinProof, CoinShare, PartyKey, SharePublic, SigShare, ThresholdSignature,
@@ -711,10 +711,10 @@ pub struct Abba {
     keys: AbbaKeys,
     proposal: bool,
     round: u32,
-    pre: HashMap<u32, PreVoteRound>,
-    main: HashMap<u32, MainVoteRound>,
-    coin_shares: HashMap<u32, HashMap<usize, CoinShare>>,
-    hard_sigs: HashMap<(u32, bool), ThresholdSignature>,
+    pre: FixedMap<u32, PreVoteRound>,
+    main: FixedMap<u32, MainVoteRound>,
+    coin_shares: FixedMap<u32, FixedMap<usize, CoinShare>>,
+    hard_sigs: FixedMap<(u32, bool), ThresholdSignature>,
     /// Pre-votes, main-votes and coin shares held in the round maps:
     /// counted as they are recorded, recounted when GC drops rounds.
     records: usize,
@@ -753,10 +753,10 @@ impl Abba {
             keys,
             proposal,
             round: 1,
-            pre: HashMap::new(),
-            main: HashMap::new(),
-            coin_shares: HashMap::new(),
-            hard_sigs: HashMap::new(),
+            pre: FixedMap::default(),
+            main: FixedMap::default(),
+            coin_shares: FixedMap::default(),
+            hard_sigs: FixedMap::default(),
             records: 0,
             decision: None,
             stop_round: None,
@@ -795,7 +795,7 @@ impl Abba {
     fn scan_records(&self) -> usize {
         let pre: usize = self.pre.values().map(|pr| pr.total).sum();
         let main: usize = self.main.values().map(|mr| mr.total).sum();
-        let coins: usize = self.coin_shares.values().map(HashMap::len).sum();
+        let coins: usize = self.coin_shares.values().map(|shares| shares.len()).sum();
         pre + main + coins
     }
 
@@ -1406,6 +1406,29 @@ mod tests {
         let replayed = out.send[0].clone();
         let r = engines[0].on_message(2, &replayed);
         assert!(r.send.is_empty(), "share.party must match the channel");
+    }
+
+    /// The engine hands `combine_coin_proof` its round's coin shares in
+    /// the coin map's iteration order, which no protocol rule fixes:
+    /// any order of the same shares must give the same proof.
+    #[test]
+    fn coin_proof_is_independent_of_share_order() {
+        use rand::Rng;
+        let keys = AbbaKeys::trusted_setup(7, 2, 41);
+        let public = &keys[0].coin_public;
+        let tag = coin_tag(3);
+        let mut shares: Vec<CoinShare> = keys.iter().map(|k| k.coin_key.coin_share(&tag)).collect();
+        let proof = public.combine_coin_proof(&tag, &shares).expect("n shares");
+        assert!(public.verify_coin_proof(&tag, &proof));
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..32 {
+            for i in (1..shares.len()).rev() {
+                shares.swap(i, rng.gen_range(0..=i));
+            }
+            assert_eq!(public.combine_coin_proof(&tag, &shares), Ok(proof));
+            // A threshold-sized prefix of the shuffled shares too.
+            assert_eq!(public.combine_coin_proof(&tag, &shares[..3]), Ok(proof));
+        }
     }
 
     #[test]

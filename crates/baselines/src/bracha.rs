@@ -25,7 +25,7 @@ use crate::rbc::{RbcView, ReliableBroadcast, Tag};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use turquois_crypto::memo::FixedMap;
 
 /// A step value: a binary value or `⊥` (step 3 only).
 #[derive(Clone, Copy, Debug, Eq, PartialEq, Hash)]
@@ -188,7 +188,7 @@ pub struct Bracha {
     step: u8,
     value: StepValue,
     decision: Option<bool>,
-    rounds: HashMap<u32, RoundState>,
+    rounds: FixedMap<u32, RoundState>,
     /// Votes accepted across `rounds` (the sum of their `totals`):
     /// counted at accept, recounted when GC drops rounds.
     votes: usize,
@@ -216,7 +216,7 @@ impl Bracha {
             step: 1,
             value: StepValue::from_bit(proposal),
             decision: None,
-            rounds: HashMap::new(),
+            rounds: FixedMap::default(),
             votes: 0,
             pending: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ 0xb2ac_4a84),
@@ -323,21 +323,21 @@ impl Bracha {
         out
     }
 
-    /// Moves pending messages that have become valid into the accepted
-    /// sets and fires any step transitions, to fixpoint.
+    /// Moves newly valid pending messages (filtered in place, in order)
+    /// into the accepted sets and fires any step transitions, to fixpoint.
     fn drain_pending(&mut self, out: &mut BrachaOutput) {
         loop {
             let mut progressed = false;
-            let mut still_pending = Vec::new();
-            for (tag, value) in std::mem::take(&mut self.pending) {
-                if self.is_valid(tag, value) {
+            let mut pending = std::mem::take(&mut self.pending);
+            pending.retain(|&(tag, value)| {
+                let valid = self.is_valid(tag, value);
+                if valid {
                     self.accept_vote(tag, value);
                     progressed = true;
-                } else {
-                    still_pending.push((tag, value));
                 }
-            }
-            self.pending = still_pending;
+                !valid
+            });
+            self.pending = pending;
             while self.try_fire(out) {
                 progressed = true;
             }

@@ -22,7 +22,7 @@
 //! logical broadcast costs `n` ECHOs and `n` READYs from every process.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::{BTreeSet, HashMap};
+use turquois_crypto::memo::FixedMap;
 
 /// Identifies one reliable-broadcast instance.
 #[derive(Clone, Copy, Debug, Eq, PartialEq, Hash, Ord, PartialOrd)]
@@ -119,7 +119,7 @@ impl RbcMessage {
 /// buffer instead of being copied into a fresh [`Bytes`] at decode
 /// time. [`ReliableBroadcast::on_view`] consumes the view directly,
 /// materializing an owned copy of the payload only when it first
-/// enters a sender table or an outgoing echo (DESIGN.md §13).
+/// enters a vote table or an outgoing echo (DESIGN.md §13).
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
 pub struct RbcView<'a> {
     kind: u8,
@@ -180,14 +180,72 @@ impl<'a> RbcView<'a> {
     }
 }
 
+/// One payload's votes in an ECHO or READY table: its senders as a
+/// bitset over process ids, and how many bits are set.
+#[derive(Debug)]
+struct Vote {
+    payload: Bytes,
+    senders: Vec<u64>,
+    count: usize,
+}
+
+/// Counts `from`'s vote for `payload` in `votes` (one entry per
+/// distinct payload, in arrival order; `owned` makes the entry's copy
+/// on the payload's first sight). `false` when it was counted already.
+fn vote(
+    votes: &mut Vec<Vote>,
+    n: usize,
+    payload: &[u8],
+    from: usize,
+    owned: impl FnOnce() -> Bytes,
+) -> bool {
+    let i = votes.iter().position(|v| v.payload[..] == *payload).unwrap_or_else(|| {
+        votes.push(Vote { payload: owned(), senders: vec![0; n.div_ceil(64)], count: 0 });
+        votes.len() - 1
+    });
+    let (v, word, bit) = (&mut votes[i], from / 64, 1u64 << (from % 64));
+    let fresh = v.senders[word] & bit == 0;
+    v.senders[word] |= bit;
+    v.count += usize::from(fresh);
+    fresh
+}
+
+/// One broadcast instance. Its thresholds are found by walking the vote
+/// tables in arrival order; the order cannot matter, since with at most
+/// f Byzantine senders at most one payload reaches each threshold.
 #[derive(Debug, Default)]
 struct Instance {
-    /// Who echoed which payload (payload-keyed sender sets).
-    echoes: HashMap<Bytes, BTreeSet<usize>>,
-    readies: HashMap<Bytes, BTreeSet<usize>>,
+    echoes: Vec<Vote>,
+    readies: Vec<Vote>,
     echoed: bool,
     readied: bool,
     delivered: Option<Bytes>,
+}
+
+impl Instance {
+    /// READY on an echo quorum (> (n+f)/2) or on f+1 READYs; deliver on
+    /// 2f+1 READYs. Idempotent: a second call without a new vote in
+    /// between finds nothing to do.
+    fn evaluate(&mut self, tag: Tag, (n, f, me): (usize, usize, usize), out: &mut RbcOutput) {
+        if !self.readied {
+            let echo = self.echoes.iter().find(|v| 2 * v.count > n + f);
+            let ready = self.readies.iter().find(|v| v.count >= f + 1);
+            if let Some(payload) = echo.or(ready).map(|v| v.payload.clone()) {
+                self.readied = true;
+                // Count our own READY too (we will also hear it via
+                // loopback, but counting now keeps small groups live
+                // even if loopback frames race).
+                vote(&mut self.readies, n, &payload, me, || payload.clone());
+                out.send.push(RbcMessage::Ready { tag, payload });
+            }
+        }
+        if self.delivered.is_none() {
+            if let Some(v) = self.readies.iter().find(|v| v.count >= 2 * f + 1) {
+                self.delivered = Some(v.payload.clone());
+                out.deliver.push((tag, v.payload.clone()));
+            }
+        }
+    }
 }
 
 /// Actions produced by one protocol step.
@@ -205,7 +263,7 @@ pub struct ReliableBroadcast {
     n: usize,
     f: usize,
     me: usize,
-    instances: HashMap<Tag, Instance>,
+    instances: FixedMap<Tag, Instance>,
 }
 
 impl ReliableBroadcast {
@@ -222,7 +280,7 @@ impl ReliableBroadcast {
             n,
             f,
             me,
-            instances: HashMap::new(),
+            instances: FixedMap::default(),
         }
     }
 
@@ -234,12 +292,8 @@ impl ReliableBroadcast {
             round,
             step,
         };
-        let mut out = RbcOutput::default();
-        out.send.push(RbcMessage::Initial {
-            tag,
-            payload: payload.clone(),
-        });
-        out
+        let send = vec![RbcMessage::Initial { tag, payload }];
+        RbcOutput { send, deliver: Vec::new() }
     }
 
     /// Processes an owned message: [`ReliableBroadcast::on_view`] over
@@ -251,24 +305,19 @@ impl ReliableBroadcast {
     /// Processes a message received from link-layer sender `from`
     /// (authenticated by the channel, per the paper's IPSec AH setup).
     /// The payload is copied into an owned [`Bytes`] only when it first
-    /// enters a sender table or an outgoing echo; duplicate payloads
-    /// probe the tables by raw slice and allocate nothing.
+    /// enters a vote table or an outgoing echo; a repeated vote is a
+    /// slice compare and a bit test, and allocates nothing.
     pub fn on_view(&mut self, from: usize, view: &RbcView<'_>) -> RbcOutput {
         let mut out = RbcOutput::default();
-        if from >= self.n {
-            return out;
-        }
         let tag = view.tag;
-        if tag.origin >= self.n {
+        // Only the origin may initiate its own instance.
+        let forged_initial = view.kind == KIND_INITIAL && from != tag.origin;
+        if from >= self.n || tag.origin >= self.n || forged_initial {
             return out;
         }
-        match view.kind {
+        let inst = self.instances.entry(tag).or_default();
+        let votes = match view.kind {
             KIND_INITIAL => {
-                // Only the origin may initiate its own instance.
-                if from != tag.origin {
-                    return out;
-                }
-                let inst = self.instances.entry(tag).or_default();
                 if !inst.echoed {
                     inst.echoed = true;
                     out.send.push(RbcMessage::Echo {
@@ -276,71 +325,16 @@ impl ReliableBroadcast {
                         payload: Bytes::copy_from_slice(view.payload),
                     });
                 }
+                return out;
             }
-            KIND_ECHO => {
-                let inst = self.instances.entry(tag).or_default();
-                if let Some(senders) = inst.echoes.get_mut(view.payload) {
-                    senders.insert(from);
-                } else {
-                    inst.echoes
-                        .insert(Bytes::copy_from_slice(view.payload), BTreeSet::from([from]));
-                }
-                self.evaluate(tag, &mut out);
-            }
-            _ => {
-                let inst = self.instances.entry(tag).or_default();
-                if let Some(senders) = inst.readies.get_mut(view.payload) {
-                    senders.insert(from);
-                } else {
-                    inst.readies
-                        .insert(Bytes::copy_from_slice(view.payload), BTreeSet::from([from]));
-                }
-                self.evaluate(tag, &mut out);
-            }
+            KIND_ECHO => &mut inst.echoes,
+            _ => &mut inst.readies,
+        };
+        let owned = || Bytes::copy_from_slice(view.payload);
+        if vote(votes, self.n, view.payload, from, owned) {
+            inst.evaluate(tag, (self.n, self.f, self.me), &mut out);
         }
         out
-    }
-
-    fn evaluate(&mut self, tag: Tag, out: &mut RbcOutput) {
-        let n = self.n;
-        let f = self.f;
-        let inst = self.instances.get_mut(&tag).expect("caller created it");
-        // READY on an echo quorum (> (n+f)/2) or on f+1 READYs.
-        if !inst.readied {
-            let echo_payload = inst
-                .echoes
-                .iter()
-                .find(|(_, senders)| 2 * senders.len() > n + f)
-                .map(|(p, _)| p.clone());
-            let ready_payload = inst
-                .readies
-                .iter()
-                .find(|(_, senders)| senders.len() >= f + 1)
-                .map(|(p, _)| p.clone());
-            if let Some(payload) = echo_payload.or(ready_payload) {
-                inst.readied = true;
-                out.send.push(RbcMessage::Ready {
-                    tag,
-                    payload: payload.clone(),
-                });
-                // Count our own READY too (we will also hear it via
-                // loopback, but counting now keeps small groups live even
-                // if loopback frames race).
-                inst.readies.entry(payload).or_default().insert(self.me);
-            }
-        }
-        // Deliver on 2f+1 READYs.
-        if inst.delivered.is_none() {
-            let deliverable = inst
-                .readies
-                .iter()
-                .find(|(_, senders)| senders.len() >= 2 * f + 1)
-                .map(|(p, _)| p.clone());
-            if let Some(payload) = deliverable {
-                inst.delivered = Some(payload.clone());
-                out.deliver.push((tag, payload));
-            }
-        }
     }
 
     /// What this process delivered for `tag`, if anything.
@@ -362,6 +356,7 @@ impl ReliableBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// Runs a lossless full-information exchange among `n` engines until
     /// quiescence, starting from `initial` messages sent by each process.
@@ -684,9 +679,9 @@ mod tests {
         }
     }
 
-    /// Duplicate payloads probe the sender tables by raw slice: the
-    /// second sender joins the first one's entry instead of keying a
-    /// second copy of the payload.
+    /// Duplicate payloads probe the vote tables by raw slice: the
+    /// second sender joins the first one's vote instead of storing a
+    /// second copy of the payload, and a repeated sender is one bit.
     #[test]
     fn view_duplicates_share_one_table_key() {
         let mut e = ReliableBroadcast::new(7, 2, 0);
@@ -703,13 +698,154 @@ mod tests {
         let view = RbcView::parse(&wire).expect("valid");
         let _ = e.on_view(1, &view);
         let _ = e.on_view(2, &view);
+        let _ = e.on_view(2, &view);
         let echoes = &e.instances[&tag].echoes;
         assert_eq!(echoes.len(), 1);
-        assert_eq!(echoes[&b"dup-payload"[..]], BTreeSet::from([1, 2]));
+        assert_eq!(&echoes[0].payload[..], b"dup-payload");
+        assert_eq!((echoes[0].senders[0], echoes[0].count), (0b110, 2));
+    }
+
+    /// The instance logic the vote lists replaced, kept as their
+    /// differential oracle: payload-keyed sender sets, thresholds found
+    /// in the map's hash order, `evaluate` after every vote.
+    #[derive(Default)]
+    struct OracleInstance {
+        echoes: FixedMap<Bytes, BTreeSet<usize>>,
+        readies: FixedMap<Bytes, BTreeSet<usize>>,
+        echoed: bool,
+        readied: bool,
+        delivered: Option<Bytes>,
+    }
+
+    struct Oracle {
+        n: usize,
+        f: usize,
+        me: usize,
+        instances: FixedMap<Tag, OracleInstance>,
+    }
+
+    impl Oracle {
+        fn on_message(&mut self, from: usize, msg: &RbcMessage) -> RbcOutput {
+            let view = msg.view();
+            let mut out = RbcOutput::default();
+            let tag = view.tag;
+            if from >= self.n || tag.origin >= self.n {
+                return out;
+            }
+            match view.kind {
+                KIND_INITIAL => {
+                    if from != tag.origin {
+                        return out;
+                    }
+                    let inst = self.instances.entry(tag).or_default();
+                    if !inst.echoed {
+                        inst.echoed = true;
+                        let payload = Bytes::copy_from_slice(view.payload);
+                        out.send.push(RbcMessage::Echo { tag, payload });
+                    }
+                }
+                KIND_ECHO => {
+                    let inst = self.instances.entry(tag).or_default();
+                    let payload = Bytes::copy_from_slice(view.payload);
+                    inst.echoes.entry(payload).or_default().insert(from);
+                    self.evaluate(tag, &mut out);
+                }
+                _ => {
+                    let inst = self.instances.entry(tag).or_default();
+                    let payload = Bytes::copy_from_slice(view.payload);
+                    inst.readies.entry(payload).or_default().insert(from);
+                    self.evaluate(tag, &mut out);
+                }
+            }
+            out
+        }
+
+        fn evaluate(&mut self, tag: Tag, out: &mut RbcOutput) {
+            let (n, f) = (self.n, self.f);
+            let inst = self.instances.get_mut(&tag).expect("caller created it");
+            if !inst.readied {
+                let echo = inst.echoes.iter().find(|(_, s)| 2 * s.len() > n + f);
+                let ready = inst.readies.iter().find(|(_, s)| s.len() >= f + 1);
+                if let Some(payload) = echo.or(ready).map(|(p, _)| p.clone()) {
+                    inst.readied = true;
+                    out.send.push(RbcMessage::Ready { tag, payload: payload.clone() });
+                    inst.readies.entry(payload).or_default().insert(self.me);
+                }
+            }
+            if inst.delivered.is_none() {
+                let deliverable = inst.readies.iter().find(|(_, s)| s.len() >= 2 * f + 1);
+                if let Some((payload, _)) = deliverable {
+                    inst.delivered = Some(payload.clone());
+                    out.deliver.push((tag, payload.clone()));
+                }
+            }
+        }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The bitset vote lists against the sender-set oracle, at
+        /// n ∈ {4, 7, 10, 16, 64, 65}: random INITIAL / ECHO / READY
+        /// streams over three instances, from senders in `0..n + 2`
+        /// (the last two out of range), with repeats, and with up to f
+        /// senders equivocating between their instance's two payloads
+        /// (the rest vote the honest one). Every message must produce
+        /// the oracle's output, and the end state must agree.
+        #[test]
+        fn vote_lists_match_the_sender_set_oracle(
+            size in 0usize..6,
+            me_pick in 0usize..1000,
+            liars_pick in 0usize..1000,
+            // (kind: 0 = repeat the previous message, 1 = INITIAL,
+            // 2 = ECHO, else READY; instance; sender; choice: bit 0 =
+            // a liar sends the lying payload, bit 1 = an INITIAL comes
+            // from its origin)
+            stream in proptest::collection::vec((0u8..4, 0usize..3, 0usize..1000, 0u8..4), 1..1500),
+        ) {
+            let n = [4, 7, 10, 16, 64, 65][size];
+            let f = (n - 1) / 3;
+            let me = me_pick % n;
+            // Senders n - liars .. n may equivocate.
+            let liars = liars_pick % (f + 1);
+            let tags = [(0, 1, 1), (n - 1, 1, 2), (1, 2, 1)]
+                .map(|(origin, round, step)| Tag { origin, round, step });
+            let payloads: [[&'static [u8]; 2]; 3] =
+                [[b"\x01", b"\x00"], [b"", b"\x02"], [b"honest payload", b"lying payload"]];
+            let mut engine = ReliableBroadcast::new(n, f, me);
+            let mut oracle = Oracle { n, f, me, instances: FixedMap::default() };
+            let mut previous = None;
+            for (kind, i, pick, choice) in stream {
+                let (from, msg) = match (kind, previous.take()) {
+                    (0, Some(repeat)) => repeat,
+                    (0, None) => continue,
+                    _ => {
+                        let tag = tags[i];
+                        let initiates = kind == 1 && choice & 2 != 0;
+                        let from = if initiates { tag.origin } else { pick % (n + 2) };
+                        let lies = from + liars >= n && choice & 1 != 0;
+                        let payload = Bytes::from_static(payloads[i][usize::from(lies)]);
+                        let msg = match kind {
+                            1 => RbcMessage::Initial { tag, payload },
+                            2 => RbcMessage::Echo { tag, payload },
+                            _ => RbcMessage::Ready { tag, payload },
+                        };
+                        (from, msg)
+                    }
+                };
+                let (got, want) = (engine.on_message(from, &msg), oracle.on_message(from, &msg));
+                proptest::prop_assert_eq!(got, want);
+                previous = Some((from, msg));
+            }
+            for tag in tags {
+                proptest::prop_assert_eq!(
+                    engine.delivered(tag),
+                    oracle.instances.get(&tag).and_then(|i| i.delivered.as_ref())
+                );
+            }
+            proptest::prop_assert_eq!(engine.instance_count(), oracle.instances.len());
+        }
+
 
         /// Accepted ⇒ canonical: arbitrary bytes — as they come, and
         /// with the kind and length fields made plausible so the parser

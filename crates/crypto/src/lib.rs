@@ -30,7 +30,8 @@
 //!   evaluation).
 //! * [`memo`] — a bounded, deterministic memo cache so a broadcast's
 //!   link tags are computed once, by the sender, in *host* time
-//!   (simulated cost is still charged per logical verification).
+//!   (simulated cost is still charged per logical verification), and
+//!   [`memo::FixedMap`], the fixed-key hash map every crate uses.
 //!
 //! Two host-side accelerators live here — the SHA-256 engines under
 //! every digest (the SHA-NI kernel where the CPU has the SHA extensions,

@@ -1,4 +1,4 @@
-//! A bounded, deterministic memo cache.
+//! A bounded, deterministic memo cache, and the fixed-key [`FixedMap`].
 //!
 //! [`MemoCache`] remembers the outcome of expensive computations — its
 //! one user holds the HMAC tags a simulated sender shares with its
@@ -8,8 +8,8 @@
 //! byte the recomputation would read, so equal keys are the same
 //! computation.
 //!
-//! Determinism: the index is a `HashMap` under a *fixed-key* hasher
-//! (never `RandomState`) that is only ever probed, never iterated for
+//! Determinism: the index is a [`FixedMap`] (a constant-key hasher,
+//! never `RandomState`) that is only ever probed, never iterated for
 //! output, and eviction is FIFO through an insertion-order queue — so
 //! the cache's contents depend only on the lookup sequence, never on
 //! hash seeds or addresses. Bounded: capacity eviction keeps a flood
@@ -21,15 +21,50 @@
 //! and asserts the cached value equals the recomputation (a read-only
 //! [`MemoCache::peek`] hit must pass the recheck its caller supplies).
 
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hash};
+use std::collections::{hash_map::Entry, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// A fixed-key hasher: rustc's `FxHasher` rotate-xor-multiply mix, a
+/// 64-bit word at a time. A key costs a few multiplies, not SipHash's
+/// rounds; it resists no collision attack, which no index here needs.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FixedHasher(u64);
+
+impl Hasher for FixedHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        if let tail @ [_, ..] = words.remainder() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26) // tables index by the low bits; the mix fills the high ones
+    }
+}
+
+/// The hash map of every crate under `crates/`: std's, under
+/// [`FixedHasher`]; clippy (`crates/clippy.toml`) allows no other.
+#[allow(clippy::disallowed_types)]
+pub type FixedMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FixedHasher>>;
 
 /// Bounded memoization of `key -> value` computations. See the module
 /// docs for the determinism and soundness argument.
 #[derive(Clone, Debug)]
 pub struct MemoCache<K: Hash + Eq + Clone, V> {
-    entries: HashMap<K, V, BuildHasherDefault<DefaultHasher>>,
+    entries: FixedMap<K, V>,
     order: VecDeque<K>,
     capacity: usize,
 }
@@ -38,7 +73,7 @@ impl<K: Hash + Eq + Clone, V: Clone + PartialEq + std::fmt::Debug> MemoCache<K, 
     /// Creates a cache holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
         MemoCache {
-            entries: HashMap::default(),
+            entries: FixedMap::default(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
         }
@@ -140,6 +175,26 @@ mod tests {
             MemoCache::<u32, bool>::new(1),
         );
         assert_eq!(a.entries.hasher().hash_one(7u32), b.entries.hasher().hash_one(7u32));
+    }
+
+    /// Every byte of a key reaches the hash, the tail past the last
+    /// whole word included, and so does its length.
+    #[test]
+    fn fixed_hasher_reads_every_byte() {
+        use std::hash::BuildHasher;
+        let state = BuildHasherDefault::<FixedHasher>::default();
+        let base = *b"0123456789abcdefXYZ";
+        let mut seen = vec![state.hash_one(&base[..])];
+        for at in 0..base.len() {
+            let mut key = base;
+            key[at] ^= 1;
+            seen.push(state.hash_one(&key[..]));
+        }
+        seen.push(state.hash_one(&base[..base.len() - 1]));
+        seen.push(state.hash_one(&[0u8; 0][..]));
+        seen.push(state.hash_one(&[0u8; 1][..]));
+        let distinct: std::collections::BTreeSet<u64> = seen.iter().copied().collect();
+        assert_eq!(distinct.len(), seen.len());
     }
 
     /// What one lookup key maps to in the model proptest: any pure

@@ -362,6 +362,7 @@ pub struct BrachaApp {
     /// The simulation-wide link-tag pool; simulated cost is still
     /// charged per logical HMAC, only host hashing is shared.
     link_tags: SharedLinkTags,
+    released: Vec<(usize, Bytes)>,
 }
 
 impl BrachaApp {
@@ -386,6 +387,7 @@ impl BrachaApp {
             mutate: None,
             decide_enabled: true,
             link_tags,
+            released: Vec::new(),
         }
     }
 
@@ -485,8 +487,9 @@ impl Application for BrachaApp {
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
-        let delivered = self.transport.on_frame(ctx, &frame);
-        for (peer, wrapped) in delivered {
+        let mut released = std::mem::take(&mut self.released);
+        self.transport.on_frame(ctx, &frame, &mut released);
+        for (peer, wrapped) in released.drain(..) {
             ctx.charge_cpu(self.cost.hmac(wrapped.len().saturating_sub(ICV_LEN)));
             if !self.icv_ok(peer, &wrapped) {
                 self.probe.borrow_mut().rejected[self.engine.id()] += 1;
@@ -496,6 +499,7 @@ impl Application for BrachaApp {
             let out = self.engine.on_message(peer, &wrapped[ICV_LEN..]);
             self.dispatch(ctx, out);
         }
+        self.released = released;
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
@@ -545,6 +549,7 @@ pub struct AbbaApp {
     n: usize,
     cost: CostModel,
     probe: SharedProbe,
+    released: Vec<(usize, Bytes)>,
 }
 
 impl AbbaApp {
@@ -557,6 +562,7 @@ impl AbbaApp {
             n,
             cost,
             probe,
+            released: Vec::new(),
         }
     }
 
@@ -601,8 +607,9 @@ impl Application for AbbaApp {
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
-        let delivered = self.transport.on_frame(ctx, &frame);
-        for (peer, padded) in delivered {
+        let mut released = std::mem::take(&mut self.released);
+        self.transport.on_frame(ctx, &frame, &mut released);
+        for (peer, padded) in released.drain(..) {
             let Some(inner) = unpad(&padded) else {
                 self.probe.borrow_mut().rejected[self.engine.id()] += 1;
                 continue;
@@ -613,6 +620,7 @@ impl Application for AbbaApp {
             let out = self.engine.on_message(peer, inner);
             self.dispatch(ctx, out);
         }
+        self.released = released;
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {

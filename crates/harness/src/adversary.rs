@@ -239,6 +239,7 @@ pub struct ByzantineAbbaApp {
     me: usize,
     n: usize,
     transport: ReliableEndpoint,
+    released: Vec<(usize, Bytes)>,
     rounds_hit: BTreeSet<u32>,
     salvos_per_round: usize,
 }
@@ -250,6 +251,7 @@ impl ByzantineAbbaApp {
             me,
             n,
             transport: ReliableEndpoint::new(me, n),
+            released: Vec::new(),
             rounds_hit: BTreeSet::new(),
             salvos_per_round: 2,
         }
@@ -286,10 +288,10 @@ impl Application for ByzantineAbbaApp {
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
-        let delivered = self.transport.on_frame(ctx, &frame);
+        self.transport.on_frame(ctx, &frame, &mut self.released);
         let mut rounds = Vec::new();
-        for (_peer, padded) in delivered {
-            if let Some(inner) = crate::adapters::unpad(&padded) {
+        for (_peer, padded) in &self.released {
+            if let Some(inner) = crate::adapters::unpad(padded) {
                 if let Some(msg) = turquois_baselines::abba::AbbaMessage::decode(inner) {
                     let round = match msg {
                         turquois_baselines::abba::AbbaMessage::PreVote { round, .. }

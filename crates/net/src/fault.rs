@@ -30,7 +30,7 @@ use crate::frame::NodeId;
 use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Context handed to a fault model for one prospective delivery.
@@ -116,7 +116,7 @@ pub struct GilbertElliott {
     p_bg: f64,
     loss_good: f64,
     loss_bad: f64,
-    states: HashMap<(NodeId, NodeId), bool>, // true = bad
+    states: BTreeMap<(NodeId, NodeId), bool>, // true = bad
     rng: StdRng,
 }
 
@@ -140,7 +140,7 @@ impl GilbertElliott {
             p_bg,
             loss_good,
             loss_bad,
-            states: HashMap::new(),
+            states: BTreeMap::new(),
             rng: StdRng::seed_from_u64(seed ^ 0x6e11_be47),
         }
     }

@@ -141,6 +141,7 @@ impl PeerState {
 ///
 /// struct Echo {
 ///     transport: ReliableEndpoint,
+///     released: Vec<(usize, Bytes)>,
 /// }
 ///
 /// impl Application for Echo {
@@ -148,7 +149,8 @@ impl PeerState {
 ///         self.transport.send(ctx, 1, Bytes::from_static(b"ping"));
 ///     }
 ///     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
-///         for (peer, msg) in self.transport.on_frame(ctx, &frame) {
+///         self.transport.on_frame(ctx, &frame, &mut self.released);
+///         for (peer, msg) in self.released.drain(..) {
 ///             self.transport.send(ctx, peer, msg); // echo back
 ///         }
 ///     }
@@ -284,31 +286,36 @@ impl ReliableEndpoint {
         }
     }
 
-    /// Processes a received frame. Returns the application messages this
-    /// frame released, in order, as `(peer, payload)` pairs. Frames that
-    /// are not transport segments are ignored (returns empty).
-    pub fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: &ReceivedFrame) -> Vec<(NodeId, Bytes)> {
+    /// Processes a received frame: clears `released` (one buffer serves
+    /// every frame), then writes into it the application messages the
+    /// frame released, in order, as `(peer, payload)` pairs.
+    pub fn on_frame(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        frame: &ReceivedFrame,
+        released: &mut Vec<(NodeId, Bytes)>,
+    ) {
+        released.clear();
         let Some((kind, seq, ack, payload)) = decode(&frame.payload) else {
-            return Vec::new();
+            return;
         };
         let src = frame.src;
         if src >= self.peers.len() {
-            return Vec::new();
+            return;
         }
         let now = ctx.now();
         if self.process_ack(src, ack, now) {
             // The pipe drained and the Nagle buffer has data: flush it.
             self.flush(ctx, src);
         }
-        let mut released = Vec::new();
         if kind == KIND_DATA {
             let peer = &mut self.peers[src];
             if seq == peer.next_expected_in {
                 peer.next_expected_in += 1;
-                unpack_batch_into(src, &payload, &mut released);
+                unpack_batch_into(src, &payload, released);
                 while let Some(p) = peer.reorder.remove(&peer.next_expected_in) {
                     peer.next_expected_in += 1;
-                    unpack_batch_into(src, &p, &mut released);
+                    unpack_batch_into(src, &p, released);
                 }
                 self.delivered_messages += released.len() as u64;
             } else if seq > peer.next_expected_in {
@@ -322,7 +329,6 @@ impl ReliableEndpoint {
             self.arm_tick(ctx);
         }
         self.note(src);
-        released
     }
 
     /// Handles a transport tick or ignores foreign timers. Returns `true`
@@ -571,7 +577,9 @@ mod tests {
             }
         }
         fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
-            for (peer, msg) in self.transport.on_frame(ctx, &frame) {
+            let mut released = Vec::new();
+            self.transport.on_frame(ctx, &frame, &mut released);
+            for (peer, msg) in released {
                 self.inbox.borrow_mut().push((peer, msg.to_vec()));
             }
         }
@@ -851,7 +859,9 @@ mod tests {
                 }
             }
             fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
-                for (_, m) in self.transport.on_frame(ctx, &frame) {
+                let mut released = Vec::new();
+                self.transport.on_frame(ctx, &frame, &mut released);
+                for (_, m) in released {
                     self.inbox.borrow_mut().push(m);
                 }
             }
