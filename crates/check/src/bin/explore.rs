@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Defaults sweep 1000 schedules per engine at the paper's smallest
-//! size (n = 4, plus n = 7 for Turquois). Thread count comes from
+//! size (n = 4), plus n = 7 for Turquois and n = 5 (even n − f) for the
+//! baselines; `n` must lie in 1..=64. Thread count comes from
 //! `TURQUOIS_THREADS` like every harness binary; output is
 //! byte-identical at any setting.
 
@@ -18,7 +19,9 @@ fn main() {
         (EngineKind::Turquois, 4),
         (EngineKind::Turquois, 7),
         (EngineKind::Bracha, 4),
+        (EngineKind::Bracha, 5),
         (EngineKind::Abba, 4),
+        (EngineKind::Abba, 5),
     ];
     let mut schedules = 1000usize;
     let mut base_seed = 20100628u64; // DSN 2010 opening day.
@@ -37,7 +40,10 @@ fn main() {
                 }
             },
             "n" => {
-                let n: usize = value.parse().expect("n must be a number");
+                let Some(n) = value.parse().ok().filter(|n| (1..=64).contains(n)) else {
+                    eprintln!("n must be a number in 1..=64, got `{value}`");
+                    std::process::exit(2);
+                };
                 engines = engines
                     .iter()
                     .map(|&(e, _)| (e, n))

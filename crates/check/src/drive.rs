@@ -1,37 +1,55 @@
-//! Executes a [`Schedule`] against the real engines — no simulator, no
-//! airtime — and checks agreement, validity, and (budget-permitting)
-//! eventual decision.
+//! Executes a [`Schedule`] against the nodes that ship — the harness's
+//! `Application`s, correct and Byzantine — and checks agreement,
+//! validity, and (within the σ omission budget) eventual decision.
 //!
-//! Time is a sequence of *rounds* (delivery slots). Each round the
-//! tick-driven Turquois engine broadcasts once per process and the
-//! broadcast lands two rounds later — the two-tick latency matters:
-//! with instant delivery every tick would broadcast a *new* state
-//! (phases advance once per quorum) and the engine would never emit
-//! the justified rebroadcasts that let a process stranded at a low
-//! phase re-validate high-phase messages and catch up. The
-//! message-driven baselines receive the round's deliveries and their
-//! responses land the next round. Faults from the schedule apply to
-//! messages *sent* during the adversarial window: drops, delays
-//! (reorders — the message lands after younger traffic), and
-//! duplicates. After the window the network is fault-free, which is
-//! what makes eventual decision checkable.
+//! Time is a sequence of *rounds*, each [`QUANTUM`] of simulated time.
+//! Every callback is opened with `NodeCtx::new` at `round × QUANTUM`
+//! and drained with `NodeCtx::finish`, as the live runtime does: a
+//! drained `Broadcast` fans out to every process, a `Unicast` is one
+//! send, a `SetTimer` fires in the first round at or past its deadline,
+//! the first `Decide` is the node's decision, and charged CPU is
+//! ignored. So Turquois ticks by its own rule (every tick interval, and
+//! at once when its phase advances), and the baselines run over the
+//! reliable transport and link authentication they ship with.
 //!
-//! Byzantine processes are driven through the same strategies the
-//! simulator uses (`turquois_harness::adversary`), plus the split-brain
-//! equivocator: two honest trackers with opposite proposals, each
-//! receiver shown the tracker its mask bit selects.
+//! Each round fires the due timers, then delivers the due frames. A
+//! frame lands one Turquois tick interval ([`LATENCY`] rounds) after it
+//! is sent, so a phase's bare broadcast is followed, before the next
+//! phase's frames land, by its justified rebroadcast — the explicit
+//! validation that lets a process that missed a quorum catch up. At a
+//! latency below the tick a decided group advances a phase per
+//! delivery, never rebroadcasts an unchanged state, and a process that
+//! missed one quorum stays stranded below it.
+//!
+//! Faults from the schedule apply to frames *sent* during the
+//! adversarial window: drops, delays (reorders — the frame lands after
+//! younger traffic), duplicates, and the partition's cut of
+//! correct↔correct edges. After the window the network is fault-free:
+//! Turquois' ticks and the transport's retransmissions recover, which
+//! is what makes eventual decision checkable.
 
 use crate::schedule::{ByzStrategy, EngineKind, FaultKind, Partition, Schedule};
-use bytes::Bytes;
-use std::collections::BTreeMap;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
-use turquois_baselines::abba::{round1_prevote, Abba, AbbaKeys};
+use std::time::Duration;
+use turquois_baselines::abba::{Abba, AbbaKeys};
 use turquois_baselines::bracha::Bracha;
 use turquois_core::instance::Turquois;
 use turquois_core::message::Status;
 use turquois_core::KeyRing;
-use turquois_harness::adapters::FrameMutation;
-use turquois_harness::adversary::{abba_garbage_votes, bracha_flip_mutation, turquois_lie};
+use turquois_crypto::cost::CostModel;
+use turquois_harness::adapters::{
+    new_link_tags, AbbaApp, BrachaApp, RunProbe, SharedLinkTags, TurquoisApp, TICK_INTERVAL,
+};
+use turquois_harness::adversary::{
+    byzantine_bracha_app, AbbaEquivocatorApp, ByzantineTurquoisApp, SplitBrainCoalition,
+    SplitBrainTurquoisApp,
+};
+use wireless_net::reliable;
+use wireless_net::{Addressing, Application, Command, NodeCtx, ReceivedFrame, SimTime};
 
 /// A property violated by an execution (most severe first).
 #[derive(Clone, Debug, Eq, PartialEq)]
@@ -112,24 +130,19 @@ pub struct RunReport {
     pub violation: Option<Violation>,
 }
 
-/// Routing hint for a delivery: which half of a split-brain Byzantine
-/// receiver should process it. `MaskBit` (the normal case) routes by
-/// the receiver's mask bit of the sender; `SideA`/`SideB` force a
-/// tracker and exist for the equivocator's own loopbacks, where both
-/// trackers must hear their own broadcast (a Byzantine node trivially
-/// knows everything it transmitted).
-#[derive(Clone, Copy, Debug, Eq, PartialEq)]
-enum Side {
-    MaskBit,
-    SideA,
-    SideB,
-}
+/// Simulated time per round: the transport's tick, so its delayed
+/// ACKs and retransmission timeouts land on round boundaries.
+pub const QUANTUM: Duration = reliable::TICK_INTERVAL;
+/// Rounds from a frame's send to its delivery: one Turquois tick
+/// interval (see the module doc).
+pub const LATENCY: u32 = (TICK_INTERVAL.as_nanos() / QUANTUM.as_nanos()) as u32;
+const _: () = assert!(TICK_INTERVAL.as_nanos().is_multiple_of(QUANTUM.as_nanos()));
 
-/// One queued delivery: `(seq, from, to, side, bytes)`.
-type Delivery = (u64, usize, usize, Side, Bytes);
+/// One queued frame: `(send seq, receiver, frame)`.
+type Delivery = (u64, usize, ReceivedFrame);
 
-/// In-flight messages with fault and partition application at send
-/// time.
+/// In-flight frames, with the schedule's faults and partition cut
+/// applied at send time.
 struct Net {
     queue: BTreeMap<u32, Vec<Delivery>>,
     faults: BTreeMap<(u32, usize, usize), FaultKind>,
@@ -140,9 +153,6 @@ struct Net {
     /// Bit `i` set means process `i` is correct — the partition never
     /// cuts a Byzantine endpoint (the equivocator straddles the split).
     correct_mask: u64,
-    /// Reliable-link engines (the baselines) buffer cross-split traffic
-    /// until the heal instead of dropping it.
-    reliable: bool,
     seq: u64,
     jitter: u64,
     delivered: u64,
@@ -162,19 +172,13 @@ impl Net {
         for f in &s.faults {
             faults.entry((f.round, f.from, f.to)).or_insert(f.kind);
         }
-        let mut correct_mask = 0u64;
-        for id in 0..s.n {
-            if !s.is_byz(id) {
-                correct_mask |= 1 << id;
-            }
-        }
+        let correct_mask = (0..s.n).filter(|&id| !s.is_byz(id)).fold(0, |m, id| m | 1 << id);
         Net {
             queue: BTreeMap::new(),
             faults,
             window: s.window,
             partition: s.partition,
             correct_mask,
-            reliable: !matches!(s.engine, EngineKind::Turquois),
             seq: 0,
             jitter: mix64(s.seed ^ 0x6a09e667f3bcc908),
             delivered: 0,
@@ -182,65 +186,32 @@ impl Net {
         }
     }
 
-    fn push(&mut self, due: u32, from: usize, to: usize, side: Side, bytes: Bytes) {
-        let seq = self.seq;
+    fn push(&mut self, due: u32, to: usize, frame: ReceivedFrame) {
+        self.queue.entry(due).or_default().push((self.seq, to, frame));
         self.seq += 1;
-        self.queue
-            .entry(due)
-            .or_default()
-            .push((seq, from, to, side, bytes));
     }
 
-    /// Sends one message emitted in `round` with natural delivery round
-    /// `base_due`, applying the schedule's fault for this edge (if the
-    /// round is inside the adversarial window).
-    fn send(&mut self, round: u32, base_due: u32, from: usize, to: usize, bytes: Bytes) {
-        self.send_side(round, base_due, from, to, Side::MaskBit, bytes);
-    }
-
-    fn send_side(
-        &mut self,
-        round: u32,
-        base_due: u32,
-        from: usize,
-        to: usize,
-        side: Side,
-        bytes: Bytes,
-    ) {
-        let kind = if round <= self.window {
-            self.faults.get(&(round, from, to)).copied()
-        } else {
-            None
-        };
-        // The split cuts correct↔correct edges crossing the mask while
-        // active (and inside the window, like every fault): Turquois'
-        // broadcasts are lost outright; the baselines' reliable links
-        // buffer the bytes and release them at the heal.
-        let cut = round <= self.window
+    /// Sends `frame` to `to` in `round`, due [`LATENCY`] later, applying
+    /// the schedule's fault for this edge, or the partition's cut, if
+    /// the round is inside the adversarial window.
+    fn send(&mut self, round: u32, to: usize, frame: ReceivedFrame) {
+        let from = frame.src;
+        let in_window = round <= self.window;
+        let correct = |id: usize| self.correct_mask >> id & 1 == 1;
+        let cut = in_window
             && self.partition.is_some_and(|p| {
-                p.active(round)
-                    && p.crosses(from, to)
-                    && self.correct_mask >> from & 1 == 1
-                    && self.correct_mask >> to & 1 == 1
+                p.active(round) && p.crosses(from, to) && correct(from) && correct(to)
             });
-        if cut && !self.reliable {
-            self.dropped += 1;
-            return;
-        }
-        let floor = if cut {
-            self.partition.expect("cut implies a partition").heal_round
-        } else {
-            0
-        };
+        let fault = self.faults.get(&(round, from, to)).copied().filter(|_| in_window);
+        let kind = if cut { Some(FaultKind::Drop) } else { fault };
+        let due = round + LATENCY;
         match kind {
-            None => self.push(base_due.max(floor), from, to, side, bytes),
+            None => self.push(due, to, frame),
             Some(FaultKind::Drop) => self.dropped += 1,
-            Some(FaultKind::Delay(by)) => {
-                self.push((base_due + by).max(floor), from, to, side, bytes)
-            }
+            Some(FaultKind::Delay(by)) => self.push(due + by, to, frame),
             Some(FaultKind::Duplicate) => {
-                self.push(base_due.max(floor), from, to, side, bytes.clone());
-                self.push((base_due + 1).max(floor), from, to, side, bytes);
+                self.push(due, to, frame.clone());
+                self.push(due + 1, to, frame);
             }
         }
     }
@@ -258,21 +229,132 @@ impl Net {
     /// symmetry in practice, so the driver reproduces it here. The
     /// order is global, not per-receiver: on a broadcast medium every
     /// receiver hears the same frame at the same instant.
-    fn take(&mut self, round: u32) -> Vec<(u64, usize, usize, Side, Bytes)> {
+    fn take(&mut self, round: u32) -> Vec<Delivery> {
         let later = self.queue.split_off(&(round + 1));
-        let mut due: Vec<(u64, usize, usize, Side, Bytes)> =
-            std::mem::replace(&mut self.queue, later)
-                .into_values()
-                .flatten()
-                .collect();
-        let jitter = self.jitter;
-        due.sort_by_key(|(seq, _, _, _, _)| (mix64(jitter ^ (u64::from(round) << 32) ^ *seq), *seq));
+        let mut due: Vec<Delivery> =
+            std::mem::replace(&mut self.queue, later).into_values().flatten().collect();
+        let jitter = self.jitter ^ u64::from(round) << 32;
+        due.sort_by_key(|&(seq, ..)| (mix64(jitter ^ seq), seq));
         self.delivered += due.len() as u64;
         due
     }
+}
 
-    fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+/// What a schedule's processes share: key material, the link-tag pool
+/// and the split-brain coalition.
+struct Group {
+    rings: Vec<KeyRing>,
+    abba_keys: Vec<AbbaKeys>,
+    link_tags: SharedLinkTags,
+    coalition: SplitBrainCoalition,
+}
+
+impl Group {
+    fn new(s: &Schedule) -> Group {
+        let (turquois, abba) = (s.engine == EngineKind::Turquois, s.engine == EngineKind::Abba);
+        // A phase per round, with margin: keys are derived on first
+        // touch, so unused phases cost nothing.
+        let (phases, f) = (s.max_rounds as usize + 8, (s.n - 1) / 3);
+        Group {
+            rings: if turquois { KeyRing::trusted_setup(s.n, phases, s.seed) } else { Vec::new() },
+            abba_keys: if abba { AbbaKeys::trusted_setup(s.n, f, s.seed) } else { Vec::new() },
+            link_tags: new_link_tags(),
+            coalition: SplitBrainCoalition::default(),
+        }
+    }
+}
+
+/// Builds process `id` of `s`: the harness adapter a correct process
+/// runs, or the `harness::adversary` strategy its Byzantine spec names.
+fn node(s: &Schedule, group: &Group, id: usize) -> Box<dyn Application> {
+    let (n, f, proposal) = (s.n, (s.n - 1) / 3, s.proposals[id]);
+    let (cost, probe) = (CostModel::default(), RunProbe::new(n));
+    let seed = s.seed.wrapping_add(31 * id as u64);
+    let byz = s.byz.iter().find(|b| b.id == id);
+    // The baselines' equivocators lie to the receivers in the mask;
+    // the flip lies to everyone.
+    let lie_mask = byz.map(|b| if b.strategy == ByzStrategy::Flip { u64::MAX } else { b.mask });
+    match s.engine {
+        EngineKind::Turquois => {
+            let ring = &group.rings[id];
+            let engine = |value, seed| Turquois::new(s.config(), id, value, ring.clone(), seed);
+            match byz {
+                None => Box::new(TurquoisApp::new(engine(proposal, seed), cost, probe)),
+                Some(b) if b.strategy == ByzStrategy::Flip => {
+                    Box::new(ByzantineTurquoisApp::new(engine(proposal, seed), ring.clone()))
+                }
+                Some(b) => Box::new(SplitBrainTurquoisApp::new(
+                    [engine(false, seed), engine(true, seed ^ 0xa5a5)],
+                    b.mask,
+                    n,
+                    group.coalition.clone(),
+                )),
+            }
+        }
+        EngineKind::Bracha => {
+            let (engine, tags) = (Bracha::new(n, f, id, proposal, seed), group.link_tags.clone());
+            match lie_mask {
+                None => Box::new(BrachaApp::new(engine, n, s.seed, cost, probe, tags)),
+                Some(mask) => {
+                    Box::new(byzantine_bracha_app(engine, n, s.seed, cost, probe, tags).lying_to(mask))
+                }
+            }
+        }
+        EngineKind::Abba => {
+            let keys = group.abba_keys[id].clone();
+            match lie_mask {
+                None => Box::new(AbbaApp::new(Abba::new(n, f, id, proposal, keys, seed), n, cost, probe)),
+                Some(mask) => Box::new(AbbaEquivocatorApp::new(id, n, keys, mask)),
+            }
+        }
+    }
+}
+
+/// The processes of one run and everything in flight between them.
+struct World<'s> {
+    s: &'s Schedule,
+    nodes: Vec<Box<dyn Application>>,
+    rngs: Vec<StdRng>,
+    net: Net,
+    /// `(due round, node, timer id)`.
+    timers: BinaryHeap<Reverse<(u32, usize, u64)>>,
+    decisions: Vec<Option<bool>>,
+}
+
+impl<'s> World<'s> {
+    fn new(s: &'s Schedule, nodes: Vec<Box<dyn Application>>) -> Self {
+        let rngs = (0..s.n).map(|id| StdRng::seed_from_u64(s.seed ^ id as u64)).collect();
+        let (net, timers, decisions) = (Net::new(s), BinaryHeap::new(), vec![None; s.n]);
+        World { s, nodes, rngs, net, timers, decisions }
+    }
+
+    /// Runs one callback of node `id` in `round` and applies what it
+    /// drained; the CPU it charged is dropped, as in the live runtime.
+    fn call(&mut self, round: u32, id: usize, f: impl FnOnce(&mut dyn Application, &mut NodeCtx<'_>)) {
+        let mut ctx = NodeCtx::new(id, SimTime::ZERO + QUANTUM * round, &mut self.rngs[id], Vec::new());
+        f(self.nodes[id].as_mut(), &mut ctx);
+        for command in ctx.finish().1 {
+            match command {
+                Command::Broadcast { payload, .. } => {
+                    let frame = ReceivedFrame { src: id, addressing: Addressing::Broadcast, payload };
+                    for to in 0..self.s.n {
+                        self.net.send(round, to, frame.clone());
+                    }
+                }
+                Command::Unicast { dst, payload, .. } => {
+                    let frame = ReceivedFrame { src: id, addressing: Addressing::Unicast(dst), payload };
+                    self.net.send(round, dst, frame);
+                }
+                Command::SetTimer { delay, id: timer } => {
+                    let due = round + (delay.as_nanos().div_ceil(QUANTUM.as_nanos()) as u32).max(1);
+                    self.timers.push(Reverse((due, id, timer)));
+                }
+                Command::Decide { value } => {
+                    assert!(!self.s.is_byz(id), "Byzantine p{id} decided: adversaries never decide");
+                    self.decisions[id].get_or_insert(value);
+                }
+            }
+        }
     }
 }
 
@@ -280,485 +362,60 @@ impl Net {
 ///
 /// # Panics
 ///
-/// Panics on malformed schedules (e.g. `proposals.len() != n` or a
-/// Byzantine id out of range) — the generator and the replay parser
+/// Panics on malformed schedules (`n` outside `1..=64`, more than
+/// `⌊(n−1)/3⌋` or repeated Byzantine ids, ids or fault endpoints out of
+/// range, `proposals.len() != n`) — the generator and the replay parser
 /// both uphold these, so a panic here means a driver bug, and the
-/// explorer wants it loud.
+/// explorer wants it loud. So does a Byzantine node that decides.
 pub fn run_schedule(s: &Schedule) -> RunReport {
+    assert!((1..=64).contains(&s.n), "n = {} outside 1..=64 (masks are 64-bit)", s.n);
     assert_eq!(s.proposals.len(), s.n, "proposals must cover every process");
-    assert!(s.byz.iter().all(|b| b.id < s.n), "byz id out of range");
-    match s.engine {
-        EngineKind::Turquois => run_turquois(s),
-        EngineKind::Bracha => run_bracha(s),
-        EngineKind::Abba => run_abba(s),
-    }
-}
-
-// ---- Turquois --------------------------------------------------------
-
-#[allow(clippy::large_enum_variant)] // n processes total; boxing buys nothing
-enum TProc {
-    Correct(Turquois),
-    /// The split-brain equivocator: tracker `a` serves receivers whose
-    /// mask bit is set (proposing 0), tracker `b` the rest (proposing 1).
-    Split {
-        a: Turquois,
-        b: Turquois,
-        mask: u64,
-    },
-    /// The §7.2 value-flipping liar around an honest tracker.
-    Flip { tracker: Turquois, ring: KeyRing },
-}
-
-fn run_turquois(s: &Schedule) -> RunReport {
-    let cfg = s.config();
-    let phases = (s.max_rounds + 8) as usize;
-    let rings = KeyRing::trusted_setup(s.n, phases, s.seed);
-    let mut procs: Vec<TProc> = rings
-        .into_iter()
-        .enumerate()
-        .map(|(id, ring)| {
-            let seed = s.seed.wrapping_add(31 * id as u64);
-            match s.byz.iter().find(|b| b.id == id) {
-                None => TProc::Correct(Turquois::new(cfg, id, s.proposals[id], ring, seed)),
-                Some(b) => match b.strategy {
-                    ByzStrategy::SplitBrain => TProc::Split {
-                        a: Turquois::new(cfg, id, false, ring.clone(), seed),
-                        b: Turquois::new(cfg, id, true, ring, seed ^ 0xa5a5),
-                        mask: b.mask,
-                    },
-                    ByzStrategy::Flip => TProc::Flip {
-                        tracker: Turquois::new(cfg, id, s.proposals[id], ring.clone(), seed),
-                        ring,
-                    },
-                },
-            }
-        })
-        .collect();
-
-    // The Byzantine coalition colludes: a split-brain equivocator sends
-    // *both* side outputs to fellow equivocators (side-tagged, like its
-    // self-delivery) so each of their trackers keeps pace with its
-    // partition side. With one mask-routed copy a coalition of t ≥ 2
-    // starves its own trackers below quorum and the whole equivocation
-    // stalls at phase 1 — a weaker adversary than the paper allows.
-    let split_ids: Vec<bool> = (0..s.n)
-        .map(|id| {
-            s.byz
-                .iter()
-                .any(|b| b.id == id && b.strategy == ByzStrategy::SplitBrain)
-        })
-        .collect();
-
-    let mut net = Net::new(s);
+    let group = Group::new(s);
+    let mut world = World::new(s, (0..s.n).map(|id| node(s, &group, id)).collect());
     let mut rounds_used = s.max_rounds;
     for round in 1..=s.max_rounds {
-        // Broadcasts (task T1), in process order.
-        for (id, proc) in procs.iter_mut().enumerate() {
-            match proc {
-                TProc::Correct(p) => {
-                    let out = p.on_tick().expect("keys sized for max_rounds");
-                    for to in 0..s.n {
-                        net.send(round, round + 2, id, to, out.bytes.clone());
-                    }
-                }
-                TProc::Split { a, b, mask } => {
-                    let out_a = a.on_tick().expect("keys sized for max_rounds");
-                    let out_b = b.on_tick().expect("keys sized for max_rounds");
-                    let mask = *mask;
-                    for (to, &to_is_split) in split_ids.iter().enumerate() {
-                        if to == id || to_is_split {
-                            // Both trackers hear their own broadcast, and
-                            // the coalition shares both brains.
-                            net.send_side(round, round + 2, id, to, Side::SideA, out_a.bytes.clone());
-                            net.send_side(round, round + 2, id, to, Side::SideB, out_b.bytes.clone());
-                            continue;
-                        }
-                        let bytes = if mask >> to & 1 == 1 {
-                            out_a.bytes.clone()
-                        } else {
-                            out_b.bytes.clone()
-                        };
-                        net.send(round, round + 2, id, to, bytes);
-                    }
-                }
-                TProc::Flip { tracker, ring } => {
-                    if let Some(lie) = turquois_lie(tracker.phase(), tracker.value(), id, ring) {
-                        let bytes = lie.encode();
-                        for to in 0..s.n {
-                            net.send(round, round + 2, id, to, bytes.clone());
-                        }
-                    }
-                }
-            }
+        if round == 1 {
+            (0..s.n).for_each(|id| world.call(round, id, |app, ctx| app.on_start(ctx)));
         }
-        // Deliveries (task T2), in send order.
-        for (_, from, to, side, bytes) in net.take(round) {
-            match &mut procs[to] {
-                TProc::Correct(p) => {
-                    p.on_message(&bytes);
-                }
-                TProc::Split { a, b, mask } => {
-                    // Self-deliveries carry a side tag (each tracker
-                    // hears its own broadcast); everything else routes
-                    // by the receiver's mask bit of the sender, so each
-                    // tracker only ever hears its side of the brain.
-                    match side {
-                        Side::SideA => a.on_message(&bytes),
-                        Side::SideB => b.on_message(&bytes),
-                        Side::MaskBit => {
-                            if *mask >> from & 1 == 1 {
-                                a.on_message(&bytes)
-                            } else {
-                                b.on_message(&bytes)
-                            }
-                        }
-                    };
-                }
-                TProc::Flip { tracker, .. } => {
-                    tracker.on_message(&bytes);
-                }
+        while let Some(&Reverse((due, id, timer))) = world.timers.peek() {
+            if due > round {
+                break;
             }
+            world.timers.pop();
+            world.call(round, id, |app, ctx| app.on_timer(ctx, timer));
         }
-        if correct_turquois(&procs).all(|(_, p)| p.decision().is_some()) {
+        for (_, to, frame) in world.net.take(round) {
+            world.call(round, to, |app, ctx| app.on_frame(ctx, frame));
+        }
+        // Done, or quiescent: nothing in flight and no timer armed, so
+        // nothing will ever change again.
+        let decided = (0..s.n).all(|id| s.is_byz(id) || world.decisions[id].is_some());
+        if decided || world.net.queue.is_empty() && world.timers.is_empty() {
             rounds_used = round;
             break;
         }
     }
 
-    let decisions: Vec<Option<bool>> = procs
-        .iter()
-        .map(|p| match p {
-            TProc::Correct(p) => p.decision(),
-            _ => None,
-        })
-        .collect();
     // Engine-consistency invariant: a Decided broadcast status always
     // comes with the write-once decision set. (The converse does not
     // hold — Rule 1 catch-up copies the sender's status, so a decided
     // process chasing an undecided sender's higher phase legitimately
     // reverts its *broadcast* status while keeping its decision.)
-    for (id, p) in correct_turquois(&procs) {
-        if p.status() == Status::Decided {
-            assert!(p.decision().is_some(), "p{id} has Decided status but no decision");
+    for (id, app) in world.nodes.iter().enumerate().filter(|&(id, _)| !s.is_byz(id)) {
+        if let Some(app) = app.as_any().and_then(|a| a.downcast_ref::<TurquoisApp>()) {
+            let p = app.instance();
+            let consistent = p.status() != Status::Decided || p.decision().is_some();
+            assert!(consistent, "p{id} has Decided status but no decision");
         }
     }
-    let detail = |undecided: &[usize]| {
-        undecided
-            .iter()
-            .map(|&id| {
-                let TProc::Correct(p) = &procs[id] else {
-                    unreachable!("undecided list holds correct ids")
-                };
-                let phase = p.phase();
-                format!(
-                    "p{id} phase={phase} valid@{phase}={} evid@{phase}={}",
-                    p.valid_senders_at(phase),
-                    p.evidence_senders_at(phase)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    finish(s, decisions, rounds_used, net, s.within_sigma_budget(), &[], detail)
-}
-
-fn correct_turquois(procs: &[TProc]) -> impl Iterator<Item = (usize, &Turquois)> {
-    procs.iter().enumerate().filter_map(|(id, p)| match p {
-        TProc::Correct(p) => Some((id, p)),
-        _ => None,
-    })
-}
-
-// ---- Bracha ----------------------------------------------------------
-
-enum BProc {
-    Correct(Bracha),
-    /// An honest engine whose outgoing frames pass through the §7.2
-    /// value-flip mutation for receivers whose mask bit is set:
-    /// mask = all-ones is the classic flip adversary, a partial mask is
-    /// initial-value equivocation under reliable broadcast.
-    Byz {
-        engine: Bracha,
-        mask: u64,
-        mutate: FrameMutation,
-    },
-}
-
-fn run_bracha(s: &Schedule) -> RunReport {
-    let f = (s.n - 1) / 3;
-    let mut procs: Vec<BProc> = (0..s.n)
-        .map(|id| {
-            let engine = Bracha::new(
-                s.n,
-                f,
-                id,
-                s.proposals[id],
-                s.seed.wrapping_add(31 * id as u64),
-            );
-            match s.byz.iter().find(|b| b.id == id) {
-                None => BProc::Correct(engine),
-                Some(b) => BProc::Byz {
-                    engine,
-                    mask: match b.strategy {
-                        ByzStrategy::SplitBrain => b.mask,
-                        ByzStrategy::Flip => u64::MAX,
-                    },
-                    mutate: bracha_flip_mutation(id),
-                },
-            }
-        })
-        .collect();
-
-    let mut net = Net::new(s);
-    let mut rounds_used = s.max_rounds;
-    let mut stalled = false;
-    for round in 1..=s.max_rounds {
-        if round == 1 {
-            for id in 0..s.n {
-                let send = match &mut procs[id] {
-                    BProc::Correct(e) => e.on_start().send,
-                    BProc::Byz { engine, .. } => engine.on_start().send,
-                };
-                emit_bracha(&mut procs, &mut net, round, id, send, s.n);
-            }
-        }
-        for (_, from, to, _, bytes) in net.take(round) {
-            let send = match &mut procs[to] {
-                BProc::Correct(e) => e.on_message(from, &bytes).send,
-                BProc::Byz { engine, .. } => engine.on_message(from, &bytes).send,
-            };
-            emit_bracha(&mut procs, &mut net, round, to, send, s.n);
-        }
-        if correct_bracha(&procs).all(|(_, e)| e.decision().is_some()) {
-            rounds_used = round;
-            break;
-        }
-        if net.is_empty() {
-            // Purely reactive engines on an empty network: nothing will
-            // ever change again.
-            rounds_used = round;
-            stalled = true;
-            break;
-        }
-    }
-
-    let decisions: Vec<Option<bool>> = procs
-        .iter()
-        .map(|p| match p {
-            BProc::Correct(e) => e.decision(),
-            _ => None,
-        })
-        .collect();
-    let detail = |undecided: &[usize]| {
-        let _ = stalled;
-        undecided
-            .iter()
-            .map(|&id| {
-                let BProc::Correct(e) = &procs[id] else {
-                    unreachable!("undecided list holds correct ids")
-                };
-                format!(
-                    "p{id} round={} step={} deliveries={}{}",
-                    e.round(),
-                    e.step(),
-                    e.deliveries(),
-                    if stalled { " [stalled]" } else { "" }
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    finish(s, decisions, rounds_used, net, s.within_sigma_budget(), &[], detail)
-}
-
-/// Fans one process's outgoing frames to every receiver, applying the
-/// Byzantine per-receiver mutation where the sender's mask selects it.
-fn emit_bracha(
-    procs: &mut [BProc],
-    net: &mut Net,
-    round: u32,
-    from: usize,
-    send: Vec<Bytes>,
-    n: usize,
-) {
-    for bytes in send {
-        match &mut procs[from] {
-            BProc::Correct(_) => {
-                for to in 0..n {
-                    net.send(round, round + 1, from, to, bytes.clone());
-                }
-            }
-            BProc::Byz { mask, mutate, .. } => {
-                let mask = *mask;
-                for to in 0..n {
-                    let out = if mask >> to & 1 == 1 {
-                        mutate(&bytes)
-                    } else {
-                        bytes.clone()
-                    };
-                    net.send(round, round + 1, from, to, out);
-                }
-            }
-        }
-    }
-}
-
-fn correct_bracha(procs: &[BProc]) -> impl Iterator<Item = (usize, &Bracha)> {
-    procs.iter().enumerate().filter_map(|(id, p)| match p {
-        BProc::Correct(e) => Some((id, e)),
-        _ => None,
-    })
-}
-
-// ---- ABBA ------------------------------------------------------------
-
-enum AProc {
-    Correct(Box<Abba>),
-    /// Round-1 signed equivocation (a different, correctly-signed
-    /// pre-vote per mask side), one garbage salvo, then silence.
-    Byz { keys: Box<AbbaKeys>, mask: u64 },
-}
-
-fn run_abba(s: &Schedule) -> RunReport {
-    let f = (s.n - 1) / 3;
-    let keys = AbbaKeys::trusted_setup(s.n, f, s.seed);
-    let mut procs: Vec<AProc> = keys
-        .into_iter()
-        .enumerate()
-        .map(|(id, k)| match s.byz.iter().find(|b| b.id == id) {
-            None => AProc::Correct(Box::new(Abba::new(
-                s.n,
-                f,
-                id,
-                s.proposals[id],
-                k,
-                s.seed.wrapping_add(31 * id as u64),
-            ))),
-            Some(b) => AProc::Byz {
-                keys: Box::new(k),
-                mask: match b.strategy {
-                    ByzStrategy::SplitBrain => b.mask,
-                    ByzStrategy::Flip => u64::MAX,
-                },
-            },
-        })
-        .collect();
-
-    let mut net = Net::new(s);
-    let mut rounds_used = s.max_rounds;
-    let mut stalled = false;
-    for round in 1..=s.max_rounds {
-        if round == 1 {
-            for (id, proc) in procs.iter_mut().enumerate() {
-                match proc {
-                    AProc::Correct(e) => {
-                        let send = e.on_start().send;
-                        for bytes in send {
-                            for to in 0..s.n {
-                                net.send(round, round + 1, id, to, bytes.clone());
-                            }
-                        }
-                    }
-                    AProc::Byz { keys, mask } => {
-                        // Equivocate the unjustified round-1 pre-vote
-                        // along the mask, then flood one garbage salvo.
-                        let pv: [Bytes; 2] = [
-                            round1_prevote(keys, false).encode(),
-                            round1_prevote(keys, true).encode(),
-                        ];
-                        let mask = *mask;
-                        for to in 0..s.n {
-                            let bytes = pv[(mask >> to & 1) as usize].clone();
-                            net.send(round, round + 1, id, to, bytes);
-                        }
-                        for (bytes, _) in abba_garbage_votes(id, 1, 0) {
-                            for to in 0..s.n {
-                                net.send(round, round + 1, id, to, bytes.clone());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for (_, from, to, _, bytes) in net.take(round) {
-            if let AProc::Correct(e) = &mut procs[to] {
-                let send = e.on_message(from, &bytes).send;
-                for out in send {
-                    for dst in 0..s.n {
-                        net.send(round, round + 1, to, dst, out.clone());
-                    }
-                }
-            }
-        }
-        if correct_abba(&procs).all(|(_, e)| e.decision().is_some()) {
-            rounds_used = round;
-            break;
-        }
-        if net.is_empty() {
-            rounds_used = round;
-            stalled = true;
-            break;
-        }
-    }
-
-    let decisions: Vec<Option<bool>> = procs
-        .iter()
-        .map(|p| match p {
-            AProc::Correct(e) => e.decision(),
-            _ => None,
-        })
-        .collect();
-    let detail = |undecided: &[usize]| {
-        undecided
-            .iter()
-            .map(|&id| {
-                let AProc::Correct(e) = &procs[id] else {
-                    unreachable!("undecided list holds correct ids")
-                };
-                format!(
-                    "p{id} round={}{}",
-                    e.round(),
-                    if stalled { " [stalled]" } else { "" }
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    // The round-1 pre-vote values the Byzantine parties signed (the
-    // per-receiver bit of each mask), for the justified-validity check.
-    let mut injected = Vec::new();
-    for p in &procs {
-        if let AProc::Byz { mask, .. } = p {
-            for to in 0..s.n {
-                let bit = *mask >> to & 1 == 1;
-                if !injected.contains(&bit) {
-                    injected.push(bit);
-                }
-            }
-        }
-    }
-    finish(s, decisions, rounds_used, net, s.within_sigma_budget(), &injected, detail)
-}
-
-fn correct_abba(procs: &[AProc]) -> impl Iterator<Item = (usize, &Abba)> {
-    procs.iter().enumerate().filter_map(|(id, p)| match p {
-        AProc::Correct(e) => Some((id, &**e)),
-        _ => None,
-    })
+    finish(s, &world, rounds_used)
 }
 
 // ---- property checks -------------------------------------------------
 
-fn finish(
-    s: &Schedule,
-    decisions: Vec<Option<bool>>,
-    rounds_used: u32,
-    net: Net,
-    eligible: bool,
-    injected: &[bool],
-    liveness_detail: impl Fn(&[usize]) -> String,
-) -> RunReport {
+fn finish(s: &Schedule, world: &World<'_>, rounds_used: u32) -> RunReport {
+    let decisions = &world.decisions;
+    let eligible = s.within_sigma_budget();
     let correct: Vec<usize> = (0..s.n).filter(|&id| !s.is_byz(id)).collect();
     let decided: Vec<(usize, bool)> = correct
         .iter()
@@ -775,17 +432,25 @@ fn finish(
 
     // Validity: unanimous correct proposals force the decision — unless
     // the adversary legitimately injected the other value into the
-    // protocol (`injected`). That out exists only for ABBA, whose
-    // round-1 pre-votes carry no justification: a Byzantine party can
-    // sign the opposite value, push every correct party to a mixed
-    // pre-vote set and thus an abstain main-vote, and let the shared
-    // coin land on the injected value. That execution is correct CKS
-    // behaviour (pre-voted values are all "justified" in round 1), so
-    // flagging it would indict the spec, not the code.
+    // protocol. That out exists only for ABBA, whose round-1 pre-votes
+    // carry no justification: a Byzantine party can sign the opposite
+    // value (the one its mask shows a correct receiver), push every
+    // correct party to a mixed pre-vote set and thus an abstain
+    // main-vote, and let the shared coin land on the injected value.
+    // That execution is correct CKS behaviour (pre-voted values are all
+    // "justified" in round 1), so flagging it would indict the spec, not
+    // the code.
     if violation.is_none() {
         let props: Vec<bool> = correct.iter().map(|&id| s.proposals[id]).collect();
+        let injected = |value: bool| {
+            s.engine == EngineKind::Abba
+                && s.byz.iter().any(|b| {
+                    let mask = if b.strategy == ByzStrategy::Flip { u64::MAX } else { b.mask };
+                    correct.iter().any(|&to| (mask >> to & 1 == 1) == value)
+                })
+        };
         if let Some(&unanimous) = props.first() {
-            if props.iter().all(|&p| p == unanimous) && !injected.contains(&!unanimous) {
+            if props.iter().all(|&p| p == unanimous) && !injected(!unanimous) {
                 if let Some(&(id, _)) = decided.iter().find(|&&(_, d)| d != unanimous) {
                     violation = Some(Violation::Validity {
                         proposal: unanimous,
@@ -797,32 +462,34 @@ fn finish(
     }
 
     // Liveness: within the omission budget every correct process must
-    // decide (Turquois); the reliable-link baselines must always decide
-    // — unless a partition is in play (its heal may sit past
-    // `max_rounds`, and pre-heal no-decision is the *expected* outcome
-    // for a sub-quorum side; the partition fixtures assert decision
-    // explicitly on healed runs instead).
-    let liveness_guaranteed = match s.engine {
-        EngineKind::Turquois => eligible,
-        EngineKind::Bracha | EngineKind::Abba => s.partition.is_none(),
-    };
-    if violation.is_none() && liveness_guaranteed {
+    // decide. A partition voids the budget for every engine (its heal
+    // may sit past `max_rounds`, and pre-heal no-decision is the
+    // *expected* outcome for a sub-quorum side; the partition fixtures
+    // assert decision explicitly on healed runs instead).
+    if violation.is_none() && eligible {
         let undecided: Vec<usize> = correct
             .iter()
             .copied()
             .filter(|&id| decisions[id].is_none())
             .collect();
         if !undecided.is_empty() {
-            let detail = liveness_detail(&undecided);
+            let detail = undecided
+                .iter()
+                .map(|&id| match world.nodes[id].progress() {
+                    Some(p) => format!("p{id} phase={}", p.phase),
+                    None => format!("p{id}"),
+                })
+                .collect::<Vec<_>>()
+                .join(", ");
             violation = Some(Violation::Liveness { undecided, detail });
         }
     }
 
     RunReport {
-        decisions,
+        decisions: decisions.clone(),
         rounds_used,
-        delivered: net.delivered,
-        dropped: net.dropped,
+        delivered: world.net.delivered,
+        dropped: world.net.dropped,
         eligible,
         violation,
     }
@@ -909,6 +576,69 @@ mod tests {
         }
         let r = run_schedule(&s);
         assert_eq!(r.violation, None, "{:?}", r.violation);
+    }
+
+    /// A correct Turquois node broadcasts in the very callback whose
+    /// frame advances its phase, and not in the callbacks before it.
+    #[test]
+    fn turquois_broadcasts_in_the_callback_its_phase_advances() {
+        let s = base(EngineKind::Turquois, 4);
+        let group = Group::new(&s);
+        let mut world = World::new(&s, (0..4).map(|id| node(&s, &group, id)).collect());
+        (0..4).for_each(|id| world.call(1, id, |app, ctx| app.on_start(ctx)));
+        let mut phase1 = world.net.take(1 + LATENCY);
+        phase1.retain(|&(_, to, _)| to == 0);
+        assert_eq!(phase1.len(), 4, "every node broadcasts on start");
+        let mut advanced = false;
+        for (_, _, frame) in phase1 {
+            let phase = |world: &World<'_>| world.nodes[0].progress().expect("progress").phase;
+            let (before, sent) = (phase(&world), world.net.seq);
+            world.call(3, 0, |app, ctx| app.on_frame(ctx, frame));
+            let now_advanced = phase(&world) > before;
+            assert_eq!(world.net.seq > sent, now_advanced, "broadcast iff the phase advanced");
+            advanced |= now_advanced;
+        }
+        assert!(advanced, "a phase-1 quorum advances p0");
+    }
+
+    /// The baselines face in-window drops of correct→correct frames and
+    /// decide anyway: their transport retransmits after the window.
+    #[test]
+    fn baselines_recover_in_window_drops() {
+        for engine in [EngineKind::Bracha, EngineKind::Abba] {
+            let mut s = base(engine, 4);
+            s.max_rounds = 300;
+            s.proposals = vec![true, false, true, false];
+            for round in 1..=s.window {
+                for (from, to) in [(0, 1), (2, 3), (1, 0)] {
+                    s.faults.push(Fault { round, from, to, kind: FaultKind::Drop });
+                }
+            }
+            assert!(s.within_sigma_budget(), "{}: eligible", engine.name());
+            let r = run_schedule(&s);
+            assert_eq!(r.violation, None, "{}: {:?}", engine.name(), r.violation);
+            assert!(r.dropped > 0, "{}: nothing dropped", engine.name());
+            assert!(r.decisions.iter().all(Option::is_some), "{}: {:?}", engine.name(), r.decisions);
+        }
+    }
+
+    /// An adversary that decides breaks the contract the decision count
+    /// rests on; the loop refuses it loudly.
+    #[test]
+    #[should_panic(expected = "adversaries never decide")]
+    fn a_deciding_byzantine_node_panics() {
+        struct Decides;
+        impl Application for Decides {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                ctx.decide(true);
+            }
+            fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: ReceivedFrame) {}
+            fn on_timer(&mut self, _: &mut NodeCtx<'_>, _: u64) {}
+        }
+        let mut s = base(EngineKind::Turquois, 4);
+        s.byz = vec![ByzSpec { id: 3, mask: 0, strategy: ByzStrategy::Flip }];
+        let mut world = World::new(&s, (0..4).map(|_| Box::new(Decides) as _).collect());
+        (0..4).for_each(|id| world.call(1, id, |app, ctx| app.on_start(ctx)));
     }
 
     #[test]

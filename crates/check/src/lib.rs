@@ -4,17 +4,19 @@
 //! The simulator (`wireless-net`) answers "does the protocol survive a
 //! realistic lossy broadcast medium?"; this crate answers the
 //! complementary question "does the protocol survive a *hostile
-//! scheduler*?". It drives the sans-io engines — `turquois-core`'s
-//! Turquois and `turquois-baselines`' Bracha and ABBA — directly,
-//! with no radio model in between, through seeded adversarial delivery
-//! schedules: per-(round, sender, receiver) drops, delays, and
-//! duplicates plus Byzantine equivocation, all inside a bounded
-//! adversarial window so eventual decision stays checkable.
+//! scheduler*?". It runs the nodes that ship — the harness's
+//! `Application`s for Turquois, Bracha and ABBA, with their tick rule,
+//! reliable transport and link authentication, and the
+//! `turquois_harness::adversary` strategies — through `NodeCtx` as the
+//! live runtime does, with no radio model in between, under seeded
+//! adversarial delivery schedules: per-(round, sender, receiver) drops,
+//! delays, and duplicates, network splits, and Byzantine equivocation,
+//! all inside a bounded adversarial window so eventual decision stays
+//! checkable.
 //!
 //! - [`schedule`] — the schedule model and the seeded generator.
-//! - [`drive`] — executes a schedule against the real engines and
-//!   checks agreement, validity, and (within the σ omission budget)
-//!   eventual decision.
+//! - [`drive`] — executes a schedule and checks agreement, validity,
+//!   and (within the σ omission budget) eventual decision.
 //! - [`mod@shrink`] — greedy minimisation of failing schedules.
 //! - [`replay`] — the `tests/fixtures/*.schedule` text format.
 //! - [`mod@explore`] — parallel sweeps over thousands of schedules with a

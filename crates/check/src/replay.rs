@@ -215,15 +215,27 @@ pub fn parse(text: &str) -> Result<(Schedule, Expectation), String> {
         faults,
         partition,
     };
-    if schedule.proposals.len() != schedule.n {
-        return Err(format!(
-            "proposals has {} bits but n = {}",
-            schedule.proposals.len(),
-            schedule.n
-        ));
+    let n = schedule.n;
+    if !(1..=64).contains(&n) {
+        return Err(format!("n = {n} outside 1..=64 (masks are 64-bit)"));
     }
-    if let Some(b) = schedule.byz.iter().find(|b| b.id >= schedule.n) {
-        return Err(format!("byz id {} out of range for n = {}", b.id, schedule.n));
+    if schedule.proposals.len() != n {
+        return Err(format!("proposals has {} bits but n = {n}", schedule.proposals.len()));
+    }
+    if let Some(b) = schedule.byz.iter().find(|b| b.id >= n) {
+        return Err(format!("byz id {} out of range for n = {n}", b.id));
+    }
+    let mut ids: Vec<usize> = schedule.byz.iter().map(|b| b.id).collect();
+    ids.sort_unstable();
+    if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(format!("byz id {} repeated", pair[0]));
+    }
+    if schedule.t() > (n - 1) / 3 {
+        let (t, f) = (schedule.t(), (n - 1) / 3);
+        return Err(format!("{t} Byzantine processes exceed f = {f} for n = {n}"));
+    }
+    if let Some(f) = schedule.faults.iter().find(|f| f.from.max(f.to) >= n) {
+        return Err(format!("fault endpoint {} out of range for n = {n}", f.from.max(f.to)));
     }
     Ok((schedule, expect.ok_or("missing `expect` line")?))
 }
@@ -319,8 +331,25 @@ mod tests {
             "partition arity"
         );
         assert!(
-            parse(&(text + "partition 3 1 9\npartition 3 1 9\n")).is_err(),
+            parse(&(text.clone() + "partition 3 1 9\npartition 3 1 9\n")).is_err(),
             "duplicate partition"
         );
+        let unbounded = |n: usize| {
+            let proposals = vec!["1"; n].join(" ");
+            let head = "engine turquois\nseed 1\nwindow 1\nmax-rounds 9\n";
+            format!("{head}n {n}\nproposals {proposals}\nexpect clean\n")
+        };
+        assert!(parse(&unbounded(64)).is_ok(), "n = 64 is the widest mask");
+        assert!(parse(&unbounded(65)).is_err(), "n past the 64-bit masks");
+        assert!(parse(&unbounded(0)).is_err(), "zero processes");
+        let n4 = Schedule { n: 4, proposals: vec![true; 4], byz: Vec::new(), ..sample() };
+        let n4 = to_text(&n4, Expectation::Clean, &[]);
+        let byz = |lines: &str| n4.replace("expect clean", &format!("{lines}expect clean"));
+        assert!(parse(&byz("byz 3 flip 0\n")).is_ok());
+        assert!(parse(&byz("byz 3 flip 0\nbyz 3 flip 0\n")).is_err(), "repeated byz id");
+        assert!(parse(&byz("byz 2 flip 0\nbyz 3 flip 0\n")).is_err(), "t = 2 exceeds f = 1");
+        let fault = |old: &str, new: &str| parse(&text.replace(old, new));
+        assert!(fault("fault drop 1 0 3", "fault drop 1 0 5").is_err(), "fault receiver ≥ n");
+        assert!(fault("fault dup 3 0 1", "fault dup 3 7 1").is_err(), "fault sender ≥ n");
     }
 }

@@ -1,9 +1,9 @@
 //! Integration sweeps for the schedule explorer.
 //!
-//! The default sweep size is sized for CI (~300 schedules per engine);
+//! The default sweep is 300 schedules per sweep test, sized for CI;
 //! set `TURQUOIS_CHECK_SCHEDULES` to run deeper local sweeps — the
-//! pre-merge reference was 10 000 schedules per engine with zero
-//! violations and every ≤ σ schedule deciding.
+//! reference is 10 000 schedules per sweep with zero violations and
+//! every schedule deciding (EXPERIMENTS.md, "Schedule exploration").
 //!
 //! With `--features mutation-smoke` the planted quorum bug
 //! (`2·count > n+f` weakened to `>=`) is live in `turquois-core`; the
@@ -34,7 +34,7 @@ fn sweep(engine: EngineKind, n: usize) -> ExploreConfig {
 
 /// Asserts a sweep is violation-free and that adversarial schedules
 /// still let every correct process decide (the generator caps delays
-/// and the drivers run a recovery tail past the window, so decision is
+/// and the driver runs a recovery tail past the window, so decision is
 /// expected even beyond the σ budget).
 #[track_caller]
 fn assert_clean(cfg: ExploreConfig) {
@@ -87,6 +87,18 @@ mod clean {
     #[test]
     fn abba_n4_sweep_is_clean() {
         assert_clean(sweep(EngineKind::Abba, 4));
+    }
+
+    /// Even `n − f` (5 − 1 = 4): the class of the Bracha step-1 tie
+    /// deadlock, here with the reliable transport underneath.
+    #[test]
+    fn bracha_n5_sweep_is_clean() {
+        assert_clean(sweep(EngineKind::Bracha, 5));
+    }
+
+    #[test]
+    fn abba_n5_sweep_is_clean() {
+        assert_clean(sweep(EngineKind::Abba, 5));
     }
 
     /// The partition schedules that break the mutated quorum (see the

@@ -1,59 +1,11 @@
-//! Replays every checked-in `tests/fixtures/*.schedule` file and
-//! asserts the recorded expectation, plus targeted partition-action
-//! coverage: a healed minority catches up, and truncating a run before
-//! the heal leaves every sub-quorum side undecided — across all three
-//! engines.
+//! Partition-action coverage beyond the generic fixture replay
+//! (`tests/schedule_replay.rs` in the root package): a healed minority
+//! catches up because of the heal, and truncating a run before the heal
+//! leaves every sub-quorum side undecided — across all three engines.
 
 use turquois_check::drive::run_schedule;
-use turquois_check::replay::{parse, to_text, Expectation};
+use turquois_check::replay::parse;
 use turquois_check::schedule::{EngineKind, Partition, Schedule};
-
-/// Loads and parses every fixture in `tests/fixtures/`.
-fn fixtures() -> Vec<(String, Schedule, Expectation, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("fixtures dir exists") {
-        let path = entry.expect("readable dir entry").path();
-        if path.extension().is_none_or(|e| e != "schedule") {
-            continue;
-        }
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let text = std::fs::read_to_string(&path).expect("fixture readable");
-        let (schedule, expect) =
-            parse(&text).unwrap_or_else(|e| panic!("fixture {name} does not parse: {e}"));
-        out.push((name, schedule, expect, text));
-    }
-    assert!(!out.is_empty(), "no fixtures checked in");
-    out
-}
-
-/// Every fixture replays to its recorded expectation and is stored in
-/// canonical form (re-rendering the parse reproduces the non-comment
-/// lines exactly).
-#[test]
-fn fixtures_replay_to_their_recorded_expectation() {
-    for (name, schedule, expect, text) in fixtures() {
-        let report = run_schedule(&schedule);
-        match expect {
-            Expectation::Clean => {
-                assert_eq!(report.violation, None, "{name}: {:?}", report.violation);
-            }
-            Expectation::Violation(kind) => {
-                let v = report
-                    .violation
-                    .unwrap_or_else(|| panic!("{name}: expected a {kind} violation, got none"));
-                assert_eq!(v.kind(), kind, "{name}");
-            }
-        }
-        let canonical = to_text(&schedule, expect, &[]);
-        let stored: String = text
-            .lines()
-            .filter(|l| !l.trim_start().starts_with('#'))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert_eq!(stored, canonical, "{name} is not in canonical form");
-    }
-}
 
 /// The healed-minority fixture proves recovery, not mere survival: the
 /// full replay decides everywhere, while the same schedule truncated to
@@ -62,10 +14,12 @@ fn fixtures_replay_to_their_recorded_expectation() {
 /// is the majority's, carried over by post-heal justified rebroadcasts.
 #[test]
 fn healed_minority_catches_up_because_of_the_heal() {
-    let (_, schedule, _, _) = fixtures()
-        .into_iter()
-        .find(|(name, ..)| name == "healed_minority_catches_up.schedule")
-        .expect("fixture present");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/healed_minority_catches_up.schedule"
+    );
+    let text = std::fs::read_to_string(path).expect("fixture readable");
+    let (schedule, _) = parse(&text).expect("fixture parses");
     let p = schedule.partition.expect("fixture carries a partition");
 
     let full = run_schedule(&schedule);

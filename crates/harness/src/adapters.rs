@@ -356,6 +356,9 @@ pub struct BrachaApp {
     probe: SharedProbe,
     /// Optional mutation of outgoing messages (Byzantine strategies).
     mutate: Option<FrameMutation>,
+    /// The destinations the mutation applies to (bit per destination;
+    /// all ones: every destination, whatever `n`).
+    lie_mask: u64,
     /// Byzantine wrappers suppress decisions (only correct processes
     /// count toward k).
     decide_enabled: bool,
@@ -385,6 +388,7 @@ impl BrachaApp {
             cost,
             probe,
             mutate: None,
+            lie_mask: u64::MAX,
             decide_enabled: true,
             link_tags,
             released: Vec::new(),
@@ -437,6 +441,15 @@ impl BrachaApp {
         self
     }
 
+    /// Restricts the mutation to the destinations whose bit of `mask`
+    /// is set (ids below 64); the others get the engine's honest bytes
+    /// — an equivocating sender. The default mask, all ones, lies to
+    /// every destination.
+    pub fn lying_to(mut self, mask: u64) -> Self {
+        self.lie_mask = mask;
+        self
+    }
+
     /// Read access for post-run inspection.
     pub fn engine(&self) -> &Bracha {
         &self.engine
@@ -457,23 +470,39 @@ impl BrachaApp {
             }
         }
         for bytes in out.send {
-            let bytes = match &mut self.mutate {
-                Some(m) => m(&bytes),
-                None => bytes,
-            };
-            // One HMAC per destination link (as IPSec AH would). CPU
-            // charges accumulate on the context and take effect after
-            // the callback, so batching the wraps ahead of the sends
-            // cannot move simulated time.
-            let n = self.macs.n();
-            ctx.charge_cpu(self.cost.hmac(bytes.len()) * n as u32);
-            let chunk = self.wrap_for_all(&bytes);
-            let w = ICV_LEN + bytes.len();
-            for dst in 0..n {
-                self.transport.send(ctx, dst, chunk.slice(dst * w..(dst + 1) * w));
+            let mask = self.lie_mask;
+            match self.mutate.as_mut().map(|m| m(&bytes)) {
+                None => self.send_to(ctx, &bytes, |_| true),
+                Some(lie) => {
+                    if mask != u64::MAX {
+                        self.send_to(ctx, &bytes, |dst| !lies_to(mask, dst));
+                    }
+                    self.send_to(ctx, &lie, |dst| lies_to(mask, dst));
+                }
             }
         }
     }
+
+    /// Sends `inner` to every destination `to` selects.
+    fn send_to(&mut self, ctx: &mut NodeCtx<'_>, inner: &Bytes, to: impl Fn(usize) -> bool) {
+        // One HMAC per destination link (as IPSec AH would). CPU
+        // charges accumulate on the context and take effect after the
+        // callback, so batching the wraps ahead of the sends cannot
+        // move simulated time.
+        let n = self.macs.n();
+        ctx.charge_cpu(self.cost.hmac(inner.len()) * (0..n).filter(|&dst| to(dst)).count() as u32);
+        let chunk = self.wrap_for_all(inner);
+        let w = ICV_LEN + inner.len();
+        for dst in (0..n).filter(|&dst| to(dst)) {
+            self.transport.send(ctx, dst, chunk.slice(dst * w..(dst + 1) * w));
+        }
+    }
+}
+
+/// Whether a [`BrachaApp`] lying to the destinations in `mask` lies to
+/// `dst`.
+fn lies_to(mask: u64, dst: usize) -> bool {
+    mask == u64::MAX || mask.checked_shr(dst as u32).is_some_and(|m| m & 1 == 1)
 }
 
 impl Application for BrachaApp {
@@ -774,6 +803,29 @@ mod tests {
         assert!(receiver.icv_ok(0, &frame), "sender 0's own frame hits and verifies");
         assert!(pool.borrow().peek(&(65_536, inner.clone()), |_| true).is_none());
         assert!(!receiver.icv_ok(65_536, &frame), "sender 0's tag passed for sender 65 536");
+    }
+
+    /// A Byzantine wrapper lying to the destinations in a partial mask
+    /// sends the mutated body there and the engine's honest bytes
+    /// elsewhere; the default all-ones mask lies to every destination.
+    #[test]
+    fn lie_mask_selects_the_lied_to_destinations() {
+        const LIE: &[u8] = b"a lie";
+        for (mask, lied_to) in [(0b0101, [true, false, true, false]), (u64::MAX, [true; 4])] {
+            let mut app = bracha_group(4, &new_link_tags()).swap_remove(1);
+            app = app.with_mutation(Box::new(|_| Bytes::from_static(LIE)));
+            if mask != u64::MAX {
+                app = app.lying_to(mask);
+            }
+            let mut rng = rand::SeedableRng::seed_from_u64(0);
+            let mut ctx = NodeCtx::new(1, wireless_net::SimTime::ZERO, &mut rng, Vec::new());
+            app.on_start(&mut ctx);
+            for command in ctx.finish().1 {
+                let wireless_net::Command::Unicast { dst, payload, .. } = command else { continue };
+                let carries_lie = payload.windows(LIE.len()).any(|w| w == LIE);
+                assert_eq!(carries_lie, lied_to[dst], "mask {mask:#b}, destination {dst}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //!   signatures and justifications in order to force extra computations
 //!   at the correct processes."
 //!
+//! The schedule explorer adds two equivocators, which show each
+//! receiver the side its bit of a per-receiver mask selects: the
+//! split-brain Turquois process ([`SplitBrainTurquoisApp`]) and ABBA's
+//! round-1 signed pre-vote equivocator ([`AbbaEquivocatorApp`]); its
+//! Bracha equivocator is [`byzantine_bracha_app`] restricted with
+//! [`BrachaApp::lying_to`].
+//!
 //! Each adversary tracks the protocol honestly on the inside (so its
 //! lies stay phase-fresh) but corrupts what leaves the node. Adversaries
 //! never call `decide`, so the simulator's decision count only reflects
@@ -18,8 +25,11 @@ use crate::adapters::{
     pad_to, BrachaApp, FrameMutation, SharedLinkTags, SharedProbe, TICK_INTERVAL,
 };
 use bytes::Bytes;
-use std::collections::BTreeSet;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use std::time::Duration;
+use turquois_baselines::abba::{round1_prevote, AbbaKeys};
 use turquois_baselines::bracha::Bracha;
 use turquois_baselines::rbc::RbcMessage;
 use turquois_core::instance::Turquois;
@@ -113,6 +123,103 @@ impl Application for ByzantineTurquoisApp {
     }
 }
 
+/// The split-brain coalition's out-of-band channel: per member, the
+/// both-brain broadcasts of the coalition (its own included) it has not
+/// absorbed yet. Colluding equivocators share what both their brains
+/// said, so every member's brains keep pace with their side of the
+/// split; with only the mask-selected copy a coalition of t ≥ 2
+/// starves its own brains below quorum and the whole equivocation
+/// stalls at phase 1 — a weaker adversary than the paper allows.
+pub type SplitBrainCoalition = Rc<RefCell<BTreeMap<usize, Vec<[Bytes; 2]>>>>;
+
+/// The split-brain Turquois equivocator: two honest brains with
+/// opposite proposals. Each receiver outside the coalition gets, as a
+/// unicast, the broadcast of the brain its bit of `mask` selects, and
+/// each brain hears only the senders on its side of the mask. It ticks
+/// by the rule correct processes follow (every tick interval, and at
+/// once when a brain's phase advances) and never decides.
+pub struct SplitBrainTurquoisApp {
+    /// `brains[0]` serves the receivers whose mask bit is set.
+    brains: [Turquois; 2],
+    mask: u64,
+    n: usize,
+    coalition: SplitBrainCoalition,
+    generation: u64,
+}
+
+impl SplitBrainTurquoisApp {
+    /// Creates the equivocator from two brains of the same process
+    /// (`brains[0]` for the receivers whose bit of `mask` is set) in a
+    /// group of `n ≤ 64`, joining `coalition`, the one channel shared
+    /// by every split-brain process of the run.
+    pub fn new(brains: [Turquois; 2], mask: u64, n: usize, coalition: SplitBrainCoalition) -> Self {
+        coalition.borrow_mut().insert(brains[0].id(), Vec::new());
+        SplitBrainTurquoisApp { brains, mask, n, coalition, generation: 0 }
+    }
+
+    /// The brain that serves (and hears) `peer`.
+    fn side(&self, peer: usize) -> usize {
+        usize::from(self.mask >> peer & 1 == 0)
+    }
+
+    fn broadcast(&mut self, ctx: &mut NodeCtx<'_>) {
+        let [Ok(a), Ok(b)] = self.brains.each_mut().map(Turquois::on_tick) else {
+            return; // keys exhausted: fall silent
+        };
+        let out = [a.bytes, b.bytes];
+        let mut coalition = self.coalition.borrow_mut();
+        for dst in (0..self.n).filter(|dst| !coalition.contains_key(dst)) {
+            ctx.unicast(dst, out[self.side(dst)].clone(), overhead::UDP);
+        }
+        coalition.values_mut().for_each(|inbox| inbox.push(out.clone()));
+        self.generation += 1;
+        ctx.set_timer(TICK_INTERVAL, self.generation);
+    }
+
+    /// Feeds the coalition's broadcasts to the matching brains, ticking
+    /// whenever that advances a phase, until the inbox stays empty.
+    fn absorb(&mut self, ctx: &mut NodeCtx<'_>) {
+        let me = self.brains[0].id();
+        loop {
+            let inbox = std::mem::take(self.coalition.borrow_mut().get_mut(&me).expect("member"));
+            if inbox.is_empty() {
+                return;
+            }
+            let mut advanced = false;
+            for pair in inbox {
+                for (brain, bytes) in self.brains.iter_mut().zip(&pair) {
+                    advanced |= brain.on_message(bytes).phase_advanced;
+                }
+            }
+            if advanced {
+                self.broadcast(ctx);
+            }
+        }
+    }
+}
+
+impl Application for SplitBrainTurquoisApp {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.broadcast(ctx);
+        self.absorb(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
+        if timer == self.generation {
+            self.broadcast(ctx);
+        }
+        self.absorb(ctx);
+    }
+
+    fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
+        let side = self.side(frame.src);
+        if self.brains[side].on_message(&frame.payload).phase_advanced {
+            self.broadcast(ctx);
+        }
+        self.absorb(ctx);
+    }
+}
+
 /// Builds the paper's §7.2 Turquois lie for a process tracking phase
 /// `phase` with honest value `value`: the flipped value in CONVERGE and
 /// LOCK phases, `⊥` in DECIDE phases, signed with the liar's legitimate
@@ -194,9 +301,7 @@ pub fn bracha_flip_mutation(me: usize) -> FrameMutation {
 /// a pre-vote and a main-vote for `round` that decode fine but whose
 /// shares and justifications are garbage, forcing verification work at
 /// every receiver. Returns `(encoded message, RSA-equivalent wire size)`
-/// pairs; simulator adversaries pad to the RSA size for airtime realism,
-/// while the `turquois-check` explorer (which has no airtime) sends the
-/// raw bytes.
+/// pairs; adversaries pad each message to its RSA size.
 pub fn abba_garbage_votes(me: usize, round: u32, salvo: usize) -> Vec<(Bytes, usize)> {
     let junk =
         |label: &str| sha256_concat(&[label.as_bytes(), &round.to_be_bytes(), &[salvo as u8]]);
@@ -312,6 +417,57 @@ impl Application for ByzantineAbbaApp {
             ctx.set_timer(Duration::from_millis(20), 1);
             return;
         }
+        let _ = self.transport.on_timer(ctx, timer);
+    }
+
+    fn on_unicast_failed(&mut self, ctx: &mut NodeCtx<'_>, dst: usize, payload: Bytes) {
+        self.transport.on_unicast_failed(ctx, dst, payload);
+    }
+}
+
+/// ABBA's round-1 signed equivocator: sends every other party a
+/// correctly signed round-1 pre-vote for the value its bit of `mask`
+/// selects (round-1 pre-votes need no justification), then one salvo of
+/// [`abba_garbage_votes`], over the reliable transport and padded to
+/// RSA size like every ABBA message; after that it only acknowledges.
+pub struct AbbaEquivocatorApp {
+    me: usize,
+    n: usize,
+    keys: AbbaKeys,
+    mask: u64,
+    transport: ReliableEndpoint,
+    released: Vec<(usize, Bytes)>,
+}
+
+impl AbbaEquivocatorApp {
+    /// Creates the equivocator for party `me` (holding `keys`) in a
+    /// group of `n ≤ 64`.
+    pub fn new(me: usize, n: usize, keys: AbbaKeys, mask: u64) -> Self {
+        let transport = ReliableEndpoint::new(me, n);
+        AbbaEquivocatorApp { me, n, keys, mask, transport, released: Vec::new() }
+    }
+}
+
+impl Application for AbbaEquivocatorApp {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        let prevotes = [false, true].map(|value| {
+            let vote = round1_prevote(&self.keys, value);
+            pad_to(&vote.encode(), vote.rsa_equivalent_size() + 4)
+        });
+        let garbage = abba_garbage_votes(self.me, 1, 0);
+        for dst in (0..self.n).filter(|&dst| dst != self.me) {
+            self.transport.send(ctx, dst, prevotes[(self.mask >> dst & 1) as usize].clone());
+            for (bytes, rsa_size) in &garbage {
+                self.transport.send(ctx, dst, pad_to(bytes, rsa_size + 4));
+            }
+        }
+    }
+
+    fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
+        self.transport.on_frame(ctx, &frame, &mut self.released);
+    }
+
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
         let _ = self.transport.on_timer(ctx, timer);
     }
 

@@ -49,9 +49,12 @@ use std::time::Duration;
 pub const TRANSPORT_TIMER_FLAG: u64 = 1 << 63;
 
 const TICK_ID: u64 = TRANSPORT_TIMER_FLAG | 1;
-const TICK_INTERVAL: Duration = Duration::from_millis(5);
+/// Period of the transport's delayed-ACK / retransmission tick.
+pub const TICK_INTERVAL: Duration = Duration::from_millis(5);
 const DELAYED_ACK: Duration = Duration::from_millis(10);
-const MIN_RTO: Duration = Duration::from_millis(200);
+/// Floor of the retransmission timeout: a lost segment is resent no
+/// sooner than this after it was sent.
+pub const MIN_RTO: Duration = Duration::from_millis(200);
 const MAX_RTO: Duration = Duration::from_secs(3);
 
 const MAGIC: u8 = 0x54; // 'T'
