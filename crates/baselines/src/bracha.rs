@@ -21,6 +21,7 @@
 //! Validation is monotone in delivered evidence, so rejected messages
 //! are kept pending and re-examined as evidence accumulates.
 
+use crate::quorum::{Quorums, Tally, TallyValue};
 use crate::rbc::{RbcView, ReliableBroadcast, Tag};
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -83,6 +84,12 @@ impl StepValue {
     }
 }
 
+impl TallyValue for StepValue {
+    fn index(self) -> usize {
+        usize::from(self.encode())
+    }
+}
+
 /// Output of feeding one network message to the engine.
 #[derive(Debug, Default)]
 pub struct BrachaOutput {
@@ -93,103 +100,19 @@ pub struct BrachaOutput {
     pub newly_decided: Option<bool>,
 }
 
-/// Tally index for a [`StepValue`] (`Zero`, `One`, `Null` in order).
-#[inline]
-fn sv_idx(value: StepValue) -> usize {
-    match value {
-        StepValue::Zero => 0,
-        StepValue::One => 1,
-        StepValue::Null => 2,
-    }
-}
-
-/// Dense-table sentinel: no value accepted from this sender yet.
-const NO_VOTE: u8 = u8::MAX;
-
-#[derive(Debug, Default)]
-struct RoundState {
-    /// Validated step values per step (1-3), per sender: dense
-    /// sender-indexed byte tables (node ids are dense `0..n`; entries
-    /// hold `StepValue::encode` or [`NO_VOTE`]), grown on demand.
-    accepted: [Vec<u8>; 3],
-    /// Incremental per-(step, value) sender tallies over `accepted`
-    /// (indexed `[step-1][sv_idx]`), so `is_valid`'s majority probes and
-    /// `try_fire`'s quorum counts are O(1) instead of rescanning the
-    /// tables on every pending message.
-    counts: [[usize; 3]; 3],
-    /// Distinct senders accepted per step (replaces the retired
-    /// `accepted[step].len()` read in `try_fire`).
-    totals: [usize; 3],
-    /// Steps already advanced past.
-    fired: [bool; 3],
-}
-
-impl RoundState {
-    /// Records `origin`'s step value if it is the first one accepted
-    /// from that sender at `step` (later values from the same sender
-    /// are ignored, preserving first-wins semantics). Returns whether
-    /// it was recorded.
-    fn accept(&mut self, step: u8, origin: usize, value: StepValue) -> bool {
-        let s = (step - 1) as usize;
-        let table = &mut self.accepted[s];
-        if table.len() <= origin {
-            table.resize(origin + 1, NO_VOTE);
-        }
-        let fresh = table[origin] == NO_VOTE;
-        if fresh {
-            table[origin] = value.encode();
-            self.counts[s][sv_idx(value)] += 1;
-            self.totals[s] += 1;
-        }
-        fresh
-    }
-
-    /// Senders whose accepted value at `step` equals `value`. O(1).
-    fn count(&self, step: u8, value: StepValue) -> usize {
-        debug_assert_eq!(
-            self.counts[(step - 1) as usize][sv_idx(value)],
-            self.scan_count(step, value)
-        );
-        self.counts[(step - 1) as usize][sv_idx(value)]
-    }
-
-    /// Distinct senders accepted at `step`. O(1).
-    fn total(&self, step: u8) -> usize {
-        debug_assert_eq!(self.totals[(step - 1) as usize], self.scan_total(step));
-        self.totals[(step - 1) as usize]
-    }
-
-    /// The retired scan `count` replaced; kept as the `debug_assert!`
-    /// oracle (and exercised by the proptest).
-    fn scan_count(&self, step: u8, value: StepValue) -> usize {
-        self.accepted[(step - 1) as usize]
-            .iter()
-            .filter(|&&b| b == value.encode())
-            .count()
-    }
-
-    /// The retired length scan `total` replaced (debug oracle).
-    fn scan_total(&self, step: u8) -> usize {
-        self.accepted[(step - 1) as usize]
-            .iter()
-            .filter(|&&b| b != NO_VOTE)
-            .count()
-    }
-}
-
 /// One process's Bracha consensus engine.
 #[derive(Debug)]
 pub struct Bracha {
-    n: usize,
-    f: usize,
+    q: Quorums,
     me: usize,
     rbc: ReliableBroadcast,
     round: u32,
     step: u8,
     value: StepValue,
     decision: Option<bool>,
-    rounds: FixedMap<u32, RoundState>,
-    /// Votes accepted across `rounds` (the sum of their `totals`):
+    /// Validated step values per round, one tally per step (1–3).
+    rounds: FixedMap<u32, [Tally<StepValue>; 3]>,
+    /// Votes accepted across `rounds` (the sum of their totals):
     /// counted at accept, recounted when GC drops rounds.
     votes: usize,
     /// Delivered-but-not-yet-valid messages, re-examined as evidence
@@ -208,8 +131,7 @@ impl Bracha {
     /// Panics unless `3f < n` and `me < n`.
     pub fn new(n: usize, f: usize, me: usize, proposal: bool, seed: u64) -> Self {
         Bracha {
-            n,
-            f,
+            q: Quorums::new(n, f),
             me,
             rbc: ReliableBroadcast::new(n, f, me),
             round: 1,
@@ -263,14 +185,14 @@ impl Bracha {
     /// The per-round vote totals, summed: `votes` recounted (at GC, and
     /// as its debug oracle).
     fn scan_votes(&self) -> usize {
-        self.rounds.values().map(|rs| rs.totals.iter().sum::<usize>()).sum()
+        self.rounds.values().flatten().map(Tally::total).sum()
     }
 
     /// Accepts `value` from `tag`'s origin into its round and step
     /// (first value wins).
     fn accept_vote(&mut self, tag: Tag, value: StepValue) {
-        let rs = self.rounds.entry(tag.round).or_default();
-        self.votes += usize::from(rs.accept(tag.step, tag.origin, value));
+        let steps = self.rounds.entry(tag.round).or_default();
+        self.votes += usize::from(steps[usize::from(tag.step - 1)].insert(tag.origin, value, ()));
     }
 
     /// Drops the evidence of every round below `floor`: votes, RBC
@@ -310,7 +232,9 @@ impl Bracha {
             let Some(value) = StepValue::decode(payload[0]) else {
                 continue;
             };
-            if tag.step < 1 || tag.step > 3 {
+            // No correct process sends round 0, and step-1 validation
+            // looks one round back.
+            if tag.round == 0 || !(1..=3).contains(&tag.step) {
                 continue;
             }
             // Null is legal only in step 3.
@@ -350,109 +274,65 @@ impl Bracha {
     /// Bracha's message validation: would a correct process ever send
     /// this? Monotone in accepted evidence.
     fn is_valid(&self, tag: Tag, value: StepValue) -> bool {
-        let majority_feasible = |round: u32, step: usize, v: StepValue, threshold: usize| {
-            self.rounds
-                .get(&round)
-                .map(|rs| rs.count(step as u8, v) >= threshold)
-                .unwrap_or(false)
+        let count = |round: u32, step: usize, v: StepValue| {
+            self.rounds.get(&round).map_or(0, |steps| steps[step - 1].count(v))
         };
-        match tag.step {
-            1 => {
-                if tag.round == 1 {
-                    return true; // initial proposals are free
-                }
-                // A round-(k) step-1 binary value must have appeared in
-                // round k−1 step 3 (adoption), or a coin flip must have
-                // been plausible (some ⊥ witnessed there).
-                majority_feasible(tag.round - 1, 3, value, 1)
-                    || majority_feasible(tag.round - 1, 3, StepValue::Null, 1)
-            }
-            2 => {
-                // The claimed majority value must be adoptable from some
-                // (n−f)-subset of step-1 senders — under the step-1
-                // tie-break (ties go to One): Zero must strictly
-                // outnumber One (⌊(n−f)/2⌋+1 senders), while One also
-                // wins a tie (⌈(n−f)/2⌉ suffice). When n−f is odd the
-                // thresholds coincide; when it is even a correct process
-                // can adopt One from a tie, and demanding the strict
-                // majority would pend its step-2 message forever —
-                // deadlocking the round once fewer than n−f step-2
-                // messages can validate.
-                let need = match value {
-                    StepValue::One => (self.n - self.f).div_ceil(2),
-                    _ => (self.n - self.f) / 2 + 1,
-                };
-                majority_feasible(tag.round, 1, value, need)
-            }
-            3 => match value {
-                // A binary step-3 value claims a > n/2 step-2 majority.
-                StepValue::Zero | StepValue::One => {
-                    majority_feasible(tag.round, 2, value, self.n / 2 + 1)
-                }
-                // ⊥ claims the absence of a super-majority. A correct
-                // ⊥-sender accepted n−f step-2 messages with no value
-                // above n/2, which forces at least one of *each* value in
-                // its view — evidence that must eventually reach us too.
-                // (Monotone, and it bars Byzantine ⊥ in unanimous runs.)
-                StepValue::Null => {
-                    majority_feasible(tag.round, 2, StepValue::Zero, 1)
-                        && majority_feasible(tag.round, 2, StepValue::One, 1)
-                }
-            },
+        match (tag.step, value.as_bit()) {
+            // Initial proposals are free.
+            (1, _) if tag.round == 1 => true,
+            // A round-k step-1 binary value must have appeared in round
+            // k−1 step 3 (adoption), or a coin flip must have been
+            // plausible (some ⊥ witnessed there).
+            (1, _) => count(tag.round - 1, 3, value) > 0 || count(tag.round - 1, 3, StepValue::Null) > 0,
+            // Some (n−f)-subset of step-1 senders must adopt the claimed
+            // value, under step 1's tie-break.
+            (2, Some(bit)) => count(tag.round, 1, value) >= self.q.majority_bit_min(bit),
+            // A binary step-3 value claims step 2's majority.
+            (3, Some(_)) => self.q.exceeds_half(count(tag.round, 2, value)),
+            // ⊥ claims the absence of a majority. A correct ⊥-sender
+            // accepted n−f step-2 messages with no value above n/2, which
+            // forces at least one of *each* value in its view — evidence
+            // that must eventually reach us too. (Monotone, and it bars
+            // Byzantine ⊥ in unanimous runs.)
+            (3, None) => count(tag.round, 2, StepValue::Zero) > 0 && count(tag.round, 2, StepValue::One) > 0,
             _ => false,
         }
     }
 
-    /// Fires the current step's transition if its quorum is ready.
+    /// Fires the current step's transition if its quorum is ready. A
+    /// step fires once: firing moves `(round, step)` past it for good.
     fn try_fire(&mut self, out: &mut BrachaOutput) -> bool {
-        let round = self.round;
-        let step = self.step;
-        let need = self.n - self.f;
-        let rs = self.rounds.entry(round).or_default();
-        if rs.fired[(step - 1) as usize] {
+        let q = self.q;
+        let tally = &self.rounds.entry(self.round).or_default()[usize::from(self.step - 1)];
+        if tally.total() < q.wait() {
             return false;
         }
-        if rs.total(step) < need {
-            return false;
-        }
-        rs.fired[(step - 1) as usize] = true;
-        // O(1) reads from the incremental tallies; `Null` counts are
-        // never needed by the transitions below.
-        let zero = rs.count(step, StepValue::Zero);
-        let one = rs.count(step, StepValue::One);
-        match step {
+        // `Null` counts are never needed by the transitions below.
+        let (zero, one) = (tally.count(StepValue::Zero), tally.count(StepValue::One));
+        match self.step {
             1 => {
-                // Majority value (ties to One, mirroring the Turquois
-                // tie-break for comparability).
-                self.value = if zero > one {
-                    StepValue::Zero
-                } else {
-                    StepValue::One
-                };
+                self.value = StepValue::from_bit(q.majority_bit(zero, one));
                 self.step = 2;
             }
             2 => {
                 let w = [(StepValue::Zero, zero), (StepValue::One, one)]
                     .into_iter()
-                    .find(|&(_, c)| 2 * c > self.n)
+                    .find(|&(_, c)| q.exceeds_half(c))
                     .map(|(v, _)| v);
                 self.value = w.unwrap_or(StepValue::Null);
                 self.step = 3;
             }
             _ => {
-                let (best, best_count) = if zero > one {
-                    (StepValue::Zero, zero)
-                } else {
-                    (StepValue::One, one)
-                };
-                if best_count >= 2 * self.f + 1 {
+                let bit = q.majority_bit(zero, one);
+                let best_count = if bit { one } else { zero };
+                if best_count >= q.strong() {
                     if self.decision.is_none() {
-                        self.decision = best.as_bit();
+                        self.decision = Some(bit);
                         out.newly_decided = self.decision;
                     }
-                    self.value = best;
-                } else if best_count >= self.f + 1 {
-                    self.value = best;
+                    self.value = StepValue::from_bit(bit);
+                } else if best_count >= q.weak() {
+                    self.value = StepValue::from_bit(bit);
                 } else {
                     self.value = StepValue::from_bit(self.rng.gen_bool(0.5));
                 }
@@ -480,6 +360,7 @@ impl Bracha {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rbc::RbcMessage;
 
     /// Lossless full-information network: every sent message reaches
     /// every process (including the sender). Returns decisions.
@@ -606,7 +487,7 @@ mod tests {
             assert!(iters < 2_000_000, "livelock");
             // Correct processes receive everything; the Byzantine node's
             // RBC engine also participates (echoes/readies).
-            if let Some(msg) = crate::rbc::RbcMessage::decode(&bytes) {
+            if let Some(msg) = RbcMessage::decode(&bytes) {
                 let out = evil_rbc.on_message(from, &msg);
                 queue.extend(out.send.into_iter().map(|m| (3usize, m.encode())));
             }
@@ -684,6 +565,31 @@ mod tests {
         );
     }
 
+    /// A Byzantine origin's round-0 message reaches the engine like any
+    /// other, since RBC delivers whatever 2f + 1 READYs back. No correct
+    /// process sends round 0, and step-1 validation looks one round
+    /// back, so the delivery is dropped.
+    #[test]
+    fn round_zero_delivery_is_dropped() {
+        let mut node = Bracha::new(4, 1, 0, true, 0);
+        let tag = Tag { origin: 3, round: 0, step: 1 };
+        let payload = Bytes::copy_from_slice(&[StepValue::One.encode()]);
+        let initial = RbcMessage::Initial { tag, payload: payload.clone() };
+        let ready = RbcMessage::Ready { tag, payload };
+        let _ = node.on_message(3, &initial.encode());
+        for from in 1..=3 {
+            let _ = node.on_message(from, &ready.encode());
+        }
+        assert_eq!(node.deliveries(), 1, "RBC delivered the round-0 message");
+        assert!(node.pending.is_empty(), "round-0 message left pending");
+    }
+
+    /// The hot path's vote table stays one byte per sender.
+    #[test]
+    fn a_step_vote_is_one_byte() {
+        assert_eq!(std::mem::size_of::<Option<(StepValue, ())>>(), 1);
+    }
+
     #[test]
     fn step_value_helpers() {
         assert_eq!(StepValue::from_bit(true), StepValue::One);
@@ -708,14 +614,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// [`RoundState`] tallies vs. a naive model — a flat list of
-        /// every accept, scanned per query — under arbitrary
-        /// interleavings of accepts (including duplicate senders —
-        /// first value wins — and conflicting values) and round
-        /// garbage collection; vs. the retired scan oracle; and the
-        /// engine's O(1) vote count (`store_bytes`) vs. the model's.
+        /// The engine's per-round tallies vs. a naive model, a flat list
+        /// of every accept scanned per query, under accepts and garbage
+        /// collection: GC drops whole rounds below its floor, each vote
+        /// lands in its round's and step's tally, and the O(1) vote
+        /// count behind `store_bytes` matches the model's. What a tally
+        /// does with a vote is `quorum::tests`' to check.
         #[test]
-        fn round_state_tallies_match_naive_model(
+        fn round_votes_match_naive_model(
             ops in proptest::collection::vec(
                 // (round, step sel, origin, value sel, gc trigger)
                 (1u32..6, 1u8..4, 0usize..7, 0u8..3, 0u8..16),
@@ -728,15 +634,20 @@ mod tests {
             let mut model: Vec<(u32, u8, usize, StepValue)> = Vec::new();
             for (round, step, origin, v, gc) in ops {
                 if gc == 0 {
-                    // The engine's GC drops whole rounds below a floor.
                     engine.gc_below(round);
                     model.retain(|m| m.0 >= round);
                 } else {
                     engine.accept_vote(Tag { origin, round, step }, VALUES[v as usize]);
                     model.push((round, step, origin, VALUES[v as usize]));
                 }
+                let mut live: Vec<u32> = engine.rounds.keys().copied().collect();
+                let mut want: Vec<u32> = model.iter().map(|m| m.0).collect();
+                live.sort_unstable();
+                want.sort_unstable();
+                want.dedup();
+                proptest::prop_assert_eq!(live, want);
                 let mut all_votes = 0;
-                for (&round, rs) in &engine.rounds {
+                for (&round, steps) in &engine.rounds {
                     for step in 1u8..=3 {
                         // A sender's vote is the first value it had accepted.
                         let votes: Vec<StepValue> = (0..7)
@@ -748,18 +659,8 @@ mod tests {
                             })
                             .collect();
                         all_votes += votes.len();
-                        proptest::prop_assert_eq!(rs.total(step), votes.len());
-                        proptest::prop_assert_eq!(rs.total(step), rs.scan_total(step));
-                        for value in VALUES {
-                            proptest::prop_assert_eq!(
-                                rs.count(step, value),
-                                votes.iter().filter(|&&x| x == value).count()
-                            );
-                            proptest::prop_assert_eq!(
-                                rs.count(step, value),
-                                rs.scan_count(step, value)
-                            );
-                        }
+                        let got: Vec<StepValue> = steps[usize::from(step - 1)].iter().map(|(v, _)| v).collect();
+                        proptest::prop_assert_eq!(got, votes);
                     }
                 }
                 proptest::prop_assert_eq!(engine.votes, all_votes);

@@ -19,19 +19,18 @@
 //! reliable transport. Adapters binding them to the `wireless-net`
 //! simulator (including per-link HMAC authentication emulating the
 //! paper's IPSec AH setup for Bracha, and CPU cost charging for ABBA's
-//! cryptography) live in `turquois-harness`.
+//! cryptography) live in `turquois-harness`. Every threshold the three
+//! protocols compare against is declared once, in [`quorum`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Quorum thresholds are written in the papers' literal `f + 1` /
-// `2f + 1` form; clippy's `> f` rewrite is equivalent but obscures the
-// correspondence with the protocol descriptions.
-#![allow(clippy::int_plus_one)]
 
 pub mod abba;
 pub mod bracha;
+pub mod quorum;
 pub mod rbc;
 
 pub use abba::{Abba, AbbaKeys, AbbaMessage, CryptoOps};
 pub use bracha::{Bracha, StepValue};
+pub use quorum::Quorums;
 pub use rbc::{RbcMessage, ReliableBroadcast};

@@ -21,6 +21,7 @@
 //! This is the source of Bracha's O(n³) message complexity: every
 //! logical broadcast costs `n` ECHOs and `n` READYs from every process.
 
+use crate::quorum::Quorums;
 use bytes::{BufMut, Bytes, BytesMut};
 use turquois_crypto::memo::FixedMap;
 
@@ -226,21 +227,21 @@ impl Instance {
     /// READY on an echo quorum (> (n+f)/2) or on f+1 READYs; deliver on
     /// 2f+1 READYs. Idempotent: a second call without a new vote in
     /// between finds nothing to do.
-    fn evaluate(&mut self, tag: Tag, (n, f, me): (usize, usize, usize), out: &mut RbcOutput) {
+    fn evaluate(&mut self, tag: Tag, q: Quorums, me: usize, out: &mut RbcOutput) {
         if !self.readied {
-            let echo = self.echoes.iter().find(|v| 2 * v.count > n + f);
-            let ready = self.readies.iter().find(|v| v.count >= f + 1);
+            let echo = self.echoes.iter().find(|v| q.exceeds_echo_quorum(v.count));
+            let ready = self.readies.iter().find(|v| v.count >= q.weak());
             if let Some(payload) = echo.or(ready).map(|v| v.payload.clone()) {
                 self.readied = true;
                 // Count our own READY too (we will also hear it via
                 // loopback, but counting now keeps small groups live
                 // even if loopback frames race).
-                vote(&mut self.readies, n, &payload, me, || payload.clone());
+                vote(&mut self.readies, q.n(), &payload, me, || payload.clone());
                 out.send.push(RbcMessage::Ready { tag, payload });
             }
         }
         if self.delivered.is_none() {
-            if let Some(v) = self.readies.iter().find(|v| v.count >= 2 * f + 1) {
+            if let Some(v) = self.readies.iter().find(|v| v.count >= q.strong()) {
                 self.delivered = Some(v.payload.clone());
                 out.deliver.push((tag, v.payload.clone()));
             }
@@ -260,8 +261,7 @@ pub struct RbcOutput {
 /// One process's reliable-broadcast engine (all instances).
 #[derive(Debug)]
 pub struct ReliableBroadcast {
-    n: usize,
-    f: usize,
+    q: Quorums,
     me: usize,
     instances: FixedMap<Tag, Instance>,
 }
@@ -274,11 +274,10 @@ impl ReliableBroadcast {
     ///
     /// Panics unless `3f < n` and `me < n`.
     pub fn new(n: usize, f: usize, me: usize) -> Self {
-        assert!(3 * f < n, "reliable broadcast requires n > 3f");
+        let q = Quorums::new(n, f);
         assert!(me < n, "process id out of range");
         ReliableBroadcast {
-            n,
-            f,
+            q,
             me,
             instances: FixedMap::default(),
         }
@@ -312,7 +311,7 @@ impl ReliableBroadcast {
         let tag = view.tag;
         // Only the origin may initiate its own instance.
         let forged_initial = view.kind == KIND_INITIAL && from != tag.origin;
-        if from >= self.n || tag.origin >= self.n || forged_initial {
+        if from >= self.q.n() || tag.origin >= self.q.n() || forged_initial {
             return out;
         }
         let inst = self.instances.entry(tag).or_default();
@@ -331,8 +330,8 @@ impl ReliableBroadcast {
             _ => &mut inst.readies,
         };
         let owned = || Bytes::copy_from_slice(view.payload);
-        if vote(votes, self.n, view.payload, from, owned) {
-            inst.evaluate(tag, (self.n, self.f, self.me), &mut out);
+        if vote(votes, self.q.n(), view.payload, from, owned) {
+            inst.evaluate(tag, self.q, self.me, &mut out);
         }
         out
     }
@@ -765,7 +764,7 @@ mod tests {
             let inst = self.instances.get_mut(&tag).expect("caller created it");
             if !inst.readied {
                 let echo = inst.echoes.iter().find(|(_, s)| 2 * s.len() > n + f);
-                let ready = inst.readies.iter().find(|(_, s)| s.len() >= f + 1);
+                let ready = inst.readies.iter().find(|(_, s)| s.len() > f);
                 if let Some(payload) = echo.or(ready).map(|(p, _)| p.clone()) {
                     inst.readied = true;
                     out.send.push(RbcMessage::Ready { tag, payload: payload.clone() });
@@ -773,7 +772,7 @@ mod tests {
                 }
             }
             if inst.delivered.is_none() {
-                let deliverable = inst.readies.iter().find(|(_, s)| s.len() >= 2 * f + 1);
+                let deliverable = inst.readies.iter().find(|(_, s)| s.len() > 2 * f);
                 if let Some((payload, _)) = deliverable {
                     inst.delivered = Some(payload.clone());
                     out.deliver.push((tag, payload.clone()));

@@ -68,18 +68,6 @@ impl Split {
     }
 }
 
-/// Smallest per-sender message count that lets `engine` decide inside a
-/// component of an `n`-node group: Turquois quorums are `2·c > n + f`
-/// over distinct senders; the reliable-broadcast baselines wait for
-/// `n − f` peers.
-fn quorum(engine: Protocol, n: usize) -> usize {
-    let f = (n - 1) / 3;
-    match engine {
-        Protocol::Turquois => (n + f) / 2 + 1,
-        Protocol::Abba | Protocol::Bracha => n - f,
-    }
-}
-
 /// One matrix cell.
 #[derive(Clone, Copy)]
 struct PmCell {
@@ -119,7 +107,7 @@ impl PmCell {
     /// against its group size — and then what the run contributes.
     fn sample(&self, outcome: &RunOutcome) -> Result<PmSample, String> {
         let (split_at, heal_at) = (SimTime::from_millis(SPLIT_AT_MS), self.heal_at());
-        let q = quorum(self.engine, self.n);
+        let q = self.engine.decision_quorum(self.n);
         for group in self.split.groups(self.n) {
             if group.len() >= q {
                 continue;

@@ -8,6 +8,7 @@ use crate::adversary::{byzantine_bracha_app, ByzantineAbbaApp, ByzantineTurquois
 use std::time::Duration;
 use turquois_baselines::abba::{Abba, AbbaKeys};
 use turquois_baselines::bracha::Bracha;
+use turquois_baselines::Quorums;
 use turquois_core::config::{Config, ConfigError};
 use turquois_core::instance::Turquois;
 use turquois_core::KeyRing;
@@ -44,6 +45,22 @@ impl Protocol {
             Protocol::Turquois => "Turquois",
             Protocol::Abba => "ABBA",
             Protocol::Bracha => "Bracha",
+        }
+    }
+
+    /// Fewest distinct senders that let this protocol decide in a
+    /// component of an `n`-node group (`f = ⌊(n−1)/3⌋`): a Turquois
+    /// quorum exceeds `(n + f)/2`, and the reliable-broadcast baselines
+    /// wait for `n − f` peers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0.
+    pub fn decision_quorum(&self, n: usize) -> usize {
+        let cfg = Config::evaluation(n).expect("a group has a process");
+        match self {
+            Protocol::Turquois => cfg.quorum_min(),
+            Protocol::Abba | Protocol::Bracha => Quorums::new(n, cfg.f()).wait(),
         }
     }
 }

@@ -13,16 +13,6 @@ use wireless_net::topology::{PartitionSchedule, TopologySpec};
 
 const ENGINES: [Protocol; 3] = [Protocol::Turquois, Protocol::Abba, Protocol::Bracha];
 
-/// Smallest component size that lets `engine` decide inside an
-/// `n`-node group (distinct-sender quorums; see DESIGN.md §11).
-fn quorum(engine: Protocol, n: usize) -> usize {
-    let f = (n - 1) / 3;
-    match engine {
-        Protocol::Turquois => (n + f) / 2 + 1,
-        Protocol::Abba | Protocol::Bracha => n - f,
-    }
-}
-
 /// Runs `engine` at size `n` under a two-group split at `split` healed
 /// at `heal`, then asserts the three partition invariants.
 fn check_partitioned_run(engine: Protocol, n: usize, cut: usize, split: SimTime, heal: SimTime, seed: u64) {
@@ -37,7 +27,7 @@ fn check_partitioned_run(engine: Protocol, n: usize, cut: usize, split: SimTime,
         .expect("partitioned scenario runs");
     assert!(outcome.agreement_holds(), "{engine:?} n={n} cut={cut} seed={seed}: agreement violated");
     assert!(outcome.validity_holds(), "{engine:?} n={n} cut={cut} seed={seed}: validity violated");
-    let q = quorum(engine, n);
+    let q = engine.decision_quorum(n);
     for group in &groups {
         if group.len() >= q {
             continue;
