@@ -254,7 +254,7 @@ impl Group {
         let (turquois, abba) = (s.engine == EngineKind::Turquois, s.engine == EngineKind::Abba);
         // A phase per round, with margin: keys are derived on first
         // touch, so unused phases cost nothing.
-        let (phases, f) = (s.max_rounds as usize + 8, (s.n - 1) / 3);
+        let (phases, f) = (s.max_rounds as usize + 8, s.config().f());
         Group {
             rings: if turquois { KeyRing::trusted_setup(s.n, phases, s.seed) } else { Vec::new() },
             abba_keys: if abba { AbbaKeys::trusted_setup(s.n, f, s.seed) } else { Vec::new() },
@@ -267,7 +267,7 @@ impl Group {
 /// Builds process `id` of `s`: the harness adapter a correct process
 /// runs, or the `harness::adversary` strategy its Byzantine spec names.
 fn node(s: &Schedule, group: &Group, id: usize) -> Box<dyn Application> {
-    let (n, f, proposal) = (s.n, (s.n - 1) / 3, s.proposals[id]);
+    let (n, f, proposal) = (s.n, s.config().f(), s.proposals[id]);
     let (cost, probe) = (CostModel::default(), RunProbe::new(n));
     let seed = s.seed.wrapping_add(31 * id as u64);
     let byz = s.byz.iter().find(|b| b.id == id);

@@ -230,8 +230,8 @@ pub fn parse(text: &str) -> Result<(Schedule, Expectation), String> {
     if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
         return Err(format!("byz id {} repeated", pair[0]));
     }
-    if schedule.t() > (n - 1) / 3 {
-        let (t, f) = (schedule.t(), (n - 1) / 3);
+    let (t, f) = (schedule.t(), schedule.config().f());
+    if t > f {
         return Err(format!("{t} Byzantine processes exceed f = {f} for n = {n}"));
     }
     if let Some(f) = schedule.faults.iter().find(|f| f.from.max(f.to) >= n) {

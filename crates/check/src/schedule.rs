@@ -277,7 +277,7 @@ pub fn generate(params: &GenParams, index: u64) -> Schedule {
             .wrapping_add(7),
     );
     let n = params.n;
-    let f = (n - 1) / 3;
+    let f = Config::evaluation(n).expect("generator takes a valid n").f();
     let variant = index % 4;
 
     // Byzantine membership: partitions always field the full f (that is

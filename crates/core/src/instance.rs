@@ -36,8 +36,8 @@ use crate::config::Config;
 use crate::keyring::KeyRing;
 use crate::message::{DecodeError, Envelope, Message, MessageView, Status};
 use crate::state::{Advance, ProcessState};
-use crate::store::{combo_code, MessageStore};
-use crate::validation::{semantic_check, EvidenceView, RejectReason};
+use crate::store::{combo_code, value_mask, MessageStore};
+use crate::validation::{needs, semantic_check, EvidenceView, Need, RejectReason};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -250,19 +250,6 @@ impl Turquois {
         self.state.coin_flip()
     }
 
-    /// Distinct senders stored in the valid set `V_i` at `phase`
-    /// (read-only inspection for external checkers such as
-    /// `turquois-check`; protocol transitions count exactly this store).
-    pub fn valid_senders_at(&self, phase: u32) -> usize {
-        self.valid.count_phase(phase)
-    }
-
-    /// Distinct senders in the authentic-evidence store at `phase`
-    /// (read-only inspection; semantic validation counts this store).
-    pub fn evidence_senders_at(&self, phase: u32) -> usize {
-        self.evidence.count_phase(phase)
-    }
-
     /// Approximate resident bytes of the two message stores (evidence
     /// and `V_i`). Deterministic — a function of record counts only
     /// (see [`MessageStore::approx_bytes`]) — so it can feed the
@@ -437,87 +424,30 @@ impl Turquois {
     /// Snapshot the quorum that justifies our decision so `decided`
     /// broadcasts stay justifiable after garbage collection.
     fn capture_decided_evidence(&mut self, value: Value) {
-        let quorum = self.cfg.quorum_min();
-        for psi in self.evidence.decide_phases().collect::<Vec<_>>() {
-            if self.cfg.exceeds_quorum(self.evidence.count_value(psi, value)) {
-                self.decided_evidence = self
-                    .evidence
-                    .one_per_sender(psi, Some(value))
-                    .take(quorum)
-                    .collect();
-                return;
-            }
+        let view = EvidenceView::new(&self.evidence, &[]);
+        if let Some(psi) = view.lowest_decide_quorum(&self.cfg, u32::MAX, value) {
+            self.decided_evidence = self
+                .evidence
+                .one_per_sender(psi, Some(value))
+                .take(self.cfg.quorum_min())
+                .collect();
         }
     }
 
     /// Builds the explicit-validation bundle for re-broadcasting
-    /// `envelope` (§6.2). Evidence is shared between requirements: a
-    /// message that justifies the value also counts toward the phase
-    /// quorum, keeping bundles (and airtime) minimal.
+    /// `envelope`: each §6.2 need ([`needs`]) topped up in order from
+    /// the evidence store. Evidence is shared between needs: a message
+    /// that justifies the value also counts toward the phase quorum,
+    /// keeping bundles (and airtime) minimal.
     fn build_justification(&self, envelope: &Envelope) -> Vec<(Envelope, OneTimeSignature)> {
-        // Collecting `quorum` entries suffices for the phase top-up:
-        // `collect` yields one record per distinct sender, so the first
-        // `quorum` of them top the set up to a quorum no matter how many
-        // were already contributed by the value evidence — the bound is
-        // exactly equivalent to an unbounded scan (DESIGN.md §10), which
-        // matters once n reaches 256. The proptest
-        // `bounded_bundle_matches_unbounded_scan` compares the two.
-        self.build_justification_with(envelope, self.cfg.quorum_min())
-    }
-
-    /// [`Turquois::build_justification`] with an explicit phase top-up
-    /// collection limit (`top_up_limit`); tests pass `usize::MAX` to
-    /// recover the retired unbounded scan as a differential oracle.
-    fn build_justification_with(
-        &self,
-        envelope: &Envelope,
-        top_up_limit: usize,
-    ) -> Vec<(Envelope, OneTimeSignature)> {
-        let phase = envelope.phase;
-        let quorum = self.cfg.quorum_min();
-        let half = self.cfg.half_quorum_min();
-        // Value evidence is at most `quorum + 1` entries (two half
-        // quorums for ⊥) and the phase top-up at most `quorum`.
-        let mut bundle = Bundle::new(self.cfg.n(), 2 * quorum + 1 + self.decided_evidence.len());
-        let evidence = |phase, value| self.evidence.one_per_sender(phase, value);
-
-        if phase > 1 {
-            // Value justification first (its messages double as phase
-            // evidence when they sit at φ − 1).
-            match phase % 3 {
-                2 => bundle.add(evidence(phase - 1, Some(envelope.value)).take(half)),
-                0 => match envelope.value {
-                    Value::Bot => {
-                        bundle.add(evidence(phase - 2, Some(Value::Zero)).take(half));
-                        bundle.add(evidence(phase - 2, Some(Value::One)).take(half));
-                    }
-                    v => bundle.add(evidence(phase - 1, Some(v)).take(quorum)),
-                },
-                _ => {
-                    if envelope.coin_flip {
-                        bundle.add(evidence(phase - 1, Some(Value::Bot)).take(quorum));
-                    } else {
-                        bundle.add(evidence(phase - 2, Some(envelope.value)).take(quorum));
-                    }
-                }
-            }
-            // Phase justification: top the φ − 1 sender count up to a
-            // quorum, reusing whatever the value evidence already
-            // contributed.
-            let mut senders_at_prev = bundle.senders_at(phase - 1);
-            if senders_at_prev < quorum {
-                for entry in evidence(phase - 1, None).take(top_up_limit) {
-                    if senders_at_prev >= quorum {
-                        break;
-                    }
-                    if !bundle.has_sender(phase - 1, entry.0.sender) {
-                        bundle.add([entry]);
-                        senders_at_prev += 1;
-                    }
-                }
-            }
+        // Value needs take at most `quorum + 1` entries (two half
+        // quorums for ⊥) and the phase need at most `quorum`.
+        let capacity = 2 * self.cfg.quorum_min() + 1 + self.decided_evidence.len();
+        let mut bundle = Bundle::new(self.cfg.n(), capacity);
+        for need in needs(envelope).into_iter().flatten() {
+            let evidence = self.evidence.one_per_sender(need.phase, need.value);
+            bundle.top_up(need, need.threshold.min(&self.cfg), evidence);
         }
-
         // Status justification (decided claims carry their quorum; the
         // dedupe absorbs overlap with the evidence above).
         if envelope.status == Status::Decided {
@@ -531,14 +461,12 @@ impl Turquois {
 /// deduplicated on the full envelope in O(1) each. A bundle spans at
 /// most three phases (φ − 1, φ − 2 and the decided snapshot's decide
 /// phase); each gets a row of per-sender record masks, one bit per
-/// `(value, coin, status)` combination, and a count of the senders the
-/// row holds.
+/// `(value, coin, status)` combination.
 struct Bundle {
     n: usize,
     entries: Vec<(Envelope, OneTimeSignature)>,
     /// The phase of each row; 0 (never a phase) marks a free row.
     phases: [u32; 3],
-    senders: [usize; 3],
     /// Three rows of `n` masks.
     masks: Vec<u16>,
 }
@@ -549,7 +477,6 @@ impl Bundle {
             n,
             entries: Vec::with_capacity(capacity),
             phases: [0; 3],
-            senders: [0; 3],
             masks: vec![0; 3 * n],
         }
     }
@@ -569,22 +496,35 @@ impl Bundle {
             let mask = &mut self.masks[row * self.n + env.sender];
             let bit = 1u16 << combo_code(env.value, env.coin_flip, env.status);
             if *mask & bit == 0 {
-                self.senders[row] += usize::from(*mask == 0);
                 *mask |= bit;
                 self.entries.push((env, sig));
             }
         }
     }
 
-    /// Whether the bundle holds any entry of `sender` at `phase`.
-    fn has_sender(&self, phase: u32, sender: usize) -> bool {
-        self.row(phase)
-            .is_some_and(|row| self.masks[row * self.n + sender] != 0)
-    }
-
-    /// Distinct senders with an entry at `phase`.
-    fn senders_at(&self, phase: u32) -> usize {
-        self.row(phase).map_or(0, |row| self.senders[row])
+    /// Adds entries of `evidence` (one per sender) whose sender has
+    /// no entry matching `need` yet, until `min` senders match. Where
+    /// none matched before, that is exactly `evidence.take(min)`.
+    fn top_up(
+        &mut self,
+        need: Need,
+        min: usize,
+        evidence: impl Iterator<Item = (Envelope, OneTimeSignature)>,
+    ) {
+        let want = need.value.map_or(u16::MAX, value_mask);
+        let mask = |bundle: &Self, sender| {
+            bundle.row(need.phase).map_or(0, |row| bundle.masks[row * bundle.n + sender])
+        };
+        let mut matched = (0..self.n).filter(|&sender| mask(self, sender) & want != 0).count();
+        for entry in evidence {
+            if matched >= min {
+                break;
+            }
+            if mask(self, entry.0.sender) & want == 0 {
+                self.add([entry]);
+                matched += 1;
+            }
+        }
     }
 }
 
@@ -689,11 +629,11 @@ mod tests {
             receipt
         }
 
-        /// Bundle assembly with the quadratic `any`-scan dedupe.
+        /// Bundle assembly written out by hand, with the quadratic
+        /// `any`-scan dedupe and an unbounded phase top-up scan.
         fn build_justification_quadratic(
             &self,
             envelope: &Envelope,
-            top_up_limit: usize,
         ) -> Vec<(Envelope, OneTimeSignature)> {
             let phase = envelope.phase;
             let mut bundle: Vec<(Envelope, OneTimeSignature)> = Vec::new();
@@ -740,7 +680,7 @@ mod tests {
                     .map(|(e, _)| e.sender)
                     .collect();
                 if senders_at_prev.len() < quorum {
-                    for (env, sig) in collect(phase - 1, None, top_up_limit) {
+                    for (env, sig) in collect(phase - 1, None, usize::MAX) {
                         if senders_at_prev.len() >= quorum {
                             break;
                         }
@@ -1551,8 +1491,8 @@ mod tests {
         Ok(())
     }
 
-    /// The body of `bounded_bundle_matches_unbounded_scan` at group
-    /// size `n` (entry senders are taken mod `n`).
+    /// The body of `bundle_matches_hand_written_oracle` at group size
+    /// `n` (entry senders are taken mod `n`).
     fn bundle_oracles(
         n: usize,
         seed: u64,
@@ -1619,23 +1559,10 @@ mod tests {
                         coin_flip: coin,
                         status,
                     };
-                    let bounded = wire(env, p.build_justification_with(&env, cfg.quorum_min()));
-                    let unbounded = wire(env, p.build_justification_with(&env, usize::MAX));
-                    let retired =
-                        wire(env, p.build_justification_quadratic(&env, cfg.quorum_min()));
                     proptest::prop_assert_eq!(
-                        &bounded,
-                        &unbounded,
-                        "bounded bundle diverged at phase {} value {:?} coin {} {:?}",
-                        phase_sel,
-                        value,
-                        coin,
-                        status
-                    );
-                    proptest::prop_assert_eq!(
-                        &bounded,
-                        &retired,
-                        "linear dedupe diverged at phase {} value {:?} coin {} {:?}",
+                        wire(env, p.build_justification(&env)),
+                        wire(env, p.build_justification_quadratic(&env)),
+                        "bundle diverged at phase {} value {:?} coin {} {:?}",
                         phase_sel,
                         value,
                         coin,
@@ -1711,16 +1638,16 @@ mod tests {
             receive_path_oracle(4, seed, steps)?;
         }
 
-        /// Bounding the phase top-up at `quorum` collected entries is
-        /// bit-identical to the retired unbounded scan, and the linear
-        /// dedupe is bit-identical to the retired quadratic one: on
-        /// arbitrary evidence stores (equivocators, gaps, every phase
-        /// shape mod 3, both coin flips, both statuses, a decided
-        /// snapshot overlapping the rest of the bundle) all of them
-        /// put the same bytes on the wire, so neither ever drops or
-        /// reorders a message a receiver needs.
+        /// The table-driven bundle builder is bit-identical to the
+        /// hand-written one (its own copy of the §6.2 rule, a quadratic
+        /// dedupe, an unbounded phase top-up scan): on arbitrary
+        /// evidence stores (equivocators, gaps, every phase shape mod
+        /// 3, both coin flips, both statuses, a decided snapshot
+        /// overlapping the rest of the bundle) both put the same bytes
+        /// on the wire, so the builder never drops or reorders a
+        /// message a receiver needs.
         #[test]
-        fn bounded_bundle_matches_unbounded_scan(
+        fn bundle_matches_hand_written_oracle(
             seed in 0u64..200,
             phase_sel in 3u32..=8,
             snapshot in 0usize..8,
@@ -1738,10 +1665,10 @@ mod tests {
             bundle_oracles(10, seed, phase_sel, snapshot, entries)?;
         }
 
-        /// `bounded_bundle_matches_unbounded_scan` at n = 16 and 64, on
+        /// `bundle_matches_hand_written_oracle` at n = 16 and 64, on
         /// stores dense enough to hold quorums.
         #[test]
-        fn bounded_bundle_matches_unbounded_scan_at_scale(
+        fn bundle_matches_hand_written_oracle_at_scale(
             seed in 0u64..200,
             phase_sel in 3u32..=8,
             snapshot in 0usize..8,

@@ -38,6 +38,7 @@
 //! insertion-ordered record list answering by naive scan.
 
 use crate::message::{Envelope, Status};
+use crate::state::PhaseKind;
 use std::collections::BTreeMap;
 use turquois_crypto::otss::{OneTimeSignature, Value};
 
@@ -106,7 +107,7 @@ fn decode_code(code: u8, signature: OneTimeSignature) -> Record {
 
 /// Presence-mask bits covering every code of `value`.
 #[inline]
-fn value_mask(value: Value) -> u16 {
+pub(crate) fn value_mask(value: Value) -> u16 {
     0b1111 << (4 * value_idx(value))
 }
 
@@ -464,17 +465,12 @@ impl MessageStore {
         })
     }
 
-    /// Iterates over the DECIDE phases (`φ mod 3 = 0`) currently stored,
-    /// ascending.
+    /// Iterates over the DECIDE phases currently stored, ascending.
     pub fn decide_phases(&self) -> impl Iterator<Item = u32> + '_ {
-        self.phases.keys().copied().filter(|p| p % 3 == 0)
-    }
-
-    /// The greatest LOCK phase (`φ mod 3 = 2`) strictly below `phase`
-    /// (independent of store contents).
-    pub fn lock_phase_below(phase: u32) -> Option<u32> {
-        // Phases: 1=CONVERGE, 2=LOCK, 3=DECIDE, 4=CONVERGE, …
-        (1..phase).rev().find(|p| p % 3 == 2)
+        self.phases
+            .keys()
+            .copied()
+            .filter(|&p| PhaseKind::of(p) == PhaseKind::Decide)
     }
 
     /// Drops all phases strictly below `min_phase` (garbage collection).
@@ -638,17 +634,6 @@ mod tests {
         assert_eq!(s.count_phase(6), 0);
         assert_eq!(s.count_phase(7), 1);
         assert_eq!(s.record_count(), 4);
-    }
-
-    #[test]
-    fn lock_phase_below_formula() {
-        assert_eq!(MessageStore::lock_phase_below(4), Some(2));
-        assert_eq!(MessageStore::lock_phase_below(6), Some(5));
-        assert_eq!(MessageStore::lock_phase_below(7), Some(5));
-        assert_eq!(MessageStore::lock_phase_below(8), Some(5));
-        assert_eq!(MessageStore::lock_phase_below(9), Some(8));
-        assert_eq!(MessageStore::lock_phase_below(2), None);
-        assert_eq!(MessageStore::lock_phase_below(1), None);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::config::Config;
 use crate::message::{Envelope, Status};
+use crate::state::PhaseKind;
 use crate::store::MessageStore;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -105,19 +106,114 @@ impl<'a> EvidenceView<'a> {
         count
     }
 
-    /// Whether `pred` holds for any DECIDE phase (`mod 3 = 0`) strictly
-    /// below `limit` present in either evidence source. `pred` is pure,
-    /// so a phase present in both sources may be asked twice.
-    fn any_decide_phase_below(&self, limit: u32, mut pred: impl FnMut(u32) -> bool) -> bool {
-        self.store
+    /// The lowest DECIDE phase strictly below `limit`, present in
+    /// either evidence source, whose senders carrying `value` exceed a
+    /// quorum: what justifies a `decided` claim on `value` (§6.2).
+    pub(crate) fn lowest_decide_quorum(
+        &self,
+        cfg: &Config,
+        limit: u32,
+        value: Value,
+    ) -> Option<u32> {
+        let carries = |psi| cfg.exceeds_quorum(self.count_value(psi, value));
+        let stored = self
+            .store
             .decide_phases()
             .take_while(|&p| p < limit)
-            .any(&mut pred)
-            || self
-                .extra
-                .iter()
-                .any(|(env, _)| env.phase % 3 == 0 && env.phase < limit && pred(env.phase))
+            .find(|&p| carries(p));
+        let below = stored.unwrap_or(limit);
+        self.extra
+            .iter()
+            .map(|(env, _)| env.phase)
+            .filter(|&p| p < below && PhaseKind::of(p) == PhaseKind::Decide && carries(p))
+            .min()
+            .or(stored)
     }
+}
+
+/// How many distinct senders a [`Need`] asks for.
+#[derive(Clone, Copy, Debug, Eq, PartialEq)]
+pub(crate) enum Threshold {
+    /// More than `(n + f)/2`.
+    Quorum,
+    /// More than `((n + f)/2)/2`.
+    HalfQuorum,
+}
+
+impl Threshold {
+    /// Whether `count` distinct senders meet the threshold.
+    fn holds(self, cfg: &Config, count: usize) -> bool {
+        match self {
+            Threshold::Quorum => cfg.exceeds_quorum(count),
+            Threshold::HalfQuorum => cfg.exceeds_half_quorum(count),
+        }
+    }
+
+    /// The fewest distinct senders that meet the threshold.
+    pub(crate) fn min(self, cfg: &Config) -> usize {
+        match self {
+            Threshold::Quorum => cfg.quorum_min(),
+            Threshold::HalfQuorum => cfg.half_quorum_min(),
+        }
+    }
+}
+
+/// One §6.2 requirement: messages at `phase` (carrying `value`, when
+/// given) from enough distinct senders to meet `threshold`, or the
+/// claim is rejected for `reason`.
+#[derive(Clone, Copy, Debug, Eq, PartialEq)]
+pub(crate) struct Need {
+    pub(crate) phase: u32,
+    pub(crate) value: Option<Value>,
+    pub(crate) threshold: Threshold,
+    pub(crate) reason: RejectReason,
+}
+
+/// What justifies the phase and the value of `env` (§6.2), in bundle
+/// order: the value needs first (their messages double as phase
+/// evidence when they sit at `φ − 1`), the `φ − 1` phase quorum last.
+/// `None` is an empty slot; phase-1 messages need nothing.
+/// [`semantic_check`] evaluates these needs and
+/// `Turquois::build_justification` assembles bundles to them; this is
+/// the one copy of the rule.
+pub(crate) fn needs(env: &Envelope) -> [Option<Need>; 3] {
+    use Threshold::{HalfQuorum, Quorum};
+    let phase = env.phase;
+    let value = |back, value, threshold| {
+        Some(Need {
+            phase: phase - back,
+            value: Some(value),
+            threshold,
+            reason: RejectReason::ValueUnjustified,
+        })
+    };
+    let [a, b] = match PhaseKind::of(phase) {
+        // "Messages with phase value φ = 1 are the only that do not
+        // require validation."
+        _ if phase == 1 => [None, None],
+        // LOCK: v justified by more than half a quorum at φ−1.
+        PhaseKind::Lock => [value(1, env.value, HalfQuorum), None],
+        // DECIDE: ⊥ needs half-quorums of both binary values at φ−2; a
+        // binary v needs a quorum at φ−1.
+        PhaseKind::Decide if env.value == Value::Bot => [
+            value(2, Value::Zero, HalfQuorum),
+            value(2, Value::One, HalfQuorum),
+        ],
+        PhaseKind::Decide => [value(1, env.value, Quorum), None],
+        // CONVERGE (φ > 1): coin values need a quorum of ⊥ at φ−1;
+        // deterministic values need a quorum carrying v at φ−2.
+        PhaseKind::Converge if env.coin_flip => [value(1, Value::Bot, Quorum), None],
+        PhaseKind::Converge => [value(2, env.value, Quorum), None],
+    };
+    // "The phase value φ requires more than (n+f)/2 messages of the form
+    // ⟨*, φ−1, *, *⟩."
+    let phase_need = (phase > 1).then(|| Need {
+        phase: phase - 1,
+        value: None,
+        threshold: Quorum,
+        reason: RejectReason::PhaseUnjustified,
+    });
+    [a, b, phase_need]
 }
 
 /// Validates `env` semantically against the evidence.
@@ -133,8 +229,16 @@ pub fn semantic_check(
     view: &EvidenceView<'_>,
 ) -> Result<(), RejectReason> {
     structure_ok(env)?;
-    phase_ok(env, cfg, view)?;
-    value_ok(env, cfg, view)?;
+    // Reversed, the bundle order puts the phase need first.
+    for need in needs(env).into_iter().rev().flatten() {
+        let count = match need.value {
+            None => view.count_phase(need.phase),
+            Some(value) => view.count_value(need.phase, value),
+        };
+        if !need.threshold.holds(cfg, count) {
+            return Err(need.reason);
+        }
+    }
     status_ok(env, cfg, view)
 }
 
@@ -142,74 +246,23 @@ fn structure_ok(env: &Envelope) -> Result<(), RejectReason> {
     if env.value == Value::Bot && !bot_legal_at(env.phase) {
         return Err(RejectReason::BotIllegalHere);
     }
-    if env.coin_flip && env.phase % 3 != 1 {
+    if env.coin_flip && PhaseKind::of(env.phase) != PhaseKind::Converge {
         return Err(RejectReason::CoinFlagOutsideConverge);
     }
     Ok(())
 }
 
-fn phase_ok(env: &Envelope, cfg: &Config, view: &EvidenceView<'_>) -> Result<(), RejectReason> {
-    // "The phase value φ requires more than (n+f)/2 messages of the form
-    // ⟨*, φ−1, *, *⟩."
-    if env.phase == 1 || cfg.exceeds_quorum(view.count_phase(env.phase - 1)) {
-        Ok(())
-    } else {
-        Err(RejectReason::PhaseUnjustified)
-    }
-}
-
-fn value_ok(env: &Envelope, cfg: &Config, view: &EvidenceView<'_>) -> Result<(), RejectReason> {
-    // "Messages with phase value φ = 1 are the only that do not require
-    // validation."
-    if env.phase == 1 {
-        return Ok(());
-    }
-    let ok = match env.phase % 3 {
-        // LOCK: v justified by more than half a quorum at φ−1.
-        2 => cfg.exceeds_half_quorum(view.count_value(env.phase - 1, env.value)),
-        // DECIDE: a binary v needs a quorum at φ−1; ⊥ needs half-quorums
-        // of both binary values at φ−2.
-        0 => match env.value {
-            Value::Bot => {
-                cfg.exceeds_half_quorum(view.count_value(env.phase - 2, Value::Zero))
-                    && cfg.exceeds_half_quorum(view.count_value(env.phase - 2, Value::One))
-            }
-            v => cfg.exceeds_quorum(view.count_value(env.phase - 1, v)),
-        },
-        // CONVERGE (φ > 1): deterministic values need a quorum carrying v
-        // at φ−2; coin values need a quorum of ⊥ at φ−1.
-        _ => {
-            if env.coin_flip {
-                cfg.exceeds_quorum(view.count_value(env.phase - 1, Value::Bot))
-            } else {
-                cfg.exceeds_quorum(view.count_value(env.phase - 2, env.value))
-            }
-        }
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(RejectReason::ValueUnjustified)
-    }
-}
-
 fn status_ok(env: &Envelope, cfg: &Config, view: &EvidenceView<'_>) -> Result<(), RejectReason> {
     match env.status {
+        // "Any message with phase φ ≤ 3 must necessarily carry value
+        // undecided because no process can decide prior to phase 3", and
+        // "status = decided (and value v) requires more than (n+f)/2
+        // messages of the form ⟨*, φ, v, *⟩ where φ mod 3 = 0."
         Status::Decided => {
-            // "Any message with phase φ ≤ 3 must necessarily carry value
-            // undecided because no process can decide prior to phase 3."
-            if env.phase <= 3 {
-                return Err(RejectReason::DecidedUnjustified);
-            }
-            let Some(_) = env.value.as_bit() else {
-                return Err(RejectReason::DecidedUnjustified);
-            };
-            // "status = decided (and value v) requires more than (n+f)/2
-            // messages of the form ⟨*, φ, v, *⟩ where φ mod 3 = 0."
-            let justified = view.any_decide_phase_below(env.phase, |psi| {
-                cfg.exceeds_quorum(view.count_value(psi, env.value))
-            });
-            if justified {
+            if env.phase > 3
+                && env.value.as_bit().is_some()
+                && view.lowest_decide_quorum(cfg, env.phase, env.value).is_some()
+            {
                 Ok(())
             } else {
                 Err(RejectReason::DecidedUnjustified)
@@ -618,5 +671,171 @@ mod tests {
     fn reject_reason_display() {
         assert!(!RejectReason::PhaseUnjustified.to_string().is_empty());
         assert!(!RejectReason::BotIllegalHere.to_string().is_empty());
+    }
+
+    /// The hand-written per-variable checks `semantic_check` ran before
+    /// the needs table, kept as the reference it is held to. The one
+    /// change: the decide-quorum search scans every DECIDE phase below
+    /// the claim instead of the phases either source holds (a phase
+    /// neither holds counts zero senders and never justifies).
+    mod retired {
+        use super::*;
+
+        pub(super) fn semantic_check(
+            env: &Envelope,
+            cfg: &Config,
+            view: &EvidenceView<'_>,
+        ) -> Result<(), RejectReason> {
+            structure_ok(env)?;
+            phase_ok(env, cfg, view)?;
+            value_ok(env, cfg, view)?;
+            status_ok(env, cfg, view)
+        }
+
+        fn structure_ok(env: &Envelope) -> Result<(), RejectReason> {
+            if env.value == Value::Bot && !bot_legal_at(env.phase) {
+                return Err(RejectReason::BotIllegalHere);
+            }
+            if env.coin_flip && env.phase % 3 != 1 {
+                return Err(RejectReason::CoinFlagOutsideConverge);
+            }
+            Ok(())
+        }
+
+        fn phase_ok(
+            env: &Envelope,
+            cfg: &Config,
+            view: &EvidenceView<'_>,
+        ) -> Result<(), RejectReason> {
+            if env.phase == 1 || cfg.exceeds_quorum(view.count_phase(env.phase - 1)) {
+                Ok(())
+            } else {
+                Err(RejectReason::PhaseUnjustified)
+            }
+        }
+
+        fn value_ok(
+            env: &Envelope,
+            cfg: &Config,
+            view: &EvidenceView<'_>,
+        ) -> Result<(), RejectReason> {
+            if env.phase == 1 {
+                return Ok(());
+            }
+            let ok = match env.phase % 3 {
+                2 => cfg.exceeds_half_quorum(view.count_value(env.phase - 1, env.value)),
+                0 => match env.value {
+                    Value::Bot => {
+                        cfg.exceeds_half_quorum(view.count_value(env.phase - 2, Value::Zero))
+                            && cfg.exceeds_half_quorum(view.count_value(env.phase - 2, Value::One))
+                    }
+                    v => cfg.exceeds_quorum(view.count_value(env.phase - 1, v)),
+                },
+                _ => {
+                    if env.coin_flip {
+                        cfg.exceeds_quorum(view.count_value(env.phase - 1, Value::Bot))
+                    } else {
+                        cfg.exceeds_quorum(view.count_value(env.phase - 2, env.value))
+                    }
+                }
+            };
+            if ok {
+                Ok(())
+            } else {
+                Err(RejectReason::ValueUnjustified)
+            }
+        }
+
+        fn status_ok(
+            env: &Envelope,
+            cfg: &Config,
+            view: &EvidenceView<'_>,
+        ) -> Result<(), RejectReason> {
+            match env.status {
+                Status::Decided => {
+                    if env.phase <= 3 {
+                        return Err(RejectReason::DecidedUnjustified);
+                    }
+                    let Some(_) = env.value.as_bit() else {
+                        return Err(RejectReason::DecidedUnjustified);
+                    };
+                    let justified = (3..env.phase)
+                        .step_by(3)
+                        .any(|psi| cfg.exceeds_quorum(view.count_value(psi, env.value)));
+                    if justified {
+                        Ok(())
+                    } else {
+                        Err(RejectReason::DecidedUnjustified)
+                    }
+                }
+                Status::Undecided => Ok(()),
+            }
+        }
+    }
+
+    /// Blocks of senders `start, start + 1, …` (mod n), `share`/64 of
+    /// the group, all at one `(phase, value, coin, status)`.
+    type Block = (u32, usize, usize, usize, bool, bool);
+
+    fn block_records(n: usize, blocks: &[Block]) -> Vec<Envelope> {
+        let mut out = Vec::new();
+        for &(phase, vi, start, share, coin_flip, decided) in blocks {
+            for i in 0..share * n / 64 {
+                out.push(Envelope {
+                    sender: (start + i) % n,
+                    phase,
+                    value: [Value::Zero, Value::One, Value::Bot][vi],
+                    coin_flip,
+                    status: if decided { Status::Decided } else { Status::Undecided },
+                });
+            }
+        }
+        out
+    }
+
+    fn block() -> impl proptest::strategy::Strategy<Value = Block> {
+        use proptest::prelude::any;
+        (1u32..=10, 0usize..3, 0usize..64, 0usize..=64, any::<bool>(), any::<bool>())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The table-driven `semantic_check` returns what the retired
+        /// hand-written checks return, reasons included, for every
+        /// claim at phases 1–10 (each value, coin flag and status) over
+        /// stores of equivocating sender blocks plus extra attachments
+        /// the store may or may not hold, at n = 4, 10, 16 and 64.
+        #[test]
+        fn semantic_check_matches_retired_checks(
+            n_sel in 0usize..4,
+            stored in proptest::collection::vec(block(), 0..24),
+            extra in proptest::collection::vec(block(), 0..6),
+        ) {
+            let n = [4, 10, 16, 64][n_sel];
+            let cfg = Config::evaluation(n).expect("valid n");
+            let mut store = MessageStore::new(n);
+            for e in block_records(n, &stored) {
+                store.insert(&e, sig(0));
+            }
+            let extra: Vec<_> = block_records(n, &extra).into_iter().map(|e| (e, sig(1))).collect();
+            let view = EvidenceView::new(&store, &extra);
+            for phase in 1..=10 {
+                for value in [Value::Zero, Value::One, Value::Bot] {
+                    for coin_flip in [false, true] {
+                        for status in [Status::Undecided, Status::Decided] {
+                            let claim = Envelope { sender: 0, phase, value, coin_flip, status };
+                            proptest::prop_assert_eq!(
+                                semantic_check(&claim, &cfg, &view),
+                                retired::semantic_check(&claim, &cfg, &view),
+                                "n={} {:?}",
+                                n,
+                                claim
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -225,9 +225,9 @@ impl Application for SplitBrainTurquoisApp {
 /// LOCK phases, `⊥` in DECIDE phases, signed with the liar's legitimate
 /// one-time keys. Returns `None` once the keys no longer cover `phase`.
 ///
-/// Exposed as a pure function so both the simulator adversary
-/// ([`ByzantineTurquoisApp`]) and the `turquois-check` schedule explorer
-/// inject byte-identical lies.
+/// [`ByzantineTurquoisApp`] broadcasts it, in the simulator and in the
+/// `turquois-check` schedule explorer alike; as a pure function it lets
+/// a test build the lie without running the app.
 pub fn turquois_lie(
     phase: u32,
     value: Value,
@@ -496,6 +496,119 @@ mod tests {
         assert_eq!(lie.envelope.status, Status::Undecided);
         // The lie is genuinely signed: any peer's keyring accepts it.
         assert!(rings[0].verify(&lie.envelope, &lie.signature));
+    }
+
+    /// `ByzantineTurquoisApp` carries its own copy of the §7.1 tick
+    /// rule (a generation counter, a re-arm, a tick on phase advance).
+    /// Fed the same frames at the same instants as a `TurquoisApp` of
+    /// the same process, it broadcasts and arms the same timers at the
+    /// same callbacks until the keys run out; only the payloads differ.
+    #[test]
+    fn byzantine_turquois_ticks_like_the_correct_app() {
+        use crate::adapters::{RunProbe, TurquoisApp};
+        use rand::SeedableRng;
+        use std::collections::BTreeMap;
+        use wireless_net::frame::Addressing;
+        use wireless_net::sim::Command;
+        use wireless_net::time::SimTime;
+
+        const KEY_PHASES: usize = 12;
+        let (n, cfg) = (4, Config::evaluation(4).expect("valid"));
+        let rings = KeyRing::trusted_setup(n, KEY_PHASES, 3);
+        let engine = |id: usize| Turquois::new(cfg, id, id != 1, rings[id].clone(), id as u64);
+        let correct_app = |id| TurquoisApp::new(engine(id), CostModel::default(), RunProbe::new(n));
+        // Processes 0–2 are a quorum on their own; process 3 runs twice,
+        // correct and Byzantine, on the frames 0–2 send. Its own
+        // broadcasts go nowhere, so both twins hear the same thing.
+        let mut group: Vec<TurquoisApp> = (0..3).map(correct_app).collect();
+        let mut twins = (correct_app(3), ByzantineTurquoisApp::new(engine(3), rings[3].clone()));
+
+        enum Event {
+            Start,
+            Timer(u64),
+            Frame(usize, Bytes),
+        }
+        // (at, seq) → (node, event); node 3 is the twin pair.
+        let mut queue = BTreeMap::new();
+        let mut seq = 0u64;
+        let mut push = |queue: &mut BTreeMap<_, _>, at: SimTime, node: usize, event| {
+            seq += 1;
+            queue.insert((at, seq), (node, event));
+        };
+        for node in 0..4 {
+            push(&mut queue, SimTime::from_micros(100 * node as u64), node, Event::Start);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        // Callbacks compared: frames that ticked (a phase advance),
+        // timers that ticked, and timers a later tick made stale.
+        let (mut advances, mut timer_ticks, mut stale) = (0, 0, 0);
+        while let Some(((now, _), (node, event))) = queue.pop_first() {
+            let mut run = |app: &mut dyn Application| {
+                let mut ctx = NodeCtx::new(node, now, &mut rng, Vec::new());
+                match &event {
+                    Event::Start => app.on_start(&mut ctx),
+                    Event::Timer(id) => app.on_timer(&mut ctx, *id),
+                    Event::Frame(src, payload) => {
+                        let frame = ReceivedFrame {
+                            src: *src,
+                            addressing: Addressing::Broadcast,
+                            payload: payload.clone(),
+                        };
+                        app.on_frame(&mut ctx, frame);
+                    }
+                }
+                ctx.finish().1
+            };
+            if node < 3 {
+                for command in run(&mut group[node]) {
+                    match command {
+                        Command::Broadcast { payload, .. } => {
+                            // Uneven latencies: a quorum forms slower
+                            // than the tick interval, so timers fire too.
+                            let at = now + Duration::from_millis(2 + 6 * node as u64);
+                            for dst in 0..4 {
+                                push(&mut queue, at, dst, Event::Frame(node, payload.clone()));
+                            }
+                        }
+                        Command::SetTimer { delay, id } => {
+                            push(&mut queue, now + delay, node, Event::Timer(id))
+                        }
+                        _ => {}
+                    }
+                }
+                continue;
+            }
+            // What the tick rule decides: when to broadcast, which timers.
+            let ticks_of = |commands: Vec<Command>| -> Vec<Option<(Duration, u64)>> {
+                commands
+                    .into_iter()
+                    .filter_map(|command| match command {
+                        Command::Broadcast { .. } => Some(None),
+                        Command::SetTimer { delay, id } => Some(Some((delay, id))),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            let (honest, liar) = (ticks_of(run(&mut twins.0)), ticks_of(run(&mut twins.1)));
+            if twins.0.instance().phase() as usize > KEY_PHASES {
+                break; // the correct twin's keys ran out: it falls silent
+            }
+            assert_eq!(honest, liar, "tick rules diverged at {now:?}");
+            match (&event, honest.is_empty()) {
+                (Event::Frame(..), false) => advances += 1,
+                (Event::Timer(_), false) => timer_ticks += 1,
+                (Event::Timer(_), true) => stale += 1,
+                _ => {}
+            }
+            for (delay, id) in honest.into_iter().flatten() {
+                push(&mut queue, now + delay, 3, Event::Timer(id));
+            }
+        }
+        assert!(twins.0.instance().phase() as usize > KEY_PHASES, "the run outlived the keys");
+        assert!(
+            advances >= KEY_PHASES - 1 && timer_ticks >= KEY_PHASES - 1 && stale > 0,
+            "{advances} advances, {timer_ticks} timer ticks, {stale} stale timers"
+        );
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! `TURQUOIS_SIZES`, `TURQUOIS_THREADS`, `TURQUOIS_TIME_LIMIT`
 //! respected).
 
+use turquois_core::Config;
 use turquois_harness::experiment::PAPER_SIZES;
 use turquois_harness::grid::{Plan, Stall};
 use turquois_harness::runner::RETRY_BUDGET_SCALE;
@@ -59,7 +60,7 @@ impl Split {
 
     /// The two groups for a population of `n` (f = ⌊(n−1)/3⌋).
     fn groups(self, n: usize) -> Vec<Vec<usize>> {
-        let f = (n - 1) / 3;
+        let f = Config::evaluation(n).expect("n ≥ 1").f();
         let cut = match self {
             Split::Keep => n - f,
             Split::Break => n.div_ceil(2),

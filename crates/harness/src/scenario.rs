@@ -368,7 +368,7 @@ impl Scenario {
 
     /// Number of processes that behave correctly under this fault load.
     pub fn correct_count(&self) -> usize {
-        let f = (self.n.saturating_sub(1)) / 3;
+        let f = Config::evaluation(self.n).map_or(0, |cfg| cfg.f());
         if self.fault_load == FaultLoad::FailureFree {
             self.n
         } else {

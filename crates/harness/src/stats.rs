@@ -91,36 +91,6 @@ impl LatencyStats {
     }
 }
 
-/// Simple descriptive statistics helper used by the sweep experiments.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Summary {
-    /// Minimum sample.
-    pub min: f64,
-    /// Maximum sample.
-    pub max: f64,
-    /// Sample mean.
-    pub mean: f64,
-    /// Median (50th percentile, lower interpolation).
-    pub median: f64,
-}
-
-impl Summary {
-    /// Computes a summary; returns `None` for an empty slice.
-    pub fn from_samples(samples: &[f64]) -> Option<Summary> {
-        if samples.is_empty() {
-            return None;
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in latency data"));
-        Some(Summary {
-            min: sorted[0],
-            max: sorted[sorted.len() - 1],
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            median: sorted[(sorted.len() - 1) / 2],
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,15 +145,5 @@ mod tests {
             samples: 50,
         };
         assert_eq!(s.display(), "14.90 ± 4.74");
-    }
-
-    #[test]
-    fn summary_basics() {
-        let s = Summary::from_samples(&[3.0, 1.0, 2.0]).expect("non-empty");
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.median, 2.0);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert_eq!(Summary::from_samples(&[]), None);
     }
 }
