@@ -44,10 +44,7 @@ use turquois_crypto::cost::CostModel;
 use turquois_harness::adapters::{
     new_link_tags, AbbaApp, BrachaApp, RunProbe, SharedLinkTags, TurquoisApp, TICK_INTERVAL,
 };
-use turquois_harness::adversary::{
-    byzantine_bracha_app, AbbaEquivocatorApp, ByzantineTurquoisApp, SplitBrainCoalition,
-    SplitBrainTurquoisApp,
-};
+use turquois_harness::adversary::{AbbaEquivocatorApp, SplitBrainCoalition};
 use wireless_net::reliable;
 use wireless_net::{Addressing, Application, Command, NodeCtx, ReceivedFrame, SimTime};
 
@@ -264,8 +261,9 @@ impl Group {
     }
 }
 
-/// Builds process `id` of `s`: the harness adapter a correct process
-/// runs, or the `harness::adversary` strategy its Byzantine spec names.
+/// Builds process `id` of `s`: the harness adapter, in the Byzantine
+/// role its spec names if it has one (ABBA's equivocator is an app of
+/// its own).
 fn node(s: &Schedule, group: &Group, id: usize) -> Box<dyn Application> {
     let (n, f, proposal) = (s.n, s.config().f(), s.proposals[id]);
     let (cost, probe) = (CostModel::default(), RunProbe::new(n));
@@ -281,9 +279,9 @@ fn node(s: &Schedule, group: &Group, id: usize) -> Box<dyn Application> {
             match byz {
                 None => Box::new(TurquoisApp::new(engine(proposal, seed), cost, probe)),
                 Some(b) if b.strategy == ByzStrategy::Flip => {
-                    Box::new(ByzantineTurquoisApp::new(engine(proposal, seed), ring.clone()))
+                    Box::new(TurquoisApp::flipping(engine(proposal, seed), ring.clone()))
                 }
-                Some(b) => Box::new(SplitBrainTurquoisApp::new(
+                Some(b) => Box::new(TurquoisApp::split_brain(
                     [engine(false, seed), engine(true, seed ^ 0xa5a5)],
                     b.mask,
                     n,
@@ -293,12 +291,11 @@ fn node(s: &Schedule, group: &Group, id: usize) -> Box<dyn Application> {
         }
         EngineKind::Bracha => {
             let (engine, tags) = (Bracha::new(n, f, id, proposal, seed), group.link_tags.clone());
-            match lie_mask {
-                None => Box::new(BrachaApp::new(engine, n, s.seed, cost, probe, tags)),
-                Some(mask) => {
-                    Box::new(byzantine_bracha_app(engine, n, s.seed, cost, probe, tags).lying_to(mask))
-                }
-            }
+            let app = BrachaApp::new(engine, n, s.seed, cost, probe, tags);
+            Box::new(match lie_mask {
+                None => app,
+                Some(mask) => app.lying_to(mask),
+            })
         }
         EngineKind::Abba => {
             let keys = group.abba_keys[id].clone();

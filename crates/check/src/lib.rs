@@ -6,9 +6,9 @@
 //! complementary question "does the protocol survive a *hostile
 //! scheduler*?". It runs the nodes that ship — the harness's
 //! `Application`s for Turquois, Bracha and ABBA, with their tick rule,
-//! reliable transport and link authentication, and the
-//! `turquois_harness::adversary` strategies — through `NodeCtx` as the
-//! live runtime does, with no radio model in between, under seeded
+//! reliable transport and link authentication, Byzantine ones in
+//! their adversary roles — through `NodeCtx` as the live runtime
+//! does, with no radio model in between, under seeded
 //! adversarial delivery schedules: per-(round, sender, receiver) drops,
 //! delays, and duplicates, network splits, and Byzantine equivocation,
 //! all inside a bounded adversarial window so eventual decision stays

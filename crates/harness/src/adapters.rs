@@ -13,6 +13,7 @@
 //!   charged to the node's virtual CPU through the
 //!   [`CostModel`].
 
+use crate::adversary::{bracha_lie, turquois_lie, SplitBrain, SplitBrainCoalition};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
@@ -20,6 +21,7 @@ use std::time::Duration;
 use turquois_baselines::abba::{Abba, AbbaOutput};
 use turquois_baselines::bracha::{Bracha, BrachaOutput};
 use turquois_core::instance::Turquois;
+use turquois_core::KeyRing;
 use turquois_crypto::cost::CostModel;
 use turquois_crypto::hmac::HmacKey;
 use turquois_crypto::memo::MemoCache;
@@ -62,10 +64,6 @@ impl RunProbe {
 /// Shared handle to a [`RunProbe`].
 pub type SharedProbe = Rc<RefCell<RunProbe>>;
 
-/// An outgoing-frame mutator installed on Byzantine protocol wrappers
-/// (the §7.2 value-flipping strategies).
-pub type FrameMutation = Box<dyn FnMut(&[u8]) -> Bytes>;
-
 /// The paper's clock-tick interval (§7.1).
 pub const TICK_INTERVAL: Duration = Duration::from_millis(10);
 
@@ -74,29 +72,66 @@ pub const TICK_INTERVAL: Duration = Duration::from_millis(10);
 /// Construction parameters of a [`Turquois`] instance, retained so a
 /// crash/rejoin can rebuild the engine from scratch (the engines are
 /// deliberately not `Clone`).
-type TurquoisRebuild = (turquois_core::config::Config, bool, turquois_core::KeyRing, u64);
+type TurquoisRebuild = (turquois_core::config::Config, bool, KeyRing, u64);
 
-/// Turquois over UDP broadcast.
+/// Turquois over UDP broadcast, run by a correct process or, in a
+/// Byzantine role, by an adversary.
 pub struct TurquoisApp {
     instance: Turquois,
-    cost: CostModel,
+    role: Role,
     tick: Duration,
     generation: u64,
     exhausted: bool,
-    probe: SharedProbe,
     rebuild: Option<TurquoisRebuild>,
 }
 
+/// What a [`TurquoisApp`]'s tick sends and which engine hears a frame;
+/// when it ticks is the app's one §7.1 rule. Only a `Correct` node
+/// charges simulated CPU, touches the [`RunProbe`] or decides.
+enum Role {
+    /// Broadcasts the engine's message.
+    Correct { cost: CostModel, probe: SharedProbe },
+    /// Broadcasts the §7.2 lie ([`turquois_lie`]), signed with the ring;
+    /// the engine only tracks the phase and never ticks.
+    Flip(KeyRing),
+    /// Equivocates: the app's engine is the first of two brains.
+    SplitBrain(Box<SplitBrain>),
+}
+
 impl TurquoisApp {
-    /// Wraps a protocol instance.
+    /// Wraps a protocol instance run by a correct process.
     pub fn new(instance: Turquois, cost: CostModel, probe: SharedProbe) -> Self {
+        Self::with_role(instance, Role::Correct { cost, probe })
+    }
+
+    /// The §7.2 value-flipping adversary: `tracker` follows the
+    /// protocol's phases, and every tick broadcasts [`turquois_lie`]
+    /// signed with the process's own (legitimate) `keyring`.
+    pub fn flipping(tracker: Turquois, keyring: KeyRing) -> Self {
+        Self::with_role(tracker, Role::Flip(keyring))
+    }
+
+    /// The split-brain equivocator ([`SplitBrain`]) of the process that
+    /// owns both `brains` (`brains[0]` for the receivers whose bit of
+    /// `mask` is set) in a group of `n ≤ 64`, joining `coalition`.
+    pub fn split_brain(
+        brains: [Turquois; 2],
+        mask: u64,
+        n: usize,
+        coalition: SplitBrainCoalition,
+    ) -> Self {
+        let [first, twin] = brains;
+        let split = SplitBrain::new(twin, mask, n, coalition);
+        Self::with_role(first, Role::SplitBrain(Box::new(split)))
+    }
+
+    fn with_role(instance: Turquois, role: Role) -> Self {
         TurquoisApp {
             instance,
-            cost,
+            role,
             tick: TICK_INTERVAL,
             generation: 0,
             exhausted: false,
-            probe,
             rebuild: None,
         }
     }
@@ -111,7 +146,7 @@ impl TurquoisApp {
         mut self,
         cfg: turquois_core::config::Config,
         proposal: bool,
-        ring: turquois_core::KeyRing,
+        ring: KeyRing,
         seed: u64,
     ) -> Self {
         self.rebuild = Some((cfg, proposal, ring, seed));
@@ -124,37 +159,65 @@ impl TurquoisApp {
     }
 
     /// Overrides the clock-tick interval (paper default: 10 ms). Used by
-    /// the tick-interval ablation.
+    /// the tick-interval ablation and the scale grid; an adversary ticks
+    /// at the rate of the correct processes it hides among.
     pub fn tick_interval(mut self, tick: Duration) -> Self {
         self.tick = tick;
         self
     }
 
-    fn broadcast_now(&mut self, ctx: &mut NodeCtx<'_>) {
+    /// The §7.1 clock tick: the role's message goes out and the clock
+    /// re-arms. Only the newest generation's timer ticks, so a
+    /// phase-change tick implicitly resets the 10 ms clock. Once the
+    /// keys run out the node falls silent for good.
+    fn tick(&mut self, ctx: &mut NodeCtx<'_>) {
         if self.exhausted {
             return;
         }
-        match self.instance.on_tick() {
-            Ok(out) => {
-                ctx.charge_cpu(self.cost.otss_sign() + self.cost.hash(out.bytes.len()));
-                ctx.broadcast(out.bytes, overhead::UDP);
+        let sent = match &mut self.role {
+            Role::Correct { cost, probe } => match self.instance.on_tick() {
+                Ok(out) => {
+                    ctx.charge_cpu(cost.otss_sign() + cost.hash(out.bytes.len()));
+                    ctx.broadcast(out.bytes, overhead::UDP);
+                    true
+                }
+                Err(_) => {
+                    probe.borrow_mut().keys_exhausted[self.instance.id()] = true;
+                    false
+                }
+            },
+            Role::Flip(ring) => {
+                let i = &self.instance;
+                let lie = turquois_lie(i.phase(), i.value(), i.id(), ring);
+                lie.map(|lie| ctx.broadcast(lie.encode(), overhead::UDP)).is_some()
             }
-            Err(_) => {
-                self.exhausted = true;
-                self.probe.borrow_mut().keys_exhausted[self.instance.id()] = true;
-                return;
-            }
+            Role::SplitBrain(split) => split.tick(&mut self.instance, ctx),
+        };
+        if !sent {
+            self.exhausted = true;
+            return;
         }
-        // Re-arm: only the newest generation's timer broadcasts, so a
-        // phase-change broadcast implicitly resets the 10 ms clock.
         self.generation += 1;
         ctx.set_timer(self.tick, self.generation);
+    }
+
+    /// A split-brain node's coalition inbox is emptied after every
+    /// callback, ticking whenever that advances a brain's phase.
+    fn absorb(&mut self, ctx: &mut NodeCtx<'_>) {
+        while let Role::SplitBrain(split) = &mut self.role {
+            match split.absorb(&mut self.instance) {
+                None => return,
+                Some(true) => self.tick(ctx),
+                Some(false) => {}
+            }
+        }
     }
 }
 
 impl Application for TurquoisApp {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.broadcast_now(ctx);
+        self.tick(ctx);
+        self.absorb(ctx);
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -163,40 +226,52 @@ impl Application for TurquoisApp {
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
         if timer == self.generation {
-            self.broadcast_now(ctx);
+            self.tick(ctx);
         }
+        self.absorb(ctx);
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
-        let receipt = self.instance.on_message(&frame.payload);
-        ctx.charge_cpu(
-            self.cost.hash(frame.payload.len())
-                + self.cost.otss_verify(DIGEST_LEN) * receipt.sig_verifications as u32,
-        );
-        {
-            let mut probe = self.probe.borrow_mut();
-            let id = self.instance.id();
-            match receipt.outcome {
-                turquois_core::MessageOutcome::Accepted
-                | turquois_core::MessageOutcome::Duplicate => probe.accepted[id] += 1,
-                _ => probe.rejected[id] += 1,
+        let advanced = match &mut self.role {
+            Role::Correct { cost, probe } => {
+                let receipt = self.instance.on_message(&frame.payload);
+                ctx.charge_cpu(
+                    cost.hash(frame.payload.len())
+                        + cost.otss_verify(DIGEST_LEN) * receipt.sig_verifications as u32,
+                );
+                let mut probe = probe.borrow_mut();
+                let id = self.instance.id();
+                match receipt.outcome {
+                    turquois_core::MessageOutcome::Accepted
+                    | turquois_core::MessageOutcome::Duplicate => probe.accepted[id] += 1,
+                    _ => probe.rejected[id] += 1,
+                }
+                probe.final_phase[id] = self.instance.phase();
+                if let Some(v) = receipt.newly_decided {
+                    probe.phase_at_decision[id] = Some(self.instance.phase());
+                    ctx.decide(v);
+                }
+                receipt.phase_advanced
             }
-            probe.final_phase[id] = self.instance.phase();
-            if let Some(v) = receipt.newly_decided {
-                probe.phase_at_decision[id] = Some(self.instance.phase());
-                ctx.decide(v);
+            Role::Flip(_) => self.instance.on_message(&frame.payload).phase_advanced,
+            Role::SplitBrain(split) => {
+                let brain = split.brain_of(&mut self.instance, frame.src);
+                brain.on_message(&frame.payload).phase_advanced
             }
-        }
-        if receipt.phase_advanced {
+        };
+        if advanced {
             // Clock-tick condition (2): the phase value changed.
-            self.broadcast_now(ctx);
+            self.tick(ctx);
         }
+        self.absorb(ctx);
     }
 
     fn progress(&self) -> Option<AppProgress> {
         Some(AppProgress {
             phase: self.instance.phase(),
-            decided: self.instance.decision().is_some(),
+            // A Byzantine node never counts as decided.
+            decided: matches!(self.role, Role::Correct { .. })
+                && self.instance.decision().is_some(),
             store_bytes: self.instance.store_bytes(),
         })
     }
@@ -208,7 +283,9 @@ impl Application for TurquoisApp {
         let id = self.instance.id();
         self.instance = Turquois::new(cfg, id, proposal, ring, seed);
         self.exhausted = false;
-        self.probe.borrow_mut().keys_exhausted[id] = false;
+        if let Role::Correct { probe, .. } = &self.role {
+            probe.borrow_mut().keys_exhausted[id] = false;
+        }
         // `generation` is deliberately NOT reset: it must stay monotonic
         // so any pre-crash timer id can never match a post-rejoin one.
     }
@@ -354,14 +431,11 @@ pub struct BrachaApp {
     macs: PairwiseKeys,
     cost: CostModel,
     probe: SharedProbe,
-    /// Optional mutation of outgoing messages (Byzantine strategies).
-    mutate: Option<FrameMutation>,
-    /// The destinations the mutation applies to (bit per destination;
-    /// all ones: every destination, whatever `n`).
-    lie_mask: u64,
-    /// Byzantine wrappers suppress decisions (only correct processes
-    /// count toward k).
-    decide_enabled: bool,
+    /// `Some(mask)`: a Byzantine node, which sends the §7.2 lie
+    /// ([`bracha_lie`]) to the destinations in `mask` (bit per
+    /// destination; all ones: every destination, whatever `n`), the
+    /// engine's honest bytes to the rest, and never decides.
+    lying_to: Option<u64>,
     /// The simulation-wide link-tag pool; simulated cost is still
     /// charged per logical HMAC, only host hashing is shared.
     link_tags: SharedLinkTags,
@@ -387,9 +461,7 @@ impl BrachaApp {
             macs: PairwiseKeys::new(me, n, seed),
             cost,
             probe,
-            mutate: None,
-            lie_mask: u64::MAX,
-            decide_enabled: true,
+            lying_to: None,
             link_tags,
             released: Vec::new(),
         }
@@ -432,21 +504,12 @@ impl BrachaApp {
         buf.freeze()
     }
 
-    /// Installs an outgoing-message mutator (used by the Byzantine
-    /// value-flipping strategy of §7.2) and suppresses decisions — a
-    /// Byzantine node never counts toward k.
-    pub fn with_mutation(mut self, mutate: FrameMutation) -> Self {
-        self.mutate = Some(mutate);
-        self.decide_enabled = false;
-        self
-    }
-
-    /// Restricts the mutation to the destinations whose bit of `mask`
-    /// is set (ids below 64); the others get the engine's honest bytes
-    /// — an equivocating sender. The default mask, all ones, lies to
-    /// every destination.
+    /// Makes this a Byzantine node lying to the destinations whose bit
+    /// of `mask` is set (ids below 64; all ones: every destination).
+    /// Lying to a strict subset equivocates. It never decides: only
+    /// correct processes count toward k.
     pub fn lying_to(mut self, mask: u64) -> Self {
-        self.lie_mask = mask;
+        self.lying_to = Some(mask);
         self
     }
 
@@ -462,24 +525,20 @@ impl BrachaApp {
     }
 
     fn dispatch(&mut self, ctx: &mut NodeCtx<'_>, out: BrachaOutput) {
-        if let Some(v) = out.newly_decided {
-            if self.decide_enabled {
-                self.probe.borrow_mut().phase_at_decision[self.engine.id()] =
-                    Some(self.engine.round());
-                ctx.decide(v);
-            }
+        if let Some(v) = out.newly_decided.filter(|_| self.lying_to.is_none()) {
+            self.probe.borrow_mut().phase_at_decision[self.engine.id()] = Some(self.engine.round());
+            ctx.decide(v);
         }
         for bytes in out.send {
-            let mask = self.lie_mask;
-            match self.mutate.as_mut().map(|m| m(&bytes)) {
-                None => self.send_to(ctx, &bytes, |_| true),
-                Some(lie) => {
-                    if mask != u64::MAX {
-                        self.send_to(ctx, &bytes, |dst| !lies_to(mask, dst));
-                    }
-                    self.send_to(ctx, &lie, |dst| lies_to(mask, dst));
-                }
+            let Some(mask) = self.lying_to else {
+                self.send_to(ctx, &bytes, |_| true);
+                continue;
+            };
+            let lie = bracha_lie(self.engine.id(), &bytes);
+            if mask != u64::MAX {
+                self.send_to(ctx, &bytes, |dst| !lies_to(mask, dst));
             }
+            self.send_to(ctx, &lie, |dst| lies_to(mask, dst));
         }
     }
 
@@ -806,25 +865,38 @@ mod tests {
     }
 
     /// A Byzantine wrapper lying to the destinations in a partial mask
-    /// sends the mutated body there and the engine's honest bytes
-    /// elsewhere; the default all-ones mask lies to every destination.
+    /// sends its flipped initial there and the engine's honest one
+    /// elsewhere; the all-ones mask lies to every destination.
     #[test]
     fn lie_mask_selects_the_lied_to_destinations() {
-        const LIE: &[u8] = b"a lie";
+        use turquois_baselines::rbc::RbcMessage;
+        use wireless_net::{Addressing, Command, SimTime};
         for (mask, lied_to) in [(0b0101, [true, false, true, false]), (u64::MAX, [true; 4])] {
-            let mut app = bracha_group(4, &new_link_tags()).swap_remove(1);
-            app = app.with_mutation(Box::new(|_| Bytes::from_static(LIE)));
-            if mask != u64::MAX {
-                app = app.lying_to(mask);
-            }
+            let mut app = bracha_group(4, &new_link_tags()).swap_remove(1).lying_to(mask);
             let mut rng = rand::SeedableRng::seed_from_u64(0);
-            let mut ctx = NodeCtx::new(1, wireless_net::SimTime::ZERO, &mut rng, Vec::new());
+            let mut ctx = NodeCtx::new(1, SimTime::ZERO, &mut rng, Vec::new());
             app.on_start(&mut ctx);
+            let mut initials = [None; 4];
             for command in ctx.finish().1 {
-                let wireless_net::Command::Unicast { dst, payload, .. } = command else { continue };
-                let carries_lie = payload.windows(LIE.len()).any(|w| w == LIE);
-                assert_eq!(carries_lie, lied_to[dst], "mask {mask:#b}, destination {dst}");
+                let Command::Unicast { dst, payload, .. } = command else { continue };
+                // Each destination's transport releases the wrapped body.
+                let mut released = Vec::new();
+                let frame = ReceivedFrame { src: 1, addressing: Addressing::Unicast(dst), payload };
+                let mut ctx = NodeCtx::new(dst, SimTime::ZERO, &mut rng, Vec::new());
+                ReliableEndpoint::new(dst, 4).on_frame(&mut ctx, &frame, &mut released);
+                for (_, wrapped) in released {
+                    let Some(RbcMessage::Initial { tag, payload }) =
+                        RbcMessage::decode(&wrapped[ICV_LEN..])
+                    else {
+                        continue;
+                    };
+                    assert_eq!((tag.origin, tag.step), (1, 1));
+                    assert!(initials[dst].replace(payload[0]).is_none(), "two initials to {dst}");
+                }
             }
+            // Process 1 proposes 0; the lie is 1.
+            let expected = lied_to.map(|lie| Some(u8::from(lie)));
+            assert_eq!(initials, expected, "mask {mask:#b}");
         }
     }
 

@@ -9,21 +9,19 @@
 //!   signatures and justifications in order to force extra computations
 //!   at the correct processes."
 //!
-//! The schedule explorer adds two equivocators, which show each
-//! receiver the side its bit of a per-receiver mask selects: the
-//! split-brain Turquois process ([`SplitBrainTurquoisApp`]) and ABBA's
-//! round-1 signed pre-vote equivocator ([`AbbaEquivocatorApp`]); its
-//! Bracha equivocator is [`byzantine_bracha_app`] restricted with
-//! [`BrachaApp::lying_to`].
-//!
-//! Each adversary tracks the protocol honestly on the inside (so its
-//! lies stay phase-fresh) but corrupts what leaves the node. Adversaries
-//! never call `decide`, so the simulator's decision count only reflects
-//! correct processes.
+//! The Turquois and Bracha adversaries are roles of the shipped apps,
+//! so they tick and retransmit exactly as correct processes do:
+//! [`TurquoisApp::flipping`] broadcasts [`turquois_lie`], and
+//! [`TurquoisApp::split_brain`] equivocates through a [`SplitBrain`];
+//! [`BrachaApp::lying_to`] sends [`bracha_lie`] to the destinations in
+//! its mask (all of them for the flip, some for the explorer's
+//! equivocator). This module holds what those roles send. ABBA's
+//! attackers run no engine: [`ByzantineAbbaApp`] floods garbage and
+//! [`AbbaEquivocatorApp`] splits the round-1 pre-votes. No adversary
+//! decides, charges a Turquois node's simulated CPU or touches the
+//! [`RunProbe`](crate::adapters::RunProbe).
 
-use crate::adapters::{
-    pad_to, BrachaApp, FrameMutation, SharedLinkTags, SharedProbe, TICK_INTERVAL,
-};
+use crate::adapters::{pad_to, BrachaApp, SharedLinkTags, SharedProbe, TurquoisApp};
 use bytes::Bytes;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,81 +43,17 @@ use wireless_net::frame::ReceivedFrame;
 use wireless_net::reliable::ReliableEndpoint;
 use wireless_net::sim::{Application, NodeCtx};
 
-/// The Turquois value-flipping adversary.
-///
-/// Runs a genuine instance internally to follow the protocol's phase
-/// structure, but every broadcast carries the lie: flipped value in
-/// CONVERGE and LOCK phases, `⊥` in DECIDE phases — signed with its own
-/// (legitimate) one-time keys, exactly what a compromised node could do.
-pub struct ByzantineTurquoisApp {
-    tracker: Turquois,
-    keyring: KeyRing,
-    generation: u64,
-    tick: Duration,
-}
+/// The name `benchmark/` builds the Turquois flip under; kept until
+/// ROADMAP item 1 moves it to [`TurquoisApp::flipping`].
+pub struct ByzantineTurquoisApp;
 
 impl ByzantineTurquoisApp {
-    /// Creates the adversary for the process owning `keyring`.
-    pub fn new(tracker: Turquois, keyring: KeyRing) -> Self {
-        ByzantineTurquoisApp {
-            tracker,
-            keyring,
-            generation: 0,
-            tick: TICK_INTERVAL,
-        }
-    }
-
-    /// Overrides the clock-tick interval (paper default: 10 ms) — the
-    /// adversary must tick at the same rate as the correct processes it
-    /// hides among (scale grid, tick ablation).
-    pub fn tick_interval(mut self, tick: Duration) -> Self {
-        self.tick = tick;
-        self
-    }
-
-    fn lie(&self) -> Option<Message> {
-        turquois_lie(
-            self.tracker.phase(),
-            self.tracker.value(),
-            self.tracker.id(),
-            &self.keyring,
-        )
-    }
-
-    fn broadcast_lie(&mut self, ctx: &mut NodeCtx<'_>) {
-        if let Some(msg) = self.lie() {
-            ctx.broadcast(msg.encode(), overhead::UDP);
-        }
-        self.generation += 1;
-        ctx.set_timer(self.tick, self.generation);
-    }
-}
-
-impl Application for ByzantineTurquoisApp {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.broadcast_lie(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
-        if timer == self.generation {
-            self.broadcast_lie(ctx);
-        }
-    }
-
-    fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
-        let receipt = self.tracker.on_message(&frame.payload);
-        if receipt.phase_advanced {
-            self.broadcast_lie(ctx);
-        }
-        // Never decides.
-    }
-
-    fn progress(&self) -> Option<wireless_net::supervise::AppProgress> {
-        Some(wireless_net::supervise::AppProgress {
-            phase: self.tracker.phase(),
-            decided: false, // a Byzantine node never counts as decided
-            store_bytes: self.tracker.store_bytes(),
-        })
+    /// [`TurquoisApp::flipping`] under its old name.
+    // The old constructor's name, kept for `benchmark/`: what it builds
+    // is a `TurquoisApp` in the flipping role.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(tracker: Turquois, keyring: KeyRing) -> TurquoisApp {
+        TurquoisApp::flipping(tracker, keyring)
     }
 }
 
@@ -132,91 +66,75 @@ impl Application for ByzantineTurquoisApp {
 /// stalls at phase 1 — a weaker adversary than the paper allows.
 pub type SplitBrainCoalition = Rc<RefCell<BTreeMap<usize, Vec<[Bytes; 2]>>>>;
 
-/// The split-brain Turquois equivocator: two honest brains with
-/// opposite proposals. Each receiver outside the coalition gets, as a
-/// unicast, the broadcast of the brain its bit of `mask` selects, and
-/// each brain hears only the senders on its side of the mask. It ticks
-/// by the rule correct processes follow (every tick interval, and at
-/// once when a brain's phase advances) and never decides.
-pub struct SplitBrainTurquoisApp {
-    /// `brains[0]` serves the receivers whose mask bit is set.
-    brains: [Turquois; 2],
+/// The split-brain role of a [`TurquoisApp`]: two honest brains with
+/// opposite proposals, the app's engine first. Each receiver outside
+/// the coalition gets, as a unicast, the broadcast of the brain its bit
+/// of `mask` selects (the first brain for a set bit), and each brain
+/// hears only the senders on its side of the mask.
+pub struct SplitBrain {
+    twin: Turquois,
     mask: u64,
     n: usize,
     coalition: SplitBrainCoalition,
-    generation: u64,
 }
 
-impl SplitBrainTurquoisApp {
-    /// Creates the equivocator from two brains of the same process
-    /// (`brains[0]` for the receivers whose bit of `mask` is set) in a
-    /// group of `n ≤ 64`, joining `coalition`, the one channel shared
-    /// by every split-brain process of the run.
-    pub fn new(brains: [Turquois; 2], mask: u64, n: usize, coalition: SplitBrainCoalition) -> Self {
-        coalition.borrow_mut().insert(brains[0].id(), Vec::new());
-        SplitBrainTurquoisApp { brains, mask, n, coalition, generation: 0 }
+impl SplitBrain {
+    /// The role around the second brain `twin`, joining `coalition`,
+    /// the one channel shared by every split-brain process of the run.
+    pub(crate) fn new(twin: Turquois, mask: u64, n: usize, coalition: SplitBrainCoalition) -> Self {
+        coalition.borrow_mut().insert(twin.id(), Vec::new());
+        SplitBrain { twin, mask, n, coalition }
     }
 
-    /// The brain that serves (and hears) `peer`.
-    fn side(&self, peer: usize) -> usize {
-        usize::from(self.mask >> peer & 1 == 0)
+    /// Whether `peer` is served by (and heard by) the first brain.
+    fn first_side(&self, peer: usize) -> bool {
+        self.mask >> peer & 1 == 1
     }
 
-    fn broadcast(&mut self, ctx: &mut NodeCtx<'_>) {
-        let [Ok(a), Ok(b)] = self.brains.each_mut().map(Turquois::on_tick) else {
-            return; // keys exhausted: fall silent
+    /// The brain that hears `peer`.
+    pub(crate) fn brain_of<'a>(
+        &'a mut self,
+        first: &'a mut Turquois,
+        peer: usize,
+    ) -> &'a mut Turquois {
+        if self.first_side(peer) {
+            first
+        } else {
+            &mut self.twin
+        }
+    }
+
+    /// One tick of both brains: unicasts each receiver its side's
+    /// message and posts both to the coalition. `false` once a brain's
+    /// keys run out.
+    pub(crate) fn tick(&mut self, first: &mut Turquois, ctx: &mut NodeCtx<'_>) -> bool {
+        let [Ok(a), Ok(b)] = [first, &mut self.twin].map(Turquois::on_tick) else {
+            return false;
         };
         let out = [a.bytes, b.bytes];
         let mut coalition = self.coalition.borrow_mut();
         for dst in (0..self.n).filter(|dst| !coalition.contains_key(dst)) {
-            ctx.unicast(dst, out[self.side(dst)].clone(), overhead::UDP);
+            let side = usize::from(!self.first_side(dst));
+            ctx.unicast(dst, out[side].clone(), overhead::UDP);
         }
         coalition.values_mut().for_each(|inbox| inbox.push(out.clone()));
-        self.generation += 1;
-        ctx.set_timer(TICK_INTERVAL, self.generation);
+        true
     }
 
-    /// Feeds the coalition's broadcasts to the matching brains, ticking
-    /// whenever that advances a phase, until the inbox stays empty.
-    fn absorb(&mut self, ctx: &mut NodeCtx<'_>) {
-        let me = self.brains[0].id();
-        loop {
-            let inbox = std::mem::take(self.coalition.borrow_mut().get_mut(&me).expect("member"));
-            if inbox.is_empty() {
-                return;
-            }
-            let mut advanced = false;
-            for pair in inbox {
-                for (brain, bytes) in self.brains.iter_mut().zip(&pair) {
-                    advanced |= brain.on_message(bytes).phase_advanced;
-                }
-            }
-            if advanced {
-                self.broadcast(ctx);
-            }
+    /// Feeds the coalition's unread broadcasts to the matching brains:
+    /// `None` if there were none, else whether a phase advanced.
+    pub(crate) fn absorb(&mut self, first: &mut Turquois) -> Option<bool> {
+        let me = self.twin.id();
+        let inbox = std::mem::take(self.coalition.borrow_mut().get_mut(&me).expect("member"));
+        if inbox.is_empty() {
+            return None;
         }
-    }
-}
-
-impl Application for SplitBrainTurquoisApp {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.broadcast(ctx);
-        self.absorb(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
-        if timer == self.generation {
-            self.broadcast(ctx);
+        let mut advanced = false;
+        for [a, b] in inbox {
+            advanced |= first.on_message(&a).phase_advanced;
+            advanced |= self.twin.on_message(&b).phase_advanced;
         }
-        self.absorb(ctx);
-    }
-
-    fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
-        let side = self.side(frame.src);
-        if self.brains[side].on_message(&frame.payload).phase_advanced {
-            self.broadcast(ctx);
-        }
-        self.absorb(ctx);
+        Some(advanced)
     }
 }
 
@@ -225,7 +143,7 @@ impl Application for SplitBrainTurquoisApp {
 /// LOCK phases, `⊥` in DECIDE phases, signed with the liar's legitimate
 /// one-time keys. Returns `None` once the keys no longer cover `phase`.
 ///
-/// [`ByzantineTurquoisApp`] broadcasts it, in the simulator and in the
+/// [`TurquoisApp::flipping`] broadcasts it, in the simulator and in the
 /// `turquois-check` schedule explorer alike; as a pure function it lets
 /// a test build the lie without running the app.
 pub fn turquois_lie(
@@ -254,10 +172,9 @@ pub fn turquois_lie(
     ))
 }
 
-/// Builds the Bracha value-flipping adversary: a [`BrachaApp`] whose
-/// own reliable-broadcast *initials* are corrupted (steps 1–2 flipped,
-/// step 3 forced to ⊥); echoes and readies for other processes pass
-/// through unmodified.
+/// The Bracha value-flipping adversary: a [`BrachaApp`] lying to
+/// every destination. Kept for `benchmark/`, which builds it by this
+/// name, until ROADMAP item 1 moves it to [`BrachaApp::lying_to`].
 pub fn byzantine_bracha_app(
     engine: Bracha,
     n: usize,
@@ -266,35 +183,26 @@ pub fn byzantine_bracha_app(
     probe: SharedProbe,
     link_tags: SharedLinkTags,
 ) -> BrachaApp {
-    let me = engine.id();
-    BrachaApp::new(engine, n, seed, cost, probe, link_tags)
-        .with_mutation(bracha_flip_mutation(me))
+    BrachaApp::new(engine, n, seed, cost, probe, link_tags).lying_to(u64::MAX)
 }
 
-/// The raw value-flipping mutation applied to a Byzantine Bracha node's
-/// outgoing messages (exposed for tests and custom fault loads).
-pub fn bracha_flip_mutation(me: usize) -> FrameMutation {
-    Box::new(move |bytes| {
-        let Some(msg) = RbcMessage::decode(bytes) else {
-            return Bytes::copy_from_slice(bytes);
-        };
-        if let RbcMessage::Initial { tag, payload } = &msg {
-            if tag.origin == me && payload.len() == 1 {
-                let lie = match (tag.step, payload[0]) {
-                    (1 | 2, 0) => 1u8,
-                    (1 | 2, 1) => 0u8,
-                    (3, _) => 2u8, // ⊥
-                    (_, v) => v,
-                };
-                return RbcMessage::Initial {
-                    tag: *tag,
-                    payload: Bytes::copy_from_slice(&[lie]),
-                }
-                .encode();
-            }
+/// The §7.2 lie a Byzantine Bracha process `me` sends in place of
+/// `bytes`: its own reliable-broadcast *initials* corrupted (steps 1–2
+/// flipped, step 3 forced to ⊥); echoes, readies and other origins'
+/// messages pass through unmodified.
+pub fn bracha_lie(me: usize, bytes: &Bytes) -> Bytes {
+    match RbcMessage::decode(bytes) {
+        Some(RbcMessage::Initial { tag, payload }) if tag.origin == me && payload.len() == 1 => {
+            let lie = match (tag.step, payload[0]) {
+                (1 | 2, 0) => 1u8,
+                (1 | 2, 1) => 0u8,
+                (3, _) => 2u8, // ⊥
+                (_, v) => v,
+            };
+            RbcMessage::Initial { tag, payload: Bytes::copy_from_slice(&[lie]) }.encode()
         }
-        Bytes::copy_from_slice(bytes)
-    })
+        _ => bytes.clone(),
+    }
 }
 
 /// Builds one salvo of the paper's ABBA attack messages for party `me`:
@@ -388,7 +296,8 @@ impl ByzantineAbbaApp {
 impl Application for ByzantineAbbaApp {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         self.attack_round(ctx, 1);
-        // Periodic re-scan in case traffic reveals later rounds slowly.
+        // A 20 ms timer that only re-arms itself and attacks nothing.
+        // Its events count in the benchmark's frozen outcome digest.
         ctx.set_timer(Duration::from_millis(20), 1);
     }
 
@@ -479,55 +388,90 @@ impl Application for AbbaEquivocatorApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapters::RunProbe;
+    use rand::SeedableRng;
     use turquois_core::Config;
+    use wireless_net::frame::Addressing;
+    use wireless_net::sim::Command;
+    use wireless_net::time::SimTime;
 
     #[test]
     fn turquois_lie_shape() {
-        let cfg = Config::evaluation(4).expect("valid");
-        let rings = KeyRing::trusted_setup(4, 30, 5);
-        let mut rings: Vec<KeyRing> = rings;
+        let mut rings = KeyRing::trusted_setup(4, 30, 5);
         let ring3 = rings.pop().expect("4 rings");
-        let tracker = Turquois::new(cfg, 3, true, ring3.clone(), 99);
-        let adv = ByzantineTurquoisApp::new(tracker, ring3);
-        // Phase 1 (CONVERGE), proposal true → lie is Zero.
-        let lie = adv.lie().expect("keys cover phase 1");
+        // Phase 1 (CONVERGE), honest value One → the lie is Zero.
+        let lie = turquois_lie(1, Value::One, 3, &ring3).expect("keys cover phase 1");
         assert_eq!(lie.envelope.value, Value::Zero);
         assert_eq!(lie.envelope.phase, 1);
         assert_eq!(lie.envelope.status, Status::Undecided);
         // The lie is genuinely signed: any peer's keyring accepts it.
         assert!(rings[0].verify(&lie.envelope, &lie.signature));
+        let decide_lie = turquois_lie(3, Value::One, 3, &ring3).expect("keys cover phase 3");
+        assert_eq!(decide_lie.envelope.value, Value::Bot);
+        assert!(turquois_lie(31, Value::One, 3, &ring3).is_none(), "past the keys");
     }
 
-    /// `ByzantineTurquoisApp` carries its own copy of the §7.1 tick
-    /// rule (a generation counter, a re-arm, a tick on phase advance).
-    /// Fed the same frames at the same instants as a `TurquoisApp` of
-    /// the same process, it broadcasts and arms the same timers at the
-    /// same callbacks until the keys run out; only the payloads differ.
-    #[test]
-    fn byzantine_turquois_ticks_like_the_correct_app() {
-        use crate::adapters::{RunProbe, TurquoisApp};
-        use rand::SeedableRng;
-        use std::collections::BTreeMap;
-        use wireless_net::frame::Addressing;
-        use wireless_net::sim::Command;
-        use wireless_net::time::SimTime;
+    /// The Byzantine roles of a [`TurquoisApp`] under test.
+    #[derive(Clone, Copy, Debug)]
+    enum Twin {
+        Flip,
+        SplitBrain,
+    }
 
-        const KEY_PHASES: usize = 12;
+    const KEY_PHASES: usize = 12;
+
+    enum Event {
+        Start,
+        Timer(u64),
+        Frame(usize, Bytes),
+    }
+
+    /// One callback of process 3 as both twins ran it: each twin's
+    /// `(charged CPU, commands)`, whether the correct twin's keys have
+    /// run out, and whether the Byzantine twin's callback moved the
+    /// run's shared [`RunProbe`].
+    struct Step<'a> {
+        now: SimTime,
+        event: &'a Event,
+        correct: (Duration, Vec<Command>),
+        byzantine: (Duration, Vec<Command>),
+        exhausted: bool,
+        probe_moved: bool,
+    }
+
+    /// Runs processes 0–2 of a group of 4 (a quorum on their own, at a
+    /// 7 ms tick) and process 3 twice, as a correct app and in the
+    /// `role`, on the frames 0–2 send; `check` sees every callback of
+    /// process 3. Neither twin's broadcasts reach anyone, so both hear
+    /// the same thing. A split brain hears its own broadcasts through
+    /// its coalition within the callback, so its correct twin then
+    /// hears its own broadcasts at once too. Returns the twins.
+    fn run_twins(role: Twin, mut check: impl FnMut(Step<'_>)) -> [TurquoisApp; 2] {
+        let tick = Duration::from_millis(7);
         let (n, cfg) = (4, Config::evaluation(4).expect("valid"));
         let rings = KeyRing::trusted_setup(n, KEY_PHASES, 3);
-        let engine = |id: usize| Turquois::new(cfg, id, id != 1, rings[id].clone(), id as u64);
-        let correct_app = |id| TurquoisApp::new(engine(id), CostModel::default(), RunProbe::new(n));
-        // Processes 0–2 are a quorum on their own; process 3 runs twice,
-        // correct and Byzantine, on the frames 0–2 send. Its own
-        // broadcasts go nowhere, so both twins hear the same thing.
+        let engine =
+            |id: usize, value: bool, seed| Turquois::new(cfg, id, value, rings[id].clone(), seed);
+        let probe = RunProbe::new(n);
+        let correct_app = |id| {
+            TurquoisApp::new(engine(id, id != 1, id as u64), CostModel::default(), probe.clone())
+                .tick_interval(tick)
+        };
         let mut group: Vec<TurquoisApp> = (0..3).map(correct_app).collect();
-        let mut twins = (correct_app(3), ByzantineTurquoisApp::new(engine(3), rings[3].clone()));
+        let byzantine = match role {
+            Twin::Flip => TurquoisApp::flipping(engine(3, true, 3), rings[3].clone()),
+            // Every peer is on the side of the brain proposing what the
+            // correct twin proposes; the coalition is process 3 alone.
+            Twin::SplitBrain => TurquoisApp::split_brain(
+                [engine(3, true, 3), engine(3, false, 0xa5a5)],
+                u64::MAX,
+                n,
+                SplitBrainCoalition::default(),
+            ),
+        };
+        let mut twins = [correct_app(3), byzantine.tick_interval(tick)];
+        let loopback = matches!(role, Twin::SplitBrain);
 
-        enum Event {
-            Start,
-            Timer(u64),
-            Frame(usize, Bytes),
-        }
         // (at, seq) → (node, event); node 3 is the twin pair.
         let mut queue = BTreeMap::new();
         let mut seq = 0u64;
@@ -539,13 +483,10 @@ mod tests {
             push(&mut queue, SimTime::from_micros(100 * node as u64), node, Event::Start);
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        // Callbacks compared: frames that ticked (a phase advance),
-        // timers that ticked, and timers a later tick made stale.
-        let (mut advances, mut timer_ticks, mut stale) = (0, 0, 0);
         while let Some(((now, _), (node, event))) = queue.pop_first() {
-            let mut run = |app: &mut dyn Application| {
+            let mut run = |app: &mut TurquoisApp, event: &Event| {
                 let mut ctx = NodeCtx::new(node, now, &mut rng, Vec::new());
-                match &event {
+                match event {
                     Event::Start => app.on_start(&mut ctx),
                     Event::Timer(id) => app.on_timer(&mut ctx, *id),
                     Event::Frame(src, payload) => {
@@ -557,10 +498,10 @@ mod tests {
                         app.on_frame(&mut ctx, frame);
                     }
                 }
-                ctx.finish().1
+                ctx.finish()
             };
             if node < 3 {
-                for command in run(&mut group[node]) {
+                for command in run(&mut group[node], &event).1 {
                     match command {
                         Command::Broadcast { payload, .. } => {
                             // Uneven latencies: a quorum forms slower
@@ -578,78 +519,126 @@ mod tests {
                 }
                 continue;
             }
-            // What the tick rule decides: when to broadcast, which timers.
-            let ticks_of = |commands: Vec<Command>| -> Vec<Option<(Duration, u64)>> {
-                commands
-                    .into_iter()
-                    .filter_map(|command| match command {
-                        Command::Broadcast { .. } => Some(None),
-                        Command::SetTimer { delay, id } => Some(Some((delay, id))),
-                        _ => None,
-                    })
-                    .collect()
-            };
-            let (honest, liar) = (ticks_of(run(&mut twins.0)), ticks_of(run(&mut twins.1)));
-            if twins.0.instance().phase() as usize > KEY_PHASES {
-                break; // the correct twin's keys ran out: it falls silent
+            let mut correct = run(&mut twins[0], &event);
+            let mut heard = 0;
+            while loopback && heard < correct.1.len() {
+                if let Command::Broadcast { payload, .. } = &correct.1[heard] {
+                    let (charged, commands) = run(&mut twins[0], &Event::Frame(3, payload.clone()));
+                    correct.0 += charged;
+                    correct.1.extend(commands);
+                }
+                heard += 1;
             }
-            assert_eq!(honest, liar, "tick rules diverged at {now:?}");
-            match (&event, honest.is_empty()) {
-                (Event::Frame(..), false) => advances += 1,
-                (Event::Timer(_), false) => timer_ticks += 1,
-                (Event::Timer(_), true) => stale += 1,
-                _ => {}
+            let exhausted = twins[0].instance().phase() as usize > KEY_PHASES;
+            let before = format!("{:?}", probe.borrow());
+            let byzantine = run(&mut twins[1], &event);
+            let probe_moved = format!("{:?}", probe.borrow()) != before;
+            for command in &correct.1 {
+                if let Command::SetTimer { delay, id } = command {
+                    push(&mut queue, now + *delay, 3, Event::Timer(*id));
+                }
             }
-            for (delay, id) in honest.into_iter().flatten() {
-                push(&mut queue, now + delay, 3, Event::Timer(id));
-            }
+            check(Step { now, event: &event, correct, byzantine, exhausted, probe_moved });
         }
-        assert!(twins.0.instance().phase() as usize > KEY_PHASES, "the run outlived the keys");
-        assert!(
-            advances >= KEY_PHASES - 1 && timer_ticks >= KEY_PHASES - 1 && stale > 0,
-            "{advances} advances, {timer_ticks} timer ticks, {stale} stale timers"
-        );
+        twins
     }
 
+    /// What the tick rule decides: when a tick sends (a broadcast, or
+    /// a split brain's burst of unicasts) and which timers it arms.
+    fn ticks_of(commands: &[Command]) -> Vec<Option<(Duration, u64)>> {
+        let mut ticks = Vec::new();
+        let mut in_burst = false;
+        for command in commands {
+            match command {
+                Command::Broadcast { .. } => ticks.push(None),
+                Command::Unicast { .. } if !in_burst => ticks.push(None),
+                Command::SetTimer { delay, id } => ticks.push(Some((*delay, *id))),
+                _ => {}
+            }
+            in_burst = matches!(command, Command::Unicast { .. });
+        }
+        ticks
+    }
+
+    /// A Byzantine role cannot suppress or add a tick: fed the same
+    /// frames at the same instants as a correct app of the same
+    /// process, at a non-default tick, its app sends and arms the same
+    /// timers at the same callbacks, and falls silent with it when the
+    /// keys run out; only the payloads differ.
     #[test]
-    fn bracha_mutation_flips_initials_only() {
+    fn byzantine_turquois_ticks_like_the_correct_app() {
+        for role in [Twin::Flip, Twin::SplitBrain] {
+            // Callbacks compared: frames that ticked (a phase advance),
+            // timers that ticked, timers a later tick made stale, and
+            // callbacks after the keys ran out.
+            let (mut advances, mut timer_ticks, mut stale, mut silent) = (0, 0, 0, 0);
+            run_twins(role, |step| {
+                let (now, honest) = (step.now, ticks_of(&step.correct.1));
+                let liar = ticks_of(&step.byzantine.1);
+                assert_eq!(honest, liar, "{role:?}: tick rules diverged at {now:?}");
+                match (step.event, honest.is_empty()) {
+                    _ if step.exhausted => silent += usize::from(honest.is_empty()),
+                    (Event::Frame(..), false) => advances += 1,
+                    (Event::Timer(_), false) => timer_ticks += 1,
+                    (Event::Timer(_), true) => stale += 1,
+                    _ => {}
+                }
+            });
+            assert!(
+                advances >= KEY_PHASES - 1 && timer_ticks >= KEY_PHASES - 1 && stale > 0,
+                "{role:?}: {advances} advances, {timer_ticks} timer ticks, {stale} stale timers"
+            );
+            assert!(silent > 0, "{role:?}: the run ended with the keys");
+        }
+    }
+
+    /// A Byzantine role accounts for nothing: fed the frames on which
+    /// its correct twin decides, it emits no decision, charges no
+    /// simulated CPU, leaves the run's probe alone and reports itself
+    /// undecided.
+    #[test]
+    fn byzantine_turquois_roles_account_for_nothing() {
+        for role in [Twin::Flip, Twin::SplitBrain] {
+            let mut twin_decided = false;
+            let [_, byzantine] = run_twins(role, |step| {
+                let decides = |commands: &[Command]| {
+                    commands.iter().any(|c| matches!(c, Command::Decide { .. }))
+                };
+                let now = step.now;
+                twin_decided |= decides(&step.correct.1);
+                assert!(!decides(&step.byzantine.1), "{role:?} decided at {now:?}");
+                assert_eq!(step.byzantine.0, Duration::ZERO, "{role:?} charged CPU at {now:?}");
+                assert!(!step.probe_moved, "{role:?} touched the probe at {now:?}");
+            });
+            assert!(twin_decided, "{role:?}: the correct twin never decided");
+            let progress = byzantine.progress().expect("progress");
+            assert!(!progress.decided, "{role:?} reports a decision");
+        }
+    }
+
+    /// Bracha's lie flips the liar's own step-1 and step-2 initials,
+    /// sends ⊥ for its step-3 ones and leaves everything else alone.
+    #[test]
+    fn bracha_lie_flips_own_initials_only() {
         use turquois_baselines::rbc::Tag;
-        let own_initial = RbcMessage::Initial {
-            tag: Tag {
-                origin: 3,
-                round: 1,
-                step: 1,
-            },
-            payload: Bytes::copy_from_slice(&[1]),
+        let initial = |origin, step, value| {
+            let tag = Tag { origin, round: 1, step };
+            RbcMessage::Initial { tag, payload: Bytes::copy_from_slice(&[value]) }.encode()
         };
+        let payload_of = |bytes: &Bytes| match RbcMessage::decode(bytes).expect("valid") {
+            RbcMessage::Initial { payload, .. } => payload[0],
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(payload_of(&bracha_lie(3, &initial(3, 1, 1))), 0);
+        assert_eq!(payload_of(&bracha_lie(3, &initial(3, 2, 0))), 1);
+        assert_eq!(payload_of(&bracha_lie(3, &initial(3, 3, 1))), 2, "⊥ at step 3");
+        assert_eq!(bracha_lie(3, &initial(0, 1, 1)), initial(0, 1, 1), "another origin");
         let echo = RbcMessage::Echo {
-            tag: Tag {
-                origin: 0,
-                round: 1,
-                step: 1,
-            },
+            tag: Tag { origin: 3, round: 1, step: 1 },
             payload: Bytes::copy_from_slice(&[1]),
-        };
-        let mut mutate = bracha_flip_mutation(3);
-        let mutated = mutate(&own_initial.encode());
-        match RbcMessage::decode(&mutated).expect("valid") {
-            RbcMessage::Initial { payload, .. } => assert_eq!(&payload[..], &[0]),
-            other => panic!("unexpected {other:?}"),
         }
-        let untouched = mutate(&echo.encode());
-        assert_eq!(&untouched[..], &echo.encode()[..]);
-        let step3 = RbcMessage::Initial {
-            tag: Tag {
-                origin: 3,
-                round: 1,
-                step: 3,
-            },
-            payload: Bytes::copy_from_slice(&[1]),
-        };
-        match RbcMessage::decode(&mutate(&step3.encode())).expect("valid") {
-            RbcMessage::Initial { payload, .. } => assert_eq!(&payload[..], &[2], "⊥ at step 3"),
-            other => panic!("unexpected {other:?}"),
-        }
+        .encode();
+        assert_eq!(bracha_lie(3, &echo), echo);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! models and cost-model ablations.
 
 use crate::adapters::{AbbaApp, BrachaApp, RunProbe, SharedLinkTags, SharedProbe, TurquoisApp};
-use crate::adversary::{byzantine_bracha_app, ByzantineAbbaApp, ByzantineTurquoisApp};
+use crate::adversary::ByzantineAbbaApp;
 use std::time::Duration;
 use turquois_baselines::abba::{Abba, AbbaKeys};
 use turquois_baselines::bracha::Bracha;
@@ -490,7 +490,7 @@ impl Scenario {
             NodeKeys::Turquois(ring) => {
                 let inst = Turquois::new(cfg, i, proposal, ring.clone(), seed(7));
                 if byzantine {
-                    return Box::new(ByzantineTurquoisApp::new(inst, ring).tick_interval(self.tick));
+                    return Box::new(TurquoisApp::flipping(inst, ring).tick_interval(self.tick));
                 }
                 Box::new(
                     TurquoisApp::new(inst, self.cost, probe.clone())
@@ -501,11 +501,8 @@ impl Scenario {
             NodeKeys::Bracha(link_tags) => {
                 let engine = Bracha::new(n, f, i, proposal, seed(31));
                 let (probe, cost) = (probe.clone(), self.cost);
-                if byzantine {
-                    Box::new(byzantine_bracha_app(engine, n, self.seed, cost, probe, link_tags))
-                } else {
-                    Box::new(BrachaApp::new(engine, n, self.seed, cost, probe, link_tags))
-                }
+                let app = BrachaApp::new(engine, n, self.seed, cost, probe, link_tags);
+                Box::new(if byzantine { app.lying_to(u64::MAX) } else { app })
             }
             NodeKeys::Abba(_) if byzantine => Box::new(ByzantineAbbaApp::new(i, n)),
             NodeKeys::Abba(k) => {

@@ -18,7 +18,6 @@ use turquois::core::instance::Turquois;
 use turquois::core::KeyRing;
 use turquois::crypto::cost::CostModel;
 use turquois::harness::adapters::{RunProbe, TurquoisApp};
-use turquois::harness::adversary::ByzantineTurquoisApp;
 use turquois::net::fault::GilbertElliott;
 use turquois::net::sim::{Application, SimConfig, Simulator};
 use turquois::net::time::SimTime;
@@ -43,7 +42,7 @@ fn main() {
         .map(|(i, ring)| {
             if captured[i] {
                 let tracker = Turquois::new(cfg, i, proposals[i], ring.clone(), 99 + i as u64);
-                Box::new(ByzantineTurquoisApp::new(tracker, ring)) as Box<dyn Application>
+                Box::new(TurquoisApp::flipping(tracker, ring)) as Box<dyn Application>
             } else {
                 let inst = Turquois::new(cfg, i, proposals[i], ring, 99 + i as u64);
                 Box::new(TurquoisApp::new(inst, cost, probe.clone())) as Box<dyn Application>
