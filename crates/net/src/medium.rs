@@ -24,8 +24,9 @@
 //! broadcast domain is the schedule with no transitions, where everyone
 //! senses and hears everyone. In general:
 //!
-//! * `free_at` is per node: a node's NAV/EIFS hold-off tracks only
-//!   transmissions it could actually sense.
+//! * A node's NAV/EIFS hold-off tracks only transmissions it could
+//!   actually sense: it runs to the end of every group in flight whose
+//!   transmitters shared its group when that group started.
 //! * More than one transmission group may be in flight at once, as
 //!   long as their contenders could not sense each other when they
 //!   started (partition islands).
@@ -34,12 +35,24 @@
 //!   no overlapping foreign transmitter is sensed at `dst`, and `dst` is
 //!   not itself transmitting.
 //!
-//! Interference marks are computed when a group *starts* (against
+//! Interference marks are recorded when a group *starts* (against
 //! every group then in flight, both directions); any two overlapping
 //! groups meet this way because one of them starts while the other is
-//! on the air. Decodability is evaluated when the group *ends*. The
-//! marks matter at transitions: a countdown sensed clear before a heal
-//! can fire after it, onto a channel the other island is using.
+//! on the air. They are evaluated, with decodability, when the group
+//! *ends*. The marks matter at transitions: a countdown sensed clear
+//! before a heal can fire after it, onto a channel the other island is
+//! using.
+//!
+//! Contention is an index, not a scan. Contenders are kept per
+//! carrier-sense group of the grouping in force at the countdown base,
+//! ordered by stored backoff (ties by node id), with the group's freeze
+//! held as one offset. A member whose hold-off ended by the base fires
+//! at `base + DIFS + backoff · slot`, so a group's first member is its
+//! next sender; a resolution pops the winners and adds the elapsed
+//! slots to each losing group's offset. The exception is a
+//! *straggler*, which sensed a frame under an earlier grouping that is
+//! still on the air at the base: it is evaluated on its own until the
+//! base passes that frame's end.
 //!
 //! The medium is *driven* by the [`crate::sim::Simulator`]: it never
 //! schedules its own events. Instead every mutation bumps an epoch, and
@@ -132,28 +145,86 @@ pub struct CompletedTx {
 pub type Epoch = u64;
 
 /// One in-flight transmission group: the contenders that resolved
-/// together at one instant within one carrier-sense neighborhood.
+/// together at one instant.
 #[derive(Default)]
 struct Group {
     txs: Vec<(NodeId, PendingTx)>,
+    /// Whoever shared a transmitter's group at `start` sensed it and
+    /// holds off to `end`.
+    start: SimTime,
     end: SimTime,
     /// Airtime of this group (for the channel-busy stat).
     busy: Duration,
-    /// Receivers garbled by an overlapping foreign group (marked when
-    /// either group starts).
-    garbled: Vec<bool>,
+    /// `(instant, transmitter)` of every overlapping foreign
+    /// transmission, recorded when either group started: their rows at
+    /// that instant garble this group's receivers.
+    garbled_by: Vec<(SimTime, NodeId)>,
+}
+
+/// The low bits of a [`Contenders`] entry, which hold the node id.
+const NODE_BITS: u32 = 20;
+
+/// The contenders of one carrier-sense group, in backoff order.
+#[derive(Default)]
+struct Contenders {
+    /// One entry per member, its key (backoff + `offset` when stored)
+    /// above its node id, sorted: backoff order, ties by node id. Found
+    /// by binary search; a deque, so winners leave from the front and
+    /// an insertion moves the shorter side.
+    ranked: VecDeque<u64>,
+    /// Slots frozen off every member so far: a member's backoff is its
+    /// key minus this.
+    offset: u64,
+}
+
+impl Contenders {
+    fn entry(key: u64, node: NodeId) -> u64 {
+        debug_assert!(key >> (64 - NODE_BITS) == 0, "key {key} overflows its entry");
+        key << NODE_BITS | node as u64
+    }
+
+    /// An entry's `(key, node)`.
+    fn split(entry: u64) -> (u64, NodeId) {
+        (entry >> NODE_BITS, (entry & ((1 << NODE_BITS) - 1)) as NodeId)
+    }
+
+    fn insert(&mut self, key: u64, node: NodeId) {
+        let entry = Contenders::entry(key, node);
+        self.ranked.insert(self.ranked.partition_point(|&e| e < entry), entry);
+    }
+
+    fn remove(&mut self, key: u64, node: NodeId) {
+        let entry = Contenders::entry(key, node);
+        if self.ranked.front() == Some(&entry) {
+            self.ranked.pop_front(); // a winner
+            return;
+        }
+        let at = self.ranked.partition_point(|&e| e < entry);
+        debug_assert_eq!(self.ranked.get(at), Some(&entry), "a contender's key is in its group");
+        self.ranked.remove(at);
+    }
+
+    /// Members in backoff order, as `(key, node)`.
+    fn iter(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
+        self.ranked.iter().map(|&entry| Contenders::split(entry))
+    }
 }
 
 /// The shared-medium arbiter. See the module docs for the model.
 pub struct Medium {
     phy: PhyConfig,
     topology: Topology,
-    /// Per-node channel-free time: when the last transmission this
-    /// node could sense ends.
-    free_at: Vec<SimTime>,
     groups: Vec<Group>,
     queues: Vec<VecDeque<PendingTx>>,
-    backoffs: Vec<Option<u32>>,
+    /// The contention index: one [`Contenders`] per carrier-sense group
+    /// of `era`'s grouping, at its leader's slot (slot 0 alone while
+    /// fully connected).
+    contenders: Vec<Contenders>,
+    /// The topology era the index is grouped by, and its groups' leaders.
+    era: usize,
+    leaders: Vec<NodeId>,
+    /// Per node: its key in its group's `ranked` while it contends.
+    keys: Vec<Option<u64>>,
     epoch: Epoch,
     last_busy: Duration,
     /// The epoch a resolution was first scheduled under and the `now`
@@ -164,11 +235,16 @@ pub struct Medium {
     sched: Option<(Epoch, SimTime)>,
     /// Finished groups; the next group to start reuses their vectors.
     spare: Vec<Group>,
+    /// Scratch: contenders whose group senses nothing at the countdown
+    /// base but who still hold off for a frame they sensed under an
+    /// earlier grouping, with the instant that hold-off ends.
+    stragglers: Vec<(NodeId, SimTime)>,
+    /// Scratch: the winners of a resolution.
+    winners: Vec<NodeId>,
     /// Scratch: one topology row.
     row: Vec<bool>,
-    /// Scratch: the OR of several rows — who defers ([`Medium::sense`]),
-    /// who is garbled ([`Medium::finish_tx_into`]).
-    mask: Vec<bool>,
+    /// Scratch: where a finishing transmission is garbled.
+    garbled: Vec<bool>,
 }
 
 /// `mask[i] |= row[i]`.
@@ -191,6 +267,7 @@ impl fmt::Debug for Medium {
 impl Medium {
     /// Creates a single-broadcast-domain medium for `n` nodes with the
     /// given PHY parameters.
+    #[cfg(test)]
     pub fn new(n: usize, phy: PhyConfig) -> Self {
         Medium::with_topology(n, phy, &TopologySpec::SingleDomain, 0)
     }
@@ -198,20 +275,29 @@ impl Medium {
     /// Creates a medium whose reachability is governed by `spec`.
     /// `_seed` is unused: no topology draws randomness, and callers
     /// still pass the run seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 2^20 nodes.
     pub fn with_topology(n: usize, phy: PhyConfig, spec: &TopologySpec, _seed: u64) -> Self {
+        assert!(n <= 1 << NODE_BITS, "{n} nodes overflow the contention index");
         Medium {
             phy,
             topology: spec.build(n),
-            free_at: vec![SimTime::ZERO; n],
             groups: Vec::new(),
             queues: vec![VecDeque::new(); n],
-            backoffs: vec![None; n],
+            contenders: (0..n).map(|_| Contenders::default()).collect(),
+            era: 0,
+            leaders: (0..n.min(1)).collect(),
+            keys: vec![None; n],
             epoch: 0,
             last_busy: Duration::ZERO,
             sched: None,
             spare: Vec::new(),
+            stragglers: Vec::new(),
+            winners: Vec::new(),
             row: vec![false; n],
-            mask: vec![false; n],
+            garbled: vec![false; n],
         }
     }
 
@@ -219,18 +305,15 @@ impl Medium {
         self.queues.len()
     }
 
-    /// The PHY configuration in use.
-    pub fn phy(&self) -> &PhyConfig {
-        &self.phy
-    }
-
     /// Current epoch; resolution events carrying an older epoch are
     /// stale.
+    #[cfg(test)]
     pub fn epoch(&self) -> Epoch {
         self.epoch
     }
 
     /// `true` while a transmission is on the air.
+    #[cfg(test)]
     pub fn transmitting(&self) -> bool {
         !self.groups.is_empty()
     }
@@ -265,8 +348,9 @@ impl Medium {
             return false;
         }
         self.queues[node].push_back(PendingTx { frame, attempt: 0 });
-        if self.backoffs[node].is_none() && self.queues[node].len() == 1 {
-            self.backoffs[node] = Some(self.draw_backoff(0, rng));
+        if self.keys[node].is_none() && self.queues[node].len() == 1 {
+            let backoff = self.draw_backoff(0, rng);
+            self.contend(node, Some(backoff));
         }
         self.epoch += 1;
         true
@@ -280,27 +364,121 @@ impl Medium {
         txs.map(|(node, pending)| (*node, &pending.frame))
     }
 
-    /// Carrier sense at `at`, one topology row per in-flight
-    /// transmitter: `mask[node]` says whether `node` defers because one
-    /// of them shares its group.
-    fn sense(&mut self, at: SimTime) {
-        self.mask.fill(false);
-        for group in &self.groups {
-            for &(src, _) in &group.txs {
-                self.topology.same_group_row(at, src, &mut self.row);
-                or_into(&mut self.mask, &self.row);
+    /// `node`'s carrier-sense group in the index's era.
+    fn leader(&self, node: NodeId) -> NodeId {
+        self.topology.grouping_in(self.era).map_or(0, |leader| leader[node])
+    }
+
+    /// `node`'s backoff, if it contends.
+    fn backoff(&self, node: NodeId) -> Option<u32> {
+        let key = self.keys[node]?;
+        Some((key - self.contenders[self.leader(node)].offset) as u32)
+    }
+
+    /// Sets `node`'s backoff, or with `None` withdraws it from
+    /// contention.
+    fn contend(&mut self, node: NodeId, backoff: Option<u32>) {
+        let leader = self.leader(node);
+        let group = &mut self.contenders[leader];
+        if let Some(key) = self.keys[node].take() {
+            group.remove(key, node);
+        }
+        if let Some(backoff) = backoff {
+            let key = group.offset + u64::from(backoff);
+            group.insert(key, node);
+            self.keys[node] = Some(key);
+        }
+    }
+
+    /// Groups the index by the grouping in force at `base`, if that is
+    /// not the one it follows; every contender keeps its backoff.
+    fn regroup(&mut self, base: SimTime) {
+        let era = self.topology.era(base);
+        if era == self.era {
+            return;
+        }
+        let mut held = Vec::new();
+        for &leader in &self.leaders {
+            let group = &mut self.contenders[leader];
+            held.extend(group.iter().map(|(key, node)| (node, (key - group.offset) as u32)));
+            group.ranked.clear();
+            group.offset = 0;
+        }
+        self.era = era;
+        self.leaders.clear();
+        match self.topology.grouping_in(era) {
+            None => self.leaders.push(0),
+            Some(leader) => self.leaders.extend((0..leader.len()).filter(|&node| leader[node] == node)),
+        }
+        for (node, backoff) in held {
+            self.keys[node] = None;
+            self.contend(node, Some(backoff));
+        }
+    }
+
+    /// Carrier sense: whether group `leader` shares its group with a
+    /// transmitter in flight.
+    fn senses_the_air(&self, leader: NodeId) -> bool {
+        let mut on_air = self.groups.iter().flat_map(|group| &group.txs);
+        on_air.any(|&(src, _)| self.leader(src) == leader)
+    }
+
+    /// Fills `stragglers`: contenders in a group that senses nothing at
+    /// `base` but that sensed a frame still on the air when it started
+    /// under another grouping, with the latest such frame's end. Only a
+    /// transition under a frame makes one, and it stays one until
+    /// `base` passes that frame's end.
+    fn find_stragglers(&mut self, base: SimTime) {
+        self.stragglers.clear();
+        let (era, groups, topology) = (self.era, &self.groups, &self.topology);
+        // A group started in the index's era is sensed exactly where its
+        // senders' groups sense the air.
+        let earlier = || {
+            let on_air = groups.iter().filter(move |group| group.end > base);
+            on_air.map(|group| (topology.era(group.start), group)).filter(move |&(then, _)| then != era)
+        };
+        if earlier().next().is_none() {
+            return;
+        }
+        for &leader in &self.leaders {
+            if self.senses_the_air(leader) {
+                continue;
+            }
+            for (_, node) in self.contenders[leader].iter() {
+                let sensed = earlier().filter(|&(then, group)| {
+                    let then = topology.grouping_in(then);
+                    group.txs.iter().any(|&(src, _)| then.is_none_or(|leader| leader[src] == leader[node]))
+                });
+                if let Some(free_at) = sensed.map(|(_, group)| group.end).max() {
+                    self.stragglers.push((node, free_at));
+                }
             }
         }
     }
 
-    /// Backoff and fire instant of `node`, counting from schedule
-    /// instant `base`, if it contends and the last [`Medium::sense`]
-    /// found its channel clear.
-    fn fire_at(&self, base: SimTime, node: NodeId) -> Option<(u32, SimTime)> {
-        let b = self.backoffs[node].filter(|_| !self.mask[node])?;
+    /// The first member of group `leader` that is not a straggler, and
+    /// its fire instant counting from `base`, unless the group senses a
+    /// transmission.
+    fn head(&self, base: SimTime, leader: NodeId) -> Option<(u64, SimTime)> {
+        if self.senses_the_air(leader) {
+            return None;
+        }
+        let group = &self.contenders[leader];
+        let (key, _) = group.iter().find(|&(_, node)| self.stragglers.iter().all(|&(s, _)| s != node))?;
+        Some((key, self.fire_at(base, key - group.offset)))
+    }
+
+    /// The fire instant of backoff `b` once the channel has been idle
+    /// since `idle_from`.
+    fn fire_at(&self, idle_from: SimTime, b: u64) -> SimTime {
         let (difs, slot) = (self.phy.difs.as_nanos() as u64, self.phy.slot.as_nanos() as u64);
-        let difs_end = base.max(self.free_at[node]).as_nanos() + difs;
-        Some((b, SimTime::from_nanos(difs_end + slot * u64::from(b))))
+        SimTime::from_nanos(idle_from.as_nanos() + difs + slot * b)
+    }
+
+    /// A straggler's fire instant: it counts from its own hold-off.
+    fn straggler_fire(&self, (node, free_at): (NodeId, SimTime)) -> SimTime {
+        let b = self.backoff(node).expect("a straggler contends");
+        self.fire_at(free_at, u64::from(b))
     }
 
     /// When and with what epoch the next contention resolution should
@@ -320,9 +498,14 @@ impl Medium {
                 now
             }
         };
-        self.sense(base);
-        let fires = (0..self.n()).filter_map(|node| self.fire_at(base, node));
-        fires.map(|(_, at)| at).min().map(|at| (at, self.epoch))
+        self.regroup(base);
+        self.find_stragglers(base);
+        let heads = self.leaders.iter().filter_map(|&leader| self.head(base, leader));
+        let stragglers = self.stragglers.iter().map(|&s| self.straggler_fire(s));
+        let first = heads.map(|(_, at)| at).chain(stragglers).min();
+        #[cfg(debug_assertions)]
+        assert_eq!(first, self.scan(base).map(|(at, _)| at), "index and scan disagree from {base}");
+        first.map(|at| (at, self.epoch))
     }
 
     /// Fires a contention resolution scheduled with `epoch`.
@@ -339,73 +522,113 @@ impl Medium {
             Some((scheduled, base)) if scheduled == epoch && epoch == self.epoch => base,
             _ => return None, // stale, or never scheduled under this epoch
         };
-        let n = self.n();
-        self.sense(base);
-        if !(0..n).any(|node| self.fire_at(base, node).is_some_and(|(_, fire)| fire == now)) {
-            return None; // defensive: no contender fires at this instant
-        }
-        let mut group = self.spare.pop().unwrap_or_default();
-        let slot = self.phy.slot.as_nanos() as u64;
-        // The last loser's `(DIFS end, slots since)`: losers differ only
-        // in `free_at`, which only a topology change mid-frame splits.
-        let mut freeze = (u64::MAX, 0);
-        for node in 0..n {
-            // A contender that still senses a foreign transmission
-            // stays frozen.
-            let Some((b, fire)) = self.fire_at(base, node) else {
+        debug_assert_eq!(self.era, self.topology.era(base), "next_resolution regrouped the index");
+        self.find_stragglers(base);
+        let mut winners = std::mem::take(&mut self.winners);
+        winners.clear();
+        for &leader in &self.leaders {
+            let Some((key, fire)) = self.head(base, leader) else {
                 continue;
             };
+            debug_assert!(fire >= now, "missed a resolution instant");
             if fire == now {
-                let pending = self.queues[node]
-                    .pop_front()
-                    .expect("contending node has a head frame");
-                self.backoffs[node] = None;
-                group.txs.push((node, pending));
-            } else {
-                debug_assert!(fire > now, "missed a resolution instant");
-                // Freeze rule: slots elapsed since this node's own
-                // DIFS expiry are consumed.
-                let difs_end = fire.as_nanos() - slot * u64::from(b);
-                if difs_end != freeze.0 {
-                    freeze = (difs_end, now.as_nanos().saturating_sub(difs_end) / slot);
-                }
-                self.backoffs[node] = Some(b - (freeze.1 as u32).min(b));
+                let ranked = self.contenders[leader].iter();
+                let ties = ranked.skip_while(|&(k, _)| k < key).take_while(|&(k, _)| k == key);
+                let stragglers = &self.stragglers;
+                winners.extend(ties.map(|(_, node)| node).filter(|&node| stragglers.iter().all(|&(s, _)| s != node)));
             }
         }
+        for &straggler in &self.stragglers {
+            if self.straggler_fire(straggler) == now {
+                winners.push(straggler.0);
+            }
+        }
+        if winners.is_empty() {
+            self.winners = winners;
+            return None; // defensive: no contender fires at this instant
+        }
+        winners.sort_unstable();
+        #[cfg(debug_assertions)]
+        assert_eq!(self.scan(base), Some((now, winners.clone())), "index and scan disagree at {now}");
+
+        // Freeze rule: losers consume the slots elapsed since their DIFS
+        // expired, which is `base + DIFS` for everyone but a straggler.
+        for &node in &winners {
+            self.contend(node, None);
+        }
+        let slot = self.phy.slot.as_nanos() as u64;
+        let frozen = |idle_from: SimTime| now.as_nanos().saturating_sub(self.fire_at(idle_from, 0).as_nanos()) / slot;
+        let rekeyed: Vec<(NodeId, u32)> = self
+            .stragglers
+            .iter()
+            .filter_map(|&(node, free_at)| {
+                let b = self.backoff(node)?;
+                Some((node, b - (frozen(free_at) as u32).min(b)))
+            })
+            .collect();
+        let elapsed = frozen(base);
+        for i in 0..self.leaders.len() {
+            if !self.senses_the_air(self.leaders[i]) {
+                self.contenders[self.leaders[i]].offset += elapsed;
+            }
+        }
+        for (node, backoff) in rekeyed {
+            self.contend(node, Some(backoff));
+        }
+
+        let mut group = self.spare.pop().unwrap_or_default();
+        for &node in &winners {
+            let pending = self.queues[node].pop_front().expect("contending node has a head frame");
+            group.txs.push((node, pending));
+        }
+        self.winners = winners;
         group.busy = group
             .txs
             .iter()
             .map(|(_, p)| self.airtime_of(&p.frame))
             .max()
             .expect("at least one transmission");
+        group.start = now;
         group.end = now + group.busy;
-
-        // Mark mutual garbling against every group already in flight,
-        // and hold off everyone who can sense a new transmitter.
-        group.garbled.clear();
-        group.garbled.resize(n, false);
-        for &(src, _) in &group.txs {
-            self.topology.same_group_row(now, src, &mut self.row);
-            for other in &mut self.groups {
-                or_into(&mut other.garbled, &self.row);
-            }
-            for (free_at, &senses) in self.free_at.iter_mut().zip(&self.row) {
-                if senses {
-                    *free_at = (*free_at).max(group.end);
-                }
-            }
-        }
-        for other in &self.groups {
-            for &(src, _) in &other.txs {
-                self.topology.same_group_row(now, src, &mut self.row);
-                or_into(&mut group.garbled, &self.row);
-            }
+        // Mark mutual garbling with every group already in flight.
+        group.garbled_by.clear();
+        for other in &mut self.groups {
+            other.garbled_by.extend(group.txs.iter().map(|&(src, _)| (now, src)));
+            group.garbled_by.extend(other.txs.iter().map(|&(src, _)| (now, src)));
         }
 
         let end = group.end;
         self.groups.push(group);
         self.epoch += 1;
         Some(end)
+    }
+
+    /// The n-wide scan the index replaces, for the debug cross-check:
+    /// every contender's fire instant from its own channel state, with
+    /// carrier sense and hold-offs read off the rows of the groups in
+    /// flight. The earliest instant and who fires then.
+    #[cfg(debug_assertions)]
+    fn scan(&mut self, base: SimTime) -> Option<(SimTime, Vec<NodeId>)> {
+        let n = self.n();
+        let (mut sensed, mut idle_from) = (vec![false; n], vec![base; n]);
+        for group in &self.groups {
+            for &(src, _) in &group.txs {
+                self.topology.same_group_row(base, src, &mut self.row);
+                or_into(&mut sensed, &self.row);
+                self.topology.same_group_row(group.start, src, &mut self.row);
+                for (from, &held) in idle_from.iter_mut().zip(&self.row) {
+                    if held {
+                        *from = (*from).max(group.end);
+                    }
+                }
+            }
+        }
+        let fires: Vec<(SimTime, NodeId)> = (0..n)
+            .filter(|&node| !sensed[node])
+            .filter_map(|node| Some((self.fire_at(idle_from[node], u64::from(self.backoff(node)?)), node)))
+            .collect();
+        let first = fires.iter().map(|&(at, _)| at).min()?;
+        Some((first, fires.iter().filter(|&&(at, _)| at == first).map(|&(_, node)| node).collect()))
     }
 
     /// Completes the earliest-ending in-flight transmission group.
@@ -448,11 +671,15 @@ impl Medium {
             // A co-group transmitter sharing `node`'s topology group is
             // a collision even when no third station observed it
             // (n = 2): the channel event happened, so it is counted.
-            self.mask.copy_from_slice(&group.garbled);
+            self.garbled.fill(false);
+            for &(at, src) in &group.garbled_by {
+                self.topology.same_group_row(at, src, &mut self.row);
+                or_into(&mut self.garbled, &self.row);
+            }
             let mut collision = false;
             for other in done.iter().map(|tx| tx.node).filter(|&other| other != node) {
                 self.topology.same_group_row(now, other, &mut self.row);
-                or_into(&mut self.mask, &self.row);
+                or_into(&mut self.garbled, &self.row);
                 collision |= self.row[node];
             }
             // Who decodes it: in `node`'s group (outside it the frame
@@ -464,7 +691,7 @@ impl Medium {
                 self.row[tx.node] = false;
             }
             let mut heard = 0;
-            for (hears, &garbled) in self.row.iter_mut().zip(&self.mask) {
+            for (hears, &garbled) in self.row.iter_mut().zip(&self.garbled) {
                 collision |= *hears & garbled;
                 *hears &= !garbled;
                 heard += usize::from(*hears);
@@ -480,6 +707,7 @@ impl Medium {
                 Reception::Subset(subset)
             };
         }
+        group.garbled_by.clear();
         self.spare.push(group);
         self.epoch += 1;
     }
@@ -511,7 +739,8 @@ impl Medium {
             frame,
             attempt: next_attempt,
         });
-        self.backoffs[node] = Some(self.draw_backoff(next_attempt, rng));
+        let backoff = self.draw_backoff(next_attempt, rng);
+        self.contend(node, Some(backoff));
         true
     }
 
@@ -519,12 +748,9 @@ impl Medium {
     /// queue for good (success, broadcast loss, or retry exhaustion).
     pub fn after_head_done(&mut self, node: NodeId, rng: &mut dyn RngCore) {
         self.epoch += 1;
-        if let Some(head) = self.queues[node].front() {
-            let attempt = head.attempt;
-            self.backoffs[node] = Some(self.draw_backoff(attempt, rng));
-        } else {
-            self.backoffs[node] = None;
-        }
+        let backoff = self.queues[node].front().map(|head| head.attempt);
+        let backoff = backoff.map(|attempt| self.draw_backoff(attempt, rng));
+        self.contend(node, backoff);
     }
 
     /// Number of frames queued at `node` (head included, in-flight
@@ -539,7 +765,7 @@ impl Medium {
     /// simulator discards it at `TxEnd` when the source is down.
     pub fn clear_queue(&mut self, node: NodeId) -> usize {
         self.epoch += 1;
-        self.backoffs[node] = None;
+        self.contend(node, None);
         let dropped = self.queues[node].len();
         self.queues[node].clear();
         dropped
@@ -673,6 +899,39 @@ mod tests {
         // The loser froze 4 slots off its counter, not fewer.
         let (at2, _) = m.next_resolution(end).unwrap();
         assert_eq!(at2, end + phy.difs + phy.slot * 5);
+    }
+
+    /// Today's countdown rule, pinned: any enqueue restarts every idle
+    /// countdown from the enqueue instant, so a station loses DIFS and
+    /// the slots it has counted whenever another station queues a frame
+    /// — even a frame tail-dropped at `tx_queue_cap`, which changes no
+    /// contender. This is the deviation from 802.11 DCF (where the
+    /// counter keeps decrementing) that ROADMAP item 3(c) inverts; until
+    /// then the contention index must keep honouring it.
+    #[test]
+    fn every_enqueue_restarts_the_idle_countdown_a_tail_drop_too() {
+        let phy = PhyConfig {
+            tx_queue_cap: 1,
+            ..PhyConfig::default()
+        };
+        let (t0, b, k) = (SimTime::from_millis(1), 5, 3);
+        for tail_drop in [false, true] {
+            let mut m = Medium::new(3, phy);
+            // A draws backoff `b`, B a larger one.
+            let mut rng = ScriptRng::new(vec![b, 20]);
+            m.enqueue(bc(0, 10), &mut rng);
+            if tail_drop {
+                assert!(m.enqueue(bc(1, 10), &mut rng), "B's queue is now full");
+            }
+            let (at, _) = m.next_resolution(t0).unwrap();
+            assert_eq!(at, t0 + phy.difs + phy.slot * b as u32);
+            let later = t0 + phy.slot * k;
+            assert_eq!(m.enqueue(bc(1, 10), &mut rng), !tail_drop);
+            let (at, epoch) = m.next_resolution(later).unwrap();
+            assert_eq!(at, later + phy.difs + phy.slot * b as u32, "tail drop: {tail_drop}");
+            let end = m.resolve(at, epoch).unwrap();
+            assert_eq!(finish(&mut m, end)[0].node, 0);
+        }
     }
 
     #[test]
@@ -918,7 +1177,7 @@ mod tests {
         // Node 0's frame starts while {0, 1, 2} share a group, so it
         // holds off node 2 but not 3 or 4. A re-split under the frame
         // moves node 2 in with them: three contenders that no longer
-        // sense it, with different `free_at`.
+        // sense it, with different hold-offs.
         let resplit = SimTime::ZERO + phy.difs * 2;
         let spec = TopologySpec::Partition(
             PartitionSchedule::new()
@@ -939,7 +1198,7 @@ mod tests {
         m.resolve(at, epoch).unwrap();
         // Node 3 counted down the same 3 slots as node 4; node 2's DIFS
         // has not even begun (its hold-off runs to `end_0`).
-        assert_eq!(m.backoffs[2..], [Some(9), Some(4), None]);
+        assert_eq!((2..5).map(|node| m.backoff(node)).collect::<Vec<_>>(), [Some(9), Some(4), None]);
     }
 
     #[test]

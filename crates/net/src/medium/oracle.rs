@@ -1,15 +1,19 @@
 //! The medium's arbitration as it was before the topology answered in
-//! rows, kept as a test oracle, and the lock-step test that holds
-//! [`Medium`] to it.
+//! rows and before contention was indexed, kept as a test oracle, and
+//! the lock-step tests that hold [`Medium`] to it.
 //!
 //! [`PointwiseMedium`] asks the topology one `(transmitter, node)` pair
-//! at a time: `blocked` per contender, per-pair loops for the garbled
-//! marks and the receptions. Its method bodies are the retired ones,
-//! verbatim, except that the retired `hears` and `interferes` point
-//! queries are both [`same_group`], the one relation. The golden files
-//! cross few transitions, so this test is the guard that `Subset`
-//! receptions, `garbled` marks and overlapping groups are still
-//! computed as they were when a split or heal lands mid-countdown.
+//! at a time and finds the next sender by scanning every station:
+//! `blocked` and `fire_at` per contender, per-pair loops for the garbled
+//! marks and the receptions, a `free_at` per node. Its method bodies are
+//! the retired ones, verbatim, except that the retired `hears` and
+//! `interferes` point queries are both [`same_group`], the one relation.
+//! The golden files cross few transitions and never run a saturated
+//! n = 256 channel through the medium alone, so these tests are the
+//! guard that the contention index picks the scan's winners and freezes
+//! the scan's losers, and that `Subset` receptions, `garbled` marks and
+//! overlapping groups are still computed as they were when a split or
+//! heal lands mid-countdown.
 
 use super::*;
 use crate::topology::PartitionSchedule;
@@ -365,15 +369,18 @@ struct Seen {
     retries: usize,
     stale_resolves: usize,
     cleared_frames: usize,
+    tail_drops: usize,
+    /// Resolutions that put more than one transmitter on the air.
+    multi_winner: usize,
 }
 
 /// Drives a [`Medium`] and a [`PointwiseMedium`] over two compilations
-/// of one topology through the same seeded load — broadcasts, unicasts
-/// with lost ACKs, queue clears — the way the simulator's event loop
-/// does, and demands equal answers at every call. Adds what the load
+/// of one topology through the same seeded load — `sends` broadcasts
+/// and unicasts at random instants of the first 200 ms, unicasts with
+/// lost ACKs, queue clears — the way the simulator's event loop does,
+/// and demands equal answers at every call. Adds what the load
 /// exercised to `seen`.
-fn lock_step(n: usize, seed: u64, spec: &TopologySpec, seen: &mut Seen) {
-    let phy = PhyConfig::default();
+fn lock_step(n: usize, phy: PhyConfig, sends: usize, seed: u64, spec: &TopologySpec, seen: &mut Seen) {
     let mut real = Medium::with_topology(n, phy, spec, seed);
     let mut oracle = PointwiseMedium::over(n, phy, spec.build(n));
     // One backoff stream each, drawn in step; the driver has its own.
@@ -387,7 +394,7 @@ fn lock_step(n: usize, seed: u64, spec: &TopologySpec, seen: &mut Seen) {
     };
     // An offered load above the channel's capacity for 200 ms, so queues
     // fill, tail-drop, and contenders collide.
-    for _ in 0..600 {
+    for _ in 0..sends {
         let at = SimTime::from_nanos(rng.gen_range(0..200_000_000u64));
         let src = rng.gen_range(0..n);
         let step = match rng.gen_range(0..20u32) {
@@ -411,6 +418,7 @@ fn lock_step(n: usize, seed: u64, spec: &TopologySpec, seen: &mut Seen) {
                 };
                 let accepted = real.enqueue(frame.clone(), &mut real_rng);
                 assert_eq!(accepted, oracle.enqueue(frame, &mut oracle_rng), "enqueue at {now}");
+                seen.tail_drops += usize::from(!accepted);
             }
             Step::Clear(node) => {
                 let dropped = real.clear_queue(node);
@@ -424,6 +432,7 @@ fn lock_step(n: usize, seed: u64, spec: &TopologySpec, seen: &mut Seen) {
                     Some(end) => {
                         push(&mut events, end, Step::TxEnd);
                         seen.overlapping_groups += usize::from(real.groups.len() > 1);
+                        seen.multi_winner += usize::from(real.last_started().count() > 1);
                     }
                     None => seen.stale_resolves += 1,
                 }
@@ -493,12 +502,27 @@ fn churn(n: usize, seed: u64) -> TopologySpec {
     TopologySpec::Partition(schedule)
 }
 
+/// The contention window `scale_fanout` and `radio_null` run at `n`:
+/// `cw_min = 2n − 1`.
+fn scaled(n: usize) -> PhyConfig {
+    let base = PhyConfig::default();
+    let cw_min = base.cw_min.max(2 * n as u32 - 1);
+    PhyConfig {
+        cw_min,
+        cw_max: base.cw_max.max(cw_min),
+        ..base
+    }
+}
+
 #[test]
-fn rows_arbitrate_like_point_queries_under_frequent_transitions() {
+fn index_matches_pointwise_medium_under_frequent_transitions() {
     let mut total = Seen::default();
     for seed in 0..6 {
-        lock_step(12, seed, &churn(12, seed), &mut total);
+        lock_step(12, PhyConfig::default(), 600, seed, &churn(12, seed), &mut total);
     }
+    // Saturated at the scaled window: every transition strands dozens
+    // of contenders mid-countdown.
+    lock_step(64, scaled(64), 20 * 64, 64, &churn(64, 64), &mut total);
     assert!(total.transmissions > 1000, "{total:?}");
     assert!(total.collisions > 50, "{total:?}");
     assert!(total.subsets > 500, "{total:?}");
@@ -506,10 +530,12 @@ fn rows_arbitrate_like_point_queries_under_frequent_transitions() {
     assert!(total.retries > 50, "{total:?}");
     assert!(total.stale_resolves > 100, "{total:?}");
     assert!(total.cleared_frames > 10, "{total:?}");
+    assert!(total.tail_drops > 1000, "{total:?}");
+    assert!(total.multi_winner > 100, "{total:?}");
 }
 
 #[test]
-fn rows_arbitrate_like_point_queries_across_split_and_heal() {
+fn index_matches_pointwise_medium_across_split_and_heal() {
     for seed in 0..4 {
         let spec = TopologySpec::Partition(
             PartitionSchedule::new()
@@ -518,12 +544,27 @@ fn rows_arbitrate_like_point_queries_across_split_and_heal() {
                 .split_at(SimTime::from_millis(140), vec![(0..5).collect(), (5..9).collect()]),
         );
         let mut seen = Seen::default();
-        lock_step(9, seed, &spec, &mut seen);
+        lock_step(9, PhyConfig::default(), 600, seed, &spec, &mut seen);
         assert!(seen.subsets > 50 && seen.overlapping_groups > 5, "{seen:?}");
         // Healed stretches behave as the single domain does.
         assert!(seen.transmissions - seen.subsets > 50, "{seen:?}");
+        assert!(seen.tail_drops > 10 && seen.multi_winner > 5, "{seen:?}");
     }
     let mut seen = Seen::default();
-    lock_step(9, 1, &TopologySpec::SingleDomain, &mut seen);
+    lock_step(9, PhyConfig::default(), 600, 1, &TopologySpec::SingleDomain, &mut seen);
     assert_eq!((seen.subsets, seen.overlapping_groups), (0, 0), "{seen:?}");
+}
+
+/// Saturated single domains at the scaled window: every station keeps a
+/// frame queued, so each resolution picks among hundreds of contenders.
+#[test]
+fn index_matches_pointwise_medium_saturated_at_n64_and_n256() {
+    for n in [64, 256] {
+        let mut seen = Seen::default();
+        lock_step(n, scaled(n), 20 * n, n as u64, &TopologySpec::SingleDomain, &mut seen);
+        assert!(seen.transmissions > 200, "n = {n}: {seen:?}");
+        assert!(seen.tail_drops > 4 * n, "n = {n}: {seen:?}");
+        assert!(seen.multi_winner > 20, "n = {n}: {seen:?}");
+        assert!(seen.stale_resolves > 100, "n = {n}: {seen:?}");
+    }
 }

@@ -179,8 +179,19 @@ impl Topology {
 
     /// Group leader per node at `now`; `None` while fully connected.
     pub(crate) fn grouping(&self, now: SimTime) -> Option<&[NodeId]> {
-        let idx = self.changes.partition_point(|(at, _)| *at <= now);
-        self.changes[..idx].last().and_then(|(_, leader)| leader.as_deref())
+        self.grouping_in(self.era(now))
+    }
+
+    /// Which grouping is in force at `now`: the number of transitions at
+    /// or before it. Two instants of one era share a grouping.
+    pub(crate) fn era(&self, now: SimTime) -> usize {
+        self.changes.partition_point(|(at, _)| *at <= now)
+    }
+
+    /// Group leader per node in `era` (see [`Topology::era`]); `None`
+    /// while fully connected.
+    pub(crate) fn grouping_in(&self, era: usize) -> Option<&[NodeId]> {
+        self.changes[..era].last().and_then(|(_, leader)| leader.as_deref())
     }
 
     /// The one relation, from `src` to every node at once:
