@@ -329,6 +329,13 @@ fn get_embedded(buf: &mut &[u8]) -> Option<EmbeddedPreVote> {
 }
 
 impl AbbaMessage {
+    /// The round this message belongs to.
+    pub fn round(&self) -> u32 {
+        match self {
+            AbbaMessage::PreVote { round, .. } | AbbaMessage::MainVote { round, .. } => *round,
+        }
+    }
+
     /// The exact wire length [`AbbaMessage::encode`] produces, computed
     /// arithmetically — no buffer is built. The adapter's RSA airtime
     /// model uses this instead of a throwaway encode.

@@ -44,7 +44,7 @@ use turquois_crypto::cost::CostModel;
 use turquois_harness::adapters::{
     new_link_tags, AbbaApp, BrachaApp, RunProbe, SharedLinkTags, TurquoisApp, TICK_INTERVAL,
 };
-use turquois_harness::adversary::{AbbaEquivocatorApp, SplitBrainCoalition};
+use turquois_harness::adversary::SplitBrainCoalition;
 use wireless_net::reliable;
 use wireless_net::{Addressing, Application, Command, NodeCtx, ReceivedFrame, SimTime};
 
@@ -262,8 +262,7 @@ impl Group {
 }
 
 /// Builds process `id` of `s`: the harness adapter, in the Byzantine
-/// role its spec names if it has one (ABBA's equivocator is an app of
-/// its own).
+/// role its spec names if it has one.
 fn node(s: &Schedule, group: &Group, id: usize) -> Box<dyn Application> {
     let (n, f, proposal) = (s.n, s.config().f(), s.proposals[id]);
     let (cost, probe) = (CostModel::default(), RunProbe::new(n));
@@ -299,10 +298,10 @@ fn node(s: &Schedule, group: &Group, id: usize) -> Box<dyn Application> {
         }
         EngineKind::Abba => {
             let keys = group.abba_keys[id].clone();
-            match lie_mask {
-                None => Box::new(AbbaApp::new(Abba::new(n, f, id, proposal, keys, seed), n, cost, probe)),
-                Some(mask) => Box::new(AbbaEquivocatorApp::new(id, n, keys, mask)),
-            }
+            Box::new(match lie_mask {
+                None => AbbaApp::new(Abba::new(n, f, id, proposal, keys, seed), n, cost, probe),
+                Some(mask) => AbbaApp::equivocating(id, n, keys, mask),
+            })
         }
     }
 }

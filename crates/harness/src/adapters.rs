@@ -13,12 +13,15 @@
 //!   charged to the node's virtual CPU through the
 //!   [`CostModel`].
 
-use crate::adversary::{bracha_lie, turquois_lie, SplitBrain, SplitBrainCoalition};
+use crate::adversary::{
+    abba_garbage_votes, bracha_lie, turquois_lie, SplitBrain, SplitBrainCoalition,
+};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::cell::{OnceCell, RefCell};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::time::Duration;
-use turquois_baselines::abba::{Abba, AbbaOutput};
+use turquois_baselines::abba::{round1_prevote, Abba, AbbaKeys, AbbaMessage, AbbaOutput};
 use turquois_baselines::bracha::{Bracha, BrachaOutput};
 use turquois_core::instance::Turquois;
 use turquois_core::KeyRing;
@@ -513,17 +516,6 @@ impl BrachaApp {
         self
     }
 
-    /// Read access for post-run inspection.
-    pub fn engine(&self) -> &Bracha {
-        &self.engine
-    }
-
-    /// Read access to the reliable transport (post-run diagnostics:
-    /// sent/delivered/retransmit counters).
-    pub fn transport(&self) -> &ReliableEndpoint {
-        &self.transport
-    }
-
     fn dispatch(&mut self, ctx: &mut NodeCtx<'_>, out: BrachaOutput) {
         if let Some(v) = out.newly_decided.filter(|_| self.lying_to.is_none()) {
             self.probe.borrow_mut().phase_at_decision[self.engine.id()] = Some(self.engine.round());
@@ -629,89 +621,200 @@ pub fn unpad(padded: &[u8]) -> Option<&[u8]> {
     padded.get(4..4 + len)
 }
 
-/// ABBA over the reliable transport, with RSA-calibrated CPU charging
-/// and RSA-equivalent message sizes.
+/// An ABBA message framed for the air ([`pad_to`]): behind its length
+/// prefix, padded to `rsa_size`, its size in an RSA-1024 deployment.
+pub(crate) fn rsa_framed(bytes: &[u8], rsa_size: usize) -> Bytes {
+    pad_to(bytes, rsa_size + 4)
+}
+
+/// Salvos of [`abba_garbage_votes`] the flood sends each round.
+const FLOOD_SALVOS: usize = 2;
+
+/// The flood's timer id (the transport's ids carry a flag bit).
+const FLOOD_TIMER: u64 = 1;
+
+/// ABBA over the reliable transport, run by a correct process or, in a
+/// Byzantine role, by an adversary. Every frame it sends is an ABBA
+/// message padded to its RSA-equivalent size ([`pad_to`]).
 pub struct AbbaApp {
-    engine: Abba,
-    transport: ReliableEndpoint,
+    me: usize,
     n: usize,
-    cost: CostModel,
-    probe: SharedProbe,
+    role: AbbaRole,
+    transport: ReliableEndpoint,
     released: Vec<(usize, Bytes)>,
 }
 
+/// What an [`AbbaApp`] sends and what it makes of what it hears. Only a
+/// `Correct` node charges simulated CPU, touches the [`RunProbe`] or
+/// decides; the attackers run no engine.
+// One role per node, and most nodes are correct: boxing the engine
+// would add an indirection to every correct callback to save bytes on
+// the few attackers.
+#[allow(clippy::large_enum_variant)]
+enum AbbaRole {
+    /// Runs the engine, with RSA-calibrated CPU charging.
+    Correct { engine: Abba, cost: CostModel, probe: SharedProbe },
+    /// The §7.2 attacker: floods every round it observes with
+    /// [`abba_garbage_votes`], forcing verification work at every
+    /// receiver.
+    Flood { rounds_hit: BTreeSet<u32> },
+    /// The round-1 signed equivocator: sends each peer the correctly
+    /// signed round-1 pre-vote for the value its bit of `mask` selects
+    /// ([`lies_to`]; round-1 pre-votes need no justification), then one
+    /// salvo of garbage; after that it only acknowledges.
+    Equivocate { keys: AbbaKeys, mask: u64 },
+}
+
 impl AbbaApp {
-    /// Wraps an engine.
+    /// Wraps an engine run by a correct process.
     pub fn new(engine: Abba, n: usize, cost: CostModel, probe: SharedProbe) -> Self {
         let me = engine.id();
-        AbbaApp {
-            engine,
-            transport: ReliableEndpoint::new(me, n),
-            n,
-            cost,
-            probe,
-            released: Vec::new(),
-        }
+        Self::with_role(me, n, AbbaRole::Correct { engine, cost, probe })
     }
 
-    /// Read access for post-run inspection.
-    pub fn engine(&self) -> &Abba {
-        &self.engine
+    /// The §7.2 invalid-signature adversary, process `me` of `n`.
+    pub fn flooding(me: usize, n: usize) -> Self {
+        Self::with_role(me, n, AbbaRole::Flood { rounds_hit: BTreeSet::new() })
     }
 
-    fn charge(&self, ctx: &mut NodeCtx<'_>, ops: turquois_baselines::abba::CryptoOps) {
-        ctx.charge_cpu(
-            self.cost.threshold_share() * ops.share_signs
-                + self.cost.threshold_share_verify() * ops.share_verifies
-                + self.cost.rsa_verify() * ops.sig_verifies
-                + self.cost.threshold_combine(ops.shares_combined as usize),
-        );
+    /// The round-1 equivocator, process `me` (holding `keys`) of
+    /// `n ≤ 64`, sending the pre-vote for 1 to the peers in `mask`.
+    pub fn equivocating(me: usize, n: usize, keys: AbbaKeys, mask: u64) -> Self {
+        Self::with_role(me, n, AbbaRole::Equivocate { keys, mask })
     }
 
-    fn dispatch(&mut self, ctx: &mut NodeCtx<'_>, out: AbbaOutput) {
-        self.charge(ctx, out.ops);
-        if let Some(v) = out.newly_decided {
-            self.probe.borrow_mut().phase_at_decision[self.engine.id()] =
-                Some(self.engine.round());
-            ctx.decide(v);
-        }
-        for bytes in out.send {
-            let rsa_size = turquois_baselines::abba::AbbaMessage::decode(&bytes)
-                .map(|m| m.rsa_equivalent_size())
-                .unwrap_or(bytes.len());
-            let padded = pad_to(&bytes, rsa_size + 4);
-            for dst in 0..self.n {
-                self.transport.send(ctx, dst, padded.clone());
+    fn with_role(me: usize, n: usize, role: AbbaRole) -> Self {
+        let transport = ReliableEndpoint::new(me, n);
+        AbbaApp { me, n, role, transport, released: Vec::new() }
+    }
+
+    /// Sends each destination, in id order, the frames `frames` picks
+    /// for it. A correct node is one of its own destinations; an
+    /// attacker skips itself.
+    fn send<I: IntoIterator<Item = Bytes>>(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        frames: impl Fn(usize) -> I,
+    ) {
+        let correct = matches!(self.role, AbbaRole::Correct { .. });
+        for dst in (0..self.n).filter(|&dst| correct || dst != self.me) {
+            for frame in frames(dst) {
+                self.transport.send(ctx, dst, frame);
             }
         }
     }
 
+    /// Charges, records and sends what a correct node's engine did.
+    fn dispatch(&mut self, ctx: &mut NodeCtx<'_>, out: AbbaOutput) {
+        let AbbaRole::Correct { engine, cost, probe } = &self.role else {
+            unreachable!("only the correct role runs an engine")
+        };
+        let ops = out.ops;
+        ctx.charge_cpu(
+            cost.threshold_share() * ops.share_signs
+                + cost.threshold_share_verify() * ops.share_verifies
+                + cost.rsa_verify() * ops.sig_verifies
+                + cost.threshold_combine(ops.shares_combined as usize),
+        );
+        if let Some(v) = out.newly_decided {
+            probe.borrow_mut().phase_at_decision[self.me] = Some(engine.round());
+            ctx.decide(v);
+        }
+        for bytes in out.send {
+            let rsa_size =
+                AbbaMessage::decode(&bytes).map_or(bytes.len(), |m| m.rsa_equivalent_size());
+            let frame = rsa_framed(&bytes, rsa_size);
+            self.send(ctx, |_| [frame.clone()]);
+        }
+    }
+
+    /// Floods `round` with garbage, once.
+    fn flood(&mut self, ctx: &mut NodeCtx<'_>, round: u32) {
+        let AbbaRole::Flood { rounds_hit } = &mut self.role else {
+            unreachable!("only the flood floods")
+        };
+        if !rounds_hit.insert(round) {
+            return;
+        }
+        for salvo in 0..FLOOD_SALVOS {
+            for (bytes, rsa_size) in abba_garbage_votes(self.me, round, salvo) {
+                let frame = rsa_framed(&bytes, rsa_size);
+                self.send(ctx, |_| [frame.clone()]);
+            }
+        }
+    }
+
+    /// Handles one message the transport released from `peer`.
+    fn hear(&mut self, ctx: &mut NodeCtx<'_>, peer: usize, padded: &[u8]) {
+        let inner = unpad(padded);
+        match &mut self.role {
+            AbbaRole::Correct { engine, probe, .. } => {
+                let Some(inner) = inner else {
+                    probe.borrow_mut().rejected[self.me] += 1;
+                    return;
+                };
+                // `inner` borrows straight out of the delivered buffer;
+                // the engine parses it without an owned copy.
+                probe.borrow_mut().accepted[self.me] += 1;
+                let out = engine.on_message(peer, inner);
+                self.dispatch(ctx, out);
+            }
+            AbbaRole::Flood { .. } => {
+                if let Some(round) = inner.and_then(AbbaMessage::decode).map(|m| m.round()) {
+                    self.flood(ctx, round);
+                    self.flood(ctx, round + 1);
+                }
+            }
+            AbbaRole::Equivocate { .. } => {}
+        }
+    }
 }
 
 impl Application for AbbaApp {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        let out = self.engine.on_start();
-        self.dispatch(ctx, out);
+        match &mut self.role {
+            AbbaRole::Correct { engine, .. } => {
+                let out = engine.on_start();
+                self.dispatch(ctx, out);
+            }
+            AbbaRole::Flood { .. } => {
+                self.flood(ctx, 1);
+                // A 20 ms timer that only re-arms itself and attacks nothing.
+                // Its events count in the benchmark's frozen outcome digest.
+                ctx.set_timer(Duration::from_millis(20), FLOOD_TIMER);
+            }
+            AbbaRole::Equivocate { keys, mask } => {
+                let prevotes = [false, true].map(|value| {
+                    let vote = round1_prevote(keys, value);
+                    rsa_framed(&vote.encode(), vote.rsa_equivalent_size())
+                });
+                let garbage: Vec<Bytes> = abba_garbage_votes(self.me, 1, 0)
+                    .iter()
+                    .map(|(bytes, rsa_size)| rsa_framed(bytes, *rsa_size))
+                    .collect();
+                let mask = *mask;
+                self.send(ctx, |dst| {
+                    let prevote = prevotes[usize::from(lies_to(mask, dst))].clone();
+                    std::iter::once(prevote).chain(garbage.iter().cloned())
+                });
+            }
+        }
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
         let mut released = std::mem::take(&mut self.released);
         self.transport.on_frame(ctx, &frame, &mut released);
         for (peer, padded) in released.drain(..) {
-            let Some(inner) = unpad(&padded) else {
-                self.probe.borrow_mut().rejected[self.engine.id()] += 1;
-                continue;
-            };
-            // `inner` borrows straight out of the delivered buffer; the
-            // engine parses it without an owned copy.
-            self.probe.borrow_mut().accepted[self.engine.id()] += 1;
-            let out = self.engine.on_message(peer, inner);
-            self.dispatch(ctx, out);
+            self.hear(ctx, peer, &padded);
         }
         self.released = released;
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
+        if timer == FLOOD_TIMER && matches!(self.role, AbbaRole::Flood { .. }) {
+            ctx.set_timer(Duration::from_millis(20), FLOOD_TIMER);
+            return;
+        }
         let _ = self.transport.on_timer(ctx, timer);
     }
 
@@ -720,17 +823,89 @@ impl Application for AbbaApp {
     }
 
     fn progress(&self) -> Option<AppProgress> {
+        // An attacker reports nothing, so it neither counts as decided
+        // nor holds up the stall clock.
+        let AbbaRole::Correct { engine, .. } = &self.role else {
+            return None;
+        };
         Some(AppProgress {
-            phase: self.engine.round(),
-            decided: self.engine.decision().is_some(),
-            store_bytes: self.engine.store_bytes(),
+            phase: engine.round(),
+            decided: engine.decision().is_some(),
+            store_bytes: engine.store_bytes(),
         })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use wireless_net::{Addressing, Command, SimTime};
+
+    /// Runs `app`, process `me` of `n`, from its start through
+    /// `NodeCtx` callbacks against peers that only acknowledge: every
+    /// unicast it sends reaches a bare transport endpoint of its
+    /// destination, and each acknowledgement comes back, until nothing
+    /// is left in flight. `check` sees the app after each of its
+    /// callbacks with that callback's `(charged CPU, commands)`.
+    /// Returns the messages each destination's endpoint released, in
+    /// order.
+    pub(crate) fn run_against_ackers(
+        app: &mut dyn Application,
+        me: usize,
+        n: usize,
+        mut check: impl FnMut(&dyn Application, Duration, &[Command]),
+    ) -> Vec<Vec<Bytes>> {
+        let mut rng = rand::SeedableRng::seed_from_u64(0);
+        let mut peers: Vec<_> = (0..n).map(|peer| ReliableEndpoint::new(peer, n)).collect();
+        let mut released = vec![Vec::new(); n];
+        // Every callback runs 50 ms after the one before, past any
+        // delayed ack.
+        let mut now = SimTime::ZERO;
+        let mut ctx = NodeCtx::new(me, now, &mut rng, Vec::new());
+        app.on_start(&mut ctx);
+        let (charged, mut sent) = ctx.finish();
+        check(app, charged, &sent);
+        loop {
+            let mut acks = Vec::new();
+            for command in sent {
+                let Command::Unicast { dst, payload, .. } = command else { continue };
+                let addressing = Addressing::Unicast(dst);
+                let frame = ReceivedFrame { src: me, addressing, payload };
+                now += Duration::from_millis(50);
+                let mut ctx = NodeCtx::new(dst, now, &mut rng, Vec::new());
+                let mut out = Vec::new();
+                peers[dst].on_frame(&mut ctx, &frame, &mut out);
+                released[dst].extend(out.into_iter().map(|(_, message)| message));
+                let mut replies = ctx.finish().1;
+                now += Duration::from_millis(50);
+                let mut ctx = NodeCtx::new(dst, now, &mut rng, Vec::new());
+                for command in &replies {
+                    if let Command::SetTimer { id, .. } = command {
+                        peers[dst].on_timer(&mut ctx, *id);
+                    }
+                }
+                replies.extend(ctx.finish().1);
+                for command in replies {
+                    if let Command::Unicast { payload, .. } = command {
+                        let addressing = Addressing::Unicast(me);
+                        acks.push(ReceivedFrame { src: dst, addressing, payload });
+                    }
+                }
+            }
+            if acks.is_empty() {
+                return released;
+            }
+            sent = Vec::new();
+            for ack in acks {
+                now += Duration::from_millis(50);
+                let mut ctx = NodeCtx::new(me, now, &mut rng, Vec::new());
+                app.on_frame(&mut ctx, ack);
+                let (charged, commands) = ctx.finish();
+                check(app, charged, &commands);
+                sent.extend(commands);
+            }
+        }
+    }
 
     #[test]
     fn mac_wrap_round_trip() {
@@ -870,21 +1045,12 @@ mod tests {
     #[test]
     fn lie_mask_selects_the_lied_to_destinations() {
         use turquois_baselines::rbc::RbcMessage;
-        use wireless_net::{Addressing, Command, SimTime};
         for (mask, lied_to) in [(0b0101, [true, false, true, false]), (u64::MAX, [true; 4])] {
             let mut app = bracha_group(4, &new_link_tags()).swap_remove(1).lying_to(mask);
-            let mut rng = rand::SeedableRng::seed_from_u64(0);
-            let mut ctx = NodeCtx::new(1, SimTime::ZERO, &mut rng, Vec::new());
-            app.on_start(&mut ctx);
+            let released = run_against_ackers(&mut app, 1, 4, |_, _, _| {});
             let mut initials = [None; 4];
-            for command in ctx.finish().1 {
-                let Command::Unicast { dst, payload, .. } = command else { continue };
-                // Each destination's transport releases the wrapped body.
-                let mut released = Vec::new();
-                let frame = ReceivedFrame { src: 1, addressing: Addressing::Unicast(dst), payload };
-                let mut ctx = NodeCtx::new(dst, SimTime::ZERO, &mut rng, Vec::new());
-                ReliableEndpoint::new(dst, 4).on_frame(&mut ctx, &frame, &mut released);
-                for (_, wrapped) in released {
+            for (dst, messages) in released.iter().enumerate() {
+                for wrapped in messages {
                     let Some(RbcMessage::Initial { tag, payload }) =
                         RbcMessage::decode(&wrapped[ICV_LEN..])
                     else {

@@ -15,19 +15,18 @@
 //! [`TurquoisApp::split_brain`] equivocates through a [`SplitBrain`];
 //! [`BrachaApp::lying_to`] sends [`bracha_lie`] to the destinations in
 //! its mask (all of them for the flip, some for the explorer's
-//! equivocator). This module holds what those roles send. ABBA's
-//! attackers run no engine: [`ByzantineAbbaApp`] floods garbage and
-//! [`AbbaEquivocatorApp`] splits the round-1 pre-votes. No adversary
-//! decides, charges a Turquois node's simulated CPU or touches the
-//! [`RunProbe`](crate::adapters::RunProbe).
+//! equivocator). ABBA's attackers are roles of the [`AbbaApp`] and run
+//! no engine: [`AbbaApp::flooding`] floods [`abba_garbage_votes`], and
+//! [`AbbaApp::equivocating`] splits the round-1 pre-votes. This module
+//! holds what the roles send and hosts no application of its own. No
+//! adversary decides, charges a Turquois or ABBA node's simulated CPU
+//! or touches the [`RunProbe`](crate::adapters::RunProbe).
 
-use crate::adapters::{pad_to, BrachaApp, SharedLinkTags, SharedProbe, TurquoisApp};
+use crate::adapters::{AbbaApp, BrachaApp, SharedLinkTags, SharedProbe, TurquoisApp};
 use bytes::Bytes;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::time::Duration;
-use turquois_baselines::abba::{round1_prevote, AbbaKeys};
 use turquois_baselines::bracha::Bracha;
 use turquois_baselines::rbc::RbcMessage;
 use turquois_core::instance::Turquois;
@@ -39,9 +38,7 @@ use turquois_crypto::otss::Value;
 use turquois_crypto::sha256::sha256_concat;
 use turquois_crypto::threshold::{CoinShare, SigShare};
 use wireless_net::config::overhead;
-use wireless_net::frame::ReceivedFrame;
-use wireless_net::reliable::ReliableEndpoint;
-use wireless_net::sim::{Application, NodeCtx};
+use wireless_net::sim::NodeCtx;
 
 /// The name `benchmark/` builds the Turquois flip under; kept until
 /// ROADMAP item 1 moves it to [`TurquoisApp::flipping`].
@@ -244,155 +241,32 @@ pub fn abba_garbage_votes(me: usize, round: u32, salvo: usize) -> Vec<(Bytes, us
     ]
 }
 
-/// The ABBA invalid-signature adversary: floods every round it observes
-/// with RSA-sized messages whose shares and justifications are garbage,
-/// forcing correct processes to burn verification time before
-/// discarding.
-pub struct ByzantineAbbaApp {
-    me: usize,
-    n: usize,
-    transport: ReliableEndpoint,
-    released: Vec<(usize, Bytes)>,
-    rounds_hit: BTreeSet<u32>,
-    salvos_per_round: usize,
-}
+/// The name `benchmark/` builds the ABBA flood under; kept until
+/// ROADMAP item 1 moves it to [`AbbaApp::flooding`].
+pub struct ByzantineAbbaApp;
 
 impl ByzantineAbbaApp {
-    /// Creates the adversary.
-    pub fn new(me: usize, n: usize) -> Self {
-        ByzantineAbbaApp {
-            me,
-            n,
-            transport: ReliableEndpoint::new(me, n),
-            released: Vec::new(),
-            rounds_hit: BTreeSet::new(),
-            salvos_per_round: 2,
-        }
-    }
-
-    fn bogus_for_round(&self, round: u32, salvo: usize) -> Vec<Bytes> {
-        abba_garbage_votes(self.me, round, salvo)
-            .into_iter()
-            .map(|(bytes, rsa_size)| pad_to(&bytes, rsa_size + 4))
-            .collect()
-    }
-
-    fn attack_round(&mut self, ctx: &mut NodeCtx<'_>, round: u32) {
-        if !self.rounds_hit.insert(round) {
-            return;
-        }
-        for salvo in 0..self.salvos_per_round {
-            for bytes in self.bogus_for_round(round, salvo) {
-                for dst in 0..self.n {
-                    if dst != self.me {
-                        self.transport.send(ctx, dst, bytes.clone());
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Application for ByzantineAbbaApp {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.attack_round(ctx, 1);
-        // A 20 ms timer that only re-arms itself and attacks nothing.
-        // Its events count in the benchmark's frozen outcome digest.
-        ctx.set_timer(Duration::from_millis(20), 1);
-    }
-
-    fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
-        self.transport.on_frame(ctx, &frame, &mut self.released);
-        let mut rounds = Vec::new();
-        for (_peer, padded) in &self.released {
-            if let Some(inner) = crate::adapters::unpad(padded) {
-                if let Some(msg) = turquois_baselines::abba::AbbaMessage::decode(inner) {
-                    let round = match msg {
-                        turquois_baselines::abba::AbbaMessage::PreVote { round, .. }
-                        | turquois_baselines::abba::AbbaMessage::MainVote { round, .. } => round,
-                    };
-                    rounds.push(round);
-                    rounds.push(round + 1);
-                }
-            }
-        }
-        for round in rounds {
-            self.attack_round(ctx, round);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
-        if timer == 1 {
-            ctx.set_timer(Duration::from_millis(20), 1);
-            return;
-        }
-        let _ = self.transport.on_timer(ctx, timer);
-    }
-
-    fn on_unicast_failed(&mut self, ctx: &mut NodeCtx<'_>, dst: usize, payload: Bytes) {
-        self.transport.on_unicast_failed(ctx, dst, payload);
-    }
-}
-
-/// ABBA's round-1 signed equivocator: sends every other party a
-/// correctly signed round-1 pre-vote for the value its bit of `mask`
-/// selects (round-1 pre-votes need no justification), then one salvo of
-/// [`abba_garbage_votes`], over the reliable transport and padded to
-/// RSA size like every ABBA message; after that it only acknowledges.
-pub struct AbbaEquivocatorApp {
-    me: usize,
-    n: usize,
-    keys: AbbaKeys,
-    mask: u64,
-    transport: ReliableEndpoint,
-    released: Vec<(usize, Bytes)>,
-}
-
-impl AbbaEquivocatorApp {
-    /// Creates the equivocator for party `me` (holding `keys`) in a
-    /// group of `n ≤ 64`.
-    pub fn new(me: usize, n: usize, keys: AbbaKeys, mask: u64) -> Self {
-        let transport = ReliableEndpoint::new(me, n);
-        AbbaEquivocatorApp { me, n, keys, mask, transport, released: Vec::new() }
-    }
-}
-
-impl Application for AbbaEquivocatorApp {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        let prevotes = [false, true].map(|value| {
-            let vote = round1_prevote(&self.keys, value);
-            pad_to(&vote.encode(), vote.rsa_equivalent_size() + 4)
-        });
-        let garbage = abba_garbage_votes(self.me, 1, 0);
-        for dst in (0..self.n).filter(|&dst| dst != self.me) {
-            self.transport.send(ctx, dst, prevotes[(self.mask >> dst & 1) as usize].clone());
-            for (bytes, rsa_size) in &garbage {
-                self.transport.send(ctx, dst, pad_to(bytes, rsa_size + 4));
-            }
-        }
-    }
-
-    fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
-        self.transport.on_frame(ctx, &frame, &mut self.released);
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
-        let _ = self.transport.on_timer(ctx, timer);
-    }
-
-    fn on_unicast_failed(&mut self, ctx: &mut NodeCtx<'_>, dst: usize, payload: Bytes) {
-        self.transport.on_unicast_failed(ctx, dst, payload);
+    /// [`AbbaApp::flooding`] under its old name.
+    // The old constructor's name, kept for `benchmark/`: what it builds
+    // is an `AbbaApp` in the flooding role.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(me: usize, n: usize) -> AbbaApp {
+        AbbaApp::flooding(me, n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapters::RunProbe;
+    use crate::adapters::tests::run_against_ackers;
+    use crate::adapters::{rsa_framed, unpad, RunProbe};
     use rand::SeedableRng;
+    use std::time::Duration;
+    use turquois_baselines::abba::{round1_prevote, Abba, AbbaKeys, AbbaMessage};
     use turquois_core::Config;
-    use wireless_net::frame::Addressing;
-    use wireless_net::sim::Command;
+    use wireless_net::frame::{Addressing, ReceivedFrame};
+    use wireless_net::reliable::TRANSPORT_TIMER_FLAG;
+    use wireless_net::sim::{Application, Command};
     use wireless_net::time::SimTime;
 
     #[test]
@@ -641,17 +515,108 @@ mod tests {
         assert_eq!(bracha_lie(3, &echo), echo);
     }
 
+    /// The flood's messages decode fine, and a correct engine fed them
+    /// spends verification work on each and records none: the
+    /// signatures are the garbage part.
     #[test]
     fn abba_bogus_messages_decode_but_fail_verification() {
-        let adv = ByzantineAbbaApp::new(3, 4);
-        let msgs = adv.bogus_for_round(1, 0);
-        assert_eq!(msgs.len(), 2);
-        for padded in msgs {
-            let inner = crate::adapters::unpad(&padded).expect("padded frame");
-            let msg = turquois_baselines::abba::AbbaMessage::decode(inner)
-                .expect("decodes fine — the signatures are the garbage part");
-            // RSA-equivalent padding was applied.
-            assert!(padded.len() >= msg.rsa_equivalent_size());
+        let (n, f) = (4, 1);
+        let keys = AbbaKeys::trusted_setup(n, f, 7);
+        let mut engine = Abba::new(n, f, 0, true, keys[0].clone(), 11);
+        let _ = engine.on_start();
+        // A genuine pre-vote is recorded, so the store has a size to keep.
+        let _ = engine.on_message(1, &round1_prevote(&keys[1], true).encode());
+        let store = engine.store_bytes();
+        assert!(store > 0, "the genuine pre-vote was not recorded");
+        for (round, salvo) in [(1, 0), (1, 1), (2, 0)] {
+            for (bytes, rsa_size) in abba_garbage_votes(3, round, salvo) {
+                let framed = rsa_framed(&bytes, rsa_size);
+                let inner = unpad(&framed).expect("framed");
+                let msg = AbbaMessage::decode(inner).expect("decodes fine");
+                assert_eq!(framed.len(), msg.rsa_equivalent_size() + 4, "RSA framing");
+                let out = engine.on_message(3, inner);
+                assert!(out.ops.share_verifies > 0, "{msg:?} cost no verification");
+                assert!(out.send.is_empty() && out.newly_decided.is_none(), "{msg:?} moved it");
+                assert_eq!(engine.store_bytes(), store, "{msg:?} was recorded");
+            }
+        }
+    }
+
+    /// Drives ABBA attacker `app`, process `me` of `n`, against peers
+    /// that only acknowledge, holding every callback to account for
+    /// nothing: no decision, no simulated CPU, no progress report.
+    /// Returns the ABBA messages each peer received, each checked to be
+    /// framed to its RSA size, and the timers the app armed outside its
+    /// transport.
+    fn run_abba_attacker(
+        role: &str,
+        mut app: AbbaApp,
+        me: usize,
+        n: usize,
+    ) -> (Vec<Vec<Bytes>>, Vec<(Duration, u64)>) {
+        let mut timers = Vec::new();
+        let released = run_against_ackers(&mut app, me, n, |app, charged, commands| {
+            assert_eq!(charged, Duration::ZERO, "{role} charged CPU");
+            assert!(app.progress().is_none(), "{role} reports progress");
+            for command in commands {
+                assert!(!matches!(command, Command::Decide { .. }), "{role} decided");
+                match *command {
+                    Command::SetTimer { delay, id } if id & TRANSPORT_TIMER_FLAG == 0 => {
+                        timers.push((delay, id))
+                    }
+                    _ => {}
+                }
+            }
+        });
+        let received = released.iter().map(|frames| {
+            let messages = frames.iter().map(|framed| {
+                let inner = unpad(framed).expect("framed");
+                let msg = AbbaMessage::decode(inner).expect("an ABBA message");
+                assert_eq!(framed.len(), msg.rsa_equivalent_size() + 4, "{role}: RSA framing");
+                Bytes::copy_from_slice(inner)
+            });
+            messages.collect()
+        });
+        (received.collect(), timers)
+    }
+
+    /// ABBA's attacker roles account for nothing and send what their
+    /// role says, to every peer but themselves: the flood two salvos of
+    /// round-1 garbage (and it arms its 20 ms timer), the equivocator
+    /// the signed round-1 pre-vote its bit of the mask selects, then
+    /// one garbage salvo.
+    #[test]
+    fn abba_roles_account_for_nothing() {
+        let (n, me, mask) = (4, 2, 0b1001);
+        let garbage = |salvo| abba_garbage_votes(me, 1, salvo).into_iter().map(|(bytes, _)| bytes);
+        let peer = |dst, messages: Vec<Bytes>| if dst == me { Vec::new() } else { messages };
+
+        let (received, timers) = run_abba_attacker("Flood", AbbaApp::flooding(me, n), me, n);
+        let salvos: Vec<Bytes> = garbage(0).chain(garbage(1)).collect();
+        for (dst, messages) in received.into_iter().enumerate() {
+            assert_eq!(messages, peer(dst, salvos.clone()), "Flood to {dst}");
+        }
+        assert_eq!(timers, [(Duration::from_millis(20), 1)], "Flood timers");
+
+        let keys = AbbaKeys::trusted_setup(n, 1, 7).swap_remove(me);
+        let app = AbbaApp::equivocating(me, n, keys.clone(), mask);
+        let (received, timers) = run_abba_attacker("Equivocate", app, me, n);
+        for (dst, messages) in received.into_iter().enumerate() {
+            let prevote = round1_prevote(&keys, mask >> dst & 1 == 1).encode();
+            let expected = std::iter::once(prevote).chain(garbage(0)).collect();
+            assert_eq!(messages, peer(dst, expected), "Equivocate to {dst}");
+        }
+        assert!(timers.is_empty(), "Equivocate timers: {timers:?}");
+    }
+
+    /// A new attacker has to be a role of a shipped app: the shipped
+    /// part of this module (up to its first `#[cfg(test)]`) implements
+    /// no `Application` and hosts no transport of its own.
+    #[test]
+    fn adversaries_are_roles_not_apps() {
+        let shipped = include_str!("adversary.rs").split("#[cfg(test)]").next().unwrap_or_default();
+        for banned in ["impl Application for", "ReliableEndpoint"] {
+            assert!(!shipped.contains(banned), "adversary.rs ships `{banned}`: make it a role");
         }
     }
 }

@@ -4,7 +4,6 @@
 //! models and cost-model ablations.
 
 use crate::adapters::{AbbaApp, BrachaApp, RunProbe, SharedLinkTags, SharedProbe, TurquoisApp};
-use crate::adversary::ByzantineAbbaApp;
 use std::time::Duration;
 use turquois_baselines::abba::{Abba, AbbaKeys};
 use turquois_baselines::bracha::Bracha;
@@ -504,7 +503,7 @@ impl Scenario {
                 let app = BrachaApp::new(engine, n, self.seed, cost, probe, link_tags);
                 Box::new(if byzantine { app.lying_to(u64::MAX) } else { app })
             }
-            NodeKeys::Abba(_) if byzantine => Box::new(ByzantineAbbaApp::new(i, n)),
+            NodeKeys::Abba(_) if byzantine => Box::new(AbbaApp::flooding(i, n)),
             NodeKeys::Abba(k) => {
                 let engine = Abba::new(n, f, i, proposal, k, seed(17));
                 Box::new(AbbaApp::new(engine, n, self.cost, probe.clone()))
