@@ -1,6 +1,8 @@
 //! Executes a [`Schedule`] against the nodes that ship — the harness's
-//! `Application`s, correct and Byzantine — and checks agreement,
-//! validity, and (within the σ omission budget) eventual decision.
+//! `Application`s, correct and Byzantine, each built by
+//! [`turquois_harness::group`] in the [`Role`] its spec names — and
+//! checks agreement, validity, and (within the σ omission budget)
+//! eventual decision.
 //!
 //! Time is a sequence of *rounds*, each [`QUANTUM`] of simulated time.
 //! Every callback is opened with `NodeCtx::new` at `round × QUANTUM`
@@ -28,23 +30,16 @@
 //! Turquois' ticks and the transport's retransmissions recover, which
 //! is what makes eventual decision checkable.
 
-use crate::schedule::{ByzStrategy, EngineKind, FaultKind, Partition, Schedule};
+use crate::schedule::{ByzSpec, ByzStrategy, EngineKind, FaultKind, Partition, Schedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::time::Duration;
-use turquois_baselines::abba::{Abba, AbbaKeys};
-use turquois_baselines::bracha::Bracha;
-use turquois_core::instance::Turquois;
 use turquois_core::message::Status;
-use turquois_core::KeyRing;
-use turquois_crypto::cost::CostModel;
-use turquois_harness::adapters::{
-    new_link_tags, AbbaApp, BrachaApp, RunProbe, SharedLinkTags, TurquoisApp, TICK_INTERVAL,
-};
-use turquois_harness::adversary::SplitBrainCoalition;
+use turquois_harness::adapters::{RunProbe, TurquoisApp, TICK_INTERVAL};
+use turquois_harness::group::{Group, Role};
 use wireless_net::reliable;
 use wireless_net::{Addressing, Application, Command, NodeCtx, ReceivedFrame, SimTime};
 
@@ -237,73 +232,31 @@ impl Net {
     }
 }
 
-/// What a schedule's processes share: key material, the link-tag pool
-/// and the split-brain coalition.
-struct Group {
-    rings: Vec<KeyRing>,
-    abba_keys: Vec<AbbaKeys>,
-    link_tags: SharedLinkTags,
-    coalition: SplitBrainCoalition,
-}
-
-impl Group {
-    fn new(s: &Schedule) -> Group {
-        let (turquois, abba) = (s.engine == EngineKind::Turquois, s.engine == EngineKind::Abba);
-        // A phase per round, with margin: keys are derived on first
-        // touch, so unused phases cost nothing.
-        let (phases, f) = (s.max_rounds as usize + 8, s.config().f());
-        Group {
-            rings: if turquois { KeyRing::trusted_setup(s.n, phases, s.seed) } else { Vec::new() },
-            abba_keys: if abba { AbbaKeys::trusted_setup(s.n, f, s.seed) } else { Vec::new() },
-            link_tags: new_link_tags(),
-            coalition: SplitBrainCoalition::default(),
-        }
+/// The role a Byzantine spec names: the flip is the protocol's §7.2
+/// attack, except ABBA's, which signs the round-1 pre-vote for 1 to
+/// every peer; the split brain equivocates along its mask.
+fn role(spec: &ByzSpec, engine: EngineKind) -> Role {
+    match (spec.strategy, engine) {
+        (ByzStrategy::Flip, EngineKind::Abba) => Role::Equivocate(u64::MAX),
+        (ByzStrategy::Flip, _) => Role::Attack,
+        (ByzStrategy::SplitBrain, _) => Role::Equivocate(spec.mask),
     }
 }
 
-/// Builds process `id` of `s`: the harness adapter, in the Byzantine
-/// role its spec names if it has one.
-fn node(s: &Schedule, group: &Group, id: usize) -> Box<dyn Application> {
-    let (n, f, proposal) = (s.n, s.config().f(), s.proposals[id]);
-    let (cost, probe) = (CostModel::default(), RunProbe::new(n));
-    let seed = s.seed.wrapping_add(31 * id as u64);
-    let byz = s.byz.iter().find(|b| b.id == id);
-    // The baselines' equivocators lie to the receivers in the mask;
-    // the flip lies to everyone.
-    let lie_mask = byz.map(|b| if b.strategy == ByzStrategy::Flip { u64::MAX } else { b.mask });
-    match s.engine {
-        EngineKind::Turquois => {
-            let ring = &group.rings[id];
-            let engine = |value, seed| Turquois::new(s.config(), id, value, ring.clone(), seed);
-            match byz {
-                None => Box::new(TurquoisApp::new(engine(proposal, seed), cost, probe)),
-                Some(b) if b.strategy == ByzStrategy::Flip => {
-                    Box::new(TurquoisApp::flipping(engine(proposal, seed), ring.clone()))
-                }
-                Some(b) => Box::new(TurquoisApp::split_brain(
-                    [engine(false, seed), engine(true, seed ^ 0xa5a5)],
-                    b.mask,
-                    n,
-                    group.coalition.clone(),
-                )),
-            }
-        }
-        EngineKind::Bracha => {
-            let (engine, tags) = (Bracha::new(n, f, id, proposal, seed), group.link_tags.clone());
-            let app = BrachaApp::new(engine, n, s.seed, cost, probe, tags);
-            Box::new(match lie_mask {
-                None => app,
-                Some(mask) => app.lying_to(mask),
-            })
-        }
-        EngineKind::Abba => {
-            let keys = group.abba_keys[id].clone();
-            Box::new(match lie_mask {
-                None => AbbaApp::new(Abba::new(n, f, id, proposal, keys, seed), n, cost, probe),
-                Some(mask) => AbbaApp::equivocating(id, n, keys, mask),
-            })
-        }
-    }
+/// Builds the processes of `s`, each correct or in the role its spec
+/// names.
+fn nodes(s: &Schedule) -> Vec<Box<dyn Application>> {
+    // A phase per round, with margin: keys are derived on first touch,
+    // so unused phases cost nothing.
+    let group = Group::new(s.engine.protocol(), s.config(), s.max_rounds as usize + 8, s.seed);
+    let probe = RunProbe::new(s.n);
+    (0..s.n)
+        .map(|id| {
+            let byz = s.byz.iter().find(|b| b.id == id);
+            let role = byz.map_or(Role::Correct, |b| role(b, s.engine));
+            group.node(id, s.proposals[id], role, s.seed.wrapping_add(31 * id as u64), &probe)
+        })
+        .collect()
 }
 
 /// The processes of one run and everything in flight between them.
@@ -366,8 +319,7 @@ impl<'s> World<'s> {
 pub fn run_schedule(s: &Schedule) -> RunReport {
     assert!((1..=64).contains(&s.n), "n = {} outside 1..=64 (masks are 64-bit)", s.n);
     assert_eq!(s.proposals.len(), s.n, "proposals must cover every process");
-    let group = Group::new(s);
-    let mut world = World::new(s, (0..s.n).map(|id| node(s, &group, id)).collect());
+    let mut world = World::new(s, nodes(s));
     let mut rounds_used = s.max_rounds;
     for round in 1..=s.max_rounds {
         if round == 1 {
@@ -441,8 +393,8 @@ fn finish(s: &Schedule, world: &World<'_>, rounds_used: u32) -> RunReport {
         let injected = |value: bool| {
             s.engine == EngineKind::Abba
                 && s.byz.iter().any(|b| {
-                    let mask = if b.strategy == ByzStrategy::Flip { u64::MAX } else { b.mask };
-                    correct.iter().any(|&to| (mask >> to & 1 == 1) == value)
+                    matches!(role(b, s.engine), Role::Equivocate(mask)
+                        if correct.iter().any(|&to| (mask >> to & 1 == 1) == value))
                 })
         };
         if let Some(&unanimous) = props.first() {
@@ -494,7 +446,7 @@ fn finish(s: &Schedule, world: &World<'_>, rounds_used: u32) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{ByzSpec, Fault};
+    use crate::schedule::Fault;
 
     fn base(engine: EngineKind, n: usize) -> Schedule {
         Schedule {
@@ -579,8 +531,7 @@ mod tests {
     #[test]
     fn turquois_broadcasts_in_the_callback_its_phase_advances() {
         let s = base(EngineKind::Turquois, 4);
-        let group = Group::new(&s);
-        let mut world = World::new(&s, (0..4).map(|id| node(&s, &group, id)).collect());
+        let mut world = World::new(&s, nodes(&s));
         (0..4).for_each(|id| world.call(1, id, |app, ctx| app.on_start(ctx)));
         let mut phase1 = world.net.take(1 + LATENCY);
         phase1.retain(|&(_, to, _)| to == 0);

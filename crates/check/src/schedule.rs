@@ -13,6 +13,7 @@ use crate::drive::QUANTUM;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use turquois_core::Config;
+use turquois_harness::Protocol;
 use wireless_net::reliable::MIN_RTO;
 
 /// Which consensus engine a schedule drives.
@@ -33,6 +34,15 @@ impl EngineKind {
             EngineKind::Turquois => "turquois",
             EngineKind::Bracha => "bracha",
             EngineKind::Abba => "abba",
+        }
+    }
+
+    /// The harness protocol this engine is.
+    pub fn protocol(self) -> Protocol {
+        match self {
+            EngineKind::Turquois => Protocol::Turquois,
+            EngineKind::Bracha => Protocol::Bracha,
+            EngineKind::Abba => Protocol::Abba,
         }
     }
 

@@ -593,7 +593,8 @@ impl Application for BrachaApp {
     fn progress(&self) -> Option<AppProgress> {
         Some(AppProgress {
             phase: self.engine.round(),
-            decided: self.engine.decision().is_some(),
+            // A Byzantine node never counts as decided.
+            decided: self.lying_to.is_none() && self.engine.decision().is_some(),
             store_bytes: self.engine.store_bytes(),
         })
     }

@@ -13,27 +13,28 @@
 //! so they tick and retransmit exactly as correct processes do:
 //! [`TurquoisApp::flipping`] broadcasts [`turquois_lie`], and
 //! [`TurquoisApp::split_brain`] equivocates through a [`SplitBrain`];
-//! [`BrachaApp::lying_to`] sends [`bracha_lie`] to the destinations in
-//! its mask (all of them for the flip, some for the explorer's
-//! equivocator). ABBA's attackers are roles of the [`AbbaApp`] and run
-//! no engine: [`AbbaApp::flooding`] floods [`abba_garbage_votes`], and
-//! [`AbbaApp::equivocating`] splits the round-1 pre-votes. This module
-//! holds what the roles send and hosts no application of its own. No
-//! adversary decides, charges a Turquois or ABBA node's simulated CPU
-//! or touches the [`RunProbe`](crate::adapters::RunProbe).
+//! [`BrachaApp::lying_to`](crate::adapters::BrachaApp::lying_to) sends
+//! [`bracha_lie`] to the destinations in its mask (all of them for the
+//! flip, some for the explorer's equivocator). ABBA's attackers are
+//! roles of the [`AbbaApp`] and run no engine: [`AbbaApp::flooding`]
+//! floods [`abba_garbage_votes`], and [`AbbaApp::equivocating`] splits
+//! the round-1 pre-votes. [`crate::group`] names these behaviours
+//! ([`Role`](crate::group::Role)) and builds every process in its role.
+//! This module holds what the roles send and hosts no application of
+//! its own. No adversary decides, charges a Turquois or ABBA node's
+//! simulated CPU or touches the [`RunProbe`](crate::adapters::RunProbe).
 
-use crate::adapters::{AbbaApp, BrachaApp, SharedLinkTags, SharedProbe, TurquoisApp};
+use crate::adapters::{AbbaApp, TurquoisApp};
+pub use crate::group::byzantine_bracha_app;
 use bytes::Bytes;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use turquois_baselines::bracha::Bracha;
 use turquois_baselines::rbc::RbcMessage;
 use turquois_core::instance::Turquois;
 use turquois_core::message::{Message, Status};
 use turquois_core::state::PhaseKind;
 use turquois_core::KeyRing;
-use turquois_crypto::cost::CostModel;
 use turquois_crypto::otss::Value;
 use turquois_crypto::sha256::sha256_concat;
 use turquois_crypto::threshold::{CoinShare, SigShare};
@@ -169,20 +170,6 @@ pub fn turquois_lie(
     ))
 }
 
-/// The Bracha value-flipping adversary: a [`BrachaApp`] lying to
-/// every destination. Kept for `benchmark/`, which builds it by this
-/// name, until ROADMAP item 1 moves it to [`BrachaApp::lying_to`].
-pub fn byzantine_bracha_app(
-    engine: Bracha,
-    n: usize,
-    seed: u64,
-    cost: CostModel,
-    probe: SharedProbe,
-    link_tags: SharedLinkTags,
-) -> BrachaApp {
-    BrachaApp::new(engine, n, seed, cost, probe, link_tags).lying_to(u64::MAX)
-}
-
 /// The §7.2 lie a Byzantine Bracha process `me` sends in place of
 /// `bytes`: its own reliable-broadcast *initials* corrupted (steps 1–2
 /// flipped, step 3 forced to ⊥); echoes, readies and other origins'
@@ -264,6 +251,7 @@ mod tests {
     use std::time::Duration;
     use turquois_baselines::abba::{round1_prevote, Abba, AbbaKeys, AbbaMessage};
     use turquois_core::Config;
+    use turquois_crypto::cost::CostModel;
     use wireless_net::frame::{Addressing, ReceivedFrame};
     use wireless_net::reliable::TRANSPORT_TIMER_FLAG;
     use wireless_net::sim::{Application, Command};

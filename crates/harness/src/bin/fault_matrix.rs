@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates fault loads one at a time; this matrix stacks
 //! them into a severity ladder S0–S4 (Gilbert–Elliott burst loss ×
-//! jamming window × crash-then-rejoin of a correct node × Byzantine
-//! split-brain adversary) and measures how decision rate and latency
+//! jamming window × crash-then-rejoin of a correct node × the §7.2
+//! value-flipping adversary) and measures how decision rate and latency
 //! degrade as the composition deepens. Every run still asserts
 //! agreement + validity — graceful degradation is only interesting if
 //! safety never bends.
@@ -85,6 +85,9 @@ fn severities() -> Vec<Severity> {
         },
         Severity {
             label: "S4",
+            // The label predates the role it names: S4 runs the flip
+            // (`Role::Attack`). It prints into `results/fault_matrix.txt`,
+            // so it changes with that file's next regeneration.
             desc: "S3 + Byzantine split-brain adversary (f faulty)",
             fault_load: FaultLoad::Byzantine,
             loss: jammed,

@@ -5,22 +5,20 @@
 //! interval and shows the trade-off: short ticks burn airtime
 //! (collisions) for marginal latency; long ticks stretch loss recovery.
 //!
-//! Usage: `tick_ablation [reps]` (default 15). The processes are wired
-//! by hand (their coin seeds predate [`Scenario`]'s and the checked-in
-//! numbers depend on them) and handed to [`Scenario::run_built`]; a run
-//! that stalls is data ([`Stall::Data`]); the knobs, safety check and
-//! exit status are the grid driver's ([`turquois_harness::grid`]).
+//! Usage: `tick_ablation [reps]` (default 15). The processes come from a
+//! [`Group`] with engine seeds `seed + i` (they predate [`Scenario`]'s
+//! and the checked-in numbers depend on them) and are handed to
+//! [`Scenario::run_built`]; a run that stalls is data ([`Stall::Data`]);
+//! the knobs, safety check and exit status are the grid driver's
+//! ([`turquois_harness::grid`]).
 
 use std::time::Duration;
 use turquois_core::config::Config;
-use turquois_core::instance::Turquois;
-use turquois_core::KeyRing;
-use turquois_crypto::cost::CostModel;
-use turquois_harness::adapters::{RunProbe, TurquoisApp};
+use turquois_harness::adapters::RunProbe;
 use turquois_harness::grid::{Plan, Stall};
-use turquois_harness::{ProposalDistribution, Protocol, Scenario};
+use turquois_harness::{Group, ProposalDistribution, Protocol, Role, Scenario};
 use wireless_net::fault::IidLoss;
-use wireless_net::sim::{Application, SimConfig, Simulator};
+use wireless_net::sim::{SimConfig, Simulator};
 
 fn main() {
     let plan = Plan::from_env("tick_ablation", 15, &[], Stall::Data);
@@ -40,27 +38,14 @@ fn main() {
         |tick_ms| format!("tick={tick_ms}ms"),
         |&tick_ms, rep, budget| {
             let seed = 0xA7u64.wrapping_mul(rep as u64 + 1);
-            let rings = KeyRing::trusted_setup(n, 600, seed);
+            let group = Group::new(Protocol::Turquois, cfg, 600, seed)
+                .tick_interval(Duration::from_millis(tick_ms));
             let probe = RunProbe::new(n);
-            let apps: Vec<Box<dyn Application>> = rings
-                .into_iter()
-                .enumerate()
-                .map(|(i, ring)| {
-                    let inst = Turquois::new(cfg, i, dist.proposal(i), ring, seed + i as u64);
-                    Box::new(
-                        TurquoisApp::new(inst, CostModel::pentium3_600(), probe.clone())
-                            .tick_interval(Duration::from_millis(tick_ms)),
-                    ) as Box<dyn Application>
-                })
+            let apps = (0..n)
+                .map(|i| group.node(i, dist.proposal(i), Role::Correct, seed + i as u64, &probe))
                 .collect();
-            let sim = Simulator::new(
-                SimConfig {
-                    seed,
-                    ..SimConfig::default()
-                },
-                Box::new(IidLoss::new(0.10, seed)),
-                apps,
-            );
+            let sim_cfg = SimConfig { seed, ..SimConfig::default() };
+            let sim = Simulator::new(sim_cfg, Box::new(IidLoss::new(0.10, seed)), apps);
             let scenario = Scenario::new(Protocol::Turquois, n)
                 .proposals(dist)
                 .time_limit(Duration::from_secs(60));

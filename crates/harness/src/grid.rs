@@ -95,8 +95,9 @@ impl Plan {
     /// results in cell order.
     ///
     /// `run` produces the outcome of one `(cell, rep)` under the
-    /// attempt's [`Budget`] — `budget.apply(scenario).run_once()` for
-    /// all but hand-wired simulators. `sample` extracts what the run
+    /// attempt's [`Budget`] — `budget.apply(scenario).run_once()`, or
+    /// `run_built` for a simulator built outside the scenario
+    /// (`tick_ablation`'s). `sample` extracts what the run
     /// contributes; an `Err` from it is an experiment-specific safety
     /// verdict (the partition matrix's sub-quorum rule) and fails the
     /// cell like an agreement violation. `label` names a cell on stderr

@@ -8,6 +8,9 @@
 //!   RSA-sized messages for ABBA, 10 ms clock ticks).
 //! * [`adversary`] — the §7.2 Byzantine strategies (value flipping for
 //!   Turquois/Bracha, invalid-signature flooding for ABBA).
+//! * [`group`] — the one place a run's processes are built: deals the
+//!   group's keys once and turns each process's [`Role`] (correct,
+//!   crashed, the §7.2 attack, an equivocator) into its application.
 //! * [`scenario`] — one experiment cell: protocol × n × proposal
 //!   distribution × fault load × loss model.
 //! * [`grid`] — the one experiment driver (§7.2): seeded repetitions
@@ -39,11 +42,13 @@ pub mod adversary;
 pub mod env_guard;
 pub mod experiment;
 pub mod grid;
+pub mod group;
 pub mod runner;
 pub mod scenario;
 pub mod simstress;
 pub mod stats;
 
+pub use group::{Group, Role};
 pub use scenario::{
     FaultLoad, LossSpec, Protocol, ProposalDistribution, RunOutcome, Scenario, ScenarioError,
 };

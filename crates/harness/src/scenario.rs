@@ -3,14 +3,11 @@
 //! proposal distribution × fault load, plus the reproduction's loss
 //! models and cost-model ablations.
 
-use crate::adapters::{AbbaApp, BrachaApp, RunProbe, SharedLinkTags, SharedProbe, TurquoisApp};
+use crate::adapters::{RunProbe, SharedProbe};
+use crate::group::{Group, Role};
 use std::time::Duration;
-use turquois_baselines::abba::{Abba, AbbaKeys};
-use turquois_baselines::bracha::Bracha;
 use turquois_baselines::Quorums;
 use turquois_core::config::{Config, ConfigError};
-use turquois_core::instance::Turquois;
-use turquois_core::KeyRing;
 use turquois_crypto::cost::CostModel;
 use wireless_net::fault::{
     BudgetedOmission, Compose, CrashSchedule, FaultModel, GilbertElliott, IidLoss, JammingWindows,
@@ -18,7 +15,7 @@ use wireless_net::fault::{
 };
 use wireless_net::frame::NodeId;
 use wireless_net::supervise::StallReport;
-use wireless_net::sim::{Application, CrashedApp, Decision, Node, RunStatus, SimConfig, Simulator};
+use wireless_net::sim::{Application, Decision, Node, RunStatus, SimConfig, Simulator};
 use wireless_net::stats::NetStats;
 use wireless_net::time::SimTime;
 use wireless_net::topology::TopologySpec;
@@ -345,13 +342,8 @@ impl Scenario {
     /// configuration.
     pub fn build_sim(&self) -> Result<(Simulator, SharedProbe), ScenarioError> {
         let cfg = Config::evaluation(self.n).map_err(ScenarioError::InvalidConfig)?;
-        let probe = RunProbe::new(self.n);
-        let apps = self
-            .group_keys(cfg)
-            .into_iter()
-            .enumerate()
-            .map(|(i, keys)| self.node_app(cfg, i, keys, &probe))
-            .collect();
+        let (group, probe) = (self.group(cfg), RunProbe::new(self.n));
+        let apps = (0..self.n).map(|i| self.node(&group, cfg.f(), i, &probe)).collect();
         let sim_cfg = SimConfig {
             seed: self.seed,
             phy: self.phy,
@@ -363,16 +355,6 @@ impl Scenario {
             sim.set_crash_schedule(self.crashes.clone());
         }
         Ok((sim, probe))
-    }
-
-    /// Number of processes that behave correctly under this fault load.
-    pub fn correct_count(&self) -> usize {
-        let f = Config::evaluation(self.n).map_or(0, |cfg| cfg.f());
-        if self.fault_load == FaultLoad::FailureFree {
-            self.n
-        } else {
-            self.n - f
-        }
     }
 
     /// Runs the scenario once.
@@ -389,8 +371,9 @@ impl Scenario {
     /// Runs an already-built simulator to this scenario's decision
     /// target and time limit and records the outcome against this
     /// scenario's proposals and fault load. [`Scenario::run_once`] is
-    /// this after [`Scenario::build_sim`]; an experiment that wires its
-    /// own applications (`tick_ablation`) must build them to match.
+    /// this after [`Scenario::build_sim`]; an experiment that seeds its
+    /// own engines (`tick_ablation`) builds them with a [`Group`] to
+    /// match.
     ///
     /// # Errors
     ///
@@ -402,15 +385,12 @@ impl Scenario {
         probe: SharedProbe,
     ) -> Result<RunOutcome, ScenarioError> {
         let cfg = Config::evaluation(self.n).map_err(ScenarioError::InvalidConfig)?;
-        let n = self.n;
-        let f = cfg.f();
-        let fault_load = self.fault_load;
-        let faulty_flags: Vec<bool> = (0..n)
-            .map(|i| fault_load != FaultLoad::FailureFree && i >= n - f)
-            .collect();
+        let (n, f, fault_load) = (self.n, cfg.f(), self.fault_load);
+        let faulty_flags: Vec<bool> = (0..n).map(|i| self.role(f, i) != Role::Correct).collect();
+        let correct = faulty_flags.iter().filter(|&&faulty| !faulty).count();
         let proposals: Vec<bool> = (0..n).map(|i| self.proposals.proposal(i)).collect();
         let limit = SimTime::ZERO + self.time_limit;
-        let (status, stall) = sim.run_until_k_decided_supervised(self.correct_count(), limit);
+        let (status, stall) = sim.run_until_k_decided_supervised(correct, limit);
         let probe_snapshot = probe.borrow().clone();
 
         Ok(RunOutcome {
@@ -442,81 +422,36 @@ impl Scenario {
     /// configuration.
     pub fn live_node(&self, id: NodeId) -> Result<Node, ScenarioError> {
         let cfg = Config::evaluation(self.n).map_err(ScenarioError::InvalidConfig)?;
-        let keys = self.group_keys(cfg).swap_remove(id);
-        let app = self.node_app(cfg, id, keys, &RunProbe::new(self.n));
+        let app = self.node(&self.group(cfg), cfg.f(), id, &RunProbe::new(self.n));
         Ok((app, self.loss.build(self.seed.wrapping_add(id as u64))))
     }
 
-    /// The group's trusted set-up, dealt once: one share per node.
-    fn group_keys(&self, cfg: Config) -> Vec<NodeKeys> {
-        match self.protocol {
-            Protocol::Turquois => KeyRing::trusted_setup(self.n, self.key_phases, self.seed)
-                .into_iter()
-                .map(NodeKeys::Turquois)
-                .collect(),
-            // One link-tag pool per group: a frame's sender-side wrap and
-            // receiver-side checks share one host-side HMAC computation
-            // (simulated cost is still charged on both ends).
-            Protocol::Bracha => {
-                let link_tags = crate::adapters::new_link_tags();
-                (0..self.n).map(|_| NodeKeys::Bracha(link_tags.clone())).collect()
-            }
-            Protocol::Abba => AbbaKeys::trusted_setup(self.n, cfg.f(), self.seed)
-                .into_iter()
-                .map(NodeKeys::Abba)
-                .collect(),
+    /// The group's trusted set-up, dealt once.
+    fn group(&self, cfg: Config) -> Group {
+        let group = Group::new(self.protocol, cfg, self.key_phases, self.seed);
+        group.cost_model(self.cost).tick_interval(self.tick)
+    }
+
+    /// Process `i`'s role: under a faulty load the last f processes are
+    /// the faulty ones.
+    fn role(&self, f: usize, i: NodeId) -> Role {
+        match self.fault_load {
+            FaultLoad::FailStop if i >= self.n - f => Role::Crashed,
+            FaultLoad::Byzantine if i >= self.n - f => Role::Attack,
+            _ => Role::Correct,
         }
     }
 
-    /// Node `i`'s application from its share of the group set-up. The
-    /// last f processes are the faulty ones under faulty loads.
-    fn node_app(
-        &self,
-        cfg: Config,
-        i: NodeId,
-        keys: NodeKeys,
-        probe: &SharedProbe,
-    ) -> Box<dyn Application> {
-        let (n, f) = (self.n, cfg.f());
-        let faulty = i >= n - f;
-        if faulty && self.fault_load == FaultLoad::FailStop {
-            return Box::new(CrashedApp);
-        }
-        let byzantine = faulty && self.fault_load == FaultLoad::Byzantine;
-        let proposal = self.proposals.proposal(i);
-        let seed = |stride: u64| self.seed.wrapping_add(stride.wrapping_mul(i as u64));
-        match keys {
-            NodeKeys::Turquois(ring) => {
-                let inst = Turquois::new(cfg, i, proposal, ring.clone(), seed(7));
-                if byzantine {
-                    return Box::new(TurquoisApp::flipping(inst, ring).tick_interval(self.tick));
-                }
-                Box::new(
-                    TurquoisApp::new(inst, self.cost, probe.clone())
-                        .tick_interval(self.tick)
-                        .resettable(cfg, proposal, ring, seed(7)),
-                )
-            }
-            NodeKeys::Bracha(link_tags) => {
-                let engine = Bracha::new(n, f, i, proposal, seed(31));
-                let (probe, cost) = (probe.clone(), self.cost);
-                let app = BrachaApp::new(engine, n, self.seed, cost, probe, link_tags);
-                Box::new(if byzantine { app.lying_to(u64::MAX) } else { app })
-            }
-            NodeKeys::Abba(_) if byzantine => Box::new(AbbaApp::flooding(i, n)),
-            NodeKeys::Abba(k) => {
-                let engine = Abba::new(n, f, i, proposal, k, seed(17));
-                Box::new(AbbaApp::new(engine, n, self.cost, probe.clone()))
-            }
-        }
+    /// Process `i`, built by `group`, its engine seeded per protocol.
+    fn node(&self, group: &Group, f: usize, i: NodeId, probe: &SharedProbe) -> Box<dyn Application> {
+        let stride: u64 = match self.protocol {
+            Protocol::Turquois => 7,
+            Protocol::Bracha => 31,
+            Protocol::Abba => 17,
+        };
+        let seed = self.seed.wrapping_add(stride.wrapping_mul(i as u64));
+        group.node(i, self.proposals.proposal(i), self.role(f, i), seed, probe)
     }
-}
-
-/// One node's share of a group's trusted set-up.
-enum NodeKeys {
-    Turquois(KeyRing),
-    Bracha(SharedLinkTags),
-    Abba(AbbaKeys),
 }
 
 /// The observable results of one run.

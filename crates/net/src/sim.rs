@@ -136,12 +136,6 @@ impl<'a> NodeCtx<'a> {
         &mut *self.rng
     }
 
-    /// Flips an unbiased local coin — the `coin_i()` primitive of the
-    /// paper's Algorithm 1.
-    pub fn coin(&mut self) -> bool {
-        self.rng.gen_bool(0.5)
-    }
-
     /// Charges `cost` of CPU time to this node; effects of this callback
     /// (sends, timers, decisions) take place after the charge.
     pub fn charge_cpu(&mut self, cost: Duration) {

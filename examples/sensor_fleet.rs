@@ -14,12 +14,10 @@
 
 use std::time::Duration;
 use turquois::core::config::Config;
-use turquois::core::instance::Turquois;
-use turquois::core::KeyRing;
-use turquois::crypto::cost::CostModel;
-use turquois::harness::adapters::{RunProbe, TurquoisApp};
+use turquois::harness::adapters::RunProbe;
+use turquois::harness::{Group, Protocol, Role};
 use turquois::net::fault::GilbertElliott;
-use turquois::net::sim::{Application, SimConfig, Simulator};
+use turquois::net::sim::{SimConfig, Simulator};
 use turquois::net::time::SimTime;
 
 fn main() {
@@ -29,26 +27,13 @@ fn main() {
     println!("sensor fleet: n = {n}, tolerating f = {f} captured sensors, k = {}", cfg.k());
 
     // Detections: sensors 0..7 saw the hazard.
-    let proposals: Vec<bool> = (0..n).map(|i| i < 7).collect();
-    // Sensors 11..16 are captured.
-    let captured: Vec<bool> = (0..n).map(|i| i >= n - f).collect();
+    let detected = |i| i < 7;
+    // Sensors 11..16 are captured: they flip their value (the paper's
+    // §7.2 attack).
+    let role = |i| if i >= n - f { Role::Attack } else { Role::Correct };
 
-    let rings = KeyRing::trusted_setup(n, 600, 99);
-    let probe = RunProbe::new(n);
-    let cost = CostModel::pentium3_600();
-    let apps: Vec<Box<dyn Application>> = rings
-        .into_iter()
-        .enumerate()
-        .map(|(i, ring)| {
-            if captured[i] {
-                let tracker = Turquois::new(cfg, i, proposals[i], ring.clone(), 99 + i as u64);
-                Box::new(TurquoisApp::flipping(tracker, ring)) as Box<dyn Application>
-            } else {
-                let inst = Turquois::new(cfg, i, proposals[i], ring, 99 + i as u64);
-                Box::new(TurquoisApp::new(inst, cost, probe.clone())) as Box<dyn Application>
-            }
-        })
-        .collect();
+    let (group, probe) = (Group::new(Protocol::Turquois, cfg, 600, 99), RunProbe::new(n));
+    let apps = (0..n).map(|i| group.node(i, detected(i), role(i), 99 + i as u64, &probe)).collect();
 
     // Outdoor channel: bursty interference (Gilbert–Elliott).
     let fault = GilbertElliott::new(0.02, 0.3, 0.005, 0.5, 7);
@@ -64,7 +49,7 @@ fn main() {
     let mut alarm_votes = 0;
     let mut decided = 0;
     for i in 0..n {
-        if captured[i] {
+        if role(i) != Role::Correct {
             continue;
         }
         if let Some(d) = sim.decisions()[i] {
@@ -74,7 +59,7 @@ fn main() {
             }
             println!(
                 "  sensor {i:2}: detected={} decided={} at {:.1} ms",
-                proposals[i] as u8,
+                detected(i) as u8,
                 d.value as u8,
                 d.time.saturating_since(sim.start_times()[i]).as_secs_f64() * 1e3
             );
