@@ -30,8 +30,6 @@
 
 use crate::quorum::{Quorums, Tally, TallyValue};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::hash_map::Entry;
 use turquois_crypto::memo::FixedMap;
 use turquois_crypto::sha256::{Digest, DIGEST_LEN};
@@ -603,7 +601,6 @@ pub struct Abba {
     records: usize,
     decision: Option<bool>,
     stop_round: Option<u32>,
-    _rng: StdRng,
 }
 
 impl std::fmt::Debug for Abba {
@@ -617,13 +614,16 @@ impl std::fmt::Debug for Abba {
 }
 
 impl Abba {
-    /// Creates the engine for party `me` proposing `proposal`.
+    /// Creates the engine for party `me` proposing `proposal`. The
+    /// engine draws no local randomness (its coin is the threshold
+    /// coin), so `_seed` only keeps the constructor in line with the
+    /// other engines'.
     ///
     /// # Panics
     ///
     /// Panics unless `3f < n`, `me < n`, and the key bundle's thresholds
     /// are [`Quorums::wait`] and [`Quorums::weak`].
-    pub fn new(n: usize, f: usize, me: usize, proposal: bool, keys: AbbaKeys, seed: u64) -> Self {
+    pub fn new(n: usize, f: usize, me: usize, proposal: bool, keys: AbbaKeys, _seed: u64) -> Self {
         let q = Quorums::new(n, f);
         assert!(me < n, "party id out of range");
         assert_eq!(keys.sig_public.threshold(), q.wait(), "wrong sig threshold");
@@ -644,7 +644,6 @@ impl Abba {
             records: 0,
             decision: None,
             stop_round: None,
-            _rng: StdRng::seed_from_u64(seed ^ 0xabba),
         }
     }
 
@@ -1247,7 +1246,7 @@ mod tests {
     /// any order of the same shares must give the same proof.
     #[test]
     fn coin_proof_is_independent_of_share_order() {
-        use rand::Rng;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
         let keys = AbbaKeys::trusted_setup(7, 2, 41);
         let public = &keys[0].coin_public;
         let tag = coin_tag(3);

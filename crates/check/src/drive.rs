@@ -92,14 +92,25 @@ impl fmt::Display for Violation {
     }
 }
 
-/// The stable kind tag of a violation (used by replay expectations).
+/// Which property a [`Violation`] breaks: the tag replay expectations
+/// record and the shrinker holds fixed.
+#[derive(Clone, Copy, Debug, Eq, PartialEq)]
+pub enum ViolationKind {
+    /// See [`Violation::Agreement`].
+    Agreement,
+    /// See [`Violation::Validity`].
+    Validity,
+    /// See [`Violation::Liveness`].
+    Liveness,
+}
+
 impl Violation {
-    /// `agreement`, `validity`, or `liveness`.
-    pub fn kind(&self) -> &'static str {
+    /// The property this violation breaks.
+    pub fn kind(&self) -> ViolationKind {
         match self {
-            Violation::Agreement { .. } => "agreement",
-            Violation::Validity { .. } => "validity",
-            Violation::Liveness { .. } => "liveness",
+            Violation::Agreement { .. } => ViolationKind::Agreement,
+            Violation::Validity { .. } => ViolationKind::Validity,
+            Violation::Liveness { .. } => ViolationKind::Liveness,
         }
     }
 }

@@ -5,7 +5,8 @@
 //! Exploration reuses `turquois_harness::runner::run_indexed` — the
 //! same deterministic fan-out that drives the experiment binaries — so
 //! per-schedule results are merged in job order and the rendered report
-//! is byte-identical at any `TURQUOIS_THREADS`. Shrinking runs serially
+//! is byte-identical at any `TURQUOIS_THREADS`; each schedule runs under
+//! `runner::isolated`, the grid's panic guard. Shrinking runs serially
 //! after the merge (only failures shrink, and failures are the rare
 //! path).
 
@@ -14,7 +15,7 @@ use crate::replay::{to_text, Expectation};
 use crate::schedule::{generate, EngineKind, GenParams, Schedule};
 use crate::shrink::shrink;
 use std::fmt::Write as _;
-use turquois_harness::runner::{run_supervised, JobOutcome, StallReport};
+use turquois_harness::runner::{isolated, run_indexed};
 
 /// Parameters for one exploration sweep.
 #[derive(Clone, Copy, Debug)]
@@ -73,8 +74,8 @@ pub struct ExploreReport {
     pub decided: usize,
     /// Failures, shrunk to minimal counterexamples.
     pub violations: Vec<ViolationRecord>,
-    /// Schedules that panicked the engine, isolated by the supervised
-    /// runner so the rest of the sweep still completes.
+    /// Schedules that panicked the engine, isolated by
+    /// `runner::isolated` so the rest of the sweep still completes.
     pub panics: Vec<PanicRecord>,
     /// Deterministic rendered report (byte-identical at any thread
     /// count).
@@ -100,46 +101,47 @@ fn explore_with(
         base_seed: cfg.base_seed,
     };
     let indices: Vec<usize> = (0..cfg.schedules).collect();
-    // Supervised fan-out: a schedule that panics the engine is isolated
-    // to its own job and recorded as a counterexample candidate instead
-    // of killing the sweep.
-    let outcomes = run_supervised(threads, &indices, |_, &i, _attempt| {
-        let s = generate(&params, i as u64);
-        let r = run(i, &s);
-        Ok::<_, Box<StallReport>>((s, r))
+    // A schedule that panics the engine is isolated to its own job and
+    // recorded as a counterexample candidate instead of killing the
+    // sweep.
+    let outcomes = run_indexed(threads, &indices, |_, &i| {
+        isolated(|| {
+            let s = generate(&params, i as u64);
+            let r = run(i, &s);
+            (s, r)
+        })
     });
 
     let explored = outcomes.len();
     let mut runs: Vec<(usize, Schedule, RunReport)> = Vec::new();
     let mut panics: Vec<PanicRecord> = Vec::new();
     for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            JobOutcome::Ok((s, r)) => runs.push((i, s, r)),
-            // Schedule execution is a bounded loop with no time budget;
-            // the job closure never reports a stall.
-            JobOutcome::Stalled(_) => unreachable!("schedule execution cannot stall"),
-            JobOutcome::Panicked(message) => {
-                let s = generate(&params, i as u64);
-                let fixture = to_text(
-                    &s,
-                    Expectation::Clean,
-                    &[
-                        &format!("schedule #{i} PANICKED during exploration: {message}"),
-                        &format!(
-                            "sweep: engine={}, n={}, base_seed={}",
-                            cfg.engine.name(),
-                            cfg.n,
-                            cfg.base_seed
-                        ),
-                    ],
-                );
-                panics.push(PanicRecord {
-                    index: i,
-                    message,
-                    fixture,
-                });
+        let message = match outcome {
+            Ok((s, r)) => {
+                runs.push((i, s, r));
+                continue;
             }
-        }
+            Err(message) => message,
+        };
+        let s = generate(&params, i as u64);
+        let fixture = to_text(
+            &s,
+            Expectation::Clean,
+            &[
+                &format!("schedule #{i} PANICKED during exploration: {message}"),
+                &format!(
+                    "sweep: engine={}, n={}, base_seed={}",
+                    cfg.engine.name(),
+                    cfg.n,
+                    cfg.base_seed
+                ),
+            ],
+        );
+        panics.push(PanicRecord {
+            index: i,
+            message,
+            fixture,
+        });
     }
 
     let eligible = runs.iter().filter(|(_, _, r)| r.eligible).count();
@@ -164,7 +166,7 @@ fn explore_with(
         });
         let fixture = to_text(
             &result.schedule,
-            Expectation::Violation(kind_static(kind)),
+            Expectation::Violation(kind),
             &[&format!(
                 "shrunk from schedule #{i} of sweep (engine={}, n={}, base_seed={})",
                 cfg.engine.name(),
@@ -226,17 +228,6 @@ fn explore_with(
         violations,
         panics,
         text,
-    }
-}
-
-/// Maps a violation kind back to the `'static` string the
-/// [`Expectation`] type carries.
-fn kind_static(kind: &str) -> &'static str {
-    match kind {
-        "agreement" => "agreement",
-        "validity" => "validity",
-        "liveness" => "liveness",
-        other => unreachable!("unknown violation kind {other}"),
     }
 }
 

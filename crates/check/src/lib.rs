@@ -42,7 +42,7 @@ pub mod replay;
 pub mod schedule;
 pub mod shrink;
 
-pub use drive::{run_schedule, RunReport, Violation};
+pub use drive::{run_schedule, RunReport, Violation, ViolationKind};
 pub use explore::{explore, ExploreConfig, ExploreReport, PanicRecord, ViolationRecord};
 pub use replay::{parse, to_text, Expectation};
 pub use schedule::{generate, EngineKind, Fault, FaultKind, GenParams, Partition, Schedule};

@@ -26,6 +26,7 @@
 //! `agreement`, `validity`, `liveness`. [`to_text`] and [`parse`]
 //! round-trip exactly, so fixtures stay in canonical form.
 
+use crate::drive::ViolationKind;
 use crate::schedule::{ByzSpec, ByzStrategy, EngineKind, Fault, FaultKind, Partition, Schedule};
 
 /// What replaying a fixture must produce.
@@ -33,9 +34,8 @@ use crate::schedule::{ByzSpec, ByzStrategy, EngineKind, Fault, FaultKind, Partit
 pub enum Expectation {
     /// No violation.
     Clean,
-    /// A violation of the named kind (`agreement`, `validity`,
-    /// `liveness`).
-    Violation(&'static str),
+    /// A violation of the given kind.
+    Violation(ViolationKind),
 }
 
 impl Expectation {
@@ -43,21 +43,22 @@ impl Expectation {
     pub fn as_str(&self) -> &'static str {
         match self {
             Expectation::Clean => "clean",
-            Expectation::Violation("agreement") => "agreement-violation",
-            Expectation::Violation("validity") => "validity-violation",
-            Expectation::Violation("liveness") => "liveness-violation",
-            Expectation::Violation(_) => unreachable!("constructed only via parse/kind"),
+            Expectation::Violation(ViolationKind::Agreement) => "agreement-violation",
+            Expectation::Violation(ViolationKind::Validity) => "validity-violation",
+            Expectation::Violation(ViolationKind::Liveness) => "liveness-violation",
         }
     }
 
     fn parse(word: &str) -> Result<Expectation, String> {
-        match word {
-            "clean" => Ok(Expectation::Clean),
-            "agreement-violation" => Ok(Expectation::Violation("agreement")),
-            "validity-violation" => Ok(Expectation::Violation("validity")),
-            "liveness-violation" => Ok(Expectation::Violation("liveness")),
-            other => Err(format!("unknown expectation `{other}`")),
-        }
+        [
+            Expectation::Clean,
+            Expectation::Violation(ViolationKind::Agreement),
+            Expectation::Violation(ViolationKind::Validity),
+            Expectation::Violation(ViolationKind::Liveness),
+        ]
+        .into_iter()
+        .find(|expect| expect.as_str() == word)
+        .ok_or_else(|| format!("unknown expectation `{word}`"))
     }
 }
 
@@ -294,9 +295,9 @@ mod tests {
     fn all_expectations_round_trip() {
         for e in [
             Expectation::Clean,
-            Expectation::Violation("agreement"),
-            Expectation::Violation("validity"),
-            Expectation::Violation("liveness"),
+            Expectation::Violation(ViolationKind::Agreement),
+            Expectation::Violation(ViolationKind::Validity),
+            Expectation::Violation(ViolationKind::Liveness),
         ] {
             let text = to_text(&sample(), e, &[]);
             assert_eq!(parse(&text).unwrap().1, e);

@@ -135,6 +135,7 @@ fn report_is_byte_identical_at_1_and_8_threads() {
 #[cfg(feature = "mutation-smoke")]
 mod mutation {
     use super::*;
+    use turquois_check::ViolationKind;
 
     /// The planted `>=` quorum bug lets two disjoint-but-for-the-
     /// equivocator 3-subsets of `n+f = 6` both clear the weakened
@@ -159,8 +160,8 @@ mod mutation {
             .first()
             .expect("mutation smoke found no violation — quorum bug not detected");
         assert!(first.index < BUDGET, "first violation past the smoke budget");
-        assert_eq!(first.violation.kind(), "agreement");
-        assert_eq!(first.shrunk_violation.kind(), "agreement");
+        assert_eq!(first.violation.kind(), ViolationKind::Agreement);
+        assert_eq!(first.shrunk_violation.kind(), ViolationKind::Agreement);
         // Shrinking must actually bite: the generated partition schedule
         // carries dozens of faults and a 12-round window.
         assert!(
@@ -198,7 +199,7 @@ mod mutation {
             .violations
             .first()
             .expect("scale-shaped mutation smoke found no violation");
-        assert_eq!(first.violation.kind(), "agreement");
-        assert_eq!(first.shrunk_violation.kind(), "agreement");
+        assert_eq!(first.violation.kind(), ViolationKind::Agreement);
+        assert_eq!(first.shrunk_violation.kind(), ViolationKind::Agreement);
     }
 }

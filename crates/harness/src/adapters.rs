@@ -41,10 +41,6 @@ use wireless_net::supervise::AppProgress;
 pub struct RunProbe {
     /// Protocol phase (Turquois) or round (baselines) at decision time.
     pub phase_at_decision: Vec<Option<u32>>,
-    /// Messages accepted per node.
-    pub accepted: Vec<u64>,
-    /// Messages rejected (authenticity or semantic validation) per node.
-    pub rejected: Vec<u64>,
     /// Nodes whose one-time keys ran out (Turquois re-key boundary).
     pub keys_exhausted: Vec<bool>,
     /// Last observed protocol phase/round per node (updated continuously).
@@ -56,8 +52,6 @@ impl RunProbe {
     pub fn new(n: usize) -> SharedProbe {
         Rc::new(RefCell::new(RunProbe {
             phase_at_decision: vec![None; n],
-            accepted: vec![0; n],
-            rejected: vec![0; n],
             keys_exhausted: vec![false; n],
             final_phase: vec![0; n],
         }))
@@ -244,11 +238,6 @@ impl Application for TurquoisApp {
                 );
                 let mut probe = probe.borrow_mut();
                 let id = self.instance.id();
-                match receipt.outcome {
-                    turquois_core::MessageOutcome::Accepted
-                    | turquois_core::MessageOutcome::Duplicate => probe.accepted[id] += 1,
-                    _ => probe.rejected[id] += 1,
-                }
                 probe.final_phase[id] = self.instance.phase();
                 if let Some(v) = receipt.newly_decided {
                     probe.phase_at_decision[id] = Some(self.instance.phase());
@@ -272,9 +261,6 @@ impl Application for TurquoisApp {
     fn progress(&self) -> Option<AppProgress> {
         Some(AppProgress {
             phase: self.instance.phase(),
-            // A Byzantine node never counts as decided.
-            decided: matches!(self.role, Role::Correct { .. })
-                && self.instance.decision().is_some(),
             store_bytes: self.instance.store_bytes(),
         })
     }
@@ -572,10 +558,8 @@ impl Application for BrachaApp {
         for (peer, wrapped) in released.drain(..) {
             ctx.charge_cpu(self.cost.hmac(wrapped.len().saturating_sub(ICV_LEN)));
             if !self.icv_ok(peer, &wrapped) {
-                self.probe.borrow_mut().rejected[self.engine.id()] += 1;
                 continue;
             }
-            self.probe.borrow_mut().accepted[self.engine.id()] += 1;
             let out = self.engine.on_message(peer, &wrapped[ICV_LEN..]);
             self.dispatch(ctx, out);
         }
@@ -593,8 +577,6 @@ impl Application for BrachaApp {
     fn progress(&self) -> Option<AppProgress> {
         Some(AppProgress {
             phase: self.engine.round(),
-            // A Byzantine node never counts as decided.
-            decided: self.lying_to.is_none() && self.engine.decision().is_some(),
             store_bytes: self.engine.store_bytes(),
         })
     }
@@ -749,14 +731,12 @@ impl AbbaApp {
     fn hear(&mut self, ctx: &mut NodeCtx<'_>, peer: usize, padded: &[u8]) {
         let inner = unpad(padded);
         match &mut self.role {
-            AbbaRole::Correct { engine, probe, .. } => {
+            AbbaRole::Correct { engine, .. } => {
                 let Some(inner) = inner else {
-                    probe.borrow_mut().rejected[self.me] += 1;
                     return;
                 };
                 // `inner` borrows straight out of the delivered buffer;
                 // the engine parses it without an owned copy.
-                probe.borrow_mut().accepted[self.me] += 1;
                 let out = engine.on_message(peer, inner);
                 self.dispatch(ctx, out);
             }
@@ -824,14 +804,13 @@ impl Application for AbbaApp {
     }
 
     fn progress(&self) -> Option<AppProgress> {
-        // An attacker reports nothing, so it neither counts as decided
-        // nor holds up the stall clock.
+        // An attacker reports nothing, so it does not hold up the stall
+        // clock.
         let AbbaRole::Correct { engine, .. } = &self.role else {
             return None;
         };
         Some(AppProgress {
             phase: engine.round(),
-            decided: engine.decision().is_some(),
             store_bytes: engine.store_bytes(),
         })
     }
@@ -1093,6 +1072,6 @@ pub(crate) mod tests {
     fn probe_new_sizes() {
         let probe = RunProbe::new(5);
         assert_eq!(probe.borrow().phase_at_decision.len(), 5);
-        assert_eq!(probe.borrow().accepted.len(), 5);
+        assert_eq!(probe.borrow().final_phase.len(), 5);
     }
 }

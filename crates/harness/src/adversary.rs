@@ -307,8 +307,8 @@ mod tests {
     /// process 3. Neither twin's broadcasts reach anyone, so both hear
     /// the same thing. A split brain hears its own broadcasts through
     /// its coalition within the callback, so its correct twin then
-    /// hears its own broadcasts at once too. Returns the twins.
-    fn run_twins(role: Twin, mut check: impl FnMut(Step<'_>)) -> [TurquoisApp; 2] {
+    /// hears its own broadcasts at once too.
+    fn run_twins(role: Twin, mut check: impl FnMut(Step<'_>)) {
         let tick = Duration::from_millis(7);
         let (n, cfg) = (4, Config::evaluation(4).expect("valid"));
         let rings = KeyRing::trusted_setup(n, KEY_PHASES, 3);
@@ -402,7 +402,6 @@ mod tests {
             }
             check(Step { now, event: &event, correct, byzantine, exhausted, probe_moved });
         }
-        twins
     }
 
     /// What the tick rule decides: when a tick sends (a broadcast, or
@@ -456,13 +455,12 @@ mod tests {
 
     /// A Byzantine role accounts for nothing: fed the frames on which
     /// its correct twin decides, it emits no decision, charges no
-    /// simulated CPU, leaves the run's probe alone and reports itself
-    /// undecided.
+    /// simulated CPU and leaves the run's probe alone.
     #[test]
     fn byzantine_turquois_roles_account_for_nothing() {
         for role in [Twin::Flip, Twin::SplitBrain] {
             let mut twin_decided = false;
-            let [_, byzantine] = run_twins(role, |step| {
+            run_twins(role, |step| {
                 let decides = |commands: &[Command]| {
                     commands.iter().any(|c| matches!(c, Command::Decide { .. }))
                 };
@@ -473,8 +471,6 @@ mod tests {
                 assert!(!step.probe_moved, "{role:?} touched the probe at {now:?}");
             });
             assert!(twin_decided, "{role:?}: the correct twin never decided");
-            let progress = byzantine.progress().expect("progress");
-            assert!(!progress.decided, "{role:?} reports a decision");
         }
     }
 

@@ -24,8 +24,7 @@
 
 use std::time::Duration;
 use turquois_harness::experiment::PAPER_SIZES;
-use turquois_harness::grid::{Plan, Stall};
-use turquois_harness::runner::RETRY_BUDGET_SCALE;
+use turquois_harness::grid::{Plan, Stall, RETRY_BUDGET_SCALE};
 use turquois_harness::{FaultLoad, LossSpec, Protocol, ProposalDistribution, RunOutcome, Scenario};
 use wireless_net::CrashSchedule;
 

@@ -29,8 +29,7 @@
 
 use turquois_core::Config;
 use turquois_harness::experiment::PAPER_SIZES;
-use turquois_harness::grid::{Plan, Stall};
-use turquois_harness::runner::RETRY_BUDGET_SCALE;
+use turquois_harness::grid::{Plan, Stall, RETRY_BUDGET_SCALE};
 use turquois_harness::{Protocol, ProposalDistribution, RunOutcome, Scenario};
 use wireless_net::time::SimTime;
 use wireless_net::topology::{PartitionSchedule, TopologySpec};

@@ -32,8 +32,7 @@
 //! respected — sizes default to 16,64,256 here, not the paper's list).
 
 use std::time::Duration;
-use turquois_harness::grid::{Plan, Stall};
-use turquois_harness::runner::RETRY_BUDGET_SCALE;
+use turquois_harness::grid::{Plan, Stall, RETRY_BUDGET_SCALE};
 use turquois_harness::{FaultLoad, Protocol, ProposalDistribution, RunOutcome, Scenario};
 
 /// Group sizes when `TURQUOIS_SIZES` is unset: the paper's largest

@@ -9,15 +9,16 @@
 //!
 //! * reads `TURQUOIS_REPS` / `_SIZES` / `_THREADS` / `_TIME_LIMIT` /
 //!   `_SABOTAGE` once ([`Plan::from_env`]);
-//! * fans the cell-major `(cell, rep)` jobs across the [`runner`] pool,
-//!   panic-isolated, merged by job index so output is byte-identical at
-//!   any thread count;
+//! * fans the cell-major `(cell, rep)` jobs across the [`runner`] pool
+//!   (`run_indexed`, each job under `isolated`), merged by job index so
+//!   output is byte-identical at any thread count, and times each job;
 //! * **asserts agreement + validity on every run** — a violation fails
 //!   the cell as `FAILED(safety)` and is never retried or downgraded;
 //! * treats a run that stops short of its decision target per the
 //!   plan's [`Stall`] policy: a retryable stall (one retry at
-//!   [`runner::RETRY_BUDGET_SCALE`]× the budget, then
-//!   `FAILED(stalled)`) or a sample like any other;
+//!   [`RETRY_BUDGET_SCALE`]× the budget, then `FAILED(stalled)`) or a
+//!   sample like any other. The retry is the grid's own: the runner
+//!   knows nothing of stalls;
 //! * drains each cell's whole chunk of outcomes, so a failed cell never
 //!   shifts a later cell's samples, and lets the first failing
 //!   repetition decide the cell's verdict;
@@ -27,10 +28,15 @@
 //!   cell failed — all on stderr, never stdout.
 
 use crate::env_guard::{self, knob};
-use crate::runner::{self, JobOutcome, RunnerReport};
+use crate::runner;
 use crate::scenario::{RunOutcome, Scenario, ScenarioError};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Budget multiplier for the single stall retry: generous enough that a
+/// merely *slow* run (an unlucky divergent tail) completes, small enough
+/// that a genuinely *stuck* run fails the whole sweep promptly.
+pub const RETRY_BUDGET_SCALE: u32 = 4;
 
 /// What a run that stops short of its decision target means.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
@@ -118,16 +124,20 @@ impl Plan {
         let jobs: Vec<(usize, usize)> = (0..cells.len())
             .flat_map(|cell| (0..self.reps).map(move |rep| (cell, rep)))
             .collect();
-        let (outcomes, report) =
-            runner::run_supervised_timed(self.threads, &jobs, |_, &(cell, rep), attempt| {
-                if self.sabotage == Some((cell, rep)) {
-                    panic!("sabotage: injected panic in cell {cell} rep {rep}");
-                }
+        // One job is one run, retried once at an escalated budget if it
+        // stalls under `Stall::Retry`; a panic anywhere in it, the retry
+        // included, fails the job alone.
+        let job = |cell: usize, rep: usize| -> Result<(S, bool), Failure> {
+            if self.sabotage == Some((cell, rep)) {
+                panic!("sabotage: injected panic in cell {cell} rep {rep}");
+            }
+            let fatal = |reason, detail| Err(Failure { reason, detail });
+            let mut stall = None;
+            for scale in [1, RETRY_BUDGET_SCALE] {
                 let budget = Budget {
                     limit: self.time_limit,
-                    scale: attempt.budget_scale,
+                    scale,
                 };
-                let fatal = |reason, detail| Ok(Err(Failure { reason, detail }));
                 let outcome = match run(&cells[cell], rep, budget) {
                     Ok(outcome) => outcome,
                     Err(e) => return fatal("config", e.to_string()),
@@ -152,13 +162,28 @@ impl Plan {
                     Ok(sample) => sample,
                     Err(detail) => return fatal("safety", detail),
                 };
-                if self.stall == Stall::Retry && !outcome.k_reached() {
-                    if let Some(stall) = outcome.stall {
-                        return Err(Box::new(stall));
-                    }
+                let stalled = self.stall == Stall::Retry && !outcome.k_reached();
+                match outcome.stall {
+                    Some(report) if stalled => stall = Some(report),
+                    _ => return Ok((sample, scale > 1)),
                 }
-                Ok(Ok((sample, attempt.index > 0)))
-            });
+            }
+            let report = stall.expect("only a stall is retried");
+            fatal("stalled", report.to_string())
+        };
+        let started = Instant::now();
+        let outcomes = runner::run_indexed(self.threads, &jobs, |_, &(cell, rep)| {
+            let t0 = Instant::now();
+            let verdict = runner::isolated(|| job(cell, rep))
+                .unwrap_or_else(|detail| Err(Failure { reason: "panic", detail }));
+            (verdict, t0.elapsed())
+        });
+        let report = RunnerReport {
+            threads: self.threads.clamp(1, jobs.len().max(1)),
+            jobs: jobs.len(),
+            elapsed: started.elapsed(),
+            busy: outcomes.iter().map(|(_, wall)| *wall).sum(),
+        };
 
         let mut outcomes = outcomes.into_iter();
         let cells = labels
@@ -173,27 +198,17 @@ impl Plan {
                 // The whole chunk is consumed even once the verdict is
                 // fixed: stopping at the first failure would leave the
                 // rest of it to be read as the next cell's samples.
-                for (outcome, wall) in outcomes.by_ref().take(self.reps) {
+                for (verdict, wall) in outcomes.by_ref().take(self.reps) {
                     cell.wall += wall;
-                    let Ok(samples) = &mut cell.samples else {
-                        continue;
-                    };
-                    cell.samples = Err(match outcome {
-                        JobOutcome::Ok(Ok((sample, retried))) => {
-                            samples.push(sample);
-                            cell.retried += usize::from(retried);
-                            continue;
+                    if let Ok(samples) = &mut cell.samples {
+                        match verdict {
+                            Ok((sample, retried)) => {
+                                samples.push(sample);
+                                cell.retried += usize::from(retried);
+                            }
+                            Err(failure) => cell.samples = Err(failure),
                         }
-                        JobOutcome::Ok(Err(failure)) => failure,
-                        JobOutcome::Stalled(report) => Failure {
-                            reason: "stalled",
-                            detail: report.to_string(),
-                        },
-                        JobOutcome::Panicked(detail) => Failure {
-                            reason: "panic",
-                            detail,
-                        },
-                    });
+                    }
                 }
                 cell
             })
@@ -264,6 +279,51 @@ pub struct GridRun<S> {
     pub cells: Vec<Cell<S>>,
     /// Wall-clock accounting of the fan-out.
     pub report: RunnerReport,
+}
+
+/// Wall-clock accounting for one grid's fan-out.
+///
+/// `busy` is the serial-equivalent cost of the jobs: the summed host
+/// time of each job, retry included. `elapsed` is the wall time of the
+/// whole fan-out; `busy / elapsed` is the achieved speedup (≈ 1.0 on
+/// the serial path or a single-core host).
+#[derive(Clone, Copy, Debug)]
+pub struct RunnerReport {
+    /// Worker threads actually used (`min(threads, jobs)`, at least 1).
+    pub threads: usize,
+    /// Number of jobs executed.
+    pub jobs: usize,
+    /// Wall-clock time of the whole fan-out.
+    pub elapsed: Duration,
+    /// Summed wall-clock time spent inside jobs (serial-equivalent).
+    pub busy: Duration,
+}
+
+impl RunnerReport {
+    /// Achieved speedup: serial-equivalent time over elapsed time.
+    pub fn speedup(&self) -> f64 {
+        let elapsed = self.elapsed.as_secs_f64();
+        if elapsed <= 0.0 {
+            1.0
+        } else {
+            self.busy.as_secs_f64() / elapsed
+        }
+    }
+
+    /// One human-readable stderr line (never stdout — experiment stdout
+    /// must stay byte-identical across thread counts).
+    pub fn log(&self, label: &str) {
+        eprintln!(
+            "[runner] {label}: {} jobs on {} thread{} in {:.2}s \
+             (serial-equivalent {:.2}s, speedup {:.2}x)",
+            self.jobs,
+            self.threads,
+            if self.threads == 1 { "" } else { "s" },
+            self.elapsed.as_secs_f64(),
+            self.busy.as_secs_f64(),
+            self.speedup()
+        );
+    }
 }
 
 impl<S> GridRun<S> {
@@ -383,11 +443,11 @@ fn parse_sizes(raw: &str) -> Option<Vec<usize>> {
 }
 
 /// `TURQUOIS_TIME_LIMIT`: positive, possibly fractional, seconds, small
-/// enough that the retry's [`runner::RETRY_BUDGET_SCALE`]-fold still
+/// enough that the retry's [`RETRY_BUDGET_SCALE`]-fold still
 /// fits the `u64` nanoseconds of a `SimTime`.
 fn parse_time_limit(raw: &str) -> Option<Duration> {
     let limit = Duration::try_from_secs_f64(raw.trim().parse().ok()?).ok()?;
-    let escalated = limit.checked_mul(runner::RETRY_BUDGET_SCALE)?;
+    let escalated = limit.checked_mul(RETRY_BUDGET_SCALE)?;
     (!limit.is_zero() && u64::try_from(escalated.as_nanos()).is_ok()).then_some(limit)
 }
 
@@ -402,6 +462,7 @@ mod tests {
     use super::*;
     use crate::scenario::Protocol;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use wireless_net::SimTime;
 
     fn plan(threads: usize) -> Plan {
         Plan {
@@ -523,6 +584,76 @@ mod tests {
         assert_eq!(samples.len(), 1);
         assert!(!samples[0], "the run did not reach k");
         assert_eq!(sampled.cells[0].retried, 0);
+    }
+
+    /// A run that stalls at 1× and decides at [`RETRY_BUDGET_SCALE`]×
+    /// is a sample of its cell, counted as retried.
+    #[test]
+    fn a_slow_run_decides_on_the_retry() {
+        let scenario = || Scenario::new(Protocol::Turquois, 4).seed(5);
+        let took = scenario().run_once().expect("runs").end.saturating_since(SimTime::ZERO);
+        let run = Plan {
+            reps: 1,
+            time_limit: Some(took / 2),
+            ..plan(1)
+        }
+        .run(
+            &[()],
+            |_| "slow".into(),
+            |_, _, budget| budget.apply(scenario()).run_once(),
+            |_, outcome| Ok(outcome.k_reached()),
+        );
+        assert_eq!(run.cells[0].samples, Ok(vec![true]), "the retry decides");
+        assert_eq!(run.cells[0].retried, 1);
+    }
+
+    /// The run closure is called once for a clean run and exactly twice
+    /// for a stuck one: one retry, never a second.
+    #[test]
+    fn a_stuck_run_is_tried_exactly_twice() {
+        let calls = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let run = Plan { reps: 1, ..plan(2) }.run(
+            &[Duration::from_secs(60), Duration::from_millis(2)],
+            |limit| format!("{limit:?}"),
+            |&limit, _, budget| {
+                calls[usize::from(limit.as_secs() == 0)].fetch_add(1, Ordering::Relaxed);
+                budget
+                    .apply(Scenario::new(Protocol::Turquois, 4).time_limit(limit))
+                    .run_once()
+            },
+            |_, _| Ok(()),
+        );
+        assert!(run.cells[0].samples.is_ok());
+        assert_eq!(run.cells[1].samples.as_ref().map_err(|f| f.reason), Err("stalled"));
+        assert_eq!(calls.map(|c| c.into_inner()), [1, 2]);
+    }
+
+    /// The `[runner]` accounting: every job counted, the pool clamped
+    /// to the jobs, and the serial-equivalent time the summed walls of
+    /// the cells' jobs.
+    #[test]
+    fn timed_report_is_sane() {
+        let run = Plan { reps: 5, ..plan(3) }.run(
+            &[0u64, 1],
+            |cell| format!("cell {cell}"),
+            |&cell, rep, budget| {
+                budget
+                    .apply(Scenario::new(Protocol::Turquois, 4).seed(cell * 5 + rep as u64))
+                    .run_once()
+            },
+            |_, _| Ok(()),
+        );
+        let report = run.report;
+        assert_eq!((report.jobs, report.threads), (10, 3));
+        assert_eq!(report.busy, run.cells.iter().map(|cell| cell.wall).sum());
+        assert!(report.speedup().is_finite() && report.speedup() >= 0.0);
+        let one = Plan { reps: 1, ..plan(8) }.run(
+            &[()],
+            |_| "one".into(),
+            |_, _, budget| budget.apply(Scenario::new(Protocol::Turquois, 4)).run_once(),
+            |_, _| Ok(()),
+        );
+        assert_eq!(one.report.threads, 1, "never more workers than jobs");
     }
 
     #[test]

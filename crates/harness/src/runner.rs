@@ -14,16 +14,14 @@
 //! worker constructs and drops its own instance inside the job closure.
 //! Nothing here touches the protocol engines, which remain sans-io.
 //!
-//! Wall-clock timing lives here — in the driver — and only here; the
-//! engines and the simulator never see a host clock.
+//! Besides the map, the module holds [`isolated`], the panic guard each
+//! job runs under. What a job means — a grid run and its stall retry,
+//! an explored schedule — is the caller's business.
 
 use crate::env_guard::knob;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-pub use wireless_net::StallReport;
 
 /// Reads the worker-pool size from `TURQUOIS_THREADS`.
 ///
@@ -89,119 +87,13 @@ where
         .collect()
 }
 
-/// How a supervised job ended. See [`run_supervised`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum JobOutcome<R> {
-    /// The job ran to completion. Its result may still carry a
-    /// domain-level error (e.g. a safety violation) — completion only
-    /// means the job neither stalled nor panicked.
-    Ok(R),
-    /// The job exhausted its simulated-time budget on the first attempt
-    /// *and* on the escalated retry; the report is from the retry (the
-    /// one with the larger budget).
-    Stalled(StallReport),
-    /// The job panicked; the payload is the panic message. Panics are
-    /// never retried — a panicking job (assertion failure, overflow,
-    /// protocol bug) is evidence, not noise.
-    Panicked(String),
-}
-
-/// Which attempt of a supervised job is running, and with what budget.
-#[derive(Clone, Copy, Debug, Eq, PartialEq)]
-pub struct Attempt {
-    /// 0 for the first attempt, 1 for the escalated retry.
-    pub index: usize,
-    /// Factor to scale the job's simulated-time budget by (1 on the
-    /// first attempt, [`RETRY_BUDGET_SCALE`] on the retry).
-    pub budget_scale: u32,
-}
-
-/// Budget multiplier for the single stall retry: generous enough that a
-/// merely *slow* run (an unlucky divergent tail) completes, small enough
-/// that a genuinely *stuck* run fails the whole sweep promptly.
-pub const RETRY_BUDGET_SCALE: u32 = 4;
-
-/// Runs `f` over every job with panic isolation and stall supervision,
-/// returning per-job [`JobOutcome`]s **in job order** (byte-identical
-/// merge at any thread count, like [`run_indexed`]).
+/// Runs `f`, turning a panic into `Err(message)`.
 ///
-/// `f` returns `Ok(result)` on completion or `Err(report)` (boxed: the
-/// report is ~10× the size of the happy path) when the run exhausted
-/// its simulated-time budget. A stalled job is deterministically
-/// retried exactly once on the same worker with
-/// [`Attempt::budget_scale`] = [`RETRY_BUDGET_SCALE`] — distinguishing
-/// slow from stuck — and reported [`JobOutcome::Stalled`] only if the
-/// retry stalls too. A panic in `f` is caught, does **not** abort the
-/// sweep's siblings, and surfaces as [`JobOutcome::Panicked`]; the caller
-/// decides how loudly to fail. Safety violations must *not* be mapped to
-/// `Err` — return them inside `R` (or panic) so they are never retried
-/// or downgraded.
-pub fn run_supervised<J, R, F>(threads: usize, jobs: &[J], f: F) -> Vec<JobOutcome<R>>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(usize, &J, Attempt) -> Result<R, Box<StallReport>> + Sync,
-{
-    run_indexed(threads, jobs, |idx, job| supervise_one(idx, job, &f))
-}
-
-/// [`run_supervised`] plus wall-clock instrumentation: each outcome
-/// comes back with the host time its job took (retry included), and the
-/// [`RunnerReport`] accounts for the fan-out as a whole. The grid driver
-/// ([`crate::grid`]) is the one caller.
-pub fn run_supervised_timed<J, R, F>(
-    threads: usize,
-    jobs: &[J],
-    f: F,
-) -> (Vec<(JobOutcome<R>, Duration)>, RunnerReport)
-where
-    J: Sync,
-    R: Send,
-    F: Fn(usize, &J, Attempt) -> Result<R, Box<StallReport>> + Sync,
-{
-    let cpu_before = process_cpu_time();
-    let started = Instant::now();
-    let results = run_indexed(threads, jobs, |idx, job| {
-        let t0 = Instant::now();
-        let outcome = supervise_one(idx, job, &f);
-        (outcome, t0.elapsed())
-    });
-    let elapsed = started.elapsed();
-    let job_wall: Duration = results.iter().map(|(_, wall)| *wall).sum();
-    // Prefer CPU time: per-job wall time over-counts whenever a worker
-    // sits descheduled (more workers than cores), which would report a
-    // phantom speedup. Capping by the job-wall sum keeps unrelated
-    // threads of the process from inflating the estimate the other way.
-    let busy = match (cpu_before, process_cpu_time()) {
-        (Some(before), Some(after)) => after.saturating_sub(before).min(job_wall),
-        _ => job_wall,
-    };
-    let report = RunnerReport {
-        threads: threads.clamp(1, jobs.len().max(1)),
-        jobs: jobs.len(),
-        elapsed,
-        busy,
-    };
-    (results, report)
-}
-
-fn supervise_one<J, R, F>(idx: usize, job: &J, f: &F) -> JobOutcome<R>
-where
-    F: Fn(usize, &J, Attempt) -> Result<R, Box<StallReport>>,
-{
-    let mut stall = None;
-    for (index, budget_scale) in [(0, 1), (1, RETRY_BUDGET_SCALE)] {
-        let attempt = Attempt {
-            index,
-            budget_scale,
-        };
-        match catch_unwind(AssertUnwindSafe(|| f(idx, job, attempt))) {
-            Ok(Ok(result)) => return JobOutcome::Ok(result),
-            Ok(Err(report)) => stall = Some(report),
-            Err(payload) => return JobOutcome::Panicked(panic_message(payload)),
-        }
-    }
-    JobOutcome::Stalled(*stall.expect("loop ran at least once"))
+/// The one panic guard of the workspace: the grid and the explorer wrap
+/// each job in it, so a panicking job (an assertion, an overflow, a
+/// protocol bug) fails that job alone and its siblings still run.
+pub fn isolated<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(panic_message)
 }
 
 /// Extracts the human-readable message from a panic payload.
@@ -213,90 +105,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
-}
-
-/// Wall-clock accounting for one [`run_supervised_timed`] fan-out.
-///
-/// `busy` estimates the serial-equivalent cost of the jobs: process CPU
-/// time consumed during the fan-out where the platform exposes it
-/// (`/proc/self/stat`), capped by the summed per-job wall times — the
-/// cap matters on an oversubscribed host, where a descheduled worker's
-/// wait would otherwise count as work. `elapsed` is the wall time of
-/// the whole fan-out; `busy / elapsed` is the achieved speedup
-/// (≈ 1.0 on the serial path or a single-core host).
-#[derive(Clone, Copy, Debug)]
-pub struct RunnerReport {
-    /// Worker threads actually used (`min(threads, jobs)`, at least 1).
-    pub threads: usize,
-    /// Number of jobs executed.
-    pub jobs: usize,
-    /// Wall-clock time of the whole fan-out.
-    pub elapsed: Duration,
-    /// Summed wall-clock time spent inside jobs (serial-equivalent).
-    pub busy: Duration,
-}
-
-impl RunnerReport {
-    /// Achieved speedup: serial-equivalent time over elapsed time.
-    pub fn speedup(&self) -> f64 {
-        let elapsed = self.elapsed.as_secs_f64();
-        if elapsed <= 0.0 {
-            1.0
-        } else {
-            self.busy.as_secs_f64() / elapsed
-        }
-    }
-
-    /// One human-readable stderr line (never stdout — experiment stdout
-    /// must stay byte-identical across thread counts).
-    pub fn log(&self, label: &str) {
-        eprintln!(
-            "[runner] {label}: {} jobs on {} thread{} in {:.2}s \
-             (serial-equivalent {:.2}s, speedup {:.2}x)",
-            self.jobs,
-            self.threads,
-            if self.threads == 1 { "" } else { "s" },
-            self.elapsed.as_secs_f64(),
-            self.busy.as_secs_f64(),
-            self.speedup()
-        );
-    }
-}
-
-/// Process CPU time (user + system) from `/proc/self/stat`; `None` on
-/// platforms without procfs. Used only for the telemetry report — the
-/// simulated clocks never see host time.
-fn process_cpu_time() -> Option<Duration> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // The comm field may contain spaces; real fields start after ')'.
-    let rest = stat.rsplit_once(')')?.1;
-    let mut fields = rest.split_whitespace();
-    let utime: u64 = fields.nth(11)?.parse().ok()?;
-    let stime: u64 = fields.next()?.parse().ok()?;
-    Some(Duration::from_secs_f64((utime + stime) as f64 / clk_tck() as f64))
-}
-
-/// Kernel tick rate (`USER_HZ`) that scales `/proc/self/stat` CPU
-/// times, read from the ELF auxiliary vector (`AT_CLKTCK`). 100 is the
-/// usual value but a configuration, not a constant; if the auxv is
-/// unreadable we fall back to it — any residual error only skews the
-/// telemetry estimate, which the caller caps by summed job wall time.
-fn clk_tck() -> u64 {
-    use std::sync::OnceLock;
-    static TCK: OnceLock<u64> = OnceLock::new();
-    const AT_CLKTCK: u64 = 17;
-    *TCK.get_or_init(|| {
-        std::fs::read("/proc/self/auxv")
-            .ok()
-            .and_then(|raw| {
-                raw.chunks_exact(16).find_map(|pair| {
-                    let key = u64::from_ne_bytes(pair[..8].try_into().ok()?);
-                    let val = u64::from_ne_bytes(pair[8..].try_into().ok()?);
-                    (key == AT_CLKTCK && val > 0).then_some(val)
-                })
-            })
-            .unwrap_or(100)
-    })
 }
 
 #[cfg(test)]
@@ -340,99 +148,45 @@ mod tests {
         assert!(outcome.is_err(), "a panicking worker must panic the caller");
     }
 
-    fn dummy_stall(decided: usize) -> StallReport {
-        use wireless_net::{sim::RunStatus, SimTime};
-        StallReport {
-            status: RunStatus::TimeLimit,
-            now: SimTime::from_millis(100),
-            limit: SimTime::from_millis(100),
-            decided,
-            target: Some(4),
-            last_progress: SimTime::ZERO,
-            fault: "test".into(),
-            crashes: "no crashes".into(),
-            topology: "single broadcast domain".into(),
-            queue_drops: 0,
-            nodes: Vec::new(),
-        }
-    }
-
+    /// Job 17 of 32 panics: under [`isolated`] it alone comes back as
+    /// its message, and every sibling keeps its result, at any thread
+    /// count.
     #[test]
     fn panicking_job_does_not_kill_siblings() {
         let jobs: Vec<usize> = (0..32).collect();
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // keep test output clean
-        let outcomes = run_supervised(4, &jobs, |_, &j, _| {
-            if j == 17 {
-                panic!("seeded violation in job {j}");
-            }
-            Ok::<usize, Box<StallReport>>(j * 2)
-        });
-        std::panic::set_hook(hook);
-        assert_eq!(outcomes.len(), 32);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            if i == 17 {
+        for threads in [1, 2, 4] {
+            let outcomes = run_indexed(threads, &jobs, |_, &j| {
+                isolated(|| {
+                    assert!(j != 17, "seeded violation in job {j}");
+                    j * 2
+                })
+            });
+            assert_eq!(outcomes.len(), 32);
+            for (i, outcome) in outcomes.iter().enumerate() {
                 match outcome {
-                    JobOutcome::Panicked(msg) => {
-                        assert!(msg.contains("seeded violation"), "{msg}")
-                    }
-                    other => panic!("job 17 should have panicked, got {other:?}"),
+                    Err(msg) if i == 17 => assert!(msg.contains("seeded violation"), "{msg}"),
+                    Ok(doubled) if i != 17 => assert_eq!(*doubled, i * 2, "sibling {i} intact"),
+                    other => panic!("job {i} at {threads} threads: {other:?}"),
                 }
-            } else {
-                assert_eq!(*outcome, JobOutcome::Ok(i * 2), "sibling {i} intact");
             }
         }
+        std::panic::set_hook(hook);
     }
 
     #[test]
-    fn stalled_job_retries_once_with_escalated_budget() {
-        let jobs = [(); 3];
-        let attempts: Vec<Mutex<Vec<Attempt>>> =
-            jobs.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let outcomes = run_supervised(1, &jobs, |idx, _, attempt| {
-            attempts[idx].lock().unwrap().push(attempt);
-            match idx {
-                0 => Ok(0u32),                       // clean first try
-                1 if attempt.index == 0 => Err(Box::new(dummy_stall(1))), // slow
-                1 => Ok(1),
-                _ => Err(Box::new(dummy_stall(idx))), // genuinely stuck
-            }
-        });
-        assert_eq!(outcomes[0], JobOutcome::Ok(0));
-        assert_eq!(outcomes[1], JobOutcome::Ok(1), "retry rescued the slow job");
-        assert!(
-            matches!(&outcomes[2], JobOutcome::Stalled(r) if r.decided == 2),
-            "report comes from the escalated retry"
-        );
-        let seen: Vec<Vec<Attempt>> =
-            attempts.iter().map(|a| a.lock().unwrap().clone()).collect();
-        assert_eq!(seen[0].len(), 1, "clean job runs once");
-        assert_eq!(seen[1].len(), 2, "stalled job retried exactly once");
-        assert_eq!(seen[2].len(), 2, "no second retry for a stuck job");
-        assert_eq!(seen[1][0], Attempt { index: 0, budget_scale: 1 });
-        assert_eq!(
-            seen[1][1],
-            Attempt {
-                index: 1,
-                budget_scale: RETRY_BUDGET_SCALE
-            }
-        );
-    }
-
-    #[test]
-    fn supervised_merge_is_order_stable_across_threads() {
+    fn isolated_merge_is_order_stable_across_threads() {
         let jobs: Vec<usize> = (0..41).collect();
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let run = |threads| {
-            run_supervised(threads, &jobs, |_, &j, _| {
-                if j % 13 == 5 {
-                    panic!("boom {j}");
-                }
-                if j % 7 == 3 {
-                    return Err(Box::new(dummy_stall(j)));
-                }
-                Ok(j)
+            run_indexed(threads, &jobs, |_, &j| {
+                isolated(|| match j {
+                    j if j % 13 == 5 => panic!("boom {j}"),
+                    j if j % 7 == 3 => std::panic::panic_any(j),
+                    j => j,
+                })
             })
         };
         let serial = run(1);
@@ -440,25 +194,33 @@ mod tests {
             assert_eq!(serial, run(threads), "threads={threads}");
         }
         std::panic::set_hook(hook);
+        assert_eq!(serial[5], Err("boom 5".to_string()));
+        assert_eq!(serial[3], Err("<non-string panic payload>".to_string()));
+        assert_eq!(serial[4], Ok(4));
     }
 
+    /// Panic isolation is written once: outside test modules, no file
+    /// under `crates/*/src` but this one calls `catch_unwind`.
     #[test]
-    fn timed_report_is_sane() {
-        let jobs: Vec<u64> = (0..10).collect();
-        let (results, report) = run_supervised_timed(3, &jobs, |_, &j, _| Ok(j * j));
-        let squares: Vec<_> = results.iter().map(|(outcome, _)| outcome.clone()).collect();
-        assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36, 49, 64, 81].map(JobOutcome::Ok));
-        let job_wall: Duration = results.iter().map(|(_, wall)| *wall).sum();
-        assert!(report.busy <= job_wall, "busy is capped by the summed job walls");
-        assert_eq!(report.jobs, 10);
-        assert_eq!(report.threads, 3);
-        assert!(report.speedup().is_finite() && report.speedup() >= 0.0);
-        assert!(report.busy <= report.elapsed.max(Duration::from_secs(1)) * 3);
-    }
-
-    #[test]
-    fn clk_tck_is_sane() {
-        let hz = clk_tck();
-        assert!((1..=100_000).contains(&hz), "USER_HZ={hz}");
+    fn isolation_lives_only_here() {
+        use crate::group::tests::{rust_files, shipped};
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut files = Vec::new();
+        for entry in std::fs::read_dir(&crates).expect("crates directory") {
+            let src = entry.expect("directory entry").path().join("src");
+            if src.is_dir() {
+                rust_files(&src, &mut files);
+            }
+        }
+        assert!(files.iter().any(|f| f.ends_with("explore.rs")), "scanned {files:?}");
+        let guarded: Vec<_> = files
+            .iter()
+            .filter(|f| {
+                let source = std::fs::read_to_string(f).expect("readable source");
+                shipped(&source).contains("catch_unwind")
+            })
+            .collect();
+        assert_eq!(guarded.len(), 1, "catch_unwind outside `runner::isolated`: {guarded:?}");
+        assert!(guarded[0].ends_with("harness/src/runner.rs"), "{guarded:?}");
     }
 }

@@ -178,9 +178,6 @@ pub struct ReliableEndpoint {
     /// Peers with an ack owed, data in flight or data buffered: the
     /// tick re-arms exactly while there is one.
     busy: usize,
-    delivered_messages: u64,
-    sent_messages: u64,
-    transport_retransmits: u64,
 }
 
 impl ReliableEndpoint {
@@ -192,30 +189,12 @@ impl ReliableEndpoint {
             tick_armed: false,
             next_due: None,
             busy: 0,
-            delivered_messages: 0,
-            sent_messages: 0,
-            transport_retransmits: 0,
         }
     }
 
     /// This endpoint's node id.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Application messages delivered in order so far.
-    pub fn delivered_messages(&self) -> u64 {
-        self.delivered_messages
-    }
-
-    /// Application messages accepted for sending so far.
-    pub fn sent_messages(&self) -> u64 {
-        self.sent_messages
-    }
-
-    /// Transport-level (not MAC-level) retransmissions performed.
-    pub fn transport_retransmits(&self) -> u64 {
-        self.transport_retransmits
     }
 
     /// Sends `payload` reliably and in order to `dst`.
@@ -231,7 +210,6 @@ impl ReliableEndpoint {
     /// segment's per-message length prefix can carry.
     pub fn send(&mut self, ctx: &mut NodeCtx<'_>, dst: NodeId, payload: Bytes) {
         assert!(payload.len() <= usize::from(u16::MAX), "message exceeds the 16-bit length prefix");
-        self.sent_messages += 1;
         let peer = &mut self.peers[dst];
         peer.pending_bytes += payload.len() + 2;
         peer.pending.push(payload);
@@ -320,7 +298,6 @@ impl ReliableEndpoint {
                     peer.next_expected_in += 1;
                     unpack_batch_into(src, &p, released);
                 }
-                self.delivered_messages += released.len() as u64;
             } else if seq > peer.next_expected_in {
                 peer.reorder.insert(seq, payload);
             }
@@ -378,7 +355,6 @@ impl ReliableEndpoint {
                     (head.seq, head.payload.clone())
                 };
                 let segment = encode_segment(KIND_DATA, head_seq, ack, &head_payload);
-                self.transport_retransmits += 1;
                 ctx.unicast(dst, segment, overhead::TCP);
             }
             self.note(dst);

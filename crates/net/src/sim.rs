@@ -56,7 +56,7 @@ pub trait Application {
     }
 
     /// Progress probe for stall diagnostics: the protocol phase/round
-    /// and whether the engine decided. Applications that implement this
+    /// and the message-store footprint. Applications that implement this
     /// show up with real numbers in [`StallReport`]s and drive the
     /// simulator's last-global-progress clock; the default (`None`)
     /// renders as unknown. Must be cheap — the simulator polls it after
@@ -279,7 +279,6 @@ pub struct Simulator {
     apps: Vec<Box<dyn Application>>,
     node_rngs: Vec<StdRng>,
     busy_until: Vec<SimTime>,
-    started: Vec<bool>,
     start_times: Vec<SimTime>,
     decisions: Vec<Option<Decision>>,
     medium: Medium,
@@ -330,7 +329,6 @@ impl Simulator {
             tx_buf: Vec::new(),
             node_rngs,
             busy_until: vec![SimTime::ZERO; n],
-            started: vec![false; n],
             start_times: vec![SimTime::ZERO; n],
             decisions: vec![None; n],
             medium: Medium::with_topology(n, cfg.phy, &cfg.topology, cfg.seed),
@@ -455,7 +453,6 @@ impl Simulator {
                     // run `on_start`.
                     return true;
                 }
-                self.started[node] = true;
                 self.dispatch(node, |app, ctx| app.on_start(ctx));
             }
             EventKind::Timer { node, id, epoch } => {
@@ -680,7 +677,6 @@ impl Simulator {
         self.last_phase[node] = None;
         self.apps[node].reset();
         self.trace.record(self.time, TraceEvent::Rejoin { node });
-        self.started[node] = true;
         self.dispatch(node, |app, ctx| app.on_start(ctx));
     }
 
@@ -1336,7 +1332,6 @@ mod tests {
         fn progress(&self) -> Option<AppProgress> {
             Some(AppProgress {
                 phase: self.phase,
-                decided: false,
                 store_bytes: 16 * self.phase as usize,
             })
         }
@@ -1592,7 +1587,6 @@ mod tests {
         fn progress(&self) -> Option<AppProgress> {
             Some(AppProgress {
                 phase: self.phase,
-                decided: false,
                 store_bytes: 0,
             })
         }
@@ -1830,7 +1824,7 @@ mod tests {
             }
         }
         fn progress(&self) -> Option<AppProgress> {
-            Some(AppProgress { phase: self.phase, decided: false, store_bytes: 0 })
+            Some(AppProgress { phase: self.phase, store_bytes: 0 })
         }
     }
 

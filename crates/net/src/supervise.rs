@@ -25,8 +25,6 @@ use std::fmt;
 pub struct AppProgress {
     /// Protocol phase (Turquois) or round (the baselines).
     pub phase: u32,
-    /// Whether the protocol engine has decided.
-    pub decided: bool,
     /// Approximate resident bytes of the engine's message stores right
     /// now. Must be O(1) to compute (the simulator polls the probe
     /// after every callback) and a function of store *contents* only —
@@ -173,7 +171,6 @@ mod tests {
                     node: 0,
                     progress: Some(AppProgress {
                         phase: 41,
-                        decided: true,
                         store_bytes: 1_024,
                     }),
                     decided: true,

@@ -1,8 +1,8 @@
 //! Tier-1 guardrail for the parallel experiment runner: a grid's
 //! results and rendered bytes must be identical at any
 //! `TURQUOIS_THREADS` count, and a panic raised on a worker thread of
-//! the unsupervised pool must stay exactly as loud as on the serial
-//! path.
+//! `runner::run_indexed`, outside `runner::isolated`, must stay exactly
+//! as loud as on the serial path.
 
 use std::time::Duration;
 use turquois_harness::experiment::{paper_table, render_table};

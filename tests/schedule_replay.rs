@@ -52,7 +52,7 @@ fn fixtures_replay_to_their_recorded_expectation() {
             Expectation::Violation(kind) => {
                 let v = report
                     .violation
-                    .unwrap_or_else(|| panic!("{name}: expected a {kind} violation, ran clean"));
+                    .unwrap_or_else(|| panic!("{name}: expected a {kind:?} violation, ran clean"));
                 assert_eq!(v.kind(), kind, "{name}: wrong violation kind: {v}");
             }
         }
