@@ -12,7 +12,9 @@
 //!   justification messages are attached (explicit validation).
 //! * [`Turquois::on_message`] implements task T2: decode, authenticate,
 //!   semantically validate, insert into `V_i`, and advance the state
-//!   machine to fixpoint.
+//!   machine to fixpoint. A byte-identical repeat of the frame last
+//!   fully absorbed from its sender costs one compare (see
+//!   [`Turquois::on_message`]).
 //!
 //! The caller (simulator adapter, live UDP runtime, or a test harness)
 //! owns the clock and the network: the instance never blocks and never
@@ -34,7 +36,7 @@
 
 use crate::config::Config;
 use crate::keyring::KeyRing;
-use crate::message::{DecodeError, Envelope, Message, MessageView, Status};
+use crate::message::{claimed_head, DecodeError, Envelope, Message, MessageView, Status};
 use crate::state::{Advance, ProcessState};
 use crate::store::{combo_code, value_mask, MessageStore};
 use crate::validation::{needs, semantic_check, EvidenceView, Need, RejectReason};
@@ -156,6 +158,10 @@ pub struct Turquois {
     /// so the steady state performs no allocation.
     below_floor_scratch: Vec<(Envelope, OneTimeSignature)>,
     pending_scratch: Vec<(Envelope, OneTimeSignature)>,
+    /// Per claimed sender, the last frame this process fully absorbed
+    /// (a shared handle on the received buffer). Empty until the first
+    /// absorb; emptied whenever the GC floor moves.
+    absorbed: Vec<Option<Bytes>>,
     rng: StdRng,
 }
 
@@ -194,6 +200,7 @@ impl Turquois {
             last_wire: None,
             below_floor_scratch: Vec::new(),
             pending_scratch: Vec::new(),
+            absorbed: Vec::new(),
             keyring,
             rng: StdRng::seed_from_u64(seed ^ 0xc011_5eed),
         }
@@ -303,7 +310,71 @@ impl Turquois {
 
     /// Task T2: process an incoming wire message (including loopbacks of
     /// our own broadcasts).
-    pub fn on_message(&mut self, bytes: &[u8]) -> Receipt {
+    ///
+    /// A frame is *fully absorbed* when it was accepted or a duplicate,
+    /// every in-window attachment was authentic and ended in `V_i`, and
+    /// the GC floor held through the call. A byte-identical repeat of
+    /// the last such frame from the same claimed sender is answered
+    /// without parsing or validating it: the full path would find every
+    /// fact already stored (evidence only grows while the floor holds)
+    /// and the state already at its fixpoint, so it returns `Duplicate`
+    /// with one logical verification per record and changes nothing.
+    /// Rejected frames are never remembered — a later one may pass. In
+    /// debug builds every repeat also runs the full path, which must
+    /// agree and leave the state, the stores and the coin untouched.
+    pub fn on_message(&mut self, bytes: &Bytes) -> Receipt {
+        if let Some(receipt) = self.repeat(bytes) {
+            if cfg!(debug_assertions) {
+                self.recheck_repeat(bytes, receipt);
+            }
+            return receipt;
+        }
+        let (receipt, absorbed) = self.receive(bytes);
+        if absorbed {
+            let (sender, _) = claimed_head(bytes).expect("an absorbed frame parsed");
+            if self.absorbed.is_empty() {
+                self.absorbed.resize(self.cfg.n(), None);
+            }
+            self.absorbed[sender] = Some(bytes.clone());
+        }
+        receipt
+    }
+
+    /// The receipt of a byte-identical repeat of the last frame fully
+    /// absorbed from `bytes`' claimed sender, if it is one.
+    fn repeat(&self, bytes: &[u8]) -> Option<Receipt> {
+        let (sender, entries) = claimed_head(bytes)?;
+        let last = self.absorbed.get(sender)?.as_deref()?;
+        (last == bytes).then_some(Receipt {
+            outcome: MessageOutcome::Duplicate,
+            sig_verifications: 1 + entries,
+            phase_advanced: false,
+            newly_decided: None,
+        })
+    }
+
+    /// Runs the full path on a repeat [`Turquois::repeat`] answered and
+    /// asserts it agrees and changes nothing.
+    fn recheck_repeat(&mut self, bytes: &[u8], hit: Receipt) {
+        let observe = |p: &Self| {
+            (
+                (p.phase(), p.value(), p.status(), p.decision(), p.coin_flip()),
+                (p.evidence.record_count(), p.valid.record_count()),
+                p.rng.clone().gen::<u64>(),
+            )
+        };
+        let before = observe(self);
+        assert_eq!(
+            self.receive(bytes),
+            (hit, true),
+            "a repeat's receipt differs from the full path's"
+        );
+        assert_eq!(observe(self), before, "the full path changed state on a repeat");
+    }
+
+    /// The full receive path: the receipt, and whether the frame was
+    /// fully absorbed (see [`Turquois::on_message`]).
+    fn receive(&mut self, bytes: &[u8]) -> (Receipt, bool) {
         let mut receipt = Receipt {
             outcome: MessageOutcome::Accepted,
             sig_verifications: 0,
@@ -316,7 +387,7 @@ impl Turquois {
             Ok(v) => v,
             Err(e) => {
                 receipt.outcome = MessageOutcome::DecodeFailed(e);
-                return receipt;
+                return (receipt, false);
             }
         };
         let (envelope, signature) = (msg.envelope(), msg.signature());
@@ -326,7 +397,7 @@ impl Turquois {
         receipt.sig_verifications += 1;
         if !self.authentic(&envelope, &signature) {
             receipt.outcome = MessageOutcome::AuthFailed;
-            return receipt;
+            return (receipt, false);
         }
 
         // Authenticity of each attachment (one logical verification
@@ -340,6 +411,7 @@ impl Turquois {
         let mut pending = std::mem::take(&mut self.pending_scratch);
         below_floor.clear();
         pending.clear();
+        let mut absorbed = true;
         for i in 0..msg.justification_len() {
             let (env, sig) = msg.entry(i);
             receipt.sig_verifications += 1;
@@ -351,6 +423,7 @@ impl Turquois {
             }
             if !self.evidence.holds(&env, &sig) {
                 if !self.authentic(&env, &sig) {
+                    absorbed = false;
                     continue;
                 }
                 self.evidence.insert(&env, sig);
@@ -371,6 +444,8 @@ impl Turquois {
         for (env, sig) in &pending {
             if semantic_check(env, &self.cfg, &view).is_ok() {
                 self.valid.insert(env, *sig);
+            } else {
+                absorbed = false;
             }
         }
 
@@ -383,7 +458,7 @@ impl Turquois {
         if let Err(reason) = semantic {
             receipt.outcome = MessageOutcome::SemanticFailed(reason);
             self.advance(&mut receipt);
-            return receipt;
+            return (receipt, false);
         }
 
         self.evidence.insert(&envelope, signature);
@@ -393,10 +468,11 @@ impl Turquois {
         }
 
         self.advance(&mut receipt);
-        receipt
+        (receipt, absorbed && self.gc_floor() == gc_floor)
     }
 
     fn advance(&mut self, receipt: &mut Receipt) {
+        let old_floor = self.gc_floor();
         let rng = &mut self.rng;
         let mut coin = || rng.gen_bool(0.5);
         let Advance {
@@ -412,6 +488,10 @@ impl Turquois {
         }
         if phase_changed {
             let floor = self.gc_floor();
+            if floor != old_floor {
+                // What a remembered frame carried may be pruned now.
+                self.absorbed.fill(None);
+            }
             self.evidence.prune_below(floor);
             self.valid.prune_below(floor);
         }
@@ -545,19 +625,26 @@ mod tests {
             .collect()
     }
 
+    /// One synchronous round among `procs`: everyone ticks, everyone
+    /// hears everyone. Returns the round's broadcasts.
+    fn round(procs: &mut [Turquois]) -> Vec<Bytes> {
+        let msgs: Vec<Bytes> = procs
+            .iter_mut()
+            .map(|p| p.on_tick().expect("keys cover phase").bytes)
+            .collect();
+        for p in procs.iter_mut() {
+            for m in &msgs {
+                p.on_message(m);
+            }
+        }
+        msgs
+    }
+
     /// Runs synchronous lossless rounds until all decide (or the round
     /// limit trips). Returns the decisions.
     fn run_synchronous(procs: &mut [Turquois], max_rounds: usize) -> Vec<Option<bool>> {
         for _ in 0..max_rounds {
-            let msgs: Vec<Bytes> = procs
-                .iter_mut()
-                .map(|p| p.on_tick().expect("keys cover phase").bytes)
-                .collect();
-            for p in procs.iter_mut() {
-                for m in &msgs {
-                    p.on_message(m);
-                }
-            }
+            round(procs);
             if procs.iter().all(|p| p.decision().is_some()) {
                 break;
             }
@@ -722,7 +809,7 @@ mod tests {
 
         /// Puts a genuine broadcast on the air; peers other than its
         /// sender hear it most of the time.
-        fn broadcast(&mut self, from: usize, bytes: &[u8]) {
+        fn broadcast(&mut self, from: usize, bytes: &Bytes) {
             for peer in self.peers.iter_mut().filter(|p| p.id() != from) {
                 if self.rng.gen_bool(0.8) {
                     peer.on_message(bytes);
@@ -905,7 +992,7 @@ mod tests {
     #[test]
     fn decode_garbage_rejected() {
         let mut procs = make_group(4, &[true], 5);
-        let r = procs[0].on_message(b"not a message");
+        let r = procs[0].on_message(&Bytes::from_static(b"not a message"));
         assert!(matches!(r.outcome, MessageOutcome::DecodeFailed(_)));
         assert_eq!(r.sig_verifications, 0);
     }
@@ -917,7 +1004,7 @@ mod tests {
         let mut bytes = out.bytes.to_vec();
         // Flip a bit inside the signature (offset 8..40).
         bytes[10] ^= 1;
-        let r = procs[0].on_message(&bytes);
+        let r = procs[0].on_message(&bytes.into());
         assert_eq!(r.outcome, MessageOutcome::AuthFailed);
         assert_eq!(r.sig_verifications, 1);
     }
@@ -928,7 +1015,7 @@ mod tests {
         let out = procs[1].on_tick().expect("keys cover phase");
         let mut bytes = out.bytes.to_vec();
         bytes[1] = 2; // claim sender 2 with sender 1's signature
-        let r = procs[0].on_message(&bytes);
+        let r = procs[0].on_message(&bytes.into());
         assert_eq!(r.outcome, MessageOutcome::AuthFailed);
     }
 
@@ -1113,6 +1200,7 @@ mod tests {
         let out = procs[1].on_tick().expect("keys cover phase");
         let mut forged = out.bytes.to_vec();
         forged[10] ^= 1; // corrupt the signature (offset 8..40)
+        let forged = Bytes::from(forged);
         for _ in 0..3 {
             let r = procs[0].on_message(&forged);
             assert_eq!(r.outcome, MessageOutcome::AuthFailed);
@@ -1265,6 +1353,165 @@ mod tests {
             p0.on_message(&wire).outcome,
             MessageOutcome::SemanticFailed(RejectReason::PhaseUnjustified),
             "authentic now; only the missing phase quorum stops it"
+        );
+    }
+
+    /// Everything a delivery could change: the state, both stores, the
+    /// decided snapshot and the coin.
+    fn observe(p: &Turquois) -> String {
+        format!(
+            "{:?}",
+            (
+                (p.phase(), p.value(), p.status(), p.decision(), p.coin_flip()),
+                p.evidence.records(),
+                p.valid.records(),
+                &p.decided_evidence,
+                p.rng.clone().gen::<u64>(),
+            )
+        )
+    }
+
+    /// Process 0 of a fresh group and its twin: the same keys, seed and
+    /// proposal, so the same deliveries leave both in the same state.
+    fn receiver_and_twin(n: usize, proposals: &[bool], seed: u64) -> (Turquois, Turquois) {
+        let make = || make_group(n, proposals, seed).swap_remove(0);
+        (make(), make())
+    }
+
+    /// A byte-identical repeat of a fully absorbed frame is answered
+    /// without the full path, with the receipt the full path gives and
+    /// no change to anything.
+    #[test]
+    fn a_repeat_answers_as_the_full_path_and_changes_nothing() {
+        let mut procs = make_group(4, &[true, false], 13);
+        let (mut fast, mut full) = receiver_and_twin(4, &[true, false], 13);
+        let phase_one = round(&mut procs);
+        procs[1].on_tick().expect("keys cover phase");
+        let justified = procs[1].on_tick().expect("keys cover phase");
+        let k = justified.message.justification.len();
+        assert!(k > 0, "a re-broadcast at phase 2 carries its bundle");
+        for p in [&mut fast, &mut full] {
+            for m in &phase_one {
+                p.on_message(m);
+            }
+            assert_eq!(p.on_message(&justified.bytes).outcome, MessageOutcome::Accepted);
+        }
+        for _ in 0..3 {
+            let hit = fast.repeat(&justified.bytes);
+            assert_eq!(
+                hit,
+                Some(Receipt {
+                    outcome: MessageOutcome::Duplicate,
+                    sig_verifications: 1 + k,
+                    phase_advanced: false,
+                    newly_decided: None,
+                })
+            );
+            let before = observe(&fast);
+            assert_eq!(
+                (fast.on_message(&justified.bytes), true),
+                full.receive(&justified.bytes)
+            );
+            assert_eq!(observe(&fast), before, "a repeat changed the receiver");
+            assert_eq!(observe(&fast), observe(&full));
+        }
+    }
+
+    /// A rejected frame is never remembered: the same bytes, once the
+    /// evidence that justifies them has arrived, are accepted.
+    #[test]
+    fn a_rejected_frame_is_accepted_once_it_becomes_valid() {
+        let mut procs = make_group(4, &[true], 14);
+        let (mut receiver, mut twin) = receiver_and_twin(4, &[true], 14);
+        let phase_one = round(&mut procs);
+        let bare = procs[1].on_tick().expect("keys cover phase");
+        assert_eq!(bare.message.envelope.phase, 2);
+        assert!(bare.message.justification.is_empty());
+        let rejected = MessageOutcome::SemanticFailed(RejectReason::PhaseUnjustified);
+        for _ in 0..2 {
+            assert_eq!(receiver.on_message(&bare.bytes).outcome, rejected);
+            assert_eq!(receiver.repeat(&bare.bytes), None);
+        }
+        for p in [&mut receiver, &mut twin] {
+            for m in &phase_one {
+                p.on_message(m);
+            }
+        }
+        let got = receiver.on_message(&bare.bytes);
+        assert_eq!(got.outcome, MessageOutcome::Accepted);
+        assert_eq!((got, true), twin.receive(&bare.bytes));
+        assert!(receiver.repeat(&bare.bytes).is_some(), "accepted: remembered");
+    }
+
+    /// Once the GC floor passes a remembered frame, its facts may be
+    /// pruned: a repeat goes through the full path again and is
+    /// re-accepted, exactly as on a receiver that never took the fast
+    /// path.
+    #[test]
+    fn a_repeat_after_the_floor_moves_takes_the_full_path() {
+        let mut procs = make_group(4, &[true], 15);
+        let (mut receiver, mut twin) = receiver_and_twin(4, &[true], 15);
+        let first = round(&mut procs);
+        for p in [&mut receiver, &mut twin] {
+            for m in &first {
+                p.on_message(m);
+            }
+        }
+        let old = first[1].clone();
+        assert!(receiver.repeat(&old).is_some());
+        // Process 1 falls silent for the receivers; 0, 2 and 3 are a
+        // quorum and carry them until phase 1 is below the GC floor.
+        while receiver.gc_floor() <= 1 {
+            let msgs = round(&mut procs);
+            for p in [&mut receiver, &mut twin] {
+                for (i, m) in msgs.iter().enumerate() {
+                    if i != 1 {
+                        p.on_message(m);
+                    }
+                }
+            }
+            assert!(receiver.phase() < 30, "the receiver stopped advancing");
+        }
+        assert_eq!(receiver.repeat(&old), None, "the floor move forgot it");
+        let got = receiver.on_message(&old);
+        assert_eq!(got.outcome, MessageOutcome::Accepted, "pruned, so new again");
+        assert_eq!((got, true), twin.receive(&old));
+        assert_eq!(observe(&receiver), observe(&twin));
+    }
+
+    /// Only the same bytes are a repeat: a frame with a remembered
+    /// frame's head record but another bundle (shorter, or as long and
+    /// carrying a fact the receiver lacks) takes the full path.
+    #[test]
+    fn the_same_head_with_other_bytes_takes_the_full_path() {
+        let cfg = Config::evaluation(4).expect("valid n");
+        let mut procs = make_group(4, &[true], 16);
+        let (mut receiver, mut twin) = receiver_and_twin(4, &[true], 16);
+        let phase_one = round(&mut procs);
+        let bare = procs[1].on_tick().expect("keys cover phase");
+        let justified = procs[1].on_tick().expect("keys cover phase");
+        for p in [&mut receiver, &mut twin] {
+            assert_eq!(p.on_message(&justified.bytes).outcome, MessageOutcome::Accepted);
+        }
+        // The bundle is one phase-1 quorum; the one sender it leaves
+        // out takes the last entry's place.
+        let mut swapped = justified.message.clone();
+        let missing = (0..4)
+            .find(|&s| swapped.justification.iter().all(|(e, _)| e.sender != s))
+            .expect("three of four senders make the quorum");
+        let fact = Message::decode(&phase_one[missing], &cfg).expect("genuine");
+        *swapped.justification.last_mut().expect("non-empty") = (fact.envelope, fact.signature);
+        let swapped = swapped.encode();
+        assert_eq!(swapped.len(), justified.bytes.len());
+        assert_eq!(swapped[..40], justified.bytes[..40], "the same head record");
+        for other in [&bare.bytes, &swapped] {
+            assert_eq!(receiver.repeat(other), None);
+            assert_eq!((receiver.on_message(other), true), twin.receive(other));
+            assert_eq!(observe(&receiver), observe(&twin));
+        }
+        assert!(
+            receiver.valid.contains(&fact.envelope),
+            "the swapped-in fact was absorbed"
         );
     }
 
@@ -1433,6 +1680,7 @@ mod tests {
             facts: Vec::new(),
         };
         let install_at = traffic.rng.gen_range(0..steps);
+        let mut recent: Vec<Bytes> = Vec::new();
         for step in 0..steps {
             if step == install_at {
                 for p in [&mut new, &mut old] {
@@ -1453,41 +1701,70 @@ mod tests {
                     traffic.broadcast(0, &out.bytes);
                 }
             }
-            let bytes = traffic.next(new.phase());
-            let (got, want) = (new.on_message(&bytes), old.on_message_retired(&bytes));
-            proptest::prop_assert_eq!(got, want, "receipt diverged at step {}", step);
-            proptest::prop_assert_eq!(
-                (
-                    new.phase(),
-                    new.value(),
-                    new.status(),
-                    new.decision(),
-                    new.coin_flip()
-                ),
-                (
-                    old.phase(),
-                    old.value(),
-                    old.status(),
-                    old.decision(),
-                    old.coin_flip()
-                ),
-                "state diverged at step {}",
-                step
-            );
-            proptest::prop_assert_eq!(
-                new.evidence.records(),
-                old.evidence.records(),
-                "evidence diverged at step {}",
-                step
-            );
-            proptest::prop_assert_eq!(
-                new.valid.records(),
-                old.valid.records(),
-                "V_i diverged at step {}",
-                step
-            );
-            proptest::prop_assert_eq!(&new.decided_evidence, &old.decided_evidence);
+            let bytes = Bytes::from(traffic.next(new.phase()));
+            let floor = new.gc_floor();
+            in_lockstep(&mut new, &mut old, &bytes, step)?;
+            // Byte-identical redeliveries on both sides of a floor
+            // change: this frame now and then, and once the floor has
+            // moved, the frames delivered before it did.
+            if traffic.rng.gen_bool(0.3) {
+                in_lockstep(&mut new, &mut old, &bytes, step)?;
+            }
+            if new.gc_floor() != floor {
+                for earlier in &recent {
+                    in_lockstep(&mut new, &mut old, earlier, step)?;
+                }
+            }
+            if recent.len() == 8 {
+                recent.remove(0);
+            }
+            recent.push(bytes);
         }
+        Ok(())
+    }
+
+    /// Delivers `bytes` to `new` through [`Turquois::on_message`] and
+    /// to `old` through the retired path; receipts, states and both
+    /// stores must agree.
+    fn in_lockstep(
+        new: &mut Turquois,
+        old: &mut Turquois,
+        bytes: &Bytes,
+        step: usize,
+    ) -> Result<(), proptest::TestCaseError> {
+        let (got, want) = (new.on_message(bytes), old.on_message_retired(bytes));
+        proptest::prop_assert_eq!(got, want, "receipt diverged at step {}", step);
+        proptest::prop_assert_eq!(
+            (
+                new.phase(),
+                new.value(),
+                new.status(),
+                new.decision(),
+                new.coin_flip()
+            ),
+            (
+                old.phase(),
+                old.value(),
+                old.status(),
+                old.decision(),
+                old.coin_flip()
+            ),
+            "state diverged at step {}",
+            step
+        );
+        proptest::prop_assert_eq!(
+            new.evidence.records(),
+            old.evidence.records(),
+            "evidence diverged at step {}",
+            step
+        );
+        proptest::prop_assert_eq!(
+            new.valid.records(),
+            old.valid.records(),
+            "V_i diverged at step {}",
+            step
+        );
+        proptest::prop_assert_eq!(&new.decided_evidence, &old.decided_evidence);
         Ok(())
     }
 
@@ -1606,6 +1883,7 @@ mod tests {
             for (sender, idx, mask, copies) in ops {
                 let mut bytes = honest[sender - 1].to_vec();
                 bytes[8 + idx] ^= mask; // signature bytes (offset 8..40)
+                let bytes = Bytes::from(bytes);
                 for _ in 0..copies {
                     let receipt = procs[0].on_message(&bytes);
                     let msg = Message::decode(&bytes, &cfg).expect("corruption keeps the layout");
@@ -1623,7 +1901,8 @@ mod tests {
         /// adversarial traffic — honest-shaped bundles, equivocation,
         /// forged and misattributed signatures, attachments below the
         /// GC floor, entries repeated inside one bundle, damaged
-        /// redeliveries, and a key epoch installed mid-stream that
+        /// redeliveries, byte-identical redeliveries on both sides of
+        /// a GC floor change, and a key epoch installed mid-stream that
         /// turns rejected signatures valid — goes to two instances,
         /// one through [`Turquois::on_message`], one through the
         /// retired logic (a real verify per signature, a full-view

@@ -189,6 +189,15 @@ fn read_record(rec: &[u8; ENTRY_LEN]) -> (Envelope, OneTimeSignature) {
     (envelope, OneTimeSignature(*signature))
 }
 
+/// The sender the head record of `bytes` claims, unchecked, and the
+/// number of justification entries a message of `bytes.len()` carries
+/// if it parses.
+pub(crate) fn claimed_head(bytes: &[u8]) -> Option<(usize, usize)> {
+    let &[hi, lo] = bytes.first_chunk()?;
+    let entries = bytes.len().checked_sub(HEADER_LEN)? / ENTRY_LEN;
+    Some((usize::from(u16::from_be_bytes([hi, lo])), entries))
+}
+
 /// The error of the record at `at` when `bytes` ends inside it: the
 /// first malformed field the input holds in full, else `Truncated` at
 /// the end of the first field it cuts — what reading field by field

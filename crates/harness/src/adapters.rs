@@ -580,6 +580,12 @@ impl Application for BrachaApp {
             store_bytes: self.engine.store_bytes(),
         })
     }
+
+    /// A rejoin keeps the engine and the connections (a long
+    /// partition) but restarts the transport's tick.
+    fn reset(&mut self) {
+        self.transport.restart();
+    }
 }
 
 // -------------------------------------------------------------------- abba
@@ -813,6 +819,11 @@ impl Application for AbbaApp {
             phase: engine.round(),
             store_bytes: engine.store_bytes(),
         })
+    }
+
+    /// As [`BrachaApp`]'s: the rejoin restarts the transport's tick.
+    fn reset(&mut self) {
+        self.transport.restart();
     }
 }
 

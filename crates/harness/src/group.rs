@@ -149,6 +149,7 @@ pub(crate) mod tests {
     use std::collections::BTreeMap;
     use std::path::Path;
     use wireless_net::frame::{Addressing, ReceivedFrame};
+    use wireless_net::reliable::TRANSPORT_TIMER_FLAG;
     use wireless_net::sim::{Command, NodeCtx};
     use wireless_net::time::SimTime;
 
@@ -278,6 +279,27 @@ pub(crate) mod tests {
         assert!(p0.progress().expect("progress").phase > 1, "a phase-1 quorum advances p0");
         p0.reset();
         assert_eq!(start(p0.as_mut(), 0), start(node(0).as_mut(), 0), "a reset p0 starts afresh");
+    }
+
+    /// A rejoined baseline process arms its transport's tick again:
+    /// the crash staled the pending one, and without a new one nothing
+    /// queued before the crash is ever retransmitted.
+    #[test]
+    fn baseline_transports_tick_again_after_a_rejoin() {
+        for protocol in [Protocol::Bracha, Protocol::Abba] {
+            let (group, probe) = (group(protocol), RunProbe::new(4));
+            let mut node = group.node(0, true, Role::Correct, 0, &probe);
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut ticks_armed_on_start = |app: &mut dyn Application| {
+                call(app, 0, Duration::ZERO, &mut rng, |app, ctx| app.on_start(ctx))
+                    .iter()
+                    .filter(|c| matches!(c, Command::SetTimer { id, .. } if id & TRANSPORT_TIMER_FLAG != 0))
+                    .count()
+            };
+            assert_eq!(ticks_armed_on_start(node.as_mut()), 1, "{protocol:?}: first start");
+            node.reset();
+            assert_eq!(ticks_armed_on_start(node.as_mut()), 1, "{protocol:?}: after a rejoin");
+        }
     }
 
     /// The shipped source of this crate and of `turquois-check` (every

@@ -16,8 +16,6 @@
 //!   modelling the jamming attack discussed in the paper's introduction.
 //! * [`BudgetedOmission`] — an omission *adversary*: kills up to `budget`
 //!   deliveries per time window, targeting the protocol's σ bound.
-//! * [`TargetedLoss`] — loss restricted to configured sender/receiver
-//!   sets.
 //! * [`Compose`] — OR-composition of several models.
 //! * [`CrashSchedule`] — deterministic crash (and optional rejoin) of
 //!   whole nodes. Unlike the delivery-filter models above, a crash
@@ -267,52 +265,6 @@ impl FaultModel for BudgetedOmission {
     }
 }
 
-/// Loss with probability `p` restricted to deliveries whose sender is in
-/// `srcs` **and** receiver in `dsts` (empty set = wildcard).
-#[derive(Debug)]
-pub struct TargetedLoss {
-    srcs: Vec<NodeId>,
-    dsts: Vec<NodeId>,
-    p: f64,
-    rng: StdRng,
-}
-
-impl TargetedLoss {
-    /// Creates a targeted-loss model; an empty `srcs`/`dsts` matches all.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn new(srcs: Vec<NodeId>, dsts: Vec<NodeId>, p: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "loss probability {p} out of range");
-        TargetedLoss {
-            srcs,
-            dsts,
-            p,
-            rng: StdRng::seed_from_u64(seed ^ 0x7a26_e7ed),
-        }
-    }
-}
-
-impl FaultModel for TargetedLoss {
-    fn drops(&mut self, ctx: &DeliveryCtx) -> bool {
-        let src_match = self.srcs.is_empty() || self.srcs.contains(&ctx.src);
-        let dst_match = self.dsts.is_empty() || self.dsts.contains(&ctx.dst);
-        if src_match && dst_match {
-            self.rng.gen_bool(self.p)
-        } else {
-            false
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "targeted loss p={} srcs={:?} dsts={:?}",
-            self.p, self.srcs, self.dsts
-        )
-    }
-}
-
 /// OR-composition: a delivery is dropped if **any** component drops it.
 pub struct Compose {
     parts: Vec<Box<dyn FaultModel>>,
@@ -491,8 +443,54 @@ impl CrashSchedule {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Loss with probability `p` restricted to deliveries whose sender is in
+    /// `srcs` **and** receiver in `dsts` (empty set = wildcard).
+    #[derive(Debug)]
+    pub(crate) struct TargetedLoss {
+        srcs: Vec<NodeId>,
+        dsts: Vec<NodeId>,
+        p: f64,
+        rng: StdRng,
+    }
+
+    impl TargetedLoss {
+        /// Creates a targeted-loss model; an empty `srcs`/`dsts` matches all.
+        ///
+        /// # Panics
+        ///
+        /// Panics unless `0.0 <= p <= 1.0`.
+        pub(crate) fn new(srcs: Vec<NodeId>, dsts: Vec<NodeId>, p: f64, seed: u64) -> Self {
+            assert!((0.0..=1.0).contains(&p), "loss probability {p} out of range");
+            TargetedLoss {
+                srcs,
+                dsts,
+                p,
+                rng: StdRng::seed_from_u64(seed ^ 0x7a26_e7ed),
+            }
+        }
+    }
+
+    impl FaultModel for TargetedLoss {
+        fn drops(&mut self, ctx: &DeliveryCtx) -> bool {
+            let src_match = self.srcs.is_empty() || self.srcs.contains(&ctx.src);
+            let dst_match = self.dsts.is_empty() || self.dsts.contains(&ctx.dst);
+            if src_match && dst_match {
+                self.rng.gen_bool(self.p)
+            } else {
+                false
+            }
+        }
+
+        fn describe(&self) -> String {
+            format!(
+                "targeted loss p={} srcs={:?} dsts={:?}",
+                self.p, self.srcs, self.dsts
+            )
+        }
+    }
 
     fn ctx_at(now_us: u64) -> DeliveryCtx {
         DeliveryCtx {

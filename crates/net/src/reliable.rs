@@ -197,6 +197,15 @@ impl ReliableEndpoint {
         self.node
     }
 
+    /// Restarts the tick after the node rejoined: the crash staled the
+    /// pending tick timer, so the next send or data frame arms a new
+    /// one, whose scan visits every peer. Connections survive; an
+    /// application calls this from [`crate::sim::Application::reset`].
+    pub fn restart(&mut self) {
+        self.tick_armed = false;
+        self.next_due = Some(crate::time::SimTime::ZERO);
+    }
+
     /// Sends `payload` reliably and in order to `dst`.
     ///
     /// Transmits immediately when no data is in flight to `dst`;
@@ -495,7 +504,8 @@ fn decode(bytes: &Bytes) -> Option<(u8, u64, u64, Bytes)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{IidLoss, NoFaults, TargetedLoss};
+    use crate::fault::tests::TargetedLoss;
+    use crate::fault::{CrashSchedule, IidLoss, NoFaults};
     use crate::sim::{Application, SimConfig, Simulator};
     use crate::time::SimTime;
     use std::cell::RefCell;
@@ -656,6 +666,71 @@ mod tests {
             }
         }
         assert!(sim.stats().mac_failures > 0);
+    }
+
+    /// A crash stales the pending tick. Node 0 queues 40 messages to
+    /// node 1, crashes before they are through and rejoins 250 ms later
+    /// announcing one more, as a restarted baseline re-sends its state:
+    /// the restarted tick retransmits what the crash cut off.
+    #[test]
+    fn a_rejoined_endpoint_ticks_again() {
+        const QUEUED: usize = 40;
+        struct Restarting {
+            transport: ReliableEndpoint,
+            starts: usize,
+            inbox: Inbox,
+        }
+        impl Application for Restarting {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                if ctx.node() == 0 {
+                    let range = if self.starts == 0 { 0..QUEUED } else { QUEUED..QUEUED + 1 };
+                    for i in range {
+                        self.transport.send(ctx, 1, Bytes::from(format!("m0-{i}").into_bytes()));
+                    }
+                }
+                self.starts += 1;
+            }
+            fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: ReceivedFrame) {
+                let mut released = Vec::new();
+                self.transport.on_frame(ctx, &frame, &mut released);
+                for (peer, msg) in released {
+                    self.inbox.borrow_mut().push((peer, msg.to_vec()));
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: u64) {
+                let _ = self.transport.on_timer(ctx, timer);
+            }
+            fn on_unicast_failed(&mut self, ctx: &mut NodeCtx<'_>, dst: NodeId, payload: Bytes) {
+                self.transport.on_unicast_failed(ctx, dst, payload);
+            }
+            fn reset(&mut self) {
+                self.transport.restart();
+            }
+        }
+        let inbox = Inbox::default();
+        let apps: Vec<Box<dyn Application>> = (0..2)
+            .map(|i| {
+                Box::new(Restarting {
+                    transport: ReliableEndpoint::new(i, 2),
+                    starts: 0,
+                    inbox: inbox.clone(),
+                }) as Box<dyn Application>
+            })
+            .collect();
+        let mut sim = Simulator::new(SimConfig::default(), Box::new(NoFaults), apps);
+        sim.set_crash_schedule(
+            CrashSchedule::new()
+                .crash_at(0, SimTime::from_micros(1_500))
+                .rejoin_after(Duration::from_millis(250)),
+        );
+        sim.run_until(SimTime::from_millis(20_000), |_| false);
+        let got: Vec<String> = inbox
+            .borrow()
+            .iter()
+            .map(|(_, m)| String::from_utf8(m.clone()).expect("utf-8"))
+            .collect();
+        let want: Vec<String> = (0..=QUEUED).map(|i| format!("m0-{i}")).collect();
+        assert_eq!(got, want, "node 1 hears everything node 0 queued, in order");
     }
 
     #[test]

@@ -972,7 +972,8 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{IidLoss, TargetedLoss};
+    use crate::fault::tests::TargetedLoss;
+    use crate::fault::IidLoss;
     use parking_lot_free_cell::Shared;
 
     /// Minimal shared-state helper so tests can observe app internals

@@ -249,11 +249,11 @@ fn corrupted_wire_bytes_never_panic() {
     for i in 0..genuine.len() {
         let mut corrupted = genuine.to_vec();
         corrupted[i] ^= 0xFF;
-        let _ = procs[0].on_message(&corrupted);
+        let _ = procs[0].on_message(&corrupted.into());
     }
     // Truncate at every length.
     for len in 0..genuine.len() {
-        let _ = procs[0].on_message(&genuine[..len]);
+        let _ = procs[0].on_message(&genuine.slice(..len));
     }
     // The process remains functional.
     let receipt = procs[0].on_message(&genuine);
