@@ -440,7 +440,8 @@ mod tests {
         let mut iters = 0;
         while let Some((from, bytes)) = queue.pop() {
             iters += 1;
-            assert!(iters < 2_000_000, "livelock");
+            // All three decide after 70 messages: 10× that is a livelock.
+            assert!(iters < 700, "livelock");
             // process 3 crashed: receives nothing
             for (to, engine) in engines[..n - 1].iter_mut().enumerate() {
                 let out = engine.on_message(from, &bytes);
@@ -484,7 +485,8 @@ mod tests {
         let mut iters = 0;
         while let Some((from, bytes)) = queue.pop() {
             iters += 1;
-            assert!(iters < 2_000_000, "livelock");
+            // All three decide after 102 messages: 10× that is a livelock.
+            assert!(iters < 1_020, "livelock");
             // Correct processes receive everything; the Byzantine node's
             // RBC engine also participates (echoes/readies).
             if let Some(msg) = RbcMessage::decode(&bytes) {
@@ -546,7 +548,8 @@ mod tests {
                 panic!("deadlock: network quiescent after heal, undecided");
             };
             iters += 1;
-            assert!(iters < 5_000_000, "livelock");
+            // All five decide after 926 deliveries: 10× that is a livelock.
+            assert!(iters < 9_260, "livelock");
             if !healed && (from == 4) != (to == 4) {
                 held.push((from, to, bytes));
                 continue;

@@ -14,51 +14,80 @@
 use turquois_check::{explore, EngineKind, ExploreConfig};
 use turquois_harness::runner::threads_from_env;
 
-fn main() {
-    let mut engines: Vec<(EngineKind, usize)> = vec![
-        (EngineKind::Turquois, 4),
-        (EngineKind::Turquois, 7),
-        (EngineKind::Bracha, 4),
-        (EngineKind::Bracha, 5),
-        (EngineKind::Abba, 4),
-        (EngineKind::Abba, 5),
-    ];
-    let mut schedules = 1000usize;
-    let mut base_seed = 20100628u64; // DSN 2010 opening day.
+/// What to sweep: the engine/size pairs, the schedule count and the
+/// base seed.
+#[derive(Debug, PartialEq)]
+struct Args {
+    engines: Vec<(EngineKind, usize)>,
+    schedules: usize,
+    base_seed: u64,
+}
 
-    for arg in std::env::args().skip(1) {
+/// Reads `key=value` arguments over the defaults. An argument without
+/// `=` is ignored with a warning; an unknown key or a malformed value
+/// is an error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        engines: vec![
+            (EngineKind::Turquois, 4),
+            (EngineKind::Turquois, 7),
+            (EngineKind::Bracha, 4),
+            (EngineKind::Bracha, 5),
+            (EngineKind::Abba, 4),
+            (EngineKind::Abba, 5),
+        ],
+        schedules: 1000,
+        base_seed: 20100628, // DSN 2010 opening day.
+    };
+    for arg in args {
         let Some((key, value)) = arg.split_once('=') else {
             eprintln!("ignoring argument `{arg}` (expected key=value)");
             continue;
         };
         match key {
-            "engine" => match EngineKind::parse(value) {
-                Some(e) => engines.retain(|(k, _)| *k == e),
-                None => {
-                    eprintln!("unknown engine `{value}`");
-                    std::process::exit(2);
-                }
-            },
+            "engine" => {
+                let e = EngineKind::parse(value).ok_or(format!("unknown engine `{value}`"))?;
+                parsed.engines.retain(|(k, _)| *k == e);
+            }
             "n" => {
-                let Some(n) = value.parse().ok().filter(|n| (1..=64).contains(n)) else {
-                    eprintln!("n must be a number in 1..=64, got `{value}`");
-                    std::process::exit(2);
-                };
-                engines = engines
+                let n = value
+                    .parse()
+                    .ok()
+                    .filter(|n| (1..=64).contains(n))
+                    .ok_or(format!("n must be a number in 1..=64, got `{value}`"))?;
+                parsed.engines = parsed
+                    .engines
                     .iter()
                     .map(|&(e, _)| (e, n))
                     .collect::<std::collections::BTreeSet<_>>()
                     .into_iter()
                     .collect();
             }
-            "schedules" => schedules = value.parse().expect("schedules must be a number"),
-            "seed" => base_seed = value.parse().expect("seed must be a number"),
-            other => {
-                eprintln!("unknown key `{other}`");
-                std::process::exit(2);
+            "schedules" => {
+                parsed.schedules = value
+                    .parse()
+                    .map_err(|_| format!("schedules must be a count, got `{value}`"))?;
             }
+            "seed" => {
+                parsed.base_seed = value
+                    .parse()
+                    .map_err(|_| format!("seed must be a number in 0..2^64, got `{value}`"))?;
+            }
+            other => return Err(format!("unknown key `{other}`")),
         }
     }
+    Ok(parsed)
+}
+
+fn main() {
+    let Args {
+        engines,
+        schedules,
+        base_seed,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
 
     let threads = threads_from_env();
     let mut failed = false;
@@ -77,5 +106,41 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn every_key_rejects_a_malformed_value() {
+        for (arg, message) in [
+            ("schedules=ten", "schedules must be a count, got `ten`"),
+            ("seed=-1", "seed must be a number in 0..2^64, got `-1`"),
+            ("n=0", "n must be a number in 1..=64, got `0`"),
+            ("engine=paxos", "unknown engine `paxos`"),
+            ("depth=3", "unknown key `depth`"),
+        ] {
+            assert_eq!(parse(&[arg]), Err(message.to_string()), "{arg}");
+        }
+    }
+
+    #[test]
+    fn keys_narrow_the_default_sweep() {
+        let args = parse(&["engine=turquois", "n=5", "schedules=64", "seed=7"]).unwrap();
+        assert_eq!(
+            args,
+            Args {
+                engines: vec![(EngineKind::Turquois, 5)],
+                schedules: 64,
+                base_seed: 7
+            }
+        );
+        assert_eq!(parse(&[]).unwrap().engines.len(), 6);
     }
 }

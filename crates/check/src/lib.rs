@@ -27,17 +27,17 @@
 //! `turquois_harness::runner`, keeping the engines and the simulator
 //! single-threaded as required.
 //!
-//! Building with `--features mutation-smoke` plants a deliberate
-//! quorum off-by-one inside `turquois-core` (see
-//! `Config::exceeds_quorum`) that the explorer must find and shrink —
-//! a self-test proving the search has teeth. Never enable that feature
-//! outside `cargo test -p turquois-check`.
+//! [`mutants`] parses the mutant catalogue (`mutants/catalogue.txt`)
+//! that the `mutants` binary runs: planted bugs, the quorum
+//! off-by-one the explorer must find and shrink among them
+//! (`quorum-plant-n5`), each paired with the guard that must catch it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod drive;
 pub mod explore;
+pub mod mutants;
 pub mod replay;
 pub mod schedule;
 pub mod shrink;

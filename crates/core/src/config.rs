@@ -113,22 +113,8 @@ impl Config {
 
     /// `true` when `count` messages (from distinct senders) exceed the
     /// `(n + f)/2` quorum, computed in exact integer arithmetic.
-    ///
-    /// Under the test-only `quorum-mutation` feature the comparison is
-    /// deliberately weakened to `>=` — a planted off-by-one that the
-    /// `turquois-check` schedule explorer must detect (its "mutation
-    /// smoke" mode). The bug only bites when `n + f` is even (every
-    /// paper evaluation size has `n + f` odd, where `>` and `>=` agree),
-    /// which is why the smoke runs at `n = 5`.
     pub fn exceeds_quorum(&self, count: usize) -> bool {
-        #[cfg(feature = "quorum-mutation")]
-        {
-            2 * count >= self.n + self.f
-        }
-        #[cfg(not(feature = "quorum-mutation"))]
-        {
-            2 * count > self.n + self.f
-        }
+        2 * count > self.n + self.f
     }
 
     /// `true` when `count` exceeds half a quorum, `((n + f)/2)/2`

@@ -1559,11 +1559,15 @@ mod tests {
                 let cfg = Config::new(n, f, n - f).expect("k = n − f is valid");
                 let (q, h) = (cfg.quorum_min(), cfg.half_quorum_min());
                 let least = |pred: &dyn Fn(usize) -> bool| (0..=n).find(|&c| pred(c));
-                assert_eq!(least(&|c| cfg.exceeds_quorum(c)), Some(q), "n={n} f={f}");
+                assert_eq!(
+                    least(&|c| cfg.exceeds_quorum(c)),
+                    Some(q),
+                    "n={n} f={f}: quorum_min"
+                );
                 assert_eq!(
                     least(&|c| cfg.exceeds_half_quorum(c)),
                     Some(h),
-                    "n={n} f={f}"
+                    "n={n} f={f}: half_quorum_min"
                 );
                 assert!(q > f && h > f, "n={n} f={f}: q={q} h={h}");
                 assert!(2 * q > n + f, "n={n} f={f}: two quorums share ≤ f");

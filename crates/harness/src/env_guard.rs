@@ -10,6 +10,10 @@
 //! variable instead; it never aborts, because an unknown variable may
 //! belong to a newer or older build of the same binaries.
 
+/// The prefix that makes an environment variable one of this
+/// workspace's knobs.
+pub const KNOB_PREFIX: &str = "TURQUOIS_";
+
 /// Every `TURQUOIS_*` variable some binary or test in this workspace
 /// reads; `known_list_is_exactly_what_the_source_reads` holds the list
 /// to the source tree.
@@ -29,7 +33,7 @@ pub const KNOWN_ENV_VARS: &[&str] = &[
 pub fn warn_unknown_env_vars() -> Vec<String> {
     let mut unknown: Vec<String> = std::env::vars_os()
         .filter_map(|(k, _)| k.into_string().ok())
-        .filter(|k| k.starts_with("TURQUOIS_") && !KNOWN_ENV_VARS.contains(&k.as_str()))
+        .filter(|k| k.starts_with(KNOB_PREFIX) && !KNOWN_ENV_VARS.contains(&k.as_str()))
         .collect();
     unknown.sort();
     for name in &unknown {

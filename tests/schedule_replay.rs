@@ -3,11 +3,12 @@
 //!
 //! Fixtures come from two sources: shrunk counterexamples produced by
 //! the `turquois-check` explorer (minimal schedules that once violated
-//! a property — under the `quorum-mutation` bug plant they still do),
-//! and hand-written "interesting" schedules documenting the replay
-//! format. This test runs WITHOUT the mutation feature, so the
-//! counterexample fixtures must replay clean: the real protocol
-//! survives the exact schedule that breaks the weakened quorum.
+//! a property — with their planted bug, `quorum-plant-n5` or
+//! `rto-expires-without-retransmit` of `mutants/catalogue.txt`, they
+//! still do), and hand-written "interesting" schedules documenting the
+//! replay format. The counterexample fixtures must replay clean: the
+//! real protocol survives the exact schedule that breaks the planted
+//! bug.
 
 use std::path::PathBuf;
 use turquois_check::drive::run_schedule;
