@@ -198,7 +198,7 @@ mod tests {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let text = std::fs::read_to_string(root.join(CATALOGUE)).expect("the catalogue");
         let mutants = parse(&text).unwrap();
-        for id in ["quorum-plant-n5", "quorum-plant-n8"] {
+        for id in ["quorum-plant-n5", "quorum-plant-n8", "paper-table-job-panics"] {
             assert!(
                 mutants.iter().any(|m| m.id == id),
                 "CI's mutation step runs `{id}`"

@@ -147,10 +147,11 @@ pub struct Turquois {
     state: ProcessState,
     evidence: MessageStore,
     valid: MessageStore,
-    last_broadcast: Option<Envelope>,
     decided_evidence: Vec<(Envelope, OneTimeSignature)>,
-    /// Last broadcast's encoded form: a re-broadcast of an identical
-    /// message reuses the wire bytes instead of re-serializing.
+    /// Last broadcast and its encoded form: a broadcast of the same
+    /// envelope is a re-broadcast and carries justification, and one of
+    /// an identical message reuses the wire bytes instead of
+    /// re-serializing.
     last_wire: Option<(Message, Bytes)>,
     /// Recycled buffers for the message being processed — its authentic
     /// attachments below the GC floor, and the in-window ones `V_i` does
@@ -195,7 +196,6 @@ impl Turquois {
             state: ProcessState::new(cfg, id, proposal),
             evidence: MessageStore::new(cfg.n()),
             valid: MessageStore::new(cfg.n()),
-            last_broadcast: None,
             decided_evidence: Vec::new(),
             last_wire: None,
             below_floor_scratch: Vec::new(),
@@ -280,13 +280,12 @@ impl Turquois {
             .keyring
             .sign(envelope.phase, envelope.value)
             .map_err(OutboundError::KeysExhausted)?;
-        let rebroadcast = self.last_broadcast == Some(envelope);
+        let rebroadcast = matches!(&self.last_wire, Some((last, _)) if last.envelope == envelope);
         let justification = if rebroadcast {
             self.build_justification(&envelope)
         } else {
             Vec::new()
         };
-        self.last_broadcast = Some(envelope);
         let message = Message {
             envelope,
             signature,

@@ -21,7 +21,6 @@ pub const KNOWN_ENV_VARS: &[&str] = &[
     "TURQUOIS_BENCH_JSON",
     "TURQUOIS_CHECK_SCHEDULES",
     "TURQUOIS_REPS",
-    "TURQUOIS_SABOTAGE",
     "TURQUOIS_SIZES",
     "TURQUOIS_THREADS",
     "TURQUOIS_TIME_LIMIT",
@@ -90,6 +89,7 @@ mod tests {
             ("TURQUOIS_HOTPATH_JSON", false),
             ("TURQUOIS_FM_FORCE_STALL", false),
             ("TURQUOIS_PARTITION_JSON", false),
+            ("TURQUOIS_SABOTAGE", false),
             ("TURQUOIS_REPS", true),
             ("TURQUOIS_BENCH_JSON", true),
         ];

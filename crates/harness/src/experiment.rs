@@ -235,7 +235,6 @@ mod tests {
             sizes: vec![4],
             threads,
             time_limit: None,
-            sabotage: None,
             stall: Stall::Retry,
         }
     }

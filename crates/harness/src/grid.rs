@@ -7,8 +7,8 @@
 //! contributes, and how a cell renders — and [`Plan::run`] does the
 //! rest, identically for all twelve:
 //!
-//! * reads `TURQUOIS_REPS` / `_SIZES` / `_THREADS` / `_TIME_LIMIT` /
-//!   `_SABOTAGE` once ([`Plan::from_env`]);
+//! * reads `TURQUOIS_REPS` / `_SIZES` / `_THREADS` / `_TIME_LIMIT`
+//!   once ([`Plan::from_env`]);
 //! * fans the cell-major `(cell, rep)` jobs across the [`runner`] pool
 //!   (`run_indexed`, each job under `isolated`), merged by job index so
 //!   output is byte-identical at any thread count, and times each job;
@@ -64,9 +64,6 @@ pub struct Plan {
     /// `TURQUOIS_TIME_LIMIT`: replaces every scenario's own
     /// simulated-time limit when set.
     pub time_limit: Option<Duration>,
-    /// `TURQUOIS_SABOTAGE`: the `(cell, rep)` job to panic in, proving
-    /// that a failure degrades one cell and exits nonzero.
-    pub sabotage: Option<(usize, usize)>,
     /// What an incomplete run means to this experiment.
     pub stall: Stall,
 }
@@ -92,7 +89,6 @@ impl Plan {
                 "a positive number of simulated seconds",
                 parse_time_limit,
             ),
-            sabotage: knob("TURQUOIS_SABOTAGE", "\"cell,rep\"", parse_sabotage),
             stall,
         }
     }
@@ -128,9 +124,6 @@ impl Plan {
         // stalls under `Stall::Retry`; a panic anywhere in it, the retry
         // included, fails the job alone.
         let job = |cell: usize, rep: usize| -> Result<(S, bool), Failure> {
-            if self.sabotage == Some((cell, rep)) {
-                panic!("sabotage: injected panic in cell {cell} rep {rep}");
-            }
             let fatal = |reason, detail| Err(Failure { reason, detail });
             let mut stall = None;
             for scale in [1, RETRY_BUDGET_SCALE] {
@@ -451,12 +444,6 @@ fn parse_time_limit(raw: &str) -> Option<Duration> {
     (!limit.is_zero() && u64::try_from(escalated.as_nanos()).is_ok()).then_some(limit)
 }
 
-/// `TURQUOIS_SABOTAGE`: `"cell,rep"` indices.
-fn parse_sabotage(raw: &str) -> Option<(usize, usize)> {
-    let (cell, rep) = raw.split_once(',')?;
-    Some((cell.trim().parse().ok()?, rep.trim().parse().ok()?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,7 +458,6 @@ mod tests {
             sizes: Vec::new(),
             threads,
             time_limit: None,
-            sabotage: None,
             stall: Stall::Retry,
         }
     }
@@ -691,11 +677,6 @@ mod tests {
         assert_eq!(parse_time_limit(" 30 "), Some(Duration::from_secs(30)));
         for bad in ["0", "-1", "inf", "nan", "abc", "1e30", "1e11"] {
             assert_eq!(parse_time_limit(bad), None, "{bad}");
-        }
-        assert_eq!(parse_sabotage("3,1"), Some((3, 1)));
-        assert_eq!(parse_sabotage(" 3 , 1 "), Some((3, 1)));
-        for bad in ["3", "3,x", ""] {
-            assert_eq!(parse_sabotage(bad), None, "{bad}");
         }
         assert_eq!(parse_sizes("4, 7"), Some(vec![4, 7]));
         assert_eq!(parse_sizes("4,banana"), Some(vec![4]));

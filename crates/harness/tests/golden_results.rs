@@ -161,6 +161,30 @@ fn runner_json_is_written_only_on_request() {
     }
 }
 
+/// A binary whose runs all stall fails loudly: with a 2 ms budget
+/// (retried once at 4×) every `fault_matrix` cell prints
+/// `FAILED(stalled)`, the `[supervisor]` detail on stderr shows the
+/// escalated retry's `budget 0.008000s`, and the exit status is not 0.
+#[test]
+fn a_stalled_grid_exits_nonzero_with_its_stall_reports() {
+    let out = knobless(env!("CARGO_BIN_EXE_fault_matrix"), 1)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .env("TURQUOIS_TIME_LIMIT", "0.002")
+        .env("TURQUOIS_SIZES", "4")
+        .output()
+        .expect("fault_matrix starts");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert!(
+        !out.status.success(),
+        "a 2 ms budget exited 0:\n{stdout}\n{stderr}"
+    );
+    assert!(stdout.contains("FAILED(stalled)"), "{stdout}");
+    assert!(stderr.contains("budget 0.008000s"), "{stderr}");
+}
+
 #[test]
 fn golden_table_covers_every_results_txt() {
     let mut listed: Vec<&str> = GOLDEN

@@ -775,13 +775,17 @@ impl Simulator {
 
     /// Polls the node's progress probe after a callback: advances the
     /// last-global-progress clock on phase changes and fires any
-    /// phase-triggered crash.
+    /// phase-triggered crash. A node's first observed phase, at its
+    /// start or its restart after a rejoin, is where it begins, not an
+    /// advance.
     fn poll_progress(&mut self, node: NodeId) {
         let Some(p) = self.apps[node].progress() else {
             return;
         };
-        if self.last_phase[node] != Some(p.phase) {
-            self.last_phase[node] = Some(p.phase);
+        if self.last_phase[node]
+            .replace(p.phase)
+            .is_some_and(|was| was != p.phase)
+        {
             self.last_progress = self.last_progress.max(self.time);
         }
         if p.store_bytes > self.peak_store[node] {

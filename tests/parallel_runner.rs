@@ -18,7 +18,6 @@ fn plan(reps: usize, threads: usize) -> Plan {
         sizes: vec![4],
         threads,
         time_limit: None,
-        sabotage: None,
         stall: Stall::Retry,
     }
 }

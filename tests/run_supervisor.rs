@@ -6,47 +6,81 @@
 //! rest of the group from deciding.
 
 use std::time::Duration;
-use turquois_harness::experiment::{paper_table, render_table};
 use turquois_harness::grid::{Plan, Stall};
 use turquois_harness::{FaultLoad, LossSpec, Protocol, ProposalDistribution, Scenario};
 use wireless_net::CrashSchedule;
 
-/// A sabotaged (deterministically panicking) job degrades exactly one
-/// cell to `FAILED(panic)`; every other cell — and the rendered bytes —
-/// are identical to the clean run, at 1 and 4 threads alike.
+/// A job whose run panics degrades exactly one cell of a paper-table
+/// shaped grid to `FAILED(panic)`; every other cell keeps the exact
+/// samples of the clean serial run, at 1 and 4 threads alike.
 #[test]
 fn sabotaged_supervised_table_degrades_gracefully_and_deterministically() {
-    let plan = |threads, sabotage| Plan {
-        bin: "run_supervisor",
-        reps: 2,
-        sizes: vec![4],
-        threads,
-        time_limit: None,
-        sabotage,
-        stall: Stall::Retry,
+    let cells: Vec<(Protocol, ProposalDistribution)> = Protocol::ALL
+        .into_iter()
+        .flat_map(|p| {
+            [
+                ProposalDistribution::Unanimous,
+                ProposalDistribution::Divergent,
+            ]
+            .map(|d| (p, d))
+        })
+        .collect();
+    let faulty = (Protocol::Abba, ProposalDistribution::Unanimous);
+    let table = |threads, panics: bool| {
+        let plan = Plan {
+            bin: "run_supervisor",
+            reps: 2,
+            sizes: vec![4],
+            threads,
+            time_limit: None,
+            stall: Stall::Retry,
+        };
+        plan.run(
+            &cells,
+            |&(protocol, dist)| format!("{} {} n=4", protocol.name(), dist.name()),
+            |&cell, rep, budget| {
+                if panics && (cell, rep) == (faulty, 1) {
+                    panic!("planted panic in rep {rep}");
+                }
+                let scenario = Scenario::new(cell.0, 4)
+                    .proposals(cell.1)
+                    .fault_load(FaultLoad::FailureFree)
+                    .seed(rep as u64);
+                budget.apply(scenario).run_once()
+            },
+            |_, outcome| Ok((outcome.stats.frames_sent(), outcome.mean_latency_ms())),
+        )
     };
-    let (clean_rows, clean) = paper_table(FaultLoad::FailureFree, &plan(1, None));
+    let clean = table(1, false);
     assert_eq!(clean.failures().count(), 0, "clean run must be healthy");
 
-    let mut renders = Vec::new();
     for threads in [1usize, 4] {
-        let (rows, run) = paper_table(FaultLoad::FailureFree, &plan(threads, Some((2, 1))));
+        let run = table(threads, true);
         let failures: Vec<_> = run.failures().collect();
-        assert_eq!(failures.len(), 1, "sabotage must be reported (threads={threads})");
+        assert_eq!(
+            failures.len(),
+            1,
+            "the panic must be reported (threads={threads})"
+        );
         let (label, failure) = failures[0];
-        assert_eq!((label, failure.reason), ("ABBA unanimous n=4", "panic"));
-        assert!(failure.detail.contains("sabotage"), "{:?}", failure.detail);
-        assert_eq!(rows[0].cells[2], Err("FAILED(panic)".to_string()));
-        for (i, (cell, clean)) in rows[0].cells.iter().zip(&clean_rows[0].cells).enumerate() {
-            if i == 2 {
-                continue;
+        assert_eq!(
+            (label, failure.to_string().as_str()),
+            ("ABBA unanimous n=4", "FAILED(panic)")
+        );
+        assert!(
+            failure.detail.contains("planted panic in rep 1"),
+            "{:?}",
+            failure.detail
+        );
+        for (i, (cell, clean)) in run.cells.iter().zip(&clean.cells).enumerate() {
+            if cells[i] != faulty {
+                assert_eq!(
+                    cell.samples, clean.samples,
+                    "sibling cell {i} diverged at threads={threads}"
+                );
             }
-            assert_eq!(cell, clean, "sibling cell {i} diverged at threads={threads}");
         }
-        renders.push(render_table("degradation probe", &rows));
     }
-    assert_eq!(renders[0], renders[1], "rendered bytes diverged across thread counts");
-    assert!(renders[0].contains("FAILED(panic)"));
 }
 
 /// A run that exhausts its simulated-time budget yields a
@@ -55,8 +89,9 @@ fn sabotaged_supervised_table_degrades_gracefully_and_deterministically() {
 /// start timing out.
 #[test]
 fn forced_stall_produces_populated_stall_report() {
-    // Omission budget 80 per 10 ms at n=10 kills every broadcast: the
-    // σ-sweep's proven always-stall configuration.
+    // Omission budget 80 per 10 ms at n=10, the σ-sweep's always-stall
+    // configuration: enough broadcasts get through for every node to
+    // reach phase 2, and none advances past it within 800 ms.
     let outcome = Scenario::new(Protocol::Turquois, 10)
         .proposals(ProposalDistribution::Divergent)
         .loss(LossSpec::Budget {
@@ -77,6 +112,7 @@ fn forced_stall_produces_populated_stall_report() {
         stall.nodes.iter().all(|n| n.progress.is_some()),
         "every node reports its protocol phase"
     );
+    assert!(!stall.zero_progress(), "phase advances are progress: {stall}");
     assert!(
         stall.queue_drops > 0 && stall.nodes.iter().any(|n| n.queue_drops > 0),
         "queue-drop counters are populated: {stall}"
@@ -85,6 +121,29 @@ fn forced_stall_produces_populated_stall_report() {
     assert!(text.contains("phase"), "per-node phases rendered: {text}");
     assert!(text.contains("qdrops"), "per-node queue drops rendered: {text}");
     assert!(text.contains("budgeted omission"), "fault state rendered: {text}");
+}
+
+/// A run in which no frame ever arrives makes no progress at all: every
+/// node starts at phase 1 and stays there, so the report says zero
+/// progress — a node's (jittered) start is where it begins, not an
+/// advance.
+#[test]
+fn a_run_that_never_advances_reports_zero_progress() {
+    let outcome = Scenario::new(Protocol::Turquois, 10)
+        .proposals(ProposalDistribution::Divergent)
+        .loss(LossSpec::Iid(1.0))
+        .time_limit(Duration::from_millis(800))
+        .seed(42)
+        .run_once()
+        .expect("valid scenario");
+    let stall = outcome.stall.expect("a run that loses every frame stalls");
+    assert_eq!(stall.decided, 0);
+    assert!(
+        stall.nodes.iter().all(|n| n.progress.map(|p| p.phase) == Some(1)),
+        "nobody leaves phase 1: {stall}"
+    );
+    assert!(stall.zero_progress(), "{stall}");
+    assert!(stall.to_string().contains("last progress 0.000000s"), "{stall}");
 }
 
 /// Crash a correct node mid-protocol at n=7 and let it rejoin with
