@@ -9,7 +9,9 @@
 //!   for the current state. Following the paper's implementation, the
 //!   *first* broadcast of a state is bare (implicit validation,
 //!   optimistic); if the next tick still broadcasts the same state, the
-//!   justification messages are attached (explicit validation).
+//!   justification messages are attached (explicit validation). A
+//!   re-broadcast built from unchanged inputs reuses the last wire
+//!   bytes (see [`Turquois::on_tick`]).
 //! * [`Turquois::on_message`] implements task T2: decode, authenticate,
 //!   semantically validate, insert into `V_i`, and advance the state
 //!   machine to fixpoint. A byte-identical repeat of the frame last
@@ -36,7 +38,9 @@
 
 use crate::config::Config;
 use crate::keyring::KeyRing;
-use crate::message::{claimed_head, DecodeError, Envelope, Message, MessageView, Status};
+use crate::message::{
+    claimed_head, DecodeError, EncodingCheck, Envelope, Message, MessageView, Status,
+};
 use crate::state::{Advance, ProcessState};
 use crate::store::{combo_code, value_mask, MessageStore};
 use crate::validation::{needs, semantic_check, EvidenceView, Need, RejectReason};
@@ -82,10 +86,9 @@ pub struct Receipt {
 /// A broadcast produced by [`Turquois::on_tick`].
 #[derive(Clone, Debug)]
 pub struct Outbound {
-    /// Encoded wire bytes for the transport.
+    /// Encoded wire bytes for the transport ([`Message::decode`]
+    /// recovers the structured message).
     pub bytes: Bytes,
-    /// The structured message (for tests and adversaries).
-    pub message: Message,
 }
 
 /// Errors producing an outbound message.
@@ -148,11 +151,14 @@ pub struct Turquois {
     evidence: MessageStore,
     valid: MessageStore,
     decided_evidence: Vec<(Envelope, OneTimeSignature)>,
-    /// Last broadcast and its encoded form: a broadcast of the same
-    /// envelope is a re-broadcast and carries justification, and one of
-    /// an identical message reuses the wire bytes instead of
-    /// re-serializing.
-    last_wire: Option<(Message, Bytes)>,
+    /// The last broadcast: its envelope, the [`Turquois::bundle_inputs`]
+    /// its bundle was built from (`None` for a bare first broadcast),
+    /// and its wire bytes. A broadcast of the same envelope is a
+    /// re-broadcast and carries justification; one with the same inputs
+    /// as well reuses the bytes (see [`Turquois::on_tick`]).
+    last_wire: Option<(Envelope, Option<[usize; 2]>, Bytes)>,
+    /// The recycled dedupe table of the bundle under assembly.
+    bundle: Bundle,
     /// Recycled buffers for the message being processed — its authentic
     /// attachments below the GC floor, and the in-window ones `V_i` does
     /// not hold yet. Both are normally empty and keep their capacity,
@@ -198,6 +204,7 @@ impl Turquois {
             valid: MessageStore::new(cfg.n()),
             decided_evidence: Vec::new(),
             last_wire: None,
+            bundle: Bundle::new(cfg.n()),
             below_floor_scratch: Vec::new(),
             pending_scratch: Vec::new(),
             absorbed: Vec::new(),
@@ -270,41 +277,89 @@ impl Turquois {
     /// The first broadcast of a state is bare; re-broadcasts of an
     /// unchanged state attach justification (explicit validation).
     ///
+    /// A bundle is a function of the envelope and of the evidence at
+    /// φ − 1 and φ − 2: a re-broadcast whose envelope and evidence
+    /// record counts there equal the last one's returns the same wire
+    /// buffer (a pointer bump) without building, comparing or encoding
+    /// anything.
+    /// In debug builds every such reuse also rebuilds the bundle, which
+    /// must encode to the same bytes.
+    ///
     /// # Errors
     ///
     /// [`OutboundError::KeysExhausted`] when the phase outruns the
     /// distributed key epochs.
     pub fn on_tick(&mut self) -> Result<Outbound, OutboundError> {
         let envelope = self.state.envelope();
+        let inputs = self.bundle_inputs(envelope.phase);
+        let rebroadcast = match &self.last_wire {
+            Some((last, built, bytes)) if *last == envelope => {
+                if *built == Some(inputs) {
+                    let bytes = bytes.clone();
+                    if cfg!(debug_assertions) {
+                        self.recheck_rebroadcast(&envelope, &bytes);
+                    }
+                    return Ok(Outbound { bytes });
+                }
+                true
+            }
+            _ => false,
+        };
         let signature = self
             .keyring
             .sign(envelope.phase, envelope.value)
             .map_err(OutboundError::KeysExhausted)?;
-        let rebroadcast = matches!(&self.last_wire, Some((last, _)) if last.envelope == envelope);
         let justification = if rebroadcast {
-            self.build_justification(&envelope)
+            self.justification(&envelope)
         } else {
             Vec::new()
         };
-        let message = Message {
+        let bytes = Message {
             envelope,
             signature,
             justification,
-        };
-        // Re-broadcasts of an unchanged message (same envelope, same
-        // justification) reuse the previous encoding: the clone of the
-        // shared wire buffer is a pointer bump, not a re-serialization.
-        if let Some((cached, bytes)) = &self.last_wire {
-            if *cached == message {
-                return Ok(Outbound {
-                    bytes: bytes.clone(),
-                    message,
-                });
-            }
         }
-        let bytes = message.encode();
-        self.last_wire = Some((message.clone(), bytes.clone()));
-        Ok(Outbound { bytes, message })
+        .encode();
+        self.last_wire = Some((envelope, rebroadcast.then_some(inputs), bytes.clone()));
+        Ok(Outbound { bytes })
+    }
+
+    /// What a bundle for a claim at `phase` is built from besides the
+    /// envelope: the evidence store's record counts at φ − 1 and φ − 2,
+    /// the only phases [`needs`] reads. Neither slot is pruned while the
+    /// phase holds, and a slot only grows, so equal counts mean equal
+    /// evidence. The decided snapshot, the one other input, is captured
+    /// in the `advance` that changes the envelope's status.
+    fn bundle_inputs(&self, phase: u32) -> [usize; 2] {
+        [
+            self.evidence.records_at(phase - 1),
+            self.evidence.records_at(phase.saturating_sub(2)),
+        ]
+    }
+
+    /// Rebuilds a re-broadcast [`Turquois::on_tick`] reused and asserts
+    /// it encodes to the reused bytes. The rebuilt entries are compared
+    /// with the bytes as they come, and the dedupe table is recycled, so
+    /// it allocates nothing either.
+    fn recheck_rebroadcast(&mut self, envelope: &Envelope, bytes: &[u8]) {
+        let signature = self
+            .keyring
+            .sign(envelope.phase, envelope.value)
+            .expect("signed when the bytes were built");
+        let mut check = EncodingCheck::new(bytes, envelope, &signature);
+        self.build_justification(envelope, &mut |env, sig| check.entry(&env, &sig));
+        assert!(check.matched(), "a reused re-broadcast differs from its rebuild");
+    }
+
+    /// The bundle [`Turquois::build_justification`] assembles for
+    /// `envelope`, in wire order.
+    fn justification(&mut self, envelope: &Envelope) -> Vec<(Envelope, OneTimeSignature)> {
+        // Value needs take at most `quorum + 1` entries (two half
+        // quorums for ⊥) and the phase need at most `quorum`.
+        let capacity = 2 * self.cfg.quorum_min() + 1 + self.decided_evidence.len();
+        let mut entries = Vec::with_capacity(capacity);
+        self.build_justification(envelope, &mut |env, sig| entries.push((env, sig)));
+        entries
     }
 
     /// Task T2: process an incoming wire message (including loopbacks of
@@ -517,33 +572,35 @@ impl Turquois {
     /// `envelope`: each §6.2 need ([`needs`]) topped up in order from
     /// the evidence store. Evidence is shared between needs: a message
     /// that justifies the value also counts toward the phase quorum,
-    /// keeping bundles (and airtime) minimal.
-    fn build_justification(&self, envelope: &Envelope) -> Vec<(Envelope, OneTimeSignature)> {
-        // Value needs take at most `quorum + 1` entries (two half
-        // quorums for ⊥) and the phase need at most `quorum`.
-        let capacity = 2 * self.cfg.quorum_min() + 1 + self.decided_evidence.len();
-        let mut bundle = Bundle::new(self.cfg.n(), capacity);
+    /// keeping bundles (and airtime) minimal. Each entry goes to `out`
+    /// in wire order.
+    fn build_justification(
+        &mut self,
+        envelope: &Envelope,
+        out: &mut impl FnMut(Envelope, OneTimeSignature),
+    ) {
+        let bundle = &mut self.bundle;
+        bundle.clear();
         for need in needs(envelope).into_iter().flatten() {
             let evidence = self.evidence.one_per_sender(need.phase, need.value);
-            bundle.top_up(need, need.threshold.min(&self.cfg), evidence);
+            bundle.top_up(need, need.threshold.min(&self.cfg), evidence, out);
         }
         // Status justification (decided claims carry their quorum; the
         // dedupe absorbs overlap with the evidence above).
         if envelope.status == Status::Decided {
-            bundle.add(self.decided_evidence.iter().copied());
+            bundle.add(self.decided_evidence.iter().copied(), out);
         }
-        bundle.entries
     }
 }
 
-/// A justification bundle under assembly: entries in insertion order,
-/// deduplicated on the full envelope in O(1) each. A bundle spans at
-/// most three phases (φ − 1, φ − 2 and the decided snapshot's decide
-/// phase); each gets a row of per-sender record masks, one bit per
-/// `(value, coin, status)` combination.
+/// The dedupe table of a justification bundle under assembly: entries
+/// pass in insertion order, deduplicated on the full envelope in O(1)
+/// each, and go on to a sink. A bundle spans at most three phases
+/// (φ − 1, φ − 2 and the decided snapshot's decide phase); each gets a
+/// row of per-sender record masks, one bit per `(value, coin, status)`
+/// combination.
 struct Bundle {
     n: usize,
-    entries: Vec<(Envelope, OneTimeSignature)>,
     /// The phase of each row; 0 (never a phase) marks a free row.
     phases: [u32; 3],
     /// Three rows of `n` masks.
@@ -551,21 +608,32 @@ struct Bundle {
 }
 
 impl Bundle {
-    fn new(n: usize, capacity: usize) -> Self {
+    /// An empty table for `n` processes; it allocates on first use.
+    fn new(n: usize) -> Self {
         Bundle {
             n,
-            entries: Vec::with_capacity(capacity),
             phases: [0; 3],
-            masks: vec![0; 3 * n],
+            masks: Vec::new(),
         }
+    }
+
+    /// Empties the table, keeping its capacity.
+    fn clear(&mut self) {
+        self.phases = [0; 3];
+        self.masks.clear();
+        self.masks.resize(3 * self.n, 0);
     }
 
     fn row(&self, phase: u32) -> Option<usize> {
         self.phases.iter().position(|&p| p == phase)
     }
 
-    /// Appends the entries of `items` not already in the bundle.
-    fn add(&mut self, items: impl IntoIterator<Item = (Envelope, OneTimeSignature)>) {
+    /// Passes the entries of `items` not already in the bundle to `out`.
+    fn add(
+        &mut self,
+        items: impl IntoIterator<Item = (Envelope, OneTimeSignature)>,
+        out: &mut impl FnMut(Envelope, OneTimeSignature),
+    ) {
         for (env, sig) in items {
             let row = self.row(env.phase).unwrap_or_else(|| {
                 let free = self.row(0).expect("a bundle spans at most three phases");
@@ -576,7 +644,7 @@ impl Bundle {
             let bit = 1u16 << combo_code(env.value, env.coin_flip, env.status);
             if *mask & bit == 0 {
                 *mask |= bit;
-                self.entries.push((env, sig));
+                out(env, sig);
             }
         }
     }
@@ -589,6 +657,7 @@ impl Bundle {
         need: Need,
         min: usize,
         evidence: impl Iterator<Item = (Envelope, OneTimeSignature)>,
+        out: &mut impl FnMut(Envelope, OneTimeSignature),
     ) {
         let want = need.value.map_or(u16::MAX, value_mask);
         let mask = |bundle: &Self, sender| {
@@ -600,7 +669,7 @@ impl Bundle {
                 break;
             }
             if mask(self, entry.0.sender) & want == 0 {
-                self.add([entry]);
+                self.add([entry], out);
                 matched += 1;
             }
         }
@@ -637,6 +706,11 @@ mod tests {
             }
         }
         msgs
+    }
+
+    /// The message `p` broadcast as `bytes`.
+    fn sent(p: &Turquois, bytes: &[u8]) -> Message {
+        Message::decode(bytes, p.config()).expect("own encoding")
     }
 
     /// Runs synchronous lossless rounds until all decide (or the round
@@ -957,10 +1031,10 @@ mod tests {
     fn first_tick_bare_rebroadcast_justified() {
         let mut procs = make_group(4, &[true], 9);
         let first = procs[0].on_tick().expect("keys cover phase");
-        assert!(first.message.justification.is_empty());
+        assert!(sent(&procs[0], &first.bytes).justification.is_empty());
         let second = procs[0].on_tick().expect("keys cover phase");
         // Same state, but phase 1 needs no justification either.
-        assert!(second.message.justification.is_empty());
+        assert!(sent(&procs[0], &second.bytes).justification.is_empty());
 
         // Advance past phase 1 and check that a rebroadcast attaches
         // evidence.
@@ -975,10 +1049,10 @@ mod tests {
         }
         assert_eq!(p0.phase(), 2);
         let first = p0.on_tick().expect("keys cover phase");
-        assert!(first.message.justification.is_empty(), "first is bare");
+        assert!(sent(p0, &first.bytes).justification.is_empty(), "first is bare");
         let second = p0.on_tick().expect("keys cover phase");
         assert!(
-            !second.message.justification.is_empty(),
+            !sent(p0, &second.bytes).justification.is_empty(),
             "rebroadcast carries justification"
         );
         // The bundle lets a process with an empty store accept it.
@@ -986,6 +1060,70 @@ mod tests {
         let receipt = fresh.on_message(&second.bytes);
         assert_eq!(receipt.outcome, MessageOutcome::Accepted);
         assert_eq!(fresh.phase(), 2, "catch-up through the bundle");
+    }
+
+    /// A re-broadcast whose envelope and bundle inputs are unchanged
+    /// hands out the very buffer the last one did, also after a
+    /// delivery that added nothing to the evidence.
+    #[test]
+    fn an_unchanged_rebroadcast_reuses_its_bytes() {
+        let mut procs = make_group(4, &[true], 9);
+        let phase_one = round(&mut procs);
+        let p0 = &mut procs[0];
+        assert_eq!(p0.phase(), 2);
+        p0.on_tick().expect("keys cover phase");
+        let justified = p0.on_tick().expect("keys cover phase");
+        assert!(!sent(p0, &justified.bytes).justification.is_empty());
+        let buffer = |b: &Bytes| (b.as_ptr(), b.len());
+        for _ in 0..3 {
+            let again = p0.on_tick().expect("keys cover phase");
+            assert_eq!(buffer(&again.bytes), buffer(&justified.bytes));
+            assert_eq!(p0.on_message(&phase_one[1]).outcome, MessageOutcome::Duplicate);
+        }
+    }
+
+    /// A DECIDE ⊥ or deterministic CONVERGE claim's bundle reads φ − 2:
+    /// a fact that arrives there between two ticks must be in the next
+    /// re-broadcast, though nothing at φ − 1 changed.
+    #[test]
+    fn a_fact_two_phases_back_rebuilds_the_bundle() {
+        let mut procs = make_group(4, &[true], 17);
+        // Process 3 hears everyone but process 0 (1, 2 and itself are
+        // a quorum) until it reaches phase 4, a deterministic CONVERGE.
+        let mut withheld = Vec::new();
+        while procs[3].phase() < 4 {
+            let msgs: Vec<Bytes> = procs
+                .iter_mut()
+                .map(|p| p.on_tick().expect("keys cover phase").bytes)
+                .collect();
+            for (i, p) in procs.iter_mut().enumerate() {
+                for (from, m) in msgs.iter().enumerate() {
+                    if i != 3 || from != 0 {
+                        p.on_message(m);
+                    }
+                }
+            }
+            withheld.push(msgs[0].clone());
+        }
+        let p3 = &mut procs[3];
+        assert_eq!(p3.phase(), 4);
+        assert!(!p3.coin_flip(), "a deterministic CONVERGE value");
+        p3.on_tick().expect("keys cover phase");
+        let before = p3.on_tick().expect("keys cover phase");
+        let inputs = p3.bundle_inputs(4);
+        // Process 0's phase-2 claim: the lowest sender at φ − 2.
+        let late = Message::decode(&withheld[1], p3.config()).expect("genuine");
+        assert_eq!(late.envelope.phase, 2);
+        assert!(!sent(p3, &before.bytes).justification.contains(&(late.envelope, late.signature)));
+        assert_eq!(p3.on_message(&withheld[1]).outcome, MessageOutcome::Accepted);
+        assert_eq!(p3.bundle_inputs(4)[0], inputs[0], "nothing new at φ − 1");
+        let after = p3.on_tick().expect("keys cover phase");
+        assert!(
+            sent(p3, &after.bytes)
+                .justification
+                .contains(&(late.envelope, late.signature)),
+            "the re-broadcast left out the new φ − 2 fact"
+        );
     }
 
     #[test]
@@ -1114,7 +1252,7 @@ mod tests {
         assert_eq!(p0.phase(), 2);
         let _first = p0.on_tick().expect("keys cover phase");
         let rebroadcast = p0.on_tick().expect("keys cover phase");
-        let bundle = &rebroadcast.message.justification;
+        let bundle = &sent(p0, &rebroadcast.bytes).justification;
         assert!(!bundle.is_empty());
         // Evidence is shared: the phase-1 value evidence doubles as the
         // phase quorum, so the bundle stays at ~one quorum of messages.
@@ -1181,7 +1319,7 @@ mod tests {
         // Two ticks: the second carries the decided justification.
         let _ = procs[1].on_tick().expect("keys cover phase");
         let rebroadcast = procs[1].on_tick().expect("keys cover phase");
-        assert_eq!(rebroadcast.message.envelope.status, Status::Decided);
+        assert_eq!(sent(&procs[1], &rebroadcast.bytes).envelope.status, Status::Decided);
         let receipt = procs[0].on_message(&rebroadcast.bytes);
         assert!(
             !matches!(receipt.outcome, MessageOutcome::SemanticFailed(_)),
@@ -1224,7 +1362,7 @@ mod tests {
         let stored = procs[0].evidence.signature_of(1, 1, Value::One);
         assert_eq!(
             stored,
-            Some(out.message.signature),
+            Some(sent(&procs[1], &out.bytes).signature),
             "stored signature untouched"
         );
         assert_eq!(
@@ -1242,7 +1380,10 @@ mod tests {
         let mut procs = make_group(4, &[true], 12);
         let msgs: Vec<Message> = procs
             .iter_mut()
-            .map(|p| p.on_tick().expect("keys cover phase").message)
+            .map(|p| {
+                let out = p.on_tick().expect("keys cover phase");
+                sent(p, &out.bytes)
+            })
             .collect();
         let (env, honest_sig) = (msgs[1].envelope, msgs[1].signature);
         assert_eq!(
@@ -1387,7 +1528,7 @@ mod tests {
         let phase_one = round(&mut procs);
         procs[1].on_tick().expect("keys cover phase");
         let justified = procs[1].on_tick().expect("keys cover phase");
-        let k = justified.message.justification.len();
+        let k = sent(&procs[1], &justified.bytes).justification.len();
         assert!(k > 0, "a re-broadcast at phase 2 carries its bundle");
         for p in [&mut fast, &mut full] {
             for m in &phase_one {
@@ -1424,8 +1565,9 @@ mod tests {
         let (mut receiver, mut twin) = receiver_and_twin(4, &[true], 14);
         let phase_one = round(&mut procs);
         let bare = procs[1].on_tick().expect("keys cover phase");
-        assert_eq!(bare.message.envelope.phase, 2);
-        assert!(bare.message.justification.is_empty());
+        let message = sent(&procs[1], &bare.bytes);
+        assert_eq!(message.envelope.phase, 2);
+        assert!(message.justification.is_empty());
         let rejected = MessageOutcome::SemanticFailed(RejectReason::PhaseUnjustified);
         for _ in 0..2 {
             assert_eq!(receiver.on_message(&bare.bytes).outcome, rejected);
@@ -1494,7 +1636,7 @@ mod tests {
         }
         // The bundle is one phase-1 quorum; the one sender it leaves
         // out takes the last entry's place.
-        let mut swapped = justified.message.clone();
+        let mut swapped = sent(&procs[1], &justified.bytes);
         let missing = (0..4)
             .find(|&s| swapped.justification.iter().all(|(e, _)| e.sender != s))
             .expect("three of four senders make the quorum");
@@ -1607,7 +1749,7 @@ mod tests {
                     ),
                 ];
                 for (env, demands) in claims {
-                    let bundle = p.build_justification(&env);
+                    let bundle = p.justification(&env);
                     // What a receiver with an empty store does: every
                     // in-window attachment becomes evidence, then the
                     // claim is checked.
@@ -1840,7 +1982,7 @@ mod tests {
                         status,
                     };
                     proptest::prop_assert_eq!(
-                        wire(env, p.build_justification(&env)),
+                        wire(env, p.justification(&env)),
                         wire(env, p.build_justification_quadratic(&env)),
                         "bundle diverged at phase {} value {:?} coin {} {:?}",
                         phase_sel,

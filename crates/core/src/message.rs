@@ -97,12 +97,10 @@ impl Message {
         let count = u16::try_from(self.justification.len())
             .expect("justification count exceeds the wire format's u16");
         let mut buf = BytesMut::with_capacity(self.wire_size());
-        encode_envelope(&mut buf, &self.envelope);
-        buf.put_slice(&self.signature.0);
+        buf.put_slice(&encode_record(&self.envelope, &self.signature));
         buf.put_u16(count);
         for (env, sig) in &self.justification {
-            encode_envelope(&mut buf, env);
-            buf.put_slice(&sig.0);
+            buf.put_slice(&encode_record(env, sig));
         }
         buf.freeze()
     }
@@ -138,11 +136,49 @@ const FILLER: [u8; ENTRY_LEN] = {
 const FLAG_COIN: u8 = 0b01;
 const FLAG_DECIDED: u8 = 0b10;
 
-fn encode_envelope(buf: &mut BytesMut, env: &Envelope) {
+/// Compares an encoded message with the message whose parts follow
+/// (its head at [`EncodingCheck::new`], its entries in order through
+/// [`EncodingCheck::entry`]), one record at a time, without building
+/// the encoding.
+pub(crate) struct EncodingCheck<'a> {
+    records: &'a [[u8; ENTRY_LEN]],
+    next: usize,
+    same: bool,
+}
+
+impl<'a> EncodingCheck<'a> {
+    /// Starts comparing `bytes` with the message of `envelope` signed by
+    /// `signature`.
+    pub(crate) fn new(bytes: &'a [u8], envelope: &Envelope, signature: &OneTimeSignature) -> Self {
+        let (head, body) = bytes.split_at_checked(HEADER_LEN).unwrap_or_default();
+        let (records, rest) = body.as_chunks();
+        let same = rest.is_empty()
+            && head.len() == HEADER_LEN
+            && head[..ENTRY_LEN] == encode_record(envelope, signature)
+            && usize::from(u16::from_be_bytes([head[ENTRY_LEN], head[ENTRY_LEN + 1]])) == records.len();
+        EncodingCheck {
+            records,
+            next: 0,
+            same,
+        }
+    }
+
+    /// Compares the next justification entry.
+    pub(crate) fn entry(&mut self, env: &Envelope, sig: &OneTimeSignature) {
+        self.same &= self.records.get(self.next) == Some(&encode_record(env, sig));
+        self.next += 1;
+    }
+
+    /// Whether every record matched and the bytes hold no other.
+    pub(crate) fn matched(&self) -> bool {
+        self.same && self.next == self.records.len()
+    }
+}
+
+/// One signed record in wire order: sender, phase, value, flags,
+/// signature.
+fn encode_record(env: &Envelope, sig: &OneTimeSignature) -> [u8; ENTRY_LEN] {
     let sender = u16::try_from(env.sender).expect("sender id exceeds the wire format's u16");
-    buf.put_u16(sender);
-    buf.put_u32(env.phase);
-    buf.put_u8(env.value.index() as u8);
     let mut flags = 0u8;
     if env.coin_flip {
         flags |= FLAG_COIN;
@@ -150,7 +186,13 @@ fn encode_envelope(buf: &mut BytesMut, env: &Envelope) {
     if env.status == Status::Decided {
         flags |= FLAG_DECIDED;
     }
-    buf.put_u8(flags);
+    let mut rec = [0; ENTRY_LEN];
+    rec[..2].copy_from_slice(&sender.to_be_bytes());
+    rec[2..6].copy_from_slice(&env.phase.to_be_bytes());
+    rec[6] = env.value.index() as u8;
+    rec[7] = flags;
+    rec[ENVELOPE_LEN..].copy_from_slice(&sig.0);
+    rec
 }
 
 /// Checks a record's envelope fields in wire order — sender, phase,
@@ -520,6 +562,33 @@ mod tests {
             Message::decode(&bytes, &cfg()),
             Err(DecodeError::JustificationTooLarge { count: 1000 })
         ));
+    }
+
+    /// `EncodingCheck` matches a message's own encoding, and nothing
+    /// with one bit flipped, one entry more or one entry fewer.
+    #[test]
+    fn encoding_check_matches_exactly_the_encoding() {
+        let mut m = Message::bare(env(3, 4, Value::One), sig(9));
+        m.justification = (0..3).map(|s| (env(s, 3, Value::One), sig(s as u8))).collect();
+        let check = |bytes: &[u8], entries: &[(Envelope, OneTimeSignature)]| {
+            let mut check = EncodingCheck::new(bytes, &m.envelope, &m.signature);
+            for (env, sig) in entries {
+                check.entry(env, sig);
+            }
+            check.matched()
+        };
+        let bytes = m.encode();
+        assert!(check(&bytes, &m.justification));
+        assert!(!check(&bytes, &m.justification[..2]));
+        let mut more = m.justification.clone();
+        more.push(m.justification[0]);
+        assert!(!check(&bytes, &more));
+        assert!(!check(&bytes[..HEADER_LEN - 1], &[]));
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.to_vec();
+            flipped[i] ^= 1;
+            assert!(!check(&flipped, &m.justification), "byte {i}");
+        }
     }
 
     #[test]

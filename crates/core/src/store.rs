@@ -39,7 +39,6 @@
 
 use crate::message::{Envelope, Status};
 use crate::state::PhaseKind;
-use std::collections::BTreeMap;
 use turquois_crypto::otss::{OneTimeSignature, Value};
 
 /// One stored record: the distinct content a sender put in a phase.
@@ -159,6 +158,9 @@ struct PhaseSlot {
     /// equivocator contributes once per value it signed, never twice to
     /// the same value.
     value_senders: [usize; 3],
+    /// Records stored, maintained on insert. A slot only grows until
+    /// it is pruned, so an unchanged count means unchanged contents.
+    records: usize,
 }
 
 impl PhaseSlot {
@@ -170,6 +172,7 @@ impl PhaseSlot {
             sigs: Vec::new(),
             phase_senders: 0,
             value_senders: [0; 3],
+            records: 0,
         }
     }
 
@@ -194,6 +197,7 @@ impl PhaseSlot {
         let pos = self.masks[sender].count_ones();
         self.order[sender] |= u64::from(code) << (4 * pos);
         self.masks[sender] |= 1 << code;
+        self.records += 1;
         true
     }
 
@@ -239,8 +243,8 @@ impl PhaseSlot {
         self.masks[sender] & (1 << combo_code(value, coin_flip, status)) != 0
     }
 
-    /// Total records stored in this slot.
-    fn record_count(&self) -> usize {
+    /// The retired scan the incremental `records` replaced.
+    fn scan_records(&self) -> usize {
         self.masks.iter().map(|m| m.count_ones() as usize).sum()
     }
 
@@ -274,7 +278,9 @@ impl PhaseSlot {
 #[derive(Clone, Debug)]
 pub struct MessageStore {
     n: usize,
-    phases: BTreeMap<u32, PhaseSlot>,
+    /// One slot per retained phase, ascending by phase; pruning drains
+    /// the front. See [`MessageStore::index`] for the lookup.
+    phases: Vec<(u32, PhaseSlot)>,
     /// Live distinct `(sender, value)` pairs across all retained
     /// phases, maintained on insert and prune for O(1)
     /// [`MessageStore::approx_bytes`].
@@ -286,7 +292,7 @@ impl MessageStore {
     pub fn new(n: usize) -> Self {
         MessageStore {
             n,
-            phases: BTreeMap::new(),
+            phases: Vec::new(),
             sig_slots: 0,
         }
     }
@@ -300,11 +306,11 @@ impl MessageStore {
     /// upstream).
     pub fn insert(&mut self, envelope: &Envelope, signature: OneTimeSignature) -> bool {
         assert!(envelope.sender < self.n, "sender out of range");
-        let n = self.n;
-        let slot = self
-            .phases
-            .entry(envelope.phase)
-            .or_insert_with(|| PhaseSlot::new(n));
+        let i = self.index(envelope.phase).unwrap_or_else(|i| {
+            self.phases.insert(i, (envelope.phase, PhaseSlot::new(self.n)));
+            i
+        });
+        let slot = &mut self.phases[i].1;
         let before = slot.sig_slots();
         let fresh = slot.insert(
             envelope.sender,
@@ -319,17 +325,48 @@ impl MessageStore {
         fresh
     }
 
+    /// Where `phase`'s slot is (`Ok`) or would go (`Err`). The retained
+    /// phases are almost always consecutive, so the slot as far from the
+    /// first as `phase` is tried first: one compare on the slot's own
+    /// cache line. Otherwise a binary search, which keeps a lookup
+    /// O(log k) in the retained phases even when a Byzantine sender
+    /// fills the evidence store with authentic future phases.
+    fn index(&self, phase: u32) -> Result<usize, usize> {
+        let first = self.phases.first().map_or(0, |&(p, _)| p);
+        let guess = phase.wrapping_sub(first) as usize;
+        match self.phases.get(guess) {
+            Some(&(p, _)) if p == phase => Ok(guess),
+            _ => self.phases.binary_search_by_key(&phase, |&(p, _)| p),
+        }
+    }
+
+    /// `phase`'s slot, if any record is stored at it.
+    fn slot(&self, phase: u32) -> Option<&PhaseSlot> {
+        self.index(phase).ok().map(|i| &self.phases[i].1)
+    }
+
     /// Number of processes.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Records stored at `phase`, from a tally maintained on insert.
+    /// Between prunes a slot only grows, so while `phase` is retained an
+    /// unchanged count means unchanged contents.
+    pub fn records_at(&self, phase: u32) -> usize {
+        self.slot(phase)
+            .map(|s| {
+                debug_assert_eq!(s.records, s.scan_records());
+                s.records
+            })
+            .unwrap_or(0)
     }
 
     /// Distinct senders with at least one message at `phase`. O(1):
     /// answered from the incremental tally maintained by
     /// [`MessageStore::insert`].
     pub fn count_phase(&self, phase: u32) -> usize {
-        self.phases
-            .get(&phase)
+        self.slot(phase)
             .map(|s| {
                 debug_assert_eq!(s.phase_senders, s.scan_phase_senders());
                 s.phase_senders
@@ -340,8 +377,7 @@ impl MessageStore {
     /// Distinct senders with at least one message `(phase, value)`.
     /// O(1), from the same incremental tallies.
     pub fn count_value(&self, phase: u32, value: Value) -> usize {
-        self.phases
-            .get(&phase)
+        self.slot(phase)
             .map(|s| {
                 debug_assert_eq!(s.value_senders[value_idx(value)], s.scan_value_senders(value));
                 s.value_senders[value_idx(value)]
@@ -351,15 +387,13 @@ impl MessageStore {
 
     /// Whether `sender` has any message at `phase`.
     pub fn has_sender(&self, phase: u32, sender: usize) -> bool {
-        self.phases
-            .get(&phase)
+        self.slot(phase)
             .is_some_and(|s| s.sender_present(sender))
     }
 
     /// Whether `sender` sent `(phase, value)`.
     pub fn has_sender_value(&self, phase: u32, sender: usize, value: Value) -> bool {
-        self.phases
-            .get(&phase)
+        self.slot(phase)
             .is_some_and(|s| s.sender_has_value(sender, value))
     }
 
@@ -374,13 +408,13 @@ impl MessageStore {
         sender: usize,
         value: Value,
     ) -> Option<OneTimeSignature> {
-        self.phases.get(&phase)?.signature_of(sender, value)
+        self.slot(phase)?.signature_of(sender, value)
     }
 
     /// Whether this exact record is stored, i.e. whether
     /// [`MessageStore::insert`] of `envelope` would return `false`.
     pub fn contains(&self, envelope: &Envelope) -> bool {
-        self.phases.get(&envelope.phase).is_some_and(|s| {
+        self.slot(envelope.phase).is_some_and(|s| {
             s.has_record(
                 envelope.sender,
                 envelope.value,
@@ -396,7 +430,7 @@ impl MessageStore {
     /// signatures a `true` both authenticates the fact and says that
     /// inserting it would change nothing.
     pub(crate) fn holds(&self, envelope: &Envelope, signature: &OneTimeSignature) -> bool {
-        self.phases.get(&envelope.phase).is_some_and(|s| {
+        self.slot(envelope.phase).is_some_and(|s| {
             s.has_record(
                 envelope.sender,
                 envelope.value,
@@ -411,7 +445,7 @@ impl MessageStore {
     /// record as deterministic tie-breaks). Returns
     /// `(phase, sender, record)`.
     pub fn best_catch_up(&self, above: u32) -> Option<(u32, usize, Record)> {
-        let (&phase, slot) = self.phases.range(above + 1..).next_back()?;
+        let &(phase, ref slot) = self.phases.last().filter(|&&(p, _)| p > above)?;
         for sender in 0..slot.n() {
             if let Some(rec) = slot.records(sender).next() {
                 return Some((phase, sender, rec));
@@ -457,7 +491,7 @@ impl MessageStore {
         phase: u32,
         value: Option<Value>,
     ) -> impl Iterator<Item = (Envelope, OneTimeSignature)> + '_ {
-        let slot = self.phases.get(&phase);
+        let slot = self.slot(phase);
         let want = value.map_or(u16::MAX, value_mask);
         (0..slot.map_or(0, PhaseSlot::n)).filter_map(move |sender| {
             let rec = slot?.first_in(sender, want)?;
@@ -468,23 +502,22 @@ impl MessageStore {
     /// Iterates over the DECIDE phases currently stored, ascending.
     pub fn decide_phases(&self) -> impl Iterator<Item = u32> + '_ {
         self.phases
-            .keys()
-            .copied()
+            .iter()
+            .map(|&(p, _)| p)
             .filter(|&p| PhaseKind::of(p) == PhaseKind::Decide)
     }
 
     /// Drops all phases strictly below `min_phase` (garbage collection).
     pub fn prune_below(&mut self, min_phase: u32) {
-        let live = self.phases.split_off(&min_phase);
-        let dead = std::mem::replace(&mut self.phases, live);
-        for slot in dead.values() {
+        let dead = self.phases.partition_point(|&(p, _)| p < min_phase);
+        for (_, slot) in self.phases.drain(..dead) {
             self.sig_slots -= slot.sig_slots();
         }
     }
 
     /// Lowest phase retained, if non-empty.
     pub fn min_phase(&self) -> Option<u32> {
-        self.phases.keys().next().copied()
+        self.phases.first().map(|&(p, _)| p)
     }
 
     /// Every stored record as `(phase, sender, record)`, by phase, then
@@ -492,7 +525,7 @@ impl MessageStore {
     #[cfg(test)]
     pub(crate) fn records(&self) -> Vec<(u32, usize, Record)> {
         let mut out = Vec::new();
-        for (&phase, slot) in &self.phases {
+        for &(phase, ref slot) in &self.phases {
             for sender in 0..slot.n() {
                 out.extend(slot.records(sender).map(|rec| (phase, sender, rec)));
             }
@@ -502,7 +535,7 @@ impl MessageStore {
 
     /// Total stored records (for tests and memory diagnostics).
     pub fn record_count(&self) -> usize {
-        self.phases.values().map(PhaseSlot::record_count).sum()
+        self.phases.iter().map(|(_, s)| s.records).sum()
     }
 
     /// Deterministic O(1) estimate of the store's resident footprint in
@@ -634,6 +667,30 @@ mod tests {
         assert_eq!(s.count_phase(6), 0);
         assert_eq!(s.count_phase(7), 1);
         assert_eq!(s.record_count(), 4);
+    }
+
+    /// Phases past a gap — a Byzantine sender's authentic future
+    /// phases — are found by the binary search behind the direct probe,
+    /// before and after the front is pruned.
+    #[test]
+    fn phases_past_a_gap_are_found() {
+        let mut s = MessageStore::new(3);
+        let phases = [2u32, 3, 4, 900, 70_000, u32::MAX];
+        for &phase in phases.iter().rev() {
+            s.insert(&env(1, phase, Value::One), sig(1));
+        }
+        for cut in [0, 3, 4] {
+            s.prune_below(phases[cut]);
+            for &phase in &phases[cut..] {
+                assert_eq!(s.count_phase(phase), 1, "phase {phase}");
+                assert!(s.has_sender(phase, 1), "phase {phase}");
+            }
+            for phase in [1, 5, 899, 901, u32::MAX - 1] {
+                assert_eq!(s.count_phase(phase), 0, "phase {phase}");
+            }
+            assert_eq!(s.min_phase(), Some(phases[cut]));
+        }
+        assert_eq!(s.best_catch_up(4).map(|(p, _, _)| p), Some(u32::MAX));
     }
 
     #[test]
@@ -839,6 +896,11 @@ mod tests {
             );
             for phase in 0..9u32 {
                 assert_eq!(store.count_phase(phase), model.senders(phase, None).len());
+                assert_eq!(
+                    store.records_at(phase),
+                    model.records.iter().filter(|r| r.0 == phase).count(),
+                    "records_at({phase})"
+                );
                 assert_eq!(store.best_catch_up(phase), model.best_catch_up(phase));
                 let zeros = model.senders(phase, Some(Value::Zero)).len();
                 let ones = model.senders(phase, Some(Value::One)).len();
@@ -926,8 +988,9 @@ mod tests {
                 // Check every live phase against the scan oracle (the
                 // debug_assert inside count_* checks too, but this also
                 // runs with debug assertions off).
-                for (&phase, slot) in &s.phases {
+                for &(phase, ref slot) in &s.phases {
                     proptest::prop_assert_eq!(s.count_phase(phase), slot.scan_phase_senders());
+                    proptest::prop_assert_eq!(s.records_at(phase), slot.scan_records());
                     for value in [Value::Zero, Value::One, Value::Bot] {
                         proptest::prop_assert_eq!(
                             s.count_value(phase, value),

@@ -62,7 +62,7 @@ fn signature_replay_under_other_value_rejected() {
     let genuine = procs[1].on_tick().expect("keys cover phase");
     // Attacker reuses process 1's phase-1 signature for the opposite
     // value.
-    let mut flipped = genuine.message.clone();
+    let mut flipped = Message::decode(&genuine.bytes, procs[1].config()).expect("own encoding");
     flipped.envelope.value = flipped.envelope.value.flipped();
     let receipt = procs[0].on_message(&flipped.encode());
     assert_eq!(receipt.outcome, MessageOutcome::AuthFailed);
@@ -75,7 +75,7 @@ fn status_replay_cannot_fake_a_decision() {
     // flipped. The semantic validation must reject the fake `decided`.
     let mut procs = make_group(4, true, 3);
     let genuine = procs[1].on_tick().expect("keys cover phase");
-    let mut replayed = genuine.message.clone();
+    let mut replayed = Message::decode(&genuine.bytes, procs[1].config()).expect("own encoding");
     replayed.envelope.status = Status::Decided;
     let receipt = procs[0].on_message(&replayed.encode());
     assert!(
@@ -95,7 +95,7 @@ fn status_replay_after_real_decision_is_harmless() {
     run_to_decision(&mut procs);
     assert!(procs.iter().all(|p| p.decision() == Some(true)));
     let out = procs[1].on_tick().expect("keys cover phase");
-    let mut replay = out.message.clone();
+    let mut replay = Message::decode(&out.bytes, procs[1].config()).expect("own encoding");
     replay.envelope.status = Status::Decided; // already decided; keep it
     let before = procs[0].decision();
     procs[0].on_message(&replay.encode());

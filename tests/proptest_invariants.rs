@@ -210,7 +210,8 @@ fn justified_rebroadcast(proposals: &[bool], seed: u64) -> (Message, Turquois) {
     }
     assert_eq!(procs[0].phase(), 2, "phase-1 quorum advances p0");
     let _bare = procs[0].on_tick().expect("keys cover phase");
-    let justified = procs[0].on_tick().expect("keys cover phase").message;
+    let justified = procs[0].on_tick().expect("keys cover phase").bytes;
+    let justified = Message::decode(&justified, &cfg).expect("own encoding");
     assert!(
         !justified.justification.is_empty(),
         "same-state rebroadcast carries the bundle"
