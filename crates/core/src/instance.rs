@@ -489,7 +489,7 @@ impl Turquois {
 
         // Every in-window attachment is in the store by now, so the
         // view only has to add the below-floor ones.
-        let view = EvidenceView::new(&self.evidence, &below_floor);
+        let view = EvidenceView::new(&self.evidence, &mut below_floor);
 
         // Attachments that independently pass semantic validation also
         // enter V_i — they are protocol messages in their own right.
@@ -558,7 +558,7 @@ impl Turquois {
     /// Snapshot the quorum that justifies our decision so `decided`
     /// broadcasts stay justifiable after garbage collection.
     fn capture_decided_evidence(&mut self, value: Value) {
-        let view = EvidenceView::new(&self.evidence, &[]);
+        let view = EvidenceView::new(&self.evidence, &mut []);
         if let Some(psi) = view.lowest_decide_quorum(&self.cfg, u32::MAX, value) {
             self.decided_evidence = self
                 .evidence
@@ -763,19 +763,15 @@ mod tests {
                     self.evidence.insert(env, *sig);
                 }
             }
+            // The view sorts what it is given; the loop keeps wire order.
+            let mut sorted = extras.clone();
+            let view = EvidenceView::new(&self.evidence, &mut sorted);
             for (env, sig) in &extras {
-                if env.phase >= gc_floor
-                    && semantic_check(env, &self.cfg, &EvidenceView::new(&self.evidence, &extras))
-                        .is_ok()
-                {
+                if env.phase >= gc_floor && semantic_check(env, &self.cfg, &view).is_ok() {
                     self.valid.insert(env, *sig);
                 }
             }
-            let semantic = semantic_check(
-                &message.envelope,
-                &self.cfg,
-                &EvidenceView::new(&self.evidence, &extras),
-            );
+            let semantic = semantic_check(&message.envelope, &self.cfg, &view);
             if let Err(reason) = semantic {
                 receipt.outcome = MessageOutcome::SemanticFailed(reason);
                 self.advance(&mut receipt);
@@ -1758,7 +1754,7 @@ mod tests {
                         for (e, sig) in bundle {
                             cold.insert(e, *sig);
                         }
-                        semantic_check(&env, &cfg, &EvidenceView::new(&cold, &[]))
+                        semantic_check(&env, &cfg, &EvidenceView::new(&cold, &mut []))
                     };
                     assert_eq!(check(&bundle), Ok(()), "n={n} f={f} {env:?}");
                     for (phase, value, min) in demands {

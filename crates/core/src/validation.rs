@@ -21,7 +21,6 @@ use crate::config::Config;
 use crate::message::{Envelope, Status};
 use crate::state::PhaseKind;
 use crate::store::MessageStore;
-use std::collections::BTreeSet;
 use std::fmt;
 use turquois_crypto::otss::{bot_legal_at, OneTimeSignature, Value};
 
@@ -63,6 +62,10 @@ impl std::error::Error for RejectReason {}
 /// message under validation that are *not* in the store (the engine
 /// passes the ones below its GC floor; attachments that are also stored
 /// are harmless), with senders deduplicated across both.
+///
+/// The view sorts the attachments by `(phase, sender)` once, so a count
+/// is a binary search for the phase's run plus one pass over it, a
+/// repeated sender sitting next to its first entry.
 pub struct EvidenceView<'a> {
     store: &'a MessageStore,
     extra: &'a [(Envelope, OneTimeSignature)],
@@ -70,40 +73,39 @@ pub struct EvidenceView<'a> {
 
 impl<'a> EvidenceView<'a> {
     /// Creates a view over `store` extended by `extra` attachments
-    /// (already authenticity-checked by the caller).
-    pub fn new(store: &'a MessageStore, extra: &'a [(Envelope, OneTimeSignature)]) -> Self {
+    /// (already authenticity-checked by the caller), sorting `extra` in
+    /// place (`sort_unstable` allocates nothing).
+    pub fn new(store: &'a MessageStore, extra: &'a mut [(Envelope, OneTimeSignature)]) -> Self {
+        extra.sort_unstable_by_key(|(env, _)| (env.phase, env.sender));
         EvidenceView { store, extra }
     }
 
     /// Distinct senders with any message at `phase`.
     pub fn count_phase(&self, phase: u32) -> usize {
-        let mut count = self.store.count_phase(phase);
-        let mut seen = BTreeSet::new();
-        for (env, _) in self.extra {
-            if env.phase == phase
-                && !self.store.has_sender(phase, env.sender)
-                && seen.insert(env.sender)
-            {
-                count += 1;
-            }
-        }
-        count
+        self.store.count_phase(phase)
+            + self.count_extra(phase, |env| !self.store.has_sender(phase, env.sender))
     }
 
     /// Distinct senders with a `(phase, value)` message.
     pub fn count_value(&self, phase: u32, value: Value) -> usize {
-        let mut count = self.store.count_value(phase, value);
-        let mut seen = BTreeSet::new();
-        for (env, _) in self.extra {
-            if env.phase == phase
-                && env.value == value
-                && !self.store.has_sender_value(phase, env.sender, value)
-                && seen.insert(env.sender)
-            {
-                count += 1;
-            }
-        }
-        count
+        self.store.count_value(phase, value)
+            + self.count_extra(phase, |env| {
+                env.value == value && !self.store.has_sender_value(phase, env.sender, value)
+            })
+    }
+
+    /// Distinct senders among the attachments at `phase` that `keep`
+    /// admits. `keep` depends only on the sender and the value, and the
+    /// run is sorted by sender, so a sender's admitted entries follow
+    /// one another.
+    fn count_extra(&self, phase: u32, keep: impl Fn(&Envelope) -> bool) -> usize {
+        let start = self.extra.partition_point(|(env, _)| env.phase < phase);
+        let mut last: Option<usize> = None;
+        self.extra[start..]
+            .iter()
+            .take_while(|(env, _)| env.phase == phase)
+            .filter(|(env, _)| keep(env) && last.replace(env.sender) != Some(env.sender))
+            .count()
     }
 
     /// The lowest DECIDE phase strictly below `limit`, present in
@@ -122,11 +124,15 @@ impl<'a> EvidenceView<'a> {
             .take_while(|&p| p < limit)
             .find(|&p| carries(p));
         let below = stored.unwrap_or(limit);
+        // The attachments' distinct phases come in ascending order, so
+        // the first DECIDE phase that carries is the lowest.
+        let mut last = None;
         self.extra
             .iter()
             .map(|(env, _)| env.phase)
-            .filter(|&p| p < below && PhaseKind::of(p) == PhaseKind::Decide && carries(p))
-            .min()
+            .take_while(|&p| p < below)
+            .filter(|&p| last.replace(p) != Some(p) && PhaseKind::of(p) == PhaseKind::Decide)
+            .find(|&p| carries(p))
             .or(stored)
     }
 }
@@ -288,6 +294,7 @@ fn status_ok(env: &Envelope, cfg: &Config, view: &EvidenceView<'_>) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::any;
     use turquois_crypto::sha256::DIGEST_LEN;
 
     fn cfg() -> Config {
@@ -318,7 +325,7 @@ mod tests {
     }
 
     fn check(e: &Envelope, s: &MessageStore) -> Result<(), RejectReason> {
-        semantic_check(e, &cfg(), &EvidenceView::new(s, &[]))
+        semantic_check(e, &cfg(), &EvidenceView::new(s, &mut []))
     }
 
     #[test]
@@ -542,7 +549,7 @@ mod tests {
                 .collect()
         };
         let check_with = |s: &MessageStore, extra: &[(Envelope, OneTimeSignature)]| {
-            semantic_check(&e, &cfg(), &EvidenceView::new(s, extra))
+            semantic_check(&e, &cfg(), &EvidenceView::new(s, &mut extra.to_vec()))
         };
 
         // Only attachments know phase 3.
@@ -626,13 +633,13 @@ mod tests {
     #[test]
     fn evidence_view_merges_extras_with_dedupe() {
         let s = store_with(&[(0, 1, Value::One)]);
-        let extras = vec![
+        let mut extras = vec![
             (env(0, 1, Value::One), sig(0)), // duplicate of stored
             (env(1, 1, Value::One), sig(1)),
             (env(1, 1, Value::One), sig(1)), // duplicate within extras
             (env(2, 1, Value::One), sig(2)),
         ];
-        let view = EvidenceView::new(&s, &extras);
+        let view = EvidenceView::new(&s, &mut extras);
         assert_eq!(view.count_phase(1), 3);
         assert_eq!(view.count_value(1, Value::One), 3);
         assert_eq!(view.count_value(1, Value::Zero), 0);
@@ -642,12 +649,12 @@ mod tests {
     fn attachments_enable_acceptance() {
         // Receiver has nothing; sender attaches the phase-1 quorum.
         let s = MessageStore::new(4);
-        let extras = vec![
+        let mut extras = vec![
             (env(0, 1, Value::One), sig(0)),
             (env(1, 1, Value::One), sig(1)),
             (env(2, 1, Value::One), sig(2)),
         ];
-        let view = EvidenceView::new(&s, &extras);
+        let view = EvidenceView::new(&s, &mut extras);
         assert_eq!(
             semantic_check(&env(0, 2, Value::One), &cfg(), &view),
             Ok(())
@@ -659,8 +666,8 @@ mod tests {
         // f = 1: a single Byzantine sender's fabricated evidence never
         // reaches any threshold.
         let s = MessageStore::new(4);
-        let extras = vec![(env(3, 1, Value::Zero), sig(3))];
-        let view = EvidenceView::new(&s, &extras);
+        let mut extras = vec![(env(3, 1, Value::Zero), sig(3))];
+        let view = EvidenceView::new(&s, &mut extras);
         assert_eq!(
             semantic_check(&env(3, 2, Value::Zero), &cfg(), &view),
             Err(RejectReason::PhaseUnjustified)
@@ -794,12 +801,70 @@ mod tests {
     }
 
     fn block() -> impl proptest::strategy::Strategy<Value = Block> {
-        use proptest::prelude::any;
         (1u32..=10, 0usize..3, 0usize..64, 0usize..=64, any::<bool>(), any::<bool>())
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `count_phase`, `count_value` and `lowest_decide_quorum` equal
+        /// naive set arithmetic over the stored records and the
+        /// attachments, at n = 4, 16 and 64, with the attachments
+        /// shuffled, repeated and spread over several DECIDE phases.
+        #[test]
+        fn evidence_counts_match_set_arithmetic(
+            n_sel in 0usize..3,
+            stored in proptest::collection::vec(block(), 0..12),
+            attached in proptest::collection::vec((block(), any::<bool>()), 0..8),
+            picks in proptest::collection::vec((0usize..1024, 0usize..1024), 0..64),
+        ) {
+            let n = [4, 16, 64][n_sel];
+            let cfg = Config::evaluation(n).expect("valid n");
+            let records = block_records(n, &stored);
+            let mut store = MessageStore::new(n);
+            for e in &records {
+                store.insert(e, sig(0));
+            }
+            // A flagged block moves up to the next DECIDE phase.
+            let attached: Vec<Block> = attached
+                .into_iter()
+                .map(|((p, v, s, share, coin, decided), up)| {
+                    (if up { p.div_ceil(3) * 3 } else { p }, v, s, share, coin, decided)
+                })
+                .collect();
+            let mut extra: Vec<_> =
+                block_records(n, &attached).into_iter().map(|e| (e, sig(1))).collect();
+            // Each pick repeats one attachment and swaps two.
+            for (r, j) in picks {
+                if let Some(&entry) = extra.get(r % extra.len().max(1)) {
+                    extra.push(entry);
+                    let len = extra.len();
+                    extra.swap(r % len, j % len);
+                }
+            }
+            let facts: Vec<Envelope> =
+                records.iter().chain(extra.iter().map(|(e, _)| e)).copied().collect();
+            let naive = |phase, value: Option<Value>| {
+                let fits = |e: &&Envelope| e.phase == phase && value.is_none_or(|v| e.value == v);
+                let senders = facts.iter().filter(fits).map(|e| e.sender);
+                senders.collect::<std::collections::BTreeSet<_>>().len()
+            };
+            let view = EvidenceView::new(&store, &mut extra);
+            for value in [None, Some(Value::Zero), Some(Value::One), Some(Value::Bot)] {
+                for phase in 1..=13 {
+                    let got = value.map_or(view.count_phase(phase), |v| view.count_value(phase, v));
+                    let want = naive(phase, value);
+                    proptest::prop_assert_eq!(got, want, "n={} phase {} {:?}", n, phase, value);
+                }
+                let Some(v) = value else { continue };
+                let quorum = |psi| cfg.exceeds_quorum(naive(psi, value));
+                for limit in 1..=14 {
+                    let want = (3..limit).step_by(3).find(|&psi| quorum(psi));
+                    let got = view.lowest_decide_quorum(&cfg, limit, v);
+                    proptest::prop_assert_eq!(got, want, "n={} limit {} {:?}", n, limit, v);
+                }
+            }
+        }
 
         /// The table-driven `semantic_check` returns what the retired
         /// hand-written checks return, reasons included, for every
@@ -818,8 +883,9 @@ mod tests {
             for e in block_records(n, &stored) {
                 store.insert(&e, sig(0));
             }
-            let extra: Vec<_> = block_records(n, &extra).into_iter().map(|e| (e, sig(1))).collect();
-            let view = EvidenceView::new(&store, &extra);
+            let mut extra: Vec<_> =
+                block_records(n, &extra).into_iter().map(|e| (e, sig(1))).collect();
+            let view = EvidenceView::new(&store, &mut extra);
             for phase in 1..=10 {
                 for value in [Value::Zero, Value::One, Value::Bot] {
                     for coin_flip in [false, true] {

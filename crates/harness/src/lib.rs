@@ -25,6 +25,8 @@
 //! * [`env_guard`] — every `TURQUOIS_*` knob is read through here; a
 //!   misspelled name or malformed value warns instead of being ignored.
 //! * [`stats`] — Student-t confidence intervals.
+//! * [`calibrate`] — ablation A4: host ns per operation of every
+//!   cryptographic primitive.
 //!
 //! Binaries (`cargo run --release -p turquois-harness --bin …`), each a
 //! cell list, a scenario, a sample and a row renderer handed to the
@@ -32,13 +34,15 @@
 //! tables; `phases`, `sigma_sweep`, `loss_sweep`, `msgcount`,
 //! `cost_ablation`, `tick_ablation` run the ablations indexed in
 //! `DESIGN.md`; `fault_matrix`, `partition_matrix`, `table_scale` go
-//! past the paper — composed faults, network splits, n up to 256.
+//! past the paper — composed faults, network splits, n up to 256;
+//! `calibrate` prints the [`calibrate`] table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adapters;
 pub mod adversary;
+pub mod calibrate;
 pub mod env_guard;
 pub mod experiment;
 pub mod grid;
