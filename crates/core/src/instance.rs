@@ -15,8 +15,9 @@
 //! * [`Turquois::on_message`] implements task T2: decode, authenticate,
 //!   semantically validate, insert into `V_i`, and advance the state
 //!   machine to fixpoint. A byte-identical repeat of the frame last
-//!   fully absorbed from its sender costs one compare (see
-//!   [`Turquois::on_message`]).
+//!   fully absorbed from its sender costs one compare, and so do the
+//!   attachments of a frame whose justification any remembered frame
+//!   carried (see [`Turquois::on_message`]).
 //!
 //! The caller (simulator adapter, live UDP runtime, or a test harness)
 //! owns the clock and the network: the instance never blocks and never
@@ -39,7 +40,8 @@
 use crate::config::Config;
 use crate::keyring::KeyRing;
 use crate::message::{
-    claimed_head, DecodeError, EncodingCheck, Envelope, Message, MessageView, Status,
+    bundle_key, claimed_head, justification_bytes, DecodeError, EncodingCheck, Envelope, Message,
+    MessageView, Status,
 };
 use crate::state::{Advance, ProcessState};
 use crate::store::{combo_code, value_mask, MessageStore};
@@ -169,6 +171,14 @@ pub struct Turquois {
     /// (a shared handle on the received buffer). Empty until the first
     /// absorb; emptied whenever the GC floor moves.
     absorbed: Vec<Option<Bytes>>,
+    /// Per claimed sender, the [`bundle_key`] of the absorbed frame's
+    /// justification if that frame is a bundle source — it carried
+    /// attachments, none below the GC floor — else 0. Sized and
+    /// cleared with `absorbed`.
+    bundle_keys: Vec<u64>,
+    /// Deliveries whose attachments a remembered bundle answered.
+    #[cfg(test)]
+    bundle_hits: usize,
     rng: StdRng,
 }
 
@@ -208,6 +218,9 @@ impl Turquois {
             below_floor_scratch: Vec::new(),
             pending_scratch: Vec::new(),
             absorbed: Vec::new(),
+            bundle_keys: Vec::new(),
+            #[cfg(test)]
+            bundle_hits: 0,
             keyring,
             rng: StdRng::seed_from_u64(seed ^ 0xc011_5eed),
         }
@@ -376,6 +389,15 @@ impl Turquois {
     /// Rejected frames are never remembered — a later one may pass. In
     /// debug builds every repeat also runs the full path, which must
     /// agree and leave the state, the stores and the coin untouched.
+    ///
+    /// A remembered frame that carried attachments, none below the GC
+    /// floor, is also a *bundle source*: a frame from any sender whose
+    /// justification is byte for byte the source's skips its
+    /// attachments (one logical verification each, nothing inserted)
+    /// and goes on to the outer message's checks. Each was in-window,
+    /// authentic and in both stores when the source was absorbed, and
+    /// the stores only grow while the floor holds. Debug builds run the
+    /// attachments anyway and assert they change nothing.
     pub fn on_message(&mut self, bytes: &Bytes) -> Receipt {
         if let Some(receipt) = self.repeat(bytes) {
             if cfg!(debug_assertions) {
@@ -384,22 +406,27 @@ impl Turquois {
             return receipt;
         }
         let (receipt, absorbed) = self.receive(bytes);
-        if absorbed {
+        if let Some(key) = absorbed {
             let (sender, _) = claimed_head(bytes).expect("an absorbed frame parsed");
             if self.absorbed.is_empty() {
                 self.absorbed.resize(self.cfg.n(), None);
+                self.bundle_keys.resize(self.cfg.n(), 0);
             }
             self.absorbed[sender] = Some(bytes.clone());
+            self.bundle_keys[sender] = key;
         }
         receipt
     }
 
     /// The receipt of a byte-identical repeat of the last frame fully
-    /// absorbed from `bytes`' claimed sender, if it is one.
+    /// absorbed from `bytes`' claimed sender, if it is one. A handle on
+    /// the remembered buffer itself needs no compare: `Bytes` are
+    /// immutable, and `absorbed` keeps the buffer alive.
     fn repeat(&self, bytes: &[u8]) -> Option<Receipt> {
         let (sender, entries) = claimed_head(bytes)?;
         let last = self.absorbed.get(sender)?.as_deref()?;
-        (last == bytes).then_some(Receipt {
+        let same_buffer = (last.as_ptr(), last.len()) == (bytes.as_ptr(), bytes.len());
+        (same_buffer || last == bytes).then_some(Receipt {
             outcome: MessageOutcome::Duplicate,
             sig_verifications: 1 + entries,
             phase_advanced: false,
@@ -418,17 +445,19 @@ impl Turquois {
             )
         };
         let before = observe(self);
+        let (receipt, absorbed) = self.receive(bytes);
         assert_eq!(
-            self.receive(bytes),
+            (receipt, absorbed.is_some()),
             (hit, true),
             "a repeat's receipt differs from the full path's"
         );
         assert_eq!(observe(self), before, "the full path changed state on a repeat");
     }
 
-    /// The full receive path: the receipt, and whether the frame was
-    /// fully absorbed (see [`Turquois::on_message`]).
-    fn receive(&mut self, bytes: &[u8]) -> (Receipt, bool) {
+    /// The full receive path: the receipt, and — if the frame was fully
+    /// absorbed (see [`Turquois::on_message`]) — its bundle key, 0 when
+    /// it is no bundle source.
+    fn receive(&mut self, bytes: &[u8]) -> (Receipt, Option<u64>) {
         let mut receipt = Receipt {
             outcome: MessageOutcome::Accepted,
             sig_verifications: 0,
@@ -441,7 +470,7 @@ impl Turquois {
             Ok(v) => v,
             Err(e) => {
                 receipt.outcome = MessageOutcome::DecodeFailed(e);
-                return (receipt, false);
+                return (receipt, None);
             }
         };
         let (envelope, signature) = (msg.envelope(), msg.signature());
@@ -451,39 +480,34 @@ impl Turquois {
         receipt.sig_verifications += 1;
         if !self.authentic(&envelope, &signature) {
             receipt.outcome = MessageOutcome::AuthFailed;
-            return (receipt, false);
+            return (receipt, None);
         }
 
         // Authenticity of each attachment (one logical verification
-        // each); inauthentic ones are dropped. Authentic ones within
-        // the GC window become evidence; older ones only count
-        // transiently, through the view. An in-window fact the
-        // evidence store already holds under the same signature is
-        // authentic and its insert a no-op: one slot probe settles both.
+        // each), by a remembered bundle or one by one.
+        receipt.sig_verifications += msg.justification_len();
         let gc_floor = self.gc_floor();
         let mut below_floor = std::mem::take(&mut self.below_floor_scratch);
         let mut pending = std::mem::take(&mut self.pending_scratch);
         below_floor.clear();
         pending.clear();
+        let region = justification_bytes(bytes);
+        let mut key = if region.is_empty() { 0 } else { bundle_key(region) };
         let mut absorbed = true;
-        for i in 0..msg.justification_len() {
-            let (env, sig) = msg.entry(i);
-            receipt.sig_verifications += 1;
-            if env.phase < gc_floor {
-                if self.authentic(&env, &sig) {
-                    below_floor.push((env, sig));
-                }
-                continue;
+        if key != 0 && self.absorbed_bundle(key, region) {
+            #[cfg(test)]
+            {
+                self.bundle_hits += 1;
             }
-            if !self.evidence.holds(&env, &sig) {
-                if !self.authentic(&env, &sig) {
-                    absorbed = false;
-                    continue;
-                }
-                self.evidence.insert(&env, sig);
+            if cfg!(debug_assertions) {
+                self.recheck_bundle(&msg, gc_floor, &mut below_floor, &mut pending);
             }
-            if !self.valid.contains(&env) {
-                pending.push((env, sig));
+        } else {
+            let (authentic, in_window) =
+                self.take_entries(&msg, gc_floor, &mut below_floor, &mut pending);
+            absorbed = authentic;
+            if !in_window {
+                key = 0;
             }
         }
 
@@ -512,7 +536,7 @@ impl Turquois {
         if let Err(reason) = semantic {
             receipt.outcome = MessageOutcome::SemanticFailed(reason);
             self.advance(&mut receipt);
-            return (receipt, false);
+            return (receipt, None);
         }
 
         self.evidence.insert(&envelope, signature);
@@ -522,7 +546,77 @@ impl Turquois {
         }
 
         self.advance(&mut receipt);
-        (receipt, absorbed && self.gc_floor() == gc_floor)
+        (receipt, (absorbed && self.gc_floor() == gc_floor).then_some(key))
+    }
+
+    /// The attachments of `msg`, one by one: inauthentic ones are
+    /// dropped, authentic ones within the GC window become evidence
+    /// (those `V_i` lacks go to `pending`), older ones to `below_floor`
+    /// (they only count transiently, through the view). An in-window
+    /// fact the evidence store already holds under the same signature
+    /// is authentic and its insert a no-op: one slot probe settles
+    /// both. Returns whether every in-window attachment was authentic
+    /// and whether none sat below the floor.
+    fn take_entries(
+        &mut self,
+        msg: &MessageView<'_>,
+        gc_floor: u32,
+        below_floor: &mut Vec<(Envelope, OneTimeSignature)>,
+        pending: &mut Vec<(Envelope, OneTimeSignature)>,
+    ) -> (bool, bool) {
+        let (mut authentic, mut in_window) = (true, true);
+        for i in 0..msg.justification_len() {
+            let (env, sig) = msg.entry(i);
+            if env.phase < gc_floor {
+                in_window = false;
+                if self.authentic(&env, &sig) {
+                    below_floor.push((env, sig));
+                }
+                continue;
+            }
+            if !self.evidence.holds(&env, &sig) {
+                if !self.authentic(&env, &sig) {
+                    authentic = false;
+                    continue;
+                }
+                self.evidence.insert(&env, sig);
+            }
+            if !self.valid.contains(&env) {
+                pending.push((env, sig));
+            }
+        }
+        (authentic, in_window)
+    }
+
+    /// Whether a remembered bundle source carried exactly `region`: a
+    /// sender whose bundle key is `key`, confirmed byte for byte.
+    fn absorbed_bundle(&self, key: u64, region: &[u8]) -> bool {
+        self.bundle_keys.iter().zip(&self.absorbed).any(|(&k, frame)| {
+            k == key
+                && justification_bytes(frame.as_deref().expect("a bundle key keeps its frame"))
+                    == region
+        })
+    }
+
+    /// Runs the attachments of a frame [`Turquois::absorbed_bundle`]
+    /// answered and asserts they change nothing: every one authentic,
+    /// in window and already in both stores.
+    fn recheck_bundle(
+        &mut self,
+        msg: &MessageView<'_>,
+        gc_floor: u32,
+        below_floor: &mut Vec<(Envelope, OneTimeSignature)>,
+        pending: &mut Vec<(Envelope, OneTimeSignature)>,
+    ) {
+        let records = |p: &Self| (p.evidence.record_count(), p.valid.record_count());
+        let before = records(self);
+        let verdict = self.take_entries(msg, gc_floor, below_floor, pending);
+        assert_eq!(verdict, (true, true), "a remembered bundle failed its attachments");
+        assert!(
+            below_floor.is_empty() && pending.is_empty(),
+            "a remembered bundle left work for the full path"
+        );
+        assert_eq!(records(self), before, "a remembered bundle inserted a fact");
     }
 
     fn advance(&mut self, receipt: &mut Receipt) {
@@ -545,6 +639,7 @@ impl Turquois {
             if floor != old_floor {
                 // What a remembered frame carried may be pruned now.
                 self.absorbed.fill(None);
+                self.bundle_keys.fill(0);
             }
             self.evidence.prune_below(floor);
             self.valid.prune_below(floor);
@@ -728,6 +823,15 @@ mod tests {
     /// The retired implementations, kept verbatim as differential
     /// oracles for the proptests below.
     impl Turquois {
+        /// [`Turquois::receive`] with its verdict cut to whether the
+        /// frame was fully absorbed. Nothing is remembered, so a twin
+        /// driven through it alone never takes the repeat or the bundle
+        /// path.
+        fn full_path(&mut self, bytes: &[u8]) -> (Receipt, bool) {
+            let (receipt, absorbed) = self.receive(bytes);
+            (receipt, absorbed.is_some())
+        }
+
         /// The receive path before the evidence store answered repeats:
         /// owned decode, one real [`KeyRing::verify`] per signature, a
         /// full-view `semantic_check` for every in-window attachment.
@@ -1546,7 +1650,7 @@ mod tests {
             let before = observe(&fast);
             assert_eq!(
                 (fast.on_message(&justified.bytes), true),
-                full.receive(&justified.bytes)
+                full.full_path(&justified.bytes)
             );
             assert_eq!(observe(&fast), before, "a repeat changed the receiver");
             assert_eq!(observe(&fast), observe(&full));
@@ -1576,7 +1680,7 @@ mod tests {
         }
         let got = receiver.on_message(&bare.bytes);
         assert_eq!(got.outcome, MessageOutcome::Accepted);
-        assert_eq!((got, true), twin.receive(&bare.bytes));
+        assert_eq!((got, true), twin.full_path(&bare.bytes));
         assert!(receiver.repeat(&bare.bytes).is_some(), "accepted: remembered");
     }
 
@@ -1612,7 +1716,7 @@ mod tests {
         assert_eq!(receiver.repeat(&old), None, "the floor move forgot it");
         let got = receiver.on_message(&old);
         assert_eq!(got.outcome, MessageOutcome::Accepted, "pruned, so new again");
-        assert_eq!((got, true), twin.receive(&old));
+        assert_eq!((got, true), twin.full_path(&old));
         assert_eq!(observe(&receiver), observe(&twin));
     }
 
@@ -1643,13 +1747,178 @@ mod tests {
         assert_eq!(swapped[..40], justified.bytes[..40], "the same head record");
         for other in [&bare.bytes, &swapped] {
             assert_eq!(receiver.repeat(other), None);
-            assert_eq!((receiver.on_message(other), true), twin.receive(other));
+            assert_eq!((receiver.on_message(other), true), twin.full_path(other));
             assert_eq!(observe(&receiver), observe(&twin));
         }
         assert!(
             receiver.valid.contains(&fact.envelope),
             "the swapped-in fact was absorbed"
         );
+    }
+
+    /// Only the remembered buffer itself skips the compare: a shorter
+    /// slice of it starts at the same address but is other bytes.
+    #[test]
+    fn a_shorter_slice_of_a_remembered_buffer_is_no_repeat() {
+        let mut procs = make_group(4, &[true], 22);
+        let (mut receiver, mut twin) = receiver_and_twin(4, &[true], 22);
+        round(&mut procs);
+        procs[1].on_tick().expect("keys cover phase");
+        let justified = procs[1].on_tick().expect("keys cover phase").bytes;
+        for p in [&mut receiver, &mut twin] {
+            assert_eq!(p.on_message(&justified).outcome, MessageOutcome::Accepted);
+        }
+        assert!(receiver.repeat(&justified.clone()).is_some());
+        let short = justified.slice(..justified.len() - 40);
+        assert_eq!(short.as_ptr(), justified.as_ptr());
+        assert_eq!(receiver.repeat(&short), None);
+        let got = receiver.on_message(&short);
+        assert!(matches!(got.outcome, MessageOutcome::DecodeFailed(_)));
+        assert_eq!((got, false), twin.full_path(&short));
+    }
+
+    /// `head`'s signed record with the justification `bundle` carries.
+    fn transplant(cfg: &Config, head: &[u8], bundle: &[u8]) -> Bytes {
+        let head = Message::decode(head, cfg).expect("genuine");
+        Message {
+            justification: Message::decode(bundle, cfg).expect("genuine").justification,
+            ..head
+        }
+        .encode()
+    }
+
+    /// Processes 1 and 2 of `procs` re-broadcast their state with its
+    /// bundle; their two frames.
+    fn justified_pair(procs: &mut [Turquois]) -> [Bytes; 2] {
+        [1, 2].map(|i| {
+            procs[i].on_tick().expect("keys cover phase");
+            procs[i].on_tick().expect("keys cover phase").bytes
+        })
+    }
+
+    /// A frame whose justification is byte for byte the one absorbed
+    /// from another sender's frame skips its attachments, with the
+    /// receipt and the stores of a twin that took them one by one.
+    #[test]
+    fn a_bundle_absorbed_from_one_sender_answers_for_another() {
+        let mut procs = make_group(4, &[true], 18);
+        let (mut receiver, mut twin) = receiver_and_twin(4, &[true], 18);
+        round(&mut procs);
+        let [a, b] = justified_pair(&mut procs);
+        let k = sent(&procs[1], &a).justification.len();
+        assert!(k > 0);
+        assert_eq!(justification_bytes(&a), justification_bytes(&b), "one evidence, one bundle");
+        assert_eq!(receiver.on_message(&a), twin.full_path(&a).0);
+        assert_eq!(receiver.bundle_hits, 0, "a cold receiver takes the attachments");
+        let got = receiver.on_message(&b);
+        assert_eq!(receiver.bundle_hits, 1);
+        assert_eq!(got.outcome, MessageOutcome::Accepted);
+        assert_eq!(got.sig_verifications, 1 + k);
+        assert_eq!((got, true), twin.full_path(&b));
+        assert_eq!(twin.bundle_hits, 0);
+        assert_eq!(observe(&receiver), observe(&twin));
+    }
+
+    /// A floor move forgets the bundles with the frames: afterwards a
+    /// frame carrying a bundle absorbed before it takes its attachments
+    /// one by one.
+    #[test]
+    fn a_bundle_after_the_floor_moves_takes_the_full_path() {
+        let mut procs = make_group(4, &[true], 19);
+        let (mut receiver, mut twin) = receiver_and_twin(4, &[true], 19);
+        round(&mut procs);
+        let [a, b] = justified_pair(&mut procs);
+        assert_eq!(receiver.on_message(&a), twin.full_path(&a).0);
+        // Process 1 falls silent for the receivers; 0, 2 and 3 are a
+        // quorum and carry them until phase 1 is below the GC floor.
+        while receiver.gc_floor() <= 1 {
+            for (i, m) in round(&mut procs).iter().enumerate() {
+                if i != 1 {
+                    assert_eq!(receiver.on_message(m), twin.full_path(m).0);
+                }
+            }
+            assert!(receiver.phase() < 30, "the receiver stopped advancing");
+        }
+        let hits = receiver.bundle_hits;
+        let got = receiver.on_message(&b);
+        assert_eq!(receiver.bundle_hits, hits, "the floor move forgot the bundle");
+        assert_eq!((got, true), twin.full_path(&b));
+        assert_eq!(observe(&receiver), observe(&twin));
+    }
+
+    /// The key only picks a candidate: a bundle with a remembered key
+    /// and one forged signature takes its attachments one by one and
+    /// is not absorbed.
+    #[test]
+    fn a_forged_bundle_with_a_remembered_key_takes_the_full_path() {
+        let cfg = Config::evaluation(4).expect("valid n");
+        let mut procs = make_group(4, &[true], 21);
+        let (mut receiver, mut twin) = receiver_and_twin(4, &[true], 21);
+        round(&mut procs);
+        let [a, b] = justified_pair(&mut procs);
+        assert_eq!(receiver.on_message(&a), twin.full_path(&a).0);
+        let mut forged = sent(&procs[2], &b);
+        forged.justification[0].1 .0[31] ^= 1;
+        let forged = forged.encode();
+        let region = justification_bytes(&forged);
+        assert_ne!(region, justification_bytes(&a));
+        assert_eq!(bundle_key(region), bundle_key(justification_bytes(&a)));
+        assert_eq!(transplant(&cfg, &b, &a), b, "b carries a's bundle");
+        let got = receiver.on_message(&forged);
+        assert_eq!(receiver.bundle_hits, 0, "the key decided");
+        assert_eq!((got, false), twin.full_path(&forged));
+        assert_eq!(receiver.repeat(&forged), None, "a forgery was absorbed");
+        assert_eq!(observe(&receiver), observe(&twin));
+    }
+
+    /// A frame with an attachment below the GC floor is remembered but
+    /// is no bundle source: a hit would leave that attachment out of
+    /// the view. Here it is the only decide quorum for a `decided`
+    /// claim, so another sender's claim with the same bundle must take
+    /// it one by one.
+    #[test]
+    fn a_frame_with_below_floor_attachments_is_no_bundle_source() {
+        let cfg = Config::evaluation(4).expect("valid n");
+        let mut procs = make_group(4, &[true], 23);
+        let (mut receiver, mut twin) = receiver_and_twin(4, &[true], 23);
+        while procs.iter().any(|p| p.decision().is_none()) {
+            round(&mut procs);
+        }
+        // On to a LOCK phase past the decided snapshot by more than a
+        // GC window, so at the DECIDE phase after it no decide quorum
+        // but the snapshot's is in reach of a claim's bundle.
+        let decided_at = procs[1].phase();
+        while procs[1].phase() < decided_at + GC_WINDOW + 3 || procs[1].phase() % 3 != 2 {
+            round(&mut procs);
+        }
+        let lock: Vec<Bytes> = procs
+            .iter_mut()
+            .map(|p| {
+                p.on_tick().expect("keys cover phase");
+                p.on_tick().expect("keys cover phase").bytes
+            })
+            .collect();
+        for p in procs.iter_mut() {
+            for m in &lock {
+                p.on_message(m);
+            }
+        }
+        for m in &lock {
+            assert_eq!(receiver.on_message(m), twin.full_path(m).0);
+        }
+        assert_eq!(receiver.phase(), procs[1].phase(), "caught up through the bundles");
+        let [a, b] = justified_pair(&mut procs);
+        let bundle = sent(&procs[1], &a).justification;
+        assert_eq!(sent(&procs[1], &a).envelope.status, Status::Decided);
+        assert!(bundle.iter().any(|(e, _)| e.phase < receiver.gc_floor()));
+        assert_eq!(receiver.on_message(&a), twin.full_path(&a).0);
+        assert!(receiver.repeat(&a).is_some(), "absorbed");
+        let b = transplant(&cfg, &b, &a);
+        let got = receiver.on_message(&b);
+        assert_eq!(receiver.bundle_hits, 0, "a frame with below-floor attachments answered");
+        assert_eq!(got.outcome, MessageOutcome::Accepted);
+        assert_eq!((got, true), twin.full_path(&b));
+        assert_eq!(observe(&receiver), observe(&twin));
     }
 
     /// The thresholds at every n ≤ 256, every f with 3f < n and every k
@@ -1861,6 +2130,7 @@ mod tests {
             }
             recent.push(bytes);
         }
+        proptest::prop_assert!(new.bundle_hits > 0, "no remembered bundle answered");
         Ok(())
     }
 

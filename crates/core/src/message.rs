@@ -231,6 +231,25 @@ fn read_record(rec: &[u8; ENTRY_LEN]) -> (Envelope, OneTimeSignature) {
     (envelope, OneTimeSignature(*signature))
 }
 
+/// The justification records of a frame [`MessageView::parse`]
+/// accepted, as they sit in its buffer.
+pub(crate) fn justification_bytes(frame: &[u8]) -> &[u8] {
+    &frame[HEADER_LEN..]
+}
+
+/// A word that picks the candidates for a byte compare of two
+/// justification regions: the record count mixed with the first eight
+/// signature bytes of each record, never 0. Equal regions have equal
+/// keys; the converse is anybody's to break (a Byzantine sender can
+/// collide it at will), so a key decides nothing.
+pub(crate) fn bundle_key(region: &[u8]) -> u64 {
+    let (records, _) = region.as_chunks::<ENTRY_LEN>();
+    records.iter().fold(records.len() as u64, |key, rec| {
+        let sig = rec[ENVELOPE_LEN..].first_chunk().expect("a signature is 32 bytes");
+        (key ^ u64::from_le_bytes(*sig)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }) | 1
+}
+
 /// The sender the head record of `bytes` claims, unchecked, and the
 /// number of justification entries a message of `bytes.len()` carries
 /// if it parses.

@@ -23,10 +23,11 @@
 //!
 //! Node ids are dense `0..n`, and a sender can contribute at most one
 //! record per distinct `(value, coin, status)` combination — twelve in
-//! total. A phase slot therefore keeps, per sender, a 12-bit presence
-//! mask (one bit per combination code), a packed `u64` of 4-bit codes
-//! in insertion order, and three arena indices (one per value) into a
-//! slot-local signature arena: 22 bytes per sender plus 32 per distinct
+//! total. A phase slot therefore keeps one record per sender — a 12-bit
+//! presence mask (one bit per combination code), a packed `u64` of
+//! 4-bit codes in insertion order, and three arena indices (one per
+//! value) into a slot-local signature arena — in one `Vec`: 22 bytes of
+//! content per sender (24 with alignment) plus 32 per distinct
 //! `(sender, value)` signature, with no per-sender heap allocation —
 //! the difference between n=16 and n=256 staying resident.
 //!
@@ -113,6 +114,28 @@ pub(crate) fn value_mask(value: Value) -> u16 {
 /// Arena-index sentinel: no signature stored for this `(sender, value)`.
 const NO_SIG: u32 = u32::MAX;
 
+/// What a phase slot keeps for one sender, together so a probe reads
+/// one cache line.
+#[derive(Clone, Copy, Debug)]
+struct SenderRecords {
+    /// Packed 4-bit combination codes in insertion order; the record
+    /// count is `mask.count_ones()` (≤ 12 records → 48 bits).
+    order: u64,
+    /// Per-value arena index of the signature recorded at the first
+    /// insert of that value ([`NO_SIG`] when absent).
+    sig_idx: [u32; 3],
+    /// Presence bitmask, one bit per combination code.
+    mask: u16,
+}
+
+impl SenderRecords {
+    const EMPTY: Self = SenderRecords {
+        order: 0,
+        sig_idx: [NO_SIG; 3],
+        mask: 0,
+    };
+}
+
 /// Iterates a sender's records in insertion order.
 struct RecordsIter<'a> {
     order: u64,
@@ -140,14 +163,8 @@ impl Iterator for RecordsIter<'_> {
 /// module docs).
 #[derive(Clone, Debug)]
 struct PhaseSlot {
-    /// Per-sender presence bitmask, one bit per combination code.
-    masks: Vec<u16>,
-    /// Per-sender packed 4-bit codes in insertion order; record count
-    /// is `masks[s].count_ones()` (≤ 12 records → 48 bits).
-    order: Vec<u64>,
-    /// Per-sender, per-value arena index of the signature recorded at
-    /// the first insert of that value ([`NO_SIG`] when absent).
-    sig_idx: Vec<[u32; 3]>,
+    /// Indexed by sender.
+    senders: Vec<SenderRecords>,
     /// Slot-local signature arena, one entry per distinct
     /// `(sender, value)` pair — the slot's signature population.
     sigs: Vec<OneTimeSignature>,
@@ -166,9 +183,7 @@ struct PhaseSlot {
 impl PhaseSlot {
     fn new(n: usize) -> Self {
         PhaseSlot {
-            masks: vec![0; n],
-            order: vec![0; n],
-            sig_idx: vec![[NO_SIG; 3]; n],
+            senders: vec![SenderRecords::EMPTY; n],
             sigs: Vec::new(),
             phase_senders: 0,
             value_senders: [0; 3],
@@ -185,28 +200,29 @@ impl PhaseSlot {
             return false;
         }
         let code = combo_code(record.value, record.coin_flip, record.status);
-        if self.masks[sender] == 0 {
+        let s = &mut self.senders[sender];
+        if s.mask == 0 {
             self.phase_senders += 1;
         }
         let vi = value_idx(record.value);
-        if self.masks[sender] & value_mask(record.value) == 0 {
+        if s.mask & value_mask(record.value) == 0 {
             self.value_senders[vi] += 1;
-            self.sig_idx[sender][vi] = self.sigs.len() as u32;
+            s.sig_idx[vi] = self.sigs.len() as u32;
             self.sigs.push(record.signature);
         }
-        let pos = self.masks[sender].count_ones();
-        self.order[sender] |= u64::from(code) << (4 * pos);
-        self.masks[sender] |= 1 << code;
+        s.order |= u64::from(code) << (4 * s.mask.count_ones());
+        s.mask |= 1 << code;
         self.records += 1;
         true
     }
 
     /// The records sender `s` produced, in insertion order.
     fn records(&self, sender: usize) -> RecordsIter<'_> {
+        let s = &self.senders[sender];
         RecordsIter {
-            order: self.order[sender],
-            left: self.masks[sender].count_ones(),
-            sig_idx: &self.sig_idx[sender],
+            order: s.order,
+            left: s.mask.count_ones(),
+            sig_idx: &s.sig_idx,
             sigs: &self.sigs,
         }
     }
@@ -214,7 +230,7 @@ impl PhaseSlot {
     /// `sender`'s first record, in insertion order, whose combination
     /// code is in `want`.
     fn first_in(&self, sender: usize, want: u16) -> Option<Record> {
-        if self.masks[sender] & want == 0 {
+        if self.senders[sender].mask & want == 0 {
             return None;
         }
         self.records(sender)
@@ -223,34 +239,34 @@ impl PhaseSlot {
 
     /// Whether `sender` has any record in this phase. O(1).
     fn sender_present(&self, sender: usize) -> bool {
-        self.masks[sender] != 0
+        self.senders[sender].mask != 0
     }
 
     /// Whether `sender` has a record with `value`. O(1): a mask probe.
     fn sender_has_value(&self, sender: usize, value: Value) -> bool {
-        self.masks[sender] & value_mask(value) != 0
+        self.senders[sender].mask & value_mask(value) != 0
     }
 
     /// The signature recorded at `sender`'s first insert of `value`.
     fn signature_of(&self, sender: usize, value: Value) -> Option<OneTimeSignature> {
-        let idx = self.sig_idx[sender][value_idx(value)];
+        let idx = self.senders[sender].sig_idx[value_idx(value)];
         (idx != NO_SIG).then(|| self.sigs[idx as usize])
     }
 
     /// Whether `sender` has this exact `(value, coin_flip, status)`
     /// record — i.e. whether inserting it would be a no-op.
     fn has_record(&self, sender: usize, value: Value, coin_flip: bool, status: Status) -> bool {
-        self.masks[sender] & (1 << combo_code(value, coin_flip, status)) != 0
+        self.senders[sender].mask & (1 << combo_code(value, coin_flip, status)) != 0
     }
 
     /// The retired scan the incremental `records` replaced.
     fn scan_records(&self) -> usize {
-        self.masks.iter().map(|m| m.count_ones() as usize).sum()
+        self.senders.iter().map(|s| s.mask.count_ones() as usize).sum()
     }
 
     /// Number of senders the slot was sized for.
     fn n(&self) -> usize {
-        self.masks.len()
+        self.senders.len()
     }
 
     /// Distinct `(sender, value)` pairs stored.

@@ -3,8 +3,9 @@
 //! every tick re-broadcasts the same justified state to every
 //! neighbour — a bare broadcast and a justified re-broadcast are both
 //! processed out of the receive buffer, the stores and two recycled
-//! scratch vectors. Re-broadcasting an unchanged state reuses its
-//! wire bytes and allocates nothing either.
+//! scratch vectors, and so is another sender's frame carrying a bundle
+//! the receiver has absorbed. Re-broadcasting an unchanged state reuses
+//! its wire bytes and allocates nothing either.
 //!
 //! Key set-up is held to the same counter: `KeyRing::trusted_setup`
 //! makes `O(n)` allocations whatever the phase count, and cloning a
@@ -154,7 +155,10 @@ fn repeat_deliveries_allocate_nothing() {
             .map(|p| p.on_tick().expect("keys cover phase").bytes)
             .collect();
         let (head, rest) = procs.split_at_mut(1);
-        let (sender, receiver) = (&mut head[0], &mut rest[0]);
+        let sender = &mut head[0];
+        let [receiver, other, ..] = rest else {
+            unreachable!("n ≥ 4")
+        };
         for bytes in &first {
             sender.on_message(bytes);
         }
@@ -191,6 +195,20 @@ fn repeat_deliveries_allocate_nothing() {
                 assert_eq!(count, 0, "n={n} round {round}: {what} repeat allocated");
             }
         }
+
+        // Another sender's re-broadcast from the same evidence carries
+        // the same bundle: the receiver's remembered frame answers its
+        // attachments, and only its own record is new.
+        for bytes in &first {
+            other.on_message(bytes);
+        }
+        other.on_tick().expect("keys cover phase");
+        let same_bundle = other.on_tick().expect("keys cover phase").bytes;
+        let justification = |bytes| Message::decode(bytes, &cfg).expect("own encoding").justification;
+        assert_eq!(justification(&same_bundle), justification(&justified));
+        let (count, receipt) = allocations_in(|| receiver.on_message(&same_bundle));
+        assert_eq!(receipt.outcome, MessageOutcome::Accepted);
+        assert_eq!(count, 0, "n={n}: a remembered bundle's delivery allocated");
 
         // The same for a `decided` claim, whose status check walks the
         // stored decide phases: run everyone to a decision, then nine
