@@ -23,19 +23,19 @@
 //! owns the clock and the network: the instance never blocks and never
 //! talks to a socket.
 //!
-//! # Two stores
+//! # One store, two sets
 //!
 //! The paper leaves the interaction of explicit justifications with
 //! stragglers underspecified (validating attachments recursively would
-//! require unbounded evidence chains). The reproduction keeps two
-//! sender-deduplicated stores (see `DESIGN.md` §5):
+//! require unbounded evidence chains). The reproduction counts two
+//! sender-deduplicated sets in one [`MessageStore`] (`DESIGN.md` §7):
 //!
 //! * **evidence** — every *authentic* message seen, including
 //!   justification attachments. Semantic-validation thresholds count this
-//!   store. Since every threshold minimum exceeds `f`, Byzantine-only
+//!   set. Since every threshold minimum exceeds `f`, Byzantine-only
 //!   fabrications can never satisfy a check.
-//! * **valid (`V_i`)** — messages that passed both validations; the only
-//!   store protocol transitions count.
+//! * **valid (`V_i`)** — evidence that also passed semantic validation,
+//!   a bit per record; the only set protocol transitions count.
 
 use crate::config::Config;
 use crate::keyring::KeyRing;
@@ -151,7 +151,6 @@ pub struct Turquois {
     keyring: KeyRing,
     state: ProcessState,
     evidence: MessageStore,
-    valid: MessageStore,
     decided_evidence: Vec<(Envelope, OneTimeSignature)>,
     /// The last broadcast: its envelope, the [`Turquois::bundle_inputs`]
     /// its bundle was built from (`None` for a bare first broadcast),
@@ -211,7 +210,6 @@ impl Turquois {
             cfg,
             state: ProcessState::new(cfg, id, proposal),
             evidence: MessageStore::new(cfg.n()),
-            valid: MessageStore::new(cfg.n()),
             decided_evidence: Vec::new(),
             last_wire: None,
             bundle: Bundle::new(cfg.n()),
@@ -277,12 +275,12 @@ impl Turquois {
         self.state.coin_flip()
     }
 
-    /// Approximate resident bytes of the two message stores (evidence
-    /// and `V_i`). Deterministic — a function of record counts only
-    /// (see [`MessageStore::approx_bytes`]) — so it can feed the
-    /// supervised tables' peak-store column and stall reports.
+    /// Approximate resident bytes of the message store (evidence and
+    /// `V_i`). Deterministic — a function of record counts only (see
+    /// [`MessageStore::approx_bytes`]) — so it can feed the supervised
+    /// tables' peak-store column and stall reports.
     pub fn store_bytes(&self) -> usize {
-        self.evidence.approx_bytes() + self.valid.approx_bytes()
+        self.evidence.approx_bytes()
     }
 
     /// Task T1: produce the broadcast for the current state.
@@ -395,8 +393,8 @@ impl Turquois {
     /// justification is byte for byte the source's skips its
     /// attachments (one logical verification each, nothing inserted)
     /// and goes on to the outer message's checks. Each was in-window,
-    /// authentic and in both stores when the source was absorbed, and
-    /// the stores only grow while the floor holds. Debug builds run the
+    /// authentic and in `V_i` when the source was absorbed, and the
+    /// store only grows while the floor holds. Debug builds run the
     /// attachments anyway and assert they change nothing.
     pub fn on_message(&mut self, bytes: &Bytes) -> Receipt {
         if let Some(receipt) = self.repeat(bytes) {
@@ -440,7 +438,7 @@ impl Turquois {
         let observe = |p: &Self| {
             (
                 (p.phase(), p.value(), p.status(), p.decision(), p.coin_flip()),
-                (p.evidence.record_count(), p.valid.record_count()),
+                p.evidence.record_count(),
                 p.rng.clone().gen::<u64>(),
             )
         };
@@ -517,18 +515,17 @@ impl Turquois {
 
         // Attachments that independently pass semantic validation also
         // enter V_i — they are protocol messages in their own right.
-        // Ones V_i already holds were skipped above: the check is pure
-        // and the insert would change nothing.
-        for (env, sig) in &pending {
-            if semantic_check(env, &self.cfg, &view).is_ok() {
-                self.valid.insert(env, *sig);
-            } else {
-                absorbed = false;
-            }
-        }
+        // Ones V_i already holds were skipped above. The checks read only
+        // evidence, so all run before any is validated.
+        let attached = pending.len();
+        pending.retain(|(env, _)| semantic_check(env, &self.cfg, &view).is_ok());
+        absorbed &= pending.len() == attached;
 
         // Semantic validation of the outer message.
         let semantic = semantic_check(&envelope, &self.cfg, &view);
+        for (env, _) in &pending {
+            self.evidence.validate(env);
+        }
         // Hand the scratch back for the next message (its capacity is
         // the recycled resource; contents are dead).
         self.below_floor_scratch = below_floor;
@@ -540,8 +537,7 @@ impl Turquois {
         }
 
         self.evidence.insert(&envelope, signature);
-        let fresh = self.valid.insert(&envelope, signature);
-        if !fresh {
+        if !self.evidence.validate(&envelope) {
             receipt.outcome = MessageOutcome::Duplicate;
         }
 
@@ -553,10 +549,10 @@ impl Turquois {
     /// dropped, authentic ones within the GC window become evidence
     /// (those `V_i` lacks go to `pending`), older ones to `below_floor`
     /// (they only count transiently, through the view). An in-window
-    /// fact the evidence store already holds under the same signature
-    /// is authentic and its insert a no-op: one slot probe settles
-    /// both. Returns whether every in-window attachment was authentic
-    /// and whether none sat below the floor.
+    /// fact the store already holds under the same signature is
+    /// authentic and its insert a no-op: one slot probe settles both,
+    /// and whether `V_i` holds it. Returns whether every in-window
+    /// attachment was authentic and whether none sat below the floor.
     fn take_entries(
         &mut self,
         msg: &MessageView<'_>,
@@ -574,14 +570,19 @@ impl Turquois {
                 }
                 continue;
             }
-            if !self.evidence.holds(&env, &sig) {
-                if !self.authentic(&env, &sig) {
+            let validated = match self.evidence.held(&env, &sig) {
+                Some(validated) => validated,
+                // A fresh insert is not in `V_i`; an authentic signature
+                // other than the stored one may be.
+                None if self.authentic(&env, &sig) => {
+                    !self.evidence.insert(&env, sig) && self.evidence.valid().contains(&env)
+                }
+                None => {
                     authentic = false;
                     continue;
                 }
-                self.evidence.insert(&env, sig);
-            }
-            if !self.valid.contains(&env) {
+            };
+            if !validated {
                 pending.push((env, sig));
             }
         }
@@ -600,7 +601,7 @@ impl Turquois {
 
     /// Runs the attachments of a frame [`Turquois::absorbed_bundle`]
     /// answered and asserts they change nothing: every one authentic,
-    /// in window and already in both stores.
+    /// in window and already in `V_i`.
     fn recheck_bundle(
         &mut self,
         msg: &MessageView<'_>,
@@ -608,15 +609,14 @@ impl Turquois {
         below_floor: &mut Vec<(Envelope, OneTimeSignature)>,
         pending: &mut Vec<(Envelope, OneTimeSignature)>,
     ) {
-        let records = |p: &Self| (p.evidence.record_count(), p.valid.record_count());
-        let before = records(self);
+        let before = self.evidence.record_count();
         let verdict = self.take_entries(msg, gc_floor, below_floor, pending);
         assert_eq!(verdict, (true, true), "a remembered bundle failed its attachments");
         assert!(
             below_floor.is_empty() && pending.is_empty(),
             "a remembered bundle left work for the full path"
         );
-        assert_eq!(records(self), before, "a remembered bundle inserted a fact");
+        assert_eq!(self.evidence.record_count(), before, "a remembered bundle inserted a fact");
     }
 
     fn advance(&mut self, receipt: &mut Receipt) {
@@ -626,7 +626,7 @@ impl Turquois {
         let Advance {
             phase_changed,
             newly_decided,
-        } = self.state.try_advance(&self.valid, &mut coin);
+        } = self.state.try_advance(self.evidence.valid(), &mut coin);
         receipt.phase_advanced |= phase_changed;
         if receipt.newly_decided.is_none() {
             receipt.newly_decided = newly_decided;
@@ -634,15 +634,12 @@ impl Turquois {
         if let Some(bit) = newly_decided {
             self.capture_decided_evidence(Value::from_bit(bit));
         }
-        if phase_changed {
-            let floor = self.gc_floor();
-            if floor != old_floor {
-                // What a remembered frame carried may be pruned now.
-                self.absorbed.fill(None);
-                self.bundle_keys.fill(0);
-            }
+        let floor = self.gc_floor();
+        if floor != old_floor {
+            // What a remembered frame carried may be pruned now.
             self.evidence.prune_below(floor);
-            self.valid.prune_below(floor);
+            self.absorbed.fill(None);
+            self.bundle_keys.fill(0);
         }
     }
 
@@ -870,19 +867,22 @@ mod tests {
             // The view sorts what it is given; the loop keeps wire order.
             let mut sorted = extras.clone();
             let view = EvidenceView::new(&self.evidence, &mut sorted);
-            for (env, sig) in &extras {
-                if env.phase >= gc_floor && semantic_check(env, &self.cfg, &view).is_ok() {
-                    self.valid.insert(env, *sig);
-                }
-            }
+            let passed: Vec<Envelope> = extras
+                .iter()
+                .map(|(env, _)| *env)
+                .filter(|env| env.phase >= gc_floor && semantic_check(env, &self.cfg, &view).is_ok())
+                .collect();
             let semantic = semantic_check(&message.envelope, &self.cfg, &view);
+            for env in &passed {
+                self.evidence.validate(env);
+            }
             if let Err(reason) = semantic {
                 receipt.outcome = MessageOutcome::SemanticFailed(reason);
                 self.advance(&mut receipt);
                 return receipt;
             }
             self.evidence.insert(&message.envelope, message.signature);
-            if !self.valid.insert(&message.envelope, message.signature) {
+            if !self.evidence.validate(&message.envelope) {
                 receipt.outcome = MessageOutcome::Duplicate;
             }
             self.advance(&mut receipt);
@@ -1389,7 +1389,7 @@ mod tests {
         for p in &procs {
             if p.phase() > GC_WINDOW + 1 {
                 assert!(
-                    p.evidence.min_phase().unwrap_or(u32::MAX) >= p.phase() - GC_WINDOW,
+                    p.evidence.records().iter().all(|r| r.0 >= p.phase() - GC_WINDOW),
                     "evidence store must not grow unboundedly"
                 );
             }
@@ -1445,7 +1445,7 @@ mod tests {
         }
         assert_eq!(
             procs[0].evidence.record_count(),
-            0,
+            [0, 0],
             "a forgery leaves no evidence"
         );
         assert_eq!(
@@ -1536,7 +1536,7 @@ mod tests {
                 // forgeries added nothing and replaced nothing.
                 assert_eq!(r.outcome, MessageOutcome::Accepted);
                 let mut after = victim.evidence.records();
-                after.retain(|(phase, _, _)| *phase == 1);
+                after.retain(|r| r.0 == 1);
                 assert_eq!(after, before);
             } else {
                 // Cold store: one authentic attachment is no quorum.
@@ -1544,8 +1544,38 @@ mod tests {
                     r.outcome,
                     MessageOutcome::SemanticFailed(RejectReason::PhaseUnjustified)
                 );
-                assert_eq!(victim.evidence.record_count(), 1);
+                assert_eq!(victim.evidence.record_count(), [1, 1]);
             }
+        }
+    }
+
+    /// An authentic attachment that fails `semantic_check` is evidence
+    /// but not `V_i`: process 3's own signed far-phase claim with no
+    /// justification, carried by its genuine phase-1 frame, moves no
+    /// correct process.
+    #[test]
+    fn an_authentic_attachment_that_fails_its_check_moves_nothing() {
+        let mut procs = make_group(4, &[true], 24);
+        let far = Envelope {
+            sender: 3,
+            phase: 7,
+            value: Value::One,
+            coin_flip: false,
+            status: Status::Undecided,
+        };
+        let far_sig = KeyRing::trusted_setup(4, PHASES, 24)[3]
+            .sign(far.phase, far.value)
+            .expect("in range");
+        let bare = procs[3].on_tick().expect("keys cover phase").bytes;
+        let mut frame = sent(&procs[3], &bare);
+        frame.justification.push((far, far_sig));
+        let wire = frame.encode();
+        for p in &mut procs[..3] {
+            let got = p.on_message(&wire);
+            assert_eq!(p.phase(), 1, "an attachment that failed its check moved process {}", p.id());
+            assert_eq!(got.outcome, MessageOutcome::Accepted);
+            assert!(p.evidence.contains(&far), "an authentic attachment is evidence");
+            assert!(!p.evidence.valid().contains(&far));
         }
     }
 
@@ -1596,15 +1626,14 @@ mod tests {
         );
     }
 
-    /// Everything a delivery could change: the state, both stores, the
-    /// decided snapshot and the coin.
+    /// Everything a delivery could change: the state, the store (`V_i`
+    /// included), the decided snapshot and the coin.
     fn observe(p: &Turquois) -> String {
         format!(
             "{:?}",
             (
                 (p.phase(), p.value(), p.status(), p.decision(), p.coin_flip()),
                 p.evidence.records(),
-                p.valid.records(),
                 &p.decided_evidence,
                 p.rng.clone().gen::<u64>(),
             )
@@ -1751,7 +1780,7 @@ mod tests {
             assert_eq!(observe(&receiver), observe(&twin));
         }
         assert!(
-            receiver.valid.contains(&fact.envelope),
+            receiver.evidence.valid().contains(&fact.envelope),
             "the swapped-in fact was absorbed"
         );
     }
@@ -2166,13 +2195,7 @@ mod tests {
         proptest::prop_assert_eq!(
             new.evidence.records(),
             old.evidence.records(),
-            "evidence diverged at step {}",
-            step
-        );
-        proptest::prop_assert_eq!(
-            new.valid.records(),
-            old.valid.records(),
-            "V_i diverged at step {}",
+            "the store diverged at step {}",
             step
         );
         proptest::prop_assert_eq!(&new.decided_evidence, &old.decided_evidence);

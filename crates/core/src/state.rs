@@ -3,8 +3,8 @@
 //!
 //! A process's internal state is the triple `(φ_i, v_i, status_i)` plus
 //! the write-once `decision_i`. Transitions are driven entirely by the
-//! set of valid messages `V_i` (here a [`MessageStore`]) and happen under
-//! two conditions (paper §5):
+//! set of valid messages `V_i` (here the [`Valid`] view of the message
+//! store) and happen under two conditions (paper §5):
 //!
 //! 1. **Catch-up** (lines 10–18): some valid message carries a phase
 //!    higher than `φ_i` — adopt its state. If the adopted message sits in
@@ -21,7 +21,7 @@
 
 use crate::config::Config;
 use crate::message::{Envelope, Status};
-use crate::store::MessageStore;
+use crate::store::Valid;
 use turquois_crypto::otss::Value;
 
 /// The protocol phase kind for a phase number (phases are 1-based).
@@ -134,7 +134,7 @@ impl ProcessState {
     /// message set, flipping `coin` where Algorithm 1 calls `coin_i()`.
     pub fn try_advance(
         &mut self,
-        valid: &MessageStore,
+        valid: Valid<'_>,
         coin: &mut dyn FnMut() -> bool,
     ) -> Advance {
         let start_phase = self.phase;
@@ -228,6 +228,7 @@ impl ProcessState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::MessageStore;
     use turquois_crypto::otss::OneTimeSignature;
     use turquois_crypto::sha256::DIGEST_LEN;
 
@@ -251,16 +252,15 @@ mod tests {
         coin_flip: bool,
         status: Status,
     ) {
-        store.insert(
-            &Envelope {
-                sender,
-                phase,
-                value,
-                coin_flip,
-                status,
-            },
-            sig(),
-        );
+        let env = Envelope {
+            sender,
+            phase,
+            value,
+            coin_flip,
+            status,
+        };
+        store.insert(&env, sig());
+        store.validate(&env);
     }
 
     fn no_coin() -> impl FnMut() -> bool {
@@ -294,7 +294,7 @@ mod tests {
         let mut store = MessageStore::new(4);
         put(&mut store, 0, 1, Value::One);
         put(&mut store, 1, 1, Value::One);
-        let adv = st.try_advance(&store, &mut no_coin());
+        let adv = st.try_advance(store.valid(), &mut no_coin());
         assert_eq!(adv, Advance::default());
         assert_eq!(st.phase(), 1);
     }
@@ -308,7 +308,7 @@ mod tests {
         for sender in 0..4 {
             put(&mut store, sender, 1, Value::One);
         }
-        let adv = st.try_advance(&store, &mut no_coin());
+        let adv = st.try_advance(store.valid(), &mut no_coin());
         assert!(adv.phase_changed);
         assert_eq!(st.phase(), 2);
         assert_eq!(st.value(), Value::One, "CONVERGE adopts the majority");
@@ -316,14 +316,14 @@ mod tests {
         for sender in 0..4 {
             put(&mut store, sender, 2, Value::One);
         }
-        st.try_advance(&store, &mut no_coin());
+        st.try_advance(store.valid(), &mut no_coin());
         assert_eq!(st.phase(), 3);
         assert_eq!(st.value(), Value::One, "LOCK locks the quorum value");
 
         for sender in 0..4 {
             put(&mut store, sender, 3, Value::One);
         }
-        let adv = st.try_advance(&store, &mut no_coin());
+        let adv = st.try_advance(store.valid(), &mut no_coin());
         assert_eq!(st.phase(), 4);
         assert_eq!(st.status(), Status::Decided);
         assert_eq!(adv.newly_decided, Some(true));
@@ -340,7 +340,7 @@ mod tests {
                 put(&mut store, sender, phase, Value::Zero);
             }
         }
-        let adv = st.try_advance(&store, &mut no_coin());
+        let adv = st.try_advance(store.valid(), &mut no_coin());
         assert_eq!(st.phase(), 4);
         assert_eq!(adv.newly_decided, Some(false));
     }
@@ -354,7 +354,7 @@ mod tests {
         put(&mut store, 1, 2, Value::Zero);
         put(&mut store, 2, 2, Value::One);
         put(&mut store, 3, 2, Value::One);
-        st.try_advance(&store, &mut no_coin());
+        st.try_advance(store.valid(), &mut no_coin());
         assert_eq!(st.phase(), 3);
         assert_eq!(st.value(), Value::Bot);
     }
@@ -372,7 +372,7 @@ mod tests {
             flips += 1;
             false
         };
-        let adv = st.try_advance(&store, &mut coin);
+        let adv = st.try_advance(store.valid(), &mut coin);
         assert_eq!(st.phase(), 4);
         assert_eq!(st.value(), Value::Zero);
         assert!(st.coin_flip());
@@ -391,7 +391,7 @@ mod tests {
         put(&mut store, 0, 3, Value::Bot);
         put(&mut store, 1, 3, Value::Bot);
         put(&mut store, 2, 3, Value::One);
-        st.try_advance(&store, &mut no_coin());
+        st.try_advance(store.valid(), &mut no_coin());
         assert_eq!(st.phase(), 4);
         assert_eq!(st.value(), Value::One);
         assert!(!st.coin_flip());
@@ -403,7 +403,7 @@ mod tests {
         let mut st = ProcessState::new(cfg(), 0, false);
         let mut store = MessageStore::new(4);
         put_full(&mut store, 3, 5, Value::One, false, Status::Undecided);
-        let adv = st.try_advance(&store, &mut no_coin());
+        let adv = st.try_advance(store.valid(), &mut no_coin());
         assert!(adv.phase_changed);
         assert_eq!(st.phase(), 5);
         assert_eq!(st.value(), Value::One);
@@ -416,7 +416,7 @@ mod tests {
         // Phase 4 is CONVERGE; the sender's value came from its coin.
         put_full(&mut store, 2, 4, Value::Zero, true, Status::Undecided);
         let mut coin = || true;
-        st.try_advance(&store, &mut coin);
+        st.try_advance(store.valid(), &mut coin);
         assert_eq!(st.phase(), 4);
         assert_eq!(st.value(), Value::One, "local coin overrides the carried value");
         assert!(st.coin_flip());
@@ -427,7 +427,7 @@ mod tests {
         let mut st = ProcessState::new(cfg(), 0, false);
         let mut store = MessageStore::new(4);
         put_full(&mut store, 1, 7, Value::One, false, Status::Decided);
-        let adv = st.try_advance(&store, &mut no_coin());
+        let adv = st.try_advance(store.valid(), &mut no_coin());
         assert_eq!(st.phase(), 7);
         assert_eq!(adv.newly_decided, Some(true));
         assert_eq!(st.decision(), Some(true));
@@ -439,12 +439,12 @@ mod tests {
         let mut store = MessageStore::new(4);
         put_full(&mut store, 1, 7, Value::One, false, Status::Decided);
         assert_eq!(
-            st.try_advance(&store, &mut no_coin()).newly_decided,
+            st.try_advance(store.valid(), &mut no_coin()).newly_decided,
             Some(true)
         );
         // A later (even higher-phase) message cannot change the decision.
         put_full(&mut store, 2, 10, Value::Zero, false, Status::Decided);
-        let adv = st.try_advance(&store, &mut no_coin());
+        let adv = st.try_advance(store.valid(), &mut no_coin());
         assert_eq!(adv.newly_decided, None);
         assert_eq!(st.decision(), Some(true));
         assert_eq!(st.value(), Value::Zero, "v_i keeps tracking the protocol");
@@ -459,7 +459,7 @@ mod tests {
         put(&mut store, 1, 1, Value::Zero);
         put(&mut store, 1, 1, Value::One); // equivocation
         put(&mut store, 2, 1, Value::One);
-        let adv = st.try_advance(&store, &mut no_coin());
+        let adv = st.try_advance(store.valid(), &mut no_coin());
         assert!(!adv.phase_changed);
         assert_eq!(st.phase(), 1);
     }
@@ -472,7 +472,7 @@ mod tests {
         put(&mut store, 1, 1, Value::Zero);
         put(&mut store, 2, 1, Value::One);
         put(&mut store, 3, 1, Value::One);
-        st.try_advance(&store, &mut no_coin());
+        st.try_advance(store.valid(), &mut no_coin());
         assert_eq!(st.phase(), 2);
         assert_eq!(st.value(), Value::One);
     }

@@ -1,8 +1,12 @@
-//! The message set `V_i` and its evidence companion.
+//! The message store: authentic evidence, with `V_i` as a bit of it.
 //!
-//! Algorithm 1 accumulates *valid* arriving messages in a set `V_i` and
-//! drives every state transition from counts over that set. Two details
-//! matter for a faithful, Byzantine-safe implementation:
+//! Algorithm 1 drives every state transition from counts over the set
+//! `V_i` of valid messages; the §6.2 checks count authentic evidence,
+//! attachments included (DESIGN.md §7, deviation 2). `V_i` ⊆ evidence,
+//! so one store keeps both: a record has a second presence bit for
+//! `V_i`, a phase one tally per set, and [`MessageStore::valid`] is the
+//! view transitions read. [`MessageStore::validate`] takes stored
+//! records only. Two details matter for a Byzantine-safe count:
 //!
 //! * **Counting is per sender.** A Byzantine process holds one-time keys
 //!   for every value, so it can *equivocate* — sign both `0` and `1` in
@@ -14,29 +18,26 @@
 //! * **Sets, not multisets.** A correct process rebroadcasts the same
 //!   state every clock tick; duplicates must not inflate counts.
 //!
-//! The same structure backs both stores kept by a process (see
-//! `validation`): the semantically-validated `V_i` that drives
-//! transitions, and the authentic-evidence store used by the §6.2
-//! semantic checks and for building justifications.
-//!
 //! # Storage layout (DESIGN.md §10)
 //!
 //! Node ids are dense `0..n`, and a sender can contribute at most one
 //! record per distinct `(value, coin, status)` combination — twelve in
-//! total. A phase slot therefore keeps one record per sender — a 12-bit
-//! presence mask (one bit per combination code), a packed `u64` of
-//! 4-bit codes in insertion order, and three arena indices (one per
-//! value) into a slot-local signature arena — in one `Vec`: 22 bytes of
-//! content per sender (24 with alignment) plus 32 per distinct
-//! `(sender, value)` signature, with no per-sender heap allocation —
-//! the difference between n=16 and n=256 staying resident.
+//! total. A phase slot therefore keeps one 24-byte record per sender in
+//! one `Vec` — two 12-bit presence masks (one bit per combination code:
+//! stored, and in `V_i`), a packed `u64` of 4-bit codes in insertion
+//! order (its spare bits: the first code validated), and three arena
+//! indices (one per value) into a slot-local signature arena — plus 32
+//! bytes per distinct `(sender, value)` signature, with no per-sender
+//! heap allocation: the difference between n=16 and n=256 staying
+//! resident.
 //!
 //! All retrieval paths return the *first* record matching their
-//! criterion in insertion order, and the signature for a given
+//! criterion in insertion order — `V_i`'s own order for
+//! [`Valid::best_catch_up`] — and the signature for a given
 //! `(sender, phase, value)` is fixed at the first insert of that value
 //! (verified one-time signatures are unique per `(phase, value)` by
-//! construction). The model proptest below holds every query to a flat
-//! insertion-ordered record list answering by naive scan.
+//! construction). The model proptest below holds every query to flat
+//! insertion-ordered record lists answering by naive scan.
 
 use crate::message::{Envelope, Status};
 use crate::state::PhaseKind;
@@ -114,26 +115,59 @@ pub(crate) fn value_mask(value: Value) -> u16 {
 /// Arena-index sentinel: no signature stored for this `(sender, value)`.
 const NO_SIG: u32 = u32::MAX;
 
+/// The two record sets, as indices into masks and tallies: every record
+/// stored, and the subset in `V_i`.
+const STORED: usize = 0;
+const VALID: usize = 1;
+/// Where [`SenderRecords::order`] keeps the first validated code.
+const FIRST_VALID: u32 = 48;
+
 /// What a phase slot keeps for one sender, together so a probe reads
 /// one cache line.
 #[derive(Clone, Copy, Debug)]
 struct SenderRecords {
-    /// Packed 4-bit combination codes in insertion order; the record
-    /// count is `mask.count_ones()` (≤ 12 records → 48 bits).
+    /// Packed 4-bit combination codes in insertion order (≤ 12 records
+    /// → bits 0..48), then the code of the first record validated.
     order: u64,
     /// Per-value arena index of the signature recorded at the first
     /// insert of that value ([`NO_SIG`] when absent).
     sig_idx: [u32; 3],
-    /// Presence bitmask, one bit per combination code.
-    mask: u16,
+    /// Presence bitmasks, one bit per combination code: the records
+    /// stored, and those in `V_i` ([`STORED`], [`VALID`]).
+    masks: [u16; 2],
 }
 
 impl SenderRecords {
     const EMPTY: Self = SenderRecords {
         order: 0,
         sig_idx: [NO_SIG; 3],
-        mask: 0,
+        masks: [0; 2],
     };
+}
+
+/// One record set's counts at one phase, maintained on insert so
+/// quorum checks are O(1) instead of rescanning.
+#[derive(Clone, Copy, Debug, Default, Eq, PartialEq)]
+struct Tally {
+    /// Distinct senders with ≥ 1 record.
+    senders: usize,
+    /// Distinct senders per value (indexed by [`value_idx`]); an
+    /// equivocator contributes once per value it signed, never twice to
+    /// the same value.
+    value_senders: [usize; 3],
+    /// Records. A slot only grows until it is pruned, so an unchanged
+    /// count means unchanged contents.
+    records: usize,
+}
+
+impl Tally {
+    /// Counts record `code` joining a sender whose mask was `mask`.
+    fn add(&mut self, mask: u16, code: u8) {
+        let vi = usize::from(code >> 2);
+        self.senders += usize::from(mask == 0);
+        self.value_senders[vi] += usize::from(mask & value_mask(VALUES[vi]) == 0);
+        self.records += 1;
+    }
 }
 
 /// Iterates a sender's records in insertion order.
@@ -168,16 +202,8 @@ struct PhaseSlot {
     /// Slot-local signature arena, one entry per distinct
     /// `(sender, value)` pair — the slot's signature population.
     sigs: Vec<OneTimeSignature>,
-    /// Distinct senders with ≥ 1 record in this phase, maintained on
-    /// insert so quorum checks are O(1) instead of rescanning.
-    phase_senders: usize,
-    /// Distinct senders per value (indexed by [`value_idx`]); an
-    /// equivocator contributes once per value it signed, never twice to
-    /// the same value.
-    value_senders: [usize; 3],
-    /// Records stored, maintained on insert. A slot only grows until
-    /// it is pruned, so an unchanged count means unchanged contents.
-    records: usize,
+    /// The stored records' tally and `V_i`'s ([`STORED`], [`VALID`]).
+    tallies: [Tally; 2],
 }
 
 impl PhaseSlot {
@@ -185,66 +211,77 @@ impl PhaseSlot {
         PhaseSlot {
             senders: vec![SenderRecords::EMPTY; n],
             sigs: Vec::new(),
-            phase_senders: 0,
-            value_senders: [0; 3],
-            records: 0,
+            tallies: [Tally::default(); 2],
         }
     }
 
     /// Inserts a record for `sender`; returns `true` if it was new (not
-    /// an exact duplicate of a stored record), updating all tallies.
+    /// an exact duplicate of a stored record), updating the tally.
     fn insert(&mut self, sender: usize, record: Record) -> bool {
         // Duplicate = same observable content. (Signatures for the same
         // (phase, value) are identical by construction.)
-        if self.has_record(sender, record.value, record.coin_flip, record.status) {
-            return false;
-        }
         let code = combo_code(record.value, record.coin_flip, record.status);
         let s = &mut self.senders[sender];
-        if s.mask == 0 {
-            self.phase_senders += 1;
+        let mask = s.masks[STORED];
+        if mask & (1 << code) != 0 {
+            return false;
         }
-        let vi = value_idx(record.value);
-        if s.mask & value_mask(record.value) == 0 {
-            self.value_senders[vi] += 1;
-            s.sig_idx[vi] = self.sigs.len() as u32;
+        if mask & value_mask(record.value) == 0 {
+            s.sig_idx[value_idx(record.value)] = self.sigs.len() as u32;
             self.sigs.push(record.signature);
         }
-        s.order |= u64::from(code) << (4 * s.mask.count_ones());
-        s.mask |= 1 << code;
-        self.records += 1;
+        self.tallies[STORED].add(mask, code);
+        s.order |= u64::from(code) << (4 * mask.count_ones());
+        s.masks[STORED] |= 1 << code;
         true
     }
 
-    /// The records sender `s` produced, in insertion order.
+    /// Puts `sender`'s stored record `code` in `V_i`; returns `true` if
+    /// it was new there. Of `V_i`'s order only the first code is read.
+    fn validate(&mut self, sender: usize, code: u8) -> bool {
+        let s = &mut self.senders[sender];
+        assert!(s.masks[STORED] & (1 << code) != 0, "V_i holds stored records only");
+        let mask = s.masks[VALID];
+        if mask & (1 << code) != 0 {
+            return false;
+        }
+        if mask == 0 {
+            s.order |= u64::from(code) << FIRST_VALID;
+        }
+        self.tallies[VALID].add(mask, code);
+        s.masks[VALID] |= 1 << code;
+        true
+    }
+
+    /// The records sender `s` stored, in insertion order.
     fn records(&self, sender: usize) -> RecordsIter<'_> {
         let s = &self.senders[sender];
         RecordsIter {
             order: s.order,
-            left: s.mask.count_ones(),
+            left: s.masks[STORED].count_ones(),
             sig_idx: &s.sig_idx,
             sigs: &self.sigs,
         }
     }
 
-    /// `sender`'s first record, in insertion order, whose combination
-    /// code is in `want`.
+    /// `sender`'s first stored record, in insertion order, whose
+    /// combination code is in `want`.
     fn first_in(&self, sender: usize, want: u16) -> Option<Record> {
-        if self.senders[sender].mask & want == 0 {
+        if self.senders[sender].masks[STORED] & want == 0 {
             return None;
         }
         self.records(sender)
             .find(|r| want & (1 << combo_code(r.value, r.coin_flip, r.status)) != 0)
     }
 
-    /// Whether `sender` has any record in this phase. O(1).
-    fn sender_present(&self, sender: usize) -> bool {
-        self.senders[sender].mask != 0
-    }
-
-    /// Whether `sender` has a record with `value`. O(1): a mask probe.
-    fn sender_has_value(&self, sender: usize, value: Value) -> bool {
-        self.senders[sender].mask & value_mask(value) != 0
+    /// The first record `sender` had validated, if any.
+    fn first_valid(&self, sender: usize) -> Option<Record> {
+        let s = &self.senders[sender];
+        if s.masks[VALID] == 0 {
+            return None;
+        }
+        let code = (s.order >> FIRST_VALID) as u8 & 0xF;
+        Some(decode_code(code, self.sigs[s.sig_idx[usize::from(code >> 2)] as usize]))
     }
 
     /// The signature recorded at `sender`'s first insert of `value`.
@@ -253,15 +290,25 @@ impl PhaseSlot {
         (idx != NO_SIG).then(|| self.sigs[idx as usize])
     }
 
-    /// Whether `sender` has this exact `(value, coin_flip, status)`
-    /// record — i.e. whether inserting it would be a no-op.
-    fn has_record(&self, sender: usize, value: Value, coin_flip: bool, status: Status) -> bool {
-        self.senders[sender].mask & (1 << combo_code(value, coin_flip, status)) != 0
+    /// Whether `set` holds `envelope`'s exact record (its sender's).
+    fn has_record(&self, set: usize, envelope: &Envelope) -> bool {
+        let code = combo_code(envelope.value, envelope.coin_flip, envelope.status);
+        self.senders[envelope.sender].masks[set] & (1 << code) != 0
     }
 
-    /// The retired scan the incremental `records` replaced.
-    fn scan_records(&self) -> usize {
-        self.senders.iter().map(|s| s.mask.count_ones() as usize).sum()
+    /// `set`'s tally recounted from the masks: the retired scan the
+    /// incremental tallies replaced, kept as their `debug_assert!`
+    /// oracle (and exercised by the proptests).
+    fn scan(&self, set: usize) -> Tally {
+        let mut tally = Tally::default();
+        for mask in self.senders.iter().map(|s| s.masks[set]) {
+            tally.senders += usize::from(mask != 0);
+            for (vi, value) in VALUES.into_iter().enumerate() {
+                tally.value_senders[vi] += usize::from(mask & value_mask(value) != 0);
+            }
+            tally.records += mask.count_ones() as usize;
+        }
+        tally
     }
 
     /// Number of senders the slot was sized for.
@@ -273,24 +320,10 @@ impl PhaseSlot {
     fn sig_slots(&self) -> usize {
         self.sigs.len()
     }
-
-    /// The retired scan the incremental `phase_senders` replaced; kept
-    /// as the `debug_assert!` oracle (and exercised by the proptest).
-    fn scan_phase_senders(&self) -> usize {
-        (0..self.n())
-            .filter(|&s| self.records(s).next().is_some())
-            .count()
-    }
-
-    /// The retired scan the incremental `value_senders` replaced.
-    fn scan_value_senders(&self, value: Value) -> usize {
-        (0..self.n())
-            .filter(|&s| self.records(s).any(|r| r.value == value))
-            .count()
-    }
 }
 
-/// A phase-indexed, sender-deduplicated message set.
+/// A phase-indexed, sender-deduplicated store of authentic messages,
+/// with `V_i` as a subset ([`MessageStore::valid`]).
 #[derive(Clone, Debug)]
 pub struct MessageStore {
     n: usize,
@@ -341,6 +374,25 @@ impl MessageStore {
         fresh
     }
 
+    /// Puts the stored message `envelope` in `V_i`. Returns `true` if
+    /// `V_i` did not hold it yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the store holds `envelope`: `V_i` is a subset of
+    /// the evidence.
+    pub fn validate(&mut self, envelope: &Envelope) -> bool {
+        let i = self.index(envelope.phase).expect("V_i holds stored records only");
+        let code = combo_code(envelope.value, envelope.coin_flip, envelope.status);
+        self.phases[i].1.validate(envelope.sender, code)
+    }
+
+    /// `V_i`, the messages that passed both validations: the only set
+    /// Algorithm 1's transitions count.
+    pub fn valid(&self) -> Valid<'_> {
+        Valid(self)
+    }
+
     /// Where `phase`'s slot is (`Ok`) or would go (`Err`). The retained
     /// phases are almost always consecutive, so the slot as far from the
     /// first as `phase` is tried first: one compare on the slot's own
@@ -361,56 +413,43 @@ impl MessageStore {
         self.index(phase).ok().map(|i| &self.phases[i].1)
     }
 
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
+    /// `set`'s tally at `phase`; debug builds check it against its scan.
+    fn tally(&self, set: usize, phase: u32) -> Tally {
+        self.slot(phase).map_or(Tally::default(), |s| {
+            debug_assert_eq!(s.tallies[set], s.scan(set));
+            s.tallies[set]
+        })
     }
 
     /// Records stored at `phase`, from a tally maintained on insert.
     /// Between prunes a slot only grows, so while `phase` is retained an
     /// unchanged count means unchanged contents.
     pub fn records_at(&self, phase: u32) -> usize {
-        self.slot(phase)
-            .map(|s| {
-                debug_assert_eq!(s.records, s.scan_records());
-                s.records
-            })
-            .unwrap_or(0)
+        self.tally(STORED, phase).records
     }
 
     /// Distinct senders with at least one message at `phase`. O(1):
     /// answered from the incremental tally maintained by
     /// [`MessageStore::insert`].
     pub fn count_phase(&self, phase: u32) -> usize {
-        self.slot(phase)
-            .map(|s| {
-                debug_assert_eq!(s.phase_senders, s.scan_phase_senders());
-                s.phase_senders
-            })
-            .unwrap_or(0)
+        self.tally(STORED, phase).senders
     }
 
     /// Distinct senders with at least one message `(phase, value)`.
     /// O(1), from the same incremental tallies.
     pub fn count_value(&self, phase: u32, value: Value) -> usize {
-        self.slot(phase)
-            .map(|s| {
-                debug_assert_eq!(s.value_senders[value_idx(value)], s.scan_value_senders(value));
-                s.value_senders[value_idx(value)]
-            })
-            .unwrap_or(0)
+        self.tally(STORED, phase).value_senders[value_idx(value)]
     }
 
     /// Whether `sender` has any message at `phase`.
     pub fn has_sender(&self, phase: u32, sender: usize) -> bool {
-        self.slot(phase)
-            .is_some_and(|s| s.sender_present(sender))
+        self.slot(phase).is_some_and(|s| s.senders[sender].masks[STORED] != 0)
     }
 
     /// Whether `sender` sent `(phase, value)`.
     pub fn has_sender_value(&self, phase: u32, sender: usize, value: Value) -> bool {
         self.slot(phase)
-            .is_some_and(|s| s.sender_has_value(sender, value))
+            .is_some_and(|s| s.senders[sender].masks[STORED] & value_mask(value) != 0)
     }
 
     /// The signature stored for `(phase, sender, value)`: the one given
@@ -430,71 +469,18 @@ impl MessageStore {
     /// Whether this exact record is stored, i.e. whether
     /// [`MessageStore::insert`] of `envelope` would return `false`.
     pub fn contains(&self, envelope: &Envelope) -> bool {
-        self.slot(envelope.phase).is_some_and(|s| {
-            s.has_record(
-                envelope.sender,
-                envelope.value,
-                envelope.coin_flip,
-                envelope.status,
-            )
-        })
+        self.slot(envelope.phase).is_some_and(|s| s.has_record(STORED, envelope))
     }
 
-    /// Whether this exact record is stored under exactly `signature`:
-    /// [`MessageStore::contains`] and the [`MessageStore::signature_of`]
-    /// compare in one slot probe. In a store fed only verified
-    /// signatures a `true` both authenticates the fact and says that
-    /// inserting it would change nothing.
-    pub(crate) fn holds(&self, envelope: &Envelope, signature: &OneTimeSignature) -> bool {
-        self.slot(envelope.phase).is_some_and(|s| {
-            s.has_record(
-                envelope.sender,
-                envelope.value,
-                envelope.coin_flip,
-                envelope.status,
-            ) && s.signature_of(envelope.sender, envelope.value) == Some(*signature)
-        })
-    }
-
-    /// The best catch-up candidate: a record with phase strictly above
-    /// `above`, from the **highest** such phase (lowest sender, first
-    /// record as deterministic tie-breaks). Returns
-    /// `(phase, sender, record)`.
-    pub fn best_catch_up(&self, above: u32) -> Option<(u32, usize, Record)> {
-        let &(phase, ref slot) = self.phases.last().filter(|&&(p, _)| p > above)?;
-        for sender in 0..slot.n() {
-            if let Some(rec) = slot.records(sender).next() {
-                return Some((phase, sender, rec));
-            }
-        }
-        None
-    }
-
-    /// The value in `{0, 1}` held by the most distinct senders at
-    /// `phase`; ties break to `One`. Returns `Zero` when the phase is
-    /// empty (callers only invoke this after a quorum check).
-    pub fn majority_value(&self, phase: u32) -> Value {
-        let zeros = self.count_value(phase, Value::Zero);
-        let ones = self.count_value(phase, Value::One);
-        if zeros > ones {
-            Value::Zero
-        } else {
-            Value::One
-        }
-    }
-
-    /// The binary value present at `phase` with the most senders, if any
-    /// sender sent a binary value at all (Algorithm 1, line 32).
-    pub fn any_binary_value(&self, phase: u32) -> Option<Value> {
-        let zeros = self.count_value(phase, Value::Zero);
-        let ones = self.count_value(phase, Value::One);
-        if zeros == 0 && ones == 0 {
-            None
-        } else if zeros > ones {
-            Some(Value::Zero)
-        } else {
-            Some(Value::One)
-        }
+    /// `Some(in V_i)` when this exact record is stored under exactly
+    /// `signature`, else `None`, from one slot probe. In a store fed
+    /// only verified signatures a `Some` both authenticates the fact and
+    /// says that inserting it would change nothing.
+    pub(crate) fn held(&self, envelope: &Envelope, signature: &OneTimeSignature) -> Option<bool> {
+        let slot = self.slot(envelope.phase)?;
+        let stored = slot.has_record(STORED, envelope)
+            && slot.signature_of(envelope.sender, envelope.value) == Some(*signature);
+        stored.then(|| slot.has_record(VALID, envelope))
     }
 
     /// The messages at `phase`, one per sender in ascending sender
@@ -531,38 +517,101 @@ impl MessageStore {
         }
     }
 
-    /// Lowest phase retained, if non-empty.
-    pub fn min_phase(&self) -> Option<u32> {
-        self.phases.first().map(|&(p, _)| p)
-    }
-
-    /// Every stored record as `(phase, sender, record)`, by phase, then
-    /// sender, then insertion order — whole-store equality for tests.
+    /// Every stored record as `(phase, sender, record, in V_i, the
+    /// sender's first in V_i)`, by phase, then sender, then insertion
+    /// order — whole-store equality for tests.
     #[cfg(test)]
-    pub(crate) fn records(&self) -> Vec<(u32, usize, Record)> {
+    pub(crate) fn records(&self) -> Vec<(u32, usize, Record, bool, bool)> {
         let mut out = Vec::new();
         for &(phase, ref slot) in &self.phases {
             for sender in 0..slot.n() {
-                out.extend(slot.records(sender).map(|rec| (phase, sender, rec)));
+                let first = slot.first_valid(sender);
+                out.extend(slot.records(sender).map(|rec| {
+                    let validated = slot.has_record(VALID, &rec.to_envelope(sender, phase));
+                    (phase, sender, rec, validated, first == Some(rec))
+                }));
             }
         }
         out
     }
 
-    /// Total stored records (for tests and memory diagnostics).
-    pub fn record_count(&self) -> usize {
-        self.phases.iter().map(|(_, s)| s.records).sum()
+    /// Records stored, and those in `V_i` (for tests and the debug
+    /// rechecks).
+    pub fn record_count(&self) -> [usize; 2] {
+        [STORED, VALID].map(|set| self.phases.iter().map(|(_, s)| s.tallies[set].records).sum())
     }
 
     /// Deterministic O(1) estimate of the store's resident footprint in
-    /// bytes: each retained phase charges the slot layout's fixed 22
-    /// bytes per sender plus 64 bytes of slot/map overhead, and every
-    /// distinct `(sender, value)` pair charges a 32-byte signature. A
-    /// function of record counts only — never of `Vec` capacities or
-    /// allocator behaviour — so it is reproducible across runs and
-    /// platforms (supervised tables print its high-water mark).
+    /// bytes: each retained phase charges the slot layout's 24 bytes per
+    /// sender plus 64 bytes of slot/map overhead, and every distinct
+    /// `(sender, value)` pair charges a 32-byte signature. A function
+    /// of record counts only — never of `Vec` capacities or allocator
+    /// behaviour — so it is reproducible across runs and platforms
+    /// (supervised tables print its high-water mark).
     pub fn approx_bytes(&self) -> usize {
-        self.phases.len() * (22 * self.n + 64) + 32 * self.sig_slots
+        self.phases.len() * (24 * self.n + 64) + 32 * self.sig_slots
+    }
+}
+
+/// `V_i` (Algorithm 1): the records of a [`MessageStore`] that passed
+/// both validations, read through their own presence bits and tallies.
+#[derive(Clone, Copy, Debug)]
+pub struct Valid<'a>(&'a MessageStore);
+
+impl Valid<'_> {
+    /// Distinct senders with at least one message in `V_i` at `phase`.
+    /// O(1), from a tally maintained by [`MessageStore::validate`].
+    pub fn count_phase(&self, phase: u32) -> usize {
+        self.0.tally(VALID, phase).senders
+    }
+
+    /// Distinct senders with a `(phase, value)` message in `V_i`. O(1).
+    pub fn count_value(&self, phase: u32, value: Value) -> usize {
+        self.0.tally(VALID, phase).value_senders[value_idx(value)]
+    }
+
+    /// Whether `V_i` holds this exact record.
+    pub fn contains(&self, envelope: &Envelope) -> bool {
+        self.0.slot(envelope.phase).is_some_and(|s| s.has_record(VALID, envelope))
+    }
+
+    /// The best catch-up candidate: a `V_i` record with phase strictly
+    /// above `above`, from the **highest** such phase (lowest sender,
+    /// its first record validated, as deterministic tie-breaks).
+    /// Returns `(phase, sender, record)`. Slots where no sender is
+    /// validated are skipped.
+    pub fn best_catch_up(&self, above: u32) -> Option<(u32, usize, Record)> {
+        let mut higher = self.0.phases.iter().rev().take_while(|&&(p, _)| p > above);
+        let (phase, slot) = higher.find(|(_, s)| s.tallies[VALID].senders > 0)?;
+        (0..slot.n()).find_map(|sender| Some((*phase, sender, slot.first_valid(sender)?)))
+    }
+
+    /// The value in `{0, 1}` held by the most distinct senders of `V_i`
+    /// at `phase`; ties — an empty phase included — break to `One`
+    /// (callers only invoke this after a quorum check).
+    pub fn majority_value(&self, phase: u32) -> Value {
+        let zeros = self.count_value(phase, Value::Zero);
+        let ones = self.count_value(phase, Value::One);
+        if zeros > ones {
+            Value::Zero
+        } else {
+            Value::One
+        }
+    }
+
+    /// The binary value present in `V_i` at `phase` with the most
+    /// senders, if any sender sent a binary value at all (Algorithm 1,
+    /// line 32).
+    pub fn any_binary_value(&self, phase: u32) -> Option<Value> {
+        let zeros = self.count_value(phase, Value::Zero);
+        let ones = self.count_value(phase, Value::One);
+        if zeros == 0 && ones == 0 {
+            None
+        } else if zeros > ones {
+            Some(Value::Zero)
+        } else {
+            Some(Value::One)
+        }
     }
 }
 
@@ -592,7 +641,7 @@ mod tests {
         assert!(!s.insert(&env(0, 1, Value::One), sig(1)));
         assert_eq!(s.count_phase(1), 1);
         assert_eq!(s.count_value(1, Value::One), 1);
-        assert_eq!(s.record_count(), 1);
+        assert_eq!(s.record_count(), [1, 0]);
     }
 
     #[test]
@@ -620,41 +669,89 @@ mod tests {
         assert_eq!(s.count_phase(3), 0);
     }
 
+    /// Inserts `e` and puts it in `V_i`.
+    fn put_valid(s: &mut MessageStore, e: &Envelope, signature: OneTimeSignature) {
+        s.insert(e, signature);
+        s.validate(e);
+    }
+
     #[test]
     fn best_catch_up_prefers_highest_phase() {
         let mut s = MessageStore::new(4);
-        s.insert(&env(1, 3, Value::One), sig(1));
-        s.insert(&env(2, 7, Value::Zero), sig(2));
-        s.insert(&env(3, 5, Value::One), sig(3));
-        let (phase, sender, rec) = s.best_catch_up(1).expect("candidates exist");
+        put_valid(&mut s, &env(1, 3, Value::One), sig(1));
+        put_valid(&mut s, &env(2, 7, Value::Zero), sig(2));
+        put_valid(&mut s, &env(3, 5, Value::One), sig(3));
+        // Evidence alone is no candidate.
+        s.insert(&env(0, 9, Value::One), sig(4));
+        s.insert(&env(0, 7, Value::One), sig(4));
+        let (phase, sender, rec) = s.valid().best_catch_up(1).expect("candidates exist");
         assert_eq!((phase, sender), (7, 2));
         assert_eq!(rec.value, Value::Zero);
-        assert!(s.best_catch_up(7).is_none());
-        let (phase, _, _) = s.best_catch_up(5).expect("phase 7 qualifies");
+        assert!(s.valid().best_catch_up(7).is_none());
+        let (phase, _, _) = s.valid().best_catch_up(5).expect("phase 7 qualifies");
         assert_eq!(phase, 7);
+    }
+
+    /// `V_i` counts only what was validated, per sender as the evidence
+    /// does, and a validated record is still evidence.
+    #[test]
+    fn valid_is_a_counted_subset_of_the_evidence() {
+        let mut s = MessageStore::new(4);
+        for sender in 0..3 {
+            s.insert(&env(sender, 2, Value::One), sig(1));
+        }
+        assert_eq!((s.count_phase(2), s.valid().count_phase(2)), (3, 0));
+        assert!(s.validate(&env(1, 2, Value::One)));
+        assert!(!s.validate(&env(1, 2, Value::One)), "validated twice");
+        assert_eq!((s.count_phase(2), s.valid().count_phase(2)), (3, 1));
+        assert_eq!(s.valid().count_value(2, Value::One), 1);
+        assert_eq!(s.valid().count_value(2, Value::Zero), 0);
+        assert!(s.valid().contains(&env(1, 2, Value::One)));
+        assert!(!s.valid().contains(&env(0, 2, Value::One)));
+        assert_eq!(s.record_count(), [3, 1]);
+        assert_eq!(s.held(&env(1, 2, Value::One), &sig(1)), Some(true));
+        assert_eq!(s.held(&env(0, 2, Value::One), &sig(1)), Some(false));
+        assert_eq!(s.held(&env(0, 2, Value::One), &sig(2)), None, "another signature");
+        assert_eq!(s.held(&env(3, 2, Value::One), &sig(1)), None, "not stored");
+        s.prune_below(3);
+        assert_eq!(s.record_count(), [0, 0]);
+        assert!(!s.valid().contains(&env(1, 2, Value::One)));
+    }
+
+    #[test]
+    #[should_panic(expected = "V_i holds stored records only")]
+    fn validate_rejects_a_record_not_stored() {
+        let mut s = MessageStore::new(4);
+        s.insert(&env(0, 1, Value::Zero), sig(0));
+        s.validate(&env(0, 1, Value::One));
     }
 
     #[test]
     fn majority_and_tiebreak() {
         let mut s = MessageStore::new(5);
-        s.insert(&env(0, 1, Value::Zero), sig(0));
-        s.insert(&env(1, 1, Value::Zero), sig(1));
-        s.insert(&env(2, 1, Value::One), sig(2));
-        assert_eq!(s.majority_value(1), Value::Zero);
-        s.insert(&env(3, 1, Value::One), sig(3));
+        put_valid(&mut s, &env(0, 1, Value::Zero), sig(0));
+        put_valid(&mut s, &env(1, 1, Value::Zero), sig(1));
+        put_valid(&mut s, &env(2, 1, Value::One), sig(2));
+        assert_eq!(s.valid().majority_value(1), Value::Zero);
+        put_valid(&mut s, &env(3, 1, Value::One), sig(3));
         // Tie 2–2 breaks to One.
-        assert_eq!(s.majority_value(1), Value::One);
-        assert_eq!(s.any_binary_value(1), Some(Value::One));
-        assert_eq!(s.any_binary_value(9), None);
+        assert_eq!(s.valid().majority_value(1), Value::One);
+        assert_eq!(s.valid().any_binary_value(1), Some(Value::One));
+        assert_eq!(s.valid().any_binary_value(9), None);
+        // Evidence outside V_i does not vote.
+        s.insert(&env(4, 1, Value::Zero), sig(4));
+        assert_eq!(s.valid().majority_value(1), Value::One);
     }
 
     #[test]
     fn any_binary_value_ignores_bot() {
         let mut s = MessageStore::new(4);
-        s.insert(&env(0, 3, Value::Bot), sig(0));
-        assert_eq!(s.any_binary_value(3), None);
-        s.insert(&env(1, 3, Value::Zero), sig(1));
-        assert_eq!(s.any_binary_value(3), Some(Value::Zero));
+        put_valid(&mut s, &env(0, 3, Value::Bot), sig(0));
+        assert_eq!(s.valid().any_binary_value(3), None);
+        s.insert(&env(2, 3, Value::One), sig(2));
+        assert_eq!(s.valid().any_binary_value(3), None, "evidence alone");
+        put_valid(&mut s, &env(1, 3, Value::Zero), sig(1));
+        assert_eq!(s.valid().any_binary_value(3), Some(Value::Zero));
     }
 
     #[test]
@@ -679,10 +776,10 @@ mod tests {
             s.insert(&env(0, phase, Value::One), sig(phase as u8));
         }
         s.prune_below(7);
-        assert_eq!(s.min_phase(), Some(7));
+        assert_eq!(s.records()[0].0, 7);
         assert_eq!(s.count_phase(6), 0);
         assert_eq!(s.count_phase(7), 1);
-        assert_eq!(s.record_count(), 4);
+        assert_eq!(s.record_count(), [4, 0]);
     }
 
     /// Phases past a gap — a Byzantine sender's authentic future
@@ -693,7 +790,7 @@ mod tests {
         let mut s = MessageStore::new(3);
         let phases = [2u32, 3, 4, 900, 70_000, u32::MAX];
         for &phase in phases.iter().rev() {
-            s.insert(&env(1, phase, Value::One), sig(1));
+            put_valid(&mut s, &env(1, phase, Value::One), sig(1));
         }
         for cut in [0, 3, 4] {
             s.prune_below(phases[cut]);
@@ -704,9 +801,9 @@ mod tests {
             for phase in [1, 5, 899, 901, u32::MAX - 1] {
                 assert_eq!(s.count_phase(phase), 0, "phase {phase}");
             }
-            assert_eq!(s.min_phase(), Some(phases[cut]));
+            assert_eq!(s.records()[0].0, phases[cut]);
         }
-        assert_eq!(s.best_catch_up(4).map(|(p, _, _)| p), Some(u32::MAX));
+        assert_eq!(s.valid().best_catch_up(4).map(|(p, _, _)| p), Some(u32::MAX));
     }
 
     #[test]
@@ -787,37 +884,48 @@ mod tests {
         e.status = Status::Decided;
         s.insert(&e, sig(1));
         s.insert(&env(2, 4, Value::Bot), sig(3));
-        // 2 phases × (22·4 + 64) + 3 signatures × 32.
-        assert_eq!(s.approx_bytes(), 2 * (22 * 4 + 64) + 3 * 32);
+        // Validating stores nothing new.
+        s.validate(&e);
+        // 2 phases × (24·4 + 64) + 3 signatures × 32.
+        assert_eq!(s.approx_bytes(), 2 * (24 * 4 + 64) + 3 * 32);
         s.prune_below(2);
-        assert_eq!(s.approx_bytes(), (22 * 4 + 64) + 32);
+        assert_eq!(s.approx_bytes(), (24 * 4 + 64) + 32);
     }
 
     /// Group size of the model tests.
     const N: usize = 4;
 
-    /// The store's specification: every record in insertion order, and
-    /// every query answered by a naive scan over that list.
+    /// A record list in one set's insertion order.
+    type Log = Vec<(u32, usize, Record)>;
+
+    /// The store's specification: the evidence in insertion order,
+    /// `V_i` in its own (validation) order, and every query answered by
+    /// a naive scan over the list it reads.
     #[derive(Default)]
     struct Model {
-        records: Vec<(u32, usize, Record)>,
+        records: Log,
+        valid: Log,
+    }
+
+    fn at(log: &Log, phase: u32, sender: usize) -> impl Iterator<Item = Record> + '_ {
+        log.iter()
+            .filter(move |&&(p, s, _)| p == phase && s == sender)
+            .map(|&(_, _, rec)| rec)
+    }
+
+    fn holds(log: &Log, e: &Envelope) -> bool {
+        at(log, e.phase, e.sender).any(|r| r.to_envelope(e.sender, e.phase) == *e)
+    }
+
+    fn senders(log: &Log, phase: u32, value: Option<Value>) -> Vec<usize> {
+        (0..N)
+            .filter(|&s| at(log, phase, s).any(|r| value.is_none_or(|v| r.value == v)))
+            .collect()
     }
 
     impl Model {
-        fn at(&self, phase: u32, sender: usize) -> impl Iterator<Item = Record> + '_ {
-            self.records
-                .iter()
-                .filter(move |&&(p, s, _)| p == phase && s == sender)
-                .map(|&(_, _, rec)| rec)
-        }
-
-        fn contains(&self, e: &Envelope) -> bool {
-            self.at(e.phase, e.sender)
-                .any(|r| r.to_envelope(e.sender, e.phase) == *e)
-        }
-
         fn insert(&mut self, e: &Envelope, signature: OneTimeSignature) -> bool {
-            if self.contains(e) {
+            if holds(&self.records, e) {
                 return false;
             }
             // The signature of a (phase, sender, value) is fixed at the
@@ -833,28 +941,56 @@ mod tests {
             true
         }
 
-        fn signature_of(&self, phase: u32, sender: usize, value: Value) -> Option<OneTimeSignature> {
-            self.at(phase, sender).find(|r| r.value == value).map(|r| r.signature)
+        fn validate(&mut self, e: &Envelope) -> bool {
+            if holds(&self.valid, e) {
+                return false;
+            }
+            let rec = at(&self.records, e.phase, e.sender)
+                .find(|r| r.to_envelope(e.sender, e.phase) == *e)
+                .expect("V_i holds stored records only");
+            self.valid.push((e.phase, e.sender, rec));
+            true
         }
 
-        fn senders(&self, phase: u32, value: Option<Value>) -> Vec<usize> {
-            (0..N)
-                .filter(|&s| self.at(phase, s).any(|r| value.is_none_or(|v| r.value == v)))
-                .collect()
+        fn signature_of(&self, phase: u32, sender: usize, value: Value) -> Option<OneTimeSignature> {
+            at(&self.records, phase, sender).find(|r| r.value == value).map(|r| r.signature)
         }
 
         fn one_per_sender(&self, phase: u32, value: Option<Value>) -> Vec<(Envelope, OneTimeSignature)> {
             (0..N)
                 .filter_map(|s| {
-                    let rec = self.at(phase, s).find(|r| value.is_none_or(|v| r.value == v))?;
+                    let rec = at(&self.records, phase, s).find(|r| value.is_none_or(|v| r.value == v))?;
                     Some((rec.to_envelope(s, phase), rec.signature))
                 })
                 .collect()
         }
 
+        /// `V_i`'s highest phase above `above`, its lowest sender, and
+        /// that sender's first record in `V_i`'s own order.
         fn best_catch_up(&self, above: u32) -> Option<(u32, usize, Record)> {
-            let phase = self.records.iter().map(|r| r.0).filter(|&p| p > above).max()?;
-            (0..N).find_map(|s| self.at(phase, s).next().map(|rec| (phase, s, rec)))
+            let phase = self.valid.iter().map(|r| r.0).filter(|&p| p > above).max()?;
+            (0..N).find_map(|s| at(&self.valid, phase, s).next().map(|rec| (phase, s, rec)))
+        }
+
+        /// The evidence with each record's `V_i` flags, as
+        /// [`MessageStore::records`] lists it.
+        fn records(&self) -> Vec<(u32, usize, Record, bool, bool)> {
+            let mut all: Vec<_> = self
+                .records
+                .iter()
+                .map(|&(p, s, rec)| {
+                    let e = rec.to_envelope(s, p);
+                    let first = at(&self.valid, p, s).next() == Some(rec);
+                    (p, s, rec, holds(&self.valid, &e), first)
+                })
+                .collect();
+            all.sort_by_key(|&(p, s, ..)| (p, s)); // stable: keeps insertion order
+            all
+        }
+
+        fn prune_below(&mut self, phase: u32) {
+            self.records.retain(|r| r.0 >= phase);
+            self.valid.retain(|r| r.0 >= phase);
         }
 
         fn phases(&self) -> Vec<u32> {
@@ -872,24 +1008,34 @@ mod tests {
                 .collect();
             pairs.sort_unstable();
             pairs.dedup();
-            self.phases().len() * (22 * N + 64) + 32 * pairs.len()
+            self.phases().len() * (24 * N + 64) + 32 * pairs.len()
         }
     }
 
-    /// Applies one op stream to the store and the model and checks every
-    /// observable query answers identically after each op.
-    fn ops_match_model(ops: &[(usize, u32, u8, bool, u8, u8)]) {
-        let mut store = MessageStore::new(N);
-        let mut model = Model::default();
-        for &(sender, phase, v, coin, st, prune) in ops {
-            if prune == 0 {
+    /// One op of the model tests: `(sender, phase, value sel, coin,
+    /// status sel, op sel)`. Op 0 prunes below `phase`; ops 1..=5
+    /// validate a stored record picked by `sender` and `phase` (when
+    /// any is stored); every other op inserts.
+    type Op = (usize, u32, u8, bool, u8, u8);
+
+    /// Applies `op` to the store and the model (which must agree on
+    /// what each returns).
+    fn apply(store: &mut MessageStore, model: &mut Model, &(sender, phase, v, coin, st, op): &Op) {
+        match op {
+            0 => {
                 store.prune_below(phase);
-                model.records.retain(|r| r.0 >= phase);
-            } else {
+                model.prune_below(phase);
+            }
+            1..=5 if !model.records.is_empty() => {
+                let (p, s, rec) = model.records[(sender * 8 + phase as usize) % model.records.len()];
+                let e = rec.to_envelope(s, p);
+                assert_eq!(store.validate(&e), model.validate(&e), "validate {e:?}");
+            }
+            _ => {
                 let value = VALUES[v as usize];
                 let status = if st == 0 { Status::Undecided } else { Status::Decided };
                 let e = Envelope { sender, phase, value, coin_flip: coin, status };
-                let held = model.contains(&e);
+                let held = holds(&model.records, &e);
                 assert_eq!(store.contains(&e), held);
                 // A varying signature byte: only the first one per
                 // (phase, sender, value) may stick.
@@ -898,46 +1044,59 @@ mod tests {
                 assert_eq!(model.insert(&e, signature), !held);
                 assert!(store.contains(&e));
             }
-            assert_eq!(store.records(), {
-                let mut all = model.records.clone();
-                all.sort_by_key(|&(p, s, _)| (p, s)); // stable: keeps insertion order
-                all
-            });
-            assert_eq!(store.min_phase(), model.phases().first().copied());
-            assert_eq!(store.record_count(), model.records.len());
+        }
+    }
+
+    /// Applies one op stream to the store and the model and checks every
+    /// observable query answers identically after each op.
+    fn ops_match_model(ops: &[Op]) {
+        let mut store = MessageStore::new(N);
+        let mut model = Model::default();
+        for op in ops {
+            apply(&mut store, &mut model, op);
+            assert_eq!(store.records(), model.records());
+            assert_eq!(store.record_count(), [model.records.len(), model.valid.len()]);
             assert_eq!(store.approx_bytes(), model.approx_bytes());
             assert_eq!(
                 store.decide_phases().collect::<Vec<_>>(),
                 model.phases().into_iter().filter(|p| p % 3 == 0).collect::<Vec<_>>()
             );
+            let valid = store.valid();
             for phase in 0..9u32 {
-                assert_eq!(store.count_phase(phase), model.senders(phase, None).len());
+                assert_eq!(store.count_phase(phase), senders(&model.records, phase, None).len());
+                assert_eq!(valid.count_phase(phase), senders(&model.valid, phase, None).len());
                 assert_eq!(
                     store.records_at(phase),
                     model.records.iter().filter(|r| r.0 == phase).count(),
                     "records_at({phase})"
                 );
-                assert_eq!(store.best_catch_up(phase), model.best_catch_up(phase));
-                let zeros = model.senders(phase, Some(Value::Zero)).len();
-                let ones = model.senders(phase, Some(Value::One)).len();
+                assert_eq!(valid.best_catch_up(phase), model.best_catch_up(phase));
+                let zeros = senders(&model.valid, phase, Some(Value::Zero)).len();
+                let ones = senders(&model.valid, phase, Some(Value::One)).len();
                 let majority = if zeros > ones { Value::Zero } else { Value::One };
-                assert_eq!(store.majority_value(phase), majority);
-                assert_eq!(
-                    store.any_binary_value(phase),
-                    (zeros + ones > 0).then_some(majority)
-                );
+                assert_eq!(valid.majority_value(phase), majority);
+                assert_eq!(valid.any_binary_value(phase), (zeros + ones > 0).then_some(majority));
                 for value in VALUES {
-                    let senders = model.senders(phase, Some(value));
-                    assert_eq!(store.count_value(phase, value), senders.len());
+                    let stored = senders(&model.records, phase, Some(value));
+                    assert_eq!(store.count_value(phase, value), stored.len());
+                    assert_eq!(valid.count_value(phase, value), senders(&model.valid, phase, Some(value)).len());
                     for sender in 0..N {
-                        assert_eq!(
-                            store.has_sender_value(phase, sender, value),
-                            senders.contains(&sender)
-                        );
+                        assert_eq!(store.has_sender_value(phase, sender, value), stored.contains(&sender));
                         assert_eq!(
                             store.signature_of(phase, sender, value),
                             model.signature_of(phase, sender, value)
                         );
+                        for code in 4 * value_idx(value) as u8..4 * value_idx(value) as u8 + 4 {
+                            let rec = decode_code(code, sig(0));
+                            let e = rec.to_envelope(sender, phase);
+                            // V_i ⊆ evidence, and held() is the two
+                            // membership probes plus the signature compare.
+                            assert!(!valid.contains(&e) || store.contains(&e), "V_i ⊄ evidence: {e:?}");
+                            assert_eq!(valid.contains(&e), holds(&model.valid, &e));
+                            let signature = model.signature_of(phase, sender, value).unwrap_or(sig(99));
+                            let held = holds(&model.records, &e).then(|| holds(&model.valid, &e));
+                            assert_eq!(store.held(&e, &signature), held);
+                        }
                     }
                     assert_eq!(
                         store.one_per_sender(phase, Some(value)).collect::<Vec<_>>(),
@@ -947,7 +1106,7 @@ mod tests {
                 for sender in 0..N {
                     assert_eq!(
                         store.has_sender(phase, sender),
-                        model.at(phase, sender).next().is_some()
+                        at(&model.records, phase, sender).next().is_some()
                     );
                 }
                 assert_eq!(
@@ -961,57 +1120,85 @@ mod tests {
     #[test]
     fn equivocator_with_mixed_flags_matches_model() {
         // An adversary signing every combination for one value plus the
-        // opposite value, interleaved with another sender and a prune.
+        // opposite value, interleaved with another sender, validations
+        // and a prune.
         ops_match_model(&[
-            (2, 1, 1, false, 0, 1),
-            (2, 1, 1, true, 0, 1),
-            (2, 1, 1, false, 1, 1),
-            (2, 1, 1, true, 1, 1),
-            (2, 1, 0, false, 0, 1),
-            (0, 1, 2, false, 0, 1),
-            (2, 4, 1, false, 0, 1),
+            (2, 1, 1, false, 0, 9),
+            (2, 1, 1, true, 0, 9),
+            (2, 1, 1, false, 1, 9),
+            (2, 1, 1, true, 1, 9),
+            (2, 1, 0, false, 0, 9),
+            (0, 1, 2, false, 0, 9),
+            (0, 2, 0, false, 0, 1), // validate the record at index 2
+            (2, 4, 1, false, 0, 9),
             (0, 2, 0, false, 0, 0), // prune_below(2)
-            (1, 4, 0, true, 1, 1),
+            (1, 4, 0, true, 1, 9),
+            (0, 1, 0, false, 0, 1), // validate the record at index 1
+        ]);
+    }
+
+    /// An equivocator's records can enter `V_i` in another order than
+    /// they entered the evidence: catch-up adopts the first one
+    /// validated, not the first one stored. A higher phase held only as
+    /// evidence is skipped.
+    #[test]
+    fn first_validated_record_leads_catch_up() {
+        let mut s = MessageStore::new(N);
+        let (zero, one) = (env(2, 5, Value::Zero), env(2, 5, Value::One));
+        s.insert(&zero, sig(1));
+        s.insert(&one, sig(2));
+        s.insert(&env(0, 6, Value::Zero), sig(3));
+        s.validate(&one);
+        s.validate(&zero);
+        let (phase, sender, rec) = s.valid().best_catch_up(1).expect("phase 5 is in V_i");
+        assert_eq!((phase, sender, rec.value, rec.signature), (5, 2, Value::One, sig(2)));
+        ops_match_model(&[
+            (2, 5, 0, false, 0, 9),
+            (2, 5, 1, true, 1, 9),
+            (0, 6, 2, false, 0, 9),
+            (0, 0, 0, false, 0, 1), // validate index 0: sender 2's One
+            (0, 1, 0, false, 0, 1), // validate index 1: sender 2's Zero
         ]);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// Incremental tallies vs. the retired scan oracle under
-        /// arbitrary interleavings of inserts (including duplicates and
-        /// equivocation — repeated (sender, phase) pairs with varying
-        /// values/flags) and garbage collection (`prune_below`).
+        /// Incremental tallies vs. the retired scan oracle, for both
+        /// sets, under arbitrary interleavings of inserts (including
+        /// duplicates and equivocation — repeated (sender, phase) pairs
+        /// with varying values/flags), validations and garbage
+        /// collection (`prune_below`).
         #[test]
         fn incremental_tallies_match_scan_oracle(
             ops in proptest::collection::vec(
-                // (sender, phase, value sel, coin, status sel, prune trigger)
                 (0usize..4, 1u32..8, 0u8..3, proptest::arbitrary::any::<bool>(), 0u8..2, 0u8..16),
                 1..60,
             ),
         ) {
             let mut s = MessageStore::new(4);
-            for (sender, phase, v, coin, st, prune) in ops {
-                if prune == 0 {
-                    // GC: drop everything below this phase.
-                    s.prune_below(phase);
-                } else {
-                    let value = [Value::Zero, Value::One, Value::Bot][v as usize];
-                    let status = if st == 0 { Status::Undecided } else { Status::Decided };
-                    let e = Envelope { sender, phase, value, coin_flip: coin, status };
-                    s.insert(&e, sig(v));
-                }
+            let mut model = Model::default();
+            for op in &ops {
+                apply(&mut s, &mut model, op);
                 // Check every live phase against the scan oracle (the
-                // debug_assert inside count_* checks too, but this also
-                // runs with debug assertions off).
+                // debug_assert inside the count methods checks too, but
+                // this also runs with debug assertions off).
                 for &(phase, ref slot) in &s.phases {
-                    proptest::prop_assert_eq!(s.count_phase(phase), slot.scan_phase_senders());
-                    proptest::prop_assert_eq!(s.records_at(phase), slot.scan_records());
-                    for value in [Value::Zero, Value::One, Value::Bot] {
-                        proptest::prop_assert_eq!(
-                            s.count_value(phase, value),
-                            slot.scan_value_senders(value)
-                        );
+                    for set in [STORED, VALID] {
+                        proptest::prop_assert_eq!(slot.tallies[set], slot.scan(set));
+                    }
+                    let (stored, valid) = (slot.scan(STORED), slot.scan(VALID));
+                    proptest::prop_assert_eq!(s.count_phase(phase), stored.senders);
+                    proptest::prop_assert_eq!(s.valid().count_phase(phase), valid.senders);
+                    proptest::prop_assert_eq!(s.records_at(phase), stored.records);
+                    for value in VALUES {
+                        let vi = value_idx(value);
+                        proptest::prop_assert_eq!(s.count_value(phase, value), stored.value_senders[vi]);
+                        proptest::prop_assert_eq!(s.valid().count_value(phase, value), valid.value_senders[vi]);
+                    }
+                    // V_i ⊆ evidence, sender by sender.
+                    for rec in &slot.senders {
+                        proptest::prop_assert_eq!(rec.masks[VALID] & !rec.masks[STORED], 0);
                     }
                 }
             }
@@ -1019,7 +1206,7 @@ mod tests {
 
         /// The store agrees with the naive-scan model on every
         /// observable query under arbitrary
-        /// insert/equivocate/duplicate/GC interleavings.
+        /// insert/validate/equivocate/duplicate/GC interleavings.
         #[test]
         fn store_matches_naive_scan_model(
             ops in proptest::collection::vec(
