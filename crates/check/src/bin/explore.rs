@@ -11,14 +11,16 @@
 //! `TURQUOIS_THREADS` like every harness binary; output is
 //! byte-identical at any setting.
 
-use turquois_check::{explore, EngineKind, ExploreConfig};
+use turquois_check::replay::parse_engine;
+use turquois_check::{explore, ExploreConfig};
 use turquois_harness::runner::threads_from_env;
+use turquois_harness::Protocol;
 
 /// What to sweep: the engine/size pairs, the schedule count and the
 /// base seed.
 #[derive(Debug, PartialEq)]
 struct Args {
-    engines: Vec<(EngineKind, usize)>,
+    engines: Vec<(Protocol, usize)>,
     schedules: usize,
     base_seed: u64,
 }
@@ -29,12 +31,12 @@ struct Args {
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut parsed = Args {
         engines: vec![
-            (EngineKind::Turquois, 4),
-            (EngineKind::Turquois, 7),
-            (EngineKind::Bracha, 4),
-            (EngineKind::Bracha, 5),
-            (EngineKind::Abba, 4),
-            (EngineKind::Abba, 5),
+            (Protocol::Turquois, 4),
+            (Protocol::Turquois, 7),
+            (Protocol::Bracha, 4),
+            (Protocol::Bracha, 5),
+            (Protocol::Abba, 4),
+            (Protocol::Abba, 5),
         ],
         schedules: 1000,
         base_seed: 20100628, // DSN 2010 opening day.
@@ -46,7 +48,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         };
         match key {
             "engine" => {
-                let e = EngineKind::parse(value).ok_or(format!("unknown engine `{value}`"))?;
+                let e = parse_engine(value).ok_or(format!("unknown engine `{value}`"))?;
                 parsed.engines.retain(|(k, _)| *k == e);
             }
             "n" => {
@@ -55,13 +57,10 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     .ok()
                     .filter(|n| (1..=64).contains(n))
                     .ok_or(format!("n must be a number in 1..=64, got `{value}`"))?;
-                parsed.engines = parsed
-                    .engines
-                    .iter()
-                    .map(|&(e, _)| (e, n))
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .into_iter()
-                    .collect();
+                // An engine's sizes sit side by side, so one per engine
+                // stays, in the default order.
+                parsed.engines.iter_mut().for_each(|(_, size)| *size = n);
+                parsed.engines.dedup();
             }
             "schedules" => {
                 parsed.schedules = value
@@ -136,11 +135,16 @@ mod tests {
         assert_eq!(
             args,
             Args {
-                engines: vec![(EngineKind::Turquois, 5)],
+                engines: vec![(Protocol::Turquois, 5)],
                 schedules: 64,
                 base_seed: 7
             }
         );
         assert_eq!(parse(&[]).unwrap().engines.len(), 6);
+        assert_eq!(
+            parse(&["n=5"]).unwrap().engines,
+            [(Protocol::Turquois, 5), (Protocol::Bracha, 5), (Protocol::Abba, 5)],
+            "one sweep per engine, in the default order"
+        );
     }
 }

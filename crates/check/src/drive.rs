@@ -30,7 +30,7 @@
 //! Turquois' ticks and the transport's retransmissions recover, which
 //! is what makes eventual decision checkable.
 
-use crate::schedule::{ByzSpec, ByzStrategy, EngineKind, FaultKind, Partition, Schedule};
+use crate::schedule::{ByzSpec, ByzStrategy, FaultKind, Partition, Schedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
@@ -40,6 +40,7 @@ use std::time::Duration;
 use turquois_core::message::Status;
 use turquois_harness::adapters::{RunProbe, TurquoisApp, TICK_INTERVAL};
 use turquois_harness::group::{Group, Role};
+use turquois_harness::Protocol;
 use wireless_net::reliable;
 use wireless_net::{Addressing, Application, Command, NodeCtx, ReceivedFrame, SimTime};
 
@@ -246,9 +247,9 @@ impl Net {
 /// The role a Byzantine spec names: the flip is the protocol's §7.2
 /// attack, except ABBA's, which signs the round-1 pre-vote for 1 to
 /// every peer; the split brain equivocates along its mask.
-fn role(spec: &ByzSpec, engine: EngineKind) -> Role {
+fn role(spec: &ByzSpec, engine: Protocol) -> Role {
     match (spec.strategy, engine) {
-        (ByzStrategy::Flip, EngineKind::Abba) => Role::Equivocate(u64::MAX),
+        (ByzStrategy::Flip, Protocol::Abba) => Role::Equivocate(u64::MAX),
         (ByzStrategy::Flip, _) => Role::Attack,
         (ByzStrategy::SplitBrain, _) => Role::Equivocate(spec.mask),
     }
@@ -259,7 +260,7 @@ fn role(spec: &ByzSpec, engine: EngineKind) -> Role {
 fn nodes(s: &Schedule) -> Vec<Box<dyn Application>> {
     // A phase per round, with margin: keys are derived on first touch,
     // so unused phases cost nothing.
-    let group = Group::new(s.engine.protocol(), s.config(), s.max_rounds as usize + 8, s.seed);
+    let group = Group::new(s.engine, s.config(), s.max_rounds as usize + 8, s.seed);
     let probe = RunProbe::new(s.n);
     (0..s.n)
         .map(|id| {
@@ -402,7 +403,7 @@ fn finish(s: &Schedule, world: &World<'_>, rounds_used: u32) -> RunReport {
     if violation.is_none() {
         let props: Vec<bool> = correct.iter().map(|&id| s.proposals[id]).collect();
         let injected = |value: bool| {
-            s.engine == EngineKind::Abba
+            s.engine == Protocol::Abba
                 && s.byz.iter().any(|b| {
                     matches!(role(b, s.engine), Role::Equivocate(mask)
                         if correct.iter().any(|&to| (mask >> to & 1 == 1) == value))
@@ -459,7 +460,7 @@ mod tests {
     use super::*;
     use crate::schedule::Fault;
 
-    fn base(engine: EngineKind, n: usize) -> Schedule {
+    fn base(engine: Protocol, n: usize) -> Schedule {
         Schedule {
             engine,
             n,
@@ -475,7 +476,7 @@ mod tests {
 
     #[test]
     fn faultless_unanimous_runs_decide_cleanly() {
-        for engine in [EngineKind::Turquois, EngineKind::Bracha, EngineKind::Abba] {
+        for engine in Protocol::ALL {
             let s = base(engine, 4);
             let r = run_schedule(&s);
             assert_eq!(r.violation, None, "{}: {:?}", engine.name(), r.violation);
@@ -485,7 +486,7 @@ mod tests {
 
     #[test]
     fn split_brain_byzantine_cannot_break_safety() {
-        for engine in [EngineKind::Turquois, EngineKind::Bracha, EngineKind::Abba] {
+        for engine in Protocol::ALL {
             let mut s = base(engine, 4);
             s.byz = vec![ByzSpec {
                 id: 3,
@@ -499,7 +500,7 @@ mod tests {
 
     #[test]
     fn drops_inside_window_do_not_break_turquois() {
-        let mut s = base(EngineKind::Turquois, 4);
+        let mut s = base(Protocol::Turquois, 4);
         s.proposals = vec![true, false, true, false];
         for round in 1..=s.window {
             s.faults.push(Fault {
@@ -522,7 +523,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_harmless() {
-        let mut s = base(EngineKind::Bracha, 4);
+        let mut s = base(Protocol::Bracha, 4);
         for round in 1..=s.window {
             for from in 0..4 {
                 s.faults.push(Fault {
@@ -541,7 +542,7 @@ mod tests {
     /// frame advances its phase, and not in the callbacks before it.
     #[test]
     fn turquois_broadcasts_in_the_callback_its_phase_advances() {
-        let s = base(EngineKind::Turquois, 4);
+        let s = base(Protocol::Turquois, 4);
         let mut world = World::new(&s, nodes(&s));
         (0..4).for_each(|id| world.call(1, id, |app, ctx| app.on_start(ctx)));
         let mut phase1 = world.net.take(1 + LATENCY);
@@ -563,7 +564,7 @@ mod tests {
     /// decide anyway: their transport retransmits after the window.
     #[test]
     fn baselines_recover_in_window_drops() {
-        for engine in [EngineKind::Bracha, EngineKind::Abba] {
+        for engine in [Protocol::Bracha, Protocol::Abba] {
             let mut s = base(engine, 4);
             s.max_rounds = 300;
             s.proposals = vec![true, false, true, false];
@@ -593,7 +594,7 @@ mod tests {
             fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: ReceivedFrame) {}
             fn on_timer(&mut self, _: &mut NodeCtx<'_>, _: u64) {}
         }
-        let mut s = base(EngineKind::Turquois, 4);
+        let mut s = base(Protocol::Turquois, 4);
         s.byz = vec![ByzSpec { id: 3, mask: 0, strategy: ByzStrategy::Flip }];
         let mut world = World::new(&s, (0..4).map(|_| Box::new(Decides) as _).collect());
         (0..4).for_each(|id| world.call(1, id, |app, ctx| app.on_start(ctx)));
@@ -601,7 +602,7 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let mut s = base(EngineKind::Turquois, 7);
+        let mut s = base(Protocol::Turquois, 7);
         s.proposals = (0..7).map(|i| i % 2 == 0).collect();
         s.byz = vec![ByzSpec {
             id: 6,

@@ -11,17 +11,18 @@
 //! path).
 
 use crate::drive::{run_schedule, RunReport, Violation};
-use crate::replay::{to_text, Expectation};
-use crate::schedule::{generate, EngineKind, GenParams, Schedule};
+use crate::replay::{engine_word, to_text, Expectation};
+use crate::schedule::{generate, GenParams, Schedule};
 use crate::shrink::shrink;
 use std::fmt::Write as _;
 use turquois_harness::runner::{isolated, run_indexed};
+use turquois_harness::Protocol;
 
 /// Parameters for one exploration sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct ExploreConfig {
     /// Engine under test.
-    pub engine: EngineKind,
+    pub engine: Protocol,
     /// Group size.
     pub n: usize,
     /// Number of schedules to generate and run.
@@ -131,7 +132,7 @@ fn explore_with(
                 &format!("schedule #{i} PANICKED during exploration: {message}"),
                 &format!(
                     "sweep: engine={}, n={}, base_seed={}",
-                    cfg.engine.name(),
+                    engine_word(cfg.engine),
                     cfg.n,
                     cfg.base_seed
                 ),
@@ -169,7 +170,7 @@ fn explore_with(
             Expectation::Violation(kind),
             &[&format!(
                 "shrunk from schedule #{i} of sweep (engine={}, n={}, base_seed={})",
-                cfg.engine.name(),
+                engine_word(cfg.engine),
                 cfg.n,
                 cfg.base_seed
             )],
@@ -189,7 +190,7 @@ fn explore_with(
     let _ = writeln!(
         text,
         "schedule sweep: engine={} n={} schedules={} base_seed={}",
-        cfg.engine.name(),
+        engine_word(cfg.engine),
         cfg.n,
         cfg.schedules,
         cfg.base_seed
@@ -238,7 +239,7 @@ mod tests {
     #[test]
     fn panicking_schedule_is_a_candidate_not_a_sweep_killer() {
         let cfg = ExploreConfig {
-            engine: EngineKind::Turquois,
+            engine: Protocol::Turquois,
             n: 4,
             schedules: 12,
             base_seed: 7,
@@ -276,7 +277,7 @@ mod tests {
 
     #[test]
     fn report_is_byte_identical_across_thread_counts() {
-        for engine in [EngineKind::Turquois, EngineKind::Bracha, EngineKind::Abba] {
+        for engine in Protocol::ALL {
             let cfg = ExploreConfig {
                 engine,
                 n: 4,

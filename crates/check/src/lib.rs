@@ -45,5 +45,5 @@ pub mod shrink;
 pub use drive::{run_schedule, RunReport, Violation, ViolationKind};
 pub use explore::{explore, ExploreConfig, ExploreReport, PanicRecord, ViolationRecord};
 pub use replay::{parse, to_text, Expectation};
-pub use schedule::{generate, EngineKind, Fault, FaultKind, GenParams, Partition, Schedule};
+pub use schedule::{generate, Fault, FaultKind, GenParams, Partition, Schedule};
 pub use shrink::{shrink, ShrinkResult};

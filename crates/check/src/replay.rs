@@ -27,7 +27,8 @@
 //! round-trip exactly, so fixtures stay in canonical form.
 
 use crate::drive::ViolationKind;
-use crate::schedule::{ByzSpec, ByzStrategy, EngineKind, Fault, FaultKind, Partition, Schedule};
+use crate::schedule::{ByzSpec, ByzStrategy, Fault, FaultKind, Partition, Schedule};
+use turquois_harness::Protocol;
 
 /// What replaying a fixture must produce.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
@@ -62,6 +63,21 @@ impl Expectation {
     }
 }
 
+/// The lowercase engine word of fixtures, reports and the `explore`
+/// command line.
+pub fn engine_word(engine: Protocol) -> &'static str {
+    match engine {
+        Protocol::Turquois => "turquois",
+        Protocol::Bracha => "bracha",
+        Protocol::Abba => "abba",
+    }
+}
+
+/// Parses [`engine_word`] output.
+pub fn parse_engine(word: &str) -> Option<Protocol> {
+    Protocol::ALL.into_iter().find(|&p| engine_word(p) == word)
+}
+
 /// Renders a schedule in the canonical fixture format.
 pub fn to_text(s: &Schedule, expect: Expectation, comments: &[&str]) -> String {
     let mut out = String::new();
@@ -70,7 +86,7 @@ pub fn to_text(s: &Schedule, expect: Expectation, comments: &[&str]) -> String {
         out.push_str(c);
         out.push('\n');
     }
-    out.push_str(&format!("engine {}\n", s.engine.name()));
+    out.push_str(&format!("engine {}\n", engine_word(s.engine)));
     out.push_str(&format!("n {}\n", s.n));
     out.push_str(&format!("seed {}\n", s.seed));
     out.push_str(&format!("window {}\n", s.window));
@@ -132,9 +148,8 @@ pub fn parse(text: &str) -> Result<(Schedule, Expectation), String> {
         match key {
             "engine" => {
                 let name = one(&rest).map_err(ctx)?;
-                engine = Some(EngineKind::parse(name).ok_or_else(|| {
-                    ctx(format!("unknown engine `{name}`"))
-                })?);
+                engine =
+                    Some(parse_engine(name).ok_or_else(|| ctx(format!("unknown engine `{name}`")))?);
             }
             "n" => n = Some(num::<usize>(one(&rest).map_err(ctx)?).map_err(ctx)?),
             "seed" => seed = Some(num::<u64>(one(&rest).map_err(ctx)?).map_err(ctx)?),
@@ -258,7 +273,7 @@ mod tests {
 
     fn sample() -> Schedule {
         Schedule {
-            engine: EngineKind::Turquois,
+            engine: Protocol::Turquois,
             n: 5,
             seed: 12345,
             proposals: vec![true, false, true, false, true],
@@ -289,6 +304,10 @@ mod tests {
         let (parsed2, _) = parse(&text2).unwrap();
         assert_eq!(parsed2, parsed);
         assert_eq!(to_text(&parsed2, expect, &[]), text2);
+        for engine in Protocol::ALL {
+            let s = Schedule { engine, ..sample() };
+            assert_eq!(parse(&to_text(&s, expect, &[])).unwrap().0, s, "{engine:?}");
+        }
     }
 
     #[test]

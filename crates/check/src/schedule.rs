@@ -16,47 +16,6 @@ use turquois_core::Config;
 use turquois_harness::Protocol;
 use wireless_net::reliable::MIN_RTO;
 
-/// Which consensus engine a schedule drives.
-#[derive(Clone, Copy, Debug, Eq, Ord, PartialEq, PartialOrd)]
-pub enum EngineKind {
-    /// The Turquois engine (`turquois-core`), omission-tolerant.
-    Turquois,
-    /// Bracha's protocol over reliable broadcast (`turquois-baselines`).
-    Bracha,
-    /// ABBA with threshold signatures (`turquois-baselines`).
-    Abba,
-}
-
-impl EngineKind {
-    /// Stable lowercase name used in reports and replay files.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Turquois => "turquois",
-            EngineKind::Bracha => "bracha",
-            EngineKind::Abba => "abba",
-        }
-    }
-
-    /// The harness protocol this engine is.
-    pub fn protocol(self) -> Protocol {
-        match self {
-            EngineKind::Turquois => Protocol::Turquois,
-            EngineKind::Bracha => Protocol::Bracha,
-            EngineKind::Abba => Protocol::Abba,
-        }
-    }
-
-    /// Parses [`EngineKind::name`] output.
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        match s {
-            "turquois" => Some(EngineKind::Turquois),
-            "bracha" => Some(EngineKind::Bracha),
-            "abba" => Some(EngineKind::Abba),
-            _ => None,
-        }
-    }
-}
-
 /// What happens to one `(round, sender, receiver)` delivery edge.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
 pub enum FaultKind {
@@ -163,7 +122,7 @@ pub struct ByzSpec {
 #[derive(Clone, Debug, Eq, PartialEq)]
 pub struct Schedule {
     /// The engine under test.
-    pub engine: EngineKind,
+    pub engine: Protocol,
     /// Group size.
     pub n: usize,
     /// Seed for per-process RNGs (coins) and key setup.
@@ -219,7 +178,7 @@ impl Schedule {
             return false;
         }
         match self.engine {
-            EngineKind::Turquois => {
+            Protocol::Turquois => {
                 let correct = |id: usize| !self.is_byz(id);
                 let sigma = self.config().sigma(self.t());
                 let mut per_round = std::collections::BTreeMap::new();
@@ -233,7 +192,7 @@ impl Schedule {
                 }
                 per_round.values().all(|&c| c <= sigma)
             }
-            EngineKind::Bracha | EngineKind::Abba => true,
+            Protocol::Bracha | Protocol::Abba => true,
         }
     }
 }
@@ -243,7 +202,7 @@ impl Schedule {
 #[derive(Clone, Copy, Debug)]
 pub struct GenParams {
     /// Engine under test.
-    pub engine: EngineKind,
+    pub engine: Protocol,
     /// Group size.
     pub n: usize,
     /// Base seed of the batch; schedule `index` mixes it in.
@@ -319,7 +278,7 @@ pub fn generate(params: &GenParams, index: u64) -> Schedule {
             // Light: stay within σ per round (Turquois) / delays only
             // (baselines).
             let budget = match params.engine {
-                EngineKind::Turquois => Config::evaluation(n)
+                Protocol::Turquois => Config::evaluation(n)
                     .expect("valid n")
                     .sigma(t)
                     .min(2 * n),
@@ -455,7 +414,7 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let params = GenParams {
-            engine: EngineKind::Turquois,
+            engine: Protocol::Turquois,
             n: 4,
             base_seed: 9,
         };
@@ -468,7 +427,7 @@ mod tests {
     #[test]
     fn light_variant_is_sigma_eligible() {
         let params = GenParams {
-            engine: EngineKind::Turquois,
+            engine: Protocol::Turquois,
             n: 7,
             base_seed: 3,
         };
@@ -483,7 +442,7 @@ mod tests {
     /// recover the loss.
     #[test]
     fn baseline_schedules_drop_correct_traffic_and_stay_eligible() {
-        for engine in [EngineKind::Bracha, EngineKind::Abba] {
+        for engine in [Protocol::Bracha, Protocol::Abba] {
             let params = GenParams {
                 engine,
                 n: 4,
@@ -505,7 +464,7 @@ mod tests {
 
     #[test]
     fn partition_variant_is_a_schedule_action() {
-        for engine in [EngineKind::Turquois, EngineKind::Bracha] {
+        for engine in [Protocol::Turquois, Protocol::Bracha] {
             let params = GenParams {
                 engine,
                 n: 7,
@@ -536,7 +495,7 @@ mod tests {
     #[test]
     fn byz_ids_distinct_and_in_range() {
         let params = GenParams {
-            engine: EngineKind::Turquois,
+            engine: Protocol::Turquois,
             n: 7,
             base_seed: 11,
         };

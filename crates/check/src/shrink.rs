@@ -162,7 +162,8 @@ pub fn shrink(failing: &Schedule, check: impl Fn(&Schedule) -> Option<Violation>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{ByzSpec, ByzStrategy, EngineKind, Fault, FaultKind, Partition};
+    use crate::schedule::{ByzSpec, ByzStrategy, Fault, FaultKind, Partition};
+    use turquois_harness::Protocol;
 
     /// Synthetic checker: fails iff the schedule still contains the one
     /// load-bearing fault (round 3, 0 -> 1 drop) AND a Byzantine p2.
@@ -198,7 +199,7 @@ mod tests {
             }
         }
         Schedule {
-            engine: EngineKind::Turquois,
+            engine: Protocol::Turquois,
             n: 4,
             seed: 7,
             proposals: vec![true; 4],

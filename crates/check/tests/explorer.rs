@@ -1,17 +1,18 @@
 //! Integration sweeps for the schedule explorer.
 //!
-//! The default sweep is 300 schedules per sweep test, sized for CI;
-//! set `TURQUOIS_CHECK_SCHEDULES` to run deeper local sweeps — the
-//! reference is 10 000 schedules per sweep with zero violations and
-//! every schedule deciding (EXPERIMENTS.md, "Schedule exploration").
+//! The default sweep is 300 schedules per sweep test, a quick local
+//! run; set `TURQUOIS_CHECK_SCHEDULES` for deeper sweeps — CI runs
+//! 1000 under the test profile's debug assertions, and the reference
+//! is 10 000 schedules per sweep with zero violations and every
+//! schedule deciding (EXPERIMENTS.md, "Schedule exploration").
 //!
 //! The planted quorum bug these sweeps must survive, and which the
 //! explorer must find, is the `quorum-plant-n5` / `quorum-plant-n8`
 //! entries of `mutants/catalogue.txt`.
 
 use turquois_check::explore::{explore, ExploreConfig};
-use turquois_check::schedule::EngineKind;
 use turquois_harness::runner::threads_from_env;
+use turquois_harness::Protocol;
 
 fn sweep_size() -> usize {
     match std::env::var("TURQUOIS_CHECK_SCHEDULES") {
@@ -20,7 +21,7 @@ fn sweep_size() -> usize {
     }
 }
 
-fn sweep(engine: EngineKind, n: usize) -> ExploreConfig {
+fn sweep(engine: Protocol, n: usize) -> ExploreConfig {
     ExploreConfig {
         engine,
         n,
@@ -55,12 +56,12 @@ fn assert_clean(cfg: ExploreConfig) {
 
 #[test]
 fn turquois_n4_sweep_is_clean() {
-    assert_clean(sweep(EngineKind::Turquois, 4));
+    assert_clean(sweep(Protocol::Turquois, 4));
 }
 
 #[test]
 fn turquois_n7_sweep_is_clean() {
-    assert_clean(sweep(EngineKind::Turquois, 7));
+    assert_clean(sweep(Protocol::Turquois, 7));
 }
 
 /// First size past the paper's exploration shapes, exercising the
@@ -69,29 +70,29 @@ fn turquois_n7_sweep_is_clean() {
 /// sweep must stay clean).
 #[test]
 fn turquois_n9_sweep_is_clean() {
-    assert_clean(sweep(EngineKind::Turquois, 9));
+    assert_clean(sweep(Protocol::Turquois, 9));
 }
 
 #[test]
 fn bracha_n4_sweep_is_clean() {
-    assert_clean(sweep(EngineKind::Bracha, 4));
+    assert_clean(sweep(Protocol::Bracha, 4));
 }
 
 #[test]
 fn abba_n4_sweep_is_clean() {
-    assert_clean(sweep(EngineKind::Abba, 4));
+    assert_clean(sweep(Protocol::Abba, 4));
 }
 
 /// Even `n − f` (5 − 1 = 4): the class of the Bracha step-1 tie
 /// deadlock, here with the reliable transport underneath.
 #[test]
 fn bracha_n5_sweep_is_clean() {
-    assert_clean(sweep(EngineKind::Bracha, 5));
+    assert_clean(sweep(Protocol::Bracha, 5));
 }
 
 #[test]
 fn abba_n5_sweep_is_clean() {
-    assert_clean(sweep(EngineKind::Abba, 5));
+    assert_clean(sweep(Protocol::Abba, 5));
 }
 
 /// The partition schedules that break the planted quorum bug must be
@@ -100,7 +101,7 @@ fn abba_n5_sweep_is_clean() {
 /// to one decision.
 #[test]
 fn turquois_n5_partition_schedules_are_survived() {
-    assert_clean(sweep(EngineKind::Turquois, 5));
+    assert_clean(sweep(Protocol::Turquois, 5));
 }
 
 /// Report text must be byte-identical at any worker count — exploration
@@ -108,9 +109,9 @@ fn turquois_n5_partition_schedules_are_survived() {
 #[test]
 fn report_is_byte_identical_at_1_and_8_threads() {
     for (engine, n) in [
-        (EngineKind::Turquois, 4),
-        (EngineKind::Bracha, 4),
-        (EngineKind::Abba, 4),
+        (Protocol::Turquois, 4),
+        (Protocol::Bracha, 4),
+        (Protocol::Abba, 4),
     ] {
         let cfg = ExploreConfig {
             engine,

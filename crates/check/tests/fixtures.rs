@@ -5,7 +5,8 @@
 
 use turquois_check::drive::run_schedule;
 use turquois_check::replay::parse;
-use turquois_check::schedule::{EngineKind, Partition, Schedule};
+use turquois_check::schedule::{Partition, Schedule};
+use turquois_harness::Protocol;
 
 /// The healed-minority fixture proves recovery, not mere survival: the
 /// full replay decides everywhere, while the same schedule truncated to
@@ -53,7 +54,7 @@ fn healed_minority_catches_up_because_of_the_heal() {
 /// dependency); the harness-level proptest covers random schedules.
 #[test]
 fn sub_quorum_sides_never_decide_before_the_heal() {
-    for engine in [EngineKind::Turquois, EngineKind::Bracha, EngineKind::Abba] {
+    for engine in Protocol::ALL {
         for n in [5usize, 7] {
             let f = (n - 1) / 3;
             let cut = n - f; // majority keeps every engine's quorum

@@ -85,14 +85,6 @@ pub struct Receipt {
     pub newly_decided: Option<bool>,
 }
 
-/// A broadcast produced by [`Turquois::on_tick`].
-#[derive(Clone, Debug)]
-pub struct Outbound {
-    /// Encoded wire bytes for the transport ([`Message::decode`]
-    /// recovers the structured message).
-    pub bytes: Bytes,
-}
-
 /// Errors producing an outbound message.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
 pub enum OutboundError {
@@ -132,7 +124,7 @@ impl std::error::Error for OutboundError {}
 /// loop {
 ///     let msgs: Vec<_> = procs
 ///         .iter_mut()
-///         .map(|p| p.on_tick().expect("keys cover phase").bytes)
+///         .map(|p| p.on_tick().expect("keys cover phase"))
 ///         .collect();
 ///     for p in procs.iter_mut() {
 ///         for m in &msgs {
@@ -283,7 +275,9 @@ impl Turquois {
         self.evidence.approx_bytes()
     }
 
-    /// Task T1: produce the broadcast for the current state.
+    /// Task T1: produce the broadcast for the current state, as the
+    /// wire bytes for the transport ([`Message::decode`] recovers the
+    /// structured message).
     ///
     /// The first broadcast of a state is bare; re-broadcasts of an
     /// unchanged state attach justification (explicit validation).
@@ -300,7 +294,7 @@ impl Turquois {
     ///
     /// [`OutboundError::KeysExhausted`] when the phase outruns the
     /// distributed key epochs.
-    pub fn on_tick(&mut self) -> Result<Outbound, OutboundError> {
+    pub fn on_tick(&mut self) -> Result<Bytes, OutboundError> {
         let envelope = self.state.envelope();
         let inputs = self.bundle_inputs(envelope.phase);
         let rebroadcast = match &self.last_wire {
@@ -310,7 +304,7 @@ impl Turquois {
                     if cfg!(debug_assertions) {
                         self.recheck_rebroadcast(&envelope, &bytes);
                     }
-                    return Ok(Outbound { bytes });
+                    return Ok(bytes);
                 }
                 true
             }
@@ -332,7 +326,7 @@ impl Turquois {
         }
         .encode();
         self.last_wire = Some((envelope, rebroadcast.then_some(inputs), bytes.clone()));
-        Ok(Outbound { bytes })
+        Ok(bytes)
     }
 
     /// What a bundle for a claim at `phase` is built from besides the
@@ -790,7 +784,7 @@ mod tests {
     fn round(procs: &mut [Turquois]) -> Vec<Bytes> {
         let msgs: Vec<Bytes> = procs
             .iter_mut()
-            .map(|p| p.on_tick().expect("keys cover phase").bytes)
+            .map(|p| p.on_tick().expect("keys cover phase"))
             .collect();
         for p in procs.iter_mut() {
             for m in &msgs {
@@ -1026,7 +1020,7 @@ mod tests {
                 if self.air.is_empty() || self.rng.gen_bool(0.5) {
                     let i = self.rng.gen_range(0..self.peers.len());
                     if let Ok(out) = self.peers[i].on_tick() {
-                        self.broadcast(i + 1, &out.bytes);
+                        self.broadcast(i + 1, &out);
                     }
                 }
             }
@@ -1131,16 +1125,16 @@ mod tests {
     fn first_tick_bare_rebroadcast_justified() {
         let mut procs = make_group(4, &[true], 9);
         let first = procs[0].on_tick().expect("keys cover phase");
-        assert!(sent(&procs[0], &first.bytes).justification.is_empty());
+        assert!(sent(&procs[0], &first).justification.is_empty());
         let second = procs[0].on_tick().expect("keys cover phase");
         // Same state, but phase 1 needs no justification either.
-        assert!(sent(&procs[0], &second.bytes).justification.is_empty());
+        assert!(sent(&procs[0], &second).justification.is_empty());
 
         // Advance past phase 1 and check that a rebroadcast attaches
         // evidence.
         let msgs: Vec<Bytes> = procs
             .iter_mut()
-            .map(|p| p.on_tick().expect("keys cover phase").bytes)
+            .map(|p| p.on_tick().expect("keys cover phase"))
             .collect();
         let (p0, rest) = procs.split_at_mut(1);
         let p0 = &mut p0[0];
@@ -1149,15 +1143,15 @@ mod tests {
         }
         assert_eq!(p0.phase(), 2);
         let first = p0.on_tick().expect("keys cover phase");
-        assert!(sent(p0, &first.bytes).justification.is_empty(), "first is bare");
+        assert!(sent(p0, &first).justification.is_empty(), "first is bare");
         let second = p0.on_tick().expect("keys cover phase");
         assert!(
-            !sent(p0, &second.bytes).justification.is_empty(),
+            !sent(p0, &second).justification.is_empty(),
             "rebroadcast carries justification"
         );
         // The bundle lets a process with an empty store accept it.
         let fresh = &mut rest[0];
-        let receipt = fresh.on_message(&second.bytes);
+        let receipt = fresh.on_message(&second);
         assert_eq!(receipt.outcome, MessageOutcome::Accepted);
         assert_eq!(fresh.phase(), 2, "catch-up through the bundle");
     }
@@ -1173,11 +1167,11 @@ mod tests {
         assert_eq!(p0.phase(), 2);
         p0.on_tick().expect("keys cover phase");
         let justified = p0.on_tick().expect("keys cover phase");
-        assert!(!sent(p0, &justified.bytes).justification.is_empty());
+        assert!(!sent(p0, &justified).justification.is_empty());
         let buffer = |b: &Bytes| (b.as_ptr(), b.len());
         for _ in 0..3 {
             let again = p0.on_tick().expect("keys cover phase");
-            assert_eq!(buffer(&again.bytes), buffer(&justified.bytes));
+            assert_eq!(buffer(&again), buffer(&justified));
             assert_eq!(p0.on_message(&phase_one[1]).outcome, MessageOutcome::Duplicate);
         }
     }
@@ -1194,7 +1188,7 @@ mod tests {
         while procs[3].phase() < 4 {
             let msgs: Vec<Bytes> = procs
                 .iter_mut()
-                .map(|p| p.on_tick().expect("keys cover phase").bytes)
+                .map(|p| p.on_tick().expect("keys cover phase"))
                 .collect();
             for (i, p) in procs.iter_mut().enumerate() {
                 for (from, m) in msgs.iter().enumerate() {
@@ -1214,12 +1208,12 @@ mod tests {
         // Process 0's phase-2 claim: the lowest sender at φ − 2.
         let late = Message::decode(&withheld[1], p3.config()).expect("genuine");
         assert_eq!(late.envelope.phase, 2);
-        assert!(!sent(p3, &before.bytes).justification.contains(&(late.envelope, late.signature)));
+        assert!(!sent(p3, &before).justification.contains(&(late.envelope, late.signature)));
         assert_eq!(p3.on_message(&withheld[1]).outcome, MessageOutcome::Accepted);
         assert_eq!(p3.bundle_inputs(4)[0], inputs[0], "nothing new at φ − 1");
         let after = p3.on_tick().expect("keys cover phase");
         assert!(
-            sent(p3, &after.bytes)
+            sent(p3, &after)
                 .justification
                 .contains(&(late.envelope, late.signature)),
             "the re-broadcast left out the new φ − 2 fact"
@@ -1238,7 +1232,7 @@ mod tests {
     fn forged_signature_rejected() {
         let mut procs = make_group(4, &[true], 5);
         let out = procs[1].on_tick().expect("keys cover phase");
-        let mut bytes = out.bytes.to_vec();
+        let mut bytes = out.to_vec();
         // Flip a bit inside the signature (offset 8..40).
         bytes[10] ^= 1;
         let r = procs[0].on_message(&bytes.into());
@@ -1250,7 +1244,7 @@ mod tests {
     fn wrong_claimed_sender_rejected() {
         let mut procs = make_group(4, &[true], 5);
         let out = procs[1].on_tick().expect("keys cover phase");
-        let mut bytes = out.bytes.to_vec();
+        let mut bytes = out.to_vec();
         bytes[1] = 2; // claim sender 2 with sender 1's signature
         let r = procs[0].on_message(&bytes.into());
         assert_eq!(r.outcome, MessageOutcome::AuthFailed);
@@ -1261,11 +1255,11 @@ mod tests {
         let mut procs = make_group(4, &[true], 5);
         let out = procs[1].on_tick().expect("keys cover phase");
         assert_eq!(
-            procs[0].on_message(&out.bytes).outcome,
+            procs[0].on_message(&out).outcome,
             MessageOutcome::Accepted
         );
         assert_eq!(
-            procs[0].on_message(&out.bytes).outcome,
+            procs[0].on_message(&out).outcome,
             MessageOutcome::Duplicate
         );
     }
@@ -1300,7 +1294,7 @@ mod tests {
         let mut procs = make_group(4, &[true], 7);
         let msgs: Vec<Bytes> = procs
             .iter_mut()
-            .map(|p| p.on_tick().expect("keys cover phase").bytes)
+            .map(|p| p.on_tick().expect("keys cover phase"))
             .collect();
         let p0 = &mut procs[0];
         let mut advanced = false;
@@ -1343,7 +1337,7 @@ mod tests {
         let mut procs = make_group(4, &[true], 21);
         let msgs: Vec<Bytes> = procs
             .iter_mut()
-            .map(|p| p.on_tick().expect("keys cover phase").bytes)
+            .map(|p| p.on_tick().expect("keys cover phase"))
             .collect();
         let p0 = &mut procs[0];
         for m in &msgs {
@@ -1352,7 +1346,7 @@ mod tests {
         assert_eq!(p0.phase(), 2);
         let _first = p0.on_tick().expect("keys cover phase");
         let rebroadcast = p0.on_tick().expect("keys cover phase");
-        let bundle = &sent(p0, &rebroadcast.bytes).justification;
+        let bundle = &sent(p0, &rebroadcast).justification;
         assert!(!bundle.is_empty());
         // Evidence is shared: the phase-1 value evidence doubles as the
         // phase quorum, so the bundle stays at ~one quorum of messages.
@@ -1375,7 +1369,7 @@ mod tests {
         for _ in 0..40 {
             let msgs: Vec<Bytes> = procs
                 .iter_mut()
-                .map(|p| p.on_tick().expect("keys cover phase").bytes)
+                .map(|p| p.on_tick().expect("keys cover phase"))
                 .collect();
             for p in procs.iter_mut() {
                 for m in &msgs {
@@ -1404,7 +1398,7 @@ mod tests {
         for _ in 0..10 {
             let msgs: Vec<Bytes> = procs
                 .iter_mut()
-                .map(|p| p.on_tick().expect("keys cover phase").bytes)
+                .map(|p| p.on_tick().expect("keys cover phase"))
                 .collect();
             for p in procs.iter_mut() {
                 for m in &msgs {
@@ -1419,8 +1413,8 @@ mod tests {
         // Two ticks: the second carries the decided justification.
         let _ = procs[1].on_tick().expect("keys cover phase");
         let rebroadcast = procs[1].on_tick().expect("keys cover phase");
-        assert_eq!(sent(&procs[1], &rebroadcast.bytes).envelope.status, Status::Decided);
-        let receipt = procs[0].on_message(&rebroadcast.bytes);
+        assert_eq!(sent(&procs[1], &rebroadcast).envelope.status, Status::Decided);
+        let receipt = procs[0].on_message(&rebroadcast);
         assert!(
             !matches!(receipt.outcome, MessageOutcome::SemanticFailed(_)),
             "decided rebroadcast rejected: {:?}",
@@ -1435,7 +1429,7 @@ mod tests {
     fn forged_signature_rejected_on_every_redelivery() {
         let mut procs = make_group(4, &[true], 11);
         let out = procs[1].on_tick().expect("keys cover phase");
-        let mut forged = out.bytes.to_vec();
+        let mut forged = out.to_vec();
         forged[10] ^= 1; // corrupt the signature (offset 8..40)
         let forged = Bytes::from(forged);
         for _ in 0..3 {
@@ -1449,7 +1443,7 @@ mod tests {
             "a forgery leaves no evidence"
         );
         assert_eq!(
-            procs[0].on_message(&out.bytes).outcome,
+            procs[0].on_message(&out).outcome,
             MessageOutcome::Accepted,
             "rejected forgeries must not taint the honest signature"
         );
@@ -1462,11 +1456,11 @@ mod tests {
         let stored = procs[0].evidence.signature_of(1, 1, Value::One);
         assert_eq!(
             stored,
-            Some(sent(&procs[1], &out.bytes).signature),
+            Some(sent(&procs[1], &out).signature),
             "stored signature untouched"
         );
         assert_eq!(
-            procs[0].on_message(&out.bytes).outcome,
+            procs[0].on_message(&out).outcome,
             MessageOutcome::Duplicate
         );
     }
@@ -1482,7 +1476,7 @@ mod tests {
             .iter_mut()
             .map(|p| {
                 let out = p.on_tick().expect("keys cover phase");
-                sent(p, &out.bytes)
+                sent(p, &out)
             })
             .collect();
         let (env, honest_sig) = (msgs[1].envelope, msgs[1].signature);
@@ -1566,7 +1560,7 @@ mod tests {
         let far_sig = KeyRing::trusted_setup(4, PHASES, 24)[3]
             .sign(far.phase, far.value)
             .expect("in range");
-        let bare = procs[3].on_tick().expect("keys cover phase").bytes;
+        let bare = procs[3].on_tick().expect("keys cover phase");
         let mut frame = sent(&procs[3], &bare);
         frame.justification.push((far, far_sig));
         let wire = frame.encode();
@@ -1657,16 +1651,16 @@ mod tests {
         let phase_one = round(&mut procs);
         procs[1].on_tick().expect("keys cover phase");
         let justified = procs[1].on_tick().expect("keys cover phase");
-        let k = sent(&procs[1], &justified.bytes).justification.len();
+        let k = sent(&procs[1], &justified).justification.len();
         assert!(k > 0, "a re-broadcast at phase 2 carries its bundle");
         for p in [&mut fast, &mut full] {
             for m in &phase_one {
                 p.on_message(m);
             }
-            assert_eq!(p.on_message(&justified.bytes).outcome, MessageOutcome::Accepted);
+            assert_eq!(p.on_message(&justified).outcome, MessageOutcome::Accepted);
         }
         for _ in 0..3 {
-            let hit = fast.repeat(&justified.bytes);
+            let hit = fast.repeat(&justified);
             assert_eq!(
                 hit,
                 Some(Receipt {
@@ -1678,8 +1672,8 @@ mod tests {
             );
             let before = observe(&fast);
             assert_eq!(
-                (fast.on_message(&justified.bytes), true),
-                full.full_path(&justified.bytes)
+                (fast.on_message(&justified), true),
+                full.full_path(&justified)
             );
             assert_eq!(observe(&fast), before, "a repeat changed the receiver");
             assert_eq!(observe(&fast), observe(&full));
@@ -1694,23 +1688,23 @@ mod tests {
         let (mut receiver, mut twin) = receiver_and_twin(4, &[true], 14);
         let phase_one = round(&mut procs);
         let bare = procs[1].on_tick().expect("keys cover phase");
-        let message = sent(&procs[1], &bare.bytes);
+        let message = sent(&procs[1], &bare);
         assert_eq!(message.envelope.phase, 2);
         assert!(message.justification.is_empty());
         let rejected = MessageOutcome::SemanticFailed(RejectReason::PhaseUnjustified);
         for _ in 0..2 {
-            assert_eq!(receiver.on_message(&bare.bytes).outcome, rejected);
-            assert_eq!(receiver.repeat(&bare.bytes), None);
+            assert_eq!(receiver.on_message(&bare).outcome, rejected);
+            assert_eq!(receiver.repeat(&bare), None);
         }
         for p in [&mut receiver, &mut twin] {
             for m in &phase_one {
                 p.on_message(m);
             }
         }
-        let got = receiver.on_message(&bare.bytes);
+        let got = receiver.on_message(&bare);
         assert_eq!(got.outcome, MessageOutcome::Accepted);
-        assert_eq!((got, true), twin.full_path(&bare.bytes));
-        assert!(receiver.repeat(&bare.bytes).is_some(), "accepted: remembered");
+        assert_eq!((got, true), twin.full_path(&bare));
+        assert!(receiver.repeat(&bare).is_some(), "accepted: remembered");
     }
 
     /// Once the GC floor passes a remembered frame, its facts may be
@@ -1761,20 +1755,20 @@ mod tests {
         let bare = procs[1].on_tick().expect("keys cover phase");
         let justified = procs[1].on_tick().expect("keys cover phase");
         for p in [&mut receiver, &mut twin] {
-            assert_eq!(p.on_message(&justified.bytes).outcome, MessageOutcome::Accepted);
+            assert_eq!(p.on_message(&justified).outcome, MessageOutcome::Accepted);
         }
         // The bundle is one phase-1 quorum; the one sender it leaves
         // out takes the last entry's place.
-        let mut swapped = sent(&procs[1], &justified.bytes);
+        let mut swapped = sent(&procs[1], &justified);
         let missing = (0..4)
             .find(|&s| swapped.justification.iter().all(|(e, _)| e.sender != s))
             .expect("three of four senders make the quorum");
         let fact = Message::decode(&phase_one[missing], &cfg).expect("genuine");
         *swapped.justification.last_mut().expect("non-empty") = (fact.envelope, fact.signature);
         let swapped = swapped.encode();
-        assert_eq!(swapped.len(), justified.bytes.len());
-        assert_eq!(swapped[..40], justified.bytes[..40], "the same head record");
-        for other in [&bare.bytes, &swapped] {
+        assert_eq!(swapped.len(), justified.len());
+        assert_eq!(swapped[..40], justified[..40], "the same head record");
+        for other in [&bare, &swapped] {
             assert_eq!(receiver.repeat(other), None);
             assert_eq!((receiver.on_message(other), true), twin.full_path(other));
             assert_eq!(observe(&receiver), observe(&twin));
@@ -1793,7 +1787,7 @@ mod tests {
         let (mut receiver, mut twin) = receiver_and_twin(4, &[true], 22);
         round(&mut procs);
         procs[1].on_tick().expect("keys cover phase");
-        let justified = procs[1].on_tick().expect("keys cover phase").bytes;
+        let justified = procs[1].on_tick().expect("keys cover phase");
         for p in [&mut receiver, &mut twin] {
             assert_eq!(p.on_message(&justified).outcome, MessageOutcome::Accepted);
         }
@@ -1821,7 +1815,7 @@ mod tests {
     fn justified_pair(procs: &mut [Turquois]) -> [Bytes; 2] {
         [1, 2].map(|i| {
             procs[i].on_tick().expect("keys cover phase");
-            procs[i].on_tick().expect("keys cover phase").bytes
+            procs[i].on_tick().expect("keys cover phase")
         })
     }
 
@@ -1924,7 +1918,7 @@ mod tests {
             .iter_mut()
             .map(|p| {
                 p.on_tick().expect("keys cover phase");
-                p.on_tick().expect("keys cover phase").bytes
+                p.on_tick().expect("keys cover phase")
             })
             .collect();
         for p in procs.iter_mut() {
@@ -2131,13 +2125,13 @@ mod tests {
             if traffic.rng.gen_bool(0.3) {
                 let (a, b) = (new.on_tick(), old.on_tick());
                 proptest::prop_assert_eq!(
-                    a.as_ref().map(|o| &o.bytes).map_err(|_| ()),
-                    b.as_ref().map(|o| &o.bytes).map_err(|_| ()),
+                    a.as_ref().map_err(|_| ()),
+                    b.as_ref().map_err(|_| ()),
                     "broadcast diverged at step {}",
                     step
                 );
                 if let Ok(out) = a {
-                    traffic.broadcast(0, &out.bytes);
+                    traffic.broadcast(0, &out);
                 }
             }
             let bytes = Bytes::from(traffic.next(new.phase()));
@@ -2312,7 +2306,7 @@ mod tests {
                 .collect();
             // One honest broadcast per peer, mutated and replayed below.
             let honest: Vec<Bytes> = (1..n)
-                .map(|i| procs[i].on_tick().expect("keys cover phase").bytes)
+                .map(|i| procs[i].on_tick().expect("keys cover phase"))
                 .collect();
             for (sender, idx, mask, copies) in ops {
                 let mut bytes = honest[sender - 1].to_vec();

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coin;
 pub mod config;
 pub mod instance;
 pub mod keyring;
@@ -36,7 +35,7 @@ pub mod store;
 pub mod validation;
 
 pub use config::Config;
-pub use instance::{MessageOutcome, Outbound, Receipt, Turquois};
+pub use instance::{MessageOutcome, Receipt, Turquois};
 pub use keyring::KeyRing;
 pub use message::{Envelope, Message, Status};
 pub use state::{PhaseKind, ProcessState};

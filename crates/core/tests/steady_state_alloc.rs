@@ -152,7 +152,7 @@ fn repeat_deliveries_allocate_nothing() {
             .collect();
         let first: Vec<_> = procs
             .iter_mut()
-            .map(|p| p.on_tick().expect("keys cover phase").bytes)
+            .map(|p| p.on_tick().expect("keys cover phase"))
             .collect();
         let (head, rest) = procs.split_at_mut(1);
         let sender = &mut head[0];
@@ -163,8 +163,8 @@ fn repeat_deliveries_allocate_nothing() {
             sender.on_message(bytes);
         }
         assert_eq!(sender.phase(), 2);
-        let bare = sender.on_tick().expect("keys cover phase").bytes;
-        let justified = sender.on_tick().expect("keys cover phase").bytes;
+        let bare = sender.on_tick().expect("keys cover phase");
+        let justified = sender.on_tick().expect("keys cover phase");
         let bundle = Message::decode(&justified, &cfg)
             .expect("own encoding")
             .justification
@@ -174,7 +174,7 @@ fn repeat_deliveries_allocate_nothing() {
             "a re-broadcast carries its quorum"
         );
         let (count, again) = allocations_in(|| sender.on_tick().expect("keys cover phase"));
-        assert_eq!(again.bytes, justified, "the state has not changed");
+        assert_eq!(again, justified, "the state has not changed");
         assert_eq!(count, REBROADCAST_ALLOCATIONS, "n={n}: unchanged re-broadcast");
 
         // First sight pays: slots, signatures, scratch capacity. (The
@@ -203,7 +203,7 @@ fn repeat_deliveries_allocate_nothing() {
             other.on_message(bytes);
         }
         other.on_tick().expect("keys cover phase");
-        let same_bundle = other.on_tick().expect("keys cover phase").bytes;
+        let same_bundle = other.on_tick().expect("keys cover phase");
         let justification = |bytes| Message::decode(bytes, &cfg).expect("own encoding").justification;
         assert_eq!(justification(&same_bundle), justification(&justified));
         let (count, receipt) = allocations_in(|| receiver.on_message(&same_bundle));
@@ -224,24 +224,24 @@ fn repeat_deliveries_allocate_nothing() {
         }
         let (head, rest) = procs.split_at_mut(1);
         let (sender, receiver) = (&mut head[0], &mut rest[0]);
-        let bare = sender.on_tick().expect("keys cover phase").bytes;
+        let bare = sender.on_tick().expect("keys cover phase");
         let decided = sender.on_tick().expect("keys cover phase");
-        let message = Message::decode(&decided.bytes, &cfg).expect("own encoding");
+        let message = Message::decode(&decided, &cfg).expect("own encoding");
         assert_eq!(message.envelope.status, Status::Decided);
         let lowest = message.justification.iter().map(|(e, _)| e.phase).min();
         let below_floor = lowest.is_some_and(|p| p + 8 < receiver.phase());
         assert!(below_floor, "n={n}: no attachment below the floor");
         let (count, again) = allocations_in(|| sender.on_tick().expect("keys cover phase"));
-        assert_eq!(again.bytes, decided.bytes, "the state has not changed");
+        assert_eq!(again, decided, "the state has not changed");
         assert_eq!(count, REBROADCAST_ALLOCATIONS, "n={n}: unchanged decided re-broadcast");
-        receiver.on_message(&decided.bytes);
+        receiver.on_message(&decided);
         // The repeat path, then the full path in release builds too: a
         // bare frame in between replaces the remembered one.
         for (what, before) in [("repeat", None), ("full-path", Some(&bare))] {
             if let Some(bytes) = before {
                 receiver.on_message(bytes);
             }
-            let (count, receipt) = allocations_in(|| receiver.on_message(&decided.bytes));
+            let (count, receipt) = allocations_in(|| receiver.on_message(&decided));
             assert_eq!(receipt.outcome, MessageOutcome::Duplicate);
             assert_eq!(count, 0, "n={n}: {what} decided delivery allocated");
         }
@@ -252,7 +252,7 @@ fn repeat_deliveries_allocate_nothing() {
 fn exchange(procs: &mut [Turquois]) {
     let round: Vec<_> = procs
         .iter_mut()
-        .map(|p| p.on_tick().expect("keys cover phase").bytes)
+        .map(|p| p.on_tick().expect("keys cover phase"))
         .collect();
     for p in procs.iter_mut() {
         for bytes in &round {

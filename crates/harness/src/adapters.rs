@@ -173,9 +173,9 @@ impl TurquoisApp {
         }
         let sent = match &mut self.role {
             Role::Correct { cost, probe } => match self.instance.on_tick() {
-                Ok(out) => {
-                    ctx.charge_cpu(cost.otss_sign() + cost.hash(out.bytes.len()));
-                    ctx.broadcast(out.bytes, overhead::UDP);
+                Ok(bytes) => {
+                    ctx.charge_cpu(cost.otss_sign() + cost.hash(bytes.len()));
+                    ctx.broadcast(bytes, overhead::UDP);
                     true
                 }
                 Err(_) => {

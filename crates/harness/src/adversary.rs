@@ -109,7 +109,7 @@ impl SplitBrain {
         let [Ok(a), Ok(b)] = [first, &mut self.twin].map(Turquois::on_tick) else {
             return false;
         };
-        let out = [a.bytes, b.bytes];
+        let out = [a, b];
         let mut coalition = self.coalition.borrow_mut();
         for dst in (0..self.n).filter(|dst| !coalition.contains_key(dst)) {
             let side = usize::from(!self.first_side(dst));

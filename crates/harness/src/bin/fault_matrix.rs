@@ -18,9 +18,8 @@
 //! whole stall path: five `FAILED(stalled)` rows, each `StallReport` on
 //! stderr, exit status 1.
 //!
-//! Usage: `fault_matrix [reps]` (default 20; `TURQUOIS_REPS`,
-//! `TURQUOIS_SIZES`, `TURQUOIS_THREADS`, `TURQUOIS_TIME_LIMIT`
-//! respected).
+//! Usage: `fault_matrix [reps]` (default 20; `TURQUOIS_SIZES`,
+//! `TURQUOIS_THREADS`, `TURQUOIS_TIME_LIMIT` respected).
 
 use std::time::Duration;
 use turquois_harness::experiment::PAPER_SIZES;

@@ -23,9 +23,8 @@
 //! `StallReport` — whose per-node reachable/component columns are
 //! exactly the diagnostic a partition stall needs.
 //!
-//! Usage: `partition_matrix [reps]` (default 10; `TURQUOIS_REPS`,
-//! `TURQUOIS_SIZES`, `TURQUOIS_THREADS`, `TURQUOIS_TIME_LIMIT`
-//! respected).
+//! Usage: `partition_matrix [reps]` (default 10; `TURQUOIS_SIZES`,
+//! `TURQUOIS_THREADS`, `TURQUOIS_TIME_LIMIT` respected).
 
 use turquois_core::Config;
 use turquois_harness::experiment::PAPER_SIZES;

@@ -27,9 +27,9 @@
 //! goes to stderr and, on request, to `$TURQUOIS_BENCH_JSON` — never to
 //! stdout.
 //!
-//! Usage: `table_scale [reps]` (default 3; `TURQUOIS_REPS`,
-//! `TURQUOIS_SIZES`, `TURQUOIS_THREADS`, `TURQUOIS_TIME_LIMIT`
-//! respected — sizes default to 16,64,256 here, not the paper's list).
+//! Usage: `table_scale [reps]` (default 3; `TURQUOIS_SIZES`,
+//! `TURQUOIS_THREADS`, `TURQUOIS_TIME_LIMIT` respected — sizes default
+//! to 16,64,256 here, not the paper's list).
 
 use std::time::Duration;
 use turquois_harness::grid::{Plan, Stall, RETRY_BUDGET_SCALE};

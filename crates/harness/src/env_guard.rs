@@ -20,7 +20,6 @@ pub const KNOB_PREFIX: &str = "TURQUOIS_";
 pub const KNOWN_ENV_VARS: &[&str] = &[
     "TURQUOIS_BENCH_JSON",
     "TURQUOIS_CHECK_SCHEDULES",
-    "TURQUOIS_REPS",
     "TURQUOIS_SIZES",
     "TURQUOIS_THREADS",
     "TURQUOIS_TIME_LIMIT",
@@ -77,37 +76,42 @@ mod tests {
         // Set-and-inspect in one test: env mutation is process-global,
         // so keep every case in a single #[test] to avoid races with
         // parallel test threads touching TURQUOIS_* variables.
-        let cases = [
-            ("TURQUOIS_REPETITIONS", false),
-            ("TURQUOIS_SIZE", false),
-            // A retired knob left over in someone's shell must warn
-            // rather than silently do nothing.
-            ("TURQUOIS_LEGACY_CODEC", false),
-            ("TURQUOIS_NO_MEMO", false),
-            ("TURQUOIS_SCALAR_SHA", false),
-            ("TURQUOIS_HOTPATH_STATS", false),
-            ("TURQUOIS_HOTPATH_JSON", false),
-            ("TURQUOIS_FM_FORCE_STALL", false),
-            ("TURQUOIS_PARTITION_JSON", false),
-            ("TURQUOIS_SABOTAGE", false),
-            ("TURQUOIS_REPS", true),
-            ("TURQUOIS_BENCH_JSON", true),
+        // Typos, and retired knobs left over in someone's shell (the
+        // repetition count is now the binaries' first argument), must
+        // warn rather than silently do nothing.
+        let unknown_suffixes = [
+            "REPETITIONS",
+            "SIZE",
+            "LEGACY_CODEC",
+            "NO_MEMO",
+            "SCALAR_SHA",
+            "HOTPATH_STATS",
+            "HOTPATH_JSON",
+            "FM_FORCE_STALL",
+            "PARTITION_JSON",
+            "SABOTAGE",
+            "REPS",
         ];
-        for (name, _) in cases {
+        let cases: Vec<(String, bool)> = unknown_suffixes
+            .iter()
+            .map(|suffix| (format!("{KNOB_PREFIX}{suffix}"), false))
+            .chain(["TURQUOIS_SIZES", "TURQUOIS_BENCH_JSON"].map(|k| (k.to_string(), true)))
+            .collect();
+        for (name, _) in &cases {
             std::env::set_var(name, "1");
         }
         let unknown = warn_unknown_env_vars();
-        let reps = knob("TURQUOIS_REPS", "a count", |raw| raw.parse::<usize>().ok());
-        let rejected = knob("TURQUOIS_REPS", "a bool", |raw| raw.parse::<bool>().ok());
-        for (name, _) in cases {
+        let sizes = knob("TURQUOIS_SIZES", "a count", |raw| raw.parse::<usize>().ok());
+        let rejected = knob("TURQUOIS_SIZES", "a bool", |raw| raw.parse::<bool>().ok());
+        for (name, _) in &cases {
             std::env::remove_var(name);
         }
-        for (name, known) in cases {
-            assert_eq!(!unknown.contains(&name.to_string()), known, "{name}");
+        for (name, known) in &cases {
+            assert_eq!(!unknown.contains(name), *known, "{name}");
         }
-        assert_eq!(reps, Some(1), "a well-formed value parses");
+        assert_eq!(sizes, Some(1), "a well-formed value parses");
         assert_eq!(rejected, None, "a malformed value falls back to the caller's default");
-        assert_eq!(knob("TURQUOIS_REPS", "a count", |_| Some(0)), None, "unset reads as None");
+        assert_eq!(knob("TURQUOIS_SIZES", "a count", |_| Some(0)), None, "unset reads as None");
     }
 
     /// Every `"TURQUOIS_…"` string literal in `text`, each with the
@@ -173,9 +177,9 @@ mod tests {
 
     #[test]
     fn knob_literals_finds_whole_literals_only() {
-        let text = r#"var("TURQUOIS_REPS"); "TURQUOIS_lower" "TURQUOIS_* knobs" x("TURQUOIS_A_B")"#;
+        let text = r#"var("TURQUOIS_SIZES"); "TURQUOIS_lower" "TURQUOIS_* knobs" x("TURQUOIS_A_B")"#;
         let found: Vec<&str> = knob_literals(text).iter().map(|(knob, _)| *knob).collect();
-        assert_eq!(found, ["TURQUOIS_REPS", "TURQUOIS_A_B"]);
+        assert_eq!(found, ["TURQUOIS_SIZES", "TURQUOIS_A_B"]);
         assert!(knob_literals(text)[0].1.ends_with("var("));
     }
 

@@ -7,8 +7,9 @@
 //! contributes, and how a cell renders — and [`Plan::run`] does the
 //! rest, identically for all twelve:
 //!
-//! * reads `TURQUOIS_REPS` / `_SIZES` / `_THREADS` / `_TIME_LIMIT`
-//!   once ([`Plan::from_env`]);
+//! * reads the repetition count (the first argument) and
+//!   `TURQUOIS_SIZES` / `_THREADS` / `_TIME_LIMIT` once
+//!   ([`Plan::from_env`]);
 //! * fans the cell-major `(cell, rep)` jobs across the [`runner`] pool
 //!   (`run_indexed`, each job under `isolated`), merged by job index so
 //!   output is byte-identical at any thread count, and times each job;
@@ -71,16 +72,12 @@ pub struct Plan {
 impl Plan {
     /// Reads the knobs (warning about misspelled names and malformed
     /// values), falling back to the binary's `reps` and `sizes`. The
-    /// repetition count is the first CLI argument if there is one, else
-    /// `TURQUOIS_REPS`.
+    /// repetition count is the first CLI argument if there is one.
     pub fn from_env(bin: &'static str, reps: usize, sizes: &[usize], stall: Stall) -> Plan {
         env_guard::warn_unknown_env_vars();
-        let count = "a non-negative integer";
         Plan {
             bin,
-            reps: reps_argument()
-                .or_else(|| knob("TURQUOIS_REPS", count, |raw| raw.parse().ok()))
-                .unwrap_or(reps),
+            reps: reps_from(std::env::args().nth(1), reps),
             sizes: knob("TURQUOIS_SIZES", "comma-separated group sizes", parse_sizes)
                 .unwrap_or_else(|| sizes.to_vec()),
             threads: runner::threads_from_env(),
@@ -409,17 +406,17 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// The repetition count given as the first CLI argument, if any.
-fn reps_argument() -> Option<usize> {
-    let arg = std::env::args().nth(1)?;
-    let reps = arg.parse().ok();
-    if reps.is_none() {
+/// The repetition count: the first CLI argument, `arg`, when it
+/// parses, else `default`.
+fn reps_from(arg: Option<String>, default: usize) -> usize {
+    let Some(arg) = arg else { return default };
+    arg.parse().unwrap_or_else(|_| {
         eprintln!(
             "warning: ignoring malformed repetition argument {arg:?}: \
              expected a non-negative integer"
         );
-    }
-    reps
+        default
+    })
 }
 
 /// `TURQUOIS_SIZES`: the entries that parse, each other one warned
@@ -681,6 +678,14 @@ mod tests {
         assert_eq!(parse_sizes("4, 7"), Some(vec![4, 7]));
         assert_eq!(parse_sizes("4,banana"), Some(vec![4]));
         assert_eq!(parse_sizes("banana"), None);
+    }
+
+    #[test]
+    fn the_first_argument_sets_the_repetitions() {
+        assert_eq!(reps_from(Some("7".into()), 3), 7);
+        assert_eq!(reps_from(Some("0".into()), 3), 0);
+        assert_eq!(reps_from(None, 3), 3, "no argument: the binary's default");
+        assert_eq!(reps_from(Some("ten".into()), 3), 3, "malformed: warned, default");
     }
 
     #[test]

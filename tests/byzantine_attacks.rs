@@ -23,7 +23,7 @@ fn run_to_decision(procs: &mut [Turquois]) {
     for _ in 0..30 {
         let msgs: Vec<_> = procs
             .iter_mut()
-            .map(|p| p.on_tick().expect("keys cover phase").bytes)
+            .map(|p| p.on_tick().expect("keys cover phase"))
             .collect();
         for p in procs.iter_mut() {
             for m in &msgs {
@@ -62,7 +62,7 @@ fn signature_replay_under_other_value_rejected() {
     let genuine = procs[1].on_tick().expect("keys cover phase");
     // Attacker reuses process 1's phase-1 signature for the opposite
     // value.
-    let mut flipped = Message::decode(&genuine.bytes, procs[1].config()).expect("own encoding");
+    let mut flipped = Message::decode(&genuine, procs[1].config()).expect("own encoding");
     flipped.envelope.value = flipped.envelope.value.flipped();
     let receipt = procs[0].on_message(&flipped.encode());
     assert_eq!(receipt.outcome, MessageOutcome::AuthFailed);
@@ -75,7 +75,7 @@ fn status_replay_cannot_fake_a_decision() {
     // flipped. The semantic validation must reject the fake `decided`.
     let mut procs = make_group(4, true, 3);
     let genuine = procs[1].on_tick().expect("keys cover phase");
-    let mut replayed = Message::decode(&genuine.bytes, procs[1].config()).expect("own encoding");
+    let mut replayed = Message::decode(&genuine, procs[1].config()).expect("own encoding");
     replayed.envelope.status = Status::Decided;
     let receipt = procs[0].on_message(&replayed.encode());
     assert!(
@@ -95,7 +95,7 @@ fn status_replay_after_real_decision_is_harmless() {
     run_to_decision(&mut procs);
     assert!(procs.iter().all(|p| p.decision() == Some(true)));
     let out = procs[1].on_tick().expect("keys cover phase");
-    let mut replay = Message::decode(&out.bytes, procs[1].config()).expect("own encoding");
+    let mut replay = Message::decode(&out, procs[1].config()).expect("own encoding");
     replay.envelope.status = Status::Decided; // already decided; keep it
     let before = procs[0].decision();
     procs[0].on_message(&replay.encode());
@@ -157,7 +157,7 @@ fn equivocation_does_not_double_count() {
     let mut p0 = Turquois::new(cfg, 0, true, rings.remove(0), 13);
 
     let own = p0.on_tick().expect("keys cover phase");
-    p0.on_message(&own.bytes); // loopback: sender counts itself
+    p0.on_message(&own); // loopback: sender counts itself
 
     for value in [Value::Zero, Value::One] {
         let sig = evil_ring.sign(1, value).expect("in range");
@@ -244,7 +244,7 @@ fn baselines_survive_byzantine_load_across_seeds() {
 #[test]
 fn corrupted_wire_bytes_never_panic() {
     let mut procs = make_group(4, true, 7);
-    let genuine = procs[1].on_tick().expect("keys cover phase").bytes;
+    let genuine = procs[1].on_tick().expect("keys cover phase");
     // Flip every single byte position and feed the result.
     for i in 0..genuine.len() {
         let mut corrupted = genuine.to_vec();

@@ -49,7 +49,7 @@ fn rekey_mid_protocol_keeps_consensus_running() {
     for _ in 0..40 {
         let msgs: Vec<_> = procs
             .iter_mut()
-            .map(|p| p.on_tick().expect("epochs cover the phase").bytes)
+            .map(|p| p.on_tick().expect("epochs cover the phase"))
             .collect();
         for p in procs.iter_mut() {
             for m in &msgs {
@@ -81,7 +81,7 @@ fn key_exhaustion_is_reported_not_panicked() {
         let mut msgs = Vec::new();
         for p in procs.iter_mut() {
             match p.on_tick() {
-                Ok(out) => msgs.push(out.bytes),
+                Ok(out) => msgs.push(out),
                 Err(e) => {
                     exhausted = true;
                     assert!(e.to_string().contains("exhausted"));

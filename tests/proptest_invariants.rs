@@ -122,7 +122,7 @@ proptest! {
         for _ in 0..40 {
             let msgs: Vec<_> = procs
                 .iter_mut()
-                .map(|p| p.on_tick().expect("keys cover phase").bytes)
+                .map(|p| p.on_tick().expect("keys cover phase"))
                 .collect();
             for p in procs.iter_mut() {
                 for m in &msgs {
@@ -160,7 +160,7 @@ proptest! {
         for mask in &loss_mask {
             let msgs: Vec<_> = procs
                 .iter_mut()
-                .map(|p| p.on_tick().expect("keys cover phase").bytes)
+                .map(|p| p.on_tick().expect("keys cover phase"))
                 .collect();
             for (recv_idx, p) in procs.iter_mut().enumerate() {
                 for (send_idx, m) in msgs.iter().enumerate() {
@@ -203,14 +203,14 @@ fn justified_rebroadcast(proposals: &[bool], seed: u64) -> (Message, Turquois) {
         .collect();
     let msgs: Vec<_> = procs
         .iter_mut()
-        .map(|p| p.on_tick().expect("keys cover phase").bytes)
+        .map(|p| p.on_tick().expect("keys cover phase"))
         .collect();
     for m in &msgs {
         procs[0].on_message(m);
     }
     assert_eq!(procs[0].phase(), 2, "phase-1 quorum advances p0");
     let _bare = procs[0].on_tick().expect("keys cover phase");
-    let justified = procs[0].on_tick().expect("keys cover phase").bytes;
+    let justified = procs[0].on_tick().expect("keys cover phase");
     let justified = Message::decode(&justified, &cfg).expect("own encoding");
     assert!(
         !justified.justification.is_empty(),
