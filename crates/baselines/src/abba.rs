@@ -337,7 +337,7 @@ impl AbbaMessage {
     /// The exact wire length [`AbbaMessage::encode`] produces, computed
     /// arithmetically — no buffer is built. The adapter's RSA airtime
     /// model uses this instead of a throwaway encode.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         match self {
             AbbaMessage::PreVote { just, .. } => {
                 1 + 4 + 1 + SIG_SHARE_LEN + prevote_just_len(just)
@@ -529,13 +529,13 @@ pub struct AbbaOutput {
 #[derive(Clone, Debug)]
 pub struct AbbaKeys {
     /// Signature scheme public state (threshold `n − f`).
-    pub sig_public: SharePublic,
+    pub(crate) sig_public: SharePublic,
     /// This party's signature key.
-    pub sig_key: PartyKey,
+    pub(crate) sig_key: PartyKey,
     /// Coin scheme public state (threshold `f + 1`).
-    pub coin_public: SharePublic,
+    pub(crate) coin_public: SharePublic,
     /// This party's coin key.
-    pub coin_key: PartyKey,
+    pub(crate) coin_key: PartyKey,
 }
 
 impl AbbaKeys {
@@ -622,7 +622,7 @@ impl Abba {
     /// # Panics
     ///
     /// Panics unless `3f < n`, `me < n`, and the key bundle's thresholds
-    /// are [`Quorums::wait`] and [`Quorums::weak`].
+    /// are [`Quorums::wait`] and `Quorums::weak`.
     pub fn new(n: usize, f: usize, me: usize, proposal: bool, keys: AbbaKeys, _seed: u64) -> Self {
         let q = Quorums::new(n, f);
         assert!(me < n, "party id out of range");

@@ -1,7 +1,7 @@
 //! Bracha's asynchronous ⌊(n−1)/3⌋-resilient binary consensus (PODC
 //! 1984) — the first baseline of the paper's evaluation.
 //!
-//! Every logical message is sent through [`ReliableBroadcast`], which is
+//! Every logical message is sent through `ReliableBroadcast`, which is
 //! what gives the protocol its O(n³) message complexity and prevents
 //! Byzantine equivocation. Rounds have three steps:
 //!
@@ -30,7 +30,7 @@ use turquois_crypto::memo::FixedMap;
 
 /// A step value: a binary value or `⊥` (step 3 only).
 #[derive(Clone, Copy, Debug, Eq, PartialEq, Hash)]
-pub enum StepValue {
+pub(crate) enum StepValue {
     /// Binary 0.
     Zero,
     /// Binary 1.
@@ -70,16 +70,6 @@ impl StepValue {
             1 => Some(StepValue::One),
             2 => Some(StepValue::Null),
             _ => None,
-        }
-    }
-
-    /// The opposite binary value (used by the evaluation's Byzantine
-    /// strategy); `Null` maps to itself.
-    pub fn flipped(self) -> StepValue {
-        match self {
-            StepValue::Zero => StepValue::One,
-            StepValue::One => StepValue::Zero,
-            StepValue::Null => StepValue::Null,
         }
     }
 }
@@ -213,7 +203,7 @@ impl Bracha {
 
     /// Processes a wire message from link-layer sender `from`.
     ///
-    /// The wire bytes are parsed into a borrowed [`RbcView`] (no
+    /// The wire bytes are parsed into a borrowed `RbcView` (no
     /// payload copy; DESIGN.md §13).
     pub fn on_message(&mut self, from: usize, bytes: &[u8]) -> BrachaOutput {
         let mut out = BrachaOutput::default();
@@ -598,8 +588,6 @@ mod tests {
         assert_eq!(StepValue::from_bit(true), StepValue::One);
         assert_eq!(StepValue::One.as_bit(), Some(true));
         assert_eq!(StepValue::Null.as_bit(), None);
-        assert_eq!(StepValue::Zero.flipped(), StepValue::One);
-        assert_eq!(StepValue::Null.flipped(), StepValue::Null);
         assert_eq!(StepValue::decode(3), None);
         for v in [StepValue::Zero, StepValue::One, StepValue::Null] {
             assert_eq!(StepValue::decode(v.encode()), Some(v));

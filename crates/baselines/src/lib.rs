@@ -30,7 +30,7 @@ pub mod bracha;
 pub mod quorum;
 pub mod rbc;
 
-pub use abba::{Abba, AbbaKeys, AbbaMessage, CryptoOps};
-pub use bracha::{Bracha, StepValue};
+pub use abba::{Abba, AbbaKeys, AbbaMessage};
+pub use bracha::Bracha;
 pub use quorum::Quorums;
-pub use rbc::{RbcMessage, ReliableBroadcast};
+pub use rbc::RbcMessage;

@@ -41,31 +41,31 @@ impl Quorums {
     /// `f + 1`: enough senders to include a correct one. Bracha's
     /// step-3 adoption, RBC's READY amplification, ABBA's coin
     /// threshold.
-    pub fn weak(&self) -> usize {
+    pub(crate) fn weak(&self) -> usize {
         self.f + 1
     }
 
     /// `2f + 1`: enough senders to include `f + 1` correct ones.
     /// Bracha decides and RBC delivers on it.
-    pub fn strong(&self) -> usize {
+    pub(crate) fn strong(&self) -> usize {
         2 * self.f + 1
     }
 
     /// `true` when `count` exceeds `(n + f)/2`: RBC's echo quorum.
-    pub fn exceeds_echo_quorum(&self, count: usize) -> bool {
+    pub(crate) fn exceeds_echo_quorum(&self, count: usize) -> bool {
         2 * count > self.n + self.f
     }
 
     /// `true` when `count` exceeds `n/2`. Bracha's step 2 adopts such a
     /// value, and step-3 validation accepts a binary value on it.
-    pub fn exceeds_half(&self, count: usize) -> bool {
+    pub(crate) fn exceeds_half(&self, count: usize) -> bool {
         2 * count > self.n
     }
 
     /// The binary majority of `zero` and `one` votes, ties to One
     /// (`true`), as Turquois breaks them. Bracha adopts it at step 1
     /// and weighs it at step 3.
-    pub fn majority_bit(&self, zero: usize, one: usize) -> bool {
+    pub(crate) fn majority_bit(&self, zero: usize, one: usize) -> bool {
         one >= zero
     }
 
@@ -74,7 +74,7 @@ impl Quorums {
     /// Bracha's step-2 validation. One wins a tie, so ⌈(n−f)/2⌉ suffice
     /// for it, while Zero needs ⌊(n−f)/2⌋ + 1. Demanding the latter of
     /// One pends a tie-adopted step-2 value forever when n − f is even.
-    pub fn majority_bit_min(&self, bit: bool) -> usize {
+    pub(crate) fn majority_bit_min(&self, bit: bool) -> usize {
         if bit {
             self.wait().div_ceil(2)
         } else {

@@ -95,7 +95,7 @@ impl RbcMessage {
 
     /// Borrows this message as the [`RbcView`] its encoding would
     /// parse to — no encode, no copy.
-    pub fn view(&self) -> RbcView<'_> {
+    pub(crate) fn view(&self) -> RbcView<'_> {
         let (kind, tag, payload) = match self {
             RbcMessage::Initial { tag, payload } => (KIND_INITIAL, tag, payload),
             RbcMessage::Echo { tag, payload } => (KIND_ECHO, tag, payload),
@@ -108,8 +108,8 @@ impl RbcMessage {
         }
     }
 
-    /// Decodes from wire bytes ([`RbcView::parse`], then
-    /// [`RbcView::to_message`]); `None` for malformed input.
+    /// Decodes from wire bytes (`RbcView::parse`, then
+    /// `RbcView::to_message`); `None` for malformed input.
     pub fn decode(bytes: &[u8]) -> Option<RbcMessage> {
         RbcView::parse(bytes).map(|view| view.to_message())
     }
@@ -118,11 +118,11 @@ impl RbcMessage {
 /// A borrowed, zero-copy view of one [`RbcMessage`] — the one parser
 /// of the format: the payload stays an offset range into the receive
 /// buffer instead of being copied into a fresh [`Bytes`] at decode
-/// time. [`ReliableBroadcast::on_view`] consumes the view directly,
+/// time. `ReliableBroadcast::on_view` consumes the view directly,
 /// materializing an owned copy of the payload only when it first
 /// enters a vote table or an outgoing echo (DESIGN.md §13).
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
-pub struct RbcView<'a> {
+pub(crate) struct RbcView<'a> {
     kind: u8,
     tag: Tag,
     payload: &'a [u8],
@@ -158,19 +158,9 @@ impl<'a> RbcView<'a> {
         })
     }
 
-    /// The instance tag of this message.
-    pub fn tag(&self) -> Tag {
-        self.tag
-    }
-
-    /// The payload, borrowed from the receive buffer.
-    pub fn payload(&self) -> &'a [u8] {
-        self.payload
-    }
-
     /// Materializes the owned [`RbcMessage`] this view describes
     /// (copies the payload).
-    pub fn to_message(&self) -> RbcMessage {
+    pub fn to_message(self) -> RbcMessage {
         let tag = self.tag;
         let payload = Bytes::copy_from_slice(self.payload);
         match self.kind {
@@ -251,7 +241,7 @@ impl Instance {
 
 /// Actions produced by one protocol step.
 #[derive(Debug, Default, Eq, PartialEq)]
-pub struct RbcOutput {
+pub(crate) struct RbcOutput {
     /// Messages this process must now send to everyone.
     pub send: Vec<RbcMessage>,
     /// Payloads delivered, as `(tag, payload)`.
@@ -260,7 +250,7 @@ pub struct RbcOutput {
 
 /// One process's reliable-broadcast engine (all instances).
 #[derive(Debug)]
-pub struct ReliableBroadcast {
+pub(crate) struct ReliableBroadcast {
     q: Quorums,
     me: usize,
     instances: FixedMap<Tag, Instance>,
@@ -295,18 +285,12 @@ impl ReliableBroadcast {
         RbcOutput { send, deliver: Vec::new() }
     }
 
-    /// Processes an owned message: [`ReliableBroadcast::on_view`] over
-    /// [`RbcMessage::view`].
-    pub fn on_message(&mut self, from: usize, msg: &RbcMessage) -> RbcOutput {
-        self.on_view(from, &msg.view())
-    }
-
     /// Processes a message received from link-layer sender `from`
     /// (authenticated by the channel, per the paper's IPSec AH setup).
     /// The payload is copied into an owned [`Bytes`] only when it first
     /// enters a vote table or an outgoing echo; a repeated vote is a
     /// slice compare and a bit test, and allocates nothing.
-    pub fn on_view(&mut self, from: usize, view: &RbcView<'_>) -> RbcOutput {
+    pub(crate) fn on_view(&mut self, from: usize, view: &RbcView<'_>) -> RbcOutput {
         let mut out = RbcOutput::default();
         let tag = view.tag;
         // Only the origin may initiate its own instance.
@@ -336,19 +320,9 @@ impl ReliableBroadcast {
         out
     }
 
-    /// What this process delivered for `tag`, if anything.
-    pub fn delivered(&self, tag: Tag) -> Option<&Bytes> {
-        self.instances.get(&tag).and_then(|i| i.delivered.as_ref())
-    }
-
     /// Drops state for instances with `round < min_round` (GC).
-    pub fn prune_rounds_below(&mut self, min_round: u32) {
+    pub(crate) fn prune_rounds_below(&mut self, min_round: u32) {
         self.instances.retain(|tag, _| tag.round >= min_round);
-    }
-
-    /// Number of live instances (for memory diagnostics).
-    pub fn instance_count(&self) -> usize {
-        self.instances.len()
     }
 }
 
@@ -356,6 +330,19 @@ impl ReliableBroadcast {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    impl ReliableBroadcast {
+        /// Processes an owned message: [`ReliableBroadcast::on_view`]
+        /// over [`RbcMessage::view`].
+        pub(crate) fn on_message(&mut self, from: usize, msg: &RbcMessage) -> RbcOutput {
+            self.on_view(from, &msg.view())
+        }
+
+        /// What this process delivered for `tag`, if anything.
+        fn delivered(&self, tag: Tag) -> Option<&Bytes> {
+            self.instances.get(&tag).and_then(|i| i.delivered.as_ref())
+        }
+    }
 
     /// Runs a lossless full-information exchange among `n` engines until
     /// quiescence, starting from `initial` messages sent by each process.
@@ -604,9 +591,9 @@ mod tests {
                 },
             );
         }
-        assert_eq!(e.instance_count(), 5);
+        assert_eq!(e.instances.len(), 5);
         e.prune_rounds_below(4);
-        assert_eq!(e.instance_count(), 2);
+        assert_eq!(e.instances.len(), 2);
     }
 
     #[test]
@@ -842,7 +829,7 @@ mod tests {
                     oracle.instances.get(&tag).and_then(|i| i.delivered.as_ref())
                 );
             }
-            proptest::prop_assert_eq!(engine.instance_count(), oracle.instances.len());
+            proptest::prop_assert_eq!(engine.instances.len(), oracle.instances.len());
         }
 
 

@@ -4,7 +4,7 @@
 //! checks agreement, validity, and (within the σ omission budget)
 //! eventual decision.
 //!
-//! Time is a sequence of *rounds*, each [`QUANTUM`] of simulated time.
+//! Time is a sequence of *rounds*, each `QUANTUM` of simulated time.
 //! Every callback is opened with `NodeCtx::new` at `round × QUANTUM`
 //! and drained with `NodeCtx::finish`, as the live runtime does: a
 //! drained `Broadcast` fans out to every process, a `Unicast` is one
@@ -15,7 +15,7 @@
 //! reliable transport and link authentication they ship with.
 //!
 //! Each round fires the due timers, then delivers the due frames. A
-//! frame lands one Turquois tick interval ([`LATENCY`] rounds) after it
+//! frame lands one Turquois tick interval (`LATENCY` rounds) after it
 //! is sent, so a phase's bare broadcast is followed, before the next
 //! phase's frames land, by its justified rebroadcast — the explicit
 //! validation that lets a process that missed a quorum catch up. At a
@@ -136,10 +136,10 @@ pub struct RunReport {
 
 /// Simulated time per round: the transport's tick, so its delayed
 /// ACKs and retransmission timeouts land on round boundaries.
-pub const QUANTUM: Duration = reliable::TICK_INTERVAL;
+pub(crate) const QUANTUM: Duration = reliable::TICK_INTERVAL;
 /// Rounds from a frame's send to its delivery: one Turquois tick
 /// interval (see the module doc).
-pub const LATENCY: u32 = (TICK_INTERVAL.as_nanos() / QUANTUM.as_nanos()) as u32;
+pub(crate) const LATENCY: u32 = (TICK_INTERVAL.as_nanos() / QUANTUM.as_nanos()) as u32;
 const _: () = assert!(TICK_INTERVAL.as_nanos().is_multiple_of(QUANTUM.as_nanos()));
 
 /// One queued frame: `(send seq, receiver, frame)`.

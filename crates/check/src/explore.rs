@@ -39,16 +39,14 @@ pub struct ViolationRecord {
     pub index: usize,
     /// The violation the original schedule produced.
     pub violation: Violation,
-    /// The minimal schedule after shrinking (still failing).
-    pub shrunk: Schedule,
     /// The violation the shrunk schedule produces.
-    pub shrunk_violation: Violation,
+    pub(crate) shrunk_violation: Violation,
     /// Replay fixture text for the shrunk schedule.
-    pub fixture: String,
+    pub(crate) fixture: String,
     /// The shrinker's step-by-step log.
     pub trace: Vec<String>,
     /// Schedules executed while shrinking.
-    pub shrink_attempts: usize,
+    pub(crate) shrink_attempts: usize,
 }
 
 /// A schedule whose execution panicked the engine — a counterexample
@@ -61,7 +59,7 @@ pub struct PanicRecord {
     /// The panic message.
     pub message: String,
     /// Replay fixture text regenerating the panicking schedule.
-    pub fixture: String,
+    pub(crate) fixture: String,
 }
 
 /// Aggregate outcome of one exploration sweep.
@@ -178,7 +176,6 @@ fn explore_with(
         violations.push(ViolationRecord {
             index: i,
             violation: v.clone(),
-            shrunk: result.schedule,
             shrunk_violation: result.violation,
             fixture,
             trace: result.trace,

@@ -17,7 +17,7 @@
 //! - [`schedule`] — the schedule model and the seeded generator.
 //! - [`drive`] — executes a schedule and checks agreement, validity,
 //!   and (within the σ omission budget) eventual decision.
-//! - [`mod@shrink`] — greedy minimisation of failing schedules.
+//! - `shrink` — greedy minimisation of failing schedules.
 //! - [`replay`] — the `tests/fixtures/*.schedule` text format.
 //! - [`mod@explore`] — parallel sweeps over thousands of schedules with a
 //!   byte-identical report at any `TURQUOIS_THREADS`.
@@ -40,10 +40,9 @@ pub mod explore;
 pub mod mutants;
 pub mod replay;
 pub mod schedule;
-pub mod shrink;
+mod shrink;
 
-pub use drive::{run_schedule, RunReport, Violation, ViolationKind};
-pub use explore::{explore, ExploreConfig, ExploreReport, PanicRecord, ViolationRecord};
+pub use drive::{run_schedule, Violation};
+pub use explore::{explore, ExploreConfig};
 pub use replay::{parse, to_text, Expectation};
-pub use schedule::{generate, Fault, FaultKind, GenParams, Partition, Schedule};
-pub use shrink::{shrink, ShrinkResult};
+pub use schedule::{generate, Fault, Partition, Schedule};

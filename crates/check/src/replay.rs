@@ -65,7 +65,7 @@ impl Expectation {
 
 /// The lowercase engine word of fixtures, reports and the `explore`
 /// command line.
-pub fn engine_word(engine: Protocol) -> &'static str {
+pub(crate) fn engine_word(engine: Protocol) -> &'static str {
     match engine {
         Protocol::Turquois => "turquois",
         Protocol::Bracha => "bracha",
@@ -73,7 +73,7 @@ pub fn engine_word(engine: Protocol) -> &'static str {
     }
 }
 
-/// Parses [`engine_word`] output.
+/// Parses `engine_word` output.
 pub fn parse_engine(word: &str) -> Option<Protocol> {
     Protocol::ALL.into_iter().find(|&p| engine_word(p) == word)
 }

@@ -6,7 +6,7 @@
 //! membership with per-receiver equivocation masks, and a list of
 //! per-`(round, sender, receiver)` delivery [`Fault`]s active during the
 //! adversarial `window`. Being plain data, schedules can be shrunk field
-//! by field (see [`mod@crate::shrink`]) and serialized as replay fixtures
+//! by field (see the `shrink` module) and serialized as replay fixtures
 //! (see [`crate::replay`]).
 
 use crate::drive::QUANTUM;
@@ -49,12 +49,12 @@ pub struct Partition {
 
 impl Partition {
     /// Whether the split is active for messages sent in `round`.
-    pub fn active(&self, round: u32) -> bool {
+    pub(crate) fn active(&self, round: u32) -> bool {
         (self.split_round..self.heal_round).contains(&round)
     }
 
     /// Whether a `from → to` delivery crosses the split boundary.
-    pub fn crosses(&self, from: usize, to: usize) -> bool {
+    pub(crate) fn crosses(&self, from: usize, to: usize) -> bool {
         (self.mask >> from & 1) != (self.mask >> to & 1)
     }
 }

@@ -25,7 +25,7 @@ use crate::schedule::Schedule;
 
 /// Result of shrinking one failing schedule.
 #[derive(Clone, Debug)]
-pub struct ShrinkResult {
+pub(crate) struct ShrinkResult {
     /// The minimal schedule (still failing).
     pub schedule: Schedule,
     /// The violation the minimal schedule produces.
@@ -48,7 +48,10 @@ pub struct ShrinkResult {
 ///
 /// Panics if `check(failing)` returns `None` — shrinking a passing
 /// schedule is a caller bug.
-pub fn shrink(failing: &Schedule, check: impl Fn(&Schedule) -> Option<Violation>) -> ShrinkResult {
+pub(crate) fn shrink(
+    failing: &Schedule,
+    check: impl Fn(&Schedule) -> Option<Violation>,
+) -> ShrinkResult {
     let mut attempts = 1;
     let mut violation = check(failing).expect("shrink() requires a failing schedule");
     let mut best = failing.clone();

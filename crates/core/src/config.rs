@@ -113,22 +113,22 @@ impl Config {
 
     /// `true` when `count` messages (from distinct senders) exceed the
     /// `(n + f)/2` quorum, computed in exact integer arithmetic.
-    pub fn exceeds_quorum(&self, count: usize) -> bool {
+    pub(crate) fn exceeds_quorum(&self, count: usize) -> bool {
         2 * count > self.n + self.f
     }
 
     /// `true` when `count` exceeds half a quorum, `((n + f)/2)/2`
     /// (used by the semantic validation of §6.2).
-    pub fn exceeds_half_quorum(&self, count: usize) -> bool {
+    pub(crate) fn exceeds_half_quorum(&self, count: usize) -> bool {
         4 * count > self.n + self.f
     }
 
-    /// Smallest count that satisfies [`Config::exceeds_quorum`].
+    /// Smallest count that satisfies `Config::exceeds_quorum`.
     pub fn quorum_min(&self) -> usize {
         (self.n + self.f) / 2 + 1
     }
 
-    /// Smallest count that satisfies [`Config::exceeds_half_quorum`].
+    /// Smallest count that satisfies `Config::exceeds_half_quorum`.
     pub fn half_quorum_min(&self) -> usize {
         (self.n + self.f) / 4 + 1
     }

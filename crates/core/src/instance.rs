@@ -1,7 +1,7 @@
 //! The `Turquois` protocol instance: the complete per-process engine.
 //!
 //! This type glues together the pieces of the protocol — the
-//! [`ProcessState`] of Algorithm 1, the authenticity validation of §6.1
+//! `ProcessState` of Algorithm 1, the authenticity validation of §6.1
 //! ([`KeyRing`]), and the semantic validation of §6.2 — behind a sans-io
 //! interface:
 //!
@@ -40,8 +40,8 @@
 use crate::config::Config;
 use crate::keyring::KeyRing;
 use crate::message::{
-    bundle_key, claimed_head, justification_bytes, DecodeError, EncodingCheck, Envelope, Message,
-    MessageView, Status,
+    bundle_key, claimed_head, justification_bytes, DecodeError, Envelope, Message, MessageView,
+    Status,
 };
 use crate::state::{Advance, ProcessState};
 use crate::store::{combo_code, value_mask, MessageStore};
@@ -269,7 +269,7 @@ impl Turquois {
 
     /// Approximate resident bytes of the message store (evidence and
     /// `V_i`). Deterministic — a function of record counts only (see
-    /// [`MessageStore::approx_bytes`]) — so it can feed the supervised
+    /// `MessageStore::approx_bytes`) — so it can feed the supervised
     /// tables' peak-store column and stall reports.
     pub fn store_bytes(&self) -> usize {
         self.evidence.approx_bytes()
@@ -343,17 +343,26 @@ impl Turquois {
     }
 
     /// Rebuilds a re-broadcast [`Turquois::on_tick`] reused and asserts
-    /// it encodes to the reused bytes. The rebuilt entries are compared
-    /// with the bytes as they come, and the dedupe table is recycled, so
-    /// it allocates nothing either.
+    /// it is the message the reused bytes parse to: the head, then each
+    /// rebuilt entry against [`MessageView::entry`] in order, then the
+    /// count. The view borrows the bytes and the dedupe table is
+    /// recycled, so it allocates nothing either.
     fn recheck_rebroadcast(&mut self, envelope: &Envelope, bytes: &[u8]) {
         let signature = self
             .keyring
             .sign(envelope.phase, envelope.value)
             .expect("signed when the bytes were built");
-        let mut check = EncodingCheck::new(bytes, envelope, &signature);
-        self.build_justification(envelope, &mut |env, sig| check.entry(&env, &sig));
-        assert!(check.matched(), "a reused re-broadcast differs from its rebuild");
+        let view = MessageView::parse(bytes, &self.cfg).expect("a reused re-broadcast parses");
+        let mut same = view.envelope() == *envelope && view.signature() == signature;
+        let mut next = 0;
+        self.build_justification(envelope, &mut |env, sig| {
+            same &= next < view.justification_len() && view.entry(next) == (env, sig);
+            next += 1;
+        });
+        assert!(
+            same && next == view.justification_len(),
+            "a reused re-broadcast differs from its rebuild"
+        );
     }
 
     /// The bundle [`Turquois::build_justification`] assembles for

@@ -35,8 +35,8 @@ pub mod store;
 pub mod validation;
 
 pub use config::Config;
-pub use instance::{MessageOutcome, Receipt, Turquois};
+pub use instance::{MessageOutcome, Turquois};
 pub use keyring::KeyRing;
 pub use message::{Envelope, Message, Status};
-pub use state::{PhaseKind, ProcessState};
+pub use state::PhaseKind;
 pub use turquois_crypto::otss::Value;

@@ -136,45 +136,6 @@ const FILLER: [u8; ENTRY_LEN] = {
 const FLAG_COIN: u8 = 0b01;
 const FLAG_DECIDED: u8 = 0b10;
 
-/// Compares an encoded message with the message whose parts follow
-/// (its head at [`EncodingCheck::new`], its entries in order through
-/// [`EncodingCheck::entry`]), one record at a time, without building
-/// the encoding.
-pub(crate) struct EncodingCheck<'a> {
-    records: &'a [[u8; ENTRY_LEN]],
-    next: usize,
-    same: bool,
-}
-
-impl<'a> EncodingCheck<'a> {
-    /// Starts comparing `bytes` with the message of `envelope` signed by
-    /// `signature`.
-    pub(crate) fn new(bytes: &'a [u8], envelope: &Envelope, signature: &OneTimeSignature) -> Self {
-        let (head, body) = bytes.split_at_checked(HEADER_LEN).unwrap_or_default();
-        let (records, rest) = body.as_chunks();
-        let same = rest.is_empty()
-            && head.len() == HEADER_LEN
-            && head[..ENTRY_LEN] == encode_record(envelope, signature)
-            && usize::from(u16::from_be_bytes([head[ENTRY_LEN], head[ENTRY_LEN + 1]])) == records.len();
-        EncodingCheck {
-            records,
-            next: 0,
-            same,
-        }
-    }
-
-    /// Compares the next justification entry.
-    pub(crate) fn entry(&mut self, env: &Envelope, sig: &OneTimeSignature) {
-        self.same &= self.records.get(self.next) == Some(&encode_record(env, sig));
-        self.next += 1;
-    }
-
-    /// Whether every record matched and the bytes hold no other.
-    pub(crate) fn matched(&self) -> bool {
-        self.same && self.next == self.records.len()
-    }
-}
-
 /// One signed record in wire order: sender, phase, value, flags,
 /// signature.
 fn encode_record(env: &Envelope, sig: &OneTimeSignature) -> [u8; ENTRY_LEN] {
@@ -581,33 +542,6 @@ mod tests {
             Message::decode(&bytes, &cfg()),
             Err(DecodeError::JustificationTooLarge { count: 1000 })
         ));
-    }
-
-    /// `EncodingCheck` matches a message's own encoding, and nothing
-    /// with one bit flipped, one entry more or one entry fewer.
-    #[test]
-    fn encoding_check_matches_exactly_the_encoding() {
-        let mut m = Message::bare(env(3, 4, Value::One), sig(9));
-        m.justification = (0..3).map(|s| (env(s, 3, Value::One), sig(s as u8))).collect();
-        let check = |bytes: &[u8], entries: &[(Envelope, OneTimeSignature)]| {
-            let mut check = EncodingCheck::new(bytes, &m.envelope, &m.signature);
-            for (env, sig) in entries {
-                check.entry(env, sig);
-            }
-            check.matched()
-        };
-        let bytes = m.encode();
-        assert!(check(&bytes, &m.justification));
-        assert!(!check(&bytes, &m.justification[..2]));
-        let mut more = m.justification.clone();
-        more.push(m.justification[0]);
-        assert!(!check(&bytes, &more));
-        assert!(!check(&bytes[..HEADER_LEN - 1], &[]));
-        for i in 0..bytes.len() {
-            let mut flipped = bytes.to_vec();
-            flipped[i] ^= 1;
-            assert!(!check(&flipped, &m.justification), "byte {i}");
-        }
     }
 
     #[test]

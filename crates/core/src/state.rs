@@ -3,7 +3,7 @@
 //!
 //! A process's internal state is the triple `(φ_i, v_i, status_i)` plus
 //! the write-once `decision_i`. Transitions are driven entirely by the
-//! set of valid messages `V_i` (here the [`Valid`] view of the message
+//! set of valid messages `V_i` (here the `Valid` view of the message
 //! store) and happen under two conditions (paper §5):
 //!
 //! 1. **Catch-up** (lines 10–18): some valid message carries a phase
@@ -53,17 +53,17 @@ impl PhaseKind {
 
 /// Result of a [`ProcessState::try_advance`] fixpoint.
 #[derive(Clone, Copy, Debug, Default, Eq, PartialEq)]
-pub struct Advance {
+pub(crate) struct Advance {
     /// Whether `φ_i` changed (triggers an immediate broadcast per the
     /// clock-tick rule of §7.1).
-    pub phase_changed: bool,
+    pub(crate) phase_changed: bool,
     /// `Some(v)` when `decision_i` was set during this advance.
     pub newly_decided: Option<bool>,
 }
 
 /// The `(φ_i, v_i, status_i, decision_i)` state of one process.
 #[derive(Clone, Debug)]
-pub struct ProcessState {
+pub(crate) struct ProcessState {
     cfg: Config,
     id: usize,
     phase: u32,
@@ -132,7 +132,7 @@ impl ProcessState {
 
     /// Applies transition rules 1 and 2 to fixpoint against the valid
     /// message set, flipping `coin` where Algorithm 1 calls `coin_i()`.
-    pub fn try_advance(
+    pub(crate) fn try_advance(
         &mut self,
         valid: Valid<'_>,
         coin: &mut dyn FnMut() -> bool,

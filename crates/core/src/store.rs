@@ -4,8 +4,8 @@
 //! `V_i` of valid messages; the §6.2 checks count authentic evidence,
 //! attachments included (DESIGN.md §7, deviation 2). `V_i` ⊆ evidence,
 //! so one store keeps both: a record has a second presence bit for
-//! `V_i`, a phase one tally per set, and [`MessageStore::valid`] is the
-//! view transitions read. [`MessageStore::validate`] takes stored
+//! `V_i`, a phase one tally per set, and `MessageStore::valid` is the
+//! view transitions read. `MessageStore::validate` takes stored
 //! records only. Two details matter for a Byzantine-safe count:
 //!
 //! * **Counting is per sender.** A Byzantine process holds one-time keys
@@ -33,7 +33,7 @@
 //!
 //! All retrieval paths return the *first* record matching their
 //! criterion in insertion order — `V_i`'s own order for
-//! [`Valid::best_catch_up`] — and the signature for a given
+//! `Valid::best_catch_up` — and the signature for a given
 //! `(sender, phase, value)` is fixed at the first insert of that value
 //! (verified one-time signatures are unique per `(phase, value)` by
 //! construction). The model proptest below holds every query to flat
@@ -45,7 +45,7 @@ use turquois_crypto::otss::{OneTimeSignature, Value};
 
 /// One stored record: the distinct content a sender put in a phase.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
-pub struct Record {
+pub(crate) struct Record {
     /// The proposal value.
     pub value: Value,
     /// Coin-provenance flag.
@@ -58,7 +58,7 @@ pub struct Record {
 
 impl Record {
     /// Reassembles the envelope for `sender` at `phase`.
-    pub fn to_envelope(self, sender: usize, phase: u32) -> Envelope {
+    pub(crate) fn to_envelope(self, sender: usize, phase: u32) -> Envelope {
         Envelope {
             sender,
             phase,
@@ -323,7 +323,7 @@ impl PhaseSlot {
 }
 
 /// A phase-indexed, sender-deduplicated store of authentic messages,
-/// with `V_i` as a subset ([`MessageStore::valid`]).
+/// with `V_i` as a subset (`MessageStore::valid`).
 #[derive(Clone, Debug)]
 pub struct MessageStore {
     n: usize,
@@ -381,7 +381,7 @@ impl MessageStore {
     ///
     /// Panics unless the store holds `envelope`: `V_i` is a subset of
     /// the evidence.
-    pub fn validate(&mut self, envelope: &Envelope) -> bool {
+    pub(crate) fn validate(&mut self, envelope: &Envelope) -> bool {
         let i = self.index(envelope.phase).expect("V_i holds stored records only");
         let code = combo_code(envelope.value, envelope.coin_flip, envelope.status);
         self.phases[i].1.validate(envelope.sender, code)
@@ -389,7 +389,7 @@ impl MessageStore {
 
     /// `V_i`, the messages that passed both validations: the only set
     /// Algorithm 1's transitions count.
-    pub fn valid(&self) -> Valid<'_> {
+    pub(crate) fn valid(&self) -> Valid<'_> {
         Valid(self)
     }
 
@@ -424,30 +424,30 @@ impl MessageStore {
     /// Records stored at `phase`, from a tally maintained on insert.
     /// Between prunes a slot only grows, so while `phase` is retained an
     /// unchanged count means unchanged contents.
-    pub fn records_at(&self, phase: u32) -> usize {
+    pub(crate) fn records_at(&self, phase: u32) -> usize {
         self.tally(STORED, phase).records
     }
 
     /// Distinct senders with at least one message at `phase`. O(1):
     /// answered from the incremental tally maintained by
     /// [`MessageStore::insert`].
-    pub fn count_phase(&self, phase: u32) -> usize {
+    pub(crate) fn count_phase(&self, phase: u32) -> usize {
         self.tally(STORED, phase).senders
     }
 
     /// Distinct senders with at least one message `(phase, value)`.
     /// O(1), from the same incremental tallies.
-    pub fn count_value(&self, phase: u32, value: Value) -> usize {
+    pub(crate) fn count_value(&self, phase: u32, value: Value) -> usize {
         self.tally(STORED, phase).value_senders[value_idx(value)]
     }
 
     /// Whether `sender` has any message at `phase`.
-    pub fn has_sender(&self, phase: u32, sender: usize) -> bool {
+    pub(crate) fn has_sender(&self, phase: u32, sender: usize) -> bool {
         self.slot(phase).is_some_and(|s| s.senders[sender].masks[STORED] != 0)
     }
 
     /// Whether `sender` sent `(phase, value)`.
-    pub fn has_sender_value(&self, phase: u32, sender: usize, value: Value) -> bool {
+    pub(crate) fn has_sender_value(&self, phase: u32, sender: usize, value: Value) -> bool {
         self.slot(phase)
             .is_some_and(|s| s.senders[sender].masks[STORED] & value_mask(value) != 0)
     }
@@ -457,7 +457,7 @@ impl MessageStore {
     /// fed only verified signatures therefore answers "is this
     /// signature authentic?" for every fact it holds with a 32-byte
     /// compare (see `Turquois::authentic`).
-    pub fn signature_of(
+    pub(crate) fn signature_of(
         &self,
         phase: u32,
         sender: usize,
@@ -502,7 +502,7 @@ impl MessageStore {
     }
 
     /// Iterates over the DECIDE phases currently stored, ascending.
-    pub fn decide_phases(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn decide_phases(&self) -> impl Iterator<Item = u32> + '_ {
         self.phases
             .iter()
             .map(|&(p, _)| p)
@@ -510,7 +510,7 @@ impl MessageStore {
     }
 
     /// Drops all phases strictly below `min_phase` (garbage collection).
-    pub fn prune_below(&mut self, min_phase: u32) {
+    pub(crate) fn prune_below(&mut self, min_phase: u32) {
         let dead = self.phases.partition_point(|&(p, _)| p < min_phase);
         for (_, slot) in self.phases.drain(..dead) {
             self.sig_slots -= slot.sig_slots();
@@ -537,7 +537,7 @@ impl MessageStore {
 
     /// Records stored, and those in `V_i` (for tests and the debug
     /// rechecks).
-    pub fn record_count(&self) -> [usize; 2] {
+    pub(crate) fn record_count(&self) -> [usize; 2] {
         [STORED, VALID].map(|set| self.phases.iter().map(|(_, s)| s.tallies[set].records).sum())
     }
 
@@ -548,7 +548,7 @@ impl MessageStore {
     /// of record counts only — never of `Vec` capacities or allocator
     /// behaviour — so it is reproducible across runs and platforms
     /// (supervised tables print its high-water mark).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.phases.len() * (24 * self.n + 64) + 32 * self.sig_slots
     }
 }
@@ -556,17 +556,17 @@ impl MessageStore {
 /// `V_i` (Algorithm 1): the records of a [`MessageStore`] that passed
 /// both validations, read through their own presence bits and tallies.
 #[derive(Clone, Copy, Debug)]
-pub struct Valid<'a>(&'a MessageStore);
+pub(crate) struct Valid<'a>(&'a MessageStore);
 
 impl Valid<'_> {
     /// Distinct senders with at least one message in `V_i` at `phase`.
     /// O(1), from a tally maintained by [`MessageStore::validate`].
-    pub fn count_phase(&self, phase: u32) -> usize {
+    pub(crate) fn count_phase(&self, phase: u32) -> usize {
         self.0.tally(VALID, phase).senders
     }
 
     /// Distinct senders with a `(phase, value)` message in `V_i`. O(1).
-    pub fn count_value(&self, phase: u32, value: Value) -> usize {
+    pub(crate) fn count_value(&self, phase: u32, value: Value) -> usize {
         self.0.tally(VALID, phase).value_senders[value_idx(value)]
     }
 
@@ -580,7 +580,7 @@ impl Valid<'_> {
     /// its first record validated, as deterministic tie-breaks).
     /// Returns `(phase, sender, record)`. Slots where no sender is
     /// validated are skipped.
-    pub fn best_catch_up(&self, above: u32) -> Option<(u32, usize, Record)> {
+    pub(crate) fn best_catch_up(&self, above: u32) -> Option<(u32, usize, Record)> {
         let mut higher = self.0.phases.iter().rev().take_while(|&&(p, _)| p > above);
         let (phase, slot) = higher.find(|(_, s)| s.tallies[VALID].senders > 0)?;
         (0..slot.n()).find_map(|sender| Some((*phase, sender, slot.first_valid(sender)?)))
@@ -589,7 +589,7 @@ impl Valid<'_> {
     /// The value in `{0, 1}` held by the most distinct senders of `V_i`
     /// at `phase`; ties — an empty phase included — break to `One`
     /// (callers only invoke this after a quorum check).
-    pub fn majority_value(&self, phase: u32) -> Value {
+    pub(crate) fn majority_value(&self, phase: u32) -> Value {
         let zeros = self.count_value(phase, Value::Zero);
         let ones = self.count_value(phase, Value::One);
         if zeros > ones {
@@ -602,7 +602,7 @@ impl Valid<'_> {
     /// The binary value present in `V_i` at `phase` with the most
     /// senders, if any sender sent a binary value at all (Algorithm 1,
     /// line 32).
-    pub fn any_binary_value(&self, phase: u32) -> Option<Value> {
+    pub(crate) fn any_binary_value(&self, phase: u32) -> Option<Value> {
         let zeros = self.count_value(phase, Value::Zero);
         let ones = self.count_value(phase, Value::One);
         if zeros == 0 && ones == 0 {

@@ -10,7 +10,7 @@
 //! Evidence is counted over an *authentic-evidence store* (every
 //! correctly-signed message seen, including justification attachments)
 //! plus the attachments of the message currently being validated
-//! ([`EvidenceView`]). Thresholds are the paper's: `> (n+f)/2` (quorum)
+//! (`EvidenceView`). Thresholds are the paper's: `> (n+f)/2` (quorum)
 //! and `> ((n+f)/2)/2` (half-quorum), in exact integer arithmetic. Every
 //! threshold's minimum exceeds `f`, so evidence fabricated exclusively by
 //! Byzantine processes can never satisfy a check — each satisfied check
@@ -66,7 +66,7 @@ impl std::error::Error for RejectReason {}
 /// The view sorts the attachments by `(phase, sender)` once, so a count
 /// is a binary search for the phase's run plus one pass over it, a
 /// repeated sender sitting next to its first entry.
-pub struct EvidenceView<'a> {
+pub(crate) struct EvidenceView<'a> {
     store: &'a MessageStore,
     extra: &'a [(Envelope, OneTimeSignature)],
 }
@@ -81,13 +81,13 @@ impl<'a> EvidenceView<'a> {
     }
 
     /// Distinct senders with any message at `phase`.
-    pub fn count_phase(&self, phase: u32) -> usize {
+    pub(crate) fn count_phase(&self, phase: u32) -> usize {
         self.store.count_phase(phase)
             + self.count_extra(phase, |env| !self.store.has_sender(phase, env.sender))
     }
 
     /// Distinct senders with a `(phase, value)` message.
-    pub fn count_value(&self, phase: u32, value: Value) -> usize {
+    pub(crate) fn count_value(&self, phase: u32, value: Value) -> usize {
         self.store.count_value(phase, value)
             + self.count_extra(phase, |env| {
                 env.value == value && !self.store.has_sender_value(phase, env.sender, value)
@@ -229,7 +229,7 @@ pub(crate) fn needs(env: &Envelope) -> [Option<Need>; 3] {
 /// Returns the first [`RejectReason`] encountered, checking structure,
 /// then phase, then value, then status — mirroring §6.2's independent
 /// per-variable validation.
-pub fn semantic_check(
+pub(crate) fn semantic_check(
     env: &Envelope,
     cfg: &Config,
     view: &EvidenceView<'_>,

@@ -89,18 +89,6 @@ impl fmt::Debug for Signature {
     }
 }
 
-impl Signature {
-    /// The index of the one-time leaf that produced this signature.
-    pub fn leaf_index(&self) -> usize {
-        self.leaf_index
-    }
-
-    /// Approximate wire size in bytes, for the simulator's payload model.
-    pub fn wire_size(&self) -> usize {
-        8 + (self.revealed.len() + self.unrevealed_hashes.len() + self.auth_path.len()) * DIGEST_LEN
-    }
-}
-
 /// A few-time hash-based signing key: `2^height` Lamport one-time keys
 /// under a Merkle tree.
 ///
@@ -170,11 +158,6 @@ impl Keypair {
     /// The verifying half of this keypair.
     pub fn public_key(&self) -> &PublicKey {
         &self.public
-    }
-
-    /// Number of signatures still available.
-    pub fn remaining(&self) -> usize {
-        (1usize << self.height) - self.next_leaf
     }
 
     /// Signs `message`, consuming the next one-time leaf.
@@ -370,10 +353,10 @@ mod tests {
         for i in 0..4 {
             let msg = format!("epoch {i}");
             let sig = kp.sign(msg.as_bytes()).expect("leaf available");
-            assert_eq!(sig.leaf_index(), i);
+            assert_eq!(sig.leaf_index, i);
             assert!(kp.public_key().verify(msg.as_bytes(), &sig));
         }
-        assert_eq!(kp.remaining(), 0);
+        assert_eq!(kp.next_leaf, 1 << kp.height, "every leaf used");
         assert!(matches!(
             kp.sign(b"one too many"),
             Err(SignError::LeavesExhausted { capacity: 4 })
@@ -423,11 +406,12 @@ mod tests {
     }
 
     #[test]
-    fn signature_wire_size_reasonable() {
+    fn signature_reveals_one_lamport_key_and_its_auth_path() {
         let mut kp = Keypair::generate(4, 3);
         let sig = kp.sign(b"msg").expect("leaves available");
-        // 256 revealed + 256 unrevealed hashes + 4 path nodes, 32 B each.
-        assert_eq!(sig.wire_size(), 8 + (256 + 256 + 4) * 32);
+        // 256 revealed + 256 unrevealed hashes + 4 path nodes.
+        let shape = (sig.revealed.len(), sig.unrevealed_hashes.len(), sig.auth_path.len());
+        assert_eq!(shape, (256, 256, 4));
     }
 
     #[test]

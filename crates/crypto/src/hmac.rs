@@ -91,7 +91,7 @@ impl HmacKey {
     /// Computes the HMAC tag over the concatenation of `parts` without
     /// allocating. Both pad blocks come from the midstates cached at
     /// key construction, so only the message itself is compressed.
-    pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
+    pub(crate) fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
         let mut inner = Sha256::from_midstate(self.inner_mid, BLOCK_LEN as u64);
         for p in parts {
             inner.update(p);
@@ -279,9 +279,11 @@ mod tests {
         outer.finalize()
     }
 
-    /// The midstate-resumed production path and the scratch oracle must
-    /// be bit-identical for every key/message shape, including messages
-    /// that straddle block boundaries and long-key hashing.
+    /// Both midstate-resumed production paths (`mac`, resumed by
+    /// `digest_resumed`, and the streaming `mac_parts`) and the scratch
+    /// oracle must be bit-identical for every key/message shape,
+    /// including messages that straddle block boundaries and long-key
+    /// hashing.
     #[test]
     fn resumed_matches_scratch() {
         let materials: [&[u8]; 4] = [b"", b"Jefe", &[0xaa; 64], &[0xaa; 131]];
@@ -293,6 +295,7 @@ mod tests {
             let key = HmacKey::from_bytes(material);
             for m in &messages {
                 let expected = mac_parts_scratch(material, &[m]);
+                assert_eq!(key.mac(m), expected, "mac diverged for message length {}", m.len());
                 assert_eq!(
                     key.mac_parts(&[m]),
                     expected,

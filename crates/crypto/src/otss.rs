@@ -295,7 +295,7 @@ impl VerificationKeyArray {
     }
 
     /// Number of phases covered.
-    pub fn num_phases(&self) -> usize {
+    pub(crate) fn num_phases(&self) -> usize {
         self.epoch.num_phases as usize
     }
 
@@ -321,7 +321,7 @@ impl VerificationKeyArray {
 
     /// Looks up `VK[phase][value]`, if that slot exists (first touch
     /// derives the phase's block).
-    pub fn key(&self, phase: u32, value: Value) -> Option<Digest> {
+    pub(crate) fn key(&self, phase: u32, value: Value) -> Option<Digest> {
         let epoch = &*self.epoch;
         if phase < epoch.first_phase || phase > epoch.last_phase() {
             return None;
@@ -335,7 +335,7 @@ impl VerificationKeyArray {
 
     /// Canonical byte encoding of the array, used as the message that the
     /// key-exchange signature covers. Materialises the whole epoch.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
+    pub(crate) fn canonical_bytes(&self) -> Vec<u8> {
         let epoch = &*self.epoch;
         let mut out = Vec::with_capacity(16 + self.num_phases() * 3 * DIGEST_LEN);
         out.extend_from_slice(&(epoch.process as u64).to_be_bytes());
@@ -454,7 +454,7 @@ fn secret_preimage(seed: u64, process: usize, phase: u32, value: Value) -> [u8; 
 pub struct SignedVerificationKeys {
     /// The verification keys being distributed.
     pub keys: VerificationKeyArray,
-    /// Signature over [`VerificationKeyArray::canonical_bytes`].
+    /// Signature over `VerificationKeyArray::canonical_bytes`.
     pub signature: hashsig::Signature,
 }
 

@@ -87,14 +87,6 @@ impl Digest {
         Some(Digest(out))
     }
 
-    /// Interprets the first 8 bytes of the digest as a big-endian `u64`.
-    ///
-    /// Used to derive unbiased pseudo-random values (e.g. the simulated
-    /// shared coin) from digests.
-    pub fn prefix_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("digest has >= 8 bytes"))
-    }
-
     /// The digest a finished compression state spells: its words,
     /// big-endian, in order.
     pub(crate) fn from_state(state: &[u32; 8]) -> Digest {
@@ -286,7 +278,7 @@ impl Sha256 {
     /// size. Used by HMAC to cache the per-key ipad/opad block; the
     /// resumed hasher produces digests bit-identical to one that
     /// absorbed those bytes itself.
-    pub fn from_midstate(state: [u32; 8], len: u64) -> Self {
+    pub(crate) fn from_midstate(state: [u32; 8], len: u64) -> Self {
         debug_assert_eq!(len % 64, 0, "midstate must sit on a block boundary");
         Sha256 {
             state,
@@ -299,7 +291,7 @@ impl Sha256 {
     /// Returns the current compression state, valid as a
     /// [`Sha256::from_midstate`] argument only when the bytes absorbed
     /// so far fall on a 64-byte block boundary.
-    pub fn midstate(&self) -> [u32; 8] {
+    pub(crate) fn midstate(&self) -> [u32; 8] {
         debug_assert_eq!(self.buf_len, 0, "midstate capture mid-block loses data");
         self.state
     }
@@ -400,7 +392,7 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
 /// the same preimage bytes, so routing both through here keeps them
 /// hashing identical input by construction.
 #[inline]
-pub fn sha256_domain(tag: &[u8], parts: &[&[u8]]) -> Digest {
+pub(crate) fn sha256_domain(tag: &[u8], parts: &[&[u8]]) -> Digest {
     let mut h = Sha256::new();
     h.update(tag);
     for p in parts {
@@ -473,14 +465,6 @@ mod tests {
         let mut joined = a.to_vec();
         joined.extend_from_slice(b);
         assert_eq!(sha256_concat(&[a, b]), sha256(&joined));
-    }
-
-    #[test]
-    fn prefix_u64_is_big_endian() {
-        let mut bytes = [0u8; 32];
-        bytes[0] = 0x01;
-        bytes[7] = 0xff;
-        assert_eq!(Digest(bytes).prefix_u64(), 0x0100_0000_0000_00ff);
     }
 
     #[test]

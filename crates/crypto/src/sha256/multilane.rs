@@ -31,7 +31,7 @@ pub(crate) struct LaneJob<'a> {
     /// Compression state after absorbing exactly `prefix_len` bytes.
     pub state: [u32; 8],
     /// Bytes already absorbed into `state`; must be a multiple of 64.
-    pub prefix_len: u64,
+    pub(crate) prefix_len: u64,
     /// Remaining message bytes (absorbed, then padded, then finished).
     pub msg: &'a [u8],
 }

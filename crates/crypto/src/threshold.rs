@@ -67,11 +67,6 @@ pub enum ThresholdError {
         /// Shares required.
         required: usize,
     },
-    /// A party id outside `0..n`.
-    UnknownParty {
-        /// The offending id.
-        party: usize,
-    },
 }
 
 impl fmt::Display for ThresholdError {
@@ -80,7 +75,6 @@ impl fmt::Display for ThresholdError {
             ThresholdError::NotEnoughShares { valid, required } => {
                 write!(f, "{valid} valid shares, {required} required")
             }
-            ThresholdError::UnknownParty { party } => write!(f, "unknown party {party}"),
         }
     }
 }
@@ -300,7 +294,7 @@ impl SharePublic {
 
     /// The underlying coin value — exposed for test oracles only; protocol
     /// code must go through [`SharePublic::combine_coin`].
-    pub fn coin_value(&self, coin_tag: &[u8]) -> bool {
+    pub(crate) fn coin_value(&self, coin_tag: &[u8]) -> bool {
         self.inner.master.mac_parts(&[b"coin", coin_tag]).0[0] & 1 == 1
     }
 

@@ -102,16 +102,16 @@ impl TurquoisApp {
     }
 
     /// The §7.2 value-flipping adversary: `tracker` follows the
-    /// protocol's phases, and every tick broadcasts [`turquois_lie`]
+    /// protocol's phases, and every tick broadcasts `turquois_lie`
     /// signed with the process's own (legitimate) `keyring`.
-    pub fn flipping(tracker: Turquois, keyring: KeyRing) -> Self {
+    pub(crate) fn flipping(tracker: Turquois, keyring: KeyRing) -> Self {
         Self::with_role(tracker, Role::Flip(keyring))
     }
 
     /// The split-brain equivocator ([`SplitBrain`]) of the process that
     /// owns both `brains` (`brains[0]` for the receivers whose bit of
     /// `mask` is set) in a group of `n ≤ 64`, joining `coalition`.
-    pub fn split_brain(
+    pub(crate) fn split_brain(
         brains: [Turquois; 2],
         mask: u64,
         n: usize,
@@ -362,7 +362,7 @@ pub fn new_link_tags() -> SharedLinkTags {
 /// host work outside the simulated cost model, so when it happens
 /// cannot move simulated time.
 #[derive(Debug)]
-pub struct PairwiseKeys {
+pub(crate) struct PairwiseKeys {
     me: usize,
     n: usize,
     seed: u64,
@@ -404,7 +404,7 @@ impl PairwiseKeys {
     /// ([`turquois_crypto::hmac::hmac_many`]) straight into the
     /// shared slice the link-tag pool holds. Tag-for-tag identical to
     /// calling [`PairwiseKeys::mac`] per peer.
-    pub fn mac_all(&self, message: &[u8]) -> Rc<[Digest]> {
+    pub(crate) fn mac_all(&self, message: &[u8]) -> Rc<[Digest]> {
         let mut tags: Rc<[Digest]> = std::iter::repeat_n(Digest::ZERO, self.n).collect();
         let slots = Rc::get_mut(&mut tags).expect("a fresh Rc has no other owner");
         turquois_crypto::hmac::hmac_many(self.row(), message, slots);
@@ -497,7 +497,7 @@ impl BrachaApp {
     /// of `mask` is set (ids below 64; all ones: every destination).
     /// Lying to a strict subset equivocates. It never decides: only
     /// correct processes count toward k.
-    pub fn lying_to(mut self, mask: u64) -> Self {
+    pub(crate) fn lying_to(mut self, mask: u64) -> Self {
         self.lying_to = Some(mask);
         self
     }
@@ -592,7 +592,7 @@ impl Application for BrachaApp {
 
 /// Length-prefixed padding so ABBA payloads occupy their RSA-equivalent
 /// size on the air: `len(4) ‖ msg ‖ zeros`.
-pub fn pad_to(inner: &[u8], total: usize) -> Bytes {
+pub(crate) fn pad_to(inner: &[u8], total: usize) -> Bytes {
     let body = total.max(inner.len() + 4);
     let mut buf = BytesMut::with_capacity(body);
     buf.put_u32(inner.len() as u32);
@@ -602,7 +602,7 @@ pub fn pad_to(inner: &[u8], total: usize) -> Bytes {
 }
 
 /// Strips [`pad_to`] framing.
-pub fn unpad(padded: &[u8]) -> Option<&[u8]> {
+pub(crate) fn unpad(padded: &[u8]) -> Option<&[u8]> {
     if padded.len() < 4 {
         return None;
     }
@@ -624,7 +624,7 @@ const FLOOD_TIMER: u64 = 1;
 
 /// ABBA over the reliable transport, run by a correct process or, in a
 /// Byzantine role, by an adversary. Every frame it sends is an ABBA
-/// message padded to its RSA-equivalent size ([`pad_to`]).
+/// message padded to its RSA-equivalent size (`pad_to`).
 pub struct AbbaApp {
     me: usize,
     n: usize,
@@ -662,13 +662,13 @@ impl AbbaApp {
     }
 
     /// The §7.2 invalid-signature adversary, process `me` of `n`.
-    pub fn flooding(me: usize, n: usize) -> Self {
+    pub(crate) fn flooding(me: usize, n: usize) -> Self {
         Self::with_role(me, n, AbbaRole::Flood { rounds_hit: BTreeSet::new() })
     }
 
     /// The round-1 equivocator, process `me` (holding `keys`) of
     /// `n ≤ 64`, sending the pre-vote for 1 to the peers in `mask`.
-    pub fn equivocating(me: usize, n: usize, keys: AbbaKeys, mask: u64) -> Self {
+    pub(crate) fn equivocating(me: usize, n: usize, keys: AbbaKeys, mask: u64) -> Self {
         Self::with_role(me, n, AbbaRole::Equivocate { keys, mask })
     }
 

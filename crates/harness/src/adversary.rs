@@ -11,13 +11,13 @@
 //!
 //! The Turquois and Bracha adversaries are roles of the shipped apps,
 //! so they tick and retransmit exactly as correct processes do:
-//! [`TurquoisApp::flipping`] broadcasts [`turquois_lie`], and
-//! [`TurquoisApp::split_brain`] equivocates through a [`SplitBrain`];
-//! [`BrachaApp::lying_to`](crate::adapters::BrachaApp::lying_to) sends
-//! [`bracha_lie`] to the destinations in its mask (all of them for the
+//! `TurquoisApp::flipping` broadcasts `turquois_lie`, and
+//! `TurquoisApp::split_brain` equivocates through a [`SplitBrain`];
+//! `BrachaApp::lying_to` sends
+//! `bracha_lie` to the destinations in its mask (all of them for the
 //! flip, some for the explorer's equivocator). ABBA's attackers are
-//! roles of the [`AbbaApp`] and run no engine: [`AbbaApp::flooding`]
-//! floods [`abba_garbage_votes`], and [`AbbaApp::equivocating`] splits
+//! roles of the [`AbbaApp`] and run no engine: `AbbaApp::flooding`
+//! floods `abba_garbage_votes`, and `AbbaApp::equivocating` splits
 //! the round-1 pre-votes. [`crate::group`] names these behaviours
 //! ([`Role`](crate::group::Role)) and builds every process in its role.
 //! This module holds what the roles send and hosts no application of
@@ -42,11 +42,11 @@ use wireless_net::config::overhead;
 use wireless_net::sim::NodeCtx;
 
 /// The name `benchmark/` builds the Turquois flip under; kept until
-/// ROADMAP item 1 moves it to [`TurquoisApp::flipping`].
+/// ROADMAP item 1 moves it to `TurquoisApp::flipping`.
 pub struct ByzantineTurquoisApp;
 
 impl ByzantineTurquoisApp {
-    /// [`TurquoisApp::flipping`] under its old name.
+    /// `TurquoisApp::flipping` under its old name.
     // The old constructor's name, kept for `benchmark/`: what it builds
     // is a `TurquoisApp` in the flipping role.
     #[allow(clippy::new_ret_no_self)]
@@ -62,7 +62,7 @@ impl ByzantineTurquoisApp {
 /// split; with only the mask-selected copy a coalition of t ≥ 2
 /// starves its own brains below quorum and the whole equivocation
 /// stalls at phase 1 — a weaker adversary than the paper allows.
-pub type SplitBrainCoalition = Rc<RefCell<BTreeMap<usize, Vec<[Bytes; 2]>>>>;
+pub(crate) type SplitBrainCoalition = Rc<RefCell<BTreeMap<usize, Vec<[Bytes; 2]>>>>;
 
 /// The split-brain role of a [`TurquoisApp`]: two honest brains with
 /// opposite proposals, the app's engine first. Each receiver outside
@@ -144,7 +144,7 @@ impl SplitBrain {
 /// [`TurquoisApp::flipping`] broadcasts it, in the simulator and in the
 /// `turquois-check` schedule explorer alike; as a pure function it lets
 /// a test build the lie without running the app.
-pub fn turquois_lie(
+pub(crate) fn turquois_lie(
     phase: u32,
     value: Value,
     sender: usize,
@@ -174,7 +174,7 @@ pub fn turquois_lie(
 /// `bytes`: its own reliable-broadcast *initials* corrupted (steps 1–2
 /// flipped, step 3 forced to ⊥); echoes, readies and other origins'
 /// messages pass through unmodified.
-pub fn bracha_lie(me: usize, bytes: &Bytes) -> Bytes {
+pub(crate) fn bracha_lie(me: usize, bytes: &Bytes) -> Bytes {
     match RbcMessage::decode(bytes) {
         Some(RbcMessage::Initial { tag, payload }) if tag.origin == me && payload.len() == 1 => {
             let lie = match (tag.step, payload[0]) {
@@ -194,7 +194,7 @@ pub fn bracha_lie(me: usize, bytes: &Bytes) -> Bytes {
 /// shares and justifications are garbage, forcing verification work at
 /// every receiver. Returns `(encoded message, RSA-equivalent wire size)`
 /// pairs; adversaries pad each message to its RSA size.
-pub fn abba_garbage_votes(me: usize, round: u32, salvo: usize) -> Vec<(Bytes, usize)> {
+pub(crate) fn abba_garbage_votes(me: usize, round: u32, salvo: usize) -> Vec<(Bytes, usize)> {
     let junk =
         |label: &str| sha256_concat(&[label.as_bytes(), &round.to_be_bytes(), &[salvo as u8]]);
     let share = SigShare {
@@ -229,11 +229,11 @@ pub fn abba_garbage_votes(me: usize, round: u32, salvo: usize) -> Vec<(Bytes, us
 }
 
 /// The name `benchmark/` builds the ABBA flood under; kept until
-/// ROADMAP item 1 moves it to [`AbbaApp::flooding`].
+/// ROADMAP item 1 moves it to `AbbaApp::flooding`.
 pub struct ByzantineAbbaApp;
 
 impl ByzantineAbbaApp {
-    /// [`AbbaApp::flooding`] under its old name.
+    /// `AbbaApp::flooding` under its old name.
     // The old constructor's name, kept for `benchmark/`: what it builds
     // is an `AbbaApp` in the flooding role.
     #[allow(clippy::new_ret_no_self)]

@@ -1,8 +1,8 @@
 //! Typo guard for `TURQUOIS_*` environment knobs.
 //!
-//! Every experiment binary calls [`warn_unknown_env_vars`] at startup
+//! Every experiment binary calls `warn_unknown_env_vars` at startup
 //! (through `grid::Plan::from_env`) and reads each knob through
-//! [`knob`], so a bad *name* and a bad *value* both warn on stderr.
+//! `knob`, so a bad *name* and a bad *value* both warn on stderr.
 //! A misspelled knob (`TURQUOIS_REPETITIONS`, `TURQUOIS_SIZE`, …) is
 //! silently ignored by `std::env::var` lookups, which turns a typo into
 //! a full-length default run — expensive and confusing. The guard
@@ -17,7 +17,7 @@ pub const KNOB_PREFIX: &str = "TURQUOIS_";
 /// Every `TURQUOIS_*` variable some binary or test in this workspace
 /// reads; `known_list_is_exactly_what_the_source_reads` holds the list
 /// to the source tree.
-pub const KNOWN_ENV_VARS: &[&str] = &[
+pub(crate) const KNOWN_ENV_VARS: &[&str] = &[
     "TURQUOIS_BENCH_JSON",
     "TURQUOIS_CHECK_SCHEDULES",
     "TURQUOIS_SIZES",
@@ -28,7 +28,7 @@ pub const KNOWN_ENV_VARS: &[&str] = &[
 /// Warns on stderr about any `TURQUOIS_*` environment variable that no
 /// binary in this workspace reads, and returns the offending names.
 /// Call once at the top of each experiment binary's `main`.
-pub fn warn_unknown_env_vars() -> Vec<String> {
+pub(crate) fn warn_unknown_env_vars() -> Vec<String> {
     let mut unknown: Vec<String> = std::env::vars_os()
         .filter_map(|(k, _)| k.into_string().ok())
         .filter(|k| k.starts_with(KNOB_PREFIX) && !KNOWN_ENV_VARS.contains(&k.as_str()))
@@ -48,7 +48,11 @@ pub fn warn_unknown_env_vars() -> Vec<String> {
 /// after a stderr warning saying what was `expected`, when its value is
 /// not UTF-8 or `parse` rejects it, so the caller's default never takes
 /// over silently.
-pub fn knob<T>(name: &str, expected: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+pub(crate) fn knob<T>(
+    name: &str,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
     match std::env::var(name) {
         Ok(raw) => {
             let parsed = parse(&raw);

@@ -13,7 +13,7 @@ use crate::stats::LatencyStats;
 pub const PAPER_SIZES: [usize; 5] = [4, 7, 10, 13, 16];
 
 /// Default repetition count (§7.2).
-pub const PAPER_REPS: usize = 50;
+pub(crate) const PAPER_REPS: usize = 50;
 
 /// Result of measuring one experiment cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,16 +22,16 @@ pub struct CellResult {
     pub latency: LatencyStats,
     /// Runs where fewer than `k` correct processes decided in time
     /// (only a [`Stall::Data`] plan lets such a run through).
-    pub incomplete_runs: usize,
+    pub(crate) incomplete_runs: usize,
     /// Mean data frames transmitted per run (message-complexity view).
-    pub mean_frames: f64,
+    pub(crate) mean_frames: f64,
     /// Mean collisions per run.
-    pub mean_collisions: f64,
+    pub(crate) mean_collisions: f64,
     /// Total transmit-queue tail drops across all repetitions (the
     /// congestion sharp edge, surfaced instead of silently eaten).
-    pub total_queue_drops: u64,
+    pub(crate) total_queue_drops: u64,
     /// Repetitions that only completed on the escalated-budget retry.
-    pub retried_runs: usize,
+    pub(crate) retried_runs: usize,
 }
 
 /// What one repetition contributes to a cell aggregate — plain data,
@@ -43,7 +43,7 @@ pub struct RepSample {
     /// Collisions on the medium.
     pub collisions: u64,
     /// Whether `k` correct processes decided.
-    pub complete: bool,
+    pub(crate) complete: bool,
     /// Mean decision latency over the deciders, ms.
     pub mean_ms: Option<f64>,
     /// Transmit-queue tail drops.
@@ -164,7 +164,7 @@ pub fn paper_table_main(bin: &'static str, title: &str, fault_load: FaultLoad) {
 /// total transmit-queue tail drops (the congestion sharp edge) and how
 /// many repetitions only completed on the escalated-budget retry. The
 /// checked-in `results/*.txt` transcribe this line byte-for-byte.
-pub fn table_stats_line(rows: &[TableRow]) -> String {
+pub(crate) fn table_stats_line(rows: &[TableRow]) -> String {
     let mut queue_drops = 0u64;
     let mut retried = 0usize;
     for row in rows {

@@ -291,7 +291,7 @@ pub struct RunnerReport {
 
 impl RunnerReport {
     /// Achieved speedup: serial-equivalent time over elapsed time.
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         let elapsed = self.elapsed.as_secs_f64();
         if elapsed <= 0.0 {
             1.0

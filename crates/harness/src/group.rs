@@ -6,8 +6,8 @@
 //! |---|---|---|---|
 //! | `Correct` | [`TurquoisApp::new`], resettable | [`BrachaApp::new`] | [`AbbaApp::new`] |
 //! | `Crashed` | [`CrashedApp`] | [`CrashedApp`] | [`CrashedApp`] |
-//! | `Attack` | [`TurquoisApp::flipping`] | [`BrachaApp::lying_to`] all | [`AbbaApp::flooding`] |
-//! | `Equivocate(mask)` | [`TurquoisApp::split_brain`] | [`BrachaApp::lying_to`] `mask` | [`AbbaApp::equivocating`] |
+//! | `Attack` | `TurquoisApp::flipping` | `BrachaApp::lying_to` all | `AbbaApp::flooding` |
+//! | `Equivocate(mask)` | `TurquoisApp::split_brain` | `BrachaApp::lying_to` `mask` | `AbbaApp::equivocating` |
 
 use crate::adapters::{
     new_link_tags, AbbaApp, BrachaApp, SharedLinkTags, SharedProbe, TurquoisApp, TICK_INTERVAL,
@@ -125,7 +125,7 @@ impl Group {
     }
 }
 
-/// [`BrachaApp::lying_to`] every peer under the name `benchmark/`
+/// `BrachaApp::lying_to` every peer under the name `benchmark/`
 /// builds it by (`adversary::byzantine_bracha_app`), until ROADMAP
 /// item 1 moves the benchmark to [`Group::node`].
 pub fn byzantine_bracha_app(

@@ -53,7 +53,4 @@ pub mod simstress;
 pub mod stats;
 
 pub use group::{Group, Role};
-pub use scenario::{
-    FaultLoad, LossSpec, Protocol, ProposalDistribution, RunOutcome, Scenario, ScenarioError,
-};
-pub use stats::LatencyStats;
+pub use scenario::{FaultLoad, LossSpec, Protocol, ProposalDistribution, RunOutcome, Scenario};

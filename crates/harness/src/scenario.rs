@@ -153,9 +153,10 @@ impl LossSpec {
                 SimTime::from_millis(*start_ms),
                 Duration::from_millis(*len_ms),
             )),
-            LossSpec::Budget { budget, window_ms } => Box::new(
-                BudgetedOmission::new(*budget, Duration::from_millis(*window_ms)).broadcast_only(),
-            ),
+            LossSpec::Budget { budget, window_ms } => Box::new(BudgetedOmission::new(
+                *budget,
+                Duration::from_millis(*window_ms),
+            )),
             LossSpec::Composed(parts) => Box::new(Compose::new(
                 parts
                     .iter()
@@ -212,7 +213,7 @@ impl Scenario {
     /// slower than failure-free, divergent ≈ 2× unanimous) materialize.
     /// Override with [`Scenario::loss`] (e.g. `LossSpec::None` for a
     /// perfectly clean channel).
-    pub const BASELINE_LOSS: LossSpec = LossSpec::Iid(0.02);
+    pub(crate) const BASELINE_LOSS: LossSpec = LossSpec::Iid(0.02);
 
     /// Simulated-time limit of one run unless [`Scenario::time_limit`]
     /// sets another.
@@ -220,7 +221,7 @@ impl Scenario {
 
     /// Creates a failure-free, unanimous scenario for `protocol` with
     /// `n` processes (`f = ⌊(n−1)/3⌋`, `k = n − f`) over a channel with
-    /// [`Scenario::BASELINE_LOSS`].
+    /// `Scenario::BASELINE_LOSS`.
     pub fn new(protocol: Protocol, n: usize) -> Scenario {
         Scenario {
             protocol,
@@ -328,7 +329,7 @@ impl Scenario {
     }
 
     /// The simulated-time limit one run gets.
-    pub fn time_budget(&self) -> Duration {
+    pub(crate) fn time_budget(&self) -> Duration {
         self.time_limit
     }
 

@@ -8,7 +8,7 @@
 //! events in flight). This load arms a deep, mixed-horizon timer
 //! population per node instead:
 //!
-//! * a working set of [`TIMERS_PER_NODE`] timers per node, rearmed on
+//! * a working set of `TIMERS_PER_NODE` timers per node, rearmed on
 //!   every firing with delays drawn (deterministically, from the node's
 //!   simulation RNG) from 20 µs to 2 ms;
 //! * one "chaff" timer armed per firing, 2 ms to 10 days out and mostly
@@ -29,7 +29,7 @@ use wireless_net::time::SimTime;
 use rand::RngCore;
 
 /// Live (continuously rearming) timers armed per node.
-pub const TIMERS_PER_NODE: u64 = 32;
+pub(crate) const TIMERS_PER_NODE: u64 = 32;
 
 /// Timer id carried by chaff timers (never expected to fire within the
 /// measured horizon; rearms as chaff if it ever does).

@@ -32,7 +32,7 @@ const T_975: &[(usize, f64)] = &[
 ///
 /// Panics for `dof == 0` (no confidence interval exists for a single
 /// sample).
-pub fn t_quantile_975(dof: usize) -> f64 {
+pub(crate) fn t_quantile_975(dof: usize) -> f64 {
     assert!(dof >= 1, "confidence interval needs at least 2 samples");
     let mut best = T_975[0].1;
     for &(d, t) in T_975 {
@@ -54,7 +54,7 @@ pub struct LatencyStats {
     pub mean_ms: f64,
     /// Half-width of the 95 % confidence interval, in milliseconds
     /// (zero for a single sample).
-    pub ci_ms: f64,
+    pub(crate) ci_ms: f64,
     /// Number of samples.
     pub samples: usize,
 }
@@ -65,7 +65,7 @@ impl LatencyStats {
     /// # Panics
     ///
     /// Panics on an empty sample set.
-    pub fn from_samples(samples: &[f64]) -> LatencyStats {
+    pub(crate) fn from_samples(samples: &[f64]) -> LatencyStats {
         assert!(!samples.is_empty(), "no samples");
         let n = samples.len();
         let mean = samples.iter().sum::<f64>() / n as f64;

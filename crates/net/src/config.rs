@@ -87,24 +87,24 @@ impl PhyConfig {
 
     /// Airtime of a unicast data frame carrying `mac_payload` bytes above
     /// the MAC layer (data only, excluding SIFS + ACK).
-    pub fn unicast_airtime(&self, mac_payload: usize) -> Duration {
+    pub(crate) fn unicast_airtime(&self, mac_payload: usize) -> Duration {
         self.data_airtime(mac_payload, self.unicast_rate_mbps)
     }
 
     /// Airtime of an ACK control frame, including its PLCP overhead.
-    pub fn ack_airtime(&self) -> Duration {
+    pub(crate) fn ack_airtime(&self) -> Duration {
         self.plcp + bits_duration(self.ack_bytes * 8, self.control_rate_mbps)
     }
 
     /// Full cost of a successful unicast exchange: data, SIFS, ACK.
-    pub fn unicast_exchange_airtime(&self, mac_payload: usize) -> Duration {
+    pub(crate) fn unicast_exchange_airtime(&self, mac_payload: usize) -> Duration {
         self.unicast_airtime(mac_payload) + self.sifs + self.ack_airtime()
     }
 
     /// Contention window for transmission `attempt` (0-based):
     /// `min(cw_max, (cw_min + 1) << attempt) - 1` slots, per the 802.11
     /// binary exponential backoff.
-    pub fn contention_window(&self, attempt: u32) -> u32 {
+    pub(crate) fn contention_window(&self, attempt: u32) -> u32 {
         let scaled = (self.cw_min as u64 + 1) << attempt.min(10);
         (scaled.min(self.cw_max as u64 + 1) - 1) as u32
     }
@@ -125,9 +125,9 @@ pub mod overhead {
     /// LLC/SNAP + IP + UDP headers on an 802.11 frame.
     pub const UDP: usize = 8 + 20 + 8;
     /// LLC/SNAP + IP + TCP headers on an 802.11 frame.
-    pub const TCP: usize = 8 + 20 + 20;
+    pub(crate) const TCP: usize = 8 + 20 + 20;
     /// A bare TCP ACK segment (no payload).
-    pub const TCP_ACK_SEGMENT: usize = TCP;
+    pub(crate) const TCP_ACK_SEGMENT: usize = TCP;
 }
 
 #[cfg(test)]

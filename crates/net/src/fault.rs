@@ -12,10 +12,11 @@
 //! * [`IidLoss`] — independent per-delivery loss with probability `p`.
 //! * [`GilbertElliott`] — bursty per-directed-link loss (good/bad channel
 //!   states), the standard model for 802.11 interference and fading.
-//! * [`JammingWindows`] — total loss during configured time windows,
-//!   modelling the jamming attack discussed in the paper's introduction.
+//! * [`JammingWindows`] — total loss during one time window, modelling
+//!   the jamming attack discussed in the paper's introduction.
 //! * [`BudgetedOmission`] — an omission *adversary*: kills up to `budget`
-//!   deliveries per time window, targeting the protocol's σ bound.
+//!   broadcast deliveries per time window, targeting the protocol's σ
+//!   bound.
 //! * [`Compose`] — OR-composition of several models.
 //! * [`CrashSchedule`] — deterministic crash (and optional rejoin) of
 //!   whole nodes. Unlike the delivery-filter models above, a crash
@@ -163,39 +164,37 @@ impl FaultModel for GilbertElliott {
     }
 }
 
-/// Total loss inside configured `[start, end)` windows — a jammer.
+/// Total loss inside one `[start, end)` window — a jammer.
 #[derive(Clone, Debug)]
 pub struct JammingWindows {
-    windows: Vec<(SimTime, SimTime)>,
+    start: SimTime,
+    end: SimTime,
 }
 
 impl JammingWindows {
-    /// Creates a jammer active during each `[start, end)` window.
-    pub fn new(windows: Vec<(SimTime, SimTime)>) -> Self {
-        JammingWindows { windows }
-    }
-
     /// A single jamming burst starting at `start` lasting `len`.
     pub fn burst(start: SimTime, len: Duration) -> Self {
-        Self::new(vec![(start, start + len)])
+        JammingWindows {
+            start,
+            end: start + len,
+        }
     }
 }
 
 impl FaultModel for JammingWindows {
     fn drops(&mut self, ctx: &DeliveryCtx) -> bool {
-        self.windows
-            .iter()
-            .any(|&(s, e)| ctx.now >= s && ctx.now < e)
+        ctx.now >= self.start && ctx.now < self.end
     }
 
     fn describe(&self) -> String {
-        format!("jamming x{} windows", self.windows.len())
+        format!("jamming {}..{}", self.start, self.end)
     }
 }
 
-/// An omission adversary with a per-window kill budget.
+/// An omission adversary with a per-window kill budget over broadcast
+/// deliveries (the frames that carry Turquois protocol messages).
 ///
-/// Drops the first `budget` eligible deliveries in every `window`-long
+/// Drops the first `budget` broadcast deliveries in every `window`-long
 /// interval. With `budget` set to the protocol's σ bound this realizes
 /// the strongest omission pattern under which Turquois must still make
 /// progress; above σ it demonstrates safe stagnation.
@@ -205,7 +204,6 @@ pub struct BudgetedOmission {
     window: Duration,
     window_start: SimTime,
     used: usize,
-    broadcast_only: bool,
 }
 
 impl BudgetedOmission {
@@ -222,21 +220,13 @@ impl BudgetedOmission {
             window,
             window_start: SimTime::ZERO,
             used: 0,
-            broadcast_only: false,
         }
-    }
-
-    /// Restricts the adversary to broadcast deliveries (the frames that
-    /// carry Turquois protocol messages).
-    pub fn broadcast_only(mut self) -> Self {
-        self.broadcast_only = true;
-        self
     }
 }
 
 impl FaultModel for BudgetedOmission {
     fn drops(&mut self, ctx: &DeliveryCtx) -> bool {
-        if self.broadcast_only && !ctx.broadcast {
+        if !ctx.broadcast {
             return false;
         }
         while ctx.now >= self.window_start + self.window {
@@ -253,14 +243,8 @@ impl FaultModel for BudgetedOmission {
 
     fn describe(&self) -> String {
         format!(
-            "budgeted omission {} per {:?}{}",
-            self.budget,
-            self.window,
-            if self.broadcast_only {
-                " (broadcast only)"
-            } else {
-                ""
-            }
+            "budgeted omission {} per {:?} (broadcast only)",
+            self.budget, self.window
         )
     }
 }
@@ -350,19 +334,6 @@ impl CrashSchedule {
         CrashSchedule::default()
     }
 
-    /// Adds a crash of `node` at simulated time `at`, never rejoining.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` already has a crash scheduled.
-    pub fn crash_at(self, node: NodeId, at: SimTime) -> Self {
-        self.push(CrashSpec {
-            node,
-            trigger: CrashTrigger::At(at),
-            rejoin_after: None,
-        })
-    }
-
     /// Adds a crash of `node` when it reaches protocol phase `phase`,
     /// never rejoining.
     ///
@@ -409,7 +380,7 @@ impl CrashSchedule {
     }
 
     /// The scheduled crashes.
-    pub fn specs(&self) -> &[CrashSpec] {
+    pub(crate) fn specs(&self) -> &[CrashSpec] {
         &self.specs
     }
 
@@ -445,6 +416,18 @@ impl CrashSchedule {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    impl CrashSchedule {
+        /// Adds a crash of `node` at simulated time `at`, never
+        /// rejoining: [`CrashSchedule::push`] of a [`CrashTrigger::At`].
+        pub(crate) fn crash_at(self, node: NodeId, at: SimTime) -> Self {
+            self.push(CrashSpec {
+                node,
+                trigger: CrashTrigger::At(at),
+                rejoin_after: None,
+            })
+        }
+    }
 
     /// Loss with probability `p` restricted to deliveries whose sender is in
     /// `srcs` **and** receiver in `dsts` (empty set = wildcard).
@@ -624,7 +607,7 @@ pub(crate) mod tests {
 
     #[test]
     fn budgeted_omission_broadcast_only_ignores_unicast() {
-        let mut adv = BudgetedOmission::new(1, Duration::from_micros(100)).broadcast_only();
+        let mut adv = BudgetedOmission::new(1, Duration::from_micros(100));
         let unicast = DeliveryCtx {
             now: SimTime::from_micros(1),
             src: 0,
@@ -717,7 +700,9 @@ pub(crate) mod tests {
         assert!(!NoFaults.describe().is_empty());
         assert!(!IidLoss::new(0.1, 0).describe().is_empty());
         assert!(!GilbertElliott::new(0.1, 0.1, 0.0, 1.0, 0).describe().is_empty());
-        assert!(!JammingWindows::new(vec![]).describe().is_empty());
+        assert!(!JammingWindows::burst(SimTime::ZERO, Duration::from_millis(1))
+            .describe()
+            .is_empty());
         assert!(!BudgetedOmission::new(1, Duration::from_millis(1)).describe().is_empty());
         assert!(!TargetedLoss::new(vec![], vec![], 0.0, 0).describe().is_empty());
     }

@@ -37,12 +37,12 @@ pub struct Frame {
 impl Frame {
     /// Total bytes the MAC payload occupies on the air (application
     /// payload plus transport overhead).
-    pub fn mac_payload_len(&self) -> usize {
+    pub(crate) fn mac_payload_len(&self) -> usize {
         self.payload.len() + self.transport_overhead
     }
 
     /// Whether this frame is link-layer broadcast.
-    pub fn is_broadcast(&self) -> bool {
+    pub(crate) fn is_broadcast(&self) -> bool {
         self.addressing == Addressing::Broadcast
     }
 }

@@ -70,9 +70,9 @@ pub mod topology;
 pub mod trace;
 
 pub use config::PhyConfig;
-pub use fault::{CrashSchedule, CrashSpec, CrashTrigger};
+pub use fault::CrashSchedule;
 pub use frame::{Addressing, Frame, NodeId, ReceivedFrame};
 pub use sim::{Application, Command, Decision, Node, NodeCtx, RunStatus, SimConfig, Simulator};
-pub use supervise::{AppProgress, NodeProgress, StallReport};
+pub use supervise::{AppProgress, StallReport};
 pub use time::SimTime;
-pub use topology::{Connectivity, PartitionSchedule, Topology, TopologySpec};
+pub use topology::{PartitionSchedule, TopologySpec};

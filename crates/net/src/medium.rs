@@ -30,7 +30,7 @@
 //! * More than one transmission group may be in flight at once, as
 //!   long as their contenders could not sense each other when they
 //!   started (partition islands).
-//! * [`Reception`] is per receiver: a frame is decodable at `dst` when
+//! * `Reception` is per receiver: a frame is decodable at `dst` when
 //!   `dst` shares the transmitter's group, no co-group transmitter and
 //!   no overlapping foreign transmitter is sensed at `dst`, and `dst` is
 //!   not itself transmitting.
@@ -70,17 +70,17 @@ use std::time::Duration;
 
 /// A frame waiting in (or re-queued to) a node's transmit queue.
 #[derive(Clone, Debug)]
-pub struct PendingTx {
+pub(crate) struct PendingTx {
     /// The frame to transmit.
     pub frame: Frame,
     /// Transmission attempt, 0-based (drives the contention window).
-    pub attempt: u32,
+    pub(crate) attempt: u32,
 }
 
 /// Which receivers can decode a completed transmission (before the
 /// fault model has its say).
 #[derive(Clone, Debug, Eq, PartialEq)]
-pub enum Reception {
+pub(crate) enum Reception {
     /// Every node other than the transmitter decodes the frame — the
     /// single-domain collision-free case.
     Everyone,
@@ -93,7 +93,7 @@ pub enum Reception {
 impl Reception {
     /// Whether `rx` decodes the frame. `Everyone` answers for any id;
     /// the caller is responsible for excluding the transmitter itself.
-    pub fn hears(&self, rx: NodeId) -> bool {
+    pub(crate) fn hears(&self, rx: NodeId) -> bool {
         match self {
             Reception::Everyone => true,
             Reception::Nobody => false,
@@ -103,7 +103,7 @@ impl Reception {
 
     /// The nodes, ascending, that decode a frame `src` transmitted among
     /// `n` nodes and that `keep` (asked once each, in order) accepts.
-    pub fn into_receivers(
+    pub(crate) fn into_receivers(
         self,
         n: usize,
         src: NodeId,
@@ -132,12 +132,12 @@ pub struct CompletedTx {
     /// The frame that was on the air.
     pub frame: Frame,
     /// Attempt number of this transmission.
-    pub attempt: u32,
+    pub(crate) attempt: u32,
     /// `true` if this transmission was garbled by interference at one
     /// or more receivers (in a single domain: it collided).
-    pub collision: bool,
+    pub(crate) collision: bool,
     /// Who decodes the frame.
-    pub reception: Reception,
+    pub(crate) reception: Reception,
 }
 
 /// Opaque token tying a scheduled resolution event to the medium state it
@@ -314,18 +314,18 @@ impl Medium {
 
     /// `true` while a transmission is on the air.
     #[cfg(test)]
-    pub fn transmitting(&self) -> bool {
+    pub(crate) fn transmitting(&self) -> bool {
         !self.groups.is_empty()
     }
 
     /// One-line description of the active topology.
-    pub fn topology_describe(&self) -> String {
+    pub(crate) fn topology_describe(&self) -> String {
         self.topology.describe().to_owned()
     }
 
     /// Reachability snapshot at `now` (for stall diagnostics): per-node
     /// direct-neighbor count and connected-component id.
-    pub fn connectivity(&self, now: SimTime) -> Connectivity {
+    pub(crate) fn connectivity(&self, now: SimTime) -> Connectivity {
         self.topology.connectivity(now)
     }
 
@@ -359,7 +359,7 @@ impl Medium {
     /// The transmissions of the group the last successful
     /// [`Medium::resolve`] put on the air (empty once it has finished
     /// and no other is in flight).
-    pub fn last_started(&self) -> impl Iterator<Item = (NodeId, &Frame)> {
+    pub(crate) fn last_started(&self) -> impl Iterator<Item = (NodeId, &Frame)> {
         let txs = self.groups.last().into_iter().flat_map(|group| &group.txs);
         txs.map(|(node, pending)| (*node, &pending.frame))
     }
@@ -635,8 +635,8 @@ impl Medium {
     ///
     /// Fills `done` (cleared first, so the event loop reuses one
     /// allocation) with the transmissions that were on the air, each
-    /// flagged with its [`Reception`]. The caller decides deliveries
-    /// (fault model) and drives retries via [`Medium::retry_unicast`].
+    /// flagged with its `Reception`. The caller decides deliveries
+    /// (fault model) and drives retries via `Medium::retry_unicast`.
     ///
     /// # Panics
     ///
@@ -714,7 +714,7 @@ impl Medium {
 
     /// Time the channel was busy in the transmission reported by the last
     /// [`Medium::finish_tx_into`].
-    pub fn last_busy(&self) -> Duration {
+    pub(crate) fn last_busy(&self) -> Duration {
         self.last_busy
     }
 
@@ -722,7 +722,7 @@ impl Medium {
     ///
     /// Returns `false` — and drops the frame — when the retry limit is
     /// exhausted (the caller should report a MAC failure to the sender).
-    pub fn retry_unicast(
+    pub(crate) fn retry_unicast(
         &mut self,
         node: NodeId,
         frame: Frame,
@@ -755,7 +755,7 @@ impl Medium {
 
     /// Number of frames queued at `node` (head included, in-flight
     /// excluded).
-    pub fn queue_len(&self, node: NodeId) -> usize {
+    pub(crate) fn queue_len(&self, node: NodeId) -> usize {
         self.queues[node].len()
     }
 
@@ -763,7 +763,7 @@ impl Medium {
     /// — a crashed NIC loses its backlog. Returns the number of frames
     /// discarded. A frame already on the air is unaffected here; the
     /// simulator discards it at `TxEnd` when the source is down.
-    pub fn clear_queue(&mut self, node: NodeId) -> usize {
+    pub(crate) fn clear_queue(&mut self, node: NodeId) -> usize {
         self.epoch += 1;
         self.contend(node, None);
         let dropped = self.queues[node].len();

@@ -75,7 +75,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Firing time of the earliest pending item, or `None` when empty.
-    pub fn peek_at(&self) -> Option<u64> {
+    pub(crate) fn peek_at(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse(key)| key.at)
     }
 

@@ -570,7 +570,7 @@ impl Simulator {
 
     /// Snapshots the diagnostic state of the run — what a supervised
     /// run attaches to a stall. Callable at any time.
-    pub fn stall_report(
+    pub(crate) fn stall_report(
         &self,
         limit: SimTime,
         status: RunStatus,
@@ -606,12 +606,6 @@ impl Simulator {
         }
     }
 
-    /// Simulated time of the last global progress: any node's phase
-    /// advance (per [`Application::progress`]) or any decision.
-    pub fn last_progress(&self) -> SimTime {
-        self.last_progress
-    }
-
     /// Installs a crash/recovery schedule. Call before running.
     ///
     /// Time-triggered crashes are scheduled as events; phase-triggered
@@ -643,11 +637,6 @@ impl Simulator {
                 self.push(at, EventKind::Crash(spec.node));
             }
         }
-    }
-
-    /// `true` while `node` is crashed.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.crash_down[node]
     }
 
     fn crash_node(&mut self, node: NodeId) {
@@ -1158,7 +1147,7 @@ mod tests {
             }
         }
         fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, _frame: ReceivedFrame) {
-            self.times.0.borrow_mut().push(ctx.now().as_micros());
+            self.times.0.borrow_mut().push(ctx.now().as_nanos());
             ctx.charge_cpu(Duration::from_millis(10));
         }
         fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _timer: u64) {}
@@ -1186,7 +1175,7 @@ mod tests {
         assert_eq!(times.len(), 2, "node 0 hears both broadcasts");
         // Second delivery waits out the 10 ms CPU charge.
         assert!(
-            times[1] >= times[0] + 10_000,
+            times[1] >= times[0] + 10_000_000,
             "second delivery at {} must be ≥ first {} + 10ms",
             times[1],
             times[0]
@@ -1369,8 +1358,8 @@ mod tests {
         let (mut sim, _resets) = ticker_sim(2);
         sim.set_crash_schedule(CrashSchedule::new().crash_at(0, SimTime::from_millis(50)));
         sim.run_until(SimTime::from_millis(200), |_| false);
-        assert!(sim.is_down(0));
-        assert!(!sim.is_down(1));
+        assert!(sim.crash_down[0]);
+        assert!(!sim.crash_down[1]);
         // The crashed node stopped ticking: far fewer transmissions than
         // its live sibling, and suppressed effects were counted.
         assert!(
@@ -1452,7 +1441,7 @@ mod tests {
                 .rejoin_after(Duration::from_millis(30)),
         );
         sim.run_until(SimTime::from_millis(200), |_| false);
-        assert!(!sim.is_down(0), "node 0 rejoined");
+        assert!(!sim.crash_down[0], "node 0 rejoined");
         // reset() saw the pre-crash phase (~9 ticks at 5 ms), then the
         // probe restarted from zero and advanced again.
         let resets = resets.0.borrow();
@@ -1471,7 +1460,7 @@ mod tests {
         let (mut sim, _resets) = ticker_sim(2);
         sim.set_crash_schedule(CrashSchedule::new().crash_at_phase(1, 3));
         sim.run_until(SimTime::from_millis(200), |_| false);
-        assert!(sim.is_down(1));
+        assert!(sim.crash_down[1]);
         let p = sim.app(1).progress().expect("probe available");
         assert_eq!(p.phase, 3, "crashed exactly at the trigger phase");
     }
@@ -1700,7 +1689,7 @@ mod tests {
         let between = SimTime::from_nanos(arrival.as_nanos() - prop.as_nanos() as u64 / 2);
         let check = |mut sim: Simulator, log: HeardLog| {
             assert_eq!(sim.run_until(SimTime::from_millis(100), |_| false), RunStatus::Quiescent);
-            assert!(sim.is_down(2));
+            assert!(sim.crash_down[2]);
             assert_eq!(sim.stats().crash_drops, 1);
             let radio = radio_deliveries(&log);
             assert_eq!(radio, vec![(1, 0, arrival), (3, 0, arrival)], "node 2 is not dispatched");

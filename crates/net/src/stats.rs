@@ -12,9 +12,9 @@ pub struct NetStats {
     pub broadcast_frames_sent: u64,
     /// Unicast data frame transmissions put on the air, **including MAC
     /// retransmissions**.
-    pub unicast_frames_sent: u64,
+    pub(crate) unicast_frames_sent: u64,
     /// Unicast application sends accepted (before MAC retransmissions).
-    pub unicast_sends: u64,
+    pub(crate) unicast_sends: u64,
     /// Broadcast application sends accepted.
     pub broadcast_sends: u64,
     /// Transmissions that ended in a collision.
@@ -22,7 +22,7 @@ pub struct NetStats {
     /// Deliveries suppressed by the injected fault model.
     pub fault_drops: u64,
     /// Unicast frames abandoned after exhausting the MAC retry limit.
-    pub mac_failures: u64,
+    pub(crate) mac_failures: u64,
     /// Frames tail-dropped because a node's transmit queue was full
     /// (channel saturation).
     pub queue_drops: u64,
@@ -37,17 +37,17 @@ pub struct NetStats {
     /// Loopback (self) deliveries, which bypass the radio.
     pub loopback_deliveries: u64,
     /// Total time the channel was busy with transmissions.
-    pub channel_busy: Duration,
+    pub(crate) channel_busy: Duration,
     /// Total application-payload bytes put on the air.
     pub payload_bytes_sent: u64,
     /// Per-node count of data-frame transmissions.
-    pub per_node_tx: Vec<u64>,
+    pub(crate) per_node_tx: Vec<u64>,
     /// Per-node count of application deliveries.
-    pub per_node_rx: Vec<u64>,
+    pub(crate) per_node_rx: Vec<u64>,
     /// Per-node count of transmit-queue tail drops (sums to
     /// [`NetStats::queue_drops`]); the congestion fingerprint a
     /// [`crate::supervise::StallReport`] points at.
-    pub per_node_queue_drops: Vec<u64>,
+    pub(crate) per_node_queue_drops: Vec<u64>,
 }
 
 impl NetStats {

@@ -47,7 +47,7 @@ pub struct NodeProgress {
     /// [`crate::fault::CrashSchedule`]).
     pub crashed: bool,
     /// Frames sitting in the node's transmit queue right now.
-    pub tx_queue_depth: usize,
+    pub(crate) tx_queue_depth: usize,
     /// Cumulative transmit-queue tail drops at this node.
     pub queue_drops: u64,
     /// Frames delivered to this node's application.
@@ -57,11 +57,11 @@ pub struct NodeProgress {
     pub peak_store_bytes: usize,
     /// Direct neighbors this node hears at the snapshot instant
     /// (`n − 1` in a single broadcast domain).
-    pub reachable_peers: usize,
+    pub(crate) reachable_peers: usize,
     /// Connected-component id of this node in the reachability graph
     /// (the smallest node index in the component; everyone is 0 when
     /// the network is whole).
-    pub component: usize,
+    pub(crate) component: usize,
 }
 
 /// A structured diagnosis of a run that stopped without satisfying its
@@ -83,7 +83,7 @@ pub struct StallReport {
     pub target: Option<usize>,
     /// Simulated time of the last global progress (a phase advance or
     /// a decision anywhere in the group).
-    pub last_progress: SimTime,
+    pub(crate) last_progress: SimTime,
     /// The injected delivery fault model, per
     /// [`crate::fault::FaultModel::describe`].
     pub fault: String,

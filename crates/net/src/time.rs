@@ -15,7 +15,7 @@ use std::time::Duration;
 /// use wireless_net::time::SimTime;
 /// use std::time::Duration;
 /// let t = SimTime::ZERO + Duration::from_micros(50);
-/// assert_eq!(t.as_micros(), 50);
+/// assert_eq!(t.as_nanos(), 50_000);
 /// assert_eq!(t - SimTime::ZERO, Duration::from_micros(50));
 /// ```
 #[derive(Clone, Copy, Debug, Default, Eq, Hash, Ord, PartialEq, PartialOrd)]
@@ -43,11 +43,6 @@ impl SimTime {
     /// Nanoseconds since simulation start.
     pub fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Microseconds since simulation start (truncating).
-    pub fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Milliseconds since simulation start (truncating).
@@ -104,15 +99,15 @@ mod tests {
 
     #[test]
     fn construction_and_units() {
-        assert_eq!(SimTime::from_millis(3).as_micros(), 3000);
+        assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimTime::from_micros(7).as_nanos(), 7000);
-        assert_eq!(SimTime::from_nanos(1_500).as_micros(), 1);
+        assert_eq!(SimTime::from_micros(1_500).as_millis(), 1);
     }
 
     #[test]
     fn add_duration() {
         let t = SimTime::from_millis(1) + Duration::from_micros(500);
-        assert_eq!(t.as_micros(), 1500);
+        assert_eq!(t.as_nanos(), 1_500_000);
         let mut u = SimTime::ZERO;
         u += Duration::from_nanos(42);
         assert_eq!(u.as_nanos(), 42);

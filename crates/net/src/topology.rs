@@ -199,7 +199,7 @@ impl Topology {
     /// whether it decodes `src`'s frames and carrier-senses `src`'s
     /// energy. `row[src]` is `true`. The medium asks one row per
     /// transmitter, into a buffer it owns.
-    pub fn same_group_row(&self, now: SimTime, src: NodeId, row: &mut [bool]) {
+    pub(crate) fn same_group_row(&self, now: SimTime, src: NodeId, row: &mut [bool]) {
         match self.grouping(now) {
             None => row.fill(true),
             Some(leader) => {
@@ -213,7 +213,7 @@ impl Topology {
 
     /// Reachability snapshot at `now`, read off the active grouping in
     /// O(n): each node reaches the rest of its group.
-    pub fn connectivity(&self, now: SimTime) -> Connectivity {
+    pub(crate) fn connectivity(&self, now: SimTime) -> Connectivity {
         let component = match self.grouping(now) {
             None => vec![0; self.n],
             Some(leader) => leader.to_vec(),
@@ -234,9 +234,9 @@ impl Topology {
 /// neighbor count and connected-component id (smallest member index),
 /// for stall diagnostics.
 #[derive(Clone, Debug, Eq, PartialEq)]
-pub struct Connectivity {
+pub(crate) struct Connectivity {
     /// Direct neighbors each node hears.
-    pub reachable: Vec<usize>,
+    pub(crate) reachable: Vec<usize>,
     /// Connected-component id of each node (the smallest node index in
     /// the component, so ids are stable across runs).
     pub component: Vec<usize>,

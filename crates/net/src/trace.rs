@@ -128,7 +128,7 @@ impl Trace {
     }
 
     /// `true` when tracing is disabled.
-    pub fn is_disabled(&self) -> bool {
+    pub(crate) fn is_disabled(&self) -> bool {
         self.capacity == 0
     }
 
@@ -163,20 +163,22 @@ impl Trace {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Renders the trace as a log, one event per line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (at, ev) in &self.events {
-            out.push_str(&format!("{at}  {ev}\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Trace {
+        /// Renders the trace as a log, one event per line.
+        pub(crate) fn render(&self) -> String {
+            let mut out = String::new();
+            for (at, ev) in &self.events {
+                out.push_str(&format!("{at}  {ev}\n"));
+            }
+            out
+        }
+    }
 
     #[test]
     fn disabled_trace_records_nothing() {

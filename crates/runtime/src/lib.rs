@@ -56,7 +56,7 @@ pub struct ClusterConfig {
     /// One bound socket per node; their local addresses are the group.
     pub sockets: Vec<UdpSocket>,
     /// Wall-clock budget; the run ends sooner once every node decided.
-    pub timeout: Duration,
+    pub(crate) timeout: Duration,
 }
 
 impl ClusterConfig {
